@@ -17,13 +17,13 @@ from .errors import (
     BadSpectrum,
     ConfigError,
     DegeneracyBudgetExceeded,
+    DegenerateSpectrum,
     MpjlError,
     ParseError,
 )
 from .matcore import make_rng, matrix_to_json, random_rank_q, svd_thin
 from .reports import SuiteResult, dumps_canonical, render_text
 from .suites import RETRY_BUDGET, SUITE_NAMES, RunConfig, run_suite, validate_config
-from .errors import DegenerateSpectrum
 
 DEFAULT_SEED = 12345
 

@@ -11,7 +11,9 @@ single nm x nm operator acting on vec(dX):
     -(Y' kron Y) + [ (I_n - X Y) kron (Y Y') + (Y' Y) kron (I_m - Y X) ] K.
 
 Both projector terms use symmetric middle factors, so no extra transposes
-appear.  The finite-difference oracles here are the independent checks for
+appear.  K has exactly one 1 per column, so the product with K is applied as
+a column permutation of the bracketed term rather than as a dense matmul.
+The finite-difference oracles here are the independent checks for
 the analytic forms; they pin the rank of every evaluation point to the rank
 of the base point, because the pseudoinverse is discontinuous across rank
 changes.
@@ -26,9 +28,7 @@ import numpy as np
 from .chart import CoordinateChart, assemble, perturbed_assemble
 from .errors import NotFullRank, RankDrift, ShapeMismatch
 from .matcore import (
-    RankInfo,
     as_matrix,
-    commutation_matrix,
     kron,
     pinv,
     pinv_fixed_rank,
@@ -46,14 +46,11 @@ class FdConfig:
     """
 
     step: float = 1e-5
-    scheme: str = "central"
     scale: bool = True
 
     def __post_init__(self):
         if not 1e-9 <= self.step <= 1e-2:
             raise ValueError(f"step must lie in [1e-9, 1e-2], got {self.step}")
-        if self.scheme != "central":
-            raise ValueError("only the central scheme is implemented")
 
     def effective_step(self, x: np.ndarray) -> float:
         if not self.scale:
@@ -68,7 +65,6 @@ class JacobianOperator:
     matrix: np.ndarray
     n: int
     m: int
-    rank_info: RankInfo
 
 
 def pinv_differential(x, dx, tol: float | None = None) -> np.ndarray:
@@ -91,9 +87,11 @@ def jacobian_operator(x, tol: float | None = None) -> JacobianOperator:
     y = pinv(x, tol)
     left_proj = np.eye(n) - x @ y
     right_proj = np.eye(m) - y @ x
-    k = commutation_matrix(m, n)
-    op = -kron(y.T, y) + (kron(left_proj, y @ y.T) + kron(y.T @ y, right_proj)) @ k
-    return JacobianOperator(matrix=op, n=n, m=m, rank_info=rank_profile(op))
+    # Column j*n + i of K = commutation_matrix(m, n) holds its single 1 in
+    # row i*m + j, so right-multiplying by K gathers those columns.
+    k_cols = np.arange(n * m).reshape(n, m).T.ravel()
+    op = -kron(y.T, y) + (kron(left_proj, y @ y.T) + kron(y.T @ y, right_proj))[:, k_cols]
+    return JacobianOperator(matrix=op, n=n, m=m)
 
 
 def jacobian_det_operator(x, tol: float | None = None) -> float:

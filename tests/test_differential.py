@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mpjl import chart, matcore as mc
+from mpjl import chart, matcore as mc, suites
 from mpjl import differential as df
 from mpjl.errors import NotFullRank, RankDrift
 
@@ -89,9 +89,53 @@ def test_operator_consistency_across_shapes_and_ranks():
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize(
+    "n, m, q",
+    [(1, 1, 1), (1, 5, 1), (5, 1, 1), (2, 3, 1), (3, 2, 2), (4, 4, 2), (5, 3, 3), (6, 4, 2), (3, 7, 1)],
+)
+def test_operator_commutation_is_exact_permutation(n, m, q):
+    x = mc.random_rank_q(n, m, q, mc.make_rng(100 + 10 * n + m))
+    y = mc.pinv(x)
+    left_proj = np.eye(n) - x @ y
+    right_proj = np.eye(m) - y @ x
+    formula = -np.kron(y.T, y) + (
+        np.kron(left_proj, y @ y.T) + np.kron(y.T @ y, right_proj)
+    ) @ mc.commutation_matrix(m, n)
+    assert np.array_equal(df.jacobian_operator(x).matrix, formula)
+
+
+def _record_svd_shapes(monkeypatch):
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes
+
+
+def test_det_operator_factors_no_operator_sized_matrix(monkeypatch):
+    n, m = 24, 20
+    x = mc.random_rank_q(n, m, m, mc.make_rng(47))
+    shapes = _record_svd_shapes(monkeypatch)
+    df.jacobian_det_operator(x)
+    assert shapes
+    assert max(s[0] for s in shapes) <= max(n, m)
+
+
+def test_operator_rank_suite_keeps_svd_rank_oracle(monkeypatch):
+    n, m = 24, 20
+    shapes = _record_svd_shapes(monkeypatch)
+    result = suites.run_suite("operator-rank", suites.RunConfig(n=n, m=m, q=8, trials=1, seed=48))
+    assert result.reports[0].passed
+    assert max(s[0] for s in shapes) == n * m
+
+
 def test_operator_rank_law_hand_case():
     op = df.jacobian_operator(np.array([[1.0, 2.0], [3.0, 6.0]]))
-    assert op.rank_info.rank == 3  # nq + mq - q^2 = 2 + 2 - 1
+    assert mc.rank_profile(op.matrix).rank == 3  # nq + mq - q^2 = 2 + 2 - 1
 
 
 def test_operator_rank_law_sweep():
@@ -102,7 +146,7 @@ def test_operator_rank_law_sweep():
         m = int(rng.integers(q + 1, 7))
         x = mc.random_rank_q(n, m, q, rng)
         op = df.jacobian_operator(x)
-        assert op.rank_info.rank == n * q + m * q - q * q
+        assert mc.rank_profile(op.matrix).rank == n * q + m * q - q * q
 
 
 def test_operator_annihilates_normal_directions():
@@ -135,7 +179,7 @@ def test_det_operator_matches_closed_form_tall():
 def test_det_operator_vanishes_when_deficient():
     x = np.array([[1.0, 2.0], [3.0, 6.0]])
     op = df.jacobian_operator(x)
-    scale = op.rank_info.singular_values[0] ** 4
+    scale = mc.rank_profile(op.matrix).singular_values[0] ** 4
     assert df.jacobian_det_operator(x) <= 1e-12 * scale
 
 
