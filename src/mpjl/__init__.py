@@ -25,7 +25,6 @@ from .differential import (
     JacobianOperator,
     OrthogonalSandwichMap,
     PinvMap,
-    ScaleMap,
     fd_chart_jacobian,
     fd_pinv_differential,
     jacobian_det_full_rank,
@@ -55,7 +54,6 @@ from .matcore import (
     RankInfo,
     SvdFactors,
     commutation_matrix,
-    kron,
     make_rng,
     matrix_from_json,
     matrix_to_json,

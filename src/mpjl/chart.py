@@ -14,7 +14,7 @@ result maps back to the original index space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,7 +26,13 @@ from .errors import (
     SingularGram,
     SingularX11,
 )
-from .matcore import as_matrix, matrix_from_json, matrix_to_json, rank_profile
+from .matcore import (
+    as_matrix,
+    ill_conditioned,
+    matrix_from_json,
+    matrix_to_json,
+    rank_profile,
+)
 
 # Condition-number cap on the pivot block; beyond it the rank hypothesis is
 # too close to violated for chart arithmetic to mean anything.
@@ -95,11 +101,10 @@ def make_blocks(x11, x12, x21, n: int | None = None, m: int | None = None,
                               row_perm=row_perm, col_perm=col_perm, n=n, m=m)
 
 
-def _x11_solve(b: BlockDecomposition, rhs: np.ndarray) -> np.ndarray:
-    s = np.linalg.svd(b.x11, compute_uv=False)
-    if s.size and (s[-1] <= 0 or s[0] / s[-1] > 1 / np.finfo(float).eps):
+def _check_x11(b: BlockDecomposition) -> None:
+    s = ill_conditioned(b.x11, max_cond=1 / np.finfo(float).eps)
+    if s is not None:
         raise SingularX11(f"X11 is numerically singular (singular values {s.tolist()})")
-    return np.linalg.solve(b.x11, rhs)
 
 
 def decompose(x, q: int, tol: float | None = None) -> BlockDecomposition:
@@ -137,8 +142,8 @@ def decompose(x, q: int, tol: float | None = None) -> BlockDecomposition:
     row_perm = tuple(pivot_rows + rows)
     col_perm = tuple(pivot_cols + cols)
     x11 = x[np.ix_(row_perm[:q], col_perm[:q])]
-    s = np.linalg.svd(x11, compute_uv=False)
-    if s[-1] <= 0 or s[0] / s[-1] > PIVOT_COND_CAP:
+    s = ill_conditioned(x11, max_cond=PIVOT_COND_CAP)
+    if s is not None:
         raise IllConditionedPivot(
             f"best pivot block has condition {s[0] / max(s[-1], 1e-300):.3e} > {PIVOT_COND_CAP:.0e}"
         )
@@ -154,19 +159,30 @@ def decompose(x, q: int, tol: float | None = None) -> BlockDecomposition:
     )
 
 
-def x22_from_blocks(b: BlockDecomposition) -> np.ndarray:
-    """Dependent trailing block X21 @ inv(X11) @ X12; empty when q = n or q = m."""
+def _x22(b: BlockDecomposition) -> np.ndarray:
+    # X21 @ inv(X11) @ X12 without the X11 test, for callers that made it.
     if b.n == b.q or b.m == b.q:
         return np.zeros((b.n - b.q, b.m - b.q))
-    return b.x21 @ _x11_solve(b, b.x12)
+    return b.x21 @ np.linalg.solve(b.x11, b.x12)
+
+
+def x22_from_blocks(b: BlockDecomposition) -> np.ndarray:
+    """Dependent trailing block X21 @ inv(X11) @ X12; empty when q = n or q = m."""
+    if b.n > b.q and b.m > b.q:
+        _check_x11(b)
+    return _x22(b)
+
+
+def _unpermute(b: BlockDecomposition, a11, a12, a21, a22) -> np.ndarray:
+    # Place permuted-coordinate blocks back at their original indices.
+    a = np.empty((b.n, b.m))
+    a[np.ix_(b.row_perm, b.col_perm)] = np.block([[a11, a12], [a21, a22]])
+    return a
 
 
 def assemble(b: BlockDecomposition) -> np.ndarray:
     """Rebuild the full matrix, trailing block filled from the dependence rule."""
-    xp = np.block([[b.x11, b.x12], [b.x21, x22_from_blocks(b)]])
-    x = np.empty((b.n, b.m))
-    x[np.ix_(b.row_perm, b.col_perm)] = xp
-    return x
+    return _unpermute(b, b.x11, b.x12, b.x21, x22_from_blocks(b))
 
 
 def pinv_from_blocks(b: BlockDecomposition) -> np.ndarray:
@@ -182,8 +198,7 @@ def pinv_from_blocks(b: BlockDecomposition) -> np.ndarray:
     gram_left = b.x11 @ b.x11.T + b.x12 @ b.x12.T
     gram_right = b.x11.T @ b.x11 + b.x21.T @ b.x21
     for name, g in (("left", gram_left), ("right", gram_right)):
-        s = np.linalg.svd(g, compute_uv=False)
-        if s[-1] <= s[0] * np.finfo(float).eps * b.q:
+        if ill_conditioned(g, rtol=np.finfo(float).eps * b.q) is not None:
             raise SingularGram(f"{name} Gram combination is numerically singular")
     core = np.linalg.solve(gram_left, b.x11)
     core = np.linalg.solve(gram_right.T, core.T).T
@@ -205,14 +220,12 @@ def tangent_perturbation(b: BlockDecomposition, dx11, dx12, dx21) -> np.ndarray:
     dx11 = _block_matrix(np.atleast_2d(np.asarray(dx11, dtype=float)), q, q, "dX11")
     dx12 = np.asarray(dx12, dtype=float).reshape(q, b.m - q)
     dx21 = np.asarray(dx21, dtype=float).reshape(b.n - q, q)
-    inv_x12 = _x11_solve(b, b.x12)          # X11^-1 X12
-    inv_dx11 = _x11_solve(b, dx11)          # X11^-1 dX11
-    inv_dx12 = _x11_solve(b, dx12)          # X11^-1 dX12
+    _check_x11(b)
+    inv_x12 = np.linalg.solve(b.x11, b.x12)     # X11^-1 X12
+    inv_dx11 = np.linalg.solve(b.x11, dx11)     # X11^-1 dX11
+    inv_dx12 = np.linalg.solve(b.x11, dx12)     # X11^-1 dX12
     dx22 = dx21 @ inv_x12 - b.x21 @ inv_dx11 @ inv_x12 + b.x21 @ inv_dx12
-    dxp = np.block([[dx11, dx12], [dx21, dx22]])
-    dx = np.empty((b.n, b.m))
-    dx[np.ix_(b.row_perm, b.col_perm)] = dxp
-    return dx
+    return _unpermute(b, dx11, dx12, dx21, dx22)
 
 
 def chart_positions(n: int, m: int, q: int, b: BlockDecomposition) -> CoordinateChart:
@@ -250,27 +263,19 @@ def perturbed_assemble(chart: CoordinateChart, deltas: np.ndarray) -> np.ndarray
     if deltas.shape != (len(chart),):
         raise ShapeMismatch(f"expected {len(chart)} deltas, got {deltas.shape}")
     q, n, m = b.q, b.n, b.m
-    x11 = b.x11.copy()
-    x12 = b.x12.copy()
-    x21 = b.x21.copy()
-    k = 0
-    for j in range(q):
-        for i in range(q):
-            x11[i, j] += deltas[k]
-            k += 1
-    for j in range(m - q):
-        for i in range(q):
-            x12[i, j] += deltas[k]
-            k += 1
-    for j in range(q):
-        for i in range(n - q):
-            x21[i, j] += deltas[k]
-            k += 1
-    moved = make_blocks(x11, x12, x21, n=n, m=m, row_perm=b.row_perm, col_perm=b.col_perm)
-    s = np.linalg.svd(moved.x11, compute_uv=False)
-    if s[-1] <= 0 or s[0] / s[-1] > PIVOT_COND_CAP:
+    # Chart order is X11, X12, X21, each column-major.
+    k12, k21 = q * q, q * m
+    moved = replace(
+        b,
+        x11=b.x11 + deltas[:k12].reshape((q, q), order="F"),
+        x12=b.x12 + deltas[k12:k21].reshape((q, m - q), order="F"),
+        x21=b.x21 + deltas[k21:].reshape((n - q, q), order="F"),
+    )
+    # The pivot cap is stricter than the 1/eps cap of _check_x11, so X22
+    # needs no second test.
+    if ill_conditioned(moved.x11, max_cond=PIVOT_COND_CAP) is not None:
         raise ChartInvalid("perturbation left the pivot block's validity region")
-    return assemble(moved)
+    return _unpermute(moved, moved.x11, moved.x12, moved.x21, _x22(moved))
 
 
 def blocks_to_json(b: BlockDecomposition) -> dict:

@@ -9,6 +9,7 @@ default seed when --seed is absent.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -86,6 +87,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Parsing keeps no state on the parser, so one tree serves every call.
+    return build_parser()
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -104,8 +111,6 @@ def _config_from_args(args) -> RunConfig:
         tol=args.tol,
         fd_step=args.fd_step,
         spectrum=_parse_spectrum(args.spectrum),
-        output_format=args.format,
-        output_path=args.out,
     )
 
 
@@ -143,10 +148,8 @@ def cmd_gen(args) -> int:
 def cmd_verify(args) -> int:
     cfg = validate_config(_config_from_args(args), args.suite)
     result = run_suite(args.suite, cfg)
-    if cfg.output_format == "json":
-        _emit(dumps_canonical(result.to_json()), cfg.output_path)
-    else:
-        _emit(render_text(result), cfg.output_path)
+    text = dumps_canonical(result.to_json()) if args.format == "json" else render_text(result)
+    _emit(text, args.out)
     return 0 if result.all_passed else 1
 
 
@@ -189,8 +192,7 @@ def cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "gen":
             return cmd_gen(args)

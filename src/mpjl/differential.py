@@ -27,34 +27,24 @@ import numpy as np
 
 from .chart import CoordinateChart, assemble, perturbed_assemble
 from .errors import NotFullRank, RankDrift, ShapeMismatch
-from .matcore import (
-    as_matrix,
-    kron,
-    pinv,
-    pinv_fixed_rank,
-    rank_profile,
-    vec,
-)
+from .matcore import as_matrix, pinv, pinv_fixed_rank, rank_profile
 
 
 @dataclass(frozen=True)
 class FdConfig:
     """Central finite-difference settings.
 
-    ``step`` is the nominal step; with ``scale`` set it is multiplied by the
-    max-abs entry of the base matrix.
+    ``step`` is the nominal step; it is multiplied by the max-abs entry of
+    the base matrix.
     """
 
     step: float = 1e-5
-    scale: bool = True
 
     def __post_init__(self):
         if not 1e-9 <= self.step <= 1e-2:
             raise ValueError(f"step must lie in [1e-9, 1e-2], got {self.step}")
 
     def effective_step(self, x: np.ndarray) -> float:
-        if not self.scale:
-            return self.step
         return self.step * max(float(np.max(np.abs(x))), 1e-12)
 
 
@@ -90,7 +80,9 @@ def jacobian_operator(x, tol: float | None = None) -> JacobianOperator:
     # Column j*n + i of K = commutation_matrix(m, n) holds its single 1 in
     # row i*m + j, so right-multiplying by K gathers those columns.
     k_cols = np.arange(n * m).reshape(n, m).T.ravel()
-    op = -kron(y.T, y) + (kron(left_proj, y @ y.T) + kron(y.T @ y, right_proj))[:, k_cols]
+    op = -np.kron(y.T, y) + (
+        np.kron(left_proj, y @ y.T) + np.kron(y.T @ y, right_proj)
+    )[:, k_cols]
     return JacobianOperator(matrix=op, n=n, m=m)
 
 
@@ -166,16 +158,6 @@ class PinvMap:
         return pinv(x, self.tol)
 
 
-@dataclass(frozen=True)
-class ScaleMap:
-    """X -> c X."""
-
-    factor: float
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.factor * x
-
-
 class OrthogonalSandwichMap:
     """X -> H X Q with fixed orthogonal H (n x n) and Q (m x m)."""
 
@@ -193,11 +175,7 @@ class OrthogonalSandwichMap:
         return self.left @ x @ self.right
 
 
-MatrixMap = PinvMap | ScaleMap | OrthogonalSandwichMap
-
-
-def _read_positions(a: np.ndarray, chart: CoordinateChart) -> np.ndarray:
-    return np.array([a[r, c] for r, c in chart.positions])
+MatrixMap = PinvMap | OrthogonalSandwichMap
 
 
 def fd_chart_jacobian(
@@ -224,6 +202,7 @@ def fd_chart_jacobian(
         raise ShapeMismatch("in_chart does not reassemble the given X")
     h = cfg.effective_step(x)
     jac = np.empty((len(out_chart), len(in_chart)))
+    out_rows, out_cols = np.array(out_chart.positions).T
     deltas = np.zeros(len(in_chart))
     for k in range(len(in_chart)):
         deltas[k] = h
@@ -231,5 +210,5 @@ def fd_chart_jacobian(
         deltas[k] = -h
         minus = f.apply(perturbed_assemble(in_chart, deltas))
         deltas[k] = 0.0
-        jac[:, k] = (_read_positions(plus, out_chart) - _read_positions(minus, out_chart)) / (2.0 * h)
+        jac[:, k] = (plus[out_rows, out_cols] - minus[out_rows, out_cols]) / (2.0 * h)
     return jac

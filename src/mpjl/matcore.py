@@ -6,8 +6,15 @@ instances.  Everything works on plain ``numpy.ndarray`` values of dtype
 float64; matrices are 2-D arrays.
 
 Rank policy: a singular value is retained when it exceeds ``tol * s[0]``,
-where ``tol`` defaults to ``max(n, m) * machine epsilon``.  The same
-relative tolerance is accepted by every operation that needs a rank cut.
+where ``tol`` defaults to ``max(n, m) * machine epsilon``.  ``_rank_info``
+is the one place that cut is made (``rank_profile``, ``svd_thin`` and
+``pinv`` all go through it), and ``_pinv_from_svd`` the one place retained
+factors become a pseudoinverse (``pinv`` and ``pinv_fixed_rank``).
+
+Conditioning policy: ``ill_conditioned`` is the one test of whether a
+square block can be inverted.  Callers pick its threshold and comparison
+(a condition-number cap, or a floor on the smallest singular value
+relative to the largest) and raise their own error.
 """
 
 from __future__ import annotations
@@ -82,11 +89,6 @@ def unvec(v, n: int, m: int) -> np.ndarray:
     return v.reshape((n, m), order="F")
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; satisfies vec(B X A') = kron(A, B) vec(X)."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def commutation_matrix(m: int, n: int) -> np.ndarray:
     """Permutation K with K @ vec(A) = vec(A.T) for every n x m matrix A.
 
@@ -102,14 +104,22 @@ def commutation_matrix(m: int, n: int) -> np.ndarray:
     return k
 
 
+def _rank_info(s: np.ndarray, shape: tuple[int, int], tol: float | None) -> RankInfo:
+    # The relative rank cut: keep the singular values above tol * s[0].
+    if tol is None:
+        tol = default_rank_tol(*shape)
+    cut = tol * (s[0] if s.size else 0.0)
+    return RankInfo(rank=int(np.sum(s > cut)), tolerance_used=float(cut), singular_values=s)
+
+
+def _pinv_from_svd(u: np.ndarray, s: np.ndarray, vt: np.ndarray, q: int) -> np.ndarray:
+    return (vt[:q].T / s[:q]) @ u[:, :q].T
+
+
 def rank_profile(x, tol: float | None = None) -> RankInfo:
     """Numerical rank of ``x`` under the relative tolerance policy."""
     x = as_matrix(x)
-    s = np.linalg.svd(x, compute_uv=False)
-    if tol is None:
-        tol = default_rank_tol(*x.shape)
-    cut = tol * (s[0] if s.size else 0.0)
-    return RankInfo(rank=int(np.sum(s > cut)), tolerance_used=float(cut), singular_values=s)
+    return _rank_info(np.linalg.svd(x, compute_uv=False), x.shape, tol)
 
 
 def _check_distinct(s: np.ndarray) -> None:
@@ -129,11 +139,8 @@ def svd_thin(x, tol: float | None = None) -> tuple[SvdFactors, RankInfo]:
     """
     x = as_matrix(x)
     u, s, vt = np.linalg.svd(x, full_matrices=False)
-    if tol is None:
-        tol = default_rank_tol(*x.shape)
-    cut = tol * (s[0] if s.size else 0.0)
-    q = int(np.sum(s > cut))
-    info = RankInfo(rank=q, tolerance_used=float(cut), singular_values=s)
+    info = _rank_info(s, x.shape, tol)
+    q = info.rank
     _check_distinct(s[:q])
     return SvdFactors(u=u[:, :q].copy(), s=s[:q].copy(), v=vt[:q].T.copy()), info
 
@@ -146,11 +153,7 @@ def pinv(x, tol: float | None = None) -> np.ndarray:
     """
     x = as_matrix(x)
     u, s, vt = np.linalg.svd(x, full_matrices=False)
-    if tol is None:
-        tol = default_rank_tol(*x.shape)
-    cut = tol * (s[0] if s.size else 0.0)
-    q = int(np.sum(s > cut))
-    return (vt[:q].T / s[:q]) @ u[:, :q].T
+    return _pinv_from_svd(u, s, vt, _rank_info(s, x.shape, tol).rank)
 
 
 def pinv_fixed_rank(x, q: int) -> np.ndarray:
@@ -162,8 +165,24 @@ def pinv_fixed_rank(x, q: int) -> np.ndarray:
     x = as_matrix(x)
     if q < 0 or q > min(x.shape):
         raise ValueError(f"q={q} out of range for shape {x.shape}")
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
-    return (vt[:q].T / s[:q]) @ u[:, :q].T
+    return _pinv_from_svd(*np.linalg.svd(x, full_matrices=False), q)
+
+
+def ill_conditioned(
+    a, max_cond: float | None = None, rtol: float | None = None
+) -> np.ndarray | None:
+    """Singular values of the square matrix ``a`` when it cannot be inverted, else None.
+
+    Pass one of the two tests: ``max_cond`` fails ``a`` when ``s[0] / s[-1]``
+    exceeds it (or ``s[-1]`` is zero); ``rtol`` fails ``a`` when ``s[-1]``
+    is at or below ``rtol * s[0]``.
+    """
+    s = np.linalg.svd(a, compute_uv=False)
+    if max_cond is not None:
+        bad = s.size and (s[-1] <= 0 or s[0] / s[-1] > max_cond)
+    else:
+        bad = s[-1] <= s[0] * rtol
+    return s if bad else None
 
 
 def penrose_residuals(x, y) -> tuple[float, float, float, float]:
@@ -216,21 +235,25 @@ def random_stiefel(n: int, q: int, rng: np.random.Generator) -> np.ndarray:
     return qmat * np.sign(np.diag(r))
 
 
-def validate_spectrum(d) -> np.ndarray:
-    """Check a requested spectrum: strictly decreasing, positive, gapped."""
+def check_spectrum(d) -> np.ndarray:
+    """Check a spectrum: nonempty, 1-D, positive, finite, strictly decreasing."""
     d = np.asarray(d, dtype=float)
     if d.ndim != 1 or d.size == 0:
         raise BadSpectrum("spectrum must be a nonempty 1-D sequence")
     if not np.all(np.isfinite(d)) or np.any(d <= 0):
         raise BadSpectrum(f"spectrum must be positive and finite: {d.tolist()}")
-    if d.size >= 2:
-        gaps = d[:-1] - d[1:]
-        if np.any(gaps <= 0):
-            raise BadSpectrum(f"spectrum must be strictly decreasing: {d.tolist()}")
-        if np.min(gaps) < REQUEST_GAP * d[0]:
-            raise BadSpectrum(
-                f"relative spectrum gaps must be >= {REQUEST_GAP}: {d.tolist()}"
-            )
+    if d.size >= 2 and np.any(d[:-1] - d[1:] <= 0):
+        raise BadSpectrum(f"spectrum must be strictly decreasing: {d.tolist()}")
+    return d
+
+
+def validate_spectrum(d) -> np.ndarray:
+    """Check a requested spectrum: :func:`check_spectrum` plus the request gap."""
+    d = check_spectrum(d)
+    if d.size >= 2 and np.min(d[:-1] - d[1:]) < REQUEST_GAP * d[0]:
+        raise BadSpectrum(
+            f"relative spectrum gaps must be >= {REQUEST_GAP}: {d.tolist()}"
+        )
     return d
 
 

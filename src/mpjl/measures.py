@@ -25,24 +25,13 @@ import numpy as np
 from .chart import chart_positions, decompose
 from .differential import FdConfig, OrthogonalSandwichMap, fd_chart_jacobian, jacobian_det_operator
 from .errors import BadSpectrum, NotFullColumnRank, ShapeMismatch, SingularInput
-from .matcore import as_matrix, pinv, rank_profile
+from .matcore import as_matrix, check_spectrum, ill_conditioned, pinv, rank_profile
 from .reports import VerificationReport
-
-
-def _check_spectrum(d) -> np.ndarray:
-    d = np.asarray(d, dtype=float)
-    if d.ndim != 1 or d.size == 0:
-        raise BadSpectrum("spectrum must be a nonempty 1-D sequence")
-    if not np.all(np.isfinite(d)) or np.any(d <= 0):
-        raise BadSpectrum(f"spectrum must be positive: {d.tolist()}")
-    if d.size >= 2 and np.any(d[:-1] <= d[1:]):
-        raise BadSpectrum(f"spectrum must be strictly decreasing: {d.tolist()}")
-    return d
 
 
 def hausdorff_density(n: int, m: int, d) -> float:
     """Spectral density factor 2^-q (prod D)^(n+m-2q) prod_{i<j}(D_i^2 - D_j^2)."""
-    d = _check_spectrum(d)
+    d = check_spectrum(d)
     q = d.size
     if q > min(n, m):
         raise BadSpectrum(f"q={q} exceeds min(n, m)={min(n, m)}")
@@ -55,13 +44,13 @@ def hausdorff_density(n: int, m: int, d) -> float:
 
 def pinv_spectrum(d) -> np.ndarray:
     """Singular values of the pseudoinverse: reciprocals in decreasing order."""
-    d = _check_spectrum(d)
+    d = check_spectrum(d)
     return 1.0 / d[::-1]
 
 
 def nonfullrank_jacobian_factor(n: int, m: int, d) -> float:
     """Change-of-variables factor prod_i D_i^(-2(n+m-q)) for Y = pinv(X)."""
-    d = _check_spectrum(d)
+    d = check_spectrum(d)
     q = d.size
     if q > min(n, m):
         raise BadSpectrum(f"q={q} exceeds min(n, m)={min(n, m)}")
@@ -87,7 +76,7 @@ def hausdorff_ratio_check(n: int, m: int, d) -> SpectrumFactorReport:
     is an exact algebraic identity for prod D_i^(-2(n+m-q)); the residual
     measures only rounding.
     """
-    d = _check_spectrum(d)
+    d = check_spectrum(d)
     q = d.size
     density_x = hausdorff_density(n, m, d)
     dy = pinv_spectrum(d)
@@ -146,8 +135,7 @@ def vech(s: np.ndarray) -> np.ndarray:
 def symmetric_inverse_jacobian_formula(s: SymmetricMatrix) -> float:
     """|det S|^-(m+1): the half-vectorization Jacobian of S -> inv(S)."""
     a = s.full()
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv[-1] <= sv[0] * np.finfo(float).eps * s.order:
+    if ill_conditioned(a, rtol=np.finfo(float).eps * s.order) is not None:
         raise SingularInput("matrix is numerically singular")
     return float(abs(np.linalg.det(a)) ** (-(s.order + 1)))
 
@@ -206,16 +194,6 @@ def exterior_chain_check(x, tol: float | None = None) -> VerificationReport:
     op_det = jacobian_det_operator(x, tol)
     operator_residual = float(abs(assembled - op_det) / target)
 
-    tolerances = {
-        "inverse_identity": 1e-10,
-        "determinant_algebra": 1e-12,
-        "operator_match": 1e-8,
-    }
-    residuals = {
-        "inverse_identity": inverse_residual,
-        "determinant_algebra": algebra_residual,
-        "operator_match": operator_residual,
-    }
     return VerificationReport(
         check_name="exterior-chain",
         inputs={"n": n, "m": m},
@@ -226,9 +204,16 @@ def exterior_chain_check(x, tol: float | None = None) -> VerificationReport:
             "closed_form": target,
             "operator_det": op_det,
         },
-        residuals=residuals,
-        tolerances=tolerances,
-        passed=all(residuals[k] <= tolerances[k] for k in tolerances),
+        residuals={
+            "inverse_identity": inverse_residual,
+            "determinant_algebra": algebra_residual,
+            "operator_match": operator_residual,
+        },
+        tolerances={
+            "inverse_identity": 1e-10,
+            "determinant_algebra": 1e-12,
+            "operator_match": 1e-8,
+        },
     )
 
 
@@ -261,7 +246,6 @@ def orthogonal_invariance_check(
     abs_det = float(abs(np.linalg.det(jac)))
     deviation = float(abs(abs_det - 1.0))
     full_chart = q == min(n, m)
-    passed = deviation <= FULL_CHART_DEVIATION_TOL if full_chart else True
     return VerificationReport(
         check_name="invariance",
         inputs={"n": n, "m": m, "q": q},
@@ -273,5 +257,4 @@ def orthogonal_invariance_check(
         },
         residuals={"deviation": deviation},
         tolerances={"deviation": FULL_CHART_DEVIATION_TOL if full_chart else None},
-        passed=passed,
     )

@@ -11,7 +11,7 @@ text rendering only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 
 def _plain(value):
@@ -33,12 +33,27 @@ def _plain(value):
 
 @dataclass
 class VerificationReport:
+    """One check on one instance, judged by its own residuals.
+
+    Left out, ``passed`` is derived: every residual must be at or below its
+    tolerance (a NaN residual never is), a ``None`` tolerance marks evidence
+    that never gates, and every entry of ``conditions`` must hold too.  A
+    stored verdict (``from_json``) is kept as given.
+    """
+
     check_name: str
     inputs: dict
     values: dict
     residuals: dict
     tolerances: dict
-    passed: bool
+    passed: bool | None = None
+    conditions: InitVar[tuple[bool, ...]] = ()
+
+    def __post_init__(self, conditions):
+        if self.passed is None:
+            self.passed = all(conditions) and all(
+                self.residuals[k] <= tol for k, tol in self.tolerances.items() if tol is not None
+            )
 
     def to_json(self) -> dict:
         return {

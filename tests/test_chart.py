@@ -229,3 +229,43 @@ def test_blocks_json_roundtrip():
     assert np.array_equal(back.x12, b.x12)
     assert np.array_equal(back.x21, b.x21)
     np.testing.assert_allclose(chart.assemble(back), chart.assemble(b), rtol=0, atol=0)
+
+
+def test_tangent_perturbation_tests_x11_once(svd_shapes):
+    rng = mc.make_rng(35)
+    b = chart.decompose(mc.random_rank_q(8, 6, 3, rng), 3)
+    svd_shapes.clear()
+    chart.tangent_perturbation(
+        b, rng.standard_normal((3, 3)), rng.standard_normal((3, 3)), rng.standard_normal((5, 3))
+    )
+    assert svd_shapes == [(3, 3)]
+
+
+def test_fd_chart_jacobian_tests_x11_once_per_point(svd_shapes):
+    from mpjl.differential import OrthogonalSandwichMap, fd_chart_jacobian
+
+    x = mc.random_rank_q(8, 6, 3, mc.make_rng(36))
+    positions = chart.chart_positions(8, 6, 3, chart.decompose(x, 3))
+    svd_shapes.clear()
+    fd_chart_jacobian(OrthogonalSandwichMap(np.eye(8), np.eye(6)), x, positions, positions)
+    # One test per evaluation point, plus one for the base-point assembly.
+    assert svd_shapes == [(3, 3)] * (2 * len(positions) + 1)
+
+
+def test_perturbed_assemble_moves_each_chart_position():
+    # Oracle: scatter the deltas to their chart positions, read the free
+    # blocks back in permuted coordinates, and assemble from scratch.
+    rng = mc.make_rng(37)
+    for n, m, q in [(2, 2, 1), (5, 4, 2), (4, 6, 3), (3, 3, 3)]:
+        x = mc.random_rank_q(n, m, q, rng)
+        b = chart.decompose(x, q)
+        positions = chart.chart_positions(n, m, q, b)
+        deltas = 1e-3 * rng.standard_normal(len(positions))
+        full = np.zeros((n, m))
+        full[tuple(np.array(positions.positions).T)] = deltas
+        dp = full[np.ix_(b.row_perm, b.col_perm)]
+        moved = chart.make_blocks(
+            b.x11 + dp[:q, :q], b.x12 + dp[:q, q:], b.x21 + dp[q:, :q],
+            n=n, m=m, row_perm=b.row_perm, col_perm=b.col_perm,
+        )
+        assert np.array_equal(chart.perturbed_assemble(positions, deltas), chart.assemble(moved))

@@ -237,3 +237,26 @@ def test_text_and_json_render_same_data(tmp_path, capsys):
     payload = json.loads(json_out)
     assert payload["summary"]["total"] == 2
     assert text_out.count("[PASS]") == 2
+
+
+def test_successive_calls_parse_like_a_fresh_parser(monkeypatch):
+    from mpjl import cli
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    seen = []
+    for name in ("cmd_gen", "cmd_verify", "cmd_report"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or 0)
+    argvs = [
+        ["gen", "--n", "5", "--m", "2", "--q", "1", "--seed", "3", "--format", "json"],
+        ["verify", "blocks", "--trials", "2", "--tol", "1e-9", "--out", "x.json"],
+        ["report", "a.json", "b.json", "--format", "json"],
+        ["verify", "hausdorff", "--spectrum", "3,1"],
+        ["gen"],
+        ["report"],
+    ]
+    for argv in argvs:
+        assert main(argv) == 0
+    assert len(built) <= 1
+    assert seen == [vars(build().parse_args(argv)) for argv in argvs]

@@ -104,33 +104,20 @@ def test_operator_commutation_is_exact_permutation(n, m, q):
     assert np.array_equal(df.jacobian_operator(x).matrix, formula)
 
 
-def _record_svd_shapes(monkeypatch):
-    shapes = []
-    svd = np.linalg.svd
-
-    def spy(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", spy)
-    return shapes
-
-
-def test_det_operator_factors_no_operator_sized_matrix(monkeypatch):
+def test_det_operator_factors_no_operator_sized_matrix(svd_shapes):
     n, m = 24, 20
     x = mc.random_rank_q(n, m, m, mc.make_rng(47))
-    shapes = _record_svd_shapes(monkeypatch)
+    svd_shapes.clear()
     df.jacobian_det_operator(x)
-    assert shapes
-    assert max(s[0] for s in shapes) <= max(n, m)
+    assert svd_shapes
+    assert max(s[0] for s in svd_shapes) <= max(n, m)
 
 
-def test_operator_rank_suite_keeps_svd_rank_oracle(monkeypatch):
+def test_operator_rank_suite_keeps_svd_rank_oracle(svd_shapes):
     n, m = 24, 20
-    shapes = _record_svd_shapes(monkeypatch)
     result = suites.run_suite("operator-rank", suites.RunConfig(n=n, m=m, q=8, trials=1, seed=48))
     assert result.reports[0].passed
-    assert max(s[0] for s in shapes) == n * m
+    assert max(s[0] for s in svd_shapes) == n * m
 
 
 def test_operator_rank_law_hand_case():
@@ -246,7 +233,7 @@ def test_fd_convergence_order():
     analytic = df.pinv_differential(x, dx)
     errors = []
     for h in (1e-3, 5e-4, 2.5e-4):
-        fd = df.fd_pinv_differential(x, dx, df.FdConfig(step=h, scale=False))
+        fd = df.fd_pinv_differential(x, dx, df.FdConfig(step=h))
         errors.append(np.linalg.norm(fd - analytic))
     assert 2.5 <= errors[0] / errors[1] <= 6.0
     assert 2.5 <= errors[1] / errors[2] <= 6.0
@@ -271,15 +258,23 @@ def test_fd_chart_jacobian_identity_map():
     x = mc.random_rank_q(4, 3, 2, mc.make_rng(54))
     b = chart.decompose(x, 2)
     positions = chart.chart_positions(4, 3, 2, b)
-    jac = df.fd_chart_jacobian(df.ScaleMap(1.0), x, positions, positions)
+    identity = df.OrthogonalSandwichMap(np.eye(4), np.eye(3))
+    jac = df.fd_chart_jacobian(identity, x, positions, positions)
     np.testing.assert_allclose(jac, np.eye(len(positions)), atol=1e-9)
+
+
+class _Doubling:
+    """X -> 2 X."""
+
+    def apply(self, x):
+        return 2.0 * x
 
 
 def test_fd_chart_jacobian_scaling_map():
     x = np.array([[1.0, 2.0], [3.0, 6.0]])
     in_chart = chart.chart_positions(2, 2, 1, chart.decompose(x, 1))
     out_chart = chart.chart_positions(2, 2, 1, chart.decompose(2 * x, 1))
-    jac = df.fd_chart_jacobian(df.ScaleMap(2.0), x, in_chart, out_chart)
+    jac = df.fd_chart_jacobian(_Doubling(), x, in_chart, out_chart)
     assert abs(abs(np.linalg.det(jac)) - 8.0) <= 1e-6
 
 
@@ -292,9 +287,9 @@ def test_fd_chart_jacobian_rejects_pivot_degeneration():
     b = chart.make_blocks(x11, np.zeros((2, 1)), np.zeros((1, 2)))
     x = chart.assemble(b)
     positions = chart.chart_positions(3, 3, 2, b)
-    cfg = df.FdConfig(step=1e-5, scale=False)
+    identity = df.OrthogonalSandwichMap(np.eye(3), np.eye(3))
     with pytest.raises(ChartInvalid):
-        df.fd_chart_jacobian(df.ScaleMap(1.0), x, positions, positions, cfg)
+        df.fd_chart_jacobian(identity, x, positions, positions, df.FdConfig(step=1e-5))
 
 
 def test_fd_chart_jacobian_pinv_full_rank():

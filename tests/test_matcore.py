@@ -26,15 +26,6 @@ def test_vec_unvec_roundtrip_all_small_shapes():
             assert np.array_equal(mc.unvec(mc.vec(a), n, m), a)
 
 
-def test_kron_scalar_and_identity():
-    b = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(mc.kron([[2.0]], b), 2.0 * b)
-    blocks = mc.kron(np.eye(2), b)
-    assert np.array_equal(blocks[:2, :2], b)
-    assert np.array_equal(blocks[2:, 2:], b)
-    assert np.all(blocks[:2, 2:] == 0)
-
-
 def test_kron_vec_identity():
     # vec(B X A') = kron(A, B) vec(X), checked by direct evaluation.
     rng = mc.make_rng(2)
@@ -42,19 +33,8 @@ def test_kron_vec_identity():
     b = rng.standard_normal((3, 2))
     x = rng.standard_normal((2, 2))
     lhs = mc.vec(b @ x @ a.T)
-    rhs = mc.kron(a, b) @ mc.vec(x)
+    rhs = np.kron(a, b) @ mc.vec(x)
     np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
-
-
-def test_kron_mixed_product():
-    rng = mc.make_rng(3)
-    a = rng.standard_normal((2, 3))
-    b = rng.standard_normal((4, 2))
-    c = rng.standard_normal((3, 2))
-    d = rng.standard_normal((2, 5))
-    lhs = mc.kron(a, b) @ mc.kron(c, d)
-    rhs = mc.kron(a @ c, b @ d)
-    np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
 def test_commutation_matrix_trivial():
