@@ -30,6 +30,7 @@ from .differential import (
     jacobian_det_full_rank,
     jacobian_det_operator,
     jacobian_operator,
+    operator_spectrum,
     pinv_differential,
 )
 from .errors import (

@@ -13,6 +13,20 @@ single nm x nm operator acting on vec(dX):
 Both projector terms use symmetric middle factors, so no extra transposes
 appear.  K has exactly one 1 per column, so the product with K is applied as
 a column permutation of the bracketed term rather than as a dense matmul.
+
+Spectrum theorem.  Write X = U diag(D, 0) V' with the q retained singular
+values D, and rotate dX into that basis.  The differential then scales the
+leading q x q block entrywise by -1/(d_i d_j), transposes the two
+off-diagonal blocks scaling them by d_i^-2, and annihilates the trailing
+block.  Each piece is a scaled permutation, so the operator's nonzero
+singular values are 1/(d_i d_j) over all q^2 pairs and d_i^-2, each with
+multiplicity n+m-2q: nq+mq-q^2 values in all.  Their product is
+prod d_i^-2(n+m-q), the rank-deficient change-of-variables factor; at full
+rank it is the determinant |X'X|^-n (tall) or |XX'|^-m (wide).
+``operator_spectrum`` and ``jacobian_det_operator`` use this from one SVD
+of X.  The dense ``jacobian_operator`` is kept as the oracle the theorem is
+checked against.
+
 The finite-difference oracles here are the independent checks for
 the analytic forms; they pin the rank of every evaluation point to the rank
 of the base point, because the pseudoinverse is discontinuous across rank
@@ -27,7 +41,7 @@ import numpy as np
 
 from .chart import CoordinateChart, assemble, perturbed_assemble
 from .errors import NotFullRank, RankDrift, ShapeMismatch
-from .matcore import as_matrix, pinv, pinv_fixed_rank, rank_profile
+from .matcore import _pinv_from_svd, as_matrix, pinv, pinv_fixed_rank, rank_profile
 
 
 @dataclass(frozen=True)
@@ -71,7 +85,11 @@ def pinv_differential(x, dx, tol: float | None = None) -> np.ndarray:
 
 
 def jacobian_operator(x, tol: float | None = None) -> JacobianOperator:
-    """Vectorized form of :func:`pinv_differential` as an explicit matrix."""
+    """Vectorized form of :func:`pinv_differential` as an explicit matrix.
+
+    O((nm)^2) memory; the closed forms below replace it everywhere except
+    as the oracle that checks them.
+    """
     x = as_matrix(x)
     n, m = x.shape
     y = pinv(x, tol)
@@ -86,13 +104,38 @@ def jacobian_operator(x, tol: float | None = None) -> JacobianOperator:
     return JacobianOperator(matrix=op, n=n, m=m)
 
 
+def _retained_spectrum(x, tol: float | None) -> tuple[int, int, np.ndarray]:
+    x = as_matrix(x)
+    n, m = x.shape
+    info = rank_profile(x, tol)
+    return n, m, info.singular_values[: info.rank]
+
+
+def operator_spectrum(x, tol: float | None = None) -> np.ndarray:
+    """Nonzero singular values of the Jacobian operator, in decreasing order.
+
+    From one SVD of X (see the spectrum theorem above): 1/(d_i d_j) for all
+    q^2 pairs of retained singular values and d_i^-2 with multiplicity
+    n+m-2q, so nq+mq-q^2 values in all.
+    """
+    n, m, d = _retained_spectrum(x, tol)
+    inv = 1.0 / d
+    values = np.concatenate([np.outer(inv, inv).ravel(), np.repeat(inv**2, n + m - 2 * d.size)])
+    return np.sort(values)[::-1]
+
+
 def jacobian_det_operator(x, tol: float | None = None) -> float:
     """Absolute determinant of the vectorized differential operator.
 
-    Vanishes (up to rounding) whenever rank(X) < min(n, m): the operator
+    The product of :func:`operator_spectrum` when rank(X) = min(n, m), that
+    is exp(-2 max(n, m) sum_i log d_i), exponentiated once so no running
+    product underflows.  Exactly 0 when rank(X) < min(n, m): the operator
     annihilates every direction of the form (I - X Y) V (I - Y X).
     """
-    return float(abs(np.linalg.det(jacobian_operator(x, tol).matrix)))
+    n, m, d = _retained_spectrum(x, tol)
+    if d.size < min(n, m):
+        return 0.0
+    return float(np.exp(-2.0 * max(n, m) * np.sum(np.log(d))))
 
 
 def jacobian_det_full_rank(x) -> float:
@@ -108,13 +151,14 @@ def jacobian_det_full_rank(x) -> float:
 
 
 def _pinned_pinv_at(point: np.ndarray, q: int, rel_drift_cut: float) -> np.ndarray:
-    s = np.linalg.svd(point, compute_uv=False)
-    if q < min(point.shape) and s.size > q and s[q] > rel_drift_cut * s[0]:
+    # One SVD serves the drift test and the rank-q pseudoinverse.
+    u, s, vt = np.linalg.svd(point, full_matrices=False)
+    if q < min(point.shape) and s[q] > rel_drift_cut * s[0]:
         raise RankDrift(
             f"evaluation point has sigma[{q}] = {s[q]:.3e} above the drift cut "
             f"{rel_drift_cut * s[0]:.3e}; direction is not rank-preserving"
         )
-    return pinv_fixed_rank(point, q)
+    return _pinv_from_svd(u, s, vt, q)
 
 
 def fd_pinv_differential(x, dx, cfg: FdConfig = FdConfig(), tol: float | None = None) -> np.ndarray:

@@ -173,7 +173,8 @@ def exterior_chain_check(x, tol: float | None = None) -> VerificationReport:
         |A|^((n-m-1)/2) * |B|^-(m+1) * |B|^-((n-m-1)/2),   A = Y Y', B = X'X,
 
     must equal |X'X|^-n by determinant algebra alone, and both must match
-    the vectorized-operator determinant.
+    the vectorized-operator determinant, which :func:`jacobian_det_operator`
+    takes in closed form from the operator's spectrum (one SVD of X).
     """
     x = as_matrix(x)
     n, m = x.shape

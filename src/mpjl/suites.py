@@ -38,6 +38,7 @@ DEFAULT_TOLERANCES = {
     "jacobian-full": 1e-8,
     "jacobian-full-fd": 1e-4,
     "operator-rank": 1e-12,
+    "operator-rank-pdet": 1e-8,
     "hausdorff": 1e-10,
     "symmetric-inverse": 1e-4,
     "blocks-roundtrip": 1e-10,
@@ -181,7 +182,13 @@ def _suite_operator_rank(cfg: RunConfig, rng: np.random.Generator) -> Verificati
     image = op.matrix @ matcore.vec(projected) if projected.size else np.zeros(0)
     scale = np.linalg.norm(op.matrix) * max(np.linalg.norm(projected), 1e-300)
     annihilation = _rel(np.linalg.norm(image), scale)
-    op_rank = matcore.rank_profile(op.matrix).rank
+    op_info = matcore.rank_profile(op.matrix)
+    op_rank = op_info.rank
+    # The dense operator's pseudo-determinant against the paper's
+    # rank-deficient factor, compared as logs: both grow like d^(nm).
+    d = matcore.rank_profile(x).singular_values[:q]
+    log_pdet = np.sum(np.log(op_info.singular_values[:expected]))
+    log_factor = np.log(measures.nonfullrank_jacobian_factor(cfg.n, cfg.m, d))
     values = {"operator_rank": op_rank, "expected_rank": expected}
     if q < min(cfg.n, cfg.m) and expected <= FD_CROSS_CHECK_MAX_ENTRIES:
         # No closed form is known for this determinant; it is reported for
@@ -191,8 +198,11 @@ def _suite_operator_rank(cfg: RunConfig, rng: np.random.Generator) -> Verificati
         check_name="operator-rank",
         inputs={"n": cfg.n, "m": cfg.m, "q": q},
         values=values,
-        residuals={"annihilation": annihilation},
-        tolerances={"annihilation": _tol(cfg, "operator-rank")},
+        residuals={"annihilation": annihilation, "pseudo_det": float(abs(log_pdet - log_factor))},
+        tolerances={
+            "annihilation": _tol(cfg, "operator-rank"),
+            "pseudo_det": DEFAULT_TOLERANCES["operator-rank-pdet"],
+        },
         conditions=(op_rank == expected,),
     )
 

@@ -3,6 +3,16 @@
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import settings
+except ImportError:  # optional test dependency; only the property tests need it
+    pass
+else:
+    # Fixed examples and no wall-clock deadline: reproducible runs that do
+    # not flake on a slow host.
+    settings.register_profile("mpjl", derandomize=True, database=None, deadline=None)
+    settings.load_profile("mpjl")
+
 
 @pytest.fixture
 def svd_shapes(monkeypatch):

@@ -138,6 +138,7 @@ def test_criterion_5_operator_rank_law():
             for report in result.reports:
                 assert report.values["operator_rank"] == report.values["expected_rank"]
                 assert report.residuals["annihilation"] <= 1e-12
+                assert report.residuals["pseudo_det"] <= 1e-8
             total += len(result.reports)
         assert total == 50
 

@@ -113,6 +113,28 @@ def test_det_operator_factors_no_operator_sized_matrix(svd_shapes):
     assert max(s[0] for s in svd_shapes) <= max(n, m)
 
 
+def test_determinant_suites_never_build_the_dense_operator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense Jacobian operator built")
+
+    monkeypatch.setattr(df, "jacobian_operator", refuse)
+    runs = [("jacobian-full", 32, 24), ("exterior-chain", 24, 16)]
+    for suite, n, m in runs:
+        result = suites.run_suite(suite, suites.RunConfig(n=n, m=m, trials=1, seed=49))
+        assert result.all_passed, suite
+
+
+def test_det_operator_does_not_underflow_at_32x24():
+    # A running product of d_i^-64 underflows to 0.0 on this spectrum; the
+    # determinant itself is 1.2662e-262.
+    d = np.concatenate([np.linspace(2.5, 1.8, 16), np.linspace(0.95, 0.5, 8)])
+    x = mc.random_rank_q(32, 24, 24, mc.make_rng(3), spectrum=d)
+    det_op = df.jacobian_det_operator(x)
+    closed = df.jacobian_det_full_rank(x)
+    assert det_op > 0.0
+    assert abs(det_op - closed) <= 1e-8 * closed
+
+
 def test_operator_rank_suite_keeps_svd_rank_oracle(svd_shapes):
     n, m = 24, 20
     result = suites.run_suite("operator-rank", suites.RunConfig(n=n, m=m, q=8, trials=1, seed=48))
@@ -216,6 +238,18 @@ def test_fd_matches_analytic_full_rank_sweep():
         analytic = df.pinv_differential(x, dx)
         fd = df.fd_pinv_differential(x, dx)
         assert np.linalg.norm(analytic - fd) <= 1e-6 * np.linalg.norm(analytic)
+
+
+def test_fd_differential_factors_each_point_once(svd_shapes):
+    x = mc.random_rank_q(7, 5, 3, mc.make_rng(56))
+    rng = mc.make_rng(57)
+    b = chart.decompose(x, 3)
+    dx = chart.tangent_perturbation(
+        b, rng.standard_normal((3, 3)), rng.standard_normal((3, 2)), rng.standard_normal((4, 3))
+    )
+    svd_shapes.clear()
+    df.fd_pinv_differential(x, _unit(dx))
+    assert svd_shapes == [(7, 5)] * 3  # the base point, then one per evaluation point
 
 
 def test_fd_raises_rank_drift_off_manifold():
