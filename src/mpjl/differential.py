@@ -104,38 +104,36 @@ def jacobian_operator(x, tol: float | None = None) -> JacobianOperator:
     return JacobianOperator(matrix=op, n=n, m=m)
 
 
-def _retained_spectrum(x, tol: float | None) -> tuple[int, int, np.ndarray]:
-    x = as_matrix(x)
-    n, m = x.shape
-    info = rank_profile(x, tol)
-    return n, m, info.singular_values[: info.rank]
-
-
 def operator_spectrum(x, tol: float | None = None) -> np.ndarray:
     """Nonzero singular values of the Jacobian operator, in decreasing order.
 
     From one SVD of X (see the spectrum theorem above): 1/(d_i d_j) for all
     q^2 pairs of retained singular values and d_i^-2 with multiplicity
-    n+m-2q, so nq+mq-q^2 values in all.
+    n+m-2q, so nq+mq-q^2 values in all.  ``tol`` is the rank cut on X, as
+    in :func:`jacobian_operator`.
     """
-    n, m, d = _retained_spectrum(x, tol)
-    inv = 1.0 / d
-    values = np.concatenate([np.outer(inv, inv).ravel(), np.repeat(inv**2, n + m - 2 * d.size)])
+    x = as_matrix(x)
+    n, m = x.shape
+    info = rank_profile(x, tol)
+    inv = 1.0 / info.singular_values[: info.rank]
+    values = np.concatenate([np.outer(inv, inv).ravel(), np.repeat(inv**2, n + m - 2 * inv.size)])
     return np.sort(values)[::-1]
 
 
 def jacobian_det_operator(x, tol: float | None = None) -> float:
     """Absolute determinant of the vectorized differential operator.
 
-    The product of :func:`operator_spectrum` when rank(X) = min(n, m), that
-    is exp(-2 max(n, m) sum_i log d_i), exponentiated once so no running
-    product underflows.  Exactly 0 when rank(X) < min(n, m): the operator
+    The product of :func:`operator_spectrum`, summed as logs and
+    exponentiated once so no running product underflows; at full rank it is
+    |X'X|^-n (tall) or |XX'|^-m (wide).  Exactly 0 when rank(X) < min(n, m):
+    the spectrum then has fewer than nm values, because the operator
     annihilates every direction of the form (I - X Y) V (I - Y X).
     """
-    n, m, d = _retained_spectrum(x, tol)
-    if d.size < min(n, m):
+    x = as_matrix(x)
+    values = operator_spectrum(x, tol)
+    if values.size < x.size:
         return 0.0
-    return float(np.exp(-2.0 * max(n, m) * np.sum(np.log(d))))
+    return float(np.exp(np.sum(np.log(values))))
 
 
 def jacobian_det_full_rank(x) -> float:

@@ -6,6 +6,7 @@ import pytest
 from mpjl import chart, matcore as mc, suites
 from mpjl import differential as df
 from mpjl.errors import NotFullRank, RankDrift
+from mpjl.reports import dumps_canonical
 
 
 def _unit(a):
@@ -124,22 +125,24 @@ def test_determinant_suites_never_build_the_dense_operator(monkeypatch):
         assert result.all_passed, suite
 
 
-def test_det_operator_does_not_underflow_at_32x24():
-    # A running product of d_i^-64 underflows to 0.0 on this spectrum; the
-    # determinant itself is 1.2662e-262.
-    d = np.concatenate([np.linspace(2.5, 1.8, 16), np.linspace(0.95, 0.5, 8)])
-    x = mc.random_rank_q(32, 24, 24, mc.make_rng(3), spectrum=d)
-    det_op = df.jacobian_det_operator(x)
-    closed = df.jacobian_det_full_rank(x)
-    assert det_op > 0.0
-    assert abs(det_op - closed) <= 1e-8 * closed
-
-
 def test_operator_rank_suite_keeps_svd_rank_oracle(svd_shapes):
     n, m = 24, 20
     result = suites.run_suite("operator-rank", suites.RunConfig(n=n, m=m, q=8, trials=1, seed=48))
     assert result.reports[0].passed
     assert max(s[0] for s in svd_shapes) == n * m
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.01])
+def test_operator_rank_pseudo_det_stays_finite(scale):
+    # prod d^-72 is about e^-1608 for d = 20..13 and e^+1707 for d = 0.2..0.13:
+    # out of float range either way, so the residual must be formed from logs.
+    spectrum = tuple(scale * v for v in range(20, 12, -1))
+    cfg = suites.RunConfig(n=24, m=20, q=8, trials=1, seed=50, spectrum=spectrum)
+    result = suites.run_suite("operator-rank", cfg)
+    residual = result.reports[0].residuals["pseudo_det"]
+    assert result.all_passed
+    assert np.isfinite(residual) and residual <= 1e-8
+    dumps_canonical(result.to_json())  # no NaN or inf reaches the JSON report
 
 
 def test_operator_rank_law_hand_case():
@@ -212,12 +215,18 @@ def test_det_full_rank_rejects_deficient():
 
 def test_det_agreement_both_orientations():
     rng = mc.make_rng(48)
+    cases = []
     for _ in range(20):
         n = int(rng.integers(1, 6))
         m = int(rng.integers(1, 6))
-        x = mc.random_rank_q(n, m, min(n, m), rng)
+        cases.append(mc.random_rank_q(n, m, min(n, m), rng))
+    # 1.2662e-262 at 32x24, where a running product of d_i^-64 underflows to 0.
+    d = np.concatenate([np.linspace(2.5, 1.8, 16), np.linspace(0.95, 0.5, 8)])
+    cases.append(mc.random_rank_q(32, 24, 24, mc.make_rng(3), spectrum=d))
+    for x in cases:
         det_op = df.jacobian_det_operator(x)
         closed = df.jacobian_det_full_rank(x)
+        assert det_op > 0.0
         assert abs(det_op - closed) <= 1e-8 * closed
 
 

@@ -1,12 +1,9 @@
 """Property sweeps of the closed-form operator spectrum against the dense operator."""
 
 import numpy as np
-import pytest
+from hypothesis import example, given, strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import example, given, strategies as st  # noqa: E402
-
-from mpjl import differential as df, matcore as mc  # noqa: E402
+from mpjl import differential as df, matcore as mc, measures
 
 
 def _case(n, m, q, scale, seed):
@@ -35,6 +32,9 @@ def test_operator_spectrum_matches_dense_operator(case):
     assert spectrum.size == mc.rank_profile(op.matrix).rank
     dense = np.linalg.svd(op.matrix, compute_uv=False)[: spectrum.size]
     np.testing.assert_allclose(spectrum, dense, rtol=1e-10, atol=0)
+    d = mc.rank_profile(x).singular_values[:q]
+    factor = measures.nonfullrank_jacobian_factor(n, m, d)
+    assert abs(np.prod(spectrum) - factor) <= 1e-10 * factor
     if q == min(n, m):
         det = abs(np.linalg.det(op.matrix))
         assert abs(df.jacobian_det_operator(x) - det) <= 1e-8 * det
