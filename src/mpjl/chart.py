@@ -14,7 +14,7 @@ result maps back to the original index space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -159,24 +159,32 @@ def decompose(x, q: int, tol: float | None = None) -> BlockDecomposition:
     )
 
 
-def _x22(b: BlockDecomposition) -> np.ndarray:
-    # X21 @ inv(X11) @ X12 without the X11 test, for callers that made it.
-    if b.n == b.q or b.m == b.q:
-        return np.zeros((b.n - b.q, b.m - b.q))
-    return b.x21 @ np.linalg.solve(b.x11, b.x12)
+def _x22(x11: np.ndarray, x12: np.ndarray, x21: np.ndarray) -> np.ndarray:
+    # X21 @ inv(X11) @ X12 without the X11 test, for callers that made it;
+    # blocks of one matrix or stacks of them.
+    if x12.shape[-1] == 0 or x21.shape[-2] == 0:
+        return np.zeros(x11.shape[:-2] + (x21.shape[-2], x12.shape[-1]))
+    return x21 @ np.linalg.solve(x11, x12)
 
 
 def x22_from_blocks(b: BlockDecomposition) -> np.ndarray:
     """Dependent trailing block X21 @ inv(X11) @ X12; empty when q = n or q = m."""
     if b.n > b.q and b.m > b.q:
         _check_x11(b)
-    return _x22(b)
+    return _x22(b.x11, b.x12, b.x21)
 
 
 def _unpermute(b: BlockDecomposition, a11, a12, a21, a22) -> np.ndarray:
-    # Place permuted-coordinate blocks back at their original indices.
-    a = np.empty((b.n, b.m))
-    a[np.ix_(b.row_perm, b.col_perm)] = np.block([[a11, a12], [a21, a22]])
+    # Place permuted-coordinate blocks, or stacks of them, back at their
+    # original indices.
+    rows, cols = np.array(b.row_perm), np.array(b.col_perm)
+    top, bottom = rows[: b.q, None], rows[b.q :, None]
+    left, right = cols[: b.q], cols[b.q :]
+    a = np.empty(a11.shape[:-2] + (b.n, b.m))
+    a[..., top, left] = a11
+    a[..., top, right] = a12
+    a[..., bottom, left] = a21
+    a[..., bottom, right] = a22
     return a
 
 
@@ -255,27 +263,29 @@ def perturbed_assemble(chart: CoordinateChart, deltas: np.ndarray) -> np.ndarray
 
     ``deltas`` is ordered like ``chart.positions``; the dependent block is
     recomputed from the perturbed free blocks, so the result has exact rank
-    q by construction.
+    q by construction.  Shape (k,) gives one n x m matrix; shape (p, k)
+    gives the (p, n, m) stack of the p points, each row moved on its own,
+    with one stacked pivot test and one stacked solve for X22.  Raises
+    ChartInvalid when any point leaves the pivot block's validity region.
     """
     b = chart.block
     if b is None:
         raise ShapeMismatch("chart carries no block decomposition")
-    if deltas.shape != (len(chart),):
+    if deltas.ndim not in (1, 2) or deltas.shape[-1] != len(chart):
         raise ShapeMismatch(f"expected {len(chart)} deltas, got {deltas.shape}")
     q, n, m = b.q, b.n, b.m
-    # Chart order is X11, X12, X21, each column-major.
+    lead = deltas.shape[:-1]
+    # Chart order is X11, X12, X21, each column-major: a row-major reshape
+    # to the transposed block shape, transposed back.
     k12, k21 = q * q, q * m
-    moved = replace(
-        b,
-        x11=b.x11 + deltas[:k12].reshape((q, q), order="F"),
-        x12=b.x12 + deltas[k12:k21].reshape((q, m - q), order="F"),
-        x21=b.x21 + deltas[k21:].reshape((n - q, q), order="F"),
-    )
+    x11 = b.x11 + deltas[..., :k12].reshape(lead + (q, q)).swapaxes(-1, -2)
+    x12 = b.x12 + deltas[..., k12:k21].reshape(lead + (m - q, q)).swapaxes(-1, -2)
+    x21 = b.x21 + deltas[..., k21:].reshape(lead + (q, n - q)).swapaxes(-1, -2)
     # The pivot cap is stricter than the 1/eps cap of _check_x11, so X22
     # needs no second test.
-    if ill_conditioned(moved.x11, max_cond=PIVOT_COND_CAP) is not None:
+    if ill_conditioned(x11, max_cond=PIVOT_COND_CAP) is not None:
         raise ChartInvalid("perturbation left the pivot block's validity region")
-    return _unpermute(moved, moved.x11, moved.x12, moved.x21, _x22(moved))
+    return _unpermute(b, x11, x12, x21, _x22(x11, x12, x21))
 
 
 def blocks_to_json(b: BlockDecomposition) -> dict:

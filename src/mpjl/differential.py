@@ -41,7 +41,7 @@ import numpy as np
 
 from .chart import CoordinateChart, assemble, perturbed_assemble
 from .errors import NotFullRank, RankDrift, ShapeMismatch
-from .matcore import _pinv_from_svd, as_matrix, pinv, pinv_fixed_rank, rank_profile
+from .matcore import RankInfo, _pinv_from_svd, as_matrix, pinv, pinv_fixed_rank, rank_profile
 
 
 @dataclass(frozen=True)
@@ -104,23 +104,25 @@ def jacobian_operator(x, tol: float | None = None) -> JacobianOperator:
     return JacobianOperator(matrix=op, n=n, m=m)
 
 
-def operator_spectrum(x, tol: float | None = None) -> np.ndarray:
+def operator_spectrum(x) -> np.ndarray:
     """Nonzero singular values of the Jacobian operator, in decreasing order.
 
     From one SVD of X (see the spectrum theorem above): 1/(d_i d_j) for all
     q^2 pairs of retained singular values and d_i^-2 with multiplicity
-    n+m-2q, so nq+mq-q^2 values in all.  ``tol`` is the rank cut on X, as
-    in :func:`jacobian_operator`.
+    n+m-2q, so nq+mq-q^2 values in all.  X's rank is cut as in
+    :func:`jacobian_operator`.
     """
     x = as_matrix(x)
-    n, m = x.shape
-    info = rank_profile(x, tol)
+    return _spectrum(rank_profile(x), *x.shape)
+
+
+def _spectrum(info: RankInfo, n: int, m: int) -> np.ndarray:
     inv = 1.0 / info.singular_values[: info.rank]
     values = np.concatenate([np.outer(inv, inv).ravel(), np.repeat(inv**2, n + m - 2 * inv.size)])
     return np.sort(values)[::-1]
 
 
-def jacobian_det_operator(x, tol: float | None = None) -> float:
+def jacobian_det_operator(x) -> float:
     """Absolute determinant of the vectorized differential operator.
 
     The product of :func:`operator_spectrum`, summed as logs and
@@ -130,8 +132,13 @@ def jacobian_det_operator(x, tol: float | None = None) -> float:
     annihilates every direction of the form (I - X Y) V (I - Y X).
     """
     x = as_matrix(x)
-    values = operator_spectrum(x, tol)
-    if values.size < x.size:
+    return _det_operator(rank_profile(x), *x.shape)
+
+
+def _det_operator(info: RankInfo, n: int, m: int) -> float:
+    # jacobian_det_operator from a rank profile of X that the caller shares.
+    values = _spectrum(info, n, m)
+    if values.size < n * m:
         return 0.0
     return float(np.exp(np.sum(np.log(values))))
 
@@ -139,8 +146,12 @@ def jacobian_det_operator(x, tol: float | None = None) -> float:
 def jacobian_det_full_rank(x) -> float:
     """Closed-form |det| for full-rank X: |X'X|^-n when m <= n, else |XX'|^-m."""
     x = as_matrix(x)
+    return _det_full_rank(x, rank_profile(x))
+
+
+def _det_full_rank(x: np.ndarray, info: RankInfo) -> float:
+    # jacobian_det_full_rank from a rank profile of X that the caller shares.
     n, m = x.shape
-    info = rank_profile(x)
     if info.rank != min(n, m):
         raise NotFullRank(f"rank {info.rank} < min(n, m) = {min(n, m)}")
     if m <= n:
@@ -189,15 +200,12 @@ def fd_pinv_differential(x, dx, cfg: FdConfig = FdConfig(), tol: float | None = 
 
 @dataclass(frozen=True)
 class PinvMap:
-    """X -> pinv(X); with ``rank`` set the evaluation is rank-pinned."""
+    """X -> pinv(X), rank-pinned: every evaluation keeps ``rank`` triplets."""
 
-    rank: int | None = None
-    tol: float | None = None
+    rank: int
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        if self.rank is not None:
-            return pinv_fixed_rank(x, self.rank)
-        return pinv(x, self.tol)
+        return pinv_fixed_rank(x, self.rank)
 
 
 class OrthogonalSandwichMap:
@@ -214,6 +222,7 @@ class OrthogonalSandwichMap:
                 raise ValueError(f"{name} factor deviates from orthogonality by {gap:.2e}")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        # Broadcasts over a stack of shape (..., n, m).
         return self.left @ x @ self.right
 
 
@@ -234,6 +243,13 @@ def fd_chart_jacobian(
     with it, so every evaluation point stays exactly on the rank-q set.
     For equal-size charts the absolute determinant of the returned matrix
     is the chart-to-chart Jacobian of f.
+
+    All 2k evaluation points of the k in-chart coordinates form one
+    (2k, n, m) stack: rows of a (2k, k) step matrix (+h on the diagonal of
+    the first k, -h on that of the last k) are assembled in one call,
+    ``f.apply`` maps the whole stack, and the out-chart coordinates are
+    read from it at once.  Raises ChartInvalid when any point leaves the
+    in-chart's pivot region.
     """
     x = as_matrix(x)
     if in_chart.block is None:
@@ -243,14 +259,12 @@ def fd_chart_jacobian(
     if np.max(np.abs(base - x)) > 1e-8 * scale:
         raise ShapeMismatch("in_chart does not reassemble the given X")
     h = cfg.effective_step(x)
-    jac = np.empty((len(out_chart), len(in_chart)))
+    k = len(in_chart)
+    # Off-diagonal steps are +0.0: a -0.0 would keep the sign of a -0.0
+    # entry of X that +0.0 clears.
+    steps = np.zeros((2 * k, k))
+    steps[np.arange(k), np.arange(k)] = h
+    steps[np.arange(k, 2 * k), np.arange(k)] = -h
     out_rows, out_cols = np.array(out_chart.positions).T
-    deltas = np.zeros(len(in_chart))
-    for k in range(len(in_chart)):
-        deltas[k] = h
-        plus = f.apply(perturbed_assemble(in_chart, deltas))
-        deltas[k] = -h
-        minus = f.apply(perturbed_assemble(in_chart, deltas))
-        deltas[k] = 0.0
-        jac[:, k] = (plus[out_rows, out_cols] - minus[out_rows, out_cols]) / (2.0 * h)
-    return jac
+    values = f.apply(perturbed_assemble(in_chart, steps))[:, out_rows, out_cols]
+    return (values[:k] - values[k:]).T / (2.0 * h)

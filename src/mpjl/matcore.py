@@ -14,7 +14,8 @@ factors become a pseudoinverse (``pinv`` and ``pinv_fixed_rank``).
 Conditioning policy: ``ill_conditioned`` is the one test of whether a
 square block can be inverted.  Callers pick its threshold and comparison
 (a condition-number cap, or a floor on the smallest singular value
-relative to the largest) and raise their own error.
+relative to the largest) and raise their own error.  The policy holds per
+slice: a stack of blocks fails when any one of them would fail alone.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise ShapeMismatch(f"expected a 2-D array, got ndim={m.ndim}")
+    return _finite(m)
+
+
+def _finite(m: np.ndarray) -> np.ndarray:
     if m.size == 0:
         raise ShapeMismatch("matrix must have rows*cols > 0")
     if not np.all(np.isfinite(m)):
@@ -113,7 +118,8 @@ def _rank_info(s: np.ndarray, shape: tuple[int, int], tol: float | None) -> Rank
 
 
 def _pinv_from_svd(u: np.ndarray, s: np.ndarray, vt: np.ndarray, q: int) -> np.ndarray:
-    return (vt[:q].T / s[:q]) @ u[:, :q].T
+    # Factors of one matrix or of a stack, as np.linalg.svd returns them.
+    return (vt[..., :q, :].swapaxes(-1, -2) / s[..., None, :q]) @ u[..., :q].swapaxes(-1, -2)
 
 
 def rank_profile(x, tol: float | None = None) -> RankInfo:
@@ -160,10 +166,15 @@ def pinv_fixed_rank(x, q: int) -> np.ndarray:
     """Pseudoinverse truncated to exactly the q leading singular triplets.
 
     Used by finite-difference oracles that must pin the rank of nearby
-    evaluation points to the rank of the base point.
+    evaluation points to the rank of the base point.  ``x`` is one n x m
+    matrix or a stack of shape (..., n, m); a stack is factored in one
+    stacked SVD and gives the (..., m, n) stack of pseudoinverses.
     """
-    x = as_matrix(x)
-    if q < 0 or q > min(x.shape):
+    x = np.asarray(x, dtype=float)
+    if x.ndim < 2:
+        raise ShapeMismatch(f"expected a matrix or a stack of matrices, got ndim={x.ndim}")
+    x = _finite(x)
+    if q < 0 or q > min(x.shape[-2:]):
         raise ValueError(f"q={q} out of range for shape {x.shape}")
     return _pinv_from_svd(*np.linalg.svd(x, full_matrices=False), q)
 
@@ -175,14 +186,22 @@ def ill_conditioned(
 
     Pass one of the two tests: ``max_cond`` fails ``a`` when ``s[0] / s[-1]``
     exceeds it (or ``s[-1]`` is zero); ``rtol`` fails ``a`` when ``s[-1]``
-    is at or below ``rtol * s[0]``.
+    is at or below ``rtol * s[0]``.  ``a`` may be a stack of shape
+    (..., q, q), factored in one stacked SVD: the stack fails when any
+    slice fails, and then all its singular values, of shape (..., q), are
+    returned.
     """
     s = np.linalg.svd(a, compute_uv=False)
+    if s.size == 0:
+        return None
+    first, last = s[..., 0], s[..., -1]
     if max_cond is not None:
-        bad = s.size and (s[-1] <= 0 or s[0] / s[-1] > max_cond)
+        # A zero s[-1] fails on the first test; its quotient is not used.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bad = (last <= 0) | (first / last > max_cond)
     else:
-        bad = s[-1] <= s[0] * rtol
-    return s if bad else None
+        bad = last <= first * rtol
+    return s if np.any(bad) else None
 
 
 def penrose_residuals(x, y) -> tuple[float, float, float, float]:

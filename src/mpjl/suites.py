@@ -152,8 +152,10 @@ def _suite_differential(cfg: RunConfig, rng: np.random.Generator) -> Verificatio
 def _suite_jacobian_full(cfg: RunConfig, rng: np.random.Generator) -> VerificationReport:
     q = cfg.rank
     x = _instance(cfg, rng)
-    det_op = differential.jacobian_det_operator(x)
-    det_formula = differential.jacobian_det_full_rank(x)
+    # One factorization of X serves both determinants and the rank check.
+    info = matcore.rank_profile(x)
+    det_op = differential._det_operator(info, cfg.n, cfg.m)
+    det_formula = differential._det_full_rank(x, info)
     residuals = {"operator_vs_formula": _rel(abs(det_op - det_formula), det_formula)}
     tolerances = {"operator_vs_formula": _tol(cfg, "jacobian-full")}
     values = {"operator_det": det_op, "closed_form": det_formula}

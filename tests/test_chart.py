@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mpjl import chart, matcore as mc
-from mpjl.errors import IllConditionedPivot, RankMismatch, SingularX11
+from mpjl.errors import ChartInvalid, IllConditionedPivot, RankMismatch, ShapeMismatch, SingularX11
 
 
 def test_decompose_pivots_to_largest_entry():
@@ -248,8 +248,9 @@ def test_fd_chart_jacobian_tests_x11_once_per_point(svd_shapes):
     positions = chart.chart_positions(8, 6, 3, chart.decompose(x, 3))
     svd_shapes.clear()
     fd_chart_jacobian(OrthogonalSandwichMap(np.eye(8), np.eye(6)), x, positions, positions)
-    # One test per evaluation point, plus one for the base-point assembly.
-    assert svd_shapes == [(3, 3)] * (2 * len(positions) + 1)
+    # One test for the base-point assembly, then every evaluation point
+    # tested once, all in one stacked call.
+    assert svd_shapes == [(3, 3), (2 * len(positions), 3, 3)]
 
 
 def test_perturbed_assemble_moves_each_chart_position():
@@ -269,3 +270,50 @@ def test_perturbed_assemble_moves_each_chart_position():
             n=n, m=m, row_perm=b.row_perm, col_perm=b.col_perm,
         )
         assert np.array_equal(chart.perturbed_assemble(positions, deltas), chart.assemble(moved))
+
+
+def _same_bits(a, b):
+    # Equal values and equal signs of zero.
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_perturbed_assemble_stack_matches_rows():
+    rng = mc.make_rng(38)
+    for n, m, q in [(2, 2, 1), (5, 4, 2), (4, 6, 3), (3, 3, 3), (5, 4, 4), (1, 3, 1), (8, 6, 3)]:
+        if q < m:  # a last column of -0.0 keeps the rank
+            x = np.hstack([mc.random_rank_q(n, m - 1, q, rng), np.full((n, 1), -0.0)])
+        else:
+            x = mc.random_rank_q(n, m, q, rng)
+        positions = chart.chart_positions(n, m, q, chart.decompose(x, q))
+        deltas = 1e-3 * rng.standard_normal((5, len(positions)))
+        deltas[1] = 0.0
+        deltas[2, ::2] = -0.0
+        stack = chart.perturbed_assemble(positions, deltas)
+        assert stack.shape == (5, n, m)
+        for row, point in zip(deltas, stack):
+            assert _same_bits(point, chart.perturbed_assemble(positions, row))
+
+
+def test_perturbed_assemble_stack_rejects_one_bad_point():
+    x11 = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-5 + 1e-9]])
+    b = chart.make_blocks(x11, np.zeros((2, 1)), np.zeros((1, 2)))
+    positions = chart.chart_positions(3, 3, 2, b)
+    deltas = np.zeros((4, len(positions)))
+    chart.perturbed_assemble(positions, deltas)
+    # Lowering X11[1, 1] by the step cancels the pivot block's determinant.
+    deltas[2, 3] = -1e-5
+    with pytest.raises(ChartInvalid, match="validity region"):
+        chart.perturbed_assemble(positions, deltas)
+    deltas[2, 3] = 0.0
+    deltas[1, 0] = np.nan
+    with pytest.raises(ValueError):
+        chart.perturbed_assemble(positions, deltas)
+
+
+def test_perturbed_assemble_rejects_wrong_delta_shapes():
+    x = mc.random_rank_q(4, 3, 2, mc.make_rng(39))
+    positions = chart.chart_positions(4, 3, 2, chart.decompose(x, 2))
+    k = len(positions)
+    for shape in [(k + 1,), (2, k - 1), (2, 2, k), ()]:
+        with pytest.raises(ShapeMismatch):
+            chart.perturbed_assemble(positions, np.zeros(shape))

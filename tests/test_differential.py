@@ -344,3 +344,119 @@ def test_fd_chart_jacobian_pinv_full_rank():
     jac = df.fd_chart_jacobian(df.PinvMap(rank=2), x, in_chart, out_chart)
     closed = df.jacobian_det_full_rank(x)
     assert abs(abs(np.linalg.det(jac)) - closed) <= 1e-4 * closed
+
+
+def _per_point_assemble(b, deltas):
+    # The unstacked assembly: blocks moved, X22 solved and np.block placed
+    # through the permutations, one evaluation point at a time.
+    q, n, m = b.q, b.n, b.m
+    x11 = b.x11 + deltas[: q * q].reshape((q, q), order="F")
+    x12 = b.x12 + deltas[q * q : q * m].reshape((q, m - q), order="F")
+    x21 = b.x21 + deltas[q * m :].reshape((n - q, q), order="F")
+    x22 = x21 @ np.linalg.solve(x11, x12) if n > q and m > q else np.zeros((n - q, m - q))
+    a = np.empty((n, m))
+    a[np.ix_(b.row_perm, b.col_perm)] = np.block([[x11, x12], [x21, x22]])
+    return a
+
+
+def _per_point_apply(f, point):
+    if isinstance(f, df.PinvMap):
+        u, s, vt = np.linalg.svd(point, full_matrices=False)
+        return (vt[: f.rank].T / s[: f.rank]) @ u[:, : f.rank].T
+    return f.left @ point @ f.right
+
+
+def _per_point_fd_chart_jacobian(f, x, in_chart, out_chart):
+    # Oracle of the stacked fd_chart_jacobian: two evaluations per column.
+    h = df.FdConfig().effective_step(x)
+    jac = np.empty((len(out_chart), len(in_chart)))
+    out_rows, out_cols = np.array(out_chart.positions).T
+    deltas = np.zeros(len(in_chart))
+    for k in range(len(in_chart)):
+        deltas[k] = h
+        plus = _per_point_apply(f, _per_point_assemble(in_chart.block, deltas))
+        deltas[k] = -h
+        minus = _per_point_apply(f, _per_point_assemble(in_chart.block, deltas))
+        deltas[k] = 0.0
+        jac[:, k] = (plus[out_rows, out_cols] - minus[out_rows, out_cols]) / (2.0 * h)
+    return jac
+
+
+def _same_bits(a, b):
+    # Equal values and equal signs of zero.
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+CHART_SHAPES = [(2, 2, 1), (3, 4, 3), (4, 3, 3), (4, 3, 2), (8, 6, 3), (5, 4, 4), (1, 3, 1)]
+
+
+@pytest.mark.parametrize("n, m, q", CHART_SHAPES)
+def test_fd_chart_jacobian_matches_per_point_loop(n, m, q):
+    rng = mc.make_rng(56, n, m, q)
+    for trial in range(3):
+        x = mc.random_rank_q(n, m, q, rng)
+        if trial == 0 and q < m:  # a last column of -0.0 keeps the rank
+            x = np.hstack([mc.random_rank_q(n, m - 1, q, rng), np.full((n, 1), -0.0)])
+        in_chart = chart.chart_positions(n, m, q, chart.decompose(x, q))
+        sandwich = df.OrthogonalSandwichMap(mc.random_stiefel(n, n, rng), mc.random_stiefel(m, m, rng))
+        for f, y in [(df.PinvMap(rank=q), mc.pinv(x)), (sandwich, sandwich.apply(x))]:
+            out_chart = chart.chart_positions(*y.shape, q, chart.decompose(y, q))
+            assert _same_bits(
+                df.fd_chart_jacobian(f, x, in_chart, out_chart),
+                _per_point_fd_chart_jacobian(f, x, in_chart, out_chart),
+            )
+
+
+class _Recording:
+    """X -> X, keeping every stack it maps."""
+
+    def __init__(self):
+        self.stacks = []
+
+    def apply(self, x):
+        self.stacks.append(x)
+        return x
+
+
+@pytest.mark.parametrize("n, m, q", [s for s in CHART_SHAPES if s[2] < s[1]])
+def test_fd_chart_jacobian_evaluates_the_per_point_matrices(n, m, q):
+    # Signs of zero included: the -0.0 column of X must come out +0.0 at
+    # every point, as the per-point steps of +0.0 left it.
+    x = np.hstack([mc.random_rank_q(n, m - 1, q, mc.make_rng(59, n, m)), np.full((n, 1), -0.0)])
+    in_chart = chart.chart_positions(n, m, q, chart.decompose(x, q))
+    f = _Recording()
+    df.fd_chart_jacobian(f, x, in_chart, in_chart)
+    [points] = f.stacks
+    k = len(in_chart)
+    h = df.FdConfig().effective_step(x)
+    for i in range(k):
+        deltas = np.zeros(k)
+        deltas[i] = h
+        assert _same_bits(points[i], _per_point_assemble(in_chart.block, deltas))
+        deltas[i] = -h
+        assert _same_bits(points[k + i], _per_point_assemble(in_chart.block, deltas))
+
+
+def test_fd_chart_jacobian_pinv_factors_one_stack(svd_shapes):
+    x = mc.random_rank_q(4, 3, 2, mc.make_rng(57))
+    in_chart = chart.chart_positions(4, 3, 2, chart.decompose(x, 2))
+    out_chart = chart.chart_positions(3, 4, 2, chart.decompose(mc.pinv(x), 2))
+    svd_shapes.clear()
+    df.fd_chart_jacobian(df.PinvMap(rank=2), x, in_chart, out_chart)
+    points = 2 * len(in_chart)
+    # Base-point X11 test, stacked pivot test, one stacked SVD for pinv.
+    assert svd_shapes == [(2, 2), (points, 2, 2), (points, 4, 3)]
+
+
+def test_pinv_fixed_rank_stack_checks():
+    x = mc.random_rank_q(4, 3, 2, mc.make_rng(58))
+    stack = np.stack([x, 2.0 * x, -x])
+    got = mc.pinv_fixed_rank(stack, 2)
+    assert got.shape == (3, 3, 4)
+    for point, y in zip(stack, got):
+        assert _same_bits(y, mc.pinv_fixed_rank(point, 2))
+    stack[1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        mc.pinv_fixed_rank(stack, 2)
+    with pytest.raises(ValueError, match="out of range"):
+        mc.pinv_fixed_rank(np.stack([x, x]), 4)

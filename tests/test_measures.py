@@ -122,6 +122,38 @@ def test_symmetric_inverse_formula_vs_fd(order):
         assert abs(formula - fd) <= 1e-4 * formula
 
 
+def _symmetric_inverse_fd_det_per_direction(s):
+    # Oracle of the stacked symmetric_inverse_fd_det: one direction at a time.
+    a = s.full()
+    m = s.order
+    h = FdConfig().effective_step(a)
+    coords = list(zip(*np.triu_indices(m)))
+    jac = np.empty((len(coords), len(coords)))
+    for k, (i, j) in enumerate(coords):
+        e = np.zeros((m, m))
+        e[i, j] = 1.0
+        e[j, i] = 1.0
+        plus = np.linalg.inv(a + h * e)
+        minus = np.linalg.inv(a - h * e)
+        jac[:, k] = ms.vech((plus - minus) / (2.0 * h))
+    return float(abs(np.linalg.det(jac)))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+def test_symmetric_inverse_fd_det_matches_per_direction_loop(order):
+    for trial in range(10):
+        rng = mc.make_rng(64, order, trial)
+        frame = mc.random_stiefel(order, order, rng)
+        s = ms.SymmetricMatrix.from_full((frame * rng.uniform(0.5, 2.5, order)) @ frame.T)
+        assert ms.symmetric_inverse_fd_det(s) == _symmetric_inverse_fd_det_per_direction(s)
+
+
+def test_vech_of_a_stack():
+    stack = np.arange(18.0).reshape(2, 3, 3)
+    assert np.array_equal(ms.vech(stack), [ms.vech(stack[0]), ms.vech(stack[1])])
+    assert np.array_equal(ms.vech(stack[0]), [0.0, 1.0, 2.0, 4.0, 5.0, 8.0])
+
+
 def test_exterior_chain_orthonormal_columns():
     x = mc.random_stiefel(5, 3, mc.make_rng(64))
     rep = ms.exterior_chain_check(x)
