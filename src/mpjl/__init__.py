@@ -11,18 +11,14 @@ from .chart import (
     BlockDecomposition,
     CoordinateChart,
     assemble,
-    blocks_from_json,
-    blocks_to_json,
     chart_positions,
     decompose,
-    make_blocks,
     pinv_from_blocks,
     tangent_perturbation,
     x22_from_blocks,
 )
 from .differential import (
     FdConfig,
-    JacobianOperator,
     OrthogonalSandwichMap,
     PinvMap,
     fd_chart_jacobian,
@@ -54,7 +50,6 @@ from .errors import (
 from .matcore import (
     RankInfo,
     SvdFactors,
-    commutation_matrix,
     make_rng,
     matrix_from_json,
     matrix_to_json,
@@ -66,11 +61,9 @@ from .matcore import (
     rank_profile,
     sample_spectrum,
     svd_thin,
-    unvec,
     vec,
 )
 from .measures import (
-    SpectrumFactorReport,
     SymmetricMatrix,
     exterior_chain_check,
     hausdorff_density,

@@ -26,13 +26,7 @@ from .errors import (
     SingularGram,
     SingularX11,
 )
-from .matcore import (
-    as_matrix,
-    ill_conditioned,
-    matrix_from_json,
-    matrix_to_json,
-    rank_profile,
-)
+from .matcore import as_matrix, ill_conditioned, rank_profile
 
 # Condition-number cap on the pivot block; beyond it the rank hypothesis is
 # too close to violated for chart arithmetic to mean anything.
@@ -62,10 +56,7 @@ class CoordinateChart:
     """
 
     positions: tuple[tuple[int, int], ...]
-    n: int
-    m: int
-    q: int
-    block: BlockDecomposition | None = field(default=None, compare=False)
+    block: BlockDecomposition = field(compare=False)
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -80,34 +71,13 @@ def _block_matrix(a, rows: int, cols: int, name: str) -> np.ndarray:
     return a
 
 
-def make_blocks(x11, x12, x21, n: int | None = None, m: int | None = None,
-                row_perm=None, col_perm=None) -> BlockDecomposition:
-    """Assemble a BlockDecomposition from raw blocks (identity perms default)."""
-    x11 = np.atleast_2d(np.asarray(x11, dtype=float))
-    q = x11.shape[0]
-    if x11.shape != (q, q):
-        raise ShapeMismatch(f"X11 must be square, got {x11.shape}")
-    x12 = np.asarray(x12, dtype=float).reshape(q, -1) if np.size(x12) else np.zeros((q, 0))
-    x21 = np.asarray(x21, dtype=float).reshape(-1, q) if np.size(x21) else np.zeros((0, q))
-    n = q + x21.shape[0] if n is None else n
-    m = q + x12.shape[1] if m is None else m
-    _block_matrix(x12, q, m - q, "X12")
-    _block_matrix(x21, n - q, q, "X21")
-    row_perm = tuple(range(n)) if row_perm is None else tuple(int(i) for i in row_perm)
-    col_perm = tuple(range(m)) if col_perm is None else tuple(int(j) for j in col_perm)
-    if sorted(row_perm) != list(range(n)) or sorted(col_perm) != list(range(m)):
-        raise ShapeMismatch("row_perm/col_perm must be permutations of range(n)/range(m)")
-    return BlockDecomposition(q=q, x11=x11, x12=x12, x21=x21,
-                              row_perm=row_perm, col_perm=col_perm, n=n, m=m)
-
-
 def _check_x11(b: BlockDecomposition) -> None:
     s = ill_conditioned(b.x11, max_cond=1 / np.finfo(float).eps)
     if s is not None:
         raise SingularX11(f"X11 is numerically singular (singular values {s.tolist()})")
 
 
-def decompose(x, q: int, tol: float | None = None) -> BlockDecomposition:
+def decompose(x, q: int) -> BlockDecomposition:
     """Select permutations making the leading q x q block well conditioned.
 
     Greedy complete pivoting: at each step the largest remaining entry (in
@@ -115,7 +85,7 @@ def decompose(x, q: int, tol: float | None = None) -> BlockDecomposition:
     """
     x = as_matrix(x)
     n, m = x.shape
-    info = rank_profile(x, tol)
+    info = rank_profile(x)
     if info.rank != q:
         raise RankMismatch(f"numerical rank {info.rank} != requested q={q}")
 
@@ -225,7 +195,7 @@ def tangent_perturbation(b: BlockDecomposition, dx11, dx12, dx21) -> np.ndarray:
         dX22 = dX21 X11^-1 X12 - X21 X11^-1 dX11 X11^-1 X12 + X21 X11^-1 dX12
     """
     q = b.q
-    dx11 = _block_matrix(np.atleast_2d(np.asarray(dx11, dtype=float)), q, q, "dX11")
+    dx11 = _block_matrix(dx11, q, q, "dX11")
     dx12 = np.asarray(dx12, dtype=float).reshape(q, b.m - q)
     dx21 = np.asarray(dx21, dtype=float).reshape(b.n - q, q)
     _check_x11(b)
@@ -236,17 +206,13 @@ def tangent_perturbation(b: BlockDecomposition, dx11, dx12, dx21) -> np.ndarray:
     return _unpermute(b, dx11, dx12, dx21, dx22)
 
 
-def chart_positions(n: int, m: int, q: int, b: BlockDecomposition) -> CoordinateChart:
+def chart_positions(b: BlockDecomposition) -> CoordinateChart:
     """Free-coordinate positions of the X11, X12 and X21 blocks.
 
     Exactly nq + mq - q^2 positions, expressed in original indices through
     the stored permutations.
     """
-    if (n, m, q) != (b.n, b.m, b.q):
-        raise ShapeMismatch(
-            f"chart shape ({n},{m},q={q}) disagrees with decomposition "
-            f"({b.n},{b.m},q={b.q})"
-        )
+    n, m, q = b.n, b.m, b.q
     rp, cp = b.row_perm, b.col_perm
     positions: list[tuple[int, int]] = []
     for j in range(q):                      # X11, column-major
@@ -255,7 +221,7 @@ def chart_positions(n: int, m: int, q: int, b: BlockDecomposition) -> Coordinate
         positions.extend((rp[i], cp[j]) for i in range(q))
     for j in range(q):                      # X21, column-major
         positions.extend((rp[i], cp[j]) for i in range(q, n))
-    return CoordinateChart(positions=tuple(positions), n=n, m=m, q=q, block=b)
+    return CoordinateChart(positions=tuple(positions), block=b)
 
 
 def perturbed_assemble(chart: CoordinateChart, deltas: np.ndarray) -> np.ndarray:
@@ -269,8 +235,6 @@ def perturbed_assemble(chart: CoordinateChart, deltas: np.ndarray) -> np.ndarray
     ChartInvalid when any point leaves the pivot block's validity region.
     """
     b = chart.block
-    if b is None:
-        raise ShapeMismatch("chart carries no block decomposition")
     if deltas.ndim not in (1, 2) or deltas.shape[-1] != len(chart):
         raise ShapeMismatch(f"expected {len(chart)} deltas, got {deltas.shape}")
     q, n, m = b.q, b.n, b.m
@@ -286,38 +250,3 @@ def perturbed_assemble(chart: CoordinateChart, deltas: np.ndarray) -> np.ndarray
     if ill_conditioned(x11, max_cond=PIVOT_COND_CAP) is not None:
         raise ChartInvalid("perturbation left the pivot block's validity region")
     return _unpermute(b, x11, x12, x21, _x22(x11, x12, x21))
-
-
-def blocks_to_json(b: BlockDecomposition) -> dict:
-    return {
-        "q": b.q,
-        "X11": matrix_to_json(b.x11) if b.x11.size else _empty_json(b.q, b.q),
-        "X12": matrix_to_json(b.x12) if b.x12.size else _empty_json(b.q, b.m - b.q),
-        "X21": matrix_to_json(b.x21) if b.x21.size else _empty_json(b.n - b.q, b.q),
-        "row_perm": list(b.row_perm),
-        "col_perm": list(b.col_perm),
-        "n": b.n,
-        "m": b.m,
-    }
-
-
-def _empty_json(rows: int, cols: int) -> dict:
-    return {"rows": rows, "cols": cols, "data": []}
-
-
-def _matrix_or_empty(obj: dict) -> np.ndarray:
-    if not obj["data"]:
-        return np.zeros((int(obj["rows"]), int(obj["cols"])))
-    return matrix_from_json(obj)
-
-
-def blocks_from_json(obj: dict) -> BlockDecomposition:
-    return make_blocks(
-        _matrix_or_empty(obj["X11"]),
-        _matrix_or_empty(obj["X12"]),
-        _matrix_or_empty(obj["X21"]),
-        n=int(obj["n"]),
-        m=int(obj["m"]),
-        row_perm=obj["row_perm"],
-        col_perm=obj["col_perm"],
-    )

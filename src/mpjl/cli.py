@@ -14,17 +14,10 @@ import json
 import os
 import sys
 
-from .errors import (
-    BadSpectrum,
-    ConfigError,
-    DegeneracyBudgetExceeded,
-    DegenerateSpectrum,
-    MpjlError,
-    ParseError,
-)
-from .matcore import make_rng, matrix_to_json, random_rank_q, svd_thin
+from .errors import BadSpectrum, ConfigError, DegeneracyBudgetExceeded, MpjlError, ParseError
+from .matcore import matrix_to_json, random_rank_q, svd_thin
 from .reports import SuiteResult, dumps_canonical, render_text
-from .suites import RETRY_BUDGET, SUITE_NAMES, RunConfig, run_suite, validate_config
+from .suites import SUITE_NAMES, RunConfig, _redraw, run_suite, validate_config
 
 DEFAULT_SEED = 12345
 
@@ -56,7 +49,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help="master seed (default MPJL_DEFAULT_SEED or 12345)")
     p.add_argument("--tol", type=float, default=None,
-                   help="override the suite's primary comparison tolerance")
+                   help="override the suite's primary comparison tolerance "
+                        "(exterior-chain and invariance have none)")
     p.add_argument("--fd-step", type=float, default=1e-5,
                    help="finite-difference step (default 1e-5)")
     p.add_argument("--spectrum", type=str, default=None,
@@ -116,17 +110,12 @@ def _config_from_args(args) -> RunConfig:
 
 def cmd_gen(args) -> int:
     cfg = validate_config(_config_from_args(args))
-    last: Exception | None = None
-    for attempt in range(1 + RETRY_BUDGET):
-        rng = make_rng(cfg.seed, 0, attempt)
-        try:
-            x = random_rank_q(cfg.n, cfg.m, cfg.rank, rng, spectrum=cfg.spectrum)
-            factors, info = svd_thin(x)
-            break
-        except DegenerateSpectrum as e:
-            last = e
-    else:
-        raise DegeneracyBudgetExceeded(f"gen: degenerate after {RETRY_BUDGET} redraws: {last}")
+
+    def draw(rng):
+        x = random_rank_q(cfg.n, cfg.m, cfg.rank, rng, spectrum=cfg.spectrum)
+        return (x, *svd_thin(x))
+
+    (x, factors, info), _ = _redraw(draw, cfg.seed, 0, "gen")
     payload = {
         "matrix": matrix_to_json(x),
         "factors": {

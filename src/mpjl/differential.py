@@ -23,9 +23,10 @@ singular values are 1/(d_i d_j) over all q^2 pairs and d_i^-2, each with
 multiplicity n+m-2q: nq+mq-q^2 values in all.  Their product is
 prod d_i^-2(n+m-q), the rank-deficient change-of-variables factor; at full
 rank it is the determinant |X'X|^-n (tall) or |XX'|^-m (wide).
-``operator_spectrum`` and ``jacobian_det_operator`` use this from one SVD
-of X.  The dense ``jacobian_operator`` is kept as the oracle the theorem is
-checked against.
+``operator_spectrum`` and ``jacobian_det_operator`` use this from the
+caller's ``rank_profile`` of X, so X is factored once.  The dense
+``jacobian_operator`` is kept as the oracle the theorem is checked
+against.
 
 The finite-difference oracles here are the independent checks for
 the analytic forms; they pin the rank of every evaluation point to the rank
@@ -62,95 +63,74 @@ class FdConfig:
         return self.step * max(float(np.max(np.abs(x))), 1e-12)
 
 
-@dataclass(frozen=True)
-class JacobianOperator:
-    """The nm x nm linear map sending vec(dX) to vec(dY)."""
-
-    matrix: np.ndarray
-    n: int
-    m: int
-
-
-def pinv_differential(x, dx, tol: float | None = None) -> np.ndarray:
+def pinv_differential(x, dx) -> np.ndarray:
     """Analytic differential of the pseudoinverse at X along dX."""
     x = as_matrix(x)
     dx = as_matrix(dx)
     if dx.shape != x.shape:
         raise ShapeMismatch(f"dX shape {dx.shape} != X shape {x.shape}")
     n, m = x.shape
-    y = pinv(x, tol)
+    y = pinv(x)
     left_proj = np.eye(n) - x @ y
     right_proj = np.eye(m) - y @ x
     return -y @ dx @ y + y @ y.T @ dx.T @ left_proj + right_proj @ dx.T @ y.T @ y
 
 
-def jacobian_operator(x, tol: float | None = None) -> JacobianOperator:
-    """Vectorized form of :func:`pinv_differential` as an explicit matrix.
+def jacobian_operator(x) -> np.ndarray:
+    """The nm x nm matrix sending vec(dX) to vec(dY) = vec(pinv_differential(X, dX)).
 
     O((nm)^2) memory; the closed forms below replace it everywhere except
     as the oracle that checks them.
     """
     x = as_matrix(x)
     n, m = x.shape
-    y = pinv(x, tol)
+    y = pinv(x)
     left_proj = np.eye(n) - x @ y
     right_proj = np.eye(m) - y @ x
-    # Column j*n + i of K = commutation_matrix(m, n) holds its single 1 in
-    # row i*m + j, so right-multiplying by K gathers those columns.
+    # The commutation matrix K, with K vec(dX) = vec(dX'), holds the single
+    # 1 of its column j*n + i in row i*m + j, so right-multiplying by K
+    # gathers those columns.
     k_cols = np.arange(n * m).reshape(n, m).T.ravel()
-    op = -np.kron(y.T, y) + (
+    return -np.kron(y.T, y) + (
         np.kron(left_proj, y @ y.T) + np.kron(y.T @ y, right_proj)
     )[:, k_cols]
-    return JacobianOperator(matrix=op, n=n, m=m)
 
 
-def operator_spectrum(x) -> np.ndarray:
+def operator_spectrum(x: np.ndarray, info: RankInfo) -> np.ndarray:
     """Nonzero singular values of the Jacobian operator, in decreasing order.
 
-    From one SVD of X (see the spectrum theorem above): 1/(d_i d_j) for all
-    q^2 pairs of retained singular values and d_i^-2 with multiplicity
-    n+m-2q, so nq+mq-q^2 values in all.  X's rank is cut as in
-    :func:`jacobian_operator`.
+    ``info`` is ``rank_profile(x)``; no further factorization is made (see
+    the spectrum theorem above): 1/(d_i d_j) for all q^2 pairs of retained
+    singular values and d_i^-2 with multiplicity n+m-2q, so nq+mq-q^2
+    values in all.
     """
-    x = as_matrix(x)
-    return _spectrum(rank_profile(x), *x.shape)
-
-
-def _spectrum(info: RankInfo, n: int, m: int) -> np.ndarray:
+    n, m = x.shape
     inv = 1.0 / info.singular_values[: info.rank]
     values = np.concatenate([np.outer(inv, inv).ravel(), np.repeat(inv**2, n + m - 2 * inv.size)])
     return np.sort(values)[::-1]
 
 
-def jacobian_det_operator(x) -> float:
+def jacobian_det_operator(x: np.ndarray, info: RankInfo) -> float:
     """Absolute determinant of the vectorized differential operator.
 
-    The product of :func:`operator_spectrum`, summed as logs and
-    exponentiated once so no running product underflows; at full rank it is
-    |X'X|^-n (tall) or |XX'|^-m (wide).  Exactly 0 when rank(X) < min(n, m):
-    the spectrum then has fewer than nm values, because the operator
-    annihilates every direction of the form (I - X Y) V (I - Y X).
+    ``info`` is ``rank_profile(x)``.  The product of
+    :func:`operator_spectrum`, summed as logs and exponentiated once so no
+    running product underflows; at full rank it is |X'X|^-n (tall) or
+    |XX'|^-m (wide).  Exactly 0 when rank(X) < min(n, m): the spectrum then
+    has fewer than nm values, because the operator annihilates every
+    direction of the form (I - X Y) V (I - Y X).
     """
-    x = as_matrix(x)
-    return _det_operator(rank_profile(x), *x.shape)
-
-
-def _det_operator(info: RankInfo, n: int, m: int) -> float:
-    # jacobian_det_operator from a rank profile of X that the caller shares.
-    values = _spectrum(info, n, m)
-    if values.size < n * m:
+    values = operator_spectrum(x, info)
+    if values.size < x.size:
         return 0.0
     return float(np.exp(np.sum(np.log(values))))
 
 
-def jacobian_det_full_rank(x) -> float:
-    """Closed-form |det| for full-rank X: |X'X|^-n when m <= n, else |XX'|^-m."""
-    x = as_matrix(x)
-    return _det_full_rank(x, rank_profile(x))
+def jacobian_det_full_rank(x: np.ndarray, info: RankInfo) -> float:
+    """Closed-form |det| for full-rank X: |X'X|^-n when m <= n, else |XX'|^-m.
 
-
-def _det_full_rank(x: np.ndarray, info: RankInfo) -> float:
-    # jacobian_det_full_rank from a rank profile of X that the caller shares.
+    ``info`` is ``rank_profile(x)``; below full rank it raises NotFullRank.
+    """
     n, m = x.shape
     if info.rank != min(n, m):
         raise NotFullRank(f"rank {info.rank} < min(n, m) = {min(n, m)}")
@@ -170,7 +150,7 @@ def _pinned_pinv_at(point: np.ndarray, q: int, rel_drift_cut: float) -> np.ndarr
     return _pinv_from_svd(u, s, vt, q)
 
 
-def fd_pinv_differential(x, dx, cfg: FdConfig = FdConfig(), tol: float | None = None) -> np.ndarray:
+def fd_pinv_differential(x, dx, cfg: FdConfig = FdConfig()) -> np.ndarray:
     """Central-difference oracle for the pseudoinverse differential.
 
     Both evaluations keep the base-point rank q.  For deficient-rank X the
@@ -182,7 +162,7 @@ def fd_pinv_differential(x, dx, cfg: FdConfig = FdConfig(), tol: float | None = 
     dx = as_matrix(dx)
     if dx.shape != x.shape:
         raise ShapeMismatch(f"dX shape {dx.shape} != X shape {x.shape}")
-    info = rank_profile(x, tol)
+    info = rank_profile(x)
     q = info.rank
     h = cfg.effective_step(x)
     # Tangent directions leave sigma_{q+1} at O(h^2), first-order rank
@@ -252,8 +232,6 @@ def fd_chart_jacobian(
     in-chart's pivot region.
     """
     x = as_matrix(x)
-    if in_chart.block is None:
-        raise ShapeMismatch("in_chart must carry its block decomposition")
     base = assemble(in_chart.block)
     scale = max(float(np.max(np.abs(x))), 1e-12)
     if np.max(np.abs(base - x)) > 1e-8 * scale:

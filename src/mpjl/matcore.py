@@ -1,15 +1,16 @@
 """Dense real matrix primitives.
 
-Vectorization and Kronecker machinery, thin SVD with an explicit rank
-policy, the Moore-Penrose inverse, and seeded random generators for test
+Column-stacking vectorization, thin SVD with an explicit rank policy,
+the Moore-Penrose inverse, and seeded random generators for test
 instances.  Everything works on plain ``numpy.ndarray`` values of dtype
 float64; matrices are 2-D arrays.
 
-Rank policy: a singular value is retained when it exceeds ``tol * s[0]``,
-where ``tol`` defaults to ``max(n, m) * machine epsilon``.  ``_rank_info``
-is the one place that cut is made (``rank_profile``, ``svd_thin`` and
-``pinv`` all go through it), and ``_pinv_from_svd`` the one place retained
-factors become a pseudoinverse (``pinv`` and ``pinv_fixed_rank``).
+Rank policy: a singular value of an n x m matrix is retained when it
+exceeds ``max(n, m) * eps * s[0]``, with eps the machine epsilon.
+``_rank_info`` is the one place that cut is made (``rank_profile``,
+``svd_thin`` and ``pinv`` all go through it), and ``_pinv_from_svd`` the
+one place retained factors become a pseudoinverse (``pinv`` and
+``pinv_fixed_rank``).
 
 Conditioning policy: ``ill_conditioned`` is the one test of whether a
 square block can be inverted.  Callers pick its threshold and comparison
@@ -48,10 +49,6 @@ def _finite(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def default_rank_tol(n: int, m: int) -> float:
-    return max(n, m) * np.finfo(float).eps
-
-
 @dataclass(frozen=True)
 class RankInfo:
     """Outcome of a numerical rank determination.
@@ -77,43 +74,14 @@ class SvdFactors:
     s: np.ndarray
     v: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ self.v.T
-
 
 def vec(a) -> np.ndarray:
     """Column-stacking vectorization: entry (i, j) lands at position j*n + i."""
     return as_matrix(a).reshape(-1, order="F")
 
 
-def unvec(v, n: int, m: int) -> np.ndarray:
-    """Inverse of :func:`vec` for an n x m matrix."""
-    v = np.asarray(v, dtype=float)
-    if v.size != n * m:
-        raise ShapeMismatch(f"vector of length {v.size} cannot fill {n}x{m}")
-    return v.reshape((n, m), order="F")
-
-
-def commutation_matrix(m: int, n: int) -> np.ndarray:
-    """Permutation K with K @ vec(A) = vec(A.T) for every n x m matrix A.
-
-    The argument order follows the subscript convention K_mn acting on the
-    vectorization of an n x m matrix.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
-    k = np.zeros((m * n, m * n))
-    for i in range(n):
-        for j in range(m):
-            k[i * m + j, j * n + i] = 1.0
-    return k
-
-
-def _rank_info(s: np.ndarray, shape: tuple[int, int], tol: float | None) -> RankInfo:
-    # The relative rank cut: keep the singular values above tol * s[0].
-    if tol is None:
-        tol = default_rank_tol(*shape)
-    cut = tol * (s[0] if s.size else 0.0)
+def _rank_info(s: np.ndarray, shape: tuple[int, int]) -> RankInfo:
+    cut = max(shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
     return RankInfo(rank=int(np.sum(s > cut)), tolerance_used=float(cut), singular_values=s)
 
 
@@ -122,10 +90,10 @@ def _pinv_from_svd(u: np.ndarray, s: np.ndarray, vt: np.ndarray, q: int) -> np.n
     return (vt[..., :q, :].swapaxes(-1, -2) / s[..., None, :q]) @ u[..., :q].swapaxes(-1, -2)
 
 
-def rank_profile(x, tol: float | None = None) -> RankInfo:
+def rank_profile(x) -> RankInfo:
     """Numerical rank of ``x`` under the relative tolerance policy."""
     x = as_matrix(x)
-    return _rank_info(np.linalg.svd(x, compute_uv=False), x.shape, tol)
+    return _rank_info(np.linalg.svd(x, compute_uv=False), x.shape)
 
 
 def _check_distinct(s: np.ndarray) -> None:
@@ -137,7 +105,7 @@ def _check_distinct(s: np.ndarray) -> None:
         )
 
 
-def svd_thin(x, tol: float | None = None) -> tuple[SvdFactors, RankInfo]:
+def svd_thin(x) -> tuple[SvdFactors, RankInfo]:
     """Thin SVD retaining the numerically nonzero triplets.
 
     Raises DegenerateSpectrum when two retained singular values differ by
@@ -145,13 +113,13 @@ def svd_thin(x, tol: float | None = None) -> tuple[SvdFactors, RankInfo]:
     """
     x = as_matrix(x)
     u, s, vt = np.linalg.svd(x, full_matrices=False)
-    info = _rank_info(s, x.shape, tol)
+    info = _rank_info(s, x.shape)
     q = info.rank
     _check_distinct(s[:q])
     return SvdFactors(u=u[:, :q].copy(), s=s[:q].copy(), v=vt[:q].T.copy()), info
 
 
-def pinv(x, tol: float | None = None) -> np.ndarray:
+def pinv(x) -> np.ndarray:
     """Moore-Penrose inverse via SVD with the relative rank cutoff.
 
     Ties among retained singular values are allowed here: the pseudoinverse
@@ -159,7 +127,7 @@ def pinv(x, tol: float | None = None) -> np.ndarray:
     """
     x = as_matrix(x)
     u, s, vt = np.linalg.svd(x, full_matrices=False)
-    return _pinv_from_svd(u, s, vt, _rank_info(s, x.shape, tol).rank)
+    return _pinv_from_svd(u, s, vt, _rank_info(s, x.shape).rank)
 
 
 def pinv_fixed_rank(x, q: int) -> np.ndarray:

@@ -13,7 +13,7 @@ factor exactly.  The exterior-chain check does the same for the full-rank
 determinant, and the invariance experiment shows why the plain
 free-coordinate volume element cannot be Lebesgue or Hausdorff measure:
 it is not invariant under orthogonal sandwiches unless the chart covers
-every entry.
+every entry.  All three checks return a ``VerificationReport``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import chart_positions, decompose
-from .differential import FdConfig, OrthogonalSandwichMap, _det_operator, fd_chart_jacobian
+from .differential import FdConfig, OrthogonalSandwichMap, fd_chart_jacobian, jacobian_det_operator
 from .errors import BadSpectrum, NotFullColumnRank, ShapeMismatch, SingularInput
 from .matcore import as_matrix, check_spectrum, ill_conditioned, pinv, rank_profile
 from .reports import VerificationReport
@@ -57,43 +57,25 @@ def nonfullrank_jacobian_factor(n: int, m: int, d) -> float:
     return float(np.prod(d ** (-2.0 * (n + m - q))))
 
 
-@dataclass(frozen=True)
-class SpectrumFactorReport:
-    d: np.ndarray
-    n: int
-    m: int
-    q: int
-    density_x: float
-    density_y: float
-    jacobian_factor: float
-    identity_residual: float
-
-
-def hausdorff_ratio_check(n: int, m: int, d) -> SpectrumFactorReport:
+def hausdorff_ratio_check(n: int, m: int, d, tol: float) -> VerificationReport:
     """Verify the change-of-variables factor through the density chain.
 
     density(Y spectrum) * |d(reciprocal spectrum)/dD| / density(X spectrum)
     is an exact algebraic identity for prod D_i^(-2(n+m-q)); the residual
-    measures only rounding.
+    measures only rounding and is held to ``tol``.
     """
     d = check_spectrum(d)
-    q = d.size
     density_x = hausdorff_density(n, m, d)
-    dy = pinv_spectrum(d)
     # Y = pinv(X) is m x n with the same rank; n+m enters symmetrically.
-    density_y = hausdorff_density(m, n, dy)
-    spectrum_map_det = float(np.prod(d ** -2.0))
-    chain = density_y * spectrum_map_det / density_x
+    density_y = hausdorff_density(m, n, pinv_spectrum(d))
+    chain = density_y * float(np.prod(d ** -2.0)) / density_x
     factor = nonfullrank_jacobian_factor(n, m, d)
-    return SpectrumFactorReport(
-        d=d,
-        n=n,
-        m=m,
-        q=q,
-        density_x=density_x,
-        density_y=density_y,
-        jacobian_factor=factor,
-        identity_residual=float(abs(chain - factor) / factor),
+    return VerificationReport(
+        check_name="hausdorff",
+        inputs={"n": n, "m": m, "q": d.size, "spectrum": d.tolist()},
+        values={"density_x": density_x, "density_y": density_y, "jacobian_factor": factor},
+        residuals={"identity": float(abs(chain - factor) / factor)},
+        tolerances={"identity": tol},
     )
 
 
@@ -195,7 +177,7 @@ def exterior_chain_check(x) -> VerificationReport:
     target = float(np.exp(-n * log_b))
     algebra_residual = float(abs(assembled - target) / target)
 
-    op_det = _det_operator(info, n, m)
+    op_det = jacobian_det_operator(x, info)
     operator_residual = float(abs(assembled - op_det) / target)
 
     return VerificationReport(
@@ -243,9 +225,8 @@ def orthogonal_invariance_check(
     x = as_matrix(x)
     n, m = x.shape
     sandwich = OrthogonalSandwichMap(h, qmat)
-    in_chart = chart_positions(n, m, q, decompose(x, q))
-    target = sandwich.apply(x)
-    out_chart = chart_positions(n, m, q, decompose(target, q))
+    in_chart = chart_positions(decompose(x, q))
+    out_chart = chart_positions(decompose(sandwich.apply(x), q))
     jac = fd_chart_jacobian(sandwich, x, in_chart, out_chart, cfg)
     abs_det = float(abs(np.linalg.det(jac)))
     deviation = float(abs(abs_det - 1.0))

@@ -46,6 +46,9 @@ DEFAULT_TOLERANCES = {
     "blocks-x22": 1e-10,
 }
 
+# Suites with no primary tolerance: cfg.tol is refused for them.
+NO_PRIMARY_TOL = ("exterior-chain", "invariance")
+
 # FD chart determinants are only cross-checked at sizes where the full
 # chart stays small.
 FD_CROSS_CHECK_MAX_ENTRIES = 12
@@ -92,6 +95,8 @@ def validate_config(cfg: RunConfig, suite: str | None = None) -> RunConfig:
         raise ConfigError("jacobian-full requires full rank: q = min(n, m)")
     if suite == "exterior-chain" and (cfg.m > cfg.n or q != cfg.m):
         raise ConfigError("exterior-chain requires full column rank: m <= n and q = m")
+    if suite in NO_PRIMARY_TOL and cfg.tol is not None:
+        raise ConfigError(f"{suite} has no primary tolerance to override; drop --tol")
     return replace(cfg, q=q)
 
 
@@ -114,8 +119,8 @@ def _rel(err: float, scale: float) -> float:
 def _pinv_chart_det(cfg: RunConfig, x: np.ndarray, y: np.ndarray) -> float:
     """|det| of the FD chart Jacobian of X -> pinv(X) = Y, rank pinned."""
     q = cfg.rank
-    in_chart = chart.chart_positions(cfg.n, cfg.m, q, chart.decompose(x, q))
-    out_chart = chart.chart_positions(cfg.m, cfg.n, q, chart.decompose(y, q))
+    in_chart = chart.chart_positions(chart.decompose(x, q))
+    out_chart = chart.chart_positions(chart.decompose(y, q))
     jac = differential.fd_chart_jacobian(
         differential.PinvMap(rank=q), x, in_chart, out_chart, _fd_config(cfg)
     )
@@ -154,8 +159,8 @@ def _suite_jacobian_full(cfg: RunConfig, rng: np.random.Generator) -> Verificati
     x = _instance(cfg, rng)
     # One factorization of X serves both determinants and the rank check.
     info = matcore.rank_profile(x)
-    det_op = differential._det_operator(info, cfg.n, cfg.m)
-    det_formula = differential._det_full_rank(x, info)
+    det_op = differential.jacobian_det_operator(x, info)
+    det_formula = differential.jacobian_det_full_rank(x, info)
     residuals = {"operator_vs_formula": _rel(abs(det_op - det_formula), det_formula)}
     tolerances = {"operator_vs_formula": _tol(cfg, "jacobian-full")}
     values = {"operator_det": det_op, "closed_form": det_formula}
@@ -181,17 +186,17 @@ def _suite_operator_rank(cfg: RunConfig, rng: np.random.Generator) -> Verificati
     y = matcore.pinv(x)
     v = rng.standard_normal((cfg.n, cfg.m))
     projected = (np.eye(cfg.n) - x @ y) @ v @ (np.eye(cfg.m) - y @ x)
-    image = op.matrix @ matcore.vec(projected) if projected.size else np.zeros(0)
-    scale = np.linalg.norm(op.matrix) * max(np.linalg.norm(projected), 1e-300)
+    image = op @ matcore.vec(projected) if projected.size else np.zeros(0)
+    scale = np.linalg.norm(op) * max(np.linalg.norm(projected), 1e-300)
     annihilation = _rel(np.linalg.norm(image), scale)
-    op_info = matcore.rank_profile(op.matrix)
+    op_info = matcore.rank_profile(op)
     op_rank = op_info.rank
     # The dense operator's pseudo-determinant against the product of the
     # closed-form spectrum, prod d^-2(n+m-q), the paper's rank-deficient
     # factor.  Both are summed as logs of the individual singular values:
     # the products themselves leave the float range at moderate sizes.
     log_pdet = np.sum(np.log(op_info.singular_values[:expected]))
-    log_factor = np.sum(np.log(differential.operator_spectrum(x)))
+    log_factor = np.sum(np.log(differential.operator_spectrum(x, matcore.rank_profile(x))))
     values = {"operator_rank": op_rank, "expected_rank": expected}
     if q < min(cfg.n, cfg.m) and expected <= FD_CROSS_CHECK_MAX_ENTRIES:
         # No closed form is known for this determinant; it is reported for
@@ -212,19 +217,8 @@ def _suite_operator_rank(cfg: RunConfig, rng: np.random.Generator) -> Verificati
 
 def _suite_hausdorff(cfg: RunConfig, rng: np.random.Generator) -> VerificationReport:
     q = cfg.rank
-    d = np.asarray(cfg.spectrum, dtype=float) if cfg.spectrum else matcore.sample_spectrum(q, rng)
-    rep = measures.hausdorff_ratio_check(cfg.n, cfg.m, d)
-    return VerificationReport(
-        check_name="hausdorff",
-        inputs={"n": cfg.n, "m": cfg.m, "q": q, "spectrum": [float(v) for v in d]},
-        values={
-            "density_x": rep.density_x,
-            "density_y": rep.density_y,
-            "jacobian_factor": rep.jacobian_factor,
-        },
-        residuals={"identity": rep.identity_residual},
-        tolerances={"identity": _tol(cfg, "hausdorff")},
-    )
+    d = cfg.spectrum or matcore.sample_spectrum(q, rng)
+    return measures.hausdorff_ratio_check(cfg.n, cfg.m, d, _tol(cfg, "hausdorff"))
 
 
 def _suite_invariance(cfg: RunConfig, rng: np.random.Generator) -> VerificationReport:
@@ -266,7 +260,7 @@ def _suite_blocks(cfg: RunConfig, rng: np.random.Generator) -> VerificationRepor
     permuted = x[np.ix_(b.row_perm, b.col_perm)]
     trailing = permuted[q:, q:]
     x22_rel = _rel(np.linalg.norm(chart.x22_from_blocks(b) - trailing), x_norm)
-    positions = chart.chart_positions(cfg.n, cfg.m, q, b)
+    positions = chart.chart_positions(b)
     chart_ok = len(positions) == cfg.n * q + cfg.m * q - q * q
     return VerificationReport(
         check_name="blocks",
@@ -294,22 +288,31 @@ _SUITES = {
 }
 
 
+def _redraw(draw, seed: int, trial: int, label: str):
+    """``(draw(rng), attempt)`` from the first attempt that is not degenerate.
+
+    Attempt a draws from the stream (seed, trial, a); a degenerate spectrum
+    or a rank drift is redrawn up to ``RETRY_BUDGET`` times, then raised
+    as DegeneracyBudgetExceeded.  Kept private, so that span tracers that
+    wrap public names (perfbench's) still see each attempt's ``make_rng``
+    call directly under ``run_trial``.
+    """
+    last: Exception | None = None
+    for attempt in range(1 + RETRY_BUDGET):
+        try:
+            return draw(matcore.make_rng(seed, trial, attempt)), attempt
+        except (DegenerateSpectrum, RankDrift) as e:
+            last = e
+    raise DegeneracyBudgetExceeded(f"{label}: degenerate after {RETRY_BUDGET} redraws: {last}")
+
+
 def run_trial(suite: str, cfg: RunConfig, trial: int) -> VerificationReport:
     """One trial with the retry-on-degeneracy policy; pure in (cfg, trial)."""
     fn = _SUITES[suite]
-    last: Exception | None = None
-    for attempt in range(1 + RETRY_BUDGET):
-        rng = matcore.make_rng(cfg.seed, trial, attempt)
-        try:
-            report = fn(cfg, rng)
-        except (DegenerateSpectrum, RankDrift) as e:
-            last = e
-            continue
-        report.inputs = {**report.inputs, "seed": cfg.seed, "trial": trial, "attempt": attempt}
-        return report
-    raise DegeneracyBudgetExceeded(
-        f"suite {suite} trial {trial}: degenerate after {RETRY_BUDGET} redraws: {last}"
-    )
+    label = f"suite {suite} trial {trial}"
+    report, attempt = _redraw(lambda rng: fn(cfg, rng), cfg.seed, trial, label)
+    report.inputs = {**report.inputs, "seed": cfg.seed, "trial": trial, "attempt": attempt}
+    return report
 
 
 def run_suite(suite: str, cfg: RunConfig) -> SuiteResult:

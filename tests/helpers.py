@@ -1,0 +1,32 @@
+"""Test oracles and fixture builders that the library itself does not need."""
+
+import numpy as np
+
+from mpjl.chart import BlockDecomposition
+
+
+def commutation_matrix(m: int, n: int) -> np.ndarray:
+    """Permutation K with K @ vec(A) = vec(A.T) for every n x m matrix A.
+
+    The argument order follows the subscript convention K_mn acting on the
+    vectorization of an n x m matrix.  The oracle of the column gather in
+    ``differential.jacobian_operator``.
+    """
+    k = np.zeros((m * n, m * n))
+    for i in range(n):
+        for j in range(m):
+            k[i * m + j, j * n + i] = 1.0
+    return k
+
+
+def make_blocks(x11, x12, x21, row_perm=None, col_perm=None) -> BlockDecomposition:
+    """BlockDecomposition from raw free blocks; identity permutations by default."""
+    x11, x12, x21 = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (x11, x12, x21))
+    q = x11.shape[0]
+    n, m = q + x21.shape[0], q + x12.shape[1]
+    return BlockDecomposition(
+        q=q, x11=x11, x12=x12, x21=x21,
+        row_perm=tuple(range(n)) if row_perm is None else tuple(row_perm),
+        col_perm=tuple(range(m)) if col_perm is None else tuple(col_perm),
+        n=n, m=m,
+    )

@@ -146,20 +146,20 @@ def test_criterion_5_operator_rank_law():
 def test_criterion_6_hausdorff_chain():
     with criterion(6, "hausdorff ratio identity <= 1e-10", 1.0):
         # hand-computed anchors
-        anchor = ms.hausdorff_ratio_check(2, 2, [2.0])
-        assert anchor.density_x == 2.0
-        assert anchor.jacobian_factor == 1.0 / 64.0
-        assert anchor.identity_residual <= 1e-10
+        anchor = ms.hausdorff_ratio_check(2, 2, [2.0], 1e-10)
+        assert anchor.values["density_x"] == 2.0
+        assert anchor.values["jacobian_factor"] == 1.0 / 64.0
+        assert anchor.residuals["identity"] <= 1e-10
         assert ms.hausdorff_density(3, 2, [2.0, 1.0]) == 1.5
-        assert ms.hausdorff_ratio_check(3, 2, [2.0, 1.0]).identity_residual <= 1e-10
+        assert ms.hausdorff_ratio_check(3, 2, [2.0, 1.0], 1e-10).residuals["identity"] <= 1e-10
         # 50 random spectra
         for trial in range(50):
             rng = mc.make_rng(ACCEPTANCE_SEED, 6, trial)
             q = int(rng.integers(1, 5))
             n = int(rng.integers(q, 9))
             m = int(rng.integers(q, 9))
-            rep = ms.hausdorff_ratio_check(n, m, mc.sample_spectrum(q, rng))
-            assert rep.identity_residual <= 1e-10
+            rep = ms.hausdorff_ratio_check(n, m, mc.sample_spectrum(q, rng), 1e-10)
+            assert rep.residuals["identity"] <= 1e-10
 
 
 def test_criterion_7_symmetric_inverse_jacobian():

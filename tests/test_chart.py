@@ -1,10 +1,9 @@
 """Block decomposition tests: pivoting, assembly, block pseudoinverse, tangents."""
 
-import json
-
 import numpy as np
 import pytest
 
+from helpers import make_blocks
 from mpjl import chart, matcore as mc
 from mpjl.errors import ChartInvalid, IllConditionedPivot, RankMismatch, ShapeMismatch, SingularX11
 
@@ -41,7 +40,7 @@ def test_decompose_ill_conditioned_pivot():
 
 
 def test_x22_formula_forced():
-    b = chart.make_blocks([[1.0]], [[2.0]], [[3.0]])
+    b = make_blocks([[1.0]], [[2.0]], [[3.0]])
     np.testing.assert_allclose(chart.x22_from_blocks(b), [[6.0]])
 
 
@@ -53,7 +52,7 @@ def test_x22_empty_when_full_column_rank():
 
 def test_x22_gives_rank_q_assembly():
     rng = mc.make_rng(22)
-    b = chart.make_blocks(
+    b = make_blocks(
         rng.standard_normal((2, 2)) + 2 * np.eye(2),
         rng.standard_normal((2, 2)),
         rng.standard_normal((2, 2)),
@@ -62,7 +61,7 @@ def test_x22_gives_rank_q_assembly():
 
 
 def test_x22_requires_invertible_x11():
-    b = chart.make_blocks([[0.0]], [[2.0]], [[3.0]])
+    b = make_blocks([[0.0]], [[2.0]], [[3.0]])
     with pytest.raises(SingularX11):
         chart.x22_from_blocks(b)
 
@@ -84,7 +83,7 @@ def test_assemble_matches_outer_product_form():
 
 
 def test_assemble_hand_example():
-    b = chart.make_blocks([[1.0]], [[2.0]], [[3.0]])
+    b = make_blocks([[1.0]], [[2.0]], [[3.0]])
     np.testing.assert_allclose(chart.assemble(b), [[1.0, 2.0], [3.0, 6.0]])
 
 
@@ -101,7 +100,7 @@ def test_decompose_assemble_roundtrip_sweep():
 
 
 def test_pinv_from_blocks_hand_example():
-    b = chart.make_blocks([[1.0]], [[2.0]], [[3.0]])
+    b = make_blocks([[1.0]], [[2.0]], [[3.0]])
     np.testing.assert_allclose(
         chart.pinv_from_blocks(b), [[0.02, 0.06], [0.04, 0.12]], rtol=1e-12
     )
@@ -131,7 +130,7 @@ def test_pinv_from_blocks_edge_ranks():
 
 
 def test_tangent_perturbation_hand_values():
-    b = chart.make_blocks([[1.0]], [[2.0]], [[3.0]])
+    b = make_blocks([[1.0]], [[2.0]], [[3.0]])
     # FD oracle on X22 = x21 x12 / x11 gives dX22/dx11 = -6, dX22/dx12 = 3.
     d11 = chart.tangent_perturbation(b, [[1.0]], [[0.0]], [[0.0]])
     np.testing.assert_allclose(d11, [[1.0, 0.0], [0.0, -6.0]])
@@ -140,7 +139,7 @@ def test_tangent_perturbation_hand_values():
 
 
 def test_tangent_perturbation_zero():
-    b = chart.make_blocks([[1.0]], [[2.0]], [[3.0]])
+    b = make_blocks([[1.0]], [[2.0]], [[3.0]])
     assert np.all(chart.tangent_perturbation(b, [[0.0]], [[0.0]], [[0.0]]) == 0.0)
 
 
@@ -161,11 +160,11 @@ def test_tangent_matches_finite_difference_of_assemble():
         analytic = chart.tangent_perturbation(b, d11, d12, d21)
 
         def shifted(sign):
-            moved = chart.make_blocks(
+            moved = make_blocks(
                 b.x11 + sign * h * d11,
                 b.x12 + sign * h * d12,
                 b.x21 + sign * h * d21,
-                n=n, m=m, row_perm=b.row_perm, col_perm=b.col_perm,
+                row_perm=b.row_perm, col_perm=b.col_perm,
             )
             return chart.assemble(moved)
 
@@ -187,8 +186,8 @@ def test_tangent_preserves_rank_to_first_order():
 
 
 def test_chart_positions_2x2_rank1():
-    b = chart.make_blocks([[1.0]], [[2.0]], [[3.0]])
-    positions = chart.chart_positions(2, 2, 1, b)
+    b = make_blocks([[1.0]], [[2.0]], [[3.0]])
+    positions = chart.chart_positions(b)
     assert positions.positions == ((0, 0), (0, 1), (1, 0))
     assert len(positions) == 3
 
@@ -196,7 +195,7 @@ def test_chart_positions_2x2_rank1():
 def test_chart_positions_full_chart():
     x = mc.random_rank_q(3, 3, 3, mc.make_rng(31))
     b = chart.decompose(x, 3)
-    positions = chart.chart_positions(3, 3, 3, b)
+    positions = chart.chart_positions(b)
     assert len(positions) == 9
     assert sorted(positions.positions) == [(i, j) for i in range(3) for j in range(3)]
 
@@ -209,26 +208,13 @@ def test_chart_positions_count_formula():
         m = int(rng.integers(q, 9))
         x = mc.random_rank_q(n, m, q, rng)
         b = chart.decompose(x, q)
-        assert len(chart.chart_positions(n, m, q, b)) == n * q + m * q - q * q
+        assert len(chart.chart_positions(b)) == n * q + m * q - q * q
 
 
 def test_chart_positions_3x2_rank1_length():
     x = mc.random_rank_q(3, 2, 1, mc.make_rng(33))
     b = chart.decompose(x, 1)
-    assert len(chart.chart_positions(3, 2, 1, b)) == 4
-
-
-def test_blocks_json_roundtrip():
-    x = mc.random_rank_q(5, 4, 2, mc.make_rng(34))
-    b = chart.decompose(x, 2)
-    back = chart.blocks_from_json(json.loads(json.dumps(chart.blocks_to_json(b))))
-    assert back.q == b.q
-    assert back.row_perm == b.row_perm
-    assert back.col_perm == b.col_perm
-    assert np.array_equal(back.x11, b.x11)
-    assert np.array_equal(back.x12, b.x12)
-    assert np.array_equal(back.x21, b.x21)
-    np.testing.assert_allclose(chart.assemble(back), chart.assemble(b), rtol=0, atol=0)
+    assert len(chart.chart_positions(b)) == 4
 
 
 def test_tangent_perturbation_tests_x11_once(svd_shapes):
@@ -245,7 +231,7 @@ def test_fd_chart_jacobian_tests_x11_once_per_point(svd_shapes):
     from mpjl.differential import OrthogonalSandwichMap, fd_chart_jacobian
 
     x = mc.random_rank_q(8, 6, 3, mc.make_rng(36))
-    positions = chart.chart_positions(8, 6, 3, chart.decompose(x, 3))
+    positions = chart.chart_positions(chart.decompose(x, 3))
     svd_shapes.clear()
     fd_chart_jacobian(OrthogonalSandwichMap(np.eye(8), np.eye(6)), x, positions, positions)
     # One test for the base-point assembly, then every evaluation point
@@ -260,14 +246,14 @@ def test_perturbed_assemble_moves_each_chart_position():
     for n, m, q in [(2, 2, 1), (5, 4, 2), (4, 6, 3), (3, 3, 3)]:
         x = mc.random_rank_q(n, m, q, rng)
         b = chart.decompose(x, q)
-        positions = chart.chart_positions(n, m, q, b)
+        positions = chart.chart_positions(b)
         deltas = 1e-3 * rng.standard_normal(len(positions))
         full = np.zeros((n, m))
         full[tuple(np.array(positions.positions).T)] = deltas
         dp = full[np.ix_(b.row_perm, b.col_perm)]
-        moved = chart.make_blocks(
+        moved = make_blocks(
             b.x11 + dp[:q, :q], b.x12 + dp[:q, q:], b.x21 + dp[q:, :q],
-            n=n, m=m, row_perm=b.row_perm, col_perm=b.col_perm,
+            row_perm=b.row_perm, col_perm=b.col_perm,
         )
         assert np.array_equal(chart.perturbed_assemble(positions, deltas), chart.assemble(moved))
 
@@ -284,7 +270,7 @@ def test_perturbed_assemble_stack_matches_rows():
             x = np.hstack([mc.random_rank_q(n, m - 1, q, rng), np.full((n, 1), -0.0)])
         else:
             x = mc.random_rank_q(n, m, q, rng)
-        positions = chart.chart_positions(n, m, q, chart.decompose(x, q))
+        positions = chart.chart_positions(chart.decompose(x, q))
         deltas = 1e-3 * rng.standard_normal((5, len(positions)))
         deltas[1] = 0.0
         deltas[2, ::2] = -0.0
@@ -296,8 +282,8 @@ def test_perturbed_assemble_stack_matches_rows():
 
 def test_perturbed_assemble_stack_rejects_one_bad_point():
     x11 = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-5 + 1e-9]])
-    b = chart.make_blocks(x11, np.zeros((2, 1)), np.zeros((1, 2)))
-    positions = chart.chart_positions(3, 3, 2, b)
+    b = make_blocks(x11, np.zeros((2, 1)), np.zeros((1, 2)))
+    positions = chart.chart_positions(b)
     deltas = np.zeros((4, len(positions)))
     chart.perturbed_assemble(positions, deltas)
     # Lowering X11[1, 1] by the step cancels the pivot block's determinant.
@@ -312,7 +298,7 @@ def test_perturbed_assemble_stack_rejects_one_bad_point():
 
 def test_perturbed_assemble_rejects_wrong_delta_shapes():
     x = mc.random_rank_q(4, 3, 2, mc.make_rng(39))
-    positions = chart.chart_positions(4, 3, 2, chart.decompose(x, 2))
+    positions = chart.chart_positions(chart.decompose(x, 2))
     k = len(positions)
     for shape in [(k + 1,), (2, k - 1), (2, 2, k), ()]:
         with pytest.raises(ShapeMismatch):

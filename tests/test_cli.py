@@ -83,6 +83,18 @@ def test_verify_invalid_suite_config_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("suite,extra", [
+    ("exterior-chain", ["--n", "5", "--m", "3"]),
+    ("invariance", ["--n", "3", "--m", "3"]),
+])
+def test_tol_refused_without_primary_tolerance(capsys, suite, extra):
+    code, out, err = run_cli(capsys, "verify", suite, *extra, "--trials", "2", "--seed", "1",
+                             "--tol", "1e-30")
+    assert code == 2
+    assert out == ""
+    assert suite in err and "tol" in err
+
+
 def test_verify_json_byte_identical(tmp_path):
     args = ["verify", "hausdorff", "--n", "5", "--m", "4", "--q", "3", "--trials", "8",
             "--seed", "9", "--format", "json"]

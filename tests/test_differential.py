@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import commutation_matrix, make_blocks
 from mpjl import chart, matcore as mc, suites
 from mpjl import differential as df
 from mpjl.errors import NotFullRank, RankDrift
@@ -39,9 +40,9 @@ def test_differential_rank_deficient_along_curve():
     h = 1e-5
 
     def curve(t):
-        moved = chart.make_blocks(
+        moved = make_blocks(
             b.x11 + t * np.ones((1, 1)), b.x12, b.x21,
-            n=2, m=2, row_perm=b.row_perm, col_perm=b.col_perm,
+            row_perm=b.row_perm, col_perm=b.col_perm,
         )
         return mc.pinv(chart.assemble(moved))
 
@@ -61,7 +62,7 @@ def test_differential_linearity():
 
 def test_operator_scalar():
     op = df.jacobian_operator(np.array([[1.0]]))
-    np.testing.assert_allclose(op.matrix, [[-1.0]])
+    np.testing.assert_allclose(op, [[-1.0]])
 
 
 def test_operator_consistent_with_differential():
@@ -70,7 +71,7 @@ def test_operator_consistent_with_differential():
     op = df.jacobian_operator(x)
     for _ in range(10):
         dx = rng.standard_normal((3, 2))
-        lhs = op.matrix @ mc.vec(dx)
+        lhs = op @ mc.vec(dx)
         rhs = mc.vec(df.pinv_differential(x, dx))
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
@@ -84,9 +85,9 @@ def test_operator_consistency_across_shapes_and_ranks():
         x = mc.random_rank_q(n, m, q, rng)
         op = df.jacobian_operator(x)
         dx = rng.standard_normal((n, m))
-        lhs = op.matrix @ mc.vec(dx)
+        lhs = op @ mc.vec(dx)
         rhs = mc.vec(df.pinv_differential(x, dx))
-        scale = max(np.linalg.norm(rhs), np.linalg.norm(op.matrix) * np.linalg.norm(dx))
+        scale = max(np.linalg.norm(rhs), np.linalg.norm(op) * np.linalg.norm(dx))
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * scale
 
 
@@ -101,15 +102,15 @@ def test_operator_commutation_is_exact_permutation(n, m, q):
     right_proj = np.eye(m) - y @ x
     formula = -np.kron(y.T, y) + (
         np.kron(left_proj, y @ y.T) + np.kron(y.T @ y, right_proj)
-    ) @ mc.commutation_matrix(m, n)
-    assert np.array_equal(df.jacobian_operator(x).matrix, formula)
+    ) @ commutation_matrix(m, n)
+    assert np.array_equal(df.jacobian_operator(x), formula)
 
 
 def test_det_operator_factors_no_operator_sized_matrix(svd_shapes):
     n, m = 24, 20
     x = mc.random_rank_q(n, m, m, mc.make_rng(47))
     svd_shapes.clear()
-    df.jacobian_det_operator(x)
+    df.jacobian_det_operator(x, mc.rank_profile(x))
     assert svd_shapes
     assert max(s[0] for s in svd_shapes) <= max(n, m)
 
@@ -123,6 +124,17 @@ def test_determinant_suites_never_build_the_dense_operator(monkeypatch):
     for suite, n, m in runs:
         result = suites.run_suite(suite, suites.RunConfig(n=n, m=m, trials=1, seed=49))
         assert result.all_passed, suite
+
+
+@pytest.mark.parametrize("suite, svds", [("jacobian-full", 1), ("exterior-chain", 2)])
+def test_determinant_suites_factor_x_as_often_as_needed(svd_shapes, suite, svds):
+    # Above the FD cross-check size: jacobian-full shares one rank profile
+    # between both determinants; exterior-chain adds only pinv(X).
+    n, m = 6, 4
+    assert n * m > suites.FD_CROSS_CHECK_MAX_ENTRIES
+    report = suites.run_trial(suite, suites.RunConfig(n=n, m=m, seed=51), 0)
+    assert report.passed and report.inputs["attempt"] == 0
+    assert svd_shapes == [(n, m)] * svds
 
 
 def test_operator_rank_suite_keeps_svd_rank_oracle(svd_shapes):
@@ -147,7 +159,7 @@ def test_operator_rank_pseudo_det_stays_finite(scale):
 
 def test_operator_rank_law_hand_case():
     op = df.jacobian_operator(np.array([[1.0, 2.0], [3.0, 6.0]]))
-    assert mc.rank_profile(op.matrix).rank == 3  # nq + mq - q^2 = 2 + 2 - 1
+    assert mc.rank_profile(op).rank == 3  # nq + mq - q^2 = 2 + 2 - 1
 
 
 def test_operator_rank_law_sweep():
@@ -158,7 +170,7 @@ def test_operator_rank_law_sweep():
         m = int(rng.integers(q + 1, 7))
         x = mc.random_rank_q(n, m, q, rng)
         op = df.jacobian_operator(x)
-        assert mc.rank_profile(op.matrix).rank == n * q + m * q - q * q
+        assert mc.rank_profile(op).rank == n * q + m * q - q * q
 
 
 def test_operator_annihilates_normal_directions():
@@ -172,18 +184,19 @@ def test_operator_annihilates_normal_directions():
         op = df.jacobian_operator(x)
         v = rng.standard_normal((n, m))
         projected = (np.eye(n) - x @ y) @ v @ (np.eye(m) - y @ x)
-        image = op.matrix @ mc.vec(projected)
-        scale = np.linalg.norm(op.matrix) * np.linalg.norm(projected)
+        image = op @ mc.vec(projected)
+        scale = np.linalg.norm(op) * np.linalg.norm(projected)
         assert np.linalg.norm(image) <= 1e-12 * scale
 
 
 def test_det_operator_scalar():
-    assert abs(df.jacobian_det_operator(np.array([[2.0]])) - 0.25) <= 1e-15
+    x = np.array([[2.0]])
+    assert abs(df.jacobian_det_operator(x, mc.rank_profile(x)) - 0.25) <= 1e-15
 
 
 def test_det_operator_matches_closed_form_tall():
     x = mc.random_rank_q(4, 2, 2, mc.make_rng(46))
-    det_op = df.jacobian_det_operator(x)
+    det_op = df.jacobian_det_operator(x, mc.rank_profile(x))
     closed = abs(np.linalg.det(x.T @ x)) ** -4.0
     assert abs(det_op - closed) <= 1e-8 * closed
 
@@ -191,26 +204,30 @@ def test_det_operator_matches_closed_form_tall():
 def test_det_operator_vanishes_when_deficient():
     x = np.array([[1.0, 2.0], [3.0, 6.0]])
     op = df.jacobian_operator(x)
-    scale = mc.rank_profile(op.matrix).singular_values[0] ** 4
-    assert df.jacobian_det_operator(x) <= 1e-12 * scale
+    scale = mc.rank_profile(op).singular_values[0] ** 4
+    assert df.jacobian_det_operator(x, mc.rank_profile(x)) <= 1e-12 * scale
+
+
+def _closed_form_det(x):
+    return df.jacobian_det_full_rank(x, mc.rank_profile(x))
 
 
 def test_det_full_rank_examples():
-    assert df.jacobian_det_full_rank(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])) == 1.0
+    assert _closed_form_det(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])) == 1.0
     x = np.array([[2.0, 0.0], [0.0, 3.0], [0.0, 0.0]])
-    assert abs(df.jacobian_det_full_rank(x) - 36.0 ** -3) <= 1e-20
+    assert abs(_closed_form_det(x) - 36.0 ** -3) <= 1e-20
 
 
 def test_det_full_rank_square_branches_agree():
     x = mc.random_rank_q(4, 4, 4, mc.make_rng(47))
-    value = df.jacobian_det_full_rank(x)
+    value = _closed_form_det(x)
     alt = abs(np.linalg.det(x)) ** -8.0
     assert abs(value - alt) <= 1e-10 * alt
 
 
 def test_det_full_rank_rejects_deficient():
     with pytest.raises(NotFullRank):
-        df.jacobian_det_full_rank(np.array([[1.0, 2.0], [3.0, 6.0]]))
+        _closed_form_det(np.array([[1.0, 2.0], [3.0, 6.0]]))
 
 
 def test_det_agreement_both_orientations():
@@ -224,8 +241,9 @@ def test_det_agreement_both_orientations():
     d = np.concatenate([np.linspace(2.5, 1.8, 16), np.linspace(0.95, 0.5, 8)])
     cases.append(mc.random_rank_q(32, 24, 24, mc.make_rng(3), spectrum=d))
     for x in cases:
-        det_op = df.jacobian_det_operator(x)
-        closed = df.jacobian_det_full_rank(x)
+        info = mc.rank_profile(x)
+        det_op = df.jacobian_det_operator(x, info)
+        closed = df.jacobian_det_full_rank(x, info)
         assert det_op > 0.0
         assert abs(det_op - closed) <= 1e-8 * closed
 
@@ -300,7 +318,7 @@ def test_projector_differential_stays_symmetric():
 def test_fd_chart_jacobian_identity_map():
     x = mc.random_rank_q(4, 3, 2, mc.make_rng(54))
     b = chart.decompose(x, 2)
-    positions = chart.chart_positions(4, 3, 2, b)
+    positions = chart.chart_positions(b)
     identity = df.OrthogonalSandwichMap(np.eye(4), np.eye(3))
     jac = df.fd_chart_jacobian(identity, x, positions, positions)
     np.testing.assert_allclose(jac, np.eye(len(positions)), atol=1e-9)
@@ -315,8 +333,8 @@ class _Doubling:
 
 def test_fd_chart_jacobian_scaling_map():
     x = np.array([[1.0, 2.0], [3.0, 6.0]])
-    in_chart = chart.chart_positions(2, 2, 1, chart.decompose(x, 1))
-    out_chart = chart.chart_positions(2, 2, 1, chart.decompose(2 * x, 1))
+    in_chart = chart.chart_positions(chart.decompose(x, 1))
+    out_chart = chart.chart_positions(chart.decompose(2 * x, 1))
     jac = df.fd_chart_jacobian(_Doubling(), x, in_chart, out_chart)
     assert abs(abs(np.linalg.det(jac)) - 8.0) <= 1e-6
 
@@ -327,9 +345,9 @@ def test_fd_chart_jacobian_rejects_pivot_degeneration():
     from mpjl.errors import ChartInvalid
 
     x11 = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-5 + 1e-9]])
-    b = chart.make_blocks(x11, np.zeros((2, 1)), np.zeros((1, 2)))
+    b = make_blocks(x11, np.zeros((2, 1)), np.zeros((1, 2)))
     x = chart.assemble(b)
-    positions = chart.chart_positions(3, 3, 2, b)
+    positions = chart.chart_positions(b)
     identity = df.OrthogonalSandwichMap(np.eye(3), np.eye(3))
     with pytest.raises(ChartInvalid):
         df.fd_chart_jacobian(identity, x, positions, positions, df.FdConfig(step=1e-5))
@@ -337,12 +355,12 @@ def test_fd_chart_jacobian_rejects_pivot_degeneration():
 
 def test_fd_chart_jacobian_pinv_full_rank():
     x = mc.random_rank_q(3, 2, 2, mc.make_rng(55))
-    in_chart = chart.chart_positions(3, 2, 2, chart.decompose(x, 2))
+    in_chart = chart.chart_positions(chart.decompose(x, 2))
     assert len(in_chart) == 6
     y = mc.pinv(x)
-    out_chart = chart.chart_positions(2, 3, 2, chart.decompose(y, 2))
+    out_chart = chart.chart_positions(chart.decompose(y, 2))
     jac = df.fd_chart_jacobian(df.PinvMap(rank=2), x, in_chart, out_chart)
-    closed = df.jacobian_det_full_rank(x)
+    closed = _closed_form_det(x)
     assert abs(abs(np.linalg.det(jac)) - closed) <= 1e-4 * closed
 
 
@@ -397,10 +415,10 @@ def test_fd_chart_jacobian_matches_per_point_loop(n, m, q):
         x = mc.random_rank_q(n, m, q, rng)
         if trial == 0 and q < m:  # a last column of -0.0 keeps the rank
             x = np.hstack([mc.random_rank_q(n, m - 1, q, rng), np.full((n, 1), -0.0)])
-        in_chart = chart.chart_positions(n, m, q, chart.decompose(x, q))
+        in_chart = chart.chart_positions(chart.decompose(x, q))
         sandwich = df.OrthogonalSandwichMap(mc.random_stiefel(n, n, rng), mc.random_stiefel(m, m, rng))
         for f, y in [(df.PinvMap(rank=q), mc.pinv(x)), (sandwich, sandwich.apply(x))]:
-            out_chart = chart.chart_positions(*y.shape, q, chart.decompose(y, q))
+            out_chart = chart.chart_positions(chart.decompose(y, q))
             assert _same_bits(
                 df.fd_chart_jacobian(f, x, in_chart, out_chart),
                 _per_point_fd_chart_jacobian(f, x, in_chart, out_chart),
@@ -423,7 +441,7 @@ def test_fd_chart_jacobian_evaluates_the_per_point_matrices(n, m, q):
     # Signs of zero included: the -0.0 column of X must come out +0.0 at
     # every point, as the per-point steps of +0.0 left it.
     x = np.hstack([mc.random_rank_q(n, m - 1, q, mc.make_rng(59, n, m)), np.full((n, 1), -0.0)])
-    in_chart = chart.chart_positions(n, m, q, chart.decompose(x, q))
+    in_chart = chart.chart_positions(chart.decompose(x, q))
     f = _Recording()
     df.fd_chart_jacobian(f, x, in_chart, in_chart)
     [points] = f.stacks
@@ -439,8 +457,8 @@ def test_fd_chart_jacobian_evaluates_the_per_point_matrices(n, m, q):
 
 def test_fd_chart_jacobian_pinv_factors_one_stack(svd_shapes):
     x = mc.random_rank_q(4, 3, 2, mc.make_rng(57))
-    in_chart = chart.chart_positions(4, 3, 2, chart.decompose(x, 2))
-    out_chart = chart.chart_positions(3, 4, 2, chart.decompose(mc.pinv(x), 2))
+    in_chart = chart.chart_positions(chart.decompose(x, 2))
+    out_chart = chart.chart_positions(chart.decompose(mc.pinv(x), 2))
     svd_shapes.clear()
     df.fd_chart_jacobian(df.PinvMap(rank=2), x, in_chart, out_chart)
     points = 2 * len(in_chart)

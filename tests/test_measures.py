@@ -63,16 +63,16 @@ def test_factor_anchors():
 
 def test_ratio_check_hand_chain():
     # density_Y * (1/4) / density_X = (1/2 * 1/4) * (1/4) / 2 = 1/64.
-    rep = ms.hausdorff_ratio_check(2, 2, [2.0])
-    assert rep.density_x == 2.0
-    assert rep.density_y == 0.125
-    assert rep.jacobian_factor == 1.0 / 64.0
-    assert rep.identity_residual <= 1e-12
+    rep = ms.hausdorff_ratio_check(2, 2, [2.0], 1e-12)
+    assert rep.values["density_x"] == 2.0
+    assert rep.values["density_y"] == 0.125
+    assert rep.values["jacobian_factor"] == 1.0 / 64.0
+    assert rep.residuals["identity"] <= 1e-12
 
 
 def test_ratio_check_mixed_shape():
-    rep = ms.hausdorff_ratio_check(3, 2, [2.0, 1.0])
-    assert rep.identity_residual <= 1e-12
+    rep = ms.hausdorff_ratio_check(3, 2, [2.0, 1.0], 1e-12)
+    assert rep.residuals["identity"] <= 1e-12
 
 
 def test_ratio_check_sweep():
@@ -81,8 +81,8 @@ def test_ratio_check_sweep():
         q = int(rng.integers(1, 5))
         n = int(rng.integers(q, 9))
         m = int(rng.integers(q, 9))
-        rep = ms.hausdorff_ratio_check(n, m, mc.sample_spectrum(q, rng))
-        assert rep.identity_residual <= 1e-10
+        rep = ms.hausdorff_ratio_check(n, m, mc.sample_spectrum(q, rng), 1e-10)
+        assert rep.residuals["identity"] <= 1e-10
 
 
 def test_symmetric_matrix_exact_symmetry():
