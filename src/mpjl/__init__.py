@@ -9,9 +9,7 @@ seeded verification suites and emits reproducible JSON reports.
 
 from .chart import (
     BlockDecomposition,
-    CoordinateChart,
     assemble,
-    chart_positions,
     decompose,
     pinv_from_blocks,
     tangent_perturbation,
@@ -45,7 +43,6 @@ from .errors import (
     ShapeMismatch,
     SingularGram,
     SingularInput,
-    SingularX11,
 )
 from .matcore import (
     RankInfo,

@@ -1,4 +1,4 @@
-"""Block parameterization of rank-q matrices.
+"""Block parameterization of rank-q matrices: the free-coordinate chart.
 
 An n x m matrix of rank q is determined by an invertible q x q leading
 block plus its row and column neighbors: after row/column permutations
@@ -8,24 +8,21 @@ moving a well-conditioned q x q block to the top-left,
           [X21, X22]]      with X22 = X21 @ inv(X11) @ X12,
 
 so the nq + mq - q^2 entries of X11, X12, X21 are free coordinates and X22
-is dependent.  Permutations are stored, never applied destructively: every
-result maps back to the original index space.
+is dependent.  ``BlockDecomposition`` is that chart: its blocks, its
+permutations and the original-index positions of its free coordinates.
+X11 is tested once, when the decomposition is built, so every later use
+may invert it.  Permutations are stored, never applied destructively:
+every result maps back to the original index space.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    ChartInvalid,
-    IllConditionedPivot,
-    RankMismatch,
-    ShapeMismatch,
-    SingularGram,
-    SingularX11,
-)
+from .errors import ChartInvalid, IllConditionedPivot, RankMismatch, ShapeMismatch, SingularGram
 from .matcore import as_matrix, ill_conditioned, rank_profile
 
 # Condition-number cap on the pivot block; beyond it the rank hypothesis is
@@ -35,6 +32,13 @@ PIVOT_COND_CAP = 1e8
 
 @dataclass(frozen=True)
 class BlockDecomposition:
+    """Free blocks X11, X12, X21 of a rank-q matrix in pivoted coordinates.
+
+    Building one tests X11 against ``PIVOT_COND_CAP`` and raises
+    IllConditionedPivot when it fails.  ``len(b)`` is the chart dimension
+    nq + mq - q^2.
+    """
+
     q: int
     x11: np.ndarray
     x12: np.ndarray
@@ -44,19 +48,30 @@ class BlockDecomposition:
     n: int
     m: int
 
+    def __post_init__(self):
+        s = ill_conditioned(self.x11, max_cond=PIVOT_COND_CAP)
+        if s is not None:
+            raise IllConditionedPivot(
+                f"pivot block has condition {s[0] / max(s[-1], 1e-300):.3e} > {PIVOT_COND_CAP:.0e}"
+            )
 
-@dataclass(frozen=True)
-class CoordinateChart:
-    """Ordered free-coordinate positions (row, col) in original indices.
+    @cached_property
+    def positions(self) -> tuple[tuple[int, int], ...]:
+        """Free-coordinate positions (row, col) in original indices.
 
-    Order is X11 column-major, then X12 column-major, then X21
-    column-major.  ``block`` keeps the decomposition the chart was built
-    from, which finite-difference drivers need to reassemble perturbed
-    matrices.
-    """
-
-    positions: tuple[tuple[int, int], ...]
-    block: BlockDecomposition = field(compare=False)
+        Order is X11 column-major, then X12 column-major, then X21
+        column-major.
+        """
+        n, m, q = self.n, self.m, self.q
+        rp, cp = self.row_perm, self.col_perm
+        positions: list[tuple[int, int]] = []
+        for j in range(q):                      # X11, column-major
+            positions.extend((rp[i], cp[j]) for i in range(q))
+        for j in range(q, m):                   # X12, column-major
+            positions.extend((rp[i], cp[j]) for i in range(q))
+        for j in range(q):                      # X21, column-major
+            positions.extend((rp[i], cp[j]) for i in range(q, n))
+        return tuple(positions)
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -71,17 +86,14 @@ def _block_matrix(a, rows: int, cols: int, name: str) -> np.ndarray:
     return a
 
 
-def _check_x11(b: BlockDecomposition) -> None:
-    s = ill_conditioned(b.x11, max_cond=1 / np.finfo(float).eps)
-    if s is not None:
-        raise SingularX11(f"X11 is numerically singular (singular values {s.tolist()})")
-
-
 def decompose(x, q: int) -> BlockDecomposition:
     """Select permutations making the leading q x q block well conditioned.
 
-    Greedy complete pivoting: at each step the largest remaining entry (in
-    magnitude) of the eliminated working copy becomes the next pivot.
+    Greedy complete pivoting (the rule of LAPACK xGETC2): at each step the
+    largest remaining entry (in magnitude, the first in row-major order on
+    ties) of the eliminated working copy becomes the next pivot.
+    Elimination zeroes the pivot's row and column, so the first maximum of
+    the whole copy is the first maximum among the remaining entries.
     """
     x = as_matrix(x)
     n, m = x.shape
@@ -90,38 +102,26 @@ def decompose(x, q: int) -> BlockDecomposition:
         raise RankMismatch(f"numerical rank {info.rank} != requested q={q}")
 
     work = x.copy()
-    rows = list(range(n))
-    cols = list(range(m))
     pivot_rows: list[int] = []
     pivot_cols: list[int] = []
     for _ in range(q):
-        sub = np.abs(work[np.ix_(rows, cols)])
-        flat = int(np.argmax(sub))
-        i, j = divmod(flat, len(cols))
-        if sub[i, j] == 0.0:
+        i, j = divmod(int(np.argmax(np.abs(work))), m)
+        if work[i, j] == 0.0:
             raise IllConditionedPivot("ran out of nonzero pivots before reaching q")
-        pr, pc = rows[i], cols[j]
-        pivot_rows.append(pr)
-        pivot_cols.append(pc)
-        rows.remove(pr)
-        cols.remove(pc)
-        if rows and cols:
-            factors = work[np.ix_(rows, [pc])] / work[pr, pc]
-            work[np.ix_(rows, cols)] -= factors @ work[np.ix_([pr], cols)]
+        pivot_rows.append(i)
+        pivot_cols.append(j)
+        work -= np.outer(work[:, j] / work[i, j], work[i])
+        work[i] = 0.0
+        work[:, j] = 0.0
 
-    row_perm = tuple(pivot_rows + rows)
-    col_perm = tuple(pivot_cols + cols)
-    x11 = x[np.ix_(row_perm[:q], col_perm[:q])]
-    s = ill_conditioned(x11, max_cond=PIVOT_COND_CAP)
-    if s is not None:
-        raise IllConditionedPivot(
-            f"best pivot block has condition {s[0] / max(s[-1], 1e-300):.3e} > {PIVOT_COND_CAP:.0e}"
-        )
+    row_perm = tuple(pivot_rows + [r for r in range(n) if r not in pivot_rows])
+    col_perm = tuple(pivot_cols + [c for c in range(m) if c not in pivot_cols])
+    xp = x[list(row_perm)][:, list(col_perm)]
     return BlockDecomposition(
         q=q,
-        x11=x11,
-        x12=x[np.ix_(row_perm[:q], col_perm[q:])],
-        x21=x[np.ix_(row_perm[q:], col_perm[:q])],
+        x11=xp[:q, :q].copy(),
+        x12=xp[:q, q:].copy(),
+        x21=xp[q:, :q].copy(),
         row_perm=row_perm,
         col_perm=col_perm,
         n=n,
@@ -130,8 +130,8 @@ def decompose(x, q: int) -> BlockDecomposition:
 
 
 def _x22(x11: np.ndarray, x12: np.ndarray, x21: np.ndarray) -> np.ndarray:
-    # X21 @ inv(X11) @ X12 without the X11 test, for callers that made it;
-    # blocks of one matrix or stacks of them.
+    # X21 @ inv(X11) @ X12 for blocks of one matrix or stacks of them; the
+    # caller has tested X11.
     if x12.shape[-1] == 0 or x21.shape[-2] == 0:
         return np.zeros(x11.shape[:-2] + (x21.shape[-2], x12.shape[-1]))
     return x21 @ np.linalg.solve(x11, x12)
@@ -139,8 +139,6 @@ def _x22(x11: np.ndarray, x12: np.ndarray, x21: np.ndarray) -> np.ndarray:
 
 def x22_from_blocks(b: BlockDecomposition) -> np.ndarray:
     """Dependent trailing block X21 @ inv(X11) @ X12; empty when q = n or q = m."""
-    if b.n > b.q and b.m > b.q:
-        _check_x11(b)
     return _x22(b.x11, b.x12, b.x21)
 
 
@@ -198,7 +196,6 @@ def tangent_perturbation(b: BlockDecomposition, dx11, dx12, dx21) -> np.ndarray:
     dx11 = _block_matrix(dx11, q, q, "dX11")
     dx12 = np.asarray(dx12, dtype=float).reshape(q, b.m - q)
     dx21 = np.asarray(dx21, dtype=float).reshape(b.n - q, q)
-    _check_x11(b)
     inv_x12 = np.linalg.solve(b.x11, b.x12)     # X11^-1 X12
     inv_dx11 = np.linalg.solve(b.x11, dx11)     # X11^-1 dX11
     inv_dx12 = np.linalg.solve(b.x11, dx12)     # X11^-1 dX12
@@ -206,37 +203,18 @@ def tangent_perturbation(b: BlockDecomposition, dx11, dx12, dx21) -> np.ndarray:
     return _unpermute(b, dx11, dx12, dx21, dx22)
 
 
-def chart_positions(b: BlockDecomposition) -> CoordinateChart:
-    """Free-coordinate positions of the X11, X12 and X21 blocks.
-
-    Exactly nq + mq - q^2 positions, expressed in original indices through
-    the stored permutations.
-    """
-    n, m, q = b.n, b.m, b.q
-    rp, cp = b.row_perm, b.col_perm
-    positions: list[tuple[int, int]] = []
-    for j in range(q):                      # X11, column-major
-        positions.extend((rp[i], cp[j]) for i in range(q))
-    for j in range(q, m):                   # X12, column-major
-        positions.extend((rp[i], cp[j]) for i in range(q))
-    for j in range(q):                      # X21, column-major
-        positions.extend((rp[i], cp[j]) for i in range(q, n))
-    return CoordinateChart(positions=tuple(positions), block=b)
-
-
-def perturbed_assemble(chart: CoordinateChart, deltas: np.ndarray) -> np.ndarray:
+def perturbed_assemble(b: BlockDecomposition, deltas: np.ndarray) -> np.ndarray:
     """Assemble the matrix whose free coordinates moved by ``deltas``.
 
-    ``deltas`` is ordered like ``chart.positions``; the dependent block is
+    ``deltas`` is ordered like ``b.positions``; the dependent block is
     recomputed from the perturbed free blocks, so the result has exact rank
     q by construction.  Shape (k,) gives one n x m matrix; shape (p, k)
     gives the (p, n, m) stack of the p points, each row moved on its own,
     with one stacked pivot test and one stacked solve for X22.  Raises
     ChartInvalid when any point leaves the pivot block's validity region.
     """
-    b = chart.block
-    if deltas.ndim not in (1, 2) or deltas.shape[-1] != len(chart):
-        raise ShapeMismatch(f"expected {len(chart)} deltas, got {deltas.shape}")
+    if deltas.ndim not in (1, 2) or deltas.shape[-1] != len(b):
+        raise ShapeMismatch(f"expected {len(b)} deltas, got {deltas.shape}")
     q, n, m = b.q, b.n, b.m
     lead = deltas.shape[:-1]
     # Chart order is X11, X12, X21, each column-major: a row-major reshape
@@ -245,8 +223,7 @@ def perturbed_assemble(chart: CoordinateChart, deltas: np.ndarray) -> np.ndarray
     x11 = b.x11 + deltas[..., :k12].reshape(lead + (q, q)).swapaxes(-1, -2)
     x12 = b.x12 + deltas[..., k12:k21].reshape(lead + (m - q, q)).swapaxes(-1, -2)
     x21 = b.x21 + deltas[..., k21:].reshape(lead + (q, n - q)).swapaxes(-1, -2)
-    # The pivot cap is stricter than the 1/eps cap of _check_x11, so X22
-    # needs no second test.
+    # The moved X11 must pass the same pivot test as a built decomposition.
     if ill_conditioned(x11, max_cond=PIVOT_COND_CAP) is not None:
         raise ChartInvalid("perturbation left the pivot block's validity region")
     return _unpermute(b, x11, x12, x21, _x22(x11, x12, x21))

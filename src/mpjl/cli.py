@@ -19,7 +19,8 @@ from .matcore import matrix_to_json, random_rank_q, svd_thin
 from .reports import SuiteResult, dumps_canonical, render_text
 from .suites import SUITE_NAMES, RunConfig, _redraw, run_suite, validate_config
 
-DEFAULT_SEED = 12345
+_DEFAULTS = RunConfig()
+DEFAULT_SEED = _DEFAULTS.seed
 
 
 def _default_seed() -> int:
@@ -41,22 +42,17 @@ def _parse_spectrum(raw: str | None) -> tuple[float, ...] | None:
         raise ConfigError(f"--spectrum must be comma-separated floats, got {raw!r}") from e
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=4, help="rows of the instance (default 4)")
-    p.add_argument("--m", type=int, default=3, help="columns of the instance (default 3)")
+def _add_instance(p: argparse.ArgumentParser) -> None:
+    # The flags of both gen and verify: what the instance is and where it goes.
+    p.add_argument("--n", type=int, default=_DEFAULTS.n,
+                   help="rows of the instance (default %(default)s)")
+    p.add_argument("--m", type=int, default=_DEFAULTS.m,
+                   help="columns of the instance (default %(default)s)")
     p.add_argument("--q", type=int, default=None, help="rank (default min(n, m))")
-    p.add_argument("--trials", type=int, default=20, help="number of seeded trials (default 20)")
     p.add_argument("--seed", type=int, default=None,
-                   help="master seed (default MPJL_DEFAULT_SEED or 12345)")
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the suite's primary comparison tolerance "
-                        "(exterior-chain and invariance have none)")
-    p.add_argument("--fd-step", type=float, default=1e-5,
-                   help="finite-difference step (default 1e-5)")
+                   help=f"master seed (default MPJL_DEFAULT_SEED or {DEFAULT_SEED})")
     p.add_argument("--spectrum", type=str, default=None,
                    help="explicit singular values, comma separated, e.g. 3,1")
-    p.add_argument("--format", choices=("text", "json"), default="text",
-                   help="output rendering (default text)")
     p.add_argument("--out", type=str, default=None, help="write output to PATH instead of stdout")
 
 
@@ -68,11 +64,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a seeded rank-q instance (JSON)")
-    _add_common(p_gen)
+    _add_instance(p_gen)
 
     p_verify = sub.add_parser("verify", help="run one verification suite")
     p_verify.add_argument("suite", choices=SUITE_NAMES)
-    _add_common(p_verify)
+    _add_instance(p_verify)
+    p_verify.add_argument("--trials", type=int, default=_DEFAULTS.trials,
+                          help="number of seeded trials (default %(default)s)")
+    p_verify.add_argument("--tol", type=float, default=None,
+                          help="override the suite's primary comparison tolerance "
+                               "(exterior-chain and invariance have none)")
+    p_verify.add_argument("--fd-step", type=float, default=_DEFAULTS.fd_step,
+                          help="finite-difference step (default %(default)s)")
+    p_verify.add_argument("--format", choices=("text", "json"), default="text",
+                          help="output rendering (default text)")
 
     p_report = sub.add_parser("report", help="merge suite report files")
     p_report.add_argument("paths", nargs="*", help="report JSON files to merge")
@@ -95,16 +100,14 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _config_from_args(args) -> RunConfig:
+def _config_from_args(args, **verify_flags) -> RunConfig:
     return RunConfig(
         n=args.n,
         m=args.m,
         q=args.q,
-        trials=args.trials,
         seed=args.seed if args.seed is not None else _default_seed(),
-        tol=args.tol,
-        fd_step=args.fd_step,
         spectrum=_parse_spectrum(args.spectrum),
+        **verify_flags,
     )
 
 
@@ -135,7 +138,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = validate_config(_config_from_args(args), args.suite)
+    cfg = _config_from_args(args, trials=args.trials, tol=args.tol, fd_step=args.fd_step)
+    cfg = validate_config(cfg, args.suite)
     result = run_suite(args.suite, cfg)
     text = dumps_canonical(result.to_json()) if args.format == "json" else render_text(result)
     _emit(text, args.out)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import CoordinateChart, assemble, perturbed_assemble
+from .chart import BlockDecomposition, assemble, perturbed_assemble
 from .errors import NotFullRank, RankDrift, ShapeMismatch
 from .matcore import RankInfo, _pinv_from_svd, as_matrix, pinv, pinv_fixed_rank, rank_profile
 
@@ -212,8 +212,8 @@ MatrixMap = PinvMap | OrthogonalSandwichMap
 def fd_chart_jacobian(
     f: MatrixMap,
     x,
-    in_chart: CoordinateChart,
-    out_chart: CoordinateChart,
+    in_chart: BlockDecomposition,
+    out_chart: BlockDecomposition,
     cfg: FdConfig = FdConfig(),
 ) -> np.ndarray:
     """Partial derivatives of out-chart coordinates of f with respect to
@@ -232,7 +232,7 @@ def fd_chart_jacobian(
     in-chart's pivot region.
     """
     x = as_matrix(x)
-    base = assemble(in_chart.block)
+    base = assemble(in_chart)
     scale = max(float(np.max(np.abs(x))), 1e-12)
     if np.max(np.abs(base - x)) > 1e-8 * scale:
         raise ShapeMismatch("in_chart does not reassemble the given X")

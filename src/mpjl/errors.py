@@ -29,10 +29,6 @@ class IllConditionedPivot(MpjlError):
     """No pivoting choice yields an acceptably conditioned leading block."""
 
 
-class SingularX11(MpjlError):
-    """The leading block of a block decomposition is numerically singular."""
-
-
 class SingularGram(MpjlError):
     """A Gram combination inside the block pseudoinverse is numerically singular."""
 

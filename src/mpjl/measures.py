@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import chart_positions, decompose
+from .chart import decompose
 from .differential import FdConfig, OrthogonalSandwichMap, fd_chart_jacobian, jacobian_det_operator
 from .errors import BadSpectrum, NotFullColumnRank, ShapeMismatch, SingularInput
 from .matcore import as_matrix, check_spectrum, ill_conditioned, pinv, rank_profile
@@ -225,8 +225,8 @@ def orthogonal_invariance_check(
     x = as_matrix(x)
     n, m = x.shape
     sandwich = OrthogonalSandwichMap(h, qmat)
-    in_chart = chart_positions(decompose(x, q))
-    out_chart = chart_positions(decompose(sandwich.apply(x), q))
+    in_chart = decompose(x, q)
+    out_chart = decompose(sandwich.apply(x), q)
     jac = fd_chart_jacobian(sandwich, x, in_chart, out_chart, cfg)
     abs_det = float(abs(np.linalg.det(jac)))
     deviation = float(abs(abs_det - 1.0))

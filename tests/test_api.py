@@ -3,12 +3,12 @@
 import mpjl
 
 PUBLIC = [
-    "BadSpectrum", "BlockDecomposition", "ChartInvalid", "ConfigError", "CoordinateChart",
+    "BadSpectrum", "BlockDecomposition", "ChartInvalid", "ConfigError",
     "DegeneracyBudgetExceeded", "DegenerateSpectrum", "FdConfig", "IllConditionedPivot",
     "MpjlError", "NotFullColumnRank", "NotFullRank", "OrthogonalSandwichMap", "ParseError",
     "PinvMap", "RankDrift", "RankInfo", "RankMismatch", "RunConfig", "ShapeMismatch",
-    "SingularGram", "SingularInput", "SingularX11", "SuiteResult", "SvdFactors",
-    "SymmetricMatrix", "VerificationReport", "assemble", "chart", "chart_positions",
+    "SingularGram", "SingularInput", "SuiteResult", "SvdFactors",
+    "SymmetricMatrix", "VerificationReport", "assemble", "chart",
     "decompose", "differential", "errors", "exterior_chain_check", "fd_chart_jacobian",
     "fd_pinv_differential", "hausdorff_density", "hausdorff_ratio_check",
     "jacobian_det_full_rank", "jacobian_det_operator", "jacobian_operator", "make_rng",

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import make_blocks
-from mpjl import chart, matcore as mc
-from mpjl.errors import ChartInvalid, IllConditionedPivot, RankMismatch, ShapeMismatch, SingularX11
+from mpjl import chart, matcore as mc, suites
+from mpjl.errors import ChartInvalid, IllConditionedPivot, RankMismatch, ShapeMismatch
 
 
 def test_decompose_pivots_to_largest_entry():
@@ -61,9 +61,11 @@ def test_x22_gives_rank_q_assembly():
 
 
 def test_x22_requires_invertible_x11():
-    b = make_blocks([[0.0]], [[2.0]], [[3.0]])
-    with pytest.raises(SingularX11):
-        chart.x22_from_blocks(b)
+    # A singular X11 is refused when the blocks are built, before any use.
+    with pytest.raises(IllConditionedPivot, match="pivot block"):
+        make_blocks([[0.0]], [[2.0]], [[3.0]])
+    with pytest.raises(IllConditionedPivot, match="pivot block"):
+        make_blocks([[1.0, 1.0], [1.0, 1.0 + 1e-9]], np.ones((2, 1)), np.ones((1, 2)))
 
 
 def test_assemble_matches_outer_product_form():
@@ -187,17 +189,15 @@ def test_tangent_preserves_rank_to_first_order():
 
 def test_chart_positions_2x2_rank1():
     b = make_blocks([[1.0]], [[2.0]], [[3.0]])
-    positions = chart.chart_positions(b)
-    assert positions.positions == ((0, 0), (0, 1), (1, 0))
-    assert len(positions) == 3
+    assert b.positions == ((0, 0), (0, 1), (1, 0))
+    assert len(b) == 3
 
 
 def test_chart_positions_full_chart():
     x = mc.random_rank_q(3, 3, 3, mc.make_rng(31))
     b = chart.decompose(x, 3)
-    positions = chart.chart_positions(b)
-    assert len(positions) == 9
-    assert sorted(positions.positions) == [(i, j) for i in range(3) for j in range(3)]
+    assert len(b) == 9
+    assert sorted(b.positions) == [(i, j) for i in range(3) for j in range(3)]
 
 
 def test_chart_positions_count_formula():
@@ -208,35 +208,55 @@ def test_chart_positions_count_formula():
         m = int(rng.integers(q, 9))
         x = mc.random_rank_q(n, m, q, rng)
         b = chart.decompose(x, q)
-        assert len(chart.chart_positions(b)) == n * q + m * q - q * q
+        assert len(b) == len(b.positions) == n * q + m * q - q * q
 
 
 def test_chart_positions_3x2_rank1_length():
     x = mc.random_rank_q(3, 2, 1, mc.make_rng(33))
     b = chart.decompose(x, 1)
-    assert len(chart.chart_positions(b)) == 4
+    assert len(b) == 4
 
 
 def test_tangent_perturbation_tests_x11_once(svd_shapes):
     rng = mc.make_rng(35)
-    b = chart.decompose(mc.random_rank_q(8, 6, 3, rng), 3)
+    x = mc.random_rank_q(8, 6, 3, rng)
     svd_shapes.clear()
+    b = chart.decompose(x, 3)
     chart.tangent_perturbation(
         b, rng.standard_normal((3, 3)), rng.standard_normal((3, 3)), rng.standard_normal((5, 3))
     )
-    assert svd_shapes == [(3, 3)]
+    # The rank of X and the X11 test when the blocks are built; the
+    # tangent's three solves test nothing again.
+    assert svd_shapes == [(8, 6), (3, 3)]
+
+
+def test_blocks_trial_tests_x11_once(svd_shapes):
+    report = suites.run_trial("blocks", suites.RunConfig(n=8, m=6, q=3, seed=61), 0)
+    assert report.passed and report.inputs["attempt"] == 0
+    # decompose: rank of X, X11 test; pinv(X); pinv_from_blocks: the two
+    # Gram tests.  Neither assemble nor x22_from_blocks tests X11 again.
+    assert svd_shapes == [(8, 6), (3, 3), (8, 6), (3, 3), (3, 3)]
+
+
+def test_deficient_differential_trial_tests_x11_once(svd_shapes):
+    report = suites.run_trial("differential", suites.RunConfig(n=7, m=5, q=3, seed=48), 0)
+    assert report.passed and report.inputs["attempt"] == 0
+    # decompose: rank of X, X11 test; the tangent direction tests nothing;
+    # pinv_differential's pinv(X); the FD oracle's rank of X and its two
+    # evaluation points.
+    assert svd_shapes == [(7, 5), (3, 3), (7, 5), (7, 5), (7, 5), (7, 5)]
 
 
 def test_fd_chart_jacobian_tests_x11_once_per_point(svd_shapes):
     from mpjl.differential import OrthogonalSandwichMap, fd_chart_jacobian
 
     x = mc.random_rank_q(8, 6, 3, mc.make_rng(36))
-    positions = chart.chart_positions(chart.decompose(x, 3))
+    b = chart.decompose(x, 3)
     svd_shapes.clear()
-    fd_chart_jacobian(OrthogonalSandwichMap(np.eye(8), np.eye(6)), x, positions, positions)
-    # One test for the base-point assembly, then every evaluation point
-    # tested once, all in one stacked call.
-    assert svd_shapes == [(3, 3), (2 * len(positions), 3, 3)]
+    fd_chart_jacobian(OrthogonalSandwichMap(np.eye(8), np.eye(6)), x, b, b)
+    # The base point's X11 was tested when b was built; every evaluation
+    # point is tested once, all in one stacked call.
+    assert svd_shapes == [(2 * len(b), 3, 3)]
 
 
 def test_perturbed_assemble_moves_each_chart_position():
@@ -246,16 +266,15 @@ def test_perturbed_assemble_moves_each_chart_position():
     for n, m, q in [(2, 2, 1), (5, 4, 2), (4, 6, 3), (3, 3, 3)]:
         x = mc.random_rank_q(n, m, q, rng)
         b = chart.decompose(x, q)
-        positions = chart.chart_positions(b)
-        deltas = 1e-3 * rng.standard_normal(len(positions))
+        deltas = 1e-3 * rng.standard_normal(len(b))
         full = np.zeros((n, m))
-        full[tuple(np.array(positions.positions).T)] = deltas
+        full[tuple(np.array(b.positions).T)] = deltas
         dp = full[np.ix_(b.row_perm, b.col_perm)]
         moved = make_blocks(
             b.x11 + dp[:q, :q], b.x12 + dp[:q, q:], b.x21 + dp[q:, :q],
             row_perm=b.row_perm, col_perm=b.col_perm,
         )
-        assert np.array_equal(chart.perturbed_assemble(positions, deltas), chart.assemble(moved))
+        assert np.array_equal(chart.perturbed_assemble(b, deltas), chart.assemble(moved))
 
 
 def _same_bits(a, b):
@@ -270,36 +289,35 @@ def test_perturbed_assemble_stack_matches_rows():
             x = np.hstack([mc.random_rank_q(n, m - 1, q, rng), np.full((n, 1), -0.0)])
         else:
             x = mc.random_rank_q(n, m, q, rng)
-        positions = chart.chart_positions(chart.decompose(x, q))
-        deltas = 1e-3 * rng.standard_normal((5, len(positions)))
+        b = chart.decompose(x, q)
+        deltas = 1e-3 * rng.standard_normal((5, len(b)))
         deltas[1] = 0.0
         deltas[2, ::2] = -0.0
-        stack = chart.perturbed_assemble(positions, deltas)
+        stack = chart.perturbed_assemble(b, deltas)
         assert stack.shape == (5, n, m)
         for row, point in zip(deltas, stack):
-            assert _same_bits(point, chart.perturbed_assemble(positions, row))
+            assert _same_bits(point, chart.perturbed_assemble(b, row))
 
 
 def test_perturbed_assemble_stack_rejects_one_bad_point():
     x11 = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-5 + 1e-9]])
     b = make_blocks(x11, np.zeros((2, 1)), np.zeros((1, 2)))
-    positions = chart.chart_positions(b)
-    deltas = np.zeros((4, len(positions)))
-    chart.perturbed_assemble(positions, deltas)
+    deltas = np.zeros((4, len(b)))
+    chart.perturbed_assemble(b, deltas)
     # Lowering X11[1, 1] by the step cancels the pivot block's determinant.
     deltas[2, 3] = -1e-5
     with pytest.raises(ChartInvalid, match="validity region"):
-        chart.perturbed_assemble(positions, deltas)
+        chart.perturbed_assemble(b, deltas)
     deltas[2, 3] = 0.0
     deltas[1, 0] = np.nan
     with pytest.raises(ValueError):
-        chart.perturbed_assemble(positions, deltas)
+        chart.perturbed_assemble(b, deltas)
 
 
 def test_perturbed_assemble_rejects_wrong_delta_shapes():
     x = mc.random_rank_q(4, 3, 2, mc.make_rng(39))
-    positions = chart.chart_positions(chart.decompose(x, 2))
-    k = len(positions)
+    b = chart.decompose(x, 2)
+    k = len(b)
     for shape in [(k + 1,), (2, k - 1), (2, 2, k), ()]:
         with pytest.raises(ShapeMismatch):
-            chart.perturbed_assemble(positions, np.zeros(shape))
+            chart.perturbed_assemble(b, np.zeros(shape))

@@ -45,6 +45,17 @@ def test_gen_explicit_spectrum_roundtrip(tmp_path):
     np.testing.assert_allclose(info.singular_values[:2], [3.0, 1.0], rtol=1e-10)
 
 
+@pytest.mark.parametrize("flag", [
+    ["--tol", "1e-30"], ["--fd-step", "1e-3"], ["--format", "text"], ["--trials", "7"],
+])
+def test_gen_refuses_verify_flags(capsys, flag):
+    # gen reads none of these; accepting them would hide a mistyped command.
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--n", "3", "--m", "2", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_gen_bad_spectrum_exits_2(capsys):
     code, _, err = run_cli(capsys, "gen", "--n", "3", "--m", "3", "--q", "2",
                            "--spectrum", "1,2")
@@ -261,7 +272,7 @@ def test_successive_calls_parse_like_a_fresh_parser(monkeypatch):
     for name in ("cmd_gen", "cmd_verify", "cmd_report"):
         monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or 0)
     argvs = [
-        ["gen", "--n", "5", "--m", "2", "--q", "1", "--seed", "3", "--format", "json"],
+        ["gen", "--n", "5", "--m", "2", "--q", "1", "--seed", "3", "--out", "g.json"],
         ["verify", "blocks", "--trials", "2", "--tol", "1e-9", "--out", "x.json"],
         ["report", "a.json", "b.json", "--format", "json"],
         ["verify", "hausdorff", "--spectrum", "3,1"],

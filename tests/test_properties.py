@@ -1,9 +1,10 @@
-"""Property sweeps of the closed-form operator spectrum against the dense operator."""
+"""Property sweeps: the closed-form operator spectrum against the dense
+operator, and the pivots of ``decompose`` against the greedy loop."""
 
 import numpy as np
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
-from mpjl import differential as df, matcore as mc, measures
+from mpjl import chart, differential as df, matcore as mc, measures
 
 
 def _case(n, m, q, scale, seed):
@@ -41,3 +42,74 @@ def test_operator_spectrum_matches_dense_operator(case):
         assert abs(df.jacobian_det_operator(x, info) - det) <= 1e-8 * det
     else:
         assert df.jacobian_det_operator(x, info) == 0.0
+
+
+def _greedy_pivots(x, q):
+    """Oracle of decompose's permutations: complete pivoting over index lists.
+
+    The largest remaining entry of the eliminated working copy, first in
+    row-major order among the remaining rows and columns, becomes the next
+    pivot; the remaining rows and columns follow in original order.
+    """
+    n, m = x.shape
+    work = x.copy()
+    rows, cols = list(range(n)), list(range(m))
+    pivot_rows, pivot_cols = [], []
+    for _ in range(q):
+        sub = np.abs(work[np.ix_(rows, cols)])
+        i, j = divmod(int(np.argmax(sub)), len(cols))
+        pr, pc = rows[i], cols[j]
+        pivot_rows.append(pr)
+        pivot_cols.append(pc)
+        rows.remove(pr)
+        cols.remove(pc)
+        if rows and cols:
+            factors = work[np.ix_(rows, [pc])] / work[pr, pc]
+            work[np.ix_(rows, cols)] -= factors @ work[np.ix_([pr], cols)]
+    return tuple(pivot_rows + rows), tuple(pivot_cols + cols)
+
+
+def _check_pivots(x, q):
+    b = chart.decompose(x, q)
+    assert (b.row_perm, b.col_perm) == _greedy_pivots(x, q)
+    xp = x[np.ix_(b.row_perm, b.col_perm)]
+    for block, want in [(b.x11, xp[:q, :q]), (b.x12, xp[:q, q:]), (b.x21, xp[q:, :q])]:
+        assert block.flags.c_contiguous and np.array_equal(block, want)
+
+
+@st.composite
+def scaled_instances(draw):
+    """(X or pinv(X), q): shapes up to 8x8, any rank, spectrum scale 1e-3 to 1e3."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 8))
+    q = draw(st.integers(1, min(n, m)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    x = scale * mc.random_rank_q(n, m, q, mc.make_rng(draw(st.integers(0, 2**31 - 1))))
+    return (mc.pinv(x) if draw(st.booleans()) else x), q
+
+
+@given(scaled_instances())
+def test_decompose_pivots_match_greedy_loop(case):
+    _check_pivots(*case)
+
+
+@st.composite
+def integer_products(draw):
+    """(A B, q) with small-integer A (n x q) and B (q x m): exact ties everywhere."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 8))
+    q = draw(st.integers(1, min(n, m)))
+    ints = st.integers(-2, 2)
+    a = np.array(draw(st.lists(ints, min_size=n * q, max_size=n * q)), float).reshape(n, q)
+    b = np.array(draw(st.lists(ints, min_size=q * m, max_size=q * m)), float).reshape(q, m)
+    return a @ b, q
+
+
+@given(integer_products())
+@example((np.ones((3, 4)), 1))
+@example((np.array([[1.0, 1.0], [1.0, -1.0]]), 2))
+@example((np.array([[2.0, -2.0, 0.0], [0.0, 2.0, -2.0], [2.0, 0.0, -2.0]]), 2))
+def test_decompose_pivots_match_greedy_loop_on_ties(case):
+    x, q = case
+    assume(mc.rank_profile(x).rank == q)
+    _check_pivots(x, q)
