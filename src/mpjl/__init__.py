@@ -50,7 +50,6 @@ from .matcore import (
     make_rng,
     matrix_from_json,
     matrix_to_json,
-    penrose_residuals,
     pinv,
     pinv_fixed_rank,
     random_rank_q,

@@ -77,15 +77,6 @@ class BlockDecomposition:
         return len(self.positions)
 
 
-def _block_matrix(a, rows: int, cols: int, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        a = np.atleast_2d(a)
-    if a.shape != (rows, cols):
-        raise ShapeMismatch(f"{name} must be {rows}x{cols}, got {a.shape}")
-    return a
-
-
 def decompose(x, q: int) -> BlockDecomposition:
     """Select permutations making the leading q x q block well conditioned.
 
@@ -191,11 +182,15 @@ def tangent_perturbation(b: BlockDecomposition, dx11, dx12, dx21) -> np.ndarray:
     X22 = X21 X11^-1 X12:
 
         dX22 = dX21 X11^-1 X12 - X21 X11^-1 dX11 X11^-1 X12 + X21 X11^-1 dX12
+
+    Each direction must have exactly its block's shape, else ShapeMismatch.
     """
-    q = b.q
-    dx11 = _block_matrix(dx11, q, q, "dX11")
-    dx12 = np.asarray(dx12, dtype=float).reshape(q, b.m - q)
-    dx21 = np.asarray(dx21, dtype=float).reshape(b.n - q, q)
+    q, n, m = b.q, b.n, b.m
+    dx11, dx12, dx21 = (np.asarray(a, dtype=float) for a in (dx11, dx12, dx21))
+    for name, a, (rows, cols) in (("dX11", dx11, (q, q)), ("dX12", dx12, (q, m - q)),
+                                  ("dX21", dx21, (n - q, q))):
+        if a.shape != (rows, cols):
+            raise ShapeMismatch(f"{name} must be {rows}x{cols}, got {a.shape}")
     inv_x12 = np.linalg.solve(b.x11, b.x12)     # X11^-1 X12
     inv_dx11 = np.linalg.solve(b.x11, dx11)     # X11^-1 dX11
     inv_dx12 = np.linalg.solve(b.x11, dx12)     # X11^-1 dX12

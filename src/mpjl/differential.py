@@ -139,24 +139,15 @@ def jacobian_det_full_rank(x: np.ndarray, info: RankInfo) -> float:
     return float(abs(np.linalg.det(x @ x.T)) ** (-m))
 
 
-def _pinned_pinv_at(point: np.ndarray, q: int, rel_drift_cut: float) -> np.ndarray:
-    # One SVD serves the drift test and the rank-q pseudoinverse.
-    u, s, vt = np.linalg.svd(point, full_matrices=False)
-    if q < min(point.shape) and s[q] > rel_drift_cut * s[0]:
-        raise RankDrift(
-            f"evaluation point has sigma[{q}] = {s[q]:.3e} above the drift cut "
-            f"{rel_drift_cut * s[0]:.3e}; direction is not rank-preserving"
-        )
-    return _pinv_from_svd(u, s, vt, q)
-
-
 def fd_pinv_differential(x, dx, cfg: FdConfig = FdConfig()) -> np.ndarray:
     """Central-difference oracle for the pseudoinverse differential.
 
     Both evaluations keep the base-point rank q.  For deficient-rank X the
     direction must be rank-preserving to first order; a first-order rank
     change shows up as sigma_{q+1} growing like h rather than h^2 and is
-    reported as RankDrift.
+    reported as RankDrift.  The two evaluation points form one (2, n, m)
+    stack, and one stacked SVD serves the drift test and both rank-q
+    pseudoinverses.
     """
     x = as_matrix(x)
     dx = as_matrix(dx)
@@ -169,8 +160,15 @@ def fd_pinv_differential(x, dx, cfg: FdConfig = FdConfig()) -> np.ndarray:
     # changes push it to O(h); h^1.5 sits between the two.
     sigma1 = info.singular_values[0] if info.singular_values.size else 1.0
     rel_cut = (h / max(sigma1, 1e-300)) ** 1.5
-    plus = _pinned_pinv_at(x + h * dx, q, rel_cut)
-    minus = _pinned_pinv_at(x - h * dx, q, rel_cut)
+    u, s, vt = np.linalg.svd(np.stack([x + h * dx, x - h * dx]), full_matrices=False)
+    if q < min(x.shape):
+        for point in s:
+            if point[q] > rel_cut * point[0]:
+                raise RankDrift(
+                    f"evaluation point has sigma[{q}] = {point[q]:.3e} above the drift cut "
+                    f"{rel_cut * point[0]:.3e}; direction is not rank-preserving"
+                )
+    plus, minus = _pinv_from_svd(u, s, vt, q)
     return (plus - minus) / (2.0 * h)
 
 

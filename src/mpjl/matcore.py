@@ -31,6 +31,8 @@ from .errors import BadSpectrum, DegenerateSpectrum, ShapeMismatch
 DISTINCT_GAP = 1e-10
 # Relative gap required of requested spectra (instance generation).
 REQUEST_GAP = 1e-6
+# Range of singular values drawn when no spectrum is requested.
+SPECTRUM_RANGE = (0.5, 2.5)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -172,33 +174,6 @@ def ill_conditioned(
     return s if np.any(bad) else None
 
 
-def penrose_residuals(x, y) -> tuple[float, float, float, float]:
-    """Relative residuals of the four Penrose conditions for the pair (X, Y).
-
-    Returns residuals of XYX=X, YXY=Y, (XY)'=XY and (YX)'=YX, each scaled
-    by the norm of the quantity the condition constrains.
-    """
-    x = as_matrix(x)
-    y = as_matrix(y)
-    n, m = x.shape
-    if y.shape != (m, n):
-        raise ShapeMismatch(f"Y must be {m}x{n} when X is {n}x{m}, got {y.shape}")
-
-    def rel(num: float, den: float) -> float:
-        return num / den if den > 0 else num
-
-    xy = x @ y
-    yx = y @ x
-    nx = np.linalg.norm(x)
-    ny = np.linalg.norm(y)
-    return (
-        rel(np.linalg.norm(xy @ x - x), nx),
-        rel(np.linalg.norm(yx @ y - y), ny),
-        rel(np.linalg.norm(xy - xy.T), max(np.linalg.norm(xy), 1.0)),
-        rel(np.linalg.norm(yx - yx.T), max(np.linalg.norm(yx), 1.0)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Seeded randomness.  All randomness flows through explicit generators; a
 # (seed, *path) pair addresses one reproducible stream, so concurrent trials
@@ -244,44 +219,30 @@ def validate_spectrum(d) -> np.ndarray:
     return d
 
 
-def sample_spectrum(
-    q: int,
-    rng: np.random.Generator,
-    spectrum_range: tuple[float, float] = (0.5, 2.5),
-) -> np.ndarray:
-    """Draw q distinct singular values from a uniform range, sorted decreasing.
+def sample_spectrum(q: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw q distinct singular values uniformly from ``SPECTRUM_RANGE``, sorted decreasing.
 
     Raises DegenerateSpectrum when the draw violates the gap requirement;
     callers own the retry policy.
     """
-    lo, hi = spectrum_range
-    if not (0 < lo < hi):
-        raise BadSpectrum(f"invalid spectrum range ({lo}, {hi})")
-    d = np.sort(rng.uniform(lo, hi, size=q))[::-1]
+    d = np.sort(rng.uniform(*SPECTRUM_RANGE, size=q))[::-1]
     if q >= 2 and np.min(d[:-1] - d[1:]) < REQUEST_GAP * d[0]:
         raise DegenerateSpectrum(f"sampled spectrum has tied values: {d.tolist()}")
     return d
 
 
-def random_rank_q(
-    n: int,
-    m: int,
-    q: int,
-    rng: np.random.Generator,
-    spectrum=None,
-    spectrum_range: tuple[float, float] = (0.5, 2.5),
-) -> np.ndarray:
+def random_rank_q(n: int, m: int, q: int, rng: np.random.Generator, spectrum=None) -> np.ndarray:
     """Random n x m matrix with exact numerical rank q.
 
     Built as ``H1 @ diag(D) @ P1.T`` with independent random orthonormal
     frames, so the singular values equal the requested spectrum.  When
-    ``spectrum`` is omitted, q distinct values are drawn from
-    ``spectrum_range``.
+    ``spectrum`` is omitted, q distinct values are drawn by
+    :func:`sample_spectrum`.
     """
     if not 1 <= q <= min(n, m):
         raise ValueError(f"need 1 <= q <= min(n, m), got q={q}, n={n}, m={m}")
     if spectrum is None:
-        d = sample_spectrum(q, rng, spectrum_range)
+        d = sample_spectrum(q, rng)
     else:
         d = validate_spectrum(spectrum)
         if d.size != q:

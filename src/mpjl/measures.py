@@ -13,7 +13,9 @@ factor exactly.  The exterior-chain check does the same for the full-rank
 determinant, and the invariance experiment shows why the plain
 free-coordinate volume element cannot be Lebesgue or Hausdorff measure:
 it is not invariant under orthogonal sandwiches unless the chart covers
-every entry.  All three checks return a ``VerificationReport``.
+every entry.  All three checks return a ``VerificationReport`` whose
+tolerances come from ``reports.TOLERANCES``; only a deficient chart's
+invariance deviation is evidence, with a ``None`` tolerance.
 """
 
 from __future__ import annotations
@@ -57,12 +59,13 @@ def nonfullrank_jacobian_factor(n: int, m: int, d) -> float:
     return float(np.prod(d ** (-2.0 * (n + m - q))))
 
 
-def hausdorff_ratio_check(n: int, m: int, d, tol: float) -> VerificationReport:
+def hausdorff_ratio_check(n: int, m: int, d, tol: float | None = None) -> VerificationReport:
     """Verify the change-of-variables factor through the density chain.
 
     density(Y spectrum) * |d(reciprocal spectrum)/dD| / density(X spectrum)
     is an exact algebraic identity for prod D_i^(-2(n+m-q)); the residual
-    measures only rounding and is held to ``tol``.
+    measures only rounding and is held to ``tol``, by default the
+    ``hausdorff`` entry of ``reports.TOLERANCES``.
     """
     d = check_spectrum(d)
     density_x = hausdorff_density(n, m, d)
@@ -75,7 +78,7 @@ def hausdorff_ratio_check(n: int, m: int, d, tol: float) -> VerificationReport:
         inputs={"n": n, "m": m, "q": d.size, "spectrum": d.tolist()},
         values={"density_x": density_x, "density_y": density_y, "jacobian_factor": factor},
         residuals={"identity": float(abs(chain - factor) / factor)},
-        tolerances={"identity": tol},
+        tol=tol,
     )
 
 
@@ -195,15 +198,9 @@ def exterior_chain_check(x) -> VerificationReport:
             "determinant_algebra": algebra_residual,
             "operator_match": operator_residual,
         },
-        tolerances={
-            "inverse_identity": 1e-10,
-            "determinant_algebra": 1e-12,
-            "operator_match": 1e-8,
-        },
     )
 
 
-FULL_CHART_DEVIATION_TOL = 1e-6
 WITNESS_DEVIATION = 0.05
 
 
@@ -241,5 +238,5 @@ def orthogonal_invariance_check(
             "witness": bool(deviation > WITNESS_DEVIATION),
         },
         residuals={"deviation": deviation},
-        tolerances={"deviation": FULL_CHART_DEVIATION_TOL if full_chart else None},
+        tolerances=None if full_chart else {"deviation": None},
     )

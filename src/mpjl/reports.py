@@ -6,12 +6,40 @@ canonical: fixed key order, two-space indent, shortest-roundtrip float
 encoding, no volatile fields.  Identical inputs therefore produce
 byte-identical files; wall time is kept on the in-memory result and in the
 text rendering only.
+
+Tolerance policy: ``TOLERANCES`` is the one table of what each check's
+residuals are held to; ``PRIMARY`` names, for the checks that have one,
+the residual whose tolerance a caller's ``tol`` (the CLI's ``--tol``) replaces.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import InitVar, dataclass, field
+
+# Check name -> {residual key: tolerance}.
+TOLERANCES = {
+    "differential": {"fd_mismatch": 1e-6},
+    "jacobian-full": {"operator_vs_formula": 1e-8, "fd_vs_formula": 1e-4},
+    "operator-rank": {"annihilation": 1e-12, "pseudo_det": 1e-8},
+    "hausdorff": {"identity": 1e-10},
+    "invariance": {"deviation": 1e-6},
+    "symmetric-inverse": {"fd_mismatch": 1e-4},
+    "exterior-chain": {
+        "inverse_identity": 1e-10, "determinant_algebra": 1e-12, "operator_match": 1e-8,
+    },
+    "blocks": {"roundtrip": 1e-10, "pinv_blocks": 1e-8, "x22": 1e-10},
+}
+
+# Check name -> the residual key that ``tol`` overrides.
+PRIMARY = {
+    "differential": "fd_mismatch",
+    "jacobian-full": "operator_vs_formula",
+    "operator-rank": "annihilation",
+    "hausdorff": "identity",
+    "symmetric-inverse": "fd_mismatch",
+    "blocks": "pinv_blocks",
+}
 
 
 def _plain(value):
@@ -35,24 +63,32 @@ def _plain(value):
 class VerificationReport:
     """One check on one instance, judged by its own residuals.
 
-    Left out, ``passed`` is derived: every residual must be at or below its
-    tolerance (a NaN residual never is), a ``None`` tolerance marks evidence
-    that never gates, and every entry of ``conditions`` must hold too.  A
-    stored verdict (``from_json``) is kept as given.
+    Left out, ``tolerances`` come from ``TOLERANCES``, one per residual key,
+    with ``tol`` (when given) in place of the ``PRIMARY`` one.  Left out,
+    ``passed`` is derived: every residual must be at or below its tolerance
+    (a NaN residual never is), a ``None`` tolerance marks evidence that
+    never gates, and every entry of ``conditions`` must hold too.  A stored
+    verdict (``from_json``) is kept as given.
     """
 
     check_name: str
     inputs: dict
     values: dict
     residuals: dict
-    tolerances: dict
+    tolerances: dict | None = None
     passed: bool | None = None
+    tol: InitVar[float | None] = None
     conditions: InitVar[tuple[bool, ...]] = ()
 
-    def __post_init__(self, conditions):
+    def __post_init__(self, tol, conditions):
+        if self.tolerances is None:
+            table = TOLERANCES[self.check_name]
+            self.tolerances = {k: table[k] for k in self.residuals}
+            if tol is not None:
+                self.tolerances[PRIMARY[self.check_name]] = tol
         if self.passed is None:
             self.passed = all(conditions) and all(
-                self.residuals[k] <= tol for k, tol in self.tolerances.items() if tol is not None
+                self.residuals[k] <= t for k, t in self.tolerances.items() if t is not None
             )
 
     def to_json(self) -> dict:

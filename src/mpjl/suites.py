@@ -17,37 +17,9 @@ import numpy as np
 
 from . import chart, differential, matcore, measures
 from .errors import BadSpectrum, ConfigError, DegeneracyBudgetExceeded, DegenerateSpectrum, RankDrift
-from .reports import SuiteResult, VerificationReport
+from .reports import PRIMARY, SuiteResult, VerificationReport
 
 RETRY_BUDGET = 3
-
-SUITE_NAMES = (
-    "differential",
-    "jacobian-full",
-    "operator-rank",
-    "hausdorff",
-    "invariance",
-    "symmetric-inverse",
-    "exterior-chain",
-    "blocks",
-)
-
-# Comparison tolerances per suite; cfg.tol overrides the primary one.
-DEFAULT_TOLERANCES = {
-    "differential": 1e-6,
-    "jacobian-full": 1e-8,
-    "jacobian-full-fd": 1e-4,
-    "operator-rank": 1e-12,
-    "operator-rank-pdet": 1e-8,
-    "hausdorff": 1e-10,
-    "symmetric-inverse": 1e-4,
-    "blocks-roundtrip": 1e-10,
-    "blocks-pinv": 1e-8,
-    "blocks-x22": 1e-10,
-}
-
-# Suites with no primary tolerance: cfg.tol is refused for them.
-NO_PRIMARY_TOL = ("exterior-chain", "invariance")
 
 # FD chart determinants are only cross-checked at sizes where the full
 # chart stays small.
@@ -97,13 +69,9 @@ def validate_config(cfg: RunConfig, suite: str | None = None) -> RunConfig:
         raise ConfigError("jacobian-full requires full rank: q = min(n, m)")
     if suite == "exterior-chain" and (cfg.m > cfg.n or q != cfg.m):
         raise ConfigError("exterior-chain requires full column rank: m <= n and q = m")
-    if suite in NO_PRIMARY_TOL and cfg.tol is not None:
+    if cfg.tol is not None and suite is not None and suite not in PRIMARY:
         raise ConfigError(f"{suite} has no primary tolerance to override; drop --tol")
     return replace(cfg, q=q)
-
-
-def _tol(cfg: RunConfig, key: str) -> float:
-    return cfg.tol if cfg.tol is not None else DEFAULT_TOLERANCES[key]
 
 
 def _fd_config(cfg: RunConfig) -> differential.FdConfig:
@@ -152,7 +120,7 @@ def _suite_differential(cfg: RunConfig, rng: np.random.Generator) -> Verificatio
         inputs={"n": cfg.n, "m": cfg.m, "q": q, "full_rank": full_rank},
         values={"analytic_norm": float(np.linalg.norm(analytic))},
         residuals={"fd_mismatch": rel},
-        tolerances={"fd_mismatch": _tol(cfg, "differential")},
+        tol=cfg.tol,
     )
 
 
@@ -164,19 +132,17 @@ def _suite_jacobian_full(cfg: RunConfig, rng: np.random.Generator) -> Verificati
     det_op = differential.jacobian_det_operator(x, info)
     det_formula = differential.jacobian_det_full_rank(x, info)
     residuals = {"operator_vs_formula": _rel(abs(det_op - det_formula), det_formula)}
-    tolerances = {"operator_vs_formula": _tol(cfg, "jacobian-full")}
     values = {"operator_det": det_op, "closed_form": det_formula}
     if cfg.n * cfg.m <= FD_CROSS_CHECK_MAX_ENTRIES:
         fd_det = _pinv_chart_det(cfg, x, matcore.pinv(x))
         values["fd_chart_det"] = fd_det
         residuals["fd_vs_formula"] = _rel(abs(fd_det - det_formula), det_formula)
-        tolerances["fd_vs_formula"] = DEFAULT_TOLERANCES["jacobian-full-fd"]
     return VerificationReport(
         check_name="jacobian-full",
         inputs={"n": cfg.n, "m": cfg.m, "q": q},
         values=values,
         residuals=residuals,
-        tolerances=tolerances,
+        tol=cfg.tol,
     )
 
 
@@ -209,10 +175,7 @@ def _suite_operator_rank(cfg: RunConfig, rng: np.random.Generator) -> Verificati
         inputs={"n": cfg.n, "m": cfg.m, "q": q},
         values=values,
         residuals={"annihilation": annihilation, "pseudo_det": float(abs(log_pdet - log_factor))},
-        tolerances={
-            "annihilation": _tol(cfg, "operator-rank"),
-            "pseudo_det": DEFAULT_TOLERANCES["operator-rank-pdet"],
-        },
+        tol=cfg.tol,
         conditions=(op_rank == expected,),
     )
 
@@ -220,7 +183,7 @@ def _suite_operator_rank(cfg: RunConfig, rng: np.random.Generator) -> Verificati
 def _suite_hausdorff(cfg: RunConfig, rng: np.random.Generator) -> VerificationReport:
     q = cfg.rank
     d = cfg.spectrum or matcore.sample_spectrum(q, rng)
-    return measures.hausdorff_ratio_check(cfg.n, cfg.m, d, _tol(cfg, "hausdorff"))
+    return measures.hausdorff_ratio_check(cfg.n, cfg.m, d, cfg.tol)
 
 
 def _suite_invariance(cfg: RunConfig, rng: np.random.Generator) -> VerificationReport:
@@ -243,7 +206,7 @@ def _suite_symmetric_inverse(cfg: RunConfig, rng: np.random.Generator) -> Verifi
         inputs={"order": order},
         values={"formula": formula, "fd_det": oracle},
         residuals={"fd_mismatch": _rel(abs(formula - oracle), formula)},
-        tolerances={"fd_mismatch": _tol(cfg, "symmetric-inverse")},
+        tol=cfg.tol,
     )
 
 
@@ -268,11 +231,7 @@ def _suite_blocks(cfg: RunConfig, rng: np.random.Generator) -> VerificationRepor
         inputs={"n": cfg.n, "m": cfg.m, "q": q},
         values={"chart_length": len(b), "chart_length_ok": chart_ok},
         residuals={"roundtrip": roundtrip, "pinv_blocks": pinv_rel, "x22": x22_rel},
-        tolerances={
-            "roundtrip": DEFAULT_TOLERANCES["blocks-roundtrip"],
-            "pinv_blocks": _tol(cfg, "blocks-pinv"),
-            "x22": DEFAULT_TOLERANCES["blocks-x22"],
-        },
+        tol=cfg.tol,
         conditions=(chart_ok,),
     )
 
@@ -287,6 +246,7 @@ _SUITES = {
     "exterior-chain": _suite_exterior_chain,
     "blocks": _suite_blocks,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def _redraw(draw, seed: int, trial: int, label: str):

@@ -13,7 +13,7 @@ PUBLIC = [
     "fd_pinv_differential", "hausdorff_density", "hausdorff_ratio_check",
     "jacobian_det_full_rank", "jacobian_det_operator", "jacobian_operator", "make_rng",
     "matcore", "matrix_from_json", "matrix_to_json", "measures", "nonfullrank_jacobian_factor",
-    "operator_spectrum", "orthogonal_invariance_check", "penrose_residuals", "pinv",
+    "operator_spectrum", "orthogonal_invariance_check", "pinv",
     "pinv_differential", "pinv_fixed_rank", "pinv_from_blocks", "pinv_spectrum",
     "random_rank_q", "random_stiefel", "rank_profile", "reports", "run_suite",
     "sample_spectrum", "suites", "svd_thin", "symmetric_inverse_fd_det",

@@ -145,6 +145,19 @@ def test_tangent_perturbation_zero():
     assert np.all(chart.tangent_perturbation(b, [[0.0]], [[0.0]], [[0.0]]) == 0.0)
 
 
+def test_tangent_perturbation_refuses_misshapen_directions():
+    # A transposed or flattened direction used to be reshaped silently into
+    # a different direction; every block is held to its own shape.
+    rng = mc.make_rng(38)
+    b = chart.decompose(mc.random_rank_q(5, 4, 2, rng), 2)
+    d11, d12, d21 = (rng.standard_normal(shape) for shape in ((2, 2), (2, 2), (3, 2)))
+    chart.tangent_perturbation(b, d11, d12, d21)
+    with pytest.raises(ShapeMismatch, match="dX21 must be 3x2"):
+        chart.tangent_perturbation(b, d11, d12, d21.T)
+    with pytest.raises(ShapeMismatch, match="dX12 must be 2x2"):
+        chart.tangent_perturbation(b, d11, d12.ravel(), d21)
+
+
 def test_tangent_matches_finite_difference_of_assemble():
     rng = mc.make_rng(28)
     h = 1e-5
@@ -243,8 +256,8 @@ def test_deficient_differential_trial_tests_x11_once(svd_shapes):
     assert report.passed and report.inputs["attempt"] == 0
     # decompose: rank of X, X11 test; the tangent direction tests nothing;
     # pinv_differential's pinv(X); the FD oracle's rank of X and its two
-    # evaluation points.
-    assert svd_shapes == [(7, 5), (3, 3), (7, 5), (7, 5), (7, 5), (7, 5)]
+    # evaluation points, factored as one stack.
+    assert svd_shapes == [(7, 5), (3, 3), (7, 5), (7, 5), (2, 7, 5)]
 
 
 def test_fd_chart_jacobian_tests_x11_once_per_point(svd_shapes):

@@ -62,16 +62,20 @@ def test_gen_bad_spectrum_exits_2(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("suite,extra", [
-    ("differential", ["--n", "5", "--m", "3", "--q", "3"]),
-    ("jacobian-full", ["--n", "4", "--m", "2"]),
-    ("operator-rank", ["--n", "4", "--m", "4", "--q", "2"]),
-    ("hausdorff", ["--n", "6", "--m", "5", "--q", "3"]),
-    ("invariance", ["--n", "3", "--m", "3"]),
-    ("symmetric-inverse", ["--m", "3"]),
-    ("exterior-chain", ["--n", "5", "--m", "3", "--q", "3"]),
-    ("blocks", ["--n", "5", "--m", "4", "--q", "2"]),
-])
+# A passing configuration of every suite, in suite order.
+SUITE_CONFIGS = {
+    "differential": ["--n", "5", "--m", "3", "--q", "3"],
+    "jacobian-full": ["--n", "4", "--m", "2"],
+    "operator-rank": ["--n", "4", "--m", "4", "--q", "2"],
+    "hausdorff": ["--n", "6", "--m", "5", "--q", "3"],
+    "invariance": ["--n", "3", "--m", "3"],
+    "symmetric-inverse": ["--m", "3"],
+    "exterior-chain": ["--n", "5", "--m", "3", "--q", "3"],
+    "blocks": ["--n", "5", "--m", "4", "--q", "2"],
+}
+
+
+@pytest.mark.parametrize("suite,extra", SUITE_CONFIGS.items())
 def test_verify_suites_pass(capsys, suite, extra):
     code, out, _ = run_cli(capsys, "verify", suite, *extra, "--trials", "4", "--seed", "11")
     assert code == 0
@@ -104,6 +108,39 @@ def test_tol_refused_without_primary_tolerance(capsys, suite, extra):
     assert code == 2
     assert out == ""
     assert suite in err and "tol" in err
+
+
+# The residual whose tolerance --tol replaces, as documented; None: refused.
+PRIMARY_RESIDUAL = {
+    "differential": "fd_mismatch",
+    "jacobian-full": "operator_vs_formula",
+    "operator-rank": "annihilation",
+    "hausdorff": "identity",
+    "invariance": None,
+    "symmetric-inverse": "fd_mismatch",
+    "exterior-chain": None,
+    "blocks": "pinv_blocks",
+}
+
+
+@pytest.mark.parametrize("suite", suites.SUITE_NAMES)
+def test_tol_moves_exactly_the_primary_tolerance(capsys, suite):
+    argv = ["verify", suite, *SUITE_CONFIGS[suite], "--trials", "2", "--seed", "11",
+            "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, tight, err = run_cli(capsys, *argv, "--tol", "1e-30")
+    primary = PRIMARY_RESIDUAL[suite]
+    if primary is None:
+        assert (code, tight) == (2, "")
+        assert suite in err and "tol" in err
+        return
+    assert code in (0, 1)
+    for before, after in zip(json.loads(out)["reports"], json.loads(tight)["reports"]):
+        expected = {**before["tolerances"], primary: 1e-30}
+        assert after["tolerances"] == expected
+        assert after["residuals"] == before["residuals"]
+        assert after["values"] == before["values"]
 
 
 def test_verify_json_byte_identical(tmp_path):

@@ -276,7 +276,7 @@ def test_fd_differential_factors_each_point_once(svd_shapes):
     )
     svd_shapes.clear()
     df.fd_pinv_differential(x, _unit(dx))
-    assert svd_shapes == [(7, 5)] * 3  # the base point, then one per evaluation point
+    assert svd_shapes == [(7, 5), (2, 7, 5)]  # the base point, then both evaluation points
 
 
 def test_fd_raises_rank_drift_off_manifold():

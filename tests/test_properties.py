@@ -1,10 +1,13 @@
 """Property sweeps: the closed-form operator spectrum against the dense
-operator, and the pivots of ``decompose`` against the greedy loop."""
+operator, the pivots of ``decompose`` against the greedy loop, and the
+stacked FD differential against one factorization per point."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from mpjl import chart, differential as df, matcore as mc, measures
+from mpjl.errors import RankDrift
 
 
 def _case(n, m, q, scale, seed):
@@ -113,3 +116,41 @@ def test_decompose_pivots_match_greedy_loop_on_ties(case):
     x, q = case
     assume(mc.rank_profile(x).rank == q)
     _check_pivots(x, q)
+
+
+def _fd_pinv_differential_per_point(x, dx, cfg=df.FdConfig()):
+    """Oracle of the stacked FD differential: one SVD per evaluation point."""
+    info = mc.rank_profile(x)
+    q, h = info.rank, cfg.effective_step(x)
+    rel_cut = (h / info.singular_values[0]) ** 1.5
+    pinvs = []
+    for point in (x + h * dx, x - h * dx):
+        u, s, vt = np.linalg.svd(point, full_matrices=False)
+        if q < min(x.shape) and s[q] > rel_cut * s[0]:
+            raise RankDrift(f"sigma[{q}] = {s[q]:.3e}")
+        pinvs.append(mc._pinv_from_svd(u, s, vt, q))
+    return (pinvs[0] - pinvs[1]) / (2.0 * h)
+
+
+@given(scaled_instances(), st.integers(0, 2**31 - 1), st.booleans())
+def test_fd_differential_stack_matches_per_point(case, seed, tangent):
+    # Tangent directions keep the rank; free ones mostly drift on deficient X.
+    x, q = case
+    rng = mc.make_rng(seed)
+    n, m = x.shape
+    if tangent:
+        b = chart.decompose(x, q)
+        dx = chart.tangent_perturbation(
+            b, rng.standard_normal((q, q)), rng.standard_normal((q, m - q)),
+            rng.standard_normal((n - q, q)),
+        )
+    else:
+        dx = rng.standard_normal((n, m))
+    dx /= np.linalg.norm(dx)
+    try:
+        expected = _fd_pinv_differential_per_point(x, dx)
+    except RankDrift:
+        with pytest.raises(RankDrift):
+            df.fd_pinv_differential(x, dx)
+    else:
+        assert np.array_equal(df.fd_pinv_differential(x, dx), expected)

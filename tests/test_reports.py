@@ -1,10 +1,13 @@
 """The verdict rule of VerificationReport."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 
-from mpjl.reports import SuiteResult, VerificationReport, dumps_canonical
+from mpjl.reports import TOLERANCES, SuiteResult, VerificationReport, dumps_canonical
+
+CHECKS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
 
 
 def _report(residuals, tolerances, conditions=()):
@@ -46,3 +49,21 @@ def test_from_json_keeps_the_stored_flag():
     stored = failing.to_json()
     stored["pass"] = True
     assert VerificationReport.from_json(stored).passed is True
+
+
+def test_omitted_tolerances_come_from_the_table():
+    residuals = {"pinv_blocks": 0.0, "roundtrip": 0.0, "x22": 0.0}
+    report = VerificationReport("blocks", {}, {}, residuals)
+    assert report.tolerances == {k: TOLERANCES["blocks"][k] for k in residuals}
+    assert list(report.tolerances) == list(residuals)
+    assert report.passed is True
+
+
+def test_table_is_no_looser_than_the_benchmark_ceilings():
+    # The benchmark's correctness gate is read as source, never imported, so
+    # nothing is written under perfbench/.
+    namespace: dict = {}
+    exec(compile(CHECKS_PY.read_text(), str(CHECKS_PY), "exec"), namespace)
+    for (check, key), ceiling in namespace["TOLERANCE_CEILINGS"].items():
+        assert key in TOLERANCES[check], (check, key)
+        assert TOLERANCES[check][key] <= ceiling, (check, key)

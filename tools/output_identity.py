@@ -14,8 +14,8 @@ its own directory.  It replays:
 * after each cycle, ``report`` over that cycle's ``--out`` files in JSON
   and in text;
 * the three invariance witness fixtures, rendered as canonical JSON;
-* a fixed list of edge invocations: ``gen``, bad configurations, report
-  merges and parse errors.
+* a fixed list of edge invocations: ``gen``, ``--tol`` overrides (and
+  refusals) per suite, bad configurations, report merges and parse errors.
 
 Each invocation records its exit code (or the exception that escaped
 ``cli.main``), its stdout and the bytes of its ``--out`` file.  Text
@@ -61,6 +61,17 @@ EDGE_CASES = [
      "--tol", "1e-30"],
     ["verify", "jacobian-full", "--n", "4", "--m", "3", "--q", "2"],
     ["verify", "exterior-chain", "--n", "5", "--m", "3", "--tol", "1e-30"],
+    ["verify", "jacobian-full", "--n", "4", "--m", "2", "--trials", "2", "--tol", "1e-30",
+     "--format", "json"],
+    ["verify", "operator-rank", "--n", "4", "--m", "4", "--q", "2", "--trials", "2",
+     "--tol", "1e-30", "--format", "json"],
+    ["verify", "hausdorff", "--n", "6", "--m", "5", "--q", "3", "--trials", "2", "--tol", "1e-30",
+     "--format", "json"],
+    ["verify", "symmetric-inverse", "--m", "3", "--trials", "2", "--tol", "1e-30",
+     "--format", "json"],
+    ["verify", "blocks", "--n", "5", "--m", "4", "--q", "2", "--trials", "2", "--tol", "1e-30",
+     "--format", "json"],
+    ["verify", "invariance", "--n", "3", "--m", "3", "--tol", "1e-30"],
     ["verify", "differential", "--fd-step", "0.5"],
     ["verify", "blocks", "--trials", "0"],
     ["verify", "hausdorff", "--spectrum", "3,x"],
