@@ -13,21 +13,43 @@ permutations and the original-index positions of its free coordinates.
 X11 is tested once, when the decomposition is built, so every later use
 may invert it.  Permutations are stored, never applied destructively:
 every result maps back to the original index space.
+
+``decompose`` also takes a stack (T, n, m), pivoted slice by slice, and
+gives one decomposition of stacked blocks that ``assemble`` and
+``perturbed_assemble`` follow.  A stack raises whenever one of its slices
+would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .errors import ChartInvalid, IllConditionedPivot, RankMismatch, ShapeMismatch, SingularGram
-from .matcore import as_matrix, ill_conditioned, rank_profile
+from .matcore import as_stack, common_rank, ill_conditioned, rank_profile
 
 # Condition-number cap on the pivot block; beyond it the rank hypothesis is
 # too close to violated for chart arithmetic to mean anything.
 PIVOT_COND_CAP = 1e8
+
+
+@cache
+def _free_index(n: int, m: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    # Permuted-coordinate rows and columns of the free coordinates: X11
+    # column-major, then X12 column-major, then X21 column-major.  Shared
+    # by every caller, so read-only.
+    flat = np.arange(n * m).reshape(n, m)
+    index = np.divmod(np.concatenate([flat[:q, :q].T, flat[:q, q:].T, flat[q:, :q].T], None), m)
+    for a in index:
+        a.flags.writeable = False
+    return index
+
+
+def _tuples(a: np.ndarray):
+    # Nested tuples of Python ints, one level per array axis.
+    return tuple(a.tolist()) if a.ndim == 1 else tuple(map(_tuples, a))
 
 
 @dataclass(frozen=True)
@@ -36,45 +58,50 @@ class BlockDecomposition:
 
     Building one tests X11 against ``PIVOT_COND_CAP`` and raises
     IllConditionedPivot when it fails.  ``len(b)`` is the chart dimension
-    nq + mq - q^2.
+    nq + mq - q^2.  Of a stack, the blocks have a leading axis T and
+    ``row_perm``, ``col_perm`` and ``positions`` one tuple per slice.
     """
 
     q: int
     x11: np.ndarray
     x12: np.ndarray
     x21: np.ndarray
-    row_perm: tuple[int, ...]
-    col_perm: tuple[int, ...]
+    row_perm: tuple
+    col_perm: tuple
     n: int
     m: int
 
     def __post_init__(self):
         s = ill_conditioned(self.x11, max_cond=PIVOT_COND_CAP)
-        if s is not None:
-            raise IllConditionedPivot(
-                f"pivot block has condition {s[0] / max(s[-1], 1e-300):.3e} > {PIVOT_COND_CAP:.0e}"
-            )
+        if s is not None:  # reports the worst slice of a stack
+            cond = np.max(s[..., 0] / np.maximum(s[..., -1], 1e-300))
+            raise IllConditionedPivot(f"pivot block has condition {cond:.3e} > {PIVOT_COND_CAP:.0e}")
 
     @cached_property
-    def positions(self) -> tuple[tuple[int, int], ...]:
+    def _index(self) -> tuple[tuple, np.ndarray, np.ndarray]:
+        # Index arrays of the stack's slices (none for one matrix), shaped
+        # to broadcast against two more index axes, and both permutations.
+        rp, cp = np.asarray(self.row_perm), np.asarray(self.col_perm)
+        return np.indices(rp.shape[:-1] + (1, 1), sparse=True)[: rp.ndim - 1], rp, cp
+
+    @cached_property
+    def positions(self) -> tuple:
         """Free-coordinate positions (row, col) in original indices.
 
         Order is X11 column-major, then X12 column-major, then X21
         column-major.
         """
-        n, m, q = self.n, self.m, self.q
-        rp, cp = self.row_perm, self.col_perm
-        positions: list[tuple[int, int]] = []
-        for j in range(q):                      # X11, column-major
-            positions.extend((rp[i], cp[j]) for i in range(q))
-        for j in range(q, m):                   # X12, column-major
-            positions.extend((rp[i], cp[j]) for i in range(q))
-        for j in range(q):                      # X21, column-major
-            positions.extend((rp[i], cp[j]) for i in range(q, n))
-        return tuple(positions)
+        rows, cols = _free_index(self.n, self.m, self.q)
+        _, rp, cp = self._index
+        return _tuples(np.stack([rp[..., rows], cp[..., cols]], axis=-1))
 
     def __len__(self) -> int:
-        return len(self.positions)
+        return len(_free_index(self.n, self.m, self.q)[0])
+
+    def coordinates(self, a: np.ndarray) -> np.ndarray:
+        """Free coordinates of ``a`` (..., [T,] n, m), in chart order: shape (..., [T,] k)."""
+        stack = tuple(s[..., 0] for s in self._index[0])
+        return a[(..., *stack, *np.moveaxis(np.asarray(self.positions), -1, 0))]
 
 
 def decompose(x, q: int) -> BlockDecomposition:
@@ -86,37 +113,40 @@ def decompose(x, q: int) -> BlockDecomposition:
     Elimination zeroes the pivot's row and column, so the first maximum of
     the whole copy is the first maximum among the remaining entries.
     """
-    x = as_matrix(x)
-    n, m = x.shape
-    info = rank_profile(x)
-    if info.rank != q:
-        raise RankMismatch(f"numerical rank {info.rank} != requested q={q}")
+    x = as_stack(x)
+    n, m = x.shape[-2:]
+    rank = common_rank(rank_profile(x))
+    if rank != q:
+        raise RankMismatch(f"numerical rank {rank} != requested q={q}")
 
-    work = x.copy()
-    pivot_rows: list[int] = []
-    pivot_cols: list[int] = []
+    # All slices at once: slice t of a stack is pivoted as a matrix alone.
+    xs = x.reshape(-1, n, m)
+    work = xs.copy()
+    t = np.arange(len(xs))
+    pivots = []
     for _ in range(q):
-        i, j = divmod(int(np.argmax(np.abs(work))), m)
-        if work[i, j] == 0.0:
+        i, j = np.divmod(np.abs(work).reshape(len(xs), -1).argmax(axis=1), m)
+        pivot = work[t, i, j]
+        if not pivot.all():
             raise IllConditionedPivot("ran out of nonzero pivots before reaching q")
-        pivot_rows.append(i)
-        pivot_cols.append(j)
-        work -= np.outer(work[:, j] / work[i, j], work[i])
-        work[i] = 0.0
-        work[:, j] = 0.0
+        pivots.append((i, j))
+        work -= (work[t, :, j] / pivot[:, None])[:, :, None] * work[t, i][:, None, :]
+        work[t, i] = 0.0
+        work[t, :, j] = 0.0
 
-    row_perm = tuple(pivot_rows + [r for r in range(n) if r not in pivot_rows])
-    col_perm = tuple(pivot_cols + [c for c in range(m) if c not in pivot_cols])
-    xp = x[list(row_perm)][:, list(col_perm)]
+    # Pivots first in pivot order, then the other indices in original order.
+    perms = []
+    for chosen, size in zip(np.array(pivots).transpose(1, 2, 0), (n, m)):  # (T, q) each
+        key = np.tile(np.arange(q, q + size), (len(xs), 1))
+        key[t[:, None], chosen] = np.arange(q)
+        perms.append(key.argsort(axis=1))
+    rp, cp = perms
+    xp = xs[t[:, None, None], rp[:, :, None], cp[:, None, :]].reshape(x.shape)
+    lead = x.shape[:-2]
     return BlockDecomposition(
-        q=q,
-        x11=xp[:q, :q].copy(),
-        x12=xp[:q, q:].copy(),
-        x21=xp[q:, :q].copy(),
-        row_perm=row_perm,
-        col_perm=col_perm,
-        n=n,
-        m=m,
+        q=q, x11=xp[..., :q, :q].copy(), x12=xp[..., :q, q:].copy(), x21=xp[..., q:, :q].copy(),
+        row_perm=_tuples(rp.reshape(lead + (n,))), col_perm=_tuples(cp.reshape(lead + (m,))),
+        n=n, m=m,
     )
 
 
@@ -135,15 +165,16 @@ def x22_from_blocks(b: BlockDecomposition) -> np.ndarray:
 
 def _unpermute(b: BlockDecomposition, a11, a12, a21, a22) -> np.ndarray:
     # Place permuted-coordinate blocks, or stacks of them, back at their
-    # original indices.
-    rows, cols = np.array(b.row_perm), np.array(b.col_perm)
-    top, bottom = rows[: b.q, None], rows[b.q :, None]
-    left, right = cols[: b.q], cols[b.q :]
+    # original indices.  The blocks' leading axes end with the stack axes
+    # of ``b``, whose slices each carry their own permutations.
+    stack, rp, cp = b._index
+    top, bottom = rp[..., : b.q, None], rp[..., b.q :, None]
+    left, right = cp[..., None, : b.q], cp[..., None, b.q :]
     a = np.empty(a11.shape[:-2] + (b.n, b.m))
-    a[..., top, left] = a11
-    a[..., top, right] = a12
-    a[..., bottom, left] = a21
-    a[..., bottom, right] = a22
+    a[(..., *stack, top, left)] = a11
+    a[(..., *stack, top, right)] = a12
+    a[(..., *stack, bottom, left)] = a21
+    a[(..., *stack, bottom, right)] = a22
     return a
 
 
@@ -203,12 +234,15 @@ def perturbed_assemble(b: BlockDecomposition, deltas: np.ndarray) -> np.ndarray:
 
     ``deltas`` is ordered like ``b.positions``; the dependent block is
     recomputed from the perturbed free blocks, so the result has exact rank
-    q by construction.  Shape (k,) gives one n x m matrix; shape (p, k)
-    gives the (p, n, m) stack of the p points, each row moved on its own,
-    with one stacked pivot test and one stacked solve for X22.  Raises
+    q by construction.  Shape (k,) gives one n x m matrix; shape (p, k) gives
+    the (p, n, m) stack of the p points, each row moved on its own; of a
+    stacked decomposition, (T, k) and (p, T, k) likewise.  One stacked pivot
+    test and one stacked solve for X22 serve all points.  Raises
     ChartInvalid when any point leaves the pivot block's validity region.
     """
-    if deltas.ndim not in (1, 2) or deltas.shape[-1] != len(b):
+    lead_b = b.x11.shape[:-2]
+    stack = deltas.shape[deltas.ndim - 1 - len(lead_b):-1]
+    if deltas.ndim - len(lead_b) not in (1, 2) or stack != lead_b or deltas.shape[-1] != len(b):
         raise ShapeMismatch(f"expected {len(b)} deltas, got {deltas.shape}")
     q, n, m = b.q, b.n, b.m
     lead = deltas.shape[:-1]

@@ -32,6 +32,10 @@ The finite-difference oracles here are the independent checks for
 the analytic forms; they pin the rank of every evaluation point to the rank
 of the base point, because the pseudoinverse is discontinuous across rank
 changes.
+
+The spectrum, determinant and FD chart functions also take a stack (T, n,
+m), one result per slice with the bits of the 2-D call: steps that numpy
+rounds differently on arrays (scalar powers, logs) stay per slice.
 """
 
 from __future__ import annotations
@@ -42,7 +46,9 @@ import numpy as np
 
 from .chart import BlockDecomposition, assemble, perturbed_assemble
 from .errors import NotFullRank, RankDrift, ShapeMismatch
-from .matcore import RankInfo, _pinv_from_svd, as_matrix, pinv, pinv_fixed_rank, rank_profile
+from .matcore import (
+    RankInfo, _pinv_from_svd, as_matrix, as_stack, common_rank, pinv, pinv_fixed_rank, rank_profile,
+)
 
 
 @dataclass(frozen=True)
@@ -50,7 +56,7 @@ class FdConfig:
     """Central finite-difference settings.
 
     ``step`` is the nominal step; it is multiplied by the max-abs entry of
-    the base matrix.
+    the base matrix, per slice for a stack of base matrices.
     """
 
     step: float = 1e-5
@@ -59,8 +65,8 @@ class FdConfig:
         if not 1e-9 <= self.step <= 1e-2:
             raise ValueError(f"step must lie in [1e-9, 1e-2], got {self.step}")
 
-    def effective_step(self, x: np.ndarray) -> float:
-        return self.step * max(float(np.max(np.abs(x))), 1e-12)
+    def effective_step(self, x: np.ndarray):
+        return self.step * np.maximum(np.max(np.abs(x), axis=(-2, -1)), 1e-12)
 
 
 def pinv_differential(x, dx) -> np.ndarray:
@@ -102,15 +108,29 @@ def operator_spectrum(x: np.ndarray, info: RankInfo) -> np.ndarray:
     ``info`` is ``rank_profile(x)``; no further factorization is made (see
     the spectrum theorem above): 1/(d_i d_j) for all q^2 pairs of retained
     singular values and d_i^-2 with multiplicity n+m-2q, so nq+mq-q^2
-    values in all.
+    values in all.  The slices of a stack must share one rank.
     """
-    n, m = x.shape
-    inv = 1.0 / info.singular_values[: info.rank]
-    values = np.concatenate([np.outer(inv, inv).ravel(), np.repeat(inv**2, n + m - 2 * inv.size)])
-    return np.sort(values)[::-1]
+    n, m = x.shape[-2:]
+    q = common_rank(info)
+    inv = 1.0 / info.singular_values[..., :q]
+    pairs = (inv[..., :, None] * inv[..., None, :]).reshape(inv.shape[:-1] + (q * q,))
+    values = np.concatenate([pairs, (inv**2).repeat(n + m - 2 * q, axis=-1)], axis=-1)
+    values.sort(axis=-1)
+    return values[..., ::-1]
 
 
-def jacobian_det_operator(x: np.ndarray, info: RankInfo) -> float:
+def operator_log_pdet(x: np.ndarray, info: RankInfo):
+    """Sum of the logs of :func:`operator_spectrum`: the log pseudo-determinant.
+
+    Summed slice by slice: numpy's log rounds the reversed 1-D spectrum of
+    one matrix differently from a stacked array.
+    """
+    values = operator_spectrum(x, info)
+    sums = [np.log(v).sum() for v in values.reshape(-1, values.shape[-1])]
+    return np.array(sums).reshape(values.shape[:-1])
+
+
+def jacobian_det_operator(x: np.ndarray, info: RankInfo):
     """Absolute determinant of the vectorized differential operator.
 
     ``info`` is ``rank_profile(x)``.  The product of
@@ -120,23 +140,24 @@ def jacobian_det_operator(x: np.ndarray, info: RankInfo) -> float:
     has fewer than nm values, because the operator annihilates every
     direction of the form (I - X Y) V (I - Y X).
     """
-    values = operator_spectrum(x, info)
-    if values.size < x.size:
-        return 0.0
-    return float(np.exp(np.sum(np.log(values))))
+    if common_rank(info) < min(x.shape[-2:]):
+        return np.zeros(x.shape[:-2])[()]
+    return np.exp(operator_log_pdet(x, info))
 
 
-def jacobian_det_full_rank(x: np.ndarray, info: RankInfo) -> float:
+def jacobian_det_full_rank(x: np.ndarray, info: RankInfo):
     """Closed-form |det| for full-rank X: |X'X|^-n when m <= n, else |XX'|^-m.
 
     ``info`` is ``rank_profile(x)``; below full rank it raises NotFullRank.
     """
-    n, m = x.shape
-    if info.rank != min(n, m):
-        raise NotFullRank(f"rank {info.rank} < min(n, m) = {min(n, m)}")
-    if m <= n:
-        return float(abs(np.linalg.det(x.T @ x)) ** (-n))
-    return float(abs(np.linalg.det(x @ x.T)) ** (-m))
+    n, m = x.shape[-2:]
+    rank = common_rank(info)
+    if rank != min(n, m):
+        raise NotFullRank(f"rank {rank} < min(n, m) = {min(n, m)}")
+    xt = x.swapaxes(-1, -2)
+    gram, power = (xt @ x, -n) if m <= n else (x @ xt, -m)
+    dets = np.abs(np.linalg.det(gram))
+    return np.array([d**power for d in dets.ravel()]).reshape(dets.shape)[()]
 
 
 def fd_pinv_differential(x, dx, cfg: FdConfig = FdConfig()) -> np.ndarray:
@@ -187,20 +208,19 @@ class PinvMap:
 
 
 class OrthogonalSandwichMap:
-    """X -> H X Q with fixed orthogonal H (n x n) and Q (m x m)."""
+    """X -> H X Q with fixed orthogonal H (n x n) and Q (m x m), or stacks of them."""
 
     def __init__(self, left, right):
-        self.left = as_matrix(left)
-        self.right = as_matrix(right)
+        self.left = as_stack(left)
+        self.right = as_stack(right)
         for name, f in (("left", self.left), ("right", self.right)):
-            if f.shape[0] != f.shape[1]:
+            if f.shape[-1] != f.shape[-2]:
                 raise ShapeMismatch(f"{name} factor must be square, got {f.shape}")
-            gap = np.max(np.abs(f.T @ f - np.eye(f.shape[0])))
+            gap = np.max(np.abs(f.swapaxes(-1, -2) @ f - np.eye(f.shape[-1])))
             if gap > 1e-12:
                 raise ValueError(f"{name} factor deviates from orthogonality by {gap:.2e}")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        # Broadcasts over a stack of shape (..., n, m).
         return self.left @ x @ self.right
 
 
@@ -226,21 +246,21 @@ def fd_chart_jacobian(
     (2k, n, m) stack: rows of a (2k, k) step matrix (+h on the diagonal of
     the first k, -h on that of the last k) are assembled in one call,
     ``f.apply`` maps the whole stack, and the out-chart coordinates are
-    read from it at once.  Raises ChartInvalid when any point leaves the
-    in-chart's pivot region.
+    read from it at once; a stack (T, n, m) with its charts makes one
+    (2k, T, n, m) stack, each slice stepped by its own h.  Raises
+    ChartInvalid when any point leaves the in-chart's pivot region.
     """
-    x = as_matrix(x)
+    x = as_stack(x)
     base = assemble(in_chart)
-    scale = max(float(np.max(np.abs(x))), 1e-12)
-    if np.max(np.abs(base - x)) > 1e-8 * scale:
+    scale = np.maximum(np.max(np.abs(x), axis=(-2, -1)), 1e-12)
+    if np.any(np.max(np.abs(base - x), axis=(-2, -1)) > 1e-8 * scale):
         raise ShapeMismatch("in_chart does not reassemble the given X")
     h = cfg.effective_step(x)
     k = len(in_chart)
     # Off-diagonal steps are +0.0: a -0.0 would keep the sign of a -0.0
     # entry of X that +0.0 clears.
-    steps = np.zeros((2 * k, k))
-    steps[np.arange(k), np.arange(k)] = h
-    steps[np.arange(k, 2 * k), np.arange(k)] = -h
-    out_rows, out_cols = np.array(out_chart.positions).T
-    values = f.apply(perturbed_assemble(in_chart, steps))[:, out_rows, out_cols]
-    return (values[:k] - values[k:]).T / (2.0 * h)
+    steps = np.zeros((2 * k,) + x.shape[:-2] + (k,))
+    steps[np.arange(k), ..., np.arange(k)] = h
+    steps[np.arange(k, 2 * k), ..., np.arange(k)] = -h
+    values = out_chart.coordinates(f.apply(perturbed_assemble(in_chart, steps)))
+    return np.moveaxis(values[:k] - values[k:], 0, -1) / (2.0 * h)[..., None, None]

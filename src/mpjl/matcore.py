@@ -3,7 +3,9 @@
 Column-stacking vectorization, thin SVD with an explicit rank policy,
 the Moore-Penrose inverse, and seeded random generators for test
 instances.  Everything works on plain ``numpy.ndarray`` values of dtype
-float64; matrices are 2-D arrays.
+float64; matrices are 2-D arrays.  Functions documented as taking a stack
+also take shape (..., n, m), one matrix per slice, each slice getting the
+bits of the 2-D call.
 
 Rank policy: a singular value of an n x m matrix is retained when it
 exceeds ``max(n, m) * eps * s[0]``, with eps the machine epsilon.
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSpectrum, DegenerateSpectrum, ShapeMismatch
+from .errors import BadSpectrum, DegenerateSpectrum, RankMismatch, ShapeMismatch
 
 # Relative gap below which retained singular values count as tied.
 DISTINCT_GAP = 1e-10
@@ -43,6 +45,14 @@ def as_matrix(a) -> np.ndarray:
     return _finite(m)
 
 
+def as_stack(a) -> np.ndarray:
+    """Validate and coerce input to a finite float64 matrix or stack (..., n, m)."""
+    m = np.asarray(a, dtype=float)
+    if m.ndim < 2:
+        raise ShapeMismatch(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
+    return _finite(m)
+
+
 def _finite(m: np.ndarray) -> np.ndarray:
     if m.size == 0:
         raise ShapeMismatch("matrix must have rows*cols > 0")
@@ -56,7 +66,7 @@ class RankInfo:
     """Outcome of a numerical rank determination.
 
     ``tolerance_used`` is the absolute cutoff; ``rank`` counts singular
-    values strictly above it.
+    values strictly above it.  Of a stack, both are arrays over the stack.
     """
 
     rank: int
@@ -82,9 +92,20 @@ def vec(a) -> np.ndarray:
     return as_matrix(a).reshape(-1, order="F")
 
 
-def _rank_info(s: np.ndarray, shape: tuple[int, int]) -> RankInfo:
-    cut = max(shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    return RankInfo(rank=int(np.sum(s > cut)), tolerance_used=float(cut), singular_values=s)
+def _rank_info(s: np.ndarray, shape: tuple[int, ...]) -> RankInfo:
+    cut = max(shape[-2:]) * np.finfo(float).eps * s[..., :1]
+    rank = (s > cut).sum(axis=-1)
+    if s.ndim == 1:  # one matrix: plain Python scalars, as JSON output needs
+        return RankInfo(rank=int(rank), tolerance_used=float(cut[0]), singular_values=s)
+    return RankInfo(rank=rank, tolerance_used=cut[..., 0], singular_values=s)
+
+
+def common_rank(info: RankInfo) -> int:
+    """The rank every slice of ``info`` shares; RankMismatch when they differ."""
+    ranks = set(info.rank.tolist()) if isinstance(info.rank, np.ndarray) else {info.rank}
+    if len(ranks) != 1:
+        raise RankMismatch(f"slices of the stack differ in rank: {sorted(ranks)}")
+    return ranks.pop()
 
 
 def _pinv_from_svd(u: np.ndarray, s: np.ndarray, vt: np.ndarray, q: int) -> np.ndarray:
@@ -93,8 +114,8 @@ def _pinv_from_svd(u: np.ndarray, s: np.ndarray, vt: np.ndarray, q: int) -> np.n
 
 
 def rank_profile(x) -> RankInfo:
-    """Numerical rank of ``x`` under the relative tolerance policy."""
-    x = as_matrix(x)
+    """Numerical rank of ``x``, one matrix or a stack, under the relative tolerance policy."""
+    x = as_stack(x)
     return _rank_info(np.linalg.svd(x, compute_uv=False), x.shape)
 
 
@@ -125,11 +146,12 @@ def pinv(x) -> np.ndarray:
     """Moore-Penrose inverse via SVD with the relative rank cutoff.
 
     Ties among retained singular values are allowed here: the pseudoinverse
-    is insensitive to them, unlike the measure-density formulas.
+    is insensitive to them, unlike the measure-density formulas.  The
+    slices of a stack must share one rank (see :func:`common_rank`).
     """
-    x = as_matrix(x)
+    x = as_stack(x)
     u, s, vt = np.linalg.svd(x, full_matrices=False)
-    return _pinv_from_svd(u, s, vt, _rank_info(s, x.shape).rank)
+    return _pinv_from_svd(u, s, vt, common_rank(_rank_info(s, x.shape)))
 
 
 def pinv_fixed_rank(x, q: int) -> np.ndarray:
@@ -140,10 +162,7 @@ def pinv_fixed_rank(x, q: int) -> np.ndarray:
     matrix or a stack of shape (..., n, m); a stack is factored in one
     stacked SVD and gives the (..., m, n) stack of pseudoinverses.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim < 2:
-        raise ShapeMismatch(f"expected a matrix or a stack of matrices, got ndim={x.ndim}")
-    x = _finite(x)
+    x = as_stack(x)
     if q < 0 or q > min(x.shape[-2:]):
         raise ValueError(f"q={q} out of range for shape {x.shape}")
     return _pinv_from_svd(*np.linalg.svd(x, full_matrices=False), q)
@@ -184,17 +203,21 @@ def make_rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, path)]))
 
 
-def random_stiefel(n: int, q: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-style random n x q frame with orthonormal columns.
+def orthonormal_frames(g: np.ndarray) -> np.ndarray:
+    """Orthonormal frames of Gaussian blocks, one n x q block or a stack (..., n, q).
 
-    Orthonormalizes a standard Gaussian matrix by QR and forces the R
-    diagonal positive so the frame is a unique function of the draw.
+    One (stacked) QR; the R diagonal is made positive, so each frame is a
+    unique function of its block.
     """
+    qmat, r = np.linalg.qr(g)
+    return qmat * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+
+
+def random_stiefel(n: int, q: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-style random n x q frame with orthonormal columns (see :func:`orthonormal_frames`)."""
     if not 1 <= q <= n:
         raise ValueError(f"need 1 <= q <= n, got q={q}, n={n}")
-    g = rng.standard_normal((n, q))
-    qmat, r = np.linalg.qr(g)
-    return qmat * np.sign(np.diag(r))
+    return orthonormal_frames(rng.standard_normal((n, q)))
 
 
 def check_spectrum(d) -> np.ndarray:
@@ -231,13 +254,12 @@ def sample_spectrum(q: int, rng: np.random.Generator) -> np.ndarray:
     return d
 
 
-def random_rank_q(n: int, m: int, q: int, rng: np.random.Generator, spectrum=None) -> np.ndarray:
-    """Random n x m matrix with exact numerical rank q.
+def draw_rank_q(n: int, m: int, q: int, rng: np.random.Generator, spectrum=None):
+    """Every generator call behind one rank-q instance, in order: ``(d, g_left, g_right)``.
 
-    Built as ``H1 @ diag(D) @ P1.T`` with independent random orthonormal
-    frames, so the singular values equal the requested spectrum.  When
-    ``spectrum`` is omitted, q distinct values are drawn by
-    :func:`sample_spectrum`.
+    ``d`` holds the q singular values, ``spectrum`` or else q distinct
+    values from :func:`sample_spectrum`; then come the n x q and m x q
+    Gaussian blocks of the two frames.
     """
     if not 1 <= q <= min(n, m):
         raise ValueError(f"need 1 <= q <= min(n, m), got q={q}, n={n}, m={m}")
@@ -247,9 +269,21 @@ def random_rank_q(n: int, m: int, q: int, rng: np.random.Generator, spectrum=Non
         d = validate_spectrum(spectrum)
         if d.size != q:
             raise BadSpectrum(f"spectrum has {d.size} values, expected q={q}")
-    h1 = random_stiefel(n, q, rng)
-    p1 = random_stiefel(m, q, rng)
-    return (h1 * d) @ p1.T
+    return d, rng.standard_normal((n, q)), rng.standard_normal((m, q))
+
+
+def rank_q_from_draw(d: np.ndarray, g_left: np.ndarray, g_right: np.ndarray) -> np.ndarray:
+    """``H1 @ diag(d) @ P1.T`` with H1, P1 the frames of the Gaussian blocks.
+
+    Takes the parts of :func:`draw_rank_q`, or stacks of them.
+    """
+    frames = orthonormal_frames(g_left) * d[..., None, :]
+    return frames @ orthonormal_frames(g_right).swapaxes(-1, -2)
+
+
+def random_rank_q(n: int, m: int, q: int, rng: np.random.Generator, spectrum=None) -> np.ndarray:
+    """Random n x m matrix with exact numerical rank q (see :func:`draw_rank_q`)."""
+    return rank_q_from_draw(*draw_rank_q(n, m, q, rng, spectrum))
 
 
 # ---------------------------------------------------------------------------

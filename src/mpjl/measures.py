@@ -27,7 +27,7 @@ import numpy as np
 from .chart import decompose
 from .differential import FdConfig, OrthogonalSandwichMap, fd_chart_jacobian, jacobian_det_operator
 from .errors import BadSpectrum, NotFullColumnRank, ShapeMismatch, SingularInput
-from .matcore import as_matrix, check_spectrum, ill_conditioned, pinv, rank_profile
+from .matcore import as_matrix, as_stack, check_spectrum, ill_conditioned, pinv, rank_profile
 from .reports import VerificationReport
 
 
@@ -210,33 +210,33 @@ def orthogonal_invariance_check(
     h,
     qmat,
     cfg: FdConfig = FdConfig(),
-) -> VerificationReport:
+):
     """Chart Jacobian of X -> H X Q for orthogonal H, Q.
 
     On the full chart (q = min(n, m)) the map is linear with unit-modulus
     determinant, so |det| = 1 within FD error and the check enforces that.
     On a deficient chart the deviation from 1 is recorded as evidence: the
     free-coordinate volume element is generically not invariant under
-    orthogonal sandwiches, unlike Lebesgue and Hausdorff measure.
+    orthogonal sandwiches, unlike Lebesgue and Hausdorff measure.  Stacks
+    (T, n, m), (T, n, n) and (T, m, m) are checked in one pass and give a
+    list of T reports.
     """
-    x = as_matrix(x)
-    n, m = x.shape
+    x = as_stack(x)
+    n, m = x.shape[-2:]
     sandwich = OrthogonalSandwichMap(h, qmat)
     in_chart = decompose(x, q)
     out_chart = decompose(sandwich.apply(x), q)
     jac = fd_chart_jacobian(sandwich, x, in_chart, out_chart, cfg)
-    abs_det = float(abs(np.linalg.det(jac)))
-    deviation = float(abs(abs_det - 1.0))
     full_chart = q == min(n, m)
-    return VerificationReport(
-        check_name="invariance",
-        inputs={"n": n, "m": m, "q": q},
-        values={
-            "abs_det": abs_det,
-            "deviation": deviation,
-            "full_chart": full_chart,
-            "witness": bool(deviation > WITNESS_DEVIATION),
-        },
-        residuals={"deviation": deviation},
-        tolerances=None if full_chart else {"deviation": None},
-    )
+    reports = []
+    for abs_det in np.abs(np.ravel(np.linalg.det(jac))).tolist():
+        deviation = abs(abs_det - 1.0)
+        reports.append(VerificationReport(
+            check_name="invariance",
+            inputs={"n": n, "m": m, "q": q},
+            values={"abs_det": abs_det, "deviation": deviation, "full_chart": full_chart,
+                    "witness": deviation > WITNESS_DEVIATION},
+            residuals={"deviation": deviation},
+            tolerances=None if full_chart else {"deviation": None},
+        ))
+    return reports if x.ndim > 2 else reports[0]

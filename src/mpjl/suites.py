@@ -6,6 +6,16 @@ over ``trials`` reproducible instances.  A trial is a pure function of
 triple, so reruns are byte-identical and trials could execute in any
 order.  Spectra that collide (degenerate draws) are redrawn with a fresh
 sub-seed up to the retry budget, then reported as a hard failure.
+
+A suite is a pair: ``draw(cfg, rng)`` makes every generator call of one
+trial, ``check(cfg, draws)`` judges a stack of trials' draws, one report
+per trial (``invariance``, ``jacobian-full`` and ``operator-rank`` in
+stacked numpy calls, the others slice by slice).  ``run_suite`` draws
+each stack of trials, capped by ``STACK_ENTRIES``, from their first
+attempts' streams and checks it in one pass; if that raises anything, the
+stack reruns trial by trial through ``run_trial``, the same check on
+stacks of one with the retry policy, so every report and error is that of
+the trials run one by one.  A stack of one trial takes that path directly.
 """
 
 from __future__ import annotations
@@ -16,7 +26,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import chart, differential, matcore, measures
-from .errors import BadSpectrum, ConfigError, DegeneracyBudgetExceeded, DegenerateSpectrum, RankDrift
+from .errors import (
+    BadSpectrum, ConfigError, DegeneracyBudgetExceeded, DegenerateSpectrum, RankDrift,
+)
 from .reports import PRIMARY, SuiteResult, VerificationReport
 
 RETRY_BUDGET = 3
@@ -24,6 +36,11 @@ RETRY_BUDGET = 3
 # FD chart determinants are only cross-checked at sizes where the full
 # chart stays small.
 FD_CROSS_CHECK_MAX_ENTRIES = 12
+
+# Budget of one trial stack in FD-point entries, 2k points of n x m
+# entries per trial of chart dimension k, so that the memory of a stacked
+# pass does not grow with ``trials``.
+STACK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -78,39 +95,44 @@ def _fd_config(cfg: RunConfig) -> differential.FdConfig:
     return differential.FdConfig(step=cfg.fd_step)
 
 
-def _instance(cfg: RunConfig, rng: np.random.Generator) -> np.ndarray:
-    return matcore.random_rank_q(cfg.n, cfg.m, cfg.rank, rng, spectrum=cfg.spectrum)
+def _draw_x(cfg: RunConfig, rng: np.random.Generator) -> tuple:
+    return matcore.draw_rank_q(cfg.n, cfg.m, cfg.rank, rng, spectrum=cfg.spectrum)
+
+
+def _instances(draws: list[tuple]) -> tuple[np.ndarray, ...]:
+    # The (T, n, m) instances of draws that begin with _draw_x's parts,
+    # then the other parts, each stacked over the trials.
+    d, g_left, g_right, *rest = map(np.array, zip(*draws))
+    return matcore.rank_q_from_draw(d, g_left, g_right), *rest
+
+
+def _per_slice(report):
+    # A check that runs report(cfg, x, *other parts) on each trial's slices.
+    return lambda cfg, draws: [report(cfg, *parts) for parts in zip(*_instances(draws))]
 
 
 def _rel(err: float, scale: float) -> float:
     return float(err / scale) if scale > 0 else float(err)
 
 
-def _pinv_chart_det(cfg: RunConfig, x: np.ndarray, y: np.ndarray) -> float:
-    """|det| of the FD chart Jacobian of X -> pinv(X) = Y, rank pinned."""
+def _pinv_chart_det(cfg: RunConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|det| of the FD chart Jacobian of X -> pinv(X) = Y, rank pinned, per slice."""
     q = cfg.rank
-    in_chart = chart.decompose(x, q)
-    out_chart = chart.decompose(y, q)
-    jac = differential.fd_chart_jacobian(
-        differential.PinvMap(rank=q), x, in_chart, out_chart, _fd_config(cfg)
-    )
-    return float(abs(np.linalg.det(jac)))
+    jac = differential.fd_chart_jacobian(differential.PinvMap(rank=q), x, chart.decompose(x, q),
+                                         chart.decompose(y, q), _fd_config(cfg))
+    return np.abs(np.linalg.det(jac))
 
 
-def _suite_differential(cfg: RunConfig, rng: np.random.Generator) -> VerificationReport:
+def _draw_differential(cfg: RunConfig, rng: np.random.Generator) -> tuple:
+    q, n, m = cfg.rank, cfg.n, cfg.m
+    shapes = [(n, m)] if q == min(n, m) else [(q, q), (q, m - q), (n - q, q)]
+    return (*_draw_x(cfg, rng), *(rng.standard_normal(shape) for shape in shapes))
+
+
+def _differential(cfg: RunConfig, x: np.ndarray, *direction: np.ndarray) -> VerificationReport:
     q = cfg.rank
-    x = _instance(cfg, rng)
     full_rank = q == min(cfg.n, cfg.m)
-    if full_rank:
-        dx = rng.standard_normal((cfg.n, cfg.m))
-    else:
-        b = chart.decompose(x, q)
-        dx = chart.tangent_perturbation(
-            b,
-            rng.standard_normal((q, q)),
-            rng.standard_normal((q, cfg.m - q)),
-            rng.standard_normal((cfg.n - q, q)),
-        )
+    dx = direction[0] if full_rank else chart.tangent_perturbation(chart.decompose(x, q), *direction)
     dx /= np.linalg.norm(dx)
     analytic = differential.pinv_differential(x, dx)
     oracle = differential.fd_pinv_differential(x, dx, _fd_config(cfg))
@@ -124,99 +146,98 @@ def _suite_differential(cfg: RunConfig, rng: np.random.Generator) -> Verificatio
     )
 
 
-def _suite_jacobian_full(cfg: RunConfig, rng: np.random.Generator) -> VerificationReport:
-    q = cfg.rank
-    x = _instance(cfg, rng)
-    # One factorization of X serves both determinants and the rank check.
+def _check_jacobian_full(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
+    [x] = _instances(draws)
+    # One stacked factorization of X serves both determinants and the rank check.
     info = matcore.rank_profile(x)
-    det_op = differential.jacobian_det_operator(x, info)
-    det_formula = differential.jacobian_det_full_rank(x, info)
-    residuals = {"operator_vs_formula": _rel(abs(det_op - det_formula), det_formula)}
-    values = {"operator_det": det_op, "closed_form": det_formula}
-    if cfg.n * cfg.m <= FD_CROSS_CHECK_MAX_ENTRIES:
-        fd_det = _pinv_chart_det(cfg, x, matcore.pinv(x))
-        values["fd_chart_det"] = fd_det
-        residuals["fd_vs_formula"] = _rel(abs(fd_det - det_formula), det_formula)
-    return VerificationReport(
-        check_name="jacobian-full",
-        inputs={"n": cfg.n, "m": cfg.m, "q": q},
-        values=values,
-        residuals=residuals,
-        tol=cfg.tol,
-    )
+    det_op = differential.jacobian_det_operator(x, info).tolist()
+    det_formula = differential.jacobian_det_full_rank(x, info).tolist()
+    fd = cfg.n * cfg.m <= FD_CROSS_CHECK_MAX_ENTRIES
+    fd_det = _pinv_chart_det(cfg, x, matcore.pinv(x)).tolist() if fd else None
+    reports = []
+    for t, formula in enumerate(det_formula):
+        residuals = {"operator_vs_formula": _rel(abs(det_op[t] - formula), formula)}
+        values = {"operator_det": det_op[t], "closed_form": formula}
+        if fd_det is not None:
+            values["fd_chart_det"] = fd_det[t]
+            residuals["fd_vs_formula"] = _rel(abs(fd_det[t] - formula), formula)
+        reports.append(VerificationReport("jacobian-full", {"n": cfg.n, "m": cfg.m, "q": cfg.rank},
+                                          values, residuals, tol=cfg.tol))
+    return reports
 
 
-def _suite_operator_rank(cfg: RunConfig, rng: np.random.Generator) -> VerificationReport:
-    q = cfg.rank
-    x = _instance(cfg, rng)
-    op = differential.jacobian_operator(x)
-    expected = cfg.n * q + cfg.m * q - q * q
+def _draw_operator_rank(cfg: RunConfig, rng: np.random.Generator) -> tuple:
+    return (*_draw_x(cfg, rng), rng.standard_normal((cfg.n, cfg.m)))
+
+
+def _check_operator_rank(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
+    q, n, m = cfg.rank, cfg.n, cfg.m
+    x, v = _instances(draws)
+    expected = n * q + m * q - q * q
     y = matcore.pinv(x)
-    v = rng.standard_normal((cfg.n, cfg.m))
-    projected = (np.eye(cfg.n) - x @ y) @ v @ (np.eye(cfg.m) - y @ x)
-    image = op @ matcore.vec(projected) if projected.size else np.zeros(0)
-    scale = np.linalg.norm(op) * max(np.linalg.norm(projected), 1e-300)
-    annihilation = _rel(np.linalg.norm(image), scale)
-    op_info = matcore.rank_profile(op)
-    op_rank = op_info.rank
+    projected = (np.eye(n) - x @ y) @ v @ (np.eye(m) - y @ x)
     # The dense operator's pseudo-determinant against the product of the
     # closed-form spectrum, prod d^-2(n+m-q), the paper's rank-deficient
     # factor.  Both are summed as logs of the individual singular values:
     # the products themselves leave the float range at moderate sizes.
-    log_pdet = np.sum(np.log(op_info.singular_values[:expected]))
-    log_factor = np.sum(np.log(differential.operator_spectrum(x, matcore.rank_profile(x))))
-    values = {"operator_rank": op_rank, "expected_rank": expected}
-    if q < min(cfg.n, cfg.m) and expected <= FD_CROSS_CHECK_MAX_ENTRIES:
+    log_factor = differential.operator_log_pdet(x, matcore.rank_profile(x))
+    chart_det = None
+    if q < min(n, m) and expected <= FD_CROSS_CHECK_MAX_ENTRIES:
         # No closed form is known for this determinant; it is reported for
         # reproducibility only, never asserted against a formula.
-        values["deficient_chart_det"] = _pinv_chart_det(cfg, x, y)
-    return VerificationReport(
-        check_name="operator-rank",
-        inputs={"n": cfg.n, "m": cfg.m, "q": q},
-        values=values,
-        residuals={"annihilation": annihilation, "pseudo_det": float(abs(log_pdet - log_factor))},
-        tol=cfg.tol,
-        conditions=(op_rank == expected,),
-    )
+        chart_det = _pinv_chart_det(cfg, x, y).tolist()
+    reports = []
+    for t in range(len(x)):
+        # The nm x nm operator, its norms and its rank SVD, slice by slice.
+        op = differential.jacobian_operator(x[t])
+        image = op @ matcore.vec(projected[t])
+        scale = np.linalg.norm(op) * max(np.linalg.norm(projected[t]), 1e-300)
+        op_info = matcore.rank_profile(op)
+        log_pdet = np.sum(np.log(op_info.singular_values[:expected]))
+        values = {"operator_rank": op_info.rank, "expected_rank": expected}
+        if chart_det is not None:
+            values["deficient_chart_det"] = chart_det[t]
+        reports.append(VerificationReport(
+            "operator-rank", {"n": n, "m": m, "q": q}, values,
+            {"annihilation": _rel(np.linalg.norm(image), scale),
+             "pseudo_det": float(abs(log_pdet - log_factor[t]))},
+            tol=cfg.tol, conditions=(op_info.rank == expected,),
+        ))
+    return reports
 
 
-def _suite_hausdorff(cfg: RunConfig, rng: np.random.Generator) -> VerificationReport:
-    q = cfg.rank
-    d = cfg.spectrum or matcore.sample_spectrum(q, rng)
-    return measures.hausdorff_ratio_check(cfg.n, cfg.m, d, cfg.tol)
+def _draw_invariance(cfg: RunConfig, rng: np.random.Generator) -> tuple:
+    n, m = cfg.n, cfg.m
+    return (*_draw_x(cfg, rng), rng.standard_normal((n, n)), rng.standard_normal((m, m)))
 
 
-def _suite_invariance(cfg: RunConfig, rng: np.random.Generator) -> VerificationReport:
-    q = cfg.rank
-    x = _instance(cfg, rng)
-    h = matcore.random_stiefel(cfg.n, cfg.n, rng)
-    qmat = matcore.random_stiefel(cfg.m, cfg.m, rng)
-    return measures.orthogonal_invariance_check(x, q, h, qmat, _fd_config(cfg))
+def _check_invariance(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
+    x, g_h, g_q = _instances(draws)
+    h, qmat = matcore.orthonormal_frames(g_h), matcore.orthonormal_frames(g_q)
+    return measures.orthogonal_invariance_check(x, cfg.rank, h, qmat, _fd_config(cfg))
 
 
-def _suite_symmetric_inverse(cfg: RunConfig, rng: np.random.Generator) -> VerificationReport:
-    order = cfg.m
-    frame = matcore.random_stiefel(order, order, rng)
-    eigs = rng.uniform(0.5, 2.5, size=order)
+def _check_symmetric_inverse(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
+    g, eigs = map(np.array, zip(*draws))
+    return [_symmetric_inverse(cfg, frame, e)
+            for frame, e in zip(matcore.orthonormal_frames(g), eigs)]
+
+
+def _symmetric_inverse(cfg: RunConfig, frame: np.ndarray, eigs: np.ndarray) -> VerificationReport:
     s = measures.SymmetricMatrix.from_full((frame * eigs) @ frame.T)
     formula = measures.symmetric_inverse_jacobian_formula(s)
     oracle = measures.symmetric_inverse_fd_det(s, _fd_config(cfg))
     return VerificationReport(
         check_name="symmetric-inverse",
-        inputs={"order": order},
+        inputs={"order": cfg.m},
         values={"formula": formula, "fd_det": oracle},
         residuals={"fd_mismatch": _rel(abs(formula - oracle), formula)},
         tol=cfg.tol,
     )
 
 
-def _suite_exterior_chain(cfg: RunConfig, rng: np.random.Generator) -> VerificationReport:
-    return measures.exterior_chain_check(_instance(cfg, rng))
-
-
-def _suite_blocks(cfg: RunConfig, rng: np.random.Generator) -> VerificationReport:
+def _blocks(cfg: RunConfig, x: np.ndarray) -> VerificationReport:
     q = cfg.rank
-    x = _instance(cfg, rng)
     b = chart.decompose(x, q)
     x_norm = np.linalg.norm(x)
     roundtrip = _rel(np.linalg.norm(chart.assemble(b) - x), x_norm)
@@ -236,15 +257,26 @@ def _suite_blocks(cfg: RunConfig, rng: np.random.Generator) -> VerificationRepor
     )
 
 
+# name -> (draw, check): ``draw(cfg, rng)`` makes every generator call of
+# one trial; ``check(cfg, draws)`` judges a list of trials' draws and
+# returns one report per trial.
 _SUITES = {
-    "differential": _suite_differential,
-    "jacobian-full": _suite_jacobian_full,
-    "operator-rank": _suite_operator_rank,
-    "hausdorff": _suite_hausdorff,
-    "invariance": _suite_invariance,
-    "symmetric-inverse": _suite_symmetric_inverse,
-    "exterior-chain": _suite_exterior_chain,
-    "blocks": _suite_blocks,
+    "differential": (_draw_differential, _per_slice(_differential)),
+    "jacobian-full": (_draw_x, _check_jacobian_full),
+    "operator-rank": (_draw_operator_rank, _check_operator_rank),
+    "hausdorff": (
+        lambda cfg, rng: (cfg.spectrum or matcore.sample_spectrum(cfg.rank, rng),),
+        lambda cfg, draws: [measures.hausdorff_ratio_check(cfg.n, cfg.m, d, cfg.tol)
+                            for d, in draws],
+    ),
+    "invariance": (_draw_invariance, _check_invariance),
+    "symmetric-inverse": (
+        lambda cfg, rng: (rng.standard_normal((cfg.m, cfg.m)),
+                          rng.uniform(*matcore.SPECTRUM_RANGE, size=cfg.m)),
+        _check_symmetric_inverse,
+    ),
+    "exterior-chain": (_draw_x, _per_slice(lambda cfg, x: measures.exterior_chain_check(x))),
+    "blocks": (_draw_x, _per_slice(_blocks)),
 }
 SUITE_NAMES = tuple(_SUITES)
 
@@ -255,8 +287,8 @@ def _redraw(draw, seed: int, trial: int, label: str):
     Attempt a draws from the stream (seed, trial, a); a degenerate spectrum
     or a rank drift is redrawn up to ``RETRY_BUDGET`` times, then raised
     as DegeneracyBudgetExceeded.  Kept private, so that span tracers that
-    wrap public names (perfbench's) still see each attempt's ``make_rng``
-    call directly under ``run_trial``.
+    wrap public names (perfbench's) see each attempt's ``make_rng`` call
+    directly under ``run_trial`` (a stacked pass's, under ``run_suite``).
     """
     last: Exception | None = None
     for attempt in range(1 + RETRY_BUDGET):
@@ -267,17 +299,43 @@ def _redraw(draw, seed: int, trial: int, label: str):
     raise DegeneracyBudgetExceeded(f"{label}: degenerate after {RETRY_BUDGET} redraws: {last}")
 
 
-def run_trial(suite: str, cfg: RunConfig, trial: int) -> VerificationReport:
-    """One trial with the retry-on-degeneracy policy; pure in (cfg, trial)."""
-    fn = _SUITES[suite]
-    label = f"suite {suite} trial {trial}"
-    report, attempt = _redraw(lambda rng: fn(cfg, rng), cfg.seed, trial, label)
+def _stamp(report: VerificationReport, cfg: RunConfig, trial: int, attempt: int):
     report.inputs = {**report.inputs, "seed": cfg.seed, "trial": trial, "attempt": attempt}
     return report
 
 
+def run_trial(suite: str, cfg: RunConfig, trial: int) -> VerificationReport:
+    """One trial, checked as a stack of one, with the retry-on-degeneracy policy."""
+    draw, check = _SUITES[suite]
+    label = f"suite {suite} trial {trial}"
+    report, attempt = _redraw(lambda rng: check(cfg, [draw(cfg, rng)])[0], cfg.seed, trial, label)
+    return _stamp(report, cfg, trial, attempt)
+
+
+def _trial_stacks(cfg: RunConfig) -> list[range]:
+    q = cfg.rank
+    size = max(1, STACK_ENTRIES // (2 * (cfg.n * q + cfg.m * q - q * q) * cfg.n * cfg.m))
+    return [range(t, min(t + size, cfg.trials)) for t in range(0, cfg.trials, size)]
+
+
+def _run_stack(suite: str, cfg: RunConfig, trials: range) -> list[VerificationReport]:
+    # Each trial's first attempt, from its own stream, checked as one stack.
+    draw, check = _SUITES[suite]
+    draws = [draw(cfg, matcore.make_rng(cfg.seed, t, 0)) for t in trials]
+    return [_stamp(r, cfg, t, 0) for t, r in zip(trials, check(cfg, draws))]
+
+
 def run_suite(suite: str, cfg: RunConfig) -> SuiteResult:
+    """Every trial of ``suite``, stack by stack (see the module docstring)."""
     cfg = validate_config(cfg, suite)
     start = time.perf_counter()
-    reports = [run_trial(suite, cfg, t) for t in range(cfg.trials)]
+    reports: list[VerificationReport] = []
+    for trials in _trial_stacks(cfg):
+        stacked = None
+        if len(trials) > 1:
+            try:
+                stacked = _run_stack(suite, cfg, trials)
+            except Exception:  # the trial-by-trial pass reproduces or retries it
+                pass
+        reports += stacked or [run_trial(suite, cfg, t) for t in trials]
     return SuiteResult(reports=reports, wall_time=time.perf_counter() - start)

@@ -98,18 +98,6 @@ def test_verify_invalid_suite_config_exits_2(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("suite,extra", [
-    ("exterior-chain", ["--n", "5", "--m", "3"]),
-    ("invariance", ["--n", "3", "--m", "3"]),
-])
-def test_tol_refused_without_primary_tolerance(capsys, suite, extra):
-    code, out, err = run_cli(capsys, "verify", suite, *extra, "--trials", "2", "--seed", "1",
-                             "--tol", "1e-30")
-    assert code == 2
-    assert out == ""
-    assert suite in err and "tol" in err
-
-
 # The residual whose tolerance --tol replaces, as documented; None: refused.
 PRIMARY_RESIDUAL = {
     "differential": "fd_mismatch",
@@ -260,9 +248,12 @@ def test_retry_consumes_fresh_subseed(monkeypatch):
         calls.append(rng.integers(0, 1 << 30))
         if len(calls) < 3:
             raise DegenerateSpectrum("synthetic collision")
-        return VerificationReport("stub", {}, {}, {}, {}, True)
+        return (calls[-1],)
 
-    monkeypatch.setitem(suites._SUITES, "stub", flaky)
+    def check(cfg, draws):
+        return [VerificationReport("stub", {}, {}, {}, {}, True) for _ in draws]
+
+    monkeypatch.setitem(suites._SUITES, "stub", (flaky, check))
     report = suites.run_trial("stub", suites.RunConfig(trials=1, seed=4), trial=0)
     assert report.inputs["attempt"] == 2
     assert len(set(int(c) for c in calls)) == 3  # each attempt drew from a fresh stream
@@ -272,7 +263,10 @@ def test_retry_budget_exhausted(monkeypatch):
     def always_degenerate(cfg, rng):
         raise DegenerateSpectrum("synthetic collision")
 
-    monkeypatch.setitem(suites._SUITES, "stub", always_degenerate)
+    def check(cfg, draws):
+        raise AssertionError("nothing was drawn to check")
+
+    monkeypatch.setitem(suites._SUITES, "stub", (always_degenerate, check))
     with pytest.raises(DegeneracyBudgetExceeded):
         suites.run_trial("stub", suites.RunConfig(trials=1, seed=4), trial=0)
 

@@ -15,7 +15,10 @@ its own directory.  It replays:
   and in text;
 * the three invariance witness fixtures, rendered as canonical JSON;
 * a fixed list of edge invocations: ``gen``, ``--tol`` overrides (and
-  refusals) per suite, bad configurations, report merges and parse errors.
+  refusals) per suite, bad configurations, report merges and parse errors,
+  and runs whose trial stack raises and so reruns trial by trial: a
+  ``ChartInvalid`` or ill-conditioned pivot in one trial, retried draws,
+  and a retry budget that runs out.
 
 Each invocation records its exit code (or the exception that escaped
 ``cli.main``), its stdout and the bytes of its ``--out`` file.  Text
@@ -77,6 +80,16 @@ EDGE_CASES = [
     ["verify", "hausdorff", "--spectrum", "3,x"],
     ["report", "--format", "json"],
     ["report", "missing.json"],
+    ["verify", "invariance", "--n", "4", "--m", "4", "--q", "2", "--trials", "6",
+     "--spectrum", "1000,0.001", "--seed", "3", "--format", "json"],
+    ["verify", "operator-rank", "--n", "4", "--m", "3", "--q", "2", "--trials", "6",
+     "--spectrum", "1000,0.001", "--seed", "4", "--format", "json"],
+    ["verify", "invariance", "--n", "3", "--m", "3", "--q", "2", "--trials", "6",
+     "--spectrum", "100000,0.001", "--seed", "1", "--format", "json"],
+    ["verify", "differential", "--n", "7", "--m", "5", "--q", "3", "--trials", "4",
+     "--spectrum", "100,1,0.01", "--seed", "3", "--format", "json"],
+    ["verify", "differential", "--n", "7", "--m", "5", "--q", "3", "--trials", "4",
+     "--spectrum", "100,1,0.01", "--seed", "10", "--format", "json"],
 ]
 
 
