@@ -98,6 +98,18 @@ def test_verify_invalid_suite_config_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("suite,extra", [
+    ("exterior-chain", ["--n", "5", "--m", "3"]),
+    ("invariance", ["--n", "3", "--m", "3"]),
+])
+def test_tol_refused_without_primary_tolerance(capsys, suite, extra):
+    code, out, err = run_cli(capsys, "verify", suite, *extra, "--trials", "2", "--seed", "1",
+                             "--tol", "1e-30")
+    assert code == 2
+    assert out == ""
+    assert suite in err and "tol" in err
+
+
 # The residual whose tolerance --tol replaces, as documented; None: refused.
 PRIMARY_RESIDUAL = {
     "differential": "fd_mismatch",
