@@ -8,11 +8,11 @@ moving a well-conditioned q x q block to the top-left,
           [X21, X22]]      with X22 = X21 @ inv(X11) @ X12,
 
 so the nq + mq - q^2 entries of X11, X12, X21 are free coordinates and X22
-is dependent.  ``BlockDecomposition`` is that chart: its blocks, its
-permutations and the original-index positions of its free coordinates.
-X11 is tested once, when the decomposition is built, so every later use
-may invert it.  Permutations are stored, never applied destructively:
-every result maps back to the original index space.
+is dependent.  ``BlockDecomposition`` is that chart: the free blocks and
+the two permutations, which fix q, n, m and the original-index positions
+of the free coordinates.  X11 is tested once, when the decomposition is
+built, so every later use may invert it.  Permutations are stored, never
+applied destructively: every result maps back to the original index space.
 
 ``decompose`` also takes a stack (T, n, m), pivoted slice by slice, and
 gives one decomposition of stacked blocks that ``assemble`` and
@@ -47,61 +47,66 @@ def _free_index(n: int, m: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return index
 
 
-def _tuples(a: np.ndarray):
-    # Nested tuples of Python ints, one level per array axis.
-    return tuple(a.tolist()) if a.ndim == 1 else tuple(map(_tuples, a))
-
-
 @dataclass(frozen=True)
 class BlockDecomposition:
     """Free blocks X11, X12, X21 of a rank-q matrix in pivoted coordinates.
 
-    Building one tests X11 against ``PIVOT_COND_CAP`` and raises
-    IllConditionedPivot when it fails.  ``len(b)`` is the chart dimension
-    nq + mq - q^2.  Of a stack, the blocks have a leading axis T and
-    ``row_perm``, ``col_perm`` and ``positions`` one tuple per slice.
+    ``row_perm[i]`` and ``col_perm[j]`` are the original indices of pivoted
+    row i and column j, kept as read-only integer arrays: any integer
+    sequence is taken, and one whose length disagrees with the blocks
+    raises ShapeMismatch.  Building one tests X11 against ``PIVOT_COND_CAP``
+    and raises IllConditionedPivot when it fails.  ``len(b)`` is the chart
+    dimension nq + mq - q^2.  Of a stack, the blocks have a leading axis T
+    and the permutations and ``positions`` one row per slice.
     """
 
-    q: int
     x11: np.ndarray
     x12: np.ndarray
     x21: np.ndarray
-    row_perm: tuple
-    col_perm: tuple
-    n: int
-    m: int
+    row_perm: np.ndarray
+    col_perm: np.ndarray
 
     def __post_init__(self):
+        lead = self.x11.shape[:-2]
+        for name, size in (("row_perm", self.n), ("col_perm", self.m)):
+            perm = np.array(getattr(self, name), dtype=np.intp)
+            if perm.shape != lead + (size,):
+                raise ShapeMismatch(f"{name} must have shape {lead + (size,)}, got {perm.shape}")
+            perm.flags.writeable = False
+            object.__setattr__(self, name, perm)
         s = ill_conditioned(self.x11, max_cond=PIVOT_COND_CAP)
         if s is not None:  # reports the worst slice of a stack
             cond = np.max(s[..., 0] / np.maximum(s[..., -1], 1e-300))
             raise IllConditionedPivot(f"pivot block has condition {cond:.3e} > {PIVOT_COND_CAP:.0e}")
 
-    @cached_property
-    def _index(self) -> tuple[tuple, np.ndarray, np.ndarray]:
-        # Index arrays of the stack's slices (none for one matrix), shaped
-        # to broadcast against two more index axes, and both permutations.
-        rp, cp = np.asarray(self.row_perm), np.asarray(self.col_perm)
-        return np.indices(rp.shape[:-1] + (1, 1), sparse=True)[: rp.ndim - 1], rp, cp
+    q = property(lambda self: self.x11.shape[-1])
+    n = property(lambda self: self.q + self.x21.shape[-2])
+    m = property(lambda self: self.q + self.x12.shape[-1])
 
     @cached_property
-    def positions(self) -> tuple:
-        """Free-coordinate positions (row, col) in original indices.
+    def _stack(self) -> tuple:
+        # Slice indices of a stack (none for one matrix), shaped (..., 1, 1).
+        return np.indices(self.x11.shape[:-2] + (1, 1), sparse=True)[: self.x11.ndim - 2]
 
-        Order is X11 column-major, then X12 column-major, then X21
-        column-major.
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """Original (row, col) of each free coordinate: read-only, (..., k, 2).
+
+        Order is X11, then X12, then X21, each column-major.
         """
         rows, cols = _free_index(self.n, self.m, self.q)
-        _, rp, cp = self._index
-        return _tuples(np.stack([rp[..., rows], cp[..., cols]], axis=-1))
+        p = np.stack([self.row_perm[..., rows], self.col_perm[..., cols]], axis=-1)
+        p.flags.writeable = False
+        return p
 
     def __len__(self) -> int:
         return len(_free_index(self.n, self.m, self.q)[0])
 
     def coordinates(self, a: np.ndarray) -> np.ndarray:
         """Free coordinates of ``a`` (..., [T,] n, m), in chart order: shape (..., [T,] k)."""
-        stack = tuple(s[..., 0] for s in self._index[0])
-        return a[(..., *stack, *np.moveaxis(np.asarray(self.positions), -1, 0))]
+        rows, cols = _free_index(self.n, self.m, self.q)
+        stack = (s[..., 0] for s in self._stack)
+        return a[(..., *stack, self.row_perm[..., rows], self.col_perm[..., cols])]
 
 
 def decompose(x, q: int) -> BlockDecomposition:
@@ -143,11 +148,9 @@ def decompose(x, q: int) -> BlockDecomposition:
     rp, cp = perms
     xp = xs[t[:, None, None], rp[:, :, None], cp[:, None, :]].reshape(x.shape)
     lead = x.shape[:-2]
-    return BlockDecomposition(
-        q=q, x11=xp[..., :q, :q].copy(), x12=xp[..., :q, q:].copy(), x21=xp[..., q:, :q].copy(),
-        row_perm=_tuples(rp.reshape(lead + (n,))), col_perm=_tuples(cp.reshape(lead + (m,))),
-        n=n, m=m,
-    )
+    return BlockDecomposition(xp[..., :q, :q].copy(), xp[..., :q, q:].copy(),
+                              xp[..., q:, :q].copy(), rp.reshape(lead + (n,)),
+                              cp.reshape(lead + (m,)))
 
 
 def _x22(x11: np.ndarray, x12: np.ndarray, x21: np.ndarray) -> np.ndarray:
@@ -167,7 +170,7 @@ def _unpermute(b: BlockDecomposition, a11, a12, a21, a22) -> np.ndarray:
     # Place permuted-coordinate blocks, or stacks of them, back at their
     # original indices.  The blocks' leading axes end with the stack axes
     # of ``b``, whose slices each carry their own permutations.
-    stack, rp, cp = b._index
+    stack, rp, cp = b._stack, b.row_perm, b.col_perm
     top, bottom = rp[..., : b.q, None], rp[..., b.q :, None]
     left, right = cp[..., None, : b.q], cp[..., None, b.q :]
     a = np.empty(a11.shape[:-2] + (b.n, b.m))
@@ -201,9 +204,9 @@ def pinv_from_blocks(b: BlockDecomposition) -> np.ndarray:
     core = np.linalg.solve(gram_left, b.x11)
     core = np.linalg.solve(gram_right.T, core.T).T
     yp = np.vstack([b.x11.T, b.x12.T]) @ core @ np.hstack([b.x11.T, b.x21.T])
-    inv_rows = np.argsort(b.row_perm)
-    inv_cols = np.argsort(b.col_perm)
-    return yp[np.ix_(inv_cols, inv_rows)]
+    y = np.empty((b.m, b.n))
+    y[b.col_perm[:, None], b.row_perm] = yp
+    return y
 
 
 def tangent_perturbation(b: BlockDecomposition, dx11, dx12, dx21) -> np.ndarray:
@@ -240,6 +243,7 @@ def perturbed_assemble(b: BlockDecomposition, deltas: np.ndarray) -> np.ndarray:
     test and one stacked solve for X22 serve all points.  Raises
     ChartInvalid when any point leaves the pivot block's validity region.
     """
+    deltas = np.asarray(deltas, dtype=float)
     lead_b = b.x11.shape[:-2]
     stack = deltas.shape[deltas.ndim - 1 - len(lead_b):-1]
     if deltas.ndim - len(lead_b) not in (1, 2) or stack != lead_b or deltas.shape[-1] != len(b):

@@ -1,9 +1,9 @@
 """Command-line harness: generate instances, run suites, merge reports.
 
 Exit codes: 0 all checks passed, 1 check failures, 2 invalid
-configuration or unparsable input, 3 numerical degeneracy past the retry
-budget.  The environment variable MPJL_DEFAULT_SEED overrides the built-in
-default seed when --seed is absent.
+configuration, unparsable input or an unwritable --out path, 3 numerical
+degeneracy past the retry budget.  The environment variable
+MPJL_DEFAULT_SEED overrides the default seed when --seed is absent.
 """
 
 from __future__ import annotations
@@ -95,9 +95,12 @@ def _parser() -> argparse.ArgumentParser:
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write {out_path}: {e.strerror or e}") from e
 
 
 def _config_from_args(args, **verify_flags) -> RunConfig:

@@ -44,18 +44,12 @@ PRIMARY = {
 
 def _plain(value):
     """Coerce numpy scalars/arrays to plain Python for JSON round-trips."""
+    if hasattr(value, "tolist"):  # any numpy value, scalar or array
+        value = value.tolist()
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    if isinstance(value, bool):
-        return value
-    if hasattr(value, "item"):
-        return _plain(value.item())
-    if hasattr(value, "tolist"):
-        return _plain(value.tolist())
-    if isinstance(value, float):
-        return float(value)
     return value
 
 

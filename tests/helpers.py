@@ -52,10 +52,8 @@ def make_blocks(x11, x12, x21, row_perm=None, col_perm=None) -> BlockDecompositi
     """BlockDecomposition from raw free blocks; identity permutations by default."""
     x11, x12, x21 = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (x11, x12, x21))
     q = x11.shape[0]
-    n, m = q + x21.shape[0], q + x12.shape[1]
     return BlockDecomposition(
-        q=q, x11=x11, x12=x12, x21=x21,
-        row_perm=tuple(range(n)) if row_perm is None else tuple(row_perm),
-        col_perm=tuple(range(m)) if col_perm is None else tuple(col_perm),
-        n=n, m=m,
+        x11, x12, x21,
+        range(q + x21.shape[0]) if row_perm is None else row_perm,
+        range(q + x12.shape[1]) if col_perm is None else col_perm,
     )

@@ -1,5 +1,7 @@
 """Block decomposition tests: pivoting, assembly, block pseudoinverse, tangents."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -202,15 +204,37 @@ def test_tangent_preserves_rank_to_first_order():
 
 def test_chart_positions_2x2_rank1():
     b = make_blocks([[1.0]], [[2.0]], [[3.0]])
-    assert b.positions == ((0, 0), (0, 1), (1, 0))
+    assert b.positions.tolist() == [[0, 0], [0, 1], [1, 0]]
     assert len(b) == 3
+
+
+def test_chart_is_its_blocks_and_permutations():
+    fields = [f.name for f in dataclasses.fields(chart.BlockDecomposition)]
+    assert fields == ["x11", "x12", "x21", "row_perm", "col_perm"]
+    given = np.array([1, 0, 2])
+    b = make_blocks([[1.0]], [[2.0, 0.0]], [[3.0], [0.0]], row_perm=given, col_perm=(2, 0, 1))
+    assert (b.q, b.n, b.m) == (1, 3, 3)
+    assert b.row_perm.tolist() == [1, 0, 2] and b.col_perm.tolist() == [2, 0, 1]
+    assert b.positions.tolist() == [[1, 2], [1, 0], [1, 1], [0, 2], [2, 2]]
+    for a in (b.row_perm, b.col_perm, b.positions):
+        assert a.dtype == np.intp and not a.flags.writeable
+    given[0] = 2  # the chart keeps its own copy
+    assert b.row_perm.tolist() == [1, 0, 2]
+    for row_perm, col_perm in [([0, 1], range(3)), (range(3), [0, 1, 2, 3]),
+                               ([[0, 1, 2]], range(3))]:
+        with pytest.raises(ShapeMismatch):
+            make_blocks([[1.0]], [[2.0, 0.0]], [[3.0], [0.0]], row_perm, col_perm)
+    stacked = chart.decompose(np.stack([np.eye(3), np.eye(3)[::-1]]), 3)
+    assert stacked.positions.shape == (2, 9, 2) and (stacked.q, stacked.n, stacked.m) == (3, 3, 3)
+    with pytest.raises(ShapeMismatch):
+        chart.BlockDecomposition(stacked.x11, stacked.x12, stacked.x21, range(3), range(3))
 
 
 def test_chart_positions_full_chart():
     x = mc.random_rank_q(3, 3, 3, mc.make_rng(31))
     b = chart.decompose(x, 3)
     assert len(b) == 9
-    assert sorted(b.positions) == [(i, j) for i in range(3) for j in range(3)]
+    assert sorted(b.positions.tolist()) == [[i, j] for i in range(3) for j in range(3)]
 
 
 def test_chart_positions_count_formula():
@@ -308,6 +332,7 @@ def test_perturbed_assemble_stack_matches_rows():
         deltas[2, ::2] = -0.0
         stack = chart.perturbed_assemble(b, deltas)
         assert stack.shape == (5, n, m)
+        assert _same_bits(chart.perturbed_assemble(b, deltas.tolist()), stack)
         for row, point in zip(deltas, stack):
             assert _same_bits(point, chart.perturbed_assemble(b, row))
 

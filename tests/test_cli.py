@@ -7,7 +7,7 @@ import pytest
 
 from mpjl import matcore as mc, suites
 from mpjl.cli import main
-from mpjl.errors import DegeneracyBudgetExceeded, DegenerateSpectrum
+from mpjl.errors import ConfigError, DegeneracyBudgetExceeded, DegenerateSpectrum
 from mpjl.reports import VerificationReport
 
 
@@ -96,6 +96,40 @@ def test_verify_invalid_suite_config_exits_2(capsys):
     code, _, _ = run_cli(capsys, "verify", "exterior-chain", "--n", "2", "--m", "4",
                          "--q", "2", "--trials", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,seed_env,message", [
+    (["verify", "blocks", "--n", "0"], None, "n and m must be >= 1, got n=0, m=3"),
+    (["verify", "blocks", "--trials", "0"], None, "trials must be >= 1, got 0"),
+    (["verify", "blocks", "--tol", "0"], None, "tol must be positive, got 0.0"),
+    (["verify", "differential", "--fd-step", "0.5"], None,
+     "fd-step must lie in [1e-9, 1e-2], got 0.5"),
+    (["gen", "--n", "3", "--m", "3", "--q", "2", "--spectrum", "3,2,1"], None,
+     "spectrum has 3 values but q=2"),
+    (["gen", "--spectrum", "3,x"], None, "--spectrum must be comma-separated floats, got '3,x'"),
+    (["gen"], "seven", "MPJL_DEFAULT_SEED must be an integer, got 'seven'"),
+])
+def test_refused_configuration_exits_2(capsys, monkeypatch, argv, seed_env, message):
+    if seed_env is not None:
+        monkeypatch.setenv("MPJL_DEFAULT_SEED", seed_env)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_run_suite_refuses_unknown_suite():
+    with pytest.raises(ConfigError, match="unknown suite 'nope'; choose from differential, "):
+        suites.run_suite("nope", suites.RunConfig())
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "3", "--m", "2"], ["verify", "blocks", "--trials", "1"], ["report"],
+])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+    assert not path.parent.exists()
 
 
 @pytest.mark.parametrize("suite,extra", [
@@ -237,6 +271,10 @@ def test_report_flags_duplicates(tmp_path, capsys):
     merged = json.loads(out)
     assert merged["summary"]["total"] == 4
     assert len(merged["duplicates"]) == 2
+    code, out, _ = run_cli(capsys, "report", str(p), str(p), "--format", "text")
+    assert code == 0
+    assert out.endswith("warning: duplicate trials for ['blocks', 5, 0]\n"
+                        "warning: duplicate trials for ['blocks', 5, 1]\n")
 
 
 def test_report_empty_is_ok(capsys):

@@ -40,6 +40,16 @@ def test_explicit_verdict_is_kept():
     assert VerificationReport("stub", {}, {}, {"a": 2.0}, {"a": 1.0}, True).passed is True
 
 
+def test_numpy_values_serialize_as_plain_json():
+    values = {"spectrum": np.array([3.0, 1.0]), "grid": np.arange(4).reshape(2, 2),
+              "one": np.array([0.5]), "det": np.float64(2.0), "ok": np.bool_(True)}
+    report = VerificationReport("stub", {"n": np.int64(3)}, values, {}, {})
+    back = json.loads(dumps_canonical(report.to_json()))
+    assert back["inputs"] == {"n": 3}
+    assert back["values"] == {"spectrum": [3.0, 1.0], "grid": [[0, 1], [2, 3]], "one": [0.5],
+                              "det": 2.0, "ok": True}
+
+
 def test_from_json_keeps_the_stored_flag():
     # A stored verdict is what the producer decided; a merge must not re-judge it.
     failing = _report({"a": 0.0}, {"a": 1.0}, conditions=(False,))

@@ -219,9 +219,9 @@ def test_stacked_decompose_matches_each_slice(case):
             chart.decompose(stack, q)
         return
     b = chart.decompose(stack, q)
-    assert b.row_perm == tuple(s.row_perm for s in each)
-    assert b.col_perm == tuple(s.col_perm for s in each)
-    assert b.positions == tuple(s.positions for s in each)
+    assert np.array_equal(b.row_perm, [s.row_perm for s in each])
+    assert np.array_equal(b.col_perm, [s.col_perm for s in each])
+    assert np.array_equal(b.positions, [s.positions for s in each])
     for name in ("x11", "x12", "x21"):
         assert np.array_equal(getattr(b, name), np.array([getattr(s, name) for s in each]))
     assert np.array_equal(chart.assemble(b), np.array([chart.assemble(s) for s in each]))

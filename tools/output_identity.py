@@ -15,16 +15,19 @@ its own directory.  It replays:
   and in text;
 * the three invariance witness fixtures, rendered as canonical JSON;
 * a fixed list of edge invocations: ``gen``, ``--tol`` overrides (and
-  refusals) per suite, bad configurations, report merges and parse errors,
-  and runs whose trial stack raises and so reruns trial by trial: a
-  ``ChartInvalid`` or ill-conditioned pivot in one trial, retried draws,
-  and a retry budget that runs out.
+  refusals) per suite, bad configurations, an ``--out`` path that cannot
+  be written, report merges and parse errors, and runs whose trial stack
+  raises and so reruns trial by trial: a ``ChartInvalid`` or
+  ill-conditioned pivot in one trial, retried draws, and a retry budget
+  that runs out.
 
 Each invocation records its exit code (or the exception that escaped
-``cli.main``), its stdout and the bytes of its ``--out`` file.  Text
-output drops its ``wall_time`` line, which is timing, and stderr is not
-compared.  The script prints one digest per side and every invocation
-whose record differs, and exits 0 when the two sides agree, 1 otherwise.
+``cli.main``), its stdout, its ``error: ...`` lines of stderr and the
+bytes of its ``--out`` file.  Text output drops its ``wall_time`` line,
+which is timing; the rest of stderr, such as numpy's ``RuntimeWarning``
+lines that carry source paths, is not compared.  The script prints one
+digest per side and every invocation whose record differs, and exits 0
+when the two sides agree, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -90,6 +93,7 @@ EDGE_CASES = [
      "--spectrum", "100,1,0.01", "--seed", "3", "--format", "json"],
     ["verify", "differential", "--n", "7", "--m", "5", "--q", "3", "--trials", "4",
      "--spectrum", "100,1,0.01", "--seed", "10", "--format", "json"],
+    ["verify", "blocks", "--trials", "1", "--out", "no-such-dir/x.json"],
 ]
 
 
@@ -101,9 +105,9 @@ def _invoke(cli, label: str, argv: list[str]) -> dict:
     out = argv[argv.index("--out") + 1] if "--out" in argv else None
     if out is not None:
         Path(out).unlink(missing_ok=True)
-    stdout = io.StringIO()
+    stdout, stderr = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main(argv)
     except SystemExit as e:
         code = e.code
@@ -111,9 +115,10 @@ def _invoke(cli, label: str, argv: list[str]) -> dict:
         code = f"{type(e).__name__}: {e}"
     lines = stdout.getvalue().splitlines(keepends=True)
     text = "".join(line for line in lines if not line.startswith("wall_time:"))
+    errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
     written = Path(out).read_bytes() if out is not None and Path(out).exists() else b""
     return {"id": label, "argv": argv, "code": code,
-            "stdout": _sha(text.encode()), "out": _sha(written)}
+            "stdout": _sha(text.encode()), "errors": errors, "out": _sha(written)}
 
 
 def replay(src: Path) -> list[dict]:
@@ -147,7 +152,7 @@ def replay(src: Path) -> list[dict]:
         for i, fixture in enumerate(witnesses.load_witnesses()):
             text = dumps_canonical(witnesses.reproduce(fixture).to_json())
             records.append({"id": f"witness {i}", "argv": [], "code": None,
-                            "stdout": _sha(text.encode()), "out": _sha(b"")})
+                            "stdout": _sha(text.encode()), "errors": [], "out": _sha(b"")})
         for i, argv in enumerate(EDGE_CASES):
             records.append(_invoke(cli, f"edge {i}", argv))
     return records
@@ -188,7 +193,7 @@ def main(argv=None) -> int:
     for key in sorted(differing):
         ra, rb = a.get(key, {}), b.get(key, {})
         print(f"differs: {key}: {' '.join(ra.get('argv') or rb.get('argv') or [])}")
-        for field in ("code", "stdout", "out"):
+        for field in ("code", "stdout", "errors", "out"):
             if ra.get(field) != rb.get(field):
                 print(f"  {field}: {ra.get(field)!r} != {rb.get(field)!r}")
     print(f"{len(differing)} of {max(len(a), len(b))} invocations differ")
