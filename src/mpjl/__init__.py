@@ -60,7 +60,6 @@ from .matcore import (
     vec,
 )
 from .measures import (
-    SymmetricMatrix,
     exterior_chain_check,
     hausdorff_density,
     hausdorff_ratio_check,
@@ -69,6 +68,7 @@ from .measures import (
     pinv_spectrum,
     symmetric_inverse_fd_det,
     symmetric_inverse_jacobian_formula,
+    symmetric_part,
 )
 from .reports import SuiteResult, VerificationReport
 from .suites import RunConfig, run_suite

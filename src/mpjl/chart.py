@@ -15,9 +15,9 @@ built, so every later use may invert it.  Permutations are stored, never
 applied destructively: every result maps back to the original index space.
 
 ``decompose`` also takes a stack (T, n, m), pivoted slice by slice, and
-gives one decomposition of stacked blocks that ``assemble`` and
-``perturbed_assemble`` follow.  A stack raises whenever one of its slices
-would.
+gives one decomposition of stacked blocks that every function here
+follows, each slice with the bits of its 2-D call.  A stack raises
+whenever one of its slices would.
 """
 
 from __future__ import annotations
@@ -52,12 +52,12 @@ class BlockDecomposition:
     """Free blocks X11, X12, X21 of a rank-q matrix in pivoted coordinates.
 
     ``row_perm[i]`` and ``col_perm[j]`` are the original indices of pivoted
-    row i and column j, kept as read-only integer arrays: any integer
-    sequence is taken, and one whose length disagrees with the blocks
-    raises ShapeMismatch.  Building one tests X11 against ``PIVOT_COND_CAP``
-    and raises IllConditionedPivot when it fails.  ``len(b)`` is the chart
-    dimension nq + mq - q^2.  Of a stack, the blocks have a leading axis T
-    and the permutations and ``positions`` one row per slice.
+    row i and column j, kept as read-only integer arrays: a sequence that
+    is not an integer permutation of 0..n-1 (0..m-1) raises ShapeMismatch.
+    Building one tests X11 against ``PIVOT_COND_CAP`` and raises
+    IllConditionedPivot when it fails.  ``len(b)`` is the chart dimension
+    nq + mq - q^2.  Of a stack, the blocks have a leading axis T and the
+    permutations and ``positions`` one row per slice.
     """
 
     x11: np.ndarray
@@ -69,9 +69,12 @@ class BlockDecomposition:
     def __post_init__(self):
         lead = self.x11.shape[:-2]
         for name, size in (("row_perm", self.n), ("col_perm", self.m)):
-            perm = np.array(getattr(self, name), dtype=np.intp)
+            perm = np.array(getattr(self, name))
             if perm.shape != lead + (size,):
                 raise ShapeMismatch(f"{name} must have shape {lead + (size,)}, got {perm.shape}")
+            if perm.dtype.kind not in "iu" or np.any(np.sort(perm, axis=-1) != np.arange(size)):
+                raise ShapeMismatch(f"{name} must be an integer permutation of 0..{size - 1}")
+            perm = perm.astype(np.intp)
             perm.flags.writeable = False
             object.__setattr__(self, name, perm)
         s = ill_conditioned(self.x11, max_cond=PIVOT_COND_CAP)
@@ -187,7 +190,7 @@ def assemble(b: BlockDecomposition) -> np.ndarray:
 
 
 def pinv_from_blocks(b: BlockDecomposition) -> np.ndarray:
-    """Closed-form pseudoinverse from the free blocks alone.
+    """Closed-form pseudoinverse from the free blocks alone, of a stack slice by slice.
 
     In permuted coordinates,
 
@@ -196,16 +199,17 @@ def pinv_from_blocks(b: BlockDecomposition) -> np.ndarray:
 
     then the stored permutations carry the result back to original indices.
     """
-    gram_left = b.x11 @ b.x11.T + b.x12 @ b.x12.T
-    gram_right = b.x11.T @ b.x11 + b.x21.T @ b.x21
+    x11t, x12t, x21t = (a.swapaxes(-1, -2) for a in (b.x11, b.x12, b.x21))
+    gram_left = b.x11 @ x11t + b.x12 @ x12t
+    gram_right = x11t @ b.x11 + x21t @ b.x21
     for name, g in (("left", gram_left), ("right", gram_right)):
         if ill_conditioned(g, rtol=np.finfo(float).eps * b.q) is not None:
             raise SingularGram(f"{name} Gram combination is numerically singular")
     core = np.linalg.solve(gram_left, b.x11)
-    core = np.linalg.solve(gram_right.T, core.T).T
-    yp = np.vstack([b.x11.T, b.x12.T]) @ core @ np.hstack([b.x11.T, b.x21.T])
-    y = np.empty((b.m, b.n))
-    y[b.col_perm[:, None], b.row_perm] = yp
+    core = np.linalg.solve(gram_right.swapaxes(-1, -2), core.swapaxes(-1, -2)).swapaxes(-1, -2)
+    yp = np.concatenate([x11t, x12t], -2) @ core @ np.concatenate([x11t, x21t], -1)
+    y = np.empty(yp.shape)
+    y[(*b._stack, b.col_perm[..., :, None], b.row_perm[..., None, :])] = yp
     return y
 
 
@@ -217,14 +221,13 @@ def tangent_perturbation(b: BlockDecomposition, dx11, dx12, dx21) -> np.ndarray:
 
         dX22 = dX21 X11^-1 X12 - X21 X11^-1 dX11 X11^-1 X12 + X21 X11^-1 dX12
 
-    Each direction must have exactly its block's shape, else ShapeMismatch.
+    Each direction must have exactly its block's shape, with the stack axis
+    first for a stacked ``b`` (one direction per slice), else ShapeMismatch.
     """
-    q, n, m = b.q, b.n, b.m
     dx11, dx12, dx21 = (np.asarray(a, dtype=float) for a in (dx11, dx12, dx21))
-    for name, a, (rows, cols) in (("dX11", dx11, (q, q)), ("dX12", dx12, (q, m - q)),
-                                  ("dX21", dx21, (n - q, q))):
-        if a.shape != (rows, cols):
-            raise ShapeMismatch(f"{name} must be {rows}x{cols}, got {a.shape}")
+    for name, a, block in (("dX11", dx11, b.x11), ("dX12", dx12, b.x12), ("dX21", dx21, b.x21)):
+        if a.shape != block.shape:
+            raise ShapeMismatch(f"{name} must be {'x'.join(map(str, block.shape))}, got {a.shape}")
     inv_x12 = np.linalg.solve(b.x11, b.x12)     # X11^-1 X12
     inv_dx11 = np.linalg.solve(b.x11, dx11)     # X11^-1 dX11
     inv_dx12 = np.linalg.solve(b.x11, dx12)     # X11^-1 dX12

@@ -33,7 +33,7 @@ the analytic forms; they pin the rank of every evaluation point to the rank
 of the base point, because the pseudoinverse is discontinuous across rank
 changes.
 
-The spectrum, determinant and FD chart functions also take a stack (T, n,
+Every function here except ``jacobian_operator`` also takes a stack (T, n,
 m), one result per slice with the bits of the 2-D call: steps that numpy
 rounds differently on arrays (scalar powers, logs) stay per slice.
 """
@@ -48,6 +48,7 @@ from .chart import BlockDecomposition, assemble, perturbed_assemble
 from .errors import NotFullRank, RankDrift, ShapeMismatch
 from .matcore import (
     RankInfo, _pinv_from_svd, as_matrix, as_stack, common_rank, pinv, pinv_fixed_rank, rank_profile,
+    scalar_powers,
 )
 
 
@@ -70,16 +71,17 @@ class FdConfig:
 
 
 def pinv_differential(x, dx) -> np.ndarray:
-    """Analytic differential of the pseudoinverse at X along dX."""
-    x = as_matrix(x)
-    dx = as_matrix(dx)
+    """Analytic differential of the pseudoinverse at X along dX, slice by slice of a stack."""
+    x = as_stack(x)
+    dx = as_stack(dx)
     if dx.shape != x.shape:
         raise ShapeMismatch(f"dX shape {dx.shape} != X shape {x.shape}")
-    n, m = x.shape
+    n, m = x.shape[-2:]
     y = pinv(x)
+    yt, dxt = y.swapaxes(-1, -2), dx.swapaxes(-1, -2)
     left_proj = np.eye(n) - x @ y
     right_proj = np.eye(m) - y @ x
-    return -y @ dx @ y + y @ y.T @ dx.T @ left_proj + right_proj @ dx.T @ y.T @ y
+    return -y @ dx @ y + y @ yt @ dxt @ left_proj + right_proj @ dxt @ yt @ y
 
 
 def jacobian_operator(x) -> np.ndarray:
@@ -156,8 +158,7 @@ def jacobian_det_full_rank(x: np.ndarray, info: RankInfo):
         raise NotFullRank(f"rank {rank} < min(n, m) = {min(n, m)}")
     xt = x.swapaxes(-1, -2)
     gram, power = (xt @ x, -n) if m <= n else (x @ xt, -m)
-    dets = np.abs(np.linalg.det(gram))
-    return np.array([d**power for d in dets.ravel()]).reshape(dets.shape)[()]
+    return scalar_powers(np.abs(np.linalg.det(gram)), power)
 
 
 def fd_pinv_differential(x, dx, cfg: FdConfig = FdConfig()) -> np.ndarray:
@@ -168,29 +169,30 @@ def fd_pinv_differential(x, dx, cfg: FdConfig = FdConfig()) -> np.ndarray:
     change shows up as sigma_{q+1} growing like h rather than h^2 and is
     reported as RankDrift.  The two evaluation points form one (2, n, m)
     stack, and one stacked SVD serves the drift test and both rank-q
-    pseudoinverses.
+    pseudoinverses; a stack (T, n, m) of one rank makes one (2, T, n, m)
+    stack, each slice stepped by its own h.
     """
-    x = as_matrix(x)
-    dx = as_matrix(dx)
+    x = as_stack(x)
+    dx = as_stack(dx)
     if dx.shape != x.shape:
         raise ShapeMismatch(f"dX shape {dx.shape} != X shape {x.shape}")
     info = rank_profile(x)
-    q = info.rank
+    q = common_rank(info)
     h = cfg.effective_step(x)
     # Tangent directions leave sigma_{q+1} at O(h^2), first-order rank
     # changes push it to O(h); h^1.5 sits between the two.
-    sigma1 = info.singular_values[0] if info.singular_values.size else 1.0
-    rel_cut = (h / max(sigma1, 1e-300)) ** 1.5
-    u, s, vt = np.linalg.svd(np.stack([x + h * dx, x - h * dx]), full_matrices=False)
-    if q < min(x.shape):
-        for point in s:
-            if point[q] > rel_cut * point[0]:
+    rel_cut = scalar_powers(h / np.maximum(info.singular_values[..., 0], 1e-300), 1.5)
+    step = h[..., None, None]
+    u, s, vt = np.linalg.svd(np.stack([x + step * dx, x - step * dx]), full_matrices=False)
+    if q < min(x.shape[-2:]):
+        for sigma, cut in zip(s[..., q].ravel(), (rel_cut * s[..., 0]).ravel()):  # + points first
+            if sigma > cut:
                 raise RankDrift(
-                    f"evaluation point has sigma[{q}] = {point[q]:.3e} above the drift cut "
-                    f"{rel_cut * point[0]:.3e}; direction is not rank-preserving"
+                    f"evaluation point has sigma[{q}] = {sigma:.3e} above the drift cut "
+                    f"{cut:.3e}; direction is not rank-preserving"
                 )
     plus, minus = _pinv_from_svd(u, s, vt, q)
-    return (plus - minus) / (2.0 * h)
+    return (plus - minus) / (2.0 * step)
 
 
 # ---------------------------------------------------------------------------

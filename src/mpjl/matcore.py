@@ -5,7 +5,9 @@ the Moore-Penrose inverse, and seeded random generators for test
 instances.  Everything works on plain ``numpy.ndarray`` values of dtype
 float64; matrices are 2-D arrays.  Functions documented as taking a stack
 also take shape (..., n, m), one matrix per slice, each slice getting the
-bits of the 2-D call.
+bits of the 2-D call.  Numpy rounds Frobenius norms and scalar powers
+differently on a stack, so ``frobenius_norms`` and ``scalar_powers`` take
+them slice by slice.
 
 Rank policy: a singular value of an n x m matrix is retained when it
 exceeds ``max(n, m) * eps * s[0]``, with eps the machine epsilon.
@@ -90,6 +92,18 @@ class SvdFactors:
 def vec(a) -> np.ndarray:
     """Column-stacking vectorization: entry (i, j) lands at position j*n + i."""
     return as_matrix(a).reshape(-1, order="F")
+
+
+def frobenius_norms(a) -> np.ndarray:
+    """Frobenius norm of each slice of a matrix or stack (..., n, m): shape (...)."""
+    a = np.asarray(a)
+    return np.array([np.linalg.norm(a[i]) for i in np.ndindex(a.shape[:-2])]).reshape(a.shape[:-2])
+
+
+def scalar_powers(a, power) -> np.ndarray:
+    """``a ** power`` of each entry as a scalar power; a 0-d ``a`` gives a scalar."""
+    a = np.asarray(a)
+    return np.array([v**power for v in a.ravel()]).reshape(a.shape)[()]
 
 
 def _rank_info(s: np.ndarray, shape: tuple[int, ...]) -> RankInfo:

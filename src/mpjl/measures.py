@@ -15,20 +15,22 @@ free-coordinate volume element cannot be Lebesgue or Hausdorff measure:
 it is not invariant under orthogonal sandwiches unless the chart covers
 every entry.  All three checks return a ``VerificationReport`` whose
 tolerances come from ``reports.TOLERANCES``; only a deficient chart's
-invariance deviation is evidence, with a ``None`` tolerance.
+invariance deviation is evidence, with a ``None`` tolerance.  The two
+end-to-end checks and the symmetric-inverse pair (on plain arrays that
+``symmetric_part`` makes exactly symmetric) also take stacks.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .chart import decompose
 from .differential import FdConfig, OrthogonalSandwichMap, fd_chart_jacobian, jacobian_det_operator
 from .errors import BadSpectrum, NotFullColumnRank, ShapeMismatch, SingularInput
-from .matcore import as_matrix, as_stack, check_spectrum, ill_conditioned, pinv, rank_profile
-from .reports import VerificationReport
+from .matcore import (
+    as_stack, check_spectrum, frobenius_norms, ill_conditioned, pinv, rank_profile, scalar_powers,
+)
+from .reports import VerificationReport, stack_reports
 
 
 def hausdorff_density(n: int, m: int, d) -> float:
@@ -85,30 +87,20 @@ def hausdorff_ratio_check(n: int, m: int, d, tol: float | None = None) -> Verifi
 # ---------------------------------------------------------------------------
 # Symmetric matrices and the inverse-map Jacobian.
 
-@dataclass(frozen=True)
-class SymmetricMatrix:
-    """Exactly symmetric matrix stored as its upper triangle (row-major)."""
+def symmetric_part(s) -> np.ndarray:
+    """The exactly symmetric 0.5 * (S + S') of a symmetric matrix or stack (..., m, m).
 
-    order: int
-    upper: np.ndarray
-
-    @classmethod
-    def from_full(cls, s) -> "SymmetricMatrix":
-        s = as_matrix(s)
-        m = s.shape[0]
-        if s.shape != (m, m):
-            raise ShapeMismatch(f"expected square matrix, got {s.shape}")
-        if np.max(np.abs(s - s.T)) > 1e-12 * max(np.max(np.abs(s)), 1.0):
-            raise ShapeMismatch("matrix is not symmetric")
-        sym = 0.5 * (s + s.T)
-        return cls(order=m, upper=sym[np.triu_indices(m)].copy())
-
-    def full(self) -> np.ndarray:
-        a = np.zeros((self.order, self.order))
-        iu = np.triu_indices(self.order)
-        a[iu] = self.upper
-        a.T[iu] = self.upper
-        return a
+    Raises ShapeMismatch when S is not square, or when a slice deviates from
+    symmetry by more than 1e-12 relative to its largest entry (or to 1).
+    """
+    s = as_stack(s)
+    if s.shape[-1] != s.shape[-2]:
+        raise ShapeMismatch(f"expected square matrix, got {s.shape}")
+    st = s.swapaxes(-1, -2)
+    scale = np.maximum(np.max(np.abs(s), axis=(-2, -1)), 1.0)
+    if np.any(np.max(np.abs(s - st), axis=(-2, -1)) > 1e-12 * scale):
+        raise ShapeMismatch("matrix is not symmetric")
+    return 0.5 * (s + st)
 
 
 def vech(s: np.ndarray) -> np.ndarray:
@@ -120,38 +112,46 @@ def vech(s: np.ndarray) -> np.ndarray:
     return s[..., rows, cols]
 
 
-def symmetric_inverse_jacobian_formula(s: SymmetricMatrix) -> float:
-    """|det S|^-(m+1): the half-vectorization Jacobian of S -> inv(S)."""
-    a = s.full()
-    if ill_conditioned(a, rtol=np.finfo(float).eps * s.order) is not None:
+def symmetric_inverse_jacobian_formula(s):
+    """|det S|^-(m+1): the half-vectorization Jacobian of S -> inv(S).
+
+    ``s`` is one symmetric m x m matrix or a stack of them, taken through
+    :func:`symmetric_part`; SingularInput when any slice is numerically singular.
+    """
+    s = symmetric_part(s)
+    m = s.shape[-1]
+    if ill_conditioned(s, rtol=np.finfo(float).eps * m) is not None:
         raise SingularInput("matrix is numerically singular")
-    return float(abs(np.linalg.det(a)) ** (-(s.order + 1)))
+    return scalar_powers(np.abs(np.linalg.det(s)), -(m + 1))
 
 
-def symmetric_inverse_fd_det(s: SymmetricMatrix, cfg: FdConfig = FdConfig()) -> float:
+def symmetric_inverse_fd_det(s, cfg: FdConfig = FdConfig()):
     """FD oracle: |det| of the inverse map on half-vectorized coordinates.
 
-    Coordinate (i, j) with i < j perturbs both mirrored entries; diagonal
-    coordinates perturb one entry.  The m(m+1)/2 unit directions form one
-    stack, so each side of the difference is one stacked inversion.
+    ``s`` is one symmetric matrix or a stack, taken through
+    :func:`symmetric_part`.  Coordinate (i, j) with i < j perturbs both
+    mirrored entries; diagonal coordinates perturb one entry.  The m(m+1)/2
+    unit directions of every slice form one stack, so each side of the
+    difference is one stacked inversion.
     """
-    a = s.full()
-    h = cfg.effective_step(a)
-    rows, cols = np.triu_indices(s.order)
+    s = symmetric_part(s)
+    m = s.shape[-1]
+    h = cfg.effective_step(s)[..., None, None, None]
+    rows, cols = np.triu_indices(m)
     coords = np.arange(rows.size)
-    e = np.zeros((rows.size, s.order, s.order))
+    e = np.zeros((rows.size, m, m))
     e[coords, rows, cols] = 1.0
     e[coords, cols, rows] = 1.0
-    plus = np.linalg.inv(a + h * e)
-    minus = np.linalg.inv(a - h * e)
-    jac = vech((plus - minus) / (2.0 * h)).T
-    return float(abs(np.linalg.det(jac)))
+    plus = np.linalg.inv(s[..., None, :, :] + h * e)
+    minus = np.linalg.inv(s[..., None, :, :] - h * e)
+    jac = vech((plus - minus) / (2.0 * h)).swapaxes(-1, -2)
+    return np.abs(np.linalg.det(jac))[()]
 
 
 # ---------------------------------------------------------------------------
 # End-to-end checks.
 
-def exterior_chain_check(x) -> VerificationReport:
+def exterior_chain_check(x):
     """Full-column-rank determinant identity assembled factor by factor.
 
     With Y = pinv(X), the m x m Gram product of Y against itself collapses
@@ -161,44 +161,33 @@ def exterior_chain_check(x) -> VerificationReport:
 
     must equal |X'X|^-n by determinant algebra alone, and both must match
     the vectorized-operator determinant, which :func:`jacobian_det_operator`
-    takes in closed form from the operator's spectrum (one SVD of X).
+    takes in closed form from the operator's spectrum (one SVD of X).  A
+    stack (T, n, m) is checked in one pass and gives a list of T reports.
     """
-    x = as_matrix(x)
-    n, m = x.shape
+    x = as_stack(x)
+    n, m = x.shape[-2:]
     info = rank_profile(x)
-    if m > n or info.rank != m:
+    if m > n or np.any(info.rank != m):
         raise NotFullColumnRank(f"need rank(X) = cols <= rows, got shape {x.shape}")
     y = pinv(x)
-    a = y @ y.T
-    b = x.T @ x
+    a = y @ y.swapaxes(-1, -2)
+    b = x.swapaxes(-1, -2) @ x
     b_inv = np.linalg.inv(b)
-    inverse_residual = float(np.linalg.norm(a - b_inv) / np.linalg.norm(b_inv))
 
     sign_a, log_a = np.linalg.slogdet(a)
     sign_b, log_b = np.linalg.slogdet(b)
-    assembled = float(np.exp(0.5 * (n - m - 1) * log_a - (m + 1 + 0.5 * (n - m - 1)) * log_b))
-    target = float(np.exp(-n * log_b))
-    algebra_residual = float(abs(assembled - target) / target)
-
+    assembled = np.exp(0.5 * (n - m - 1) * log_a - (m + 1 + 0.5 * (n - m - 1)) * log_b)
+    target = np.exp(-n * log_b)
     op_det = jacobian_det_operator(x, info)
-    operator_residual = float(abs(assembled - op_det) / target)
-
-    return VerificationReport(
-        check_name="exterior-chain",
-        inputs={"n": n, "m": m},
-        values={
-            "gram_pinv_det": float(sign_a * np.exp(log_a)),
-            "gram_det": float(sign_b * np.exp(log_b)),
-            "assembled": assembled,
-            "closed_form": target,
-            "operator_det": op_det,
-        },
-        residuals={
-            "inverse_identity": inverse_residual,
-            "determinant_algebra": algebra_residual,
-            "operator_match": operator_residual,
-        },
+    reports = stack_reports(
+        "exterior-chain", {"n": n, "m": m},
+        {"gram_pinv_det": sign_a * np.exp(log_a), "gram_det": sign_b * np.exp(log_b),
+         "assembled": assembled, "closed_form": target, "operator_det": op_det},
+        {"inverse_identity": frobenius_norms(a - b_inv) / frobenius_norms(b_inv),
+         "determinant_algebra": abs(assembled - target) / target,
+         "operator_match": abs(assembled - op_det) / target},
     )
+    return reports if x.ndim > 2 else reports[0]
 
 
 WITNESS_DEVIATION = 0.05
@@ -227,16 +216,13 @@ def orthogonal_invariance_check(
     in_chart = decompose(x, q)
     out_chart = decompose(sandwich.apply(x), q)
     jac = fd_chart_jacobian(sandwich, x, in_chart, out_chart, cfg)
+    abs_det = np.abs(np.linalg.det(jac))
+    deviation = abs(abs_det - 1.0)
     full_chart = q == min(n, m)
-    reports = []
-    for abs_det in np.abs(np.ravel(np.linalg.det(jac))).tolist():
-        deviation = abs(abs_det - 1.0)
-        reports.append(VerificationReport(
-            check_name="invariance",
-            inputs={"n": n, "m": m, "q": q},
-            values={"abs_det": abs_det, "deviation": deviation, "full_chart": full_chart,
-                    "witness": deviation > WITNESS_DEVIATION},
-            residuals={"deviation": deviation},
-            tolerances=None if full_chart else {"deviation": None},
-        ))
+    reports = stack_reports(
+        "invariance", {"n": n, "m": m, "q": q},
+        {"abs_det": abs_det, "deviation": deviation, "full_chart": full_chart,
+         "witness": deviation > WITNESS_DEVIATION},
+        {"deviation": deviation}, tolerances=None if full_chart else {"deviation": None},
+    )
     return reports if x.ndim > 2 else reports[0]

@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import InitVar, dataclass, field
 
+import numpy as np
+
 # Check name -> {residual key: tolerance}.
 TOLERANCES = {
     "differential": {"fd_mismatch": 1e-6},
@@ -105,6 +107,17 @@ class VerificationReport:
             tolerances=obj["tolerances"],
             passed=obj["pass"],
         )
+
+
+def stack_reports(check_name: str, inputs: dict, values: dict, residuals: dict,
+                  **kwargs) -> list[VerificationReport]:
+    """One report per slice of a stacked check: each value and residual is one
+    entry shared by every slice or an array with one entry per slice; the
+    keyword arguments of :class:`VerificationReport` go to every report."""
+    columns = np.broadcast_arrays(*map(np.asarray, [*values.values(), *residuals.values()]))
+    return [VerificationReport(check_name, dict(inputs), dict(zip(values, row)),
+                               dict(zip(residuals, row[len(values):])), **kwargs)
+            for row in zip(*(c.ravel().tolist() for c in columns))]
 
 
 @dataclass

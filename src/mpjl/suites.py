@@ -9,8 +9,8 @@ sub-seed up to the retry budget, then reported as a hard failure.
 
 A suite is a pair: ``draw(cfg, rng)`` makes every generator call of one
 trial, ``check(cfg, draws)`` judges a stack of trials' draws, one report
-per trial (``invariance``, ``jacobian-full`` and ``operator-rank`` in
-stacked numpy calls, the others slice by slice).  ``run_suite`` draws
+per trial, in stacked numpy calls (``hausdorff`` loops over its spectra,
+``operator-rank`` over its dense operators).  ``run_suite`` draws
 each stack of trials, capped by ``STACK_ENTRIES``, from their first
 attempts' streams and checks it in one pass; if that raises anything, the
 stack reruns trial by trial through ``run_trial``, the same check on
@@ -29,7 +29,7 @@ from . import chart, differential, matcore, measures
 from .errors import (
     BadSpectrum, ConfigError, DegeneracyBudgetExceeded, DegenerateSpectrum, RankDrift,
 )
-from .reports import PRIMARY, SuiteResult, VerificationReport
+from .reports import PRIMARY, SuiteResult, VerificationReport, stack_reports
 
 RETRY_BUDGET = 3
 
@@ -106,13 +106,9 @@ def _instances(draws: list[tuple]) -> tuple[np.ndarray, ...]:
     return matcore.rank_q_from_draw(d, g_left, g_right), *rest
 
 
-def _per_slice(report):
-    # A check that runs report(cfg, x, *other parts) on each trial's slices.
-    return lambda cfg, draws: [report(cfg, *parts) for parts in zip(*_instances(draws))]
-
-
-def _rel(err: float, scale: float) -> float:
-    return float(err / scale) if scale > 0 else float(err)
+def _rel(err, scale):
+    # err / scale, entry by entry; err itself where the scale is not positive.
+    return np.divide(err, scale, out=np.array(err, float), where=np.greater(scale, 0)).tolist()
 
 
 def _pinv_chart_det(cfg: RunConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -129,41 +125,33 @@ def _draw_differential(cfg: RunConfig, rng: np.random.Generator) -> tuple:
     return (*_draw_x(cfg, rng), *(rng.standard_normal(shape) for shape in shapes))
 
 
-def _differential(cfg: RunConfig, x: np.ndarray, *direction: np.ndarray) -> VerificationReport:
+def _check_differential(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
     q = cfg.rank
     full_rank = q == min(cfg.n, cfg.m)
+    x, *direction = _instances(draws)
     dx = direction[0] if full_rank else chart.tangent_perturbation(chart.decompose(x, q), *direction)
-    dx /= np.linalg.norm(dx)
+    dx = dx / matcore.frobenius_norms(dx)[..., None, None]
     analytic = differential.pinv_differential(x, dx)
     oracle = differential.fd_pinv_differential(x, dx, _fd_config(cfg))
-    rel = _rel(np.linalg.norm(analytic - oracle), np.linalg.norm(analytic))
-    return VerificationReport(
-        check_name="differential",
-        inputs={"n": cfg.n, "m": cfg.m, "q": q, "full_rank": full_rank},
-        values={"analytic_norm": float(np.linalg.norm(analytic))},
-        residuals={"fd_mismatch": rel},
-        tol=cfg.tol,
-    )
+    norm = matcore.frobenius_norms(analytic)
+    return stack_reports("differential", {"n": cfg.n, "m": cfg.m, "q": q, "full_rank": full_rank},
+                         {"analytic_norm": norm},
+                         {"fd_mismatch": _rel(matcore.frobenius_norms(analytic - oracle), norm)},
+                         tol=cfg.tol)
 
 
 def _check_jacobian_full(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
     [x] = _instances(draws)
     # One stacked factorization of X serves both determinants and the rank check.
     info = matcore.rank_profile(x)
-    det_op = differential.jacobian_det_operator(x, info).tolist()
-    det_formula = differential.jacobian_det_full_rank(x, info).tolist()
-    fd = cfg.n * cfg.m <= FD_CROSS_CHECK_MAX_ENTRIES
-    fd_det = _pinv_chart_det(cfg, x, matcore.pinv(x)).tolist() if fd else None
-    reports = []
-    for t, formula in enumerate(det_formula):
-        residuals = {"operator_vs_formula": _rel(abs(det_op[t] - formula), formula)}
-        values = {"operator_det": det_op[t], "closed_form": formula}
-        if fd_det is not None:
-            values["fd_chart_det"] = fd_det[t]
-            residuals["fd_vs_formula"] = _rel(abs(fd_det[t] - formula), formula)
-        reports.append(VerificationReport("jacobian-full", {"n": cfg.n, "m": cfg.m, "q": cfg.rank},
-                                          values, residuals, tol=cfg.tol))
-    return reports
+    formula = differential.jacobian_det_full_rank(x, info)
+    values = {"operator_det": differential.jacobian_det_operator(x, info), "closed_form": formula}
+    residuals = {"operator_vs_formula": _rel(abs(values["operator_det"] - formula), formula)}
+    if cfg.n * cfg.m <= FD_CROSS_CHECK_MAX_ENTRIES:
+        values["fd_chart_det"] = fd_det = _pinv_chart_det(cfg, x, matcore.pinv(x))
+        residuals["fd_vs_formula"] = _rel(abs(fd_det - formula), formula)
+    return stack_reports("jacobian-full", {"n": cfg.n, "m": cfg.m, "q": cfg.rank}, values,
+                         residuals, tol=cfg.tol)
 
 
 def _draw_operator_rank(cfg: RunConfig, rng: np.random.Generator) -> tuple:
@@ -219,40 +207,31 @@ def _check_invariance(cfg: RunConfig, draws: list[tuple]) -> list[VerificationRe
 
 def _check_symmetric_inverse(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
     g, eigs = map(np.array, zip(*draws))
-    return [_symmetric_inverse(cfg, frame, e)
-            for frame, e in zip(matcore.orthonormal_frames(g), eigs)]
-
-
-def _symmetric_inverse(cfg: RunConfig, frame: np.ndarray, eigs: np.ndarray) -> VerificationReport:
-    s = measures.SymmetricMatrix.from_full((frame * eigs) @ frame.T)
+    frame = matcore.orthonormal_frames(g)
+    s = (frame * eigs[:, None, :]) @ frame.swapaxes(-1, -2)
     formula = measures.symmetric_inverse_jacobian_formula(s)
     oracle = measures.symmetric_inverse_fd_det(s, _fd_config(cfg))
-    return VerificationReport(
-        check_name="symmetric-inverse",
-        inputs={"order": cfg.m},
-        values={"formula": formula, "fd_det": oracle},
-        residuals={"fd_mismatch": _rel(abs(formula - oracle), formula)},
-        tol=cfg.tol,
-    )
+    return stack_reports("symmetric-inverse", {"order": cfg.m},
+                         {"formula": formula, "fd_det": oracle},
+                         {"fd_mismatch": _rel(abs(formula - oracle), formula)}, tol=cfg.tol)
 
 
-def _blocks(cfg: RunConfig, x: np.ndarray) -> VerificationReport:
-    q = cfg.rank
+def _check_blocks(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
+    q, norms = cfg.rank, matcore.frobenius_norms
+    [x] = _instances(draws)
     b = chart.decompose(x, q)
-    x_norm = np.linalg.norm(x)
-    roundtrip = _rel(np.linalg.norm(chart.assemble(b) - x), x_norm)
+    x_norm = norms(x)
     y = matcore.pinv(x)
-    pinv_rel = _rel(np.linalg.norm(chart.pinv_from_blocks(b) - y), np.linalg.norm(y))
-    trailing = x[np.ix_(b.row_perm[q:], b.col_perm[q:])]
-    x22_rel = _rel(np.linalg.norm(chart.x22_from_blocks(b) - trailing), x_norm)
+    trailing = np.take_along_axis(np.take_along_axis(x, b.row_perm[..., q:, None], -2),
+                                  b.col_perm[..., None, q:], -1)
     chart_ok = len(b) == cfg.n * q + cfg.m * q - q * q
-    return VerificationReport(
-        check_name="blocks",
-        inputs={"n": cfg.n, "m": cfg.m, "q": q},
-        values={"chart_length": len(b), "chart_length_ok": chart_ok},
-        residuals={"roundtrip": roundtrip, "pinv_blocks": pinv_rel, "x22": x22_rel},
-        tol=cfg.tol,
-        conditions=(chart_ok,),
+    return stack_reports(
+        "blocks", {"n": cfg.n, "m": cfg.m, "q": q},
+        {"chart_length": len(b), "chart_length_ok": chart_ok},
+        {"roundtrip": _rel(norms(chart.assemble(b) - x), x_norm),
+         "pinv_blocks": _rel(norms(chart.pinv_from_blocks(b) - y), norms(y)),
+         "x22": _rel(norms(chart.x22_from_blocks(b) - trailing), x_norm)},
+        tol=cfg.tol, conditions=(chart_ok,),
     )
 
 
@@ -260,7 +239,7 @@ def _blocks(cfg: RunConfig, x: np.ndarray) -> VerificationReport:
 # one trial; ``check(cfg, draws)`` judges a list of trials' draws and
 # returns one report per trial.
 _SUITES = {
-    "differential": (_draw_differential, _per_slice(_differential)),
+    "differential": (_draw_differential, _check_differential),
     "jacobian-full": (_draw_x, _check_jacobian_full),
     "operator-rank": (_draw_operator_rank, _check_operator_rank),
     "hausdorff": (
@@ -274,8 +253,9 @@ _SUITES = {
                           rng.uniform(*matcore.SPECTRUM_RANGE, size=cfg.m)),
         _check_symmetric_inverse,
     ),
-    "exterior-chain": (_draw_x, _per_slice(lambda cfg, x: measures.exterior_chain_check(x))),
-    "blocks": (_draw_x, _per_slice(_blocks)),
+    "exterior-chain": (_draw_x,
+                       lambda cfg, draws: measures.exterior_chain_check(*_instances(draws))),
+    "blocks": (_draw_x, _check_blocks),
 }
 SUITE_NAMES = tuple(_SUITES)
 

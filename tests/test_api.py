@@ -8,7 +8,7 @@ PUBLIC = [
     "MpjlError", "NotFullColumnRank", "NotFullRank", "OrthogonalSandwichMap", "ParseError",
     "PinvMap", "RankDrift", "RankInfo", "RankMismatch", "RunConfig", "ShapeMismatch",
     "SingularGram", "SingularInput", "SuiteResult", "SvdFactors",
-    "SymmetricMatrix", "VerificationReport", "assemble", "chart",
+    "VerificationReport", "assemble", "chart",
     "decompose", "differential", "errors", "exterior_chain_check", "fd_chart_jacobian",
     "fd_pinv_differential", "hausdorff_density", "hausdorff_ratio_check",
     "jacobian_det_full_rank", "jacobian_det_operator", "jacobian_operator", "make_rng",
@@ -17,7 +17,8 @@ PUBLIC = [
     "pinv_differential", "pinv_fixed_rank", "pinv_from_blocks", "pinv_spectrum",
     "random_rank_q", "random_stiefel", "rank_profile", "reports", "run_suite",
     "sample_spectrum", "suites", "svd_thin", "symmetric_inverse_fd_det",
-    "symmetric_inverse_jacobian_formula", "tangent_perturbation", "vec", "x22_from_blocks",
+    "symmetric_inverse_jacobian_formula", "symmetric_part", "tangent_perturbation", "vec",
+    "x22_from_blocks",
 ]
 
 

@@ -133,6 +133,19 @@ def test_pinv_from_blocks_edge_ranks():
         assert err <= 1e-8 * np.linalg.norm(y)
 
 
+def test_blocks_refuse_a_permutation_that_is_not_one():
+    # A repeated index left an entry of assemble unwritten (uninitialized
+    # memory), and float indices were truncated to integers without a word.
+    for perm in ([0, 0], [0.7, 1.2], [1, 2], [True, False]):
+        with pytest.raises(ShapeMismatch, match="row_perm must be an integer permutation"):
+            make_blocks([[1.0]], [[2.0]], [[3.0]], row_perm=perm)
+    with pytest.raises(ShapeMismatch, match="col_perm must be an integer permutation of 0..1"):
+        make_blocks([[1.0]], [[2.0]], [[3.0]], col_perm=[1, 1])
+    b = make_blocks([[1.0]], [[2.0]], [[3.0]], row_perm=np.array([1, 0], np.uint8))
+    assert b.row_perm.dtype == np.intp
+    assert np.array_equal(chart.assemble(b), [[3.0, 6.0], [1.0, 2.0]])
+
+
 def test_tangent_perturbation_hand_values():
     b = make_blocks([[1.0]], [[2.0]], [[3.0]])
     # FD oracle on X22 = x21 x12 / x11 gives dX22/dx11 = -6, dX22/dx12 = 3.
@@ -272,7 +285,8 @@ def test_blocks_trial_tests_x11_once(svd_shapes):
     assert report.passed and report.inputs["attempt"] == 0
     # decompose: rank of X, X11 test; pinv(X); pinv_from_blocks: the two
     # Gram tests.  Neither assemble nor x22_from_blocks tests X11 again.
-    assert svd_shapes == [(8, 6), (3, 3), (8, 6), (3, 3), (3, 3)]
+    # The trial is checked as a stack of one.
+    assert svd_shapes == [(1, 8, 6), (1, 3, 3), (1, 8, 6), (1, 3, 3), (1, 3, 3)]
 
 
 def test_deficient_differential_trial_tests_x11_once(svd_shapes):
@@ -280,8 +294,9 @@ def test_deficient_differential_trial_tests_x11_once(svd_shapes):
     assert report.passed and report.inputs["attempt"] == 0
     # decompose: rank of X, X11 test; the tangent direction tests nothing;
     # pinv_differential's pinv(X); the FD oracle's rank of X and its two
-    # evaluation points, factored as one stack.
-    assert svd_shapes == [(7, 5), (3, 3), (7, 5), (7, 5), (2, 7, 5)]
+    # evaluation points, factored as one stack.  The trial is checked as a
+    # stack of one.
+    assert svd_shapes == [(1, 7, 5), (1, 3, 3), (1, 7, 5), (1, 7, 5), (2, 1, 7, 5)]
 
 
 def test_fd_chart_jacobian_tests_x11_once_per_point(svd_shapes):

@@ -130,15 +130,12 @@ def test_determinant_suites_never_build_the_dense_operator(monkeypatch):
 def test_determinant_suites_factor_x_as_often_as_needed(svd_shapes, suite, svds):
     # Above the FD cross-check size: jacobian-full shares one rank profile
     # of the (T, n, m) stack between both determinants of every trial;
-    # exterior-chain, checked slice by slice, adds only pinv(X).
+    # exterior-chain adds only pinv(X) of the stack.
     n, m, trials = 6, 4, 3
     assert n * m > suites.FD_CROSS_CHECK_MAX_ENTRIES
     result = suites.run_suite(suite, suites.RunConfig(n=n, m=m, trials=trials, seed=51))
     assert result.all_passed and [r.inputs["attempt"] for r in result.reports] == [0] * trials
-    if suite == "jacobian-full":
-        assert svd_shapes == [(trials, n, m)] * svds
-    else:
-        assert svd_shapes == [(n, m)] * svds * trials
+    assert svd_shapes == [(trials, n, m)] * svds
 
 
 def test_operator_rank_suite_keeps_svd_rank_oracle(svd_shapes):

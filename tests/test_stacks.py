@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from mpjl import chart, differential as df, matcore as mc, suites
+from mpjl import chart, differential as df, matcore as mc, measures as ms, suites
 from mpjl.cli import main
 from mpjl.errors import (
-    ChartInvalid, DegenerateSpectrum, IllConditionedPivot, MpjlError, RankMismatch,
+    ChartInvalid, DegeneracyBudgetExceeded, DegenerateSpectrum, IllConditionedPivot, MpjlError,
+    RankMismatch,
 )
 from mpjl.reports import SuiteResult, VerificationReport, dumps_canonical
 
@@ -95,20 +96,26 @@ def test_degenerate_draw_falls_back_to_its_retry(monkeypatch):
 
 
 # Trials of these runs raise; the stack falls back and the run raises what
-# the trial-by-trial loop raises, with its message.
+# the trial-by-trial loop raises, with its message and the CLI's exit code.
 FALLBACKS = [
     ("invariance", dict(n=4, m=4, q=2, spectrum=(1000.0, 0.001), seed=3), ChartInvalid,
-     "validity region"),
+     "validity region", 1),
     ("operator-rank", dict(n=4, m=3, q=2, spectrum=(1000.0, 0.001), seed=4), ChartInvalid,
-     "validity region"),
+     "validity region", 1),
     ("invariance", dict(n=3, m=3, q=2, spectrum=(100000.0, 0.001), seed=1), IllConditionedPivot,
-     "pivot block has condition 1.517e+08 > 1e+08"),
+     "pivot block has condition 1.517e+08 > 1e+08", 1),
+    ("blocks", dict(n=3, m=3, q=2, spectrum=(100000.0, 0.001), seed=1), IllConditionedPivot,
+     "pivot block has condition 1.517e+08 > 1e+08", 1),
+    # Every draw drifts in rank, so the retry budget runs out.
+    ("differential", dict(n=7, m=5, q=3, spectrum=(1000.0, 1.0, 0.001), seed=12345),
+     DegeneracyBudgetExceeded, "above the drift cut", 3),
 ]
 
 
-@pytest.mark.parametrize("suite, config, error, message", FALLBACKS,
+@pytest.mark.parametrize("suite, config, error, message, code", FALLBACKS,
                          ids=[f"{c[0]}-seed{c[1]['seed']}" for c in FALLBACKS])
-def test_failing_stack_raises_what_the_trial_loop_raises(capsys, suite, config, error, message):
+def test_failing_stack_raises_what_the_trial_loop_raises(capsys, suite, config, error, message,
+                                                         code):
     cfg = suites.validate_config(suites.RunConfig(trials=6, **config), suite)
     with pytest.raises(error) as one_by_one:
         _one_by_one(suite, cfg)
@@ -121,7 +128,7 @@ def test_failing_stack_raises_what_the_trial_loop_raises(capsys, suite, config, 
     spectrum = ",".join(map(str, config["spectrum"]))
     argv = ["verify", suite, "--n", str(cfg.n), "--m", str(cfg.m), "--q", str(cfg.q),
             "--trials", "6", "--spectrum", spectrum, "--seed", str(cfg.seed), "--format", "json"]
-    assert main(argv) == 1
+    assert main(argv) == code
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {one_by_one.value}\n"
 
@@ -138,21 +145,58 @@ def test_rank_q_draws_build_bit_for_bit_as_one_stack():
         assert np.array_equal(frame, mc.random_stiefel(4, 4, mc.make_rng(9, t)))
 
 
-@pytest.mark.parametrize("n, m, draws", [(4, 3, 300), (2, 1, 300), (3, 4, 100), (24, 20, 40)])
-def test_stacked_determinants_give_the_bits_of_each_matrix(n, m, draws):
-    # Array powers and logs of a stacked spectrum round differently from the
-    # 2-D calls in some draws (one in 300 at 4x3 and at 2x1 for the logs);
-    # these steps must stay per slice.
-    x = np.array([mc.random_rank_q(n, m, min(n, m), mc.make_rng(15, t)) for t in range(draws)])
+def _stacked_and_single(x, q, directions):
+    """Every function that takes a stack, on a stack ``x`` of rank q or on one matrix."""
+    n, m = x.shape[-2:]
     info = mc.rank_profile(x)
-    stacked = [df.jacobian_det_operator(x, info), df.jacobian_det_full_rank(x, info),
-               df.operator_log_pdet(x, info)]
-    for t, one in enumerate(x):
-        one_info = mc.rank_profile(one)
-        assert one_info.rank == info.rank[t]
-        for values, f in zip(stacked, (df.jacobian_det_operator, df.jacobian_det_full_rank,
-                                       df.operator_log_pdet)):
-            assert values[t] == f(one, one_info)
+    b = chart.decompose(x, q)
+    dx = chart.tangent_perturbation(b, *directions)
+    dx = dx / mc.frobenius_norms(dx)[..., None, None]
+    out = {"rank": info.rank, "operator_det": df.jacobian_det_operator(x, info),
+           "log_pdet": df.operator_log_pdet(x, info), "pinv_from_blocks": chart.pinv_from_blocks(b),
+           "tangent": dx, "differential": df.pinv_differential(x, dx),
+           "fd_differential": df.fd_pinv_differential(x, dx)}
+    if q == min(n, m):
+        out["full_rank_det"] = df.jacobian_det_full_rank(x, info)
+    if q == m <= n:
+        reports = ms.exterior_chain_check(x)
+        out["exterior_chain"] = [dumps_canonical(r.to_json()) for r in np.atleast_1d(reports)]
+    if m <= 8:  # S = X'X - I/10: symmetric, indefinite below full column rank
+        s = ms.symmetric_part(x.swapaxes(-1, -2) @ x - 0.1 * np.eye(m))
+        out.update(symmetric_part=s, symmetric_formula=ms.symmetric_inverse_jacobian_formula(s),
+                   symmetric_fd_det=ms.symmetric_inverse_fd_det(s))
+    return out
+
+
+@pytest.mark.parametrize("n, m, draws", [(4, 3, 300), (2, 1, 300), (3, 4, 100), (24, 20, 40),
+                                         (8, 6, 60), (5, 5, 60), (1, 3, 60)])
+def test_stacked_determinants_give_the_bits_of_each_matrix(n, m, draws):
+    # Array powers, logs and Frobenius norms of a stack round differently
+    # from the 2-D calls in some draws (one in 300 at 4x3 and at 2x1 for the
+    # logs); these steps must stay per slice.  Every function that takes a
+    # stack gives each slice the bits of its 2-D call, at full and at a
+    # deficient rank.
+    for q in sorted({min(n, m), (min(n, m) + 1) // 2}):
+        seeds = [(15, t) if q == min(n, m) else (16, q, t) for t in range(draws)]
+        x = np.array([mc.random_rank_q(n, m, q, mc.make_rng(*s)) for s in seeds])
+        # The per-slice steps are the 2-D numpy calls themselves.
+        assert np.array_equal(mc.frobenius_norms(x), [np.linalg.norm(one) for one in x])
+        s = mc.rank_profile(x).singular_values
+        assert np.array_equal(mc.scalar_powers(s, 1.5), [[float(v) ** 1.5 for v in r] for r in s])
+        rng = mc.make_rng(17, n, m, q)
+        directions = [rng.standard_normal((draws, *shape))
+                      for shape in ((q, q), (q, m - q), (n - q, q))]
+        stacked = _stacked_and_single(x, q, directions)
+        for t, one in enumerate(x):
+            single = _stacked_and_single(one, q, [d[t] for d in directions])
+            assert single.keys() == stacked.keys()
+            for key, value in single.items():
+                got = stacked[key][t]
+                if key == "exterior_chain":  # canonical JSON, one report
+                    assert got == value[0], t
+                else:  # equal values and equal signs of zero
+                    assert np.array_equal(got, value), (key, t)
+                    assert np.array_equal(np.signbit(got), np.signbit(value)), (key, t)
 
 
 def test_stacked_decompose_and_fd_chart_factor_one_stack(svd_shapes):

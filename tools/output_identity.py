@@ -16,10 +16,10 @@ its own directory.  It replays:
 * the three invariance witness fixtures, rendered as canonical JSON;
 * a fixed list of edge invocations: ``gen``, ``--tol`` overrides (and
   refusals) per suite, bad configurations, an ``--out`` path that cannot
-  be written, report merges and parse errors, and runs whose trial stack
-  raises and so reruns trial by trial: a ``ChartInvalid`` or
+  be written, report merges and parse errors, runs whose trial stack
+  raises and so reruns trial by trial (a ``ChartInvalid`` or
   ill-conditioned pivot in one trial, retried draws, and a retry budget
-  that runs out.
+  that runs out), and a stack whose determinants overflow.
 
 Each invocation records its exit code (or the exception that escaped
 ``cli.main``), its stdout, its ``error: ...`` lines of stderr and the
@@ -47,6 +47,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (101, 102, 103)
 CYCLES = 3
+
+# linspace(0.3, 0.15, 20) and linspace(0.06, 0.03, 8): |X'X|^-n leaves the
+# float range at 30 x 20 and at 16 x 8.  The entry budget runs 30 x 20 in
+# stacks of one; 16 x 8 runs in stacks of two.
+OVERFLOW_SPECTRA = {(30, 20): ",".join(str(0.3 - 0.15 * i / 19) for i in range(20)),
+                    (16, 8): ",".join(str(0.06 - 0.03 * i / 7) for i in range(8))}
 
 EDGE_CASES = [
     ["gen", "--n", "4", "--m", "3", "--q", "2", "--seed", "7"],
@@ -93,6 +99,11 @@ EDGE_CASES = [
      "--spectrum", "100,1,0.01", "--seed", "3", "--format", "json"],
     ["verify", "differential", "--n", "7", "--m", "5", "--q", "3", "--trials", "4",
      "--spectrum", "100,1,0.01", "--seed", "10", "--format", "json"],
+    ["verify", "blocks", "--n", "3", "--m", "3", "--q", "2", "--trials", "6",
+     "--spectrum", "100000,0.001", "--seed", "1", "--format", "json"],
+    *(["verify", "exterior-chain", "--n", str(n), "--m", str(m), "--trials", str(trials),
+       "--spectrum", OVERFLOW_SPECTRA[n, m], "--format", fmt]
+      for n, m, trials in ((30, 20, 3), (16, 8, 4)) for fmt in ("json", "text")),
     ["verify", "blocks", "--trials", "1", "--out", "no-such-dir/x.json"],
 ]
 
