@@ -4,15 +4,19 @@ For Y = pinv(X) the matrix of differentials is
 
     dY = -Y dX Y + Y Y' dX' (I_n - X Y) + (I_m - Y X) dX' Y' Y,
 
-valid where the rank is locally constant.  Vectorizing with
-vec(A B C) = (C' kron A) vec(B) and K vec(dX) = vec(dX') turns this into a
-single nm x nm operator acting on vec(dX):
+valid where the rank is locally constant.  With P_L = I_n - X Y and
+P_R = I_m - Y X, its transpose reads
 
-    -(Y' kron Y) + [ (I_n - X Y) kron (Y Y') + (Y' Y) kron (I_m - Y X) ] K.
+    dY' = -Y' dX' Y' + P_L dX Y Y' + Y' Y dX P_R,
 
-Both projector terms use symmetric middle factors, so no extra transposes
-appear.  K has exactly one 1 per column, so the product with K is applied as
-a column permutation of the bracketed term rather than as a dense matmul.
+and the bilinear form tr(E' dY'(F)) is symmetric in E and F, because P_L,
+P_R, Y Y' and Y' Y are symmetric.  So the nm x nm matrix S of dX -> dY'
+in row-major coordinates, S @ dX.ravel() = dY'.ravel() (that is,
+S vec(dX') = vec(dY)), is symmetric, and its singular values are the
+absolute values of its eigenvalues.  With vec(A B C) = (C' kron A) vec(B)
+and the commutation matrix K, K vec(dX') = vec(dX), S is
+
+    -(Y' kron Y) K + (I_n - X Y) kron (Y Y') + (Y' Y) kron (I_m - Y X).
 
 Spectrum theorem.  Write X = U diag(D, 0) V' with the q retained singular
 values D, and rotate dX into that basis.  The differential then scales the
@@ -85,23 +89,26 @@ def pinv_differential(x, dx) -> np.ndarray:
 
 
 def jacobian_operator(x) -> np.ndarray:
-    """The nm x nm matrix sending vec(dX) to vec(dY) = vec(pinv_differential(X, dX)).
+    """The symmetric nm x nm matrix S with S @ dX.ravel() = pinv_differential(X, dX).T.ravel().
 
     O((nm)^2) memory; the closed forms below replace it everywhere except
-    as the oracle that checks them.
+    as the oracle that checks them.  Built as the (n, m, n, m) array
+    S[l, k, i, j] = P_L[l, i] (Y Y')[k, j] + (Y'Y)[l, i] P_R[k, j] - Y'[l, j] Y[k, i].
     """
     x = as_matrix(x)
     n, m = x.shape
     y = pinv(x)
-    left_proj = np.eye(n) - x @ y
-    right_proj = np.eye(m) - y @ x
-    # The commutation matrix K, with K vec(dX) = vec(dX'), holds the single
-    # 1 of its column j*n + i in row i*m + j, so right-multiplying by K
-    # gathers those columns.
-    k_cols = np.arange(n * m).reshape(n, m).T.ravel()
-    return -np.kron(y.T, y) + (
-        np.kron(left_proj, y @ y.T) + np.kron(y.T @ y, right_proj)
-    )[:, k_cols]
+    yt = y.T
+    # Each factor is symmetric in exact arithmetic; taking it so in floating
+    # point makes S exactly symmetric, so one triangle of S holds all of it.
+    # The rounding asymmetry of I - XY would otherwise move the small
+    # eigenvalues of that triangle at first order.
+    left, right, yyt, yty = (0.5 * (a + a.T) for a in (
+        np.eye(n) - x @ y, np.eye(m) - y @ x, y @ yt, yt @ y))
+    s = left[:, None, :, None] * yyt[None, :, None, :]
+    s += yty[:, None, :, None] * right[None, :, None, :]
+    s -= yt[:, None, None, :] * y[None, :, :, None]
+    return s.reshape(n * m, n * m)
 
 
 def operator_spectrum(x: np.ndarray, info: RankInfo) -> np.ndarray:

@@ -12,9 +12,9 @@ them slice by slice.
 Rank policy: a singular value of an n x m matrix is retained when it
 exceeds ``max(n, m) * eps * s[0]``, with eps the machine epsilon.
 ``_rank_info`` is the one place that cut is made (``rank_profile``,
-``svd_thin`` and ``pinv`` all go through it), and ``_pinv_from_svd`` the
-one place retained factors become a pseudoinverse (``pinv`` and
-``pinv_fixed_rank``).
+``symmetric_rank_profile``, ``svd_thin`` and ``pinv`` all go through it),
+and ``_pinv_from_svd`` the one place retained factors become a
+pseudoinverse (``pinv`` and ``pinv_fixed_rank``).
 
 Conditioning policy: ``ill_conditioned`` is the one test of whether a
 square block can be inverted.  Callers pick its threshold and comparison
@@ -131,6 +131,13 @@ def rank_profile(x) -> RankInfo:
     """Numerical rank of ``x``, one matrix or a stack, under the relative tolerance policy."""
     x = as_stack(x)
     return _rank_info(np.linalg.svd(x, compute_uv=False), x.shape)
+
+
+def symmetric_rank_profile(a) -> RankInfo:
+    """:func:`rank_profile` of a symmetric matrix or stack from one ``eigvalsh``, which
+    reads only the lower triangle: the absolute eigenvalues, in decreasing order."""
+    a = as_stack(a)
+    return _rank_info(np.sort(np.abs(np.linalg.eigvalsh(a)), axis=-1)[..., ::-1], a.shape)
 
 
 def _check_distinct(s: np.ndarray) -> None:

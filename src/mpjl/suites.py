@@ -10,12 +10,14 @@ sub-seed up to the retry budget, then reported as a hard failure.
 A suite is a pair: ``draw(cfg, rng)`` makes every generator call of one
 trial, ``check(cfg, draws)`` judges a stack of trials' draws, one report
 per trial, in stacked numpy calls (``hausdorff`` loops over its spectra,
-``operator-rank`` over its dense operators).  ``run_suite`` draws
-each stack of trials, capped by ``STACK_ENTRIES``, from their first
-attempts' streams and checks it in one pass; if that raises anything, the
-stack reruns trial by trial through ``run_trial``, the same check on
-stacks of one with the retry policy, so every report and error is that of
-the trials run one by one.  A stack of one trial takes that path directly.
+``operator-rank`` over its dense operators, each symmetric and factored by
+one symmetric eigensolve).  ``run_suite`` draws each stack of trials,
+capped by ``STACK_ENTRIES`` entries of what the check holds per trial,
+from their first attempts' streams and checks it in one pass; if that
+raises anything, the stack reruns trial by trial through ``run_trial``,
+the same check on stacks of one with the retry policy, so every report
+and error is that of the trials run one by one.  A stack of one trial
+takes that path directly.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ RETRY_BUDGET = 3
 # chart stays small.
 FD_CROSS_CHECK_MAX_ENTRIES = 12
 
-# Budget of one trial stack in FD-point entries, 2k points of n x m
-# entries per trial of chart dimension k, so that the memory of a stacked
-# pass does not grow with ``trials``.
+# Budget of one trial stack in the entries its check holds per trial (see
+# ``_trial_entries``), so that the memory of a stacked pass does not grow
+# with ``trials``.
 STACK_ENTRIES = 1 << 16
 
 
@@ -88,6 +90,8 @@ def validate_config(cfg: RunConfig, suite: str | None = None) -> RunConfig:
         raise ConfigError("exterior-chain requires full column rank: m <= n and q = m")
     if cfg.tol is not None and suite is not None and suite not in PRIMARY:
         raise ConfigError(f"{suite} has no primary tolerance to override; drop --tol")
+    if cfg.tol is not None and suite == "operator-rank" and q == min(cfg.n, cfg.m):
+        raise ConfigError("operator-rank at full rank has no annihilation residual; drop --tol")
     return replace(cfg, q=q)
 
 
@@ -109,6 +113,21 @@ def _instances(draws: list[tuple]) -> tuple[np.ndarray, ...]:
 def _rel(err, scale):
     # err / scale, entry by entry; err itself where the scale is not positive.
     return np.divide(err, scale, out=np.array(err, float), where=np.greater(scale, 0)).tolist()
+
+
+def _chart_dim(cfg: RunConfig) -> int:
+    q = cfg.rank
+    return cfg.n * q + cfg.m * q - q * q
+
+
+def _fd_chart(suite: str, cfg: RunConfig) -> bool:
+    # Whether the check makes FD chart points: invariance always;
+    # jacobian-full, and operator-rank below full rank, on small charts.
+    if suite == "invariance":
+        return True
+    deficient = cfg.rank < min(cfg.n, cfg.m)
+    return _chart_dim(cfg) <= FD_CROSS_CHECK_MAX_ENTRIES and (
+        suite == "jacobian-full" or suite == "operator-rank" and deficient)
 
 
 def _pinv_chart_det(cfg: RunConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -147,7 +166,7 @@ def _check_jacobian_full(cfg: RunConfig, draws: list[tuple]) -> list[Verificatio
     formula = differential.jacobian_det_full_rank(x, info)
     values = {"operator_det": differential.jacobian_det_operator(x, info), "closed_form": formula}
     residuals = {"operator_vs_formula": _rel(abs(values["operator_det"] - formula), formula)}
-    if cfg.n * cfg.m <= FD_CROSS_CHECK_MAX_ENTRIES:
+    if _fd_chart("jacobian-full", cfg):
         values["fd_chart_det"] = fd_det = _pinv_chart_det(cfg, x, matcore.pinv(x))
         residuals["fd_vs_formula"] = _rel(abs(fd_det - formula), formula)
     return stack_reports("jacobian-full", {"n": cfg.n, "m": cfg.m, "q": cfg.rank}, values,
@@ -161,34 +180,44 @@ def _draw_operator_rank(cfg: RunConfig, rng: np.random.Generator) -> tuple:
 def _check_operator_rank(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
     q, n, m = cfg.rank, cfg.n, cfg.m
     x, v = _instances(draws)
-    expected = n * q + m * q - q * q
-    y = matcore.pinv(x)
-    projected = (np.eye(n) - x @ y) @ v @ (np.eye(m) - y @ x)
+    expected = _chart_dim(cfg)
+    deficient = q < min(n, m)
+    if deficient:
+        # At full rank the normal space (I - XY) V (I - YX) is {0}: V is
+        # still drawn, but only the rank condition judges the kernel.
+        y = matcore.pinv(x)
+        projected = (np.eye(n) - x @ y) @ v @ (np.eye(m) - y @ x)
     # The dense operator's pseudo-determinant against the product of the
     # closed-form spectrum, prod d^-2(n+m-q), the paper's rank-deficient
     # factor.  Both are summed as logs of the individual singular values:
     # the products themselves leave the float range at moderate sizes.
     log_factor = differential.operator_log_pdet(x, matcore.rank_profile(x))
     chart_det = None
-    if q < min(n, m) and expected <= FD_CROSS_CHECK_MAX_ENTRIES:
+    if _fd_chart("operator-rank", cfg):
         # No closed form is known for this determinant; it is reported for
         # reproducibility only, never asserted against a formula.
         chart_det = _pinv_chart_det(cfg, x, y).tolist()
     reports = []
     for t in range(len(x)):
-        # The nm x nm operator, its norms and its rank SVD, slice by slice.
+        # The symmetric nm x nm operator, its norms and its rank from one
+        # symmetric eigensolve, slice by slice; the eigensolve reads one
+        # triangle, so the symmetry is a residual of its own.
         op = differential.jacobian_operator(x[t])
-        image = op @ matcore.vec(projected[t])
-        scale = np.linalg.norm(op) * max(np.linalg.norm(projected[t]), 1e-300)
-        op_info = matcore.rank_profile(op)
+        op_norm = np.linalg.norm(op)
+        op_info = matcore.symmetric_rank_profile(op)
         log_pdet = np.sum(np.log(op_info.singular_values[:expected]))
         values = {"operator_rank": op_info.rank, "expected_rank": expected}
         if chart_det is not None:
             values["deficient_chart_det"] = chart_det[t]
+        residuals = {}
+        if deficient:
+            image = op @ projected[t].ravel()
+            scale = op_norm * max(np.linalg.norm(projected[t]), 1e-300)
+            residuals["annihilation"] = _rel(np.linalg.norm(image), scale)
+        residuals["pseudo_det"] = float(abs(log_pdet - log_factor[t]))
+        residuals["symmetry"] = _rel(np.linalg.norm(op - op.T), op_norm)
         reports.append(VerificationReport(
-            "operator-rank", {"n": n, "m": m, "q": q}, values,
-            {"annihilation": _rel(np.linalg.norm(image), scale),
-             "pseudo_det": float(abs(log_pdet - log_factor[t]))},
+            "operator-rank", {"n": n, "m": m, "q": q}, values, residuals,
             tol=cfg.tol, conditions=(op_info.rank == expected,),
         ))
     return reports
@@ -291,9 +320,19 @@ def run_trial(suite: str, cfg: RunConfig, trial: int) -> VerificationReport:
     return _stamp(report, cfg, trial, attempt)
 
 
-def _trial_stacks(cfg: RunConfig) -> list[range]:
-    q = cfg.rank
-    size = max(1, STACK_ENTRIES // (2 * (cfg.n * q + cfg.m * q - q * q) * cfg.n * cfg.m))
+def _trial_entries(suite: str, cfg: RunConfig) -> int:
+    # Entries one trial adds to a stacked pass: its FD evaluation points
+    # where its check makes them, else its n x m instance.
+    n, m = cfg.n, cfg.m
+    if _fd_chart(suite, cfg):
+        return 2 * _chart_dim(cfg) * n * m
+    if suite == "symmetric-inverse":  # two m x m points per vech coordinate
+        return m * (m + 1) * m * m
+    return (2 if suite == "differential" else 1) * n * m  # differential: X +- h dX
+
+
+def _trial_stacks(suite: str, cfg: RunConfig) -> list[range]:
+    size = max(1, STACK_ENTRIES // _trial_entries(suite, cfg))
     return [range(t, min(t + size, cfg.trials)) for t in range(0, cfg.trials, size)]
 
 
@@ -309,7 +348,7 @@ def run_suite(suite: str, cfg: RunConfig) -> SuiteResult:
     cfg = validate_config(cfg, suite)
     start = time.perf_counter()
     reports: list[VerificationReport] = []
-    for trials in _trial_stacks(cfg):
+    for trials in _trial_stacks(suite, cfg):
         stacked = None
         if len(trials) > 1:
             try:

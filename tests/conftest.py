@@ -14,15 +14,25 @@ else:
     settings.load_profile("mpjl")
 
 
-@pytest.fixture
-def svd_shapes(monkeypatch):
-    """Shapes of the matrices passed to ``np.linalg.svd`` while the test runs."""
+def _record_shapes(monkeypatch, name):
     shapes = []
-    svd = np.linalg.svd
+    function = getattr(np.linalg, name)
 
     def spy(a, *args, **kwargs):
         shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+        return function(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setattr(np.linalg, name, spy)
     return shapes
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """Shapes of the matrices passed to ``np.linalg.svd`` while the test runs."""
+    return _record_shapes(monkeypatch, "svd")
+
+
+@pytest.fixture
+def eigvalsh_shapes(monkeypatch):
+    """Shapes of the matrices passed to ``np.linalg.eigvalsh`` while the test runs."""
+    return _record_shapes(monkeypatch, "eigvalsh")

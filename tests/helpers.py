@@ -11,8 +11,8 @@ def commutation_matrix(m: int, n: int) -> np.ndarray:
     """Permutation K with K @ vec(A) = vec(A.T) for every n x m matrix A.
 
     The argument order follows the subscript convention K_mn acting on the
-    vectorization of an n x m matrix.  The oracle of the column gather in
-    ``differential.jacobian_operator``.
+    vectorization of an n x m matrix.  The oracle of the commutation that
+    ``differential.jacobian_operator`` builds entrywise.
     """
     k = np.zeros((m * n, m * n))
     for i in range(n):

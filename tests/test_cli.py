@@ -223,6 +223,27 @@ def test_operator_rank_reports_deficient_chart_det(capsys):
         assert "deficient_chart_det" not in report["tolerances"]
 
 
+@pytest.mark.parametrize("extra", [
+    ["--n", "8", "--m", "4", "--q", "4"], ["--n", "5", "--m", "5", "--q", "5"],
+    ["--n", "1", "--m", "5", "--q", "1"], ["--n", "4", "--m", "3"],
+])
+def test_operator_rank_at_full_rank_has_no_annihilation(capsys, extra):
+    # At full rank the normal space (I - XY) V (I - YX) is {0}: no
+    # annihilation residual, and the rank condition operator_rank =
+    # expected_rank = nm judges the kernel; --tol has nothing to replace.
+    argv = ["verify", "operator-rank", *extra, "--trials", "5", "--seed", "1"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    n, m = int(extra[1]), int(extra[3])
+    for report in json.loads(out)["reports"]:
+        assert report["pass"] is True
+        assert list(report["residuals"]) == list(report["tolerances"]) == ["pseudo_det", "symmetry"]
+        assert report["values"]["operator_rank"] == report["values"]["expected_rank"] == n * m
+    code, out, err = run_cli(capsys, *argv, "--tol", "1e-12")
+    assert (code, out) == (2, "")
+    assert err == "error: operator-rank at full rank has no annihilation residual; drop --tol\n"
+
+
 def test_suites_fast_at_default_sizes(capsys):
     # Heaviest suite at the documented default-size envelope (n, m <= 8,
     # trials <= 100) must stay far under the 60 s budget.

@@ -31,11 +31,23 @@ def instances(draw):
 def test_operator_spectrum_matches_dense_operator(case):
     n, m, q, x = case
     op = df.jacobian_operator(x)
+    assert np.array_equal(op, op.T)
+    dx = mc.make_rng(n, m, q).standard_normal((n, m))
+    image = df.pinv_differential(x, dx).T.ravel()
+    np.testing.assert_allclose(op @ dx.ravel(), image, rtol=0,
+                               atol=1e-12 * np.linalg.norm(op) * np.linalg.norm(dx))
     info = mc.rank_profile(x)
     spectrum = df.operator_spectrum(x, info)
     assert spectrum.size == n * q + m * q - q * q
     assert spectrum.size == mc.rank_profile(op).rank
-    dense = np.linalg.svd(op, compute_uv=False)[: spectrum.size]
+    singular = np.linalg.svd(op, compute_uv=False)
+    symmetric = mc.symmetric_rank_profile(op)
+    assert symmetric.rank == spectrum.size
+    np.testing.assert_allclose(symmetric.singular_values[: spectrum.size],
+                               singular[: spectrum.size], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(symmetric.singular_values, singular, rtol=0,
+                               atol=1e-12 * singular[0])
+    dense = singular[: spectrum.size]
     np.testing.assert_allclose(spectrum, dense, rtol=1e-10, atol=0)
     d = info.singular_values[:q]
     factor = measures.nonfullrank_jacobian_factor(n, m, d)

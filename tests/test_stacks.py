@@ -48,12 +48,8 @@ def test_stack_gives_the_bytes_of_the_trials_one_by_one(suite, cfg):
     assert dumps_canonical(suites.run_suite(suite, cfg).to_json()) == expected
 
 
-def test_stacks_split_by_the_entry_budget_give_the_bytes_of_one_stack(monkeypatch):
-    cfg = suites.RunConfig(n=4, m=3, q=2, trials=7, seed=8)
-    whole = dumps_canonical(suites.run_suite("operator-rank", cfg).to_json())
-    assert len(suites._trial_stacks(suites.validate_config(cfg, "operator-rank"))) == 1
-    # 2 * 10 points of 12 entries per trial: three trials to a stack.
-    monkeypatch.setattr(suites, "STACK_ENTRIES", 3 * 2 * 10 * 12)
+def _stack_passes(monkeypatch) -> list[int]:
+    """Sizes of the stacked passes that ``run_suite`` makes while the test runs."""
     passes, run_stack = [], suites._run_stack
 
     def spy(*args):
@@ -62,8 +58,28 @@ def test_stacks_split_by_the_entry_budget_give_the_bytes_of_one_stack(monkeypatc
         return reports
 
     monkeypatch.setattr(suites, "_run_stack", spy)
+    return passes
+
+
+def test_stacks_split_by_the_entry_budget_give_the_bytes_of_one_stack(monkeypatch):
+    cfg = suites.RunConfig(n=4, m=3, q=2, trials=7, seed=8)
+    whole = dumps_canonical(suites.run_suite("operator-rank", cfg).to_json())
+    assert len(suites._trial_stacks("operator-rank",
+                                    suites.validate_config(cfg, "operator-rank"))) == 1
+    # 2 * 10 points of 12 entries per trial: three trials to a stack.
+    monkeypatch.setattr(suites, "STACK_ENTRIES", 3 * 2 * 10 * 12)
+    passes = _stack_passes(monkeypatch)
     assert dumps_canonical(suites.run_suite("operator-rank", cfg).to_json()) == whole
     assert passes == [3, 3]  # the last trial, a stack of one, runs on its own
+
+
+def test_suite_without_fd_points_is_sized_by_its_instances(monkeypatch):
+    # exterior-chain evaluates no FD point: twelve 30 x 20 trials are one stack.
+    cfg = suites.RunConfig(n=30, m=20, trials=12, seed=6)
+    expected = _one_by_one("exterior-chain", cfg)
+    passes = _stack_passes(monkeypatch)
+    assert dumps_canonical(suites.run_suite("exterior-chain", cfg).to_json()) == expected
+    assert passes == [12]
 
 
 def test_one_trial_runs_trial_by_trial_only(monkeypatch):

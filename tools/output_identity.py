@@ -19,7 +19,8 @@ its own directory.  It replays:
   be written, report merges and parse errors, runs whose trial stack
   raises and so reruns trial by trial (a ``ChartInvalid`` or
   ill-conditioned pivot in one trial, retried draws, and a retry budget
-  that runs out), and a stack whose determinants overflow.
+  that runs out), a stack whose determinants overflow, ``operator-rank``
+  at full rank and at 32 x 24, and a twelve-trial 30 x 20 stack.
 
 Each invocation records its exit code (or the exception that escaped
 ``cli.main``), its stdout, its ``error: ...`` lines of stderr and the
@@ -49,8 +50,8 @@ SEEDS = (101, 102, 103)
 CYCLES = 3
 
 # linspace(0.3, 0.15, 20) and linspace(0.06, 0.03, 8): |X'X|^-n leaves the
-# float range at 30 x 20 and at 16 x 8.  The entry budget runs 30 x 20 in
-# stacks of one; 16 x 8 runs in stacks of two.
+# float range at 30 x 20 and at 16 x 8.  The entry budget puts each run in
+# one trial stack.
 OVERFLOW_SPECTRA = {(30, 20): ",".join(str(0.3 - 0.15 * i / 19) for i in range(20)),
                     (16, 8): ",".join(str(0.06 - 0.03 * i / 7) for i in range(8))}
 
@@ -105,6 +106,12 @@ EDGE_CASES = [
        "--spectrum", OVERFLOW_SPECTRA[n, m], "--format", fmt]
       for n, m, trials in ((30, 20, 3), (16, 8, 4)) for fmt in ("json", "text")),
     ["verify", "blocks", "--trials", "1", "--out", "no-such-dir/x.json"],
+    ["verify", "operator-rank", "--n", "8", "--m", "4", "--q", "4", "--trials", "3",
+     "--format", "json"],
+    ["verify", "operator-rank", "--n", "4", "--m", "3", "--trials", "2", "--format", "json"],
+    ["verify", "operator-rank", "--n", "32", "--m", "24", "--q", "12", "--trials", "1",
+     "--format", "json"],
+    ["verify", "exterior-chain", "--n", "30", "--m", "20", "--trials", "12", "--format", "json"],
 ]
 
 
