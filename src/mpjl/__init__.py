@@ -57,7 +57,6 @@ from .matcore import (
     rank_profile,
     sample_spectrum,
     svd_thin,
-    vec,
 )
 from .measures import (
     exterior_chain_check,

@@ -18,9 +18,13 @@ and the commutation matrix K, K vec(dX') = vec(dX), S is
 
     -(Y' kron Y) K + (I_n - X Y) kron (Y Y') + (Y' Y) kron (I_m - Y X).
 
-Spectrum theorem.  Write X = U diag(D, 0) V' with the q retained singular
-values D, and rotate dX into that basis.  The differential then scales the
-leading q x q block entrywise by -1/(d_i d_j), transposes the two
+Spectrum theorem.  Split the full SVD X = U diag(D, 0) V' after the q
+retained singular values D: U = [U1 U2], V = [V1 V2].  S maps each of
+col(X) kron row(X), null(X') kron row(X), col(X) kron null(X) and
+null(X') kron null(X) (U1 kron V1, U2 kron V1, U1 kron V2, U2 kron V2)
+into itself: P_L vanishes on col(X), Y on null(X'), and Y Y', Y' Y map
+into row(X), col(X).  In that basis the differential scales the leading
+q x q block of dX entrywise by -1/(d_i d_j), transposes the two
 off-diagonal blocks scaling them by d_i^-2, and annihilates the trailing
 block.  Each piece is a scaled permutation, so the operator's nonzero
 singular values are 1/(d_i d_j) over all q^2 pairs and d_i^-2, each with
@@ -28,18 +32,22 @@ multiplicity n+m-2q: nq+mq-q^2 values in all.  Their product is
 prod d_i^-2(n+m-q), the rank-deficient change-of-variables factor; at full
 rank it is the determinant |X'X|^-n (tall) or |XX'|^-m (wide).
 ``operator_spectrum`` and ``jacobian_det_operator`` use this from the
-caller's ``rank_profile`` of X, so X is factored once.  The dense
-``jacobian_operator`` is kept as the oracle the theorem is checked
-against.
+caller's ``rank_profile`` of X, so X is factored once.  The dense operator
+is the oracle the theorem is checked against, block by block: (U kron V)'
+S(X, Y) (U kron V) = S(U'XV, V'YU), so ``pair_operator`` of the rotated
+pair is S in that basis.  Its off-block part E is measured, never assumed
+zero: by Weyl's inequality every eigenvalue of S lies within ||E||_F of
+the spectrum of the blocks (``subspace_rank_profile``).
 
-The finite-difference oracles here are the independent checks for
-the analytic forms; they pin the rank of every evaluation point to the rank
-of the base point, because the pseudoinverse is discontinuous across rank
+The finite-difference oracles here are the independent checks for the
+analytic forms; they pin the rank of every evaluation point to the rank of
+the base point, because the pseudoinverse is discontinuous across rank
 changes.
 
 Every function here except ``jacobian_operator`` also takes a stack (T, n,
-m), one result per slice with the bits of the 2-D call: steps that numpy
-rounds differently on arrays (scalar powers, logs) stay per slice.
+m) (``subspace_rank_profile`` only a stack), one result per slice with the
+bits of the 2-D call: steps that numpy rounds differently on arrays
+(scalar powers, logs) stay per slice.
 """
 
 from __future__ import annotations
@@ -51,8 +59,8 @@ import numpy as np
 from .chart import BlockDecomposition, assemble, perturbed_assemble
 from .errors import NotFullRank, RankDrift, ShapeMismatch
 from .matcore import (
-    RankInfo, _pinv_from_svd, as_matrix, as_stack, common_rank, pinv, pinv_fixed_rank, rank_profile,
-    scalar_powers,
+    RankInfo, _pinv_from_svd, _rank_info, as_matrix, as_stack, common_rank, pinv, pinv_fixed_rank,
+    rank_profile, scalar_powers,
 )
 
 
@@ -88,27 +96,41 @@ def pinv_differential(x, dx) -> np.ndarray:
     return -y @ dx @ y + y @ yt @ dxt @ left_proj + right_proj @ dxt @ yt @ y
 
 
-def jacobian_operator(x) -> np.ndarray:
-    """The symmetric nm x nm matrix S with S @ dX.ravel() = pinv_differential(X, dX).T.ravel().
-
-    O((nm)^2) memory; the closed forms below replace it everywhere except
-    as the oracle that checks them.  Built as the (n, m, n, m) array
-    S[l, k, i, j] = P_L[l, i] (Y Y')[k, j] + (Y'Y)[l, i] P_R[k, j] - Y'[l, j] Y[k, i].
-    """
-    x = as_matrix(x)
-    n, m = x.shape
-    y = pinv(x)
-    yt = y.T
+def pair_operator(x, y) -> np.ndarray:
+    """S of the pair (X, Y = pinv(X)) as an (..., n, m, n, m) array, O((nm)^2) memory:
+    S[l, k, i, j] = P_L[l, i] (Y Y')[k, j] + (Y'Y)[l, i] P_R[k, j] - Y'[l, j] Y[k, i]."""
+    n, m = x.shape[-2:]
+    yt = y.swapaxes(-1, -2)
     # Each factor is symmetric in exact arithmetic; taking it so in floating
     # point makes S exactly symmetric, so one triangle of S holds all of it.
     # The rounding asymmetry of I - XY would otherwise move the small
     # eigenvalues of that triangle at first order.
-    left, right, yyt, yty = (0.5 * (a + a.T) for a in (
+    left, right, yyt, yty = (0.5 * (a + a.swapaxes(-1, -2)) for a in (
         np.eye(n) - x @ y, np.eye(m) - y @ x, y @ yt, yt @ y))
-    s = left[:, None, :, None] * yyt[None, :, None, :]
-    s += yty[:, None, :, None] * right[None, :, None, :]
-    s -= yt[:, None, None, :] * y[None, :, :, None]
-    return s.reshape(n * m, n * m)
+    s = left[..., :, None, :, None] * yyt[..., None, :, None, :]
+    s += yty[..., :, None, :, None] * right[..., None, :, None, :]
+    s -= yt[..., :, None, None, :] * y[..., None, :, :, None]
+    return s
+
+
+def jacobian_operator(x) -> np.ndarray:
+    """The symmetric nm x nm matrix S with S @ dX.ravel() = pinv_differential(X, dX).T.ravel()."""
+    x = as_matrix(x)
+    return pair_operator(x, pinv(x)).reshape(x.size, x.size)
+
+
+def subspace_rank_profile(s: np.ndarray, q: int) -> RankInfo:
+    """Rank profile of a (T, n, m, n, m) operator in the basis U kron V from one stacked
+    ``eigvalsh`` per nonempty diagonal block, in the order above; zeroes them in ``s``."""
+    values, head, tail = [], slice(q), slice(q, None)
+    for rows, cols in ((head, head), (tail, head), (head, tail), (tail, tail)):
+        block = s[:, rows, cols, rows, cols]
+        k = block.shape[1] * block.shape[2]
+        if k:
+            values.append(np.abs(np.linalg.eigvalsh(block.reshape(len(s), k, k))))
+        block[...] = 0.0
+    nm = s.shape[1] * s.shape[2]
+    return _rank_info(np.sort(np.concatenate(values, -1), axis=-1)[..., ::-1], (nm, nm))
 
 
 def operator_spectrum(x: np.ndarray, info: RankInfo) -> np.ndarray:

@@ -1,20 +1,18 @@
 """Dense real matrix primitives.
 
-Column-stacking vectorization, thin SVD with an explicit rank policy,
-the Moore-Penrose inverse, and seeded random generators for test
-instances.  Everything works on plain ``numpy.ndarray`` values of dtype
-float64; matrices are 2-D arrays.  Functions documented as taking a stack
-also take shape (..., n, m), one matrix per slice, each slice getting the
-bits of the 2-D call.  Numpy rounds Frobenius norms and scalar powers
-differently on a stack, so ``frobenius_norms`` and ``scalar_powers`` take
-them slice by slice.
+Full and thin SVD with an explicit rank policy, the Moore-Penrose
+inverse, and seeded random generators for test instances.  Everything
+works on plain ``numpy.ndarray`` values of dtype float64; matrices are
+2-D arrays.  Functions documented as taking a stack also take shape (...,
+n, m), one matrix per slice, each slice getting the bits of the 2-D call.
+Numpy rounds Frobenius norms and scalar powers differently on a stack, so
+``frobenius_norms`` and ``scalar_powers`` take them slice by slice.
 
 Rank policy: a singular value of an n x m matrix is retained when it
 exceeds ``max(n, m) * eps * s[0]``, with eps the machine epsilon.
-``_rank_info`` is the one place that cut is made (``rank_profile``,
-``symmetric_rank_profile``, ``svd_thin`` and ``pinv`` all go through it),
-and ``_pinv_from_svd`` the one place retained factors become a
-pseudoinverse (``pinv`` and ``pinv_fixed_rank``).
+``_rank_info`` is the one place that cut is made (also for the operator
+blocks of ``differential.subspace_rank_profile``), and ``_pinv_from_svd``
+the one place retained factors become a pseudoinverse.
 
 Conditioning policy: ``ill_conditioned`` is the one test of whether a
 square block can be inverted.  Callers pick its threshold and comparison
@@ -89,11 +87,6 @@ class SvdFactors:
     v: np.ndarray
 
 
-def vec(a) -> np.ndarray:
-    """Column-stacking vectorization: entry (i, j) lands at position j*n + i."""
-    return as_matrix(a).reshape(-1, order="F")
-
-
 def frobenius_norms(a) -> np.ndarray:
     """Frobenius norm of each slice of a matrix or stack (..., n, m): shape (...)."""
     a = np.asarray(a)
@@ -133,13 +126,6 @@ def rank_profile(x) -> RankInfo:
     return _rank_info(np.linalg.svd(x, compute_uv=False), x.shape)
 
 
-def symmetric_rank_profile(a) -> RankInfo:
-    """:func:`rank_profile` of a symmetric matrix or stack from one ``eigvalsh``, which
-    reads only the lower triangle: the absolute eigenvalues, in decreasing order."""
-    a = as_stack(a)
-    return _rank_info(np.sort(np.abs(np.linalg.eigvalsh(a)), axis=-1)[..., ::-1], a.shape)
-
-
 def _check_distinct(s: np.ndarray) -> None:
     # Eq.-level downstream formulas divide by squared-value gaps, so ties
     # among retained singular values are a hard error.
@@ -147,6 +133,15 @@ def _check_distinct(s: np.ndarray) -> None:
         raise DegenerateSpectrum(
             f"retained singular values too close: {s.tolist()}"
         )
+
+
+def svd_full(x) -> tuple[np.ndarray, RankInfo, np.ndarray, np.ndarray]:
+    """One full SVD of a matrix or stack: orthogonal ``u`` (n x n) and ``vt`` (m x m), the
+    rank profile, and the pseudoinverse from the retained triplets (one rank per stack)."""
+    x = as_stack(x)
+    u, s, vt = np.linalg.svd(x)
+    info = _rank_info(s, x.shape)
+    return u, info, vt, _pinv_from_svd(u, s, vt, common_rank(info))
 
 
 def svd_thin(x) -> tuple[SvdFactors, RankInfo]:

@@ -9,15 +9,15 @@ sub-seed up to the retry budget, then reported as a hard failure.
 
 A suite is a pair: ``draw(cfg, rng)`` makes every generator call of one
 trial, ``check(cfg, draws)`` judges a stack of trials' draws, one report
-per trial, in stacked numpy calls (``hausdorff`` loops over its spectra,
-``operator-rank`` over its dense operators, each symmetric and factored by
-one symmetric eigensolve).  ``run_suite`` draws each stack of trials,
-capped by ``STACK_ENTRIES`` entries of what the check holds per trial,
-from their first attempts' streams and checks it in one pass; if that
-raises anything, the stack reruns trial by trial through ``run_trial``,
-the same check on stacks of one with the retry policy, so every report
-and error is that of the trials run one by one.  A stack of one trial
-takes that path directly.
+per trial, in stacked numpy calls (``hausdorff`` loops over its spectra;
+``operator-rank`` factors its dense operators by one stacked eigensolve
+per block along X's four fundamental subspaces).  ``run_suite`` draws
+each stack of trials, capped by ``STACK_ENTRIES`` entries of what the
+check holds per trial, from their first attempts' streams and checks it in
+one pass; if that raises anything, the stack reruns trial by trial through
+``run_trial``, the same check on stacks of one with the retry policy, so
+every report and error is that of the trials run one by one.  A stack of
+one trial takes that path directly.
 """
 
 from __future__ import annotations
@@ -179,48 +179,41 @@ def _draw_operator_rank(cfg: RunConfig, rng: np.random.Generator) -> tuple:
 
 def _check_operator_rank(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
     q, n, m = cfg.rank, cfg.n, cfg.m
-    x, v = _instances(draws)
+    x, g = _instances(draws)
     expected = _chart_dim(cfg)
-    deficient = q < min(n, m)
-    if deficient:
-        # At full rank the normal space (I - XY) V (I - YX) is {0}: V is
-        # still drawn, but only the rank condition judges the kernel.
-        y = matcore.pinv(x)
-        projected = (np.eye(n) - x @ y) @ v @ (np.eye(m) - y @ x)
-    # The dense operator's pseudo-determinant against the product of the
-    # closed-form spectrum, prod d^-2(n+m-q), the paper's rank-deficient
-    # factor.  Both are summed as logs of the individual singular values:
-    # the products themselves leave the float range at moderate sizes.
-    log_factor = differential.operator_log_pdet(x, matcore.rank_profile(x))
-    chart_det = None
+    # One full SVD of the stack: X's rank profile, its pseudoinverse, and
+    # the bases U, V of its four fundamental subspaces.
+    u, info, vt, y = matcore.svd_full(x)
+    ut, v = u.swapaxes(-1, -2), vt.swapaxes(-1, -2)
+    chart_det = {}
     if _fd_chart("operator-rank", cfg):
         # No closed form is known for this determinant; it is reported for
         # reproducibility only, never asserted against a formula.
-        chart_det = _pinv_chart_det(cfg, x, y).tolist()
-    reports = []
-    for t in range(len(x)):
-        # The symmetric nm x nm operator, its norms and its rank from one
-        # symmetric eigensolve, slice by slice; the eigensolve reads one
-        # triangle, so the symmetry is a residual of its own.
-        op = differential.jacobian_operator(x[t])
-        op_norm = np.linalg.norm(op)
-        op_info = matcore.symmetric_rank_profile(op)
-        log_pdet = np.sum(np.log(op_info.singular_values[:expected]))
-        values = {"operator_rank": op_info.rank, "expected_rank": expected}
-        if chart_det is not None:
-            values["deficient_chart_det"] = chart_det[t]
-        residuals = {}
-        if deficient:
-            image = op @ projected[t].ravel()
-            scale = op_norm * max(np.linalg.norm(projected[t]), 1e-300)
-            residuals["annihilation"] = _rel(np.linalg.norm(image), scale)
-        residuals["pseudo_det"] = float(abs(log_pdet - log_factor[t]))
-        residuals["symmetry"] = _rel(np.linalg.norm(op - op.T), op_norm)
-        reports.append(VerificationReport(
-            "operator-rank", {"n": n, "m": m, "q": q}, values, residuals,
-            tol=cfg.tol, conditions=(op_info.rank == expected,),
-        ))
-    return reports
+        chart_det["deficient_chart_det"] = _pinv_chart_det(cfg, x, y)
+    # The symmetric operator in the basis U kron V; each block eigensolve
+    # reads one triangle, so the symmetry is a residual of its own.
+    s = differential.pair_operator(ut @ x @ v, vt @ y @ u)
+    op = s.reshape(len(x), n * m, n * m)
+    norm = matcore.frobenius_norms(op)
+    residuals = {}
+    if q < min(n, m):
+        # At full rank the normal space (I - XY) G (I - YX) is {0}: G is
+        # still drawn, but only the rank condition judges the kernel.
+        p = ut @ (np.eye(n) - x @ y) @ g @ (np.eye(m) - y @ x) @ v
+        image = op @ p.reshape(-1, n * m, 1)
+        scale = norm * np.maximum(matcore.frobenius_norms(p), 1e-300)
+        residuals["annihilation"] = _rel(matcore.frobenius_norms(image), scale)
+    symmetry = _rel(matcore.frobenius_norms(op - op.swapaxes(-1, -2)), norm)
+    rank = differential.subspace_rank_profile(s, q)  # op keeps only its off-block part
+    # The pseudo-determinant against prod d^-2(n+m-q), the paper's
+    # rank-deficient factor, both as sums of logs of the singular values:
+    # the products leave the float range at moderate sizes.
+    log_pdet = np.array([np.log(sv[:expected]).sum() for sv in rank.singular_values])
+    residuals.update(pseudo_det=abs(log_pdet - differential.operator_log_pdet(x, info)),
+                     symmetry=symmetry, leak=_rel(matcore.frobenius_norms(op), norm))
+    values = {"operator_rank": rank.rank, "expected_rank": expected, **chart_det}
+    return stack_reports("operator-rank", {"n": n, "m": m, "q": q}, values, residuals,
+                         tol=cfg.tol, conditions=(rank.rank == expected,))
 
 
 def _draw_invariance(cfg: RunConfig, rng: np.random.Generator) -> tuple:
@@ -322,10 +315,14 @@ def run_trial(suite: str, cfg: RunConfig, trial: int) -> VerificationReport:
 
 def _trial_entries(suite: str, cfg: RunConfig) -> int:
     # Entries one trial adds to a stacked pass: its FD evaluation points
-    # where its check makes them, else its n x m instance.
+    # where its check makes them, operator-rank's dense operator where that
+    # is more, else its n x m instance.
     n, m = cfg.n, cfg.m
-    if _fd_chart(suite, cfg):
-        return 2 * _chart_dim(cfg) * n * m
+    points = 2 * _chart_dim(cfg) * n * m if _fd_chart(suite, cfg) else 0
+    if suite == "operator-rank":
+        return max(points, (n * m) ** 2)
+    if points:
+        return points
     if suite == "symmetric-inverse":  # two m x m points per vech coordinate
         return m * (m + 1) * m * m
     return (2 if suite == "differential" else 1) * n * m  # differential: X +- h dX

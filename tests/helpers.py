@@ -7,6 +7,11 @@ from mpjl.errors import ShapeMismatch
 from mpjl.matcore import as_matrix
 
 
+def vec(a) -> np.ndarray:
+    """Column-stacking vectorization: entry (i, j) lands at position j*n + i."""
+    return as_matrix(a).reshape(-1, order="F")
+
+
 def commutation_matrix(m: int, n: int) -> np.ndarray:
     """Permutation K with K @ vec(A) = vec(A.T) for every n x m matrix A.
 

@@ -17,7 +17,7 @@ PUBLIC = [
     "pinv_differential", "pinv_fixed_rank", "pinv_from_blocks", "pinv_spectrum",
     "random_rank_q", "random_stiefel", "rank_profile", "reports", "run_suite",
     "sample_spectrum", "suites", "svd_thin", "symmetric_inverse_fd_det",
-    "symmetric_inverse_jacobian_formula", "symmetric_part", "tangent_perturbation", "vec",
+    "symmetric_inverse_jacobian_formula", "symmetric_part", "tangent_perturbation",
     "x22_from_blocks",
 ]
 

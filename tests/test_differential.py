@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import commutation_matrix, make_blocks
+from helpers import commutation_matrix, make_blocks, vec
 from mpjl import chart, matcore as mc, suites
 from mpjl import differential as df
 from mpjl.errors import NotFullRank, RankDrift
@@ -71,8 +71,8 @@ def test_operator_consistent_with_differential():
     op = df.jacobian_operator(x)
     for _ in range(10):
         dx = rng.standard_normal((3, 2))
-        lhs = op @ mc.vec(dx.T)
-        rhs = mc.vec(df.pinv_differential(x, dx))
+        lhs = op @ vec(dx.T)
+        rhs = vec(df.pinv_differential(x, dx))
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
@@ -85,8 +85,8 @@ def test_operator_consistency_across_shapes_and_ranks():
         x = mc.random_rank_q(n, m, q, rng)
         op = df.jacobian_operator(x)
         dx = rng.standard_normal((n, m))
-        lhs = op @ mc.vec(dx.T)
-        rhs = mc.vec(df.pinv_differential(x, dx))
+        lhs = op @ vec(dx.T)
+        rhs = vec(df.pinv_differential(x, dx))
         scale = max(np.linalg.norm(rhs), np.linalg.norm(op) * np.linalg.norm(dx))
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * scale
 
@@ -140,14 +140,59 @@ def test_determinant_suites_factor_x_as_often_as_needed(svd_shapes, suite, svds)
 
 
 def test_operator_rank_suite_keeps_dense_rank_oracle(svd_shapes, eigvalsh_shapes):
-    # One symmetric eigensolve of the dense nm x nm operator per trial, and
-    # no SVD of it: every SVD is of X or of a stack of X.
-    n, m, trials = 24, 20, 2
-    cfg = suites.RunConfig(n=n, m=m, q=8, trials=trials, seed=48)
-    result = suites.run_suite("operator-rank", cfg)
-    assert result.all_passed and [r.inputs["attempt"] for r in result.reports] == [0] * trials
-    assert eigvalsh_shapes == [(n * m, n * m)] * trials
-    assert svd_shapes and all(s[-2:] == (n, m) for s in svd_shapes)
+    # The dense operator is split along X's four fundamental subspaces: one
+    # full SVD of each (T, n, m) stack of X, one stacked eigensolve per
+    # nonempty diagonal block, and no factorization of an nm x nm matrix.
+    # 24x20 runs in stacks of one (its operator alone outgrows the entry
+    # budget); 6x5 in one stack, below and at full rank (two empty blocks).
+    for n, m, q, trials, stacks in ((24, 20, 8, 2, [1, 1]), (6, 5, 2, 3, [3]), (6, 5, 5, 3, [3])):
+        svd_shapes.clear()
+        eigvalsh_shapes.clear()
+        cfg = suites.RunConfig(n=n, m=m, q=q, trials=trials, seed=48)
+        result = suites.run_suite("operator-rank", cfg)
+        assert result.all_passed and [r.inputs["attempt"] for r in result.reports] == [0] * trials
+        ranks = [r.values["operator_rank"] for r in result.reports]
+        assert ranks == [n * q + m * q - q * q] * trials
+        assert svd_shapes == [(t, n, m) for t in stacks]
+        orders = [k for k in (q * q, (n - q) * q, q * (m - q), (n - q) * (m - q)) if k]
+        assert eigvalsh_shapes == [(t, k, k) for t in stacks for k in orders]
+
+
+def test_operator_rank_leak_catches_an_off_block_pair(monkeypatch):
+    # A symmetric pair of entries, 1e-6 ||S|| each, coupling col(X) kron
+    # row(X) to null(X') kron null(X): the operator stays exactly symmetric,
+    # and only the leak of the block split can see it.
+    cfg = suites.RunConfig(n=5, m=4, q=2, trials=3, seed=52)
+    assert suites.run_suite("operator-rank", cfg).all_passed
+    build = df.pair_operator
+
+    def leaky(x, y):
+        s = build(x, y)
+        size = 1e-6 * np.sqrt(np.sum(s**2, axis=(-4, -3, -2, -1)))
+        s[..., 0, 0, -1, -1] += size
+        s[..., -1, -1, 0, 0] += size
+        return s
+
+    monkeypatch.setattr(df, "pair_operator", leaky)
+    for report in suites.run_suite("operator-rank", cfg).reports:
+        residuals, tolerances = report.residuals, report.tolerances
+        assert not report.passed
+        assert residuals["leak"] > 1e3 * tolerances["leak"]
+        assert residuals["symmetry"] <= tolerances["symmetry"]
+
+
+# The shapes of the cond(X) sweep; at cond(X) = 1e4 oracle rounding already
+# fails pseudo_det on about half of their trials.
+SWEEP_SHAPES = [(4, 3, 2), (5, 5, 3), (6, 5, 2), (6, 5, 4), (8, 6, 3), (8, 6, 5), (12, 10, 6),
+                (24, 20, 8)]
+
+
+@pytest.mark.parametrize("n, m, q", SWEEP_SHAPES)
+def test_operator_rank_passes_at_cond_1e3(n, m, q):
+    spectrum = tuple(np.geomspace(1.0, 1e-3, q))
+    for seed in range(1, 6):
+        cfg = suites.RunConfig(n=n, m=m, q=q, trials=4, seed=seed, spectrum=spectrum)
+        assert suites.run_suite("operator-rank", cfg).all_passed
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.01])
@@ -190,7 +235,7 @@ def test_operator_annihilates_normal_directions():
         op = df.jacobian_operator(x)
         v = rng.standard_normal((n, m))
         projected = (np.eye(n) - x @ y) @ v @ (np.eye(m) - y @ x)
-        image = op @ mc.vec(projected.T)
+        image = op @ vec(projected.T)
         scale = np.linalg.norm(op) * np.linalg.norm(projected)
         assert np.linalg.norm(image) <= 1e-12 * scale
 

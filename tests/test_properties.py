@@ -1,6 +1,7 @@
 """Property sweeps: the closed-form operator spectrum against the dense
-operator, the pivots of ``decompose`` against the greedy loop, and the
-stacked FD differential against one factorization per point."""
+operator and its four subspace blocks, the pivots of ``decompose`` against
+the greedy loop, and the stacked FD differential against one factorization
+per point."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, example, given, strategies as st
 
 from mpjl import chart, differential as df, matcore as mc, measures
 from mpjl.errors import RankDrift
+from mpjl.reports import TOLERANCES
 
 
 def _case(n, m, q, scale, seed):
@@ -16,11 +18,11 @@ def _case(n, m, q, scale, seed):
 
 @st.composite
 def instances(draw):
-    """(n, m, q, X): shapes up to 6x6, any rank, spectrum scaled by 1/4 to 4."""
+    """(n, m, q, X): shapes up to 6x6, any rank, spectrum scaled by 1e-2 to 1e2."""
     n = draw(st.integers(1, 6))
     m = draw(st.integers(1, 6))
     q = draw(st.integers(1, min(n, m)))
-    scale = 2.0 ** draw(st.floats(-2.0, 2.0))
+    scale = 10.0 ** draw(st.floats(-2.0, 2.0))
     return _case(n, m, q, scale, draw(st.integers(0, 2**31 - 1)))
 
 
@@ -28,6 +30,8 @@ def instances(draw):
 @example(_case(1, 5, 1, 0.25, 1))
 @example(_case(5, 1, 1, 4.0, 2))
 @example(_case(6, 6, 2, 1.0, 3))
+@example(_case(6, 6, 6, 0.01, 4))
+@example(_case(4, 6, 3, 100.0, 5))
 def test_operator_spectrum_matches_dense_operator(case):
     n, m, q, x = case
     op = df.jacobian_operator(x)
@@ -38,17 +42,25 @@ def test_operator_spectrum_matches_dense_operator(case):
                                atol=1e-12 * np.linalg.norm(op) * np.linalg.norm(dx))
     info = mc.rank_profile(x)
     spectrum = df.operator_spectrum(x, info)
-    assert spectrum.size == n * q + m * q - q * q
-    assert spectrum.size == mc.rank_profile(op).rank
+    k = n * q + m * q - q * q
+    assert spectrum.size == k == mc.rank_profile(op).rank
+    # Three spectra agree: the operator's blocks along X's four fundamental
+    # subspaces, built as the operator-rank suite builds them; the whole
+    # operator's absolute eigenvalues; and the closed form, padded with the
+    # nm - k zeros of the kernel.
+    u, _, vt, y = mc.svd_full(x[None])
+    rotated = df.pair_operator(u.swapaxes(-1, -2) @ x @ vt.swapaxes(-1, -2), vt @ y @ u)
+    blocks = df.subspace_rank_profile(rotated, q)
+    whole = np.sort(np.abs(np.linalg.eigvalsh(op)))[::-1]
+    closed = np.concatenate([spectrum, np.zeros(n * m - k)])
+    assert blocks.rank == k
+    for values in (blocks.singular_values[0], whole):
+        np.testing.assert_allclose(values, closed, rtol=0, atol=1e-12 * closed[0])
+    # What the blocks leave of the rotated operator is rounding only.
+    assert np.linalg.norm(rotated) <= TOLERANCES["operator-rank"]["leak"] * np.linalg.norm(op)
     singular = np.linalg.svd(op, compute_uv=False)
-    symmetric = mc.symmetric_rank_profile(op)
-    assert symmetric.rank == spectrum.size
-    np.testing.assert_allclose(symmetric.singular_values[: spectrum.size],
-                               singular[: spectrum.size], rtol=1e-12, atol=0)
-    np.testing.assert_allclose(symmetric.singular_values, singular, rtol=0,
-                               atol=1e-12 * singular[0])
-    dense = singular[: spectrum.size]
-    np.testing.assert_allclose(spectrum, dense, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(whole[:k], singular[:k], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(spectrum, singular[:k], rtol=1e-10, atol=0)
     d = info.singular_values[:q]
     factor = measures.nonfullrank_jacobian_factor(n, m, d)
     assert abs(np.prod(spectrum) - factor) <= 1e-10 * factor

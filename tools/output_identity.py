@@ -20,7 +20,10 @@ its own directory.  It replays:
   raises and so reruns trial by trial (a ``ChartInvalid`` or
   ill-conditioned pivot in one trial, retried draws, and a retry budget
   that runs out), a stack whose determinants overflow, ``operator-rank``
-  at full rank and at 32 x 24, and a twelve-trial 30 x 20 stack.
+  at full rank and at 32 x 24, a twelve-trial 30 x 20 stack, and two
+  ``operator-rank`` stacks: five 8 x 6 trials at cond(X) = 1e4, where
+  ``pseudo_det`` passes some and fails others, and four full-rank 1 x 5
+  trials, where two of the operator's four subspace blocks are empty.
 
 Each invocation records its exit code (or the exception that escaped
 ``cli.main``), its stdout, its ``error: ...`` lines of stderr and the
@@ -112,6 +115,9 @@ EDGE_CASES = [
     ["verify", "operator-rank", "--n", "32", "--m", "24", "--q", "12", "--trials", "1",
      "--format", "json"],
     ["verify", "exterior-chain", "--n", "30", "--m", "20", "--trials", "12", "--format", "json"],
+    ["verify", "operator-rank", "--n", "8", "--m", "6", "--q", "5", "--trials", "5",
+     "--spectrum", "1,0.1,0.01,0.001,0.0001", "--format", "json"],
+    ["verify", "operator-rank", "--n", "1", "--m", "5", "--trials", "4", "--format", "json"],
 ]
 
 
