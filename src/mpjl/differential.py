@@ -23,21 +23,21 @@ retained singular values D: U = [U1 U2], V = [V1 V2].  S maps each of
 col(X) kron row(X), null(X') kron row(X), col(X) kron null(X) and
 null(X') kron null(X) (U1 kron V1, U2 kron V1, U1 kron V2, U2 kron V2)
 into itself: P_L vanishes on col(X), Y on null(X'), and Y Y', Y' Y map
-into row(X), col(X).  In that basis the differential scales the leading
-q x q block of dX entrywise by -1/(d_i d_j), transposes the two
-off-diagonal blocks scaling them by d_i^-2, and annihilates the trailing
-block.  Each piece is a scaled permutation, so the operator's nonzero
-singular values are 1/(d_i d_j) over all q^2 pairs and d_i^-2, each with
-multiplicity n+m-2q: nq+mq-q^2 values in all.  Their product is
-prod d_i^-2(n+m-q), the rank-deficient change-of-variables factor; at full
-rank it is the determinant |X'X|^-n (tall) or |XX'|^-m (wide).
-``operator_spectrum`` and ``jacobian_det_operator`` use this from the
-caller's ``rank_profile`` of X, so X is factored once.  The dense operator
-is the oracle the theorem is checked against, block by block: (U kron V)'
-S(X, Y) (U kron V) = S(U'XV, V'YU), so ``pair_operator`` of the rotated
-pair is S in that basis.  Its off-block part E is measured, never assumed
-zero: by Weyl's inequality every eigenvalue of S lies within ||E||_F of
-the spectrum of the blocks (``subspace_rank_profile``).
+into row(X), col(X).  In that basis S is a signed, scaled permutation:
+dY'[l, k] = -dX[k, l] / (d_l d_k) when l, k < q (the commutation matrix K
+on col(X) kron row(X)), dX[l, k] / d_min(l,k)^2 when one of l, k is < q,
+and 0 when neither is.  Each entry pairs with its transpose when l, k < q
+and with itself otherwise, so the nonzero singular values are 1/(d_i d_j)
+over all q^2 pairs and d_i^-2, each with multiplicity n+m-2q: nq+mq-q^2
+values in all.  Their product is prod d_i^-2(n+m-q), the rank-deficient
+change-of-variables factor; at full rank it is |X'X|^-n (tall) or
+|XX'|^-m (wide).  ``operator_spectrum`` and ``jacobian_det_operator`` use
+this from the caller's ``rank_profile`` of X, so X is factored once.  The
+dense operator is the oracle: (U kron V)' S(X, Y) (U kron V) = S(U'XV,
+V'YU), so ``pair_operator`` of the rotated pair is S in that basis, and
+``subspace_rank_profile`` reads its 1x1 and 2x2 pair blocks in closed form.
+The rest E is measured, never assumed zero: by Weyl's inequality every
+eigenvalue of S lies within ||E||_F of the pair blocks' spectrum.
 
 The finite-difference oracles here are the independent checks for the
 analytic forms; they pin the rank of every evaluation point to the rank of
@@ -120,17 +120,17 @@ def jacobian_operator(x) -> np.ndarray:
 
 
 def subspace_rank_profile(s: np.ndarray, q: int) -> RankInfo:
-    """Rank profile of a (T, n, m, n, m) operator in the basis U kron V from one stacked
-    ``eigvalsh`` per nonempty diagonal block, in the order above; zeroes them in ``s``."""
-    values, head, tail = [], slice(q), slice(q, None)
-    for rows, cols in ((head, head), (tail, head), (head, tail), (tail, tail)):
-        block = s[:, rows, cols, rows, cols]
-        k = block.shape[1] * block.shape[2]
-        if k:
-            values.append(np.abs(np.linalg.eigvalsh(block.reshape(len(s), k, k))))
-        block[...] = 0.0
-    nm = s.shape[1] * s.shape[2]
-    return _rank_info(np.sort(np.concatenate(values, -1), axis=-1)[..., ::-1], (nm, nm))
+    """Rank profile of a (T, n, m, n, m) operator in the basis U kron V, read in closed form
+    from its 1x1 and 2x2 pair blocks (see above); zeroes their entries in ``s``."""
+    n, m = s.shape[1:3]
+    l, k = np.divmod(np.arange(n * m), m)
+    paired = (l < q) & (k < q)  # (l, k) with (k, l); at l = k, sign(k - l) = 0 keeps diag
+    pl, pk = np.where(paired, k, l), np.where(paired, l, k)
+    diag, other = s[:, l, k, l, k], s[:, pl, pk, pl, pk]
+    off = np.where(paired, s[:, l, k, pl, pk], 0.0)
+    values = np.abs(0.5 * (diag + other) + np.sign(k - l) * np.hypot(0.5 * (diag - other), off))
+    s[:, l, k, l, k] = s[:, l, k, pl, pk] = 0.0
+    return _rank_info(np.sort(values, axis=-1)[..., ::-1], (n * m, n * m))
 
 
 def operator_spectrum(x: np.ndarray, info: RankInfo) -> np.ndarray:

@@ -10,8 +10,8 @@ sub-seed up to the retry budget, then reported as a hard failure.
 A suite is a pair: ``draw(cfg, rng)`` makes every generator call of one
 trial, ``check(cfg, draws)`` judges a stack of trials' draws, one report
 per trial, in stacked numpy calls (``hausdorff`` loops over its spectra;
-``operator-rank`` factors its dense operators by one stacked eigensolve
-per block along X's four fundamental subspaces).  ``run_suite`` draws
+``operator-rank`` reads its dense operators' spectra in closed form from
+their 1x1 and 2x2 pair blocks in X's SVD basis).  ``run_suite`` draws
 each stack of trials, capped by ``STACK_ENTRIES`` entries of what the
 check holds per trial, from their first attempts' streams and checks it in
 one pass; if that raises anything, the stack reruns trial by trial through
@@ -82,6 +82,14 @@ def validate_config(cfg: RunConfig, suite: str | None = None) -> RunConfig:
             raise ConfigError(str(e)) from e
         if d.size != q:
             raise ConfigError(f"spectrum has {d.size} values but q={q}")
+        # operator-rank's entries run from 1/d_1^2 to 1/d_q^2 and its norms
+        # square them: (nm)^2 squares of the largest must not overflow, nor
+        # eps times the smallest, a rounding-level residual, underflow.
+        f = np.finfo(float)
+        lo, hi = np.sqrt(cfg.n * cfg.m) * f.max**-0.25, np.sqrt(f.eps) * f.tiny**-0.25
+        if suite == "operator-rank" and not lo <= d[-1] <= d[0] <= hi:
+            raise ConfigError(f"operator-rank needs the spectrum in [{lo:.3e}, {hi:.3e}] to keep "
+                              f"its squared entries in the float range [{f.tiny:.3e}, {f.max:.3e}]")
     if suite is not None and suite not in SUITE_NAMES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
     if suite == "jacobian-full" and q != min(cfg.n, cfg.m):
@@ -190,8 +198,8 @@ def _check_operator_rank(cfg: RunConfig, draws: list[tuple]) -> list[Verificatio
         # No closed form is known for this determinant; it is reported for
         # reproducibility only, never asserted against a formula.
         chart_det["deficient_chart_det"] = _pinv_chart_det(cfg, x, y)
-    # The symmetric operator in the basis U kron V; each block eigensolve
-    # reads one triangle, so the symmetry is a residual of its own.
+    # The symmetric operator in the basis U kron V; the pair blocks are
+    # read as symmetric, so the symmetry is a residual of its own.
     s = differential.pair_operator(ut @ x @ v, vt @ y @ u)
     op = s.reshape(len(x), n * m, n * m)
     norm = matcore.frobenius_norms(op)
@@ -204,7 +212,7 @@ def _check_operator_rank(cfg: RunConfig, draws: list[tuple]) -> list[Verificatio
         scale = norm * np.maximum(matcore.frobenius_norms(p), 1e-300)
         residuals["annihilation"] = _rel(matcore.frobenius_norms(image), scale)
     symmetry = _rel(matcore.frobenius_norms(op - op.swapaxes(-1, -2)), norm)
-    rank = differential.subspace_rank_profile(s, q)  # op keeps only its off-block part
+    rank = differential.subspace_rank_profile(s, q)  # op keeps only its off-pair part
     # The pseudo-determinant against prod d^-2(n+m-q), the paper's
     # rank-deficient factor, both as sums of logs of the singular values:
     # the products leave the float range at moderate sizes.

@@ -36,3 +36,9 @@ def svd_shapes(monkeypatch):
 def eigvalsh_shapes(monkeypatch):
     """Shapes of the matrices passed to ``np.linalg.eigvalsh`` while the test runs."""
     return _record_shapes(monkeypatch, "eigvalsh")
+
+
+@pytest.fixture
+def eigh_shapes(monkeypatch):
+    """Shapes of the matrices passed to ``np.linalg.eigh`` while the test runs."""
+    return _record_shapes(monkeypatch, "eigh")

@@ -245,6 +245,22 @@ def test_operator_rank_at_full_rank_has_no_annihilation(capsys, extra):
     assert err == "error: operator-rank at full rank has no annihilation residual; drop --tol\n"
 
 
+@pytest.mark.parametrize("spectrum", ["1e-100,5e-101", "1e150,5e149", "1e72,5e71", "1e69,4e-77"])
+def test_operator_rank_refuses_spectra_outside_the_float_range(capsys, spectrum):
+    # 1/d^2 ~ 4e200 squares to inf in the Frobenius norms (the residuals
+    # were NaN); 1/d^2 ~ 1e-300 squares to 0 (every residual read 0 and
+    # passed); at 1/d^2 ~ 1e-144 a residual eps times that squares to 0.
+    # All are refused before any trial runs, in either format.
+    for fmt in ("json", "text"):
+        code, out, err = run_cli(capsys, "verify", "operator-rank", "--n", "6", "--m", "5",
+                                 "--q", "2", "--trials", "2", "--spectrum", spectrum,
+                                 "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: operator-rank needs the spectrum in [")
+        assert err.endswith("to keep its squared entries in the float range "
+                            "[2.225e-308, 1.798e+308]\n") and err.count("\n") == 1
+
+
 def test_suites_fast_at_default_sizes(capsys):
     # Heaviest suite at the documented default-size envelope (n, m <= 8,
     # trials <= 100) must stay far under the 60 s budget.

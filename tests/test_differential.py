@@ -139,60 +139,132 @@ def test_determinant_suites_factor_x_as_often_as_needed(svd_shapes, suite, svds)
     assert svd_shapes == [(trials, n, m)] * svds
 
 
-def test_operator_rank_suite_keeps_dense_rank_oracle(svd_shapes, eigvalsh_shapes):
-    # The dense operator is split along X's four fundamental subspaces: one
-    # full SVD of each (T, n, m) stack of X, one stacked eigensolve per
-    # nonempty diagonal block, and no factorization of an nm x nm matrix.
-    # 24x20 runs in stacks of one (its operator alone outgrows the entry
-    # budget); 6x5 in one stack, below and at full rank (two empty blocks).
+def test_operator_rank_suite_keeps_dense_rank_oracle(svd_shapes, eigvalsh_shapes, eigh_shapes):
+    # The dense operator is read in X's SVD basis from its 1x1 and 2x2 pair
+    # blocks in closed form: one full SVD of each (T, n, m) stack of X, and
+    # no eigensolve or SVD of the operator or of any block of it. 24x20 runs
+    # in stacks of one (its operator alone outgrows the entry budget); 6x5
+    # in one stack, below and at full rank (no pairs outside the q x q block).
     for n, m, q, trials, stacks in ((24, 20, 8, 2, [1, 1]), (6, 5, 2, 3, [3]), (6, 5, 5, 3, [3])):
         svd_shapes.clear()
-        eigvalsh_shapes.clear()
         cfg = suites.RunConfig(n=n, m=m, q=q, trials=trials, seed=48)
         result = suites.run_suite("operator-rank", cfg)
         assert result.all_passed and [r.inputs["attempt"] for r in result.reports] == [0] * trials
         ranks = [r.values["operator_rank"] for r in result.reports]
         assert ranks == [n * q + m * q - q * q] * trials
         assert svd_shapes == [(t, n, m) for t in stacks]
-        orders = [k for k in (q * q, (n - q) * q, q * (m - q), (n - q) * (m - q)) if k]
-        assert eigvalsh_shapes == [(t, k, k) for t in stacks for k in orders]
+        assert eigvalsh_shapes == eigh_shapes == []
 
 
-def test_operator_rank_leak_catches_an_off_block_pair(monkeypatch):
-    # A symmetric pair of entries, 1e-6 ||S|| each, coupling col(X) kron
-    # row(X) to null(X') kron null(X): the operator stays exactly symmetric,
-    # and only the leak of the block split can see it.
-    cfg = suites.RunConfig(n=5, m=4, q=2, trials=3, seed=52)
+def _leaky_reports(monkeypatch, cfg, a, b, size):
+    # operator-rank's reports with a symmetric pair of entries, size ||S||
+    # each, added to S between entries a and b (index pairs (l, k)) of the
+    # basis U kron V; the operator stays exactly symmetric.
     assert suites.run_suite("operator-rank", cfg).all_passed
     build = df.pair_operator
 
     def leaky(x, y):
         s = build(x, y)
-        size = 1e-6 * np.sqrt(np.sum(s**2, axis=(-4, -3, -2, -1)))
-        s[..., 0, 0, -1, -1] += size
-        s[..., -1, -1, 0, 0] += size
+        scaled = size * np.sqrt(np.sum(s**2, axis=(-4, -3, -2, -1)))
+        s[(...,) + a + b] += scaled
+        s[(...,) + b + a] += scaled
         return s
 
     monkeypatch.setattr(df, "pair_operator", leaky)
-    for report in suites.run_suite("operator-rank", cfg).reports:
+    return suites.run_suite("operator-rank", cfg).reports
+
+
+def test_operator_rank_leak_catches_an_off_block_pair(monkeypatch):
+    # The pair couples col(X) kron row(X) to null(X') kron null(X); only the
+    # leak can see it.
+    cfg = suites.RunConfig(n=5, m=4, q=2, trials=3, seed=52)
+    for report in _leaky_reports(monkeypatch, cfg, (0, 0), (4, 3), 1e-6):
         residuals, tolerances = report.residuals, report.tolerances
         assert not report.passed
         assert residuals["leak"] > 1e3 * tolerances["leak"]
         assert residuals["symmetry"] <= tolerances["symmetry"]
 
 
-# The shapes of the cond(X) sweep; at cond(X) = 1e4 oracle rounding already
-# fails pseudo_det on about half of their trials.
+def test_operator_rank_leak_catches_an_off_pattern_pair_inside_a_block(monkeypatch):
+    # Both entries lie in null(X') kron null(X), so a split into the four
+    # subspace blocks would keep the pair inside a block; it is off the
+    # pattern of the 1x1 and 2x2 pair blocks, and the leak sees it.
+    cfg = suites.RunConfig(n=5, m=4, q=2, trials=3, seed=52)
+    for report in _leaky_reports(monkeypatch, cfg, (2, 2), (4, 3), 1e-6):
+        residuals, tolerances = report.residuals, report.tolerances
+        assert not report.passed
+        assert residuals["leak"] > 1e3 * tolerances["leak"]
+        assert residuals["symmetry"] <= tolerances["symmetry"]
+        assert report.values["operator_rank"] == report.values["expected_rank"]
+
+
+@pytest.mark.parametrize("spectrum", [(1.2e69, 6e68), (5e-76, 4.8e-77)])
+def test_operator_rank_sees_a_leak_at_the_float_range_edges(monkeypatch, spectrum):
+    # Just inside either bound of the refused spectra the norms stay
+    # positive and finite: a clean run passes with finite residuals, and an
+    # off-pattern pair of 1e-8 ||S|| still fails the leak, so no residual
+    # reads 0 by underflow.
+    cfg = suites.RunConfig(n=6, m=5, q=2, trials=2, seed=3, spectrum=spectrum)
+    for report in suites.run_suite("operator-rank", cfg).reports:
+        assert np.all(np.isfinite(list(report.residuals.values())))
+    for report in _leaky_reports(monkeypatch, cfg, (2, 2), (5, 4), 1e-8):
+        assert not report.passed
+        assert report.residuals["leak"] > 1e2 * report.tolerances["leak"]
+
+
+@pytest.mark.parametrize("n, m, q", [(5, 4, 3), (3, 6, 1), (4, 4, 4), (6, 2, 2)])
+@pytest.mark.parametrize("noise", [0.0, 1e-9, 1e-4])
+def test_pair_blocks_give_the_spectrum_within_the_weyl_bound(n, m, q, noise):
+    # A random symmetric stack with the pattern of the spectrum theorem,
+    # each entry (l, k) coupled to (k, l) when l, k < q, plus symmetric
+    # noise E off that pattern: the values read from the pair blocks are
+    # the absolute eigenvalues (eigvalsh) within ||E||_F, by Weyl's
+    # inequality, and exactly E is left behind.
+    t, nm = 3, n * m
+    rng = mc.make_rng(53, n, m, q)
+    l, k = np.divmod(np.arange(nm), m)
+    pattern = np.eye(nm, dtype=bool)
+    pattern[np.arange(nm), np.where((l < q) & (k < q), k * m + l, np.arange(nm))] = True
+    a, e = rng.standard_normal((2, t, nm, nm))
+    op = np.where(pattern, a + a.swapaxes(-1, -2), noise * (e + e.swapaxes(-1, -2)))
+    s = op.copy()
+    info = df.subspace_rank_profile(s.reshape(t, n, m, n, m), q)
+    leak = np.where(pattern, 0.0, op)
+    np.testing.assert_array_equal(s, leak)
+    for values, whole, left in zip(info.singular_values, op, leak):
+        exact = np.sort(np.abs(np.linalg.eigvalsh(whole)))[::-1]
+        bound = np.linalg.norm(left) + 1e-14 * np.linalg.norm(whole)
+        assert np.max(np.abs(values - exact)) <= bound
+
+
+# The shapes of the cond(X) sweep, 160 reports per condition number.
 SWEEP_SHAPES = [(4, 3, 2), (5, 5, 3), (6, 5, 2), (6, 5, 4), (8, 6, 3), (8, 6, 5), (12, 10, 6),
                 (24, 20, 8)]
 
 
-@pytest.mark.parametrize("n, m, q", SWEEP_SHAPES)
-def test_operator_rank_passes_at_cond_1e3(n, m, q):
-    spectrum = tuple(np.geomspace(1.0, 1e-3, q))
+def _sweep_reports(n, m, q, cond):
+    spectrum = tuple(np.geomspace(1.0, 1.0 / cond, q))
     for seed in range(1, 6):
         cfg = suites.RunConfig(n=n, m=m, q=q, trials=4, seed=seed, spectrum=spectrum)
-        assert suites.run_suite("operator-rank", cfg).all_passed
+        yield from suites.run_suite("operator-rank", cfg).reports
+
+
+@pytest.mark.parametrize("n, m, q", SWEEP_SHAPES)
+def test_operator_rank_passes_at_cond_1e3(n, m, q):
+    assert all(report.passed for report in _sweep_reports(n, m, q, 1e3))
+
+
+@pytest.mark.parametrize("n, m, q", SWEEP_SHAPES)
+def test_operator_rank_passes_at_cond_1e4(n, m, q):
+    assert all(report.passed for report in _sweep_reports(n, m, q, 1e4))
+
+
+@pytest.mark.parametrize("n, m, q", SWEEP_SHAPES)
+def test_operator_rank_pseudo_det_holds_at_cond_1e5(n, m, q):
+    # At cond(X) = 1e5 the leak and annihilation may fail honestly; the
+    # pair blocks still give the pseudo-determinant within its tolerance.
+    for report in _sweep_reports(n, m, q, 1e5):
+        assert report.residuals["pseudo_det"] <= report.tolerances["pseudo_det"]
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.01])

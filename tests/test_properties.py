@@ -1,5 +1,5 @@
 """Property sweeps: the closed-form operator spectrum against the dense
-operator and its four subspace blocks, the pivots of ``decompose`` against
+operator and its pair blocks, the pivots of ``decompose`` against
 the greedy loop, and the stacked FD differential against one factorization
 per point."""
 
@@ -44,19 +44,19 @@ def test_operator_spectrum_matches_dense_operator(case):
     spectrum = df.operator_spectrum(x, info)
     k = n * q + m * q - q * q
     assert spectrum.size == k == mc.rank_profile(op).rank
-    # Three spectra agree: the operator's blocks along X's four fundamental
-    # subspaces, built as the operator-rank suite builds them; the whole
-    # operator's absolute eigenvalues; and the closed form, padded with the
-    # nm - k zeros of the kernel.
+    # Three spectra agree: the operator's 1x1 and 2x2 pair blocks in the
+    # basis of X's SVD, built as the operator-rank suite builds them; the
+    # whole operator's absolute eigenvalues; and the closed form, padded
+    # with the nm - k zeros of the kernel.
     u, _, vt, y = mc.svd_full(x[None])
     rotated = df.pair_operator(u.swapaxes(-1, -2) @ x @ vt.swapaxes(-1, -2), vt @ y @ u)
-    blocks = df.subspace_rank_profile(rotated, q)
+    pairs = df.subspace_rank_profile(rotated, q)
     whole = np.sort(np.abs(np.linalg.eigvalsh(op)))[::-1]
     closed = np.concatenate([spectrum, np.zeros(n * m - k)])
-    assert blocks.rank == k
-    for values in (blocks.singular_values[0], whole):
+    assert pairs.rank == k
+    for values in (pairs.singular_values[0], whole):
         np.testing.assert_allclose(values, closed, rtol=0, atol=1e-12 * closed[0])
-    # What the blocks leave of the rotated operator is rounding only.
+    # What the pair blocks leave of the rotated operator is rounding only.
     assert np.linalg.norm(rotated) <= TOLERANCES["operator-rank"]["leak"] * np.linalg.norm(op)
     singular = np.linalg.svd(op, compute_uv=False)
     np.testing.assert_allclose(whole[:k], singular[:k], rtol=1e-12, atol=0)

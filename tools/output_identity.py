@@ -20,10 +20,12 @@ its own directory.  It replays:
   raises and so reruns trial by trial (a ``ChartInvalid`` or
   ill-conditioned pivot in one trial, retried draws, and a retry budget
   that runs out), a stack whose determinants overflow, ``operator-rank``
-  at full rank and at 32 x 24, a twelve-trial 30 x 20 stack, and two
-  ``operator-rank`` stacks: five 8 x 6 trials at cond(X) = 1e4, where
-  ``pseudo_det`` passes some and fails others, and four full-rank 1 x 5
-  trials, where two of the operator's four subspace blocks are empty.
+  at full rank and at 32 x 24, a twelve-trial 30 x 20 stack, three
+  ``operator-rank`` stacks (five 8 x 6 trials at cond(X) = 1e4, four
+  full-rank 1 x 5 trials, where the operator has no 2x2 pair block and no
+  kernel, and four 4 x 3 trials at cond(X) = 1e5, which pass some and fail
+  others), and two ``operator-rank`` spectra whose squared operator entries
+  leave the float range, one by overflow and one by underflow.
 
 Each invocation records its exit code (or the exception that escaped
 ``cli.main``), its stdout, its ``error: ...`` lines of stderr and the
@@ -118,6 +120,11 @@ EDGE_CASES = [
     ["verify", "operator-rank", "--n", "8", "--m", "6", "--q", "5", "--trials", "5",
      "--spectrum", "1,0.1,0.01,0.001,0.0001", "--format", "json"],
     ["verify", "operator-rank", "--n", "1", "--m", "5", "--trials", "4", "--format", "json"],
+    ["verify", "operator-rank", "--n", "4", "--m", "3", "--q", "2", "--trials", "4", "--seed", "2",
+     "--spectrum", "1,0.00001", "--format", "json"],
+    *(["verify", "operator-rank", "--n", "6", "--m", "5", "--q", "2", "--trials", "2",
+       "--spectrum", spectrum, "--format", "json"]
+      for spectrum in ("1e-100,5e-101", "1e150,5e149")),
 ]
 
 
