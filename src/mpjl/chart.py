@@ -57,7 +57,7 @@ class BlockDecomposition:
     Building one tests X11 against ``PIVOT_COND_CAP`` and raises
     IllConditionedPivot when it fails.  ``len(b)`` is the chart dimension
     nq + mq - q^2.  Of a stack, the blocks have a leading axis T and the
-    permutations and ``positions`` one row per slice.
+    permutations one row per slice.
     """
 
     x11: np.ndarray
@@ -77,7 +77,7 @@ class BlockDecomposition:
             perm = perm.astype(np.intp)
             perm.flags.writeable = False
             object.__setattr__(self, name, perm)
-        s = ill_conditioned(self.x11, max_cond=PIVOT_COND_CAP)
+        s = ill_conditioned(self.x11, rtol=1 / PIVOT_COND_CAP)
         if s is not None:  # reports the worst slice of a stack
             cond = np.max(s[..., 0] / np.maximum(s[..., -1], 1e-300))
             raise IllConditionedPivot(f"pivot block has condition {cond:.3e} > {PIVOT_COND_CAP:.0e}")
@@ -90,17 +90,6 @@ class BlockDecomposition:
     def _stack(self) -> tuple:
         # Slice indices of a stack (none for one matrix), shaped (..., 1, 1).
         return np.indices(self.x11.shape[:-2] + (1, 1), sparse=True)[: self.x11.ndim - 2]
-
-    @cached_property
-    def positions(self) -> np.ndarray:
-        """Original (row, col) of each free coordinate: read-only, (..., k, 2).
-
-        Order is X11, then X12, then X21, each column-major.
-        """
-        rows, cols = _free_index(self.n, self.m, self.q)
-        p = np.stack([self.row_perm[..., rows], self.col_perm[..., cols]], axis=-1)
-        p.flags.writeable = False
-        return p
 
     def __len__(self) -> int:
         return len(_free_index(self.n, self.m, self.q)[0])
@@ -238,7 +227,7 @@ def tangent_perturbation(b: BlockDecomposition, dx11, dx12, dx21) -> np.ndarray:
 def perturbed_assemble(b: BlockDecomposition, deltas: np.ndarray) -> np.ndarray:
     """Assemble the matrix whose free coordinates moved by ``deltas``.
 
-    ``deltas`` is ordered like ``b.positions``; the dependent block is
+    ``deltas`` follows the order of ``b.coordinates``; the dependent block is
     recomputed from the perturbed free blocks, so the result has exact rank
     q by construction.  Shape (k,) gives one n x m matrix; shape (p, k) gives
     the (p, n, m) stack of the p points, each row moved on its own; of a
@@ -260,6 +249,6 @@ def perturbed_assemble(b: BlockDecomposition, deltas: np.ndarray) -> np.ndarray:
     x12 = b.x12 + deltas[..., k12:k21].reshape(lead + (m - q, q)).swapaxes(-1, -2)
     x21 = b.x21 + deltas[..., k21:].reshape(lead + (q, n - q)).swapaxes(-1, -2)
     # The moved X11 must pass the same pivot test as a built decomposition.
-    if ill_conditioned(x11, max_cond=PIVOT_COND_CAP) is not None:
+    if ill_conditioned(x11, rtol=1 / PIVOT_COND_CAP) is not None:
         raise ChartInvalid("perturbation left the pivot block's validity region")
     return _unpermute(b, x11, x12, x21, _x22(x11, x12, x21))

@@ -15,10 +15,9 @@ blocks of ``differential.subspace_rank_profile``), and ``_pinv_from_svd``
 the one place retained factors become a pseudoinverse.
 
 Conditioning policy: ``ill_conditioned`` is the one test of whether a
-square block can be inverted.  Callers pick its threshold and comparison
-(a condition-number cap, or a floor on the smallest singular value
-relative to the largest) and raise their own error.  The policy holds per
-slice: a stack of blocks fails when any one of them would fail alone.
+square block can be inverted: ``s[-1] <= rtol * s[0]`` fails it, where a
+cap c on the condition number is ``rtol = 1 / c``.  Callers raise their
+own error.  A stack of blocks fails when any one of them would fail alone.
 """
 
 from __future__ import annotations
@@ -184,29 +183,14 @@ def pinv_fixed_rank(x, q: int) -> np.ndarray:
     return _pinv_from_svd(*np.linalg.svd(x, full_matrices=False), q)
 
 
-def ill_conditioned(
-    a, max_cond: float | None = None, rtol: float | None = None
-) -> np.ndarray | None:
-    """Singular values of the square matrix ``a`` when it cannot be inverted, else None.
+def ill_conditioned(a, rtol: float) -> np.ndarray | None:
+    """Singular values of the square matrix ``a`` when ``s[-1] <= rtol * s[0]``, else None.
 
-    Pass one of the two tests: ``max_cond`` fails ``a`` when ``s[0] / s[-1]``
-    exceeds it (or ``s[-1]`` is zero); ``rtol`` fails ``a`` when ``s[-1]``
-    is at or below ``rtol * s[0]``.  ``a`` may be a stack of shape
-    (..., q, q), factored in one stacked SVD: the stack fails when any
-    slice fails, and then all its singular values, of shape (..., q), are
-    returned.
+    ``a`` may be a stack (..., q, q), factored in one stacked SVD: the stack fails when
+    any slice fails, and then all its singular values, of shape (..., q), are returned.
     """
     s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0:
-        return None
-    first, last = s[..., 0], s[..., -1]
-    if max_cond is not None:
-        # A zero s[-1] fails on the first test; its quotient is not used.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bad = (last <= 0) | (first / last > max_cond)
-    else:
-        bad = last <= first * rtol
-    return s if np.any(bad) else None
+    return s if s.size and np.any(s[..., -1] <= rtol * s[..., 0]) else None
 
 
 # ---------------------------------------------------------------------------

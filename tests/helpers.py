@@ -62,3 +62,14 @@ def make_blocks(x11, x12, x21, row_perm=None, col_perm=None) -> BlockDecompositi
         range(q + x21.shape[0]) if row_perm is None else row_perm,
         range(q + x12.shape[1]) if col_perm is None else col_perm,
     )
+
+
+def chart_positions(b: BlockDecomposition) -> np.ndarray:
+    """Original (row, col) of each free coordinate of ``b``, in chart order: (..., k, 2).
+
+    The chart's coordinates of the grid of flat indices, one row per slice
+    of a stacked chart.
+    """
+    grid = np.arange(b.n * b.m).reshape(b.n, b.m)
+    flat = b.coordinates(np.broadcast_to(grid, b.x11.shape[:-2] + grid.shape))
+    return np.stack(np.divmod(flat, b.m), axis=-1)

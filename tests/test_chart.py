@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import make_blocks
+from helpers import chart_positions, make_blocks
 from mpjl import chart, matcore as mc, suites
 from mpjl.errors import ChartInvalid, IllConditionedPivot, RankMismatch, ShapeMismatch
 
@@ -39,6 +39,29 @@ def test_decompose_ill_conditioned_pivot():
     x = np.diag([1.0, 1e-9, 0.0])
     with pytest.raises(IllConditionedPivot):
         chart.decompose(x, 2)
+
+
+@pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6])
+def test_pivot_cap_splits_diagonal_blocks_at_cond_1e8(factor):
+    # A diagonal X11 of condition 1e8 (1 -+ 1e-6) passes (fails) the pivot
+    # test, both when a chart is built and when a perturbation moves X11.
+    small = 1.0 / (chart.PIVOT_COND_CAP * factor)
+    passes = factor < 1
+    x = np.diag([1.0, small])
+    if passes:
+        assert np.array_equal(chart.decompose(x, 2).x11, x)
+    else:
+        with pytest.raises(IllConditionedPivot, match=r"condition 1\.000e\+08 > 1e\+08"):
+            chart.decompose(x, 2)
+    b = make_blocks(np.diag([1.0, 0.5]), [[0.0], [0.0]], [[0.0, 0.0]])
+    deltas = np.zeros(len(b))
+    deltas[3] = small - 0.5  # X11[1, 1]: chart order is X11 column-major first
+    if passes:
+        moved = chart.perturbed_assemble(b, deltas)
+        np.testing.assert_allclose(moved, np.diag([1.0, small, 0.0]), rtol=0, atol=1e-15)
+    else:
+        with pytest.raises(ChartInvalid):
+            chart.perturbed_assemble(b, deltas)
 
 
 def test_x22_formula_forced():
@@ -217,7 +240,7 @@ def test_tangent_preserves_rank_to_first_order():
 
 def test_chart_positions_2x2_rank1():
     b = make_blocks([[1.0]], [[2.0]], [[3.0]])
-    assert b.positions.tolist() == [[0, 0], [0, 1], [1, 0]]
+    assert chart_positions(b).tolist() == [[0, 0], [0, 1], [1, 0]]
     assert len(b) == 3
 
 
@@ -228,8 +251,8 @@ def test_chart_is_its_blocks_and_permutations():
     b = make_blocks([[1.0]], [[2.0, 0.0]], [[3.0], [0.0]], row_perm=given, col_perm=(2, 0, 1))
     assert (b.q, b.n, b.m) == (1, 3, 3)
     assert b.row_perm.tolist() == [1, 0, 2] and b.col_perm.tolist() == [2, 0, 1]
-    assert b.positions.tolist() == [[1, 2], [1, 0], [1, 1], [0, 2], [2, 2]]
-    for a in (b.row_perm, b.col_perm, b.positions):
+    assert chart_positions(b).tolist() == [[1, 2], [1, 0], [1, 1], [0, 2], [2, 2]]
+    for a in (b.row_perm, b.col_perm):
         assert a.dtype == np.intp and not a.flags.writeable
     given[0] = 2  # the chart keeps its own copy
     assert b.row_perm.tolist() == [1, 0, 2]
@@ -238,7 +261,8 @@ def test_chart_is_its_blocks_and_permutations():
         with pytest.raises(ShapeMismatch):
             make_blocks([[1.0]], [[2.0, 0.0]], [[3.0], [0.0]], row_perm, col_perm)
     stacked = chart.decompose(np.stack([np.eye(3), np.eye(3)[::-1]]), 3)
-    assert stacked.positions.shape == (2, 9, 2) and (stacked.q, stacked.n, stacked.m) == (3, 3, 3)
+    assert chart_positions(stacked).shape == (2, 9, 2)
+    assert (stacked.q, stacked.n, stacked.m) == (3, 3, 3)
     with pytest.raises(ShapeMismatch):
         chart.BlockDecomposition(stacked.x11, stacked.x12, stacked.x21, range(3), range(3))
 
@@ -247,7 +271,7 @@ def test_chart_positions_full_chart():
     x = mc.random_rank_q(3, 3, 3, mc.make_rng(31))
     b = chart.decompose(x, 3)
     assert len(b) == 9
-    assert sorted(b.positions.tolist()) == [[i, j] for i in range(3) for j in range(3)]
+    assert sorted(chart_positions(b).tolist()) == [[i, j] for i in range(3) for j in range(3)]
 
 
 def test_chart_positions_count_formula():
@@ -258,7 +282,7 @@ def test_chart_positions_count_formula():
         m = int(rng.integers(q, 9))
         x = mc.random_rank_q(n, m, q, rng)
         b = chart.decompose(x, q)
-        assert len(b) == len(b.positions) == n * q + m * q - q * q
+        assert len(b) == len(chart_positions(b)) == n * q + m * q - q * q
 
 
 def test_chart_positions_3x2_rank1_length():
@@ -320,7 +344,7 @@ def test_perturbed_assemble_moves_each_chart_position():
         b = chart.decompose(x, q)
         deltas = 1e-3 * rng.standard_normal(len(b))
         full = np.zeros((n, m))
-        full[tuple(np.array(b.positions).T)] = deltas
+        full[tuple(chart_positions(b).T)] = deltas
         dp = full[np.ix_(b.row_perm, b.col_perm)]
         moved = make_blocks(
             b.x11 + dp[:q, :q], b.x12 + dp[:q, q:], b.x21 + dp[q:, :q],

@@ -108,6 +108,11 @@ def test_verify_invalid_suite_config_exits_2(capsys):
      "spectrum has 3 values but q=2"),
     (["gen", "--spectrum", "3,x"], None, "--spectrum must be comma-separated floats, got '3,x'"),
     (["gen"], "seven", "MPJL_DEFAULT_SEED must be an integer, got 'seven'"),
+    # A NaN tolerance would fail every report and an infinite one pass
+    # every report; neither can be written as JSON.
+    *((["verify", "blocks", "--trials", "2", "--tol", tol, "--format", "json"], None,
+       f"tol must be finite, got {shown}") for tol, shown in
+      [("nan", "nan"), ("inf", "inf"), ("1e400", "inf")]),
 ])
 def test_refused_configuration_exits_2(capsys, monkeypatch, argv, seed_env, message):
     if seed_env is not None:
@@ -327,6 +332,21 @@ def test_report_parse_error_names_path(tmp_path, capsys):
     code, _, err = run_cli(capsys, "report", str(bad))
     assert code == 2
     assert str(bad) in err
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_report_refuses_non_finite_numbers(tmp_path, capsys, number, fmt):
+    good = tmp_path / "good.json"
+    main(["verify", "blocks", "--trials", "1", "--format", "json", "--out", str(good)])
+    payload = good.read_text()
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload.replace('"roundtrip": 0.0', f'"roundtrip": {number}', 1))
+    assert bad.read_text() != payload
+    code, out, err = run_cli(capsys, "report", str(bad), "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot parse report file {bad}: non-finite number {number}\n"
+    assert run_cli(capsys, "report", str(good), "--format", fmt)[0] == 0
 
 
 def test_retry_consumes_fresh_subseed(monkeypatch):

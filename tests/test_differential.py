@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import commutation_matrix, make_blocks, vec
+from helpers import chart_positions, commutation_matrix, make_blocks, vec
 from mpjl import chart, matcore as mc, suites
 from mpjl import differential as df
 from mpjl.errors import NotFullRank, RankDrift
@@ -188,12 +188,15 @@ def test_operator_rank_leak_catches_an_off_block_pair(monkeypatch):
 def test_operator_rank_leak_catches_an_off_pattern_pair_inside_a_block(monkeypatch):
     # Both entries lie in null(X') kron null(X), so a split into the four
     # subspace blocks would keep the pair inside a block; it is off the
-    # pattern of the 1x1 and 2x2 pair blocks, and the leak sees it.
+    # pattern of the 1x1 and 2x2 pair blocks, and the leak sees it.  The
+    # pair also maps that normal space to nonzero images, and the
+    # annihilation sees it too.
     cfg = suites.RunConfig(n=5, m=4, q=2, trials=3, seed=52)
     for report in _leaky_reports(monkeypatch, cfg, (2, 2), (4, 3), 1e-6):
         residuals, tolerances = report.residuals, report.tolerances
         assert not report.passed
         assert residuals["leak"] > 1e3 * tolerances["leak"]
+        assert residuals["annihilation"] > 1e3 * tolerances["annihilation"]
         assert residuals["symmetry"] <= tolerances["symmetry"]
         assert report.values["operator_rank"] == report.values["expected_rank"]
 
@@ -261,10 +264,13 @@ def test_operator_rank_passes_at_cond_1e4(n, m, q):
 
 @pytest.mark.parametrize("n, m, q", SWEEP_SHAPES)
 def test_operator_rank_pseudo_det_holds_at_cond_1e5(n, m, q):
-    # At cond(X) = 1e5 the leak and annihilation may fail honestly; the
-    # pair blocks still give the pseudo-determinant within its tolerance.
+    # At cond(X) = 1e5 the leak may fail honestly; the pair blocks still
+    # give the pseudo-determinant within its tolerance, and the normal
+    # block, read in X's SVD basis with no projector rounded at
+    # eps * cond(X), is still annihilated within its own.
     for report in _sweep_reports(n, m, q, 1e5):
-        assert report.residuals["pseudo_det"] <= report.tolerances["pseudo_det"]
+        for key in ("pseudo_det", "annihilation"):
+            assert report.residuals[key] <= report.tolerances[key]
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.01])
@@ -509,7 +515,7 @@ def _per_point_fd_chart_jacobian(f, x, in_chart, out_chart):
     # Oracle of the stacked fd_chart_jacobian: two evaluations per column.
     h = df.FdConfig().effective_step(x)
     jac = np.empty((len(out_chart), len(in_chart)))
-    out_rows, out_cols = np.array(out_chart.positions).T
+    out_rows, out_cols = chart_positions(out_chart).T
     deltas = np.zeros(len(in_chart))
     for k in range(len(in_chart)):
         deltas[k] = h

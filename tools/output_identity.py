@@ -24,8 +24,10 @@ its own directory.  It replays:
   ``operator-rank`` stacks (five 8 x 6 trials at cond(X) = 1e4, four
   full-rank 1 x 5 trials, where the operator has no 2x2 pair block and no
   kernel, and four 4 x 3 trials at cond(X) = 1e5, which pass some and fail
-  others), and two ``operator-rank`` spectra whose squared operator entries
-  leave the float range, one by overflow and one by underflow.
+  others), two ``operator-rank`` spectra whose squared operator entries
+  leave the float range, one by overflow and one by underflow, ``--tol``
+  values that are not finite, and ``report`` over files that hold a number
+  that is not finite.
 
 Each invocation records its exit code (or the exception that escaped
 ``cli.main``), its stdout, its ``error: ...`` lines of stderr and the
@@ -33,7 +35,10 @@ bytes of its ``--out`` file.  Text output drops its ``wall_time`` line,
 which is timing; the rest of stderr, such as numpy's ``RuntimeWarning``
 lines that carry source paths, is not compared.  The script prints one
 digest per side and every invocation whose record differs, and exits 0
-when the two sides agree, 1 otherwise.
+when the two sides agree, 1 otherwise.  Where stdout or the ``--out``
+bytes differ and are JSON on both sides, it also names the leaf paths
+whose values differ, list indices collapsed to ``[*]`` (for example
+``reports[*].residuals.annihilation``).
 """
 
 from __future__ import annotations
@@ -59,6 +64,14 @@ CYCLES = 3
 # one trial stack.
 OVERFLOW_SPECTRA = {(30, 20): ",".join(str(0.3 - 0.15 * i / 19) for i in range(20)),
                     (16, 8): ",".join(str(0.06 - 0.03 * i / 7) for i in range(8))}
+
+# Numbers that strict JSON refuses, each written into a one-report file
+# that ``report`` reads.
+NON_FINITE = ("NaN", "Infinity", "1e400")
+NON_FINITE_REPORT = (
+    '{"reports": [{"check_name": "blocks", "inputs": {"n": 4, "m": 3, "q": 3}, "values": {}, '
+    '"residuals": {"roundtrip": %s}, "tolerances": {"roundtrip": 1e-10}, "pass": true}], '
+    '"summary": {"total": 1, "passed": 1, "failed": 0}}\n')
 
 EDGE_CASES = [
     ["gen", "--n", "4", "--m", "3", "--q", "2", "--seed", "7"],
@@ -125,11 +138,39 @@ EDGE_CASES = [
     *(["verify", "operator-rank", "--n", "6", "--m", "5", "--q", "2", "--trials", "2",
        "--spectrum", spectrum, "--format", "json"]
       for spectrum in ("1e-100,5e-101", "1e150,5e149")),
+    *(["verify", "blocks", "--trials", "2", "--tol", tol, "--format", "json"]
+      for tol in ("nan", "inf", "1e400")),
+    *(["report", f"non-finite-{number}.json", "--format", fmt]
+      for number in NON_FINITE for fmt in ("json", "text")),
 ]
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _leaves(obj, path: str = ""):
+    # (path, value) of every leaf, list indices collapsed to [*].
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _leaves(value, f"{path}[*]")
+    else:
+        yield path, obj
+
+
+def _leaf_digests(data: bytes) -> dict | None:
+    """Digest of the values at each collapsed leaf path of JSON ``data``; None if not JSON."""
+    try:
+        obj = json.loads(data)
+    except ValueError:
+        return None
+    values: dict[str, list] = {}
+    for path, value in _leaves(obj):
+        values.setdefault(path, []).append(value)
+    return {path: _sha(json.dumps(v).encode()) for path, v in values.items()}
 
 
 def _invoke(cli, label: str, argv: list[str]) -> dict:
@@ -149,7 +190,8 @@ def _invoke(cli, label: str, argv: list[str]) -> dict:
     errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
     written = Path(out).read_bytes() if out is not None and Path(out).exists() else b""
     return {"id": label, "argv": argv, "code": code,
-            "stdout": _sha(text.encode()), "errors": errors, "out": _sha(written)}
+            "stdout": _sha(text.encode()), "errors": errors, "out": _sha(written),
+            "stdout_leaves": _leaf_digests(text.encode()), "out_leaves": _leaf_digests(written)}
 
 
 def replay(src: Path) -> list[dict]:
@@ -183,7 +225,10 @@ def replay(src: Path) -> list[dict]:
         for i, fixture in enumerate(witnesses.load_witnesses()):
             text = dumps_canonical(witnesses.reproduce(fixture).to_json())
             records.append({"id": f"witness {i}", "argv": [], "code": None,
-                            "stdout": _sha(text.encode()), "errors": [], "out": _sha(b"")})
+                            "stdout": _sha(text.encode()), "errors": [], "out": _sha(b""),
+                            "stdout_leaves": _leaf_digests(text.encode())})
+        for number in NON_FINITE:
+            Path(f"non-finite-{number}.json").write_text(NON_FINITE_REPORT % number)
         for i, argv in enumerate(EDGE_CASES):
             records.append(_invoke(cli, f"edge {i}", argv))
     return records
@@ -225,8 +270,13 @@ def main(argv=None) -> int:
         ra, rb = a.get(key, {}), b.get(key, {})
         print(f"differs: {key}: {' '.join(ra.get('argv') or rb.get('argv') or [])}")
         for field in ("code", "stdout", "errors", "out"):
-            if ra.get(field) != rb.get(field):
-                print(f"  {field}: {ra.get(field)!r} != {rb.get(field)!r}")
+            if ra.get(field) == rb.get(field):
+                continue
+            print(f"  {field}: {ra.get(field)!r} != {rb.get(field)!r}")
+            la, lb = ra.get(f"{field}_leaves"), rb.get(f"{field}_leaves")
+            if la is not None and lb is not None:
+                paths = sorted(p for p in la.keys() | lb.keys() if la.get(p) != lb.get(p))
+                print(f"  {field} paths: {', '.join(paths)}")
     print(f"{len(differing)} of {max(len(a), len(b))} invocations differ")
     return 1 if differing else 0
 
