@@ -3,7 +3,7 @@
 The library computes the analytic differential and Jacobian operator of
 the Moore-Penrose inverse, closed-form determinant and density factors for
 both full-rank and rank-deficient matrices, and independent
-finite-difference oracles for every formula.  The ``mpjl`` CLI runs the
+finite-difference and complex-step oracles for every formula.  The ``mpjl`` CLI runs the
 seeded verification suites and emits reproducible JSON reports.
 """
 
@@ -18,13 +18,12 @@ from .chart import (
 from .differential import (
     FdConfig,
     OrthogonalSandwichMap,
-    PinvMap,
     fd_chart_jacobian,
     fd_pinv_differential,
     jacobian_det_full_rank,
     jacobian_det_operator,
-    jacobian_operator,
     operator_spectrum,
+    pinv_chart_jacobian,
     pinv_differential,
 )
 from .errors import (
@@ -41,7 +40,6 @@ from .errors import (
     RankDrift,
     RankMismatch,
     ShapeMismatch,
-    SingularGram,
     SingularInput,
 )
 from .matcore import (
@@ -51,7 +49,6 @@ from .matcore import (
     matrix_from_json,
     matrix_to_json,
     pinv,
-    pinv_fixed_rank,
     random_rank_q,
     random_stiefel,
     rank_profile,

@@ -27,7 +27,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import ChartInvalid, IllConditionedPivot, RankMismatch, ShapeMismatch, SingularGram
+from .errors import ChartInvalid, IllConditionedPivot, RankMismatch, ShapeMismatch
 from .matcore import as_stack, common_rank, ill_conditioned, rank_profile
 
 # Condition-number cap on the pivot block; beyond it the rank hypothesis is
@@ -165,7 +165,7 @@ def _unpermute(b: BlockDecomposition, a11, a12, a21, a22) -> np.ndarray:
     stack, rp, cp = b._stack, b.row_perm, b.col_perm
     top, bottom = rp[..., : b.q, None], rp[..., b.q :, None]
     left, right = cp[..., None, : b.q], cp[..., None, b.q :]
-    a = np.empty(a11.shape[:-2] + (b.n, b.m))
+    a = np.empty(a11.shape[:-2] + (b.n, b.m), np.result_type(a11, a12, a21, a22))
     a[(..., *stack, top, left)] = a11
     a[(..., *stack, top, right)] = a12
     a[(..., *stack, bottom, left)] = a21
@@ -178,28 +178,36 @@ def assemble(b: BlockDecomposition) -> np.ndarray:
     return _unpermute(b, b.x11, b.x12, b.x21, x22_from_blocks(b))
 
 
+def _pinv_blocks(b: BlockDecomposition, x11, x12, x21) -> np.ndarray:
+    # pinv_from_blocks of blocks whose leading axes end with b's stack axes;
+    # plain transposes and solves only, so complex blocks pass through.
+    eye = np.eye(b.q)
+    zt = np.linalg.solve(x11.swapaxes(-1, -2), x21.swapaxes(-1, -2))     # Z'
+    rows = np.concatenate([np.broadcast_to(eye, zt.shape[:-1] + (b.q,)), zt], -1)
+    rows = np.linalg.solve(eye + zt @ zt.swapaxes(-1, -2), rows)       # (I + Z'Z)^-1 [I, Z']
+    w, core = np.split(np.linalg.solve(x11, np.concatenate([x12, rows], -1)), [b.m - b.q], -1)
+    wt = w.swapaxes(-1, -2)
+    core = np.linalg.solve(eye + w @ wt, core)
+    yp = np.concatenate([core, wt @ core], -2)
+    y = np.empty(yp.shape, yp.dtype)
+    y[(..., *b._stack, b.col_perm[..., :, None], b.row_perm[..., None, :])] = yp
+    return y
+
+
 def pinv_from_blocks(b: BlockDecomposition) -> np.ndarray:
     """Closed-form pseudoinverse from the free blocks alone, of a stack slice by slice.
 
-    In permuted coordinates,
+    With W = X11^-1 X12 and Z = X21 X11^-1 the permuted matrix factors as
+    Xp = [I; Z] X11 [I, W], so in permuted coordinates
 
-        Xp+ = [X11'; X12'] (X11 X11' + X12 X12')^-1 X11
-                           (X11' X11 + X21' X21)^-1 (X11', X21'),
+        Xp+ = [I; W'] (I + W W')^-1 X11^-1 (I + Z'Z)^-1 [I, Z'],
 
     then the stored permutations carry the result back to original indices.
+    X11 enters once, never squared, and I + W W' and I + Z'Z have every
+    eigenvalue >= 1, so once X11 has passed its pivot test nothing else
+    can be singular.
     """
-    x11t, x12t, x21t = (a.swapaxes(-1, -2) for a in (b.x11, b.x12, b.x21))
-    gram_left = b.x11 @ x11t + b.x12 @ x12t
-    gram_right = x11t @ b.x11 + x21t @ b.x21
-    for name, g in (("left", gram_left), ("right", gram_right)):
-        if ill_conditioned(g, rtol=np.finfo(float).eps * b.q) is not None:
-            raise SingularGram(f"{name} Gram combination is numerically singular")
-    core = np.linalg.solve(gram_left, b.x11)
-    core = np.linalg.solve(gram_right.swapaxes(-1, -2), core.swapaxes(-1, -2)).swapaxes(-1, -2)
-    yp = np.concatenate([x11t, x12t], -2) @ core @ np.concatenate([x11t, x21t], -1)
-    y = np.empty(yp.shape)
-    y[(*b._stack, b.col_perm[..., :, None], b.row_perm[..., None, :])] = yp
-    return y
+    return _pinv_blocks(b, b.x11, b.x12, b.x21)
 
 
 def tangent_perturbation(b: BlockDecomposition, dx11, dx12, dx21) -> np.ndarray:
@@ -224,18 +232,9 @@ def tangent_perturbation(b: BlockDecomposition, dx11, dx12, dx21) -> np.ndarray:
     return _unpermute(b, dx11, dx12, dx21, dx22)
 
 
-def perturbed_assemble(b: BlockDecomposition, deltas: np.ndarray) -> np.ndarray:
-    """Assemble the matrix whose free coordinates moved by ``deltas``.
-
-    ``deltas`` follows the order of ``b.coordinates``; the dependent block is
-    recomputed from the perturbed free blocks, so the result has exact rank
-    q by construction.  Shape (k,) gives one n x m matrix; shape (p, k) gives
-    the (p, n, m) stack of the p points, each row moved on its own; of a
-    stacked decomposition, (T, k) and (p, T, k) likewise.  One stacked pivot
-    test and one stacked solve for X22 serve all points.  Raises
-    ChartInvalid when any point leaves the pivot block's validity region.
-    """
-    deltas = np.asarray(deltas, dtype=float)
+def _moved_blocks(b: BlockDecomposition, deltas: np.ndarray) -> tuple:
+    # X11, X12, X21 moved by ``deltas`` (see perturbed_assemble), in the
+    # dtype the blocks and the deltas promote to.
     lead_b = b.x11.shape[:-2]
     stack = deltas.shape[deltas.ndim - 1 - len(lead_b):-1]
     if deltas.ndim - len(lead_b) not in (1, 2) or stack != lead_b or deltas.shape[-1] != len(b):
@@ -245,10 +244,28 @@ def perturbed_assemble(b: BlockDecomposition, deltas: np.ndarray) -> np.ndarray:
     # Chart order is X11, X12, X21, each column-major: a row-major reshape
     # to the transposed block shape, transposed back.
     k12, k21 = q * q, q * m
-    x11 = b.x11 + deltas[..., :k12].reshape(lead + (q, q)).swapaxes(-1, -2)
-    x12 = b.x12 + deltas[..., k12:k21].reshape(lead + (m - q, q)).swapaxes(-1, -2)
-    x21 = b.x21 + deltas[..., k21:].reshape(lead + (q, n - q)).swapaxes(-1, -2)
-    # The moved X11 must pass the same pivot test as a built decomposition.
-    if ill_conditioned(x11, rtol=1 / PIVOT_COND_CAP) is not None:
+    return (b.x11 + deltas[..., :k12].reshape(lead + (q, q)).swapaxes(-1, -2),
+            b.x12 + deltas[..., k12:k21].reshape(lead + (m - q, q)).swapaxes(-1, -2),
+            b.x21 + deltas[..., k21:].reshape(lead + (q, n - q)).swapaxes(-1, -2))
+
+
+def perturbed_assemble(b: BlockDecomposition, deltas: np.ndarray) -> np.ndarray:
+    """Assemble the matrix whose free coordinates moved by ``deltas``.
+
+    ``deltas`` follows the order of ``b.coordinates``; the dependent block is
+    recomputed from the perturbed free blocks, so the result has exact rank
+    q by construction.  Shape (k,) gives one n x m matrix; shape (p, k) gives
+    the (p, n, m) stack of the p points, each row moved on its own; of a
+    stacked decomposition, (T, k) and (p, T, k) likewise.  One stacked pivot
+    test of the points whose X11 moved and one stacked solve for X22 serve
+    all points.  Raises ChartInvalid when any point leaves the pivot
+    block's validity region.
+    """
+    deltas = np.asarray(deltas)
+    x11, x12, x21 = _moved_blocks(b, deltas)
+    # A moved X11 must pass the same pivot test as a built decomposition;
+    # an unmoved one is b's, which passed it.
+    moved = np.any(deltas[..., : b.q * b.q] != 0, axis=-1)
+    if ill_conditioned(x11[moved], rtol=1 / PIVOT_COND_CAP) is not None:
         raise ChartInvalid("perturbation left the pivot block's validity region")
     return _unpermute(b, x11, x12, x21, _x22(x11, x12, x21))

@@ -42,12 +42,15 @@ eigenvalue of S lies within ||E||_F of the pair blocks' spectrum.
 The finite-difference oracles here are the independent checks for the
 analytic forms; they pin the rank of every evaluation point to the rank of
 the base point, because the pseudoinverse is discontinuous across rank
-changes.
+changes.  The chart Jacobian of X -> pinv(X) is a complex step instead
+(Squire & Trapp 1998): ``chart.pinv_from_blocks`` is analytic in the free
+blocks, so Im f(b + i h e) / h, h = 1e-20 max|X|, is the derivative along
+e to rounding error, with no subtraction.
 
-Every function here except ``jacobian_operator`` also takes a stack (T, n,
-m) (``subspace_rank_profile`` only a stack), one result per slice with the
-bits of the 2-D call: steps that numpy rounds differently on arrays
-(scalar powers, logs) stay per slice.
+Every function here also takes a stack (T, n, m) (``subspace_rank_profile``
+only a stack), one result per slice with the bits of the 2-D call: steps
+that numpy rounds differently on arrays (scalar powers, logs) stay per
+slice.
 """
 
 from __future__ import annotations
@@ -56,11 +59,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import BlockDecomposition, assemble, perturbed_assemble
+from .chart import BlockDecomposition, _moved_blocks, _pinv_blocks, assemble, perturbed_assemble
 from .errors import NotFullRank, RankDrift, ShapeMismatch
 from .matcore import (
-    RankInfo, _pinv_from_svd, _rank_info, as_matrix, as_stack, common_rank, pinv, pinv_fixed_rank,
-    rank_profile, scalar_powers,
+    RankInfo, _pinv_from_svd, _rank_info, as_stack, common_rank, pinv, rank_profile, scalar_powers,
 )
 
 
@@ -111,12 +113,6 @@ def pair_operator(x, y) -> np.ndarray:
     s += yty[..., :, None, :, None] * right[..., None, :, None, :]
     s -= yt[..., :, None, None, :] * y[..., None, :, :, None]
     return s
-
-
-def jacobian_operator(x) -> np.ndarray:
-    """The symmetric nm x nm matrix S with S @ dX.ravel() = pinv_differential(X, dX).T.ravel()."""
-    x = as_matrix(x)
-    return pair_operator(x, pinv(x)).reshape(x.size, x.size)
 
 
 def subspace_rank_profile(s: np.ndarray, q: int) -> RankInfo:
@@ -225,18 +221,7 @@ def fd_pinv_differential(x, dx, cfg: FdConfig = FdConfig()) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Matrix-map descriptors for chart-to-chart Jacobians.  Closed enumeration,
-# no user-supplied code.
-
-@dataclass(frozen=True)
-class PinvMap:
-    """X -> pinv(X), rank-pinned: every evaluation keeps ``rank`` triplets."""
-
-    rank: int
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return pinv_fixed_rank(x, self.rank)
-
+# Chart-to-chart Jacobians.
 
 class OrthogonalSandwichMap:
     """X -> H X Q with fixed orthogonal H (n x n) and Q (m x m), or stacks of them."""
@@ -255,16 +240,14 @@ class OrthogonalSandwichMap:
         return self.left @ x @ self.right
 
 
-MatrixMap = PinvMap | OrthogonalSandwichMap
+def _check_base(x: np.ndarray, in_chart: BlockDecomposition) -> None:
+    scale = np.maximum(np.max(np.abs(x), axis=(-2, -1)), 1e-12)
+    if np.any(np.max(np.abs(assemble(in_chart) - x), axis=(-2, -1)) > 1e-8 * scale):
+        raise ShapeMismatch("in_chart does not reassemble the given X")
 
 
-def fd_chart_jacobian(
-    f: MatrixMap,
-    x,
-    in_chart: BlockDecomposition,
-    out_chart: BlockDecomposition,
-    cfg: FdConfig = FdConfig(),
-) -> np.ndarray:
+def fd_chart_jacobian(f: OrthogonalSandwichMap, x, in_chart: BlockDecomposition,
+                      out_chart: BlockDecomposition, cfg: FdConfig = FdConfig()) -> np.ndarray:
     """Partial derivatives of out-chart coordinates of f with respect to
     in-chart coordinates, by central differences.
 
@@ -282,10 +265,7 @@ def fd_chart_jacobian(
     ChartInvalid when any point leaves the in-chart's pivot region.
     """
     x = as_stack(x)
-    base = assemble(in_chart)
-    scale = np.maximum(np.max(np.abs(x), axis=(-2, -1)), 1e-12)
-    if np.any(np.max(np.abs(base - x), axis=(-2, -1)) > 1e-8 * scale):
-        raise ShapeMismatch("in_chart does not reassemble the given X")
+    _check_base(x, in_chart)
     h = cfg.effective_step(x)
     k = len(in_chart)
     # Off-diagonal steps are +0.0: a -0.0 would keep the sign of a -0.0
@@ -295,3 +275,27 @@ def fd_chart_jacobian(
     steps[np.arange(k, 2 * k), ..., np.arange(k)] = -h
     values = out_chart.coordinates(f.apply(perturbed_assemble(in_chart, steps)))
     return np.moveaxis(values[:k] - values[k:], 0, -1) / (2.0 * h)[..., None, None]
+
+
+def pinv_chart_jacobian(x, in_chart: BlockDecomposition,
+                        out_chart: BlockDecomposition) -> np.ndarray:
+    """Partial derivatives of out-chart coordinates of pinv(X) with respect to
+    in-chart coordinates, by complex step.
+
+    The k points b + i h e_c, one per in-chart coordinate c, form one
+    (k, n, m) stack of free blocks, (k, T, n, m) of a stack (T, n, m) with
+    its charts, each slice stepped by its own h = 1e-20 max|X|.  Their
+    pseudoinverses are taken in the factored block form (see
+    ``chart.pinv_from_blocks``), which keeps the rank at q with no SVD and
+    no pivot test per point, and Im(out-chart coordinates) / h is the
+    Jacobian to rounding error.  For equal-size charts its absolute
+    determinant is the chart-to-chart Jacobian of X -> pinv(X).
+    """
+    x = as_stack(x)
+    _check_base(x, in_chart)
+    h = 1e-20 * np.max(np.abs(x), axis=(-2, -1))
+    k = len(in_chart)
+    steps = np.zeros((k,) + x.shape[:-2] + (k,), complex)
+    steps[np.arange(k), ..., np.arange(k)] = 1j * h
+    y = _pinv_blocks(in_chart, *_moved_blocks(in_chart, steps))
+    return np.moveaxis(out_chart.coordinates(y).imag, 0, -1) / h[..., None, None]

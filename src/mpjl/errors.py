@@ -29,10 +29,6 @@ class IllConditionedPivot(MpjlError):
     """No pivoting choice yields an acceptably conditioned leading block."""
 
 
-class SingularGram(MpjlError):
-    """A Gram combination inside the block pseudoinverse is numerically singular."""
-
-
 class NotFullRank(MpjlError):
     """The operation requires rank equal to min(n, m)."""
 

@@ -169,20 +169,6 @@ def pinv(x) -> np.ndarray:
     return _pinv_from_svd(u, s, vt, common_rank(_rank_info(s, x.shape)))
 
 
-def pinv_fixed_rank(x, q: int) -> np.ndarray:
-    """Pseudoinverse truncated to exactly the q leading singular triplets.
-
-    Used by finite-difference oracles that must pin the rank of nearby
-    evaluation points to the rank of the base point.  ``x`` is one n x m
-    matrix or a stack of shape (..., n, m); a stack is factored in one
-    stacked SVD and gives the (..., m, n) stack of pseudoinverses.
-    """
-    x = as_stack(x)
-    if q < 0 or q > min(x.shape[-2:]):
-        raise ValueError(f"q={q} out of range for shape {x.shape}")
-    return _pinv_from_svd(*np.linalg.svd(x, full_matrices=False), q)
-
-
 def ill_conditioned(a, rtol: float) -> np.ndarray | None:
     """Singular values of the square matrix ``a`` when ``s[-1] <= rtol * s[0]``, else None.
 

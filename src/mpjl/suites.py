@@ -35,8 +35,8 @@ from .reports import PRIMARY, SuiteResult, VerificationReport, stack_reports
 
 RETRY_BUDGET = 3
 
-# FD chart determinants are only cross-checked at sizes where the full
-# chart stays small.
+# Chart determinants are only cross-checked at sizes where the full chart
+# stays small.
 FD_CROSS_CHECK_MAX_ENTRIES = 12
 
 # Budget of one trial stack in the entries its check holds per trial (see
@@ -129,8 +129,8 @@ def _chart_dim(cfg: RunConfig) -> int:
 
 
 def _fd_chart(suite: str, cfg: RunConfig) -> bool:
-    # Whether the check makes FD chart points: invariance always;
-    # jacobian-full, and operator-rank below full rank, on small charts.
+    # Whether the check makes chart points (FD or complex step): invariance
+    # always; jacobian-full, and operator-rank below full rank, on small charts.
     if suite == "invariance":
         return True
     deficient = cfg.rank < min(cfg.n, cfg.m)
@@ -139,10 +139,10 @@ def _fd_chart(suite: str, cfg: RunConfig) -> bool:
 
 
 def _pinv_chart_det(cfg: RunConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """|det| of the FD chart Jacobian of X -> pinv(X) = Y, rank pinned, per slice."""
+    """|det| of the chart Jacobian of X -> pinv(X) = Y, per slice, by complex step: k
+    points through the factored block pseudoinverse, no SVD and no FD step."""
     q = cfg.rank
-    jac = differential.fd_chart_jacobian(differential.PinvMap(rank=q), x, chart.decompose(x, q),
-                                         chart.decompose(y, q), _fd_config(cfg))
+    jac = differential.pinv_chart_jacobian(x, chart.decompose(x, q), chart.decompose(y, q))
     return np.abs(np.linalg.det(jac))
 
 
@@ -191,11 +191,10 @@ def _check_operator_rank(cfg: RunConfig, draws: list[tuple]) -> list[Verificatio
     ut, v = u.swapaxes(-1, -2), vt.swapaxes(-1, -2)
     chart_det = {}
     if _fd_chart("operator-rank", cfg):
-        # No closed form is known for this determinant; it is reported for
-        # reproducibility only, never asserted against a formula.
+        # Reported, never asserted here; the tests hold it to the area
+        # formula -2(n+m-q) sum log d + V(X's chart) - V(Y's chart).
         chart_det["deficient_chart_det"] = _pinv_chart_det(cfg, x, y)
-    # The symmetric operator in the basis U kron V; the pair blocks are
-    # read as symmetric, so the symmetry is a residual of its own.
+    # The operator in the basis U kron V, built exactly symmetric.
     s = differential.pair_operator(ut @ x @ v, vt @ y @ u)
     op = s.reshape(len(x), n * m, n * m)
     norm = matcore.frobenius_norms(op)
@@ -206,14 +205,13 @@ def _check_operator_rank(cfg: RunConfig, draws: list[tuple]) -> list[Verificatio
         # read zeroes its diagonal; at full rank that space is {0}.
         normal = [np.sqrt(np.einsum("lkij,lkij->", b, b)) for b in s[..., q:, q:]]
         residuals["annihilation"] = _rel(normal, norm)
-    symmetry = _rel(matcore.frobenius_norms(op - op.swapaxes(-1, -2)), norm)
     rank = differential.subspace_rank_profile(s, q)  # op keeps only its off-pair part
     # The pseudo-determinant against prod d^-2(n+m-q), the paper's
     # rank-deficient factor, both as sums of logs of the singular values:
     # the products leave the float range at moderate sizes.
     log_pdet = np.array([np.log(sv[:expected]).sum() for sv in rank.singular_values])
     residuals.update(pseudo_det=abs(log_pdet - differential.operator_log_pdet(x, info)),
-                     symmetry=symmetry, leak=_rel(matcore.frobenius_norms(op), norm))
+                     leak=_rel(matcore.frobenius_norms(op), norm))
     values = {"operator_rank": rank.rank, "expected_rank": expected, **chart_det}
     return stack_reports("operator-rank", {"n": n, "m": m, "q": q}, values, residuals,
                          tol=cfg.tol, conditions=(rank.rank == expected,))
@@ -317,9 +315,9 @@ def run_trial(suite: str, cfg: RunConfig, trial: int) -> VerificationReport:
 
 
 def _trial_entries(suite: str, cfg: RunConfig) -> int:
-    # Entries one trial adds to a stacked pass: its FD evaluation points
-    # where its check makes them, operator-rank's dense operator where that
-    # is more, else its n x m instance.
+    # Entries one trial adds to a stacked pass: its chart points where its
+    # check makes them (2k real FD points or k complex ones, alike in size),
+    # operator-rank's dense operator where that is more, else its instance.
     n, m = cfg.n, cfg.m
     points = 2 * _chart_dim(cfg) * n * m if _fd_chart(suite, cfg) else 0
     if suite == "operator-rank":

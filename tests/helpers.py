@@ -2,9 +2,10 @@
 
 import numpy as np
 
-from mpjl.chart import BlockDecomposition
+from mpjl.chart import BlockDecomposition, decompose
+from mpjl.differential import pair_operator
 from mpjl.errors import ShapeMismatch
-from mpjl.matcore import as_matrix
+from mpjl.matcore import as_matrix, pinv, rank_profile
 
 
 def vec(a) -> np.ndarray:
@@ -17,13 +18,48 @@ def commutation_matrix(m: int, n: int) -> np.ndarray:
 
     The argument order follows the subscript convention K_mn acting on the
     vectorization of an n x m matrix.  The oracle of the commutation that
-    ``differential.jacobian_operator`` builds entrywise.
+    :func:`jacobian_operator` builds entrywise.
     """
     k = np.zeros((m * n, m * n))
     for i in range(n):
         for j in range(m):
             k[i * m + j, j * n + i] = 1.0
     return k
+
+
+def jacobian_operator(x) -> np.ndarray:
+    """The symmetric nm x nm matrix S with S @ dX.ravel() = pinv_differential(X, dX).T.ravel()."""
+    x = as_matrix(x)
+    return pair_operator(x, pinv(x)).reshape(x.size, x.size)
+
+
+def log_chart_volume(b: BlockDecomposition) -> float:
+    """V(b) = (n-q)/2 log det(I + W'W) + (m-q)/2 log det(I + Z Z'), W = X11^-1 X12, Z = X21 X11^-1.
+
+    The log volume element of the chart: the map from b's free coordinates
+    to the n x m matrix has det(T'T) = det(I + W'W)^(n-q) det(I + Z Z')^(m-q).
+    """
+    q, n, m = b.q, b.n, b.m
+    w = np.linalg.solve(b.x11, b.x12)
+    z = np.linalg.solve(b.x11.T, b.x21.T).T
+    return (0.5 * (n - q) * np.linalg.slogdet(np.eye(m - q) + w.T @ w)[1]
+            + 0.5 * (m - q) * np.linalg.slogdet(np.eye(n - q) + z @ z.T)[1])
+
+
+def pinv_chart_log_det(x, q: int) -> tuple[float, float]:
+    """Closed form of log|det| of the chart Jacobian of X -> pinv(X), and its scale.
+
+    By the area formula, -2(n+m-q) sum log d_i over the q retained singular
+    values, plus V(X's chart) - V(Y's chart) (see :func:`log_chart_volume`),
+    the charts being those of ``decompose``; at full rank both volumes are
+    0.  The scale is the sum of the magnitudes of those terms, the size of
+    the rounding the value carries.
+    """
+    x = as_matrix(x)
+    n, m = x.shape
+    spectral = -2 * (n + m - q) * np.log(rank_profile(x).singular_values[:q])
+    volumes = log_chart_volume(decompose(x, q)), -log_chart_volume(decompose(pinv(x), q))
+    return spectral.sum() + sum(volumes), np.abs(spectral).sum() + np.abs(volumes).sum()
 
 
 def penrose_residuals(x, y) -> tuple[float, float, float, float]:

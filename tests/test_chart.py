@@ -307,10 +307,11 @@ def test_tangent_perturbation_tests_x11_once(svd_shapes):
 def test_blocks_trial_tests_x11_once(svd_shapes):
     report = suites.run_trial("blocks", suites.RunConfig(n=8, m=6, q=3, seed=61), 0)
     assert report.passed and report.inputs["attempt"] == 0
-    # decompose: rank of X, X11 test; pinv(X); pinv_from_blocks: the two
-    # Gram tests.  Neither assemble nor x22_from_blocks tests X11 again.
-    # The trial is checked as a stack of one.
-    assert svd_shapes == [(1, 8, 6), (1, 3, 3), (1, 8, 6), (1, 3, 3), (1, 3, 3)]
+    # decompose: rank of X, X11 test; pinv(X).  Neither assemble,
+    # x22_from_blocks nor pinv_from_blocks tests X11 again, and the
+    # factored pseudoinverse has nothing else to test.  The trial is
+    # checked as a stack of one.
+    assert svd_shapes == [(1, 8, 6), (1, 3, 3), (1, 8, 6)]
 
 
 def test_deficient_differential_trial_tests_x11_once(svd_shapes):
@@ -330,9 +331,10 @@ def test_fd_chart_jacobian_tests_x11_once_per_point(svd_shapes):
     b = chart.decompose(x, 3)
     svd_shapes.clear()
     fd_chart_jacobian(OrthogonalSandwichMap(np.eye(8), np.eye(6)), x, b, b)
-    # The base point's X11 was tested when b was built; every evaluation
-    # point is tested once, all in one stacked call.
-    assert svd_shapes == [(2 * len(b), 3, 3)]
+    # The base point's X11 was tested when b was built; the 2q^2 points
+    # that move X11 are tested once, all in one stacked call, and the
+    # others carry the base X11.
+    assert svd_shapes == [(2 * 3 * 3, 3, 3)]
 
 
 def test_perturbed_assemble_moves_each_chart_position():
@@ -374,6 +376,21 @@ def test_perturbed_assemble_stack_matches_rows():
         assert _same_bits(chart.perturbed_assemble(b, deltas.tolist()), stack)
         for row, point in zip(deltas, stack):
             assert _same_bits(point, chart.perturbed_assemble(b, row))
+
+
+def test_perturbed_assemble_keeps_complex_deltas():
+    # A complex step i h e through the chart: the real part is the base
+    # point, and the imaginary part over h the tangent along e.
+    rng = mc.make_rng(40)
+    b = chart.decompose(mc.random_rank_q(5, 4, 2, rng), 2)
+    d = [rng.standard_normal(a.shape) for a in (b.x11, b.x12, b.x21)]
+    deltas = np.concatenate([a.T.ravel() for a in d])  # chart order: column-major blocks
+    h = 1e-20
+    point = chart.perturbed_assemble(b, 1j * h * deltas)
+    assert point.dtype == complex
+    np.testing.assert_allclose(point.real, chart.assemble(b), rtol=0, atol=1e-15)
+    tangent = chart.tangent_perturbation(b, *d)
+    np.testing.assert_allclose(point.imag / h, tangent, rtol=0, atol=1e-13)
 
 
 def test_perturbed_assemble_stack_rejects_one_bad_point():

@@ -242,8 +242,7 @@ def test_operator_rank_at_full_rank_has_no_annihilation(capsys, extra):
     n, m = int(extra[1]), int(extra[3])
     for report in json.loads(out)["reports"]:
         assert report["pass"] is True
-        assert list(report["residuals"]) == list(report["tolerances"]) == [
-            "pseudo_det", "symmetry", "leak"]
+        assert list(report["residuals"]) == list(report["tolerances"]) == ["pseudo_det", "leak"]
         assert report["values"]["operator_rank"] == report["values"]["expected_rank"] == n * m
     code, out, err = run_cli(capsys, *argv, "--tol", "1e-12")
     assert (code, out) == (2, "")

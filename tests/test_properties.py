@@ -1,12 +1,14 @@
 """Property sweeps: the closed-form operator spectrum against the dense
-operator and its pair blocks, the pivots of ``decompose`` against
-the greedy loop, and the stacked FD differential against one factorization
-per point."""
+operator and its pair blocks, the complex-step chart Jacobian of pinv
+against the area formula, the pivots of ``decompose`` against the greedy
+loop, and the stacked FD differential against one factorization per
+point."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from helpers import jacobian_operator, pinv_chart_log_det
 from mpjl import chart, differential as df, matcore as mc, measures
 from mpjl.errors import RankDrift
 from mpjl.reports import TOLERANCES
@@ -34,7 +36,7 @@ def instances(draw):
 @example(_case(4, 6, 3, 100.0, 5))
 def test_operator_spectrum_matches_dense_operator(case):
     n, m, q, x = case
-    op = df.jacobian_operator(x)
+    op = jacobian_operator(x)
     assert np.array_equal(op, op.T)
     dx = mc.make_rng(n, m, q).standard_normal((n, m))
     image = df.pinv_differential(x, dx).T.ravel()
@@ -69,6 +71,31 @@ def test_operator_spectrum_matches_dense_operator(case):
         assert abs(df.jacobian_det_operator(x, info) - det) <= 1e-8 * det
     else:
         assert df.jacobian_det_operator(x, info) == 0.0
+
+
+@st.composite
+def chart_instances(draw):
+    """(X, q): shapes up to 6x5, any rank, spectrum scale 1e-3 to 1e3."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 5))
+    q = draw(st.integers(1, min(n, m)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return scale * mc.random_rank_q(n, m, q, mc.make_rng(draw(st.integers(0, 2**31 - 1)))), q
+
+
+@given(chart_instances())
+@example((mc.random_rank_q(6, 5, 3, mc.make_rng(1)), 3))
+@example((1e-3 * mc.random_rank_q(5, 5, 5, mc.make_rng(2)), 5))
+@example((1e3 * mc.random_rank_q(1, 5, 1, mc.make_rng(3)), 1))
+def test_pinv_chart_jacobian_matches_the_area_formula(case):
+    # log|det| of the complex-step chart Jacobian of X -> pinv(X) against
+    # -2(n+m-q) sum log d, plus V(X's chart) - V(Y's chart) below full rank.
+    x, q = case
+    jac = df.pinv_chart_jacobian(x, chart.decompose(x, q), chart.decompose(mc.pinv(x), q))
+    sign, log_det = np.linalg.slogdet(jac)
+    want, size = pinv_chart_log_det(x, q)
+    assert sign != 0
+    assert abs(log_det - want) <= 1e-12 * max(size, 1.0)
 
 
 def _greedy_pivots(x, q):

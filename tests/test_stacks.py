@@ -117,8 +117,6 @@ def test_degenerate_draw_falls_back_to_its_retry(monkeypatch):
 FALLBACKS = [
     ("invariance", dict(n=4, m=4, q=2, spectrum=(1000.0, 0.001), seed=3), ChartInvalid,
      "validity region", 1),
-    ("operator-rank", dict(n=4, m=3, q=2, spectrum=(1000.0, 0.001), seed=4), ChartInvalid,
-     "validity region", 1),
     ("invariance", dict(n=3, m=3, q=2, spectrum=(100000.0, 0.001), seed=1), IllConditionedPivot,
      "pivot block has condition 1.517e+08 > 1e+08", 1),
     ("blocks", dict(n=3, m=3, q=2, spectrum=(100000.0, 0.001), seed=1), IllConditionedPivot,
@@ -148,6 +146,29 @@ def test_failing_stack_raises_what_the_trial_loop_raises(capsys, suite, config, 
     assert main(argv) == code
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {one_by_one.value}\n"
+
+
+def test_ill_conditioned_operator_rank_stack_reports_honest_leak_fails(capsys):
+    # At cond(X) = 1e6 the complex-step chart points of operator-rank make
+    # no pivot test, so the stack no longer falls back by ChartInvalid: it
+    # gives the bytes of the trials one by one, six reports that fail on
+    # the leak alone, an eps * cond(X) rounding above its tolerance, and
+    # exit code 1.
+    config = dict(n=4, m=3, q=2, trials=6, spectrum=(1000.0, 0.001), seed=4)
+    cfg = suites.validate_config(suites.RunConfig(**config), "operator-rank")
+    expected = _one_by_one("operator-rank", cfg)
+    assert _bytes(suites._run_stack("operator-rank", cfg, range(6))) == expected
+    reports = suites.run_suite("operator-rank", cfg).reports
+    assert _bytes(reports) == expected
+    for report in reports:
+        failing = [k for k, v in report.residuals.items() if v > report.tolerances[k]]
+        assert failing == ["leak"] and not report.passed
+        assert report.values["operator_rank"] == report.values["expected_rank"]
+    argv = ["verify", "operator-rank", "--n", "4", "--m", "3", "--q", "2", "--trials", "6",
+            "--spectrum", "1000,0.001", "--seed", "4", "--format", "json"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == expected and captured.err == ""
 
 
 def test_rank_q_draws_build_bit_for_bit_as_one_stack():
@@ -226,13 +247,23 @@ def test_stacked_decompose_and_fd_chart_factor_one_stack(svd_shapes):
     assert svd_shapes == [(trials, n, m), (trials, q, q)]
     out_chart = chart.decompose(y, q)
     svd_shapes.clear()
-    jac = df.fd_chart_jacobian(df.PinvMap(rank=q), x, in_chart, out_chart)
-    points = 2 * len(in_chart)
-    assert svd_shapes == [(points, trials, q, q), (points, trials, n, m)]
+    # The complex-step chart Jacobian of pinv factors nothing; the FD one of
+    # a sandwich map tests the 2q^2 points of each slice that move X11 in
+    # one stacked SVD.
+    jac = df.pinv_chart_jacobian(x, in_chart, out_chart)
+    assert svd_shapes == []
+    rng = mc.make_rng(12)
+    h = mc.orthonormal_frames(rng.standard_normal((trials, n, n)))
+    qmat = mc.orthonormal_frames(rng.standard_normal((trials, m, m)))
+    sandwich = df.OrthogonalSandwichMap(h, qmat)
+    fd = df.fd_chart_jacobian(sandwich, x, in_chart, in_chart)
+    assert svd_shapes == [(2 * q * q * trials, q, q)]
     for t in range(trials):
-        one = df.fd_chart_jacobian(df.PinvMap(rank=q), x[t], chart.decompose(x[t], q),
-                                   chart.decompose(y[t], q))
+        one_chart = chart.decompose(x[t], q)
+        one = df.pinv_chart_jacobian(x[t], one_chart, chart.decompose(y[t], q))
         assert np.array_equal(jac[t], one)
+        one_sandwich = df.OrthogonalSandwichMap(h[t], qmat[t])
+        assert np.array_equal(fd[t], df.fd_chart_jacobian(one_sandwich, x[t], one_chart, one_chart))
 
 
 def test_stacked_decompose_raises_for_any_bad_slice():

@@ -19,15 +19,20 @@ its own directory.  It replays:
   be written, report merges and parse errors, runs whose trial stack
   raises and so reruns trial by trial (a ``ChartInvalid`` or
   ill-conditioned pivot in one trial, retried draws, and a retry budget
-  that runs out), a stack whose determinants overflow, ``operator-rank``
+  that runs out), ``operator-rank`` at 4 x 3 q=2 and spectrum
+  ``1000,0.001`` (edge 26), whose complex-step chart points make no pivot
+  test, so its stack no longer falls back by ``ChartInvalid`` and reports
+  honest ``leak`` FAILs, a stack whose determinants overflow, ``operator-rank``
   at full rank and at 32 x 24, a twelve-trial 30 x 20 stack, three
   ``operator-rank`` stacks (five 8 x 6 trials at cond(X) = 1e4, four
   full-rank 1 x 5 trials, where the operator has no 2x2 pair block and no
   kernel, and four 4 x 3 trials at cond(X) = 1e5, which pass some and fail
   others), two ``operator-rank`` spectra whose squared operator entries
   leave the float range, one by overflow and one by underflow, ``--tol``
-  values that are not finite, and ``report`` over files that hold a number
-  that is not finite.
+  values that are not finite, ``report`` over files that hold a number
+  that is not finite, and the chart oracles at spectrum ``geomspace(1,
+  1/c, q)``: ``jacobian-full`` 4 x 3 and 3 x 4 at c = 1e4 and ``blocks``
+  8 x 6 q=3 at c = 1e5.
 
 Each invocation records its exit code (or the exception that escaped
 ``cli.main``), its stdout, its ``error: ...`` lines of stderr and the
@@ -142,6 +147,10 @@ EDGE_CASES = [
       for tol in ("nan", "inf", "1e400")),
     *(["report", f"non-finite-{number}.json", "--format", fmt]
       for number in NON_FINITE for fmt in ("json", "text")),
+    *(["verify", "jacobian-full", "--n", n, "--m", m, "--trials", "4", "--seed", "1",
+       "--spectrum", "1,0.01,0.0001", "--format", "json"] for n, m in (("4", "3"), ("3", "4"))),
+    ["verify", "blocks", "--n", "8", "--m", "6", "--q", "3", "--trials", "4", "--seed", "1",
+     "--spectrum", "1,0.0031622776601683794,1e-05", "--format", "json"],
 ]
 
 
