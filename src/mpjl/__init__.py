@@ -2,9 +2,10 @@
 
 The library computes the analytic differential and Jacobian operator of
 the Moore-Penrose inverse, closed-form determinant and density factors for
-both full-rank and rank-deficient matrices, and independent
-finite-difference and complex-step oracles for every formula.  The ``mpjl`` CLI runs the
-seeded verification suites and emits reproducible JSON reports.
+both full-rank and rank-deficient matrices, and independent oracles for
+every formula: complex-step derivatives, and central differences where the
+invariance witnesses need them.  The ``mpjl`` CLI runs the seeded
+verification suites and emits reproducible JSON reports.
 """
 
 from .chart import (
@@ -19,11 +20,11 @@ from .differential import (
     FdConfig,
     OrthogonalSandwichMap,
     fd_chart_jacobian,
-    fd_pinv_differential,
     jacobian_det_full_rank,
     jacobian_det_operator,
     operator_spectrum,
     pinv_chart_jacobian,
+    pinv_complex_step,
     pinv_differential,
 )
 from .errors import (
@@ -37,7 +38,6 @@ from .errors import (
     NotFullColumnRank,
     NotFullRank,
     ParseError,
-    RankDrift,
     RankMismatch,
     ShapeMismatch,
     SingularInput,

@@ -76,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="override the suite's primary comparison tolerance "
                                "(exterior-chain and invariance have none)")
     p_verify.add_argument("--fd-step", type=float, default=_DEFAULTS.fd_step,
-                          help="finite-difference step of differential, invariance and "
-                               "symmetric-inverse (default %(default)s)")
+                          help="finite-difference step of the invariance oracle; the "
+                               "other suites take complex steps (default %(default)s)")
     p_verify.add_argument("--format", choices=("text", "json"), default="text",
                           help="output rendering (default text)")
 

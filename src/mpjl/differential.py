@@ -39,13 +39,14 @@ V'YU), so ``pair_operator`` of the rotated pair is S in that basis, and
 The rest E is measured, never assumed zero: by Weyl's inequality every
 eigenvalue of S lies within ||E||_F of the pair blocks' spectrum.
 
-The finite-difference oracles here are the independent checks for the
-analytic forms; they pin the rank of every evaluation point to the rank of
-the base point, because the pseudoinverse is discontinuous across rank
-changes.  The chart Jacobian of X -> pinv(X) is a complex step instead
-(Squire & Trapp 1998): ``chart.pinv_from_blocks`` is analytic in the free
-blocks, so Im f(b + i h e) / h, h = 1e-20 max|X|, is the derivative along
-e to rounding error, with no subtraction.
+The derivative oracles of pinv are a complex step (Squire & Trapp 1998;
+Al-Mohy & Higham 2010): ``chart.pinv_from_blocks`` is analytic in the free
+blocks, which keep the rank of the base point, so Im f(b + i h e) / h,
+h = 1e-20 max|X|, is the derivative along the chart direction e to
+rounding error, with no subtraction (``pinv_complex_step``, and
+``pinv_chart_jacobian`` along the unit directions).  The central
+differences of ``fd_chart_jacobian`` remain for the invariance witnesses,
+which they reproduce bit for bit.
 
 Every function here also takes a stack (T, n, m) (``subspace_rank_profile``
 only a stack), one result per slice with the bits of the 2-D call: steps
@@ -60,10 +61,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import BlockDecomposition, _moved_blocks, _pinv_blocks, assemble, perturbed_assemble
-from .errors import NotFullRank, RankDrift, ShapeMismatch
-from .matcore import (
-    RankInfo, _pinv_from_svd, _rank_info, as_stack, common_rank, pinv, rank_profile, scalar_powers,
-)
+from .errors import NotFullRank, ShapeMismatch
+from .matcore import RankInfo, _rank_info, as_stack, common_rank, pinv, scalar_powers
 
 
 @dataclass(frozen=True)
@@ -186,40 +185,6 @@ def jacobian_det_full_rank(x: np.ndarray, info: RankInfo):
     return scalar_powers(np.abs(np.linalg.det(gram)), power)
 
 
-def fd_pinv_differential(x, dx, cfg: FdConfig = FdConfig()) -> np.ndarray:
-    """Central-difference oracle for the pseudoinverse differential.
-
-    Both evaluations keep the base-point rank q.  For deficient-rank X the
-    direction must be rank-preserving to first order; a first-order rank
-    change shows up as sigma_{q+1} growing like h rather than h^2 and is
-    reported as RankDrift.  The two evaluation points form one (2, n, m)
-    stack, and one stacked SVD serves the drift test and both rank-q
-    pseudoinverses; a stack (T, n, m) of one rank makes one (2, T, n, m)
-    stack, each slice stepped by its own h.
-    """
-    x = as_stack(x)
-    dx = as_stack(dx)
-    if dx.shape != x.shape:
-        raise ShapeMismatch(f"dX shape {dx.shape} != X shape {x.shape}")
-    info = rank_profile(x)
-    q = common_rank(info)
-    h = cfg.effective_step(x)
-    # Tangent directions leave sigma_{q+1} at O(h^2), first-order rank
-    # changes push it to O(h); h^1.5 sits between the two.
-    rel_cut = scalar_powers(h / np.maximum(info.singular_values[..., 0], 1e-300), 1.5)
-    step = h[..., None, None]
-    u, s, vt = np.linalg.svd(np.stack([x + step * dx, x - step * dx]), full_matrices=False)
-    if q < min(x.shape[-2:]):
-        for sigma, cut in zip(s[..., q].ravel(), (rel_cut * s[..., 0]).ravel()):  # + points first
-            if sigma > cut:
-                raise RankDrift(
-                    f"evaluation point has sigma[{q}] = {sigma:.3e} above the drift cut "
-                    f"{cut:.3e}; direction is not rank-preserving"
-                )
-    plus, minus = _pinv_from_svd(u, s, vt, q)
-    return (plus - minus) / (2.0 * step)
-
-
 # ---------------------------------------------------------------------------
 # Chart-to-chart Jacobians.
 
@@ -277,25 +242,31 @@ def fd_chart_jacobian(f: OrthogonalSandwichMap, x, in_chart: BlockDecomposition,
     return np.moveaxis(values[:k] - values[k:], 0, -1) / (2.0 * h)[..., None, None]
 
 
-def pinv_chart_jacobian(x, in_chart: BlockDecomposition,
-                        out_chart: BlockDecomposition) -> np.ndarray:
-    """Partial derivatives of out-chart coordinates of pinv(X) with respect to
-    in-chart coordinates, by complex step.
+def pinv_complex_step(x, in_chart: BlockDecomposition, deltas) -> np.ndarray:
+    """Derivatives of pinv(X) along chart directions, by complex step.
 
-    The k points b + i h e_c, one per in-chart coordinate c, form one
-    (k, n, m) stack of free blocks, (k, T, n, m) of a stack (T, n, m) with
-    its charts, each slice stepped by its own h = 1e-20 max|X|.  Their
-    pseudoinverses are taken in the factored block form (see
-    ``chart.pinv_from_blocks``), which keeps the rank at q with no SVD and
-    no pivot test per point, and Im(out-chart coordinates) / h is the
-    Jacobian to rounding error.  For equal-size charts its absolute
-    determinant is the chart-to-chart Jacobian of X -> pinv(X).
+    ``deltas`` is (p, [T,] k) or ([T,] k) in ``in_chart.coordinates`` order,
+    one direction per row, with the stack axis of a stack (T, n, m) and its
+    chart.  The points b + i h delta, each slice stepped by its own
+    h = 1e-20 max|X|, have their pseudoinverses taken in the factored block
+    form (see ``chart.pinv_from_blocks``), which keeps the rank at q with no
+    SVD and no pivot test per point; Im pinv / h, of shape (p, [T,] m, n) or
+    ([T,] m, n), is the derivative to rounding error.
     """
     x = as_stack(x)
     _check_base(x, in_chart)
     h = 1e-20 * np.max(np.abs(x), axis=(-2, -1))
+    y = _pinv_blocks(in_chart, *_moved_blocks(in_chart, 1j * h[..., None] * deltas))
+    return y.imag / h[..., None, None]
+
+
+def pinv_chart_jacobian(x, in_chart: BlockDecomposition,
+                        out_chart: BlockDecomposition) -> np.ndarray:
+    """Partial derivatives of out-chart coordinates of pinv(X) with respect to
+    in-chart coordinates: :func:`pinv_complex_step` along the k unit
+    directions, a (k, [T,] k) stack.  For equal-size charts its absolute
+    determinant is the chart-to-chart Jacobian of X -> pinv(X).
+    """
     k = len(in_chart)
-    steps = np.zeros((k,) + x.shape[:-2] + (k,), complex)
-    steps[np.arange(k), ..., np.arange(k)] = 1j * h
-    y = _pinv_blocks(in_chart, *_moved_blocks(in_chart, steps))
-    return np.moveaxis(out_chart.coordinates(y).imag, 0, -1) / h[..., None, None]
+    units = np.moveaxis(np.broadcast_to(np.eye(k), np.shape(x)[:-2] + (k, k)), -2, 0)
+    return np.moveaxis(out_chart.coordinates(pinv_complex_step(x, in_chart, units)), 0, -1)

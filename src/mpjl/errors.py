@@ -41,10 +41,6 @@ class SingularInput(MpjlError):
     """A matrix that must be invertible is numerically singular."""
 
 
-class RankDrift(MpjlError):
-    """Finite-difference evaluation points disagree with the base-point rank."""
-
-
 class ChartInvalid(MpjlError):
     """A perturbed matrix left the validity region of its coordinate chart."""
 

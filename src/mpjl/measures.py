@@ -125,26 +125,25 @@ def symmetric_inverse_jacobian_formula(s):
     return scalar_powers(np.abs(np.linalg.det(s)), -(m + 1))
 
 
-def symmetric_inverse_fd_det(s, cfg: FdConfig = FdConfig()):
-    """FD oracle: |det| of the inverse map on half-vectorized coordinates.
+def symmetric_inverse_fd_det(s):
+    """Complex-step oracle: |det| of the inverse map on half-vectorized coordinates.
 
     ``s`` is one symmetric matrix or a stack, taken through
-    :func:`symmetric_part`.  Coordinate (i, j) with i < j perturbs both
-    mirrored entries; diagonal coordinates perturb one entry.  The m(m+1)/2
-    unit directions of every slice form one stack, so each side of the
-    difference is one stacked inversion.
+    :func:`symmetric_part`.  Coordinate (i, j) with i < j moves both
+    mirrored entries; diagonal coordinates move one entry.  The m(m+1)/2
+    points S + i h E, h = 1e-20 max|S| per slice, form one stack and one
+    stacked inversion: inv is analytic, so vech(Im inv / h) is each column
+    of the Jacobian to rounding error (plain transposes, no conjugation).
     """
     s = symmetric_part(s)
     m = s.shape[-1]
-    h = cfg.effective_step(s)[..., None, None, None]
+    h = 1e-20 * np.max(np.abs(s), axis=(-2, -1))[..., None, None, None]
     rows, cols = np.triu_indices(m)
     coords = np.arange(rows.size)
     e = np.zeros((rows.size, m, m))
     e[coords, rows, cols] = 1.0
     e[coords, cols, rows] = 1.0
-    plus = np.linalg.inv(s[..., None, :, :] + h * e)
-    minus = np.linalg.inv(s[..., None, :, :] - h * e)
-    jac = vech((plus - minus) / (2.0 * h)).swapaxes(-1, -2)
+    jac = vech(np.linalg.inv(s[..., None, :, :] + 1j * h * e).imag / h).swapaxes(-1, -2)
     return np.abs(np.linalg.det(jac))[()]
 
 

@@ -6,15 +6,15 @@ PUBLIC = [
     "BadSpectrum", "BlockDecomposition", "ChartInvalid", "ConfigError",
     "DegeneracyBudgetExceeded", "DegenerateSpectrum", "FdConfig", "IllConditionedPivot",
     "MpjlError", "NotFullColumnRank", "NotFullRank", "OrthogonalSandwichMap", "ParseError",
-    "RankDrift", "RankInfo", "RankMismatch", "RunConfig", "ShapeMismatch",
+    "RankInfo", "RankMismatch", "RunConfig", "ShapeMismatch",
     "SingularInput", "SuiteResult", "SvdFactors",
     "VerificationReport", "assemble", "chart",
     "decompose", "differential", "errors", "exterior_chain_check", "fd_chart_jacobian",
-    "fd_pinv_differential", "hausdorff_density", "hausdorff_ratio_check",
+    "hausdorff_density", "hausdorff_ratio_check",
     "jacobian_det_full_rank", "jacobian_det_operator", "make_rng",
     "matcore", "matrix_from_json", "matrix_to_json", "measures", "nonfullrank_jacobian_factor",
     "operator_spectrum", "orthogonal_invariance_check", "pinv", "pinv_chart_jacobian",
-    "pinv_differential", "pinv_from_blocks", "pinv_spectrum",
+    "pinv_complex_step", "pinv_differential", "pinv_from_blocks", "pinv_spectrum",
     "random_rank_q", "random_stiefel", "rank_profile", "reports", "run_suite",
     "sample_spectrum", "suites", "svd_thin", "symmetric_inverse_fd_det",
     "symmetric_inverse_jacobian_formula", "symmetric_part", "tangent_perturbation",

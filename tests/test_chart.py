@@ -318,10 +318,9 @@ def test_deficient_differential_trial_tests_x11_once(svd_shapes):
     report = suites.run_trial("differential", suites.RunConfig(n=7, m=5, q=3, seed=48), 0)
     assert report.passed and report.inputs["attempt"] == 0
     # decompose: rank of X, X11 test; the tangent direction tests nothing;
-    # pinv_differential's pinv(X); the FD oracle's rank of X and its two
-    # evaluation points, factored as one stack.  The trial is checked as a
-    # stack of one.
-    assert svd_shapes == [(1, 7, 5), (1, 3, 3), (1, 7, 5), (1, 7, 5), (2, 1, 7, 5)]
+    # pinv_differential's pinv(X); the complex-step oracle factors nothing.
+    # The trial is checked as a stack of one.
+    assert svd_shapes == [(1, 7, 5), (1, 3, 3), (1, 7, 5)]
 
 
 def test_fd_chart_jacobian_tests_x11_once_per_point(svd_shapes):

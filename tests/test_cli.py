@@ -388,6 +388,17 @@ def test_degeneracy_exit_code_3(monkeypatch, capsys):
     assert "synthetic" in err
 
 
+def test_ill_conditioned_deficient_differential_passes(capsys):
+    # cond(X) = 1e6 at rank 3 of 7 x 5: the complex-step oracle keeps every
+    # point at rank q, so no draw is retried and every report passes.
+    code, out, err = run_cli(capsys, "verify", "differential", "--n", "7", "--m", "5", "--q", "3",
+                             "--spectrum", "1000,1,0.001", "--trials", "3", "--format", "json")
+    assert (code, err) == (0, "")
+    reports = json.loads(out)["reports"]
+    assert len(reports) == 3
+    assert all(r["pass"] and r["inputs"]["attempt"] == 0 for r in reports)
+
+
 def test_text_and_json_render_same_data(tmp_path, capsys):
     args = ["verify", "blocks", "--n", "4", "--m", "3", "--q", "2", "--trials", "2",
             "--seed", "6"]

@@ -48,3 +48,13 @@ def test_jacobian_full_passes(n, m, cond):
 def test_blocks_passes(n, m, q, cond):
     # The factored block pseudoinverse takes X11 once, never squared.
     assert all(report.passed for report in _reports("blocks", n, m, q, cond))
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e3, 1e4, 1e5])
+@pytest.mark.parametrize("n, m, q", [(7, 5, 3), (6, 4, 2), (5, 5, None)])
+def test_differential_passes(n, m, q, cond):
+    # The complex-step oracle has no step to scale with cond(X) and keeps
+    # every point at rank q, so no draw is retried, let alone past the
+    # budget (exit 3).
+    reports = list(_reports("differential", n, m, q, cond))
+    assert all(report.passed and report.inputs["attempt"] == 0 for report in reports)

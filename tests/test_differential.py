@@ -1,4 +1,4 @@
-"""Differential and Jacobian-operator tests against finite-difference and complex-step oracles."""
+"""Differential and Jacobian-operator tests against complex-step and finite-difference oracles."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,18 @@ from helpers import (
 )
 from mpjl import chart, matcore as mc, suites
 from mpjl import differential as df
-from mpjl.errors import NotFullRank, RankDrift, ShapeMismatch
+from mpjl.errors import NotFullRank, ShapeMismatch
 from mpjl.reports import dumps_canonical
 
 
 def _unit(a):
     return a / np.linalg.norm(a)
+
+
+def _complex_step(x, q, dx):
+    # The differential suite's oracle: dX read in X's chart.
+    b = chart.decompose(x, q)
+    return df.pinv_complex_step(x, b, b.coordinates(dx))
 
 
 def test_differential_of_identity_perturbation():
@@ -28,8 +34,8 @@ def test_differential_full_column_rank_vs_fd():
     x = mc.random_rank_q(3, 2, 2, rng)
     dx = _unit(rng.standard_normal((3, 2)))
     analytic = df.pinv_differential(x, dx)
-    fd = df.fd_pinv_differential(x, dx)
-    assert np.linalg.norm(analytic - fd) <= 1e-6 * np.linalg.norm(analytic)
+    oracle = _complex_step(x, 2, dx)
+    assert np.linalg.norm(analytic - oracle) <= 1e-12 * np.linalg.norm(analytic)
 
 
 def test_differential_rank_deficient_along_curve():
@@ -400,8 +406,8 @@ def test_det_agreement_both_orientations():
 def test_fd_differential_identity_case():
     e11 = np.zeros((2, 2))
     e11[0, 0] = 1.0
-    fd = df.fd_pinv_differential(np.eye(2), e11)
-    assert np.max(np.abs(fd + e11)) <= 1e-9
+    oracle = _complex_step(np.eye(2), 2, e11)
+    assert np.max(np.abs(oracle + e11)) <= 1e-15
 
 
 def test_fd_matches_analytic_full_rank_sweep():
@@ -412,11 +418,11 @@ def test_fd_matches_analytic_full_rank_sweep():
         x = mc.random_rank_q(n, m, min(n, m), rng)
         dx = _unit(rng.standard_normal((n, m)))
         analytic = df.pinv_differential(x, dx)
-        fd = df.fd_pinv_differential(x, dx)
-        assert np.linalg.norm(analytic - fd) <= 1e-6 * np.linalg.norm(analytic)
+        oracle = _complex_step(x, min(n, m), dx)
+        assert np.linalg.norm(analytic - oracle) <= 1e-12 * np.linalg.norm(analytic)
 
 
-def test_fd_differential_factors_each_point_once(svd_shapes):
+def test_complex_step_differential_factors_no_point(svd_shapes):
     x = mc.random_rank_q(7, 5, 3, mc.make_rng(56))
     rng = mc.make_rng(57)
     b = chart.decompose(x, 3)
@@ -424,29 +430,11 @@ def test_fd_differential_factors_each_point_once(svd_shapes):
         b, rng.standard_normal((3, 3)), rng.standard_normal((3, 2)), rng.standard_normal((4, 3))
     )
     svd_shapes.clear()
-    df.fd_pinv_differential(x, _unit(dx))
-    assert svd_shapes == [(7, 5), (2, 7, 5)]  # the base point, then both evaluation points
-
-
-def test_fd_raises_rank_drift_off_manifold():
-    x = mc.random_rank_q(4, 3, 2, mc.make_rng(50))
-    dx = _unit(mc.make_rng(51).standard_normal((4, 3)))
-    with pytest.raises(RankDrift):
-        df.fd_pinv_differential(x, dx)
-
-
-def test_fd_convergence_order():
-    # Central scheme: halving h should reduce the error about 4x.
-    rng = mc.make_rng(52)
-    x = mc.random_rank_q(4, 3, 3, rng)
-    dx = _unit(rng.standard_normal((4, 3)))
-    analytic = df.pinv_differential(x, dx)
-    errors = []
-    for h in (1e-3, 5e-4, 2.5e-4):
-        fd = df.fd_pinv_differential(x, dx, df.FdConfig(step=h))
-        errors.append(np.linalg.norm(fd - analytic))
-    assert 2.5 <= errors[0] / errors[1] <= 6.0
-    assert 2.5 <= errors[1] / errors[2] <= 6.0
+    oracle = df.pinv_complex_step(x, b, b.coordinates(_unit(dx)))
+    # The complex point keeps X's chart: no rank test, no pivot test, no SVD.
+    assert svd_shapes == []
+    analytic = df.pinv_differential(x, _unit(dx))
+    assert np.linalg.norm(oracle - analytic) <= 1e-12 * np.linalg.norm(analytic)
 
 
 def test_projector_differential_stays_symmetric():
@@ -513,6 +501,19 @@ class _Pinv:
 
 def _pinv_chart(x, q):
     return x, chart.decompose(x, q), chart.decompose(mc.pinv(x), q)
+
+
+def test_fd_convergence_order():
+    # Central scheme: halving h should reduce the error of the FD chart
+    # Jacobian of pinv about 4x, against the complex step's.
+    x = mc.random_rank_q(4, 3, 2, mc.make_rng(52))
+    exact = df.pinv_chart_jacobian(*_pinv_chart(x, 2))
+    errors = []
+    for h in (1e-3, 5e-4, 2.5e-4):
+        fd = df.fd_chart_jacobian(_Pinv(2), *_pinv_chart(x, 2), df.FdConfig(step=h))
+        errors.append(np.linalg.norm(fd - exact))
+    assert 2.5 <= errors[0] / errors[1] <= 6.0
+    assert 2.5 <= errors[1] / errors[2] <= 6.0
 
 
 def test_fd_chart_jacobian_pinv_full_rank():

@@ -1,16 +1,14 @@
 """Property sweeps: the closed-form operator spectrum against the dense
 operator and its pair blocks, the complex-step chart Jacobian of pinv
 against the area formula, the pivots of ``decompose`` against the greedy
-loop, and the stacked FD differential against one factorization per
-point."""
+loop, and the complex-step oracles of the differential and of the
+symmetric inverse against their closed forms and slice by slice."""
 
 import numpy as np
-import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from helpers import jacobian_operator, pinv_chart_log_det
 from mpjl import chart, differential as df, matcore as mc, measures
-from mpjl.errors import RankDrift
 from mpjl.reports import TOLERANCES
 
 
@@ -169,39 +167,55 @@ def test_decompose_pivots_match_greedy_loop_on_ties(case):
     _check_pivots(x, q)
 
 
-def _fd_pinv_differential_per_point(x, dx, cfg=df.FdConfig()):
-    """Oracle of the stacked FD differential: one SVD per evaluation point."""
-    info = mc.rank_profile(x)
-    q, h = info.rank, cfg.effective_step(x)
-    rel_cut = (h / info.singular_values[0]) ** 1.5
-    pinvs = []
-    for point in (x + h * dx, x - h * dx):
-        u, s, vt = np.linalg.svd(point, full_matrices=False)
-        if q < min(x.shape) and s[q] > rel_cut * s[0]:
-            raise RankDrift(f"sigma[{q}] = {s[q]:.3e}")
-        pinvs.append(mc._pinv_from_svd(u, s, vt, q))
-    return (pinvs[0] - pinvs[1]) / (2.0 * h)
-
-
 @given(scaled_instances(), st.integers(0, 2**31 - 1), st.booleans())
-def test_fd_differential_stack_matches_per_point(case, seed, tangent):
-    # Tangent directions keep the rank; free ones mostly drift on deficient X.
+def test_pinv_complex_step_matches_the_differential(case, seed, free):
+    # Along tangent directions at every rank, and along free ones at full
+    # rank, where the chart reads every entry.
     x, q = case
-    rng = mc.make_rng(seed)
     n, m = x.shape
-    if tangent:
-        b = chart.decompose(x, q)
-        dx = chart.tangent_perturbation(
-            b, rng.standard_normal((q, q)), rng.standard_normal((q, m - q)),
-            rng.standard_normal((n - q, q)),
-        )
-    else:
+    rng = mc.make_rng(seed)
+    b = chart.decompose(x, q)
+    if free and q == min(n, m):
         dx = rng.standard_normal((n, m))
-    dx /= np.linalg.norm(dx)
-    try:
-        expected = _fd_pinv_differential_per_point(x, dx)
-    except RankDrift:
-        with pytest.raises(RankDrift):
-            df.fd_pinv_differential(x, dx)
     else:
-        assert np.array_equal(df.fd_pinv_differential(x, dx), expected)
+        dx = chart.tangent_perturbation(b, rng.standard_normal((q, q)),
+                                        rng.standard_normal((q, m - q)),
+                                        rng.standard_normal((n - q, q)))
+    dx /= np.linalg.norm(dx)
+    oracle = df.pinv_complex_step(x, b, b.coordinates(dx))
+    analytic = df.pinv_differential(x, dx)
+    assert np.linalg.norm(oracle - analytic) <= 1e-12 * np.linalg.norm(analytic)
+
+
+@given(scaled_instances(), st.integers(0, 2**31 - 1))
+def test_pinv_complex_step_stack_matches_per_slice(case, seed):
+    # A stack of X and its row- and column-reversed copies, pivoted apart,
+    # moved along two chart directions each: every slice has the bits of
+    # its 2-D call.
+    x, q = case
+    stack = np.array([x, x[::-1], -x[:, ::-1]])
+    b = chart.decompose(stack, q)
+    deltas = mc.make_rng(seed).standard_normal((2, 3, len(b)))
+    got = df.pinv_complex_step(stack, b, deltas)
+    assert got.shape == (2, 3) + x.shape[::-1]
+    for t, one in enumerate(stack):
+        want = df.pinv_complex_step(one, chart.decompose(one, q), deltas[:, t])
+        assert np.array_equal(got[:, t], want)
+        assert np.array_equal(np.signbit(got[:, t]), np.signbit(want))
+
+
+@st.composite
+def indefinite_symmetric(draw):
+    """A symmetric m x m matrix, m <= 8: eigenvalues of either sign and
+    modulus 0.5 to 2.5, scaled by 1e-3 to 1e3, in a random frame."""
+    m = draw(st.integers(1, 8))
+    rng = mc.make_rng(draw(st.integers(0, 2**31 - 1)))
+    eigs = rng.uniform(0.5, 2.5, m) * rng.choice([-1.0, 1.0], m)
+    frame = mc.random_stiefel(m, m, rng)
+    return measures.symmetric_part(10.0 ** draw(st.floats(-3.0, 3.0)) * (frame * eigs) @ frame.T)
+
+
+@given(indefinite_symmetric())
+def test_symmetric_inverse_complex_step_matches_the_formula(s):
+    formula = measures.symmetric_inverse_jacobian_formula(s)
+    assert abs(measures.symmetric_inverse_fd_det(s) - formula) <= 1e-12 * formula

@@ -112,25 +112,37 @@ def test_degenerate_draw_falls_back_to_its_retry(monkeypatch):
     assert [r.inputs["attempt"] for r in result.reports] == [0, 1, 0]
 
 
+def _always_degenerate(cfg, rng):
+    raise DegenerateSpectrum("synthetic collision")
+
+
+def _check_nothing(cfg, draws):
+    raise AssertionError("nothing was drawn to check")
+
+
 # Trials of these runs raise; the stack falls back and the run raises what
 # the trial-by-trial loop raises, with its message and the CLI's exit code.
+# The last element, when not None, stands in for the suite's (draw, check).
 FALLBACKS = [
     ("invariance", dict(n=4, m=4, q=2, spectrum=(1000.0, 0.001), seed=3), ChartInvalid,
-     "validity region", 1),
+     "validity region", 1, None),
     ("invariance", dict(n=3, m=3, q=2, spectrum=(100000.0, 0.001), seed=1), IllConditionedPivot,
-     "pivot block has condition 1.517e+08 > 1e+08", 1),
+     "pivot block has condition 1.517e+08 > 1e+08", 1, None),
     ("blocks", dict(n=3, m=3, q=2, spectrum=(100000.0, 0.001), seed=1), IllConditionedPivot,
-     "pivot block has condition 1.517e+08 > 1e+08", 1),
-    # Every draw drifts in rank, so the retry budget runs out.
+     "pivot block has condition 1.517e+08 > 1e+08", 1, None),
+    # Every draw is degenerate, so the retry budget runs out.
     ("differential", dict(n=7, m=5, q=3, spectrum=(1000.0, 1.0, 0.001), seed=12345),
-     DegeneracyBudgetExceeded, "above the drift cut", 3),
+     DegeneracyBudgetExceeded, "degenerate after 3 redraws: synthetic collision", 3,
+     (_always_degenerate, _check_nothing)),
 ]
 
 
-@pytest.mark.parametrize("suite, config, error, message, code", FALLBACKS,
+@pytest.mark.parametrize("suite, config, error, message, code, stub", FALLBACKS,
                          ids=[f"{c[0]}-seed{c[1]['seed']}" for c in FALLBACKS])
-def test_failing_stack_raises_what_the_trial_loop_raises(capsys, suite, config, error, message,
-                                                         code):
+def test_failing_stack_raises_what_the_trial_loop_raises(monkeypatch, capsys, suite, config,
+                                                         error, message, code, stub):
+    if stub is not None:
+        monkeypatch.setitem(suites._SUITES, suite, stub)
     cfg = suites.validate_config(suites.RunConfig(trials=6, **config), suite)
     with pytest.raises(error) as one_by_one:
         _one_by_one(suite, cfg)
@@ -193,7 +205,7 @@ def _stacked_and_single(x, q, directions):
     out = {"rank": info.rank, "operator_det": df.jacobian_det_operator(x, info),
            "log_pdet": df.operator_log_pdet(x, info), "pinv_from_blocks": chart.pinv_from_blocks(b),
            "tangent": dx, "differential": df.pinv_differential(x, dx),
-           "fd_differential": df.fd_pinv_differential(x, dx)}
+           "complex_step": df.pinv_complex_step(x, b, b.coordinates(dx))}
     if q == min(n, m):
         out["full_rank_det"] = df.jacobian_det_full_rank(x, info)
     if q == m <= n:

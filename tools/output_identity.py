@@ -18,9 +18,11 @@ its own directory.  It replays:
   refusals) per suite, bad configurations, an ``--out`` path that cannot
   be written, report merges and parse errors, runs whose trial stack
   raises and so reruns trial by trial (a ``ChartInvalid`` or
-  ill-conditioned pivot in one trial, retried draws, and a retry budget
-  that runs out), ``operator-rank`` at 4 x 3 q=2 and spectrum
-  ``1000,0.001`` (edge 26), whose complex-step chart points make no pivot
+  ill-conditioned pivot in one trial), two ``differential`` runs at
+  spectrum ``100,1,0.01`` (edges 28 and 29), which pass at their first
+  attempt since the complex-step oracle keeps every point at rank q (edge
+  29 no longer exhausts the retry budget), ``operator-rank`` at 4 x 3
+  q=2 and spectrum ``1000,0.001`` (edge 26), whose complex-step chart points make no pivot
   test, so its stack no longer falls back by ``ChartInvalid`` and reports
   honest ``leak`` FAILs, a stack whose determinants overflow, ``operator-rank``
   at full rank and at 32 x 24, a twelve-trial 30 x 20 stack, three
@@ -32,7 +34,9 @@ its own directory.  It replays:
   values that are not finite, ``report`` over files that hold a number
   that is not finite, and the chart oracles at spectrum ``geomspace(1,
   1/c, q)``: ``jacobian-full`` 4 x 3 and 3 x 4 at c = 1e4 and ``blocks``
-  8 x 6 q=3 at c = 1e5.
+  8 x 6 q=3 at c = 1e5; and the complex-step oracles of ``differential``
+  7 x 5 q=3 at spectrum ``1000,1,0.001`` and 5 x 5 at c = 1e4, and of
+  ``symmetric-inverse`` at order 8.
 
 Each invocation records its exit code (or the exception that escaped
 ``cli.main``), its stdout, its ``error: ...`` lines of stderr and the
@@ -151,6 +155,11 @@ EDGE_CASES = [
        "--spectrum", "1,0.01,0.0001", "--format", "json"] for n, m in (("4", "3"), ("3", "4"))),
     ["verify", "blocks", "--n", "8", "--m", "6", "--q", "3", "--trials", "4", "--seed", "1",
      "--spectrum", "1,0.0031622776601683794,1e-05", "--format", "json"],
+    ["verify", "differential", "--n", "7", "--m", "5", "--q", "3", "--spectrum", "1000,1,0.001",
+     "--trials", "3", "--format", "json"],
+    ["verify", "differential", "--n", "5", "--m", "5", "--trials", "4", "--seed", "1",
+     "--spectrum", "1,0.1,0.01,0.001,0.0001", "--format", "json"],
+    ["verify", "symmetric-inverse", "--m", "8", "--trials", "4", "--format", "json"],
 ]
 
 
