@@ -109,13 +109,19 @@ def decompose(x, q: int) -> BlockDecomposition:
     ties) of the eliminated working copy becomes the next pivot.
     Elimination zeroes the pivot's row and column, so the first maximum of
     the whole copy is the first maximum among the remaining entries.
+    Raises RankMismatch unless the numerical rank of ``x`` is q.
     """
     x = as_stack(x)
-    n, m = x.shape[-2:]
     rank = common_rank(rank_profile(x))
     if rank != q:
         raise RankMismatch(f"numerical rank {rank} != requested q={q}")
+    return _pivot(x, q)
 
+
+def _pivot(x: np.ndarray, q: int) -> BlockDecomposition:
+    # decompose without its rank test, for a matrix or stack whose rank is q
+    # by construction; the pivot block is still tested.
+    n, m = x.shape[-2:]
     # All slices at once: slice t of a stack is pivoted as a matrix alone.
     xs = x.reshape(-1, n, m)
     work = xs.copy()

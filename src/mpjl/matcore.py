@@ -207,13 +207,16 @@ def random_stiefel(n: int, q: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def check_spectrum(d) -> np.ndarray:
-    """Check a spectrum: nonempty, 1-D, positive, finite, strictly decreasing."""
+    """Check a spectrum: nonempty, 1-D, positive, finite, strictly decreasing.
+
+    A stack (..., q) of spectra is checked along its last axis.
+    """
     d = np.asarray(d, dtype=float)
-    if d.ndim != 1 or d.size == 0:
+    if d.ndim == 0 or d.size == 0:
         raise BadSpectrum("spectrum must be a nonempty 1-D sequence")
     if not np.all(np.isfinite(d)) or np.any(d <= 0):
         raise BadSpectrum(f"spectrum must be positive and finite: {d.tolist()}")
-    if d.size >= 2 and np.any(d[:-1] - d[1:] <= 0):
+    if np.any(d[..., :-1] - d[..., 1:] <= 0):
         raise BadSpectrum(f"spectrum must be strictly decreasing: {d.tolist()}")
     return d
 

@@ -9,79 +9,135 @@ Three families of scalars around the map Y = pinv(X):
 
 The ratio check confirms the first two are consistent: pushing the density
 through the reciprocal-spectrum map reproduces the change-of-variables
-factor exactly.  The exterior-chain check does the same for the full-rank
-determinant, and the invariance experiment shows why the plain
-free-coordinate volume element cannot be Lebesgue or Hausdorff measure:
-it is not invariant under orthogonal sandwiches unless the chart covers
-every entry.  All three checks return a ``VerificationReport`` whose
-tolerances come from ``reports.TOLERANCES``; only a deficient chart's
-invariance deviation is evidence, with a ``None`` tolerance.  The two
-end-to-end checks and the symmetric-inverse pair (on plain arrays that
-``symmetric_part`` makes exactly symmetric) also take stacks.
+factor exactly.  It compares them as sums of logs of the spectrum, since
+the products leave the float range at moderate sizes; the linear values
+are reported only where they are finite and normal.  The exterior-chain
+check does the same for the full-rank determinant, and the invariance
+experiment shows why the plain free-coordinate volume element cannot be
+Lebesgue or Hausdorff measure: it is not invariant under orthogonal
+sandwiches unless the chart covers every entry.  All three checks return
+a ``VerificationReport`` whose tolerances come from ``reports.TOLERANCES``;
+only a deficient chart's invariance deviation is evidence, with a ``None``
+tolerance.  All three (the ratio check on a (T, q) stack of spectra) and
+the symmetric-inverse pair (on plain arrays that ``symmetric_part`` makes
+exactly symmetric) also take stacks.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
-from .chart import decompose
+from .chart import _pivot, decompose
 from .differential import FdConfig, OrthogonalSandwichMap, fd_chart_jacobian, jacobian_det_operator
 from .errors import BadSpectrum, NotFullColumnRank, ShapeMismatch, SingularInput
 from .matcore import (
     as_stack, check_spectrum, frobenius_norms, ill_conditioned, pinv, rank_profile, scalar_powers,
 )
-from .reports import VerificationReport, stack_reports
+from .reports import stack_reports
 
 
-def hausdorff_density(n: int, m: int, d) -> float:
-    """Spectral density factor 2^-q (prod D)^(n+m-2q) prod_{i<j}(D_i^2 - D_j^2)."""
+def _spectra(n: int, m: int, d) -> np.ndarray:
+    # A spectrum, or a stack (..., q) of them, checked; q <= min(n, m).
     d = check_spectrum(d)
-    q = d.size
-    if q > min(n, m):
-        raise BadSpectrum(f"q={q} exceeds min(n, m)={min(n, m)}")
-    value = 2.0 ** (-q) * np.prod(d) ** (n + m - 2 * q)
-    for i in range(q):
-        for j in range(i + 1, q):
-            value *= d[i] ** 2 - d[j] ** 2
-    return float(value)
+    if d.shape[-1] > min(n, m):
+        raise BadSpectrum(f"q={d.shape[-1]} exceeds min(n, m)={min(n, m)}")
+    return d
+
+
+@cache
+def _pairs(q: int) -> tuple[np.ndarray, np.ndarray]:
+    # Indices (i, j) of the pairs i < j of a spectrum of q values, row-major;
+    # shared by every caller, so read-only.
+    pairs = np.triu_indices(q, 1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
+def hausdorff_density(n: int, m: int, d):
+    """Spectral density factor 2^-q (prod D)^(n+m-2q) prod_{i<j}(D_i^2 - D_j^2).
+
+    Of a stack (..., q) of spectra, one value per spectrum.  Each power is a
+    scalar power and the factors are multiplied in order, (i, j) row-major.
+    A product that leaves the float range gives inf or 0, without a warning.
+    """
+    d = _spectra(n, m, d)
+    q = d.shape[-1]
+    i, j = _pairs(q)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        squares = scalar_powers(d, 2)
+        lead = 2.0 ** (-q) * scalar_powers(np.prod(d, axis=-1), n + m - 2 * q)
+        factors = np.concatenate([lead[..., None], squares[..., i] - squares[..., j]], axis=-1)
+        return np.multiply.reduce(factors, axis=-1)[()]  # left to right, as a loop would
 
 
 def pinv_spectrum(d) -> np.ndarray:
-    """Singular values of the pseudoinverse: reciprocals in decreasing order."""
-    d = check_spectrum(d)
-    return 1.0 / d[::-1]
+    """Singular values of the pseudoinverse: reciprocals in decreasing order.
 
-
-def nonfullrank_jacobian_factor(n: int, m: int, d) -> float:
-    """Change-of-variables factor prod_i D_i^(-2(n+m-q)) for Y = pinv(X)."""
-    d = check_spectrum(d)
-    q = d.size
-    if q > min(n, m):
-        raise BadSpectrum(f"q={q} exceeds min(n, m)={min(n, m)}")
-    return float(np.prod(d ** (-2.0 * (n + m - q))))
-
-
-def hausdorff_ratio_check(n: int, m: int, d, tol: float | None = None) -> VerificationReport:
-    """Verify the change-of-variables factor through the density chain.
-
-    density(Y spectrum) * |d(reciprocal spectrum)/dD| / density(X spectrum)
-    is an exact algebraic identity for prod D_i^(-2(n+m-q)); the residual
-    measures only rounding and is held to ``tol``, by default the
-    ``hausdorff`` entry of ``reports.TOLERANCES``.
+    Of a stack (..., q) of spectra, one row per spectrum.
     """
     d = check_spectrum(d)
-    density_x = hausdorff_density(n, m, d)
+    return 1.0 / d[..., ::-1]
+
+
+def nonfullrank_jacobian_factor(n: int, m: int, d):
+    """Change-of-variables factor prod_i D_i^(-2(n+m-q)) for Y = pinv(X).
+
+    Of a stack (..., q) of spectra, one value per spectrum; like
+    :func:`hausdorff_density`, inf or 0 where it leaves the float range.
+    """
+    d = _spectra(n, m, d)
+    with np.errstate(over="ignore", under="ignore"):
+        return np.prod(scalar_powers(d, -2.0 * (n + m - d.shape[-1])), axis=-1)[()]
+
+
+def _log_density(n: int, m: int, d: np.ndarray) -> np.ndarray:
+    # log hausdorff_density: -q log 2 + (n+m-2q) sum log d + sum_{i<j} log(d_i^2 - d_j^2),
+    # each d_i^2 - d_j^2 taken as (d_i - d_j)(d_i + d_j), both factors exact to rounding.
+    # ``take`` keeps the pairs contiguous, so a stack sums each row as one spectrum would.
+    q = d.shape[-1]
+    di, dj = (np.take(d, k, axis=-1) for k in _pairs(q))
+    pairs = np.log(di - dj) + np.log(di + dj)
+    return -q * np.log(2.0) + (n + m - 2 * q) * np.log(d).sum(axis=-1) + pairs.sum(axis=-1)
+
+
+def _normal(a: np.ndarray) -> np.ndarray:
+    # ``a`` where finite and normal, else None: a linear value is written only there.
+    return np.where(np.isfinite(a) & (np.abs(a) >= np.finfo(float).tiny), a, None)
+
+
+def hausdorff_ratio_check(n: int, m: int, d, tol: float | None = None):
+    """Verify the change-of-variables factor through the density chain, in logs.
+
+    log density(Y spectrum) + log|d(reciprocal spectrum)/dD| - log density(X
+    spectrum) is an exact algebraic identity for the log factor
+    -2(n+m-q) sum log D_i; the residual ``identity``, the absolute
+    difference of the two logs, measures only rounding and is held to
+    ``tol``, by default the ``hausdorff`` entry of ``reports.TOLERANCES``.
+    The linear density_x, density_y and jacobian_factor are reported
+    where they are finite and normal; the log_* values always.  A stack
+    (T, q) of spectra is checked in one pass and gives a list of T reports.
+    """
+    d = _spectra(n, m, d)
+    q = d.shape[-1]
     # Y = pinv(X) is m x n with the same rank; n+m enters symmetrically.
-    density_y = hausdorff_density(m, n, pinv_spectrum(d))
-    chain = density_y * float(np.prod(d ** -2.0)) / density_x
-    factor = nonfullrank_jacobian_factor(n, m, d)
-    return VerificationReport(
-        check_name="hausdorff",
-        inputs={"n": n, "m": m, "q": d.size, "spectrum": d.tolist()},
-        values={"density_x": density_x, "density_y": density_y, "jacobian_factor": factor},
-        residuals={"identity": float(abs(chain - factor) / factor)},
-        tol=tol,
+    e = pinv_spectrum(d)
+    log_d = np.log(d).sum(axis=-1)
+    log_x, log_y = _log_density(n, m, d), _log_density(m, n, e)
+    log_factor = -2.0 * (n + m - q) * log_d
+    reports = stack_reports(
+        "hausdorff", {"n": n, "m": m, "q": q},
+        {"density_x": _normal(hausdorff_density(n, m, d)),
+         "density_y": _normal(hausdorff_density(m, n, e)),
+         "jacobian_factor": _normal(nonfullrank_jacobian_factor(n, m, d)),
+         "log_density_x": log_x, "log_density_y": log_y, "log_jacobian_factor": log_factor},
+        {"identity": abs(log_y - 2.0 * log_d - log_x - log_factor)}, tol=tol,
     )
+    for report, spectrum in zip(reports, d.reshape(-1, q).tolist()):
+        report.inputs["spectrum"] = spectrum
+    return reports if d.ndim > 1 else reports[0]
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +269,9 @@ def orthogonal_invariance_check(
     n, m = x.shape[-2:]
     sandwich = OrthogonalSandwichMap(h, qmat)
     in_chart = decompose(x, q)
-    out_chart = decompose(sandwich.apply(x), q)
+    # H X Q has X's rank by construction; a second rank test of its own
+    # rounding could only refuse a valid chart.
+    out_chart = _pivot(sandwich.apply(x), q)
     jac = fd_chart_jacobian(sandwich, x, in_chart, out_chart, cfg)
     abs_det = np.abs(np.linalg.det(jac))
     deviation = abs(abs_det - 1.0)

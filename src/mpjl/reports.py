@@ -5,7 +5,10 @@ ordered list of reports with a pass/fail summary.  JSON output is
 canonical: fixed key order, two-space indent, shortest-roundtrip float
 encoding, no volatile fields.  Identical inputs therefore produce
 byte-identical files; wall time is kept on the in-memory result and in the
-text rendering only.
+text rendering only.  ``dumps_canonical`` writes exactly what
+``json.dumps(obj, indent=2, allow_nan=False)`` writes, each container of
+scalars through CPython's C encoder rather than the pure-Python indenting
+one.
 
 Tolerance policy: ``TOLERANCES`` is the one table of what each check's
 residuals are held to; ``PRIMARY`` names, for the checks that have one,
@@ -16,6 +19,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import InitVar, dataclass, field
+from functools import cache
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
@@ -116,11 +121,13 @@ class VerificationReport:
 def stack_reports(check_name: str, inputs: dict, values: dict, residuals: dict,
                   conditions: tuple = (), **kwargs) -> list[VerificationReport]:
     """One report per slice of a stacked check: each value, residual and condition is
-    one entry shared by every slice or an array with one entry per slice; the other
-    keyword arguments of :class:`VerificationReport` go to every report."""
+    one entry shared by every slice or an array with one entry per slice; a value
+    entry None is left out of its slice's report.  The other keyword arguments of
+    :class:`VerificationReport` go to every report."""
     columns = np.broadcast_arrays(*map(np.asarray, [*values.values(), *residuals.values(),
                                                     *conditions]))
-    return [VerificationReport(check_name, dict(inputs), dict(zip(values, row)),
+    return [VerificationReport(check_name, dict(inputs),
+                               {k: v for k, v in zip(values, row) if v is not None},
                                dict(zip(residuals, row[len(values):])),
                                conditions=row[len(values) + len(residuals):], **kwargs)
             for row in zip(*(c.ravel().tolist() for c in columns))]
@@ -155,8 +162,59 @@ class SuiteResult:
         return cls(reports=[VerificationReport.from_json(r) for r in obj["reports"]])
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+@cache
+def _level(level: int) -> tuple:
+    # For containers nested ``level`` deep: CPython's C encoder of a scalar,
+    # or of a container of scalars whose items it puts on separate lines;
+    # the line break before an item; the line break before the closing bracket.
+    indent = "\n" + "  " * (level + 1)
+    encoder = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
+                             ": ", "," + indent, False, False, False)
+    return encoder, indent, "\n" + "  " * level
+
+
+def _layout(obj, level: int) -> str:
+    # json.dumps(obj, indent=2) of ``obj`` nested ``level`` containers deep.
+    encode, indent, close = _level(level)
+    if isinstance(obj, dict):
+        children = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        children = obj
+    else:
+        return "".join(encode(obj, 0))
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    for child in children:
+        if isinstance(child, _CONTAINERS):
+            break
+    else:  # scalars only: one call of the C encoder
+        text = "".join(encode(obj, 0))
+        return text[0] + indent + text[1:-1] + close + text[-1]
+    parts = [_layout(c, level + 1) if isinstance(c, _CONTAINERS) else "".join(encode(c, 0))
+             for c in children]
+    if isinstance(obj, (list, tuple)):
+        return "[" + indent + ("," + indent).join(parts) + close + "]"
+    if not all(isinstance(k, str) for k in obj):
+        raise TypeError("keys other than str are left to json.dumps")
+    parts = [encode_basestring_ascii(k) + ": " + p for k, p in zip(obj, parts)]
+    return "{" + indent + ("," + indent).join(parts) + close + "}"
+
+
 def dumps_canonical(obj: dict) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(obj, indent=2, allow_nan=False)`` and a newline, byte for byte.
+
+    Each container whose children are all scalars goes through CPython's C
+    encoder; the others are laid out here.  Whatever that does not take (a
+    number that is not finite, a type JSON lacks, a key that is not a str)
+    goes to the reference call, which writes it or raises its own error.
+    """
+    try:
+        return _layout(obj, 0) + "\n"
+    except (TypeError, ValueError, RecursionError):
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def render_text(result: SuiteResult, show_wall_time: bool = True) -> str:

@@ -9,15 +9,15 @@ sub-seed up to the retry budget, then reported as a hard failure.
 
 A suite is a pair: ``draw(cfg, rng)`` makes every generator call of one
 trial, ``check(cfg, draws)`` judges a stack of trials' draws, one report
-per trial, in stacked numpy calls (``hausdorff`` loops over its spectra;
-``operator-rank`` reads its dense operators' spectra in closed form from
-their 1x1 and 2x2 pair blocks in X's SVD basis).  ``run_suite`` draws
-each stack of trials, capped by ``STACK_ENTRIES`` entries of what the
-check holds per trial, from their first attempts' streams and checks it in
-one pass; if that raises anything, the stack reruns trial by trial through
-``run_trial``, the same check on stacks of one with the retry policy, so
-every report and error is that of the trials run one by one.  A stack of
-one trial takes that path directly.
+per trial, in stacked numpy calls (``operator-rank`` reads its dense
+operators' spectra in closed form from their 1x1 and 2x2 pair blocks in
+X's SVD basis).  ``run_suite`` draws each stack of trials, capped by
+``STACK_ENTRIES`` entries of what the check holds per trial, from their
+first attempts' streams and checks it in one pass; if that raises
+anything, the stack reruns trial by trial through ``run_trial``, the same
+check on stacks of one with the retry policy, so every report and error
+is that of the trials run one by one.  A stack of one trial takes that
+path directly.
 """
 
 from __future__ import annotations
@@ -266,8 +266,8 @@ _SUITES = {
     "operator-rank": (_draw_x, _check_operator_rank),
     "hausdorff": (
         lambda cfg, rng: (cfg.spectrum or matcore.sample_spectrum(cfg.rank, rng),),
-        lambda cfg, draws: [measures.hausdorff_ratio_check(cfg.n, cfg.m, d, cfg.tol)
-                            for d, in draws],
+        lambda cfg, draws: measures.hausdorff_ratio_check(cfg.n, cfg.m, [d for d, in draws],
+                                                          cfg.tol),
     ),
     "invariance": (_draw_invariance, _check_invariance),
     "symmetric-inverse": (

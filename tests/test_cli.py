@@ -399,6 +399,61 @@ def test_ill_conditioned_deficient_differential_passes(capsys):
     assert all(r["pass"] and r["inputs"]["attempt"] == 0 for r in reports)
 
 
+def _strict_json(text: str) -> dict:
+    # Strict JSON: NaN and Infinity are refused, and so is an overflowing literal.
+    def refuse(token):
+        raise ValueError(f"non-finite JSON number {token}")
+
+    def finite(token):
+        return float(token) if np.isfinite(float(token)) else refuse(token)
+
+    return json.loads(text, parse_constant=refuse, parse_float=finite)
+
+
+@pytest.mark.parametrize("argv", [
+    # The linear density underflowed to 0 and the chain divided by it
+    # (ZeroDivisionError).
+    ["--n", "60", "--m", "50", "--q", "20"],
+    # np.prod(d ** -104.0) ran through subnormals: identity 1.2e-4, a FAIL.
+    ["--n", "40", "--m", "32", "--q", "20", "--trials", "1", "--seed", "278331871"],
+])
+def test_hausdorff_beyond_the_float_range_passes(capsys, argv):
+    # The check runs in logs; a linear value is written only where it is
+    # finite and normal.
+    code, out, err = run_cli(capsys, "verify", "hausdorff", *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    reports = _strict_json(out)["reports"]
+    assert all(r["pass"] for r in reports)
+    for r in reports:
+        assert {"log_density_x", "log_density_y", "log_jacobian_factor"} <= r["values"].keys()
+        assert all(v >= np.finfo(float).tiny for k, v in r["values"].items()
+                   if not k.startswith("log_"))
+
+
+def test_invariance_image_chart_takes_the_rank_of_x(capsys):
+    # Trial 3's H X Q has singular values 1.735 and 7.97e-16, above the
+    # library cut 7.70e-16; its rank is X's by construction, so the image is
+    # pivoted at q without a second rank test.
+    code, out, err = run_cli(capsys, "verify", "invariance", "--n", "2", "--m", "2", "--q", "1",
+                             "--trials", "45", "--seed", "221480469", "--format", "json")
+    assert (code, err) == (0, "")
+    assert _strict_json(out)["summary"] == {"total": 45, "passed": 45, "failed": 0}
+
+
+def test_json_files_are_the_reference_encoding(tmp_path, capsys):
+    # What dumps_canonical writes for every suite and for report's merge is
+    # what json.dumps(indent=2) writes of the same data.
+    paths = []
+    for suite, extra in SUITE_CONFIGS.items():
+        paths.append(tmp_path / f"{suite}.json")
+        assert main(["verify", suite, *extra, "--trials", "3", "--seed", "5", "--format", "json",
+                     "--out", str(paths[-1])]) == 0
+    code, merged, _ = run_cli(capsys, "report", *map(str, paths), "--format", "json")
+    assert code == 0
+    for text in [p.read_text() for p in paths] + [merged]:
+        assert text == json.dumps(json.loads(text), indent=2, allow_nan=False) + "\n"
+
+
 def test_text_and_json_render_same_data(tmp_path, capsys):
     args = ["verify", "blocks", "--n", "4", "--m", "3", "--q", "2", "--trials", "2",
             "--seed", "6"]

@@ -58,3 +58,11 @@ def test_differential_passes(n, m, q, cond):
     # budget (exit 3).
     reports = list(_reports("differential", n, m, q, cond))
     assert all(report.passed and report.inputs["attempt"] == 0 for report in reports)
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e3, 1e4, 1e5])
+@pytest.mark.parametrize("n, m, q", [(10, 8, 4), (6, 5, 3), (40, 32, 20)])
+def test_hausdorff_passes(n, m, q, cond):
+    # The identity is taken between logs, so no product leaves the float
+    # range, 40 x 32 at rank 20 included.
+    assert all(report.passed for report in _reports("hausdorff", n, m, q, cond))

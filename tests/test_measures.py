@@ -85,6 +85,56 @@ def test_ratio_check_sweep():
         assert rep.residuals["identity"] <= 1e-10
 
 
+def _loop_density(n, m, d):
+    # The per-spectrum loop the stacked product replaced: scalar powers,
+    # factors multiplied left to right.
+    q = len(d)
+    value = 2.0 ** (-q) * np.prod(d) ** (n + m - 2 * q)
+    for i in range(q):
+        for j in range(i + 1, q):
+            value *= d[i] ** 2 - d[j] ** 2
+    return value
+
+
+def test_linear_values_keep_the_bits_of_the_loops():
+    rng = mc.make_rng(64)
+    for _ in range(40):
+        q = int(rng.integers(1, 9))
+        n, m = int(rng.integers(q, 12)), int(rng.integers(q, 12))
+        d = np.array([mc.sample_spectrum(q, rng) for _ in range(4)])
+        density = ms.hausdorff_density(n, m, d)
+        factor = ms.nonfullrank_jacobian_factor(n, m, d)
+        for row, got_density, got_factor in zip(d, density, factor):
+            assert got_density == _loop_density(n, m, row)
+            product = 1.0
+            for v in row:
+                product *= v ** (-2.0 * (n + m - q))
+            assert got_factor == product
+
+
+def test_ratio_check_stack_matches_per_spectrum():
+    # One stacked pass gives each spectrum the report, bits included, of its own call.
+    rng = mc.make_rng(63)
+    for q in (1, 3, 8):
+        d = np.array([mc.sample_spectrum(q, rng) for _ in range(5)])
+        stacked = ms.hausdorff_ratio_check(9, 8, d)
+        assert len(stacked) == 5
+        for row, report in zip(d, stacked):
+            assert report.to_json() == ms.hausdorff_ratio_check(9, 8, row).to_json()
+
+
+def test_linear_values_only_where_finite_and_normal():
+    # At 60 x 50 rank 20 every linear value leaves the float range; the
+    # identity holds between the logs.
+    d = np.geomspace(1.0, 0.1, 20)
+    assert ms.hausdorff_density(60, 50, d) == 0.0
+    assert ms.nonfullrank_jacobian_factor(60, 50, d) == np.inf
+    rep = ms.hausdorff_ratio_check(60, 50, d)
+    assert list(rep.values) == ["log_density_x", "log_density_y", "log_jacobian_factor"]
+    assert rep.values["log_jacobian_factor"] == -2 * (60 + 50 - 20) * np.log(d).sum()
+    assert rep.passed
+
+
 def test_symmetric_matrix_exact_symmetry():
     rng = mc.make_rng(62)
     raw = rng.standard_normal((4, 4))

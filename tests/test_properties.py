@@ -1,9 +1,11 @@
 """Property sweeps: the closed-form operator spectrum against the dense
 operator and its pair blocks, the complex-step chart Jacobian of pinv
 against the area formula, the pivots of ``decompose`` against the greedy
-loop, and the complex-step oracles of the differential and of the
-symmetric inverse against their closed forms and slice by slice."""
+loop, the complex-step oracles of the differential and of the symmetric
+inverse against their closed forms and slice by slice, and the log values
+of the hausdorff check against a 50-digit mpmath evaluation."""
 
+import mpmath
 import numpy as np
 from hypothesis import assume, example, given, strategies as st
 
@@ -219,3 +221,47 @@ def indefinite_symmetric(draw):
 def test_symmetric_inverse_complex_step_matches_the_formula(s):
     formula = measures.symmetric_inverse_jacobian_formula(s)
     assert abs(measures.symmetric_inverse_fd_det(s) - formula) <= 1e-12 * formula
+
+
+def _mp_log_density(n, m, d):
+    # 50-digit log of 2^-q (prod d)^(n+m-2q) prod_{i<j}(d_i^2 - d_j^2) at the float d.
+    d = [mpmath.mpf(float(v)) for v in d]
+    q = len(d)
+    pairs = (mpmath.log(d[i] ** 2 - d[j] ** 2) for i in range(q) for j in range(i + 1, q))
+    log_d = mpmath.fsum(map(mpmath.log, d))
+    return -q * mpmath.log(2) + (n + m - 2 * q) * log_d + mpmath.fsum(pairs)
+
+
+@st.composite
+def hausdorff_stacks(draw):
+    """(n, m, D): shapes up to 12x12, any rank, a (3, q) stack of sampled
+    spectra, each scaled by 1e-3 to 1e3."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 12))
+    q = draw(st.integers(1, min(n, m)))
+    rng = mc.make_rng(draw(st.integers(0, 2**31 - 1)))
+    scales = 10.0 ** np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)))
+    return n, m, scales[:, None] * np.sort(rng.uniform(0.5, 2.5, (3, q)))[:, ::-1]
+
+
+@given(hausdorff_stacks())
+@example((60, 50, np.geomspace(1.0, 1e-5, 20)[None]))
+@example((2, 2, np.array([[2.0], [1e-3], [1e3]])))
+def test_hausdorff_logs_match_mpmath(case):
+    # Near 0 a log's absolute error is its linear value's relative error,
+    # so the bound is relative to max(1, |log|).
+    n, m, d = case
+    assume(np.all(d[:, :-1] - d[:, 1:] > 0))
+    reports = measures.hausdorff_ratio_check(n, m, d)
+    with mpmath.workdps(50):
+        for spectrum, report in zip(d, reports):
+            log_d = mpmath.fsum(mpmath.log(mpmath.mpf(float(v))) for v in spectrum)
+            expected = {
+                "log_density_x": _mp_log_density(n, m, spectrum),
+                "log_density_y": _mp_log_density(m, n, measures.pinv_spectrum(spectrum)),
+                "log_jacobian_factor": -2 * (n + m - d.shape[1]) * log_d,
+            }
+            for key, value in expected.items():
+                assert abs(report.values[key] - value) <= 1e-12 * max(1, abs(value)), key
+            assert report.residuals["identity"] <= 1e-10
+            assert report.passed

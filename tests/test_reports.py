@@ -1,9 +1,11 @@
-"""The verdict rule of VerificationReport."""
+"""The verdict rule of VerificationReport, and the canonical JSON writer."""
 
 import json
 from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import example, given, strategies as st
 
 from mpjl.reports import TOLERANCES, SuiteResult, VerificationReport, dumps_canonical
 
@@ -77,3 +79,46 @@ def test_table_is_no_looser_than_the_benchmark_ceilings():
     for (check, key), ceiling in namespace["TOLERANCE_CEILINGS"].items():
         assert key in TOLERANCES[check], (check, key)
         assert TOLERANCES[check][key] <= ceiling, (check, key)
+
+
+def _reference(obj) -> str:
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
+SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-2**70, 2**70) | st.text()
+           | st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from([-0.0, 5e-324, 1e308, "\u00e9\n\"\\\t\x00\U0001f600"]))
+PAYLOADS = st.recursive(SCALARS, lambda children: st.lists(children, max_size=5)
+                        | st.dictionaries(st.text(max_size=5), children, max_size=5), max_leaves=40)
+
+
+@given(PAYLOADS)
+@example({"a": [], "b": {}, "c": [[], [{}]], "d": {"e": [1, {"f": None}]}, "g": (1.5, "h")})
+@example([{"\u00e9": -0.0}, 5e-324, 1e308, 10**30, True, None])
+def test_dumps_canonical_is_the_reference_encoding(payload):
+    assert dumps_canonical(payload) == _reference(payload)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("where", [lambda v: {"a": v}, lambda v: {"a": [1.0, {"b": v}]},
+                                   lambda v: [{"c": "x", "d": [v]}], lambda v: v])
+def test_non_finite_numbers_raise_the_reference_error(bad, where):
+    obj = where(bad)
+    with pytest.raises(ValueError) as reference:
+        _reference(obj)
+    with pytest.raises(ValueError) as ours:
+        dumps_canonical(obj)
+    assert str(ours.value) == str(reference.value)
+    assert str(ours.value).startswith("Out of range float values are not JSON compliant: ")
+
+
+def test_what_json_lacks_raises_the_reference_error():
+    for obj in ({"a": {"b": object()}}, {"a": np.float32(1.0)}, {(1, 2): [1]}):
+        with pytest.raises(TypeError) as reference:
+            _reference(obj)
+        with pytest.raises(TypeError) as ours:
+            dumps_canonical(obj)
+        assert str(ours.value) == str(reference.value)
+    # Keys JSON converts (numbers, bools, None) are written as the reference writes them.
+    obj = {"x": {1: [2], 2.5: {"y": True}, None: [], False: {}}}
+    assert dumps_canonical(obj) == _reference(obj)

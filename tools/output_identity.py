@@ -11,8 +11,11 @@ its own directory.  It replays:
 * every ``verify`` op of the first 3 cycles of each perfbench workload at
   seeds 101-103, with the op schedules taken unchanged from
   ``perfbench/workloads.py``, once to stdout and once to an ``--out`` file;
-* after each cycle, ``report`` over that cycle's ``--out`` files in JSON
-  and in text;
+* after each cycle, ``report`` over the ``--out`` files that cycle wrote,
+  in JSON and in text (an op that ends in a traceback writes none: the
+  ``jacobian-full-small`` and ``exterior-chain-small`` ops of cli-sweep,
+  whose determinants overflow; the ``hausdorff-40x32-*`` and
+  ``hausdorff-60x50`` ops write theirs now that the check runs in logs);
 * the three invariance witness fixtures, rendered as canonical JSON;
 * a fixed list of edge invocations: ``gen``, ``--tol`` overrides (and
   refusals) per suite, bad configurations, an ``--out`` path that cannot
@@ -36,7 +39,11 @@ its own directory.  It replays:
   1/c, q)``: ``jacobian-full`` 4 x 3 and 3 x 4 at c = 1e4 and ``blocks``
   8 x 6 q=3 at c = 1e5; and the complex-step oracles of ``differential``
   7 x 5 q=3 at spectrum ``1000,1,0.001`` and 5 x 5 at c = 1e4, and of
-  ``symmetric-inverse`` at order 8.
+  ``symmetric-inverse`` at order 8; ``hausdorff`` at 60 x 50 q=20, whose
+  linear density underflowed into a ``ZeroDivisionError``, and at 40 x 32
+  q=20 seed 278331871, whose linear factor ran through subnormals into a
+  FAIL; and ``invariance`` 2 x 2 q=1 seed 221480469, whose ``H X Q`` rounded
+  above the rank cut of a second rank test.
 
 Each invocation records its exit code (or the exception that escaped
 ``cli.main``), its stdout, its ``error: ...`` lines of stderr and the
@@ -160,6 +167,11 @@ EDGE_CASES = [
     ["verify", "differential", "--n", "5", "--m", "5", "--trials", "4", "--seed", "1",
      "--spectrum", "1,0.1,0.01,0.001,0.0001", "--format", "json"],
     ["verify", "symmetric-inverse", "--m", "8", "--trials", "4", "--format", "json"],
+    ["verify", "hausdorff", "--n", "60", "--m", "50", "--q", "20", "--format", "json"],
+    ["verify", "hausdorff", "--n", "40", "--m", "32", "--q", "20", "--trials", "1",
+     "--seed", "278331871", "--format", "json"],
+    ["verify", "invariance", "--n", "2", "--m", "2", "--q", "1", "--trials", "45",
+     "--seed", "221480469", "--format", "json"],
 ]
 
 
@@ -236,7 +248,8 @@ def replay(src: Path) -> list[dict]:
                         out = f"{name}-{seed}-{cycle}-{op.slot}.json"
                         records.append(_invoke(cli, label, list(op.argv)))
                         records.append(_invoke(cli, f"{label} --out", [*op.argv, "--out", out]))
-                        written.append(out)
+                        if Path(out).exists():
+                            written.append(out)
                     for fmt in ("json", "text"):
                         records.append(_invoke(cli, f"{name}/{seed}/{cycle}/report {fmt}",
                                                ["report", *written, "--format", fmt]))
