@@ -252,12 +252,16 @@ def draw_rank_q(n: int, m: int, q: int, rng: np.random.Generator, spectrum=None)
     """
     if not 1 <= q <= min(n, m):
         raise ValueError(f"need 1 <= q <= min(n, m), got q={q}, n={n}, m={m}")
-    if spectrum is None:
-        d = sample_spectrum(q, rng)
-    else:
-        d = validate_spectrum(spectrum)
-        if d.size != q:
-            raise BadSpectrum(f"spectrum has {d.size} values, expected q={q}")
+    if spectrum is not None:
+        spectrum = validate_spectrum(spectrum)
+        if spectrum.size != q:
+            raise BadSpectrum(f"spectrum has {spectrum.size} values, expected q={q}")
+    return _draw_rank_q(n, m, q, rng, spectrum)
+
+
+def _draw_rank_q(n: int, m: int, q: int, rng: np.random.Generator, spectrum) -> tuple:
+    # draw_rank_q of a spectrum that is validated already, or None.
+    d = sample_spectrum(q, rng) if spectrum is None else spectrum
     return d, rng.standard_normal((n, q)), rng.standard_normal((m, q))
 
 

@@ -10,8 +10,10 @@ Three families of scalars around the map Y = pinv(X):
 The ratio check confirms the first two are consistent: pushing the density
 through the reciprocal-spectrum map reproduces the change-of-variables
 factor exactly.  It compares them as sums of logs of the spectrum, since
-the products leave the float range at moderate sizes; the linear values
-are reported only where they are finite and normal.  The exterior-chain
+the products leave the float range at moderate sizes; a linear value is
+reported only where every factor and partial product of its product is
+finite and normal, since one that ran through subnormals can end normal
+and still be digits off.  The exterior-chain
 check does the same for the full-rank determinant, and the invariance
 experiment shows why the plain free-coordinate volume element cannot be
 Lebesgue or Hausdorff measure: it is not invariant under orthogonal
@@ -63,14 +65,18 @@ def hausdorff_density(n: int, m: int, d):
     scalar power and the factors are multiplied in order, (i, j) row-major.
     A product that leaves the float range gives inf or 0, without a warning.
     """
-    d = _spectra(n, m, d)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        # left to right, as a loop would
+        return np.multiply.reduce(_density_factors(n, m, _spectra(n, m, d)), axis=-1)[()]
+
+
+def _density_factors(n: int, m: int, d: np.ndarray) -> np.ndarray:
+    # hausdorff_density's factors of checked spectra, in the order it multiplies them.
     q = d.shape[-1]
     i, j = _pairs(q)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        squares = scalar_powers(d, 2)
-        lead = 2.0 ** (-q) * scalar_powers(np.prod(d, axis=-1), n + m - 2 * q)
-        factors = np.concatenate([lead[..., None], squares[..., i] - squares[..., j]], axis=-1)
-        return np.multiply.reduce(factors, axis=-1)[()]  # left to right, as a loop would
+    squares = scalar_powers(d, 2)
+    lead = 2.0 ** (-q) * scalar_powers(np.prod(d, axis=-1), n + m - 2 * q)
+    return np.concatenate([lead[..., None], squares[..., i] - squares[..., j]], axis=-1)
 
 
 def pinv_spectrum(d) -> np.ndarray:
@@ -88,9 +94,13 @@ def nonfullrank_jacobian_factor(n: int, m: int, d):
     Of a stack (..., q) of spectra, one value per spectrum; like
     :func:`hausdorff_density`, inf or 0 where it leaves the float range.
     """
-    d = _spectra(n, m, d)
     with np.errstate(over="ignore", under="ignore"):
-        return np.prod(scalar_powers(d, -2.0 * (n + m - d.shape[-1])), axis=-1)[()]
+        return np.prod(_jacobian_factors(n, m, _spectra(n, m, d)), axis=-1)[()]
+
+
+def _jacobian_factors(n: int, m: int, d: np.ndarray) -> np.ndarray:
+    # nonfullrank_jacobian_factor's factors of checked spectra, in order.
+    return scalar_powers(d, -2.0 * (n + m - d.shape[-1]))
 
 
 def _log_density(n: int, m: int, d: np.ndarray) -> np.ndarray:
@@ -103,9 +113,15 @@ def _log_density(n: int, m: int, d: np.ndarray) -> np.ndarray:
     return -q * np.log(2.0) + (n + m - 2 * q) * np.log(d).sum(axis=-1) + pairs.sum(axis=-1)
 
 
-def _normal(a: np.ndarray) -> np.ndarray:
-    # ``a`` where finite and normal, else None: a linear value is written only there.
-    return np.where(np.isfinite(a) & (np.abs(a) >= np.finfo(float).tiny), a, None)
+def _normal_product(factors: np.ndarray) -> np.ndarray:
+    # The product of each row of ``factors``, left to right (the bits of the
+    # reduce of the two functions above), where every factor and every
+    # partial product is finite and normal; None elsewhere.  A chain that
+    # passes through subnormals can end normal and still be digits off.
+    chain = np.multiply.accumulate(factors, axis=-1)
+    links = np.concatenate([factors, chain], axis=-1)
+    normal = np.all(np.isfinite(links) & (np.abs(links) >= np.finfo(float).tiny), axis=-1)
+    return np.where(normal, chain[..., -1], None)
 
 
 def hausdorff_ratio_check(n: int, m: int, d, tol: float | None = None):
@@ -117,8 +133,9 @@ def hausdorff_ratio_check(n: int, m: int, d, tol: float | None = None):
     difference of the two logs, measures only rounding and is held to
     ``tol``, by default the ``hausdorff`` entry of ``reports.TOLERANCES``.
     The linear density_x, density_y and jacobian_factor are reported
-    where they are finite and normal; the log_* values always.  A stack
-    (T, q) of spectra is checked in one pass and gives a list of T reports.
+    where every factor and partial product of theirs is finite and normal;
+    the log_* values always.  A stack (T, q) of spectra is checked in one
+    pass and gives a list of T reports.
     """
     d = _spectra(n, m, d)
     q = d.shape[-1]
@@ -127,11 +144,13 @@ def hausdorff_ratio_check(n: int, m: int, d, tol: float | None = None):
     log_d = np.log(d).sum(axis=-1)
     log_x, log_y = _log_density(n, m, d), _log_density(m, n, e)
     log_factor = -2.0 * (n + m - q) * log_d
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        density_x = _normal_product(_density_factors(n, m, d))
+        density_y = _normal_product(_density_factors(m, n, e))
+        factor = _normal_product(_jacobian_factors(n, m, d))
     reports = stack_reports(
         "hausdorff", {"n": n, "m": m, "q": q},
-        {"density_x": _normal(hausdorff_density(n, m, d)),
-         "density_y": _normal(hausdorff_density(m, n, e)),
-         "jacobian_factor": _normal(nonfullrank_jacobian_factor(n, m, d)),
+        {"density_x": density_x, "density_y": density_y, "jacobian_factor": factor,
          "log_density_x": log_x, "log_density_y": log_y, "log_jacobian_factor": log_factor},
         {"identity": abs(log_y - 2.0 * log_d - log_x - log_factor)}, tol=tol,
     )

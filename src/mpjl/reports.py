@@ -6,9 +6,11 @@ canonical: fixed key order, two-space indent, shortest-roundtrip float
 encoding, no volatile fields.  Identical inputs therefore produce
 byte-identical files; wall time is kept on the in-memory result and in the
 text rendering only.  ``dumps_canonical`` writes exactly what
-``json.dumps(obj, indent=2, allow_nan=False)`` writes, each container of
-scalars through CPython's C encoder rather than the pure-Python indenting
-one.
+``json.dumps(obj, indent=2, allow_nan=False)`` writes, without its
+pure-Python indenting encoder: each report's layout (the keys of its dicts,
+the lengths of its lists) maps to a cached %-template, one call of
+CPython's C encoder writes every scalar of the file, and one ``%`` fills
+them in.  Whatever is not shaped like a report file goes to ``json.dumps``.
 
 Tolerance policy: ``TOLERANCES`` is the one table of what each check's
 residuals are held to; ``PRIMARY`` names, for the checks that have one,
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import InitVar, dataclass, field
-from functools import cache
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
@@ -53,8 +54,15 @@ PRIMARY = {
 }
 
 
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+
 def _plain(value):
     """Coerce numpy scalars/arrays to plain Python for JSON round-trips."""
+    if type(value) in _PLAIN:
+        return value
+    if type(value) is dict and _PLAIN.issuperset(map(type, value.values())):
+        return dict(value)
     if hasattr(value, "tolist"):  # any numpy value, scalar or array
         value = value.tolist()
     if isinstance(value, dict):
@@ -162,59 +170,114 @@ class SuiteResult:
         return cls(reports=[VerificationReport.from_json(r) for r in obj["reports"]])
 
 
-_CONTAINERS = (dict, list, tuple)
+_NESTED = frozenset({dict, list, tuple})
+_HOLDS = object()
+
+# CPython's C encoder of a list of scalars, its items separated by NUL.  It
+# writes a NUL inside a string as \u0000, so every NUL it writes separates
+# two items.
+_encode_scalars = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                                 None, ": ", "\x00", False, False, False)
+
+# %-templates by (nesting level, layout of the container).  A cache: what it
+# holds never changes an output byte; it is emptied when full.
+TEMPLATE_LIMIT = 512
+_templates: dict[tuple, str] = {}
 
 
-@cache
-def _level(level: int) -> tuple:
-    # For containers nested ``level`` deep: CPython's C encoder of a scalar,
-    # or of a container of scalars whose items it puts on separate lines;
-    # the line break before an item; the line break before the closing bracket.
-    indent = "\n" + "  " * (level + 1)
-    encoder = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
-                             ": ", "," + indent, False, False, False)
-    return encoder, indent, "\n" + "  " * level
+def _key(key: str) -> str:
+    # A dict key as json.dumps writes it, escaped for ``%``; a key that is
+    # not a str raises TypeError, which leaves the payload to json.dumps.
+    return encode_basestring_ascii(key).replace("%", "%%") + ": "
 
 
-def _layout(obj, level: int) -> str:
-    # json.dumps(obj, indent=2) of ``obj`` nested ``level`` containers deep.
-    encode, indent, close = _level(level)
-    if isinstance(obj, dict):
-        children = obj.values()
-    elif isinstance(obj, (list, tuple)):
-        children = obj
+def _scan(container, scalars: list, depth: int):
+    # Layout of a dict (its keys) or list (its length): what its template
+    # depends on.  Down to ``depth`` further levels it lists, by position,
+    # the layouts of the containers it holds, after a marker that no tuple
+    # of dict keys can equal; below that every item counts as a scalar.
+    # Appends each scalar to ``scalars``, in written order.
+    if type(container) is dict:
+        head, items = tuple(container), container.values()
     else:
-        return "".join(encode(obj, 0))
+        head, items = len(container), container
+    if not depth or _NESTED.isdisjoint(map(type, items)):
+        scalars.extend(items)
+        return head
+    layout = [_HOLDS, head]
+    for i, item in enumerate(items):
+        if type(item) in _NESTED:
+            layout.append((i, _scan(item, scalars, depth - 1)))
+        else:
+            scalars.append(item)
+    return tuple(layout)
+
+
+def _template(obj, level: int, depth: int) -> str:
+    # json.dumps(indent=2) of ``obj`` nested ``level`` containers deep, with
+    # "%s" for each item that _scan(obj, ..., depth) counts as a scalar.
+    if type(obj) not in _NESTED or depth < 0:
+        return "%s"
     if not obj:
-        return "{}" if isinstance(obj, dict) else "[]"
-    for child in children:
-        if isinstance(child, _CONTAINERS):
-            break
-    else:  # scalars only: one call of the C encoder
-        text = "".join(encode(obj, 0))
-        return text[0] + indent + text[1:-1] + close + text[-1]
-    parts = [_layout(c, level + 1) if isinstance(c, _CONTAINERS) else "".join(encode(c, 0))
-             for c in children]
-    if isinstance(obj, (list, tuple)):
-        return "[" + indent + ("," + indent).join(parts) + close + "]"
-    if not all(isinstance(k, str) for k in obj):
-        raise TypeError("keys other than str are left to json.dumps")
-    parts = [encode_basestring_ascii(k) + ": " + p for k, p in zip(obj, parts)]
-    return "{" + indent + ("," + indent).join(parts) + close + "}"
+        return "{}" if type(obj) is dict else "[]"
+    indent = "\n" + "  " * (level + 1)
+    if type(obj) is dict:
+        parts = [_key(k) + _template(v, level + 1, depth - 1) for k, v in obj.items()]
+    else:
+        parts = [_template(v, level + 1, depth - 1) for v in obj]
+    brackets = "{}" if type(obj) is dict else "[]"
+    return brackets[0] + indent + ("," + indent).join(parts) + indent[:-2] + brackets[1]
+
+
+def _item(obj, level: int, depth: int, scalars: list) -> str:
+    # The cached template of ``obj`` at ``level``; its scalars go to ``scalars``.
+    if type(obj) not in _NESTED:
+        scalars.append(obj)
+        return "%s"
+    key = (level, _scan(obj, scalars, depth))
+    template = _templates.get(key)
+    if template is None:
+        template = _template(obj, level, depth)
+        if len(_templates) >= TEMPLATE_LIMIT:
+            _templates.clear()
+        _templates[key] = template
+    return template
+
+
+def _templated(obj: dict) -> str | None:
+    # A SuiteResult-shaped dict through the templates: the items of its lists
+    # (reports, duplicates) nest two levels (a report's inputs, its spectrum),
+    # its dicts (the summary) none.  None where a container sits in a scalar's
+    # place.
+    scalars: list = []
+    parts = []
+    for key, value in obj.items():
+        if type(value) in (list, tuple) and value:
+            items = ",\n    ".join([_item(v, 2, 2, scalars) for v in value])
+            parts.append(_key(key) + "[\n    " + items + "\n  ]")
+        else:
+            parts.append(_key(key) + _item(value, 1, 0, scalars))
+    text = "".join(_encode_scalars(scalars, 0))[1:-1]  # one C-encoder call per file
+    if text.startswith(("[", "{")) or "\x00[" in text or "\x00{" in text:
+        return None
+    template = "{\n  " + ",\n  ".join(parts) + "\n}\n"
+    return template % tuple(text.split("\x00") if scalars else ())
 
 
 def dumps_canonical(obj: dict) -> str:
     """``json.dumps(obj, indent=2, allow_nan=False)`` and a newline, byte for byte.
 
-    Each container whose children are all scalars goes through CPython's C
-    encoder; the others are laid out here.  Whatever that does not take (a
-    number that is not finite, a type JSON lacks, a key that is not a str)
-    goes to the reference call, which writes it or raises its own error.
+    A SuiteResult-shaped dict is filled into per-layout templates, cached
+    (``TEMPLATE_LIMIT``), with every scalar written by one call of
+    CPython's C encoder.  Everything else (a number that is not finite, a
+    type JSON lacks, a key that is not a str, deeper nesting) goes to the
+    reference call, which writes it or raises its own error.
     """
     try:
-        return _layout(obj, 0) + "\n"
+        text = _templated(obj) if type(obj) is dict and obj else None
     except (TypeError, ValueError, RecursionError):
-        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+        text = None
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n" if text is None else text
 
 
 def render_text(result: SuiteResult, show_wall_time: bool = True) -> str:

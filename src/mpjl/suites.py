@@ -106,7 +106,9 @@ def _fd_config(cfg: RunConfig) -> differential.FdConfig:
 
 
 def _draw_x(cfg: RunConfig, rng: np.random.Generator) -> tuple:
-    return matcore.draw_rank_q(cfg.n, cfg.m, cfg.rank, rng, spectrum=cfg.spectrum)
+    # matcore.draw_rank_q without checking cfg.spectrum again per trial:
+    # validate_config checks it once per run.
+    return matcore._draw_rank_q(cfg.n, cfg.m, cfg.rank, rng, cfg.spectrum)
 
 
 def _instances(draws: list[tuple]) -> tuple[np.ndarray, ...]:
@@ -136,11 +138,11 @@ def _fd_chart(suite: str, cfg: RunConfig) -> bool:
         suite == "jacobian-full" or suite == "operator-rank" and deficient)
 
 
-def _pinv_chart_det(cfg: RunConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """|det| of the chart Jacobian of X -> pinv(X) = Y, per slice, by complex step: k
-    points through the factored block pseudoinverse, no SVD and no FD step."""
-    q = cfg.rank
-    jac = differential.pinv_chart_jacobian(x, chart.decompose(x, q), chart.decompose(y, q))
+def _pinv_chart_det(x: np.ndarray, bx: chart.BlockDecomposition, y: np.ndarray) -> np.ndarray:
+    """|det| of the chart Jacobian of X -> pinv(X) = Y, per slice, from X's chart ``bx``, by
+    complex step: k points through the factored block pseudoinverse, no SVD and no FD
+    step.  Y has X's rank by construction, so its chart makes no second rank test."""
+    jac = differential.pinv_chart_jacobian(x, bx, chart._pivot(y, bx.q))
     return np.abs(np.linalg.det(jac))
 
 
@@ -174,7 +176,9 @@ def _check_jacobian_full(cfg: RunConfig, draws: list[tuple]) -> list[Verificatio
     values = {"operator_det": differential.jacobian_det_operator(x, info), "closed_form": formula}
     residuals = {"operator_vs_formula": _rel(abs(values["operator_det"] - formula), formula)}
     if _fd_chart("jacobian-full", cfg):
-        values["fd_chart_det"] = fd_det = _pinv_chart_det(cfg, x, matcore.pinv(x))
+        # jacobian_det_full_rank has refused an X below full rank.
+        bx = chart._pivot(x, cfg.rank)
+        values["fd_chart_det"] = fd_det = _pinv_chart_det(x, bx, matcore.pinv(x))
         residuals["fd_vs_formula"] = _rel(abs(fd_det - formula), formula)
     return stack_reports("jacobian-full", {"n": cfg.n, "m": cfg.m, "q": cfg.rank}, values,
                          residuals, tol=cfg.tol)
@@ -192,7 +196,8 @@ def _check_operator_rank(cfg: RunConfig, draws: list[tuple]) -> list[Verificatio
     if _fd_chart("operator-rank", cfg):
         # Reported, never asserted here; the tests hold it to the area
         # formula -2(n+m-q) sum log d + V(X's chart) - V(Y's chart).
-        chart_det["deficient_chart_det"] = _pinv_chart_det(cfg, x, y)
+        # X's chart keeps decompose's rank test (RankMismatch).
+        chart_det["deficient_chart_det"] = _pinv_chart_det(x, chart.decompose(x, q), y)
     # The operator in the basis U kron V, built exactly symmetric.
     s = differential.pair_operator(ut @ x @ v, vt @ y @ u)
     op = s.reshape(len(x), n * m, n * m)
@@ -306,7 +311,10 @@ def _stamp(report: VerificationReport, cfg: RunConfig, trial: int, attempt: int)
 
 
 def run_trial(suite: str, cfg: RunConfig, trial: int) -> VerificationReport:
-    """One trial, checked as a stack of one, with the retry-on-degeneracy policy."""
+    """One trial, checked as a stack of one, with the retry-on-degeneracy policy.
+
+    ``cfg`` is one that :func:`validate_config` accepts; its spectrum is not checked again.
+    """
     draw, check = _SUITES[suite]
     label = f"suite {suite} trial {trial}"
     report, attempt = _redraw(lambda rng: check(cfg, [draw(cfg, rng)])[0], cfg.seed, trial, label)

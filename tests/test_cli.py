@@ -430,6 +430,20 @@ def test_hausdorff_beyond_the_float_range_passes(capsys, argv):
                    if not k.startswith("log_"))
 
 
+def test_hausdorff_leaves_out_a_linear_value_whose_chain_went_subnormal(capsys):
+    # The partial products of prod d^-104 reach 9.0e-321 and end normal at
+    # 1.07e-275, 1.2e-4 off exp(log_jacobian_factor): that value is left out.
+    argv = ["--n", "40", "--m", "32", "--q", "20", "--trials", "1", "--seed", "278331871"]
+    code, out, err = run_cli(capsys, "verify", "hausdorff", *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    [report] = _strict_json(out)["reports"]
+    values = report["values"]
+    assert list(values) == ["density_x", "density_y", "log_density_x", "log_density_y",
+                            "log_jacobian_factor"]
+    for key in ("density_x", "density_y"):
+        assert abs(values[key] / np.exp(values[f"log_{key}"]) - 1) <= 1e-10
+
+
 def test_invariance_image_chart_takes_the_rank_of_x(capsys):
     # Trial 3's H X Q has singular values 1.735 and 7.97e-16, above the
     # library cut 7.70e-16; its rank is X's by construction, so the image is

@@ -632,14 +632,21 @@ def test_fd_chart_jacobian_evaluates_the_per_point_matrices(n, m, q):
 
 
 def test_pinv_chart_jacobian_makes_no_svd_per_point(svd_shapes):
-    # A jacobian-full 3x4 stack: the rank profile of X, pinv(X), and each
-    # chart's rank and X11 test, one stacked SVD each; none of the k
-    # complex points is factored or pivot-tested.
-    cfg = suites.validate_config(suites.RunConfig(n=3, m=4, trials=5, seed=62), "jacobian-full")
-    assert suites._fd_chart("jacobian-full", cfg)
-    reports = suites._run_stack("jacobian-full", cfg, range(5))
-    assert all(r.passed for r in reports)
-    assert svd_shapes == [(5, 3, 4), (5, 3, 4), (5, 3, 4), (5, 3, 3), (5, 4, 3), (5, 3, 3)]
+    # Five-trial stacks, one stacked SVD each of: jacobian-full's rank
+    # profile of X, X's X11 test, pinv(X) and Y's X11 test; operator-rank's
+    # full SVD of X, decompose(X)'s rank test, and the two X11 tests.  Y's
+    # chart tests no rank (Y has X's), nor does jacobian-full's X chart (its
+    # rank profile did), and none of the k complex points is factored or
+    # pivot-tested.
+    cases = [("jacobian-full", 3, 4, None, [(5, 3, 4), (5, 3, 3), (5, 3, 4), (5, 3, 3)]),
+             ("operator-rank", 4, 3, 2, [(5, 4, 3), (5, 4, 3), (5, 2, 2), (5, 2, 2)])]
+    for suite, n, m, q, svds in cases:
+        svd_shapes.clear()
+        cfg = suites.validate_config(suites.RunConfig(n=n, m=m, q=q, trials=5, seed=62), suite)
+        assert suites._fd_chart(suite, cfg)
+        reports = suites._run_stack(suite, cfg, range(5))
+        assert all(r.passed for r in reports)
+        assert svd_shapes == svds
 
 
 def test_pinv_chart_jacobian_stack_checks():

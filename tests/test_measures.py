@@ -133,6 +133,15 @@ def test_linear_values_only_where_finite_and_normal():
     assert list(rep.values) == ["log_density_x", "log_density_y", "log_jacobian_factor"]
     assert rep.values["log_jacobian_factor"] == -2 * (60 + 50 - 20) * np.log(d).sum()
     assert rep.passed
+    # Here prod d^-4 ends normal, 1.6e-12 off exp(log), after a first factor
+    # 1e-312 that is subnormal: the factor is left out, the densities kept.
+    d = np.array([1e78, 1e-76])
+    assert ms.nonfullrank_jacobian_factor(2, 2, d) >= np.finfo(float).tiny
+    rep = ms.hausdorff_ratio_check(2, 2, d)
+    assert list(rep.values) == ["density_x", "density_y", "log_density_x", "log_density_y",
+                                "log_jacobian_factor"]
+    assert rep.values["density_x"] == ms.hausdorff_density(2, 2, d)
+    assert rep.passed
 
 
 def test_symmetric_matrix_exact_symmetry():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from mpjl import reports
 from mpjl.reports import TOLERANCES, SuiteResult, VerificationReport, dumps_canonical
 
 CHECKS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
@@ -92,16 +93,63 @@ PAYLOADS = st.recursive(SCALARS, lambda children: st.lists(children, max_size=5)
                         | st.dictionaries(st.text(max_size=5), children, max_size=5), max_leaves=40)
 
 
-@given(PAYLOADS)
+# What a report file holds: per-report values of every kind JSON has,
+# numpy scalars that to_json makes plain, keys and strings that the
+# templates must escape, and layouts that some reports share and some not
+# (a value left out, spectra of other lengths, none).
+REPORT_SCALARS = (SCALARS | st.integers(-2**63, 2**63 - 1).map(np.int64)
+                  | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+                  | st.booleans().map(np.bool_)
+                  | st.sampled_from([2**70, "%s %d %%", "\x00", '"', "\u00e9\x00\"%"]))
+REPORT_KEYS = st.sampled_from(["a", "fd_chart_det", "%", "%s", "100%", "\u00e9", "\x00\"", "k\n"])
+
+
+@st.composite
+def report_files(draw):
+    layouts = draw(st.lists(st.tuples(st.lists(REPORT_KEYS, unique=True, max_size=4),
+                                      st.none() | st.integers(0, 4)), min_size=1, max_size=4))
+    made = []
+    for _ in range(draw(st.integers(0, 12))):
+        keys, q = draw(st.sampled_from(layouts))
+        inputs = {"n": draw(REPORT_SCALARS), "%m": 3}
+        if q is not None:
+            inputs["spectrum"] = draw(st.lists(REPORT_SCALARS, min_size=q, max_size=q))
+        values = {k: draw(REPORT_SCALARS) for k in keys}
+        residuals = {k: draw(REPORT_SCALARS) for k in keys[:2]}
+        tolerances = {k: draw(st.none() | REPORT_SCALARS) for k in residuals}
+        made.append(VerificationReport(draw(st.text(max_size=3)), inputs, values, residuals,
+                                       tolerances, draw(st.booleans())))
+    payload = SuiteResult(reports=made).to_json()
+    if draw(st.booleans()):
+        payload["duplicates"] = draw(st.lists(st.lists(SCALARS, min_size=3, max_size=3),
+                                              max_size=3))
+    return payload
+
+
+@given(PAYLOADS | report_files())
 @example({"a": [], "b": {}, "c": [[], [{}]], "d": {"e": [1, {"f": None}]}, "g": (1.5, "h")})
 @example([{"\u00e9": -0.0}, 5e-324, 1e308, 10**30, True, None])
+@example({"reports": [{"spectrum": [1.0]}, {"spectrum": 1.0}, {"spectrum": [[1.0]]},
+                      {"spectrum": {"a": [1]}}, {"spectrum": []}, {"spectrum": {}}]})
+@example({"reports": [{"a": [{"b": [1]}]}], "summary": {"c": [2]}, "duplicates": [[[3]]]})
 def test_dumps_canonical_is_the_reference_encoding(payload):
     assert dumps_canonical(payload) == _reference(payload)
 
 
+def test_template_cache_stays_bounded():
+    for i in range(reports.TEMPLATE_LIMIT + 50):
+        payload = {"reports": [{"check_name": "c", "inputs": {f"k{i}": i}, "pass": True}]}
+        assert dumps_canonical(payload) == _reference(payload)
+    assert len(reports._templates) <= reports.TEMPLATE_LIMIT
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 @pytest.mark.parametrize("where", [lambda v: {"a": v}, lambda v: {"a": [1.0, {"b": v}]},
-                                   lambda v: [{"c": "x", "d": [v]}], lambda v: v])
+                                   lambda v: [{"c": "x", "d": [v]}], lambda v: v,
+                                   lambda v: SuiteResult(reports=[
+                                       VerificationReport("c", {"q": 1}, {}, {}, {}, True),
+                                       VerificationReport("c", {"q": 1}, {"x": v}, {}, {}, True),
+                                   ]).to_json()])
 def test_non_finite_numbers_raise_the_reference_error(bad, where):
     obj = where(bad)
     with pytest.raises(ValueError) as reference:

@@ -43,7 +43,12 @@ its own directory.  It replays:
   linear density underflowed into a ``ZeroDivisionError``, and at 40 x 32
   q=20 seed 278331871, whose linear factor ran through subnormals into a
   FAIL; and ``invariance`` 2 x 2 q=1 seed 221480469, whose ``H X Q`` rounded
-  above the rank cut of a second rank test.
+  above the rank cut of a second rank test; ``report`` merges, in JSON and
+  in text, of one ``blocks`` file twice (every trial a duplicate), of
+  ``hausdorff`` 40 x 32 q=20 files whose reports differ in layout (seed
+  278331871 leaves its linear ``jacobian_factor`` out, seed 2 writes it, the
+  six trials of seed 3 do both), and of a hand-written file whose keys and
+  strings hold ``%``, ``\\u0000``, ``"`` and non-ASCII characters.
 
 Each invocation records its exit code (or the exception that escaped
 ``cli.main``), its stdout, its ``error: ...`` lines of stderr and the
@@ -172,7 +177,25 @@ EDGE_CASES = [
      "--seed", "278331871", "--format", "json"],
     ["verify", "invariance", "--n", "2", "--m", "2", "--q", "1", "--trials", "45",
      "--seed", "221480469", "--format", "json"],
+    ["verify", "blocks", "--n", "5", "--m", "4", "--q", "2", "--trials", "3", "--seed", "9",
+     "--format", "json", "--out", "dup.json"],
+    *(["report", "dup.json", "dup.json", "--format", fmt] for fmt in ("json", "text")),
+    *(["verify", "hausdorff", "--n", "40", "--m", "32", "--q", "20", "--trials", trials,
+       "--seed", seed, "--format", "json", "--out", f"h40-{seed}.json"]
+      for seed, trials in (("278331871", "1"), ("2", "1"), ("3", "6"))),
+    *(["report", "h40-278331871.json", "h40-2.json", "h40-3.json", "--format", fmt]
+      for fmt in ("json", "text")),
+    *(["report", "escapes.json", "--format", fmt] for fmt in ("json", "text")),
 ]
+
+# Keys and strings that the JSON writer must escape, in a one-report file
+# that ``report`` reads.
+ESCAPES_REPORT = json.dumps({
+    "reports": [{"check_name": "blocks %s 100%",
+                 "inputs": {"n": 4, "note %d": "a\u0000b \u00e9 %%"},
+                 "values": {"%": "\u0000\"", "\u00e9\u2200": 1.5}, "residuals": {"roundtrip": 0.0},
+                 "tolerances": {"roundtrip": 1e-10}, "pass": True}],
+    "summary": {"total": 1, "passed": 1, "failed": 0}})
 
 
 def _sha(data: bytes) -> str:
@@ -260,6 +283,7 @@ def replay(src: Path) -> list[dict]:
                             "stdout_leaves": _leaf_digests(text.encode())})
         for number in NON_FINITE:
             Path(f"non-finite-{number}.json").write_text(NON_FINITE_REPORT % number)
+        Path("escapes.json").write_text(ESCAPES_REPORT)
         for i, argv in enumerate(EDGE_CASES):
             records.append(_invoke(cli, f"edge {i}", argv))
     return records
