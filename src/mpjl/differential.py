@@ -98,7 +98,8 @@ def pinv_differential(x, dx) -> np.ndarray:
 
 
 def pair_operator(x, y) -> np.ndarray:
-    """S of the pair (X, Y = pinv(X)) as an (..., n, m, n, m) array, O((nm)^2) memory:
+    """S of the pair (X, Y = pinv(X)) as an (..., n, m, n, m) array, built in place by blocks of
+    rows l (all n of a stack of slices, one of a single slice) and one block-sized temporary:
     S[l, k, i, j] = P_L[l, i] (Y Y')[k, j] + (Y'Y)[l, i] P_R[k, j] - Y'[l, j] Y[k, i]."""
     n, m = x.shape[-2:]
     yt = y.swapaxes(-1, -2)
@@ -108,9 +109,13 @@ def pair_operator(x, y) -> np.ndarray:
     # eigenvalues of that triangle at first order.
     left, right, yyt, yty = (0.5 * (a + a.swapaxes(-1, -2)) for a in (
         np.eye(n) - x @ y, np.eye(m) - y @ x, y @ yt, yt @ y))
-    s = left[..., :, None, :, None] * yyt[..., None, :, None, :]
-    s += yty[..., :, None, :, None] * right[..., None, :, None, :]
-    s -= yt[..., :, None, None, :] * y[..., None, :, :, None]
+    step = n if x.size > n * m else 1  # the entry budget keeps a stack of slices small
+    s, tmp = (np.empty(x.shape[:-2] + (r, m, n, m)) for r in (n, step))
+    for b in (slice(a, a + step) for a in range(0, n, step)):  # each entry fl(fl(LA + BR) - Y'Y)
+        rows = s[..., b, :, :, :]
+        np.multiply(left[..., b, None, :, None], yyt[..., None, :, None, :], out=rows)
+        rows += np.multiply(yty[..., b, None, :, None], right[..., None, :, None, :], out=tmp)
+        rows -= np.multiply(yt[..., b, None, None, :], y[..., None, :, :, None], out=tmp)
     return s
 
 

@@ -71,12 +71,11 @@ def hausdorff_density(n: int, m: int, d):
 
 
 def _density_factors(n: int, m: int, d: np.ndarray) -> np.ndarray:
-    # hausdorff_density's factors of checked spectra, in the order it multiplies them.
+    # hausdorff_density's factors of checked d, in order; D_i^2 - D_j^2 as (D_i - D_j)(D_i + D_j).
     q = d.shape[-1]
-    i, j = _pairs(q)
-    squares = scalar_powers(d, 2)
+    di, dj = (d[..., k] for k in _pairs(q))
     lead = 2.0 ** (-q) * scalar_powers(np.prod(d, axis=-1), n + m - 2 * q)
-    return np.concatenate([lead[..., None], squares[..., i] - squares[..., j]], axis=-1)
+    return np.concatenate([lead[..., None], (di - dj) * (di + dj)], axis=-1)
 
 
 def pinv_spectrum(d) -> np.ndarray:

@@ -33,6 +33,22 @@ def jacobian_operator(x) -> np.ndarray:
     return pair_operator(x, pinv(x)).reshape(x.size, x.size)
 
 
+def broadcast_pair_operator(x, y) -> np.ndarray:
+    """``pair_operator`` as three whole-operator broadcast products: its bit-for-bit oracle.
+
+    Each entry is fl(fl(fl(L A) + fl(B R)) - fl(Y' Y)); the second and third
+    products each take a temporary the size of the whole operator.
+    """
+    n, m = x.shape[-2:]
+    yt = y.swapaxes(-1, -2)
+    left, right, yyt, yty = (0.5 * (a + a.swapaxes(-1, -2)) for a in (
+        np.eye(n) - x @ y, np.eye(m) - y @ x, y @ yt, yt @ y))
+    s = left[..., :, None, :, None] * yyt[..., None, :, None, :]
+    s += yty[..., :, None, :, None] * right[..., None, :, None, :]
+    s -= yt[..., :, None, None, :] * y[..., None, :, :, None]
+    return s
+
+
 def log_chart_volume(b: BlockDecomposition) -> float:
     """V(b) = (n-q)/2 log det(I + W'W) + (m-q)/2 log det(I + Z Z'), W = X11^-1 X12, Z = X21 X11^-1.
 

@@ -66,3 +66,26 @@ def test_hausdorff_passes(n, m, q, cond):
     # The identity is taken between logs, so no product leaves the float
     # range, 40 x 32 at rank 20 included.
     assert all(report.passed for report in _reports("hausdorff", n, m, q, cond))
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e3, 1e4, 1e5])
+@pytest.mark.parametrize("q", [2, 4])
+def test_invariance_passes(q, cond):
+    assert all(report.passed for report in _reports("invariance", 5, 4, q, cond))
+
+
+# exterior-chain forms A = YY' and B = X'X and takes their slogdet and inv,
+# so determinant_algebra carries an error near eps * cond(X)^2: 1 of the 12
+# reports at 10x6 fails it at 1e2 and 11 of 12 at 6x4 at 1e3; from 1e4
+# inverse_identity and operator_match fail too.
+GRAM_SQUARED = pytest.mark.xfail(strict=True, reason="ROADMAP item 3: exterior-chain takes the "
+                                                     "Gram matrices, whose error grows like "
+                                                     "cond(X)^2")
+
+
+@pytest.mark.parametrize("n, m, cond", [
+    pytest.param(n, m, cond, marks=[] if (n, m, cond) == (6, 4, 1e2) else [GRAM_SQUARED])
+    for cond in (1e2, 1e3, 1e4, 1e5) for n, m in ((6, 4), (10, 6))
+])
+def test_exterior_chain_passes(n, m, cond):
+    assert all(report.passed for report in _reports("exterior-chain", n, m, None, cond))

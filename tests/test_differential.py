@@ -1,10 +1,13 @@
 """Differential and Jacobian-operator tests against complex-step and finite-difference oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import (
-    chart_positions, commutation_matrix, jacobian_operator, make_blocks, pinv_chart_log_det, vec,
+    broadcast_pair_operator, chart_positions, commutation_matrix, jacobian_operator, make_blocks,
+    pinv_chart_log_det, vec,
 )
 from mpjl import chart, matcore as mc, suites
 from mpjl import differential as df
@@ -258,6 +261,17 @@ def _sweep_reports(n, m, q, cond):
         yield from suites.run_suite("operator-rank", cfg).reports
 
 
+def _pairs(rng, n, m, q, cond, t):
+    # The plain pair (X, pinv X) and the rotated pair (U'XV, V'YU) that
+    # operator-rank builds, of a stack of t slices of spectrum
+    # geomspace(1, 1/cond, q).
+    d = np.geomspace(1.0, 1.0 / cond, q)
+    x = mc.rank_q_from_draw(np.stack([d] * t), rng.standard_normal((t, n, q)),
+                            rng.standard_normal((t, m, q)))
+    u, _, vt, y = mc.svd_full(x)
+    return (x, y), (u.swapaxes(-1, -2) @ x @ vt.swapaxes(-1, -2), vt @ y @ u)
+
+
 @pytest.mark.parametrize("cond", [1.0, 1e3, 1e5])
 @pytest.mark.parametrize("n, m, q", SWEEP_SHAPES)
 def test_pair_operator_is_exactly_symmetric(n, m, q, cond):
@@ -267,15 +281,37 @@ def test_pair_operator_is_exactly_symmetric(n, m, q, cond):
     # operator-rank reads (see ``_check_operator_rank``).  cond = 1 is a
     # spectrum of ties, which the request gap refuses, so X is built from
     # its draw directly.
-    rng = mc.make_rng(60, n, m, q)
-    d = np.geomspace(1.0, 1.0 / cond, q)
-    x = mc.rank_q_from_draw(np.stack([d, d]), rng.standard_normal((2, n, q)),
-                            rng.standard_normal((2, m, q)))
-    u, _, vt, y = mc.svd_full(x)
-    ut, v = u.swapaxes(-1, -2), vt.swapaxes(-1, -2)
-    for s in (df.pair_operator(x, y), df.pair_operator(ut @ x @ v, vt @ y @ u)):
-        op = s.reshape(2, n * m, n * m)
+    for x, y in _pairs(mc.make_rng(60, n, m, q), n, m, q, cond, 2):
+        op = df.pair_operator(x, y).reshape(2, n * m, n * m)
         assert np.array_equal(op, op.swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e3, 1e5])
+@pytest.mark.parametrize("n, m, q", SWEEP_SHAPES)
+def test_pair_operator_keeps_the_bits_of_the_broadcast_build(n, m, q, cond):
+    # One slice (a 2-D pair or a stack of one) is built a row at a time,
+    # a stack of several in one block; every entry keeps the operation
+    # order of the three whole-operator broadcasts.
+    for t in (1, 3):
+        for x, y in _pairs(mc.make_rng(61, n, m, q, t), n, m, q, cond, t):
+            for a, b in [(x, y), (x[0], y[0])] if t == 1 else [(x, y)]:
+                got, want = df.pair_operator(a, b), broadcast_pair_operator(a, b)
+                assert got.shape == want.shape and np.array_equal(got, want)
+                assert got.tobytes() == want.tobytes()
+
+
+def test_pair_operator_holds_one_operator_and_one_row_block():
+    # The one-slice 24 x 20 q=8 operator of operator-rank: no second
+    # operator-sized temporary (the broadcast build peaks at 2.08x).
+    _, (x, y) = _pairs(mc.make_rng(62), 24, 20, 8, 1e3, 1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        s = df.pair_operator(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * s.nbytes
 
 
 @pytest.mark.parametrize("n, m, q", SWEEP_SHAPES)

@@ -1,5 +1,6 @@
 """Measure-density factor tests: anchors, identities, and the invariance split."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -87,13 +88,36 @@ def test_ratio_check_sweep():
 
 def _loop_density(n, m, d):
     # The per-spectrum loop the stacked product replaced: scalar powers,
-    # factors multiplied left to right.
+    # factors multiplied left to right, each pair as (d_i - d_j)(d_i + d_j).
     q = len(d)
     value = 2.0 ** (-q) * np.prod(d) ** (n + m - 2 * q)
     for i in range(q):
         for j in range(i + 1, q):
-            value *= d[i] ** 2 - d[j] ** 2
+            value *= (d[i] - d[j]) * (d[i] + d[j])
     return value
+
+
+def _mp_density(n, m, d):
+    # 50-digit 2^-q (prod d)^(n+m-2q) prod_{i<j}(d_i^2 - d_j^2) at the float d.
+    with mpmath.workdps(50):
+        d = [mpmath.mpf(float(v)) for v in d]
+        q = len(d)
+        pairs = (d[i] ** 2 - d[j] ** 2 for i in range(q) for j in range(i + 1, q))
+        return mpmath.mpf(2) ** -q * mpmath.fprod(d) ** (n + m - 2 * q) * mpmath.fprod(pairs)
+
+
+def test_linear_densities_match_mpmath():
+    # Close singular values: a difference of rounded squares cancelled to
+    # 1.1e-11 at trial 1609 (smallest gap 4.2e-6 of d_1); each pair taken
+    # as (d_i - d_j)(d_i + d_j) keeps the product to rounding.
+    for t in range(1560, 1660):
+        d = mc.sample_spectrum(20, mc.make_rng(7, t))
+        rep = ms.hausdorff_ratio_check(40, 32, d)
+        for key, (n, m, e) in (("density_x", (40, 32, d)),
+                               ("density_y", (32, 40, ms.pinv_spectrum(d)))):
+            if key in rep.values:
+                want = _mp_density(n, m, e)
+                assert abs(rep.values[key] - want) <= 1e-13 * want, (t, key)
 
 
 def test_linear_values_keep_the_bits_of_the_loops():

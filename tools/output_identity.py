@@ -48,7 +48,11 @@ its own directory.  It replays:
   ``hausdorff`` 40 x 32 q=20 files whose reports differ in layout (seed
   278331871 leaves its linear ``jacobian_factor`` out, seed 2 writes it, the
   six trials of seed 3 do both), and of a hand-written file whose keys and
-  strings hold ``%``, ``\\u0000``, ``"`` and non-ASCII characters.
+  strings hold ``%``, ``\\u0000``, ``"`` and non-ASCII characters; and, in
+  JSON and in text, ``operator-rank`` 24 x 20 q=8 with two trials (two
+  one-trial stacks, each operator built a row block at a time) and 10 x 8
+  q=3 with nine trials (one stack just under the entry budget, built in
+  one block).
 
 Each invocation records its exit code (or the exception that escaped
 ``cli.main``), its stdout, its ``error: ...`` lines of stderr and the
@@ -186,6 +190,10 @@ EDGE_CASES = [
     *(["report", "h40-278331871.json", "h40-2.json", "h40-3.json", "--format", fmt]
       for fmt in ("json", "text")),
     *(["report", "escapes.json", "--format", fmt] for fmt in ("json", "text")),
+    *(["verify", "operator-rank", "--n", n, "--m", m, "--q", q, "--trials", trials,
+       "--format", fmt]
+      for n, m, q, trials in (("24", "20", "8", "2"), ("10", "8", "3", "9"))
+      for fmt in ("json", "text")),
 ]
 
 # Keys and strings that the JSON writer must escape, in a one-report file
