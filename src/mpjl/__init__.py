@@ -3,8 +3,8 @@
 The library computes the analytic differential and Jacobian operator of
 the Moore-Penrose inverse, closed-form determinant and density factors for
 both full-rank and rank-deficient matrices, and independent oracles for
-every formula: complex-step derivatives, and central differences where the
-invariance witnesses need them.  The ``mpjl`` CLI runs the seeded
+every formula: complex-step derivatives, exact tangent maps and the
+closed-form chart volumes of the area formula.  The ``mpjl`` CLI runs the seeded
 verification suites and emits reproducible JSON reports.
 """
 
@@ -12,24 +12,23 @@ from .chart import (
     BlockDecomposition,
     assemble,
     decompose,
+    log_chart_volume,
     pinv_from_blocks,
     tangent_perturbation,
     x22_from_blocks,
 )
 from .differential import (
-    FdConfig,
     OrthogonalSandwichMap,
-    fd_chart_jacobian,
     jacobian_det_full_rank,
     jacobian_det_operator,
     operator_spectrum,
     pinv_chart_jacobian,
     pinv_complex_step,
     pinv_differential,
+    sandwich_chart_jacobian,
 )
 from .errors import (
     BadSpectrum,
-    ChartInvalid,
     ConfigError,
     DegeneracyBudgetExceeded,
     DegenerateSpectrum,

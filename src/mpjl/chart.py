@@ -11,7 +11,8 @@ so the nq + mq - q^2 entries of X11, X12, X21 are free coordinates and X22
 is dependent.  ``BlockDecomposition`` is that chart: the free blocks and
 the two permutations, which fix q, n, m and the original-index positions
 of the free coordinates.  X11 is tested once, when the decomposition is
-built, so every later use may invert it.  Permutations are stored, never
+built, so every later use may invert it, and W = X11^-1 X12 and
+Z = X21 X11^-1 are solved for once.  Permutations are stored, never
 applied destructively: every result maps back to the original index space.
 
 ``decompose`` also takes a stack (T, n, m), pivoted slice by slice, and
@@ -27,7 +28,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import ChartInvalid, IllConditionedPivot, RankMismatch, ShapeMismatch
+from .errors import IllConditionedPivot, RankMismatch, ShapeMismatch
 from .matcore import as_stack, common_rank, ill_conditioned, rank_profile
 
 # Condition-number cap on the pivot block; beyond it the rank hypothesis is
@@ -85,6 +86,17 @@ class BlockDecomposition:
     q = property(lambda self: self.x11.shape[-1])
     n = property(lambda self: self.q + self.x21.shape[-2])
     m = property(lambda self: self.q + self.x12.shape[-1])
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """W = X11^-1 X12, (..., q, m-q); Xp = [I; Z] X11 [I, W].  Taken once per chart."""
+        return np.linalg.solve(self.x11, self.x12)
+
+    @cached_property
+    def z(self) -> np.ndarray:
+        """Z = X21 X11^-1, (..., n-q, q).  Taken once per chart."""
+        x11t, x21t = self.x11.swapaxes(-1, -2), self.x21.swapaxes(-1, -2)
+        return np.linalg.solve(x11t, x21t).swapaxes(-1, -2)
 
     @cached_property
     def _stack(self) -> tuple:
@@ -151,17 +163,9 @@ def _pivot(x: np.ndarray, q: int) -> BlockDecomposition:
                               cp.reshape(lead + (m,)))
 
 
-def _x22(x11: np.ndarray, x12: np.ndarray, x21: np.ndarray) -> np.ndarray:
-    # X21 @ inv(X11) @ X12 for blocks of one matrix or stacks of them; the
-    # caller has tested X11.
-    if x12.shape[-1] == 0 or x21.shape[-2] == 0:
-        return np.zeros(x11.shape[:-2] + (x21.shape[-2], x12.shape[-1]))
-    return x21 @ np.linalg.solve(x11, x12)
-
-
 def x22_from_blocks(b: BlockDecomposition) -> np.ndarray:
-    """Dependent trailing block X21 @ inv(X11) @ X12; empty when q = n or q = m."""
-    return _x22(b.x11, b.x12, b.x21)
+    """Dependent trailing block X21 @ inv(X11) @ X12 = X21 W; empty when q = n or q = m."""
+    return b.x21 @ b.w
 
 
 def _unpermute(b: BlockDecomposition, a11, a12, a21, a22) -> np.ndarray:
@@ -216,31 +220,49 @@ def pinv_from_blocks(b: BlockDecomposition) -> np.ndarray:
     return _pinv_blocks(b, b.x11, b.x12, b.x21)
 
 
+def _tangent_x22(b: BlockDecomposition, dx11, dx12, dx21) -> np.ndarray:
+    # dX22 of free-block directions whose leading axes end with b's stack axes.
+    return (dx21 - b.z @ dx11) @ b.w + b.z @ dx12
+
+
 def tangent_perturbation(b: BlockDecomposition, dx11, dx12, dx21) -> np.ndarray:
     """Rank-preserving perturbation from free-block directions.
 
     The trailing block follows the product rule applied to the dependence
-    X22 = X21 X11^-1 X12:
+    X22 = X21 X11^-1 X12 = Z X11 W:
 
-        dX22 = dX21 X11^-1 X12 - X21 X11^-1 dX11 X11^-1 X12 + X21 X11^-1 dX12
+        dX22 = dX21 W - Z dX11 W + Z dX12 = (dX21 - Z dX11) W + Z dX12,
 
-    Each direction must have exactly its block's shape, with the stack axis
-    first for a stacked ``b`` (one direction per slice), else ShapeMismatch.
+    with the chart's W and Z.  Each direction ends in exactly its block's
+    shape, of a stacked ``b`` with its stack axis, else ShapeMismatch; the
+    same leading axes on all three give a stack (k, [T,] n, m).
     """
     dx11, dx12, dx21 = (np.asarray(a, dtype=float) for a in (dx11, dx12, dx21))
+    lead = dx11.shape[: max(dx11.ndim - b.x11.ndim, 0)]
     for name, a, block in (("dX11", dx11, b.x11), ("dX12", dx12, b.x12), ("dX21", dx21, b.x21)):
-        if a.shape != block.shape:
+        if a.shape != lead + block.shape:
             raise ShapeMismatch(f"{name} must be {'x'.join(map(str, block.shape))}, got {a.shape}")
-    inv_x12 = np.linalg.solve(b.x11, b.x12)     # X11^-1 X12
-    inv_dx11 = np.linalg.solve(b.x11, dx11)     # X11^-1 dX11
-    inv_dx12 = np.linalg.solve(b.x11, dx12)     # X11^-1 dX12
-    dx22 = dx21 @ inv_x12 - b.x21 @ inv_dx11 @ inv_x12 + b.x21 @ inv_dx12
-    return _unpermute(b, dx11, dx12, dx21, dx22)
+    return _unpermute(b, dx11, dx12, dx21, _tangent_x22(b, dx11, dx12, dx21))
+
+
+def log_chart_volume(b: BlockDecomposition):
+    """V(b) = (n-q)/2 log det(I + W'W) + (m-q)/2 log det(I + Z Z'), one per slice of a stack.
+
+    The log volume element of the chart: the map from b's free coordinates
+    to the n x m matrix has det(T'T) = det(I + W'W)^(n-q) det(I + Z Z')^(m-q),
+    so by the area formula a map f between rank-q matrices that keeps the
+    Frobenius metric (an orthogonal sandwich) has chart Jacobian
+    |det| = exp(V(in chart) - V(out chart)).  0 on a full chart.
+    """
+    q, n, m, w, z = b.q, b.n, b.m, b.w, b.z
+    return (0.5 * (n - q) * np.linalg.slogdet(np.eye(m - q) + w.swapaxes(-1, -2) @ w)[1]
+            + 0.5 * (m - q) * np.linalg.slogdet(np.eye(n - q) + z @ z.swapaxes(-1, -2))[1])
 
 
 def _moved_blocks(b: BlockDecomposition, deltas: np.ndarray) -> tuple:
-    # X11, X12, X21 moved by ``deltas`` (see perturbed_assemble), in the
-    # dtype the blocks and the deltas promote to.
+    # X11, X12, X21 moved by ``deltas``, in the dtype the blocks and the
+    # deltas promote to.  ``deltas`` follows the order of ``b.coordinates``:
+    # (k,) or (p, k), of a stacked decomposition (T, k) or (p, T, k).
     lead_b = b.x11.shape[:-2]
     stack = deltas.shape[deltas.ndim - 1 - len(lead_b):-1]
     if deltas.ndim - len(lead_b) not in (1, 2) or stack != lead_b or deltas.shape[-1] != len(b):
@@ -253,25 +275,3 @@ def _moved_blocks(b: BlockDecomposition, deltas: np.ndarray) -> tuple:
     return (b.x11 + deltas[..., :k12].reshape(lead + (q, q)).swapaxes(-1, -2),
             b.x12 + deltas[..., k12:k21].reshape(lead + (m - q, q)).swapaxes(-1, -2),
             b.x21 + deltas[..., k21:].reshape(lead + (q, n - q)).swapaxes(-1, -2))
-
-
-def perturbed_assemble(b: BlockDecomposition, deltas: np.ndarray) -> np.ndarray:
-    """Assemble the matrix whose free coordinates moved by ``deltas``.
-
-    ``deltas`` follows the order of ``b.coordinates``; the dependent block is
-    recomputed from the perturbed free blocks, so the result has exact rank
-    q by construction.  Shape (k,) gives one n x m matrix; shape (p, k) gives
-    the (p, n, m) stack of the p points, each row moved on its own; of a
-    stacked decomposition, (T, k) and (p, T, k) likewise.  One stacked pivot
-    test of the points whose X11 moved and one stacked solve for X22 serve
-    all points.  Raises ChartInvalid when any point leaves the pivot
-    block's validity region.
-    """
-    deltas = np.asarray(deltas)
-    x11, x12, x21 = _moved_blocks(b, deltas)
-    # A moved X11 must pass the same pivot test as a built decomposition;
-    # an unmoved one is b's, which passed it.
-    moved = np.any(deltas[..., : b.q * b.q] != 0, axis=-1)
-    if ill_conditioned(x11[moved], rtol=1 / PIVOT_COND_CAP) is not None:
-        raise ChartInvalid("perturbation left the pivot block's validity region")
-    return _unpermute(b, x11, x12, x21, _x22(x11, x12, x21))

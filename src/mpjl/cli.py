@@ -75,9 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tol", type=float, default=None,
                           help="override the suite's primary comparison tolerance "
                                "(exterior-chain and invariance have none)")
-    p_verify.add_argument("--fd-step", type=float, default=_DEFAULTS.fd_step,
-                          help="finite-difference step of the invariance oracle; the "
-                               "other suites take complex steps (default %(default)s)")
     p_verify.add_argument("--format", choices=("text", "json"), default="text",
                           help="output rendering (default text)")
 
@@ -143,7 +140,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _config_from_args(args, trials=args.trials, tol=args.tol, fd_step=args.fd_step)
+    cfg = _config_from_args(args, trials=args.trials, tol=args.tol)
     result = run_suite(args.suite, cfg)
     text = dumps_canonical(result.to_json()) if args.format == "json" else render_text(result)
     _emit(text, args.out)

@@ -44,9 +44,11 @@ Al-Mohy & Higham 2010): ``chart.pinv_from_blocks`` is analytic in the free
 blocks, which keep the rank of the base point, so Im f(b + i h e) / h,
 h = 1e-20 max|X|, is the derivative along the chart direction e to
 rounding error, with no subtraction (``pinv_complex_step``, and
-``pinv_chart_jacobian`` along the unit directions).  The central
-differences of ``fd_chart_jacobian`` remain for the invariance witnesses,
-which they reproduce bit for bit.
+``pinv_chart_jacobian`` along the unit directions).  An orthogonal
+sandwich X -> H X Q is linear, so its chart Jacobian needs no step at all:
+``sandwich_chart_jacobian`` maps the chart's exact tangents
+(``chart.tangent_perturbation``), and the area formula
+(``chart.log_chart_volume``) is its closed form.
 
 Every function here also takes a stack (T, n, m) (``subspace_rank_profile``
 only a stack), one result per slice with the bits of the 2-D call: steps
@@ -56,31 +58,13 @@ slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .chart import BlockDecomposition, _moved_blocks, _pinv_blocks, assemble, perturbed_assemble
+from .chart import (
+    BlockDecomposition, _free_index, _moved_blocks, _pinv_blocks, _tangent_x22, assemble,
+)
 from .errors import NotFullRank, ShapeMismatch
 from .matcore import RankInfo, _rank_info, as_stack, common_rank, pinv, scalar_powers
-
-
-@dataclass(frozen=True)
-class FdConfig:
-    """Central finite-difference settings.
-
-    ``step`` is the nominal step; it is multiplied by the max-abs entry of
-    the base matrix, per slice for a stack of base matrices.
-    """
-
-    step: float = 1e-5
-
-    def __post_init__(self):
-        if not 1e-9 <= self.step <= 1e-2:
-            raise ValueError(f"step must lie in [1e-9, 1e-2], got {self.step}")
-
-    def effective_step(self, x: np.ndarray):
-        return self.step * np.maximum(np.max(np.abs(x), axis=(-2, -1)), 1e-12)
 
 
 def pinv_differential(x, dx) -> np.ndarray:
@@ -216,35 +200,29 @@ def _check_base(x: np.ndarray, in_chart: BlockDecomposition) -> None:
         raise ShapeMismatch("in_chart does not reassemble the given X")
 
 
-def fd_chart_jacobian(f: OrthogonalSandwichMap, x, in_chart: BlockDecomposition,
-                      out_chart: BlockDecomposition, cfg: FdConfig = FdConfig()) -> np.ndarray:
+def sandwich_chart_jacobian(f: OrthogonalSandwichMap, in_chart: BlockDecomposition,
+                            out_chart: BlockDecomposition) -> np.ndarray:
     """Partial derivatives of out-chart coordinates of f with respect to
-    in-chart coordinates, by central differences.
+    in-chart coordinates, exact to rounding: f is linear, so column c is the
+    out-chart coordinates of H T_c Q, T_c the tangent along in-chart
+    coordinate c.  For equal-size charts the absolute determinant of the
+    returned ([T,] k, k) matrix is the chart-to-chart Jacobian of f.
 
-    Perturbing a free coordinate moves the dependent trailing block along
-    with it, so every evaluation point stays exactly on the rank-q set.
-    For equal-size charts the absolute determinant of the returned matrix
-    is the chart-to-chart Jacobian of f.
-
-    All 2k evaluation points of the k in-chart coordinates form one
-    (2k, n, m) stack: rows of a (2k, k) step matrix (+h on the diagonal of
-    the first k, -h on that of the last k) are assembled in one call,
-    ``f.apply`` maps the whole stack, and the out-chart coordinates are
-    read from it at once; a stack (T, n, m) with its charts makes one
-    (2k, T, n, m) stack, each slice stepped by its own h.  Raises
-    ChartInvalid when any point leaves the in-chart's pivot region.
+    The k unit directions, of stacked charts and factors (T slices each)
+    those of every slice, form one (k, [T,] n, m) stack of tangents, taken
+    in the in-chart's pivoted coordinates, where H X Q = H[:, row_perm] Xp
+    Q[col_perm, :]; no point is assembled and no pivot is tested.
     """
-    x = as_stack(x)
-    _check_base(x, in_chart)
-    h = cfg.effective_step(x)
-    k = len(in_chart)
-    # Off-diagonal steps are +0.0: a -0.0 would keep the sign of a -0.0
-    # entry of X that +0.0 clears.
-    steps = np.zeros((2 * k,) + x.shape[:-2] + (k,))
-    steps[np.arange(k), ..., np.arange(k)] = h
-    steps[np.arange(k, 2 * k), ..., np.arange(k)] = -h
-    values = out_chart.coordinates(f.apply(perturbed_assemble(in_chart, steps)))
-    return np.moveaxis(values[:k] - values[k:], 0, -1) / (2.0 * h)[..., None, None]
+    b = in_chart
+    q, n, m, k = b.q, b.n, b.m, len(b)
+    rows, cols = _free_index(n, m, q)
+    tangents = np.zeros((k,) + b.x11.shape[:-2] + (n, m))
+    tangents[np.arange(k), ..., rows, cols] = 1.0
+    tangents[..., q:, q:] = _tangent_x22(b, tangents[..., :q, :q], tangents[..., :q, q:],
+                                         tangents[..., q:, :q])
+    left = np.take_along_axis(f.left, b.row_perm[..., None, :], -1)
+    right = np.take_along_axis(f.right, b.col_perm[..., :, None], -2)
+    return np.moveaxis(out_chart.coordinates(left @ tangents @ right), 0, -1)
 
 
 def pinv_complex_step(x, in_chart: BlockDecomposition, deltas) -> np.ndarray:

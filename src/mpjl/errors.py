@@ -41,10 +41,6 @@ class SingularInput(MpjlError):
     """A matrix that must be invertible is numerically singular."""
 
 
-class ChartInvalid(MpjlError):
-    """A perturbed matrix left the validity region of its coordinate chart."""
-
-
 class ConfigError(MpjlError):
     """Invalid run configuration (CLI exit code 2)."""
 

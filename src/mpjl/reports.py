@@ -29,13 +29,14 @@ import numpy as np
 # off the pair blocks in X's SVD basis) grows like eps * cond(X), measured
 # up to 3.3e-15 at random spectra and 2.7e-13, 3.4e-12, 1.9e-11 at cond(X)
 # 1e3, 1e4, 1e5; 1e-11 keeps every eigenvalue of S within 1e-11 ||S||_F of
-# the pair spectrum (Weyl).
+# the pair spectrum (Weyl).  invariance's volume was measured up to 6.4e-11
+# at cond(X) 1e5 and 4.7e-10 at 1e6, its full-chart deviation up to 1.1e-14.
 TOLERANCES = {
     "differential": {"fd_mismatch": 1e-6},
     "jacobian-full": {"operator_vs_formula": 1e-8, "fd_vs_formula": 1e-4},
     "operator-rank": {"annihilation": 1e-12, "pseudo_det": 1e-8, "leak": 1e-11},
     "hausdorff": {"identity": 1e-10},
-    "invariance": {"deviation": 1e-6},
+    "invariance": {"deviation": 1e-12, "volume": 1e-9},
     "symmetric-inverse": {"fd_mismatch": 1e-4},
     "exterior-chain": {
         "inverse_identity": 1e-10, "determinant_algebra": 1e-12, "operator_match": 1e-8,

@@ -51,7 +51,6 @@ class RunConfig:
     trials: int = 20
     seed: int = 12345
     tol: float | None = None
-    fd_step: float = differential.FdConfig.step
     spectrum: tuple[float, ...] | None = None
 
     @property
@@ -69,10 +68,6 @@ def validate_config(cfg: RunConfig, suite: str | None = None) -> RunConfig:
         raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
     if cfg.tol is not None and not 0 < cfg.tol < np.inf:
         raise ConfigError(f"tol must be {'positive' if cfg.tol <= 0 else 'finite'}, got {cfg.tol}")
-    try:
-        _fd_config(cfg)
-    except ValueError as e:  # FdConfig owns the step range
-        raise ConfigError(f"fd-{e}") from e
     if cfg.spectrum is not None:
         try:
             d = matcore.validate_spectrum(cfg.spectrum)
@@ -101,10 +96,6 @@ def validate_config(cfg: RunConfig, suite: str | None = None) -> RunConfig:
     return replace(cfg, q=q)
 
 
-def _fd_config(cfg: RunConfig) -> differential.FdConfig:
-    return differential.FdConfig(step=cfg.fd_step)
-
-
 def _draw_x(cfg: RunConfig, rng: np.random.Generator) -> tuple:
     # matcore.draw_rank_q without checking cfg.spectrum again per trial:
     # validate_config checks it once per run.
@@ -129,7 +120,7 @@ def _chart_dim(cfg: RunConfig) -> int:
 
 
 def _fd_chart(suite: str, cfg: RunConfig) -> bool:
-    # Whether the check makes chart points (FD or complex step): invariance
+    # Whether the check takes a chart Jacobian (tangent map or complex step): invariance
     # always; jacobian-full, and operator-rank below full rank, on small charts.
     if suite == "invariance":
         return True
@@ -229,7 +220,7 @@ def _draw_invariance(cfg: RunConfig, rng: np.random.Generator) -> tuple:
 def _check_invariance(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
     x, g_h, g_q = _instances(draws)
     h, qmat = matcore.orthonormal_frames(g_h), matcore.orthonormal_frames(g_q)
-    return measures.orthogonal_invariance_check(x, cfg.rank, h, qmat, _fd_config(cfg))
+    return measures.orthogonal_invariance_check(x, cfg.rank, h, qmat)
 
 
 def _check_symmetric_inverse(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
@@ -323,7 +314,7 @@ def run_trial(suite: str, cfg: RunConfig, trial: int) -> VerificationReport:
 
 def _trial_entries(suite: str, cfg: RunConfig) -> int:
     # Real floats one trial adds to a stacked pass: its chart points where
-    # its check makes them (2k real FD points or k complex ones, alike),
+    # its check makes them (k complex points, or k real tangents and their images),
     # operator-rank's dense operator where that is more, else its instance.
     n, m = cfg.n, cfg.m
     points = 2 * _chart_dim(cfg) * n * m if _fd_chart(suite, cfg) else 0

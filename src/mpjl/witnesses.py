@@ -14,7 +14,6 @@ from importlib import resources
 
 import numpy as np
 
-from .differential import FdConfig
 from .matcore import make_rng, random_rank_q, random_stiefel
 from .measures import orthogonal_invariance_check
 from .reports import VerificationReport
@@ -55,4 +54,4 @@ def reproduce(witness: dict) -> VerificationReport:
         x, h, qmat = _haar_instance(n, m, q, witness["seed"])
     else:
         raise ValueError(f"unknown witness kind {witness['kind']!r}")
-    return orthogonal_invariance_check(x, q, h, qmat, FdConfig(step=witness["fd_step"]))
+    return orthogonal_invariance_check(x, q, h, qmat)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from mpjl.chart import BlockDecomposition, decompose
+from mpjl.chart import BlockDecomposition, _moved_blocks, _unpermute, decompose, log_chart_volume
 from mpjl.differential import pair_operator
 from mpjl.errors import ShapeMismatch
 from mpjl.matcore import as_matrix, pinv, rank_profile
@@ -49,24 +49,50 @@ def broadcast_pair_operator(x, y) -> np.ndarray:
     return s
 
 
-def log_chart_volume(b: BlockDecomposition) -> float:
-    """V(b) = (n-q)/2 log det(I + W'W) + (m-q)/2 log det(I + Z Z'), W = X11^-1 X12, Z = X21 X11^-1.
+def perturbed_assemble(b: BlockDecomposition, deltas) -> np.ndarray:
+    """The matrix whose free coordinates moved by ``deltas``, in ``b.coordinates`` order.
 
-    The log volume element of the chart: the map from b's free coordinates
-    to the n x m matrix has det(T'T) = det(I + W'W)^(n-q) det(I + Z Z')^(m-q).
+    The blocks move by ``chart._moved_blocks``, as the complex step moves
+    them, and X22 is taken again from the moved blocks, so every point has
+    rank q.  Shape (k,) gives one n x m matrix, (p, k) the (p, n, m) stack of
+    p points; of a stacked decomposition, (T, k) and (p, T, k) likewise.  No
+    pivot test: the steps of :func:`fd_chart_jacobian` are small.
     """
-    q, n, m = b.q, b.n, b.m
-    w = np.linalg.solve(b.x11, b.x12)
-    z = np.linalg.solve(b.x11.T, b.x21.T).T
-    return (0.5 * (n - q) * np.linalg.slogdet(np.eye(m - q) + w.T @ w)[1]
-            + 0.5 * (m - q) * np.linalg.slogdet(np.eye(n - q) + z @ z.T)[1])
+    x11, x12, x21 = _moved_blocks(b, np.asarray(deltas))
+    return _unpermute(b, x11, x12, x21, x21 @ np.linalg.solve(x11, x12))
+
+
+def fd_step(x, step: float = 1e-5) -> np.ndarray:
+    """The central-difference step of :func:`fd_chart_jacobian`: ``step`` max|X|, per slice."""
+    return step * np.maximum(np.max(np.abs(x), axis=(-2, -1)), 1e-12)
+
+
+def fd_chart_jacobian(f, x, in_chart: BlockDecomposition, out_chart: BlockDecomposition,
+                      step: float = 1e-5) -> np.ndarray:
+    """Central differences of out-chart coordinates of ``f`` in in-chart coordinates.
+
+    The step-based oracle of the library's exact chart Jacobians
+    (``pinv_chart_jacobian``, ``sandwich_chart_jacobian``), with a
+    truncation error of order h^2.  The 2k points, +h along each in-chart
+    coordinate then -h, form one (2k, [T,] n, m) stack that ``f.apply``
+    maps; of a stack (T, n, m) and its charts, each slice takes its own h.
+    """
+    h = fd_step(x, step)
+    k = len(in_chart)
+    # Off-diagonal steps are +0.0: a -0.0 would keep the sign of a -0.0
+    # entry of X that +0.0 clears.
+    steps = np.zeros((2 * k,) + np.shape(x)[:-2] + (k,))
+    steps[np.arange(k), ..., np.arange(k)] = h
+    steps[np.arange(k, 2 * k), ..., np.arange(k)] = -h
+    values = out_chart.coordinates(f.apply(perturbed_assemble(in_chart, steps)))
+    return np.moveaxis(values[:k] - values[k:], 0, -1) / (2.0 * h)[..., None, None]
 
 
 def pinv_chart_log_det(x, q: int) -> tuple[float, float]:
     """Closed form of log|det| of the chart Jacobian of X -> pinv(X), and its scale.
 
     By the area formula, -2(n+m-q) sum log d_i over the q retained singular
-    values, plus V(X's chart) - V(Y's chart) (see :func:`log_chart_volume`),
+    values, plus V(X's chart) - V(Y's chart) (see ``chart.log_chart_volume``),
     the charts being those of ``decompose``; at full rank both volumes are
     0.  The scale is the sum of the magnitudes of those terms, the size of
     the rounding the value carries.

@@ -5,9 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import chart_positions, make_blocks
-from mpjl import chart, matcore as mc, suites
-from mpjl.errors import ChartInvalid, IllConditionedPivot, RankMismatch, ShapeMismatch
+from helpers import chart_positions, make_blocks, perturbed_assemble
+from mpjl import chart, differential as df, matcore as mc, suites
+from mpjl.errors import IllConditionedPivot, RankMismatch, ShapeMismatch
 
 
 def test_decompose_pivots_to_largest_entry():
@@ -44,24 +44,14 @@ def test_decompose_ill_conditioned_pivot():
 @pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6])
 def test_pivot_cap_splits_diagonal_blocks_at_cond_1e8(factor):
     # A diagonal X11 of condition 1e8 (1 -+ 1e-6) passes (fails) the pivot
-    # test, both when a chart is built and when a perturbation moves X11.
+    # test when a chart is built.
     small = 1.0 / (chart.PIVOT_COND_CAP * factor)
-    passes = factor < 1
     x = np.diag([1.0, small])
-    if passes:
+    if factor < 1:
         assert np.array_equal(chart.decompose(x, 2).x11, x)
     else:
         with pytest.raises(IllConditionedPivot, match=r"condition 1\.000e\+08 > 1e\+08"):
             chart.decompose(x, 2)
-    b = make_blocks(np.diag([1.0, 0.5]), [[0.0], [0.0]], [[0.0, 0.0]])
-    deltas = np.zeros(len(b))
-    deltas[3] = small - 0.5  # X11[1, 1]: chart order is X11 column-major first
-    if passes:
-        moved = chart.perturbed_assemble(b, deltas)
-        np.testing.assert_allclose(moved, np.diag([1.0, small, 0.0]), rtol=0, atol=1e-15)
-    else:
-        with pytest.raises(ChartInvalid):
-            chart.perturbed_assemble(b, deltas)
 
 
 def test_x22_formula_forced():
@@ -185,7 +175,8 @@ def test_tangent_perturbation_zero():
 
 def test_tangent_perturbation_refuses_misshapen_directions():
     # A transposed or flattened direction used to be reshaped silently into
-    # a different direction; every block is held to its own shape.
+    # a different direction; every block is held to its own shape, and a
+    # stack of directions to one leading shape.
     rng = mc.make_rng(38)
     b = chart.decompose(mc.random_rank_q(5, 4, 2, rng), 2)
     d11, d12, d21 = (rng.standard_normal(shape) for shape in ((2, 2), (2, 2), (3, 2)))
@@ -194,6 +185,44 @@ def test_tangent_perturbation_refuses_misshapen_directions():
         chart.tangent_perturbation(b, d11, d12, d21.T)
     with pytest.raises(ShapeMismatch, match="dX12 must be 2x2"):
         chart.tangent_perturbation(b, d11, d12.ravel(), d21)
+    with pytest.raises(ShapeMismatch, match=r"dX12 must be 2x2, got \(3, 2, 2\)"):
+        chart.tangent_perturbation(b, np.stack([d11] * 2), np.stack([d12] * 3), np.stack([d21] * 2))
+    stacked = chart.decompose(mc.random_rank_q(5, 4, 2, rng)[None], 2)
+    with pytest.raises(ShapeMismatch, match=r"dX11 must be 1x2x2, got \(2, 2\)"):
+        chart.tangent_perturbation(stacked, d11, d12, d21)
+
+
+def test_tangent_perturbation_stack_of_directions_gives_the_bits_of_each():
+    # Leading direction axes (k, [T,] block): each direction, of each slice,
+    # with the bits of its own call.
+    rng = mc.make_rng(41)
+    for n, m, q in [(5, 4, 2), (4, 6, 3), (3, 3, 3), (5, 4, 4), (1, 3, 1)]:
+        x = np.array([mc.random_rank_q(n, m, q, rng) for _ in range(3)])
+        b = chart.decompose(x, q)
+        d = [rng.standard_normal((4, 3) + a.shape[1:]) for a in (b.x11, b.x12, b.x21)]
+        stack = chart.tangent_perturbation(b, *d)
+        assert stack.shape == (4, 3, n, m)
+        for t in range(3):
+            one = chart.decompose(x[t], q)
+            for c in range(4):
+                single = chart.tangent_perturbation(one, *(a[c, t] for a in d))
+                assert np.array_equal(stack[c, t], single)
+                assert np.array_equal(chart.tangent_perturbation(b, *(a[c] for a in d))[t],
+                                      single)
+
+
+def test_tangent_perturbation_matches_the_solved_product_rule():
+    # The three-solve form dX21 X11^-1 X12 - X21 X11^-1 dX11 X11^-1 X12 +
+    # X21 X11^-1 dX12 of the product rule, against the chart's W and Z.
+    rng = mc.make_rng(42)
+    for n, m, q in [(5, 4, 2), (7, 5, 3), (4, 6, 3), (8, 6, 3)]:
+        b = chart.decompose(mc.random_rank_q(n, m, q, rng), q)
+        d11, d12, d21 = (rng.standard_normal(a.shape) for a in (b.x11, b.x12, b.x21))
+        solve = np.linalg.solve
+        x22 = (d21 @ solve(b.x11, b.x12) - b.x21 @ solve(b.x11, d11) @ solve(b.x11, b.x12)
+               + b.x21 @ solve(b.x11, d12))
+        got = chart.tangent_perturbation(b, d11, d12, d21)[np.ix_(b.row_perm, b.col_perm)]
+        np.testing.assert_allclose(got[q:, q:], x22, rtol=0, atol=1e-12 * np.abs(x22).max())
 
 
 def test_tangent_matches_finite_difference_of_assemble():
@@ -300,7 +329,7 @@ def test_tangent_perturbation_tests_x11_once(svd_shapes):
         b, rng.standard_normal((3, 3)), rng.standard_normal((3, 3)), rng.standard_normal((5, 3))
     )
     # The rank of X and the X11 test when the blocks are built; the
-    # tangent's three solves test nothing again.
+    # tangent's W and Z solves test nothing again.
     assert svd_shapes == [(8, 6), (3, 3)]
 
 
@@ -323,18 +352,19 @@ def test_deficient_differential_trial_tests_x11_once(svd_shapes):
     assert svd_shapes == [(1, 7, 5), (1, 3, 3), (1, 7, 5)]
 
 
-def test_fd_chart_jacobian_tests_x11_once_per_point(svd_shapes):
-    from mpjl.differential import OrthogonalSandwichMap, fd_chart_jacobian
-
+def test_sandwich_chart_jacobian_tests_no_x11(svd_shapes):
     x = mc.random_rank_q(8, 6, 3, mc.make_rng(36))
     b = chart.decompose(x, 3)
     svd_shapes.clear()
-    fd_chart_jacobian(OrthogonalSandwichMap(np.eye(8), np.eye(6)), x, b, b)
-    # The base point's X11 was tested when b was built; the 2q^2 points
-    # that move X11 are tested once, all in one stacked call, and the
-    # others carry the base X11.
-    assert svd_shapes == [(2 * 3 * 3, 3, 3)]
+    df.sandwich_chart_jacobian(df.OrthogonalSandwichMap(np.eye(8), np.eye(6)), b, b)
+    # X11 was tested when b was built; the exact tangents move no point, so
+    # there is nothing to test again.
+    assert svd_shapes == []
 
+
+# ``perturbed_assemble`` (helpers) moves the free blocks by
+# ``chart._moved_blocks``, the chart arithmetic of the complex step, with
+# real or complex deltas.
 
 def test_perturbed_assemble_moves_each_chart_position():
     # Oracle: scatter the deltas to their chart positions, read the free
@@ -351,7 +381,7 @@ def test_perturbed_assemble_moves_each_chart_position():
             b.x11 + dp[:q, :q], b.x12 + dp[:q, q:], b.x21 + dp[q:, :q],
             row_perm=b.row_perm, col_perm=b.col_perm,
         )
-        assert np.array_equal(chart.perturbed_assemble(b, deltas), chart.assemble(moved))
+        assert np.array_equal(perturbed_assemble(b, deltas), chart.assemble(moved))
 
 
 def _same_bits(a, b):
@@ -370,11 +400,11 @@ def test_perturbed_assemble_stack_matches_rows():
         deltas = 1e-3 * rng.standard_normal((5, len(b)))
         deltas[1] = 0.0
         deltas[2, ::2] = -0.0
-        stack = chart.perturbed_assemble(b, deltas)
+        stack = perturbed_assemble(b, deltas)
         assert stack.shape == (5, n, m)
-        assert _same_bits(chart.perturbed_assemble(b, deltas.tolist()), stack)
+        assert _same_bits(perturbed_assemble(b, deltas.tolist()), stack)
         for row, point in zip(deltas, stack):
-            assert _same_bits(point, chart.perturbed_assemble(b, row))
+            assert _same_bits(point, perturbed_assemble(b, row))
 
 
 def test_perturbed_assemble_keeps_complex_deltas():
@@ -385,26 +415,11 @@ def test_perturbed_assemble_keeps_complex_deltas():
     d = [rng.standard_normal(a.shape) for a in (b.x11, b.x12, b.x21)]
     deltas = np.concatenate([a.T.ravel() for a in d])  # chart order: column-major blocks
     h = 1e-20
-    point = chart.perturbed_assemble(b, 1j * h * deltas)
+    point = perturbed_assemble(b, 1j * h * deltas)
     assert point.dtype == complex
     np.testing.assert_allclose(point.real, chart.assemble(b), rtol=0, atol=1e-15)
     tangent = chart.tangent_perturbation(b, *d)
     np.testing.assert_allclose(point.imag / h, tangent, rtol=0, atol=1e-13)
-
-
-def test_perturbed_assemble_stack_rejects_one_bad_point():
-    x11 = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-5 + 1e-9]])
-    b = make_blocks(x11, np.zeros((2, 1)), np.zeros((1, 2)))
-    deltas = np.zeros((4, len(b)))
-    chart.perturbed_assemble(b, deltas)
-    # Lowering X11[1, 1] by the step cancels the pivot block's determinant.
-    deltas[2, 3] = -1e-5
-    with pytest.raises(ChartInvalid, match="validity region"):
-        chart.perturbed_assemble(b, deltas)
-    deltas[2, 3] = 0.0
-    deltas[1, 0] = np.nan
-    with pytest.raises(ValueError):
-        chart.perturbed_assemble(b, deltas)
 
 
 def test_perturbed_assemble_rejects_wrong_delta_shapes():
@@ -413,4 +428,4 @@ def test_perturbed_assemble_rejects_wrong_delta_shapes():
     k = len(b)
     for shape in [(k + 1,), (2, k - 1), (2, 2, k), ()]:
         with pytest.raises(ShapeMismatch):
-            chart.perturbed_assemble(b, np.zeros(shape))
+            perturbed_assemble(b, np.zeros(shape))

@@ -1,6 +1,10 @@
 """CLI behavior: determinism, exit codes, suite plumbing, report merging."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +60,34 @@ def test_gen_refuses_verify_flags(capsys, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", ["invariance", "differential"])
+def test_verify_refuses_fd_step(capsys, suite):
+    # --fd-step set the central-difference step of the invariance oracle,
+    # which the exact tangent map replaced; no suite takes it now.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", suite, "--fd-step", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --fd-step 1e-3" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # README's `python -m mpjl ...`, with the package on PYTHONPATH only.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "mpjl", *argv], capture_output=True,
+                              text=True, env=env, cwd=tmp_path, timeout=120)
+
+    done = run("verify", "invariance", "--n", "3", "--m", "3", "--q", "2", "--trials", "2",
+               "--seed", "1")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "failed=0" in done.stdout
+    refused = run("verify", "invariance", "--fd-step", "1e-3")
+    assert refused.returncode == 2 and refused.stdout == ""
+    assert "unrecognized arguments: --fd-step 1e-3" in refused.stderr
+
+
 def test_gen_bad_spectrum_exits_2(capsys):
     code, _, err = run_cli(capsys, "gen", "--n", "3", "--m", "3", "--q", "2",
                            "--spectrum", "1,2")
@@ -102,8 +134,8 @@ def test_verify_invalid_suite_config_exits_2(capsys):
     (["verify", "blocks", "--n", "0"], None, "n and m must be >= 1, got n=0, m=3"),
     (["verify", "blocks", "--trials", "0"], None, "trials must be >= 1, got 0"),
     (["verify", "blocks", "--tol", "0"], None, "tol must be positive, got 0.0"),
-    (["verify", "differential", "--fd-step", "0.5"], None,
-     "fd-step must lie in [1e-9, 1e-2], got 0.5"),
+    (["verify", "jacobian-full", "--n", "4", "--m", "3", "--q", "2"], None,
+     "jacobian-full requires full rank: q = min(n, m)"),
     (["gen", "--n", "3", "--m", "3", "--q", "2", "--spectrum", "3,2,1"], None,
      "spectrum has 3 values but q=2"),
     (["gen", "--spectrum", "3,x"], None, "--spectrum must be comma-separated floats, got '3,x'"),

@@ -68,10 +68,17 @@ def test_hausdorff_passes(n, m, q, cond):
     assert all(report.passed for report in _reports("hausdorff", n, m, q, cond))
 
 
-@pytest.mark.parametrize("cond", [1e2, 1e3, 1e4, 1e5])
+@pytest.mark.parametrize("cond", [1e2, 1e3, 1e4, 1e5, 1e6])
 @pytest.mark.parametrize("q", [2, 4])
 def test_invariance_passes(q, cond):
-    assert all(report.passed for report in _reports("invariance", 5, 4, q, cond))
+    # The exact tangent map has no step to scale with cond(X): the volume
+    # residual was measured up to 6.4e-11 at 1e5 and 4.7e-10 at 1e6, against
+    # 1e-9, and the full-chart deviation up to 1.1e-14, against 1e-12.  Tall
+    # 5 x 4 at q = 2 and 4, wide 3 x 5 at q = 2.
+    for n, m in [(5, 4), (3, 5)] if q == 2 else [(5, 4)]:
+        for report in _reports("invariance", n, m, q, cond):
+            assert report.passed
+            assert report.residuals["volume"] <= report.tolerances["volume"]
 
 
 # exterior-chain forms A = YY' and B = X'X and takes their slogdet and inv,

@@ -1,4 +1,5 @@
-"""Differential and Jacobian-operator tests against complex-step and finite-difference oracles."""
+"""Differential, Jacobian-operator and chart-Jacobian tests against complex-step, exact-tangent
+and finite-difference oracles."""
 
 import tracemalloc
 
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 from helpers import (
-    broadcast_pair_operator, chart_positions, commutation_matrix, jacobian_operator, make_blocks,
-    pinv_chart_log_det, vec,
+    broadcast_pair_operator, chart_positions, commutation_matrix, fd_chart_jacobian, fd_step,
+    jacobian_operator, make_blocks, pinv_chart_log_det, vec,
 )
 from mpjl import chart, matcore as mc, suites
 from mpjl import differential as df
@@ -489,11 +490,13 @@ def test_projector_differential_stays_symmetric():
 
 
 def test_fd_chart_jacobian_identity_map():
+    # The FD oracle to its step, and the exact tangent map to the bit.
     x = mc.random_rank_q(4, 3, 2, mc.make_rng(54))
     b = chart.decompose(x, 2)
     identity = df.OrthogonalSandwichMap(np.eye(4), np.eye(3))
-    jac = df.fd_chart_jacobian(identity, x, b, b)
+    jac = fd_chart_jacobian(identity, x, b, b)
     np.testing.assert_allclose(jac, np.eye(len(b)), atol=1e-9)
+    assert np.array_equal(df.sandwich_chart_jacobian(identity, b, b), np.eye(len(b)))
 
 
 class _Doubling:
@@ -507,21 +510,8 @@ def test_fd_chart_jacobian_scaling_map():
     x = np.array([[1.0, 2.0], [3.0, 6.0]])
     in_chart = chart.decompose(x, 1)
     out_chart = chart.decompose(2 * x, 1)
-    jac = df.fd_chart_jacobian(_Doubling(), x, in_chart, out_chart)
+    jac = fd_chart_jacobian(_Doubling(), x, in_chart, out_chart)
     assert abs(abs(np.linalg.det(jac)) - 8.0) <= 1e-6
-
-
-def test_fd_chart_jacobian_rejects_pivot_degeneration():
-    # A step that cancels the pivot block's determinant must be refused,
-    # not silently differentiated across the singularity.
-    from mpjl.errors import ChartInvalid
-
-    x11 = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-5 + 1e-9]])
-    b = make_blocks(x11, np.zeros((2, 1)), np.zeros((1, 2)))
-    x = chart.assemble(b)
-    identity = df.OrthogonalSandwichMap(np.eye(3), np.eye(3))
-    with pytest.raises(ChartInvalid):
-        df.fd_chart_jacobian(identity, x, b, b, df.FdConfig(step=1e-5))
 
 
 class _Pinv:
@@ -546,7 +536,7 @@ def test_fd_convergence_order():
     exact = df.pinv_chart_jacobian(*_pinv_chart(x, 2))
     errors = []
     for h in (1e-3, 5e-4, 2.5e-4):
-        fd = df.fd_chart_jacobian(_Pinv(2), *_pinv_chart(x, 2), df.FdConfig(step=h))
+        fd = fd_chart_jacobian(_Pinv(2), *_pinv_chart(x, 2), step=h)
         errors.append(np.linalg.norm(fd - exact))
     assert 2.5 <= errors[0] / errors[1] <= 6.0
     assert 2.5 <= errors[1] / errors[2] <= 6.0
@@ -556,7 +546,7 @@ def test_fd_chart_jacobian_pinv_full_rank():
     x = mc.random_rank_q(3, 2, 2, mc.make_rng(55))
     _, in_chart, out_chart = _pinv_chart(x, 2)
     assert len(in_chart) == 6
-    fd = df.fd_chart_jacobian(_Pinv(2), x, in_chart, out_chart)
+    fd = fd_chart_jacobian(_Pinv(2), x, in_chart, out_chart)
     closed = _closed_form_det(x)
     assert abs(abs(np.linalg.det(fd)) - closed) <= 1e-4 * closed
 
@@ -570,7 +560,7 @@ def test_pinv_chart_jacobian_matches_fd_and_the_area_formula(n, m, q):
     for _ in range(3):
         x = mc.random_rank_q(n, m, q, rng)
         jac = df.pinv_chart_jacobian(*_pinv_chart(x, q))
-        fd = df.fd_chart_jacobian(_Pinv(q), *_pinv_chart(x, q))
+        fd = fd_chart_jacobian(_Pinv(q), *_pinv_chart(x, q))
         assert np.max(np.abs(jac - fd)) <= 1e-7 * np.max(np.abs(jac))
         want, size = pinv_chart_log_det(x, q)
         assert abs(np.linalg.slogdet(jac)[1] - want) <= 1e-13 * max(size, 1.0)
@@ -598,7 +588,7 @@ def _per_point_apply(f, point):
 
 def _per_point_fd_chart_jacobian(f, x, in_chart, out_chart):
     # Oracle of the stacked fd_chart_jacobian: two evaluations per column.
-    h = df.FdConfig().effective_step(x)
+    h = fd_step(x)
     jac = np.empty((len(out_chart), len(in_chart)))
     out_rows, out_cols = chart_positions(out_chart).T
     deltas = np.zeros(len(in_chart))
@@ -622,6 +612,8 @@ CHART_SHAPES = [(2, 2, 1), (3, 4, 3), (4, 3, 3), (4, 3, 2), (8, 6, 3), (5, 4, 4)
 
 @pytest.mark.parametrize("n, m, q", CHART_SHAPES)
 def test_fd_chart_jacobian_matches_per_point_loop(n, m, q):
+    # The stacked FD oracle, whose points move by the complex step's
+    # chart._moved_blocks, gives the bits of independently assembled points.
     rng = mc.make_rng(56, n, m, q)
     for trial in range(3):
         x = mc.random_rank_q(n, m, q, rng)
@@ -632,9 +624,32 @@ def test_fd_chart_jacobian_matches_per_point_loop(n, m, q):
         for f, y in [(_Pinv(q), mc.pinv(x)), (sandwich, sandwich.apply(x))]:
             out_chart = chart.decompose(y, q)
             assert _same_bits(
-                df.fd_chart_jacobian(f, x, in_chart, out_chart),
+                fd_chart_jacobian(f, x, in_chart, out_chart),
                 _per_point_fd_chart_jacobian(f, x, in_chart, out_chart),
             )
+
+
+@pytest.mark.parametrize("n, m, q", CHART_SHAPES + [(3, 5, 2), (10, 7, 4)])
+def test_sandwich_chart_jacobian_matches_fd_and_the_area_formula(n, m, q):
+    # Entry by entry against central FD of X -> H X Q, and in log|det|
+    # against the area formula V(X's chart) - V(H X Q's chart), on stacks of
+    # three with the bits of each slice.
+    rng = mc.make_rng(63, n, m, q)
+    x = np.array([mc.random_rank_q(n, m, q, rng) for _ in range(3)])
+    h = mc.orthonormal_frames(rng.standard_normal((3, n, n)))
+    qmat = mc.orthonormal_frames(rng.standard_normal((3, m, m)))
+    sandwich = df.OrthogonalSandwichMap(h, qmat)
+    in_chart, out_chart = chart.decompose(x, q), chart.decompose(sandwich.apply(x), q)
+    jac = df.sandwich_chart_jacobian(sandwich, in_chart, out_chart)
+    assert jac.shape == (3, len(in_chart), len(in_chart))
+    fd = fd_chart_jacobian(sandwich, x, in_chart, out_chart)
+    assert np.max(np.abs(jac - fd)) <= 1e-8 * np.max(np.abs(jac))
+    want = chart.log_chart_volume(in_chart) - chart.log_chart_volume(out_chart)
+    np.testing.assert_allclose(np.linalg.slogdet(jac)[1], want, rtol=0, atol=1e-12)
+    for t in range(3):
+        one = df.OrthogonalSandwichMap(h[t], qmat[t])
+        one_charts = chart.decompose(x[t], q), chart.decompose(one.apply(x[t]), q)
+        assert _same_bits(jac[t], df.sandwich_chart_jacobian(one, *one_charts))
 
 
 class _Recording:
@@ -655,10 +670,10 @@ def test_fd_chart_jacobian_evaluates_the_per_point_matrices(n, m, q):
     x = np.hstack([mc.random_rank_q(n, m - 1, q, mc.make_rng(59, n, m)), np.full((n, 1), -0.0)])
     in_chart = chart.decompose(x, q)
     f = _Recording()
-    df.fd_chart_jacobian(f, x, in_chart, in_chart)
+    fd_chart_jacobian(f, x, in_chart, in_chart)
     [points] = f.stacks
     k = len(in_chart)
-    h = df.FdConfig().effective_step(x)
+    h = fd_step(x)
     for i in range(k):
         deltas = np.zeros(k)
         deltas[i] = h

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from mpjl import matcore as mc, measures as ms, witnesses as wt
-from mpjl.differential import FdConfig
 from mpjl.errors import BadSpectrum, NotFullColumnRank, SingularInput
 
 
@@ -276,7 +275,8 @@ def test_invariance_full_chart():
     q = mc.random_stiefel(2, 2, rng)
     rep = ms.orthogonal_invariance_check(x, 2, h, q)
     assert rep.passed
-    assert rep.values["deviation"] <= 1e-6
+    assert rep.values["deviation"] <= 1e-12
+    assert rep.tolerances == {"deviation": 1e-12, "volume": 1e-9}
 
 
 def test_invariance_rotation_witness():
@@ -287,6 +287,30 @@ def test_invariance_rotation_witness():
     rep = ms.orthogonal_invariance_check(x, 1, rot, rot)
     assert rep.values["deviation"] > 0.1
     assert rep.passed  # deficient charts report evidence, no bound
+    assert rep.tolerances == {"deviation": None, "volume": 1e-9}
+    assert rep.residuals["volume"] <= 1e-15  # |det| = 1/2 = exp(V_in - V_out)
+
+
+def test_invariance_volume_is_the_closed_form_of_the_chart_jacobian():
+    # The rotation witness by hand: X = e1 e1', H = Q = R(pi/4).  X's chart
+    # has W = Z = 0, so V_in = 0; H X Q = u v' with u = (c, s), v = (c, -s),
+    # c = s = 1/sqrt 2, pivots at an entry of magnitude 1/2 with W = Z = +-1,
+    # so V_out = 1/2 log 2 + 1/2 log 2 and |det| = exp(-log 2) = 1/2.
+    c = np.cos(np.pi / 4)
+    rot = np.array([[c, -c], [c, c]])
+    x = np.array([[1.0, 0.0], [0.0, 0.0]])
+    rep = ms.orthogonal_invariance_check(x, 1, rot, rot)
+    assert abs(rep.values["abs_det"] - 0.5) <= 1e-15
+    rng = mc.make_rng(70)
+    for n, m, q in [(5, 4, 2), (3, 5, 2), (8, 6, 3), (4, 4, 4)]:
+        x = np.array([mc.random_rank_q(n, m, q, rng) for _ in range(4)])
+        h = mc.orthonormal_frames(rng.standard_normal((4, n, n)))
+        qmat = mc.orthonormal_frames(rng.standard_normal((4, m, m)))
+        reports = ms.orthogonal_invariance_check(x, q, h, qmat)
+        assert len(reports) == 4
+        for r in reports:
+            assert r.passed and r.residuals["volume"] <= 1e-13
+            assert r.values["full_chart"] == (q == min(n, m))
 
 
 def test_invariance_rejects_nonorthogonal_factor():
@@ -305,8 +329,18 @@ def test_witness_fixtures_reproduce_exactly():
         assert rep.values["deviation"] > 0.05
 
 
-def test_fd_config_step_bounds():
-    with pytest.raises(ValueError):
-        FdConfig(step=1.0)
-    with pytest.raises(ValueError):
-        FdConfig(step=1e-12)
+def test_linear_density_may_be_a_subnormal_chain():
+    # The linear forms are plain products: this one ends subnormal, with no
+    # signal, 5.9e-2 off its 50-digit value.  The ratio check, which reports
+    # a linear value only where its whole chain is normal, leaves it out;
+    # its log form holds.
+    d = mc.sample_spectrum(20, mc.make_rng(7, 621))
+    e = ms.pinv_spectrum(d)
+    value = ms.hausdorff_density(32, 40, e)
+    assert value == 3.5e-323 and value < np.finfo(float).tiny
+    want = _mp_density(32, 40, e)
+    assert 5e-2 <= abs(value - want) / want <= 7e-2
+    rep = ms.hausdorff_ratio_check(40, 32, d)
+    assert "density_y" not in rep.values and rep.passed
+    with mpmath.workdps(50):
+        assert abs(rep.values["log_density_y"] - float(mpmath.log(want))) <= 1e-12 * 800

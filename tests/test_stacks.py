@@ -9,8 +9,7 @@ from helpers import chart_positions
 from mpjl import chart, differential as df, matcore as mc, measures as ms, suites
 from mpjl.cli import main
 from mpjl.errors import (
-    ChartInvalid, DegeneracyBudgetExceeded, DegenerateSpectrum, IllConditionedPivot, MpjlError,
-    RankMismatch,
+    DegeneracyBudgetExceeded, DegenerateSpectrum, IllConditionedPivot, MpjlError, RankMismatch,
 )
 from mpjl.reports import SuiteResult, VerificationReport, dumps_canonical
 
@@ -124,8 +123,6 @@ def _check_nothing(cfg, draws):
 # the trial-by-trial loop raises, with its message and the CLI's exit code.
 # The last element, when not None, stands in for the suite's (draw, check).
 FALLBACKS = [
-    ("invariance", dict(n=4, m=4, q=2, spectrum=(1000.0, 0.001), seed=3), ChartInvalid,
-     "validity region", 1, None),
     ("invariance", dict(n=3, m=3, q=2, spectrum=(100000.0, 0.001), seed=1), IllConditionedPivot,
      "pivot block has condition 1.517e+08 > 1e+08", 1, None),
     ("blocks", dict(n=3, m=3, q=2, spectrum=(100000.0, 0.001), seed=1), IllConditionedPivot,
@@ -162,7 +159,7 @@ def test_failing_stack_raises_what_the_trial_loop_raises(monkeypatch, capsys, su
 
 def test_ill_conditioned_operator_rank_stack_reports_honest_leak_fails(capsys):
     # At cond(X) = 1e6 the complex-step chart points of operator-rank make
-    # no pivot test, so the stack no longer falls back by ChartInvalid: it
+    # no pivot test, so the stack does not fall back trial by trial: it
     # gives the bytes of the trials one by one, six reports that fail on
     # the leak alone, an eps * cond(X) rounding above its tolerance, and
     # exit code 1.
@@ -179,6 +176,25 @@ def test_ill_conditioned_operator_rank_stack_reports_honest_leak_fails(capsys):
     argv = ["verify", "operator-rank", "--n", "4", "--m", "3", "--q", "2", "--trials", "6",
             "--spectrum", "1000,0.001", "--seed", "4", "--format", "json"]
     assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == expected and captured.err == ""
+
+
+def test_ill_conditioned_invariance_stack_passes(capsys):
+    # At cond(X) = 1e6 the exact tangent map of invariance moves no point
+    # off X's chart, so nothing leaves the pivot block's validity region (the
+    # central-difference points used to, and the run exited 1): the stack
+    # gives the bytes of the trials one by one, six PASS reports, exit 0.
+    config = dict(n=4, m=4, q=2, trials=6, spectrum=(1000.0, 0.001), seed=3)
+    cfg = suites.validate_config(suites.RunConfig(**config), "invariance")
+    expected = _one_by_one("invariance", cfg)
+    assert _bytes(suites._run_stack("invariance", cfg, range(6))) == expected
+    result = suites.run_suite("invariance", cfg)
+    assert _bytes(result.reports) == expected
+    assert len(result.reports) == 6 and result.all_passed
+    argv = ["verify", "invariance", "--n", "4", "--m", "4", "--q", "2", "--trials", "6",
+            "--spectrum", "1000,0.001", "--seed", "3", "--format", "json"]
+    assert main(argv) == 0
     captured = capsys.readouterr()
     assert captured.out == expected and captured.err == ""
 
@@ -258,24 +274,24 @@ def test_stacked_decompose_and_fd_chart_factor_one_stack(svd_shapes):
     # The rank of every slice, then every X11 test, each in one stacked SVD.
     assert svd_shapes == [(trials, n, m), (trials, q, q)]
     out_chart = chart.decompose(y, q)
-    svd_shapes.clear()
-    # The complex-step chart Jacobian of pinv factors nothing; the FD one of
-    # a sandwich map tests the 2q^2 points of each slice that move X11 in
-    # one stacked SVD.
-    jac = df.pinv_chart_jacobian(x, in_chart, out_chart)
-    assert svd_shapes == []
     rng = mc.make_rng(12)
     h = mc.orthonormal_frames(rng.standard_normal((trials, n, n)))
     qmat = mc.orthonormal_frames(rng.standard_normal((trials, m, m)))
     sandwich = df.OrthogonalSandwichMap(h, qmat)
-    fd = df.fd_chart_jacobian(sandwich, x, in_chart, in_chart)
-    assert svd_shapes == [(2 * q * q * trials, q, q)]
+    svd_shapes.clear()
+    # The chart Jacobians of the fd-chart checks factor nothing: the complex
+    # step of pinv and the exact tangent map of a sandwich move no point
+    # that would need a pivot test.
+    jac = df.pinv_chart_jacobian(x, in_chart, out_chart)
+    tangent = df.sandwich_chart_jacobian(sandwich, in_chart, in_chart)
+    assert svd_shapes == []
     for t in range(trials):
         one_chart = chart.decompose(x[t], q)
         one = df.pinv_chart_jacobian(x[t], one_chart, chart.decompose(y[t], q))
         assert np.array_equal(jac[t], one)
         one_sandwich = df.OrthogonalSandwichMap(h[t], qmat[t])
-        assert np.array_equal(fd[t], df.fd_chart_jacobian(one_sandwich, x[t], one_chart, one_chart))
+        assert np.array_equal(tangent[t],
+                              df.sandwich_chart_jacobian(one_sandwich, one_chart, one_chart))
 
 
 def test_stacked_decompose_raises_for_any_bad_slice():

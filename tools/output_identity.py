@@ -18,15 +18,20 @@ its own directory.  It replays:
   ``hausdorff-60x50`` ops write theirs now that the check runs in logs);
 * the three invariance witness fixtures, rendered as canonical JSON;
 * a fixed list of edge invocations: ``gen``, ``--tol`` overrides (and
-  refusals) per suite, bad configurations, an ``--out`` path that cannot
-  be written, report merges and parse errors, runs whose trial stack
-  raises and so reruns trial by trial (a ``ChartInvalid`` or
-  ill-conditioned pivot in one trial), two ``differential`` runs at
+  refusals) per suite, bad configurations (among them the two that pass
+  ``--fd-step``, to ``gen`` and to ``verify``: both exit 2 with an
+  unrecognized argument, since no oracle takes a step any more), an
+  ``--out`` path that cannot be written, report merges and parse errors,
+  a run whose trial stack raises and so reruns trial by trial (an
+  ill-conditioned pivot in one trial), ``invariance`` at 4 x 4 q=2 and
+  spectrum ``1000,0.001`` (edge 25), whose central-difference points used
+  to leave the pivot block's validity region (exit 1) and whose exact
+  tangent map passes every trial, two ``differential`` runs at
   spectrum ``100,1,0.01`` (edges 28 and 29), which pass at their first
   attempt since the complex-step oracle keeps every point at rank q (edge
   29 no longer exhausts the retry budget), ``operator-rank`` at 4 x 3
   q=2 and spectrum ``1000,0.001`` (edge 26), whose complex-step chart points make no pivot
-  test, so its stack no longer falls back by ``ChartInvalid`` and reports
+  test, so its stack does not fall back trial by trial and reports
   honest ``leak`` FAILs, a stack whose determinants overflow, ``operator-rank``
   at full rank and at 32 x 24, a twelve-trial 30 x 20 stack, three
   ``operator-rank`` stacks (five 8 x 6 trials at cond(X) = 1e4, four
