@@ -18,7 +18,11 @@ applied destructively: every result maps back to the original index space.
 ``decompose`` also takes a stack (T, n, m), pivoted slice by slice, and
 gives one decomposition of stacked blocks that every function here
 follows, each slice with the bits of its 2-D call.  A stack raises
-whenever one of its slices would.
+whenever one of its slices would, and ``b[i]`` of a stack gives slices
+``i`` with their cached W and Z and no second pivot test (every slice of
+a passing stack passes alone), so a check can pivot all its charts as one
+stack.  X is factored once per stack: a check that needs pinv(X) gives the
+chart's rank test the rank profile of that SVD.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import IllConditionedPivot, RankMismatch, ShapeMismatch
-from .matcore import as_stack, common_rank, ill_conditioned, rank_profile
+from .matcore import RankInfo, as_stack, common_rank, ill_conditioned, rank_profile
 
 # Condition-number cap on the pivot block; beyond it the rank hypothesis is
 # too close to violated for chart arithmetic to mean anything.
@@ -58,7 +62,8 @@ class BlockDecomposition:
     Building one tests X11 against ``PIVOT_COND_CAP`` and raises
     IllConditionedPivot when it fails.  ``len(b)`` is the chart dimension
     nq + mq - q^2.  Of a stack, the blocks have a leading axis T and the
-    permutations one row per slice.
+    permutations one row per slice, and ``b[i]`` is the sub-stack (or the
+    single chart) of the slices that ``i`` indexes along that axis.
     """
 
     x11: np.ndarray
@@ -106,6 +111,15 @@ class BlockDecomposition:
     def __len__(self) -> int:
         return len(_free_index(self.n, self.m, self.q)[0])
 
+    def __getitem__(self, i) -> BlockDecomposition:
+        # Blocks, permutations and any cached W and Z of the indexed slices,
+        # without __post_init__: the stack has passed its tests already.
+        if self.x11.ndim == 2:
+            raise TypeError("a single chart has no slices to index")
+        sub = object.__new__(BlockDecomposition)
+        sub.__dict__.update((k, v[i]) for k, v in vars(self).items() if k != "_stack")
+        return sub
+
     def coordinates(self, a: np.ndarray) -> np.ndarray:
         """Free coordinates of ``a`` (..., [T,] n, m), in chart order: shape (..., [T,] k)."""
         rows, cols = _free_index(self.n, self.m, self.q)
@@ -124,10 +138,15 @@ def decompose(x, q: int) -> BlockDecomposition:
     Raises RankMismatch unless the numerical rank of ``x`` is q.
     """
     x = as_stack(x)
-    rank = common_rank(rank_profile(x))
+    _require_rank(rank_profile(x), q)
+    return _pivot(x, q)
+
+
+def _require_rank(info: RankInfo, q: int) -> None:
+    # decompose's rank test, of a rank profile the caller has taken already.
+    rank = common_rank(info)
     if rank != q:
         raise RankMismatch(f"numerical rank {rank} != requested q={q}")
-    return _pivot(x, q)
 
 
 def _pivot(x: np.ndarray, q: int) -> BlockDecomposition:
@@ -138,24 +157,21 @@ def _pivot(x: np.ndarray, q: int) -> BlockDecomposition:
     xs = x.reshape(-1, n, m)
     work = xs.copy()
     t = np.arange(len(xs))
-    pivots = []
-    for _ in range(q):
+    # Sort keys: pivots first in pivot order, then the other indices in
+    # original order.
+    row_key, col_key = (np.tile(np.arange(q, q + size), (len(xs), 1)) for size in (n, m))
+    for step in range(q):
         i, j = np.divmod(np.abs(work).reshape(len(xs), -1).argmax(axis=1), m)
         pivot = work[t, i, j]
         if not pivot.all():
             raise IllConditionedPivot("ran out of nonzero pivots before reaching q")
-        pivots.append((i, j))
+        row_key[t, i], col_key[t, j] = step, step
+        # The update zeroes the pivot row exactly (its multiplier is
+        # pivot / pivot = 1), not the pivot column.
         work -= (work[t, :, j] / pivot[:, None])[:, :, None] * work[t, i][:, None, :]
-        work[t, i] = 0.0
         work[t, :, j] = 0.0
 
-    # Pivots first in pivot order, then the other indices in original order.
-    perms = []
-    for chosen, size in zip(np.array(pivots).transpose(1, 2, 0), (n, m)):  # (T, q) each
-        key = np.tile(np.arange(q, q + size), (len(xs), 1))
-        key[t[:, None], chosen] = np.arange(q)
-        perms.append(key.argsort(axis=1))
-    rp, cp = perms
+    rp, cp = row_key.argsort(axis=1), col_key.argsort(axis=1)
     xp = xs[t[:, None, None], rp[:, :, None], cp[:, None, :]].reshape(x.shape)
     lead = x.shape[:-2]
     return BlockDecomposition(xp[..., :q, :q].copy(), xp[..., :q, q:].copy(),
@@ -191,13 +207,18 @@ def assemble(b: BlockDecomposition) -> np.ndarray:
 def _pinv_blocks(b: BlockDecomposition, x11, x12, x21) -> np.ndarray:
     # pinv_from_blocks of blocks whose leading axes end with b's stack axes;
     # plain transposes and solves only, so complex blocks pass through.
+    # On a chart that keeps every row (n = q) I + Z'Z is I, and every
+    # column (m = q) I + WW'; a solve against I is exact, so it is skipped.
     eye = np.eye(b.q)
     zt = np.linalg.solve(x11.swapaxes(-1, -2), x21.swapaxes(-1, -2))     # Z'
     rows = np.concatenate([np.broadcast_to(eye, zt.shape[:-1] + (b.q,)), zt], -1)
-    rows = np.linalg.solve(eye + zt @ zt.swapaxes(-1, -2), rows)       # (I + Z'Z)^-1 [I, Z']
-    w, core = np.split(np.linalg.solve(x11, np.concatenate([x12, rows], -1)), [b.m - b.q], -1)
+    if b.n > b.q:
+        rows = np.linalg.solve(eye + zt @ zt.swapaxes(-1, -2), rows)   # (I + Z'Z)^-1 [I, Z']
+    solved = np.linalg.solve(x11, np.concatenate([x12, rows], -1))
+    w, core = np.split(solved, [x12.shape[-1]], -1)
     wt = w.swapaxes(-1, -2)
-    core = np.linalg.solve(eye + w @ wt, core)
+    if b.m > b.q:
+        core = np.linalg.solve(eye + w @ wt, core)
     yp = np.concatenate([core, wt @ core], -2)
     y = np.empty(yp.shape, yp.dtype)
     y[(..., *b._stack, b.col_perm[..., :, None], b.row_perm[..., None, :])] = yp

@@ -32,7 +32,9 @@ over all q^2 pairs and d_i^-2, each with multiplicity n+m-2q: nq+mq-q^2
 values in all.  Their product is prod d_i^-2(n+m-q), the rank-deficient
 change-of-variables factor; at full rank it is |X'X|^-n (tall) or
 |XX'|^-m (wide).  ``operator_spectrum`` and ``jacobian_det_operator`` use
-this from the caller's ``rank_profile`` of X, so X is factored once.  The
+this from the caller's rank profile of X, that of the one SVD of X the
+caller takes (which may also give Y: ``matcore.pinv_rank``, ``svd_full``;
+``pinv_differential`` takes the Y of such an SVD through its core).  The
 dense operator is the oracle: (U kron V)' S(X, Y) (U kron V) = S(U'XV,
 V'YU), so ``pair_operator`` of the rotated pair is S in that basis, and
 ``subspace_rank_profile`` reads its 1x1 and 2x2 pair blocks in closed form.
@@ -48,7 +50,8 @@ rounding error, with no subtraction (``pinv_complex_step``, and
 sandwich X -> H X Q is linear, so its chart Jacobian needs no step at all:
 ``sandwich_chart_jacobian`` maps the chart's exact tangents
 (``chart.tangent_perturbation``), and the area formula
-(``chart.log_chart_volume``) is its closed form.
+(``chart.log_chart_volume``) is its closed form.  Its two charts may be
+sub-stacks ``b[0]``, ``b[1]`` of one pivoted stack, which keep its W and Z.
 
 Every function here also takes a stack (T, n, m) (``subspace_rank_profile``
 only a stack), one result per slice with the bits of the 2-D call: steps
@@ -73,8 +76,12 @@ def pinv_differential(x, dx) -> np.ndarray:
     dx = as_stack(dx)
     if dx.shape != x.shape:
         raise ShapeMismatch(f"dX shape {dx.shape} != X shape {x.shape}")
+    return _pinv_differential(x, pinv(x), dx)
+
+
+def _pinv_differential(x: np.ndarray, y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    # pinv_differential at X along dX of the same shape, with Y = pinv(X) given.
     n, m = x.shape[-2:]
-    y = pinv(x)
     yt, dxt = y.swapaxes(-1, -2), dx.swapaxes(-1, -2)
     left_proj = np.eye(n) - x @ y
     right_proj = np.eye(m) - y @ x

@@ -12,7 +12,9 @@ Rank policy: a singular value of an n x m matrix is retained when it
 exceeds ``max(n, m) * eps * s[0]``, with eps the machine epsilon.
 ``_rank_info`` is the one place that cut is made (also for the operator
 blocks of ``differential.subspace_rank_profile``), and ``_pinv_from_svd``
-the one place retained factors become a pseudoinverse.
+the one place retained factors become a pseudoinverse.  A check that needs
+both the rank and the pseudoinverse of X takes them from one SVD
+(``pinv_rank``, ``svd_full``), never a second one.
 
 Conditioning policy: ``ill_conditioned`` is the one test of whether a
 square block can be inverted: ``s[-1] <= rtol * s[0]`` fails it, where a
@@ -157,6 +159,15 @@ def svd_thin(x) -> tuple[SvdFactors, RankInfo]:
     return SvdFactors(u=u[:, :q].copy(), s=s[:q].copy(), v=vt[:q].T.copy()), info
 
 
+def pinv_rank(x) -> tuple[np.ndarray, RankInfo]:
+    """:func:`pinv` of ``x`` and its rank profile from one thin SVD (with vectors, so the
+    singular values may differ in their last bits from :func:`rank_profile`'s)."""
+    x = as_stack(x)
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    info = _rank_info(s, x.shape)
+    return _pinv_from_svd(u, s, vt, common_rank(info)), info
+
+
 def pinv(x) -> np.ndarray:
     """Moore-Penrose inverse via SVD with the relative rank cutoff.
 
@@ -164,9 +175,7 @@ def pinv(x) -> np.ndarray:
     is insensitive to them, unlike the measure-density formulas.  The
     slices of a stack must share one rank (see :func:`common_rank`).
     """
-    x = as_stack(x)
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
-    return _pinv_from_svd(u, s, vt, common_rank(_rank_info(s, x.shape)))
+    return pinv_rank(x)[0]
 
 
 def ill_conditioned(a, rtol: float) -> np.ndarray | None:

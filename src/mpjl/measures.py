@@ -32,11 +32,12 @@ from functools import cache
 
 import numpy as np
 
-from .chart import _pivot, decompose, log_chart_volume
+from .chart import _pivot, _require_rank, log_chart_volume
 from .differential import OrthogonalSandwichMap, jacobian_det_operator, sandwich_chart_jacobian
 from .errors import BadSpectrum, NotFullColumnRank, ShapeMismatch, SingularInput
 from .matcore import (
-    as_stack, check_spectrum, frobenius_norms, ill_conditioned, pinv, rank_profile, scalar_powers,
+    _pinv_from_svd, _rank_info, as_stack, check_spectrum, frobenius_norms, ill_conditioned,
+    rank_profile, scalar_powers,
 )
 from .reports import TOLERANCES, stack_reports
 
@@ -240,15 +241,17 @@ def exterior_chain_check(x):
 
     must equal |X'X|^-n by determinant algebra alone, and both must match
     the vectorized-operator determinant, which :func:`jacobian_det_operator`
-    takes in closed form from the operator's spectrum (one SVD of X).  A
-    stack (T, n, m) is checked in one pass and gives a list of T reports.
+    takes in closed form from the operator's spectrum.  One thin SVD of X
+    gives the rank test, Y and that spectrum.  A stack (T, n, m) is checked
+    in one pass and gives a list of T reports.
     """
     x = as_stack(x)
     n, m = x.shape[-2:]
-    info = rank_profile(x)
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    info = _rank_info(s, x.shape)
     if m > n or np.any(info.rank != m):
         raise NotFullColumnRank(f"need rank(X) = cols <= rows, got shape {x.shape}")
-    y = pinv(x)
+    y = _pinv_from_svd(u, s, vt, m)
     a = y @ y.swapaxes(-1, -2)
     b = x.swapaxes(-1, -2) @ x
     b_inv = np.linalg.inv(b)
@@ -282,16 +285,19 @@ def orthogonal_invariance_check(x, q: int, h, qmat):
     chart the deviation from 1 is evidence that the free-coordinate volume
     element, unlike Lebesgue and Hausdorff measure, is not invariant.
     Stacks (T, n, m), (T, n, n) and (T, m, m) give a list of T reports.
+    H X Q has X's rank by construction, so only X's rank is tested, and
+    both charts are pivoted as one (2, [T,] n, m) stack: one pivot test
+    (which reports the worse block when both of a trial fail), one W/Z solve.
     """
     x = as_stack(x)
     n, m = x.shape[-2:]
     sandwich = OrthogonalSandwichMap(h, qmat)
-    in_chart = decompose(x, q)
-    # H X Q has X's rank by construction; a second rank test of its own
-    # rounding could only refuse a valid chart.
-    out_chart = _pivot(sandwich.apply(x), q)
+    _require_rank(rank_profile(x), q)
+    charts = _pivot(np.stack([x, sandwich.apply(x)]), q)
+    in_volume, out_volume = log_chart_volume(charts)
+    in_chart, out_chart = charts[0], charts[1]
     abs_det = np.abs(np.linalg.det(sandwich_chart_jacobian(sandwich, in_chart, out_chart)))
-    log_volume = log_chart_volume(in_chart) - log_chart_volume(out_chart)
+    log_volume = in_volume - out_volume
     deviation = abs(abs_det - 1.0)
     full_chart = q == min(n, m)
     reports = stack_reports(

@@ -34,7 +34,8 @@ import numpy as np
 TOLERANCES = {
     "differential": {"fd_mismatch": 1e-6},
     "jacobian-full": {"operator_vs_formula": 1e-8, "fd_vs_formula": 1e-4},
-    "operator-rank": {"annihilation": 1e-12, "pseudo_det": 1e-8, "leak": 1e-11},
+    "operator-rank": {"annihilation": 1e-12, "pseudo_det": 1e-8, "leak": 1e-11,
+                      "area_formula": 1e-9},
     "hausdorff": {"identity": 1e-10},
     "invariance": {"deviation": 1e-12, "volume": 1e-9},
     "symmetric-inverse": {"fd_mismatch": 1e-4},

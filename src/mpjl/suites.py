@@ -11,7 +11,10 @@ A suite is a pair: ``draw(cfg, rng)`` makes every generator call of one
 trial, ``check(cfg, draws)`` judges a stack of trials' draws, one report
 per trial, in stacked numpy calls (``operator-rank`` reads its dense
 operators' spectra in closed form from their 1x1 and 2x2 pair blocks in
-X's SVD basis).  ``run_suite`` draws each stack of trials, capped by
+X's SVD basis).  Each check factors its stack of X once: the one SVD that
+gives pinv(X) also gives the rank profile that the chart's rank test and
+the determinants read, and ``invariance`` indexes the charts of X and
+H X Q out of one pivoted stack (``chart.BlockDecomposition[i]``).  ``run_suite`` draws each stack of trials, capped by
 ``STACK_ENTRIES`` entries of what the check holds per trial, from their
 first attempts' streams and checks it in one pass; if that raises
 anything, the stack reruns trial by trial through ``run_trial``, the same
@@ -129,14 +132,6 @@ def _fd_chart(suite: str, cfg: RunConfig) -> bool:
         suite == "jacobian-full" or suite == "operator-rank" and deficient)
 
 
-def _pinv_chart_det(x: np.ndarray, bx: chart.BlockDecomposition, y: np.ndarray) -> np.ndarray:
-    """|det| of the chart Jacobian of X -> pinv(X) = Y, per slice, from X's chart ``bx``, by
-    complex step: k points through the factored block pseudoinverse, no SVD and no FD
-    step.  Y has X's rank by construction, so its chart makes no second rank test."""
-    jac = differential.pinv_chart_jacobian(x, bx, chart._pivot(y, bx.q))
-    return np.abs(np.linalg.det(jac))
-
-
 def _draw_differential(cfg: RunConfig, rng: np.random.Generator) -> tuple:
     q, n, m = cfg.rank, cfg.n, cfg.m
     shapes = [(n, m)] if q == min(n, m) else [(q, q), (q, m - q), (n - q, q)]
@@ -147,10 +142,12 @@ def _check_differential(cfg: RunConfig, draws: list[tuple]) -> list[Verification
     q = cfg.rank
     full_rank = q == min(cfg.n, cfg.m)
     x, *direction = _instances(draws)
-    b = chart.decompose(x, q)  # at full rank the chart covers every entry
+    y, info = matcore.pinv_rank(x)  # one SVD: Y and the chart's rank test
+    chart._require_rank(info, q)
+    b = chart._pivot(x, q)  # at full rank the chart covers every entry
     dx = direction[0] if full_rank else chart.tangent_perturbation(b, *direction)
     dx = dx / matcore.frobenius_norms(dx)[..., None, None]
-    analytic = differential.pinv_differential(x, dx)
+    analytic = differential._pinv_differential(x, y, dx)
     oracle = differential.pinv_complex_step(x, b, b.coordinates(dx))
     norm = matcore.frobenius_norms(analytic)
     return stack_reports("differential", {"n": cfg.n, "m": cfg.m, "q": q, "full_rank": full_rank},
@@ -161,15 +158,20 @@ def _check_differential(cfg: RunConfig, draws: list[tuple]) -> list[Verification
 
 def _check_jacobian_full(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
     [x] = _instances(draws)
-    # One stacked factorization of X serves both determinants and the rank check.
-    info = matcore.rank_profile(x)
+    fd_chart = _fd_chart("jacobian-full", cfg)
+    # One stacked factorization of X serves both determinants and the rank
+    # check, and on a small chart pinv(X) too; else only its values are taken.
+    y, info = matcore.pinv_rank(x) if fd_chart else (None, matcore.rank_profile(x))
     formula = differential.jacobian_det_full_rank(x, info)
     values = {"operator_det": differential.jacobian_det_operator(x, info), "closed_form": formula}
     residuals = {"operator_vs_formula": _rel(abs(values["operator_det"] - formula), formula)}
-    if _fd_chart("jacobian-full", cfg):
-        # jacobian_det_full_rank has refused an X below full rank.
-        bx = chart._pivot(x, cfg.rank)
-        values["fd_chart_det"] = fd_det = _pinv_chart_det(x, bx, matcore.pinv(x))
+    if fd_chart:
+        # jacobian_det_full_rank has refused an X below full rank, and Y has
+        # X's rank: neither chart takes a rank test.  The complex step moves
+        # k points through the factored block pseudoinverse: no SVD, no step.
+        jac = differential.pinv_chart_jacobian(x, chart._pivot(x, cfg.rank),
+                                               chart._pivot(y, cfg.rank))
+        values["fd_chart_det"] = fd_det = np.abs(np.linalg.det(jac))
         residuals["fd_vs_formula"] = _rel(abs(fd_det - formula), formula)
     return stack_reports("jacobian-full", {"n": cfg.n, "m": cfg.m, "q": cfg.rank}, values,
                          residuals, tol=cfg.tol)
@@ -183,12 +185,20 @@ def _check_operator_rank(cfg: RunConfig, draws: list[tuple]) -> list[Verificatio
     # the bases U, V of its four fundamental subspaces.
     u, info, vt, y = matcore.svd_full(x)
     ut, v = u.swapaxes(-1, -2), vt.swapaxes(-1, -2)
-    chart_det = {}
+    # The log of prod d^-2(n+m-q), the paper's rank-deficient factor, read
+    # from the operator's closed-form spectrum.
+    log_factor = differential.operator_log_pdet(x, info)
+    chart_det, area_formula = {}, {}
     if _fd_chart("operator-rank", cfg):
-        # Reported, never asserted here; the tests hold it to the area
-        # formula -2(n+m-q) sum log d + V(X's chart) - V(Y's chart).
-        # X's chart keeps decompose's rank test (RankMismatch).
-        chart_det["deficient_chart_det"] = _pinv_chart_det(x, chart.decompose(x, q), y)
+        # X's chart keeps decompose's rank test (RankMismatch), read from the
+        # SVD above; Y has X's rank.  The area formula gives the chart
+        # determinant as log_factor + V(X's chart) - V(Y's chart).
+        chart._require_rank(info, q)
+        bx, by = chart._pivot(x, q), chart._pivot(y, q)
+        jac = differential.pinv_chart_jacobian(x, bx, by)
+        chart_det["deficient_chart_det"] = det = np.abs(np.linalg.det(jac))
+        area = log_factor + chart.log_chart_volume(bx) - chart.log_chart_volume(by)
+        area_formula["area_formula"] = abs(np.log(det) - area) / np.maximum(1.0, abs(area))
     # The operator in the basis U kron V, built exactly symmetric.
     s = differential.pair_operator(ut @ x @ v, vt @ y @ u)
     op = s.reshape(len(x), n * m, n * m)
@@ -201,12 +211,12 @@ def _check_operator_rank(cfg: RunConfig, draws: list[tuple]) -> list[Verificatio
         normal = [np.sqrt(np.einsum("lkij,lkij->", b, b)) for b in s[..., q:, q:]]
         residuals["annihilation"] = _rel(normal, norm)
     rank = differential.subspace_rank_profile(s, q)  # op keeps only its off-pair part
-    # The pseudo-determinant against prod d^-2(n+m-q), the paper's
-    # rank-deficient factor, both as sums of logs of the singular values:
-    # the products leave the float range at moderate sizes.
+    # The pseudo-determinant against that factor, both as sums of logs of
+    # the singular values: the products leave the float range at moderate
+    # sizes.
     log_pdet = np.array([np.log(sv[:expected]).sum() for sv in rank.singular_values])
-    residuals.update(pseudo_det=abs(log_pdet - differential.operator_log_pdet(x, info)),
-                     leak=_rel(matcore.frobenius_norms(op), norm))
+    residuals.update(pseudo_det=abs(log_pdet - log_factor),
+                     leak=_rel(matcore.frobenius_norms(op), norm), **area_formula)
     values = {"operator_rank": rank.rank, "expected_rank": expected, **chart_det}
     return stack_reports("operator-rank", {"n": n, "m": m, "q": q}, values, residuals,
                          tol=cfg.tol, conditions=(rank.rank == expected,))
@@ -237,9 +247,10 @@ def _check_symmetric_inverse(cfg: RunConfig, draws: list[tuple]) -> list[Verific
 def _check_blocks(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
     q, norms = cfg.rank, matcore.frobenius_norms
     [x] = _instances(draws)
-    b = chart.decompose(x, q)
+    y, info = matcore.pinv_rank(x)  # one SVD: Y and the chart's rank test
+    chart._require_rank(info, q)
+    b = chart._pivot(x, q)
     x_norm = norms(x)
-    y = matcore.pinv(x)
     trailing = np.take_along_axis(np.take_along_axis(x, b.row_perm[..., q:, None], -2),
                                   b.col_perm[..., None, q:], -1)
     chart_ok = len(b) == _chart_dim(cfg)

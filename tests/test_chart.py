@@ -336,20 +336,21 @@ def test_tangent_perturbation_tests_x11_once(svd_shapes):
 def test_blocks_trial_tests_x11_once(svd_shapes):
     report = suites.run_trial("blocks", suites.RunConfig(n=8, m=6, q=3, seed=61), 0)
     assert report.passed and report.inputs["attempt"] == 0
-    # decompose: rank of X, X11 test; pinv(X).  Neither assemble,
-    # x22_from_blocks nor pinv_from_blocks tests X11 again, and the
-    # factored pseudoinverse has nothing else to test.  The trial is
-    # checked as a stack of one.
-    assert svd_shapes == [(1, 8, 6), (1, 3, 3), (1, 8, 6)]
+    # One SVD of X gives pinv(X) and the chart's rank test; then the X11
+    # test.  Neither assemble, x22_from_blocks nor pinv_from_blocks tests
+    # X11 again, and the factored pseudoinverse has nothing else to test.
+    # The trial is checked as a stack of one.
+    assert svd_shapes == [(1, 8, 6), (1, 3, 3)]
 
 
 def test_deficient_differential_trial_tests_x11_once(svd_shapes):
     report = suites.run_trial("differential", suites.RunConfig(n=7, m=5, q=3, seed=48), 0)
     assert report.passed and report.inputs["attempt"] == 0
-    # decompose: rank of X, X11 test; the tangent direction tests nothing;
-    # pinv_differential's pinv(X); the complex-step oracle factors nothing.
-    # The trial is checked as a stack of one.
-    assert svd_shapes == [(1, 7, 5), (1, 3, 3), (1, 7, 5)]
+    # One SVD of X gives pinv(X), for the analytic differential, and the
+    # chart's rank test; then the X11 test.  The tangent direction tests
+    # nothing, and the complex-step oracle factors nothing.  The trial is
+    # checked as a stack of one.
+    assert svd_shapes == [(1, 7, 5), (1, 3, 3)]
 
 
 def test_sandwich_chart_jacobian_tests_no_x11(svd_shapes):

@@ -81,6 +81,22 @@ def test_invariance_passes(q, cond):
             assert report.residuals["volume"] <= report.tolerances["volume"]
 
 
+# The complex-step chart determinant of pinv, not the closed form, carries
+# the error (at 1e6 the closed form is within 2e-10 of a 50-digit value and
+# the determinant up to 6e-5 off); it grows about a hundredfold per decade.
+CHART_DET_ROUNDING = pytest.mark.xfail(strict=True, reason="the complex-step chart determinant "
+                                                           "is 2.5e-8 off at cond(X) 1e5")
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e3, 1e4, pytest.param(1e5, marks=CHART_DET_ROUNDING)])
+@pytest.mark.parametrize("n, m", [(4, 3), (3, 5), (4, 4)])
+def test_operator_rank_chart_det_holds_the_area_formula(n, m, cond):
+    # Measured up to 3.6e-10 at 1e4 over every deficient shape whose chart
+    # the complex step runs on, against 1e-9.
+    for report in _reports("operator-rank", n, m, 2, cond):
+        assert report.residuals["area_formula"] <= report.tolerances["area_formula"]
+
+
 # exterior-chain forms A = YY' and B = X'X and takes their slogdet and inv,
 # so determinant_algebra carries an error near eps * cond(X)^2: 1 of the 12
 # reports at 10x6 fails it at 1e2 and 11 of 12 at 6x4 at 1e3; from 1e4

@@ -139,11 +139,12 @@ def test_determinant_suites_never_build_the_dense_operator(monkeypatch):
         assert result.all_passed, suite
 
 
-@pytest.mark.parametrize("suite, svds", [("jacobian-full", 1), ("exterior-chain", 2)])
+@pytest.mark.parametrize("suite, svds", [("jacobian-full", 1), ("exterior-chain", 1)])
 def test_determinant_suites_factor_x_as_often_as_needed(svd_shapes, suite, svds):
     # Above the FD cross-check size: jacobian-full shares one rank profile
     # of the (T, n, m) stack between both determinants of every trial;
-    # exterior-chain adds only pinv(X) of the stack.
+    # exterior-chain takes its rank test, pinv(X) and the operator spectrum
+    # from one thin SVD of the stack.
     n, m, trials = 6, 4, 3
     assert n * m > suites.FD_CROSS_CHECK_MAX_ENTRIES
     result = suites.run_suite(suite, suites.RunConfig(n=n, m=m, trials=trials, seed=51))
@@ -683,14 +684,13 @@ def test_fd_chart_jacobian_evaluates_the_per_point_matrices(n, m, q):
 
 
 def test_pinv_chart_jacobian_makes_no_svd_per_point(svd_shapes):
-    # Five-trial stacks, one stacked SVD each of: jacobian-full's rank
-    # profile of X, X's X11 test, pinv(X) and Y's X11 test; operator-rank's
-    # full SVD of X, decompose(X)'s rank test, and the two X11 tests.  Y's
-    # chart tests no rank (Y has X's), nor does jacobian-full's X chart (its
-    # rank profile did), and none of the k complex points is factored or
-    # pivot-tested.
-    cases = [("jacobian-full", 3, 4, None, [(5, 3, 4), (5, 3, 3), (5, 3, 4), (5, 3, 3)]),
-             ("operator-rank", 4, 3, 2, [(5, 4, 3), (5, 4, 3), (5, 2, 2), (5, 2, 2)])]
+    # Five-trial stacks, one stacked SVD each of: X, which gives its rank
+    # profile, pinv(X) and the rank test of X's chart (jacobian-full's thin
+    # SVD, operator-rank's full one), then X's and Y's X11 tests.  Y's chart
+    # tests no rank (Y has X's), and none of the k complex points is
+    # factored or pivot-tested.
+    cases = [("jacobian-full", 3, 4, None, [(5, 3, 4), (5, 3, 3), (5, 3, 3)]),
+             ("operator-rank", 4, 3, 2, [(5, 4, 3), (5, 2, 2), (5, 2, 2)])]
     for suite, n, m, q, svds in cases:
         svd_shapes.clear()
         cfg = suites.validate_config(suites.RunConfig(n=n, m=m, q=q, trials=5, seed=62), suite)

@@ -5,6 +5,8 @@ names a suite run that must FAIL under it; the same run passes unmutated.
 A mutant that survives would show an oracle that cannot see that error.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -29,15 +31,73 @@ def _exponent_n_minus_q_plus_1(original):
     return mutant
 
 
+def _skipping(*sides):
+    # _pinv_blocks reading the chart's n (or m) as q, so it skips the solve
+    # against I + Z'Z (or I + WW') as if that side were full.
+    def factory(original):
+        def mutant(b, x11, x12, x21):
+            view = SimpleNamespace(q=b.q, n=b.n, m=b.m, _stack=b._stack, row_perm=b.row_perm,
+                                   col_perm=b.col_perm)
+            view.__dict__.update(dict.fromkeys(sides, b.q))
+            return original(view, x11, x12, x21)
+        return mutant
+    return factory
+
+
+def _first_slice(original):
+    # BlockDecomposition[i] ignoring i: every index gives the first chart.
+    return lambda b, i: original(b, 0)
+
+
+def _density_without_2_to_minus_q(original):
+    # The log density with its -q log 2 dropped.
+    return lambda n, m, d: original(n, m, d) + d.shape[-1] * np.log(2.0)
+
+
+def _factors_without_2_to_minus_q(original):
+    # The density's leading factor without its 2^-q.
+    def mutant(n, m, d):
+        factors = original(n, m, d)
+        factors[..., 0] *= 2.0 ** d.shape[-1]
+        return factors
+    return mutant
+
+
 INVARIANCE_5X4Q2 = ("invariance", dict(n=5, m=4, q=2, trials=6, seed=5))
 
-# name -> (patches [(module, attribute, mutant factory)], (suite, config)).
+
+def _pinv_blocks_skipping(*sides):
+    return [(module, "_pinv_blocks", _skipping(*sides)) for module in (chart, differential)]
+
+
+# name -> (patches [(module, attribute, mutant factory)], runs [(suite, config)]).
 MUTANTS = {
     "tangent-dx22-sign": ([(chart, "_tangent_x22", _flip_z_dx12),
-                           (differential, "_tangent_x22", _flip_z_dx12)], INVARIANCE_5X4Q2),
-    "chart-volumes-swapped": ([(measures, "log_chart_volume", _swap_volumes)], INVARIANCE_5X4Q2),
+                           (differential, "_tangent_x22", _flip_z_dx12)], [INVARIANCE_5X4Q2]),
+    "chart-volumes-swapped": ([(measures, "log_chart_volume", _swap_volumes)],
+                              [INVARIANCE_5X4Q2]),
     "volume-exponent-n-q+1": ([(measures, "log_chart_volume", _exponent_n_minus_q_plus_1)],
-                              INVARIANCE_5X4Q2),
+                              [INVARIANCE_5X4Q2]),
+    "pinv-blocks-ww-solve-dropped": (_pinv_blocks_skipping("m"),
+                                     [("jacobian-full", dict(n=3, m=4, trials=6, seed=5))]),
+    "pinv-blocks-zz-solve-dropped": (_pinv_blocks_skipping("n"),
+                                     [("jacobian-full", dict(n=4, m=3, trials=6, seed=5))]),
+    "pinv-blocks-identity-skip-on-deficient-chart": (
+        _pinv_blocks_skipping("n", "m"),
+        [("differential", dict(n=7, m=5, q=3, trials=6, seed=5)),
+         ("operator-rank", dict(n=4, m=3, q=2, trials=6, seed=5))]),
+    "sub-chart-ignores-index": ([(chart.BlockDecomposition, "__getitem__", _first_slice)],
+                                [INVARIANCE_5X4Q2]),
+    "density-2^-q-dropped": ([(measures, "_log_density", _density_without_2_to_minus_q),
+                              (measures, "_density_factors", _factors_without_2_to_minus_q)],
+                             [("hausdorff", dict(n=10, m=8, q=4, trials=6, seed=5))]),
+}
+
+# Mutants no run can kill yet, each with the item that is to kill it.
+SURVIVORS = {
+    # 2^-q enters both log densities of the ratio check and cancels from
+    # its identity.
+    "density-2^-q-dropped": "ROADMAP item 4: an independent oracle for the spectral density",
 }
 
 
@@ -45,11 +105,17 @@ def _reports(suite, config):
     return suites.run_suite(suite, suites.RunConfig(**config)).reports
 
 
-@pytest.mark.parametrize("name", MUTANTS)
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(strict=True, reason=SURVIVORS[name]))
+    if name in SURVIVORS else name
+    for name in MUTANTS
+])
 def test_mutant_fails_its_run(monkeypatch, name):
-    patches, (suite, config) = MUTANTS[name]
-    assert all(r.passed for r in _reports(suite, config))
+    patches, runs = MUTANTS[name]
+    for suite, config in runs:
+        assert all(r.passed for r in _reports(suite, config))
     for module, attribute, factory in patches:
         monkeypatch.setattr(module, attribute, factory(getattr(module, attribute)))
-    reports = _reports(suite, config)
-    assert reports and not any(r.passed for r in reports)
+    for suite, config in runs:
+        reports = _reports(suite, config)
+        assert reports and not any(r.passed for r in reports), suite

@@ -1,9 +1,11 @@
 """Trial stacks: a suite's trials checked as one stack give the bytes of the
 trials run one by one, and a stack that raises falls back to them."""
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from helpers import chart_positions
 from mpjl import chart, differential as df, matcore as mc, measures as ms, suites
@@ -161,8 +163,10 @@ def test_ill_conditioned_operator_rank_stack_reports_honest_leak_fails(capsys):
     # At cond(X) = 1e6 the complex-step chart points of operator-rank make
     # no pivot test, so the stack does not fall back trial by trial: it
     # gives the bytes of the trials one by one, six reports that fail on
-    # the leak alone, an eps * cond(X) rounding above its tolerance, and
-    # exit code 1.
+    # the leak, an eps * cond(X) rounding above its tolerance, and on the
+    # area formula, where the complex-step chart determinant is 3e-6 to
+    # 6e-5 off a 50-digit value (the closed form within 2e-10), and exit
+    # code 1.
     config = dict(n=4, m=3, q=2, trials=6, spectrum=(1000.0, 0.001), seed=4)
     cfg = suites.validate_config(suites.RunConfig(**config), "operator-rank")
     expected = _one_by_one("operator-rank", cfg)
@@ -171,7 +175,7 @@ def test_ill_conditioned_operator_rank_stack_reports_honest_leak_fails(capsys):
     assert _bytes(reports) == expected
     for report in reports:
         failing = [k for k, v in report.residuals.items() if v > report.tolerances[k]]
-        assert failing == ["leak"] and not report.passed
+        assert failing == ["leak", "area_formula"] and not report.passed
         assert report.values["operator_rank"] == report.values["expected_rank"]
     argv = ["verify", "operator-rank", "--n", "4", "--m", "3", "--q", "2", "--trials", "6",
             "--spectrum", "1000,0.001", "--seed", "4", "--format", "json"]
@@ -345,3 +349,115 @@ def test_stacked_decompose_matches_each_slice(case):
     for name in ("x11", "x12", "x21"):
         assert np.array_equal(getattr(b, name), np.array([getattr(s, name) for s in each]))
     assert np.array_equal(chart.assemble(b), np.array([chart.assemble(s) for s in each]))
+
+
+@st.composite
+def indexed_stacks(draw):
+    """(stack, q, index, cached): 2 to 6 rank-q slices, an integer, slice (reversed and
+    strided ones included) or integer-array index of them, and whether W and Z are taken
+    on the whole stack first."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    q = draw(st.integers(1, min(n, m)))
+    size = draw(st.integers(2, 6))
+    seed = draw(st.integers(0, 2**31 - 1))
+    stack = np.array([mc.random_rank_q(n, m, q, mc.make_rng(seed, t)) for t in range(size)])
+    index = draw(st.integers(-size, size - 1) | st.slices(size)
+                 | st.lists(st.integers(0, size - 1), min_size=1).map(np.array))
+    return stack, q, index, draw(st.booleans())
+
+
+@given(indexed_stacks())
+@example((np.array([mc.random_rank_q(5, 4, 2, mc.make_rng(15, t)) for t in range(5)]), 2,
+          slice(None, None, -2), True))
+def test_sub_chart_has_the_bits_of_its_slices_pivoted_alone(case):
+    stack, q, index, cached = case
+    assume(stack[index].size)
+    b = chart._pivot(stack, q)
+    if cached:
+        b.w, b.z  # taken on the whole stack, then indexed
+    alone = chart._pivot(stack[index], q)
+    sub = b[index]
+    for name in ("x11", "x12", "x21", "row_perm", "col_perm", "w", "z"):
+        got, want = getattr(sub, name), getattr(alone, name)
+        assert got.shape == want.shape and np.array_equal(got, want), name
+        assert np.array_equal(np.signbit(got), np.signbit(want)), name
+    assert np.array_equal(chart.assemble(sub), chart.assemble(alone))
+    if sub.x11.ndim == 2:
+        with pytest.raises(TypeError, match="single chart"):
+            sub[0]
+
+
+def test_invariance_tests_x_rank_once_and_pivots_both_charts_as_one_stack(svd_shapes):
+    # X's rank, then the X11 tests of X and H X Q as one (2, T) stack.
+    n, m, q, trials = 5, 4, 2, 3
+    cfg = suites.validate_config(suites.RunConfig(n=n, m=m, q=q, trials=trials, seed=63),
+                                 "invariance")
+    reports = suites._run_stack("invariance", cfg, range(trials))
+    assert all(r.passed for r in reports)
+    assert svd_shapes == [(trials, n, m), (2, trials, q, q)]
+
+
+def _invariance_trial(cond, seed, rank=2):
+    # A 4 x 3 instance of rank ``rank``, spectrum geomspace(1, 1/cond, rank), with H and Q.
+    rng = mc.make_rng(seed)
+    x = mc.random_rank_q(4, 3, rank, rng, np.geomspace(1.0, 1.0 / cond, rank))
+    return x, mc.random_stiefel(4, 4, rng), mc.random_stiefel(3, 3, rng)
+
+
+def _invariance_stack(bad):
+    # Three trials, the middle one ``bad``: (cond, seed, rank) of _invariance_trial.
+    trials = _invariance_trial(1e2, 0), _invariance_trial(*bad), _invariance_trial(1e2, 1)
+    return tuple(map(np.array, zip(*trials)))
+
+
+# Name -> the middle trial, the chart whose pivot block fails alone (if one
+# does), and the error that trial raises checked alone: the same type and
+# message as when X and H X Q were pivoted in two passes.
+INVARIANCE_ERRORS = {
+    "hxq-pivot": ((5e7, 129, 2), "out", IllConditionedPivot,
+                  "pivot block has condition 1.030e+08 > 1e+08"),
+    "x-pivot": ((5e7, 51, 2), "in", IllConditionedPivot,
+                "pivot block has condition 1.004e+08 > 1e+08"),
+    "wrong-rank": ((1e2, 2, 1), None, RankMismatch, "numerical rank 1 != requested q=2"),
+}
+
+
+@pytest.mark.parametrize("name", INVARIANCE_ERRORS)
+def test_invariance_stack_raises_the_error_of_its_bad_trial(name):
+    bad, failing, error, message = INVARIANCE_ERRORS[name]
+    x, h, qmat = _invariance_stack(bad)
+    if failing is not None:
+        charts = {"in": x[1], "out": h[1] @ x[1] @ qmat[1]}
+        for side, a in charts.items():
+            if side == failing:
+                with pytest.raises(IllConditionedPivot, match=re.escape(message)):
+                    chart._pivot(a, 2)
+            else:
+                chart._pivot(a, 2)
+    with pytest.raises(error):
+        ms.orthogonal_invariance_check(x, 2, h, qmat)
+    for t in range(3):
+        one = x[t:t + 1], 2, h[t:t + 1], qmat[t:t + 1]
+        if t != 1:
+            assert ms.orthogonal_invariance_check(*one)[0].passed
+            continue
+        with pytest.raises(error) as raised:
+            ms.orthogonal_invariance_check(*one)
+        assert str(raised.value) == message
+
+
+def test_invariance_reports_the_worse_chart_when_both_pivot_blocks_fail():
+    # Both charts of this trial fail their pivot test alone; pivoted as one
+    # stack, the error names the worse condition (X's alone reads 1.111e+08).
+    x, h, qmat = _invariance_stack((7e7, 100, 2))
+    conds = []
+    for a in (x[1], h[1] @ x[1] @ qmat[1]):
+        with pytest.raises(IllConditionedPivot) as raised:
+            chart._pivot(a, 2)
+        conds.append(str(raised.value))
+    assert conds[0] == "pivot block has condition 1.111e+08 > 1e+08"
+    worse = max(conds, key=lambda c: float(c.split()[4]))
+    with pytest.raises(IllConditionedPivot) as raised:
+        ms.orthogonal_invariance_check(x[1:2], 2, h[1:2], qmat[1:2])
+    assert str(raised.value) == worse == "pivot block has condition 1.231e+08 > 1e+08"

@@ -32,12 +32,13 @@ its own directory.  It replays:
   29 no longer exhausts the retry budget), ``operator-rank`` at 4 x 3
   q=2 and spectrum ``1000,0.001`` (edge 26), whose complex-step chart points make no pivot
   test, so its stack does not fall back trial by trial and reports
-  honest ``leak`` FAILs, a stack whose determinants overflow, ``operator-rank``
+  honest ``leak`` and ``area_formula`` FAILs, a stack whose determinants overflow, ``operator-rank``
   at full rank and at 32 x 24, a twelve-trial 30 x 20 stack, three
   ``operator-rank`` stacks (five 8 x 6 trials at cond(X) = 1e4, four
   full-rank 1 x 5 trials, where the operator has no 2x2 pair block and no
-  kernel, and four 4 x 3 trials at cond(X) = 1e5, which pass some and fail
-  others), two ``operator-rank`` spectra whose squared operator entries
+  kernel, and four 4 x 3 q=2 trials at cond(X) = 1e5, which all fail the
+  area formula by the rounding of the complex-step chart determinant,
+  one also its ``leak``), two ``operator-rank`` spectra whose squared operator entries
   leave the float range, one by overflow and one by underflow, ``--tol``
   values that are not finite, ``report`` over files that hold a number
   that is not finite, and the chart oracles at spectrum ``geomspace(1,
