@@ -25,6 +25,7 @@ own error.  A stack of blocks fails when any one of them would fail alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -191,11 +192,124 @@ def ill_conditioned(a, rtol: float) -> np.ndarray | None:
 # ---------------------------------------------------------------------------
 # Seeded randomness.  All randomness flows through explicit generators; a
 # (seed, *path) pair addresses one reproducible stream, so concurrent trials
-# never share state.
+# never share state.  ``make_rng`` seeds one stream through NumPy's own
+# SeedSequence, and is the reference.  ``make_rngs`` seeds the streams
+# (seed, t, attempt) of a trial stack by running that hash once over the
+# stack, as uint32 arrays: each of its generators has the state that
+# ``make_rng(seed, t, attempt)`` gives.  A stack's draws keep their spectra
+# unsorted; ``sorted_spectra`` sorts them (into a C-contiguous array, since
+# numpy's log and pow may round a strided view differently) and gap-tests
+# them in one call, and ``sample_spectrum`` is that call on one draw.
 
 def make_rng(seed: int, *path: int) -> np.random.Generator:
     """Generator for the stream addressed by ``seed`` and an optional path."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, path)]))
+
+
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
+# uint32 words; each hash step xors a word with a running constant, then
+# multiplies it by the constant's next power, so the constants of every step
+# are known before the data.
+_POOL = 4
+_MASK32 = (1 << 32) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _powers(init: int, mult: int, count: int) -> list[int]:
+    # init * mult^k mod 2^32 for k = 0..count.
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+@cache
+def _hash_plan(words: int) -> tuple:
+    """(xor, multiply) uint32 constants of each stacked step of the hash of ``words`` words.
+
+    In order: the pool's first hash; one step per pool word, which hashes it
+    three times to mix it into the other three words (its own column's
+    constants are placeholders); one per entropy word beyond the pool; the
+    output words, shape (2, 4).  Shared by every caller, so read-only.
+    """
+    a = np.array(_powers(_INIT_A, _MULT_A, _POOL * (_POOL + max(0, words - _POOL))), np.uint32)
+    j = np.arange(_POOL)
+    mixing = [_POOL + 3 * src + np.minimum(j - (j > src), 2) for src in range(_POOL)]
+    extra = [k + j for k in range(_POOL * _POOL, len(a) - 1, _POOL)]
+    b = np.array(_powers(_INIT_B, _MULT_B, 2 * _POOL), np.uint32)
+    steps = [(a[i], a[i + 1]) for i in [j, *mixing, *extra]]
+    steps.append((b[:-1].reshape(2, _POOL), b[1:].reshape(2, _POOL)))
+    for pair in steps:
+        for c in pair:
+            c.flags.writeable = False
+    return tuple(steps)
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = value ^ xor
+    value *= mult
+    value ^= value >> 16
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x
+    r -= _MIX_R * y
+    r ^= r >> 16
+    return r
+
+
+def _seed_words(n: int) -> list[int]:
+    # SeedSequence's little-endian uint32 words of a non-negative integer (0 is one word).
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+class _SeedState(np.random.bit_generator.ISeedSequence):
+    # One stream's PCG64 seed words, hashed by make_rngs.
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("holds the 4 uint64 words that PCG64 asks for, nothing else")
+        return self.words
+
+
+def make_rngs(seed: int, trials, attempt: int = 0) -> list[np.random.Generator]:
+    """Generators of the streams ``make_rng(seed, t, attempt)``, one per trial index t.
+
+    The streams' entropy words differ only in t's, so NumPy's SeedSequence
+    hash (``mix_entropy``, then ``generate_state(4, uint64)``) runs once over
+    a (T, 4) pool.  Raises ValueError on a negative seed, attempt or trial,
+    and on a trial index of 2^32 or more (it would take a second word).
+    """
+    head, tail = _seed_words(int(seed)), _seed_words(int(attempt))
+    trials = [int(t) for t in trials]
+    if trials and not 0 <= min(trials) <= max(trials) <= _MASK32:
+        raise ValueError(f"trial indices must lie in [0, 2^32), got {min(trials)}..{max(trials)}")
+    entropy = np.array([[*head, 0, *tail]], dtype=np.uint32).repeat(len(trials), axis=0)
+    entropy[:, len(head)] = trials
+    first, *mixing = _hash_plan(entropy.shape[1])
+    extra, out = mixing[_POOL:-1], mixing[-1]
+    pool = np.zeros((len(trials), _POOL), dtype=np.uint32)
+    pool[:, :entropy.shape[1]] = entropy[:, :_POOL]
+    with np.errstate(over="ignore"):
+        pool = _hashmix(pool, *first)
+        for src, consts in enumerate(mixing[:_POOL]):  # mix each word into the other three
+            last = pool
+            pool = _mix(last, _hashmix(last[:, src, None], *consts))
+            pool[:, src] = last[:, src]
+        for src, consts in enumerate(extra, _POOL):  # each word beyond the pool into all four
+            pool = _mix(pool, _hashmix(entropy[:, src, None], *consts))
+        state = _hashmix(pool[:, None, :], *out).reshape(len(trials), 2 * _POOL)
+    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_SeedState(w))) for w in words]
 
 
 def orthonormal_frames(g: np.ndarray) -> np.ndarray:
@@ -240,16 +354,27 @@ def validate_spectrum(d) -> np.ndarray:
     return d
 
 
-def sample_spectrum(q: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw q distinct singular values uniformly from ``SPECTRUM_RANGE``, sorted decreasing.
+def sorted_spectra(values) -> np.ndarray:
+    """Sampled values, one spectrum or a stack (..., q), sorted decreasing along the last axis.
 
-    Raises DegenerateSpectrum when the draw violates the gap requirement;
-    callers own the retry policy.
+    The result is C-contiguous.  Raises DegenerateSpectrum, naming the first
+    tied spectrum, when two values of one differ by less than ``REQUEST_GAP``
+    relative to its largest; callers own the retry policy.
     """
-    d = np.sort(rng.uniform(*SPECTRUM_RANGE, size=q))[::-1]
-    if q >= 2 and np.min(d[:-1] - d[1:]) < REQUEST_GAP * d[0]:
-        raise DegenerateSpectrum(f"sampled spectrum has tied values: {d.tolist()}")
+    d = np.negative(values, dtype=float)  # sorted ascending, then negated back in place
+    d.sort()
+    np.negative(d, out=d)
+    tied = d[..., :-1] - d[..., 1:] < REQUEST_GAP * d[..., :1]
+    if tied.any():
+        first = d.reshape(-1, d.shape[-1])[tied.reshape(-1, d.shape[-1] - 1).any(-1)][0]
+        raise DegenerateSpectrum(f"sampled spectrum has tied values: {first.tolist()}")
     return d
+
+
+def sample_spectrum(q: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw q distinct singular values uniformly from ``SPECTRUM_RANGE``, sorted decreasing
+    (see :func:`sorted_spectra`)."""
+    return sorted_spectra(rng.uniform(*SPECTRUM_RANGE, size=q))
 
 
 def draw_rank_q(n: int, m: int, q: int, rng: np.random.Generator, spectrum=None):
@@ -265,11 +390,6 @@ def draw_rank_q(n: int, m: int, q: int, rng: np.random.Generator, spectrum=None)
         spectrum = validate_spectrum(spectrum)
         if spectrum.size != q:
             raise BadSpectrum(f"spectrum has {spectrum.size} values, expected q={q}")
-    return _draw_rank_q(n, m, q, rng, spectrum)
-
-
-def _draw_rank_q(n: int, m: int, q: int, rng: np.random.Generator, spectrum) -> tuple:
-    # draw_rank_q of a spectrum that is validated already, or None.
     d = sample_spectrum(q, rng) if spectrum is None else spectrum
     return d, rng.standard_normal((n, q)), rng.standard_normal((m, q))
 

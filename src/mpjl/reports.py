@@ -45,6 +45,10 @@ TOLERANCES = {
     "blocks": {"roundtrip": 1e-10, "pinv_blocks": 1e-8, "x22": 1e-10},
 }
 
+# Python type -> the JSON type ``json.load`` reads as it, for messages.
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
 # Check name -> the residual key that ``tol`` overrides.
 PRIMARY = {
     "differential": "fd_mismatch",
@@ -118,6 +122,16 @@ class VerificationReport:
 
     @classmethod
     def from_json(cls, obj: dict) -> "VerificationReport":
+        """The report ``to_json`` wrote; TypeError when a field that merging and rendering
+        read has the wrong JSON type (``inputs``' ``seed`` and ``trial``, where present)."""
+        fields = [("check_name", obj["check_name"], str), ("pass", obj["pass"], bool)]
+        fields += [(key, obj[key], dict) for key in ("inputs", "values", "residuals", "tolerances")]
+        fields += [(f"inputs.{key}", obj["inputs"][key], int) for key in ("seed", "trial")
+                   if type(obj["inputs"]) is dict and key in obj["inputs"]]
+        for name, value, kind in fields:
+            if type(value) is not kind:
+                raise TypeError(f"report {name} must be {_JSON_TYPES[kind]}, "
+                                f"got {_JSON_TYPES.get(type(value), type(value).__name__)}")
         return cls(
             check_name=obj["check_name"],
             inputs=obj["inputs"],

@@ -11,16 +11,21 @@ A suite is a pair: ``draw(cfg, rng)`` makes every generator call of one
 trial, ``check(cfg, draws)`` judges a stack of trials' draws, one report
 per trial, in stacked numpy calls (``operator-rank`` reads its dense
 operators' spectra in closed form from their 1x1 and 2x2 pair blocks in
-X's SVD basis).  Each check factors its stack of X once: the one SVD that
+X's SVD basis).  A draw keeps its sampled spectrum unsorted; the check
+sorts and gap-tests the stack's spectra in one call
+(``matcore.sorted_spectra``), which raises the DegenerateSpectrum of a
+tied trial.  Each check factors its stack of X once: the one SVD that
 gives pinv(X) also gives the rank profile that the chart's rank test and
 the determinants read, and ``invariance`` indexes the charts of X and
-H X Q out of one pivoted stack (``chart.BlockDecomposition[i]``).  ``run_suite`` draws each stack of trials, capped by
-``STACK_ENTRIES`` entries of what the check holds per trial, from their
-first attempts' streams and checks it in one pass; if that raises
-anything, the stack reruns trial by trial through ``run_trial``, the same
-check on stacks of one with the retry policy, so every report and error
-is that of the trials run one by one.  A stack of one trial takes that
-path directly.
+H X Q out of one pivoted stack (``chart.BlockDecomposition[i]``).
+``run_suite`` draws each stack of trials, capped by ``STACK_ENTRIES``
+entries of what the check holds per trial, from their first attempts'
+streams, all seeded by one ``matcore.make_rngs`` call, and checks it in
+one pass; if that raises anything (a tied spectrum among them), the
+stack reruns trial by trial through ``run_trial``, the same check on
+stacks of one with the retry policy, each attempt's stream seeded by
+``matcore.make_rng``, so every report and error is that of the trials
+run one by one.  A stack of one trial takes that path directly.
 """
 
 from __future__ import annotations
@@ -69,6 +74,8 @@ def validate_config(cfg: RunConfig, suite: str | None = None) -> RunConfig:
         raise ConfigError(f"need 1 <= q <= min(n, m), got q={q}, n={cfg.n}, m={cfg.m}")
     if cfg.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.tol is not None and not 0 < cfg.tol < np.inf:
         raise ConfigError(f"tol must be {'positive' if cfg.tol <= 0 else 'finite'}, got {cfg.tol}")
     if cfg.spectrum is not None:
@@ -92,6 +99,10 @@ def validate_config(cfg: RunConfig, suite: str | None = None) -> RunConfig:
         raise ConfigError("jacobian-full requires full rank: q = min(n, m)")
     if suite == "exterior-chain" and (cfg.m > cfg.n or q != cfg.m):
         raise ConfigError("exterior-chain requires full column rank: m <= n and q = m")
+    if suite == "symmetric-inverse" and cfg.spectrum is not None:
+        raise ConfigError("symmetric-inverse draws its own eigenvalues; drop --spectrum")
+    if suite == "symmetric-inverse" and cfg.q not in (None, cfg.m):
+        raise ConfigError(f"symmetric-inverse has order m={cfg.m}; drop --q or set it to m")
     if cfg.tol is not None and suite is not None and suite not in PRIMARY:
         raise ConfigError(f"{suite} has no primary tolerance to override; drop --tol")
     if cfg.tol is not None and suite == "operator-rank" and q == min(cfg.n, cfg.m):
@@ -99,17 +110,24 @@ def validate_config(cfg: RunConfig, suite: str | None = None) -> RunConfig:
     return replace(cfg, q=q)
 
 
+def _draw_spectrum(cfg: RunConfig, rng: np.random.Generator):
+    # cfg.spectrum (validate_config checks it once per run), or the values
+    # sample_spectrum draws, unsorted: a check sorts its stack's at once.
+    return cfg.spectrum or rng.uniform(*matcore.SPECTRUM_RANGE, size=cfg.rank)
+
+
 def _draw_x(cfg: RunConfig, rng: np.random.Generator) -> tuple:
-    # matcore.draw_rank_q without checking cfg.spectrum again per trial:
-    # validate_config checks it once per run.
-    return matcore._draw_rank_q(cfg.n, cfg.m, cfg.rank, rng, cfg.spectrum)
+    # The generator calls of matcore.draw_rank_q, the spectrum unsorted.
+    q = cfg.rank
+    return (_draw_spectrum(cfg, rng), rng.standard_normal((cfg.n, q)),
+            rng.standard_normal((cfg.m, q)))
 
 
 def _instances(draws: list[tuple]) -> tuple[np.ndarray, ...]:
     # The (T, n, m) instances of draws that begin with _draw_x's parts,
     # then the other parts, each stacked over the trials.
     d, g_left, g_right, *rest = map(np.array, zip(*draws))
-    return matcore.rank_q_from_draw(d, g_left, g_right), *rest
+    return matcore.rank_q_from_draw(matcore.sorted_spectra(d), g_left, g_right), *rest
 
 
 def _rel(err, scale):
@@ -272,9 +290,9 @@ _SUITES = {
     "jacobian-full": (_draw_x, _check_jacobian_full),
     "operator-rank": (_draw_x, _check_operator_rank),
     "hausdorff": (
-        lambda cfg, rng: (cfg.spectrum or matcore.sample_spectrum(cfg.rank, rng),),
-        lambda cfg, draws: measures.hausdorff_ratio_check(cfg.n, cfg.m, [d for d, in draws],
-                                                          cfg.tol),
+        lambda cfg, rng: (_draw_spectrum(cfg, rng),),
+        lambda cfg, draws: measures.hausdorff_ratio_check(
+            cfg.n, cfg.m, matcore.sorted_spectra([d for d, in draws]), cfg.tol),
     ),
     "invariance": (_draw_invariance, _check_invariance),
     "symmetric-inverse": (
@@ -296,7 +314,8 @@ def _redraw(draw, seed: int, trial: int, label: str):
     is redrawn up to ``RETRY_BUDGET`` times, then raised as
     DegeneracyBudgetExceeded.  Kept private, so that span tracers that
     wrap public names (perfbench's) see each attempt's ``make_rng`` call
-    directly under ``run_trial`` (a stacked pass's, under ``run_suite``).
+    directly under ``run_trial``; a stacked pass seeds its streams with
+    one ``make_rngs`` call under ``run_suite`` and calls no ``make_rng``.
     """
     last: Exception | None = None
     for attempt in range(1 + RETRY_BUDGET):
@@ -346,7 +365,7 @@ def _trial_stacks(suite: str, cfg: RunConfig) -> list[range]:
 def _run_stack(suite: str, cfg: RunConfig, trials: range) -> list[VerificationReport]:
     # Each trial's first attempt, from its own stream, checked as one stack.
     draw, check = _SUITES[suite]
-    draws = [draw(cfg, matcore.make_rng(cfg.seed, t, 0)) for t in trials]
+    draws = [draw(cfg, rng) for rng in matcore.make_rngs(cfg.seed, trials)]
     return [_stamp(r, cfg, t, 0) for t, r in zip(trials, check(cfg, draws))]
 
 

@@ -145,6 +145,15 @@ def test_verify_invalid_suite_config_exits_2(capsys):
     *((["verify", "blocks", "--trials", "2", "--tol", tol, "--format", "json"], None,
        f"tol must be finite, got {shown}") for tol, shown in
       [("nan", "nan"), ("inf", "inf"), ("1e400", "inf")]),
+    # A seed addresses a stream only as a non-negative integer.
+    (["verify", "blocks", "--seed", "-1", "--trials", "2"], None, "seed must be >= 0, got -1"),
+    (["gen", "--seed", "-1"], None, "seed must be >= 0, got -1"),
+    (["verify", "hausdorff"], "-3", "seed must be >= 0, got -3"),
+    # symmetric-inverse draws its eigenvalues and has one size, m.
+    (["verify", "symmetric-inverse", "--m", "3", "--spectrum", "1000,1,0.001"], None,
+     "symmetric-inverse draws its own eigenvalues; drop --spectrum"),
+    (["verify", "symmetric-inverse", "--m", "3", "--q", "2"], None,
+     "symmetric-inverse has order m=3; drop --q or set it to m"),
 ])
 def test_refused_configuration_exits_2(capsys, monkeypatch, argv, seed_env, message):
     if seed_env is not None:
@@ -363,6 +372,38 @@ def test_report_parse_error_names_path(tmp_path, capsys):
     code, _, err = run_cli(capsys, "report", str(bad))
     assert code == 2
     assert str(bad) in err
+
+
+# (edit of one report of a blocks file, the load path's message): a field
+# that merging or rendering reads, of the wrong JSON type.
+MALFORMED_REPORTS = [
+    (lambda r: r.update(inputs=list(r["inputs"])), "report inputs must be an object, got an array"),
+    (lambda r: r.update(residuals=list(r["residuals"].values())),
+     "report residuals must be an object, got an array"),
+    (lambda r: r.update(values=None), "report values must be an object, got null"),
+    (lambda r: r.update(check_name=7), "report check_name must be a string, got an integer"),
+    (lambda r: r.update({"pass": "true"}), "report pass must be a boolean, got a string"),
+    (lambda r: r["inputs"].update(seed="5"), "report inputs.seed must be an integer, got a string"),
+    (lambda r: r["inputs"].update(trial=1.0), "report inputs.trial must be an integer, got a number"),
+]
+
+
+@pytest.mark.parametrize("edit,message", MALFORMED_REPORTS,
+                         ids=["inputs", "residuals", "values", "check_name", "pass", "seed",
+                              "trial"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_report_refuses_malformed_reports(tmp_path, capsys, edit, message, fmt):
+    # Merged with a well-formed file, whose seed and trial are integers: the
+    # sort would compare the two kinds, and rendering would read the maps.
+    good = tmp_path / "good.json"
+    main(["verify", "blocks", "--trials", "2", "--seed", "4", "--format", "json",
+          "--out", str(good)])
+    payload = json.loads(good.read_text())
+    edit(payload["reports"][1])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "report", str(good), str(bad), "--format", fmt)
+    assert (code, out, err) == (2, "", f"error: cannot parse report file {bad}: {message}\n")
 
 
 @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])

@@ -1,6 +1,7 @@
 """Matrix primitive tests: vec/kron, the commutation oracle, thin SVD, pinv, generators."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -210,6 +211,20 @@ def test_random_rank_q_rejects_bad_spectrum():
         mc.random_rank_q(3, 3, 2, rng, spectrum=(2.0, -1.0))
     with pytest.raises(BadSpectrum):
         mc.random_rank_q(3, 3, 2, rng, spectrum=(2.0, 2.0))
+
+
+def test_sorted_spectra_sort_a_stack_as_each_draw_alone():
+    # C-contiguous, since numpy's log and pow may round a strided view differently.
+    draws = [mc.make_rng(15, t).uniform(0.5, 2.5, size=4) for t in range(3)]
+    d = mc.sorted_spectra(draws)
+    assert d.flags.c_contiguous and mc.sample_spectrum(4, mc.make_rng(15, 0)).flags.c_contiguous
+    for row, t in zip(d, range(3)):
+        assert np.array_equal(row, mc.sample_spectrum(4, mc.make_rng(15, t)))
+    draws[1][2] = draws[1][0] * (1 + 1e-7)
+    draws[2][3] = draws[2][1]
+    tied = np.sort(draws[1])[::-1].tolist()
+    with pytest.raises(DegenerateSpectrum, match=re.escape(f"tied values: {tied}")):
+        mc.sorted_spectra(draws)
 
 
 def test_matrix_json_exact_roundtrip():

@@ -31,14 +31,19 @@ def _one_by_one(suite, cfg):
 
 
 def _cases():
+    ids = set()
     for suite in suites.SUITE_NAMES:
         for n, m, q in SHAPES:
+            # symmetric-inverse has one size, m, and takes no other --q.
+            q = None if suite == "symmetric-inverse" else q
             cfg = suites.RunConfig(n=n, m=m, q=q, trials=4, seed=5)
             try:
                 suites.validate_config(cfg, suite)
             except MpjlError:
                 continue
-            yield pytest.param(suite, cfg, id=f"{suite}-{n}x{m}q{cfg.rank}")
+            if (case := f"{suite}-{n}x{m}q{cfg.rank}") not in ids:
+                ids.add(case)
+                yield pytest.param(suite, cfg, id=case)
 
 
 @pytest.mark.parametrize("suite, cfg", _cases())
@@ -111,6 +116,38 @@ def test_degenerate_draw_falls_back_to_its_retry(monkeypatch):
     monkeypatch.setattr(suites, "validate_config", lambda cfg, suite: cfg)
     result = suites.run_suite("stub", cfg)
     assert [r.inputs["attempt"] for r in result.reports] == [0, 1, 0]
+
+
+def test_real_tied_draw_falls_back_to_its_retry():
+    # Trial 1's first spectrum of 20 values from 0.5-2.5 has two values within
+    # the request gap: the stack's one sort-and-gap test raises, and the
+    # trial-by-trial pass redraws that trial alone.
+    cfg = suites.validate_config(suites.RunConfig(n=40, m=32, q=20, trials=4, seed=226),
+                                 "hausdorff")
+    with pytest.raises(DegenerateSpectrum, match="sampled spectrum has tied values"):
+        mc.sample_spectrum(20, mc.make_rng(226, 1, 0))
+    with pytest.raises(DegenerateSpectrum):
+        suites._run_stack("hausdorff", cfg, range(4))
+    result = suites.run_suite("hausdorff", cfg)
+    assert [r.inputs["attempt"] for r in result.reports] == [0, 1, 0, 0]
+    assert dumps_canonical(result.to_json()) == _one_by_one("hausdorff", cfg)
+
+
+@given(st.integers(0, 2**130), st.integers(0, suites.RETRY_BUDGET), st.integers(0, 2**32 - 64),
+       st.integers(1, 64))
+@example(2**32, 0, 0, 3)  # a two-word seed
+@example(2**64 + 3, 1, 2**32 - 64, 64)  # a three-word seed; the last trial indices
+@example(2**128, 0, 5, 2)  # the trial index is the sixth entropy word, past the pool
+def test_stacked_streams_are_the_streams_of_make_rng(seed, attempt, start, size):
+    trials = range(start, start + size)
+    for t, rng in zip(trials, mc.make_rngs(seed, trials, attempt), strict=True):
+        assert rng.bit_generator.state == mc.make_rng(seed, t, attempt).bit_generator.state
+
+
+@pytest.mark.parametrize("args", [(-1, range(2)), (3, [0, -1]), (3, [2**32]), (3, range(2), -1)])
+def test_stacked_streams_refuse_what_has_no_stream_of_its_own(args):
+    with pytest.raises(ValueError):
+        mc.make_rngs(*args)
 
 
 def _always_degenerate(cfg, rng):

@@ -58,7 +58,17 @@ its own directory.  It replays:
   JSON and in text, ``operator-rank`` 24 x 20 q=8 with two trials (two
   one-trial stacks, each operator built a row block at a time) and 10 x 8
   q=3 with nine trials (one stack just under the entry budget, built in
-  one block).
+  one block); ``hausdorff`` 40 x 32 q=20 seed 226, whose trial 1 draws a
+  tied spectrum at its first attempt, so the stack falls back and that
+  trial is redrawn; an ``invariance`` stack at seed 2^64+3 and a
+  ``blocks`` stack at seed 2^32, whose seeds take three and two entropy
+  words of the stacked stream hash; and the refusals (exit 2) of a
+  negative seed (``--seed -1`` to ``verify`` and to ``gen``, and
+  ``MPJL_DEFAULT_SEED=-3``: an edge's leading ``NAME=value`` words are
+  set in the environment while it runs), of ``symmetric-inverse`` given
+  ``--spectrum`` or a ``--q`` other than ``--m``, and of ``report`` over
+  files whose ``inputs`` or ``residuals`` is an array or whose ``seed``
+  is a string (merged with a file whose reports carry no seed).
 
 Each invocation records its exit code (or the exception that escaped
 ``cli.main``), its stdout, its ``error: ...`` lines of stderr and the
@@ -78,6 +88,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -85,6 +96,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (101, 102, 103)
@@ -103,6 +115,14 @@ NON_FINITE_REPORT = (
     '{"reports": [{"check_name": "blocks", "inputs": {"n": 4, "m": 3, "q": 3}, "values": {}, '
     '"residuals": {"roundtrip": %s}, "tolerances": {"roundtrip": 1e-10}, "pass": true}], '
     '"summary": {"total": 1, "passed": 1, "failed": 0}}\n')
+
+# Report files of the wrong structure, each a one-report file that
+# ``report`` reads.
+MALFORMED_REPORTS = {
+    "inputs-array": NON_FINITE_REPORT.replace('{"n": 4, "m": 3, "q": 3}', "[4, 3, 3]"),
+    "residuals-array": NON_FINITE_REPORT.replace('{"roundtrip": %s}', "[%s]"),
+    "seed-string": NON_FINITE_REPORT.replace('"q": 3}', '"q": 3, "seed": "5"}'),
+}
 
 EDGE_CASES = [
     ["gen", "--n", "4", "--m", "3", "--q", "2", "--seed", "7"],
@@ -200,6 +220,21 @@ EDGE_CASES = [
        "--format", fmt]
       for n, m, q, trials in (("24", "20", "8", "2"), ("10", "8", "3", "9"))
       for fmt in ("json", "text")),
+    ["verify", "hausdorff", "--n", "40", "--m", "32", "--q", "20", "--trials", "4",
+     "--seed", "226", "--format", "json"],
+    ["verify", "invariance", "--n", "5", "--m", "4", "--q", "2", "--trials", "6",
+     "--seed", str(2**64 + 3), "--format", "json"],
+    ["verify", "blocks", "--n", "8", "--m", "6", "--q", "3", "--trials", "5",
+     "--seed", str(2**32), "--format", "json"],
+    ["verify", "blocks", "--seed", "-1", "--trials", "2"],
+    ["gen", "--seed", "-1"],
+    ["MPJL_DEFAULT_SEED=-3", "verify", "hausdorff"],
+    ["verify", "symmetric-inverse", "--m", "3", "--spectrum", "1000,1,0.001"],
+    ["verify", "symmetric-inverse", "--m", "3", "--q", "2"],
+    *(["report", f"malformed-{name}.json", "--format", fmt]
+      for name in ("inputs-array", "residuals-array") for fmt in ("json", "text")),
+    *(["report", "finite.json", "malformed-seed-string.json", "--format", fmt]
+      for fmt in ("json", "text")),
 ]
 
 # Keys and strings that the JSON writer must escape, in a one-report file
@@ -241,13 +276,15 @@ def _leaf_digests(data: bytes) -> dict | None:
 
 
 def _invoke(cli, label: str, argv: list[str]) -> dict:
+    env = list(itertools.takewhile(lambda word: "=" in word, argv))
     out = argv[argv.index("--out") + 1] if "--out" in argv else None
     if out is not None:
         Path(out).unlink(missing_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main(argv)
+        with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr),
+              mock.patch.dict(os.environ, (word.split("=", 1) for word in env))):
+            code = cli.main(argv[len(env):])
     except SystemExit as e:
         code = e.code
     except Exception as e:  # an escaping exception is an outcome to compare
@@ -297,6 +334,9 @@ def replay(src: Path) -> list[dict]:
                             "stdout_leaves": _leaf_digests(text.encode())})
         for number in NON_FINITE:
             Path(f"non-finite-{number}.json").write_text(NON_FINITE_REPORT % number)
+        Path("finite.json").write_text(NON_FINITE_REPORT % "0.0")
+        for name, report in MALFORMED_REPORTS.items():
+            Path(f"malformed-{name}.json").write_text(report % "0.0")
         Path("escapes.json").write_text(ESCAPES_REPORT)
         for i, argv in enumerate(EDGE_CASES):
             records.append(_invoke(cli, f"edge {i}", argv))
