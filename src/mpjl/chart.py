@@ -17,12 +17,12 @@ applied destructively: every result maps back to the original index space.
 
 ``decompose`` also takes a stack (T, n, m), pivoted slice by slice, and
 gives one decomposition of stacked blocks that every function here
-follows, each slice with the bits of its 2-D call.  A stack raises
-whenever one of its slices would, and ``b[i]`` of a stack gives slices
-``i`` with their cached W and Z and no second pivot test (every slice of
-a passing stack passes alone), so a check can pivot all its charts as one
-stack.  X is factored once per stack: a check that needs pinv(X) gives the
-chart's rank test the rank profile of that SVD.
+follows, under ``matcore``'s bit rule.  A stack raises whenever one of
+its slices would, and ``b[i]`` of a stack gives slices ``i`` with their
+cached W and Z and no second pivot test (every slice of a passing stack
+passes alone), so a check can pivot all its charts as one stack.  X is
+factored once per stack: a check that needs pinv(X) gives the chart's
+rank test the rank profile of that SVD.
 """
 
 from __future__ import annotations

@@ -54,9 +54,7 @@ sandwich X -> H X Q is linear, so its chart Jacobian needs no step at all:
 sub-stacks ``b[0]``, ``b[1]`` of one pivoted stack, which keep its W and Z.
 
 Every function here also takes a stack (T, n, m) (``subspace_rank_profile``
-only a stack), one result per slice with the bits of the 2-D call: steps
-that numpy rounds differently on arrays (scalar powers, logs) stay per
-slice.
+only a stack), one result per slice under ``matcore``'s bit rule.
 """
 
 from __future__ import annotations
@@ -71,7 +69,7 @@ from .matcore import RankInfo, _rank_info, as_stack, common_rank, pinv, scalar_p
 
 
 def pinv_differential(x, dx) -> np.ndarray:
-    """Analytic differential of the pseudoinverse at X along dX, slice by slice of a stack."""
+    """Analytic differential of the pseudoinverse at X along dX, one per slice of a stack."""
     x = as_stack(x)
     dx = as_stack(dx)
     if dx.shape != x.shape:
@@ -121,7 +119,8 @@ def subspace_rank_profile(s: np.ndarray, q: int) -> RankInfo:
     off = np.where(paired, s[:, l, k, pl, pk], 0.0)
     values = np.abs(0.5 * (diag + other) + np.sign(k - l) * np.hypot(0.5 * (diag - other), off))
     s[:, l, k, l, k] = s[:, l, k, pl, pk] = 0.0
-    return _rank_info(np.sort(values, axis=-1)[..., ::-1], (n * m, n * m))
+    # C order: the gather lays the values out trial-minor (see matcore's bit rule).
+    return _rank_info(np.ascontiguousarray(np.sort(values, axis=-1)[..., ::-1]), (n * m, n * m))
 
 
 def operator_spectrum(x: np.ndarray, info: RankInfo) -> np.ndarray:
@@ -138,18 +137,12 @@ def operator_spectrum(x: np.ndarray, info: RankInfo) -> np.ndarray:
     pairs = (inv[..., :, None] * inv[..., None, :]).reshape(inv.shape[:-1] + (q * q,))
     values = np.concatenate([pairs, (inv**2).repeat(n + m - 2 * q, axis=-1)], axis=-1)
     values.sort(axis=-1)
-    return values[..., ::-1]
+    return np.ascontiguousarray(values[..., ::-1])  # see matcore's bit rule
 
 
 def operator_log_pdet(x: np.ndarray, info: RankInfo):
-    """Sum of the logs of :func:`operator_spectrum`: the log pseudo-determinant.
-
-    Summed slice by slice: numpy's log rounds the reversed 1-D spectrum of
-    one matrix differently from a stacked array.
-    """
-    values = operator_spectrum(x, info)
-    sums = [np.log(v).sum() for v in values.reshape(-1, values.shape[-1])]
-    return np.array(sums).reshape(values.shape[:-1])
+    """Sum of the logs of :func:`operator_spectrum`: the log pseudo-determinant."""
+    return np.log(operator_spectrum(x, info)).sum(axis=-1)
 
 
 def jacobian_det_operator(x: np.ndarray, info: RankInfo):

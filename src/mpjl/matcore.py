@@ -4,9 +4,10 @@ Full and thin SVD with an explicit rank policy, the Moore-Penrose
 inverse, and seeded random generators for test instances.  Everything
 works on plain ``numpy.ndarray`` values of dtype float64; matrices are
 2-D arrays.  Functions documented as taking a stack also take shape (...,
-n, m), one matrix per slice, each slice getting the bits of the 2-D call.
-Numpy rounds Frobenius norms and scalar powers differently on a stack, so
-``frobenius_norms`` and ``scalar_powers`` take them slice by slice.
+n, m), one matrix per slice.  Bit rule: a stack of T gives each slice the
+bits of a stack of one, and a 2-D (or 0-d) call is a stack of one; so a
+power, log or norm is one numpy call on a C-contiguous array, since numpy
+may round a strided or reversed view on another path.
 
 Rank policy: a singular value of an n x m matrix is retained when it
 exceeds ``max(n, m) * eps * s[0]``, with eps the machine epsilon.
@@ -90,15 +91,16 @@ class SvdFactors:
 
 
 def frobenius_norms(a) -> np.ndarray:
-    """Frobenius norm of each slice of a matrix or stack (..., n, m): shape (...)."""
-    a = np.asarray(a)
-    return np.array([np.linalg.norm(a[i]) for i in np.ndindex(a.shape[:-2])]).reshape(a.shape[:-2])
+    """Frobenius norm of each slice of a matrix or stack (..., n, m), shape (...): one dot of
+    its n*m entries (``np.linalg.norm`` would square a temporary of the whole stack)."""
+    f = np.ascontiguousarray(a, dtype=float)
+    f = f.reshape(f.shape[:-2] + (1, -1))
+    return np.sqrt(f @ f.swapaxes(-1, -2))[..., 0, 0]
 
 
 def scalar_powers(a, power) -> np.ndarray:
-    """``a ** power`` of each entry as a scalar power; a 0-d ``a`` gives a scalar."""
-    a = np.asarray(a)
-    return np.array([v**power for v in a.ravel()]).reshape(a.shape)[()]
+    """``a ** power`` of each entry, as one array power; a 0-d ``a`` gives a scalar."""
+    return np.power(np.array(a, float, order="C"), power)
 
 
 def _rank_info(s: np.ndarray, shape: tuple[int, ...]) -> RankInfo:

@@ -67,6 +67,10 @@ class RunConfig:
 
 
 def validate_config(cfg: RunConfig, suite: str | None = None) -> RunConfig:
+    if suite == "symmetric-inverse":  # its one size is the order m; --n does not enter it
+        if cfg.q not in (None, cfg.m):
+            raise ConfigError(f"symmetric-inverse has order m={cfg.m}; drop --q or set it to m")
+        cfg = replace(cfg, n=cfg.m)
     if cfg.n < 1 or cfg.m < 1:
         raise ConfigError(f"n and m must be >= 1, got n={cfg.n}, m={cfg.m}")
     q = cfg.rank
@@ -101,8 +105,6 @@ def validate_config(cfg: RunConfig, suite: str | None = None) -> RunConfig:
         raise ConfigError("exterior-chain requires full column rank: m <= n and q = m")
     if suite == "symmetric-inverse" and cfg.spectrum is not None:
         raise ConfigError("symmetric-inverse draws its own eigenvalues; drop --spectrum")
-    if suite == "symmetric-inverse" and cfg.q not in (None, cfg.m):
-        raise ConfigError(f"symmetric-inverse has order m={cfg.m}; drop --q or set it to m")
     if cfg.tol is not None and suite is not None and suite not in PRIMARY:
         raise ConfigError(f"{suite} has no primary tolerance to override; drop --tol")
     if cfg.tol is not None and suite == "operator-rank" and q == min(cfg.n, cfg.m):
@@ -224,15 +226,17 @@ def _check_operator_rank(cfg: RunConfig, draws: list[tuple]) -> list[Verificatio
     residuals = {}
     if q < min(n, m):
         # S on the normal space null(X') kron null(X), the inputs (i, j) with
-        # i, j >= q, read off the strided view slice by slice before the pair
-        # read zeroes its diagonal; at full rank that space is {0}.
-        normal = [np.sqrt(np.einsum("lkij,lkij->", b, b)) for b in s[..., q:, q:]]
+        # i, j >= q, read before the pair read zeroes its diagonal; at full
+        # rank that space is {0}.  S is exactly symmetric, so these are its
+        # rows l, k >= q: one contiguous run of (m-q)nm entries per l, one dot.
+        rows = s[:, q:, q:].reshape(len(x), n - q, 1, -1)
+        normal = np.sqrt((rows @ rows.swapaxes(-1, -2))[..., 0, 0].sum(axis=-1))
         residuals["annihilation"] = _rel(normal, norm)
     rank = differential.subspace_rank_profile(s, q)  # op keeps only its off-pair part
     # The pseudo-determinant against that factor, both as sums of logs of
     # the singular values: the products leave the float range at moderate
     # sizes.
-    log_pdet = np.array([np.log(sv[:expected]).sum() for sv in rank.singular_values])
+    log_pdet = np.log(rank.singular_values[:, :expected]).sum(axis=-1)
     residuals.update(pseudo_det=abs(log_pdet - log_factor),
                      leak=_rel(matcore.frobenius_norms(op), norm), **area_formula)
     values = {"operator_rank": rank.rank, "expected_rank": expected, **chart_det}

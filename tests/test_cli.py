@@ -162,6 +162,15 @@ def test_refused_configuration_exits_2(capsys, monkeypatch, argv, seed_env, mess
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("extra", [["--q", "8"], ["--n", "2"], ["--n", "20", "--q", "8"]])
+def test_symmetric_inverse_takes_its_order_from_m(capsys, extra):
+    # Its one size is the order m: --n neither enters it nor bounds --q.
+    argv = ["verify", "symmetric-inverse", "--m", "8", "--trials", "2", "--format", "json"]
+    code, expected, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv, *extra) == (0, expected, "")
+
+
 def test_run_suite_refuses_unknown_suite():
     with pytest.raises(ConfigError, match="unknown suite 'nope'; choose from differential, "):
         suites.run_suite("nope", suites.RunConfig())

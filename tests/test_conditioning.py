@@ -8,7 +8,8 @@ so the mark has to go when the cause is mended.
 import numpy as np
 import pytest
 
-from mpjl import suites
+from mpjl import matcore, measures, suites
+from mpjl.reports import TOLERANCES
 
 
 def _reports(suite, n, m, q, cond):
@@ -79,6 +80,25 @@ def test_invariance_passes(q, cond):
         for report in _reports("invariance", n, m, q, cond):
             assert report.passed
             assert report.residuals["volume"] <= report.tolerances["volume"]
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e3, 1e4, 1e5])
+@pytest.mark.parametrize("m", [3, 5, 8])
+def test_symmetric_inverse_fd_det_holds(m, cond):
+    # The CLI refuses --spectrum here (the suite draws its eigenvalues), so
+    # the library pair takes S = F diag(+-geomspace(1, 1/c, m)) F' itself,
+    # seeds 1-3 x 8.  Measured up to 5.9e-7 at 1e5 over these shapes,
+    # against 1e-4; 1e6 reached 6.8e-5.
+    tol = TOLERANCES["symmetric-inverse"]["fd_mismatch"]
+    for seed in (1, 2, 3):
+        rngs = [matcore.make_rng(seed, t) for t in range(8)]
+        frames = matcore.orthonormal_frames(np.array([rng.standard_normal((m, m)) for rng in rngs]))
+        signs = np.array([rng.choice([-1.0, 1.0], size=m) for rng in rngs])
+        eigs = signs * np.geomspace(1.0, 1.0 / cond, m)
+        s = (frames * eigs[:, None, :]) @ frames.swapaxes(-1, -2)
+        formula = measures.symmetric_inverse_jacobian_formula(s)
+        oracle = measures.symmetric_inverse_fd_det(s)
+        assert np.all(np.abs(formula - oracle) <= tol * formula)
 
 
 # The complex-step chart determinant of pinv, not the closed form, carries

@@ -63,6 +63,28 @@ def _factors_without_2_to_minus_q(original):
     return mutant
 
 
+def _symmetric_exponent_m(original):
+    # |det S|^-m in place of |det S|^-(m+1).
+    return lambda s: original(s) * np.abs(np.linalg.det(measures.symmetric_part(s)))
+
+
+def _full_rank_exponent_plus_1(original):
+    # |X'X|^-(n+1) in place of |X'X|^-n (|XX'|^-(m+1) in place of |XX'|^-m when wide).
+    def mutant(x, info):
+        xt = x.swapaxes(-1, -2)
+        gram = xt @ x if x.shape[-1] <= x.shape[-2] else x @ xt
+        return original(x, info) / np.abs(np.linalg.det(gram))
+    return mutant
+
+
+def _right_projector_term_negated(original):
+    # dY = -Y dX Y + Y Y' dX' (I - XY) - (I - YX) dX' Y'Y: the last term's sign flipped.
+    def mutant(x, y, dx):
+        right_proj = np.eye(x.shape[-1]) - y @ x
+        return original(x, y, dx) - 2 * right_proj @ dx.swapaxes(-1, -2) @ y.swapaxes(-1, -2) @ y
+    return mutant
+
+
 INVARIANCE_5X4Q2 = ("invariance", dict(n=5, m=4, q=2, trials=6, seed=5))
 
 
@@ -88,6 +110,16 @@ MUTANTS = {
          ("operator-rank", dict(n=4, m=3, q=2, trials=6, seed=5))]),
     "sub-chart-ignores-index": ([(chart.BlockDecomposition, "__getitem__", _first_slice)],
                                 [INVARIANCE_5X4Q2]),
+    "symmetric-inverse-exponent-m": (
+        [(measures, "symmetric_inverse_jacobian_formula", _symmetric_exponent_m)],
+        [("symmetric-inverse", dict(m=m, trials=10, seed=5)) for m in (3, 5)]),
+    "full-rank-det-exponent-n+1": (
+        [(differential, "jacobian_det_full_rank", _full_rank_exponent_plus_1)],
+        [("jacobian-full", dict(n=n, m=m, trials=10, seed=5)) for n, m in ((4, 3), (3, 4))]),
+    # (I - YX) vanishes at full column rank, so a tall full-rank run cannot see this term.
+    "differential-right-projector-sign": (
+        [(differential, "_pinv_differential", _right_projector_term_negated)],
+        [("differential", dict(n=7, m=5, q=3, trials=10, seed=5))]),
     "density-2^-q-dropped": ([(measures, "_log_density", _density_without_2_to_minus_q),
                               (measures, "_density_factors", _factors_without_2_to_minus_q)],
                              [("hausdorff", dict(n=10, m=8, q=4, trials=6, seed=5))]),

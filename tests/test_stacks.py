@@ -278,18 +278,16 @@ def _stacked_and_single(x, q, directions):
 @pytest.mark.parametrize("n, m, draws", [(4, 3, 300), (2, 1, 300), (3, 4, 100), (24, 20, 40),
                                          (8, 6, 60), (5, 5, 60), (1, 3, 60)])
 def test_stacked_determinants_give_the_bits_of_each_matrix(n, m, draws):
-    # Array powers, logs and Frobenius norms of a stack round differently
-    # from the 2-D calls in some draws (one in 300 at 4x3 and at 2x1 for the
-    # logs); these steps must stay per slice.  Every function that takes a
-    # stack gives each slice the bits of its 2-D call, at full and at a
+    # Every function that takes a stack gives each slice the bits of a stack
+    # of one, and a 2-D (or 0-d) call is a stack of one, at full and at a
     # deficient rank.
     for q in sorted({min(n, m), (min(n, m) + 1) // 2}):
         seeds = [(15, t) if q == min(n, m) else (16, q, t) for t in range(draws)]
         x = np.array([mc.random_rank_q(n, m, q, mc.make_rng(*s)) for s in seeds])
-        # The per-slice steps are the 2-D numpy calls themselves.
-        assert np.array_equal(mc.frobenius_norms(x), [np.linalg.norm(one) for one in x])
+        assert np.array_equal(mc.frobenius_norms(x), [mc.frobenius_norms(one) for one in x])
         s = mc.rank_profile(x).singular_values
-        assert np.array_equal(mc.scalar_powers(s, 1.5), [[float(v) ** 1.5 for v in r] for r in s])
+        assert np.array_equal(mc.scalar_powers(s, 1.5), [[mc.scalar_powers(v, 1.5) for v in r]
+                                                         for r in s])
         rng = mc.make_rng(17, n, m, q)
         directions = [rng.standard_normal((draws, *shape))
                       for shape in ((q, q), (q, m - q), (n - q, q))]
@@ -304,6 +302,59 @@ def test_stacked_determinants_give_the_bits_of_each_matrix(n, m, draws):
                 else:  # equal values and equal signs of zero
                     assert np.array_equal(got, value), (key, t)
                     assert np.array_equal(np.signbit(got), np.signbit(value)), (key, t)
+
+
+@st.composite
+def viewed_stacks(draw):
+    """1 to 12 slices of n x m positive entries, each slice scaled by e^-30 to e^30, as a
+    C-contiguous array or as a view reversed or strided along each axis; and a power."""
+    size, n, m = draw(st.integers(1, 12)), draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = mc.make_rng(draw(st.integers(0, 2**31 - 1)))
+    base = np.abs(rng.standard_normal((2 * size, 2 * n, 2 * m)))
+    base *= np.exp(rng.uniform(-30, 30, (2 * size, 1, 1)))
+    steps = tuple(slice(None, None, draw(st.sampled_from([1, -1, 2, -2]))) for _ in range(3))
+    x = base[steps][:size, :n, :m]
+    if draw(st.booleans()):
+        x = np.ascontiguousarray(x)
+    return x, draw(st.sampled_from([-7.5, -2.0, 0.5, 1.5, 3.0]))
+
+
+@given(viewed_stacks())
+@example((np.ones((3, 1, 1)), 1.5))
+@example((np.exp(np.linspace(-30, 30, 60)).reshape(2, 5, 6)[::-1, ::-1, ::2], -7.5))
+def test_a_stack_gives_every_slice_the_bits_of_a_stack_of_one(case):
+    # In any layout: each slice as a C-contiguous stack of one, and as a 2-D
+    # (for scalar_powers also 0-d) call, which is a stack of one.
+    x, power = case
+    ones = [np.array(x[i:i + 1], order="C") for i in range(len(x))]
+    norms = mc.frobenius_norms(x)
+    assert np.array_equal(norms, [mc.frobenius_norms(one)[0] for one in ones])
+    assert np.array_equal(norms, [mc.frobenius_norms(one) for one in x])
+    powers = mc.scalar_powers(x, power)
+    assert np.array_equal(powers, [mc.scalar_powers(one, power)[0] for one in ones])
+    assert np.array_equal(powers, [mc.scalar_powers(one, power) for one in x])
+    assert np.array_equal(powers[:, -1, 0], [mc.scalar_powers(v, power) for v in x[:, -1, 0]])
+    info = mc.rank_profile(x)
+    assume(len(set(info.rank.tolist())) == 1)
+    logs = df.operator_log_pdet(x, info)
+    assert np.array_equal(logs, [df.operator_log_pdet(one, mc.rank_profile(one))[0]
+                                 for one in ones])
+    assert np.array_equal(logs, [df.operator_log_pdet(one, mc.rank_profile(one)) for one in x])
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_operator_rank_residuals_of_a_stack_are_those_of_its_trials(n, m, data):
+    # Spectra e^scale geomspace(1, 10^-c, q), scales e^-30 to e^30, c = 1 to 4.
+    q, size = data.draw(st.integers(1, min(n, m))), data.draw(st.integers(2, 6))
+    seed, scale = data.draw(st.integers(0, 2**31 - 1)), data.draw(st.floats(-30, 30))
+    spectrum = tuple(np.exp(scale) * np.geomspace(1.0, 10.0 ** -data.draw(st.integers(1, 4)), q))
+    cfg = suites.validate_config(
+        suites.RunConfig(n=n, m=m, q=q, trials=size, seed=seed, spectrum=spectrum), "operator-rank")
+    draws = [suites._draw_x(cfg, rng) for rng in mc.make_rngs(seed, range(size))]
+    stacked = suites._check_operator_rank(cfg, draws)
+    for draw, report in zip(draws, stacked, strict=True):
+        [alone] = suites._check_operator_rank(cfg, [draw])
+        assert dumps_canonical(report.to_json()) == dumps_canonical(alone.to_json())
 
 
 def test_stacked_decompose_and_fd_chart_factor_one_stack(svd_shapes):

@@ -68,7 +68,8 @@ its own directory.  It replays:
   set in the environment while it runs), of ``symmetric-inverse`` given
   ``--spectrum`` or a ``--q`` other than ``--m``, and of ``report`` over
   files whose ``inputs`` or ``residuals`` is an array or whose ``seed``
-  is a string (merged with a file whose reports carry no seed).
+  is a string (merged with a file whose reports carry no seed); and
+  ``symmetric-inverse --m 8 --q 8``, whose order is m whatever ``--n`` is.
 
 Each invocation records its exit code (or the exception that escaped
 ``cli.main``), its stdout, its ``error: ...`` lines of stderr and the
@@ -79,12 +80,15 @@ digest per side and every invocation whose record differs, and exits 0
 when the two sides agree, 1 otherwise.  Where stdout or the ``--out``
 bytes differ and are JSON on both sides, it also names the leaf paths
 whose values differ, list indices collapsed to ``[*]`` (for example
-``reports[*].residuals.annihilation``).
+``reports[*].residuals.annihilation``), and after the invocations it
+prints each such path once, with the number of invocations in which it
+differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -235,6 +239,7 @@ EDGE_CASES = [
       for name in ("inputs-array", "residuals-array") for fmt in ("json", "text")),
     *(["report", "finite.json", "malformed-seed-string.json", "--format", fmt]
       for fmt in ("json", "text")),
+    ["verify", "symmetric-inverse", "--m", "8", "--q", "8", "--trials", "4", "--format", "json"],
 ]
 
 # Keys and strings that the JSON writer must escape, in a one-report file
@@ -375,9 +380,11 @@ def main(argv=None) -> int:
         print(f"{digest}  {src}  ({len(records)} invocations)")
     a, b = ({r["id"]: r for r in records} for records in sides)
     differing = [key for key in a.keys() | b.keys() if a.get(key) != b.get(key)]
+    path_counts = collections.Counter()
     for key in sorted(differing):
         ra, rb = a.get(key, {}), b.get(key, {})
         print(f"differs: {key}: {' '.join(ra.get('argv') or rb.get('argv') or [])}")
+        invocation_paths = set()
         for field in ("code", "stdout", "errors", "out"):
             if ra.get(field) == rb.get(field):
                 continue
@@ -386,6 +393,10 @@ def main(argv=None) -> int:
             if la is not None and lb is not None:
                 paths = sorted(p for p in la.keys() | lb.keys() if la.get(p) != lb.get(p))
                 print(f"  {field} paths: {', '.join(paths)}")
+                invocation_paths.update(paths)
+        path_counts.update(invocation_paths)
+    for path, count in sorted(path_counts.items()):
+        print(f"path {path}: differs in {count} invocations")
     print(f"{len(differing)} of {max(len(a), len(b))} invocations differ")
     return 1 if differing else 0
 
