@@ -34,12 +34,20 @@ change-of-variables factor; at full rank it is |X'X|^-n (tall) or
 |XX'|^-m (wide).  ``operator_spectrum`` and ``jacobian_det_operator`` use
 this from the caller's rank profile of X, that of the one SVD of X the
 caller takes (which may also give Y: ``matcore.pinv_rank``, ``svd_full``;
-``pinv_differential`` takes the Y of such an SVD through its core).  The
-dense operator is the oracle: (U kron V)' S(X, Y) (U kron V) = S(U'XV,
-V'YU), so ``pair_operator`` of the rotated pair is S in that basis, and
-``subspace_rank_profile`` reads its 1x1 and 2x2 pair blocks in closed form.
-The rest E is measured, never assumed zero: by Weyl's inequality every
-eigenvalue of S lies within ||E||_F of the pair blocks' spectrum.
+``pinv_differential`` takes the Y of such an SVD through its core).
+
+The oracle reads S(U'XV, V'YU) = (U kron V)' S (U kron V) from its factors
+(``pair_block_profile``; ``pair_operator`` builds S, for the tests): with
+L = P_L, A = Y Y', B = Y'Y, R = P_R and C(P, Q)[l, k, i, j] = P[j, l] Q[k,
+i], S = L kron A + B kron R - C(Y, Y).  The 1x1 and 2x2 pair blocks are read
+in closed form, and the rest E is measured: by Weyl's inequality every
+eigenvalue of S lies within ||E||_F of their spectrum.  <P kron Q, P' kron
+Q'> = <C(P, Q), C(P', Q')> = <P, P'><Q, Q'> and <F kron G, C(P, Q)> = <F Q',
+(G P)'> give the norms in O(nm(n+m)).  S0 = Ld kron Ad + Bd kron Rd - C(Yd,
+Yd) (d: the diagonals, of Y its first q) lies on the pair pattern, and S - S0
+= Lo kron A + Ld kron Ao + Bo kron R + Bd kron Ro - C(Yo, Y) - C(Yd, Yo) (o:
+the rest) is small, so ||E||^2, its norm less its pattern entries, cancels
+against no large term; ||S||^2 adds the pattern's squares.
 
 The derivative oracles of pinv are a complex step (Squire & Trapp 1998;
 Al-Mohy & Higham 2010): ``chart.pinv_from_blocks`` is analytic in the free
@@ -53,7 +61,7 @@ sandwich X -> H X Q is linear, so its chart Jacobian needs no step at all:
 (``chart.log_chart_volume``) is its closed form.  Its two charts may be
 sub-stacks ``b[0]``, ``b[1]`` of one pivoted stack, which keep its W and Z.
 
-Every function here also takes a stack (T, n, m) (``subspace_rank_profile``
+Every function here also takes a stack (T, n, m) (``pair_block_profile``
 only a stack), one result per slice under ``matcore``'s bit rule.
 """
 
@@ -86,41 +94,69 @@ def _pinv_differential(x: np.ndarray, y: np.ndarray, dx: np.ndarray) -> np.ndarr
     return -y @ dx @ y + y @ yt @ dxt @ left_proj + right_proj @ dxt @ yt @ y
 
 
-def pair_operator(x, y) -> np.ndarray:
-    """S of the pair (X, Y = pinv(X)) as an (..., n, m, n, m) array, built in place by blocks of
-    rows l (all n of a stack of slices, one of a single slice) and one block-sized temporary:
-    S[l, k, i, j] = P_L[l, i] (Y Y')[k, j] + (Y'Y)[l, i] P_R[k, j] - Y'[l, j] Y[k, i]."""
+def _pair_factors(x, y) -> tuple[np.ndarray, np.ndarray]:
+    # (P_L, Y'Y) and (Y Y', P_R) on axis -3, symmetric in exact arithmetic and taken so in
+    # floating point: S is then exactly symmetric, one triangle of S holding all of it.
     n, m = x.shape[-2:]
     yt = y.swapaxes(-1, -2)
-    # Each factor is symmetric in exact arithmetic; taking it so in floating
-    # point makes S exactly symmetric, so one triangle of S holds all of it.
-    # The rounding asymmetry of I - XY would otherwise move the small
-    # eigenvalues of that triangle at first order.
-    left, right, yyt, yty = (0.5 * (a + a.swapaxes(-1, -2)) for a in (
-        np.eye(n) - x @ y, np.eye(m) - y @ x, y @ yt, yt @ y))
-    step = n if x.size > n * m else 1  # the entry budget keeps a stack of slices small
-    s, tmp = (np.empty(x.shape[:-2] + (r, m, n, m)) for r in (n, step))
-    for b in (slice(a, a + step) for a in range(0, n, step)):  # each entry fl(fl(LA + BR) - Y'Y)
-        rows = s[..., b, :, :, :]
-        np.multiply(left[..., b, None, :, None], yyt[..., None, :, None, :], out=rows)
-        rows += np.multiply(yty[..., b, None, :, None], right[..., None, :, None, :], out=tmp)
-        rows -= np.multiply(yt[..., b, None, None, :], y[..., None, :, :, None], out=tmp)
-    return s
+    lb, ar = np.stack([np.eye(n) - x @ y, yt @ y], -3), np.stack([y @ yt, np.eye(m) - y @ x], -3)
+    return 0.5 * (lb + lb.swapaxes(-1, -2)), 0.5 * (ar + ar.swapaxes(-1, -2))
 
 
-def subspace_rank_profile(s: np.ndarray, q: int) -> RankInfo:
-    """Rank profile of a (T, n, m, n, m) operator in the basis U kron V, read in closed form
-    from its 1x1 and 2x2 pair blocks (see above); zeroes their entries in ``s``."""
-    n, m = s.shape[1:3]
-    l, k = np.divmod(np.arange(n * m), m)
-    paired = (l < q) & (k < q)  # (l, k) with (k, l); at l = k, sign(k - l) = 0 keeps diag
-    pl, pk = np.where(paired, k, l), np.where(paired, l, k)
-    diag, other = s[:, l, k, l, k], s[:, pl, pk, pl, pk]
-    off = np.where(paired, s[:, l, k, pl, pk], 0.0)
-    values = np.abs(0.5 * (diag + other) + np.sign(k - l) * np.hypot(0.5 * (diag - other), off))
-    s[:, l, k, l, k] = s[:, l, k, pl, pk] = 0.0
-    # C order: the gather lays the values out trial-minor (see matcore's bit rule).
-    return _rank_info(np.ascontiguousarray(np.sort(values, axis=-1)[..., ::-1]), (n * m, n * m))
+def pair_operator(x, y) -> np.ndarray:
+    """S of the pair (X, Y = pinv(X)) as an (..., n, m, n, m) array, exactly symmetric:
+    S[l, k, i, j] = P_L[l, i] (Y Y')[k, j] + (Y'Y)[l, i] P_R[k, j] - Y'[l, j] Y[k, i]."""
+    lb, ar = _pair_factors(x, y)
+    return ((lb[..., :, None, :, None] * ar[..., None, :, None, :]).sum(axis=-5)
+            - y.swapaxes(-1, -2)[..., :, None, None, :] * y[..., None, :, :, None])
+
+
+def _sums(a: np.ndarray) -> np.ndarray:
+    # The sum of each slice of a stack (T, ...), along its C order (matcore's bit rule).
+    return a.reshape(len(a), -1).sum(axis=-1)
+
+
+def _norm2(p, r, cp, cq) -> np.ndarray:
+    # ||sum_a p_a kron r_a - sum_c C(cp_c, cq_c)||^2 per slice of (T, a, n', n), (T, a, m', m),
+    # (T, c, m, n'), (T, c, m', n) stacks, by the identities above; for each c, one matmul
+    # per slice gives every p_a cq_c' (the a stacked by rows), one every r_a cp_c.
+    (t, a, n0, n), (m0, m) = p.shape, r.shape[2:]
+    gp, gr, gcp, gcq = ((v := f.reshape(t, f.shape[1], -1)) @ v.swapaxes(-1, -2)
+                        for f in (p, r, cp, cq))
+    cross = 0.0
+    for pc, qc in zip(cp.swapaxes(0, 1), cq.swapaxes(0, 1)):
+        f = (p.reshape(t, a * n0, n) @ qc.swapaxes(-1, -2)).reshape(t, a, n0, m0)
+        f *= (r.reshape(t, a * m0, m) @ pc).reshape(t, a, m0, n0).swapaxes(-1, -2)
+        cross = cross + _sums(f)
+    return _sums(gp * gr) + _sums(gcp * gcq) - 2.0 * cross
+
+
+def pair_block_profile(x: np.ndarray, y: np.ndarray, q: int):
+    """The RankInfo of S's pair blocks, cut as an nm x nm operator's, and the norms (||S||,
+    ||S on the normal space||, ||E||) of a stack (T, n, m), (T, m, n) of rotated pairs (U'XV,
+    V'YU) of rank q, read from S's factors (see above); pair entries as pair_operator's."""
+    t, n, m = x.shape
+    lb, ar = _pair_factors(x, y)
+    yq = np.diagonal(y, axis1=-2, axis2=-1)[:, :q]
+    diag = (np.diagonal(lb, 0, -2, -1)[..., :, None] * np.diagonal(ar, 0, -2, -1)[..., None, :]
+            ).sum(axis=1) - y.swapaxes(-1, -2) ** 2  # S[l, k, l, k]
+    kron = (lb[..., :q, :q] * ar[..., :q, :q]).sum(axis=1)  # (LA + BR)[l, k, k, l], l, k < q
+    swap = kron - yq[:, :, None] * yq[:, None, :]  # S[l, k, k, l]
+    block, sign = diag[:, :q, :q], np.sign(np.arange(q) - np.arange(q)[:, None])  # sign(k - l)
+    values, other = np.abs(diag), block.swapaxes(-1, -2)  # at l = k, sign 0 keeps diag
+    values[:, :q, :q] = np.abs(0.5 * (block + other) + sign * np.hypot(0.5 * (block - other), swap))
+    info = _rank_info(np.sort(values.reshape(t, -1), axis=-1)[:, ::-1].copy(), (n * m, n * m))
+    eye, yd = np.eye(max(n, m), dtype=bool), np.eye(m, n, dtype=bool) & (np.arange(n) < q)
+    p = np.where(np.stack([eye[:n, :n], ~eye[:n, :n]])[:, None], 0.0, lb[:, None])  # Lo Bo Ld Bd
+    r = np.where(np.stack([eye[:m, :m] & False, eye[:m, :m]])[:, None], 0.0, ar[:, None])  # A R Ao Ro
+    c = np.where(np.stack([yd & False, yd, ~yd]), 0.0, y[:, None])  # Y Yo Yd: C(Yo, Y), C(Yd, Yo)
+    leak = (_norm2(p.reshape(t, 4, n, n), r.reshape(t, 4, m, m), c[:, 1:], c[:, :2])
+            - _sums(np.square(c[:, 1]) ** 2) - _sums((sign * kron) ** 2))
+    normal = _norm2(lb[:, :, q:], ar[:, :, q:], y[:, None, :, q:], y[:, None, q:, :])
+    # A norm below the rounding of its Gram sum may read a tiny negative square.
+    leak, normal = np.maximum(leak, 0.0), np.maximum(normal, 0.0)
+    norm = np.sqrt(_sums(diag**2) + _sums((sign * swap) ** 2) + leak)
+    return info, (norm, np.sqrt(normal), np.sqrt(leak))
 
 
 def operator_spectrum(x: np.ndarray, info: RankInfo) -> np.ndarray:

@@ -11,8 +11,9 @@ may round a strided or reversed view on another path.
 
 Rank policy: a singular value of an n x m matrix is retained when it
 exceeds ``max(n, m) * eps * s[0]``, with eps the machine epsilon.
-``_rank_info`` is the one place that cut is made (also for the operator
-blocks of ``differential.subspace_rank_profile``), and ``_pinv_from_svd``
+``_rank_info`` is the one place that cut is made (also for the pair blocks
+that ``differential.pair_block_profile`` reads from the operator's factors
+by Gram identities, S0 split off), and ``_pinv_from_svd``
 the one place retained factors become a pseudoinverse.  A check that needs
 both the rank and the pseudoinverse of X takes them from one SVD
 (``pinv_rank``, ``svd_full``), never a second one.

@@ -9,15 +9,18 @@ sub-seed up to the retry budget, then reported as a hard failure.
 
 A suite is a pair: ``draw(cfg, rng)`` makes every generator call of one
 trial, ``check(cfg, draws)`` judges a stack of trials' draws, one report
-per trial, in stacked numpy calls (``operator-rank`` reads its dense
-operators' spectra in closed form from their 1x1 and 2x2 pair blocks in
-X's SVD basis).  A draw keeps its sampled spectrum unsorted; the check
-sorts and gap-tests the stack's spectra in one call
-(``matcore.sorted_spectra``), which raises the DegenerateSpectrum of a
-tied trial.  Each check factors its stack of X once: the one SVD that
-gives pinv(X) also gives the rank profile that the chart's rank test and
-the determinants read, and ``invariance`` indexes the charts of X and
-H X Q out of one pivoted stack (``chart.BlockDecomposition[i]``).
+per trial, in stacked numpy calls (``operator-rank`` reads its operators
+S = L kron A + B kron R - C(Y, Y) in X's SVD basis from their factors,
+with no S built: the 1x1 and 2x2 pair blocks' spectra in closed form,
+the norms by the Gram identities of ``differential``, the diagonal parts
+S0 split off first so that ||E|| cancels against no large term).  A draw
+keeps its sampled spectrum unsorted; the check sorts and gap-tests the
+stack's spectra in one call (``matcore.sorted_spectra``), which raises
+the DegenerateSpectrum of a tied trial.  Each check factors its stack of
+X once: the one SVD that gives pinv(X) also gives the rank profile that
+the chart's rank test and the determinants read, and ``invariance``
+indexes the charts of X and H X Q out of one pivoted stack
+(``chart.BlockDecomposition[i]``).
 ``run_suite`` draws each stack of trials, capped by ``STACK_ENTRIES``
 entries of what the check holds per trial, from their first attempts'
 streams, all seeded by one ``matcore.make_rngs`` call, and checks it in
@@ -204,7 +207,6 @@ def _check_operator_rank(cfg: RunConfig, draws: list[tuple]) -> list[Verificatio
     # One full SVD of the stack: X's rank profile, its pseudoinverse, and
     # the bases U, V of its four fundamental subspaces.
     u, info, vt, y = matcore.svd_full(x)
-    ut, v = u.swapaxes(-1, -2), vt.swapaxes(-1, -2)
     # The log of prod d^-2(n+m-q), the paper's rank-deficient factor, read
     # from the operator's closed-form spectrum.
     log_factor = differential.operator_log_pdet(x, info)
@@ -219,26 +221,15 @@ def _check_operator_rank(cfg: RunConfig, draws: list[tuple]) -> list[Verificatio
         chart_det["deficient_chart_det"] = det = np.abs(np.linalg.det(jac))
         area = log_factor + chart.log_chart_volume(bx) - chart.log_chart_volume(by)
         area_formula["area_formula"] = abs(np.log(det) - area) / np.maximum(1.0, abs(area))
-    # The operator in the basis U kron V, built exactly symmetric.
-    s = differential.pair_operator(ut @ x @ v, vt @ y @ u)
-    op = s.reshape(len(x), n * m, n * m)
-    norm = matcore.frobenius_norms(op)
-    residuals = {}
-    if q < min(n, m):
-        # S on the normal space null(X') kron null(X), the inputs (i, j) with
-        # i, j >= q, read before the pair read zeroes its diagonal; at full
-        # rank that space is {0}.  S is exactly symmetric, so these are its
-        # rows l, k >= q: one contiguous run of (m-q)nm entries per l, one dot.
-        rows = s[:, q:, q:].reshape(len(x), n - q, 1, -1)
-        normal = np.sqrt((rows @ rows.swapaxes(-1, -2))[..., 0, 0].sum(axis=-1))
-        residuals["annihilation"] = _rel(normal, norm)
-    rank = differential.subspace_rank_profile(s, q)  # op keeps only its off-pair part
+    # S in the basis U kron V, read from its factors (see differential).
+    rank, (norm, normal, off) = differential.pair_block_profile(
+        u.swapaxes(-1, -2) @ x @ vt.swapaxes(-1, -2), vt @ y @ u, q)
+    residuals = {"annihilation": _rel(normal, norm)} if q < min(n, m) else {}
     # The pseudo-determinant against that factor, both as sums of logs of
     # the singular values: the products leave the float range at moderate
     # sizes.
     log_pdet = np.log(rank.singular_values[:, :expected]).sum(axis=-1)
-    residuals.update(pseudo_det=abs(log_pdet - log_factor),
-                     leak=_rel(matcore.frobenius_norms(op), norm), **area_formula)
+    residuals.update(pseudo_det=abs(log_pdet - log_factor), leak=_rel(off, norm), **area_formula)
     values = {"operator_rank": rank.rank, "expected_rank": expected, **chart_det}
     return stack_reports("operator-rank", {"n": n, "m": m, "q": q}, values, residuals,
                          tol=cfg.tol, conditions=(rank.rank == expected,))
@@ -349,11 +340,13 @@ def run_trial(suite: str, cfg: RunConfig, trial: int) -> VerificationReport:
 def _trial_entries(suite: str, cfg: RunConfig) -> int:
     # Real floats one trial adds to a stacked pass: its chart points where
     # its check makes them (k complex points, or k real tangents and their images),
-    # operator-rank's dense operator where that is more, else its instance.
+    # operator-rank's leak read where that is more (the factor stacks of
+    # pair_block_profile, four n x n, four m x m and three m x n, and one pass's
+    # two 4 n m cross products), else its instance.
     n, m = cfg.n, cfg.m
     points = 2 * _chart_dim(cfg) * n * m if _fd_chart(suite, cfg) else 0
     if suite == "operator-rank":
-        return max(points, (n * m) ** 2)
+        return max(points, 4 * (n * n + m * m) + 11 * n * m)
     if points:
         return points
     if suite == "symmetric-inverse":  # one complex m x m point per vech coordinate

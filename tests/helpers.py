@@ -36,8 +36,8 @@ def jacobian_operator(x) -> np.ndarray:
 def broadcast_pair_operator(x, y) -> np.ndarray:
     """``pair_operator`` as three whole-operator broadcast products: its bit-for-bit oracle.
 
-    Each entry is fl(fl(fl(L A) + fl(B R)) - fl(Y' Y)); the second and third
-    products each take a temporary the size of the whole operator.
+    Each entry is fl(fl(fl(L A) + fl(B R)) - fl(Y' Y)), its factors taken as
+    ``pair_operator`` takes them.
     """
     n, m = x.shape[-2:]
     yt = y.swapaxes(-1, -2)
@@ -47,6 +47,26 @@ def broadcast_pair_operator(x, y) -> np.ndarray:
     s += yty[..., :, None, :, None] * right[..., None, :, None, :]
     s -= yt[..., :, None, None, :] * y[..., None, :, :, None]
     return s
+
+
+def dense_pair_reads(x, y, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What ``pair_block_profile`` reads, read from the dense ``pair_operator`` of a stack.
+
+    The 1x1 and 2x2 pair blocks' values, each entry (l, k) paired with
+    (k, l) when l, k < q, sorted decreasing, then ||S||_F, the norm of S's
+    rows l, k >= q, and ||E||_F, E being S with the pair pattern zeroed.
+    """
+    t, n, m = x.shape
+    s = pair_operator(x, y)
+    l, k = np.divmod(np.arange(n * m), m)
+    paired = (l < q) & (k < q)  # (l, k) with (k, l); at l = k, sign(k - l) = 0 keeps diag
+    pl, pk = np.where(paired, k, l), np.where(paired, l, k)
+    diag, other = s[:, l, k, l, k], s[:, pl, pk, pl, pk]
+    off = np.where(paired, s[:, l, k, pl, pk], 0.0)
+    values = np.abs(0.5 * (diag + other) + np.sign(k - l) * np.hypot(0.5 * (diag - other), off))
+    norm, normal = (np.sqrt((a**2).reshape(t, -1).sum(-1)) for a in (s, s[:, q:, q:]))
+    s[:, l, k, l, k] = s[:, l, k, pl, pk] = 0.0
+    return np.sort(values, axis=-1)[:, ::-1], norm, normal, np.sqrt((s**2).reshape(t, -1).sum(-1))
 
 
 def perturbed_assemble(b: BlockDecomposition, deltas) -> np.ndarray:

@@ -153,12 +153,12 @@ def test_determinant_suites_factor_x_as_often_as_needed(svd_shapes, suite, svds)
 
 
 def test_operator_rank_suite_keeps_dense_rank_oracle(svd_shapes, eigvalsh_shapes, eigh_shapes):
-    # The dense operator is read in X's SVD basis from its 1x1 and 2x2 pair
-    # blocks in closed form: one full SVD of each (T, n, m) stack of X, and
-    # no eigensolve or SVD of the operator or of any block of it. 24x20 runs
-    # in stacks of one (its operator alone outgrows the entry budget); 6x5
-    # in one stack, below and at full rank (no pairs outside the q x q block).
-    for n, m, q, trials, stacks in ((24, 20, 8, 2, [1, 1]), (6, 5, 2, 3, [3]), (6, 5, 5, 3, [3])):
+    # The operator is read in X's SVD basis from its factors, its 1x1 and 2x2
+    # pair blocks in closed form: one full SVD of each (T, n, m) stack of X,
+    # and no eigensolve or SVD of the operator or of any block of it.  Each
+    # case runs as one stack: 24x20 too, since no operator is built; 6x5
+    # below and at full rank (no pairs outside the q x q block).
+    for n, m, q, trials, stacks in ((24, 20, 8, 2, [2]), (6, 5, 2, 3, [3]), (6, 5, 5, 3, [3])):
         svd_shapes.clear()
         cfg = suites.RunConfig(n=n, m=m, q=q, trials=trials, seed=48)
         result = suites.run_suite("operator-rank", cfg)
@@ -169,42 +169,75 @@ def test_operator_rank_suite_keeps_dense_rank_oracle(svd_shapes, eigvalsh_shapes
         assert eigvalsh_shapes == eigh_shapes == []
 
 
-def _leaky_reports(monkeypatch, cfg, a, b, size):
-    # operator-rank's reports with a symmetric pair of entries, size ||S||
-    # each, added to S between entries a and b (index pairs (l, k)) of the
-    # basis U kron V; the operator stays exactly symmetric.
+def test_operator_rank_never_builds_the_dense_operator(monkeypatch):
+    # 24x20 q=8: no pair_operator call, and at its peak the check holds less
+    # than a tenth of one dense operator's 8 (nm)^2 bytes.
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense Jacobian operator built")
+
+    monkeypatch.setattr(df, "pair_operator", refuse)
+    cfg = suites.RunConfig(n=24, m=20, q=8, trials=1, seed=49)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = suites.run_suite("operator-rank", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.all_passed
+    assert peak < 0.1 * 8 * (24 * 20) ** 2
+
+
+def test_operator_rank_leak_reads_0_where_e_vanishes_below_its_rounding():
+    # 1x4 at full rank, spectrum (1,): trial 2's E is 6.8e-35 (the dense
+    # operator's), far below the rounding of ||S - S0||^2 in its Gram sum,
+    # which reads a tiny negative square; the leak reads 0, not NaN.
+    cfg = suites.RunConfig(n=1, m=4, q=1, trials=3, seed=3, spectrum=(1.0,))
+    result = suites.run_suite("operator-rank", cfg)
+    assert result.all_passed
+    assert [r.residuals["leak"] for r in result.reports][2] == 0.0
+    dumps_canonical(result.to_json())  # no NaN reaches the JSON report
+
+
+def _leaky_reports(monkeypatch, cfg, factor, i, j, size):
+    # operator-rank's reports with one factor of S in the basis U kron V
+    # (0: P_L, 1: Y'Y, 2: Y Y', 3: P_R) coupled at (i, j) and (j, i) by
+    # size times its norm, upstream of every read: the factors stay exactly
+    # symmetric, and S with them, and no pair entry moves.
     assert suites.run_suite("operator-rank", cfg).all_passed
-    build = df.pair_operator
+    factors = df._pair_factors
 
     def leaky(x, y):
-        s = build(x, y)
-        scaled = size * np.sqrt(np.sum(s**2, axis=(-4, -3, -2, -1)))
-        s[(...,) + a + b] += scaled
-        s[(...,) + b + a] += scaled
-        return s
+        stacks = factors(x, y)
+        f = stacks[factor // 2][:, factor % 2]
+        c = size * np.sqrt((f * f).sum(axis=(-2, -1)))
+        f[:, i, j] += c
+        f[:, j, i] += c
+        return stacks
 
-    monkeypatch.setattr(df, "pair_operator", leaky)
+    monkeypatch.setattr(df, "_pair_factors", leaky)
     return suites.run_suite("operator-rank", cfg).reports
 
 
 def test_operator_rank_leak_catches_an_off_block_pair(monkeypatch):
-    # The pair couples col(X) kron row(X) to null(X') kron null(X); only the
-    # leak can see it.
+    # P_L coupled at rows 0 and 4 couples col(X) kron row(X) to null(X')
+    # kron row(X), through (Y Y')[0, 0] = 1/d_1^2; only the leak can see it.
     cfg = suites.RunConfig(n=5, m=4, q=2, trials=3, seed=52)
-    for report in _leaky_reports(monkeypatch, cfg, (0, 0), (4, 3), 1e-6):
+    for report in _leaky_reports(monkeypatch, cfg, 0, 0, 4, 1e-6):
         residuals, tolerances = report.residuals, report.tolerances
         assert not report.passed
         assert residuals["leak"] > 1e3 * tolerances["leak"]
 
 
 def test_operator_rank_leak_catches_an_off_pattern_pair_inside_a_block(monkeypatch):
-    # Both entries lie in null(X') kron null(X), so a split into the four
-    # subspace blocks would keep the pair inside a block; it is off the
-    # pattern of the 1x1 and 2x2 pair blocks, and the leak sees it.  The
-    # pair also maps that normal space to nonzero images, and the
+    # Y Y' coupled at rows 2 and 3 couples (l, 2) to (l, 3) for l >= q,
+    # through P_L[l, l] = 1: both lie in null(X') kron null(X), so a split
+    # into the four subspace blocks would keep the pair inside a block; it is
+    # off the pattern of the 1x1 and 2x2 pair blocks, and the leak sees it.
+    # The pair also maps that normal space to nonzero images, and the
     # annihilation sees it too.
     cfg = suites.RunConfig(n=5, m=4, q=2, trials=3, seed=52)
-    for report in _leaky_reports(monkeypatch, cfg, (2, 2), (4, 3), 1e-6):
+    for report in _leaky_reports(monkeypatch, cfg, 2, 2, 3, 1e-6):
         residuals, tolerances = report.residuals, report.tolerances
         assert not report.passed
         assert residuals["leak"] > 1e3 * tolerances["leak"]
@@ -216,12 +249,12 @@ def test_operator_rank_leak_catches_an_off_pattern_pair_inside_a_block(monkeypat
 def test_operator_rank_sees_a_leak_at_the_float_range_edges(monkeypatch, spectrum):
     # Just inside either bound of the refused spectra the norms stay
     # positive and finite: a clean run passes with finite residuals, and an
-    # off-pattern pair of 1e-8 ||S|| still fails the leak, so no residual
+    # off-pattern pair of 1e-8 ||Y Y'|| still fails the leak, so no residual
     # reads 0 by underflow.
     cfg = suites.RunConfig(n=6, m=5, q=2, trials=2, seed=3, spectrum=spectrum)
     for report in suites.run_suite("operator-rank", cfg).reports:
         assert np.all(np.isfinite(list(report.residuals.values())))
-    for report in _leaky_reports(monkeypatch, cfg, (2, 2), (5, 4), 1e-8):
+    for report in _leaky_reports(monkeypatch, cfg, 2, 2, 4, 1e-8):
         assert not report.passed
         assert report.residuals["leak"] > 1e2 * report.tolerances["leak"]
 
@@ -229,25 +262,18 @@ def test_operator_rank_sees_a_leak_at_the_float_range_edges(monkeypatch, spectru
 @pytest.mark.parametrize("n, m, q", [(5, 4, 3), (3, 6, 1), (4, 4, 4), (6, 2, 2)])
 @pytest.mark.parametrize("noise", [0.0, 1e-9, 1e-4])
 def test_pair_blocks_give_the_spectrum_within_the_weyl_bound(n, m, q, noise):
-    # A random symmetric stack with the pattern of the spectrum theorem,
-    # each entry (l, k) coupled to (k, l) when l, k < q, plus symmetric
-    # noise E off that pattern: the values read from the pair blocks are
-    # the absolute eigenvalues (eigvalsh) within ||E||_F, by Weyl's
-    # inequality, and exactly E is left behind.
-    t, nm = 3, n * m
-    rng = mc.make_rng(53, n, m, q)
-    l, k = np.divmod(np.arange(nm), m)
-    pattern = np.eye(nm, dtype=bool)
-    pattern[np.arange(nm), np.where((l < q) & (k < q), k * m + l, np.arange(nm))] = True
-    a, e = rng.standard_normal((2, t, nm, nm))
-    op = np.where(pattern, a + a.swapaxes(-1, -2), noise * (e + e.swapaxes(-1, -2)))
-    s = op.copy()
-    info = df.subspace_rank_profile(s.reshape(t, n, m, n, m), q)
-    leak = np.where(pattern, 0.0, op)
-    np.testing.assert_array_equal(s, leak)
-    for values, whole, left in zip(info.singular_values, op, leak):
-        exact = np.sort(np.abs(np.linalg.eigvalsh(whole)))[::-1]
-        bound = np.linalg.norm(left) + 1e-14 * np.linalg.norm(whole)
+    # A stack of rotated pairs (U'XV, V'YU), each entry moved by noise times
+    # a Gaussian, so S leaves the pair pattern by E: the values read from the
+    # pair blocks are the absolute eigenvalues of the dense S (eigvalsh)
+    # within the ||E||_F that pair_block_profile reads, by Weyl's inequality.
+    t, rng = 3, mc.make_rng(53, n, m, q)
+    _, (x, y) = _pairs(rng, n, m, q, 1e2, t)
+    x, y = (a + noise * np.max(np.abs(a)) * rng.standard_normal(a.shape) for a in (x, y))
+    info, (norm, _, leak) = df.pair_block_profile(x, y, q)
+    whole = df.pair_operator(x, y).reshape(t, n * m, n * m)
+    assert noise == 0.0 or np.all(leak > 1e-3 * noise * norm)
+    for values, op, bound in zip(info.singular_values, whole, leak + 1e-14 * norm):
+        exact = np.sort(np.abs(np.linalg.eigvalsh(op)))[::-1]
         assert np.max(np.abs(values - exact)) <= bound
 
 
@@ -291,29 +317,16 @@ def test_pair_operator_is_exactly_symmetric(n, m, q, cond):
 @pytest.mark.parametrize("cond", [1.0, 1e3, 1e5])
 @pytest.mark.parametrize("n, m, q", SWEEP_SHAPES)
 def test_pair_operator_keeps_the_bits_of_the_broadcast_build(n, m, q, cond):
-    # One slice (a 2-D pair or a stack of one) is built a row at a time,
-    # a stack of several in one block; every entry keeps the operation
-    # order of the three whole-operator broadcasts.
+    # A slice (a 2-D pair or a stack of one) and a stack of several alike:
+    # pair_operator sums its two Kronecker terms over its factor stack, and
+    # every entry keeps the operation order of the three whole-operator
+    # broadcasts.
     for t in (1, 3):
         for x, y in _pairs(mc.make_rng(61, n, m, q, t), n, m, q, cond, t):
             for a, b in [(x, y), (x[0], y[0])] if t == 1 else [(x, y)]:
                 got, want = df.pair_operator(a, b), broadcast_pair_operator(a, b)
                 assert got.shape == want.shape and np.array_equal(got, want)
                 assert got.tobytes() == want.tobytes()
-
-
-def test_pair_operator_holds_one_operator_and_one_row_block():
-    # The one-slice 24 x 20 q=8 operator of operator-rank: no second
-    # operator-sized temporary (the broadcast build peaks at 2.08x).
-    _, (x, y) = _pairs(mc.make_rng(62), 24, 20, 8, 1e3, 1)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        s = df.pair_operator(x, y)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * s.nbytes
 
 
 @pytest.mark.parametrize("n, m, q", SWEEP_SHAPES)

@@ -1,5 +1,6 @@
 """Property sweeps: the closed-form operator spectrum against the dense
-operator and its pair blocks, the complex-step chart Jacobian of pinv
+operator and its pair blocks, the pair-block reads of the operator's
+factors against the dense operator, the complex-step chart Jacobian of pinv
 against the area formula, the pivots of ``decompose`` against the greedy
 loop, the complex-step oracles of the differential and of the symmetric
 inverse against their closed forms and slice by slice, and the log values
@@ -9,7 +10,7 @@ import mpmath
 import numpy as np
 from hypothesis import assume, example, given, strategies as st
 
-from helpers import jacobian_operator, pinv_chart_log_det
+from helpers import dense_pair_reads, jacobian_operator, pinv_chart_log_det
 from mpjl import chart, differential as df, matcore as mc, measures
 from mpjl.reports import TOLERANCES
 
@@ -51,15 +52,16 @@ def test_operator_spectrum_matches_dense_operator(case):
     # whole operator's absolute eigenvalues; and the closed form, padded
     # with the nm - k zeros of the kernel.
     u, _, vt, y = mc.svd_full(x[None])
-    rotated = df.pair_operator(u.swapaxes(-1, -2) @ x @ vt.swapaxes(-1, -2), vt @ y @ u)
-    pairs = df.subspace_rank_profile(rotated, q)
+    pairs, (norm, _, leak) = df.pair_block_profile(
+        u.swapaxes(-1, -2) @ x @ vt.swapaxes(-1, -2), vt @ y @ u, q)
     whole = np.sort(np.abs(np.linalg.eigvalsh(op)))[::-1]
     closed = np.concatenate([spectrum, np.zeros(n * m - k)])
     assert pairs.rank == k
     for values in (pairs.singular_values[0], whole):
         np.testing.assert_allclose(values, closed, rtol=0, atol=1e-12 * closed[0])
     # What the pair blocks leave of the rotated operator is rounding only.
-    assert np.linalg.norm(rotated) <= TOLERANCES["operator-rank"]["leak"] * np.linalg.norm(op)
+    assert leak[0] <= TOLERANCES["operator-rank"]["leak"] * np.linalg.norm(op)
+    np.testing.assert_allclose(norm, np.linalg.norm(op), rtol=1e-14, atol=0)
     singular = np.linalg.svd(op, compute_uv=False)
     np.testing.assert_allclose(whole[:k], singular[:k], rtol=1e-12, atol=0)
     np.testing.assert_allclose(spectrum, singular[:k], rtol=1e-10, atol=0)
@@ -71,6 +73,47 @@ def test_operator_spectrum_matches_dense_operator(case):
         assert abs(df.jacobian_det_operator(x, info) - det) <= 1e-8 * det
     else:
         assert df.jacobian_det_operator(x, info) == 0.0
+
+
+def _pair_case(n, m, q, cond, t, rotated, seed):
+    # A stack of t pairs: the rotated pair (U'XV, V'YU) of rank-q X with
+    # spectrum geomspace(1, 1/cond, q), scaled by e^+-3, or Gaussian (X, Y).
+    rng = mc.make_rng(seed)
+    if not rotated:
+        return n, m, q, rng.standard_normal((t, n, m)), rng.standard_normal((t, m, n))
+    d = np.exp(rng.uniform(-3.0, 3.0)) * np.geomspace(1.0, 1.0 / cond, q)
+    x = mc.rank_q_from_draw(np.stack([d] * t), rng.standard_normal((t, n, q)),
+                            rng.standard_normal((t, m, q)))
+    u, _, vt, y = mc.svd_full(x)
+    return n, m, q, u.swapaxes(-1, -2) @ x @ vt.swapaxes(-1, -2), vt @ y @ u
+
+
+@st.composite
+def pair_cases(draw):
+    """Stacks of 1 to 4 pairs up to 8x8, any q, cond 1 to 1e6, rotated or Gaussian."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    return _pair_case(n, m, draw(st.integers(1, min(n, m))), 10.0 ** draw(st.floats(0.0, 6.0)),
+                      draw(st.integers(1, 4)), draw(st.booleans()),
+                      draw(st.integers(0, 2**31 - 1)))
+
+
+@given(pair_cases())
+@example(_pair_case(24, 20, 8, 1e3, 1, True, 1))
+@example(_pair_case(24, 20, 8, 1e6, 2, True, 2))
+@example(_pair_case(6, 5, 5, 1.0, 3, True, 3))
+@example(_pair_case(1, 1, 1, 1.0, 2, True, 4))
+def test_pair_block_profile_reads_what_the_dense_operator_holds(case):
+    # pair_block_profile against the dense pair_operator of the same pairs:
+    # pair values and rank bit for bit, and ||S||, S on the rows l, k >= q
+    # and S off the pair pattern within 1e-14 ||S||.
+    n, m, q, x, y = case
+    info, norms = df.pair_block_profile(x, y, q)
+    values, *dense = dense_pair_reads(x, y, q)
+    assert np.array_equal(info.singular_values, values)
+    assert info.singular_values.flags.c_contiguous
+    assert np.array_equal(info.rank, mc._rank_info(values, (n * m, n * m)).rank)
+    for got, want in zip(norms, dense):
+        assert np.all(np.abs(got - want) <= 1e-14 * dense[0])
 
 
 @st.composite

@@ -55,10 +55,8 @@ its own directory.  It replays:
   278331871 leaves its linear ``jacobian_factor`` out, seed 2 writes it, the
   six trials of seed 3 do both), and of a hand-written file whose keys and
   strings hold ``%``, ``\\u0000``, ``"`` and non-ASCII characters; and, in
-  JSON and in text, ``operator-rank`` 24 x 20 q=8 with two trials (two
-  one-trial stacks, each operator built a row block at a time) and 10 x 8
-  q=3 with nine trials (one stack just under the entry budget, built in
-  one block); ``hausdorff`` 40 x 32 q=20 seed 226, whose trial 1 draws a
+  JSON and in text, ``operator-rank`` 24 x 20 q=8 with two trials and 10 x
+  8 q=3 with nine trials (each one stack); ``hausdorff`` 40 x 32 q=20 seed 226, whose trial 1 draws a
   tied spectrum at its first attempt, so the stack falls back and that
   trial is redrawn; an ``invariance`` stack at seed 2^64+3 and a
   ``blocks`` stack at seed 2^32, whose seeds take three and two entropy
@@ -69,7 +67,10 @@ its own directory.  It replays:
   ``--spectrum`` or a ``--q`` other than ``--m``, and of ``report`` over
   files whose ``inputs`` or ``residuals`` is an array or whose ``seed``
   is a string (merged with a file whose reports carry no seed); and
-  ``symmetric-inverse --m 8 --q 8``, whose order is m whatever ``--n`` is.
+  ``symmetric-inverse --m 8 --q 8``, whose order is m whatever ``--n`` is;
+  and ``operator-rank`` 6 x 5 q=2 just inside either float-range bound of
+  its spectrum (``1.2e69,6e68`` and ``5e-76,4.8e-77``, in JSON and in
+  text), 24 x 20 q=8 with three trials in one stack, and 6 x 5 at full rank.
 
 Each invocation records its exit code (or the exception that escaped
 ``cli.main``), its stdout, its ``error: ...`` lines of stderr and the
@@ -240,6 +241,12 @@ EDGE_CASES = [
     *(["report", "finite.json", "malformed-seed-string.json", "--format", fmt]
       for fmt in ("json", "text")),
     ["verify", "symmetric-inverse", "--m", "8", "--q", "8", "--trials", "4", "--format", "json"],
+    *(["verify", "operator-rank", "--n", "6", "--m", "5", "--q", "2", "--trials", "2", "--seed", "3",
+       "--spectrum", spectrum, "--format", fmt]
+      for spectrum in ("1.2e69,6e68", "5e-76,4.8e-77") for fmt in ("json", "text")),
+    ["verify", "operator-rank", "--n", "24", "--m", "20", "--q", "8", "--trials", "3",
+     "--format", "json"],
+    ["verify", "operator-rank", "--n", "6", "--m", "5", "--trials", "8", "--format", "json"],
 ]
 
 # Keys and strings that the JSON writer must escape, in a one-report file
