@@ -1,11 +1,12 @@
 """mpjl: pseudoinverse Jacobians, measure densities, and their oracles.
 
 The library computes the analytic differential and Jacobian operator of
-the Moore-Penrose inverse, closed-form determinant and density factors for
-both full-rank and rank-deficient matrices, and independent oracles for
-every formula: complex-step derivatives, exact tangent maps and the
-closed-form chart volumes of the area formula.  The ``mpjl`` CLI runs the seeded
-verification suites and emits reproducible JSON reports.
+the Moore-Penrose inverse, the logs of the closed-form determinant and
+density factors for both full-rank and rank-deficient matrices, and
+independent oracles for every formula: complex-step derivatives, exact
+tangent maps and the closed-form chart volumes of the area formula.  The
+``mpjl`` CLI runs the seeded verification suites and emits reproducible
+JSON reports.
 """
 
 from .chart import (
@@ -19,8 +20,7 @@ from .chart import (
 )
 from .differential import (
     OrthogonalSandwichMap,
-    jacobian_det_full_rank,
-    jacobian_det_operator,
+    log_jacobian_det_full_rank,
     operator_spectrum,
     pinv_chart_jacobian,
     pinv_complex_step,
@@ -56,13 +56,13 @@ from .matcore import (
 )
 from .measures import (
     exterior_chain_check,
-    hausdorff_density,
     hausdorff_ratio_check,
-    nonfullrank_jacobian_factor,
+    log_hausdorff_density,
+    log_nonfullrank_jacobian_factor,
+    log_symmetric_inverse_jacobian,
     orthogonal_invariance_check,
     pinv_spectrum,
     symmetric_inverse_fd_det,
-    symmetric_inverse_jacobian_formula,
     symmetric_part,
 )
 from .reports import SuiteResult, VerificationReport

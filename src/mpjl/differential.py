@@ -31,9 +31,10 @@ and with itself otherwise, so the nonzero singular values are 1/(d_i d_j)
 over all q^2 pairs and d_i^-2, each with multiplicity n+m-2q: nq+mq-q^2
 values in all.  Their product is prod d_i^-2(n+m-q), the rank-deficient
 change-of-variables factor; at full rank it is |X'X|^-n (tall) or
-|XX'|^-m (wide).  ``operator_spectrum`` and ``jacobian_det_operator`` use
-this from the caller's rank profile of X, that of the one SVD of X the
-caller takes (which may also give Y: ``matcore.pinv_rank``, ``svd_full``;
+|XX'|^-m (wide).  It grows like d^(nm), so it is only taken as a log.
+``operator_spectrum`` and ``operator_log_pdet`` use this from the
+caller's rank profile of X, that of the one SVD of X the caller takes
+(which may also give Y: ``matcore.pinv_rank``, ``svd_full``;
 ``pinv_differential`` takes the Y of such an SVD through its core).
 
 The oracle reads S(U'XV, V'YU) = (U kron V)' S (U kron V) from its factors
@@ -73,7 +74,7 @@ from .chart import (
     BlockDecomposition, _free_index, _moved_blocks, _pinv_blocks, _tangent_x22, assemble,
 )
 from .errors import NotFullRank, ShapeMismatch
-from .matcore import RankInfo, _rank_info, as_stack, common_rank, pinv, scalar_powers
+from .matcore import RankInfo, _rank_info, as_stack, common_rank, gram_qr, pinv
 
 
 def pinv_differential(x, dx) -> np.ndarray:
@@ -181,33 +182,18 @@ def operator_log_pdet(x: np.ndarray, info: RankInfo):
     return np.log(operator_spectrum(x, info)).sum(axis=-1)
 
 
-def jacobian_det_operator(x: np.ndarray, info: RankInfo):
-    """Absolute determinant of the vectorized differential operator.
-
-    ``info`` is ``rank_profile(x)``.  The product of
-    :func:`operator_spectrum`, summed as logs and exponentiated once so no
-    running product underflows; at full rank it is |X'X|^-n (tall) or
-    |XX'|^-m (wide).  Exactly 0 when rank(X) < min(n, m): the spectrum then
-    has fewer than nm values, because the operator annihilates every
-    direction of the form (I - X Y) V (I - Y X).
-    """
-    if common_rank(info) < min(x.shape[-2:]):
-        return np.zeros(x.shape[:-2])[()]
-    return np.exp(operator_log_pdet(x, info))
-
-
-def jacobian_det_full_rank(x: np.ndarray, info: RankInfo):
-    """Closed-form |det| for full-rank X: |X'X|^-n when m <= n, else |XX'|^-m.
+def log_jacobian_det_full_rank(x: np.ndarray, info: RankInfo):
+    """Closed-form log|det| for full-rank X: -n log|X'X| when m <= n, else -m log|XX'|.
 
     ``info`` is ``rank_profile(x)``; below full rank it raises NotFullRank.
+    The Gram determinant comes from a QR of X (``matcore.gram_qr``), so it is
+    independent of the SVD that ``info`` and :func:`operator_log_pdet` read.
     """
     n, m = x.shape[-2:]
     rank = common_rank(info)
     if rank != min(n, m):
         raise NotFullRank(f"rank {rank} < min(n, m) = {min(n, m)}")
-    xt = x.swapaxes(-1, -2)
-    gram, power = (xt @ x, -n) if m <= n else (x @ xt, -m)
-    return scalar_powers(np.abs(np.linalg.det(gram)), power)
+    return -max(n, m) * gram_qr(x)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ works on plain ``numpy.ndarray`` values of dtype float64; matrices are
 2-D arrays.  Functions documented as taking a stack also take shape (...,
 n, m), one matrix per slice.  Bit rule: a stack of T gives each slice the
 bits of a stack of one, and a 2-D (or 0-d) call is a stack of one; so a
-power, log or norm is one numpy call on a C-contiguous array, since numpy
-may round a strided or reversed view on another path.
+log or norm is one numpy call on a C-contiguous array, since numpy may
+round a strided or reversed view on another path.
 
 Rank policy: a singular value of an n x m matrix is retained when it
 exceeds ``max(n, m) * eps * s[0]``, with eps the machine epsilon.
@@ -99,9 +99,13 @@ def frobenius_norms(a) -> np.ndarray:
     return np.sqrt(f @ f.swapaxes(-1, -2))[..., 0, 0]
 
 
-def scalar_powers(a, power) -> np.ndarray:
-    """``a ** power`` of each entry, as one array power; a 0-d ``a`` gives a scalar."""
-    return np.power(np.array(a, float, order="C"), power)
+def gram_qr(a) -> tuple[np.ndarray, np.ndarray]:
+    """(R, log|R'R| = 2 sum log|r_ii|) of each full-rank slice of a matrix or stack, R from
+    a QR of the slice (of its transpose when wide): R'R is its Gram matrix a'a (aa'), which
+    is never formed, since that would square cond(a) (Higham 2002)."""
+    a = as_stack(a)
+    r = np.linalg.qr(a if a.shape[-1] <= a.shape[-2] else a.swapaxes(-1, -2), mode="r")
+    return r, 2.0 * np.log(np.abs(np.diagonal(r, 0, -2, -1))).sum(axis=-1)
 
 
 def _rank_info(s: np.ndarray, shape: tuple[int, ...]) -> RankInfo:

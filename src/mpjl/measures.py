@@ -1,6 +1,8 @@
 """Scalar measure-density factors and the experiments that tie them together.
 
-Three families of scalars around the map Y = pinv(X):
+Three families of scalars around the map Y = pinv(X), each computed and
+reported as its log, since they grow like a power of the size and leave
+the float range at moderate sizes:
 
 * the spectral density ``2^-q (prod D)^(n+m-2q) prod_{i<j} (D_i^2 - D_j^2)``
   that multiplies the frame and spectrum differentials of a rank-q matrix;
@@ -9,11 +11,7 @@ Three families of scalars around the map Y = pinv(X):
 
 The ratio check confirms the first two are consistent: pushing the density
 through the reciprocal-spectrum map reproduces the change-of-variables
-factor exactly.  It compares them as sums of logs of the spectrum, since
-the products leave the float range at moderate sizes; a linear value is
-reported only where every factor and partial product of its product is
-finite and normal, since one that ran through subnormals can end normal
-and still be digits off.  The exterior-chain
+factor exactly.  The exterior-chain
 check does the same for the full-rank determinant, and the invariance
 experiment shows why the plain free-coordinate volume element cannot be
 Lebesgue or Hausdorff measure: it is not invariant under orthogonal
@@ -33,11 +31,11 @@ from functools import cache
 import numpy as np
 
 from .chart import _pivot, _require_rank, log_chart_volume
-from .differential import OrthogonalSandwichMap, jacobian_det_operator, sandwich_chart_jacobian
+from .differential import OrthogonalSandwichMap, operator_log_pdet, sandwich_chart_jacobian
 from .errors import BadSpectrum, NotFullColumnRank, ShapeMismatch, SingularInput
 from .matcore import (
-    _pinv_from_svd, _rank_info, as_stack, check_spectrum, frobenius_norms, ill_conditioned,
-    rank_profile, scalar_powers,
+    _pinv_from_svd, _rank_info, as_stack, check_spectrum, frobenius_norms, gram_qr,
+    ill_conditioned, rank_profile,
 )
 from .reports import TOLERANCES, stack_reports
 
@@ -60,29 +58,6 @@ def _pairs(q: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def hausdorff_density(n: int, m: int, d):
-    """Spectral density factor 2^-q (prod D)^(n+m-2q) prod_{i<j}(D_i^2 - D_j^2).
-
-    Of a stack (..., q) of spectra, one value per spectrum.  Each power is a
-    scalar power and the factors are multiplied in order, (i, j) row-major,
-    as plain floats without a warning: where the chain leaves the normal
-    range the value is inf, 0 or a subnormal that can be digits off
-    (3.5e-323, 6% off, at 32 x 40 rank 20).  Use the log forms there, the
-    ``log_*`` values of :func:`hausdorff_ratio_check`.
-    """
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        # left to right, as a loop would
-        return np.multiply.reduce(_density_factors(n, m, _spectra(n, m, d)), axis=-1)[()]
-
-
-def _density_factors(n: int, m: int, d: np.ndarray) -> np.ndarray:
-    # hausdorff_density's factors of checked d, in order; D_i^2 - D_j^2 as (D_i - D_j)(D_i + D_j).
-    q = d.shape[-1]
-    di, dj = (d[..., k] for k in _pairs(q))
-    lead = 2.0 ** (-q) * scalar_powers(np.prod(d, axis=-1), n + m - 2 * q)
-    return np.concatenate([lead[..., None], (di - dj) * (di + dj)], axis=-1)
-
-
 def pinv_spectrum(d) -> np.ndarray:
     """Singular values of the pseudoinverse: reciprocals in decreasing order.
 
@@ -92,42 +67,23 @@ def pinv_spectrum(d) -> np.ndarray:
     return 1.0 / d[..., ::-1]
 
 
-def nonfullrank_jacobian_factor(n: int, m: int, d):
-    """Change-of-variables factor prod_i D_i^(-2(n+m-q)) for Y = pinv(X).
-
-    Of a stack (..., q) of spectra, one value per spectrum; like
-    :func:`hausdorff_density` a plain product: inf, 0 or a subnormal that
-    can be digits off outside the normal range, where the log form,
-    :func:`hausdorff_ratio_check`'s ``log_jacobian_factor``, holds.
-    """
-    with np.errstate(over="ignore", under="ignore"):
-        return np.prod(_jacobian_factors(n, m, _spectra(n, m, d)), axis=-1)[()]
-
-
-def _jacobian_factors(n: int, m: int, d: np.ndarray) -> np.ndarray:
-    # nonfullrank_jacobian_factor's factors of checked spectra, in order.
-    return scalar_powers(d, -2.0 * (n + m - d.shape[-1]))
-
-
-def _log_density(n: int, m: int, d: np.ndarray) -> np.ndarray:
-    # log hausdorff_density: -q log 2 + (n+m-2q) sum log d + sum_{i<j} log(d_i^2 - d_j^2),
-    # each d_i^2 - d_j^2 taken as (d_i - d_j)(d_i + d_j), both factors exact to rounding.
-    # ``take`` keeps the pairs contiguous, so a stack sums each row as one spectrum would.
+def log_hausdorff_density(n: int, m: int, d):
+    """log of the spectral density 2^-q (prod D)^(n+m-2q) prod_{i<j}(D_i^2 - D_j^2), one per
+    spectrum of a stack (..., q); each D_i^2 - D_j^2 as (D_i - D_j)(D_i + D_j), both exact to
+    rounding."""
+    d = _spectra(n, m, d)
     q = d.shape[-1]
+    # ``take`` keeps the pairs contiguous, so a stack sums each row as one spectrum would.
     di, dj = (np.take(d, k, axis=-1) for k in _pairs(q))
     pairs = np.log(di - dj) + np.log(di + dj)
     return -q * np.log(2.0) + (n + m - 2 * q) * np.log(d).sum(axis=-1) + pairs.sum(axis=-1)
 
 
-def _normal_product(factors: np.ndarray) -> np.ndarray:
-    # The product of each row of ``factors``, left to right (the bits of the
-    # reduce of the two functions above), where every factor and every
-    # partial product is finite and normal; None elsewhere.  A chain that
-    # passes through subnormals can end normal and still be digits off.
-    chain = np.multiply.accumulate(factors, axis=-1)
-    links = np.concatenate([factors, chain], axis=-1)
-    normal = np.all(np.isfinite(links) & (np.abs(links) >= np.finfo(float).tiny), axis=-1)
-    return np.where(normal, chain[..., -1], None)
+def log_nonfullrank_jacobian_factor(n: int, m: int, d):
+    """log of the change-of-variables factor prod_i D_i^(-2(n+m-q)) of Y = pinv(X), one per
+    spectrum of a stack (..., q)."""
+    d = _spectra(n, m, d)
+    return -2.0 * (n + m - d.shape[-1]) * np.log(d).sum(axis=-1)
 
 
 def hausdorff_ratio_check(n: int, m: int, d, tol: float | None = None):
@@ -138,27 +94,18 @@ def hausdorff_ratio_check(n: int, m: int, d, tol: float | None = None):
     -2(n+m-q) sum log D_i; the residual ``identity``, the absolute
     difference of the two logs, measures only rounding and is held to
     ``tol``, by default the ``hausdorff`` entry of ``reports.TOLERANCES``.
-    The linear density_x, density_y and jacobian_factor are reported
-    where every factor and partial product of theirs is finite and normal;
-    the log_* values always.  A stack (T, q) of spectra is checked in one
-    pass and gives a list of T reports.
+    A stack (T, q) of spectra is checked in one pass and gives a list of T
+    reports.
     """
     d = _spectra(n, m, d)
     q = d.shape[-1]
     # Y = pinv(X) is m x n with the same rank; n+m enters symmetrically.
-    e = pinv_spectrum(d)
-    log_d = np.log(d).sum(axis=-1)
-    log_x, log_y = _log_density(n, m, d), _log_density(m, n, e)
-    log_factor = -2.0 * (n + m - q) * log_d
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        density_x = _normal_product(_density_factors(n, m, d))
-        density_y = _normal_product(_density_factors(m, n, e))
-        factor = _normal_product(_jacobian_factors(n, m, d))
+    log_x, log_y = log_hausdorff_density(n, m, d), log_hausdorff_density(m, n, pinv_spectrum(d))
+    log_factor = log_nonfullrank_jacobian_factor(n, m, d)
     reports = stack_reports(
         "hausdorff", {"n": n, "m": m, "q": q},
-        {"density_x": density_x, "density_y": density_y, "jacobian_factor": factor,
-         "log_density_x": log_x, "log_density_y": log_y, "log_jacobian_factor": log_factor},
-        {"identity": abs(log_y - 2.0 * log_d - log_x - log_factor)}, tol=tol,
+        {"log_density_x": log_x, "log_density_y": log_y, "log_jacobian_factor": log_factor},
+        {"identity": abs(log_y - 2.0 * np.log(d).sum(axis=-1) - log_x - log_factor)}, tol=tol,
     )
     for report, spectrum in zip(reports, d.reshape(-1, q).tolist()):
         report.inputs["spectrum"] = spectrum
@@ -193,8 +140,8 @@ def vech(s: np.ndarray) -> np.ndarray:
     return s[..., rows, cols]
 
 
-def symmetric_inverse_jacobian_formula(s):
-    """|det S|^-(m+1): the half-vectorization Jacobian of S -> inv(S).
+def log_symmetric_inverse_jacobian(s):
+    """-(m+1) log|det S|: the log half-vectorization Jacobian of S -> inv(S).
 
     ``s`` is one symmetric m x m matrix or a stack of them, taken through
     :func:`symmetric_part`; SingularInput when any slice is numerically singular.
@@ -203,11 +150,11 @@ def symmetric_inverse_jacobian_formula(s):
     m = s.shape[-1]
     if ill_conditioned(s, rtol=np.finfo(float).eps * m) is not None:
         raise SingularInput("matrix is numerically singular")
-    return scalar_powers(np.abs(np.linalg.det(s)), -(m + 1))
+    return -(m + 1) * np.linalg.slogdet(s)[1]
 
 
 def symmetric_inverse_fd_det(s):
-    """Complex-step oracle: |det| of the inverse map on half-vectorized coordinates.
+    """Complex-step oracle: log|det| of the inverse map on half-vectorized coordinates.
 
     ``s`` is one symmetric matrix or a stack, taken through
     :func:`symmetric_part`.  Coordinate (i, j) with i < j moves both
@@ -225,14 +172,14 @@ def symmetric_inverse_fd_det(s):
     e[coords, rows, cols] = 1.0
     e[coords, cols, rows] = 1.0
     jac = vech(np.linalg.inv(s[..., None, :, :] + 1j * h * e).imag / h).swapaxes(-1, -2)
-    return np.abs(np.linalg.det(jac))[()]
+    return np.linalg.slogdet(jac)[1]
 
 
 # ---------------------------------------------------------------------------
 # End-to-end checks.
 
 def exterior_chain_check(x):
-    """Full-column-rank determinant identity assembled factor by factor.
+    """Full-column-rank determinant identity assembled factor by factor, in logs.
 
     With Y = pinv(X), the m x m Gram product of Y against itself collapses
     to inv(X'X); the assembled scalar
@@ -240,10 +187,12 @@ def exterior_chain_check(x):
         |A|^((n-m-1)/2) * |B|^-(m+1) * |B|^-((n-m-1)/2),   A = Y Y', B = X'X,
 
     must equal |X'X|^-n by determinant algebra alone, and both must match
-    the vectorized-operator determinant, which :func:`jacobian_det_operator`
-    takes in closed form from the operator's spectrum.  One thin SVD of X
-    gives the rank test, Y and that spectrum.  A stack (T, n, m) is checked
-    in one pass and gives a list of T reports.
+    the vectorized-operator determinant, which ``operator_log_pdet`` takes
+    in closed form from the operator's spectrum.  One thin SVD of X gives
+    the rank test, Y and that spectrum; QRs of X and Y' give log|B| and
+    log|A| (``matcore.gram_qr``), and the R of X gives inv(X'X) = inv(R)
+    inv(R)'.  A stack (T, n, m) is checked in one pass and gives a list of
+    T reports.
     """
     x = as_stack(x)
     n, m = x.shape[-2:]
@@ -253,21 +202,21 @@ def exterior_chain_check(x):
         raise NotFullColumnRank(f"need rank(X) = cols <= rows, got shape {x.shape}")
     y = _pinv_from_svd(u, s, vt, m)
     a = y @ y.swapaxes(-1, -2)
-    b = x.swapaxes(-1, -2) @ x
-    b_inv = np.linalg.inv(b)
-
-    sign_a, log_a = np.linalg.slogdet(a)
-    sign_b, log_b = np.linalg.slogdet(b)
-    assembled = np.exp(0.5 * (n - m - 1) * log_a - (m + 1 + 0.5 * (n - m - 1)) * log_b)
-    target = np.exp(-n * log_b)
-    op_det = jacobian_det_operator(x, info)
+    r, log_b = gram_qr(x)
+    r_inv = np.linalg.inv(r)
+    b_inv = r_inv @ r_inv.swapaxes(-1, -2)
+    log_a = gram_qr(y)[1]
+    power = 0.5 * (n - m - 1)
+    assembled = power * log_a - (m + 1 + power) * log_b
+    target = -n * log_b
+    op_det = operator_log_pdet(x, info)
     reports = stack_reports(
         "exterior-chain", {"n": n, "m": m},
-        {"gram_pinv_det": sign_a * np.exp(log_a), "gram_det": sign_b * np.exp(log_b),
-         "assembled": assembled, "closed_form": target, "operator_det": op_det},
+        {"log_gram_pinv_det": log_a, "log_gram_det": log_b, "log_assembled": assembled,
+         "log_closed_form": target, "log_operator_det": op_det},
         {"inverse_identity": frobenius_norms(a - b_inv) / frobenius_norms(b_inv),
-         "determinant_algebra": abs(assembled - target) / target,
-         "operator_match": abs(assembled - op_det) / target},
+         "determinant_algebra": abs(assembled - target),
+         "operator_match": abs(assembled - op_det)},
     )
     return reports if x.ndim > 2 else reports[0]
 

@@ -145,13 +145,11 @@ class VerificationReport:
 def stack_reports(check_name: str, inputs: dict, values: dict, residuals: dict,
                   conditions: tuple = (), **kwargs) -> list[VerificationReport]:
     """One report per slice of a stacked check: each value, residual and condition is
-    one entry shared by every slice or an array with one entry per slice; a value
-    entry None is left out of its slice's report.  The other keyword arguments of
-    :class:`VerificationReport` go to every report."""
+    one entry shared by every slice or an array with one entry per slice.  The other
+    keyword arguments of :class:`VerificationReport` go to every report."""
     columns = np.broadcast_arrays(*map(np.asarray, [*values.values(), *residuals.values(),
                                                     *conditions]))
-    return [VerificationReport(check_name, dict(inputs),
-                               {k: v for k, v in zip(values, row) if v is not None},
+    return [VerificationReport(check_name, dict(inputs), dict(zip(values, row)),
                                dict(zip(residuals, row[len(values):])),
                                conditions=row[len(values) + len(residuals):], **kwargs)
             for row in zip(*(c.ravel().tolist() for c in columns))]

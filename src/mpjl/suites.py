@@ -16,9 +16,10 @@ the norms by the Gram identities of ``differential``, the diagonal parts
 S0 split off first so that ||E|| cancels against no large term).  A draw
 keeps its sampled spectrum unsorted; the check sorts and gap-tests the
 stack's spectra in one call (``matcore.sorted_spectra``), which raises
-the DegenerateSpectrum of a tied trial.  Each check factors its stack of
-X once: the one SVD that gives pinv(X) also gives the rank profile that
-the chart's rank test and the determinants read, and ``invariance``
+the DegenerateSpectrum of a tied trial.  Each check takes one SVD of its
+stack of X: the one that gives pinv(X) also gives the rank profile that
+the chart's rank test and the operator's spectrum read (the full-rank
+closed forms take a QR of X, to stay independent of it), and ``invariance``
 indexes the charts of X and H X Q out of one pivoted stack
 (``chart.BlockDecomposition[i]``).
 ``run_suite`` draws each stack of trials, capped by ``STACK_ENTRIES``
@@ -136,8 +137,8 @@ def _instances(draws: list[tuple]) -> tuple[np.ndarray, ...]:
 
 
 def _rel(err, scale):
-    # err / scale, entry by entry; err itself where the scale is not positive.
-    return np.divide(err, scale, out=np.array(err, float), where=np.greater(scale, 0)).tolist()
+    # err / scale, entry by entry; each scale is the norm of dY, S, X or Y, never 0.
+    return np.divide(err, scale).tolist()
 
 
 def _chart_dim(cfg: RunConfig) -> int:
@@ -182,20 +183,21 @@ def _check_differential(cfg: RunConfig, draws: list[tuple]) -> list[Verification
 def _check_jacobian_full(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
     [x] = _instances(draws)
     fd_chart = _fd_chart("jacobian-full", cfg)
-    # One stacked factorization of X serves both determinants and the rank
-    # check, and on a small chart pinv(X) too; else only its values are taken.
+    # One stacked SVD of X serves the operator's log determinant and the rank
+    # check, and on a small chart pinv(X) too; the closed form takes a QR.
     y, info = matcore.pinv_rank(x) if fd_chart else (None, matcore.rank_profile(x))
-    formula = differential.jacobian_det_full_rank(x, info)
-    values = {"operator_det": differential.jacobian_det_operator(x, info), "closed_form": formula}
-    residuals = {"operator_vs_formula": _rel(abs(values["operator_det"] - formula), formula)}
+    formula = differential.log_jacobian_det_full_rank(x, info)
+    operator_det = differential.operator_log_pdet(x, info)
+    values = {"log_operator_det": operator_det, "log_closed_form": formula}
+    residuals = {"operator_vs_formula": abs(operator_det - formula)}
     if fd_chart:
-        # jacobian_det_full_rank has refused an X below full rank, and Y has
-        # X's rank: neither chart takes a rank test.  The complex step moves
+        # log_jacobian_det_full_rank has refused an X below full rank, and Y
+        # has X's rank: neither chart takes a rank test.  The complex step moves
         # k points through the factored block pseudoinverse: no SVD, no step.
         jac = differential.pinv_chart_jacobian(x, chart._pivot(x, cfg.rank),
                                                chart._pivot(y, cfg.rank))
-        values["fd_chart_det"] = fd_det = np.abs(np.linalg.det(jac))
-        residuals["fd_vs_formula"] = _rel(abs(fd_det - formula), formula)
+        values["log_fd_chart_det"] = fd_det = np.linalg.slogdet(jac)[1]
+        residuals["fd_vs_formula"] = abs(fd_det - formula)
     return stack_reports("jacobian-full", {"n": cfg.n, "m": cfg.m, "q": cfg.rank}, values,
                          residuals, tol=cfg.tol)
 
@@ -218,9 +220,9 @@ def _check_operator_rank(cfg: RunConfig, draws: list[tuple]) -> list[Verificatio
         chart._require_rank(info, q)
         bx, by = chart._pivot(x, q), chart._pivot(y, q)
         jac = differential.pinv_chart_jacobian(x, bx, by)
-        chart_det["deficient_chart_det"] = det = np.abs(np.linalg.det(jac))
+        chart_det["log_deficient_chart_det"] = det = np.linalg.slogdet(jac)[1]
         area = log_factor + chart.log_chart_volume(bx) - chart.log_chart_volume(by)
-        area_formula["area_formula"] = abs(np.log(det) - area) / np.maximum(1.0, abs(area))
+        area_formula["area_formula"] = abs(det - area) / np.maximum(1.0, abs(area))
     # S in the basis U kron V, read from its factors (see differential).
     rank, (norm, normal, off) = differential.pair_block_profile(
         u.swapaxes(-1, -2) @ x @ vt.swapaxes(-1, -2), vt @ y @ u, q)
@@ -250,11 +252,11 @@ def _check_symmetric_inverse(cfg: RunConfig, draws: list[tuple]) -> list[Verific
     g, eigs = map(np.array, zip(*draws))
     frame = matcore.orthonormal_frames(g)
     s = (frame * eigs[:, None, :]) @ frame.swapaxes(-1, -2)
-    formula = measures.symmetric_inverse_jacobian_formula(s)
+    formula = measures.log_symmetric_inverse_jacobian(s)
     oracle = measures.symmetric_inverse_fd_det(s)
     return stack_reports("symmetric-inverse", {"order": cfg.m},
-                         {"formula": formula, "fd_det": oracle},
-                         {"fd_mismatch": _rel(abs(formula - oracle), formula)}, tol=cfg.tol)
+                         {"log_formula": formula, "log_fd_det": oracle},
+                         {"fd_mismatch": abs(formula - oracle)}, tol=cfg.tol)
 
 
 def _check_blocks(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:

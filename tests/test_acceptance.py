@@ -148,10 +148,10 @@ def test_criterion_6_hausdorff_chain():
     with criterion(6, "hausdorff ratio identity <= 1e-10", 1.0):
         # hand-computed anchors
         anchor = ms.hausdorff_ratio_check(2, 2, [2.0], 1e-10)
-        assert anchor.values["density_x"] == 2.0
-        assert anchor.values["jacobian_factor"] == 1.0 / 64.0
+        assert abs(anchor.values["log_density_x"] - np.log(2.0)) <= 1e-15
+        assert anchor.values["log_jacobian_factor"] == np.log(1.0 / 64.0)
         assert anchor.residuals["identity"] <= 1e-10
-        assert ms.hausdorff_density(3, 2, [2.0, 1.0]) == 1.5
+        assert abs(ms.log_hausdorff_density(3, 2, [2.0, 1.0]) - np.log(1.5)) <= 1e-15
         assert ms.hausdorff_ratio_check(3, 2, [2.0, 1.0], 1e-10).residuals["identity"] <= 1e-10
         # 50 random spectra
         for trial in range(50):

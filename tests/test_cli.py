@@ -1,13 +1,18 @@
 """CLI behavior: determinism, exit codes, suite plumbing, report merging."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpjl import matcore as mc, suites
 from mpjl.cli import main
@@ -273,9 +278,8 @@ def test_operator_rank_reports_deficient_chart_det(capsys):
     code, out2, _ = run_cli(capsys, *args)
     assert out1 == out2  # the reported determinant is seed-reproducible
     for report in json.loads(out1)["reports"]:
-        det = report["values"]["deficient_chart_det"]
-        assert det > 0.0
-        assert "deficient_chart_det" not in report["tolerances"]
+        assert math.isfinite(report["values"]["log_deficient_chart_det"])
+        assert "log_deficient_chart_det" not in report["tolerances"]
 
 
 @pytest.mark.parametrize("extra", [
@@ -500,30 +504,27 @@ def _strict_json(text: str) -> dict:
     ["--n", "40", "--m", "32", "--q", "20", "--trials", "1", "--seed", "278331871"],
 ])
 def test_hausdorff_beyond_the_float_range_passes(capsys, argv):
-    # The check runs in logs; a linear value is written only where it is
-    # finite and normal.
+    # The check runs in logs and writes only logs.
     code, out, err = run_cli(capsys, "verify", "hausdorff", *argv, "--format", "json")
     assert (code, err) == (0, "")
     reports = _strict_json(out)["reports"]
     assert all(r["pass"] for r in reports)
     for r in reports:
-        assert {"log_density_x", "log_density_y", "log_jacobian_factor"} <= r["values"].keys()
-        assert all(v >= np.finfo(float).tiny for k, v in r["values"].items()
-                   if not k.startswith("log_"))
+        assert list(r["values"]) == ["log_density_x", "log_density_y", "log_jacobian_factor"]
 
 
-def test_hausdorff_leaves_out_a_linear_value_whose_chain_went_subnormal(capsys):
-    # The partial products of prod d^-104 reach 9.0e-321 and end normal at
-    # 1.07e-275, 1.2e-4 off exp(log_jacobian_factor): that value is left out.
-    argv = ["--n", "40", "--m", "32", "--q", "20", "--trials", "1", "--seed", "278331871"]
-    code, out, err = run_cli(capsys, "verify", "hausdorff", *argv, "--format", "json")
-    assert (code, err) == (0, "")
-    [report] = _strict_json(out)["reports"]
-    values = report["values"]
-    assert list(values) == ["density_x", "density_y", "log_density_x", "log_density_y",
-                            "log_jacobian_factor"]
-    for key in ("density_x", "density_y"):
-        assert abs(values[key] / np.exp(values[f"log_{key}"]) - 1) <= 1e-10
+def test_hausdorff_report_layout_is_fixed(capsys):
+    # Seed 278331871's linear factor ran through subnormals and seed 2's did
+    # not; with only logs written, every report has the same keys.
+    layouts = set()
+    for seed, trials in (("278331871", "1"), ("2", "1"), ("3", "6")):
+        argv = ["--n", "40", "--m", "32", "--q", "20", "--trials", trials, "--seed", seed]
+        code, out, err = run_cli(capsys, "verify", "hausdorff", *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        for report in _strict_json(out)["reports"]:
+            layouts.add(tuple(tuple(report[part]) for part in
+                              ("inputs", "values", "residuals", "tolerances")))
+    assert len(layouts) == 1
 
 
 def test_invariance_image_chart_takes_the_rank_of_x(capsys):
@@ -583,3 +584,67 @@ def test_successive_calls_parse_like_a_fresh_parser(monkeypatch):
         assert main(argv) == 0
     assert len(built) <= 1
     assert seen == [vars(build().parse_args(argv)) for argv in argvs]
+
+
+# The runs of ROADMAP item 1 that failed while determinants were linear: a
+# NaN traceback (exterior-chain 40 x 30), a pass on 0.0 against 0.0
+# (jacobian-full 48 x 36) and two overflows to inf.
+LINEAR_DOMAIN_FAILURES = [
+    ["verify", "exterior-chain", "--n", "40", "--m", "30", "--trials", "3"],
+    ["verify", "jacobian-full", "--n", "48", "--m", "36", "--trials", "3"],
+    ["verify", "jacobian-full", "--n", "20", "--m", "16", "--trials", "1",
+     "--spectrum", ",".join(map(str, np.linspace(0.3, 0.15, 16)))],
+    ["verify", "operator-rank", "--n", "3", "--m", "5", "--q", "2", "--trials", "2", "--seed", "0",
+     "--spectrum", "2.5e-13,2.5e-14"],
+]
+
+
+@st.composite
+def verify_runs(draw, suite):
+    """argv of a ``suite`` run: n and m <= 12, every q the suite takes, and the default
+    spectrum or linspace(2.5, 0.5, q) scaled by 1e-3 to 1e3."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    if suite == "exterior-chain":
+        n, m = max(n, m), min(n, m)
+    full = suite in ("jacobian-full", "exterior-chain", "symmetric-inverse")
+    q = min(n, m) if full else draw(st.integers(1, min(n, m)))
+    argv = ["verify", suite, "--n", str(n), "--m", str(m),
+            "--trials", str(draw(st.integers(1, 3))), "--seed", str(draw(st.integers(0, 2**16)))]
+    if suite != "symmetric-inverse":
+        argv += ["--q", str(q)]
+        if draw(st.booleans()):
+            scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+            argv += ["--spectrum", ",".join(map(str, scale * np.linspace(2.5, 0.5, q)))]
+    return argv
+
+
+def _assert_output_contract(argv):
+    # A documented exit code, strict JSON, no warning, empty stderr on exits
+    # 0 and 1, and no residual taken against a scale that is 0 or not finite.
+    scales = []
+    rel = suites._rel
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with (pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught,
+          contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr)):
+        warnings.simplefilter("always")
+        mp.setattr(suites, "_rel", lambda err, scale: scales.append(scale) or rel(err, scale))
+        code = main([*argv, "--format", "json"])
+    assert code in (0, 1, 2, 3)
+    assert not caught, [str(w.message) for w in caught]
+    if code in (0, 1):
+        assert stderr.getvalue() == ""
+        summary = _strict_json(stdout.getvalue())["summary"]
+        assert (summary["failed"] > 0) == (code == 1)
+    assert all(np.all(np.isfinite(s) & (np.asarray(s) > 0)) for s in scales)
+
+
+@pytest.mark.parametrize("argv", LINEAR_DOMAIN_FAILURES)
+def test_linear_domain_failures_keep_the_output_contract(argv):
+    _assert_output_contract(argv)
+
+
+@pytest.mark.parametrize("suite", suites.SUITE_NAMES)
+@settings(max_examples=40)
+@given(st.data())
+def test_every_verify_run_keeps_the_output_contract(suite, data):
+    _assert_output_contract(data.draw(verify_runs(suite)))

@@ -123,7 +123,7 @@ def test_det_operator_factors_no_operator_sized_matrix(svd_shapes):
     n, m = 24, 20
     x = mc.random_rank_q(n, m, m, mc.make_rng(47))
     svd_shapes.clear()
-    df.jacobian_det_operator(x, mc.rank_profile(x))
+    df.operator_log_pdet(x, mc.rank_profile(x))
     assert svd_shapes
     assert max(s[0] for s in svd_shapes) <= max(n, m)
 
@@ -397,43 +397,44 @@ def test_operator_annihilates_normal_directions():
 
 def test_det_operator_scalar():
     x = np.array([[2.0]])
-    assert abs(df.jacobian_det_operator(x, mc.rank_profile(x)) - 0.25) <= 1e-15
+    assert abs(df.operator_log_pdet(x, mc.rank_profile(x)) - np.log(0.25)) <= 1e-15
 
 
 def test_det_operator_matches_closed_form_tall():
     x = mc.random_rank_q(4, 2, 2, mc.make_rng(46))
-    det_op = df.jacobian_det_operator(x, mc.rank_profile(x))
-    closed = abs(np.linalg.det(x.T @ x)) ** -4.0
-    assert abs(det_op - closed) <= 1e-8 * closed
+    log_det_op = df.operator_log_pdet(x, mc.rank_profile(x))
+    closed = -4.0 * np.linalg.slogdet(x.T @ x)[1]
+    assert abs(log_det_op - closed) <= 1e-8
 
 
 def test_det_operator_vanishes_when_deficient():
+    # Below full rank the operator has fewer than nm nonzero singular values:
+    # its determinant is 0, and only its pseudo-determinant has a log.
     x = np.array([[1.0, 2.0], [3.0, 6.0]])
-    op = jacobian_operator(x)
-    scale = mc.rank_profile(op).singular_values[0] ** 4
-    assert df.jacobian_det_operator(x, mc.rank_profile(x)) <= 1e-12 * scale
+    dense_rank = mc.rank_profile(jacobian_operator(x)).rank
+    assert dense_rank == df.operator_spectrum(x, mc.rank_profile(x)).size == 3
 
 
-def _closed_form_det(x):
-    return df.jacobian_det_full_rank(x, mc.rank_profile(x))
+def _closed_form_log_det(x):
+    return df.log_jacobian_det_full_rank(x, mc.rank_profile(x))
 
 
 def test_det_full_rank_examples():
-    assert _closed_form_det(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])) == 1.0
+    assert _closed_form_log_det(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])) == 0.0
     x = np.array([[2.0, 0.0], [0.0, 3.0], [0.0, 0.0]])
-    assert abs(_closed_form_det(x) - 36.0 ** -3) <= 1e-20
+    assert abs(_closed_form_log_det(x) - np.log(36.0 ** -3)) <= 1e-14
 
 
 def test_det_full_rank_square_branches_agree():
     x = mc.random_rank_q(4, 4, 4, mc.make_rng(47))
-    value = _closed_form_det(x)
-    alt = abs(np.linalg.det(x)) ** -8.0
-    assert abs(value - alt) <= 1e-10 * alt
+    value = _closed_form_log_det(x)
+    alt = -8.0 * np.linalg.slogdet(x)[1]
+    assert abs(value - alt) <= 1e-10 * max(1.0, abs(alt))
 
 
 def test_det_full_rank_rejects_deficient():
     with pytest.raises(NotFullRank):
-        _closed_form_det(np.array([[1.0, 2.0], [3.0, 6.0]]))
+        _closed_form_log_det(np.array([[1.0, 2.0], [3.0, 6.0]]))
 
 
 def test_det_agreement_both_orientations():
@@ -443,15 +444,15 @@ def test_det_agreement_both_orientations():
         n = int(rng.integers(1, 6))
         m = int(rng.integers(1, 6))
         cases.append(mc.random_rank_q(n, m, min(n, m), rng))
-    # 1.2662e-262 at 32x24, where a running product of d_i^-64 underflows to 0.
+    # exp(-603.0) at 32x24, where a running product of d_i^-64 underflows to 0.
     d = np.concatenate([np.linspace(2.5, 1.8, 16), np.linspace(0.95, 0.5, 8)])
     cases.append(mc.random_rank_q(32, 24, 24, mc.make_rng(3), spectrum=d))
     for x in cases:
         info = mc.rank_profile(x)
-        det_op = df.jacobian_det_operator(x, info)
-        closed = df.jacobian_det_full_rank(x, info)
-        assert det_op > 0.0
-        assert abs(det_op - closed) <= 1e-8 * closed
+        log_det_op = df.operator_log_pdet(x, info)
+        closed = df.log_jacobian_det_full_rank(x, info)
+        assert np.isfinite(log_det_op)
+        assert abs(log_det_op - closed) <= 1e-8
 
 
 def test_fd_differential_identity_case():
@@ -561,8 +562,8 @@ def test_fd_chart_jacobian_pinv_full_rank():
     _, in_chart, out_chart = _pinv_chart(x, 2)
     assert len(in_chart) == 6
     fd = fd_chart_jacobian(_Pinv(2), x, in_chart, out_chart)
-    closed = _closed_form_det(x)
-    assert abs(abs(np.linalg.det(fd)) - closed) <= 1e-4 * closed
+    closed = _closed_form_log_det(x)
+    assert abs(np.linalg.slogdet(fd)[1] - closed) <= 1e-4
 
 
 @pytest.mark.parametrize("n, m, q",

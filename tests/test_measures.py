@@ -9,24 +9,24 @@ from mpjl.errors import BadSpectrum, NotFullColumnRank, SingularInput
 
 
 def test_density_anchor_2x2_rank1():
-    assert ms.hausdorff_density(2, 2, [2.0]) == 2.0
+    assert abs(ms.log_hausdorff_density(2, 2, [2.0]) - np.log(2.0)) <= 1e-15
 
 
 def test_density_anchor_3x2_rank2():
-    assert ms.hausdorff_density(3, 2, [2.0, 1.0]) == 1.5
+    assert abs(ms.log_hausdorff_density(3, 2, [2.0, 1.0]) - np.log(1.5)) <= 1e-15
 
 
 def test_density_rejects_ties_and_nonpositive():
     with pytest.raises(BadSpectrum):
-        ms.hausdorff_density(3, 3, [2.0, 2.0])
+        ms.log_hausdorff_density(3, 3, [2.0, 2.0])
     with pytest.raises(BadSpectrum):
-        ms.hausdorff_density(3, 3, [2.0, -1.0])
+        ms.log_hausdorff_density(3, 3, [2.0, -1.0])
     with pytest.raises(BadSpectrum):
-        ms.hausdorff_density(3, 3, [1.0, 2.0])
+        ms.log_hausdorff_density(3, 3, [1.0, 2.0])
 
 
 def test_density_scaling_exponent():
-    # Scaling D by c multiplies the density by c^(q(n+m-2q) + q(q-1)).
+    # Scaling D by c adds (q(n+m-2q) + q(q-1)) log c to the log density.
     rng = mc.make_rng(60)
     for _ in range(10):
         q = int(rng.integers(1, 5))
@@ -34,15 +34,16 @@ def test_density_scaling_exponent():
         m = int(rng.integers(q, 9))
         d = mc.sample_spectrum(q, rng)
         c = float(rng.uniform(0.5, 3.0))
-        expected = c ** (q * (n + m - 2 * q) + q * (q - 1)) * ms.hausdorff_density(n, m, d)
-        got = ms.hausdorff_density(n, m, c * d)
-        assert abs(got - expected) <= 1e-10 * expected
+        exponent = q * (n + m - 2 * q) + q * (q - 1)
+        expected = exponent * np.log(c) + ms.log_hausdorff_density(n, m, d)
+        got = ms.log_hausdorff_density(n, m, c * d)
+        assert abs(got - expected) <= 1e-13 * max(1.0, abs(expected))
 
 
 def test_density_increasing_in_gaps():
-    base = ms.hausdorff_density(4, 4, [2.0, 1.0])
-    widened = ms.hausdorff_density(4, 4, [2.5, 1.0])
-    assert widened > base > 0
+    base = ms.log_hausdorff_density(4, 4, [2.0, 1.0])
+    widened = ms.log_hausdorff_density(4, 4, [2.5, 1.0])
+    assert widened > base
 
 
 def test_pinv_spectrum_values():
@@ -56,17 +57,19 @@ def test_pinv_spectrum_involution():
 
 
 def test_factor_anchors():
-    assert ms.nonfullrank_jacobian_factor(2, 2, [2.0]) == 1.0 / 64.0
-    assert ms.nonfullrank_jacobian_factor(3, 2, [2.0, 1.0]) == 1.0 / 64.0
-    assert ms.nonfullrank_jacobian_factor(5, 7, [1.0]) == 1.0
+    # log 1/64 = -6 log 2, as -2(n+m-q) sum log D.
+    assert ms.log_nonfullrank_jacobian_factor(2, 2, [2.0]) == -6.0 * np.log(2.0)
+    assert ms.log_nonfullrank_jacobian_factor(3, 2, [2.0, 1.0]) == -6.0 * np.log(2.0)
+    assert ms.log_nonfullrank_jacobian_factor(5, 7, [1.0]) == 0.0
 
 
 def test_ratio_check_hand_chain():
     # density_Y * (1/4) / density_X = (1/2 * 1/4) * (1/4) / 2 = 1/64.
     rep = ms.hausdorff_ratio_check(2, 2, [2.0], 1e-12)
-    assert rep.values["density_x"] == 2.0
-    assert rep.values["density_y"] == 0.125
-    assert rep.values["jacobian_factor"] == 1.0 / 64.0
+    assert list(rep.values) == ["log_density_x", "log_density_y", "log_jacobian_factor"]
+    assert abs(rep.values["log_density_x"] - np.log(2.0)) <= 1e-15
+    assert abs(rep.values["log_density_y"] - np.log(0.125)) <= 1e-15
+    assert rep.values["log_jacobian_factor"] == -6.0 * np.log(2.0)
     assert rep.residuals["identity"] <= 1e-12
 
 
@@ -85,60 +88,58 @@ def test_ratio_check_sweep():
         assert rep.residuals["identity"] <= 1e-10
 
 
-def _loop_density(n, m, d):
-    # The per-spectrum loop the stacked product replaced: scalar powers,
-    # factors multiplied left to right, each pair as (d_i - d_j)(d_i + d_j).
+def _loop_log_density(n, m, d):
+    # The per-spectrum loop: each pair as log(d_i - d_j) + log(d_i + d_j).
     q = len(d)
-    value = 2.0 ** (-q) * np.prod(d) ** (n + m - 2 * q)
+    value = -q * np.log(2.0) + (n + m - 2 * q) * sum(np.log(v) for v in d)
     for i in range(q):
         for j in range(i + 1, q):
-            value *= (d[i] - d[j]) * (d[i] + d[j])
+            value += np.log(d[i] - d[j]) + np.log(d[i] + d[j])
     return value
 
 
-def _mp_density(n, m, d):
-    # 50-digit 2^-q (prod d)^(n+m-2q) prod_{i<j}(d_i^2 - d_j^2) at the float d.
+def _mp_log_density(n, m, d):
+    # 50-digit log of 2^-q (prod d)^(n+m-2q) prod_{i<j}(d_i^2 - d_j^2) at the float d.
     with mpmath.workdps(50):
         d = [mpmath.mpf(float(v)) for v in d]
         q = len(d)
         pairs = (d[i] ** 2 - d[j] ** 2 for i in range(q) for j in range(i + 1, q))
-        return mpmath.mpf(2) ** -q * mpmath.fprod(d) ** (n + m - 2 * q) * mpmath.fprod(pairs)
+        return float(mpmath.log(mpmath.mpf(2) ** -q * mpmath.fprod(d) ** (n + m - 2 * q)
+                                * mpmath.fprod(pairs)))
 
 
-def test_linear_densities_match_mpmath():
+def test_log_densities_match_mpmath():
     # Close singular values: a difference of rounded squares cancelled to
     # 1.1e-11 at trial 1609 (smallest gap 4.2e-6 of d_1); each pair taken
-    # as (d_i - d_j)(d_i + d_j) keeps the product to rounding.
-    for t in range(1560, 1660):
+    # as (d_i - d_j)(d_i + d_j) keeps each log to rounding.  Trial 621 is a
+    # density of Y near 3.5e-323, below the normal range.
+    for t in [621, *range(1560, 1660)]:
         d = mc.sample_spectrum(20, mc.make_rng(7, t))
         rep = ms.hausdorff_ratio_check(40, 32, d)
-        for key, (n, m, e) in (("density_x", (40, 32, d)),
-                               ("density_y", (32, 40, ms.pinv_spectrum(d)))):
-            if key in rep.values:
-                want = _mp_density(n, m, e)
-                assert abs(rep.values[key] - want) <= 1e-13 * want, (t, key)
+        assert rep.passed
+        for key, (n, m, e) in (("log_density_x", (40, 32, d)),
+                               ("log_density_y", (32, 40, ms.pinv_spectrum(d)))):
+            want = _mp_log_density(n, m, e)
+            assert abs(rep.values[key] - want) <= 1e-13 * abs(want), (t, key)
 
 
-def test_linear_values_keep_the_bits_of_the_loops():
-    # A stack of spectra gives each the bits of its own call, a stack of one.
-    # The loops take each power as a scalar (libm) power, the library as one
-    # array power; with at most 8 powers, each a few ulps apart, the products
-    # agree to 1e-14.
+def test_log_values_keep_the_bits_of_the_loops():
+    # A stack of spectra gives each the bits of its own call, a stack of one,
+    # and agrees with the per-spectrum loop to rounding.
     rng = mc.make_rng(64)
     for _ in range(40):
         q = int(rng.integers(1, 9))
         n, m = int(rng.integers(q, 12)), int(rng.integers(q, 12))
         d = np.array([mc.sample_spectrum(q, rng) for _ in range(4)])
-        density = ms.hausdorff_density(n, m, d)
-        factor = ms.nonfullrank_jacobian_factor(n, m, d)
+        density = ms.log_hausdorff_density(n, m, d)
+        factor = ms.log_nonfullrank_jacobian_factor(n, m, d)
         for row, got_density, got_factor in zip(d, density, factor):
-            assert got_density == ms.hausdorff_density(n, m, row)
-            assert got_factor == ms.nonfullrank_jacobian_factor(n, m, row)
-            assert abs(got_density - _loop_density(n, m, row)) <= 1e-14 * got_density
-            product = 1.0
-            for v in row:
-                product *= v ** (-2.0 * (n + m - q))
-            assert abs(got_factor - product) <= 1e-14 * got_factor
+            assert got_density == ms.log_hausdorff_density(n, m, row)
+            assert got_factor == ms.log_nonfullrank_jacobian_factor(n, m, row)
+            want = _loop_log_density(n, m, row)
+            assert abs(got_density - want) <= 1e-14 * max(1.0, abs(want))
+            want = -2.0 * (n + m - q) * sum(np.log(v) for v in row)
+            assert abs(got_factor - want) <= 1e-14 * max(1.0, abs(want))
 
 
 def test_ratio_check_stack_matches_per_spectrum():
@@ -152,24 +153,19 @@ def test_ratio_check_stack_matches_per_spectrum():
             assert report.to_json() == ms.hausdorff_ratio_check(9, 8, row).to_json()
 
 
-def test_linear_values_only_where_finite_and_normal():
+def test_log_values_hold_beyond_the_float_range():
     # At 60 x 50 rank 20 every linear value leaves the float range; the
     # identity holds between the logs.
     d = np.geomspace(1.0, 0.1, 20)
-    assert ms.hausdorff_density(60, 50, d) == 0.0
-    assert ms.nonfullrank_jacobian_factor(60, 50, d) == np.inf
     rep = ms.hausdorff_ratio_check(60, 50, d)
     assert list(rep.values) == ["log_density_x", "log_density_y", "log_jacobian_factor"]
     assert rep.values["log_jacobian_factor"] == -2 * (60 + 50 - 20) * np.log(d).sum()
     assert rep.passed
-    # Here prod d^-4 ends normal, 1.6e-12 off exp(log), after a first factor
-    # 1e-312 that is subnormal: the factor is left out, the densities kept.
+    # prod d^-4 here runs through a subnormal first factor 1e-312.
     d = np.array([1e78, 1e-76])
-    assert ms.nonfullrank_jacobian_factor(2, 2, d) >= np.finfo(float).tiny
     rep = ms.hausdorff_ratio_check(2, 2, d)
-    assert list(rep.values) == ["density_x", "density_y", "log_density_x", "log_density_y",
-                                "log_jacobian_factor"]
-    assert rep.values["density_x"] == ms.hausdorff_density(2, 2, d)
+    assert list(rep.values) == ["log_density_x", "log_density_y", "log_jacobian_factor"]
+    assert rep.values["log_density_x"] == ms.log_hausdorff_density(2, 2, d)
     assert rep.passed
 
 
@@ -181,21 +177,22 @@ def test_symmetric_matrix_exact_symmetry():
 
 
 def test_symmetric_inverse_scalar():
+    # log 1/16 = -2 log 4.
     s = ms.symmetric_part([[4.0]])
-    assert ms.symmetric_inverse_jacobian_formula(s) == 1.0 / 16.0
+    assert ms.log_symmetric_inverse_jacobian(s) == -2.0 * np.log(4.0)
     fd = ms.symmetric_inverse_fd_det(s)
-    assert abs(fd - 1.0 / 16.0) <= 1e-4 / 16.0
+    assert abs(fd - np.log(1.0 / 16.0)) <= 1e-4
 
 
 def test_symmetric_inverse_identity():
     s = ms.symmetric_part(np.eye(3))
-    assert ms.symmetric_inverse_jacobian_formula(s) == 1.0
+    assert ms.log_symmetric_inverse_jacobian(s) == 0.0
 
 
 def test_symmetric_inverse_rejects_singular():
     s = ms.symmetric_part(np.diag([1.0, 0.0]))
     with pytest.raises(SingularInput):
-        ms.symmetric_inverse_jacobian_formula(s)
+        ms.log_symmetric_inverse_jacobian(s)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -204,9 +201,9 @@ def test_symmetric_inverse_formula_vs_fd(order):
         rng = mc.make_rng(63, order, trial)
         frame = mc.random_stiefel(order, order, rng)
         s = ms.symmetric_part((frame * rng.uniform(0.5, 2.5, order)) @ frame.T)
-        formula = ms.symmetric_inverse_jacobian_formula(s)
+        formula = ms.log_symmetric_inverse_jacobian(s)
         fd = ms.symmetric_inverse_fd_det(s)
-        assert abs(formula - fd) <= 1e-4 * formula
+        assert abs(formula - fd) <= 1e-4
 
 
 def _symmetric_inverse_fd_det_per_direction(s):
@@ -220,7 +217,7 @@ def _symmetric_inverse_fd_det_per_direction(s):
         e[i, j] = 1.0
         e[j, i] = 1.0
         jac[:, k] = ms.vech(np.linalg.inv(s + 1j * h * e).imag / h)
-    return float(abs(np.linalg.det(jac)))
+    return float(np.linalg.slogdet(jac)[1])
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
@@ -242,14 +239,14 @@ def test_exterior_chain_orthonormal_columns():
     x = mc.random_stiefel(5, 3, mc.make_rng(64))
     rep = ms.exterior_chain_check(x)
     assert rep.passed
-    assert abs(rep.values["assembled"] - 1.0) <= 1e-10
-    assert abs(rep.values["closed_form"] - 1.0) <= 1e-10
+    assert abs(rep.values["log_assembled"]) <= 1e-10
+    assert abs(rep.values["log_closed_form"]) <= 1e-10
 
 
 def test_exterior_chain_anchor():
     rep = ms.exterior_chain_check(np.array([[2.0, 0.0], [0.0, 3.0], [0.0, 0.0]]))
     assert rep.passed
-    assert abs(rep.values["assembled"] - 36.0 ** -3) <= 1e-12 * 36.0 ** -3
+    assert abs(rep.values["log_assembled"] - np.log(36.0 ** -3)) <= 1e-12
 
 
 def test_exterior_chain_sweep():
@@ -333,20 +330,3 @@ def test_witness_fixtures_reproduce_exactly():
         assert rep.values["abs_det"] == w["abs_det"]
         assert rep.values["deviation"] == w["deviation"]
         assert rep.values["deviation"] > 0.05
-
-
-def test_linear_density_may_be_a_subnormal_chain():
-    # The linear forms are plain products: this one ends subnormal, with no
-    # signal, 5.9e-2 off its 50-digit value.  The ratio check, which reports
-    # a linear value only where its whole chain is normal, leaves it out;
-    # its log form holds.
-    d = mc.sample_spectrum(20, mc.make_rng(7, 621))
-    e = ms.pinv_spectrum(d)
-    value = ms.hausdorff_density(32, 40, e)
-    assert value == 3.5e-323 and value < np.finfo(float).tiny
-    want = _mp_density(32, 40, e)
-    assert 5e-2 <= abs(value - want) / want <= 7e-2
-    rep = ms.hausdorff_ratio_check(40, 32, d)
-    assert "density_y" not in rep.values and rep.passed
-    with mpmath.workdps(50):
-        assert abs(rep.values["log_density_y"] - float(mpmath.log(want))) <= 1e-12 * 800

@@ -51,29 +51,35 @@ def _first_slice(original):
 
 def _density_without_2_to_minus_q(original):
     # The log density with its -q log 2 dropped.
-    return lambda n, m, d: original(n, m, d) + d.shape[-1] * np.log(2.0)
-
-
-def _factors_without_2_to_minus_q(original):
-    # The density's leading factor without its 2^-q.
-    def mutant(n, m, d):
-        factors = original(n, m, d)
-        factors[..., 0] *= 2.0 ** d.shape[-1]
-        return factors
-    return mutant
+    return lambda n, m, d: original(n, m, d) + np.shape(d)[-1] * np.log(2.0)
 
 
 def _symmetric_exponent_m(original):
-    # |det S|^-m in place of |det S|^-(m+1).
-    return lambda s: original(s) * np.abs(np.linalg.det(measures.symmetric_part(s)))
+    # -m log|det S| in place of -(m+1) log|det S|.
+    return lambda s: original(s) + np.linalg.slogdet(measures.symmetric_part(s))[1]
 
 
 def _full_rank_exponent_plus_1(original):
-    # |X'X|^-(n+1) in place of |X'X|^-n (|XX'|^-(m+1) in place of |XX'|^-m when wide).
+    # -(n+1) log|X'X| in place of -n log|X'X| (-(m+1) log|XX'| in place of -m log|XX'| when wide).
     def mutant(x, info):
         xt = x.swapaxes(-1, -2)
         gram = xt @ x if x.shape[-1] <= x.shape[-2] else x @ xt
-        return original(x, info) / np.abs(np.linalg.det(gram))
+        return original(x, info) - np.linalg.slogdet(gram)[1]
+    return mutant
+
+
+def _gram_log_det_without_2(original):
+    # sum log|r_ii| in place of log|R'R| = 2 sum log|r_ii|.
+    def mutant(a):
+        r, log_det = original(a)
+        return r, 0.5 * log_det
+    return mutant
+
+
+def _transposed_factor(original):
+    # -Y dX Y' in place of -Y dX Y; Y' has the shape of Y only where X is square.
+    def mutant(x, y, dx):
+        return original(x, y, dx) + y @ dx @ y - y @ dx @ y.swapaxes(-1, -2)
     return mutant
 
 
@@ -111,17 +117,23 @@ MUTANTS = {
     "sub-chart-ignores-index": ([(chart.BlockDecomposition, "__getitem__", _first_slice)],
                                 [INVARIANCE_5X4Q2]),
     "symmetric-inverse-exponent-m": (
-        [(measures, "symmetric_inverse_jacobian_formula", _symmetric_exponent_m)],
+        [(measures, "log_symmetric_inverse_jacobian", _symmetric_exponent_m)],
         [("symmetric-inverse", dict(m=m, trials=10, seed=5)) for m in (3, 5)]),
     "full-rank-det-exponent-n+1": (
-        [(differential, "jacobian_det_full_rank", _full_rank_exponent_plus_1)],
+        [(differential, "log_jacobian_det_full_rank", _full_rank_exponent_plus_1)],
         [("jacobian-full", dict(n=n, m=m, trials=10, seed=5)) for n, m in ((4, 3), (3, 4))]),
+    "gram-log-det-2-dropped": (
+        [(module, "gram_qr", _gram_log_det_without_2) for module in (differential, measures)],
+        [("jacobian-full", dict(n=n, m=m, trials=10, seed=5)) for n, m in ((4, 3), (3, 4))]
+        + [("exterior-chain", dict(n=5, m=3, trials=10, seed=5))]),
+    "differential-transposed-factor": (
+        [(differential, "_pinv_differential", _transposed_factor)],
+        [("differential", dict(n=5, m=5, q=q, trials=10, seed=5)) for q in (5, 3)]),
     # (I - YX) vanishes at full column rank, so a tall full-rank run cannot see this term.
     "differential-right-projector-sign": (
         [(differential, "_pinv_differential", _right_projector_term_negated)],
         [("differential", dict(n=7, m=5, q=3, trials=10, seed=5))]),
-    "density-2^-q-dropped": ([(measures, "_log_density", _density_without_2_to_minus_q),
-                              (measures, "_density_factors", _factors_without_2_to_minus_q)],
+    "density-2^-q-dropped": ([(measures, "log_hausdorff_density", _density_without_2_to_minus_q)],
                              [("hausdorff", dict(n=10, m=8, q=4, trials=6, seed=5))]),
 }
 

@@ -12,10 +12,7 @@ its own directory.  It replays:
   seeds 101-103, with the op schedules taken unchanged from
   ``perfbench/workloads.py``, once to stdout and once to an ``--out`` file;
 * after each cycle, ``report`` over the ``--out`` files that cycle wrote,
-  in JSON and in text (an op that ends in a traceback writes none: the
-  ``jacobian-full-small`` and ``exterior-chain-small`` ops of cli-sweep,
-  whose determinants overflow; the ``hausdorff-40x32-*`` and
-  ``hausdorff-60x50`` ops write theirs now that the check runs in logs);
+  in JSON and in text (an op that ends in a traceback writes none);
 * the three invariance witness fixtures, rendered as canonical JSON;
 * a fixed list of edge invocations: ``gen``, ``--tol`` overrides (and
   refusals) per suite, bad configurations (among them the two that pass
@@ -32,7 +29,8 @@ its own directory.  It replays:
   29 no longer exhausts the retry budget), ``operator-rank`` at 4 x 3
   q=2 and spectrum ``1000,0.001`` (edge 26), whose complex-step chart points make no pivot
   test, so its stack does not fall back trial by trial and reports
-  honest ``leak`` and ``area_formula`` FAILs, a stack whose determinants overflow, ``operator-rank``
+  honest ``leak`` and ``area_formula`` FAILs, stacks whose linear determinants would leave
+  the float range (30 x 20 and 16 x 8), ``operator-rank``
   at full rank and at 32 x 24, a twelve-trial 30 x 20 stack, three
   ``operator-rank`` stacks (five 8 x 6 trials at cond(X) = 1e4, four
   full-rank 1 x 5 trials, where the operator has no 2x2 pair block and no
@@ -51,9 +49,8 @@ its own directory.  It replays:
   FAIL; and ``invariance`` 2 x 2 q=1 seed 221480469, whose ``H X Q`` rounded
   above the rank cut of a second rank test; ``report`` merges, in JSON and
   in text, of one ``blocks`` file twice (every trial a duplicate), of
-  ``hausdorff`` 40 x 32 q=20 files whose reports differ in layout (seed
-  278331871 leaves its linear ``jacobian_factor`` out, seed 2 writes it, the
-  six trials of seed 3 do both), and of a hand-written file whose keys and
+  ``hausdorff`` 40 x 32 q=20 files at seeds 278331871, 2 and 3 (six
+  trials), and of a hand-written file whose keys and
   strings hold ``%``, ``\\u0000``, ``"`` and non-ASCII characters; and, in
   JSON and in text, ``operator-rank`` 24 x 20 q=8 with two trials and 10 x
   8 q=3 with nine trials (each one stack); ``hausdorff`` 40 x 32 q=20 seed 226, whose trial 1 draws a
@@ -70,7 +67,12 @@ its own directory.  It replays:
   ``symmetric-inverse --m 8 --q 8``, whose order is m whatever ``--n`` is;
   and ``operator-rank`` 6 x 5 q=2 just inside either float-range bound of
   its spectrum (``1.2e69,6e68`` and ``5e-76,4.8e-77``, in JSON and in
-  text), 24 x 20 q=8 with three trials in one stack, and 6 x 5 at full rank.
+  text), 24 x 20 q=8 with three trials in one stack, and 6 x 5 at full rank;
+  and the four runs that failed while determinants were linear:
+  ``exterior-chain`` 40 x 30 (a NaN traceback), ``jacobian-full`` 48 x 36
+  (a pass on 0.0 against 0.0), ``jacobian-full`` 20 x 16 at spectrum
+  ``linspace(0.3, 0.15, 16)`` and ``operator-rank`` 3 x 5 q=2 at spectrum
+  ``2.5e-13,2.5e-14`` (both an overflow to inf), each in JSON.
 
 Each invocation records its exit code (or the exception that escaped
 ``cli.main``), its stdout, its ``error: ...`` lines of stderr and the
@@ -109,9 +111,10 @@ CYCLES = 3
 
 # linspace(0.3, 0.15, 20) and linspace(0.06, 0.03, 8): |X'X|^-n leaves the
 # float range at 30 x 20 and at 16 x 8.  The entry budget puts each run in
-# one trial stack.
+# one trial stack.  linspace(0.3, 0.15, 16) does so at 20 x 16.
 OVERFLOW_SPECTRA = {(30, 20): ",".join(str(0.3 - 0.15 * i / 19) for i in range(20)),
-                    (16, 8): ",".join(str(0.06 - 0.03 * i / 7) for i in range(8))}
+                    (16, 8): ",".join(str(0.06 - 0.03 * i / 7) for i in range(8)),
+                    (20, 16): ",".join(str(0.3 - 0.15 * i / 15) for i in range(16))}
 
 # Numbers that strict JSON refuses, each written into a one-report file
 # that ``report`` reads.
@@ -247,6 +250,12 @@ EDGE_CASES = [
     ["verify", "operator-rank", "--n", "24", "--m", "20", "--q", "8", "--trials", "3",
      "--format", "json"],
     ["verify", "operator-rank", "--n", "6", "--m", "5", "--trials", "8", "--format", "json"],
+    ["verify", "exterior-chain", "--n", "40", "--m", "30", "--trials", "3", "--format", "json"],
+    ["verify", "jacobian-full", "--n", "48", "--m", "36", "--trials", "3", "--format", "json"],
+    ["verify", "jacobian-full", "--n", "20", "--m", "16", "--trials", "1",
+     "--spectrum", OVERFLOW_SPECTRA[20, 16], "--format", "json"],
+    ["verify", "operator-rank", "--n", "3", "--m", "5", "--q", "2", "--trials", "2", "--seed", "0",
+     "--spectrum", "2.5e-13,2.5e-14", "--format", "json"],
 ]
 
 # Keys and strings that the JSON writer must escape, in a one-report file
