@@ -108,12 +108,11 @@ def _mp_log_density(n, m, d):
                                 * mpmath.fprod(pairs)))
 
 
-def test_log_densities_match_mpmath():
+def test_linear_densities_match_mpmath():
     # Close singular values: a difference of rounded squares cancelled to
     # 1.1e-11 at trial 1609 (smallest gap 4.2e-6 of d_1); each pair taken
-    # as (d_i - d_j)(d_i + d_j) keeps each log to rounding.  Trial 621 is a
-    # density of Y near 3.5e-323, below the normal range.
-    for t in [621, *range(1560, 1660)]:
+    # as (d_i - d_j)(d_i + d_j) keeps the log of the linear product to rounding.
+    for t in range(1560, 1660):
         d = mc.sample_spectrum(20, mc.make_rng(7, t))
         rep = ms.hausdorff_ratio_check(40, 32, d)
         assert rep.passed
@@ -121,6 +120,21 @@ def test_log_densities_match_mpmath():
                                ("log_density_y", (32, 40, ms.pinv_spectrum(d)))):
             want = _mp_log_density(n, m, e)
             assert abs(rep.values[key] - want) <= 1e-13 * abs(want), (t, key)
+
+
+def test_linear_density_may_be_a_subnormal_chain():
+    # The linear density of Y at trial 621 is 3.5e-323, below the normal
+    # range, where a float product keeps no signal.  Only its log is
+    # reported, and it holds to rounding.
+    d = mc.sample_spectrum(20, mc.make_rng(7, 621))
+    e = ms.pinv_spectrum(d)
+    want = _mp_log_density(32, 40, e)
+    assert np.exp(want) < np.finfo(float).tiny
+    rep = ms.hausdorff_ratio_check(40, 32, d)
+    assert list(rep.values) == ["log_density_x", "log_density_y", "log_jacobian_factor"]
+    assert rep.passed
+    assert abs(rep.values["log_density_y"] - want) <= 1e-13 * abs(want)
+    assert ms.log_hausdorff_density(32, 40, e) == rep.values["log_density_y"]
 
 
 def test_log_values_keep_the_bits_of_the_loops():
