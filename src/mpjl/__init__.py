@@ -45,7 +45,6 @@ from .matcore import (
     RankInfo,
     SvdFactors,
     make_rng,
-    matrix_from_json,
     matrix_to_json,
     pinv,
     random_rank_q,

@@ -9,6 +9,7 @@ MPJL_DEFAULT_SEED overrides the default seed when --seed is absent.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import json
 import math
@@ -142,7 +143,7 @@ def cmd_gen(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _config_from_args(args, trials=args.trials, tol=args.tol)
     result = run_suite(args.suite, cfg)
-    text = dumps_canonical(result.to_json()) if args.format == "json" else render_text(result)
+    text = dumps_canonical(result) if args.format == "json" else render_text(result)
     _emit(text, args.out)
     return 0 if result.all_passed else 1
 
@@ -170,21 +171,13 @@ def _trial_key(report) -> tuple:
 
 def cmd_report(args) -> int:
     merged = SuiteResult()
-    seen: dict[tuple, int] = {}
     for path in args.paths:
-        part = _load_result(path)
-        merged.reports.extend(part.reports)
+        merged.reports.extend(_load_result(path).reports)
     merged.reports.sort(key=_trial_key)
-    duplicates = []
-    for report in merged.reports:
-        key = _trial_key(report)
-        seen[key] = seen.get(key, 0) + 1
-        if seen[key] == 2:
-            duplicates.append(list(key))
+    counts = collections.Counter(map(_trial_key, merged.reports))  # in sorted order
+    duplicates = [list(key) for key, count in counts.items() if count > 1]
     if args.format == "json":
-        payload = merged.to_json()
-        payload["duplicates"] = duplicates
-        _emit(dumps_canonical(payload), args.out)
+        _emit(dumps_canonical(merged, duplicates), args.out)
     else:
         text = render_text(merged, show_wall_time=False)
         for key in duplicates:

@@ -387,17 +387,12 @@ def sample_spectrum(q: int, rng: np.random.Generator) -> np.ndarray:
 def draw_rank_q(n: int, m: int, q: int, rng: np.random.Generator, spectrum=None):
     """Every generator call behind one rank-q instance, in order: ``(d, g_left, g_right)``.
 
-    ``d`` holds the q singular values, ``spectrum`` or else q distinct
-    values from :func:`sample_spectrum`; then come the n x q and m x q
-    Gaussian blocks of the two frames.
+    ``d`` holds the q singular values, ``spectrum`` or else q values drawn
+    uniformly from ``SPECTRUM_RANGE``, unsorted; then come the n x q and
+    m x q Gaussian blocks of the two frames.  Nothing is checked: callers
+    validate once, and sort (:func:`sorted_spectra`) a stack of draws at once.
     """
-    if not 1 <= q <= min(n, m):
-        raise ValueError(f"need 1 <= q <= min(n, m), got q={q}, n={n}, m={m}")
-    if spectrum is not None:
-        spectrum = validate_spectrum(spectrum)
-        if spectrum.size != q:
-            raise BadSpectrum(f"spectrum has {spectrum.size} values, expected q={q}")
-    d = sample_spectrum(q, rng) if spectrum is None else spectrum
+    d = rng.uniform(*SPECTRUM_RANGE, size=q) if spectrum is None else spectrum
     return d, rng.standard_normal((n, q)), rng.standard_normal((m, q))
 
 
@@ -411,8 +406,20 @@ def rank_q_from_draw(d: np.ndarray, g_left: np.ndarray, g_right: np.ndarray) -> 
 
 
 def random_rank_q(n: int, m: int, q: int, rng: np.random.Generator, spectrum=None) -> np.ndarray:
-    """Random n x m matrix with exact numerical rank q (see :func:`draw_rank_q`)."""
-    return rank_q_from_draw(*draw_rank_q(n, m, q, rng, spectrum))
+    """Random n x m matrix with exact numerical rank q (see :func:`draw_rank_q`).
+
+    ``spectrum``, when given, must pass :func:`validate_spectrum` and hold q
+    values; a drawn one is sorted by :func:`sorted_spectra`, which raises
+    DegenerateSpectrum when two of its values tie.
+    """
+    if not 1 <= q <= min(n, m):
+        raise ValueError(f"need 1 <= q <= min(n, m), got q={q}, n={n}, m={m}")
+    if spectrum is not None:
+        spectrum = validate_spectrum(spectrum)
+        if spectrum.size != q:
+            raise BadSpectrum(f"spectrum has {spectrum.size} values, expected q={q}")
+    d, g_left, g_right = draw_rank_q(n, m, q, rng, spectrum)
+    return rank_q_from_draw(sorted_spectra(d), g_left, g_right)
 
 
 # ---------------------------------------------------------------------------
@@ -427,13 +434,3 @@ def matrix_to_json(a) -> dict:
         "cols": a.shape[1],
         "data": [float(x) for x in a.reshape(-1, order="C")],
     }
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = np.asarray(obj["data"], dtype=float)
-    if data.size != rows * cols:
-        raise ShapeMismatch(
-            f"data length {data.size} does not match {rows}x{cols}"
-        )
-    return as_matrix(data.reshape((rows, cols), order="C"))

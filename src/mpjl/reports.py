@@ -5,12 +5,15 @@ ordered list of reports with a pass/fail summary.  JSON output is
 canonical: fixed key order, two-space indent, shortest-roundtrip float
 encoding, no volatile fields.  Identical inputs therefore produce
 byte-identical files; wall time is kept on the in-memory result and in the
-text rendering only.  ``dumps_canonical`` writes exactly what
-``json.dumps(obj, indent=2, allow_nan=False)`` writes, without its
-pure-Python indenting encoder: each report's layout (the keys of its dicts,
-the lengths of its lists) maps to a cached %-template, one call of
-CPython's C encoder writes every scalar of the file, and one ``%`` fills
-them in.  Whatever is not shaped like a report file goes to ``json.dumps``.
+text rendering only.  ``dumps_canonical`` writes a SuiteResult exactly as
+``json.dumps(result.to_json(), indent=2, allow_nan=False)`` would, without
+building that dict or running json's pure-Python indenting encoder: each
+report is one row, a %-template cached by its layout (the keys of its
+dicts, the lengths of its input lists), one call of CPython's C encoder
+writes every scalar of the file, and one ``%`` fills them in.
+``json.dumps`` itself writes every other payload (``gen``'s instance, a
+single report) and a SuiteResult that holds a value that is not a plain
+scalar or a number that is not finite.
 
 Tolerance policy: ``TOLERANCES`` is the one table of what each check's
 residuals are held to; ``PRIMARY`` names, for the checks that have one,
@@ -22,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import InitVar, dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import methodcaller
 
 import numpy as np
 
@@ -60,15 +64,8 @@ PRIMARY = {
 }
 
 
-_PLAIN = frozenset({str, int, float, bool, type(None)})
-
-
 def _plain(value):
     """Coerce numpy scalars/arrays to plain Python for JSON round-trips."""
-    if type(value) in _PLAIN:
-        return value
-    if type(value) is dict and _PLAIN.issuperset(map(type, value.values())):
-        return dict(value)
     if hasattr(value, "tolist"):  # any numpy value, scalar or array
         value = value.tolist()
     if isinstance(value, dict):
@@ -143,16 +140,33 @@ class VerificationReport:
 
 
 def stack_reports(check_name: str, inputs: dict, values: dict, residuals: dict,
-                  conditions: tuple = (), **kwargs) -> list[VerificationReport]:
+                  conditions: tuple = (), tol: float | None = None,
+                  tolerances: dict | None = None) -> list[VerificationReport]:
     """One report per slice of a stacked check: each value, residual and condition is
-    one entry shared by every slice or an array with one entry per slice.  The other
-    keyword arguments of :class:`VerificationReport` go to every report."""
-    columns = np.broadcast_arrays(*map(np.asarray, [*values.values(), *residuals.values(),
-                                                    *conditions]))
+    one entry shared by every slice (0-d) or an array of the stack's shape.
+
+    The stack is judged at once, by :class:`VerificationReport`'s rule, against
+    one tolerance dict that every report shares: ``tolerances``, or else the
+    ``TOLERANCES`` entry of each residual key with ``tol`` (when given) in place
+    of the ``PRIMARY`` one.
+    """
+    if tolerances is None:
+        table = TOLERANCES[check_name]
+        tolerances = {k: table[k] for k in residuals}
+        if tol is not None:
+            tolerances[PRIMARY[check_name]] = tol
+    columns = [np.asarray(c) for c in (*values.values(), *residuals.values(), *conditions)]
+    stack = np.broadcast(*columns)
+    split = len(values) + len(residuals)
+    by_key = dict(zip(residuals, columns[len(values):split]))
+    passed = np.ones(stack.shape, bool)
+    for gate in [by_key[k] <= t for k, t in tolerances.items() if t is not None] + columns[split:]:
+        np.logical_and(passed, gate, out=passed)  # NaN <= t is False: a NaN residual fails
+    rows = zip(*(c.ravel().tolist() if c.ndim else [c.item()] * stack.size
+                 for c in (*columns[:split], passed)), strict=True)
     return [VerificationReport(check_name, dict(inputs), dict(zip(values, row)),
-                               dict(zip(residuals, row[len(values):])),
-                               conditions=row[len(values) + len(residuals):], **kwargs)
-            for row in zip(*(c.ravel().tolist() for c in columns))]
+                               dict(zip(residuals, row[len(values):split])), tolerances, row[-1])
+            for row in rows]
 
 
 @dataclass
@@ -184,114 +198,115 @@ class SuiteResult:
         return cls(reports=[VerificationReport.from_json(r) for r in obj["reports"]])
 
 
-_NESTED = frozenset({dict, list, tuple})
-_HOLDS = object()
-
 # CPython's C encoder of a list of scalars, its items separated by NUL.  It
 # writes a NUL inside a string as \u0000, so every NUL it writes separates
-# two items.
-_encode_scalars = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
-                                 None, ": ", "\x00", False, False, False)
+# two items.  A numpy value is written as its ``tolist()``, as ``_plain``
+# makes it (anything else raises AttributeError).
+_encode_scalars = c_make_encoder(None, methodcaller("tolist"), encode_basestring_ascii, None,
+                                 ": ", "\x00", False, False, False)
 
-# %-templates by (nesting level, layout of the container).  A cache: what it
-# holds never changes an output byte; it is emptied when full.
+_SEQUENCES = frozenset({list, tuple})
+
+# Row %-templates by report layout.  A cache: what it holds never changes an
+# output byte; it is emptied when full.
 TEMPLATE_LIMIT = 512
-_templates: dict[tuple, str] = {}
+_rows: dict[tuple, str] = {}
 
 
-def _key(key: str) -> str:
-    # A dict key as json.dumps writes it, escaped for ``%``; a key that is
-    # not a str raises TypeError, which leaves the payload to json.dumps.
-    return encode_basestring_ascii(key).replace("%", "%%") + ": "
-
-
-def _scan(container, scalars: list, depth: int):
-    # Layout of a dict (its keys) or list (its length): what its template
-    # depends on.  Down to ``depth`` further levels it lists, by position,
-    # the layouts of the containers it holds, after a marker that no tuple
-    # of dict keys can equal; below that every item counts as a scalar.
-    # Appends each scalar to ``scalars``, in written order.
-    if type(container) is dict:
-        head, items = tuple(container), container.values()
-    else:
-        head, items = len(container), container
-    if not depth or _NESTED.isdisjoint(map(type, items)):
-        scalars.extend(items)
-        return head
-    layout = [_HOLDS, head]
-    for i, item in enumerate(items):
-        if type(item) in _NESTED:
-            layout.append((i, _scan(item, scalars, depth - 1)))
-        else:
-            scalars.append(item)
-    return tuple(layout)
-
-
-def _template(obj, level: int, depth: int) -> str:
-    # json.dumps(indent=2) of ``obj`` nested ``level`` containers deep, with
-    # "%s" for each item that _scan(obj, ..., depth) counts as a scalar.
-    if type(obj) not in _NESTED or depth < 0:
-        return "%s"
-    if not obj:
-        return "{}" if type(obj) is dict else "[]"
+def _block(items: list[str], level: int, brackets: str) -> str:
+    # json.dumps(indent=2) of a list or dict nested ``level`` containers deep
+    # whose items (a dict's with their keys) are written as ``items``.
+    if not items:
+        return brackets
     indent = "\n" + "  " * (level + 1)
-    if type(obj) is dict:
-        parts = [_key(k) + _template(v, level + 1, depth - 1) for k, v in obj.items()]
+    return brackets[0] + indent + ("," + indent).join(items) + indent[:-2] + brackets[1]
+
+
+def _dict(keys, level: int, items=None) -> str:
+    # _block of a dict, each value written as its entry of ``items``, "%s" if
+    # left out.  Each key is escaped for ``%``; one that is not a str raises
+    # TypeError, which leaves the file to json.dumps.
+    items = items or ["%s"] * len(keys)
+    return _block([encode_basestring_ascii(k).replace("%", "%%") + ": " + item
+                   for k, item in zip(keys, items)], level, "{}")
+
+
+def _row_template(inputs: tuple, sizes: tuple | None, values: tuple, residuals: tuple,
+                  tolerances: tuple) -> str:
+    # One report as an item of the file's "reports" list, "%s" for each scalar;
+    # ``sizes`` gives the length of each input that is a list (-1 where it is
+    # a scalar), None when no input is.
+    lists = ["%s" if k < 0 else _block(["%s"] * k, 4, "[]") for k in sizes or [-1] * len(inputs)]
+    fields = {"check_name": "%s", "inputs": _dict(inputs, 3, lists), "values": _dict(values, 3),
+              "residuals": _dict(residuals, 3), "tolerances": _dict(tolerances, 3), "pass": "%s"}
+    return _dict(fields, 2, list(fields.values()))
+
+
+def _row(report: VerificationReport, scalars: list) -> str:
+    # The cached template of ``report``; its scalars go to ``scalars``, in written order.
+    inputs, values, residuals, tolerances = (report.inputs, report.values, report.residuals,
+                                             report.tolerances)
+    scalars.append(report.check_name)
+    if _SEQUENCES.isdisjoint(map(type, inputs.values())):
+        sizes = None
+        scalars += inputs.values()
     else:
-        parts = [_template(v, level + 1, depth - 1) for v in obj]
-    brackets = "{}" if type(obj) is dict else "[]"
-    return brackets[0] + indent + ("," + indent).join(parts) + indent[:-2] + brackets[1]
-
-
-def _item(obj, level: int, depth: int, scalars: list) -> str:
-    # The cached template of ``obj`` at ``level``; its scalars go to ``scalars``.
-    if type(obj) not in _NESTED:
-        scalars.append(obj)
-        return "%s"
-    key = (level, _scan(obj, scalars, depth))
-    template = _templates.get(key)
+        sizes = tuple(len(v) if type(v) in _SEQUENCES else -1 for v in inputs.values())
+        for v in inputs.values():
+            scalars += v if type(v) in _SEQUENCES else (v,)
+    scalars += values.values()
+    scalars += residuals.values()
+    scalars += tolerances.values()
+    scalars.append(bool(report.passed))
+    layout = (tuple(inputs), sizes, tuple(values), tuple(residuals), tuple(tolerances))
+    template = _rows.get(layout)
     if template is None:
-        template = _template(obj, level, depth)
-        if len(_templates) >= TEMPLATE_LIMIT:
-            _templates.clear()
-        _templates[key] = template
+        template = _row_template(*layout)
+        if len(_rows) >= TEMPLATE_LIMIT:
+            _rows.clear()
+        _rows[layout] = template
     return template
 
 
-def _templated(obj: dict) -> str | None:
-    # A SuiteResult-shaped dict through the templates: the items of its lists
-    # (reports, duplicates) nest two levels (a report's inputs, its spectrum),
-    # its dicts (the summary) none.  None where a container sits in a scalar's
-    # place.
+def _written(result: SuiteResult, duplicates: list | None) -> str:
+    # The file through the row templates; ValueError where the C encoder wrote
+    # a container in a scalar's place.
     scalars: list = []
-    parts = []
-    for key, value in obj.items():
-        if type(value) in (list, tuple) and value:
-            items = ",\n    ".join([_item(v, 2, 2, scalars) for v in value])
-            parts.append(_key(key) + "[\n    " + items + "\n  ]")
-        else:
-            parts.append(_key(key) + _item(value, 1, 0, scalars))
+    parts = {"reports": _block([_row(r, scalars) for r in result.reports], 1, "[]"),
+             "summary": _dict(("total", "passed", "failed"), 1)}
+    scalars += result.summary.values()
+    if duplicates is not None:
+        parts["duplicates"] = _block([_block(["%s"] * len(d), 2, "[]") for d in duplicates],
+                                     1, "[]")
+        for d in duplicates:
+            scalars += d
     text = "".join(_encode_scalars(scalars, 0))[1:-1]  # one C-encoder call per file
     if text.startswith(("[", "{")) or "\x00[" in text or "\x00{" in text:
-        return None
-    template = "{\n  " + ",\n  ".join(parts) + "\n}\n"
-    return template % tuple(text.split("\x00") if scalars else ())
+        raise ValueError("a value that is not a plain scalar")
+    return _dict(parts, 0, list(parts.values())) % tuple(text.split("\x00")) + "\n"
 
 
-def dumps_canonical(obj: dict) -> str:
-    """``json.dumps(obj, indent=2, allow_nan=False)`` and a newline, byte for byte.
+def dumps_canonical(obj, duplicates: list | None = None) -> str:
+    """``json.dumps(payload, indent=2, allow_nan=False)`` and a newline, byte for byte.
 
-    A SuiteResult-shaped dict is filled into per-layout templates, cached
-    (``TEMPLATE_LIMIT``), with every scalar written by one call of
-    CPython's C encoder.  Everything else (a number that is not finite, a
-    type JSON lacks, a key that is not a str, deeper nesting) goes to the
-    reference call, which writes it or raises its own error.
+    For a SuiteResult the payload is ``obj.to_json()``, with ``duplicates``
+    (``mpjl report``'s list of duplicated trials) as its last key when given;
+    it is written without being built: each report fills the %-template of
+    its layout (cached, ``TEMPLATE_LIMIT``), and one call of CPython's C
+    encoder writes every scalar of the file.  Anything else is the payload
+    itself, and goes to ``json.dumps``; so does a SuiteResult holding a value
+    that is not a plain scalar (or a list of them, in ``inputs``), a number
+    that is not finite or a key that is not a str: the reference call writes
+    it or raises its own error.
     """
-    try:
-        text = _templated(obj) if type(obj) is dict and obj else None
-    except (TypeError, ValueError, RecursionError):
-        text = None
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n" if text is None else text
+    if isinstance(obj, SuiteResult):
+        try:
+            return _written(obj, duplicates)
+        except (TypeError, ValueError, AttributeError):
+            obj = obj.to_json()
+        if duplicates is not None:
+            obj["duplicates"] = duplicates
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def render_text(result: SuiteResult, show_wall_time: bool = True) -> str:

@@ -7,8 +7,9 @@ triple, so reruns are byte-identical and trials could execute in any
 order.  Spectra that collide (degenerate draws) are redrawn with a fresh
 sub-seed up to the retry budget, then reported as a hard failure.
 
-A suite is a pair: ``draw(cfg, rng)`` makes every generator call of one
-trial, ``check(cfg, draws)`` judges a stack of trials' draws, one report
+A suite is a pair: ``draw(n, m, q, rng, spectrum)``, the signature of
+``matcore.draw_rank_q``, makes every generator call of one trial,
+``check(cfg, draws)`` judges a stack of trials' draws, one report
 per trial, in stacked numpy calls (``operator-rank`` reads its operators
 S = L kron A + B kron R - C(Y, Y) in X's SVD basis from their factors,
 with no S built: the 1x1 and 2x2 pair blocks' spectra in closed form,
@@ -116,21 +117,8 @@ def validate_config(cfg: RunConfig, suite: str | None = None) -> RunConfig:
     return replace(cfg, q=q)
 
 
-def _draw_spectrum(cfg: RunConfig, rng: np.random.Generator):
-    # cfg.spectrum (validate_config checks it once per run), or the values
-    # sample_spectrum draws, unsorted: a check sorts its stack's at once.
-    return cfg.spectrum or rng.uniform(*matcore.SPECTRUM_RANGE, size=cfg.rank)
-
-
-def _draw_x(cfg: RunConfig, rng: np.random.Generator) -> tuple:
-    # The generator calls of matcore.draw_rank_q, the spectrum unsorted.
-    q = cfg.rank
-    return (_draw_spectrum(cfg, rng), rng.standard_normal((cfg.n, q)),
-            rng.standard_normal((cfg.m, q)))
-
-
 def _instances(draws: list[tuple]) -> tuple[np.ndarray, ...]:
-    # The (T, n, m) instances of draws that begin with _draw_x's parts,
+    # The (T, n, m) instances of draws that begin with draw_rank_q's parts,
     # then the other parts, each stacked over the trials.
     d, g_left, g_right, *rest = map(np.array, zip(*draws))
     return matcore.rank_q_from_draw(matcore.sorted_spectra(d), g_left, g_right), *rest
@@ -156,10 +144,10 @@ def _fd_chart(suite: str, cfg: RunConfig) -> bool:
         suite == "jacobian-full" or suite == "operator-rank" and deficient)
 
 
-def _draw_differential(cfg: RunConfig, rng: np.random.Generator) -> tuple:
-    q, n, m = cfg.rank, cfg.n, cfg.m
+def _draw_differential(n: int, m: int, q: int, rng: np.random.Generator, spectrum) -> tuple:
     shapes = [(n, m)] if q == min(n, m) else [(q, q), (q, m - q), (n - q, q)]
-    return (*_draw_x(cfg, rng), *(rng.standard_normal(shape) for shape in shapes))
+    return (*matcore.draw_rank_q(n, m, q, rng, spectrum),
+            *(rng.standard_normal(shape) for shape in shapes))
 
 
 def _check_differential(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
@@ -237,9 +225,9 @@ def _check_operator_rank(cfg: RunConfig, draws: list[tuple]) -> list[Verificatio
                          tol=cfg.tol, conditions=(rank.rank == expected,))
 
 
-def _draw_invariance(cfg: RunConfig, rng: np.random.Generator) -> tuple:
-    n, m = cfg.n, cfg.m
-    return (*_draw_x(cfg, rng), rng.standard_normal((n, n)), rng.standard_normal((m, m)))
+def _draw_invariance(n: int, m: int, q: int, rng: np.random.Generator, spectrum) -> tuple:
+    return (*matcore.draw_rank_q(n, m, q, rng, spectrum), rng.standard_normal((n, n)),
+            rng.standard_normal((m, m)))
 
 
 def _check_invariance(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
@@ -279,27 +267,29 @@ def _check_blocks(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport
     )
 
 
-# name -> (draw, check): ``draw(cfg, rng)`` makes every generator call of
-# one trial; ``check(cfg, draws)`` judges a list of trials' draws and
-# returns one report per trial.
+# name -> (draw, check): ``draw(n, m, q, rng, spectrum)`` makes every
+# generator call of one trial, a spectrum it samples left unsorted (the
+# config's was validated once per run); ``check(cfg, draws)`` judges a list
+# of trials' draws and returns one report per trial.
 _SUITES = {
     "differential": (_draw_differential, _check_differential),
-    "jacobian-full": (_draw_x, _check_jacobian_full),
-    "operator-rank": (_draw_x, _check_operator_rank),
+    "jacobian-full": (matcore.draw_rank_q, _check_jacobian_full),
+    "operator-rank": (matcore.draw_rank_q, _check_operator_rank),
     "hausdorff": (
-        lambda cfg, rng: (_draw_spectrum(cfg, rng),),
+        lambda n, m, q, rng, spectrum: (
+            spectrum or rng.uniform(*matcore.SPECTRUM_RANGE, size=q),),
         lambda cfg, draws: measures.hausdorff_ratio_check(
             cfg.n, cfg.m, matcore.sorted_spectra([d for d, in draws]), cfg.tol),
     ),
     "invariance": (_draw_invariance, _check_invariance),
     "symmetric-inverse": (
-        lambda cfg, rng: (rng.standard_normal((cfg.m, cfg.m)),
-                          rng.uniform(*matcore.SPECTRUM_RANGE, size=cfg.m)),
+        lambda n, m, q, rng, spectrum: (rng.standard_normal((m, m)),
+                                        rng.uniform(*matcore.SPECTRUM_RANGE, size=m)),
         _check_symmetric_inverse,
     ),
-    "exterior-chain": (_draw_x,
+    "exterior-chain": (matcore.draw_rank_q,
                        lambda cfg, draws: measures.exterior_chain_check(*_instances(draws))),
-    "blocks": (_draw_x, _check_blocks),
+    "blocks": (matcore.draw_rank_q, _check_blocks),
 }
 SUITE_NAMES = tuple(_SUITES)
 
@@ -324,7 +314,7 @@ def _redraw(draw, seed: int, trial: int, label: str):
 
 
 def _stamp(report: VerificationReport, cfg: RunConfig, trial: int, attempt: int):
-    report.inputs = {**report.inputs, "seed": cfg.seed, "trial": trial, "attempt": attempt}
+    report.inputs.update(seed=cfg.seed, trial=trial, attempt=attempt)
     return report
 
 
@@ -335,7 +325,9 @@ def run_trial(suite: str, cfg: RunConfig, trial: int) -> VerificationReport:
     """
     draw, check = _SUITES[suite]
     label = f"suite {suite} trial {trial}"
-    report, attempt = _redraw(lambda rng: check(cfg, [draw(cfg, rng)])[0], cfg.seed, trial, label)
+    report, attempt = _redraw(
+        lambda rng: check(cfg, [draw(cfg.n, cfg.m, cfg.rank, rng, cfg.spectrum)])[0],
+        cfg.seed, trial, label)
     return _stamp(report, cfg, trial, attempt)
 
 
@@ -364,7 +356,8 @@ def _trial_stacks(suite: str, cfg: RunConfig) -> list[range]:
 def _run_stack(suite: str, cfg: RunConfig, trials: range) -> list[VerificationReport]:
     # Each trial's first attempt, from its own stream, checked as one stack.
     draw, check = _SUITES[suite]
-    draws = [draw(cfg, rng) for rng in matcore.make_rngs(cfg.seed, trials)]
+    draws = [draw(cfg.n, cfg.m, cfg.rank, rng, cfg.spectrum)
+             for rng in matcore.make_rngs(cfg.seed, trials)]
     return [_stamp(r, cfg, t, 0) for t, r in zip(trials, check(cfg, draws))]
 
 

@@ -10,7 +10,7 @@ PUBLIC = [
     "assemble", "chart", "decompose", "differential", "errors", "exterior_chain_check",
     "hausdorff_ratio_check", "log_chart_volume", "log_hausdorff_density",
     "log_jacobian_det_full_rank", "log_nonfullrank_jacobian_factor",
-    "log_symmetric_inverse_jacobian", "make_rng", "matcore", "matrix_from_json", "matrix_to_json",
+    "log_symmetric_inverse_jacobian", "make_rng", "matcore", "matrix_to_json",
     "measures", "operator_spectrum", "orthogonal_invariance_check", "pinv", "pinv_chart_jacobian",
     "pinv_complex_step", "pinv_differential", "pinv_from_blocks", "pinv_spectrum", "random_rank_q",
     "random_stiefel", "rank_profile", "reports", "run_suite", "sample_spectrum",

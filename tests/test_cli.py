@@ -48,7 +48,8 @@ def test_gen_explicit_spectrum_roundtrip(tmp_path):
     assert main(["gen", "--n", "4", "--m", "3", "--q", "2", "--seed", "1",
                  "--spectrum", "3,1", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
-    x = mc.matrix_from_json(payload["matrix"])
+    matrix = payload["matrix"]
+    x = np.reshape(matrix["data"], (matrix["rows"], matrix["cols"]))
     _, info = mc.svd_thin(x)
     assert info.rank == 2
     np.testing.assert_allclose(info.singular_values[:2], [3.0, 1.0], rtol=1e-10)
@@ -437,7 +438,7 @@ def test_report_refuses_non_finite_numbers(tmp_path, capsys, number, fmt):
 def test_retry_consumes_fresh_subseed(monkeypatch):
     calls = []
 
-    def flaky(cfg, rng):
+    def flaky(n, m, q, rng, spectrum):
         calls.append(rng.integers(0, 1 << 30))
         if len(calls) < 3:
             raise DegenerateSpectrum("synthetic collision")
@@ -453,7 +454,7 @@ def test_retry_consumes_fresh_subseed(monkeypatch):
 
 
 def test_retry_budget_exhausted(monkeypatch):
-    def always_degenerate(cfg, rng):
+    def always_degenerate(n, m, q, rng, spectrum):
         raise DegenerateSpectrum("synthetic collision")
 
     def check(cfg, draws):

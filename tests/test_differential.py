@@ -196,7 +196,7 @@ def test_operator_rank_leak_reads_0_where_e_vanishes_below_its_rounding():
     result = suites.run_suite("operator-rank", cfg)
     assert result.all_passed
     assert [r.residuals["leak"] for r in result.reports][2] == 0.0
-    dumps_canonical(result.to_json())  # no NaN reaches the JSON report
+    dumps_canonical(result)  # no NaN reaches the JSON report
 
 
 def _leaky_reports(monkeypatch, cfg, factor, i, j, size):
@@ -360,7 +360,7 @@ def test_operator_rank_pseudo_det_stays_finite(scale):
     residual = result.reports[0].residuals["pseudo_det"]
     assert result.all_passed
     assert np.isfinite(residual) and residual <= 1e-8
-    dumps_canonical(result.to_json())  # no NaN or inf reaches the JSON report
+    dumps_canonical(result)  # no NaN or inf reaches the JSON report
 
 
 def test_operator_rank_law_hand_case():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from mpjl import reports
-from mpjl.reports import TOLERANCES, SuiteResult, VerificationReport, dumps_canonical
+from mpjl.reports import PRIMARY, TOLERANCES, SuiteResult, VerificationReport, dumps_canonical
 
 CHECKS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
 
@@ -47,7 +47,7 @@ def test_numpy_values_serialize_as_plain_json():
     values = {"spectrum": np.array([3.0, 1.0]), "grid": np.arange(4).reshape(2, 2),
               "one": np.array([0.5]), "det": np.float64(2.0), "ok": np.bool_(True)}
     report = VerificationReport("stub", {"n": np.int64(3)}, values, {}, {})
-    back = json.loads(dumps_canonical(report.to_json()))
+    back = json.loads(dumps_canonical(SuiteResult([report])))["reports"][0]
     assert back["inputs"] == {"n": 3}
     assert back["values"] == {"spectrum": [3.0, 1.0], "grid": [[0, 1], [2, 3]], "one": [0.5],
                               "det": 2.0, "ok": True}
@@ -57,7 +57,7 @@ def test_from_json_keeps_the_stored_flag():
     # A stored verdict is what the producer decided; a merge must not re-judge it.
     failing = _report({"a": 0.0}, {"a": 1.0}, conditions=(False,))
     result = SuiteResult(reports=[failing])
-    back = SuiteResult.from_json(json.loads(dumps_canonical(result.to_json())))
+    back = SuiteResult.from_json(json.loads(dumps_canonical(result)))
     assert back.reports[0].passed is False
     stored = failing.to_json()
     stored["pass"] = True
@@ -82,7 +82,66 @@ def test_table_is_no_looser_than_the_benchmark_ceilings():
         assert TOLERANCES[check][key] <= ceiling, (check, key)
 
 
-def _reference(obj) -> str:
+# Residuals around every tolerance of the table, NaN and inf among them.
+RESIDUALS = (st.sampled_from([0.0, 1e-13, 1e-11, 1e-9, 1e-7, 1e-5, 1e-3, float("nan"),
+                              float("inf")])
+             | st.floats(min_value=0.0, allow_nan=False))
+
+
+@st.composite
+def stacks(draw):
+    # The arguments of one stack_reports call: T slices, each column 0-d or
+    # (T,); residual keys from one check's table, with the ``tol`` override
+    # or explicit tolerances (None among them); conditions that may be false.
+    size = draw(st.integers(1, 4))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=size, max_size=size).map(np.array)
+                    | elements.map(np.asarray))
+
+    check = draw(st.sampled_from(sorted(TOLERANCES)))
+    keys = draw(st.lists(st.sampled_from(sorted(TOLERANCES[check])), unique=True, min_size=1))
+    kwargs = draw(st.sampled_from(["table", "tol", "tolerances"]))
+    if kwargs == "tol" and check in PRIMARY:
+        keys = [PRIMARY[check], *(k for k in keys if k != PRIMARY[check])]
+        kwargs = {"tol": draw(st.sampled_from([1e-30, 1e-10, 1e-6, 1.0]))}
+    elif kwargs == "tolerances":
+        kwargs = {"tolerances": {k: draw(st.none() | RESIDUALS) for k in keys}}
+    else:
+        kwargs = {}
+    values = {"v": column(st.floats(allow_nan=False))}
+    residuals = {k: column(RESIDUALS) for k in keys}
+    conditions = tuple(column(st.booleans()) for _ in range(draw(st.integers(0, 2))))
+    return check, values, residuals, conditions, kwargs
+
+
+@given(stacks())
+@example(("blocks", {}, {"roundtrip": np.array([0.0, np.nan]), "x22": np.asarray(1.0)},
+          (np.array([True, False]),), {"tolerances": {"roundtrip": 1.0, "x22": None}}))
+def test_a_stack_is_judged_as_each_report_alone(case):
+    check, values, residuals, conditions, kwargs = case
+    stacked = reports.stack_reports(check, {"n": 1}, values, residuals, conditions, **kwargs)
+    columns = np.broadcast_arrays(*values.values(), *residuals.values(), *conditions)
+    assert len(stacked) == columns[0].size
+    rows = zip(*(c.ravel().tolist() for c in columns))
+    for report, row in zip(stacked, rows, strict=True):
+        tolerances = kwargs.get("tolerances")
+        alone = VerificationReport(check, {"n": 1}, dict(zip(values, row)),
+                                   dict(zip(residuals, row[len(values):])),
+                                   tolerances and dict(tolerances), tol=kwargs.get("tol"),
+                                   conditions=row[len(values) + len(residuals):])
+        assert report.passed is alone.passed
+        assert report.tolerances == alone.tolerances
+        assert list(report.tolerances) == list(alone.tolerances)
+
+
+def _reference(obj, duplicates=None) -> str:
+    # What dumps_canonical must write: json.dumps of the payload, a
+    # SuiteResult's being its to_json() with the duplicates last.
+    if isinstance(obj, SuiteResult):
+        obj = obj.to_json()
+        if duplicates is not None:
+            obj["duplicates"] = duplicates
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
@@ -93,54 +152,84 @@ PAYLOADS = st.recursive(SCALARS, lambda children: st.lists(children, max_size=5)
                         | st.dictionaries(st.text(max_size=5), children, max_size=5), max_leaves=40)
 
 
-# What a report file holds: per-report values of every kind JSON has,
-# numpy scalars that to_json makes plain, keys and strings that the
-# templates must escape, and layouts that some reports share and some not
-# (a value left out, spectra of other lengths, none).
+# What a report holds: values of every kind JSON has, numpy scalars that
+# to_json makes plain, keys and strings that the row templates must escape,
+# and input lists (as lists, tuples or numpy arrays) of several lengths.
 REPORT_SCALARS = (SCALARS | st.integers(-2**63, 2**63 - 1).map(np.int64)
                   | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
                   | st.booleans().map(np.bool_)
                   | st.sampled_from([2**70, "%s %d %%", "\x00", '"', "\u00e9\x00\"%"]))
-REPORT_KEYS = st.sampled_from(["a", "fd_chart_det", "%", "%s", "100%", "\u00e9", "\x00\"", "k\n"])
+REPORT_KEYS = st.sampled_from(["a", "fd_chart_det", "%", "%s", "100%", "a%%b", "\u00e9", "\x00\"",
+                               "k\n"])
 
 
 @st.composite
-def report_files(draw):
+def suite_results(draw):
+    # A SuiteResult and the duplicates written with it (None: no such key).
+    # Its reports share a few layouts (repeated and mixed); about half the
+    # results hold one value that is not a plain scalar (a nested list or
+    # object, or an array), which the writer leaves to json.dumps.
     layouts = draw(st.lists(st.tuples(st.lists(REPORT_KEYS, unique=True, max_size=4),
+                                      st.lists(REPORT_KEYS, unique=True, max_size=2),
                                       st.none() | st.integers(0, 4)), min_size=1, max_size=4))
     made = []
     for _ in range(draw(st.integers(0, 12))):
-        keys, q = draw(st.sampled_from(layouts))
-        inputs = {"n": draw(REPORT_SCALARS), "%m": 3}
+        keys, input_keys, q = draw(st.sampled_from(layouts))
+        inputs = {"n": draw(REPORT_SCALARS), "%m": 3,
+                  **{k: draw(REPORT_SCALARS) for k in input_keys}}
         if q is not None:
-            inputs["spectrum"] = draw(st.lists(REPORT_SCALARS, min_size=q, max_size=q))
+            spectrum = st.lists(REPORT_SCALARS, min_size=q, max_size=q)
+            floats = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=q,
+                              max_size=q)
+            inputs["spectrum"] = draw(spectrum | spectrum.map(tuple) | floats.map(np.array))
         values = {k: draw(REPORT_SCALARS) for k in keys}
         residuals = {k: draw(REPORT_SCALARS) for k in keys[:2]}
         tolerances = {k: draw(st.none() | REPORT_SCALARS) for k in residuals}
+        passed = draw(st.booleans() | st.booleans().map(np.bool_))
         made.append(VerificationReport(draw(st.text(max_size=3)), inputs, values, residuals,
-                                       tolerances, draw(st.booleans())))
-    payload = SuiteResult(reports=made).to_json()
-    if draw(st.booleans()):
-        payload["duplicates"] = draw(st.lists(st.lists(SCALARS, min_size=3, max_size=3),
-                                              max_size=3))
-    return payload
+                                       tolerances, passed))
+    if made and draw(st.booleans()):
+        report = draw(st.sampled_from(made))
+        report.values[draw(REPORT_KEYS)] = draw(
+            st.lists(PAYLOADS, min_size=1, max_size=3) | st.dictionaries(REPORT_KEYS, PAYLOADS)
+            | st.just(np.arange(4.0).reshape(2, 2)))
+    duplicates = draw(st.none() | st.lists(st.lists(SCALARS, min_size=3, max_size=3), max_size=3))
+    return SuiteResult(reports=made), duplicates
 
 
-@given(PAYLOADS | report_files())
-@example({"a": [], "b": {}, "c": [[], [{}]], "d": {"e": [1, {"f": None}]}, "g": (1.5, "h")})
-@example([{"\u00e9": -0.0}, 5e-324, 1e308, 10**30, True, None])
-@example({"reports": [{"spectrum": [1.0]}, {"spectrum": 1.0}, {"spectrum": [[1.0]]},
-                      {"spectrum": {"a": [1]}}, {"spectrum": []}, {"spectrum": {}}]})
-@example({"reports": [{"a": [{"b": [1]}]}], "summary": {"c": [2]}, "duplicates": [[[3]]]})
-def test_dumps_canonical_is_the_reference_encoding(payload):
+def _stub(inputs=None, values=None):
+    return VerificationReport("c", inputs or {"n": 4}, values or {}, {"r": 0.0}, {"r": 1e-9}, True)
+
+
+@given(suite_results())
+@example((SuiteResult(), None))
+@example((SuiteResult(), []))
+@example((SuiteResult([_stub({"spectrum": []}), _stub({"spectrum": [1.0]}), _stub()]),
+          [["c", 1, 2]]))
+@example((SuiteResult([_stub(values={"x": [[1.0]]}), _stub(values={"x": {"y": [1]}})]), None))
+@example((SuiteResult([_stub(values={1: 2.0, None: True})]), None))
+@example((SuiteResult([_stub({"n%%": 4}, {"a%%b": "%d"})]), None))
+@example((SuiteResult([_stub({"spectrum": [[1.0], 2.0]})]), [["c", [0], 1]]))
+def test_dumps_canonical_is_the_reference_encoding(case):
+    result, duplicates = case
+    assert dumps_canonical(result, duplicates) == _reference(result, duplicates)
+
+
+@given(PAYLOADS)
+@example({"reports": [{"spectrum": [1.0]}], "summary": {"total": 1}})
+def test_other_payloads_go_to_the_reference(payload):
     assert dumps_canonical(payload) == _reference(payload)
 
 
 def test_template_cache_stays_bounded():
+    result = SuiteResult([_stub(), _stub(), _stub({"spectrum": [1.0, 2.0]})])
+    dumps_canonical(result)
+    held = len(reports._rows)
+    assert dumps_canonical(result) == _reference(result) and len(reports._rows) == held
     for i in range(reports.TEMPLATE_LIMIT + 50):
-        payload = {"reports": [{"check_name": "c", "inputs": {f"k{i}": i}, "pass": True}]}
-        assert dumps_canonical(payload) == _reference(payload)
-    assert len(reports._templates) <= reports.TEMPLATE_LIMIT
+        result = SuiteResult([_stub({f"k{i}": i}), _stub({f"k{i}": [i] * (i % 3)}), _stub()])
+        assert dumps_canonical(result, [["c", i, 0]]) == _reference(result, [["c", i, 0]])
+        assert 0 < len(reports._rows) <= reports.TEMPLATE_LIMIT
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -149,7 +238,9 @@ def test_template_cache_stays_bounded():
                                    lambda v: SuiteResult(reports=[
                                        VerificationReport("c", {"q": 1}, {}, {}, {}, True),
                                        VerificationReport("c", {"q": 1}, {"x": v}, {}, {}, True),
-                                   ]).to_json()])
+                                   ]),
+                                   lambda v: SuiteResult(reports=[
+                                       _stub({"spectrum": [1.0, np.float64(v)]})])])
 def test_non_finite_numbers_raise_the_reference_error(bad, where):
     obj = where(bad)
     with pytest.raises(ValueError) as reference:
@@ -161,7 +252,9 @@ def test_non_finite_numbers_raise_the_reference_error(bad, where):
 
 
 def test_what_json_lacks_raises_the_reference_error():
-    for obj in ({"a": {"b": object()}}, {"a": np.float32(1.0)}, {(1, 2): [1]}):
+    for obj in ({"a": {"b": object()}}, {"a": np.float32(1.0)}, {(1, 2): [1]},
+                SuiteResult([_stub(values={"b": object()})]),
+                SuiteResult([_stub(values={(1, 2): 1.0})])):
         with pytest.raises(TypeError) as reference:
             _reference(obj)
         with pytest.raises(TypeError) as ours:

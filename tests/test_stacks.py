@@ -22,7 +22,7 @@ SHAPES = [(2, 2, 1), (3, 4, None), (4, 3, None), (4, 3, 2), (8, 6, 3), (5, 4, 4)
 
 
 def _bytes(reports) -> str:
-    return dumps_canonical(SuiteResult(reports=list(reports)).to_json())
+    return dumps_canonical(SuiteResult(reports=list(reports)))
 
 
 def _one_by_one(suite, cfg):
@@ -52,7 +52,7 @@ def test_stack_gives_the_bytes_of_the_trials_one_by_one(suite, cfg):
     # The stacked pass itself, not a fallback, reproduces every trial.
     stacked = suites._run_stack(suite, suites.validate_config(cfg, suite), range(cfg.trials))
     assert _bytes(stacked) == expected
-    assert dumps_canonical(suites.run_suite(suite, cfg).to_json()) == expected
+    assert dumps_canonical(suites.run_suite(suite, cfg)) == expected
 
 
 def _stack_passes(monkeypatch) -> list[int]:
@@ -70,13 +70,13 @@ def _stack_passes(monkeypatch) -> list[int]:
 
 def test_stacks_split_by_the_entry_budget_give_the_bytes_of_one_stack(monkeypatch):
     cfg = suites.RunConfig(n=4, m=3, q=2, trials=7, seed=8)
-    whole = dumps_canonical(suites.run_suite("operator-rank", cfg).to_json())
+    whole = dumps_canonical(suites.run_suite("operator-rank", cfg))
     assert len(suites._trial_stacks("operator-rank",
                                     suites.validate_config(cfg, "operator-rank"))) == 1
     # 2 * 10 points of 12 entries per trial: three trials to a stack.
     monkeypatch.setattr(suites, "STACK_ENTRIES", 3 * 2 * 10 * 12)
     passes = _stack_passes(monkeypatch)
-    assert dumps_canonical(suites.run_suite("operator-rank", cfg).to_json()) == whole
+    assert dumps_canonical(suites.run_suite("operator-rank", cfg)) == whole
     assert passes == [3, 3]  # the last trial, a stack of one, runs on its own
 
 
@@ -85,7 +85,7 @@ def test_suite_without_fd_points_is_sized_by_its_instances(monkeypatch):
     cfg = suites.RunConfig(n=30, m=20, trials=12, seed=6)
     expected = _one_by_one("exterior-chain", cfg)
     passes = _stack_passes(monkeypatch)
-    assert dumps_canonical(suites.run_suite("exterior-chain", cfg).to_json()) == expected
+    assert dumps_canonical(suites.run_suite("exterior-chain", cfg)) == expected
     assert passes == [12]
 
 
@@ -99,7 +99,7 @@ def test_one_trial_runs_trial_by_trial_only(monkeypatch):
 def test_degenerate_draw_falls_back_to_its_retry(monkeypatch):
     # Trial 1's first draw is degenerate: the stack raises, and the
     # trial-by-trial pass retries that trial alone.
-    def draw(cfg, rng):
+    def draw(n, m, q, rng, spectrum):
         value = rng.integers(0, 1 << 30)
         if value == first_of_trial_1:
             raise DegenerateSpectrum("synthetic collision")
@@ -130,7 +130,7 @@ def test_real_tied_draw_falls_back_to_its_retry():
         suites._run_stack("hausdorff", cfg, range(4))
     result = suites.run_suite("hausdorff", cfg)
     assert [r.inputs["attempt"] for r in result.reports] == [0, 1, 0, 0]
-    assert dumps_canonical(result.to_json()) == _one_by_one("hausdorff", cfg)
+    assert dumps_canonical(result) == _one_by_one("hausdorff", cfg)
 
 
 @given(st.integers(0, 2**130), st.integers(0, suites.RETRY_BUDGET), st.integers(0, 2**32 - 64),
@@ -150,7 +150,7 @@ def test_stacked_streams_refuse_what_has_no_stream_of_its_own(args):
         mc.make_rngs(*args)
 
 
-def _always_degenerate(cfg, rng):
+def _always_degenerate(n, m, q, rng, spectrum):
     raise DegenerateSpectrum("synthetic collision")
 
 
@@ -243,7 +243,8 @@ def test_ill_conditioned_invariance_stack_passes(capsys):
 def test_rank_q_draws_build_bit_for_bit_as_one_stack():
     n, m, q = 5, 4, 3
     draws = [mc.draw_rank_q(n, m, q, mc.make_rng(9, t)) for t in range(6)]
-    stack = mc.rank_q_from_draw(*(np.array(part) for part in zip(*draws)))
+    d, g_left, g_right = map(np.array, zip(*draws))
+    stack = mc.rank_q_from_draw(mc.sorted_spectra(d), g_left, g_right)
     for t, x in enumerate(stack):
         assert np.array_equal(x, mc.random_rank_q(n, m, q, mc.make_rng(9, t)))
     frames = mc.orthonormal_frames(np.array([mc.make_rng(9, t).standard_normal((4, 4))
@@ -348,7 +349,7 @@ def test_operator_rank_residuals_of_a_stack_are_those_of_its_trials(n, m, data):
     spectrum = tuple(np.exp(scale) * np.geomspace(1.0, 10.0 ** -data.draw(st.integers(1, 4)), q))
     cfg = suites.validate_config(
         suites.RunConfig(n=n, m=m, q=q, trials=size, seed=seed, spectrum=spectrum), "operator-rank")
-    draws = [suites._draw_x(cfg, rng) for rng in mc.make_rngs(seed, range(size))]
+    draws = [mc.draw_rank_q(n, m, q, rng, spectrum) for rng in mc.make_rngs(seed, range(size))]
     stacked = suites._check_operator_rank(cfg, draws)
     for draw, report in zip(draws, stacked, strict=True):
         [alone] = suites._check_operator_rank(cfg, [draw])

@@ -72,7 +72,11 @@ its own directory.  It replays:
   ``exterior-chain`` 40 x 30 (a NaN traceback), ``jacobian-full`` 48 x 36
   (a pass on 0.0 against 0.0), ``jacobian-full`` 20 x 16 at spectrum
   ``linspace(0.3, 0.15, 16)`` and ``operator-rank`` 3 x 5 q=2 at spectrum
-  ``2.5e-13,2.5e-14`` (both an overflow to inf), each in JSON.
+  ``2.5e-13,2.5e-14`` (both an overflow to inf), each in JSON; and
+  ``report`` merges, in JSON and in text, of a hand-written file whose
+  ``values`` hold a nested array and an object (which the JSON writer's
+  row templates leave to ``json.dumps``), and of a file with zero reports
+  together with the ``blocks`` file ``dup.json``.
 
 Each invocation records its exit code (or the exception that escaped
 ``cli.main``), its stdout, its ``error: ...`` lines of stderr and the
@@ -256,6 +260,8 @@ EDGE_CASES = [
      "--spectrum", OVERFLOW_SPECTRA[20, 16], "--format", "json"],
     ["verify", "operator-rank", "--n", "3", "--m", "5", "--q", "2", "--trials", "2", "--seed", "0",
      "--spectrum", "2.5e-13,2.5e-14", "--format", "json"],
+    *(["report", "nested-values.json", "--format", fmt] for fmt in ("json", "text")),
+    *(["report", "no-reports.json", "dup.json", "--format", fmt] for fmt in ("json", "text")),
 ]
 
 # Keys and strings that the JSON writer must escape, in a one-report file
@@ -266,6 +272,14 @@ ESCAPES_REPORT = json.dumps({
                  "values": {"%": "\u0000\"", "\u00e9\u2200": 1.5}, "residuals": {"roundtrip": 0.0},
                  "tolerances": {"roundtrip": 1e-10}, "pass": True}],
     "summary": {"total": 1, "passed": 1, "failed": 0}})
+
+
+# A report whose values are not all scalars, and a file with no reports,
+# each a file that ``report`` reads.
+NESTED_VALUES_REPORT = NON_FINITE_REPORT.replace(
+    '"values": {}', '"values": {"grid": [[1.0, 2.5], []], "factors": {"s": [3.0], "rank": 1}}'
+) % "0.0"
+NO_REPORTS = '{"reports": [], "summary": {"total": 0, "passed": 0, "failed": 0}}\n'
 
 
 def _sha(data: bytes) -> str:
@@ -359,6 +373,8 @@ def replay(src: Path) -> list[dict]:
         for name, report in MALFORMED_REPORTS.items():
             Path(f"malformed-{name}.json").write_text(report % "0.0")
         Path("escapes.json").write_text(ESCAPES_REPORT)
+        Path("nested-values.json").write_text(NESTED_VALUES_REPORT)
+        Path("no-reports.json").write_text(NO_REPORTS)
         for i, argv in enumerate(EDGE_CASES):
             records.append(_invoke(cli, f"edge {i}", argv))
     return records
