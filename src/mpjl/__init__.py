@@ -54,12 +54,9 @@ from .matcore import (
     svd_thin,
 )
 from .measures import (
-    exterior_chain_check,
-    hausdorff_ratio_check,
     log_hausdorff_density,
     log_nonfullrank_jacobian_factor,
     log_symmetric_inverse_jacobian,
-    orthogonal_invariance_check,
     pinv_spectrum,
     symmetric_inverse_fd_det,
     symmetric_part,

@@ -38,7 +38,7 @@ caller's rank profile of X, that of the one SVD of X the caller takes
 ``pinv_differential`` takes the Y of such an SVD through its core).
 
 The oracle reads S(U'XV, V'YU) = (U kron V)' S (U kron V) from its factors
-(``pair_block_profile``; ``pair_operator`` builds S, for the tests): with
+(``pair_block_profile``; only the tests build S densely): with
 L = P_L, A = Y Y', B = Y'Y, R = P_R and C(P, Q)[l, k, i, j] = P[j, l] Q[k,
 i], S = L kron A + B kron R - C(Y, Y).  The 1x1 and 2x2 pair blocks are read
 in closed form, and the rest E is measured: by Weyl's inequality every
@@ -104,14 +104,6 @@ def _pair_factors(x, y) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (lb + lb.swapaxes(-1, -2)), 0.5 * (ar + ar.swapaxes(-1, -2))
 
 
-def pair_operator(x, y) -> np.ndarray:
-    """S of the pair (X, Y = pinv(X)) as an (..., n, m, n, m) array, exactly symmetric:
-    S[l, k, i, j] = P_L[l, i] (Y Y')[k, j] + (Y'Y)[l, i] P_R[k, j] - Y'[l, j] Y[k, i]."""
-    lb, ar = _pair_factors(x, y)
-    return ((lb[..., :, None, :, None] * ar[..., None, :, None, :]).sum(axis=-5)
-            - y.swapaxes(-1, -2)[..., :, None, None, :] * y[..., None, :, :, None])
-
-
 def _sums(a: np.ndarray) -> np.ndarray:
     # The sum of each slice of a stack (T, ...), along its C order (matcore's bit rule).
     return a.reshape(len(a), -1).sum(axis=-1)
@@ -135,7 +127,8 @@ def _norm2(p, r, cp, cq) -> np.ndarray:
 def pair_block_profile(x: np.ndarray, y: np.ndarray, q: int):
     """The RankInfo of S's pair blocks, cut as an nm x nm operator's, and the norms (||S||,
     ||S on the normal space||, ||E||) of a stack (T, n, m), (T, m, n) of rotated pairs (U'XV,
-    V'YU) of rank q, read from S's factors (see above); pair entries as pair_operator's."""
+    V'YU) of rank q, read from S's factors (see above), S[l, k, i, j] the entry that maps
+    dX[i, j] to dY'[l, k]."""
     t, n, m = x.shape
     lb, ar = _pair_factors(x, y)
     yq = np.diagonal(y, axis1=-2, axis2=-1)[:, :q]

@@ -18,12 +18,13 @@ scalar or a number that is not finite.
 Tolerance policy: ``TOLERANCES`` is the one table of what each check's
 residuals are held to; ``PRIMARY`` names, for the checks that have one,
 the residual whose tolerance a caller's ``tol`` (the CLI's ``--tol``) replaces.
+``stack_reports`` is the one place a verdict is made; a report stores it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import methodcaller
 
@@ -77,35 +78,15 @@ def _plain(value):
 
 @dataclass
 class VerificationReport:
-    """One check on one instance, judged by its own residuals.
-
-    Left out, ``tolerances`` come from ``TOLERANCES``, one per residual key,
-    with ``tol`` (when given) in place of the ``PRIMARY`` one.  Left out,
-    ``passed`` is derived: every residual must be at or below its tolerance
-    (a NaN residual never is), a ``None`` tolerance marks evidence that
-    never gates, and every entry of ``conditions`` must hold too.  A stored
-    verdict (``from_json``) is kept as given.
-    """
+    """One check on one instance: its residuals, the tolerances they were held to and the
+    verdict, as :func:`stack_reports` made it (or as ``from_json`` read it)."""
 
     check_name: str
     inputs: dict
     values: dict
     residuals: dict
-    tolerances: dict | None = None
-    passed: bool | None = None
-    tol: InitVar[float | None] = None
-    conditions: InitVar[tuple[bool, ...]] = ()
-
-    def __post_init__(self, tol, conditions):
-        if self.tolerances is None:
-            table = TOLERANCES[self.check_name]
-            self.tolerances = {k: table[k] for k in self.residuals}
-            if tol is not None:
-                self.tolerances[PRIMARY[self.check_name]] = tol
-        if self.passed is None:
-            self.passed = all(conditions) and all(
-                self.residuals[k] <= t for k, t in self.tolerances.items() if t is not None
-            )
+    tolerances: dict
+    passed: bool
 
     def to_json(self) -> dict:
         return {
@@ -129,14 +110,8 @@ class VerificationReport:
             if type(value) is not kind:
                 raise TypeError(f"report {name} must be {_JSON_TYPES[kind]}, "
                                 f"got {_JSON_TYPES.get(type(value), type(value).__name__)}")
-        return cls(
-            check_name=obj["check_name"],
-            inputs=obj["inputs"],
-            values=obj["values"],
-            residuals=obj["residuals"],
-            tolerances=obj["tolerances"],
-            passed=obj["pass"],
-        )
+        return cls(*(obj[key] for key in ("check_name", "inputs", "values", "residuals",
+                                           "tolerances", "pass")))
 
 
 def stack_reports(check_name: str, inputs: dict, values: dict, residuals: dict,
@@ -145,10 +120,13 @@ def stack_reports(check_name: str, inputs: dict, values: dict, residuals: dict,
     """One report per slice of a stacked check: each value, residual and condition is
     one entry shared by every slice (0-d) or an array of the stack's shape.
 
-    The stack is judged at once, by :class:`VerificationReport`'s rule, against
-    one tolerance dict that every report shares: ``tolerances``, or else the
-    ``TOLERANCES`` entry of each residual key with ``tol`` (when given) in place
-    of the ``PRIMARY`` one.
+    The one place a verdict is made.  ``tolerances`` is one dict that every
+    report of the stack shares; left out, it is the ``TOLERANCES`` entry of
+    each residual key, with ``tol`` (when given) in place of the ``PRIMARY``
+    one.  A report passes when every residual is at or below its tolerance
+    (a NaN residual never is; a ``None`` tolerance marks evidence that never
+    gates) and every condition holds: one comparison per gating residual and
+    one ``logical_and`` per condition, for the whole stack.
     """
     if tolerances is None:
         table = TOLERANCES[check_name]

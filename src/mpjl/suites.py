@@ -17,7 +17,9 @@ the norms by the Gram identities of ``differential``, the diagonal parts
 S0 split off first so that ||E|| cancels against no large term).  A draw
 keeps its sampled spectrum unsorted; the check sorts and gap-tests the
 stack's spectra in one call (``matcore.sorted_spectra``), which raises
-the DegenerateSpectrum of a tied trial.  Each check takes one SVD of its
+the DegenerateSpectrum of a tied trial.  Every check of the package lives
+here: each relative residual is one ``_rel``, and ``reports.stack_reports``
+gives the verdict.  Each check takes one SVD of its
 stack of X: the one that gives pinv(X) also gives the rank profile that
 the chart's rank test and the operator's spectrum read (the full-rank
 closed forms take a QR of X, to stay independent of it), and ``invariance``
@@ -41,8 +43,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import chart, differential, matcore, measures
-from .errors import BadSpectrum, ConfigError, DegeneracyBudgetExceeded, DegenerateSpectrum
-from .reports import PRIMARY, SuiteResult, VerificationReport, stack_reports
+from .errors import (
+    BadSpectrum, ConfigError, DegeneracyBudgetExceeded, DegenerateSpectrum, NotFullColumnRank,
+)
+from .reports import PRIMARY, TOLERANCES, SuiteResult, VerificationReport, stack_reports
 
 RETRY_BUDGET = 3
 
@@ -125,8 +129,9 @@ def _instances(draws: list[tuple]) -> tuple[np.ndarray, ...]:
 
 
 def _rel(err, scale):
-    # err / scale, entry by entry; each scale is the norm of dY, S, X or Y, never 0.
-    return np.divide(err, scale).tolist()
+    # The one relative residual, err / scale entry by entry; each scale is a
+    # norm (of dY, S, X, Y or inv(X'X)) or max(1, |log|), never 0.
+    return np.divide(err, scale)
 
 
 def _chart_dim(cfg: RunConfig) -> int:
@@ -210,7 +215,7 @@ def _check_operator_rank(cfg: RunConfig, draws: list[tuple]) -> list[Verificatio
         jac = differential.pinv_chart_jacobian(x, bx, by)
         chart_det["log_deficient_chart_det"] = det = np.linalg.slogdet(jac)[1]
         area = log_factor + chart.log_chart_volume(bx) - chart.log_chart_volume(by)
-        area_formula["area_formula"] = abs(det - area) / np.maximum(1.0, abs(area))
+        area_formula["area_formula"] = _rel(abs(det - area), np.maximum(1.0, abs(area)))
     # S in the basis U kron V, read from its factors (see differential).
     rank, (norm, normal, off) = differential.pair_block_profile(
         u.swapaxes(-1, -2) @ x @ vt.swapaxes(-1, -2), vt @ y @ u, q)
@@ -225,6 +230,95 @@ def _check_operator_rank(cfg: RunConfig, draws: list[tuple]) -> list[Verificatio
                          tol=cfg.tol, conditions=(rank.rank == expected,))
 
 
+def _draw_instance(n: int, m: int, q: int, rng: np.random.Generator, spectrum) -> tuple:
+    # matcore.draw_rank_q, looked up as each trial draws, so a replaced or wrapped one runs.
+    return matcore.draw_rank_q(n, m, q, rng, spectrum)
+
+
+def _draw_hausdorff(n: int, m: int, q: int, rng: np.random.Generator, spectrum) -> tuple:
+    return (spectrum or rng.uniform(*matcore.SPECTRUM_RANGE, size=q),)
+
+
+def _check_hausdorff(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
+    # log density(Y spectrum) + log|d(reciprocal spectrum)/dD| - log density(X
+    # spectrum) equals the log factor -2(n+m-q) sum log D_i by algebra alone,
+    # so ``identity``, the absolute difference of the two logs, is rounding.
+    d = matcore.sorted_spectra([d for d, in draws])
+    n, m, q = cfg.n, cfg.m, d.shape[-1]
+    # Y = pinv(X) is m x n with the same rank; n+m enters symmetrically.
+    log_x = measures.log_hausdorff_density(n, m, d)
+    log_y = measures.log_hausdorff_density(m, n, measures.pinv_spectrum(d))
+    log_factor = measures.log_nonfullrank_jacobian_factor(n, m, d)
+    reports = stack_reports(
+        "hausdorff", {"n": n, "m": m, "q": q},
+        {"log_density_x": log_x, "log_density_y": log_y, "log_jacobian_factor": log_factor},
+        {"identity": abs(log_y - 2.0 * np.log(d).sum(axis=-1) - log_x - log_factor)}, tol=cfg.tol,
+    )
+    for report, spectrum in zip(reports, d.tolist()):
+        report.inputs["spectrum"] = spectrum
+    return reports
+
+
+def _check_exterior_chain(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
+    # Y = pinv(X) of full column rank: A = Y Y' is inv(B), B = X'X, and |A|^((n-m-1)/2)
+    # |B|^-(m+1) |B|^-((n-m-1)/2) is |X'X|^-n by determinant algebra, and the operator's
+    # log pseudo-determinant.  QRs of X and Y' give log|B|, log|A| and inv(B) = inv(R) inv(R)'.
+    [x] = _instances(draws)
+    n, m = x.shape[-2:]
+    y, info = matcore.pinv_rank(x)
+    if m > n or np.any(info.rank != m):
+        raise NotFullColumnRank(f"need rank(X) = cols <= rows, got shape {x.shape}")
+    a = y @ y.swapaxes(-1, -2)
+    r, log_b = matcore.gram_qr(x)
+    r_inv = np.linalg.inv(r)
+    b_inv = r_inv @ r_inv.swapaxes(-1, -2)
+    log_a = matcore.gram_qr(y)[1]
+    power = 0.5 * (n - m - 1)
+    assembled = power * log_a - (m + 1 + power) * log_b
+    target = -n * log_b
+    op_det = differential.operator_log_pdet(x, info)
+    norms = matcore.frobenius_norms
+    return stack_reports(
+        "exterior-chain", {"n": n, "m": m},
+        {"log_gram_pinv_det": log_a, "log_gram_det": log_b, "log_assembled": assembled,
+         "log_closed_form": target, "log_operator_det": op_det},
+        {"inverse_identity": _rel(norms(a - b_inv), norms(b_inv)),
+         "determinant_algebra": abs(assembled - target),
+         "operator_match": abs(assembled - op_det)},
+    )
+
+
+WITNESS_DEVIATION = 0.05
+
+
+def judge_invariance(x, q: int, h, qmat) -> list[VerificationReport]:
+    """Exact chart Jacobian of X -> H X Q for orthogonal H, Q against the area formula
+    log|det| = V_in - V_out (``volume``), asserted at every q; on the full chart
+    |det| = 1 is asserted too, on a deficient one its ``deviation`` is evidence that
+    the free-coordinate volume element is not invariant.  One report per slice of
+    X (n, m) or (T, n, m).  Only X's rank is tested (H X Q has it), and both charts
+    are pivoted as one stack: one pivot test, which names the worse block."""
+    x = matcore.as_stack(x)
+    n, m = x.shape[-2:]
+    sandwich = differential.OrthogonalSandwichMap(h, qmat)
+    chart._require_rank(matcore.rank_profile(x), q)
+    charts = chart._pivot(np.stack([x, sandwich.apply(x)]), q)
+    in_volume, out_volume = chart.log_chart_volume(charts)
+    abs_det = np.abs(np.linalg.det(differential.sandwich_chart_jacobian(sandwich, charts[0],
+                                                                        charts[1])))
+    log_volume = in_volume - out_volume
+    deviation = abs(abs_det - 1.0)
+    full_chart = q == min(n, m)
+    return stack_reports(
+        "invariance", {"n": n, "m": m, "q": q},
+        {"abs_det": abs_det, "deviation": deviation, "full_chart": full_chart,
+         "witness": deviation > WITNESS_DEVIATION},
+        {"deviation": deviation,
+         "volume": _rel(abs(np.log(abs_det) - log_volume), np.maximum(1.0, abs(log_volume)))},
+        tolerances=None if full_chart else {**TOLERANCES["invariance"], "deviation": None},
+    )
+
+
 def _draw_invariance(n: int, m: int, q: int, rng: np.random.Generator, spectrum) -> tuple:
     return (*matcore.draw_rank_q(n, m, q, rng, spectrum), rng.standard_normal((n, n)),
             rng.standard_normal((m, m)))
@@ -233,7 +327,11 @@ def _draw_invariance(n: int, m: int, q: int, rng: np.random.Generator, spectrum)
 def _check_invariance(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
     x, g_h, g_q = _instances(draws)
     h, qmat = matcore.orthonormal_frames(g_h), matcore.orthonormal_frames(g_q)
-    return measures.orthogonal_invariance_check(x, cfg.rank, h, qmat)
+    return judge_invariance(x, cfg.rank, h, qmat)
+
+
+def _draw_symmetric_inverse(n: int, m: int, q: int, rng: np.random.Generator, spectrum) -> tuple:
+    return rng.standard_normal((m, m)), rng.uniform(*matcore.SPECTRUM_RANGE, size=m)
 
 
 def _check_symmetric_inverse(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
@@ -273,23 +371,13 @@ def _check_blocks(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport
 # of trials' draws and returns one report per trial.
 _SUITES = {
     "differential": (_draw_differential, _check_differential),
-    "jacobian-full": (matcore.draw_rank_q, _check_jacobian_full),
-    "operator-rank": (matcore.draw_rank_q, _check_operator_rank),
-    "hausdorff": (
-        lambda n, m, q, rng, spectrum: (
-            spectrum or rng.uniform(*matcore.SPECTRUM_RANGE, size=q),),
-        lambda cfg, draws: measures.hausdorff_ratio_check(
-            cfg.n, cfg.m, matcore.sorted_spectra([d for d, in draws]), cfg.tol),
-    ),
+    "jacobian-full": (_draw_instance, _check_jacobian_full),
+    "operator-rank": (_draw_instance, _check_operator_rank),
+    "hausdorff": (_draw_hausdorff, _check_hausdorff),
     "invariance": (_draw_invariance, _check_invariance),
-    "symmetric-inverse": (
-        lambda n, m, q, rng, spectrum: (rng.standard_normal((m, m)),
-                                        rng.uniform(*matcore.SPECTRUM_RANGE, size=m)),
-        _check_symmetric_inverse,
-    ),
-    "exterior-chain": (matcore.draw_rank_q,
-                       lambda cfg, draws: measures.exterior_chain_check(*_instances(draws))),
-    "blocks": (matcore.draw_rank_q, _check_blocks),
+    "symmetric-inverse": (_draw_symmetric_inverse, _check_symmetric_inverse),
+    "exterior-chain": (_draw_instance, _check_exterior_chain),
+    "blocks": (_draw_instance, _check_blocks),
 }
 SUITE_NAMES = tuple(_SUITES)
 

@@ -14,9 +14,9 @@ from importlib import resources
 
 import numpy as np
 
-from .matcore import make_rng, random_rank_q, random_stiefel
-from .measures import orthogonal_invariance_check
+from .matcore import make_rng
 from .reports import VerificationReport
+from .suites import RunConfig, _check_invariance, _draw_invariance, judge_invariance
 
 FIXTURE_NAME = "invariance_witnesses.json"
 
@@ -26,32 +26,22 @@ def load_witnesses() -> list[dict]:
     return json.loads(text)["witnesses"]
 
 
-def _rotation_instance(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rotation(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    # X = e1 e1' and the plane rotation by pi/4, which is both H and Q.
     if (n, m) != (2, 2):
         raise ValueError("rotation witnesses are defined for 2x2 instances")
-    x = np.zeros((2, 2))
-    x[0, 0] = 1.0
-    c = np.cos(np.pi / 4)
-    s = np.sin(np.pi / 4)
-    rot = np.array([[c, -s], [s, c]])
-    return x, rot, rot
-
-
-def _haar_instance(n: int, m: int, q: int, seed: int):
-    rng = make_rng(seed)
-    x = random_rank_q(n, m, q, rng)
-    h = random_stiefel(n, n, rng)
-    qmat = random_stiefel(m, m, rng)
-    return x, h, qmat
+    c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
+    return np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[c, -s], [s, c]])
 
 
 def reproduce(witness: dict) -> VerificationReport:
-    """Re-run the invariance check for a stored witness recipe."""
+    """Re-run the invariance check for a stored witness recipe: a Haar witness is
+    ``invariance``'s own draw from the stream ``make_rng(seed)``."""
     n, m, q = witness["n"], witness["m"], witness["q"]
     if witness["kind"] == "rotation":
-        x, h, qmat = _rotation_instance(n, m)
-    elif witness["kind"] == "haar":
-        x, h, qmat = _haar_instance(n, m, q, witness["seed"])
-    else:
-        raise ValueError(f"unknown witness kind {witness['kind']!r}")
-    return orthogonal_invariance_check(x, q, h, qmat)
+        x, rot = _rotation(n, m)
+        return judge_invariance(x, q, rot, rot)[0]
+    if witness["kind"] == "haar":
+        draw = _draw_invariance(n, m, q, make_rng(witness["seed"]), None)
+        return _check_invariance(RunConfig(n=n, m=m, q=q), [draw])[0]
+    raise ValueError(f"unknown witness kind {witness['kind']!r}")

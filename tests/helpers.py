@@ -2,10 +2,16 @@
 
 import numpy as np
 
+from mpjl import suites
 from mpjl.chart import BlockDecomposition, _moved_blocks, _unpermute, decompose, log_chart_volume
-from mpjl.differential import pair_operator
 from mpjl.errors import ShapeMismatch
 from mpjl.matcore import as_matrix, pinv, rank_profile
+
+
+def check(suite: str, draws: list[tuple], **config):
+    """The reports of ``suite``'s check on a list of trials' draws, under ``RunConfig(**config)``:
+    what ``run_suite`` does with one stack, minus drawing and stamping."""
+    return suites._SUITES[suite][1](suites.RunConfig(**config), draws)
 
 
 def vec(a) -> np.ndarray:
@@ -30,19 +36,26 @@ def commutation_matrix(m: int, n: int) -> np.ndarray:
 def jacobian_operator(x) -> np.ndarray:
     """The symmetric nm x nm matrix S with S @ dX.ravel() = pinv_differential(X, dX).T.ravel()."""
     x = as_matrix(x)
-    return pair_operator(x, pinv(x)).reshape(x.size, x.size)
+    return broadcast_pair_operator(x, pinv(x)).reshape(x.size, x.size)
+
+
+def pair_factors(x, y) -> tuple[np.ndarray, ...]:
+    """P_L = I - XY, P_R = I - YX, Y Y' and Y'Y of a pair (X, Y) or a stack of pairs, each
+    averaged with its transpose, so that the operator built from them is exactly symmetric."""
+    n, m = x.shape[-2:]
+    yt = y.swapaxes(-1, -2)
+    return tuple(0.5 * (a + a.swapaxes(-1, -2))
+                 for a in (np.eye(n) - x @ y, np.eye(m) - y @ x, y @ yt, yt @ y))
 
 
 def broadcast_pair_operator(x, y) -> np.ndarray:
-    """``pair_operator`` as three whole-operator broadcast products: its bit-for-bit oracle.
-
-    Each entry is fl(fl(fl(L A) + fl(B R)) - fl(Y' Y)), its factors taken as
-    ``pair_operator`` takes them.
+    """The dense S of a pair (X, Y = pinv(X)), or of a stack, as an (..., n, m, n, m) array:
+    S[l, k, i, j] = P_L[l, i] (Y Y')[k, j] + (Y'Y)[l, i] P_R[k, j] - Y'[l, j] Y[k, i], the entry
+    that maps dX[i, j] to dY'[l, k], by three whole-operator broadcast products: each entry
+    is fl(fl(fl(L A) + fl(B R)) - fl(Y' Y)), its factors those of :func:`pair_factors`.
     """
-    n, m = x.shape[-2:]
+    left, right, yyt, yty = pair_factors(x, y)
     yt = y.swapaxes(-1, -2)
-    left, right, yyt, yty = (0.5 * (a + a.swapaxes(-1, -2)) for a in (
-        np.eye(n) - x @ y, np.eye(m) - y @ x, y @ yt, yt @ y))
     s = left[..., :, None, :, None] * yyt[..., None, :, None, :]
     s += yty[..., :, None, :, None] * right[..., None, :, None, :]
     s -= yt[..., :, None, None, :] * y[..., None, :, :, None]
@@ -50,14 +63,14 @@ def broadcast_pair_operator(x, y) -> np.ndarray:
 
 
 def dense_pair_reads(x, y, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """What ``pair_block_profile`` reads, read from the dense ``pair_operator`` of a stack.
+    """What ``pair_block_profile`` reads, read from the dense operator of a stack.
 
     The 1x1 and 2x2 pair blocks' values, each entry (l, k) paired with
     (k, l) when l, k < q, sorted decreasing, then ||S||_F, the norm of S's
     rows l, k >= q, and ||E||_F, E being S with the pair pattern zeroed.
     """
     t, n, m = x.shape
-    s = pair_operator(x, y)
+    s = broadcast_pair_operator(x, y)
     l, k = np.divmod(np.arange(n * m), m)
     paired = (l < q) & (k < q)  # (l, k) with (k, l); at l = k, sign(k - l) = 0 keeps diag
     pl, pk = np.where(paired, k, l), np.where(paired, l, k)

@@ -7,15 +7,13 @@ PUBLIC = [
     "DegenerateSpectrum", "IllConditionedPivot", "MpjlError", "NotFullColumnRank", "NotFullRank",
     "OrthogonalSandwichMap", "ParseError", "RankInfo", "RankMismatch", "RunConfig",
     "ShapeMismatch", "SingularInput", "SuiteResult", "SvdFactors", "VerificationReport",
-    "assemble", "chart", "decompose", "differential", "errors", "exterior_chain_check",
-    "hausdorff_ratio_check", "log_chart_volume", "log_hausdorff_density",
-    "log_jacobian_det_full_rank", "log_nonfullrank_jacobian_factor",
-    "log_symmetric_inverse_jacobian", "make_rng", "matcore", "matrix_to_json",
-    "measures", "operator_spectrum", "orthogonal_invariance_check", "pinv", "pinv_chart_jacobian",
-    "pinv_complex_step", "pinv_differential", "pinv_from_blocks", "pinv_spectrum", "random_rank_q",
-    "random_stiefel", "rank_profile", "reports", "run_suite", "sample_spectrum",
-    "sandwich_chart_jacobian", "suites", "svd_thin", "symmetric_inverse_fd_det", "symmetric_part",
-    "tangent_perturbation", "x22_from_blocks",
+    "assemble", "chart", "decompose", "differential", "errors", "log_chart_volume",
+    "log_hausdorff_density", "log_jacobian_det_full_rank", "log_nonfullrank_jacobian_factor",
+    "log_symmetric_inverse_jacobian", "make_rng", "matcore", "matrix_to_json", "measures",
+    "operator_spectrum", "pinv", "pinv_chart_jacobian", "pinv_complex_step", "pinv_differential",
+    "pinv_from_blocks", "pinv_spectrum", "random_rank_q", "random_stiefel", "rank_profile",
+    "reports", "run_suite", "sample_spectrum", "sandwich_chart_jacobian", "suites", "svd_thin",
+    "symmetric_inverse_fd_det", "symmetric_part", "tangent_perturbation", "x22_from_blocks",
 ]
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import (
     broadcast_pair_operator, chart_positions, commutation_matrix, fd_chart_jacobian, fd_step,
-    jacobian_operator, make_blocks, pinv_chart_log_det, vec,
+    jacobian_operator, make_blocks, pair_factors, pinv_chart_log_det, vec,
 )
 from mpjl import chart, matcore as mc, suites
 from mpjl import differential as df
@@ -128,15 +128,20 @@ def test_det_operator_factors_no_operator_sized_matrix(svd_shapes):
     assert max(s[0] for s in svd_shapes) <= max(n, m)
 
 
-def test_determinant_suites_never_build_the_dense_operator(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense Jacobian operator built")
-
-    monkeypatch.setattr(df, "pair_operator", refuse)
+def test_determinant_suites_never_build_the_dense_operator():
+    # At its peak each check holds less than a tenth of one dense operator's
+    # 8 (nm)^2 bytes.
     runs = [("jacobian-full", 32, 24), ("exterior-chain", 24, 16)]
     for suite, n, m in runs:
-        result = suites.run_suite(suite, suites.RunConfig(n=n, m=m, trials=1, seed=49))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            result = suites.run_suite(suite, suites.RunConfig(n=n, m=m, trials=1, seed=49))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert result.all_passed, suite
+        assert peak < 0.1 * 8 * (n * m) ** 2, suite
 
 
 @pytest.mark.parametrize("suite, svds", [("jacobian-full", 1), ("exterior-chain", 1)])
@@ -169,13 +174,9 @@ def test_operator_rank_suite_keeps_dense_rank_oracle(svd_shapes, eigvalsh_shapes
         assert eigvalsh_shapes == eigh_shapes == []
 
 
-def test_operator_rank_never_builds_the_dense_operator(monkeypatch):
-    # 24x20 q=8: no pair_operator call, and at its peak the check holds less
-    # than a tenth of one dense operator's 8 (nm)^2 bytes.
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense Jacobian operator built")
-
-    monkeypatch.setattr(df, "pair_operator", refuse)
+def test_operator_rank_never_builds_the_dense_operator():
+    # 24x20 q=8: at its peak the check holds less than a tenth of one dense
+    # operator's 8 (nm)^2 bytes.
     cfg = suites.RunConfig(n=24, m=20, q=8, trials=1, seed=49)
     tracemalloc.start()
     try:
@@ -270,7 +271,7 @@ def test_pair_blocks_give_the_spectrum_within_the_weyl_bound(n, m, q, noise):
     _, (x, y) = _pairs(rng, n, m, q, 1e2, t)
     x, y = (a + noise * np.max(np.abs(a)) * rng.standard_normal(a.shape) for a in (x, y))
     info, (norm, _, leak) = df.pair_block_profile(x, y, q)
-    whole = df.pair_operator(x, y).reshape(t, n * m, n * m)
+    whole = broadcast_pair_operator(x, y).reshape(t, n * m, n * m)
     assert noise == 0.0 or np.all(leak > 1e-3 * noise * norm)
     for values, op, bound in zip(info.singular_values, whole, leak + 1e-14 * norm):
         exact = np.sort(np.abs(np.linalg.eigvalsh(op)))[::-1]
@@ -303,30 +304,37 @@ def _pairs(rng, n, m, q, cond, t):
 @pytest.mark.parametrize("cond", [1.0, 1e3, 1e5])
 @pytest.mark.parametrize("n, m, q", SWEEP_SHAPES)
 def test_pair_operator_is_exactly_symmetric(n, m, q, cond):
-    # Its four factors are symmetrized, and the product term pairs with its
-    # transpose entry by entry, so S == S' holds in floating point with no
-    # tolerance: of the pair (X, pinv(X)) and of the rotated pair that
-    # operator-rank reads (see ``_check_operator_rank``).  cond = 1 is a
-    # spectrum of ties, which the request gap refuses, so X is built from
-    # its draw directly.
+    # The four factors that pair_block_profile reads are symmetrized, and the
+    # product term pairs with its transpose entry by entry, so S == S' holds
+    # in floating point with no tolerance: of the pair (X, pinv(X)) and of the
+    # rotated pair that operator-rank reads (see ``_check_operator_rank``).
+    # cond = 1 is a spectrum of ties, which the request gap refuses, so X is
+    # built from its draw directly.
     for x, y in _pairs(mc.make_rng(60, n, m, q), n, m, q, cond, 2):
-        op = df.pair_operator(x, y).reshape(2, n * m, n * m)
+        for factor in df._pair_factors(x, y):
+            assert np.array_equal(factor, factor.swapaxes(-1, -2))
+        op = broadcast_pair_operator(x, y).reshape(2, n * m, n * m)
         assert np.array_equal(op, op.swapaxes(-1, -2))
 
 
 @pytest.mark.parametrize("cond", [1.0, 1e3, 1e5])
 @pytest.mark.parametrize("n, m, q", SWEEP_SHAPES)
 def test_pair_operator_keeps_the_bits_of_the_broadcast_build(n, m, q, cond):
-    # A slice (a 2-D pair or a stack of one) and a stack of several alike:
-    # pair_operator sums its two Kronecker terms over its factor stack, and
-    # every entry keeps the operation order of the three whole-operator
-    # broadcasts.
+    # The dense S that the tests build reads the operator that pair_block_profile
+    # reads: _pair_factors stacks (P_L, Y'Y) and (Y Y', P_R) with the bits of the
+    # broadcast build's own factors.  And the broadcast build gives a slice of a
+    # stack of several the bits of that slice alone (a 2-D pair or a stack of one).
     for t in (1, 3):
         for x, y in _pairs(mc.make_rng(61, n, m, q, t), n, m, q, cond, t):
-            for a, b in [(x, y), (x[0], y[0])] if t == 1 else [(x, y)]:
-                got, want = df.pair_operator(a, b), broadcast_pair_operator(a, b)
-                assert got.shape == want.shape and np.array_equal(got, want)
+            (lb, ar), (left, right, yyt, yty) = df._pair_factors(x, y), pair_factors(x, y)
+            for got, want in zip([*np.moveaxis(lb, -3, 0), *np.moveaxis(ar, -3, 0)],
+                                 (left, yty, yyt, right)):
                 assert got.tobytes() == want.tobytes()
+            whole = broadcast_pair_operator(x, y)
+            for i in range(t):
+                for a, b in [(x[i], y[i]), (x[i:i + 1], y[i:i + 1])]:
+                    alone = broadcast_pair_operator(a, b)
+                    assert alone.tobytes() == whole[i].tobytes()
 
 
 @pytest.mark.parametrize("n, m, q", SWEEP_SHAPES)

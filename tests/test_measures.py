@@ -4,7 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from mpjl import matcore as mc, measures as ms, witnesses as wt
+from helpers import check
+from mpjl import matcore as mc, measures as ms, suites, witnesses as wt
 from mpjl.errors import BadSpectrum, NotFullColumnRank, SingularInput
 
 
@@ -65,7 +66,7 @@ def test_factor_anchors():
 
 def test_ratio_check_hand_chain():
     # density_Y * (1/4) / density_X = (1/2 * 1/4) * (1/4) / 2 = 1/64.
-    rep = ms.hausdorff_ratio_check(2, 2, [2.0], 1e-12)
+    [rep] = check("hausdorff", [([2.0],)], n=2, m=2, tol=1e-12)
     assert list(rep.values) == ["log_density_x", "log_density_y", "log_jacobian_factor"]
     assert abs(rep.values["log_density_x"] - np.log(2.0)) <= 1e-15
     assert abs(rep.values["log_density_y"] - np.log(0.125)) <= 1e-15
@@ -74,7 +75,7 @@ def test_ratio_check_hand_chain():
 
 
 def test_ratio_check_mixed_shape():
-    rep = ms.hausdorff_ratio_check(3, 2, [2.0, 1.0], 1e-12)
+    [rep] = check("hausdorff", [([2.0, 1.0],)], n=3, m=2, tol=1e-12)
     assert rep.residuals["identity"] <= 1e-12
 
 
@@ -84,7 +85,7 @@ def test_ratio_check_sweep():
         q = int(rng.integers(1, 5))
         n = int(rng.integers(q, 9))
         m = int(rng.integers(q, 9))
-        rep = ms.hausdorff_ratio_check(n, m, mc.sample_spectrum(q, rng), 1e-10)
+        [rep] = check("hausdorff", [(mc.sample_spectrum(q, rng),)], n=n, m=m, tol=1e-10)
         assert rep.residuals["identity"] <= 1e-10
 
 
@@ -114,7 +115,7 @@ def test_linear_densities_match_mpmath():
     # as (d_i - d_j)(d_i + d_j) keeps the log of the linear product to rounding.
     for t in range(1560, 1660):
         d = mc.sample_spectrum(20, mc.make_rng(7, t))
-        rep = ms.hausdorff_ratio_check(40, 32, d)
+        [rep] = check("hausdorff", [(d,)], n=40, m=32)
         assert rep.passed
         for key, (n, m, e) in (("log_density_x", (40, 32, d)),
                                ("log_density_y", (32, 40, ms.pinv_spectrum(d)))):
@@ -130,7 +131,7 @@ def test_linear_density_may_be_a_subnormal_chain():
     e = ms.pinv_spectrum(d)
     want = _mp_log_density(32, 40, e)
     assert np.exp(want) < np.finfo(float).tiny
-    rep = ms.hausdorff_ratio_check(40, 32, d)
+    [rep] = check("hausdorff", [(d,)], n=40, m=32)
     assert list(rep.values) == ["log_density_x", "log_density_y", "log_jacobian_factor"]
     assert rep.passed
     assert abs(rep.values["log_density_y"] - want) <= 1e-13 * abs(want)
@@ -161,23 +162,23 @@ def test_ratio_check_stack_matches_per_spectrum():
     rng = mc.make_rng(63)
     for q in (1, 3, 8):
         d = np.array([mc.sample_spectrum(q, rng) for _ in range(5)])
-        stacked = ms.hausdorff_ratio_check(9, 8, d)
+        stacked = check("hausdorff", [(row,) for row in d], n=9, m=8)
         assert len(stacked) == 5
         for row, report in zip(d, stacked):
-            assert report.to_json() == ms.hausdorff_ratio_check(9, 8, row).to_json()
+            assert report.to_json() == check("hausdorff", [(row,)], n=9, m=8)[0].to_json()
 
 
 def test_log_values_hold_beyond_the_float_range():
     # At 60 x 50 rank 20 every linear value leaves the float range; the
     # identity holds between the logs.
     d = np.geomspace(1.0, 0.1, 20)
-    rep = ms.hausdorff_ratio_check(60, 50, d)
+    [rep] = check("hausdorff", [(d,)], n=60, m=50)
     assert list(rep.values) == ["log_density_x", "log_density_y", "log_jacobian_factor"]
     assert rep.values["log_jacobian_factor"] == -2 * (60 + 50 - 20) * np.log(d).sum()
     assert rep.passed
     # prod d^-4 here runs through a subnormal first factor 1e-312.
     d = np.array([1e78, 1e-76])
-    rep = ms.hausdorff_ratio_check(2, 2, d)
+    [rep] = check("hausdorff", [(d,)], n=2, m=2)
     assert list(rep.values) == ["log_density_x", "log_density_y", "log_jacobian_factor"]
     assert rep.values["log_density_x"] == ms.log_hausdorff_density(2, 2, d)
     assert rep.passed
@@ -250,23 +251,29 @@ def test_vech_of_a_stack():
 
 
 def test_exterior_chain_orthonormal_columns():
-    x = mc.random_stiefel(5, 3, mc.make_rng(64))
-    rep = ms.exterior_chain_check(x)
+    # Orthonormal frames scaled by singular values a request gap apart from 1:
+    # both logs are -2n sum log d, near 0.
+    rng = mc.make_rng(64)
+    d = np.array([1.0 + 4e-6, 1.0 + 2e-6, 1.0])
+    [rep] = check("exterior-chain", [(d, rng.standard_normal((5, 3)), rng.standard_normal((3, 3)))],
+                  n=5, m=3)
+    want = -10.0 * np.log(d).sum()
     assert rep.passed
-    assert abs(rep.values["log_assembled"]) <= 1e-10
-    assert abs(rep.values["log_closed_form"]) <= 1e-10
+    assert abs(rep.values["log_assembled"] - want) <= 1e-12
+    assert abs(rep.values["log_closed_form"] - want) <= 1e-12
 
 
 def test_exterior_chain_anchor():
-    rep = ms.exterior_chain_check(np.array([[2.0, 0.0], [0.0, 3.0], [0.0, 0.0]]))
+    # X = diag(3, 2) over a zero row: frames eye(3)[:, :2] and eye(2), |X'X| = 36.
+    [rep] = check("exterior-chain", [((3.0, 2.0), np.eye(3)[:, :2], np.eye(2))], n=3, m=2)
     assert rep.passed
     assert abs(rep.values["log_assembled"] - np.log(36.0 ** -3)) <= 1e-12
 
 
 def test_exterior_chain_sweep():
     for trial in range(20):
-        x = mc.random_rank_q(5, 3, 3, mc.make_rng(65, trial))
-        rep = ms.exterior_chain_check(x)
+        [rep] = check("exterior-chain", [mc.draw_rank_q(5, 3, 3, mc.make_rng(65, trial))],
+                      n=5, m=3)
         assert rep.residuals["inverse_identity"] <= 1e-10
         assert rep.residuals["determinant_algebra"] <= 1e-12
         assert rep.residuals["operator_match"] <= 1e-8
@@ -274,14 +281,14 @@ def test_exterior_chain_sweep():
 
 def test_exterior_chain_rejects_wide_or_deficient():
     with pytest.raises(NotFullColumnRank):
-        ms.exterior_chain_check(mc.random_rank_q(2, 4, 2, mc.make_rng(66)))
+        check("exterior-chain", [mc.draw_rank_q(2, 4, 2, mc.make_rng(66))], n=2, m=4)
     with pytest.raises(NotFullColumnRank):
-        ms.exterior_chain_check(np.array([[1.0, 2.0], [3.0, 6.0], [0.0, 0.0]]))
+        check("exterior-chain", [mc.draw_rank_q(3, 2, 1, mc.make_rng(66))], n=3, m=2)
 
 
 def test_invariance_identity_sandwich():
     x = mc.random_rank_q(3, 3, 2, mc.make_rng(67))
-    rep = ms.orthogonal_invariance_check(x, 2, np.eye(3), np.eye(3))
+    [rep] = suites.judge_invariance(x, 2, np.eye(3), np.eye(3))
     assert abs(rep.values["abs_det"] - 1.0) <= 1e-9
 
 
@@ -290,7 +297,7 @@ def test_invariance_full_chart():
     x = mc.random_rank_q(3, 2, 2, rng)
     h = mc.random_stiefel(3, 3, rng)
     q = mc.random_stiefel(2, 2, rng)
-    rep = ms.orthogonal_invariance_check(x, 2, h, q)
+    [rep] = suites.judge_invariance(x, 2, h, q)
     assert rep.passed
     assert rep.values["deviation"] <= 1e-12
     assert rep.tolerances == {"deviation": 1e-12, "volume": 1e-9}
@@ -301,7 +308,7 @@ def test_invariance_rotation_witness():
     s = np.sin(np.pi / 4)
     rot = np.array([[c, -s], [s, c]])
     x = np.array([[1.0, 0.0], [0.0, 0.0]])
-    rep = ms.orthogonal_invariance_check(x, 1, rot, rot)
+    [rep] = suites.judge_invariance(x, 1, rot, rot)
     assert rep.values["deviation"] > 0.1
     assert rep.passed  # deficient charts report evidence, no bound
     assert rep.tolerances == {"deviation": None, "volume": 1e-9}
@@ -316,14 +323,14 @@ def test_invariance_volume_is_the_closed_form_of_the_chart_jacobian():
     c = np.cos(np.pi / 4)
     rot = np.array([[c, -c], [c, c]])
     x = np.array([[1.0, 0.0], [0.0, 0.0]])
-    rep = ms.orthogonal_invariance_check(x, 1, rot, rot)
+    [rep] = suites.judge_invariance(x, 1, rot, rot)
     assert abs(rep.values["abs_det"] - 0.5) <= 1e-15
     rng = mc.make_rng(70)
     for n, m, q in [(5, 4, 2), (3, 5, 2), (8, 6, 3), (4, 4, 4)]:
         x = np.array([mc.random_rank_q(n, m, q, rng) for _ in range(4)])
         h = mc.orthonormal_frames(rng.standard_normal((4, n, n)))
         qmat = mc.orthonormal_frames(rng.standard_normal((4, m, m)))
-        reports = ms.orthogonal_invariance_check(x, q, h, qmat)
+        reports = suites.judge_invariance(x, q, h, qmat)
         assert len(reports) == 4
         for r in reports:
             assert r.passed and r.residuals["volume"] <= 1e-13
@@ -333,7 +340,7 @@ def test_invariance_volume_is_the_closed_form_of_the_chart_jacobian():
 def test_invariance_rejects_nonorthogonal_factor():
     x = mc.random_rank_q(3, 3, 2, mc.make_rng(69))
     with pytest.raises(ValueError):
-        ms.orthogonal_invariance_check(x, 2, np.eye(3) * 1.001, np.eye(3))
+        suites.judge_invariance(x, 2, np.eye(3) * 1.001, np.eye(3))
 
 
 def test_witness_fixtures_reproduce_exactly():

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mpjl import chart, differential, measures, suites
+from mpjl import chart, differential, matcore, measures, suites
 
 
 def _flip_z_dx12(original):
@@ -102,9 +102,8 @@ def _pinv_blocks_skipping(*sides):
 MUTANTS = {
     "tangent-dx22-sign": ([(chart, "_tangent_x22", _flip_z_dx12),
                            (differential, "_tangent_x22", _flip_z_dx12)], [INVARIANCE_5X4Q2]),
-    "chart-volumes-swapped": ([(measures, "log_chart_volume", _swap_volumes)],
-                              [INVARIANCE_5X4Q2]),
-    "volume-exponent-n-q+1": ([(measures, "log_chart_volume", _exponent_n_minus_q_plus_1)],
+    "chart-volumes-swapped": ([(chart, "log_chart_volume", _swap_volumes)], [INVARIANCE_5X4Q2]),
+    "volume-exponent-n-q+1": ([(chart, "log_chart_volume", _exponent_n_minus_q_plus_1)],
                               [INVARIANCE_5X4Q2]),
     "pinv-blocks-ww-solve-dropped": (_pinv_blocks_skipping("m"),
                                      [("jacobian-full", dict(n=3, m=4, trials=6, seed=5))]),
@@ -123,7 +122,7 @@ MUTANTS = {
         [(differential, "log_jacobian_det_full_rank", _full_rank_exponent_plus_1)],
         [("jacobian-full", dict(n=n, m=m, trials=10, seed=5)) for n, m in ((4, 3), (3, 4))]),
     "gram-log-det-2-dropped": (
-        [(module, "gram_qr", _gram_log_det_without_2) for module in (differential, measures)],
+        [(module, "gram_qr", _gram_log_det_without_2) for module in (differential, matcore)],
         [("jacobian-full", dict(n=n, m=m, trials=10, seed=5)) for n, m in ((4, 3), (3, 4))]
         + [("exterior-chain", dict(n=5, m=3, trials=10, seed=5))]),
     "differential-transposed-factor": (

@@ -1,4 +1,4 @@
-"""The verdict rule of VerificationReport, and the canonical JSON writer."""
+"""The verdict rule of stack_reports, and the canonical JSON writer."""
 
 import json
 from pathlib import Path
@@ -14,7 +14,9 @@ CHECKS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
 
 
 def _report(residuals, tolerances, conditions=()):
-    return VerificationReport("check", {}, {}, residuals, tolerances, conditions=conditions)
+    # One report judged by stack_reports against explicit tolerances.
+    [report] = reports.stack_reports("check", {}, {}, residuals, conditions, tolerances=tolerances)
+    return report
 
 
 def test_residuals_at_or_below_tolerance_pass():
@@ -46,7 +48,7 @@ def test_explicit_verdict_is_kept():
 def test_numpy_values_serialize_as_plain_json():
     values = {"spectrum": np.array([3.0, 1.0]), "grid": np.arange(4).reshape(2, 2),
               "one": np.array([0.5]), "det": np.float64(2.0), "ok": np.bool_(True)}
-    report = VerificationReport("stub", {"n": np.int64(3)}, values, {}, {})
+    report = VerificationReport("stub", {"n": np.int64(3)}, values, {}, {}, True)
     back = json.loads(dumps_canonical(SuiteResult([report])))["reports"][0]
     assert back["inputs"] == {"n": 3}
     assert back["values"] == {"spectrum": [3.0, 1.0], "grid": [[0, 1], [2, 3]], "one": [0.5],
@@ -66,10 +68,19 @@ def test_from_json_keeps_the_stored_flag():
 
 def test_omitted_tolerances_come_from_the_table():
     residuals = {"pinv_blocks": 0.0, "roundtrip": 0.0, "x22": 0.0}
-    report = VerificationReport("blocks", {}, {}, residuals)
+    [report] = reports.stack_reports("blocks", {}, {}, residuals)
     assert report.tolerances == {k: TOLERANCES["blocks"][k] for k in residuals}
     assert list(report.tolerances) == list(residuals)
     assert report.passed is True
+
+
+def test_tol_replaces_the_primary_tolerance():
+    residuals = {"roundtrip": 0.0, "pinv_blocks": 1e-6}
+    [report] = reports.stack_reports("blocks", {}, {}, residuals, tol=1e-3)
+    assert report.tolerances == {"roundtrip": TOLERANCES["blocks"]["roundtrip"], "pinv_blocks": 1e-3}
+    assert report.passed is True
+    [report] = reports.stack_reports("blocks", {}, {}, residuals)
+    assert report.passed is False
 
 
 def test_table_is_no_looser_than_the_benchmark_ceilings():
@@ -125,14 +136,21 @@ def test_a_stack_is_judged_as_each_report_alone(case):
     assert len(stacked) == columns[0].size
     rows = zip(*(c.ravel().tolist() for c in columns))
     for report, row in zip(stacked, rows, strict=True):
+        # The rule for one report, written out: the table's tolerance of each
+        # residual, ``tol`` in place of the primary one, unless tolerances are
+        # given; every gating residual at or below its tolerance (NaN is not),
+        # a None tolerance never gating, and every condition true.
+        alone = dict(zip(residuals, row[len(values):]))
         tolerances = kwargs.get("tolerances")
-        alone = VerificationReport(check, {"n": 1}, dict(zip(values, row)),
-                                   dict(zip(residuals, row[len(values):])),
-                                   tolerances and dict(tolerances), tol=kwargs.get("tol"),
-                                   conditions=row[len(values) + len(residuals):])
-        assert report.passed is alone.passed
-        assert report.tolerances == alone.tolerances
-        assert list(report.tolerances) == list(alone.tolerances)
+        if tolerances is None:
+            tolerances = {k: TOLERANCES[check][k] for k in residuals}
+            if "tol" in kwargs:
+                tolerances[PRIMARY[check]] = kwargs["tol"]
+        passed = all(row[len(values) + len(residuals):]) and all(
+            alone[k] <= t for k, t in tolerances.items() if t is not None)
+        assert report.passed is passed
+        assert report.tolerances == tolerances
+        assert list(report.tolerances) == list(tolerances)
 
 
 def _reference(obj, duplicates=None) -> str:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from helpers import chart_positions
+from helpers import chart_positions, check
 from mpjl import chart, differential as df, matcore as mc, measures as ms, suites
 from mpjl.cli import main
 from mpjl.errors import (
@@ -253,8 +253,9 @@ def test_rank_q_draws_build_bit_for_bit_as_one_stack():
         assert np.array_equal(frame, mc.random_stiefel(4, 4, mc.make_rng(9, t)))
 
 
-def _stacked_and_single(x, q, directions):
-    """Every function that takes a stack, on a stack ``x`` of rank q or on one matrix."""
+def _stacked_and_single(x, q, directions, draws):
+    """Every function that takes a stack, on a stack ``x`` of rank q or on one matrix, and
+    the exterior-chain check on the draws of that stack or of that one matrix."""
     n, m = x.shape[-2:]
     info = mc.rank_profile(x)
     b = chart.decompose(x, q)
@@ -268,8 +269,8 @@ def _stacked_and_single(x, q, directions):
         out["gram_qr"], out["log_gram_det"] = mc.gram_qr(x)
         out["full_rank_log_det"] = df.log_jacobian_det_full_rank(x, info)
     if q == m <= n:
-        reports = ms.exterior_chain_check(x)
-        out["exterior_chain"] = [dumps_canonical(r.to_json()) for r in np.atleast_1d(reports)]
+        reports = check("exterior-chain", draws, n=n, m=m)
+        out["exterior_chain"] = [dumps_canonical(r.to_json()) for r in reports]
     if m <= 8:  # S = X'X - I/10: symmetric, indefinite below full column rank
         s = ms.symmetric_part(x.swapaxes(-1, -2) @ x - 0.1 * np.eye(m))
         out.update(symmetric_part=s, symmetric_formula=ms.log_symmetric_inverse_jacobian(s),
@@ -286,13 +287,14 @@ def test_stacked_determinants_give_the_bits_of_each_matrix(n, m, draws):
     for q in sorted({min(n, m), (min(n, m) + 1) // 2}):
         seeds = [(15, t) if q == min(n, m) else (16, q, t) for t in range(draws)]
         x = np.array([mc.random_rank_q(n, m, q, mc.make_rng(*s)) for s in seeds])
+        trial_draws = [mc.draw_rank_q(n, m, q, mc.make_rng(*s)) for s in seeds]
         assert np.array_equal(mc.frobenius_norms(x), [mc.frobenius_norms(one) for one in x])
         rng = mc.make_rng(17, n, m, q)
         directions = [rng.standard_normal((draws, *shape))
                       for shape in ((q, q), (q, m - q), (n - q, q))]
-        stacked = _stacked_and_single(x, q, directions)
+        stacked = _stacked_and_single(x, q, directions, trial_draws)
         for t, one in enumerate(x):
-            single = _stacked_and_single(one, q, [d[t] for d in directions])
+            single = _stacked_and_single(one, q, [d[t] for d in directions], trial_draws[t:t + 1])
             assert single.keys() == stacked.keys()
             for key, value in single.items():
                 got = stacked[key][t]
@@ -523,14 +525,14 @@ def test_invariance_stack_raises_the_error_of_its_bad_trial(name):
             else:
                 chart._pivot(a, 2)
     with pytest.raises(error):
-        ms.orthogonal_invariance_check(x, 2, h, qmat)
+        suites.judge_invariance(x, 2, h, qmat)
     for t in range(3):
         one = x[t:t + 1], 2, h[t:t + 1], qmat[t:t + 1]
         if t != 1:
-            assert ms.orthogonal_invariance_check(*one)[0].passed
+            assert suites.judge_invariance(*one)[0].passed
             continue
         with pytest.raises(error) as raised:
-            ms.orthogonal_invariance_check(*one)
+            suites.judge_invariance(*one)
         assert str(raised.value) == message
 
 
@@ -546,5 +548,25 @@ def test_invariance_reports_the_worse_chart_when_both_pivot_blocks_fail():
     assert conds[0] == "pivot block has condition 1.111e+08 > 1e+08"
     worse = max(conds, key=lambda c: float(c.split()[4]))
     with pytest.raises(IllConditionedPivot) as raised:
-        ms.orthogonal_invariance_check(x[1:2], 2, h[1:2], qmat[1:2])
+        suites.judge_invariance(x[1:2], 2, h[1:2], qmat[1:2])
     assert str(raised.value) == worse == "pivot block has condition 1.231e+08 > 1e+08"
+
+
+@pytest.mark.parametrize("suite", ["differential", "jacobian-full", "operator-rank", "invariance",
+                                   "exterior-chain", "blocks"])
+def test_rank_q_suites_draw_through_the_module_lookup(monkeypatch, suite):
+    # A replaced (or a tracer's wrapped) matcore.draw_rank_q runs once for each
+    # trial of every suite that draws a rank-q instance, stacked or not.
+    calls, draw = [], mc.draw_rank_q
+
+    def spy(*args):
+        calls.append(args[:3])
+        return draw(*args)
+
+    monkeypatch.setattr(mc, "draw_rank_q", spy)
+    q = None if suite in ("jacobian-full", "exterior-chain") else 2
+    for trials in (3, 1):
+        calls.clear()
+        cfg = suites.RunConfig(n=5, m=4, q=q, trials=trials, seed=7)
+        assert suites.run_suite(suite, cfg).all_passed
+        assert calls == [(5, 4, q or 4)] * trials

@@ -76,7 +76,11 @@ its own directory.  It replays:
   ``report`` merges, in JSON and in text, of a hand-written file whose
   ``values`` hold a nested array and an object (which the JSON writer's
   row templates leave to ``json.dumps``), and of a file with zero reports
-  together with the ``blocks`` file ``dup.json``.
+  together with the ``blocks`` file ``dup.json``; and, in JSON, the
+  boundary cases of the three checks that moved into ``suites``: square
+  ``exterior-chain`` (4 x 4, where the exponent ``(n-m-1)/2`` is -1/2),
+  ``hausdorff`` at q=1 (no pair of singular values) and ``invariance`` on
+  the full chart (3 x 2 at q = 2, where |det| = 1 is asserted).
 
 Each invocation records its exit code (or the exception that escaped
 ``cli.main``), its stdout, its ``error: ...`` lines of stderr and the
@@ -262,6 +266,9 @@ EDGE_CASES = [
      "--spectrum", "2.5e-13,2.5e-14", "--format", "json"],
     *(["report", "nested-values.json", "--format", fmt] for fmt in ("json", "text")),
     *(["report", "no-reports.json", "dup.json", "--format", fmt] for fmt in ("json", "text")),
+    ["verify", "exterior-chain", "--n", "4", "--m", "4", "--trials", "3", "--format", "json"],
+    ["verify", "hausdorff", "--n", "3", "--m", "2", "--q", "1", "--trials", "3", "--format", "json"],
+    ["verify", "invariance", "--n", "3", "--m", "2", "--trials", "3", "--format", "json"],
 ]
 
 # Keys and strings that the JSON writer must escape, in a one-report file
