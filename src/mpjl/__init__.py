@@ -3,63 +3,32 @@
 The library computes the analytic differential and Jacobian operator of
 the Moore-Penrose inverse, the logs of the closed-form determinant and
 density factors for both full-rank and rank-deficient matrices, and
-independent oracles for every formula: complex-step derivatives, exact
-tangent maps and the closed-form chart volumes of the area formula.  The
+independent oracles for every formula: forward-mode chart derivatives,
+exact tangent maps and the closed-form chart volumes of the area formula.  The
 ``mpjl`` CLI runs the seeded verification suites and emits reproducible
 JSON reports.
 """
 
 from .chart import (
-    BlockDecomposition,
-    assemble,
-    decompose,
-    log_chart_volume,
-    pinv_from_blocks,
-    tangent_perturbation,
-    x22_from_blocks,
+    BlockDecomposition, assemble, decompose, log_chart_volume, pinv_from_blocks,
+    tangent_perturbation, x22_from_blocks,
 )
 from .differential import (
-    OrthogonalSandwichMap,
-    log_jacobian_det_full_rank,
-    operator_spectrum,
-    pinv_chart_jacobian,
-    pinv_complex_step,
-    pinv_differential,
-    sandwich_chart_jacobian,
+    OrthogonalSandwichMap, log_jacobian_det_full_rank, operator_spectrum, pinv_chart_derivative,
+    pinv_chart_jacobian, pinv_differential, sandwich_chart_jacobian,
 )
 from .errors import (
-    BadSpectrum,
-    ConfigError,
-    DegeneracyBudgetExceeded,
-    DegenerateSpectrum,
-    IllConditionedPivot,
-    MpjlError,
-    NotFullColumnRank,
-    NotFullRank,
-    ParseError,
-    RankMismatch,
-    ShapeMismatch,
+    BadSpectrum, ConfigError, DegeneracyBudgetExceeded, DegenerateSpectrum, IllConditionedPivot,
+    MpjlError, NotFullColumnRank, NotFullRank, ParseError, RankMismatch, ShapeMismatch,
     SingularInput,
 )
 from .matcore import (
-    RankInfo,
-    SvdFactors,
-    make_rng,
-    matrix_to_json,
-    pinv,
-    random_rank_q,
-    random_stiefel,
-    rank_profile,
-    sample_spectrum,
-    svd_thin,
+    RankInfo, SvdFactors, make_rng, matrix_to_json, pinv, random_rank_q, random_stiefel,
+    rank_profile, sample_spectrum, svd_thin,
 )
 from .measures import (
-    log_hausdorff_density,
-    log_nonfullrank_jacobian_factor,
-    log_symmetric_inverse_jacobian,
-    pinv_spectrum,
-    symmetric_inverse_fd_det,
-    symmetric_part,
+    log_hausdorff_density, log_nonfullrank_jacobian_factor, log_symmetric_inverse_jacobian,
+    pinv_spectrum, symmetric_inverse_fd_det, symmetric_part,
 )
 from .reports import SuiteResult, VerificationReport
 from .suites import RunConfig, run_suite

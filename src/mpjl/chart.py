@@ -12,17 +12,16 @@ is dependent.  ``BlockDecomposition`` is that chart: the free blocks and
 the two permutations, which fix q, n, m and the original-index positions
 of the free coordinates.  X11 is tested once, when the decomposition is
 built, so every later use may invert it, and W = X11^-1 X12 and
-Z = X21 X11^-1 are solved for once.  Permutations are stored, never
-applied destructively: every result maps back to the original index space.
+Z = X21 X11^-1 are solved for once.  Permutations are stored, never applied
+destructively: every result maps back to the original index space.  The factored
+pseudoinverse and its forward-mode tangent (``differential``'s oracle) live here.
 
 ``decompose`` also takes a stack (T, n, m), pivoted slice by slice, and
 gives one decomposition of stacked blocks that every function here
 follows, under ``matcore``'s bit rule.  A stack raises whenever one of
 its slices would, and ``b[i]`` of a stack gives slices ``i`` with their
-cached W and Z and no second pivot test (every slice of a passing stack
-passes alone), so a check can pivot all its charts as one stack.  X is
-factored once per stack: a check that needs pinv(X) gives the chart's
-rank test the rank profile of that SVD.
+cached W and Z and no second pivot test, so a check can pivot all its
+charts as one stack.
 """
 
 from __future__ import annotations
@@ -83,6 +82,9 @@ class BlockDecomposition:
             perm = perm.astype(np.intp)
             perm.flags.writeable = False
             object.__setattr__(self, name, perm)
+        self._test_pivot()
+
+    def _test_pivot(self) -> None:
         s = ill_conditioned(self.x11, rtol=1 / PIVOT_COND_CAP)
         if s is not None:  # reports the worst slice of a stack
             cond = np.max(s[..., 0] / np.maximum(s[..., -1], 1e-300))
@@ -159,7 +161,7 @@ def _pivot(x: np.ndarray, q: int) -> BlockDecomposition:
     t = np.arange(len(xs))
     # Sort keys: pivots first in pivot order, then the other indices in
     # original order.
-    row_key, col_key = (np.tile(np.arange(q, q + size), (len(xs), 1)) for size in (n, m))
+    row_key, col_key = (np.arange(q, q + size)[None].repeat(len(xs), 0) for size in (n, m))
     for step in range(q):
         i, j = np.divmod(np.abs(work).reshape(len(xs), -1).argmax(axis=1), m)
         pivot = work[t, i, j]
@@ -172,11 +174,15 @@ def _pivot(x: np.ndarray, q: int) -> BlockDecomposition:
         work[t, :, j] = 0.0
 
     rp, cp = row_key.argsort(axis=1), col_key.argsort(axis=1)
+    rp.flags.writeable = cp.flags.writeable = False
     xp = xs[t[:, None, None], rp[:, :, None], cp[:, None, :]].reshape(x.shape)
-    lead = x.shape[:-2]
-    return BlockDecomposition(xp[..., :q, :q].copy(), xp[..., :q, q:].copy(),
-                              xp[..., q:, :q].copy(), rp.reshape(lead + (n,)),
-                              cp.reshape(lead + (m,)))
+    # Built without __post_init__: argsort made the permutations; X11 is still tested.
+    b, lead = object.__new__(BlockDecomposition), x.shape[:-2]
+    b.__dict__.update(x11=xp[..., :q, :q].copy(), x12=xp[..., :q, q:].copy(),
+                      x21=xp[..., q:, :q].copy(), row_perm=rp.reshape(lead + (n,)),
+                      col_perm=cp.reshape(lead + (m,)))
+    b._test_pivot()
+    return b
 
 
 def x22_from_blocks(b: BlockDecomposition) -> np.ndarray:
@@ -219,10 +225,52 @@ def _pinv_blocks(b: BlockDecomposition, x11, x12, x21) -> np.ndarray:
     wt = w.swapaxes(-1, -2)
     if b.m > b.q:
         core = np.linalg.solve(eye + w @ wt, core)
-    yp = np.concatenate([core, wt @ core], -2)
+    return _unpermute_pinv(b, np.concatenate([core, wt @ core], -2))
+
+
+def _unpermute_pinv(b: BlockDecomposition, yp: np.ndarray) -> np.ndarray:
+    # An m x n matrix (stack) in b's pivoted coordinates, transposed, at its original indices.
     y = np.empty(yp.shape, yp.dtype)
     y[(..., *b._stack, b.col_perm[..., :, None], b.row_perm[..., None, :])] = yp
     return y
+
+
+def _pinv_tangent(b: BlockDecomposition, dx11, dx12, dx21) -> np.ndarray:
+    # The forward-mode tangent of _pinv_blocks at b's blocks, d Xp+ (..., m, p, n), along p
+    # directions laid out (..., rows, p, cols).  Each solve of _pinv_blocks, in its branches,
+    # is d(M^-1 V) = M^-1 (dV - dM M^-1 V): W, Z from the chart, X11, I + Z'Z and I + WW'
+    # inverted once per slice in one call, all p directions in one real matmul per factor.
+    q, p, lead, eye, w, z = b.q, dx11.shape[-2], b.x11.shape[:-2], np.eye(b.q), b.w, b.z
+    wt, zt = w.swapaxes(-1, -2), z.swapaxes(-1, -2)
+
+    def flip(d):  # each direction transposed
+        return d.swapaxes(-3, -1)
+
+    def left(f, d):  # f times each direction
+        r, c = f.shape[-2], d.shape[-1]
+        return (f @ d.reshape(d.shape[:-3] + (d.shape[-3], -1))).reshape(lead + (r, p, c))
+
+    def right(d, f):  # each direction times f
+        r, c = d.shape[-3], f.shape[-1]
+        return (d.reshape(d.shape[:-3] + (-1, d.shape[-1])) @ f).reshape(lead + (r, p, c))
+
+    factors = [b.x11] + [eye + zt @ z] * (b.n > q) + [eye + w @ wt] * (b.m > q)
+    x11_inv, *gram_inv = np.linalg.inv(np.stack(factors))
+    dzt = left(x11_inv.swapaxes(-1, -2), flip(dx21) - right(flip(dx11), zt))
+    dw = left(x11_inv, dx12 - right(dx11, w))
+    rows = np.concatenate([np.broadcast_to(eye, zt.shape[:-1] + (q,)), zt], -1)
+    drows = np.concatenate([np.zeros(lead + (q, p, q)), dzt], -1)
+    if b.n > q:  # d(I + Z'Z) = dZ' Z + Z' dZ
+        a_inv, da = gram_inv.pop(0), right(dzt, z)
+        rows = a_inv @ rows
+        drows = left(a_inv, drows - right(da + flip(da), rows))
+    core = x11_inv @ rows
+    dcore = left(x11_inv, drows - right(dx11, core))
+    if b.m > q:  # d(I + WW') = dW W' + W dW'
+        b_inv, db = gram_inv.pop(0), right(dw, wt)
+        core = b_inv @ core
+        dcore = left(b_inv, dcore - right(db + flip(db), core))
+    return np.concatenate([dcore, right(flip(dw), core) + left(wt, dcore)], -3)
 
 
 def pinv_from_blocks(b: BlockDecomposition) -> np.ndarray:
@@ -280,19 +328,16 @@ def log_chart_volume(b: BlockDecomposition):
             + 0.5 * (m - q) * np.linalg.slogdet(np.eye(n - q) + z @ z.swapaxes(-1, -2))[1])
 
 
-def _moved_blocks(b: BlockDecomposition, deltas: np.ndarray) -> tuple:
-    # X11, X12, X21 moved by ``deltas``, in the dtype the blocks and the
-    # deltas promote to.  ``deltas`` follows the order of ``b.coordinates``:
-    # (k,) or (p, k), of a stacked decomposition (T, k) or (p, T, k).
+def _delta_blocks(b: BlockDecomposition, deltas: np.ndarray) -> tuple:
+    # dX11, dX12, dX21 of ``deltas`` ([p,] [T,] k) in ``b.coordinates`` order (each block
+    # column-major), laid out ([T,] rows, p, cols), p = 1 without it, and C-contiguous.
     lead_b = b.x11.shape[:-2]
     stack = deltas.shape[deltas.ndim - 1 - len(lead_b):-1]
     if deltas.ndim - len(lead_b) not in (1, 2) or stack != lead_b or deltas.shape[-1] != len(b):
         raise ShapeMismatch(f"expected {len(b)} deltas, got {deltas.shape}")
-    q, n, m = b.q, b.n, b.m
-    lead = deltas.shape[:-1]
-    # Chart order is X11, X12, X21, each column-major: a row-major reshape
-    # to the transposed block shape, transposed back.
-    k12, k21 = q * q, q * m
-    return (b.x11 + deltas[..., :k12].reshape(lead + (q, q)).swapaxes(-1, -2),
-            b.x12 + deltas[..., k12:k21].reshape(lead + (m - q, q)).swapaxes(-1, -2),
-            b.x21 + deltas[..., k21:].reshape(lead + (q, n - q)).swapaxes(-1, -2))
+    d = deltas[..., None, :] if deltas.ndim == len(lead_b) + 1 else np.moveaxis(deltas, 0, -2)
+    q, n, m, p = b.q, b.n, b.m, d.shape[-2]
+    return tuple(np.ascontiguousarray(d[..., start:stop].reshape(lead_b + (p, cols, rows))
+                                      .swapaxes(-3, -2).swapaxes(-3, -1))
+                 for start, stop, rows, cols in ((0, q * q, q, q), (q * q, q * m, q, m - q),
+                                                 (q * m, None, n - q, q)))

@@ -50,12 +50,12 @@ Yd) (d: the diagonals, of Y its first q) lies on the pair pattern, and S - S0
 the rest) is small, so ||E||^2, its norm less its pattern entries, cancels
 against no large term; ||S||^2 adds the pattern's squares.
 
-The derivative oracles of pinv are a complex step (Squire & Trapp 1998;
-Al-Mohy & Higham 2010): ``chart.pinv_from_blocks`` is analytic in the free
-blocks, which keep the rank of the base point, so Im f(b + i h e) / h,
-h = 1e-20 max|X|, is the derivative along the chart direction e to
-rounding error, with no subtraction (``pinv_complex_step``, and
-``pinv_chart_jacobian`` along the unit directions).  An orthogonal
+The derivative oracle of pinv is the forward-mode tangent of
+``chart.pinv_from_blocks``, whose free blocks keep the rank of the base
+point (``pinv_chart_derivative``, and ``pinv_chart_jacobian`` along the
+unit directions): the derivative to rounding error, with no step and no
+point.  The tests hold it to a complex step (Squire & Trapp 1998), the
+same derivative as Im f(b + i h e) / h.  An orthogonal
 sandwich X -> H X Q is linear, so its chart Jacobian needs no step at all:
 ``sandwich_chart_jacobian`` maps the chart's exact tangents
 (``chart.tangent_perturbation``), and the area formula
@@ -71,7 +71,8 @@ from __future__ import annotations
 import numpy as np
 
 from .chart import (
-    BlockDecomposition, _free_index, _moved_blocks, _pinv_blocks, _tangent_x22, assemble,
+    BlockDecomposition, _delta_blocks, _free_index, _pinv_tangent, _tangent_x22, _unpermute_pinv,
+    assemble,
 )
 from .errors import NotFullRank, ShapeMismatch
 from .matcore import RankInfo, _rank_info, as_stack, common_rank, gram_qr, pinv
@@ -240,31 +241,28 @@ def sandwich_chart_jacobian(f: OrthogonalSandwichMap, in_chart: BlockDecompositi
     return np.moveaxis(out_chart.coordinates(left @ tangents @ right), 0, -1)
 
 
-def pinv_complex_step(x, in_chart: BlockDecomposition, deltas) -> np.ndarray:
-    """Derivatives of pinv(X) along chart directions, by complex step.
+def pinv_chart_derivative(x, in_chart: BlockDecomposition, deltas) -> np.ndarray:
+    """Derivatives of pinv(X) along chart directions: the forward-mode tangent of the
+    factored block pseudoinverse (``chart.pinv_from_blocks``), which keeps the rank at q.
 
-    ``deltas`` is (p, [T,] k) or ([T,] k) in ``in_chart.coordinates`` order,
-    one direction per row, with the stack axis of a stack (T, n, m) and its
-    chart.  The points b + i h delta, each slice stepped by its own
-    h = 1e-20 max|X|, have their pseudoinverses taken in the factored block
-    form (see ``chart.pinv_from_blocks``), which keeps the rank at q with no
-    SVD and no pivot test per point; Im pinv / h, of shape (p, [T,] m, n) or
-    ([T,] m, n), is the derivative to rounding error.
+    ``deltas`` is (p, [T,] k) or ([T,] k) in ``in_chart.coordinates`` order, one direction
+    per row, with the stack axis of a stack (T, n, m) and its chart; the result, (p, [T,] m,
+    n) or ([T,] m, n), is the derivative to rounding error, with no SVD and no pivot test.
     """
-    x = as_stack(x)
-    _check_base(x, in_chart)
-    h = 1e-20 * np.max(np.abs(x), axis=(-2, -1))
-    y = _pinv_blocks(in_chart, *_moved_blocks(in_chart, 1j * h[..., None] * deltas))
-    return y.imag / h[..., None, None]
+    _check_base(as_stack(x), in_chart)
+    deltas = np.asarray(deltas, dtype=float)
+    dyp = _pinv_tangent(in_chart, *_delta_blocks(in_chart, deltas))
+    dy = _unpermute_pinv(in_chart, np.moveaxis(dyp, -2, 0))
+    return dy if deltas.ndim > in_chart.x11.ndim - 1 else dy[0]
 
 
 def pinv_chart_jacobian(x, in_chart: BlockDecomposition,
                         out_chart: BlockDecomposition) -> np.ndarray:
     """Partial derivatives of out-chart coordinates of pinv(X) with respect to
-    in-chart coordinates: :func:`pinv_complex_step` along the k unit
-    directions, a (k, [T,] k) stack.  For equal-size charts its absolute
+    in-chart coordinates: :func:`pinv_chart_derivative` along the k unit
+    directions, a ([T,] k, k) stack.  For equal-size charts its absolute
     determinant is the chart-to-chart Jacobian of X -> pinv(X).
     """
     k = len(in_chart)
     units = np.moveaxis(np.broadcast_to(np.eye(k), np.shape(x)[:-2] + (k, k)), -2, 0)
-    return np.moveaxis(out_chart.coordinates(pinv_complex_step(x, in_chart, units)), 0, -1)
+    return np.moveaxis(out_chart.coordinates(pinv_chart_derivative(x, in_chart, units)), 0, -1)

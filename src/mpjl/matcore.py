@@ -6,8 +6,8 @@ works on plain ``numpy.ndarray`` values of dtype float64; matrices are
 2-D arrays.  Functions documented as taking a stack also take shape (...,
 n, m), one matrix per slice.  Bit rule: a stack of T gives each slice the
 bits of a stack of one, and a 2-D (or 0-d) call is a stack of one; so a
-log or norm is one numpy call on a C-contiguous array, since numpy may
-round a strided or reversed view on another path.
+log, norm or matmul reads C-contiguous arrays (or their transposes), since
+numpy may round a strided or reversed view on another path.
 
 Rank policy: a singular value of an n x m matrix is retained when it
 exceeds ``max(n, m) * eps * s[0]``, with eps the machine epsilon.
@@ -200,13 +200,7 @@ def ill_conditioned(a, rtol: float) -> np.ndarray | None:
 # Seeded randomness.  All randomness flows through explicit generators; a
 # (seed, *path) pair addresses one reproducible stream, so concurrent trials
 # never share state.  ``make_rng`` seeds one stream through NumPy's own
-# SeedSequence, and is the reference.  ``make_rngs`` seeds the streams
-# (seed, t, attempt) of a trial stack by running that hash once over the
-# stack, as uint32 arrays: each of its generators has the state that
-# ``make_rng(seed, t, attempt)`` gives.  A stack's draws keep their spectra
-# unsorted; ``sorted_spectra`` sorts them (into a C-contiguous array, since
-# numpy's log and pow may round a strided view differently) and gap-tests
-# them in one call, and ``sample_spectrum`` is that call on one draw.
+# SeedSequence, the reference of ``make_rngs``, which seeds a trial stack's.
 
 def make_rng(seed: int, *path: int) -> np.random.Generator:
     """Generator for the stream addressed by ``seed`` and an optional path."""
@@ -384,16 +378,24 @@ def sample_spectrum(q: int, rng: np.random.Generator) -> np.ndarray:
     return sorted_spectra(rng.uniform(*SPECTRUM_RANGE, size=q))
 
 
-def draw_rank_q(n: int, m: int, q: int, rng: np.random.Generator, spectrum=None):
-    """Every generator call behind one rank-q instance, in order: ``(d, g_left, g_right)``.
+def draw_rank_q(n: int, m: int, q: int, rng: np.random.Generator, spectrum=None, *shapes):
+    """Every generator call behind one rank-q instance, in order: ``(d, g_left, g_right, ...)``.
 
     ``d`` holds the q singular values, ``spectrum`` or else q values drawn
-    uniformly from ``SPECTRUM_RANGE``, unsorted; then come the n x q and
-    m x q Gaussian blocks of the two frames.  Nothing is checked: callers
-    validate once, and sort (:func:`sorted_spectra`) a stack of draws at once.
+    uniformly from ``SPECTRUM_RANGE``, unsorted; then come the n x q and m x q
+    Gaussian blocks of the two frames and a block of each further shape, split
+    from one ``standard_normal`` call (the values of one call per block).
+    Nothing is checked: callers validate once, and sort (:func:`sorted_spectra`)
+    a stack of draws at once.
     """
     d = rng.uniform(*SPECTRUM_RANGE, size=q) if spectrum is None else spectrum
-    return d, rng.standard_normal((n, q)), rng.standard_normal((m, q))
+    start = (n + m) * q
+    flat = rng.standard_normal(start + sum([r * c for r, c in shapes]))
+    blocks = [d, flat[:n * q].reshape(n, q), flat[n * q:start].reshape(m, q)]
+    for r, c in shapes:
+        blocks.append(flat[start:start + r * c].reshape(r, c))
+        start += r * c
+    return tuple(blocks)
 
 
 def rank_q_from_draw(d: np.ndarray, g_left: np.ndarray, g_right: np.ndarray) -> np.ndarray:

@@ -6,14 +6,9 @@ canonical: fixed key order, two-space indent, shortest-roundtrip float
 encoding, no volatile fields.  Identical inputs therefore produce
 byte-identical files; wall time is kept on the in-memory result and in the
 text rendering only.  ``dumps_canonical`` writes a SuiteResult exactly as
-``json.dumps(result.to_json(), indent=2, allow_nan=False)`` would, without
-building that dict or running json's pure-Python indenting encoder: each
-report is one row, a %-template cached by its layout (the keys of its
-dicts, the lengths of its input lists), one call of CPython's C encoder
-writes every scalar of the file, and one ``%`` fills them in.
-``json.dumps`` itself writes every other payload (``gen``'s instance, a
-single report) and a SuiteResult that holds a value that is not a plain
-scalar or a number that is not finite.
+``json.dumps(result.to_json(), indent=2, allow_nan=False)`` would, from
+per-layout row templates, without building that dict or running json's
+pure-Python indenting encoder.
 
 Tolerance policy: ``TOLERANCES`` is the one table of what each check's
 residuals are held to; ``PRIMARY`` names, for the checks that have one,

@@ -8,23 +8,19 @@ order.  Spectra that collide (degenerate draws) are redrawn with a fresh
 sub-seed up to the retry budget, then reported as a hard failure.
 
 A suite is a pair: ``draw(n, m, q, rng, spectrum)``, the signature of
-``matcore.draw_rank_q``, makes every generator call of one trial,
-``check(cfg, draws)`` judges a stack of trials' draws, one report
-per trial, in stacked numpy calls (``operator-rank`` reads its operators
-S = L kron A + B kron R - C(Y, Y) in X's SVD basis from their factors,
-with no S built: the 1x1 and 2x2 pair blocks' spectra in closed form,
-the norms by the Gram identities of ``differential``, the diagonal parts
-S0 split off first so that ||E|| cancels against no large term).  A draw
-keeps its sampled spectrum unsorted; the check sorts and gap-tests the
-stack's spectra in one call (``matcore.sorted_spectra``), which raises
-the DegenerateSpectrum of a tied trial.  Every check of the package lives
-here: each relative residual is one ``_rel``, and ``reports.stack_reports``
-gives the verdict.  Each check takes one SVD of its
-stack of X: the one that gives pinv(X) also gives the rank profile that
-the chart's rank test and the operator's spectrum read (the full-rank
-closed forms take a QR of X, to stay independent of it), and ``invariance``
-indexes the charts of X and H X Q out of one pivoted stack
-(``chart.BlockDecomposition[i]``).
+``matcore.draw_rank_q``, makes every generator call of one trial, and
+``check(cfg, draws)`` judges a stack of trials' draws in stacked numpy
+calls, one report per trial.  A draw keeps its sampled spectrum unsorted;
+the check sorts and gap-tests the stack's spectra in one call
+(``matcore.sorted_spectra``), which raises the DegenerateSpectrum of a tied
+trial.  Every check of the package lives here: each relative residual is
+one ``_rel``, and ``reports.stack_reports`` gives the verdict.  Each check
+takes one SVD of its stack of X, which gives pinv(X) and the rank profile
+that the chart's rank test and the operator's spectrum read (the full-rank
+closed forms take a QR of X, to stay independent of it).  pinv's
+derivative (``differential``, and the chart determinants of
+``jacobian-full`` and ``operator-rank``) is the forward-mode tangent of
+the factored block pseudoinverse; a complex step is the tests' reference.
 ``run_suite`` draws each stack of trials, capped by ``STACK_ENTRIES``
 entries of what the check holds per trial, from their first attempts'
 streams, all seeded by one ``matcore.make_rngs`` call, and checks it in
@@ -140,7 +136,7 @@ def _chart_dim(cfg: RunConfig) -> int:
 
 
 def _fd_chart(suite: str, cfg: RunConfig) -> bool:
-    # Whether the check takes a chart Jacobian (tangent map or complex step): invariance
+    # Whether the check takes a chart Jacobian (a sandwich's or pinv's tangent): invariance
     # always; jacobian-full, and operator-rank below full rank, on small charts.
     if suite == "invariance":
         return True
@@ -151,8 +147,7 @@ def _fd_chart(suite: str, cfg: RunConfig) -> bool:
 
 def _draw_differential(n: int, m: int, q: int, rng: np.random.Generator, spectrum) -> tuple:
     shapes = [(n, m)] if q == min(n, m) else [(q, q), (q, m - q), (n - q, q)]
-    return (*matcore.draw_rank_q(n, m, q, rng, spectrum),
-            *(rng.standard_normal(shape) for shape in shapes))
+    return matcore.draw_rank_q(n, m, q, rng, spectrum, *shapes)
 
 
 def _check_differential(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
@@ -165,7 +160,7 @@ def _check_differential(cfg: RunConfig, draws: list[tuple]) -> list[Verification
     dx = direction[0] if full_rank else chart.tangent_perturbation(b, *direction)
     dx = dx / matcore.frobenius_norms(dx)[..., None, None]
     analytic = differential._pinv_differential(x, y, dx)
-    oracle = differential.pinv_complex_step(x, b, b.coordinates(dx))
+    oracle = differential.pinv_chart_derivative(x, b, b.coordinates(dx))
     norm = matcore.frobenius_norms(analytic)
     return stack_reports("differential", {"n": cfg.n, "m": cfg.m, "q": q, "full_rank": full_rank},
                          {"analytic_norm": norm},
@@ -185,8 +180,8 @@ def _check_jacobian_full(cfg: RunConfig, draws: list[tuple]) -> list[Verificatio
     residuals = {"operator_vs_formula": abs(operator_det - formula)}
     if fd_chart:
         # log_jacobian_det_full_rank has refused an X below full rank, and Y
-        # has X's rank: neither chart takes a rank test.  The complex step moves
-        # k points through the factored block pseudoinverse: no SVD, no step.
+        # has X's rank: neither chart takes a rank test.  The tangent of the
+        # factored block pseudoinverse moves no point: no SVD, no step.
         jac = differential.pinv_chart_jacobian(x, chart._pivot(x, cfg.rank),
                                                chart._pivot(y, cfg.rank))
         values["log_fd_chart_det"] = fd_det = np.linalg.slogdet(jac)[1]
@@ -320,8 +315,7 @@ def judge_invariance(x, q: int, h, qmat) -> list[VerificationReport]:
 
 
 def _draw_invariance(n: int, m: int, q: int, rng: np.random.Generator, spectrum) -> tuple:
-    return (*matcore.draw_rank_q(n, m, q, rng, spectrum), rng.standard_normal((n, n)),
-            rng.standard_normal((m, m)))
+    return matcore.draw_rank_q(n, m, q, rng, spectrum, (n, n), (m, m))
 
 
 def _check_invariance(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
@@ -387,10 +381,8 @@ def _redraw(draw, seed: int, trial: int, label: str):
 
     Attempt a draws from the stream (seed, trial, a); a degenerate spectrum
     is redrawn up to ``RETRY_BUDGET`` times, then raised as
-    DegeneracyBudgetExceeded.  Kept private, so that span tracers that
-    wrap public names (perfbench's) see each attempt's ``make_rng`` call
-    directly under ``run_trial``; a stacked pass seeds its streams with
-    one ``make_rngs`` call under ``run_suite`` and calls no ``make_rng``.
+    DegeneracyBudgetExceeded.  Private, so that tracers of public names
+    see each attempt's ``make_rng`` call directly under ``run_trial``.
     """
     last: Exception | None = None
     for attempt in range(1 + RETRY_BUDGET):
@@ -420,11 +412,10 @@ def run_trial(suite: str, cfg: RunConfig, trial: int) -> VerificationReport:
 
 
 def _trial_entries(suite: str, cfg: RunConfig) -> int:
-    # Real floats one trial adds to a stacked pass: its chart points where
-    # its check makes them (k complex points, or k real tangents and their images),
-    # operator-rank's leak read where that is more (the factor stacks of
-    # pair_block_profile, four n x n, four m x m and three m x n, and one pass's
-    # two 4 n m cross products), else its instance.
+    # Real floats one trial adds to a stacked pass: 2 k n m for its k chart tangents where
+    # it takes them (pinv's, in pivoted and original coordinates, or a sandwich's and their
+    # images), operator-rank's leak read where that is more (pair_block_profile's four n x n,
+    # four m x m and three m x n factor stacks and two 4 n m cross products), else its instance.
     n, m = cfg.n, cfg.m
     points = 2 * _chart_dim(cfg) * n * m if _fd_chart(suite, cfg) else 0
     if suite == "operator-rank":
@@ -433,7 +424,7 @@ def _trial_entries(suite: str, cfg: RunConfig) -> int:
         return points
     if suite == "symmetric-inverse":  # one complex m x m point per vech coordinate
         return m * (m + 1) * m * m
-    return (2 if suite == "differential" else 1) * n * m  # differential: complex X + i h dX
+    return (2 if suite == "differential" else 1) * n * m  # differential: its one tangent, twice
 
 
 def _trial_stacks(suite: str, cfg: RunConfig) -> list[range]:

@@ -3,9 +3,11 @@
 import numpy as np
 
 from mpjl import suites
-from mpjl.chart import BlockDecomposition, _moved_blocks, _unpermute, decompose, log_chart_volume
+from mpjl.chart import (
+    BlockDecomposition, _delta_blocks, _pinv_blocks, _unpermute, decompose, log_chart_volume,
+)
 from mpjl.errors import ShapeMismatch
-from mpjl.matcore import as_matrix, pinv, rank_profile
+from mpjl.matcore import as_matrix, as_stack, pinv, rank_profile
 
 
 def check(suite: str, draws: list[tuple], **config):
@@ -82,16 +84,45 @@ def dense_pair_reads(x, y, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return np.sort(values, axis=-1)[:, ::-1], norm, normal, np.sqrt((s**2).reshape(t, -1).sum(-1))
 
 
+def moved_blocks(b: BlockDecomposition, deltas: np.ndarray) -> tuple:
+    """X11, X12, X21 moved by ``deltas``, in the dtype the blocks and the deltas promote to.
+
+    ``deltas`` follows the order of ``b.coordinates``: (k,) or (p, k), of a
+    stacked decomposition (T, k) or (p, T, k), split by ``chart._delta_blocks``.
+    """
+    blocks = (np.moveaxis(a, -2, 0) for a in _delta_blocks(b, deltas))
+    moved = tuple(a + d for a, d in zip((b.x11, b.x12, b.x21), blocks))
+    return tuple(a[0] for a in moved) if deltas.ndim == b.x11.ndim - 1 else moved
+
+
+def pinv_complex_step(x, in_chart: BlockDecomposition, deltas) -> np.ndarray:
+    """Derivatives of pinv(X) along chart directions by complex step (Squire & Trapp 1998):
+    the reference that ``differential.pinv_chart_derivative``'s tangent is held to.
+
+    ``deltas`` is (p, [T,] k) or ([T,] k) in ``in_chart.coordinates`` order.
+    The points b + i h delta, each slice stepped by its own h = 1e-20 max|X|,
+    have their pseudoinverses taken in the factored block form
+    (``chart._pinv_blocks``), which is analytic in the free blocks and keeps
+    the rank at q; Im pinv / h, of shape (p, [T,] m, n) or ([T,] m, n), is
+    the derivative to rounding error, with no subtraction.
+    """
+    x = as_stack(x)
+    h = 1e-20 * np.max(np.abs(x), axis=(-2, -1))
+    deltas = np.asarray(deltas)
+    y = _pinv_blocks(in_chart, *moved_blocks(in_chart, 1j * h[..., None] * deltas))
+    return y.imag / h[..., None, None]
+
+
 def perturbed_assemble(b: BlockDecomposition, deltas) -> np.ndarray:
     """The matrix whose free coordinates moved by ``deltas``, in ``b.coordinates`` order.
 
-    The blocks move by ``chart._moved_blocks``, as the complex step moves
+    The blocks move by :func:`moved_blocks`, as the complex step moves
     them, and X22 is taken again from the moved blocks, so every point has
     rank q.  Shape (k,) gives one n x m matrix, (p, k) the (p, n, m) stack of
     p points; of a stacked decomposition, (T, k) and (p, T, k) likewise.  No
     pivot test: the steps of :func:`fd_chart_jacobian` are small.
     """
-    x11, x12, x21 = _moved_blocks(b, np.asarray(deltas))
+    x11, x12, x21 = moved_blocks(b, np.asarray(deltas))
     return _unpermute(b, x11, x12, x21, x21 @ np.linalg.solve(x11, x12))
 
 
@@ -104,7 +135,7 @@ def fd_chart_jacobian(f, x, in_chart: BlockDecomposition, out_chart: BlockDecomp
                       step: float = 1e-5) -> np.ndarray:
     """Central differences of out-chart coordinates of ``f`` in in-chart coordinates.
 
-    The step-based oracle of the library's exact chart Jacobians
+    The step-based oracle of the library's chart Jacobians
     (``pinv_chart_jacobian``, ``sandwich_chart_jacobian``), with a
     truncation error of order h^2.  The 2k points, +h along each in-chart
     coordinate then -h, form one (2k, [T,] n, m) stack that ``f.apply``

@@ -348,8 +348,8 @@ def test_deficient_differential_trial_tests_x11_once(svd_shapes):
     assert report.passed and report.inputs["attempt"] == 0
     # One SVD of X gives pinv(X), for the analytic differential, and the
     # chart's rank test; then the X11 test.  The tangent direction tests
-    # nothing, and the complex-step oracle factors nothing.  The trial is
-    # checked as a stack of one.
+    # nothing, and the oracle's tangent of pinv factors nothing.  The trial
+    # is checked as a stack of one.
     assert svd_shapes == [(1, 7, 5), (1, 3, 3)]
 
 
@@ -364,8 +364,8 @@ def test_sandwich_chart_jacobian_tests_no_x11(svd_shapes):
 
 
 # ``perturbed_assemble`` (helpers) moves the free blocks by
-# ``chart._moved_blocks``, the chart arithmetic of the complex step, with
-# real or complex deltas.
+# ``helpers.moved_blocks``, the chart arithmetic of the complex step, with
+# real or complex deltas, split by ``chart._delta_blocks``.
 
 def test_perturbed_assemble_moves_each_chart_position():
     # Oracle: scatter the deltas to their chart positions, read the free

@@ -476,8 +476,8 @@ def test_degeneracy_exit_code_3(monkeypatch, capsys):
 
 
 def test_ill_conditioned_deficient_differential_passes(capsys):
-    # cond(X) = 1e6 at rank 3 of 7 x 5: the complex-step oracle keeps every
-    # point at rank q, so no draw is retried and every report passes.
+    # cond(X) = 1e6 at rank 3 of 7 x 5: the tangent oracle moves no point
+    # off rank q, so no draw is retried and every report passes.
     code, out, err = run_cli(capsys, "verify", "differential", "--n", "7", "--m", "5", "--q", "3",
                              "--spectrum", "1000,1,0.001", "--trials", "3", "--format", "json")
     assert (code, err) == (0, "")

@@ -1,5 +1,5 @@
-"""Differential, Jacobian-operator and chart-Jacobian tests against complex-step, exact-tangent
-and finite-difference oracles."""
+"""Differential, Jacobian-operator and chart-Jacobian tests against forward-mode tangent,
+complex-step, exact-tangent and finite-difference oracles."""
 
 import tracemalloc
 
@@ -8,7 +8,7 @@ import pytest
 
 from helpers import (
     broadcast_pair_operator, chart_positions, commutation_matrix, fd_chart_jacobian, fd_step,
-    jacobian_operator, make_blocks, pair_factors, pinv_chart_log_det, vec,
+    jacobian_operator, make_blocks, pair_factors, pinv_chart_log_det, pinv_complex_step, vec,
 )
 from mpjl import chart, matcore as mc, suites
 from mpjl import differential as df
@@ -20,10 +20,10 @@ def _unit(a):
     return a / np.linalg.norm(a)
 
 
-def _complex_step(x, q, dx):
+def _chart_derivative(x, q, dx):
     # The differential suite's oracle: dX read in X's chart.
     b = chart.decompose(x, q)
-    return df.pinv_complex_step(x, b, b.coordinates(dx))
+    return df.pinv_chart_derivative(x, b, b.coordinates(dx))
 
 
 def test_differential_of_identity_perturbation():
@@ -38,7 +38,7 @@ def test_differential_full_column_rank_vs_fd():
     x = mc.random_rank_q(3, 2, 2, rng)
     dx = _unit(rng.standard_normal((3, 2)))
     analytic = df.pinv_differential(x, dx)
-    oracle = _complex_step(x, 2, dx)
+    oracle = _chart_derivative(x, 2, dx)
     assert np.linalg.norm(analytic - oracle) <= 1e-12 * np.linalg.norm(analytic)
 
 
@@ -466,7 +466,7 @@ def test_det_agreement_both_orientations():
 def test_fd_differential_identity_case():
     e11 = np.zeros((2, 2))
     e11[0, 0] = 1.0
-    oracle = _complex_step(np.eye(2), 2, e11)
+    oracle = _chart_derivative(np.eye(2), 2, e11)
     assert np.max(np.abs(oracle + e11)) <= 1e-15
 
 
@@ -478,7 +478,7 @@ def test_fd_matches_analytic_full_rank_sweep():
         x = mc.random_rank_q(n, m, min(n, m), rng)
         dx = _unit(rng.standard_normal((n, m)))
         analytic = df.pinv_differential(x, dx)
-        oracle = _complex_step(x, min(n, m), dx)
+        oracle = _chart_derivative(x, min(n, m), dx)
         assert np.linalg.norm(analytic - oracle) <= 1e-12 * np.linalg.norm(analytic)
 
 
@@ -490,11 +490,14 @@ def test_complex_step_differential_factors_no_point(svd_shapes):
         b, rng.standard_normal((3, 3)), rng.standard_normal((3, 2)), rng.standard_normal((4, 3))
     )
     svd_shapes.clear()
-    oracle = df.pinv_complex_step(x, b, b.coordinates(_unit(dx)))
-    # The complex point keeps X's chart: no rank test, no pivot test, no SVD.
+    oracle = df.pinv_chart_derivative(x, b, b.coordinates(_unit(dx)))
+    reference = pinv_complex_step(x, b, b.coordinates(_unit(dx)))
+    # The tangent, and the complex point of the tests' reference, keep X's
+    # chart: no rank test, no pivot test, no SVD.
     assert svd_shapes == []
     analytic = df.pinv_differential(x, _unit(dx))
-    assert np.linalg.norm(oracle - analytic) <= 1e-12 * np.linalg.norm(analytic)
+    for derivative in (oracle, reference):
+        assert np.linalg.norm(derivative - analytic) <= 1e-12 * np.linalg.norm(analytic)
 
 
 def test_projector_differential_stays_symmetric():
@@ -539,7 +542,7 @@ def test_fd_chart_jacobian_scaling_map():
 
 class _Pinv:
     """X -> pinv(X) by one stacked SVD, truncated to ``rank`` triplets at every
-    point: a map the FD chart Jacobian can take, but not the complex step."""
+    point: a map the FD chart Jacobian can take, but not the chart tangent."""
 
     def __init__(self, rank):
         self.rank = rank
@@ -554,7 +557,7 @@ def _pinv_chart(x, q):
 
 def test_fd_convergence_order():
     # Central scheme: halving h should reduce the error of the FD chart
-    # Jacobian of pinv about 4x, against the complex step's.
+    # Jacobian of pinv about 4x, against the tangent's.
     x = mc.random_rank_q(4, 3, 2, mc.make_rng(52))
     exact = df.pinv_chart_jacobian(*_pinv_chart(x, 2))
     errors = []
@@ -636,7 +639,7 @@ CHART_SHAPES = [(2, 2, 1), (3, 4, 3), (4, 3, 3), (4, 3, 2), (8, 6, 3), (5, 4, 4)
 @pytest.mark.parametrize("n, m, q", CHART_SHAPES)
 def test_fd_chart_jacobian_matches_per_point_loop(n, m, q):
     # The stacked FD oracle, whose points move by the complex step's
-    # chart._moved_blocks, gives the bits of independently assembled points.
+    # helpers.moved_blocks, gives the bits of independently assembled points.
     rng = mc.make_rng(56, n, m, q)
     for trial in range(3):
         x = mc.random_rank_q(n, m, q, rng)
@@ -709,8 +712,8 @@ def test_pinv_chart_jacobian_makes_no_svd_per_point(svd_shapes):
     # Five-trial stacks, one stacked SVD each of: X, which gives its rank
     # profile, pinv(X) and the rank test of X's chart (jacobian-full's thin
     # SVD, operator-rank's full one), then X's and Y's X11 tests.  Y's chart
-    # tests no rank (Y has X's), and none of the k complex points is
-    # factored or pivot-tested.
+    # tests no rank (Y has X's), and the tangent moves no point that would
+    # be factored or pivot-tested.
     cases = [("jacobian-full", 3, 4, None, [(5, 3, 4), (5, 3, 3), (5, 3, 3)]),
              ("operator-rank", 4, 3, 2, [(5, 4, 3), (5, 2, 2), (5, 2, 2)])]
     for suite, n, m, q, svds in cases:

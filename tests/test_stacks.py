@@ -197,13 +197,13 @@ def test_failing_stack_raises_what_the_trial_loop_raises(monkeypatch, capsys, su
 
 
 def test_ill_conditioned_operator_rank_stack_reports_honest_leak_fails(capsys):
-    # At cond(X) = 1e6 the complex-step chart points of operator-rank make
-    # no pivot test, so the stack does not fall back trial by trial: it
-    # gives the bytes of the trials one by one, six reports that fail on
-    # the leak, an eps * cond(X) rounding above its tolerance, and on the
-    # area formula, where the complex-step chart determinant is 3e-6 to
-    # 6e-5 off a 50-digit value (the closed form within 2e-10), and exit
-    # code 1.
+    # At cond(X) = 1e6 the chart tangent of operator-rank moves no point
+    # that would make a pivot test, so the stack does not fall back trial by
+    # trial: it gives the bytes of the trials one by one, six reports that
+    # fail on the leak, an eps * cond(X) rounding above its tolerance, and on
+    # the area formula (1.8e-6 to 8.2e-5 against 1e-9), where the chart
+    # determinant carries the error (the closed form is within 2e-10 of a
+    # 50-digit value), and exit code 1.
     config = dict(n=4, m=3, q=2, trials=6, spectrum=(1000.0, 0.001), seed=4)
     cfg = suites.validate_config(suites.RunConfig(**config), "operator-rank")
     expected = _one_by_one("operator-rank", cfg)
@@ -253,6 +253,34 @@ def test_rank_q_draws_build_bit_for_bit_as_one_stack():
         assert np.array_equal(frame, mc.random_stiefel(4, 4, mc.make_rng(9, t)))
 
 
+def _calls_one_by_one(suite, n, m, q, rng):
+    # A suite's draw as one generator call per block: uniform spectra, then the Gaussian blocks.
+    def normal(*shapes):
+        return [rng.standard_normal(shape) for shape in shapes]
+
+    if suite == "symmetric-inverse":
+        return [*normal((m, m)), rng.uniform(*mc.SPECTRUM_RANGE, size=m)]
+    d = rng.uniform(*mc.SPECTRUM_RANGE, size=q)
+    if suite == "hausdorff":
+        return [d]
+    more = {"invariance": [(n, n), (m, m)],
+            "differential": [(n, m)] if q == min(n, m) else [(q, q), (q, m - q), (n - q, q)]}
+    return [d, *normal((n, q), (m, q), *more.get(suite, []))]
+
+
+@pytest.mark.parametrize("suite", suites.SUITE_NAMES)
+def test_one_normal_call_per_draw_gives_the_bits_of_one_call_per_block(suite):
+    # The Gaussian blocks of a draw come from one standard_normal call, split:
+    # the stream, and so every draw, of the calls one block at a time.
+    for n, m, q in ((5, 4, 2), (3, 4, 3)):
+        q = m if suite == "symmetric-inverse" else q
+        draw = suites._SUITES[suite][0](n, m, q, mc.make_rng(29, n, q), None)
+        want = _calls_one_by_one(suite, n, m, q, mc.make_rng(29, n, q))
+        assert len(draw) == len(want)
+        for got, part in zip(draw, want):
+            assert got.shape == part.shape and np.array_equal(got, part)
+
+
 def _stacked_and_single(x, q, directions, draws):
     """Every function that takes a stack, on a stack ``x`` of rank q or on one matrix, and
     the exterior-chain check on the draws of that stack or of that one matrix."""
@@ -264,7 +292,9 @@ def _stacked_and_single(x, q, directions, draws):
     out = {"rank": info.rank, "log_pdet": df.operator_log_pdet(x, info),
            "pinv_from_blocks": chart.pinv_from_blocks(b),
            "tangent": dx, "differential": df.pinv_differential(x, dx),
-           "complex_step": df.pinv_complex_step(x, b, b.coordinates(dx))}
+           "chart_derivative": df.pinv_chart_derivative(x, b, b.coordinates(dx))}
+    if len(b) <= 40:  # the tangent along every chart direction, read in Y's chart
+        out["chart_jacobian"] = df.pinv_chart_jacobian(x, b, chart.decompose(mc.pinv(x), q))
     if q == min(n, m):
         out["gram_qr"], out["log_gram_det"] = mc.gram_qr(x)
         out["full_rank_log_det"] = df.log_jacobian_det_full_rank(x, info)
@@ -372,9 +402,8 @@ def test_stacked_decompose_and_fd_chart_factor_one_stack(svd_shapes):
     qmat = mc.orthonormal_frames(rng.standard_normal((trials, m, m)))
     sandwich = df.OrthogonalSandwichMap(h, qmat)
     svd_shapes.clear()
-    # The chart Jacobians of the fd-chart checks factor nothing: the complex
-    # step of pinv and the exact tangent map of a sandwich move no point
-    # that would need a pivot test.
+    # The chart Jacobians of the fd-chart checks factor nothing: the tangents
+    # of pinv and of a sandwich move no point that would need a pivot test.
     jac = df.pinv_chart_jacobian(x, in_chart, out_chart)
     tangent = df.sandwich_chart_jacobian(sandwich, in_chart, in_chart)
     assert svd_shapes == []

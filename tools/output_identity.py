@@ -25,25 +25,26 @@ its own directory.  It replays:
   to leave the pivot block's validity region (exit 1) and whose exact
   tangent map passes every trial, two ``differential`` runs at
   spectrum ``100,1,0.01`` (edges 28 and 29), which pass at their first
-  attempt since the complex-step oracle keeps every point at rank q (edge
+  attempt since the tangent oracle moves no point off rank q (edge
   29 no longer exhausts the retry budget), ``operator-rank`` at 4 x 3
-  q=2 and spectrum ``1000,0.001`` (edge 26), whose complex-step chart points make no pivot
-  test, so its stack does not fall back trial by trial and reports
+  q=2 and spectrum ``1000,0.001`` (edge 26), whose chart tangent moves no
+  point to pivot-test, so its stack does not fall back trial by trial and reports
   honest ``leak`` and ``area_formula`` FAILs, stacks whose linear determinants would leave
   the float range (30 x 20 and 16 x 8), ``operator-rank``
   at full rank and at 32 x 24, a twelve-trial 30 x 20 stack, three
   ``operator-rank`` stacks (five 8 x 6 trials at cond(X) = 1e4, four
   full-rank 1 x 5 trials, where the operator has no 2x2 pair block and no
-  kernel, and four 4 x 3 q=2 trials at cond(X) = 1e5, which all fail the
-  area formula by the rounding of the complex-step chart determinant,
-  one also its ``leak``), two ``operator-rank`` spectra whose squared operator entries
+  kernel, and four 4 x 3 q=2 trials at cond(X) = 1e5, three of which fail
+  the area formula by the rounding of the chart determinant (the second
+  reads 8.2e-10 against 1e-9), one also its ``leak``), two ``operator-rank``
+  spectra whose squared operator entries
   leave the float range, one by overflow and one by underflow, ``--tol``
   values that are not finite, ``report`` over files that hold a number
   that is not finite, and the chart oracles at spectrum ``geomspace(1,
   1/c, q)``: ``jacobian-full`` 4 x 3 and 3 x 4 at c = 1e4 and ``blocks``
-  8 x 6 q=3 at c = 1e5; and the complex-step oracles of ``differential``
+  8 x 6 q=3 at c = 1e5; and the oracles of ``differential`` (the tangent)
   7 x 5 q=3 at spectrum ``1000,1,0.001`` and 5 x 5 at c = 1e4, and of
-  ``symmetric-inverse`` at order 8; ``hausdorff`` at 60 x 50 q=20, whose
+  ``symmetric-inverse`` (a complex step) at order 8; ``hausdorff`` at 60 x 50 q=20, whose
   linear density underflowed into a ``ZeroDivisionError``, and at 40 x 32
   q=20 seed 278331871, whose linear factor ran through subnormals into a
   FAIL; and ``invariance`` 2 x 2 q=1 seed 221480469, whose ``H X Q`` rounded
@@ -80,7 +81,20 @@ its own directory.  It replays:
   boundary cases of the three checks that moved into ``suites``: square
   ``exterior-chain`` (4 x 4, where the exponent ``(n-m-1)/2`` is -1/2),
   ``hausdorff`` at q=1 (no pair of singular values) and ``invariance`` on
-  the full chart (3 x 2 at q = 2, where |det| = 1 is asserted).
+  the full chart (3 x 2 at q = 2, where |det| = 1 is asserted); and, in
+  JSON, the chart oracles' forward-mode tangent of pinv on stacks:
+  ``jacobian-full`` 3 x 4 and 4 x 3 at spectrum ``10,0.1,0.001`` (cond(X)
+  1e4), ``operator-rank`` 3 x 5 q=2 and 4 x 3 q=1, and ``differential`` 7 x
+  5 q=3 at spectrum ``1000,1,0.001``.
+
+The tangent replaced a complex step in those oracles, a declared change of
+the last digits of exactly these keys: ``jacobian-full``'s
+``log_fd_chart_det`` and ``fd_vs_formula``, ``operator-rank``'s
+``log_deficient_chart_det`` and ``area_formula``, and ``differential``'s
+``fd_mismatch``.  No exit code or layout changes with it, and one verdict:
+trial 1 of ``operator-rank`` 4 x 3 q=2 at spectrum ``1,0.00001`` seed 2,
+whose ``area_formula`` sits at the tolerance from rounding at cond(X) 1e5
+(2.25e-9 by the complex step, 8.2e-10 by the tangent, against 1e-9).
 
 Each invocation records its exit code (or the exception that escaped
 ``cli.main``), its stdout, its ``error: ...`` lines of stderr and the
@@ -269,6 +283,12 @@ EDGE_CASES = [
     ["verify", "exterior-chain", "--n", "4", "--m", "4", "--trials", "3", "--format", "json"],
     ["verify", "hausdorff", "--n", "3", "--m", "2", "--q", "1", "--trials", "3", "--format", "json"],
     ["verify", "invariance", "--n", "3", "--m", "2", "--trials", "3", "--format", "json"],
+    *(["verify", "jacobian-full", "--n", n, "--m", m, "--trials", "6", "--seed", "2",
+       "--spectrum", "10,0.1,0.001", "--format", "json"] for n, m in (("3", "4"), ("4", "3"))),
+    *(["verify", "operator-rank", "--n", n, "--m", m, "--q", q, "--trials", "5", "--format", "json"]
+      for n, m, q in (("3", "5", "2"), ("4", "3", "1"))),
+    ["verify", "differential", "--n", "7", "--m", "5", "--q", "3", "--spectrum", "1000,1,0.001",
+     "--trials", "5", "--seed", "2", "--format", "json"],
 ]
 
 # Keys and strings that the JSON writer must escape, in a one-report file
