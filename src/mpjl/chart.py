@@ -21,7 +21,8 @@ gives one decomposition of stacked blocks that every function here
 follows, under ``matcore``'s bit rule.  A stack raises whenever one of
 its slices would, and ``b[i]`` of a stack gives slices ``i`` with their
 cached W and Z and no second pivot test, so a check can pivot all its
-charts as one stack.
+charts as one stack; X and Y = pinv(X) share one as X and Y', and
+``_transposed`` reads Y's chart from the chart of Y'.
 """
 
 from __future__ import annotations
@@ -183,6 +184,17 @@ def _pivot(x: np.ndarray, q: int) -> BlockDecomposition:
                       col_perm=cp.reshape(lead + (m,)))
     b._test_pivot()
     return b
+
+
+def _transposed(b: BlockDecomposition) -> BlockDecomposition:
+    # The chart of each slice's transpose, as views of b's: pivoting X' moves X'11 = X11'
+    # to the top left with the permutations swapped, so X' has blocks X11', X21', X12' and
+    # W = Z', Z = W' (the same solves, taken if b's are not).  Nothing is tested again.
+    swap = {"x11": "x11", "x12": "x21", "x21": "x12", "w": "z", "z": "w"}
+    t = object.__new__(BlockDecomposition)
+    t.__dict__.update((swap[k], v.swapaxes(-1, -2)) for k, v in vars(b).items() if k in swap)
+    t.__dict__.update(row_perm=b.col_perm, col_perm=b.row_perm)
+    return t
 
 
 def x22_from_blocks(b: BlockDecomposition) -> np.ndarray:

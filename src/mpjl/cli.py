@@ -155,11 +155,17 @@ def _finite_number(literal: str) -> float:
     return value
 
 
+# One decoder for every report file (``json.load`` builds one per call).
+_DECODER = json.JSONDecoder(parse_float=_finite_number, parse_constant=_finite_number)
+
+
 def _load_result(path: str) -> SuiteResult:
     try:
         with open(path) as fh:
-            obj = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
-        return SuiteResult.from_json(obj)
+            text = fh.read()
+        if text.startswith("\ufeff"):  # json.loads' refusal, which the decoder lacks
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return SuiteResult.from_json(_DECODER.decode(text))
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise ParseError(f"cannot parse report file {path}: {e}") from e
 

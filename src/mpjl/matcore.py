@@ -378,22 +378,39 @@ def sample_spectrum(q: int, rng: np.random.Generator) -> np.ndarray:
     return sorted_spectra(rng.uniform(*SPECTRUM_RANGE, size=q))
 
 
-def draw_rank_q(n: int, m: int, q: int, rng: np.random.Generator, spectrum=None, *shapes):
-    """Every generator call behind one rank-q instance, in order: ``(d, g_left, g_right, ...)``.
+def _rows(rngs, size: int, fill) -> np.ndarray:
+    # (T, size): row t holds the next ``size`` values that ``fill(rngs[t], out=row)`` writes.
+    out = np.empty((len(rngs), size))
+    for rng, row in zip(rngs, out):
+        fill(rng, out=row)
+    return out
 
-    ``d`` holds the q singular values, ``spectrum`` or else q values drawn
-    uniformly from ``SPECTRUM_RANGE``, unsorted; then come the n x q and m x q
-    Gaussian blocks of the two frames and a block of each further shape, split
-    from one ``standard_normal`` call (the values of one call per block).
-    Nothing is checked: callers validate once, and sort (:func:`sorted_spectra`)
-    a stack of draws at once.
+
+def draw_spectra(rngs, q: int, spectrum=None) -> np.ndarray:
+    """(T, q), one row per generator of ``rngs``: ``spectrum`` in every row, else the values
+    of each one's ``uniform(*SPECTRUM_RANGE, size=q)``, unsorted: ``uniform`` is lo + (hi - lo)
+    u of ``random``'s u, and hi - lo = 2 makes the product exact, fused or not."""
+    if spectrum is not None:
+        return np.broadcast_to(np.asarray(spectrum, dtype=float), (len(rngs), q))
+    lo, hi = SPECTRUM_RANGE
+    return lo + (hi - lo) * _rows(rngs, q, np.random.Generator.random)
+
+
+def draw_rank_q(n: int, m: int, q: int, rngs, spectrum=None, *shapes):
+    """Every generator call behind a stack of rank-q instances, one generator of ``rngs`` per
+    instance, in each generator's order: ``(d, g_left, g_right, ...)``, each (T, ...).
+
+    ``d`` holds the q singular values (:func:`draw_spectra`), unsorted; then come the n x q
+    and m x q Gaussian blocks of the two frames and a block of each further shape, split
+    from one ``standard_normal`` fill per generator (the values of one call per block).
+    Nothing is checked: callers validate once, and sort (:func:`sorted_spectra`) the stack.
     """
-    d = rng.uniform(*SPECTRUM_RANGE, size=q) if spectrum is None else spectrum
-    start = (n + m) * q
-    flat = rng.standard_normal(start + sum([r * c for r, c in shapes]))
-    blocks = [d, flat[:n * q].reshape(n, q), flat[n * q:start].reshape(m, q)]
+    d = draw_spectra(rngs, q, spectrum)
+    shapes = [(n, q), (m, q), *shapes]
+    flat = _rows(rngs, sum([r * c for r, c in shapes]), np.random.Generator.standard_normal)
+    blocks, start = [d], 0
     for r, c in shapes:
-        blocks.append(flat[start:start + r * c].reshape(r, c))
+        blocks.append(flat[:, start:start + r * c].reshape(len(rngs), r, c))
         start += r * c
     return tuple(blocks)
 
@@ -401,7 +418,7 @@ def draw_rank_q(n: int, m: int, q: int, rng: np.random.Generator, spectrum=None,
 def rank_q_from_draw(d: np.ndarray, g_left: np.ndarray, g_right: np.ndarray) -> np.ndarray:
     """``H1 @ diag(d) @ P1.T`` with H1, P1 the frames of the Gaussian blocks.
 
-    Takes the parts of :func:`draw_rank_q`, or stacks of them.
+    Takes the stacked parts of :func:`draw_rank_q`, or one instance's.
     """
     frames = orthonormal_frames(g_left) * d[..., None, :]
     return frames @ orthonormal_frames(g_right).swapaxes(-1, -2)
@@ -420,8 +437,8 @@ def random_rank_q(n: int, m: int, q: int, rng: np.random.Generator, spectrum=Non
         spectrum = validate_spectrum(spectrum)
         if spectrum.size != q:
             raise BadSpectrum(f"spectrum has {spectrum.size} values, expected q={q}")
-    d, g_left, g_right = draw_rank_q(n, m, q, rng, spectrum)
-    return rank_q_from_draw(sorted_spectra(d), g_left, g_right)
+    d, g_left, g_right = draw_rank_q(n, m, q, [rng], spectrum)
+    return rank_q_from_draw(sorted_spectra(d), g_left, g_right)[0]
 
 
 # ---------------------------------------------------------------------------

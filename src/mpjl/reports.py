@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from operator import methodcaller
+from operator import itemgetter, methodcaller
 
 import numpy as np
 
@@ -48,6 +48,11 @@ TOLERANCES = {
 # Python type -> the JSON type ``json.load`` reads as it, for messages.
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
                float: "a number", bool: "a boolean", type(None): "null"}
+
+# A report's JSON fields in the order ``from_json`` reads them, and their types.
+_FIELDS = ("check_name", "pass", "inputs", "values", "residuals", "tolerances")
+_FIELD_TYPES = (str, bool, dict, dict, dict, dict)
+_read_fields = itemgetter(*_FIELDS)
 
 # Check name -> the residual key that ``tol`` overrides.
 PRIMARY = {
@@ -97,16 +102,17 @@ class VerificationReport:
     def from_json(cls, obj: dict) -> "VerificationReport":
         """The report ``to_json`` wrote; TypeError when a field that merging and rendering
         read has the wrong JSON type (``inputs``' ``seed`` and ``trial``, where present)."""
-        fields = [("check_name", obj["check_name"], str), ("pass", obj["pass"], bool)]
-        fields += [(key, obj[key], dict) for key in ("inputs", "values", "residuals", "tolerances")]
-        fields += [(f"inputs.{key}", obj["inputs"][key], int) for key in ("seed", "trial")
-                   if type(obj["inputs"]) is dict and key in obj["inputs"]]
-        for name, value, kind in fields:
-            if type(value) is not kind:
-                raise TypeError(f"report {name} must be {_JSON_TYPES[kind]}, "
-                                f"got {_JSON_TYPES.get(type(value), type(value).__name__)}")
-        return cls(*(obj[key] for key in ("check_name", "inputs", "values", "residuals",
-                                           "tolerances", "pass")))
+        # KeyError names the first field missing; the loop runs only to name a wrong type.
+        name, passed, inputs, values, residuals, tolerances = parts = _read_fields(obj)
+        if not (tuple(map(type, parts)) == _FIELD_TYPES and type(inputs.get("seed", 0)) is int
+                and type(inputs.get("trial", 0)) is int):
+            ids = [key for key in ("seed", "trial") if type(inputs) is dict and key in inputs]
+            for field, value, kind in [*zip(_FIELDS, parts, _FIELD_TYPES),
+                                       *((f"inputs.{key}", inputs[key], int) for key in ids)]:
+                if type(value) is not kind:
+                    raise TypeError(f"report {field} must be {_JSON_TYPES[kind]}, "
+                                    f"got {_JSON_TYPES.get(type(value), type(value).__name__)}")
+        return cls(name, inputs, values, residuals, tolerances, passed)
 
 
 def stack_reports(check_name: str, inputs: dict, values: dict, residuals: dict,

@@ -7,28 +7,33 @@ triple, so reruns are byte-identical and trials could execute in any
 order.  Spectra that collide (degenerate draws) are redrawn with a fresh
 sub-seed up to the retry budget, then reported as a hard failure.
 
-A suite is a pair: ``draw(n, m, q, rng, spectrum)``, the signature of
-``matcore.draw_rank_q``, makes every generator call of one trial, and
-``check(cfg, draws)`` judges a stack of trials' draws in stacked numpy
-calls, one report per trial.  A draw keeps its sampled spectrum unsorted;
-the check sorts and gap-tests the stack's spectra in one call
-(``matcore.sorted_spectra``), which raises the DegenerateSpectrum of a tied
-trial.  Every check of the package lives here: each relative residual is
-one ``_rel``, and ``reports.stack_reports`` gives the verdict.  Each check
+A suite is a pair: ``draw(n, m, q, rngs, spectrum)``, the signature of
+``matcore.draw_rank_q``, makes every generator call of a stack of trials,
+one generator each, into preallocated (T, ...) parts, and ``check(cfg,
+draws)`` judges those parts in stacked numpy calls, one report per trial.
+A draw keeps its sampled spectra unsorted; the check sorts and gap-tests
+them in one call (``matcore.sorted_spectra``), which raises the
+DegenerateSpectrum of a tied trial.  Every check of the package lives
+here: each relative residual is one ``_rel``, and
+``reports.stack_reports`` gives the verdict.  Each check
 takes one SVD of its stack of X, which gives pinv(X) and the rank profile
 that the chart's rank test and the operator's spectrum read (the full-rank
 closed forms take a QR of X, to stay independent of it).  pinv's
 derivative (``differential``, and the chart determinants of
 ``jacobian-full`` and ``operator-rank``) is the forward-mode tangent of
 the factored block pseudoinverse; a complex step is the tests' reference.
+Those two checks pivot the charts of X and Y = pinv(X) as one stack
+[X; Y'], and ``invariance`` those of X and H X Q: one elimination and one
+pivot test, which names the worse block.
 ``run_suite`` draws each stack of trials, capped by ``STACK_ENTRIES``
 entries of what the check holds per trial, from their first attempts'
 streams, all seeded by one ``matcore.make_rngs`` call, and checks it in
 one pass; if that raises anything (a tied spectrum among them), the
-stack reruns trial by trial through ``run_trial``, the same check on
-stacks of one with the retry policy, each attempt's stream seeded by
-``matcore.make_rng``, so every report and error is that of the trials
-run one by one.  A stack of one trial takes that path directly.
+stack reruns trial by trial through ``run_trial``, the same draw and
+check on a stack of one generator with the retry policy, each attempt's
+stream seeded by ``matcore.make_rng``, so every report and error is that
+of the trials run one by one.  A stack of one trial takes that path
+directly.
 """
 
 from __future__ import annotations
@@ -117,10 +122,10 @@ def validate_config(cfg: RunConfig, suite: str | None = None) -> RunConfig:
     return replace(cfg, q=q)
 
 
-def _instances(draws: list[tuple]) -> tuple[np.ndarray, ...]:
-    # The (T, n, m) instances of draws that begin with draw_rank_q's parts,
-    # then the other parts, each stacked over the trials.
-    d, g_left, g_right, *rest = map(np.array, zip(*draws))
+def _instances(draws: tuple) -> tuple[np.ndarray, ...]:
+    # The (T, n, m) instances of stacked draws that begin with draw_rank_q's parts, then the
+    # other parts.
+    d, g_left, g_right, *rest = draws
     return matcore.rank_q_from_draw(matcore.sorted_spectra(d), g_left, g_right), *rest
 
 
@@ -145,12 +150,12 @@ def _fd_chart(suite: str, cfg: RunConfig) -> bool:
         suite == "jacobian-full" or suite == "operator-rank" and deficient)
 
 
-def _draw_differential(n: int, m: int, q: int, rng: np.random.Generator, spectrum) -> tuple:
+def _draw_differential(n: int, m: int, q: int, rngs, spectrum) -> tuple:
     shapes = [(n, m)] if q == min(n, m) else [(q, q), (q, m - q), (n - q, q)]
-    return matcore.draw_rank_q(n, m, q, rng, spectrum, *shapes)
+    return matcore.draw_rank_q(n, m, q, rngs, spectrum, *shapes)
 
 
-def _check_differential(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
+def _check_differential(cfg: RunConfig, draws: tuple) -> list[VerificationReport]:
     q = cfg.rank
     full_rank = q == min(cfg.n, cfg.m)
     x, *direction = _instances(draws)
@@ -168,7 +173,7 @@ def _check_differential(cfg: RunConfig, draws: list[tuple]) -> list[Verification
                          tol=cfg.tol)
 
 
-def _check_jacobian_full(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
+def _check_jacobian_full(cfg: RunConfig, draws: tuple) -> list[VerificationReport]:
     [x] = _instances(draws)
     fd_chart = _fd_chart("jacobian-full", cfg)
     # One stacked SVD of X serves the operator's log determinant and the rank
@@ -182,15 +187,16 @@ def _check_jacobian_full(cfg: RunConfig, draws: list[tuple]) -> list[Verificatio
         # log_jacobian_det_full_rank has refused an X below full rank, and Y
         # has X's rank: neither chart takes a rank test.  The tangent of the
         # factored block pseudoinverse moves no point: no SVD, no step.
-        jac = differential.pinv_chart_jacobian(x, chart._pivot(x, cfg.rank),
-                                               chart._pivot(y, cfg.rank))
+        charts = chart._pivot(np.concatenate([x, y.swapaxes(-1, -2)]), cfg.rank)
+        jac = differential.pinv_chart_jacobian(x, charts[:len(x)],
+                                               chart._transposed(charts[len(x):]))
         values["log_fd_chart_det"] = fd_det = np.linalg.slogdet(jac)[1]
         residuals["fd_vs_formula"] = abs(fd_det - formula)
     return stack_reports("jacobian-full", {"n": cfg.n, "m": cfg.m, "q": cfg.rank}, values,
                          residuals, tol=cfg.tol)
 
 
-def _check_operator_rank(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
+def _check_operator_rank(cfg: RunConfig, draws: tuple) -> list[VerificationReport]:
     q, n, m = cfg.rank, cfg.n, cfg.m
     [x] = _instances(draws)
     expected = _chart_dim(cfg)
@@ -204,12 +210,14 @@ def _check_operator_rank(cfg: RunConfig, draws: list[tuple]) -> list[Verificatio
     if _fd_chart("operator-rank", cfg):
         # X's chart keeps decompose's rank test (RankMismatch), read from the
         # SVD above; Y has X's rank.  The area formula gives the chart
-        # determinant as log_factor + V(X's chart) - V(Y's chart).
+        # determinant as log_factor + V(X's chart) - V(Y's chart); Y' has Y's V.
         chart._require_rank(info, q)
-        bx, by = chart._pivot(x, q), chart._pivot(y, q)
-        jac = differential.pinv_chart_jacobian(x, bx, by)
+        charts = chart._pivot(np.concatenate([x, y.swapaxes(-1, -2)]), q)
+        x_volume, y_volume = chart.log_chart_volume(charts).reshape(2, -1)
+        jac = differential.pinv_chart_jacobian(x, charts[:len(x)],
+                                               chart._transposed(charts[len(x):]))
         chart_det["log_deficient_chart_det"] = det = np.linalg.slogdet(jac)[1]
-        area = log_factor + chart.log_chart_volume(bx) - chart.log_chart_volume(by)
+        area = log_factor + x_volume - y_volume
         area_formula["area_formula"] = _rel(abs(det - area), np.maximum(1.0, abs(area)))
     # S in the basis U kron V, read from its factors (see differential).
     rank, (norm, normal, off) = differential.pair_block_profile(
@@ -225,20 +233,20 @@ def _check_operator_rank(cfg: RunConfig, draws: list[tuple]) -> list[Verificatio
                          tol=cfg.tol, conditions=(rank.rank == expected,))
 
 
-def _draw_instance(n: int, m: int, q: int, rng: np.random.Generator, spectrum) -> tuple:
-    # matcore.draw_rank_q, looked up as each trial draws, so a replaced or wrapped one runs.
-    return matcore.draw_rank_q(n, m, q, rng, spectrum)
+def _draw_instance(n: int, m: int, q: int, rngs, spectrum) -> tuple:
+    # matcore.draw_rank_q, looked up as each stack draws, so a replaced or wrapped one runs.
+    return matcore.draw_rank_q(n, m, q, rngs, spectrum)
 
 
-def _draw_hausdorff(n: int, m: int, q: int, rng: np.random.Generator, spectrum) -> tuple:
-    return (spectrum or rng.uniform(*matcore.SPECTRUM_RANGE, size=q),)
+def _draw_hausdorff(n: int, m: int, q: int, rngs, spectrum) -> tuple:
+    return (matcore.draw_spectra(rngs, q, spectrum),)
 
 
-def _check_hausdorff(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
+def _check_hausdorff(cfg: RunConfig, draws: tuple) -> list[VerificationReport]:
     # log density(Y spectrum) + log|d(reciprocal spectrum)/dD| - log density(X
     # spectrum) equals the log factor -2(n+m-q) sum log D_i by algebra alone,
     # so ``identity``, the absolute difference of the two logs, is rounding.
-    d = matcore.sorted_spectra([d for d, in draws])
+    d = matcore.sorted_spectra(draws[0])
     n, m, q = cfg.n, cfg.m, d.shape[-1]
     # Y = pinv(X) is m x n with the same rank; n+m enters symmetrically.
     log_x = measures.log_hausdorff_density(n, m, d)
@@ -254,7 +262,7 @@ def _check_hausdorff(cfg: RunConfig, draws: list[tuple]) -> list[VerificationRep
     return reports
 
 
-def _check_exterior_chain(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
+def _check_exterior_chain(cfg: RunConfig, draws: tuple) -> list[VerificationReport]:
     # Y = pinv(X) of full column rank: A = Y Y' is inv(B), B = X'X, and |A|^((n-m-1)/2)
     # |B|^-(m+1) |B|^-((n-m-1)/2) is |X'X|^-n by determinant algebra, and the operator's
     # log pseudo-determinant.  QRs of X and Y' give log|B|, log|A| and inv(B) = inv(R) inv(R)'.
@@ -314,22 +322,24 @@ def judge_invariance(x, q: int, h, qmat) -> list[VerificationReport]:
     )
 
 
-def _draw_invariance(n: int, m: int, q: int, rng: np.random.Generator, spectrum) -> tuple:
-    return matcore.draw_rank_q(n, m, q, rng, spectrum, (n, n), (m, m))
+def _draw_invariance(n: int, m: int, q: int, rngs, spectrum) -> tuple:
+    return matcore.draw_rank_q(n, m, q, rngs, spectrum, (n, n), (m, m))
 
 
-def _check_invariance(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
+def _check_invariance(cfg: RunConfig, draws: tuple) -> list[VerificationReport]:
     x, g_h, g_q = _instances(draws)
     h, qmat = matcore.orthonormal_frames(g_h), matcore.orthonormal_frames(g_q)
     return judge_invariance(x, cfg.rank, h, qmat)
 
 
-def _draw_symmetric_inverse(n: int, m: int, q: int, rng: np.random.Generator, spectrum) -> tuple:
-    return rng.standard_normal((m, m)), rng.uniform(*matcore.SPECTRUM_RANGE, size=m)
+def _draw_symmetric_inverse(n: int, m: int, q: int, rngs, spectrum) -> tuple:
+    # Each generator's calls in order: the Gaussian block, then the eigenvalues.
+    g = matcore._rows(rngs, m * m, np.random.Generator.standard_normal)
+    return g.reshape(-1, m, m), matcore.draw_spectra(rngs, m)
 
 
-def _check_symmetric_inverse(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
-    g, eigs = map(np.array, zip(*draws))
+def _check_symmetric_inverse(cfg: RunConfig, draws: tuple) -> list[VerificationReport]:
+    g, eigs = draws
     frame = matcore.orthonormal_frames(g)
     s = (frame * eigs[:, None, :]) @ frame.swapaxes(-1, -2)
     formula = measures.log_symmetric_inverse_jacobian(s)
@@ -339,7 +349,7 @@ def _check_symmetric_inverse(cfg: RunConfig, draws: list[tuple]) -> list[Verific
                          {"fd_mismatch": abs(formula - oracle)}, tol=cfg.tol)
 
 
-def _check_blocks(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport]:
+def _check_blocks(cfg: RunConfig, draws: tuple) -> list[VerificationReport]:
     q, norms = cfg.rank, matcore.frobenius_norms
     [x] = _instances(draws)
     y, info = matcore.pinv_rank(x)  # one SVD: Y and the chart's rank test
@@ -359,10 +369,11 @@ def _check_blocks(cfg: RunConfig, draws: list[tuple]) -> list[VerificationReport
     )
 
 
-# name -> (draw, check): ``draw(n, m, q, rng, spectrum)`` makes every
-# generator call of one trial, a spectrum it samples left unsorted (the
-# config's was validated once per run); ``check(cfg, draws)`` judges a list
-# of trials' draws and returns one report per trial.
+# name -> (draw, check): ``draw(n, m, q, rngs, spectrum)`` makes every
+# generator call of a stack of trials, one generator each, into stacked
+# parts, a spectrum it samples left unsorted (the config's was validated
+# once per run); ``check(cfg, draws)`` judges those parts and returns one
+# report per trial.
 _SUITES = {
     "differential": (_draw_differential, _check_differential),
     "jacobian-full": (_draw_instance, _check_jacobian_full),
@@ -406,7 +417,7 @@ def run_trial(suite: str, cfg: RunConfig, trial: int) -> VerificationReport:
     draw, check = _SUITES[suite]
     label = f"suite {suite} trial {trial}"
     report, attempt = _redraw(
-        lambda rng: check(cfg, [draw(cfg.n, cfg.m, cfg.rank, rng, cfg.spectrum)])[0],
+        lambda rng: check(cfg, draw(cfg.n, cfg.m, cfg.rank, [rng], cfg.spectrum))[0],
         cfg.seed, trial, label)
     return _stamp(report, cfg, trial, attempt)
 
@@ -435,8 +446,7 @@ def _trial_stacks(suite: str, cfg: RunConfig) -> list[range]:
 def _run_stack(suite: str, cfg: RunConfig, trials: range) -> list[VerificationReport]:
     # Each trial's first attempt, from its own stream, checked as one stack.
     draw, check = _SUITES[suite]
-    draws = [draw(cfg.n, cfg.m, cfg.rank, rng, cfg.spectrum)
-             for rng in matcore.make_rngs(cfg.seed, trials)]
+    draws = draw(cfg.n, cfg.m, cfg.rank, matcore.make_rngs(cfg.seed, trials), cfg.spectrum)
     return [_stamp(r, cfg, t, 0) for t, r in zip(trials, check(cfg, draws))]
 
 

@@ -42,6 +42,6 @@ def reproduce(witness: dict) -> VerificationReport:
         x, rot = _rotation(n, m)
         return judge_invariance(x, q, rot, rot)[0]
     if witness["kind"] == "haar":
-        draw = _draw_invariance(n, m, q, make_rng(witness["seed"]), None)
-        return _check_invariance(RunConfig(n=n, m=m, q=q), [draw])[0]
+        draws = _draw_invariance(n, m, q, [make_rng(witness["seed"])], None)
+        return _check_invariance(RunConfig(n=n, m=m, q=q), draws)[0]
     raise ValueError(f"unknown witness kind {witness['kind']!r}")

@@ -10,9 +10,10 @@ from mpjl.errors import ShapeMismatch
 from mpjl.matcore import as_matrix, as_stack, pinv, rank_profile
 
 
-def check(suite: str, draws: list[tuple], **config):
-    """The reports of ``suite``'s check on a list of trials' draws, under ``RunConfig(**config)``:
-    what ``run_suite`` does with one stack, minus drawing and stamping."""
+def check(suite: str, draws: tuple, **config):
+    """The reports of ``suite``'s check on stacked draws, the parts its draw returns, each
+    with a leading trial axis, under ``RunConfig(**config)``: what ``run_suite`` does with
+    one stack, minus drawing and stamping."""
     return suites._SUITES[suite][1](suites.RunConfig(**config), draws)
 
 

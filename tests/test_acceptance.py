@@ -147,12 +147,12 @@ def test_criterion_5_operator_rank_law():
 def test_criterion_6_hausdorff_chain():
     with criterion(6, "hausdorff ratio identity <= 1e-10", 1.0):
         # hand-computed anchors
-        [anchor] = check("hausdorff", [([2.0],)], n=2, m=2, tol=1e-10)
+        [anchor] = check("hausdorff", ([[2.0]],), n=2, m=2, tol=1e-10)
         assert abs(anchor.values["log_density_x"] - np.log(2.0)) <= 1e-15
         assert anchor.values["log_jacobian_factor"] == np.log(1.0 / 64.0)
         assert anchor.residuals["identity"] <= 1e-10
         assert abs(ms.log_hausdorff_density(3, 2, [2.0, 1.0]) - np.log(1.5)) <= 1e-15
-        [mixed] = check("hausdorff", [([2.0, 1.0],)], n=3, m=2, tol=1e-10)
+        [mixed] = check("hausdorff", ([[2.0, 1.0]],), n=3, m=2, tol=1e-10)
         assert mixed.residuals["identity"] <= 1e-10
         # 50 random spectra
         for trial in range(50):
@@ -160,7 +160,7 @@ def test_criterion_6_hausdorff_chain():
             q = int(rng.integers(1, 5))
             n = int(rng.integers(q, 9))
             m = int(rng.integers(q, 9))
-            [rep] = check("hausdorff", [(mc.sample_spectrum(q, rng),)], n=n, m=m, tol=1e-10)
+            [rep] = check("hausdorff", (mc.sample_spectrum(q, rng)[None],), n=n, m=m, tol=1e-10)
             assert rep.residuals["identity"] <= 1e-10
 
 

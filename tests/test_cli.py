@@ -435,17 +435,31 @@ def test_report_refuses_non_finite_numbers(tmp_path, capsys, number, fmt):
     assert run_cli(capsys, "report", str(good), "--format", fmt)[0] == 0
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_report_refuses_a_byte_order_mark(tmp_path, capsys, fmt):
+    # As json.loads does: the one decoder that reads every file would not.
+    good = tmp_path / "good.json"
+    main(["verify", "blocks", "--trials", "1", "--format", "json", "--out", str(good)])
+    bad = tmp_path / "bom.json"
+    bad.write_text("\ufeff" + good.read_text(), encoding="utf-8")
+    code, out, err = run_cli(capsys, "report", str(bad), "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot parse report file {bad}: Unexpected UTF-8 BOM "
+                   "(decode using utf-8-sig): line 1 column 1 (char 0)\n")
+
+
 def test_retry_consumes_fresh_subseed(monkeypatch):
     calls = []
 
-    def flaky(n, m, q, rng, spectrum):
+    def flaky(n, m, q, rngs, spectrum):
+        [rng] = rngs  # a trial run alone draws from its one stream
         calls.append(rng.integers(0, 1 << 30))
         if len(calls) < 3:
             raise DegenerateSpectrum("synthetic collision")
-        return (calls[-1],)
+        return (np.array([calls[-1]]),)
 
     def check(cfg, draws):
-        return [VerificationReport("stub", {}, {}, {}, {}, True) for _ in draws]
+        return [VerificationReport("stub", {}, {}, {}, {}, True) for _ in draws[0]]
 
     monkeypatch.setitem(suites._SUITES, "stub", (flaky, check))
     report = suites.run_trial("stub", suites.RunConfig(trials=1, seed=4), trial=0)
@@ -454,7 +468,7 @@ def test_retry_consumes_fresh_subseed(monkeypatch):
 
 
 def test_retry_budget_exhausted(monkeypatch):
-    def always_degenerate(n, m, q, rng, spectrum):
+    def always_degenerate(n, m, q, rngs, spectrum):
         raise DegenerateSpectrum("synthetic collision")
 
     def check(cfg, draws):

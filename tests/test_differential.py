@@ -711,11 +711,11 @@ def test_fd_chart_jacobian_evaluates_the_per_point_matrices(n, m, q):
 def test_pinv_chart_jacobian_makes_no_svd_per_point(svd_shapes):
     # Five-trial stacks, one stacked SVD each of: X, which gives its rank
     # profile, pinv(X) and the rank test of X's chart (jacobian-full's thin
-    # SVD, operator-rank's full one), then X's and Y's X11 tests.  Y's chart
-    # tests no rank (Y has X's), and the tangent moves no point that would
-    # be factored or pivot-tested.
-    cases = [("jacobian-full", 3, 4, None, [(5, 3, 4), (5, 3, 3), (5, 3, 3)]),
-             ("operator-rank", 4, 3, 2, [(5, 4, 3), (5, 2, 2), (5, 2, 2)])]
+    # SVD, operator-rank's full one), then the X11 tests of X and Y', pivoted
+    # as one stack.  Y's chart tests no rank (Y has X's), and the tangent
+    # moves no point that would be factored or pivot-tested.
+    cases = [("jacobian-full", 3, 4, None, [(5, 3, 4), (10, 3, 3)]),
+             ("operator-rank", 4, 3, 2, [(5, 4, 3), (10, 2, 2)])]
     for suite, n, m, q, svds in cases:
         svd_shapes.clear()
         cfg = suites.validate_config(suites.RunConfig(n=n, m=m, q=q, trials=5, seed=62), suite)

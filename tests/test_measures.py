@@ -66,7 +66,7 @@ def test_factor_anchors():
 
 def test_ratio_check_hand_chain():
     # density_Y * (1/4) / density_X = (1/2 * 1/4) * (1/4) / 2 = 1/64.
-    [rep] = check("hausdorff", [([2.0],)], n=2, m=2, tol=1e-12)
+    [rep] = check("hausdorff", ([[2.0]],), n=2, m=2, tol=1e-12)
     assert list(rep.values) == ["log_density_x", "log_density_y", "log_jacobian_factor"]
     assert abs(rep.values["log_density_x"] - np.log(2.0)) <= 1e-15
     assert abs(rep.values["log_density_y"] - np.log(0.125)) <= 1e-15
@@ -75,7 +75,7 @@ def test_ratio_check_hand_chain():
 
 
 def test_ratio_check_mixed_shape():
-    [rep] = check("hausdorff", [([2.0, 1.0],)], n=3, m=2, tol=1e-12)
+    [rep] = check("hausdorff", ([[2.0, 1.0]],), n=3, m=2, tol=1e-12)
     assert rep.residuals["identity"] <= 1e-12
 
 
@@ -85,7 +85,7 @@ def test_ratio_check_sweep():
         q = int(rng.integers(1, 5))
         n = int(rng.integers(q, 9))
         m = int(rng.integers(q, 9))
-        [rep] = check("hausdorff", [(mc.sample_spectrum(q, rng),)], n=n, m=m, tol=1e-10)
+        [rep] = check("hausdorff", (mc.sample_spectrum(q, rng)[None],), n=n, m=m, tol=1e-10)
         assert rep.residuals["identity"] <= 1e-10
 
 
@@ -115,7 +115,7 @@ def test_linear_densities_match_mpmath():
     # as (d_i - d_j)(d_i + d_j) keeps the log of the linear product to rounding.
     for t in range(1560, 1660):
         d = mc.sample_spectrum(20, mc.make_rng(7, t))
-        [rep] = check("hausdorff", [(d,)], n=40, m=32)
+        [rep] = check("hausdorff", (d[None],), n=40, m=32)
         assert rep.passed
         for key, (n, m, e) in (("log_density_x", (40, 32, d)),
                                ("log_density_y", (32, 40, ms.pinv_spectrum(d)))):
@@ -131,7 +131,7 @@ def test_linear_density_may_be_a_subnormal_chain():
     e = ms.pinv_spectrum(d)
     want = _mp_log_density(32, 40, e)
     assert np.exp(want) < np.finfo(float).tiny
-    [rep] = check("hausdorff", [(d,)], n=40, m=32)
+    [rep] = check("hausdorff", (d[None],), n=40, m=32)
     assert list(rep.values) == ["log_density_x", "log_density_y", "log_jacobian_factor"]
     assert rep.passed
     assert abs(rep.values["log_density_y"] - want) <= 1e-13 * abs(want)
@@ -162,23 +162,23 @@ def test_ratio_check_stack_matches_per_spectrum():
     rng = mc.make_rng(63)
     for q in (1, 3, 8):
         d = np.array([mc.sample_spectrum(q, rng) for _ in range(5)])
-        stacked = check("hausdorff", [(row,) for row in d], n=9, m=8)
+        stacked = check("hausdorff", (d,), n=9, m=8)
         assert len(stacked) == 5
         for row, report in zip(d, stacked):
-            assert report.to_json() == check("hausdorff", [(row,)], n=9, m=8)[0].to_json()
+            assert report.to_json() == check("hausdorff", (row[None],), n=9, m=8)[0].to_json()
 
 
 def test_log_values_hold_beyond_the_float_range():
     # At 60 x 50 rank 20 every linear value leaves the float range; the
     # identity holds between the logs.
     d = np.geomspace(1.0, 0.1, 20)
-    [rep] = check("hausdorff", [(d,)], n=60, m=50)
+    [rep] = check("hausdorff", (d[None],), n=60, m=50)
     assert list(rep.values) == ["log_density_x", "log_density_y", "log_jacobian_factor"]
     assert rep.values["log_jacobian_factor"] == -2 * (60 + 50 - 20) * np.log(d).sum()
     assert rep.passed
     # prod d^-4 here runs through a subnormal first factor 1e-312.
     d = np.array([1e78, 1e-76])
-    [rep] = check("hausdorff", [(d,)], n=2, m=2)
+    [rep] = check("hausdorff", (d[None],), n=2, m=2)
     assert list(rep.values) == ["log_density_x", "log_density_y", "log_jacobian_factor"]
     assert rep.values["log_density_x"] == ms.log_hausdorff_density(2, 2, d)
     assert rep.passed
@@ -255,8 +255,8 @@ def test_exterior_chain_orthonormal_columns():
     # both logs are -2n sum log d, near 0.
     rng = mc.make_rng(64)
     d = np.array([1.0 + 4e-6, 1.0 + 2e-6, 1.0])
-    [rep] = check("exterior-chain", [(d, rng.standard_normal((5, 3)), rng.standard_normal((3, 3)))],
-                  n=5, m=3)
+    [rep] = check("exterior-chain", (d[None], rng.standard_normal((1, 5, 3)),
+                                     rng.standard_normal((1, 3, 3))), n=5, m=3)
     want = -10.0 * np.log(d).sum()
     assert rep.passed
     assert abs(rep.values["log_assembled"] - want) <= 1e-12
@@ -265,14 +265,15 @@ def test_exterior_chain_orthonormal_columns():
 
 def test_exterior_chain_anchor():
     # X = diag(3, 2) over a zero row: frames eye(3)[:, :2] and eye(2), |X'X| = 36.
-    [rep] = check("exterior-chain", [((3.0, 2.0), np.eye(3)[:, :2], np.eye(2))], n=3, m=2)
+    [rep] = check("exterior-chain", ([(3.0, 2.0)], np.eye(3)[None, :, :2], np.eye(2)[None]),
+                   n=3, m=2)
     assert rep.passed
     assert abs(rep.values["log_assembled"] - np.log(36.0 ** -3)) <= 1e-12
 
 
 def test_exterior_chain_sweep():
     for trial in range(20):
-        [rep] = check("exterior-chain", [mc.draw_rank_q(5, 3, 3, mc.make_rng(65, trial))],
+        [rep] = check("exterior-chain", mc.draw_rank_q(5, 3, 3, [mc.make_rng(65, trial)]),
                       n=5, m=3)
         assert rep.residuals["inverse_identity"] <= 1e-10
         assert rep.residuals["determinant_algebra"] <= 1e-12
@@ -281,9 +282,9 @@ def test_exterior_chain_sweep():
 
 def test_exterior_chain_rejects_wide_or_deficient():
     with pytest.raises(NotFullColumnRank):
-        check("exterior-chain", [mc.draw_rank_q(2, 4, 2, mc.make_rng(66))], n=2, m=4)
+        check("exterior-chain", mc.draw_rank_q(2, 4, 2, [mc.make_rng(66)]), n=2, m=4)
     with pytest.raises(NotFullColumnRank):
-        check("exterior-chain", [mc.draw_rank_q(3, 2, 1, mc.make_rng(66))], n=3, m=2)
+        check("exterior-chain", mc.draw_rank_q(3, 2, 1, [mc.make_rng(66)]), n=3, m=2)
 
 
 def test_invariance_identity_sandwich():

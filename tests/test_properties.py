@@ -4,8 +4,10 @@ factors against the dense operator, the tangent chart Jacobian of pinv
 against the area formula and the tangent against the tests' complex step, the
 pivots of ``decompose`` against the greedy loop, the complex-step oracles of
 the differential and of the symmetric inverse against their closed forms and
-slice by slice, and the log values
-of the hausdorff check against a 50-digit mpmath evaluation."""
+slice by slice, the log values
+of the hausdorff check against a 50-digit mpmath evaluation, the charts of X
+and Y' pivoted as one stack against each pivoted alone, and stacked draws
+against the draws of one generator."""
 
 import mpmath
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import assume, example, given, strategies as st
 from helpers import (
     check, dense_pair_reads, jacobian_operator, pinv_chart_log_det, pinv_complex_step,
 )
-from mpjl import chart, differential as df, matcore as mc, measures
+from mpjl import chart, differential as df, matcore as mc, measures, suites
 from mpjl.reports import TOLERANCES
 
 
@@ -337,7 +339,7 @@ def test_hausdorff_logs_match_mpmath(case):
     n, m, d = case
     # The check gap-tests its spectra as the suite's draws are (matcore.REQUEST_GAP).
     assume(np.all(d[:, :-1] - d[:, 1:] >= mc.REQUEST_GAP * d[:, :1]))
-    reports = check("hausdorff", [(row,) for row in d], n=n, m=m)
+    reports = check("hausdorff", (d,), n=n, m=m)
     with mpmath.workdps(50):
         for spectrum, report in zip(d, reports):
             log_d = mpmath.fsum(mpmath.log(mpmath.mpf(float(v))) for v in spectrum)
@@ -350,3 +352,69 @@ def test_hausdorff_logs_match_mpmath(case):
                 assert abs(report.values[key] - value) <= 1e-12 * max(1, abs(value)), key
             assert report.residuals["identity"] <= 1e-10
             assert report.passed
+
+
+@st.composite
+def pinv_stacks(draw):
+    """(X, pinv(X), q): 1 or 3 rank-q slices, shapes up to 8x8, any rank, each slice's
+    spectrum scaled by 1e-3 to 1e3."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 8))
+    q = draw(st.integers(1, min(n, m)))
+    size, seed = draw(st.sampled_from([1, 3])), draw(st.integers(0, 2**31 - 1))
+    scales = 10.0 ** np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=size,
+                                            max_size=size)))
+    x = np.array([s * mc.random_rank_q(n, m, q, mc.make_rng(seed, t))
+                  for t, s in enumerate(scales)])
+    return x, mc.pinv(x), q
+
+
+@given(pinv_stacks(), st.booleans())
+@example((np.array([mc.random_rank_q(4, 3, 2, mc.make_rng(5))]),
+          mc.pinv(mc.random_rank_q(4, 3, 2, mc.make_rng(5)))[None], 2), True)
+def test_joint_chart_of_x_and_y_transposed_has_the_bits_of_each_chart_alone(case, volumes):
+    # jacobian-full and operator-rank pivot [X; Y'] as one stack and read Y's
+    # chart as the transposed chart of Y': each slice has the permutations,
+    # blocks, W, Z and log volume of X and of Y pivoted alone, whether W and Z
+    # were taken on the joint stack (operator-rank's volumes) or on Y's chart.
+    x, y, q = case
+    size = len(x)
+    joint = chart._pivot(np.concatenate([x, y.swapaxes(-1, -2)]), q)
+    joint_volumes = chart.log_chart_volume(joint) if volumes else None
+    for t in range(size):
+        for got, alone, at in ((joint[t], chart._pivot(x[t], q), t),
+                               (chart._transposed(joint[size + t]), chart._pivot(y[t], q),
+                                size + t)):
+            for name in ("row_perm", "col_perm", "x11", "x12", "x21", "w", "z"):
+                want = getattr(alone, name)
+                assert np.array_equal(getattr(got, name), want), name
+                assert getattr(got, name).shape == want.shape, name
+            volume = chart.log_chart_volume(alone)
+            assert chart.log_chart_volume(got) == volume
+            if volumes:
+                assert joint_volumes[at] == volume
+
+
+@given(st.sampled_from(suites.SUITE_NAMES), st.integers(1, 6), st.integers(1, 6), st.data())
+def test_stacked_draw_gives_each_trial_the_bits_of_its_draw_alone(suite, n, m, data):
+    # Each suite's draw on T generators, against its draw on each one alone.
+    q = m if suite == "symmetric-inverse" else data.draw(st.integers(1, min(n, m)))
+    seed, size = data.draw(st.integers(0, 2**31 - 1)), data.draw(st.integers(1, 5))
+    spectrum = None
+    if suite != "symmetric-inverse" and data.draw(st.booleans()):
+        spectrum = tuple(np.geomspace(2.0, 0.5, q))
+    draw = suites._SUITES[suite][0]
+    stacked = draw(n, m, q, mc.make_rngs(seed, range(size)), spectrum)
+    for t in range(size):
+        alone = draw(n, m, q, [mc.make_rng(seed, t)], spectrum)
+        assert len(alone) == len(stacked)
+        for got, want in zip(stacked, alone):
+            assert got.shape == (size, *want.shape[1:]) and np.array_equal(got[t], want[0])
+
+
+@given(st.integers(1, 40), st.integers(0, 2**31 - 1), st.integers(1, 4))
+def test_drawn_spectra_are_the_values_of_uniform(q, seed, size):
+    # Generator.random fills scaled once per stack give uniform(0.5, 2.5)'s bits.
+    d = mc.draw_rank_q(q + 1, q, q, mc.make_rngs(seed, range(size)))[0]
+    for t in range(size):
+        assert np.array_equal(d[t], mc.make_rng(seed, t).uniform(0.5, 2.5, q))

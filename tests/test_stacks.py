@@ -99,14 +99,14 @@ def test_one_trial_runs_trial_by_trial_only(monkeypatch):
 def test_degenerate_draw_falls_back_to_its_retry(monkeypatch):
     # Trial 1's first draw is degenerate: the stack raises, and the
     # trial-by-trial pass retries that trial alone.
-    def draw(n, m, q, rng, spectrum):
-        value = rng.integers(0, 1 << 30)
-        if value == first_of_trial_1:
+    def draw(n, m, q, rngs, spectrum):
+        values = np.array([rng.integers(0, 1 << 30) for rng in rngs])
+        if first_of_trial_1 in values:
             raise DegenerateSpectrum("synthetic collision")
-        return (value,)
+        return (values,)
 
     def check(cfg, draws):
-        return [VerificationReport("stub", {}, {"v": int(v)}, {}, {}, True) for v, in draws]
+        return [VerificationReport("stub", {}, {"v": int(v)}, {}, {}, True) for v in draws[0]]
 
     first_of_trial_1 = mc.make_rng(4, 1, 0).integers(0, 1 << 30)
     monkeypatch.setitem(suites._SUITES, "stub", (draw, check))
@@ -150,7 +150,7 @@ def test_stacked_streams_refuse_what_has_no_stream_of_its_own(args):
         mc.make_rngs(*args)
 
 
-def _always_degenerate(n, m, q, rng, spectrum):
+def _always_degenerate(n, m, q, rngs, spectrum):
     raise DegenerateSpectrum("synthetic collision")
 
 
@@ -242,8 +242,7 @@ def test_ill_conditioned_invariance_stack_passes(capsys):
 
 def test_rank_q_draws_build_bit_for_bit_as_one_stack():
     n, m, q = 5, 4, 3
-    draws = [mc.draw_rank_q(n, m, q, mc.make_rng(9, t)) for t in range(6)]
-    d, g_left, g_right = map(np.array, zip(*draws))
+    d, g_left, g_right = mc.draw_rank_q(n, m, q, [mc.make_rng(9, t) for t in range(6)])
     stack = mc.rank_q_from_draw(mc.sorted_spectra(d), g_left, g_right)
     for t, x in enumerate(stack):
         assert np.array_equal(x, mc.random_rank_q(n, m, q, mc.make_rng(9, t)))
@@ -270,15 +269,18 @@ def _calls_one_by_one(suite, n, m, q, rng):
 
 @pytest.mark.parametrize("suite", suites.SUITE_NAMES)
 def test_one_normal_call_per_draw_gives_the_bits_of_one_call_per_block(suite):
-    # The Gaussian blocks of a draw come from one standard_normal call, split:
-    # the stream, and so every draw, of the calls one block at a time.
+    # The Gaussian blocks of a stacked draw come from one standard_normal fill
+    # per generator, split, and its spectra from one random fill, scaled: each
+    # slice holds its stream's values of the calls one block at a time.
     for n, m, q in ((5, 4, 2), (3, 4, 3)):
         q = m if suite == "symmetric-inverse" else q
-        draw = suites._SUITES[suite][0](n, m, q, mc.make_rng(29, n, q), None)
-        want = _calls_one_by_one(suite, n, m, q, mc.make_rng(29, n, q))
-        assert len(draw) == len(want)
-        for got, part in zip(draw, want):
-            assert got.shape == part.shape and np.array_equal(got, part)
+        draw = suites._SUITES[suite][0](n, m, q, [mc.make_rng(29, n, q, t) for t in range(3)],
+                                        None)
+        for t in range(3):
+            want = _calls_one_by_one(suite, n, m, q, mc.make_rng(29, n, q, t))
+            assert len(draw) == len(want)
+            for got, part in zip(draw, want):
+                assert got.shape == (3, *part.shape) and np.array_equal(got[t], part)
 
 
 def _stacked_and_single(x, q, directions, draws):
@@ -317,14 +319,15 @@ def test_stacked_determinants_give_the_bits_of_each_matrix(n, m, draws):
     for q in sorted({min(n, m), (min(n, m) + 1) // 2}):
         seeds = [(15, t) if q == min(n, m) else (16, q, t) for t in range(draws)]
         x = np.array([mc.random_rank_q(n, m, q, mc.make_rng(*s)) for s in seeds])
-        trial_draws = [mc.draw_rank_q(n, m, q, mc.make_rng(*s)) for s in seeds]
+        trial_draws = mc.draw_rank_q(n, m, q, [mc.make_rng(*s) for s in seeds])
         assert np.array_equal(mc.frobenius_norms(x), [mc.frobenius_norms(one) for one in x])
         rng = mc.make_rng(17, n, m, q)
         directions = [rng.standard_normal((draws, *shape))
                       for shape in ((q, q), (q, m - q), (n - q, q))]
         stacked = _stacked_and_single(x, q, directions, trial_draws)
         for t, one in enumerate(x):
-            single = _stacked_and_single(one, q, [d[t] for d in directions], trial_draws[t:t + 1])
+            single = _stacked_and_single(one, q, [d[t] for d in directions],
+                                         mc.draw_rank_q(n, m, q, [mc.make_rng(*seeds[t])]))
             assert single.keys() == stacked.keys()
             for key, value in single.items():
                 got = stacked[key][t]
@@ -381,10 +384,11 @@ def test_operator_rank_residuals_of_a_stack_are_those_of_its_trials(n, m, data):
     spectrum = tuple(np.exp(scale) * np.geomspace(1.0, 10.0 ** -data.draw(st.integers(1, 4)), q))
     cfg = suites.validate_config(
         suites.RunConfig(n=n, m=m, q=q, trials=size, seed=seed, spectrum=spectrum), "operator-rank")
-    draws = [mc.draw_rank_q(n, m, q, rng, spectrum) for rng in mc.make_rngs(seed, range(size))]
+    draws = mc.draw_rank_q(n, m, q, mc.make_rngs(seed, range(size)), spectrum)
     stacked = suites._check_operator_rank(cfg, draws)
-    for draw, report in zip(draws, stacked, strict=True):
-        [alone] = suites._check_operator_rank(cfg, [draw])
+    for t, report in enumerate(stacked):
+        draw = mc.draw_rank_q(n, m, q, [mc.make_rng(seed, t)], spectrum)
+        [alone] = suites._check_operator_rank(cfg, draw)
         assert dumps_canonical(report.to_json()) == dumps_canonical(alone.to_json())
 
 
@@ -581,16 +585,36 @@ def test_invariance_reports_the_worse_chart_when_both_pivot_blocks_fail():
     assert str(raised.value) == worse == "pivot block has condition 1.231e+08 > 1e+08"
 
 
+def test_pinv_chart_suites_name_the_worse_pivot_block():
+    # operator-rank (and jacobian-full) pivot X and Y' as one stack: when both
+    # pivot blocks of a trial fail, the error names the worse condition (X's
+    # alone reads 9.612e+08, and pivoting X first named it).
+    spectrum = (1.0, 1e-9)
+    x = mc.random_rank_q(4, 3, 2, mc.make_rng(0, 0, 0), spectrum)
+    conds = []
+    for a in (x, mc.pinv(x)):
+        with pytest.raises(IllConditionedPivot) as raised:
+            chart._pivot(a, 2)
+        conds.append(str(raised.value))
+    assert conds[0] == "pivot block has condition 9.612e+08 > 1e+08"
+    worse = max(conds, key=lambda c: float(c.split()[4]))
+    cfg = suites.RunConfig(n=4, m=3, q=2, trials=3, seed=0, spectrum=spectrum)
+    with pytest.raises(IllConditionedPivot) as raised:
+        suites.run_suite("operator-rank", cfg)
+    assert str(raised.value) == worse == "pivot block has condition 1.064e+09 > 1e+08"
+
+
 @pytest.mark.parametrize("suite", ["differential", "jacobian-full", "operator-rank", "invariance",
                                    "exterior-chain", "blocks"])
 def test_rank_q_suites_draw_through_the_module_lookup(monkeypatch, suite):
     # A replaced (or a tracer's wrapped) matcore.draw_rank_q runs once for each
-    # trial of every suite that draws a rank-q instance, stacked or not.
+    # stack of every suite that draws a rank-q instance, with one generator
+    # per trial, stacked or not.
     calls, draw = [], mc.draw_rank_q
 
-    def spy(*args):
-        calls.append(args[:3])
-        return draw(*args)
+    def spy(n, m, q, rngs, *args):
+        calls.append((n, m, q, len(rngs)))
+        return draw(n, m, q, rngs, *args)
 
     monkeypatch.setattr(mc, "draw_rank_q", spy)
     q = None if suite in ("jacobian-full", "exterior-chain") else 2
@@ -598,4 +622,4 @@ def test_rank_q_suites_draw_through_the_module_lookup(monkeypatch, suite):
         calls.clear()
         cfg = suites.RunConfig(n=5, m=4, q=q, trials=trials, seed=7)
         assert suites.run_suite(suite, cfg).all_passed
-        assert calls == [(5, 4, q or 4)] * trials
+        assert calls == [(5, 4, q or 4, trials)]

@@ -28,8 +28,11 @@ parent's interquartile range (IQR), and two verdicts:
   ``within_bound``.
 
 It also holds the operations attempted and failed per run, the
-environment lines that ``run.py`` printed, and a digest of each side's
-``src/mpjl/*.py``.
+environment lines that ``run.py`` printed, a digest of each side's
+``src/mpjl/*.py`` and, per op slot, each side's median of the runs'
+``slot_ms_p50`` (the median latency of that slot's ops in one run, read
+from ``perfbench/out/result-<workload>-trace0.json`` right after the run),
+which shows the ops a change moved.
 """
 
 from __future__ import annotations
@@ -66,7 +69,9 @@ def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = done.stdout.splitlines()
     result = json.loads(lines[-1])
     env = next(line for line in lines if line.startswith("environment: "))
+    detail = json.loads((root / "perfbench" / "out" / f"result-{workload}-trace0.json").read_text())
     return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "slot_ms_p50": detail["slot_ms_p50"],
             "attempted": result["attempted"], "failed": result["failed"],
             "correct": result["correct"], "environment": env[len("environment: "):]}
 
@@ -132,6 +137,10 @@ def main(argv=None) -> int:
                                        [r["metrics"][name] for r in runs["change"]],
                                        m["better"], m["bound"])
                         for name, m in metrics.items()},
+            "slot_ms_p50": {slot: {side: statistics.median(r["slot_ms_p50"][slot]
+                                                            for r in runs[side])
+                                   for side in sides}
+                            for slot in runs["parent"][0]["slot_ms_p50"]},
             **{f"{side}_ops": [{k: r[k] for k in ("seed", "attempted", "failed", "correct")}
                                for r in runs[side]] for side in sides},
             "environment": sorted({r["environment"] for side in runs for r in runs[side]}),
@@ -146,6 +155,8 @@ def main(argv=None) -> int:
             print(f"{workload} {name}: {s['parent']['median']:.6g} -> {s['change']['median']:.6g}"
                   f" ({100 * s['relative_change']:+.1f}%), won {s['change_won']}/{s['pairs']}, "
                   f"parent IQR {s['parent_iqr']:.4g}, gain {s['gain']}, {s['regression']}")
+        print(f"{workload} slot_ms_p50: " + ", ".join(
+            f"{slot} {v['parent']:.4g} -> {v['change']:.4g}" for slot, v in w["slot_ms_p50"].items()))
     return 0
 
 

@@ -85,10 +85,24 @@ its own directory.  It replays:
   JSON, the chart oracles' forward-mode tangent of pinv on stacks:
   ``jacobian-full`` 3 x 4 and 4 x 3 at spectrum ``10,0.1,0.001`` (cond(X)
   1e4), ``operator-rank`` 3 x 5 q=2 and 4 x 3 q=1, and ``differential`` 7 x
-  5 q=3 at spectrum ``1000,1,0.001``.
+  5 q=3 at spectrum ``1000,1,0.001``; and, in JSON, the charts of X and Y
+  pivoted as one stack: at the pivot cap (``--q 2 --seed 0``,
+  ``jacobian-full`` 2 x 3 at ``1,1e-9`` and 3 x 2 at ``1,1e-8``,
+  ``operator-rank`` 4 x 3 at ``1,1e-9`` and ``1,1e-8``, whose first trials
+  fail the pivot test on both blocks, on X11 alone, on both and on Y11
+  alone), on square charts (``jacobian-full`` 3 x 3, ``operator-rank`` 4 x 4
+  at q=2 and q=1), on q=1 charts (``jacobian-full`` 1 x 4 and 4 x 1,
+  ``operator-rank`` 5 x 2) and with ``--trials 1`` (``jacobian-full`` 3 x 4,
+  ``operator-rank`` 4 x 3 q=2); and ``report`` of a file that begins with a
+  byte order mark, in JSON and in text.
 
-The tangent replaced a complex step in those oracles, a declared change of
-the last digits of exactly these keys: ``jacobian-full``'s
+Declared differences against older sources.  Where X and Y were pivoted
+in two passes, one error message: edge 116 (``operator-rank`` 4 x 3 q=2
+at ``1,1e-9``), whose first trial fails the pivot test on X11 and on Y11,
+named X's condition (``9.612e+08``); the one pivot test names the worse
+block (``1.064e+09``, Y's), as ``invariance``'s does.  Where pinv's
+derivative was a complex step, the tangent that replaced it is a declared
+change of the last digits of exactly these keys: ``jacobian-full``'s
 ``log_fd_chart_det`` and ``fd_vs_formula``, ``operator-rank``'s
 ``log_deficient_chart_det`` and ``area_formula``, and ``differential``'s
 ``fd_mismatch``.  No exit code or layout changes with it, and one verdict:
@@ -289,6 +303,22 @@ EDGE_CASES = [
       for n, m, q in (("3", "5", "2"), ("4", "3", "1"))),
     ["verify", "differential", "--n", "7", "--m", "5", "--q", "3", "--spectrum", "1000,1,0.001",
      "--trials", "5", "--seed", "2", "--format", "json"],
+    *(["verify", suite, "--n", n, "--m", m, "--q", "2", "--trials", "3", "--seed", "0",
+       "--spectrum", spectrum, "--format", "json"]
+      for suite, n, m, spectrum in (("jacobian-full", "2", "3", "1,1e-9"),
+                                    ("jacobian-full", "3", "2", "1,1e-8"),
+                                    ("operator-rank", "4", "3", "1,1e-9"),
+                                    ("operator-rank", "4", "3", "1,1e-8"))),
+    *(["verify", suite, "--n", n, "--m", m, "--q", q, "--trials", trials, "--format", "json"]
+      for suite, n, m, q, trials in (("jacobian-full", "3", "3", "3", "4"),
+                                     ("operator-rank", "4", "4", "2", "4"),
+                                     ("operator-rank", "4", "4", "1", "4"),
+                                     ("jacobian-full", "1", "4", "1", "4"),
+                                     ("jacobian-full", "4", "1", "1", "4"),
+                                     ("operator-rank", "5", "2", "1", "4"),
+                                     ("jacobian-full", "3", "4", "3", "1"),
+                                     ("operator-rank", "4", "3", "2", "1"))),
+    *(["report", "bom.json", "--format", fmt] for fmt in ("json", "text")),
 ]
 
 # Keys and strings that the JSON writer must escape, in a one-report file
@@ -402,6 +432,7 @@ def replay(src: Path) -> list[dict]:
         Path("escapes.json").write_text(ESCAPES_REPORT)
         Path("nested-values.json").write_text(NESTED_VALUES_REPORT)
         Path("no-reports.json").write_text(NO_REPORTS)
+        Path("bom.json").write_text("\ufeff" + NON_FINITE_REPORT % "0.0", encoding="utf-8")
         for i, argv in enumerate(EDGE_CASES):
             records.append(_invoke(cli, f"edge {i}", argv))
     return records
