@@ -156,9 +156,9 @@ def _pivot(x: np.ndarray, q: int) -> BlockDecomposition:
     # decompose without its rank test, for a matrix or stack whose rank is q
     # by construction; the pivot block is still tested.
     n, m = x.shape[-2:]
-    # All slices at once: slice t of a stack is pivoted as a matrix alone.
-    xs = x.reshape(-1, n, m)
-    work = xs.copy()
+    # All slices at once: slice t of a stack is pivoted as a matrix alone.  Each update
+    # writes a new working copy, so x is never written.
+    work = xs = x.reshape(-1, n, m)
     t = np.arange(len(xs))
     # Sort keys: pivots first in pivot order, then the other indices in
     # original order.
@@ -169,10 +169,11 @@ def _pivot(x: np.ndarray, q: int) -> BlockDecomposition:
         if not pivot.all():
             raise IllConditionedPivot("ran out of nonzero pivots before reaching q")
         row_key[t, i], col_key[t, j] = step, step
-        # The update zeroes the pivot row exactly (its multiplier is
-        # pivot / pivot = 1), not the pivot column.
-        work -= (work[t, :, j] / pivot[:, None])[:, :, None] * work[t, i][:, None, :]
-        work[t, :, j] = 0.0
+        # The update zeroes the pivot row exactly (its multiplier is pivot /
+        # pivot = 1), not the pivot column; only the keys are read after the last.
+        if step < q - 1:
+            work = work - (work[t, :, j] / pivot[:, None])[:, :, None] * work[t, i][:, None, :]
+            work[t, :, j] = 0.0
 
     rp, cp = row_key.argsort(axis=1), col_key.argsort(axis=1)
     rp.flags.writeable = cp.flags.writeable = False

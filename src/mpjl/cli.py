@@ -17,9 +17,9 @@ import os
 import sys
 
 from .errors import BadSpectrum, ConfigError, DegeneracyBudgetExceeded, MpjlError, ParseError
-from .matcore import matrix_to_json, random_rank_q, svd_thin
+from .matcore import draw_rank_q, matrix_to_json, svd_thin
 from .reports import SuiteResult, dumps_canonical, render_text
-from .suites import SUITE_NAMES, RunConfig, _redraw, run_suite, validate_config
+from .suites import SUITE_NAMES, RunConfig, _checked_stack, _instances, run_suite, validate_config
 
 _DEFAULTS = RunConfig()
 DEFAULT_SEED = _DEFAULTS.seed
@@ -117,11 +117,11 @@ def _config_from_args(args, **verify_flags) -> RunConfig:
 def cmd_gen(args) -> int:
     cfg = validate_config(_config_from_args(args))
 
-    def draw(rng):
-        x = random_rank_q(cfg.n, cfg.m, cfg.rank, rng, spectrum=cfg.spectrum)
-        return (x, *svd_thin(x))
+    def check(cfg, draws):  # trial 0 of the seed, retried as a stack of one
+        x = _instances(draws)[0][0]
+        return [(x, *svd_thin(x))]
 
-    (x, factors, info), _ = _redraw(draw, cfg.seed, 0, "gen")
+    [(x, factors, info)], _ = _checked_stack(draw_rank_q, check, cfg, range(1), "gen")
     payload = {
         "matrix": matrix_to_json(x),
         "factors": {

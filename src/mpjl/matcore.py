@@ -135,15 +135,6 @@ def rank_profile(x) -> RankInfo:
     return _rank_info(np.linalg.svd(x, compute_uv=False), x.shape)
 
 
-def _check_distinct(s: np.ndarray) -> None:
-    # Eq.-level downstream formulas divide by squared-value gaps, so ties
-    # among retained singular values are a hard error.
-    if s.size >= 2 and np.min(s[:-1] - s[1:]) < DISTINCT_GAP * s[0]:
-        raise DegenerateSpectrum(
-            f"retained singular values too close: {s.tolist()}"
-        )
-
-
 def svd_full(x) -> tuple[np.ndarray, RankInfo, np.ndarray, np.ndarray]:
     """One full SVD of a matrix or stack: orthogonal ``u`` (n x n) and ``vt`` (m x m), the
     rank profile, and the pseudoinverse from the retained triplets (one rank per stack)."""
@@ -163,7 +154,10 @@ def svd_thin(x) -> tuple[SvdFactors, RankInfo]:
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     info = _rank_info(s, x.shape)
     q = info.rank
-    _check_distinct(s[:q])
+    # Eq.-level downstream formulas divide by squared-value gaps, so ties
+    # among retained singular values are a hard error.
+    if q >= 2 and np.min(s[:q - 1] - s[1:q]) < DISTINCT_GAP * s[0]:
+        raise DegenerateSpectrum(f"retained singular values too close: {s[:q].tolist()}")
     return SvdFactors(u=u[:, :q].copy(), s=s[:q].copy(), v=vt[:q].T.copy()), info
 
 
@@ -287,13 +281,16 @@ def make_rngs(seed: int, trials, attempt: int = 0) -> list[np.random.Generator]:
 
     The streams' entropy words differ only in t's, so NumPy's SeedSequence
     hash (``mix_entropy``, then ``generate_state(4, uint64)``) runs once over
-    a (T, 4) pool.  Raises ValueError on a negative seed, attempt or trial,
-    and on a trial index of 2^32 or more (it would take a second word).
+    a (T, 4) pool; one trial is seeded by ``make_rng`` itself, which is faster
+    alone.  Raises ValueError on a negative seed, attempt or trial, and on a
+    trial index of 2^32 or more (it would take a second word).
     """
-    head, tail = _seed_words(int(seed)), _seed_words(int(attempt))
     trials = [int(t) for t in trials]
     if trials and not 0 <= min(trials) <= max(trials) <= _MASK32:
         raise ValueError(f"trial indices must lie in [0, 2^32), got {min(trials)}..{max(trials)}")
+    if len(trials) == 1:
+        return [make_rng(seed, trials[0], attempt)]
+    head, tail = _seed_words(int(seed)), _seed_words(int(attempt))
     entropy = np.array([[*head, 0, *tail]], dtype=np.uint32).repeat(len(trials), axis=0)
     entropy[:, len(head)] = trials
     first, *mixing = _hash_plan(entropy.shape[1])
@@ -359,16 +356,18 @@ def sorted_spectra(values) -> np.ndarray:
     """Sampled values, one spectrum or a stack (..., q), sorted decreasing along the last axis.
 
     The result is C-contiguous.  Raises DegenerateSpectrum, naming the first
-    tied spectrum, when two values of one differ by less than ``REQUEST_GAP``
-    relative to its largest; callers own the retry policy.
+    tied spectrum and carrying the flat stack indices of every tied one, when
+    two values of one differ by less than ``REQUEST_GAP`` relative to its
+    largest; callers own the retry policy.
     """
     d = np.negative(values, dtype=float)  # sorted ascending, then negated back in place
     d.sort()
     np.negative(d, out=d)
     tied = d[..., :-1] - d[..., 1:] < REQUEST_GAP * d[..., :1]
     if tied.any():
-        first = d.reshape(-1, d.shape[-1])[tied.reshape(-1, d.shape[-1] - 1).any(-1)][0]
-        raise DegenerateSpectrum(f"sampled spectrum has tied values: {first.tolist()}")
+        slices = np.flatnonzero(tied.reshape(-1, d.shape[-1] - 1).any(-1)).tolist()
+        first = d.reshape(-1, d.shape[-1])[slices[0]]
+        raise DegenerateSpectrum(f"sampled spectrum has tied values: {first.tolist()}", slices)
     return d
 
 

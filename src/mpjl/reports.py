@@ -276,13 +276,15 @@ def dumps_canonical(obj, duplicates: list | None = None) -> str:
     itself, and goes to ``json.dumps``; so does a SuiteResult holding a value
     that is not a plain scalar (or a list of them, in ``inputs``), a number
     that is not finite or a key that is not a str: the reference call writes
-    it or raises its own error.
+    it or raises its own error.  On that path a NaN or an infinity in a
+    SuiteResult is written as ``null``: strict JSON has no such number, and
+    the report that holds it has failed (``stack_reports``).
     """
     if isinstance(obj, SuiteResult):
         try:
             return _written(obj, duplicates)
         except (TypeError, ValueError, AttributeError):
-            obj = obj.to_json()
+            obj = json.loads(json.dumps(obj.to_json()), parse_constant=lambda name: None)
         if duplicates is not None:
             obj["duplicates"] = duplicates
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"

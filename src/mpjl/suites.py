@@ -25,15 +25,14 @@ the factored block pseudoinverse; a complex step is the tests' reference.
 Those two checks pivot the charts of X and Y = pinv(X) as one stack
 [X; Y'], and ``invariance`` those of X and H X Q: one elimination and one
 pivot test, which names the worse block.
-``run_suite`` draws each stack of trials, capped by ``STACK_ENTRIES``
-entries of what the check holds per trial, from their first attempts'
-streams, all seeded by one ``matcore.make_rngs`` call, and checks it in
-one pass; if that raises anything (a tied spectrum among them), the
-stack reruns trial by trial through ``run_trial``, the same draw and
-check on a stack of one generator with the retry policy, each attempt's
-stream seeded by ``matcore.make_rng``, so every report and error is that
-of the trials run one by one.  A stack of one trial takes that path
-directly.
+``run_suite`` runs each stack of trials, capped by ``STACK_ENTRIES``
+entries of what the check holds per trial, through ``_run_stack``: every
+trial's first attempt is drawn from its own stream, all seeded by one
+``matcore.make_rngs`` call, and the stack is checked in one pass.  A tied
+spectrum names its slices; only those are redrawn from their trials' next
+attempts and spliced in, and the stack is checked again.  A stack of several
+trials that raises an MpjlError reruns as stacks of one, so every report
+and error is that of the trials run one by one; any other error propagates.
 """
 
 from __future__ import annotations
@@ -45,7 +44,8 @@ import numpy as np
 
 from . import chart, differential, matcore, measures
 from .errors import (
-    BadSpectrum, ConfigError, DegeneracyBudgetExceeded, DegenerateSpectrum, NotFullColumnRank,
+    BadSpectrum, ConfigError, DegeneracyBudgetExceeded, DegenerateSpectrum, MpjlError,
+    NotFullColumnRank,
 )
 from .reports import PRIMARY, TOLERANCES, SuiteResult, VerificationReport, stack_reports
 
@@ -387,39 +387,26 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def _redraw(draw, seed: int, trial: int, label: str):
-    """``(draw(rng), attempt)`` from the first attempt that is not degenerate.
-
-    Attempt a draws from the stream (seed, trial, a); a degenerate spectrum
-    is redrawn up to ``RETRY_BUDGET`` times, then raised as
-    DegeneracyBudgetExceeded.  Private, so that tracers of public names
-    see each attempt's ``make_rng`` call directly under ``run_trial``.
-    """
-    last: Exception | None = None
-    for attempt in range(1 + RETRY_BUDGET):
+def _checked_stack(draw, check, cfg: RunConfig, trials: range, label: str):
+    """``(check(cfg, draws), attempts)`` of a stack drawn as ``draw`` from each trial's stream
+    (seed, trial, 0); each slice that a DegenerateSpectrum names is redrawn from its trial's
+    next attempt, up to ``RETRY_BUDGET`` times, then DegeneracyBudgetExceeded is raised,
+    ``label`` formatted with the tied trial."""
+    draws = draw(cfg.n, cfg.m, cfg.rank, matcore.make_rngs(cfg.seed, trials), cfg.spectrum)
+    attempts = np.zeros(len(trials), dtype=int)
+    while True:
         try:
-            return draw(matcore.make_rng(seed, trial, attempt)), attempt
+            return check(cfg, draws), attempts.tolist()
         except DegenerateSpectrum as e:
-            last = e
-    raise DegeneracyBudgetExceeded(f"{label}: degenerate after {RETRY_BUDGET} redraws: {last}")
-
-
-def _stamp(report: VerificationReport, cfg: RunConfig, trial: int, attempt: int):
-    report.inputs.update(seed=cfg.seed, trial=trial, attempt=attempt)
-    return report
-
-
-def run_trial(suite: str, cfg: RunConfig, trial: int) -> VerificationReport:
-    """One trial, checked as a stack of one, with the retry-on-degeneracy policy.
-
-    ``cfg`` is one that :func:`validate_config` accepts; its spectrum is not checked again.
-    """
-    draw, check = _SUITES[suite]
-    label = f"suite {suite} trial {trial}"
-    report, attempt = _redraw(
-        lambda rng: check(cfg, draw(cfg.n, cfg.m, cfg.rank, [rng], cfg.spectrum))[0],
-        cfg.seed, trial, label)
-    return _stamp(report, cfg, trial, attempt)
+            # A tie lies in one trial's spectrum: every slice tied in a round is at one attempt.
+            tied, attempt = e.slices, attempts[e.slices[0]] + 1
+            if attempt > RETRY_BUDGET:
+                raise DegeneracyBudgetExceeded(f"{label.format(trials[tied[0]])}: degenerate "
+                                               f"after {RETRY_BUDGET} redraws: {e}") from e
+        rngs = matcore.make_rngs(cfg.seed, [trials[i] for i in tied], attempt)
+        for whole, part in zip(draws, draw(cfg.n, cfg.m, cfg.rank, rngs, cfg.spectrum)):
+            whole[tied] = part
+        attempts[tied] = attempt
 
 
 def _trial_entries(suite: str, cfg: RunConfig) -> int:
@@ -444,10 +431,14 @@ def _trial_stacks(suite: str, cfg: RunConfig) -> list[range]:
 
 
 def _run_stack(suite: str, cfg: RunConfig, trials: range) -> list[VerificationReport]:
-    # Each trial's first attempt, from its own stream, checked as one stack.
-    draw, check = _SUITES[suite]
-    draws = draw(cfg.n, cfg.m, cfg.rank, matcore.make_rngs(cfg.seed, trials), cfg.spectrum)
-    return [_stamp(r, cfg, t, 0) for t, r in zip(trials, check(cfg, draws))]
+    """The reports of ``trials``, checked as one stack and retried slice by slice.
+
+    ``cfg`` is one that :func:`validate_config` accepts; its spectrum is not checked again.
+    """
+    reports, attempts = _checked_stack(*_SUITES[suite], cfg, trials, f"suite {suite} trial {{}}")
+    for report, trial, attempt in zip(reports, trials, attempts):
+        report.inputs.update(seed=cfg.seed, trial=trial, attempt=attempt)
+    return reports
 
 
 def run_suite(suite: str, cfg: RunConfig) -> SuiteResult:
@@ -456,11 +447,9 @@ def run_suite(suite: str, cfg: RunConfig) -> SuiteResult:
     start = time.perf_counter()
     reports: list[VerificationReport] = []
     for trials in _trial_stacks(suite, cfg):
-        stacked = None
-        if len(trials) > 1:
-            try:
-                stacked = _run_stack(suite, cfg, trials)
-            except Exception:  # the trial-by-trial pass reproduces or retries it
-                pass
-        reports += stacked or [run_trial(suite, cfg, t) for t in trials]
+        try:
+            reports += _run_stack(suite, cfg, trials)
+        except MpjlError:  # each trial alone: the first error in trial order is raised
+            for t in trials:
+                reports += _run_stack(suite, cfg, range(t, t + 1))
     return SuiteResult(reports=reports, wall_time=time.perf_counter() - start)

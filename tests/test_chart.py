@@ -334,7 +334,7 @@ def test_tangent_perturbation_tests_x11_once(svd_shapes):
 
 
 def test_blocks_trial_tests_x11_once(svd_shapes):
-    report = suites.run_trial("blocks", suites.RunConfig(n=8, m=6, q=3, seed=61), 0)
+    [report] = suites._run_stack("blocks", suites.RunConfig(n=8, m=6, q=3, seed=61), range(1))
     assert report.passed and report.inputs["attempt"] == 0
     # One SVD of X gives pinv(X) and the chart's rank test; then the X11
     # test.  Neither assemble, x22_from_blocks nor pinv_from_blocks tests
@@ -344,7 +344,7 @@ def test_blocks_trial_tests_x11_once(svd_shapes):
 
 
 def test_deficient_differential_trial_tests_x11_once(svd_shapes):
-    report = suites.run_trial("differential", suites.RunConfig(n=7, m=5, q=3, seed=48), 0)
+    [report] = suites._run_stack("differential", suites.RunConfig(n=7, m=5, q=3, seed=48), range(1))
     assert report.passed and report.inputs["attempt"] == 0
     # One SVD of X gives pinv(X), for the analytic differential, and the
     # chart's rank test; then the X11 test.  The tangent direction tests

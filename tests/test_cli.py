@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpjl import matcore as mc, suites
+from mpjl import cli, matcore as mc, measures as ms, suites
 from mpjl.cli import main
 from mpjl.errors import ConfigError, DegeneracyBudgetExceeded, DegenerateSpectrum
 from mpjl.reports import VerificationReport
@@ -451,32 +451,77 @@ def test_report_refuses_a_byte_order_mark(tmp_path, capsys, fmt):
 def test_retry_consumes_fresh_subseed(monkeypatch):
     calls = []
 
-    def flaky(n, m, q, rngs, spectrum):
+    def draw(n, m, q, rngs, spectrum):
         [rng] = rngs  # a trial run alone draws from its one stream
         calls.append(rng.integers(0, 1 << 30))
-        if len(calls) < 3:
-            raise DegenerateSpectrum("synthetic collision")
         return (np.array([calls[-1]]),)
 
-    def check(cfg, draws):
+    def flaky(cfg, draws):
+        if len(calls) < 3:
+            raise DegenerateSpectrum("synthetic collision")
         return [VerificationReport("stub", {}, {}, {}, {}, True) for _ in draws[0]]
 
-    monkeypatch.setitem(suites._SUITES, "stub", (flaky, check))
-    report = suites.run_trial("stub", suites.RunConfig(trials=1, seed=4), trial=0)
+    monkeypatch.setitem(suites._SUITES, "stub", (draw, flaky))
+    [report] = suites._run_stack("stub", suites.RunConfig(trials=1, seed=4), range(1))
     assert report.inputs["attempt"] == 2
     assert len(set(int(c) for c in calls)) == 3  # each attempt drew from a fresh stream
 
 
 def test_retry_budget_exhausted(monkeypatch):
-    def always_degenerate(n, m, q, rngs, spectrum):
+    def draw(n, m, q, rngs, spectrum):
+        return (np.zeros(len(rngs)),)
+
+    def always_degenerate(cfg, draws):
         raise DegenerateSpectrum("synthetic collision")
 
-    def check(cfg, draws):
-        raise AssertionError("nothing was drawn to check")
+    monkeypatch.setitem(suites._SUITES, "stub", (draw, always_degenerate))
+    with pytest.raises(DegeneracyBudgetExceeded,
+                       match="^suite stub trial 0: degenerate after 3 redraws: synthetic"):
+        suites._run_stack("stub", suites.RunConfig(trials=1, seed=4), range(1))
 
-    monkeypatch.setitem(suites._SUITES, "stub", (always_degenerate, check))
-    with pytest.raises(DegeneracyBudgetExceeded):
-        suites.run_trial("stub", suites.RunConfig(trials=1, seed=4), trial=0)
+
+def test_gen_redraws_a_degenerate_first_draw(monkeypatch, capsys):
+    # gen is trial 0 of its seed, retried as a stack of one: a degenerate
+    # first draw gives way to the instance of the stream (seed, 0, 1).
+    svd_thin, calls = cli.svd_thin, []
+
+    def flaky(x):
+        calls.append(x)
+        if len(calls) == 1:
+            raise DegenerateSpectrum("synthetic collision")
+        return svd_thin(x)
+
+    monkeypatch.setattr(cli, "svd_thin", flaky)
+    code, out, err = run_cli(capsys, "gen", "--n", "4", "--m", "3", "--q", "2", "--seed", "7")
+    assert (code, err, len(calls)) == (0, "", 2)
+    data = np.reshape(json.loads(out)["matrix"]["data"], (4, 3))
+    assert np.array_equal(data, mc.random_rank_q(4, 3, 2, mc.make_rng(7, 0, 1)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_a_non_finite_value_fails_its_reports_in_well_formed_output(monkeypatch, capsys,
+                                                                    tmp_path, bad):
+    # A value that turns non-finite inside a check fails its report (its
+    # residual is not finite); JSON, which has no such number, writes it as
+    # null, and the file stays strict JSON that report merges.
+    density = ms.log_hausdorff_density
+    monkeypatch.setattr(ms, "log_hausdorff_density", lambda *args: density(*args) + bad)
+    argv = ["verify", "hausdorff", "--n", "4", "--m", "3", "--q", "2", "--trials", "3"]
+    path = tmp_path / "bad.json"
+    code, out, err = run_cli(capsys, *argv, "--format", "json", "--out", str(path))
+    assert (code, out, err) == (1, "", "")
+    result = cli._DECODER.decode(path.read_text())
+    assert result["summary"] == {"total": 3, "passed": 0, "failed": 3}
+    for report in result["reports"]:
+        assert report["pass"] is False and report["residuals"]["identity"] is None
+        assert report["values"]["log_density_x"] is None
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (1, "") and out.count("[FAIL]") == 3
+    code, out, err = run_cli(capsys, "report", str(path), "--format", "json")
+    assert (code, err) == (0, "") and cli._DECODER.decode(out)["reports"] == result["reports"]
+    code, out, err = run_cli(capsys, "report", str(path))
+    assert (code, err) == (0, "") and out.count("[FAIL]") == 3
 
 
 def test_degeneracy_exit_code_3(monkeypatch, capsys):

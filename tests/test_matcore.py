@@ -223,8 +223,12 @@ def test_sorted_spectra_sort_a_stack_as_each_draw_alone():
     draws[1][2] = draws[1][0] * (1 + 1e-7)
     draws[2][3] = draws[2][1]
     tied = np.sort(draws[1])[::-1].tolist()
-    with pytest.raises(DegenerateSpectrum, match=re.escape(f"tied values: {tied}")):
+    with pytest.raises(DegenerateSpectrum, match=re.escape(f"tied values: {tied}")) as stack:
         mc.sorted_spectra(draws)
+    assert stack.value.slices == [1, 2]  # every tied slice of the stack, for its retry
+    with pytest.raises(DegenerateSpectrum) as one:
+        mc.sorted_spectra(draws[2])
+    assert one.value.slices == [0]
 
 
 def test_matrix_json_exact_roundtrip():

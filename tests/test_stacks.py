@@ -1,7 +1,9 @@
 """Trial stacks: a suite's trials checked as one stack give the bytes of the
-trials run one by one, and a stack that raises falls back to them."""
+trials run one by one, a tied slice is redrawn alone, and a stack that
+raises a library error reruns as stacks of one."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +29,8 @@ def _bytes(reports) -> str:
 
 def _one_by_one(suite, cfg):
     cfg = suites.validate_config(cfg, suite)
-    return _bytes(suites.run_trial(suite, cfg, t) for t in range(cfg.trials))
+    return _bytes(r for t in range(cfg.trials)
+                  for r in suites._run_stack(suite, cfg, range(t, t + 1)))
 
 
 def _cases():
@@ -77,7 +80,7 @@ def test_stacks_split_by_the_entry_budget_give_the_bytes_of_one_stack(monkeypatc
     monkeypatch.setattr(suites, "STACK_ENTRIES", 3 * 2 * 10 * 12)
     passes = _stack_passes(monkeypatch)
     assert dumps_canonical(suites.run_suite("operator-rank", cfg)) == whole
-    assert passes == [3, 3]  # the last trial, a stack of one, runs on its own
+    assert passes == [3, 3, 1]  # the last trial is a stack of one
 
 
 def test_suite_without_fd_points_is_sized_by_its_instances(monkeypatch):
@@ -89,48 +92,105 @@ def test_suite_without_fd_points_is_sized_by_its_instances(monkeypatch):
     assert passes == [12]
 
 
+def _refuse(*args):
+    raise AssertionError("the stacked stream hash ran")
+
+
 def test_one_trial_runs_trial_by_trial_only(monkeypatch):
-    stacked = []
-    monkeypatch.setattr(suites, "_run_stack", lambda *args: stacked.append(args))
+    # A run of one trial is one stack of one, seeded by make_rng itself.
+    passes = _stack_passes(monkeypatch)
+    monkeypatch.setattr(mc, "_hash_plan", _refuse)
     result = suites.run_suite("invariance", suites.RunConfig(n=3, m=3, q=2, trials=1, seed=2))
-    assert stacked == [] and result.reports[0].inputs["trial"] == 0
+    assert passes == [1] and result.reports[0].inputs["trial"] == 0
+
+
+def _draw_integers(n, m, q, rngs, spectrum):
+    return (np.array([rng.integers(0, 1 << 30) for rng in rngs]),)
+
+
+def _report_values(cfg, draws):
+    return [VerificationReport("stub", {}, {"v": int(v)}, {}, {}, True) for v in draws[0]]
 
 
 def test_degenerate_draw_falls_back_to_its_retry(monkeypatch):
-    # Trial 1's first draw is degenerate: the stack raises, and the
-    # trial-by-trial pass retries that trial alone.
-    def draw(n, m, q, rngs, spectrum):
-        values = np.array([rng.integers(0, 1 << 30) for rng in rngs])
-        if first_of_trial_1 in values:
-            raise DegenerateSpectrum("synthetic collision")
-        return (values,)
-
+    # Trial 1's first draw is degenerate: the stack redraws that slice alone
+    # from its next attempt's stream, and the other trials keep their first.
     def check(cfg, draws):
-        return [VerificationReport("stub", {}, {"v": int(v)}, {}, {}, True) for v in draws[0]]
+        if tied := np.flatnonzero(draws[0] == first_of_trial_1).tolist():
+            raise DegenerateSpectrum("synthetic collision", tied)
+        return _report_values(cfg, draws)
 
-    first_of_trial_1 = mc.make_rng(4, 1, 0).integers(0, 1 << 30)
+    def draw(*args):
+        drawn.append(len(args[3]))
+        return _draw_integers(*args)
+
+    drawn, first_of_trial_1 = [], mc.make_rng(4, 1, 0).integers(0, 1 << 30)
     monkeypatch.setitem(suites._SUITES, "stub", (draw, check))
     cfg = suites.RunConfig(trials=3, seed=4)
-    with pytest.raises(DegenerateSpectrum):
-        suites._run_stack("stub", cfg, range(3))
+    reports = suites._run_stack("stub", cfg, range(3))
+    assert [r.inputs["attempt"] for r in reports] == [0, 1, 0] and drawn == [3, 1]
+    streams = [(0, 0), (1, 1), (2, 0)]
+    assert [r.values["v"] for r in reports] == [mc.make_rng(4, *s).integers(0, 1 << 30)
+                                                for s in streams]
     monkeypatch.setattr(suites, "validate_config", lambda cfg, suite: cfg)
-    result = suites.run_suite("stub", cfg)
-    assert [r.inputs["attempt"] for r in result.reports] == [0, 1, 0]
+    assert _bytes(suites.run_suite("stub", cfg).reports) == _bytes(reports)
 
 
 def test_real_tied_draw_falls_back_to_its_retry():
     # Trial 1's first spectrum of 20 values from 0.5-2.5 has two values within
-    # the request gap: the stack's one sort-and-gap test raises, and the
-    # trial-by-trial pass redraws that trial alone.
+    # the request gap: the stack's one sort-and-gap test names that slice,
+    # which alone is redrawn, in the one stacked call.
     cfg = suites.validate_config(suites.RunConfig(n=40, m=32, q=20, trials=4, seed=226),
                                  "hausdorff")
     with pytest.raises(DegenerateSpectrum, match="sampled spectrum has tied values"):
         mc.sample_spectrum(20, mc.make_rng(226, 1, 0))
-    with pytest.raises(DegenerateSpectrum):
-        suites._run_stack("hausdorff", cfg, range(4))
-    result = suites.run_suite("hausdorff", cfg)
-    assert [r.inputs["attempt"] for r in result.reports] == [0, 1, 0, 0]
-    assert dumps_canonical(result) == _one_by_one("hausdorff", cfg)
+    reports = suites._run_stack("hausdorff", cfg, range(4))
+    assert [r.inputs["attempt"] for r in reports] == [0, 1, 0, 0]
+    assert _bytes(reports) == _one_by_one("hausdorff", cfg)
+    assert dumps_canonical(suites.run_suite("hausdorff", cfg)) == _bytes(reports)
+
+
+def test_an_earlier_trial_s_error_comes_before_a_later_trial_s_spent_budget(monkeypatch):
+    # Trial 2 ties at every attempt and trial 0 raises another library error:
+    # the stack spends trial 2's retry budget, and the run raises what the
+    # trials run one by one raise first, trial 0's error.
+    def check(cfg, draws):
+        values = draws[0].tolist()
+        if tied := [i for i, v in enumerate(values) if v in trial_2]:
+            raise DegenerateSpectrum("synthetic collision", tied)
+        if trial_0 in values:
+            raise RankMismatch("trial 0's own error")
+        return _report_values(cfg, draws)
+
+    trial_0 = mc.make_rng(4, 0, 0).integers(0, 1 << 30)
+    trial_2 = {mc.make_rng(4, 2, a).integers(0, 1 << 30) for a in range(1 + suites.RETRY_BUDGET)}
+    monkeypatch.setitem(suites._SUITES, "stub", (_draw_integers, check))
+    monkeypatch.setattr(suites, "validate_config", lambda cfg, suite: cfg)
+    cfg = suites.RunConfig(trials=3, seed=4)
+    with pytest.raises(DegeneracyBudgetExceeded, match="suite stub trial 2: degenerate after 3"):
+        suites._run_stack("stub", cfg, range(3))
+    with pytest.raises(RankMismatch, match="trial 0's own error"):
+        suites.run_suite("stub", cfg)
+
+
+def test_an_error_of_another_kind_propagates_from_a_stack(monkeypatch):
+    # Only a library error reruns a stack as stacks of one: a fault of the
+    # stacked path (here a TypeError on stacks of more than one trial) is
+    # raised by the run, never hidden by a rerun that would pass.
+    draw, check = suites._SUITES["blocks"]
+
+    def check_alone(cfg, draws):
+        if len(draws[0]) > 1:
+            raise TypeError("a fault of the stacked path")
+        return check(cfg, draws)
+
+    monkeypatch.setitem(suites._SUITES, "blocks", (draw, check_alone))
+    cfg = suites.RunConfig(n=5, m=4, q=2, trials=3, seed=9)
+    assert suites.run_suite("blocks", replace(cfg, trials=1)).all_passed
+    with pytest.raises(TypeError, match="stacked path"):
+        suites.run_suite("blocks", cfg)
+    with pytest.raises(TypeError, match="stacked path"):
+        main(["verify", "blocks", "--n", "5", "--m", "4", "--q", "2", "--trials", "3"])
 
 
 @given(st.integers(0, 2**130), st.integers(0, suites.RETRY_BUDGET), st.integers(0, 2**32 - 64),
@@ -150,16 +210,13 @@ def test_stacked_streams_refuse_what_has_no_stream_of_its_own(args):
         mc.make_rngs(*args)
 
 
-def _always_degenerate(n, m, q, rngs, spectrum):
+def _always_degenerate(cfg, draws):
     raise DegenerateSpectrum("synthetic collision")
 
 
-def _check_nothing(cfg, draws):
-    raise AssertionError("nothing was drawn to check")
-
-
-# Trials of these runs raise; the stack falls back and the run raises what
-# the trial-by-trial loop raises, with its message and the CLI's exit code.
+# Trials of these runs raise; the stack reruns as stacks of one and the run
+# raises what the trials run one by one raise, with its message and the
+# CLI's exit code.
 # The last element, when not None, stands in for the suite's (draw, check).
 FALLBACKS = [
     ("invariance", dict(n=3, m=3, q=2, spectrum=(100000.0, 0.001), seed=1), IllConditionedPivot,
@@ -168,8 +225,8 @@ FALLBACKS = [
      "pivot block has condition 1.517e+08 > 1e+08", 1, None),
     # Every draw is degenerate, so the retry budget runs out.
     ("differential", dict(n=7, m=5, q=3, spectrum=(1000.0, 1.0, 0.001), seed=12345),
-     DegeneracyBudgetExceeded, "degenerate after 3 redraws: synthetic collision", 3,
-     (_always_degenerate, _check_nothing)),
+     DegeneracyBudgetExceeded, "trial 0: degenerate after 3 redraws: synthetic collision", 3,
+     (_draw_integers, _always_degenerate)),
 ]
 
 

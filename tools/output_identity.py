@@ -19,7 +19,7 @@ its own directory.  It replays:
   ``--fd-step``, to ``gen`` and to ``verify``: both exit 2 with an
   unrecognized argument, since no oracle takes a step any more), an
   ``--out`` path that cannot be written, report merges and parse errors,
-  a run whose trial stack raises and so reruns trial by trial (an
+  a run whose trial stack raises and so reruns as stacks of one (an
   ill-conditioned pivot in one trial), ``invariance`` at 4 x 4 q=2 and
   spectrum ``1000,0.001`` (edge 25), whose central-difference points used
   to leave the pivot block's validity region (exit 1) and whose exact
@@ -28,7 +28,7 @@ its own directory.  It replays:
   attempt since the tangent oracle moves no point off rank q (edge
   29 no longer exhausts the retry budget), ``operator-rank`` at 4 x 3
   q=2 and spectrum ``1000,0.001`` (edge 26), whose chart tangent moves no
-  point to pivot-test, so its stack does not fall back trial by trial and reports
+  point to pivot-test, so its stack does not rerun trial by trial and reports
   honest ``leak`` and ``area_formula`` FAILs, stacks whose linear determinants would leave
   the float range (30 x 20 and 16 x 8), ``operator-rank``
   at full rank and at 32 x 24, a twelve-trial 30 x 20 stack, three
@@ -55,8 +55,7 @@ its own directory.  It replays:
   strings hold ``%``, ``\\u0000``, ``"`` and non-ASCII characters; and, in
   JSON and in text, ``operator-rank`` 24 x 20 q=8 with two trials and 10 x
   8 q=3 with nine trials (each one stack); ``hausdorff`` 40 x 32 q=20 seed 226, whose trial 1 draws a
-  tied spectrum at its first attempt, so the stack falls back and that
-  trial is redrawn; an ``invariance`` stack at seed 2^64+3 and a
+  tied spectrum at its first attempt, so that trial is redrawn; an ``invariance`` stack at seed 2^64+3 and a
   ``blocks`` stack at seed 2^32, whose seeds take three and two entropy
   words of the stacked stream hash; and the refusals (exit 2) of a
   negative seed (``--seed -1`` to ``verify`` and to ``gen``, and
@@ -94,7 +93,14 @@ its own directory.  It replays:
   at q=2 and q=1), on q=1 charts (``jacobian-full`` 1 x 4 and 4 x 1,
   ``operator-rank`` 5 x 2) and with ``--trials 1`` (``jacobian-full`` 3 x 4,
   ``operator-rank`` 4 x 3 q=2); and ``report`` of a file that begins with a
-  byte order mark, in JSON and in text.
+  byte order mark, in JSON and in text; and the retries of one trial
+  stack: ``blocks`` and ``differential`` 24 x 22 q=20 seed 226, three
+  trials, whose middle trial draws a tied spectrum at its first attempt
+  (the stack redraws that slice alone), ``blocks`` and ``invariance`` 3 x 3
+  q=2 at spectrum ``100000,0.001`` (seeds 5 and 10, four trials), whose
+  first trial passes and whose later trials hit the pivot cap, the worst
+  one not first (the run names the first trial's condition), and ``gen``
+  24 x 22 q=20 seed 275, whose first draw is degenerate.
 
 Declared differences against older sources.  Where X and Y were pivoted
 in two passes, one error message: edge 116 (``operator-rank`` 4 x 3 q=2
@@ -319,6 +325,12 @@ EDGE_CASES = [
                                      ("jacobian-full", "3", "4", "3", "1"),
                                      ("operator-rank", "4", "3", "2", "1"))),
     *(["report", "bom.json", "--format", fmt] for fmt in ("json", "text")),
+    *(["verify", suite, "--n", "24", "--m", "22", "--q", "20", "--trials", "3", "--seed", "226",
+       "--format", "json"] for suite in ("blocks", "differential")),
+    *(["verify", suite, "--n", "3", "--m", "3", "--q", "2", "--trials", "4",
+       "--spectrum", "100000,0.001", "--seed", seed, "--format", "json"]
+      for suite, seed in (("blocks", "5"), ("invariance", "10"))),
+    ["gen", "--n", "24", "--m", "22", "--q", "20", "--seed", "275"],
 ]
 
 # Keys and strings that the JSON writer must escape, in a one-report file
