@@ -10,12 +10,12 @@ JSON reports.
 """
 
 from .chart import (
-    BlockDecomposition, assemble, decompose, log_chart_volume, pinv_from_blocks,
-    tangent_perturbation, x22_from_blocks,
+    BlockDecomposition, assemble, decompose, log_chart_volume, pinv_chart_derivative,
+    pinv_chart_jacobian, pinv_from_blocks, tangent_perturbation, x22_from_blocks,
 )
 from .differential import (
-    OrthogonalSandwichMap, log_jacobian_det_full_rank, operator_spectrum, pinv_chart_derivative,
-    pinv_chart_jacobian, pinv_differential, sandwich_chart_jacobian,
+    OrthogonalSandwichMap, log_jacobian_det_full_rank, operator_spectrum, pinv_differential,
+    sandwich_chart_jacobian,
 )
 from .errors import (
     BadSpectrum, ConfigError, DegeneracyBudgetExceeded, DegenerateSpectrum, IllConditionedPivot,
@@ -24,7 +24,7 @@ from .errors import (
 )
 from .matcore import (
     RankInfo, SvdFactors, make_rng, matrix_to_json, pinv, random_rank_q, random_stiefel,
-    rank_profile, sample_spectrum, svd_thin,
+    rank_profile, svd_thin,
 )
 from .measures import (
     log_hausdorff_density, log_nonfullrank_jacobian_factor, log_symmetric_inverse_jacobian,

@@ -13,8 +13,15 @@ the two permutations, which fix q, n, m and the original-index positions
 of the free coordinates.  X11 is tested once, when the decomposition is
 built, so every later use may invert it, and W = X11^-1 X12 and
 Z = X21 X11^-1 are solved for once.  Permutations are stored, never applied
-destructively: every result maps back to the original index space.  The factored
-pseudoinverse and its forward-mode tangent (``differential``'s oracle) live here.
+destructively: every result maps back to the original index space.
+
+The factored pseudoinverse is evaluated once, with its forward-mode tangent
+along any number of chart directions: ``pinv_from_blocks`` is its value,
+``pinv_chart_derivative`` and ``pinv_chart_jacobian`` (``differential``'s
+oracle of pinv's derivative) its tangent.  The chart's blocks keep the rank
+at q, and the chart is the point: the derivative to rounding error, with no
+step and no second point.  The tests hold it to a complex step (Squire &
+Trapp 1998), Im pinv_from_blocks(b + i h e) / h.
 
 ``decompose`` also takes a stack (T, n, m), pivoted slice by slice, and
 gives one decomposition of stacked blocks that every function here
@@ -223,22 +230,19 @@ def assemble(b: BlockDecomposition) -> np.ndarray:
     return _unpermute(b, b.x11, b.x12, b.x21, x22_from_blocks(b))
 
 
-def _pinv_blocks(b: BlockDecomposition, x11, x12, x21) -> np.ndarray:
-    # pinv_from_blocks of blocks whose leading axes end with b's stack axes;
-    # plain transposes and solves only, so complex blocks pass through.
-    # On a chart that keeps every row (n = q) I + Z'Z is I, and every
-    # column (m = q) I + WW'; a solve against I is exact, so it is skipped.
-    eye = np.eye(b.q)
-    zt = np.linalg.solve(x11.swapaxes(-1, -2), x21.swapaxes(-1, -2))     # Z'
-    rows = np.concatenate([np.broadcast_to(eye, zt.shape[:-1] + (b.q,)), zt], -1)
-    if b.n > b.q:
-        rows = np.linalg.solve(eye + zt @ zt.swapaxes(-1, -2), rows)   # (I + Z'Z)^-1 [I, Z']
-    solved = np.linalg.solve(x11, np.concatenate([x12, rows], -1))
-    w, core = np.split(solved, [x12.shape[-1]], -1)
-    wt = w.swapaxes(-1, -2)
-    if b.m > b.q:
-        core = np.linalg.solve(eye + w @ wt, core)
-    return _unpermute_pinv(b, np.concatenate([core, wt @ core], -2))
+def _delta_blocks(b: BlockDecomposition, deltas: np.ndarray) -> tuple:
+    # dX11, dX12, dX21 of ``deltas`` ([p,] [T,] k) in ``b.coordinates`` order (each block
+    # column-major), laid out ([T,] rows, p, cols), p = 1 without it, and C-contiguous.
+    lead_b = b.x11.shape[:-2]
+    stack = deltas.shape[deltas.ndim - 1 - len(lead_b):-1]
+    if deltas.ndim - len(lead_b) not in (1, 2) or stack != lead_b or deltas.shape[-1] != len(b):
+        raise ShapeMismatch(f"expected {len(b)} deltas, got {deltas.shape}")
+    d = deltas[..., None, :] if deltas.ndim == len(lead_b) + 1 else np.moveaxis(deltas, 0, -2)
+    q, n, m, p = b.q, b.n, b.m, d.shape[-2]
+    return tuple(np.ascontiguousarray(d[..., start:stop].reshape(lead_b + (p, cols, rows))
+                                      .swapaxes(-3, -2).swapaxes(-3, -1))
+                 for start, stop, rows, cols in ((0, q * q, q, q), (q * q, q * m, q, m - q),
+                                                 (q * m, None, n - q, q)))
 
 
 def _unpermute_pinv(b: BlockDecomposition, yp: np.ndarray) -> np.ndarray:
@@ -248,24 +252,27 @@ def _unpermute_pinv(b: BlockDecomposition, yp: np.ndarray) -> np.ndarray:
     return y
 
 
-def _pinv_tangent(b: BlockDecomposition, dx11, dx12, dx21) -> np.ndarray:
-    # The forward-mode tangent of _pinv_blocks at b's blocks, d Xp+ (..., m, p, n), along p
-    # directions laid out (..., rows, p, cols).  Each solve of _pinv_blocks, in its branches,
-    # is d(M^-1 V) = M^-1 (dV - dM M^-1 V): W, Z from the chart, X11, I + Z'Z and I + WW'
-    # inverted once per slice in one call, all p directions in one real matmul per factor.
+def _pinv_tangent(b: BlockDecomposition, dx11, dx12, dx21) -> tuple[np.ndarray, np.ndarray]:
+    # The factored pseudoinverse at b's blocks, Xp+ (..., m, n) in b's pivoted coordinates,
+    # and its forward-mode tangent d Xp+ (..., m, p, n) along p directions laid out (..., rows,
+    # p, cols), p = 0 for the value alone.  X11, I + Z'Z and I + WW' are inverted once per
+    # slice in one call; on a chart that keeps every row (n = q) I + Z'Z is I, and every
+    # column (m = q) I + WW', so neither is formed.  Each inverse M^-1 V has the tangent
+    # d(M^-1 V) = M^-1 (dV - dM M^-1 V), all p directions in one matmul per factor.  Plain
+    # transposes, inverses and products only, so complex blocks pass through.
     q, p, lead, eye, w, z = b.q, dx11.shape[-2], b.x11.shape[:-2], np.eye(b.q), b.w, b.z
     wt, zt = w.swapaxes(-1, -2), z.swapaxes(-1, -2)
 
     def flip(d):  # each direction transposed
         return d.swapaxes(-3, -1)
 
-    def left(f, d):  # f times each direction
+    def left(f, d):  # f times each direction; sizes explicit, as p may be 0
         r, c = f.shape[-2], d.shape[-1]
-        return (f @ d.reshape(d.shape[:-3] + (d.shape[-3], -1))).reshape(lead + (r, p, c))
+        return (f @ d.reshape(lead + (d.shape[-3], p * c))).reshape(lead + (r, p, c))
 
     def right(d, f):  # each direction times f
         r, c = d.shape[-3], f.shape[-1]
-        return (d.reshape(d.shape[:-3] + (-1, d.shape[-1])) @ f).reshape(lead + (r, p, c))
+        return (d.reshape(lead + (r * p, d.shape[-1])) @ f).reshape(lead + (r, p, c))
 
     factors = [b.x11] + [eye + zt @ z] * (b.n > q) + [eye + w @ wt] * (b.m > q)
     x11_inv, *gram_inv = np.linalg.inv(np.stack(factors))
@@ -283,7 +290,8 @@ def _pinv_tangent(b: BlockDecomposition, dx11, dx12, dx21) -> np.ndarray:
         b_inv, db = gram_inv.pop(0), right(dw, wt)
         core = b_inv @ core
         dcore = left(b_inv, dcore - right(db + flip(db), core))
-    return np.concatenate([dcore, right(flip(dw), core) + left(wt, dcore)], -3)
+    return (np.concatenate([core, wt @ core], -2),
+            np.concatenate([dcore, right(flip(dw), core) + left(wt, dcore)], -3))
 
 
 def pinv_from_blocks(b: BlockDecomposition) -> np.ndarray:
@@ -297,9 +305,38 @@ def pinv_from_blocks(b: BlockDecomposition) -> np.ndarray:
     then the stored permutations carry the result back to original indices.
     X11 enters once, never squared, and I + W W' and I + Z'Z have every
     eigenvalue >= 1, so once X11 has passed its pivot test nothing else
-    can be singular.
+    can be singular.  It is the value that :func:`pinv_chart_derivative`
+    differentiates, read at no direction.
     """
-    return _pinv_blocks(b, b.x11, b.x12, b.x21)
+    none = np.zeros((0,) + b.x11.shape[:-2] + (len(b),))
+    return _unpermute_pinv(b, _pinv_tangent(b, *_delta_blocks(b, none))[0])
+
+
+def pinv_chart_derivative(in_chart: BlockDecomposition, deltas) -> np.ndarray:
+    """Derivatives of pinv along chart directions at the chart's point: the forward-mode
+    tangent of the factored block pseudoinverse (:func:`pinv_from_blocks`), which keeps
+    the rank at q.
+
+    ``deltas`` is (p, [T,] k) or ([T,] k) in ``in_chart.coordinates`` order, one direction
+    per row, with the stack axis of a stacked chart; the result, (p, [T,] m, n) or ([T,] m,
+    n), is the derivative to rounding error, with no SVD and no pivot test.
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    dyp = _pinv_tangent(in_chart, *_delta_blocks(in_chart, deltas))[1]
+    dy = _unpermute_pinv(in_chart, np.moveaxis(dyp, -2, 0))
+    return dy if deltas.ndim > in_chart.x11.ndim - 1 else dy[0]
+
+
+def pinv_chart_jacobian(in_chart: BlockDecomposition,
+                        out_chart: BlockDecomposition) -> np.ndarray:
+    """Partial derivatives of out-chart coordinates of X -> pinv(X) with respect to
+    in-chart coordinates, at the in-chart's point: :func:`pinv_chart_derivative` along
+    the k unit directions, a ([T,] k, k) stack.  For equal-size charts its absolute
+    determinant is the chart-to-chart Jacobian of X -> pinv(X).
+    """
+    k = len(in_chart)
+    units = np.moveaxis(np.broadcast_to(np.eye(k), in_chart.x11.shape[:-2] + (k, k)), -2, 0)
+    return np.moveaxis(out_chart.coordinates(pinv_chart_derivative(in_chart, units)), 0, -1)
 
 
 def _tangent_x22(b: BlockDecomposition, dx11, dx12, dx21) -> np.ndarray:
@@ -339,18 +376,3 @@ def log_chart_volume(b: BlockDecomposition):
     q, n, m, w, z = b.q, b.n, b.m, b.w, b.z
     return (0.5 * (n - q) * np.linalg.slogdet(np.eye(m - q) + w.swapaxes(-1, -2) @ w)[1]
             + 0.5 * (m - q) * np.linalg.slogdet(np.eye(n - q) + z @ z.swapaxes(-1, -2))[1])
-
-
-def _delta_blocks(b: BlockDecomposition, deltas: np.ndarray) -> tuple:
-    # dX11, dX12, dX21 of ``deltas`` ([p,] [T,] k) in ``b.coordinates`` order (each block
-    # column-major), laid out ([T,] rows, p, cols), p = 1 without it, and C-contiguous.
-    lead_b = b.x11.shape[:-2]
-    stack = deltas.shape[deltas.ndim - 1 - len(lead_b):-1]
-    if deltas.ndim - len(lead_b) not in (1, 2) or stack != lead_b or deltas.shape[-1] != len(b):
-        raise ShapeMismatch(f"expected {len(b)} deltas, got {deltas.shape}")
-    d = deltas[..., None, :] if deltas.ndim == len(lead_b) + 1 else np.moveaxis(deltas, 0, -2)
-    q, n, m, p = b.q, b.n, b.m, d.shape[-2]
-    return tuple(np.ascontiguousarray(d[..., start:stop].reshape(lead_b + (p, cols, rows))
-                                      .swapaxes(-3, -2).swapaxes(-3, -1))
-                 for start, stop, rows, cols in ((0, q * q, q, q), (q * q, q * m, q, m - q),
-                                                 (q * m, None, n - q, q)))

@@ -50,12 +50,9 @@ Yd) (d: the diagonals, of Y its first q) lies on the pair pattern, and S - S0
 the rest) is small, so ||E||^2, its norm less its pattern entries, cancels
 against no large term; ||S||^2 adds the pattern's squares.
 
-The derivative oracle of pinv is the forward-mode tangent of
-``chart.pinv_from_blocks``, whose free blocks keep the rank of the base
-point (``pinv_chart_derivative``, and ``pinv_chart_jacobian`` along the
-unit directions): the derivative to rounding error, with no step and no
-point.  The tests hold it to a complex step (Squire & Trapp 1998), the
-same derivative as Im f(b + i h e) / h.  An orthogonal
+The derivative oracle of pinv is ``chart.pinv_chart_derivative`` (and
+``chart.pinv_chart_jacobian``), the forward-mode tangent of the factored
+block pseudoinverse at a chart's point.  An orthogonal
 sandwich X -> H X Q is linear, so its chart Jacobian needs no step at all:
 ``sandwich_chart_jacobian`` maps the chart's exact tangents
 (``chart.tangent_perturbation``), and the area formula
@@ -70,10 +67,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chart import (
-    BlockDecomposition, _delta_blocks, _free_index, _pinv_tangent, _tangent_x22, _unpermute_pinv,
-    assemble,
-)
+from .chart import BlockDecomposition, _free_index, _tangent_x22
 from .errors import NotFullRank, ShapeMismatch
 from .matcore import RankInfo, _rank_info, as_stack, common_rank, gram_qr, pinv
 
@@ -210,12 +204,6 @@ class OrthogonalSandwichMap:
         return self.left @ x @ self.right
 
 
-def _check_base(x: np.ndarray, in_chart: BlockDecomposition) -> None:
-    scale = np.maximum(np.max(np.abs(x), axis=(-2, -1)), 1e-12)
-    if np.any(np.max(np.abs(assemble(in_chart) - x), axis=(-2, -1)) > 1e-8 * scale):
-        raise ShapeMismatch("in_chart does not reassemble the given X")
-
-
 def sandwich_chart_jacobian(f: OrthogonalSandwichMap, in_chart: BlockDecomposition,
                             out_chart: BlockDecomposition) -> np.ndarray:
     """Partial derivatives of out-chart coordinates of f with respect to
@@ -239,30 +227,3 @@ def sandwich_chart_jacobian(f: OrthogonalSandwichMap, in_chart: BlockDecompositi
     left = np.take_along_axis(f.left, b.row_perm[..., None, :], -1)
     right = np.take_along_axis(f.right, b.col_perm[..., :, None], -2)
     return np.moveaxis(out_chart.coordinates(left @ tangents @ right), 0, -1)
-
-
-def pinv_chart_derivative(x, in_chart: BlockDecomposition, deltas) -> np.ndarray:
-    """Derivatives of pinv(X) along chart directions: the forward-mode tangent of the
-    factored block pseudoinverse (``chart.pinv_from_blocks``), which keeps the rank at q.
-
-    ``deltas`` is (p, [T,] k) or ([T,] k) in ``in_chart.coordinates`` order, one direction
-    per row, with the stack axis of a stack (T, n, m) and its chart; the result, (p, [T,] m,
-    n) or ([T,] m, n), is the derivative to rounding error, with no SVD and no pivot test.
-    """
-    _check_base(as_stack(x), in_chart)
-    deltas = np.asarray(deltas, dtype=float)
-    dyp = _pinv_tangent(in_chart, *_delta_blocks(in_chart, deltas))
-    dy = _unpermute_pinv(in_chart, np.moveaxis(dyp, -2, 0))
-    return dy if deltas.ndim > in_chart.x11.ndim - 1 else dy[0]
-
-
-def pinv_chart_jacobian(x, in_chart: BlockDecomposition,
-                        out_chart: BlockDecomposition) -> np.ndarray:
-    """Partial derivatives of out-chart coordinates of pinv(X) with respect to
-    in-chart coordinates: :func:`pinv_chart_derivative` along the k unit
-    directions, a ([T,] k, k) stack.  For equal-size charts its absolute
-    determinant is the chart-to-chart Jacobian of X -> pinv(X).
-    """
-    k = len(in_chart)
-    units = np.moveaxis(np.broadcast_to(np.eye(k), np.shape(x)[:-2] + (k, k)), -2, 0)
-    return np.moveaxis(out_chart.coordinates(pinv_chart_derivative(x, in_chart, units)), 0, -1)

@@ -371,12 +371,6 @@ def sorted_spectra(values) -> np.ndarray:
     return d
 
 
-def sample_spectrum(q: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw q distinct singular values uniformly from ``SPECTRUM_RANGE``, sorted decreasing
-    (see :func:`sorted_spectra`)."""
-    return sorted_spectra(rng.uniform(*SPECTRUM_RANGE, size=q))
-
-
 def _rows(rngs, size: int, fill) -> np.ndarray:
     # (T, size): row t holds the next ``size`` values that ``fill(rngs[t], out=row)`` writes.
     out = np.empty((len(rngs), size))

@@ -296,8 +296,9 @@ def render_text(result: SuiteResult, show_wall_time: bool = True) -> str:
     for r in result.reports:
         status = "PASS" if r.passed else "FAIL"
         inputs = " ".join(f"{k}={v}" for k, v in _plain(r.inputs).items())
-        resid = " ".join(f"{k}={v:.3e}" for k, v in _plain(r.residuals).items()
-                         if isinstance(v, float))
+        resid = " ".join(f"{k}=null" if v is None else f"{k}={v:.3e}"
+                         for k, v in _plain(r.residuals).items()
+                         if v is None or isinstance(v, float))
         lines.append(f"[{status}] {r.check_name} {inputs} {resid}".rstrip())
     s = result.summary
     lines.append(f"summary: total={s['total']} passed={s['passed']} failed={s['failed']}")

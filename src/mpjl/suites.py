@@ -165,7 +165,7 @@ def _check_differential(cfg: RunConfig, draws: tuple) -> list[VerificationReport
     dx = direction[0] if full_rank else chart.tangent_perturbation(b, *direction)
     dx = dx / matcore.frobenius_norms(dx)[..., None, None]
     analytic = differential._pinv_differential(x, y, dx)
-    oracle = differential.pinv_chart_derivative(x, b, b.coordinates(dx))
+    oracle = chart.pinv_chart_derivative(b, b.coordinates(dx))
     norm = matcore.frobenius_norms(analytic)
     return stack_reports("differential", {"n": cfg.n, "m": cfg.m, "q": q, "full_rank": full_rank},
                          {"analytic_norm": norm},
@@ -188,8 +188,7 @@ def _check_jacobian_full(cfg: RunConfig, draws: tuple) -> list[VerificationRepor
         # has X's rank: neither chart takes a rank test.  The tangent of the
         # factored block pseudoinverse moves no point: no SVD, no step.
         charts = chart._pivot(np.concatenate([x, y.swapaxes(-1, -2)]), cfg.rank)
-        jac = differential.pinv_chart_jacobian(x, charts[:len(x)],
-                                               chart._transposed(charts[len(x):]))
+        jac = chart.pinv_chart_jacobian(charts[:len(x)], chart._transposed(charts[len(x):]))
         values["log_fd_chart_det"] = fd_det = np.linalg.slogdet(jac)[1]
         residuals["fd_vs_formula"] = abs(fd_det - formula)
     return stack_reports("jacobian-full", {"n": cfg.n, "m": cfg.m, "q": cfg.rank}, values,
@@ -214,8 +213,7 @@ def _check_operator_rank(cfg: RunConfig, draws: tuple) -> list[VerificationRepor
         chart._require_rank(info, q)
         charts = chart._pivot(np.concatenate([x, y.swapaxes(-1, -2)]), q)
         x_volume, y_volume = chart.log_chart_volume(charts).reshape(2, -1)
-        jac = differential.pinv_chart_jacobian(x, charts[:len(x)],
-                                               chart._transposed(charts[len(x):]))
+        jac = chart.pinv_chart_jacobian(charts[:len(x)], chart._transposed(charts[len(x):]))
         chart_det["log_deficient_chart_det"] = det = np.linalg.slogdet(jac)[1]
         area = log_factor + x_volume - y_volume
         area_formula["area_formula"] = _rel(abs(det - area), np.maximum(1.0, abs(area)))

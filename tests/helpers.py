@@ -4,10 +4,10 @@ import numpy as np
 
 from mpjl import suites
 from mpjl.chart import (
-    BlockDecomposition, _delta_blocks, _pinv_blocks, _unpermute, decompose, log_chart_volume,
+    BlockDecomposition, _delta_blocks, _unpermute, decompose, log_chart_volume, pinv_from_blocks,
 )
 from mpjl.errors import ShapeMismatch
-from mpjl.matcore import as_matrix, as_stack, pinv, rank_profile
+from mpjl.matcore import as_matrix, pinv, rank_profile
 
 
 def check(suite: str, draws: tuple, **config):
@@ -96,22 +96,28 @@ def moved_blocks(b: BlockDecomposition, deltas: np.ndarray) -> tuple:
     return tuple(a[0] for a in moved) if deltas.ndim == b.x11.ndim - 1 else moved
 
 
-def pinv_complex_step(x, in_chart: BlockDecomposition, deltas) -> np.ndarray:
-    """Derivatives of pinv(X) along chart directions by complex step (Squire & Trapp 1998):
-    the reference that ``differential.pinv_chart_derivative``'s tangent is held to.
+def pinv_complex_step(in_chart: BlockDecomposition, deltas) -> np.ndarray:
+    """Derivatives of pinv along chart directions by complex step (Squire & Trapp 1998):
+    the reference that ``chart.pinv_chart_derivative``'s tangent is held to.
 
     ``deltas`` is (p, [T,] k) or ([T,] k) in ``in_chart.coordinates`` order.
-    The points b + i h delta, each slice stepped by its own h = 1e-20 max|X|,
-    have their pseudoinverses taken in the factored block form
-    (``chart._pinv_blocks``), which is analytic in the free blocks and keeps
-    the rank at q; Im pinv / h, of shape (p, [T,] m, n) or ([T,] m, n), is
-    the derivative to rounding error, with no subtraction.
+    Each slice steps by its own h = 1e-20 max|X11|, which is max|X| on a
+    chart of ``decompose``: complete pivoting takes the largest entry first.
+    The points b + i h delta are charts with ``in_chart``'s permutations
+    and complex moved blocks, whose W and Z are solved for at those blocks,
+    and ``chart.pinv_from_blocks`` of them is analytic in the free blocks
+    and keeps the rank at q; Im pinv / h, of shape (p, [T,] m, n) or ([T,]
+    m, n), is the derivative to rounding error, with no subtraction.
     """
-    x = as_stack(x)
-    h = 1e-20 * np.max(np.abs(x), axis=(-2, -1))
-    deltas = np.asarray(deltas)
-    y = _pinv_blocks(in_chart, *moved_blocks(in_chart, 1j * h[..., None] * deltas))
-    return y.imag / h[..., None, None]
+    b = in_chart
+    h = 1e-20 * np.max(np.abs(b.x11), axis=(-2, -1))
+    moved = moved_blocks(b, 1j * h[..., None] * np.asarray(deltas))
+    # Built without __post_init__: the pivot test is in_chart's.
+    point, lead = object.__new__(BlockDecomposition), moved[0].shape[:-2]
+    point.__dict__.update(zip(("x11", "x12", "x21"), moved),
+                          row_perm=np.broadcast_to(b.row_perm, lead + (b.n,)),
+                          col_perm=np.broadcast_to(b.col_perm, lead + (b.m,)))
+    return pinv_from_blocks(point).imag / h[..., None, None]
 
 
 def perturbed_assemble(b: BlockDecomposition, deltas) -> np.ndarray:

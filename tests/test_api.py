@@ -12,7 +12,7 @@ PUBLIC = [
     "log_symmetric_inverse_jacobian", "make_rng", "matcore", "matrix_to_json", "measures",
     "operator_spectrum", "pinv", "pinv_chart_derivative", "pinv_chart_jacobian",
     "pinv_differential", "pinv_from_blocks", "pinv_spectrum", "random_rank_q", "random_stiefel",
-    "rank_profile", "reports", "run_suite", "sample_spectrum", "sandwich_chart_jacobian", "suites",
+    "rank_profile", "reports", "run_suite", "sandwich_chart_jacobian", "suites",
     "svd_thin",
     "symmetric_inverse_fd_det", "symmetric_part", "tangent_perturbation", "x22_from_blocks",
 ]

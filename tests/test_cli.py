@@ -522,6 +522,8 @@ def test_a_non_finite_value_fails_its_reports_in_well_formed_output(monkeypatch,
     assert (code, err) == (0, "") and cli._DECODER.decode(out)["reports"] == result["reports"]
     code, out, err = run_cli(capsys, "report", str(path))
     assert (code, err) == (0, "") and out.count("[FAIL]") == 3
+    # The text names a residual read back as null, as it names a finite one.
+    assert out.count(" identity=null\n") == 3
 
 
 def test_degeneracy_exit_code_3(monkeypatch, capsys):

@@ -12,7 +12,7 @@ from helpers import (
 )
 from mpjl import chart, matcore as mc, suites
 from mpjl import differential as df
-from mpjl.errors import NotFullRank, ShapeMismatch
+from mpjl.errors import NotFullRank
 from mpjl.reports import dumps_canonical
 
 
@@ -23,7 +23,7 @@ def _unit(a):
 def _chart_derivative(x, q, dx):
     # The differential suite's oracle: dX read in X's chart.
     b = chart.decompose(x, q)
-    return df.pinv_chart_derivative(x, b, b.coordinates(dx))
+    return chart.pinv_chart_derivative(b, b.coordinates(dx))
 
 
 def test_differential_of_identity_perturbation():
@@ -490,8 +490,8 @@ def test_complex_step_differential_factors_no_point(svd_shapes):
         b, rng.standard_normal((3, 3)), rng.standard_normal((3, 2)), rng.standard_normal((4, 3))
     )
     svd_shapes.clear()
-    oracle = df.pinv_chart_derivative(x, b, b.coordinates(_unit(dx)))
-    reference = pinv_complex_step(x, b, b.coordinates(_unit(dx)))
+    oracle = chart.pinv_chart_derivative(b, b.coordinates(_unit(dx)))
+    reference = pinv_complex_step(b, b.coordinates(_unit(dx)))
     # The tangent, and the complex point of the tests' reference, keep X's
     # chart: no rank test, no pivot test, no SVD.
     assert svd_shapes == []
@@ -551,18 +551,18 @@ class _Pinv:
         return mc._pinv_from_svd(*np.linalg.svd(x, full_matrices=False), self.rank)
 
 
-def _pinv_chart(x, q):
-    return x, chart.decompose(x, q), chart.decompose(mc.pinv(x), q)
+def _pinv_charts(x, q):
+    return chart.decompose(x, q), chart.decompose(mc.pinv(x), q)
 
 
 def test_fd_convergence_order():
     # Central scheme: halving h should reduce the error of the FD chart
     # Jacobian of pinv about 4x, against the tangent's.
     x = mc.random_rank_q(4, 3, 2, mc.make_rng(52))
-    exact = df.pinv_chart_jacobian(*_pinv_chart(x, 2))
+    exact = chart.pinv_chart_jacobian(*_pinv_charts(x, 2))
     errors = []
     for h in (1e-3, 5e-4, 2.5e-4):
-        fd = fd_chart_jacobian(_Pinv(2), *_pinv_chart(x, 2), step=h)
+        fd = fd_chart_jacobian(_Pinv(2), x, *_pinv_charts(x, 2), step=h)
         errors.append(np.linalg.norm(fd - exact))
     assert 2.5 <= errors[0] / errors[1] <= 6.0
     assert 2.5 <= errors[1] / errors[2] <= 6.0
@@ -570,7 +570,7 @@ def test_fd_convergence_order():
 
 def test_fd_chart_jacobian_pinv_full_rank():
     x = mc.random_rank_q(3, 2, 2, mc.make_rng(55))
-    _, in_chart, out_chart = _pinv_chart(x, 2)
+    in_chart, out_chart = _pinv_charts(x, 2)
     assert len(in_chart) == 6
     fd = fd_chart_jacobian(_Pinv(2), x, in_chart, out_chart)
     closed = _closed_form_log_det(x)
@@ -585,8 +585,8 @@ def test_pinv_chart_jacobian_matches_fd_and_the_area_formula(n, m, q):
     rng = mc.make_rng(61, n, m, q)
     for _ in range(3):
         x = mc.random_rank_q(n, m, q, rng)
-        jac = df.pinv_chart_jacobian(*_pinv_chart(x, q))
-        fd = fd_chart_jacobian(_Pinv(q), *_pinv_chart(x, q))
+        jac = chart.pinv_chart_jacobian(*_pinv_charts(x, q))
+        fd = fd_chart_jacobian(_Pinv(q), x, *_pinv_charts(x, q))
         assert np.max(np.abs(jac - fd)) <= 1e-7 * np.max(np.abs(jac))
         want, size = pinv_chart_log_det(x, q)
         assert abs(np.linalg.slogdet(jac)[1] - want) <= 1e-13 * max(size, 1.0)
@@ -727,13 +727,7 @@ def test_pinv_chart_jacobian_makes_no_svd_per_point(svd_shapes):
 
 def test_pinv_chart_jacobian_stack_checks():
     x = np.array([mc.random_rank_q(4, 3, 2, mc.make_rng(58, t)) for t in range(3)])
-    jac = df.pinv_chart_jacobian(*_pinv_chart(x, 2))
+    jac = chart.pinv_chart_jacobian(*_pinv_charts(x, 2))
     assert jac.shape == (3, 10, 10)
     for t, one in enumerate(x):
-        assert _same_bits(jac[t], df.pinv_chart_jacobian(*_pinv_chart(one, 2)))
-    _, in_chart, out_chart = _pinv_chart(x, 2)
-    with pytest.raises(ShapeMismatch, match="does not reassemble"):
-        df.pinv_chart_jacobian(2.0 * x, in_chart, out_chart)
-    x[1, 0, 0] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        df.pinv_chart_jacobian(x, in_chart, out_chart)
+        assert _same_bits(jac[t], chart.pinv_chart_jacobian(*_pinv_charts(one, 2)))

@@ -215,11 +215,11 @@ def test_random_rank_q_rejects_bad_spectrum():
 
 def test_sorted_spectra_sort_a_stack_as_each_draw_alone():
     # C-contiguous, since numpy's log and pow may round a strided view differently.
-    draws = [mc.make_rng(15, t).uniform(0.5, 2.5, size=4) for t in range(3)]
+    draws = [mc.make_rng(15, t).uniform(*mc.SPECTRUM_RANGE, size=4) for t in range(3)]
     d = mc.sorted_spectra(draws)
-    assert d.flags.c_contiguous and mc.sample_spectrum(4, mc.make_rng(15, 0)).flags.c_contiguous
-    for row, t in zip(d, range(3)):
-        assert np.array_equal(row, mc.sample_spectrum(4, mc.make_rng(15, t)))
+    assert d.flags.c_contiguous and mc.sorted_spectra(draws[0]).flags.c_contiguous
+    for row, draw in zip(d, draws):
+        assert np.array_equal(row, mc.sorted_spectra(draw))
     draws[1][2] = draws[1][0] * (1 + 1e-7)
     draws[2][3] = draws[2][1]
     tied = np.sort(draws[1])[::-1].tolist()

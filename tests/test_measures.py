@@ -33,7 +33,7 @@ def test_density_scaling_exponent():
         q = int(rng.integers(1, 5))
         n = int(rng.integers(q, 9))
         m = int(rng.integers(q, 9))
-        d = mc.sample_spectrum(q, rng)
+        d = mc.sorted_spectra(rng.uniform(*mc.SPECTRUM_RANGE, size=q))
         c = float(rng.uniform(0.5, 3.0))
         exponent = q * (n + m - 2 * q) + q * (q - 1)
         expected = exponent * np.log(c) + ms.log_hausdorff_density(n, m, d)
@@ -85,7 +85,8 @@ def test_ratio_check_sweep():
         q = int(rng.integers(1, 5))
         n = int(rng.integers(q, 9))
         m = int(rng.integers(q, 9))
-        [rep] = check("hausdorff", (mc.sample_spectrum(q, rng)[None],), n=n, m=m, tol=1e-10)
+        d = mc.sorted_spectra(rng.uniform(*mc.SPECTRUM_RANGE, size=q))
+        [rep] = check("hausdorff", (d[None],), n=n, m=m, tol=1e-10)
         assert rep.residuals["identity"] <= 1e-10
 
 
@@ -114,7 +115,7 @@ def test_linear_densities_match_mpmath():
     # 1.1e-11 at trial 1609 (smallest gap 4.2e-6 of d_1); each pair taken
     # as (d_i - d_j)(d_i + d_j) keeps the log of the linear product to rounding.
     for t in range(1560, 1660):
-        d = mc.sample_spectrum(20, mc.make_rng(7, t))
+        d = mc.sorted_spectra(mc.make_rng(7, t).uniform(*mc.SPECTRUM_RANGE, size=20))
         [rep] = check("hausdorff", (d[None],), n=40, m=32)
         assert rep.passed
         for key, (n, m, e) in (("log_density_x", (40, 32, d)),
@@ -127,7 +128,7 @@ def test_linear_density_may_be_a_subnormal_chain():
     # The linear density of Y at trial 621 is 3.5e-323, below the normal
     # range, where a float product keeps no signal.  Only its log is
     # reported, and it holds to rounding.
-    d = mc.sample_spectrum(20, mc.make_rng(7, 621))
+    d = mc.sorted_spectra(mc.make_rng(7, 621).uniform(*mc.SPECTRUM_RANGE, size=20))
     e = ms.pinv_spectrum(d)
     want = _mp_log_density(32, 40, e)
     assert np.exp(want) < np.finfo(float).tiny
@@ -145,7 +146,7 @@ def test_log_values_keep_the_bits_of_the_loops():
     for _ in range(40):
         q = int(rng.integers(1, 9))
         n, m = int(rng.integers(q, 12)), int(rng.integers(q, 12))
-        d = np.array([mc.sample_spectrum(q, rng) for _ in range(4)])
+        d = mc.sorted_spectra(rng.uniform(*mc.SPECTRUM_RANGE, size=(4, q)))
         density = ms.log_hausdorff_density(n, m, d)
         factor = ms.log_nonfullrank_jacobian_factor(n, m, d)
         for row, got_density, got_factor in zip(d, density, factor):
@@ -161,7 +162,7 @@ def test_ratio_check_stack_matches_per_spectrum():
     # One stacked pass gives each spectrum the report, bits included, of its own call.
     rng = mc.make_rng(63)
     for q in (1, 3, 8):
-        d = np.array([mc.sample_spectrum(q, rng) for _ in range(5)])
+        d = mc.sorted_spectra(rng.uniform(*mc.SPECTRUM_RANGE, size=(5, q)))
         stacked = check("hausdorff", (d,), n=9, m=8)
         assert len(stacked) == 5
         for row, report in zip(d, stacked):

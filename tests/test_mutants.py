@@ -32,13 +32,13 @@ def _exponent_n_minus_q_plus_1(original):
 
 
 def _skipping(*sides):
-    # _pinv_blocks, or its tangent _pinv_tangent, reading the chart's n (or m)
-    # as q, so it skips the solve against I + Z'Z (or I + WW') as if that side
+    # The factored pseudoinverse and its tangent, _pinv_tangent, reading the
+    # chart's n (or m) as q, so it skips I + Z'Z (or I + WW') as if that side
     # were full.
     def factory(original):
         def mutant(b, *blocks):
-            view = SimpleNamespace(**{name: getattr(b, name) for name in (
-                "q", "n", "m", "x11", "w", "z", "_stack", "row_perm", "col_perm")})
+            view = SimpleNamespace(**{name: getattr(b, name)
+                                      for name in ("q", "n", "m", "x11", "w", "z")})
             view.__dict__.update(dict.fromkeys(sides, b.q))
             return original(view, *blocks)
         return mutant
@@ -106,9 +106,8 @@ INVARIANCE_5X4Q2 = ("invariance", dict(n=5, m=4, q=2, trials=6, seed=5))
 
 
 def _pinv_blocks_skipping(*sides):
-    # The factored pseudoinverse and its tangent, which the chart oracles read.
-    return [(chart, "_pinv_blocks", _skipping(*sides))] + [
-        (module, "_pinv_tangent", _skipping(*sides)) for module in (chart, differential)]
+    # The one evaluation that pinv_from_blocks and the chart oracles read.
+    return [(chart, "_pinv_tangent", _skipping(*sides))]
 
 
 # name -> (patches [(module, attribute, mutant factory)], runs [(suite, config)]).
@@ -118,14 +117,18 @@ MUTANTS = {
     "chart-volumes-swapped": ([(chart, "log_chart_volume", _swap_volumes)], [INVARIANCE_5X4Q2]),
     "volume-exponent-n-q+1": ([(chart, "log_chart_volume", _exponent_n_minus_q_plus_1)],
                               [INVARIANCE_5X4Q2]),
+    # Each also fails a blocks run: the value and the tangent are one evaluation.
     "pinv-blocks-ww-solve-dropped": (_pinv_blocks_skipping("m"),
-                                     [("jacobian-full", dict(n=3, m=4, trials=6, seed=5))]),
+                                     [("jacobian-full", dict(n=3, m=4, trials=6, seed=5)),
+                                      ("blocks", dict(n=3, m=5, q=2, trials=6, seed=5))]),
     "pinv-blocks-zz-solve-dropped": (_pinv_blocks_skipping("n"),
-                                     [("jacobian-full", dict(n=4, m=3, trials=6, seed=5))]),
+                                     [("jacobian-full", dict(n=4, m=3, trials=6, seed=5)),
+                                      ("blocks", dict(n=5, m=3, q=2, trials=6, seed=5))]),
     "pinv-blocks-identity-skip-on-deficient-chart": (
         _pinv_blocks_skipping("n", "m"),
         [("differential", dict(n=7, m=5, q=3, trials=6, seed=5)),
-         ("operator-rank", dict(n=4, m=3, q=2, trials=6, seed=5))]),
+         ("operator-rank", dict(n=4, m=3, q=2, trials=6, seed=5)),
+         ("blocks", dict(n=6, m=5, q=2, trials=6, seed=5))]),
     "sub-chart-ignores-index": ([(chart.BlockDecomposition, "__getitem__", _first_slice)],
                                 [INVARIANCE_5X4Q2]),
     "symmetric-inverse-exponent-m": (

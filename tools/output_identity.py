@@ -100,7 +100,10 @@ its own directory.  It replays:
   q=2 at spectrum ``100000,0.001`` (seeds 5 and 10, four trials), whose
   first trial passes and whose later trials hit the pivot cap, the worst
   one not first (the run names the first trial's condition), and ``gen``
-  24 x 22 q=20 seed 275, whose first draw is degenerate.
+  24 x 22 q=20 seed 275, whose first draw is degenerate; and, in JSON,
+  ``blocks`` on each branch of the factored pseudoinverse: 3 x 5 q=3 (a
+  chart that keeps every row, so no I + Z'Z), 4 x 4 q=4 (neither Gram
+  matrix) and 6 x 5 q=2 (both).
 
 Declared differences against older sources.  Where X and Y were pivoted
 in two passes, one error message: edge 116 (``operator-rank`` 4 x 3 q=2
@@ -115,6 +118,10 @@ change of the last digits of exactly these keys: ``jacobian-full``'s
 trial 1 of ``operator-rank`` 4 x 3 q=2 at spectrum ``1,0.00001`` seed 2,
 whose ``area_formula`` sits at the tolerance from rounding at cond(X) 1e5
 (2.25e-9 by the complex step, 8.2e-10 by the tangent, against 1e-9).
+Where the factored pseudoinverse was taken by solves, the one evaluation
+that also gives its tangent inverts and multiplies instead: a declared
+change of the last digits of ``blocks``' ``pinv_blocks`` and of the text
+that prints it, with no verdict, exit code or layout moved.
 
 Each invocation records its exit code (or the exception that escaped
 ``cli.main``), its stdout, its ``error: ...`` lines of stderr and the
@@ -331,6 +338,8 @@ EDGE_CASES = [
        "--spectrum", "100000,0.001", "--seed", seed, "--format", "json"]
       for suite, seed in (("blocks", "5"), ("invariance", "10"))),
     ["gen", "--n", "24", "--m", "22", "--q", "20", "--seed", "275"],
+    *(["verify", "blocks", "--n", n, "--m", m, "--q", q, "--trials", "4", "--format", "json"]
+      for n, m, q in (("3", "5", "3"), ("4", "4", "4"), ("6", "5", "2"))),
 ]
 
 # Keys and strings that the JSON writer must escape, in a one-report file
