@@ -1,35 +1,26 @@
 """Block parameterization of rank-q matrices: the free-coordinate chart.
 
-An n x m matrix of rank q is determined by an invertible q x q leading
-block plus its row and column neighbors: after row/column permutations
-moving a well-conditioned q x q block to the top-left,
+After row and column permutations that move a well-conditioned q x q block
+to the top left, an n x m matrix of rank q is
 
     Xp = [[X11, X12],
           [X21, X22]]      with X22 = X21 @ inv(X11) @ X12,
 
-so the nq + mq - q^2 entries of X11, X12, X21 are free coordinates and X22
-is dependent.  ``BlockDecomposition`` is that chart: the free blocks and
-the two permutations, which fix q, n, m and the original-index positions
-of the free coordinates.  X11 is tested once, when the decomposition is
-built, so every later use may invert it, and W = X11^-1 X12 and
-Z = X21 X11^-1 are solved for once.  Permutations are stored, never applied
-destructively: every result maps back to the original index space.
+so the nq + mq - q^2 entries of X11, X12, X21 are free coordinates.
+``BlockDecomposition`` is that chart: the free blocks and the two
+permutations, stored and never applied, so every result maps back to the
+original indices.  X11 is tested once, when the chart is built, and
+W = X11^-1 X12 and Z = X21 X11^-1 are solved for once.
 
-The factored pseudoinverse is evaluated once, with its forward-mode tangent
-along any number of chart directions: ``pinv_from_blocks`` is its value,
-``pinv_chart_derivative`` and ``pinv_chart_jacobian`` (``differential``'s
-oracle of pinv's derivative) its tangent.  The chart's blocks keep the rank
-at q, and the chart is the point: the derivative to rounding error, with no
-step and no second point.  The tests hold it to a complex step (Squire &
-Trapp 1998), Im pinv_from_blocks(b + i h e) / h.
-
-``decompose`` also takes a stack (T, n, m), pivoted slice by slice, and
-gives one decomposition of stacked blocks that every function here
-follows, under ``matcore``'s bit rule.  A stack raises whenever one of
-its slices would, and ``b[i]`` of a stack gives slices ``i`` with their
-cached W and Z and no second pivot test, so a check can pivot all its
-charts as one stack; X and Y = pinv(X) share one as X and Y', and
-``_transposed`` reads Y's chart from the chart of Y'.
+One function evaluates the factored pseudoinverse (``pinv_from_blocks``)
+or its forward-mode tangent along chart directions, laid out as column
+blocks ([T,] rows, p, cols) so that each factor takes them all in one
+matmul (``pinv_chart_derivative``; ``pinv_chart_jacobian`` along the k
+unit directions, built once per shape with no stack axis): the derivative
+to rounding error, with no step.  A chart without Z (n = q) or W (m = q)
+does no work on it.  The tests hold it to a complex step.  Every function
+takes a stack (T, n, m) under ``matcore``'s bit rule; ``b[i]`` gives
+slices of a stacked chart with its cached W and Z and no second pivot test.
 """
 
 from __future__ import annotations
@@ -167,21 +158,20 @@ def _pivot(x: np.ndarray, q: int) -> BlockDecomposition:
     # writes a new working copy, so x is never written.
     work = xs = x.reshape(-1, n, m)
     t = np.arange(len(xs))
-    # Sort keys: pivots first in pivot order, then the other indices in
-    # original order.
-    row_key, col_key = (np.arange(q, q + size)[None].repeat(len(xs), 0) for size in (n, m))
+    pivots = np.empty((2, q, len(xs)), np.intp)  # the pivots' rows and columns, step by step
     for step in range(q):
-        i, j = np.divmod(np.abs(work).reshape(len(xs), -1).argmax(axis=1), m)
+        i, j = pivots[:, step] = np.divmod(np.abs(work).reshape(len(xs), -1).argmax(axis=1), m)
         pivot = work[t, i, j]
         if not pivot.all():
             raise IllConditionedPivot("ran out of nonzero pivots before reaching q")
-        row_key[t, i], col_key[t, j] = step, step
         # The update zeroes the pivot row exactly (its multiplier is pivot /
-        # pivot = 1), not the pivot column; only the keys are read after the last.
+        # pivot = 1), not the pivot column; only the pivots are read after the last.
         if step < q - 1:
-            work = work - (work[t, :, j] / pivot[:, None])[:, :, None] * work[t, i][:, None, :]
+            work = work - work[t, :, j, None] / pivot[:, None, None] * work[t, None, i]
             work[t, :, j] = 0.0
-
+    # Sort keys: pivots first in pivot order, then the other indices in original order.
+    row_key, col_key = (np.arange(q, q + size)[None].repeat(len(xs), 0) for size in (n, m))
+    row_key[t, pivots[0]] = col_key[t, pivots[1]] = np.arange(q)[:, None]
     rp, cp = row_key.argsort(axis=1), col_key.argsort(axis=1)
     rp.flags.writeable = cp.flags.writeable = False
     xp = xs[t[:, None, None], rp[:, :, None], cp[:, None, :]].reshape(x.shape)
@@ -230,86 +220,110 @@ def assemble(b: BlockDecomposition) -> np.ndarray:
     return _unpermute(b, b.x11, b.x12, b.x21, x22_from_blocks(b))
 
 
-def _delta_blocks(b: BlockDecomposition, deltas: np.ndarray) -> tuple:
-    # dX11, dX12, dX21 of ``deltas`` ([p,] [T,] k) in ``b.coordinates`` order (each block
-    # column-major), laid out ([T,] rows, p, cols), p = 1 without it, and C-contiguous.
-    lead_b = b.x11.shape[:-2]
-    stack = deltas.shape[deltas.ndim - 1 - len(lead_b):-1]
-    if deltas.ndim - len(lead_b) not in (1, 2) or stack != lead_b or deltas.shape[-1] != len(b):
-        raise ShapeMismatch(f"expected {len(b)} deltas, got {deltas.shape}")
-    d = deltas[..., None, :] if deltas.ndim == len(lead_b) + 1 else np.moveaxis(deltas, 0, -2)
-    q, n, m, p = b.q, b.n, b.m, d.shape[-2]
-    return tuple(np.ascontiguousarray(d[..., start:stop].reshape(lead_b + (p, cols, rows))
+def _blocks(d: np.ndarray, n: int, m: int, q: int) -> tuple:
+    # dX11, dX12, dX21 of chart directions d (..., p, k) in coordinates order (each block
+    # column-major), laid out (..., rows, p, cols) and C-contiguous.
+    lead, p = d.shape[:-2], d.shape[-2]
+    return tuple(np.ascontiguousarray(d[..., start:stop].reshape(lead + (p, cols, rows))
                                       .swapaxes(-3, -2).swapaxes(-3, -1))
                  for start, stop, rows, cols in ((0, q * q, q, q), (q * q, q * m, q, m - q),
                                                  (q * m, None, n - q, q)))
 
 
+@cache
+def _unit_blocks(n: int, m: int, q: int) -> tuple:
+    # _blocks of the k unit chart directions, with no stack axis: a matmul broadcasts them
+    # over a stack.  Shared by every caller, so read-only.
+    blocks = _blocks(np.eye(n * q + m * q - q * q), n, m, q)
+    for a in blocks:
+        a.flags.writeable = False
+    return blocks
+
+
+def _delta_blocks(b: BlockDecomposition, deltas: np.ndarray) -> tuple:
+    # _blocks of ``deltas`` ([p,] [T,] k), laid out ([T,] rows, p, cols), p = 1 without it.
+    lead = b.x11.shape[:-2]
+    if deltas.ndim - len(lead) not in (1, 2) or deltas.shape[-1 - len(lead):] != lead + (len(b),):
+        raise ShapeMismatch(f"expected {len(b)} deltas, got {deltas.shape}")
+    d = deltas[..., None, :] if deltas.ndim == len(lead) + 1 else np.moveaxis(deltas, 0, -2)
+    return _blocks(d, b.n, b.m, b.q)
+
+
+def _left(f: np.ndarray, d: np.ndarray) -> np.ndarray:
+    # f times each direction of d (..., rows, p, cols): one matmul per slice.
+    r, p, c = d.shape[-3:]
+    a = f @ d.reshape(d.shape[:-3] + (r, p * c))
+    return a.reshape(a.shape[:-1] + (p, c))
+
+
+def _right(d: np.ndarray, f: np.ndarray) -> np.ndarray:
+    # Each direction of d (..., rows, p, cols) times f: one matmul per slice.
+    r, p, c = d.shape[-3:]
+    a = d.reshape(d.shape[:-3] + (r * p, c)) @ f
+    return a.reshape(a.shape[:-2] + (r, p, f.shape[-1]))
+
+
 def _unpermute_pinv(b: BlockDecomposition, yp: np.ndarray) -> np.ndarray:
-    # An m x n matrix (stack) in b's pivoted coordinates, transposed, at its original indices.
+    # m x n matrices (..., m, p, n) in b's pivoted coordinates, p of them per slice of b,
+    # transposed, at their original indices.
     y = np.empty(yp.shape, yp.dtype)
-    y[(..., *b._stack, b.col_perm[..., :, None], b.row_perm[..., None, :])] = yp
+    y[(*b._stack, b.col_perm[..., :, None], slice(None), b.row_perm[..., None, :])] = \
+        yp.swapaxes(-1, -2)
     return y
 
 
-def _pinv_tangent(b: BlockDecomposition, dx11, dx12, dx21) -> tuple[np.ndarray, np.ndarray]:
+def _pinv_tangent(b: BlockDecomposition, *d) -> np.ndarray:
     # The factored pseudoinverse at b's blocks, Xp+ (..., m, n) in b's pivoted coordinates,
-    # and its forward-mode tangent d Xp+ (..., m, p, n) along p directions laid out (..., rows,
-    # p, cols), p = 0 for the value alone.  X11, I + Z'Z and I + WW' are inverted once per
-    # slice in one call; on a chart that keeps every row (n = q) I + Z'Z is I, and every
-    # column (m = q) I + WW', so neither is formed.  Each inverse M^-1 V has the tangent
-    # d(M^-1 V) = M^-1 (dV - dM M^-1 V), all p directions in one matmul per factor.  Plain
-    # transposes, inverses and products only, so complex blocks pass through.
-    q, p, lead, eye, w, z = b.q, dx11.shape[-2], b.x11.shape[:-2], np.eye(b.q), b.w, b.z
+    # or with directions d = (dX11, dX12, dX21) laid out ([T,] rows, p, cols), the stack
+    # axis optional, its forward-mode tangent d Xp+ (..., m, p, n).  X11, I + Z'Z and
+    # I + WW' are inverted once per slice in one call; a chart that keeps every row (n = q)
+    # has Z empty and I + Z'Z = I, one that keeps every column W empty and I + WW' = I:
+    # neither is formed, and no work is done on the empty blocks.  Each inverse M^-1 V has
+    # the tangent d(M^-1 V) = M^-1 (dV - dM M^-1 V).  Plain transposes, inverses and
+    # products only, so complex blocks pass through.
+    q, eye, w, z = b.q, np.eye(b.q), b.w, b.z
     wt, zt = w.swapaxes(-1, -2), z.swapaxes(-1, -2)
+    has_z, has_w = zt.shape[-1] > 0, wt.shape[-2] > 0
 
-    def flip(d):  # each direction transposed
-        return d.swapaxes(-3, -1)
-
-    def left(f, d):  # f times each direction; sizes explicit, as p may be 0
-        r, c = f.shape[-2], d.shape[-1]
-        return (f @ d.reshape(lead + (d.shape[-3], p * c))).reshape(lead + (r, p, c))
-
-    def right(d, f):  # each direction times f
-        r, c = d.shape[-3], f.shape[-1]
-        return (d.reshape(lead + (r * p, d.shape[-1])) @ f).reshape(lead + (r, p, c))
+    def flip(a):  # each direction transposed
+        return a.swapaxes(-3, -1)
 
     factors = [b.x11] + [eye + zt @ z] * (b.n > q) + [eye + w @ wt] * (b.m > q)
-    x11_inv, *gram_inv = np.linalg.inv(np.stack(factors))
-    dzt = left(x11_inv.swapaxes(-1, -2), flip(dx21) - right(flip(dx11), zt))
-    dw = left(x11_inv, dx12 - right(dx11, w))
-    rows = np.concatenate([np.broadcast_to(eye, zt.shape[:-1] + (q,)), zt], -1)
-    drows = np.concatenate([np.zeros(lead + (q, p, q)), dzt], -1)
-    if b.n > q:  # d(I + Z'Z) = dZ' Z + Z' dZ
-        a_inv, da = gram_inv.pop(0), right(dzt, z)
-        rows = a_inv @ rows
-        drows = left(a_inv, drows - right(da + flip(da), rows))
-    core = x11_inv @ rows
-    dcore = left(x11_inv, drows - right(dx11, core))
-    if b.m > q:  # d(I + WW') = dW W' + W dW'
-        b_inv, db = gram_inv.pop(0), right(dw, wt)
-        core = b_inv @ core
-        dcore = left(b_inv, dcore - right(db + flip(db), core))
-    return (np.concatenate([core, wt @ core], -2),
-            np.concatenate([dcore, right(flip(dw), core) + left(wt, dcore)], -3))
+    x11_inv, *grams = np.linalg.inv(np.stack(factors))
+    a_inv, b_inv = (grams.pop(0) if formed else None for formed in (b.n > q, b.m > q))
+    rows = np.concatenate([np.broadcast_to(eye, zt.shape[:-1] + (q,)), zt], -1) if has_z else eye
+    rows_a = rows if a_inv is None else a_inv @ rows
+    core_x = x11_inv @ rows_a
+    core = core_x if b_inv is None else b_inv @ core_x
+    if not d:
+        return np.concatenate([core, wt @ core], -2) if has_w else core
+    dx11, dx12, dx21 = d
+    drows = 0.0  # the tangent of rows = I at n = q
+    if has_z:
+        dzt = _left(x11_inv.swapaxes(-1, -2), flip(dx21) - _right(flip(dx11), zt))
+        drows = np.concatenate([np.zeros(dzt.shape[:-1] + (q,)), dzt], -1)
+        if a_inv is not None:  # d(I + Z'Z) = dZ' Z + Z' dZ
+            da = _right(dzt, z)
+            drows = _left(a_inv, drows - _right(da + flip(da), rows_a))
+    dcore = _left(x11_inv, drows - _right(dx11, core_x))
+    if not has_w:
+        return dcore
+    dw = _left(x11_inv, dx12 - _right(dx11, w))
+    if b_inv is not None:  # d(I + WW') = dW W' + W dW'
+        db = _right(dw, wt)
+        dcore = _left(b_inv, dcore - _right(db + flip(db), core))
+    return np.concatenate([dcore, _right(flip(dw), core) + _left(wt, dcore)], -3)
 
 
 def pinv_from_blocks(b: BlockDecomposition) -> np.ndarray:
     """Closed-form pseudoinverse from the free blocks alone, of a stack slice by slice.
 
-    With W = X11^-1 X12 and Z = X21 X11^-1 the permuted matrix factors as
-    Xp = [I; Z] X11 [I, W], so in permuted coordinates
-
-        Xp+ = [I; W'] (I + W W')^-1 X11^-1 (I + Z'Z)^-1 [I, Z'],
-
-    then the stored permutations carry the result back to original indices.
-    X11 enters once, never squared, and I + W W' and I + Z'Z have every
-    eigenvalue >= 1, so once X11 has passed its pivot test nothing else
-    can be singular.  It is the value that :func:`pinv_chart_derivative`
-    differentiates, read at no direction.
+    Xp = [I; Z] X11 [I, W] gives Xp+ = [I; W'] (I + W W')^-1 X11^-1 (I + Z'Z)^-1 [I, Z']
+    in permuted coordinates, carried back to the original indices.  X11 enters once,
+    never squared, and I + W W' and I + Z'Z have every eigenvalue >= 1, so nothing else
+    can be singular.  :func:`pinv_chart_derivative` differentiates this value.
     """
-    none = np.zeros((0,) + b.x11.shape[:-2] + (len(b),))
-    return _unpermute_pinv(b, _pinv_tangent(b, *_delta_blocks(b, none))[0])
+    return _unpermute_pinv(b, _pinv_tangent(b)[..., None, :])[..., 0, :]
 
 
 def pinv_chart_derivative(in_chart: BlockDecomposition, deltas) -> np.ndarray:
@@ -322,8 +336,8 @@ def pinv_chart_derivative(in_chart: BlockDecomposition, deltas) -> np.ndarray:
     n), is the derivative to rounding error, with no SVD and no pivot test.
     """
     deltas = np.asarray(deltas, dtype=float)
-    dyp = _pinv_tangent(in_chart, *_delta_blocks(in_chart, deltas))[1]
-    dy = _unpermute_pinv(in_chart, np.moveaxis(dyp, -2, 0))
+    dyp = _pinv_tangent(in_chart, *_delta_blocks(in_chart, deltas))
+    dy = np.moveaxis(_unpermute_pinv(in_chart, dyp), -2, 0)
     return dy if deltas.ndim > in_chart.x11.ndim - 1 else dy[0]
 
 
@@ -334,34 +348,40 @@ def pinv_chart_jacobian(in_chart: BlockDecomposition,
     the k unit directions, a ([T,] k, k) stack.  For equal-size charts its absolute
     determinant is the chart-to-chart Jacobian of X -> pinv(X).
     """
-    k = len(in_chart)
-    units = np.moveaxis(np.broadcast_to(np.eye(k), in_chart.x11.shape[:-2] + (k, k)), -2, 0)
-    return np.moveaxis(out_chart.coordinates(pinv_chart_derivative(in_chart, units)), 0, -1)
+    dyp = _pinv_tangent(in_chart, *_unit_blocks(in_chart.n, in_chart.m, in_chart.q))
+    return _chart_jacobian(out_chart, _unpermute_pinv(in_chart, dyp))
+
+
+def _chart_jacobian(b: BlockDecomposition, a: np.ndarray) -> np.ndarray:
+    # b's free coordinates of the tangents a ([T,] n, k, m), at original indices, along k
+    # directions: the chart Jacobian ([T,] k', k).
+    rows, cols = _free_index(b.n, b.m, b.q)
+    stack = (s[..., 0] for s in b._stack)
+    return a[(*stack, b.row_perm[..., rows], slice(None), b.col_perm[..., cols])]
 
 
 def _tangent_x22(b: BlockDecomposition, dx11, dx12, dx21) -> np.ndarray:
-    # dX22 of free-block directions whose leading axes end with b's stack axes.
-    return (dx21 - b.z @ dx11) @ b.w + b.z @ dx12
+    # dX22 of free-block directions laid out (..., rows, p, cols), the leading axes ending
+    # with b's stack axes (or without them).
+    return _right(dx21 - _left(b.z, dx11), b.w) + _left(b.z, dx12)
 
 
 def tangent_perturbation(b: BlockDecomposition, dx11, dx12, dx21) -> np.ndarray:
-    """Rank-preserving perturbation from free-block directions.
+    """Rank-preserving perturbation from free-block directions: the trailing block follows
+    the product rule applied to X22 = X21 X11^-1 X12 = Z X11 W, with the chart's W and Z,
 
-    The trailing block follows the product rule applied to the dependence
-    X22 = X21 X11^-1 X12 = Z X11 W:
+        dX22 = dX21 W - Z dX11 W + Z dX12 = (dX21 - Z dX11) W + Z dX12.
 
-        dX22 = dX21 W - Z dX11 W + Z dX12 = (dX21 - Z dX11) W + Z dX12,
-
-    with the chart's W and Z.  Each direction ends in exactly its block's
-    shape, of a stacked ``b`` with its stack axis, else ShapeMismatch; the
-    same leading axes on all three give a stack (k, [T,] n, m).
+    Each direction ends in exactly its block's shape, of a stacked ``b`` with its stack
+    axis, else ShapeMismatch; the same leading axes on all three give a stack (k, [T,] n, m).
     """
     dx11, dx12, dx21 = (np.asarray(a, dtype=float) for a in (dx11, dx12, dx21))
     lead = dx11.shape[: max(dx11.ndim - b.x11.ndim, 0)]
     for name, a, block in (("dX11", dx11, b.x11), ("dX12", dx12, b.x12), ("dX21", dx21, b.x21)):
         if a.shape != lead + block.shape:
             raise ShapeMismatch(f"{name} must be {'x'.join(map(str, block.shape))}, got {a.shape}")
-    return _unpermute(b, dx11, dx12, dx21, _tangent_x22(b, dx11, dx12, dx21))
+    dx22 = _tangent_x22(b, dx11[..., None, :], dx12[..., None, :], dx21[..., None, :])
+    return _unpermute(b, dx11, dx12, dx21, dx22[..., 0, :])
 
 
 def log_chart_volume(b: BlockDecomposition):

@@ -19,23 +19,18 @@ and the commutation matrix K, K vec(dX') = vec(dX), S is
     -(Y' kron Y) K + (I_n - X Y) kron (Y Y') + (Y' Y) kron (I_m - Y X).
 
 Spectrum theorem.  Split the full SVD X = U diag(D, 0) V' after the q
-retained singular values D: U = [U1 U2], V = [V1 V2].  S maps each of
-col(X) kron row(X), null(X') kron row(X), col(X) kron null(X) and
-null(X') kron null(X) (U1 kron V1, U2 kron V1, U1 kron V2, U2 kron V2)
-into itself: P_L vanishes on col(X), Y on null(X'), and Y Y', Y' Y map
-into row(X), col(X).  In that basis S is a signed, scaled permutation:
+retained singular values D.  S maps each of col(X) kron row(X), null(X')
+kron row(X), col(X) kron null(X) and null(X') kron null(X) into itself,
+and in the basis U kron V it is a signed, scaled permutation:
 dY'[l, k] = -dX[k, l] / (d_l d_k) when l, k < q (the commutation matrix K
 on col(X) kron row(X)), dX[l, k] / d_min(l,k)^2 when one of l, k is < q,
 and 0 when neither is.  Each entry pairs with its transpose when l, k < q
 and with itself otherwise, so the nonzero singular values are 1/(d_i d_j)
 over all q^2 pairs and d_i^-2, each with multiplicity n+m-2q: nq+mq-q^2
-values in all.  Their product is prod d_i^-2(n+m-q), the rank-deficient
-change-of-variables factor; at full rank it is |X'X|^-n (tall) or
-|XX'|^-m (wide).  It grows like d^(nm), so it is only taken as a log.
-``operator_spectrum`` and ``operator_log_pdet`` use this from the
-caller's rank profile of X, that of the one SVD of X the caller takes
-(which may also give Y: ``matcore.pinv_rank``, ``svd_full``;
-``pinv_differential`` takes the Y of such an SVD through its core).
+values, whose product prod d_i^-2(n+m-q) is the rank-deficient
+change-of-variables factor (|X'X|^-n tall, |XX'|^-m wide at full rank).
+It grows like d^(nm), so ``operator_spectrum`` and ``operator_log_pdet``
+take it as a log, from the caller's rank profile of X.
 
 The oracle reads S(U'XV, V'YU) = (U kron V)' S (U kron V) from its factors
 (``pair_block_profile``; only the tests build S densely): with
@@ -51,13 +46,10 @@ the rest) is small, so ||E||^2, its norm less its pattern entries, cancels
 against no large term; ||S||^2 adds the pattern's squares.
 
 The derivative oracle of pinv is ``chart.pinv_chart_derivative`` (and
-``chart.pinv_chart_jacobian``), the forward-mode tangent of the factored
-block pseudoinverse at a chart's point.  An orthogonal
-sandwich X -> H X Q is linear, so its chart Jacobian needs no step at all:
-``sandwich_chart_jacobian`` maps the chart's exact tangents
-(``chart.tangent_perturbation``), and the area formula
-(``chart.log_chart_volume``) is its closed form.  Its two charts may be
-sub-stacks ``b[0]``, ``b[1]`` of one pivoted stack, which keep its W and Z.
+``chart.pinv_chart_jacobian``).  An orthogonal sandwich X -> H X Q is
+linear, so ``sandwich_chart_jacobian`` maps the chart's exact unit tangents,
+in the chart's column-block layout, with no step; the area formula
+(``chart.log_chart_volume``) is its closed form.
 
 Every function here also takes a stack (T, n, m) (``pair_block_profile``
 only a stack), one result per slice under ``matcore``'s bit rule.
@@ -67,7 +59,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chart import BlockDecomposition, _free_index, _tangent_x22
+from .chart import BlockDecomposition, _chart_jacobian, _left, _right, _tangent_x22, _unit_blocks
 from .errors import NotFullRank, ShapeMismatch
 from .matcore import RankInfo, _rank_info, as_stack, common_rank, gram_qr, pinv
 
@@ -191,8 +183,7 @@ class OrthogonalSandwichMap:
     """X -> H X Q with fixed orthogonal H (n x n) and Q (m x m), or stacks of them."""
 
     def __init__(self, left, right):
-        self.left = as_stack(left)
-        self.right = as_stack(right)
+        self.left, self.right = as_stack(left), as_stack(right)
         for name, f in (("left", self.left), ("right", self.right)):
             if f.shape[-1] != f.shape[-2]:
                 raise ShapeMismatch(f"{name} factor must be square, got {f.shape}")
@@ -212,18 +203,16 @@ def sandwich_chart_jacobian(f: OrthogonalSandwichMap, in_chart: BlockDecompositi
     coordinate c.  For equal-size charts the absolute determinant of the
     returned ([T,] k, k) matrix is the chart-to-chart Jacobian of f.
 
-    The k unit directions, of stacked charts and factors (T slices each)
-    those of every slice, form one (k, [T,] n, m) stack of tangents, taken
-    in the in-chart's pivoted coordinates, where H X Q = H[:, row_perm] Xp
-    Q[col_perm, :]; no point is assembled and no pivot is tested.
+    The k unit tangents of every slice are column blocks ([T,] n, k, m) in
+    the in-chart's pivoted coordinates, where H X Q = H[:, row_perm] Xp
+    Q[col_perm, :], so each factor takes all k in one matmul per slice.  No
+    point is assembled and no pivot is tested.
     """
-    b = in_chart
+    b, units = in_chart, _unit_blocks(in_chart.n, in_chart.m, in_chart.q)
     q, n, m, k = b.q, b.n, b.m, len(b)
-    rows, cols = _free_index(n, m, q)
-    tangents = np.zeros((k,) + b.x11.shape[:-2] + (n, m))
-    tangents[np.arange(k), ..., rows, cols] = 1.0
-    tangents[..., q:, q:] = _tangent_x22(b, tangents[..., :q, :q], tangents[..., :q, q:],
-                                         tangents[..., q:, :q])
+    tangents = np.zeros(b.x11.shape[:-2] + (n, k, m))
+    tangents[..., :q, :, :q], tangents[..., :q, :, q:], tangents[..., q:, :, :q] = units
+    tangents[..., q:, :, q:] = _tangent_x22(b, *units)
     left = np.take_along_axis(f.left, b.row_perm[..., None, :], -1)
     right = np.take_along_axis(f.right, b.col_perm[..., :, None], -2)
-    return np.moveaxis(out_chart.coordinates(left @ tangents @ right), 0, -1)
+    return _chart_jacobian(out_chart, _right(_left(left, tangents), right))

@@ -19,6 +19,7 @@ the residual whose tolerance a caller's ``tol`` (the CLI's ``--tol``) replaces.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter, methodcaller
@@ -291,12 +292,13 @@ def dumps_canonical(obj, duplicates: list | None = None) -> str:
 
 
 def render_text(result: SuiteResult, show_wall_time: bool = True) -> str:
-    """Human-readable rendering of the same data as the JSON form."""
+    """Human-readable rendering of the same data as the JSON form; a residual that is not
+    finite reads ``null``, as it does there."""
     lines = []
     for r in result.reports:
         status = "PASS" if r.passed else "FAIL"
         inputs = " ".join(f"{k}={v}" for k, v in _plain(r.inputs).items())
-        resid = " ".join(f"{k}=null" if v is None else f"{k}={v:.3e}"
+        resid = " ".join(f"{k}={v:.3e}" if v is not None and math.isfinite(v) else f"{k}=null"
                          for k, v in _plain(r.residuals).items()
                          if v is None or isinstance(v, float))
         lines.append(f"[{status}] {r.check_name} {inputs} {resid}".rstrip())

@@ -2,37 +2,21 @@
 
 Each suite maps one analytic result to one independent oracle and runs it
 over ``trials`` reproducible instances.  A trial is a pure function of
-(config, trial index, attempt): its generator stream is addressed by that
-triple, so reruns are byte-identical and trials could execute in any
-order.  Spectra that collide (degenerate draws) are redrawn with a fresh
-sub-seed up to the retry budget, then reported as a hard failure.
-
-A suite is a pair: ``draw(n, m, q, rngs, spectrum)``, the signature of
-``matcore.draw_rank_q``, makes every generator call of a stack of trials,
-one generator each, into preallocated (T, ...) parts, and ``check(cfg,
-draws)`` judges those parts in stacked numpy calls, one report per trial.
-A draw keeps its sampled spectra unsorted; the check sorts and gap-tests
-them in one call (``matcore.sorted_spectra``), which raises the
-DegenerateSpectrum of a tied trial.  Every check of the package lives
-here: each relative residual is one ``_rel``, and
-``reports.stack_reports`` gives the verdict.  Each check
-takes one SVD of its stack of X, which gives pinv(X) and the rank profile
-that the chart's rank test and the operator's spectrum read (the full-rank
-closed forms take a QR of X, to stay independent of it).  pinv's
-derivative (``differential``, and the chart determinants of
-``jacobian-full`` and ``operator-rank``) is the forward-mode tangent of
-the factored block pseudoinverse; a complex step is the tests' reference.
-Those two checks pivot the charts of X and Y = pinv(X) as one stack
-[X; Y'], and ``invariance`` those of X and H X Q: one elimination and one
-pivot test, which names the worse block.
-``run_suite`` runs each stack of trials, capped by ``STACK_ENTRIES``
-entries of what the check holds per trial, through ``_run_stack``: every
-trial's first attempt is drawn from its own stream, all seeded by one
-``matcore.make_rngs`` call, and the stack is checked in one pass.  A tied
-spectrum names its slices; only those are redrawn from their trials' next
-attempts and spliced in, and the stack is checked again.  A stack of several
-trials that raises an MpjlError reruns as stacks of one, so every report
-and error is that of the trials run one by one; any other error propagates.
+(config, trial index, attempt), whose generator stream is addressed by that
+triple, so reruns are byte-identical.  A suite is a pair: ``draw(n, m, q,
+rngs, spectrum)``, the signature of ``matcore.draw_rank_q``, writes every
+generator call of a stack of trials into (T, ...) parts, and ``check(cfg,
+draws)`` judges them in stacked numpy calls, one report per trial; each
+relative residual is one ``_rel``, and ``reports.stack_reports`` gives the
+verdict.  Each check takes one SVD of its stack of X, for pinv(X) and the
+rank profile (the full-rank closed forms take a QR, to stay independent of
+it); pinv's chart checks pivot X and Y = pinv(X) as one stack [X; Y'], and
+``invariance`` X and H X Q.  ``run_suite`` runs stacks capped by
+``STACK_ENTRIES`` through ``_run_stack``.  A tied spectrum names its slices
+(``matcore.sorted_spectra``), and only those are redrawn from their next
+attempts, up to ``RETRY_BUDGET``; a stack of several trials that raises an
+MpjlError reruns as stacks of one, so every report and error is that of
+the trials run one by one; any other error propagates.
 """
 
 from __future__ import annotations
@@ -263,17 +247,17 @@ def _check_hausdorff(cfg: RunConfig, draws: tuple) -> list[VerificationReport]:
 def _check_exterior_chain(cfg: RunConfig, draws: tuple) -> list[VerificationReport]:
     # Y = pinv(X) of full column rank: A = Y Y' is inv(B), B = X'X, and |A|^((n-m-1)/2)
     # |B|^-(m+1) |B|^-((n-m-1)/2) is |X'X|^-n by determinant algebra, and the operator's
-    # log pseudo-determinant.  QRs of X and Y' give log|B|, log|A| and inv(B) = inv(R) inv(R)'.
+    # log pseudo-determinant.  One QR of [X; Y'] ([X; Y] when square, as gram_qr(y) takes Y)
+    # gives log|B|, log|A| and inv(B) = inv(R) inv(R)'.
     [x] = _instances(draws)
     n, m = x.shape[-2:]
     y, info = matcore.pinv_rank(x)
     if m > n or np.any(info.rank != m):
         raise NotFullColumnRank(f"need rank(X) = cols <= rows, got shape {x.shape}")
     a = y @ y.swapaxes(-1, -2)
-    r, log_b = matcore.gram_qr(x)
-    r_inv = np.linalg.inv(r)
+    r, logs = matcore.gram_qr(np.concatenate([x, y if n == m else y.swapaxes(-1, -2)]))
+    (log_b, log_a), r_inv = logs.reshape(2, -1), np.linalg.inv(r[:len(x)])
     b_inv = r_inv @ r_inv.swapaxes(-1, -2)
-    log_a = matcore.gram_qr(y)[1]
     power = 0.5 * (n - m - 1)
     assembled = power * log_a - (m + 1 + power) * log_b
     target = -n * log_b
@@ -299,9 +283,12 @@ def judge_invariance(x, q: int, h, qmat) -> list[VerificationReport]:
     the free-coordinate volume element is not invariant.  One report per slice of
     X (n, m) or (T, n, m).  Only X's rank is tested (H X Q has it), and both charts
     are pivoted as one stack: one pivot test, which names the worse block."""
+    return _judge_invariance(x, q, differential.OrthogonalSandwichMap(h, qmat))
+
+
+def _judge_invariance(x, q: int, sandwich) -> list[VerificationReport]:
     x = matcore.as_stack(x)
     n, m = x.shape[-2:]
-    sandwich = differential.OrthogonalSandwichMap(h, qmat)
     chart._require_rank(matcore.rank_profile(x), q)
     charts = chart._pivot(np.stack([x, sandwich.apply(x)]), q)
     in_volume, out_volume = chart.log_chart_volume(charts)
@@ -326,8 +313,10 @@ def _draw_invariance(n: int, m: int, q: int, rngs, spectrum) -> tuple:
 
 def _check_invariance(cfg: RunConfig, draws: tuple) -> list[VerificationReport]:
     x, g_h, g_q = _instances(draws)
-    h, qmat = matcore.orthonormal_frames(g_h), matcore.orthonormal_frames(g_q)
-    return judge_invariance(x, cfg.rank, h, qmat)
+    # QR builds the frames orthogonal, so the map is built without __init__'s test of that.
+    sandwich = object.__new__(differential.OrthogonalSandwichMap)
+    sandwich.left, sandwich.right = matcore.orthonormal_frames(g_h), matcore.orthonormal_frames(g_q)
+    return _judge_invariance(x, cfg.rank, sandwich)
 
 
 def _draw_symmetric_inverse(n: int, m: int, q: int, rngs, spectrum) -> tuple:

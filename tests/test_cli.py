@@ -518,6 +518,8 @@ def test_a_non_finite_value_fails_its_reports_in_well_formed_output(monkeypatch,
         assert report["values"]["log_density_x"] is None
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (1, "") and out.count("[FAIL]") == 3
+    # The live text names the residual as null, as the JSON and the report's text do.
+    assert out.count(" identity=null\n") == 3
     code, out, err = run_cli(capsys, "report", str(path), "--format", "json")
     assert (code, err) == (0, "") and cli._DECODER.decode(out)["reports"] == result["reports"]
     code, out, err = run_cli(capsys, "report", str(path))

@@ -655,11 +655,12 @@ def test_fd_chart_jacobian_matches_per_point_loop(n, m, q):
             )
 
 
-@pytest.mark.parametrize("n, m, q", CHART_SHAPES + [(3, 5, 2), (10, 7, 4)])
+@pytest.mark.parametrize("n, m, q", CHART_SHAPES + [(3, 5, 2), (10, 7, 4), (3, 3, 3), (3, 1, 1)])
 def test_sandwich_chart_jacobian_matches_fd_and_the_area_formula(n, m, q):
     # Entry by entry against central FD of X -> H X Q, and in log|det|
     # against the area formula V(X's chart) - V(H X Q's chart), on stacks of
-    # three with the bits of each slice.
+    # three, each slice with the bits of a stack of one and of one chart; a full
+    # chart (dX22 empty) among them.
     rng = mc.make_rng(63, n, m, q)
     x = np.array([mc.random_rank_q(n, m, q, rng) for _ in range(3)])
     h = mc.orthonormal_frames(rng.standard_normal((3, n, n)))
@@ -673,9 +674,11 @@ def test_sandwich_chart_jacobian_matches_fd_and_the_area_formula(n, m, q):
     want = chart.log_chart_volume(in_chart) - chart.log_chart_volume(out_chart)
     np.testing.assert_allclose(np.linalg.slogdet(jac)[1], want, rtol=0, atol=1e-12)
     for t in range(3):
-        one = df.OrthogonalSandwichMap(h[t], qmat[t])
-        one_charts = chart.decompose(x[t], q), chart.decompose(one.apply(x[t]), q)
-        assert _same_bits(jac[t], df.sandwich_chart_jacobian(one, *one_charts))
+        for at in (slice(t, t + 1), t):  # a stack of one, and one chart
+            one = df.OrthogonalSandwichMap(h[at], qmat[at])
+            one_charts = chart.decompose(x[at], q), chart.decompose(one.apply(x[at]), q)
+            got = df.sandwich_chart_jacobian(one, *one_charts)
+            assert _same_bits(jac[t], got[0] if isinstance(at, slice) else got)
 
 
 class _Recording:
@@ -731,3 +734,38 @@ def test_pinv_chart_jacobian_stack_checks():
     assert jac.shape == (3, 10, 10)
     for t, one in enumerate(x):
         assert _same_bits(jac[t], chart.pinv_chart_jacobian(*_pinv_charts(one, 2)))
+
+
+# n = q (no Z), m = q (no W), n = m = q (neither), and a deficient chart with both.
+BRANCH_SHAPES = [(3, 4, 3), (1, 3, 1), (4, 3, 3), (3, 1, 1), (3, 3, 3), (1, 1, 1), (5, 4, 2)]
+
+
+@pytest.mark.parametrize("n, m, q", BRANCH_SHAPES)
+def test_tangent_on_every_block_branch_is_the_complex_step_with_the_bits_of_each_slice(n, m, q):
+    # The factored pseudoinverse does work only on the blocks a chart has, and its
+    # value alone (pinv_from_blocks) takes no tangent: along the unit directions, which
+    # carry no stack axis, and along stacked ones, the tangent is the complex step, and
+    # each slice of a stack of three has the bits of a stack of one and of one chart.
+    rng = mc.make_rng(65, n, m, q)
+    x = np.array([mc.random_rank_q(n, m, q, rng) for _ in range(3)])
+    b, out = _pinv_charts(x, q)
+    k = len(b)
+    jac = chart.pinv_chart_jacobian(b, out)
+    reference = pinv_complex_step(b, np.broadcast_to(np.eye(k)[:, None], (k, 3, k)))
+    want = np.moveaxis(out.coordinates(reference), 0, -1)
+    assert np.max(np.abs(jac - want)) <= 1e-12 * np.max(np.abs(want))
+    deltas = rng.standard_normal((2, 3, k))
+    derivative = chart.pinv_chart_derivative(b, deltas)
+    reference = pinv_complex_step(b, deltas)
+    assert np.max(np.abs(derivative - reference)) <= 1e-12 * np.max(np.abs(reference))
+    value = chart.pinv_from_blocks(b)
+    assert np.max(np.abs(value - mc.pinv(x))) <= 1e-12 * np.max(np.abs(value))
+    for t in range(3):
+        for at in (slice(t, t + 1), t):  # a stack of one, and one chart
+            b1, out1 = _pinv_charts(x[at], q)
+            first = 0 if isinstance(at, slice) else ()
+            assert _same_bits(jac[t], chart.pinv_chart_jacobian(b1, out1)[first])
+            assert _same_bits(value[t], chart.pinv_from_blocks(b1)[first])
+            one = chart.pinv_chart_derivative(b1, deltas[:, at])
+            assert _same_bits(derivative[:, t], one.reshape(2, m, n))
+

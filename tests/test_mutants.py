@@ -14,8 +14,9 @@ from mpjl import chart, differential, matcore, measures, suites
 
 
 def _flip_z_dx12(original):
-    # dX22 = (dX21 - Z dX11) W + Z dX12 with the sign of Z dX12 flipped.
-    return lambda b, dx11, dx12, dx21: (dx21 - b.z @ dx11) @ b.w - b.z @ dx12
+    # dX22 = (dX21 - Z dX11) W + Z dX12 with the sign of Z dX12 flipped: dX22 is linear
+    # in dX12, which enters only there, so dX12's sign is flipped, in any layout.
+    return lambda b, dx11, dx12, dx21: original(b, dx11, -dx12, dx21)
 
 
 def _swap_volumes(original):
