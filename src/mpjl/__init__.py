@@ -11,12 +11,10 @@ JSON reports.
 
 from .chart import (
     BlockDecomposition, assemble, decompose, log_chart_volume, pinv_chart_derivative,
-    pinv_chart_jacobian, pinv_from_blocks, tangent_perturbation, x22_from_blocks,
+    pinv_chart_jacobian, pinv_from_blocks, sandwich_chart_jacobian, tangent_perturbation,
+    x22_from_blocks,
 )
-from .differential import (
-    OrthogonalSandwichMap, log_jacobian_det_full_rank, operator_spectrum, pinv_differential,
-    sandwich_chart_jacobian,
-)
+from .differential import log_jacobian_det_full_rank, operator_spectrum, pinv_differential
 from .errors import (
     BadSpectrum, ConfigError, DegeneracyBudgetExceeded, DegenerateSpectrum, IllConditionedPivot,
     MpjlError, NotFullColumnRank, NotFullRank, ParseError, RankMismatch, ShapeMismatch,

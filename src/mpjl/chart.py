@@ -12,15 +12,22 @@ permutations, stored and never applied, so every result maps back to the
 original indices.  X11 is tested once, when the chart is built, and
 W = X11^-1 X12 and Z = X21 X11^-1 are solved for once.
 
+Conditioning policy: X11 is the one block whose invertibility is tested.
+It fails when ``s[-1] <= s[0] / PIVOT_COND_CAP`` (its singular values), and
+a stack fails when any one of its slices would fail alone.
+
 One function evaluates the factored pseudoinverse (``pinv_from_blocks``)
 or its forward-mode tangent along chart directions, laid out as column
 blocks ([T,] rows, p, cols) so that each factor takes them all in one
-matmul (``pinv_chart_derivative``; ``pinv_chart_jacobian`` along the k
-unit directions, built once per shape with no stack axis): the derivative
-to rounding error, with no step.  A chart without Z (n = q) or W (m = q)
-does no work on it.  The tests hold it to a complex step.  Every function
-takes a stack (T, n, m) under ``matcore``'s bit rule; ``b[i]`` gives
-slices of a stacked chart with its cached W and Z and no second pivot test.
+matmul (``pinv_chart_derivative``).  The two chart-to-chart Jacobians map
+the k unit directions, built once per shape with no stack axis: of pinv
+(``pinv_chart_jacobian``) and of the linear sandwich X -> H X Q
+(``sandwich_chart_jacobian``), each the derivative to rounding error, with
+no step; the area formula (``log_chart_volume``) is their closed form.  A
+chart without Z (n = q) or W (m = q) does no work on it.  The tests hold
+them to a complex step and to central differences.  Every function takes
+a stack (T, n, m) under ``matcore``'s bit rule; ``b[i]`` gives slices of a
+stacked chart with its cached W and Z and no second pivot test.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import IllConditionedPivot, RankMismatch, ShapeMismatch
-from .matcore import RankInfo, as_stack, common_rank, ill_conditioned, rank_profile
+from .matcore import RankInfo, as_stack, common_rank, rank_profile
 
 # Condition-number cap on the pivot block; beyond it the rank hypothesis is
 # too close to violated for chart arithmetic to mean anything.
@@ -84,8 +91,8 @@ class BlockDecomposition:
         self._test_pivot()
 
     def _test_pivot(self) -> None:
-        s = ill_conditioned(self.x11, rtol=1 / PIVOT_COND_CAP)
-        if s is not None:  # reports the worst slice of a stack
+        s = np.linalg.svd(self.x11, compute_uv=False)
+        if s.size and np.any(s[..., -1] <= 1 / PIVOT_COND_CAP * s[..., 0]):  # names the worst slice
             cond = np.max(s[..., 0] / np.maximum(s[..., -1], 1e-300))
             raise IllConditionedPivot(f"pivot block has condition {cond:.3e} > {PIVOT_COND_CAP:.0e}")
 
@@ -364,6 +371,28 @@ def _tangent_x22(b: BlockDecomposition, dx11, dx12, dx21) -> np.ndarray:
     # dX22 of free-block directions laid out (..., rows, p, cols), the leading axes ending
     # with b's stack axes (or without them).
     return _right(dx21 - _left(b.z, dx11), b.w) + _left(b.z, dx12)
+
+
+def sandwich_chart_jacobian(h: np.ndarray, qmat: np.ndarray, in_chart: BlockDecomposition,
+                            out_chart: BlockDecomposition) -> np.ndarray:
+    """Partial derivatives of out-chart coordinates of X -> H X Q, for any H (n x n) and Q
+    (m x m) or stacks of them, with respect to in-chart coordinates, exact to rounding: the
+    map is linear, so column c is the out-chart coordinates of H T_c Q, T_c the tangent along
+    in-chart coordinate c.  For equal-size charts the absolute determinant of the returned
+    ([T,] k, k) matrix is the chart-to-chart Jacobian of the map.
+
+    The k unit tangents of every slice are column blocks ([T,] n, k, m) in the in-chart's
+    pivoted coordinates, where H X Q = H[:, row_perm] Xp Q[col_perm, :], so each factor
+    takes all k in one matmul per slice.  No point is assembled and no pivot is tested.
+    """
+    b, units = in_chart, _unit_blocks(in_chart.n, in_chart.m, in_chart.q)
+    q, n, m, k = b.q, b.n, b.m, len(b)
+    tangents = np.zeros(b.x11.shape[:-2] + (n, k, m))
+    tangents[..., :q, :, :q], tangents[..., :q, :, q:], tangents[..., q:, :, :q] = units
+    tangents[..., q:, :, q:] = _tangent_x22(b, *units)
+    left = np.take_along_axis(h, b.row_perm[..., None, :], -1)
+    right = np.take_along_axis(qmat, b.col_perm[..., :, None], -2)
+    return _chart_jacobian(out_chart, _right(_left(left, tangents), right))
 
 
 def tangent_perturbation(b: BlockDecomposition, dx11, dx12, dx21) -> np.ndarray:

@@ -45,12 +45,6 @@ Yd) (d: the diagonals, of Y its first q) lies on the pair pattern, and S - S0
 the rest) is small, so ||E||^2, its norm less its pattern entries, cancels
 against no large term; ||S||^2 adds the pattern's squares.
 
-The derivative oracle of pinv is ``chart.pinv_chart_derivative`` (and
-``chart.pinv_chart_jacobian``).  An orthogonal sandwich X -> H X Q is
-linear, so ``sandwich_chart_jacobian`` maps the chart's exact unit tangents,
-in the chart's column-block layout, with no step; the area formula
-(``chart.log_chart_volume``) is its closed form.
-
 Every function here also takes a stack (T, n, m) (``pair_block_profile``
 only a stack), one result per slice under ``matcore``'s bit rule.
 """
@@ -59,7 +53,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chart import BlockDecomposition, _chart_jacobian, _left, _right, _tangent_x22, _unit_blocks
 from .errors import NotFullRank, ShapeMismatch
 from .matcore import RankInfo, _rank_info, as_stack, common_rank, gram_qr, pinv
 
@@ -175,44 +168,3 @@ def log_jacobian_det_full_rank(x: np.ndarray, info: RankInfo):
         raise NotFullRank(f"rank {rank} < min(n, m) = {min(n, m)}")
     return -max(n, m) * gram_qr(x)[1]
 
-
-# ---------------------------------------------------------------------------
-# Chart-to-chart Jacobians.
-
-class OrthogonalSandwichMap:
-    """X -> H X Q with fixed orthogonal H (n x n) and Q (m x m), or stacks of them."""
-
-    def __init__(self, left, right):
-        self.left, self.right = as_stack(left), as_stack(right)
-        for name, f in (("left", self.left), ("right", self.right)):
-            if f.shape[-1] != f.shape[-2]:
-                raise ShapeMismatch(f"{name} factor must be square, got {f.shape}")
-            gap = np.max(np.abs(f.swapaxes(-1, -2) @ f - np.eye(f.shape[-1])))
-            if gap > 1e-12:
-                raise ValueError(f"{name} factor deviates from orthogonality by {gap:.2e}")
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.left @ x @ self.right
-
-
-def sandwich_chart_jacobian(f: OrthogonalSandwichMap, in_chart: BlockDecomposition,
-                            out_chart: BlockDecomposition) -> np.ndarray:
-    """Partial derivatives of out-chart coordinates of f with respect to
-    in-chart coordinates, exact to rounding: f is linear, so column c is the
-    out-chart coordinates of H T_c Q, T_c the tangent along in-chart
-    coordinate c.  For equal-size charts the absolute determinant of the
-    returned ([T,] k, k) matrix is the chart-to-chart Jacobian of f.
-
-    The k unit tangents of every slice are column blocks ([T,] n, k, m) in
-    the in-chart's pivoted coordinates, where H X Q = H[:, row_perm] Xp
-    Q[col_perm, :], so each factor takes all k in one matmul per slice.  No
-    point is assembled and no pivot is tested.
-    """
-    b, units = in_chart, _unit_blocks(in_chart.n, in_chart.m, in_chart.q)
-    q, n, m, k = b.q, b.n, b.m, len(b)
-    tangents = np.zeros(b.x11.shape[:-2] + (n, k, m))
-    tangents[..., :q, :, :q], tangents[..., :q, :, q:], tangents[..., q:, :, :q] = units
-    tangents[..., q:, :, q:] = _tangent_x22(b, *units)
-    left = np.take_along_axis(f.left, b.row_perm[..., None, :], -1)
-    right = np.take_along_axis(f.right, b.col_perm[..., :, None], -2)
-    return _chart_jacobian(out_chart, _right(_left(left, tangents), right))

@@ -17,11 +17,6 @@ by Gram identities, S0 split off), and ``_pinv_from_svd``
 the one place retained factors become a pseudoinverse.  A check that needs
 both the rank and the pseudoinverse of X takes them from one SVD
 (``pinv_rank``, ``svd_full``), never a second one.
-
-Conditioning policy: ``ill_conditioned`` is the one test of whether a
-square block can be inverted: ``s[-1] <= rtol * s[0]`` fails it, where a
-cap c on the condition number is ``rtol = 1 / c``.  Callers raise their
-own error.  A stack of blocks fails when any one of them would fail alone.
 """
 
 from __future__ import annotations
@@ -178,16 +173,6 @@ def pinv(x) -> np.ndarray:
     slices of a stack must share one rank (see :func:`common_rank`).
     """
     return pinv_rank(x)[0]
-
-
-def ill_conditioned(a, rtol: float) -> np.ndarray | None:
-    """Singular values of the square matrix ``a`` when ``s[-1] <= rtol * s[0]``, else None.
-
-    ``a`` may be a stack (..., q, q), factored in one stacked SVD: the stack fails when
-    any slice fails, and then all its singular values, of shape (..., q), are returned.
-    """
-    s = np.linalg.svd(a, compute_uv=False)
-    return s if s.size and np.any(s[..., -1] <= rtol * s[..., 0]) else None
 
 
 # ---------------------------------------------------------------------------

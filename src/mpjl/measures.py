@@ -24,7 +24,7 @@ from functools import cache
 import numpy as np
 
 from .errors import BadSpectrum, ShapeMismatch, SingularInput
-from .matcore import as_stack, check_spectrum, ill_conditioned
+from .matcore import as_stack, check_spectrum, rank_profile
 
 
 def _spectra(n: int, m: int, d) -> np.ndarray:
@@ -105,11 +105,12 @@ def log_symmetric_inverse_jacobian(s):
     """-(m+1) log|det S|: the log half-vectorization Jacobian of S -> inv(S).
 
     ``s`` is one symmetric m x m matrix or a stack of them, taken through
-    :func:`symmetric_part`; SingularInput when any slice is numerically singular.
+    :func:`symmetric_part`; SingularInput when any slice has numerical rank below m
+    (``matcore``'s rank policy).
     """
     s = symmetric_part(s)
     m = s.shape[-1]
-    if ill_conditioned(s, rtol=np.finfo(float).eps * m) is not None:
+    if np.any(rank_profile(s).rank < m):
         raise SingularInput("matrix is numerically singular")
     return -(m + 1) * np.linalg.slogdet(s)[1]
 

@@ -10,8 +10,8 @@ draws)`` judges them in stacked numpy calls, one report per trial; each
 relative residual is one ``_rel``, and ``reports.stack_reports`` gives the
 verdict.  Each check takes one SVD of its stack of X, for pinv(X) and the
 rank profile (the full-rank closed forms take a QR, to stay independent of
-it); pinv's chart checks pivot X and Y = pinv(X) as one stack [X; Y'], and
-``invariance`` X and H X Q.  ``run_suite`` runs stacks capped by
+it); each two-sided chart check pivots X and its image, Y' = pinv(X)' or
+H X Q, as one stack (2, T, n, m).  ``run_suite`` runs stacks capped by
 ``STACK_ENTRIES`` through ``_run_stack``.  A tied spectrum names its slices
 (``matcore.sorted_spectra``), and only those are redrawn from their next
 attempts, up to ``RETRY_BUDGET``; a stack of several trials that raises an
@@ -29,7 +29,7 @@ import numpy as np
 from . import chart, differential, matcore, measures
 from .errors import (
     BadSpectrum, ConfigError, DegeneracyBudgetExceeded, DegenerateSpectrum, MpjlError,
-    NotFullColumnRank,
+    NotFullColumnRank, ShapeMismatch,
 )
 from .reports import PRIMARY, TOLERANCES, SuiteResult, VerificationReport, stack_reports
 
@@ -171,8 +171,8 @@ def _check_jacobian_full(cfg: RunConfig, draws: tuple) -> list[VerificationRepor
         # log_jacobian_det_full_rank has refused an X below full rank, and Y
         # has X's rank: neither chart takes a rank test.  The tangent of the
         # factored block pseudoinverse moves no point: no SVD, no step.
-        charts = chart._pivot(np.concatenate([x, y.swapaxes(-1, -2)]), cfg.rank)
-        jac = chart.pinv_chart_jacobian(charts[:len(x)], chart._transposed(charts[len(x):]))
+        charts = chart._pivot(np.array([x, y.swapaxes(-1, -2)]), cfg.rank)
+        jac = chart.pinv_chart_jacobian(charts[0], chart._transposed(charts[1]))
         values["log_fd_chart_det"] = fd_det = np.linalg.slogdet(jac)[1]
         residuals["fd_vs_formula"] = abs(fd_det - formula)
     return stack_reports("jacobian-full", {"n": cfg.n, "m": cfg.m, "q": cfg.rank}, values,
@@ -195,11 +195,11 @@ def _check_operator_rank(cfg: RunConfig, draws: tuple) -> list[VerificationRepor
         # SVD above; Y has X's rank.  The area formula gives the chart
         # determinant as log_factor + V(X's chart) - V(Y's chart); Y' has Y's V.
         chart._require_rank(info, q)
-        charts = chart._pivot(np.concatenate([x, y.swapaxes(-1, -2)]), q)
-        x_volume, y_volume = chart.log_chart_volume(charts).reshape(2, -1)
-        jac = chart.pinv_chart_jacobian(charts[:len(x)], chart._transposed(charts[len(x):]))
+        charts = chart._pivot(np.array([x, y.swapaxes(-1, -2)]), q)
+        in_volume, out_volume = chart.log_chart_volume(charts)
+        jac = chart.pinv_chart_jacobian(charts[0], chart._transposed(charts[1]))
         chart_det["log_deficient_chart_det"] = det = np.linalg.slogdet(jac)[1]
-        area = log_factor + x_volume - y_volume
+        area = log_factor + in_volume - out_volume
         area_formula["area_formula"] = _rel(abs(det - area), np.maximum(1.0, abs(area)))
     # S in the basis U kron V, read from its factors (see differential).
     rank, (norm, normal, off) = differential.pair_block_profile(
@@ -281,19 +281,26 @@ def judge_invariance(x, q: int, h, qmat) -> list[VerificationReport]:
     log|det| = V_in - V_out (``volume``), asserted at every q; on the full chart
     |det| = 1 is asserted too, on a deficient one its ``deviation`` is evidence that
     the free-coordinate volume element is not invariant.  One report per slice of
-    X (n, m) or (T, n, m).  Only X's rank is tested (H X Q has it), and both charts
-    are pivoted as one stack: one pivot test, which names the worse block."""
-    return _judge_invariance(x, q, differential.OrthogonalSandwichMap(h, qmat))
+    X (n, m) or (T, n, m).  A factor (or stack) that is not square raises
+    ShapeMismatch; one not finite, or with a slice not orthogonal to 1e-12, ValueError."""
+    h, qmat = matcore.as_stack(h), matcore.as_stack(qmat)
+    for name, f in (("left", h), ("right", qmat)):
+        if f.shape[-1] != f.shape[-2]:
+            raise ShapeMismatch(f"{name} factor must be square, got {f.shape}")
+        gap = np.max(np.abs(f.swapaxes(-1, -2) @ f - np.eye(f.shape[-1])))
+        if gap > 1e-12:
+            raise ValueError(f"{name} factor deviates from orthogonality by {gap:.2e}")
+    return _judge_invariance(matcore.as_stack(x), q, h, qmat)
 
 
-def _judge_invariance(x, q: int, sandwich) -> list[VerificationReport]:
-    x = matcore.as_stack(x)
+def _judge_invariance(x: np.ndarray, q: int, h, qmat) -> list[VerificationReport]:
+    # judge_invariance of orthogonal factors.  Only X's rank is tested (H X Q has it), and
+    # both charts are pivoted as one stack: one pivot test, which names the worse block.
     n, m = x.shape[-2:]
     chart._require_rank(matcore.rank_profile(x), q)
-    charts = chart._pivot(np.stack([x, sandwich.apply(x)]), q)
+    charts = chart._pivot(np.array([x, h @ x @ qmat]), q)
     in_volume, out_volume = chart.log_chart_volume(charts)
-    abs_det = np.abs(np.linalg.det(differential.sandwich_chart_jacobian(sandwich, charts[0],
-                                                                        charts[1])))
+    abs_det = np.abs(np.linalg.det(chart.sandwich_chart_jacobian(h, qmat, charts[0], charts[1])))
     log_volume = in_volume - out_volume
     deviation = abs(abs_det - 1.0)
     full_chart = q == min(n, m)
@@ -313,10 +320,9 @@ def _draw_invariance(n: int, m: int, q: int, rngs, spectrum) -> tuple:
 
 def _check_invariance(cfg: RunConfig, draws: tuple) -> list[VerificationReport]:
     x, g_h, g_q = _instances(draws)
-    # QR builds the frames orthogonal, so the map is built without __init__'s test of that.
-    sandwich = object.__new__(differential.OrthogonalSandwichMap)
-    sandwich.left, sandwich.right = matcore.orthonormal_frames(g_h), matcore.orthonormal_frames(g_q)
-    return _judge_invariance(x, cfg.rank, sandwich)
+    # QR builds the frames orthogonal: they take no test of that.
+    return _judge_invariance(x, cfg.rank, matcore.orthonormal_frames(g_h),
+                             matcore.orthonormal_frames(g_q))
 
 
 def _draw_symmetric_inverse(n: int, m: int, q: int, rngs, spectrum) -> tuple:

@@ -133,6 +133,17 @@ def perturbed_assemble(b: BlockDecomposition, deltas) -> np.ndarray:
     return _unpermute(b, x11, x12, x21, x21 @ np.linalg.solve(x11, x12))
 
 
+class Sandwich:
+    """X -> H X Q for any H (n x n) and Q (m x m), or stacks of them: the map whose chart
+    Jacobian ``chart.sandwich_chart_jacobian`` takes, as :func:`fd_chart_jacobian` maps it."""
+
+    def __init__(self, h, qmat):
+        self.h, self.qmat = h, qmat
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.h @ x @ self.qmat
+
+
 def fd_step(x, step: float = 1e-5) -> np.ndarray:
     """The central-difference step of :func:`fd_chart_jacobian`: ``step`` max|X|, per slice."""
     return step * np.maximum(np.max(np.abs(x), axis=(-2, -1)), 1e-12)

@@ -5,7 +5,7 @@ import mpjl
 PUBLIC = [
     "BadSpectrum", "BlockDecomposition", "ConfigError", "DegeneracyBudgetExceeded",
     "DegenerateSpectrum", "IllConditionedPivot", "MpjlError", "NotFullColumnRank", "NotFullRank",
-    "OrthogonalSandwichMap", "ParseError", "RankInfo", "RankMismatch", "RunConfig",
+    "ParseError", "RankInfo", "RankMismatch", "RunConfig",
     "ShapeMismatch", "SingularInput", "SuiteResult", "SvdFactors", "VerificationReport",
     "assemble", "chart", "decompose", "differential", "errors", "log_chart_volume",
     "log_hausdorff_density", "log_jacobian_det_full_rank", "log_nonfullrank_jacobian_factor",

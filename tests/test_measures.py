@@ -1,12 +1,14 @@
 """Measure-density factor tests: anchors, identities, and the invariance split."""
 
+import re
+
 import mpmath
 import numpy as np
 import pytest
 
 from helpers import check
 from mpjl import matcore as mc, measures as ms, suites, witnesses as wt
-from mpjl.errors import BadSpectrum, NotFullColumnRank, SingularInput
+from mpjl.errors import BadSpectrum, NotFullColumnRank, ShapeMismatch, SingularInput
 
 
 def test_density_anchor_2x2_rank1():
@@ -343,6 +345,36 @@ def test_invariance_rejects_nonorthogonal_factor():
     x = mc.random_rank_q(3, 3, 2, mc.make_rng(69))
     with pytest.raises(ValueError):
         suites.judge_invariance(x, 2, np.eye(3) * 1.001, np.eye(3))
+
+
+def test_invariance_refuses_a_factor_that_is_not_square_or_not_finite():
+    # Each factor is coerced, then tested square, then orthogonal, left before right.
+    x = mc.random_rank_q(3, 3, 2, mc.make_rng(69))
+    with pytest.raises(ShapeMismatch, match=re.escape("left factor must be square, got (2, 3)")):
+        suites.judge_invariance(x, 2, np.eye(2, 3), np.eye(3))
+    with pytest.raises(ShapeMismatch, match=re.escape("right factor must be square, got (3, 2)")):
+        suites.judge_invariance(x, 2, np.eye(3), np.eye(3, 2))
+    bad = np.eye(3)
+    bad[1, 2] = np.inf
+    for factors in ((bad, np.eye(3)), (np.eye(3), bad)):
+        with pytest.raises(ValueError) as raised:
+            suites.judge_invariance(x, 2, *factors)
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == "matrix entries must be finite"
+
+
+def test_invariance_refuses_a_stack_in_which_one_factor_is_not_orthogonal():
+    rng = mc.make_rng(72)
+    x = np.array([mc.random_rank_q(4, 3, 2, rng) for _ in range(3)])
+    h = mc.orthonormal_frames(rng.standard_normal((3, 4, 4)))
+    qmat = mc.orthonormal_frames(rng.standard_normal((3, 3, 3)))
+    assert all(r.passed for r in suites.judge_invariance(x, 2, h, qmat))
+    qmat[1] *= 1.001  # Q'Q = 1.001^2 I
+    with pytest.raises(ValueError, match=re.escape("right factor deviates from orthogonality "
+                                                   "by 2.00e-03")):
+        suites.judge_invariance(x, 2, h, qmat)
+    for t in (0, 2):
+        assert suites.judge_invariance(x[t], 2, h[t], qmat[t])[0].passed
 
 
 def test_witness_fixtures_reproduce_exactly():

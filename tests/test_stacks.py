@@ -461,20 +461,18 @@ def test_stacked_decompose_and_fd_chart_factor_one_stack(svd_shapes):
     rng = mc.make_rng(12)
     h = mc.orthonormal_frames(rng.standard_normal((trials, n, n)))
     qmat = mc.orthonormal_frames(rng.standard_normal((trials, m, m)))
-    sandwich = df.OrthogonalSandwichMap(h, qmat)
     svd_shapes.clear()
     # The chart Jacobians of the fd-chart checks factor nothing: the tangents
     # of pinv and of a sandwich move no point that would need a pivot test.
     jac = chart.pinv_chart_jacobian(in_chart, out_chart)
-    tangent = df.sandwich_chart_jacobian(sandwich, in_chart, in_chart)
+    tangent = chart.sandwich_chart_jacobian(h, qmat, in_chart, in_chart)
     assert svd_shapes == []
     for t in range(trials):
         one_chart = chart.decompose(x[t], q)
         one = chart.pinv_chart_jacobian(one_chart, chart.decompose(y[t], q))
         assert np.array_equal(jac[t], one)
-        one_sandwich = df.OrthogonalSandwichMap(h[t], qmat[t])
         assert np.array_equal(tangent[t],
-                              df.sandwich_chart_jacobian(one_sandwich, one_chart, one_chart))
+                              chart.sandwich_chart_jacobian(h[t], qmat[t], one_chart, one_chart))
 
 
 def test_stacked_decompose_raises_for_any_bad_slice():

@@ -103,7 +103,13 @@ its own directory.  It replays:
   24 x 22 q=20 seed 275, whose first draw is degenerate; and, in JSON,
   ``blocks`` on each branch of the factored pseudoinverse: 3 x 5 q=3 (a
   chart that keeps every row, so no I + Z'Z), 4 x 4 q=4 (neither Gram
-  matrix) and 6 x 5 q=2 (both).
+  matrix) and 6 x 5 q=2 (both); and ``invariance`` 3 x 3 q=2 at spectrum
+  ``1.7976931348623157e308,1.7e308`` (the largest float), seeds 1-3, whose
+  X no check coerces a second time;
+* ``verify hausdorff`` 4 x 3 q=2, in JSON and in text, with
+  ``measures.log_hausdorff_density`` patched to return NaN on both sides, so
+  that a residual that is not finite reaches a live report (``identity=null``
+  in the text).
 
 Declared differences against older sources.  Where X and Y were pivoted
 in two passes, one error message: edge 116 (``operator-rank`` 4 x 3 q=2
@@ -340,7 +346,14 @@ EDGE_CASES = [
     ["gen", "--n", "24", "--m", "22", "--q", "20", "--seed", "275"],
     *(["verify", "blocks", "--n", n, "--m", m, "--q", q, "--trials", "4", "--format", "json"]
       for n, m, q in (("3", "5", "3"), ("4", "4", "4"), ("6", "5", "2"))),
+    *(["verify", "invariance", "--n", "3", "--m", "3", "--q", "2", "--trials", "4",
+       "--spectrum", "1.7976931348623157e308,1.7e308", "--seed", seed] for seed in "123"),
 ]
+
+# Run with the density forced to NaN, as a check that produces a value that is
+# not finite would leave it.
+NAN_DENSITY_CASES = [["verify", "hausdorff", "--n", "4", "--m", "3", "--q", "2", "--trials", "3",
+                      "--format", fmt] for fmt in ("json", "text")]
 
 # Keys and strings that the JSON writer must escape, in a one-report file
 # that ``report`` reads.
@@ -414,7 +427,7 @@ def _invoke(cli, label: str, argv: list[str]) -> dict:
 def replay(src: Path) -> list[dict]:
     """Records of every invocation, run against the mpjl sources in ``src``."""
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
-    from mpjl import cli, witnesses
+    from mpjl import cli, measures, witnesses
     from mpjl.reports import dumps_canonical
     from workloads import WORKLOADS
 
@@ -456,6 +469,11 @@ def replay(src: Path) -> list[dict]:
         Path("bom.json").write_text("\ufeff" + NON_FINITE_REPORT % "0.0", encoding="utf-8")
         for i, argv in enumerate(EDGE_CASES):
             records.append(_invoke(cli, f"edge {i}", argv))
+        density = measures.log_hausdorff_density
+        with mock.patch.object(measures, "log_hausdorff_density",
+                               lambda *args: density(*args) + float("nan")):
+            for argv in NAN_DENSITY_CASES:
+                records.append(_invoke(cli, f"nan density {argv[-1]}", argv))
     return records
 
 
