@@ -17,8 +17,7 @@ from .chart import (
 from .differential import log_jacobian_det_full_rank, operator_spectrum, pinv_differential
 from .errors import (
     BadSpectrum, ConfigError, DegeneracyBudgetExceeded, DegenerateSpectrum, IllConditionedPivot,
-    MpjlError, NotFullColumnRank, NotFullRank, ParseError, RankMismatch, ShapeMismatch,
-    SingularInput,
+    MpjlError, ParseError, RankMismatch, ShapeMismatch,
 )
 from .matcore import (
     RankInfo, SvdFactors, make_rng, matrix_to_json, pinv, random_rank_q, random_stiefel,

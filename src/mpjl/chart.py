@@ -37,8 +37,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import IllConditionedPivot, RankMismatch, ShapeMismatch
-from .matcore import RankInfo, as_stack, common_rank, rank_profile
+from .errors import IllConditionedPivot, ShapeMismatch
+from .matcore import as_stack, rank_profile, require_rank
 
 # Condition-number cap on the pivot block; beyond it the rank hypothesis is
 # too close to violated for chart arithmetic to mean anything.
@@ -146,15 +146,8 @@ def decompose(x, q: int) -> BlockDecomposition:
     Raises RankMismatch unless the numerical rank of ``x`` is q.
     """
     x = as_stack(x)
-    _require_rank(rank_profile(x), q)
+    require_rank(rank_profile(x), q)
     return _pivot(x, q)
-
-
-def _require_rank(info: RankInfo, q: int) -> None:
-    # decompose's rank test, of a rank profile the caller has taken already.
-    rank = common_rank(info)
-    if rank != q:
-        raise RankMismatch(f"numerical rank {rank} != requested q={q}")
 
 
 def _pivot(x: np.ndarray, q: int) -> BlockDecomposition:
@@ -375,19 +368,24 @@ def _tangent_x22(b: BlockDecomposition, dx11, dx12, dx21) -> np.ndarray:
 
 def sandwich_chart_jacobian(h: np.ndarray, qmat: np.ndarray, in_chart: BlockDecomposition,
                             out_chart: BlockDecomposition) -> np.ndarray:
-    """Partial derivatives of out-chart coordinates of X -> H X Q, for any H (n x n) and Q
-    (m x m) or stacks of them, with respect to in-chart coordinates, exact to rounding: the
-    map is linear, so column c is the out-chart coordinates of H T_c Q, T_c the tangent along
-    in-chart coordinate c.  For equal-size charts the absolute determinant of the returned
-    ([T,] k, k) matrix is the chart-to-chart Jacobian of the map.
+    """Partial derivatives of out-chart coordinates of X -> H X Q, for any H and Q of the
+    in-chart's stack shape, ([T,] n, n) and ([T,] m, m), else ShapeMismatch, with respect to
+    in-chart coordinates, exact to rounding: the map is linear, so column c is the out-chart
+    coordinates of H T_c Q, T_c the tangent along in-chart coordinate c.  For equal-size
+    charts the absolute determinant of the returned ([T,] k, k) matrix is the chart-to-chart
+    Jacobian of the map.
 
     The k unit tangents of every slice are column blocks ([T,] n, k, m) in the in-chart's
     pivoted coordinates, where H X Q = H[:, row_perm] Xp Q[col_perm, :], so each factor
     takes all k in one matmul per slice.  No point is assembled and no pivot is tested.
     """
     b, units = in_chart, _unit_blocks(in_chart.n, in_chart.m, in_chart.q)
-    q, n, m, k = b.q, b.n, b.m, len(b)
-    tangents = np.zeros(b.x11.shape[:-2] + (n, k, m))
+    q, n, m, k, lead = b.q, b.n, b.m, len(b), b.x11.shape[:-2]
+    h, qmat = np.asarray(h, dtype=float), np.asarray(qmat, dtype=float)
+    if h.shape != lead + (n, n) or qmat.shape != lead + (m, m):
+        raise ShapeMismatch(f"expected H {lead + (n, n)} and Q {lead + (m, m)}, "
+                            f"got {h.shape} and {qmat.shape}")
+    tangents = np.zeros(lead + (n, k, m))
     tangents[..., :q, :, :q], tangents[..., :q, :, q:], tangents[..., q:, :, :q] = units
     tangents[..., q:, :, q:] = _tangent_x22(b, *units)
     left = np.take_along_axis(h, b.row_perm[..., None, :], -1)

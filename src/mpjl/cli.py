@@ -130,7 +130,7 @@ def cmd_gen(args) -> int:
             "right": matrix_to_json(factors.v),
         },
         "rank_info": {
-            "rank": info.rank,
+            "rank": int(info.rank),
             "tolerance_used": float(info.tolerance_used),
             "singular_values": [float(v) for v in info.singular_values],
         },

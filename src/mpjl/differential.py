@@ -53,8 +53,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotFullRank, ShapeMismatch
-from .matcore import RankInfo, _rank_info, as_stack, common_rank, gram_qr, pinv
+from .errors import ShapeMismatch
+from .matcore import RankInfo, _rank_info, as_stack, common_rank, gram_qr, pinv, require_rank
 
 
 def pinv_differential(x, dx) -> np.ndarray:
@@ -158,13 +158,11 @@ def operator_log_pdet(x: np.ndarray, info: RankInfo):
 def log_jacobian_det_full_rank(x: np.ndarray, info: RankInfo):
     """Closed-form log|det| for full-rank X: -n log|X'X| when m <= n, else -m log|XX'|.
 
-    ``info`` is ``rank_profile(x)``; below full rank it raises NotFullRank.
+    ``info`` is ``rank_profile(x)``; below full rank it raises RankMismatch.
     The Gram determinant comes from a QR of X (``matcore.gram_qr``), so it is
     independent of the SVD that ``info`` and :func:`operator_log_pdet` read.
     """
     n, m = x.shape[-2:]
-    rank = common_rank(info)
-    if rank != min(n, m):
-        raise NotFullRank(f"rank {rank} < min(n, m) = {min(n, m)}")
+    require_rank(info, min(n, m))
     return -max(n, m) * gram_qr(x)[1]
 

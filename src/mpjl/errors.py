@@ -14,7 +14,8 @@ class ShapeMismatch(MpjlError):
 
 
 class BadSpectrum(MpjlError):
-    """A requested singular spectrum is not strictly decreasing and positive."""
+    """A requested singular spectrum is not strictly decreasing and positive, or does not
+    hold q values."""
 
 
 class DegenerateSpectrum(MpjlError):
@@ -32,18 +33,6 @@ class RankMismatch(MpjlError):
 
 class IllConditionedPivot(MpjlError):
     """No pivoting choice yields an acceptably conditioned leading block."""
-
-
-class NotFullRank(MpjlError):
-    """The operation requires rank equal to min(n, m)."""
-
-
-class NotFullColumnRank(MpjlError):
-    """The operation requires full column rank (rank == number of columns)."""
-
-
-class SingularInput(MpjlError):
-    """A matrix that must be invertible is numerically singular."""
 
 
 class ConfigError(MpjlError):

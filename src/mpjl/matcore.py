@@ -13,10 +13,11 @@ Rank policy: a singular value of an n x m matrix is retained when it
 exceeds ``max(n, m) * eps * s[0]``, with eps the machine epsilon.
 ``_rank_info`` is the one place that cut is made (also for the pair blocks
 that ``differential.pair_block_profile`` reads from the operator's factors
-by Gram identities, S0 split off), and ``_pinv_from_svd``
-the one place retained factors become a pseudoinverse.  A check that needs
-both the rank and the pseudoinverse of X takes them from one SVD
-(``pinv_rank``, ``svd_full``), never a second one.
+by Gram identities, S0 split off), ``require_rank`` the one place a rank
+is required (RankMismatch), and ``_pinv_from_svd`` the one place retained
+factors become a pseudoinverse.  A check that needs both the rank and the
+pseudoinverse of X takes them from one SVD (``pinv_rank``, ``svd_full``),
+never a second one.
 """
 
 from __future__ import annotations
@@ -65,11 +66,11 @@ class RankInfo:
     """Outcome of a numerical rank determination.
 
     ``tolerance_used`` is the absolute cutoff; ``rank`` counts singular
-    values strictly above it.  Of a stack, both are arrays over the stack.
+    values strictly above it.  Both are arrays over the stack, 0-d for one matrix.
     """
 
-    rank: int
-    tolerance_used: float
+    rank: np.ndarray
+    tolerance_used: np.ndarray
     singular_values: np.ndarray
 
 
@@ -105,18 +106,22 @@ def gram_qr(a) -> tuple[np.ndarray, np.ndarray]:
 
 def _rank_info(s: np.ndarray, shape: tuple[int, ...]) -> RankInfo:
     cut = max(shape[-2:]) * np.finfo(float).eps * s[..., :1]
-    rank = (s > cut).sum(axis=-1)
-    if s.ndim == 1:  # one matrix: plain Python scalars, as JSON output needs
-        return RankInfo(rank=int(rank), tolerance_used=float(cut[0]), singular_values=s)
-    return RankInfo(rank=rank, tolerance_used=cut[..., 0], singular_values=s)
+    return RankInfo(rank=(s > cut).sum(axis=-1), tolerance_used=cut[..., 0], singular_values=s)
 
 
 def common_rank(info: RankInfo) -> int:
     """The rank every slice of ``info`` shares; RankMismatch when they differ."""
-    ranks = set(info.rank.tolist()) if isinstance(info.rank, np.ndarray) else {info.rank}
+    ranks = set(info.rank.reshape(-1).tolist())
     if len(ranks) != 1:
         raise RankMismatch(f"slices of the stack differ in rank: {sorted(ranks)}")
     return ranks.pop()
+
+
+def require_rank(info: RankInfo, q: int) -> None:
+    """RankMismatch unless every slice of ``info`` has numerical rank q."""
+    rank = common_rank(info)
+    if rank != q:
+        raise RankMismatch(f"numerical rank {rank} != requested q={q}")
 
 
 def _pinv_from_svd(u: np.ndarray, s: np.ndarray, vt: np.ndarray, q: int) -> np.ndarray:
@@ -327,13 +332,14 @@ def check_spectrum(d) -> np.ndarray:
     return d
 
 
-def validate_spectrum(d) -> np.ndarray:
-    """Check a requested spectrum: :func:`check_spectrum` plus the request gap."""
+def validate_spectrum(d, q: int) -> np.ndarray:
+    """Check a requested spectrum of q values: :func:`check_spectrum`, the request gap, then
+    the count."""
     d = check_spectrum(d)
     if d.size >= 2 and np.min(d[:-1] - d[1:]) < REQUEST_GAP * d[0]:
-        raise BadSpectrum(
-            f"relative spectrum gaps must be >= {REQUEST_GAP}: {d.tolist()}"
-        )
+        raise BadSpectrum(f"relative spectrum gaps must be >= {REQUEST_GAP}: {d.tolist()}")
+    if d.size != q:
+        raise BadSpectrum(f"spectrum has {d.size} values but q={q}")
     return d
 
 
@@ -405,16 +411,13 @@ def rank_q_from_draw(d: np.ndarray, g_left: np.ndarray, g_right: np.ndarray) -> 
 def random_rank_q(n: int, m: int, q: int, rng: np.random.Generator, spectrum=None) -> np.ndarray:
     """Random n x m matrix with exact numerical rank q (see :func:`draw_rank_q`).
 
-    ``spectrum``, when given, must pass :func:`validate_spectrum` and hold q
-    values; a drawn one is sorted by :func:`sorted_spectra`, which raises
-    DegenerateSpectrum when two of its values tie.
+    ``spectrum``, when given, must pass :func:`validate_spectrum`; a drawn one is sorted
+    by :func:`sorted_spectra`, which raises DegenerateSpectrum when two of its values tie.
     """
     if not 1 <= q <= min(n, m):
         raise ValueError(f"need 1 <= q <= min(n, m), got q={q}, n={n}, m={m}")
     if spectrum is not None:
-        spectrum = validate_spectrum(spectrum)
-        if spectrum.size != q:
-            raise BadSpectrum(f"spectrum has {spectrum.size} values, expected q={q}")
+        spectrum = validate_spectrum(spectrum, q)
     d, g_left, g_right = draw_rank_q(n, m, q, [rng], spectrum)
     return rank_q_from_draw(sorted_spectra(d), g_left, g_right)[0]
 

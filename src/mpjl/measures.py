@@ -23,8 +23,8 @@ from functools import cache
 
 import numpy as np
 
-from .errors import BadSpectrum, ShapeMismatch, SingularInput
-from .matcore import as_stack, check_spectrum, rank_profile
+from .errors import BadSpectrum, ShapeMismatch
+from .matcore import as_stack, check_spectrum, rank_profile, require_rank
 
 
 def _spectra(n: int, m: int, d) -> np.ndarray:
@@ -105,13 +105,12 @@ def log_symmetric_inverse_jacobian(s):
     """-(m+1) log|det S|: the log half-vectorization Jacobian of S -> inv(S).
 
     ``s`` is one symmetric m x m matrix or a stack of them, taken through
-    :func:`symmetric_part`; SingularInput when any slice has numerical rank below m
-    (``matcore``'s rank policy).
+    :func:`symmetric_part`; RankMismatch unless every slice has numerical rank m
+    (``matcore.require_rank``).
     """
     s = symmetric_part(s)
     m = s.shape[-1]
-    if np.any(rank_profile(s).rank < m):
-        raise SingularInput("matrix is numerically singular")
+    require_rank(rank_profile(s), m)
     return -(m + 1) * np.linalg.slogdet(s)[1]
 
 

@@ -28,8 +28,7 @@ import numpy as np
 
 from . import chart, differential, matcore, measures
 from .errors import (
-    BadSpectrum, ConfigError, DegeneracyBudgetExceeded, DegenerateSpectrum, MpjlError,
-    NotFullColumnRank, ShapeMismatch,
+    ConfigError, DegeneracyBudgetExceeded, DegenerateSpectrum, MpjlError, ShapeMismatch,
 )
 from .reports import PRIMARY, TOLERANCES, SuiteResult, VerificationReport, stack_reports
 
@@ -77,12 +76,7 @@ def validate_config(cfg: RunConfig, suite: str | None = None) -> RunConfig:
     if cfg.tol is not None and not 0 < cfg.tol < np.inf:
         raise ConfigError(f"tol must be {'positive' if cfg.tol <= 0 else 'finite'}, got {cfg.tol}")
     if cfg.spectrum is not None:
-        try:
-            d = matcore.validate_spectrum(cfg.spectrum)
-        except BadSpectrum as e:
-            raise ConfigError(str(e)) from e
-        if d.size != q:
-            raise ConfigError(f"spectrum has {d.size} values but q={q}")
+        d = matcore.validate_spectrum(cfg.spectrum, q)
         # operator-rank's entries run from 1/d_1^2 to 1/d_q^2 and its norms
         # square them: (nm)^2 squares of the largest must not overflow, nor
         # eps times the smallest, a rounding-level residual, underflow.
@@ -144,7 +138,7 @@ def _check_differential(cfg: RunConfig, draws: tuple) -> list[VerificationReport
     full_rank = q == min(cfg.n, cfg.m)
     x, *direction = _instances(draws)
     y, info = matcore.pinv_rank(x)  # one SVD: Y and the chart's rank test
-    chart._require_rank(info, q)
+    matcore.require_rank(info, q)
     b = chart._pivot(x, q)  # at full rank the chart covers every entry
     dx = direction[0] if full_rank else chart.tangent_perturbation(b, *direction)
     dx = dx / matcore.frobenius_norms(dx)[..., None, None]
@@ -194,7 +188,7 @@ def _check_operator_rank(cfg: RunConfig, draws: tuple) -> list[VerificationRepor
         # X's chart keeps decompose's rank test (RankMismatch), read from the
         # SVD above; Y has X's rank.  The area formula gives the chart
         # determinant as log_factor + V(X's chart) - V(Y's chart); Y' has Y's V.
-        chart._require_rank(info, q)
+        matcore.require_rank(info, q)
         charts = chart._pivot(np.array([x, y.swapaxes(-1, -2)]), q)
         in_volume, out_volume = chart.log_chart_volume(charts)
         jac = chart.pinv_chart_jacobian(charts[0], chart._transposed(charts[1]))
@@ -252,8 +246,7 @@ def _check_exterior_chain(cfg: RunConfig, draws: tuple) -> list[VerificationRepo
     [x] = _instances(draws)
     n, m = x.shape[-2:]
     y, info = matcore.pinv_rank(x)
-    if m > n or np.any(info.rank != m):
-        raise NotFullColumnRank(f"need rank(X) = cols <= rows, got shape {x.shape}")
+    matcore.require_rank(info, m)  # rank <= n < m when wide
     a = y @ y.swapaxes(-1, -2)
     r, logs = matcore.gram_qr(np.concatenate([x, y if n == m else y.swapaxes(-1, -2)]))
     (log_b, log_a), r_inv = logs.reshape(2, -1), np.linalg.inv(r[:len(x)])
@@ -297,7 +290,7 @@ def _judge_invariance(x: np.ndarray, q: int, h, qmat) -> list[VerificationReport
     # judge_invariance of orthogonal factors.  Only X's rank is tested (H X Q has it), and
     # both charts are pivoted as one stack: one pivot test, which names the worse block.
     n, m = x.shape[-2:]
-    chart._require_rank(matcore.rank_profile(x), q)
+    matcore.require_rank(matcore.rank_profile(x), q)
     charts = chart._pivot(np.array([x, h @ x @ qmat]), q)
     in_volume, out_volume = chart.log_chart_volume(charts)
     abs_det = np.abs(np.linalg.det(chart.sandwich_chart_jacobian(h, qmat, charts[0], charts[1])))
@@ -346,7 +339,7 @@ def _check_blocks(cfg: RunConfig, draws: tuple) -> list[VerificationReport]:
     q, norms = cfg.rank, matcore.frobenius_norms
     [x] = _instances(draws)
     y, info = matcore.pinv_rank(x)  # one SVD: Y and the chart's rank test
-    chart._require_rank(info, q)
+    matcore.require_rank(info, q)
     b = chart._pivot(x, q)
     x_norm = norms(x)
     trailing = np.take_along_axis(np.take_along_axis(x, b.row_perm[..., q:, None], -2),

@@ -4,9 +4,9 @@ import mpjl
 
 PUBLIC = [
     "BadSpectrum", "BlockDecomposition", "ConfigError", "DegeneracyBudgetExceeded",
-    "DegenerateSpectrum", "IllConditionedPivot", "MpjlError", "NotFullColumnRank", "NotFullRank",
+    "DegenerateSpectrum", "IllConditionedPivot", "MpjlError",
     "ParseError", "RankInfo", "RankMismatch", "RunConfig",
-    "ShapeMismatch", "SingularInput", "SuiteResult", "SvdFactors", "VerificationReport",
+    "ShapeMismatch", "SuiteResult", "SvdFactors", "VerificationReport",
     "assemble", "chart", "decompose", "differential", "errors", "log_chart_volume",
     "log_hausdorff_density", "log_jacobian_det_full_rank", "log_nonfullrank_jacobian_factor",
     "log_symmetric_inverse_jacobian", "make_rng", "matcore", "matrix_to_json", "measures",

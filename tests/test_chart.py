@@ -363,6 +363,26 @@ def test_sandwich_chart_jacobian_tests_no_x11(svd_shapes):
     assert svd_shapes == []
 
 
+def test_sandwich_chart_jacobian_refuses_factors_of_another_shape():
+    # H must be (n, n) and Q (m, m), with the chart's stack axes, before any index is taken.
+    x = mc.random_rank_q(4, 3, 2, mc.make_rng(37))
+    b = chart.decompose(x, 2)
+    with pytest.raises(ShapeMismatch, match=r"expected H \(4, 4\) and Q \(3, 3\), got \(3, 3\)"):
+        chart.sandwich_chart_jacobian(np.eye(3), np.eye(3), b, b)
+    stacked = chart.decompose(np.array([x, 2.0 * x]), 2)
+    with pytest.raises(ShapeMismatch, match=r"expected H \(2, 4, 4\) and Q \(2, 3, 3\), got "
+                                            r"\(4, 4\) and \(3, 3\)"):
+        chart.sandwich_chart_jacobian(np.eye(4), np.eye(3), stacked, stacked)
+
+
+def test_sandwich_chart_jacobian_takes_nested_lists():
+    # Factors are coerced to float arrays, as every other input is.
+    b = chart.decompose(mc.random_rank_q(4, 3, 2, mc.make_rng(38)), 2)
+    h, qmat = np.diag([1.0, 2.0, 3.0, 4.0]), np.diag([0.5, 1.0, 2.0])
+    got = chart.sandwich_chart_jacobian(h.tolist(), qmat.tolist(), b, b)
+    assert np.array_equal(got, chart.sandwich_chart_jacobian(h, qmat, b, b))
+
+
 # ``perturbed_assemble`` (helpers) moves the free blocks by
 # ``helpers.moved_blocks``, the chart arithmetic of the complex step, with
 # real or complex deltas, split by ``chart._delta_blocks``.

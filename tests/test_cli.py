@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from mpjl import cli, matcore as mc, measures as ms, suites
 from mpjl.cli import main
-from mpjl.errors import ConfigError, DegeneracyBudgetExceeded, DegenerateSpectrum
+from mpjl.errors import BadSpectrum, ConfigError, DegeneracyBudgetExceeded, DegenerateSpectrum
 from mpjl.reports import VerificationReport
 
 
@@ -160,12 +160,30 @@ def test_verify_invalid_suite_config_exits_2(capsys):
      "symmetric-inverse draws its own eigenvalues; drop --spectrum"),
     (["verify", "symmetric-inverse", "--m", "3", "--q", "2"], None,
      "symmetric-inverse has order m=3; drop --q or set it to m"),
+    # A spectrum with a tied gap and a wrong count names the gap: the count is checked last.
+    (["verify", "blocks", "--n", "4", "--m", "3", "--q", "2", "--spectrum", "3,2.9999999,1"],
+     None, "relative spectrum gaps must be >= 1e-06: [3.0, 2.9999999, 1.0]"),
 ])
 def test_refused_configuration_exits_2(capsys, monkeypatch, argv, seed_env, message):
     if seed_env is not None:
         monkeypatch.setenv("MPJL_DEFAULT_SEED", seed_env)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("suite,extra", [
+    ("jacobian-full", ["--n", "3", "--m", "2"]),
+    ("exterior-chain", ["--n", "3", "--m", "2"]),
+    ("differential", ["--n", "3", "--m", "2"]),
+    ("blocks", ["--n", "3", "--m", "2", "--q", "2"]),
+    ("invariance", ["--n", "3", "--m", "2", "--q", "2"]),
+    ("operator-rank", ["--n", "4", "--m", "3", "--q", "2"]),
+])
+def test_a_lost_rank_reads_the_same_in_every_suite(capsys, suite, extra):
+    # 1e-17 falls below the rank cut, so each trial's X has rank 1 where q=2 is asked.
+    code, out, err = run_cli(capsys, "verify", suite, *extra, "--trials", "2",
+                             "--spectrum", "1,1e-17")
+    assert (code, out, err) == (1, "", "error: numerical rank 1 != requested q=2\n")
 
 
 @pytest.mark.parametrize("extra", [["--q", "8"], ["--n", "2"], ["--n", "20", "--q", "8"]])
@@ -180,6 +198,13 @@ def test_symmetric_inverse_takes_its_order_from_m(capsys, extra):
 def test_run_suite_refuses_unknown_suite():
     with pytest.raises(ConfigError, match="unknown suite 'nope'; choose from differential, "):
         suites.run_suite("nope", suites.RunConfig())
+
+
+def test_run_suite_refuses_a_malformed_spectrum_as_bad_spectrum():
+    with pytest.raises(BadSpectrum, match="spectrum must be strictly decreasing"):
+        suites.run_suite("blocks", suites.RunConfig(q=2, spectrum=(1.0, 2.0)))
+    with pytest.raises(BadSpectrum, match="spectrum has 1 values but q=2"):
+        suites.run_suite("blocks", suites.RunConfig(q=2, spectrum=(1.0,)))
 
 
 @pytest.mark.parametrize("argv", [

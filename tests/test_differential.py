@@ -13,7 +13,7 @@ from helpers import (
 )
 from mpjl import chart, matcore as mc, suites
 from mpjl import differential as df
-from mpjl.errors import NotFullRank
+from mpjl.errors import RankMismatch
 from mpjl.reports import dumps_canonical
 
 
@@ -442,7 +442,7 @@ def test_det_full_rank_square_branches_agree():
 
 
 def test_det_full_rank_rejects_deficient():
-    with pytest.raises(NotFullRank):
+    with pytest.raises(RankMismatch):
         _closed_form_log_det(np.array([[1.0, 2.0], [3.0, 6.0]]))
 
 

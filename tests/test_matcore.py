@@ -213,6 +213,12 @@ def test_random_rank_q_rejects_bad_spectrum():
         mc.random_rank_q(3, 3, 2, rng, spectrum=(2.0, 2.0))
 
 
+def test_random_rank_q_refuses_a_wrong_count_as_the_cli_does():
+    # validate_spectrum checks the count, with the message a configuration gets.
+    with pytest.raises(BadSpectrum, match=r"^spectrum has 3 values but q=2$"):
+        mc.random_rank_q(3, 3, 2, mc.make_rng(13), [3, 2, 1])
+
+
 def test_sorted_spectra_sort_a_stack_as_each_draw_alone():
     # C-contiguous, since numpy's log and pow may round a strided view differently.
     draws = [mc.make_rng(15, t).uniform(*mc.SPECTRUM_RANGE, size=4) for t in range(3)]

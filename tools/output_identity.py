@@ -105,7 +105,12 @@ its own directory.  It replays:
   chart that keeps every row, so no I + Z'Z), 4 x 4 q=4 (neither Gram
   matrix) and 6 x 5 q=2 (both); and ``invariance`` 3 x 3 q=2 at spectrum
   ``1.7976931348623157e308,1.7e308`` (the largest float), seeds 1-3, whose
-  X no check coerces a second time;
+  X no check coerces a second time; and, in JSON, the refusals that the one
+  rank requirement and the one spectrum check make: ``jacobian-full`` 3 x 2
+  at spectrum ``1,1e-17`` and ``exterior-chain`` 4 x 3 at ``1,0.5,1e-17``
+  (a lost rank, exit 1), ``gen`` 3 x 3 q=2 at ``3,2,1`` (a wrong count) and
+  ``blocks`` 4 x 3 q=2 at ``3,2.9999999,1`` (a tied gap and a wrong count,
+  which names the gap), each exit 2;
 * ``verify hausdorff`` 4 x 3 q=2, in JSON and in text, with
   ``measures.log_hausdorff_density`` patched to return NaN on both sides, so
   that a residual that is not finite reaches a live report (``identity=null``
@@ -128,6 +133,12 @@ Where the factored pseudoinverse was taken by solves, the one evaluation
 that also gives its tangent inverts and multiplies instead: a declared
 change of the last digits of ``blocks``' ``pinv_blocks`` and of the text
 that prints it, with no verdict, exit code or layout moved.
+Where each module required a rank its own way, the ``error:`` line of a
+lost rank in ``jacobian-full`` and ``exterior-chain`` (the first two of
+the last four edges) read ``rank 1 < min(n, m) = 2`` and ``need rank(X) =
+cols <= rows, got shape (1, 4, 3)``; it now reads ``numerical rank 1 !=
+requested q=2`` and ``numerical rank 2 != requested q=3``, as in every
+other suite.
 
 Each invocation records its exit code (or the exception that escaped
 ``cli.main``), its stdout, its ``error: ...`` lines of stderr and the
@@ -348,6 +359,13 @@ EDGE_CASES = [
       for n, m, q in (("3", "5", "3"), ("4", "4", "4"), ("6", "5", "2"))),
     *(["verify", "invariance", "--n", "3", "--m", "3", "--q", "2", "--trials", "4",
        "--spectrum", "1.7976931348623157e308,1.7e308", "--seed", seed] for seed in "123"),
+    ["verify", "jacobian-full", "--n", "3", "--m", "2", "--trials", "2", "--spectrum", "1,1e-17",
+     "--format", "json"],
+    ["verify", "exterior-chain", "--n", "4", "--m", "3", "--trials", "3",
+     "--spectrum", "1,0.5,1e-17", "--format", "json"],
+    ["gen", "--n", "3", "--m", "3", "--q", "2", "--spectrum", "3,2,1"],
+    ["verify", "blocks", "--n", "4", "--m", "3", "--q", "2", "--spectrum", "3,2.9999999,1",
+     "--format", "json"],
 ]
 
 # Run with the density forced to NaN, as a check that produces a value that is
