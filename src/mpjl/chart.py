@@ -16,19 +16,21 @@ Conditioning policy: X11 is the one block whose invertibility is tested.
 It fails when ``s[-1] <= s[0] / PIVOT_COND_CAP`` (its singular values), and
 a stack fails when any one of its slices would fail alone.
 
-One function evaluates the factored pseudoinverse (``pinv_from_blocks``)
-or its forward-mode tangent along chart directions, laid out as column
-blocks ([T,] rows, p, cols) so that each factor takes them all in one
-matmul (``pinv_chart_derivative``).  The two chart-to-chart Jacobians map
-the k unit directions, built once per shape with no stack axis: of pinv
+One function evaluates the factored pseudoinverse (``pinv_from_blocks``) or
+its forward-mode tangent along chart directions, laid out as column blocks
+([T,] rows, p, cols) so that each factor takes them all in one matmul
+(``pinv_chart_derivative``).  The two chart-to-chart Jacobians map the k unit
+directions, built once per shape with no stack axis: of pinv
 (``pinv_chart_jacobian``) and of the linear sandwich X -> H X Q
-(``sandwich_chart_jacobian``), each the derivative to rounding error, with
-no step; the area formula (``log_chart_volume``) is their closed form.  A
-chart without Z (n = q) or W (m = q) does no work on it.  The tests hold
-them to a complex step and to central differences.  Every function takes
-a stack (T, n, m) under ``matcore``'s bit rule; ``b[i]`` gives slices of a
-stacked chart with its cached W and Z and no second pivot test.
-"""
+(``sandwich_chart_jacobian``), each the derivative to rounding error, with no
+step; the area formula (``log_chart_volume``) is their closed form.  On a full
+chart (q = min(n, m)) pinv's takes no out-chart: its rows are then every entry
+of pinv(X), which any chart of pinv(X) would only permute, and a row
+permutation leaves |det| as it is.  A chart without Z (n = q) or W (m = q)
+takes no solve and does no work on it.  The tests hold them to a complex step
+and to central differences.  Every function takes a stack (T, n, m) under
+``matcore``'s bit rule; ``b[i]`` gives slices of a stacked chart with its
+cached W and Z and no second pivot test."""
 
 from __future__ import annotations
 
@@ -102,14 +104,15 @@ class BlockDecomposition:
 
     @cached_property
     def w(self) -> np.ndarray:
-        """W = X11^-1 X12, (..., q, m-q); Xp = [I; Z] X11 [I, W].  Taken once per chart."""
-        return np.linalg.solve(self.x11, self.x12)
+        """W = X11^-1 X12, (..., q, m-q); Xp = [I; Z] X11 [I, W].  Taken once per chart,
+        and with no solve when m = q: then W is the empty X12."""
+        return np.linalg.solve(self.x11, self.x12) if self.x12.size else self.x12
 
     @cached_property
     def z(self) -> np.ndarray:
-        """Z = X21 X11^-1, (..., n-q, q).  Taken once per chart."""
+        """Z = X21 X11^-1, (..., n-q, q).  Taken once per chart, with no solve when n = q."""
         x11t, x21t = self.x11.swapaxes(-1, -2), self.x21.swapaxes(-1, -2)
-        return np.linalg.solve(x11t, x21t).swapaxes(-1, -2)
+        return np.linalg.solve(x11t, x21t).swapaxes(-1, -2) if self.x21.size else self.x21
 
     @cached_property
     def _stack(self) -> tuple:
@@ -342,13 +345,22 @@ def pinv_chart_derivative(in_chart: BlockDecomposition, deltas) -> np.ndarray:
 
 
 def pinv_chart_jacobian(in_chart: BlockDecomposition,
-                        out_chart: BlockDecomposition) -> np.ndarray:
+                        out_chart: BlockDecomposition | None = None) -> np.ndarray:
     """Partial derivatives of out-chart coordinates of X -> pinv(X) with respect to
     in-chart coordinates, at the in-chart's point: :func:`pinv_chart_derivative` along
-    the k unit directions, a ([T,] k, k) stack.  For equal-size charts its absolute
+    the k unit directions, a ([T,] k', k) stack.  For equal-size charts its absolute
     determinant is the chart-to-chart Jacobian of X -> pinv(X).
+
+    Without ``out_chart`` the in-chart must be full (k = nm, else ShapeMismatch), and the
+    rows are every entry of Y = pinv(X) in the in-chart's pivoted coordinates, row-major
+    ([T,] mn, k).  A chart of a full-rank Y also holds every entry, so it only reorders
+    these rows: a row permutation changes the determinant's sign at most, never |det|.
     """
+    if out_chart is None and len(in_chart) != in_chart.n * in_chart.m:
+        raise ShapeMismatch(f"a deficient chart of {len(in_chart)} coordinates needs an out-chart")
     dyp = _pinv_tangent(in_chart, *_unit_blocks(in_chart.n, in_chart.m, in_chart.q))
+    if out_chart is None:  # ([T,] m, k, n) -> ([T,] mn, k)
+        return dyp.swapaxes(-1, -2).reshape(dyp.shape[:-3] + (-1, len(in_chart)))
     return _chart_jacobian(out_chart, _unpermute_pinv(in_chart, dyp))
 
 

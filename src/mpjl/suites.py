@@ -1,22 +1,13 @@
 """Seeded verification suites.
 
 Each suite maps one analytic result to one independent oracle and runs it
-over ``trials`` reproducible instances.  A trial is a pure function of
-(config, trial index, attempt), whose generator stream is addressed by that
-triple, so reruns are byte-identical.  A suite is a pair: ``draw(n, m, q,
-rngs, spectrum)``, the signature of ``matcore.draw_rank_q``, writes every
-generator call of a stack of trials into (T, ...) parts, and ``check(cfg,
-draws)`` judges them in stacked numpy calls, one report per trial; each
-relative residual is one ``_rel``, and ``reports.stack_reports`` gives the
-verdict.  Each check takes one SVD of its stack of X, for pinv(X) and the
-rank profile (the full-rank closed forms take a QR, to stay independent of
-it); each two-sided chart check pivots X and its image, Y' = pinv(X)' or
-H X Q, as one stack (2, T, n, m).  ``run_suite`` runs stacks capped by
-``STACK_ENTRIES`` through ``_run_stack``.  A tied spectrum names its slices
-(``matcore.sorted_spectra``), and only those are redrawn from their next
-attempts, up to ``RETRY_BUDGET``; a stack of several trials that raises an
-MpjlError reruns as stacks of one, so every report and error is that of
-the trials run one by one; any other error propagates.
+over ``trials`` reproducible instances, as stacks: ``draw(n, m, q, rngs,
+spectrum)`` writes every generator call of a stack of trials into (T, ...)
+parts, and ``check(cfg, draws)`` judges them in stacked numpy calls, one
+report per trial.  Each check takes one SVD of its stack of X; both
+two-sided chart checks, ``invariance`` and ``operator-rank``, pivot X and
+its image, H X Q or Y' = pinv(X)', as one stack (2, T, n, m).  README
+gives the stream, retry and entry-budget rules that ``run_suite`` keeps.
 """
 
 from __future__ import annotations
@@ -121,11 +112,8 @@ def _chart_dim(cfg: RunConfig) -> int:
 def _fd_chart(suite: str, cfg: RunConfig) -> bool:
     # Whether the check takes a chart Jacobian (a sandwich's or pinv's tangent): invariance
     # always; jacobian-full, and operator-rank below full rank, on small charts.
-    if suite == "invariance":
-        return True
-    deficient = cfg.rank < min(cfg.n, cfg.m)
-    return _chart_dim(cfg) <= FD_CROSS_CHECK_MAX_ENTRIES and (
-        suite == "jacobian-full" or suite == "operator-rank" and deficient)
+    return suite == "invariance" or _chart_dim(cfg) <= FD_CROSS_CHECK_MAX_ENTRIES and (
+        suite == "jacobian-full" or suite == "operator-rank" and cfg.rank < min(cfg.n, cfg.m))
 
 
 def _draw_differential(n: int, m: int, q: int, rngs, spectrum) -> tuple:
@@ -153,20 +141,19 @@ def _check_differential(cfg: RunConfig, draws: tuple) -> list[VerificationReport
 
 def _check_jacobian_full(cfg: RunConfig, draws: tuple) -> list[VerificationReport]:
     [x] = _instances(draws)
-    fd_chart = _fd_chart("jacobian-full", cfg)
-    # One stacked SVD of X serves the operator's log determinant and the rank
-    # check, and on a small chart pinv(X) too; the closed form takes a QR.
-    y, info = matcore.pinv_rank(x) if fd_chart else (None, matcore.rank_profile(x))
+    # One stacked SVD of X, values only, serves the operator's log determinant
+    # and the rank check; the closed form takes a QR.
+    info = matcore.rank_profile(x)
     formula = differential.log_jacobian_det_full_rank(x, info)
     operator_det = differential.operator_log_pdet(x, info)
     values = {"log_operator_det": operator_det, "log_closed_form": formula}
     residuals = {"operator_vs_formula": abs(operator_det - formula)}
-    if fd_chart:
-        # log_jacobian_det_full_rank has refused an X below full rank, and Y
-        # has X's rank: neither chart takes a rank test.  The tangent of the
-        # factored block pseudoinverse moves no point: no SVD, no step.
-        charts = chart._pivot(np.array([x, y.swapaxes(-1, -2)]), cfg.rank)
-        jac = chart.pinv_chart_jacobian(charts[0], chart._transposed(charts[1]))
+    if _fd_chart("jacobian-full", cfg):
+        # log_jacobian_det_full_rank has refused an X below full rank, so X's
+        # chart takes no rank test, and it covers every entry of X and of Y:
+        # Y needs no chart of its own.  The tangent of the factored block
+        # pseudoinverse moves no point: no SVD, no step.
+        jac = chart.pinv_chart_jacobian(chart._pivot(x, cfg.rank))
         values["log_fd_chart_det"] = fd_det = np.linalg.slogdet(jac)[1]
         residuals["fd_vs_formula"] = abs(fd_det - formula)
     return stack_reports("jacobian-full", {"n": cfg.n, "m": cfg.m, "q": cfg.rank}, values,
@@ -180,15 +167,15 @@ def _check_operator_rank(cfg: RunConfig, draws: tuple) -> list[VerificationRepor
     # One full SVD of the stack: X's rank profile, its pseudoinverse, and
     # the bases U, V of its four fundamental subspaces.
     u, info, vt, y = matcore.svd_full(x)
+    matcore.require_rank(info, q)
     # The log of prod d^-2(n+m-q), the paper's rank-deficient factor, read
     # from the operator's closed-form spectrum.
     log_factor = differential.operator_log_pdet(x, info)
     chart_det, area_formula = {}, {}
     if _fd_chart("operator-rank", cfg):
-        # X's chart keeps decompose's rank test (RankMismatch), read from the
-        # SVD above; Y has X's rank.  The area formula gives the chart
-        # determinant as log_factor + V(X's chart) - V(Y's chart); Y' has Y's V.
-        matcore.require_rank(info, q)
+        # Y has X's rank, so neither chart takes a rank test.  The area formula
+        # gives the chart determinant as log_factor + V(X's chart) - V(Y's
+        # chart); Y' has Y's V.
         charts = chart._pivot(np.array([x, y.swapaxes(-1, -2)]), q)
         in_volume, out_volume = chart.log_chart_volume(charts)
         jac = chart.pinv_chart_jacobian(charts[0], chart._transposed(charts[1]))
@@ -397,7 +384,7 @@ def _checked_stack(draw, check, cfg: RunConfig, trials: range, label: str):
 
 def _trial_entries(suite: str, cfg: RunConfig) -> int:
     # Real floats one trial adds to a stacked pass: 2 k n m for its k chart tangents where
-    # it takes them (pinv's, in pivoted and original coordinates, or a sandwich's and their
+    # it takes them (pinv's and their reordered copy, or a sandwich's and their
     # images), operator-rank's leak read where that is more (pair_block_profile's four n x n,
     # four m x m and three m x n factor stacks and two 4 n m cross products), else its instance.
     n, m = cfg.n, cfg.m

@@ -14,13 +14,13 @@ else:
     settings.load_profile("mpjl")
 
 
-def _record_shapes(monkeypatch, name):
+def _record_shapes(monkeypatch, name, arg=0):
     shapes = []
     function = getattr(np.linalg, name)
 
-    def spy(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return function(a, *args, **kwargs)
+    def spy(*args, **kwargs):
+        shapes.append(np.shape(args[arg]))
+        return function(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, name, spy)
     return shapes
@@ -30,6 +30,12 @@ def _record_shapes(monkeypatch, name):
 def svd_shapes(monkeypatch):
     """Shapes of the matrices passed to ``np.linalg.svd`` while the test runs."""
     return _record_shapes(monkeypatch, "svd")
+
+
+@pytest.fixture
+def solve_shapes(monkeypatch):
+    """Shapes of the right-hand sides passed to ``np.linalg.solve`` while the test runs."""
+    return _record_shapes(monkeypatch, "solve", 1)
 
 
 @pytest.fixture

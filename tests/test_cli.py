@@ -178,6 +178,7 @@ def test_refused_configuration_exits_2(capsys, monkeypatch, argv, seed_env, mess
     ("blocks", ["--n", "3", "--m", "2", "--q", "2"]),
     ("invariance", ["--n", "3", "--m", "2", "--q", "2"]),
     ("operator-rank", ["--n", "4", "--m", "3", "--q", "2"]),
+    ("operator-rank", ["--n", "6", "--m", "5", "--q", "2"]),
 ])
 def test_a_lost_rank_reads_the_same_in_every_suite(capsys, suite, extra):
     # 1e-17 falls below the rank cut, so each trial's X has rank 1 where q=2 is asked.

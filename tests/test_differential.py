@@ -13,7 +13,7 @@ from helpers import (
 )
 from mpjl import chart, matcore as mc, suites
 from mpjl import differential as df
-from mpjl.errors import RankMismatch
+from mpjl.errors import RankMismatch, ShapeMismatch
 from mpjl.reports import dumps_canonical
 
 
@@ -741,12 +741,14 @@ def test_fd_chart_jacobian_evaluates_the_per_point_matrices(n, m, q):
 
 
 def test_pinv_chart_jacobian_makes_no_svd_per_point(svd_shapes):
-    # Five-trial stacks, one stacked SVD each of: X, which gives its rank
-    # profile, pinv(X) and the rank test of X's chart (jacobian-full's thin
-    # SVD, operator-rank's full one), then the X11 tests of X and Y', pivoted
-    # as one stack.  Y's chart tests no rank (Y has X's), and the tangent
-    # moves no point that would be factored or pivot-tested.
-    cases = [("jacobian-full", 3, 4, None, [(5, 3, 4), (2, 5, 3, 3)]),
+    # Five-trial stacks, one stacked SVD each of X, which gives its rank
+    # profile and the rank test of X's chart, then of the pivot blocks.
+    # jacobian-full's SVD takes values only, and it tests X11 alone: X's full
+    # chart holds every entry of Y, so Y needs no chart.  operator-rank's
+    # full SVD also gives pinv(X), and it tests the X11 of X and Y', pivoted as
+    # one stack.  Y's chart tests no rank (Y has X's), and the tangent moves no
+    # point that would be factored or pivot-tested.
+    cases = [("jacobian-full", 3, 4, None, [(5, 3, 4), (5, 3, 3)]),
              ("operator-rank", 4, 3, 2, [(5, 4, 3), (2, 5, 2, 2)])]
     for suite, n, m, q, svds in cases:
         svd_shapes.clear()
@@ -755,6 +757,38 @@ def test_pinv_chart_jacobian_makes_no_svd_per_point(svd_shapes):
         reports = suites._run_stack(suite, cfg, range(5))
         assert all(r.passed for r in reports)
         assert svd_shapes == svds
+
+
+def test_full_rank_solves_once_and_never_for_an_empty_block(solve_shapes):
+    # A full chart has no Z (n = q) or no W (m = q): a jacobian-full stack solves for the
+    # other block alone.
+    for n, m, rhs in ((3, 4, (5, 3, 1)), (4, 3, (5, 3, 1))):
+        solve_shapes.clear()
+        cfg = suites.validate_config(suites.RunConfig(n=n, m=m, trials=5, seed=62),
+                                     "jacobian-full")
+        assert all(r.passed for r in suites._run_stack("jacobian-full", cfg, range(5)))
+        assert solve_shapes == [rhs]
+
+
+@pytest.mark.parametrize("n, m", [(3, 4), (4, 3), (3, 3), (2, 5)])
+def test_full_chart_needs_no_out_chart(n, m):
+    # At full rank a chart of Y holds every entry of Y, so without one the Jacobian has the
+    # same rows, bit for bit, in another order, and the same |det| to rounding.
+    q = min(n, m)
+    x = np.array([mc.random_rank_q(n, m, q, mc.make_rng(66, n, m, t)) for t in range(3)])
+    b, out = _pinv_charts(x, q)
+    alone, charted = chart.pinv_chart_jacobian(b), chart.pinv_chart_jacobian(b, out)
+    assert alone.shape == charted.shape == (3, n * m, n * m)
+    for a, c in zip(alone, charted):
+        assert _same_bits(a[np.lexsort(a.T)], c[np.lexsort(c.T)])
+        log_a, log_c = np.linalg.slogdet(a)[1], np.linalg.slogdet(c)[1]
+        assert abs(log_a - log_c) <= 4 * np.spacing(max(1.0, abs(log_c)))
+
+
+def test_a_deficient_chart_needs_an_out_chart():
+    b = chart.decompose(mc.random_rank_q(4, 3, 2, mc.make_rng(67)), 2)
+    with pytest.raises(ShapeMismatch, match="deficient chart of 10 coordinates needs an out-"):
+        chart.pinv_chart_jacobian(b)
 
 
 def test_pinv_chart_jacobian_stack_checks():

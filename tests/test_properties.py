@@ -373,8 +373,8 @@ def pinv_stacks(draw):
 @example((np.array([mc.random_rank_q(4, 3, 2, mc.make_rng(5))]),
           mc.pinv(mc.random_rank_q(4, 3, 2, mc.make_rng(5)))[None], 2), True)
 def test_joint_chart_of_x_and_y_transposed_has_the_bits_of_each_chart_alone(case, volumes):
-    # jacobian-full and operator-rank pivot [X; Y'] as one stack and read Y's
-    # chart as the transposed chart of Y': each slice has the permutations,
+    # operator-rank pivots [X; Y'] as one stack and reads Y's chart as the
+    # transposed chart of Y': each slice has the permutations,
     # blocks, W, Z and log volume of X and of Y pivoted alone, whether W and Z
     # were taken on the joint stack (operator-rank's volumes) or on Y's chart.
     x, y, q = case

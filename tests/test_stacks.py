@@ -641,7 +641,7 @@ def test_invariance_reports_the_worse_chart_when_both_pivot_blocks_fail():
 
 
 def test_pinv_chart_suites_name_the_worse_pivot_block():
-    # operator-rank (and jacobian-full) pivot X and Y' as one stack: when both
+    # operator-rank pivots X and Y' as one stack: when both
     # pivot blocks of a trial fail, the error names the worse condition (X's
     # alone reads 9.612e+08, and pivoting X first named it).
     spectrum = (1.0, 1e-9)

@@ -110,7 +110,10 @@ its own directory.  It replays:
   at spectrum ``1,1e-17`` and ``exterior-chain`` 4 x 3 at ``1,0.5,1e-17``
   (a lost rank, exit 1), ``gen`` 3 x 3 q=2 at ``3,2,1`` (a wrong count) and
   ``blocks`` 4 x 3 q=2 at ``3,2.9999999,1`` (a tied gap and a wrong count,
-  which names the gap), each exit 2;
+  which names the gap), each exit 2; and, in JSON, a lost rank above
+  ``operator-rank``'s chart cap (8 x 6 q=3 at ``1,0.5,1e-17``, exit 1) and
+  the full charts of ``jacobian-full`` 3 x 4 and 4 x 3 at spectrum
+  ``geomspace(1, 1e-5, 3)``;
 * ``verify hausdorff`` 4 x 3 q=2, in JSON and in text, with
   ``measures.log_hausdorff_density`` patched to return NaN on both sides, so
   that a residual that is not finite reaches a live report (``identity=null``
@@ -134,11 +137,18 @@ that also gives its tangent inverts and multiplies instead: a declared
 change of the last digits of ``blocks``' ``pinv_blocks`` and of the text
 that prints it, with no verdict, exit code or layout moved.
 Where each module required a rank its own way, the ``error:`` line of a
-lost rank in ``jacobian-full`` and ``exterior-chain`` (the first two of
-the last four edges) read ``rank 1 < min(n, m) = 2`` and ``need rank(X) =
+lost rank in ``jacobian-full`` and ``exterior-chain`` (edges 139 and
+140) read ``rank 1 < min(n, m) = 2`` and ``need rank(X) =
 cols <= rows, got shape (1, 4, 3)``; it now reads ``numerical rank 1 !=
 requested q=2`` and ``numerical rank 2 != requested q=3``, as in every
-other suite.
+other suite.  Where ``operator-rank`` required the rank only on its small
+charts, a lost rank above them (edge 143) printed two
+``pseudo_det`` FAILs; it now prints nothing and the same ``error:`` line.
+Where ``jacobian-full`` read its chart determinant through a chart of Y and
+its operator determinant from a thin SVD with vectors, a declared change of
+the last digits of exactly these keys, on charts of at most 12 entries:
+``log_operator_det``, ``log_fd_chart_det``, ``operator_vs_formula`` and
+``fd_vs_formula``, with no verdict, exit code or layout moved.
 
 Each invocation records its exit code (or the exception that escaped
 ``cli.main``), its stdout, its ``error: ...`` lines of stderr and the
@@ -366,6 +376,11 @@ EDGE_CASES = [
     ["gen", "--n", "3", "--m", "3", "--q", "2", "--spectrum", "3,2,1"],
     ["verify", "blocks", "--n", "4", "--m", "3", "--q", "2", "--spectrum", "3,2.9999999,1",
      "--format", "json"],
+    ["verify", "operator-rank", "--n", "8", "--m", "6", "--q", "3", "--trials", "2",
+     "--spectrum", "1,0.5,1e-17", "--format", "json"],
+    *(["verify", "jacobian-full", "--n", n, "--m", m, "--trials", "4", "--seed", "1",
+       "--spectrum", "1,0.0031622776601683794,1e-05", "--format", "json"]
+      for n, m in (("3", "4"), ("4", "3"))),
 ]
 
 # Run with the density forced to NaN, as a check that produces a value that is
