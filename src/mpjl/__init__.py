@@ -20,8 +20,7 @@ from .errors import (
     MpjlError, ParseError, RankMismatch, ShapeMismatch,
 )
 from .matcore import (
-    RankInfo, SvdFactors, make_rng, matrix_to_json, pinv, random_rank_q, random_stiefel,
-    rank_profile, svd_thin,
+    RankInfo, SvdFactors, make_rng, matrix_to_json, pinv, rank_profile, svd_thin,
 )
 from .measures import (
     log_hausdorff_density, log_nonfullrank_jacobian_factor, log_symmetric_inverse_jacobian,

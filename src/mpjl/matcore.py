@@ -271,15 +271,15 @@ def make_rngs(seed: int, trials, attempt: int = 0) -> list[np.random.Generator]:
 
     The streams' entropy words differ only in t's, so NumPy's SeedSequence
     hash (``mix_entropy``, then ``generate_state(4, uint64)``) runs once over
-    a (T, 4) pool; one trial is seeded by ``make_rng`` itself, which is faster
-    alone.  Raises ValueError on a negative seed, attempt or trial, and on a
+    a (T, 4) pool; below 5 trials ``make_rng`` seeds each, which is faster
+    there.  Raises ValueError on a negative seed, attempt or trial, and on a
     trial index of 2^32 or more (it would take a second word).
     """
     trials = [int(t) for t in trials]
     if trials and not 0 <= min(trials) <= max(trials) <= _MASK32:
         raise ValueError(f"trial indices must lie in [0, 2^32), got {min(trials)}..{max(trials)}")
-    if len(trials) == 1:
-        return [make_rng(seed, trials[0], attempt)]
+    if len(trials) < 5:
+        return [make_rng(seed, t, attempt) for t in trials]
     head, tail = _seed_words(int(seed)), _seed_words(int(attempt))
     entropy = np.array([[*head, 0, *tail]], dtype=np.uint32).repeat(len(trials), axis=0)
     entropy[:, len(head)] = trials
@@ -308,13 +308,6 @@ def orthonormal_frames(g: np.ndarray) -> np.ndarray:
     """
     qmat, r = np.linalg.qr(g)
     return qmat * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
-
-
-def random_stiefel(n: int, q: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-style random n x q frame with orthonormal columns (see :func:`orthonormal_frames`)."""
-    if not 1 <= q <= n:
-        raise ValueError(f"need 1 <= q <= n, got q={q}, n={n}")
-    return orthonormal_frames(rng.standard_normal((n, q)))
 
 
 def check_spectrum(d) -> np.ndarray:
@@ -406,20 +399,6 @@ def rank_q_from_draw(d: np.ndarray, g_left: np.ndarray, g_right: np.ndarray) -> 
     """
     frames = orthonormal_frames(g_left) * d[..., None, :]
     return frames @ orthonormal_frames(g_right).swapaxes(-1, -2)
-
-
-def random_rank_q(n: int, m: int, q: int, rng: np.random.Generator, spectrum=None) -> np.ndarray:
-    """Random n x m matrix with exact numerical rank q (see :func:`draw_rank_q`).
-
-    ``spectrum``, when given, must pass :func:`validate_spectrum`; a drawn one is sorted
-    by :func:`sorted_spectra`, which raises DegenerateSpectrum when two of its values tie.
-    """
-    if not 1 <= q <= min(n, m):
-        raise ValueError(f"need 1 <= q <= min(n, m), got q={q}, n={n}, m={m}")
-    if spectrum is not None:
-        spectrum = validate_spectrum(spectrum, q)
-    d, g_left, g_right = draw_rank_q(n, m, q, [rng], spectrum)
-    return rank_q_from_draw(sorted_spectra(d), g_left, g_right)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ the float range at moderate sizes:
   that multiplies the frame and spectrum differentials of a rank-q matrix;
 * the rank-deficient change-of-variables factor ``prod D_i^(-2(n+m-q))``;
 * the symmetric-inverse Jacobian ``|S|^-(m+1)`` for S -> inv(S), with its
-  complex-step oracle on half-vectorized coordinates.
+  forward-mode oracle on half-vectorized coordinates.
 
 The density and factor take a spectrum or a stack (..., q) of them; the
 symmetric-inverse pair takes plain arrays, one matrix or a stack, that
@@ -36,10 +36,10 @@ def _spectra(n: int, m: int, d) -> np.ndarray:
 
 
 @cache
-def _pairs(q: int) -> tuple[np.ndarray, np.ndarray]:
-    # Indices (i, j) of the pairs i < j of a spectrum of q values, row-major;
-    # shared by every caller, so read-only.
-    pairs = np.triu_indices(q, 1)
+def _triu(q: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
+    # Indices (i, j), i + offset <= j < q, row-major: the pairs i < j of a spectrum at
+    # offset 1, the half-vectorized coordinates at 0; shared by every caller, so read-only.
+    pairs = np.triu_indices(q, offset)
     for a in pairs:
         a.flags.writeable = False
     return pairs
@@ -61,7 +61,7 @@ def log_hausdorff_density(n: int, m: int, d):
     d = _spectra(n, m, d)
     q = d.shape[-1]
     # ``take`` keeps the pairs contiguous, so a stack sums each row as one spectrum would.
-    di, dj = (np.take(d, k, axis=-1) for k in _pairs(q))
+    di, dj = (np.take(d, k, axis=-1) for k in _triu(q, 1))
     pairs = np.log(di - dj) + np.log(di + dj)
     return -q * np.log(2.0) + (n + m - 2 * q) * np.log(d).sum(axis=-1) + pairs.sum(axis=-1)
 
@@ -92,15 +92,6 @@ def symmetric_part(s) -> np.ndarray:
     return 0.5 * (s + st)
 
 
-def vech(s: np.ndarray) -> np.ndarray:
-    """Half-vectorization: the m(m+1)/2 upper-triangle entries, row-major.
-
-    A stack of shape (..., m, m) gives shape (..., m(m+1)/2).
-    """
-    rows, cols = np.triu_indices(s.shape[-1])
-    return s[..., rows, cols]
-
-
 def log_symmetric_inverse_jacobian(s):
     """-(m+1) log|det S|: the log half-vectorization Jacobian of S -> inv(S).
 
@@ -115,22 +106,17 @@ def log_symmetric_inverse_jacobian(s):
 
 
 def symmetric_inverse_fd_det(s):
-    """Complex-step oracle: log|det| of the inverse map on half-vectorized coordinates.
+    """Forward-mode oracle: log|det| of the inverse map on half-vectorized coordinates.
 
-    ``s`` is one symmetric matrix or a stack, taken through
-    :func:`symmetric_part`.  Coordinate (i, j) with i < j moves both
-    mirrored entries; diagonal coordinates move one entry.  The m(m+1)/2
-    points S + i h E, h = 1e-20 max|S| per slice, form one stack and one
-    stacked inversion: inv is analytic, so vech(Im inv / h) is each column
-    of the Jacobian to rounding error (plain transposes, no conjugation).
+    ``s`` is one symmetric matrix or a stack, taken through :func:`symmetric_part`.
+    Coordinate (i, j), i <= j, moves S[i, j] and S[j, i] (one entry when i = j).  With
+    P = inv(S), d inv(S) = -P dS P: the k x k Jacobian, k = m(m+1)/2, holds -(P[a, i] P[j, b]
+    + P[a, j] P[i, b]) at row (a, b), column (i, j), halved when i = j, gathered from P
+    without the sign, which log|det| drops.
     """
-    s = symmetric_part(s)
-    m = s.shape[-1]
-    h = 1e-20 * np.max(np.abs(s), axis=(-2, -1))[..., None, None, None]
-    rows, cols = np.triu_indices(m)
-    coords = np.arange(rows.size)
-    e = np.zeros((rows.size, m, m))
-    e[coords, rows, cols] = 1.0
-    e[coords, cols, rows] = 1.0
-    jac = vech(np.linalg.inv(s[..., None, :, :] + 1j * h * e).imag / h).swapaxes(-1, -2)
+    p = np.linalg.inv(symmetric_part(s))
+    rows, cols = _triu(p.shape[-1], 0)
+    a, b = rows[:, None], cols[:, None]
+    jac = p[..., a, rows] * p[..., cols, b] + p[..., a, cols] * p[..., rows, b]
+    jac[..., rows == cols] *= 0.5
     return np.linalg.slogdet(jac)[1]

@@ -383,18 +383,19 @@ def _checked_stack(draw, check, cfg: RunConfig, trials: range, label: str):
 
 
 def _trial_entries(suite: str, cfg: RunConfig) -> int:
-    # Real floats one trial adds to a stacked pass: 2 k n m for its k chart tangents where
-    # it takes them (pinv's and their reordered copy, or a sandwich's and their
-    # images), operator-rank's leak read where that is more (pair_block_profile's four n x n,
-    # four m x m and three m x n factor stacks and two 4 n m cross products), else its instance.
+    # Real floats one trial adds to a stacked pass: 2 k n m for its k chart tangents where it takes
+    # them (pinv's and their reordered copy, or a sandwich's and their images), operator-rank's leak
+    # read where that is more (pair_block_profile's four n x n, four m x m and three m x n factor
+    # stacks and two 4 n m cross products), symmetric-inverse's 4 k^2 (its k x k Jacobian, k =
+    # m(m+1)/2, two gathered factors and their product), else its instance.
     n, m = cfg.n, cfg.m
     points = 2 * _chart_dim(cfg) * n * m if _fd_chart(suite, cfg) else 0
     if suite == "operator-rank":
         return max(points, 4 * (n * n + m * m) + 11 * n * m)
     if points:
         return points
-    if suite == "symmetric-inverse":  # one complex m x m point per vech coordinate
-        return m * (m + 1) * m * m
+    if suite == "symmetric-inverse":
+        return 4 * (m * (m + 1) // 2) ** 2
     return (2 if suite == "differential" else 1) * n * m  # differential: its one tangent, twice
 
 

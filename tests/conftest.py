@@ -14,12 +14,12 @@ else:
     settings.load_profile("mpjl")
 
 
-def _record_shapes(monkeypatch, name, arg=0):
+def _record_shapes(monkeypatch, name, arg=0, read=np.shape):
     shapes = []
     function = getattr(np.linalg, name)
 
     def spy(*args, **kwargs):
-        shapes.append(np.shape(args[arg]))
+        shapes.append(read(args[arg]))
         return function(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, name, spy)
@@ -48,3 +48,9 @@ def eigvalsh_shapes(monkeypatch):
 def eigh_shapes(monkeypatch):
     """Shapes of the matrices passed to ``np.linalg.eigh`` while the test runs."""
     return _record_shapes(monkeypatch, "eigh")
+
+
+@pytest.fixture
+def inv_inputs(monkeypatch):
+    """Shape and dtype of each matrix passed to ``np.linalg.inv`` while the test runs."""
+    return _record_shapes(monkeypatch, "inv", read=lambda a: (np.shape(a), np.result_type(a)))

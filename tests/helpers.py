@@ -7,7 +7,11 @@ from mpjl.chart import (
     BlockDecomposition, _delta_blocks, _unpermute, decompose, log_chart_volume, pinv_from_blocks,
 )
 from mpjl.errors import ShapeMismatch
-from mpjl.matcore import as_matrix, pinv, rank_profile
+from mpjl.matcore import (
+    as_matrix, draw_rank_q, orthonormal_frames, pinv, rank_profile, rank_q_from_draw,
+    sorted_spectra, validate_spectrum,
+)
+from mpjl.measures import symmetric_part
 
 
 def check(suite: str, draws: tuple, **config):
@@ -15,6 +19,27 @@ def check(suite: str, draws: tuple, **config):
     with a leading trial axis, under ``RunConfig(**config)``: what ``run_suite`` does with
     one stack, minus drawing and stamping."""
     return suites._SUITES[suite][1](suites.RunConfig(**config), draws)
+
+
+def random_stiefel(n: int, q: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-style random n x q frame with orthonormal columns (see ``orthonormal_frames``)."""
+    if not 1 <= q <= n:
+        raise ValueError(f"need 1 <= q <= n, got q={q}, n={n}")
+    return orthonormal_frames(rng.standard_normal((n, q)))
+
+
+def random_rank_q(n: int, m: int, q: int, rng: np.random.Generator, spectrum=None) -> np.ndarray:
+    """Random n x m matrix with exact numerical rank q (see ``matcore.draw_rank_q``).
+
+    ``spectrum``, when given, must pass ``validate_spectrum``; a drawn one is sorted
+    by ``sorted_spectra``, which raises DegenerateSpectrum when two of its values tie.
+    """
+    if not 1 <= q <= min(n, m):
+        raise ValueError(f"need 1 <= q <= min(n, m), got q={q}, n={n}, m={m}")
+    if spectrum is not None:
+        spectrum = validate_spectrum(spectrum, q)
+    d, g_left, g_right = draw_rank_q(n, m, q, [rng], spectrum)
+    return rank_q_from_draw(sorted_spectra(d), g_left, g_right)[0]
 
 
 def vec(a) -> np.ndarray:
@@ -118,6 +143,38 @@ def pinv_complex_step(in_chart: BlockDecomposition, deltas) -> np.ndarray:
                           row_perm=np.broadcast_to(b.row_perm, lead + (b.n,)),
                           col_perm=np.broadcast_to(b.col_perm, lead + (b.m,)))
     return pinv_from_blocks(point).imag / h[..., None, None]
+
+
+def vech(s: np.ndarray) -> np.ndarray:
+    """Half-vectorization: the m(m+1)/2 upper-triangle entries, row-major.
+
+    A stack of shape (..., m, m) gives shape (..., m(m+1)/2).
+    """
+    rows, cols = np.triu_indices(s.shape[-1])
+    return s[..., rows, cols]
+
+
+def symmetric_inverse_complex_step(s):
+    """log|det| of S -> inv(S) on half-vectorized coordinates by complex step (Squire &
+    Trapp 1998): the reference that ``measures.symmetric_inverse_fd_det``'s tangent is held to.
+
+    ``s`` is one symmetric matrix or a stack, taken through ``symmetric_part``.
+    Coordinate (i, j) with i < j moves both mirrored entries; diagonal
+    coordinates move one entry.  The m(m+1)/2 points S + i h E, h = 1e-20
+    max|S| per slice, form one stack and one stacked inversion: inv is
+    analytic, so vech(Im inv / h) is each column of the Jacobian to rounding
+    error (plain transposes, no conjugation).
+    """
+    s = symmetric_part(s)
+    m = s.shape[-1]
+    h = 1e-20 * np.max(np.abs(s), axis=(-2, -1))[..., None, None, None]
+    rows, cols = np.triu_indices(m)
+    coords = np.arange(rows.size)
+    e = np.zeros((rows.size, m, m))
+    e[coords, rows, cols] = 1.0
+    e[coords, cols, rows] = 1.0
+    jac = vech(np.linalg.inv(s[..., None, :, :] + 1j * h * e).imag / h).swapaxes(-1, -2)
+    return np.linalg.slogdet(jac)[1]
 
 
 def perturbed_assemble(b: BlockDecomposition, deltas) -> np.ndarray:

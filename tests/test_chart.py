@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import chart_positions, make_blocks, perturbed_assemble
+from helpers import chart_positions, make_blocks, perturbed_assemble, random_rank_q
 from mpjl import chart, matcore as mc, suites
 from mpjl.errors import IllConditionedPivot, RankMismatch, ShapeMismatch
 
@@ -18,7 +18,7 @@ def test_decompose_pivots_to_largest_entry():
 
 def test_decompose_full_rank_square():
     rng = mc.make_rng(20)
-    x = mc.random_rank_q(3, 3, 3, rng)
+    x = random_rank_q(3, 3, 3, rng)
     b = chart.decompose(x, 3)
     assert b.x12.shape == (3, 0)
     assert b.x21.shape == (0, 3)
@@ -60,7 +60,7 @@ def test_x22_formula_forced():
 
 
 def test_x22_empty_when_full_column_rank():
-    x = mc.random_rank_q(5, 2, 2, mc.make_rng(21))
+    x = random_rank_q(5, 2, 2, mc.make_rng(21))
     b = chart.decompose(x, 2)
     assert chart.x22_from_blocks(b).shape == (3, 0)
 
@@ -90,7 +90,7 @@ def test_assemble_matches_outer_product_form():
         q = int(rng.integers(1, 4))
         n = int(rng.integers(q, 7))
         m = int(rng.integers(q, 7))
-        x = mc.random_rank_q(n, m, q, rng)
+        x = random_rank_q(n, m, q, rng)
         b = chart.decompose(x, q)
         tall = np.vstack([b.x11, b.x21])
         wide = np.hstack([b.x11, b.x12])
@@ -110,7 +110,7 @@ def test_decompose_assemble_roundtrip_sweep():
         q = int(rng.integers(1, 5))
         n = int(rng.integers(q, 11))
         m = int(rng.integers(q, 11))
-        x = mc.random_rank_q(n, m, q, rng)
+        x = random_rank_q(n, m, q, rng)
         b = chart.decompose(x, q)
         err = np.linalg.norm(chart.assemble(b) - x) / np.linalg.norm(x)
         assert err <= 1e-10
@@ -125,14 +125,14 @@ def test_pinv_from_blocks_hand_example():
 
 def test_pinv_from_blocks_full_column_rank_reduction():
     # With X12 empty the closed form must reduce to inv(X'X) X'.
-    x = mc.random_rank_q(6, 3, 3, mc.make_rng(25))
+    x = random_rank_q(6, 3, 3, mc.make_rng(25))
     b = chart.decompose(x, 3)
     direct = np.linalg.solve(x.T @ x, x.T)
     np.testing.assert_allclose(chart.pinv_from_blocks(b), direct, rtol=0, atol=1e-10)
 
 
 def test_pinv_from_blocks_matches_svd_pinv():
-    x = mc.random_rank_q(6, 4, 2, mc.make_rng(26))
+    x = random_rank_q(6, 4, 2, mc.make_rng(26))
     y = mc.pinv(x)
     err = np.linalg.norm(chart.pinv_from_blocks(chart.decompose(x, 2)) - y)
     assert err <= 1e-8 * np.linalg.norm(y)
@@ -140,7 +140,7 @@ def test_pinv_from_blocks_matches_svd_pinv():
 
 def test_pinv_from_blocks_edge_ranks():
     for n, m, q in [(5, 3, 3), (3, 5, 3), (4, 4, 4)]:
-        x = mc.random_rank_q(n, m, q, mc.make_rng(27, n, m))
+        x = random_rank_q(n, m, q, mc.make_rng(27, n, m))
         y = mc.pinv(x)
         err = np.linalg.norm(chart.pinv_from_blocks(chart.decompose(x, q)) - y)
         assert err <= 1e-8 * np.linalg.norm(y)
@@ -178,7 +178,7 @@ def test_tangent_perturbation_refuses_misshapen_directions():
     # a different direction; every block is held to its own shape, and a
     # stack of directions to one leading shape.
     rng = mc.make_rng(38)
-    b = chart.decompose(mc.random_rank_q(5, 4, 2, rng), 2)
+    b = chart.decompose(random_rank_q(5, 4, 2, rng), 2)
     d11, d12, d21 = (rng.standard_normal(shape) for shape in ((2, 2), (2, 2), (3, 2)))
     chart.tangent_perturbation(b, d11, d12, d21)
     with pytest.raises(ShapeMismatch, match="dX21 must be 3x2"):
@@ -187,7 +187,7 @@ def test_tangent_perturbation_refuses_misshapen_directions():
         chart.tangent_perturbation(b, d11, d12.ravel(), d21)
     with pytest.raises(ShapeMismatch, match=r"dX12 must be 2x2, got \(3, 2, 2\)"):
         chart.tangent_perturbation(b, np.stack([d11] * 2), np.stack([d12] * 3), np.stack([d21] * 2))
-    stacked = chart.decompose(mc.random_rank_q(5, 4, 2, rng)[None], 2)
+    stacked = chart.decompose(random_rank_q(5, 4, 2, rng)[None], 2)
     with pytest.raises(ShapeMismatch, match=r"dX11 must be 1x2x2, got \(2, 2\)"):
         chart.tangent_perturbation(stacked, d11, d12, d21)
 
@@ -197,7 +197,7 @@ def test_tangent_perturbation_stack_of_directions_gives_the_bits_of_each():
     # with the bits of its own call.
     rng = mc.make_rng(41)
     for n, m, q in [(5, 4, 2), (4, 6, 3), (3, 3, 3), (5, 4, 4), (1, 3, 1)]:
-        x = np.array([mc.random_rank_q(n, m, q, rng) for _ in range(3)])
+        x = np.array([random_rank_q(n, m, q, rng) for _ in range(3)])
         b = chart.decompose(x, q)
         d = [rng.standard_normal((4, 3) + a.shape[1:]) for a in (b.x11, b.x12, b.x21)]
         stack = chart.tangent_perturbation(b, *d)
@@ -216,7 +216,7 @@ def test_tangent_perturbation_matches_the_solved_product_rule():
     # X21 X11^-1 dX12 of the product rule, against the chart's W and Z.
     rng = mc.make_rng(42)
     for n, m, q in [(5, 4, 2), (7, 5, 3), (4, 6, 3), (8, 6, 3)]:
-        b = chart.decompose(mc.random_rank_q(n, m, q, rng), q)
+        b = chart.decompose(random_rank_q(n, m, q, rng), q)
         d11, d12, d21 = (rng.standard_normal(a.shape) for a in (b.x11, b.x12, b.x21))
         solve = np.linalg.solve
         x22 = (d21 @ solve(b.x11, b.x12) - b.x21 @ solve(b.x11, d11) @ solve(b.x11, b.x12)
@@ -232,7 +232,7 @@ def test_tangent_matches_finite_difference_of_assemble():
         q = int(rng.integers(1, 4))
         n = int(rng.integers(q + 1, 8))
         m = int(rng.integers(q + 1, 8))
-        x = mc.random_rank_q(n, m, q, rng)
+        x = random_rank_q(n, m, q, rng)
         b = chart.decompose(x, q)
         d11 = rng.standard_normal((q, q))
         d12 = rng.standard_normal((q, m - q))
@@ -255,7 +255,7 @@ def test_tangent_matches_finite_difference_of_assemble():
 
 
 def test_tangent_preserves_rank_to_first_order():
-    x = mc.random_rank_q(5, 4, 2, mc.make_rng(29))
+    x = random_rank_q(5, 4, 2, mc.make_rng(29))
     b = chart.decompose(x, 2)
     rng = mc.make_rng(30)
     dx = chart.tangent_perturbation(
@@ -297,7 +297,7 @@ def test_chart_is_its_blocks_and_permutations():
 
 
 def test_chart_positions_full_chart():
-    x = mc.random_rank_q(3, 3, 3, mc.make_rng(31))
+    x = random_rank_q(3, 3, 3, mc.make_rng(31))
     b = chart.decompose(x, 3)
     assert len(b) == 9
     assert sorted(chart_positions(b).tolist()) == [[i, j] for i in range(3) for j in range(3)]
@@ -309,20 +309,20 @@ def test_chart_positions_count_formula():
         q = int(rng.integers(1, 5))
         n = int(rng.integers(q, 9))
         m = int(rng.integers(q, 9))
-        x = mc.random_rank_q(n, m, q, rng)
+        x = random_rank_q(n, m, q, rng)
         b = chart.decompose(x, q)
         assert len(b) == len(chart_positions(b)) == n * q + m * q - q * q
 
 
 def test_chart_positions_3x2_rank1_length():
-    x = mc.random_rank_q(3, 2, 1, mc.make_rng(33))
+    x = random_rank_q(3, 2, 1, mc.make_rng(33))
     b = chart.decompose(x, 1)
     assert len(b) == 4
 
 
 def test_tangent_perturbation_tests_x11_once(svd_shapes):
     rng = mc.make_rng(35)
-    x = mc.random_rank_q(8, 6, 3, rng)
+    x = random_rank_q(8, 6, 3, rng)
     svd_shapes.clear()
     b = chart.decompose(x, 3)
     chart.tangent_perturbation(
@@ -354,7 +354,7 @@ def test_deficient_differential_trial_tests_x11_once(svd_shapes):
 
 
 def test_sandwich_chart_jacobian_tests_no_x11(svd_shapes):
-    x = mc.random_rank_q(8, 6, 3, mc.make_rng(36))
+    x = random_rank_q(8, 6, 3, mc.make_rng(36))
     b = chart.decompose(x, 3)
     svd_shapes.clear()
     chart.sandwich_chart_jacobian(np.eye(8), np.eye(6), b, b)
@@ -365,7 +365,7 @@ def test_sandwich_chart_jacobian_tests_no_x11(svd_shapes):
 
 def test_sandwich_chart_jacobian_refuses_factors_of_another_shape():
     # H must be (n, n) and Q (m, m), with the chart's stack axes, before any index is taken.
-    x = mc.random_rank_q(4, 3, 2, mc.make_rng(37))
+    x = random_rank_q(4, 3, 2, mc.make_rng(37))
     b = chart.decompose(x, 2)
     with pytest.raises(ShapeMismatch, match=r"expected H \(4, 4\) and Q \(3, 3\), got \(3, 3\)"):
         chart.sandwich_chart_jacobian(np.eye(3), np.eye(3), b, b)
@@ -377,7 +377,7 @@ def test_sandwich_chart_jacobian_refuses_factors_of_another_shape():
 
 def test_sandwich_chart_jacobian_takes_nested_lists():
     # Factors are coerced to float arrays, as every other input is.
-    b = chart.decompose(mc.random_rank_q(4, 3, 2, mc.make_rng(38)), 2)
+    b = chart.decompose(random_rank_q(4, 3, 2, mc.make_rng(38)), 2)
     h, qmat = np.diag([1.0, 2.0, 3.0, 4.0]), np.diag([0.5, 1.0, 2.0])
     got = chart.sandwich_chart_jacobian(h.tolist(), qmat.tolist(), b, b)
     assert np.array_equal(got, chart.sandwich_chart_jacobian(h, qmat, b, b))
@@ -392,7 +392,7 @@ def test_perturbed_assemble_moves_each_chart_position():
     # blocks back in permuted coordinates, and assemble from scratch.
     rng = mc.make_rng(37)
     for n, m, q in [(2, 2, 1), (5, 4, 2), (4, 6, 3), (3, 3, 3)]:
-        x = mc.random_rank_q(n, m, q, rng)
+        x = random_rank_q(n, m, q, rng)
         b = chart.decompose(x, q)
         deltas = 1e-3 * rng.standard_normal(len(b))
         full = np.zeros((n, m))
@@ -414,9 +414,9 @@ def test_perturbed_assemble_stack_matches_rows():
     rng = mc.make_rng(38)
     for n, m, q in [(2, 2, 1), (5, 4, 2), (4, 6, 3), (3, 3, 3), (5, 4, 4), (1, 3, 1), (8, 6, 3)]:
         if q < m:  # a last column of -0.0 keeps the rank
-            x = np.hstack([mc.random_rank_q(n, m - 1, q, rng), np.full((n, 1), -0.0)])
+            x = np.hstack([random_rank_q(n, m - 1, q, rng), np.full((n, 1), -0.0)])
         else:
-            x = mc.random_rank_q(n, m, q, rng)
+            x = random_rank_q(n, m, q, rng)
         b = chart.decompose(x, q)
         deltas = 1e-3 * rng.standard_normal((5, len(b)))
         deltas[1] = 0.0
@@ -432,7 +432,7 @@ def test_perturbed_assemble_keeps_complex_deltas():
     # A complex step i h e through the chart: the real part is the base
     # point, and the imaginary part over h the tangent along e.
     rng = mc.make_rng(40)
-    b = chart.decompose(mc.random_rank_q(5, 4, 2, rng), 2)
+    b = chart.decompose(random_rank_q(5, 4, 2, rng), 2)
     d = [rng.standard_normal(a.shape) for a in (b.x11, b.x12, b.x21)]
     deltas = np.concatenate([a.T.ravel() for a in d])  # chart order: column-major blocks
     h = 1e-20
@@ -444,7 +444,7 @@ def test_perturbed_assemble_keeps_complex_deltas():
 
 
 def test_perturbed_assemble_rejects_wrong_delta_shapes():
-    x = mc.random_rank_q(4, 3, 2, mc.make_rng(39))
+    x = random_rank_q(4, 3, 2, mc.make_rng(39))
     b = chart.decompose(x, 2)
     k = len(b)
     for shape in [(k + 1,), (2, k - 1), (2, 2, k), ()]:

@@ -22,10 +22,21 @@ def _reports(suite, n, m, q, cond):
 JACOBIAN_FULL_SHAPES = [(4, 3), (3, 4), (3, 3)]
 
 
-@pytest.mark.parametrize("cond", [1e2, 1e3, 1e4])
+# fd_vs_formula, the full chart determinant against the closed form, grows
+# about a hundredfold per decade of cond(X) while operator_vs_formula stays
+# below 2e-9: the chart determinant's rounding carries the error.
+CHART_DET_ROUNDING_FULL = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 12: at cond(X) 1e7 fd_vs_formula of the full chart "
+                        "determinant reads 2.4e-3 (4x3), 2.5e-3 (3x4) and 2.9e-3 (3x3), "
+                        "against 1e-4")
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e3, 1e4, 1e6,
+                                  pytest.param(1e7, marks=CHART_DET_ROUNDING_FULL)])
 @pytest.mark.parametrize("n, m", JACOBIAN_FULL_SHAPES)
 def test_jacobian_full_chart_det_holds(n, m, cond):
-    # The tangent chart determinant has no step to scale with cond(X).
+    # The tangent chart determinant has no step to scale with cond(X); at 1e6
+    # it was measured up to 6.5e-5 (3x4), against 1e-4.
     for report in _reports("jacobian-full", n, m, None, cond):
         assert report.residuals["fd_vs_formula"] <= report.tolerances["fd_vs_formula"]
 
@@ -77,13 +88,13 @@ def test_invariance_passes(q, cond):
             assert report.residuals["volume"] <= report.tolerances["volume"]
 
 
-@pytest.mark.parametrize("cond", [1e2, 1e3, 1e4, 1e5])
+@pytest.mark.parametrize("cond", [1e2, 1e3, 1e4, 1e5, 1e6])
 @pytest.mark.parametrize("m", [3, 5, 8])
 def test_symmetric_inverse_fd_det_holds(m, cond):
     # The CLI refuses --spectrum here (the suite draws its eigenvalues), so
     # the library pair takes S = F diag(+-geomspace(1, 1/c, m)) F' itself,
-    # seeds 1-3 x 8.  Measured up to 5.9e-7 at 1e5 over these shapes,
-    # against 1e-4; 1e6 reached 6.8e-5.
+    # seeds 1-3 x 8.  The forward-mode oracle was measured up to 4.3e-9 at
+    # 1e4, 2.5e-7 at 1e5 and 1.8e-5 at 1e6 over these shapes, against 1e-4.
     tol = TOLERANCES["symmetric-inverse"]["fd_mismatch"]
     for seed in (1, 2, 3):
         rngs = [matcore.make_rng(seed, t) for t in range(8)]

@@ -9,7 +9,7 @@ import pytest
 from helpers import (
     Sandwich, broadcast_pair_operator, chart_positions, commutation_matrix, fd_chart_jacobian,
     fd_step, jacobian_operator, make_blocks, pair_factors, pinv_chart_log_det, pinv_complex_step,
-    vec,
+    random_rank_q, random_stiefel, vec,
 )
 from mpjl import chart, matcore as mc, suites
 from mpjl import differential as df
@@ -36,7 +36,7 @@ def test_differential_of_identity_perturbation():
 
 def test_differential_full_column_rank_vs_fd():
     rng = mc.make_rng(40)
-    x = mc.random_rank_q(3, 2, 2, rng)
+    x = random_rank_q(3, 2, 2, rng)
     dx = _unit(rng.standard_normal((3, 2)))
     analytic = df.pinv_differential(x, dx)
     oracle = _chart_derivative(x, 2, dx)
@@ -65,7 +65,7 @@ def test_differential_rank_deficient_along_curve():
 
 def test_differential_linearity():
     rng = mc.make_rng(41)
-    x = mc.random_rank_q(4, 3, 2, rng)
+    x = random_rank_q(4, 3, 2, rng)
     d1 = rng.standard_normal((4, 3))
     d2 = rng.standard_normal((4, 3))
     combo = df.pinv_differential(x, 2.5 * d1 - 0.75 * d2)
@@ -80,7 +80,7 @@ def test_operator_scalar():
 
 def test_operator_consistent_with_differential():
     rng = mc.make_rng(42)
-    x = mc.random_rank_q(3, 2, 2, rng)
+    x = random_rank_q(3, 2, 2, rng)
     op = jacobian_operator(x)
     for _ in range(10):
         dx = rng.standard_normal((3, 2))
@@ -95,7 +95,7 @@ def test_operator_consistency_across_shapes_and_ranks():
         n = int(rng.integers(1, 7))
         m = int(rng.integers(1, 7))
         q = int(rng.integers(1, min(n, m) + 1))
-        x = mc.random_rank_q(n, m, q, rng)
+        x = random_rank_q(n, m, q, rng)
         op = jacobian_operator(x)
         dx = rng.standard_normal((n, m))
         lhs = op @ vec(dx.T)
@@ -109,7 +109,7 @@ def test_operator_consistency_across_shapes_and_ranks():
     [(1, 1, 1), (1, 5, 1), (5, 1, 1), (2, 3, 1), (3, 2, 2), (4, 4, 2), (5, 3, 3), (6, 4, 2), (3, 7, 1)],
 )
 def test_operator_commutation_is_exact_permutation(n, m, q):
-    x = mc.random_rank_q(n, m, q, mc.make_rng(100 + 10 * n + m))
+    x = random_rank_q(n, m, q, mc.make_rng(100 + 10 * n + m))
     y = mc.pinv(x)
     left_proj, right_proj, yyt, yty = (0.5 * (a + a.T) for a in (
         np.eye(n) - x @ y, np.eye(m) - y @ x, y @ y.T, y.T @ y))
@@ -122,7 +122,7 @@ def test_operator_commutation_is_exact_permutation(n, m, q):
 
 def test_det_operator_factors_no_operator_sized_matrix(svd_shapes):
     n, m = 24, 20
-    x = mc.random_rank_q(n, m, m, mc.make_rng(47))
+    x = random_rank_q(n, m, m, mc.make_rng(47))
     svd_shapes.clear()
     df.operator_log_pdet(x, mc.rank_profile(x))
     assert svd_shapes
@@ -383,7 +383,7 @@ def test_operator_rank_law_sweep():
         q = int(rng.integers(1, 4))
         n = int(rng.integers(q + 1, 7))
         m = int(rng.integers(q + 1, 7))
-        x = mc.random_rank_q(n, m, q, rng)
+        x = random_rank_q(n, m, q, rng)
         op = jacobian_operator(x)
         assert mc.rank_profile(op).rank == n * q + m * q - q * q
 
@@ -394,7 +394,7 @@ def test_operator_annihilates_normal_directions():
         q = int(rng.integers(1, 4))
         n = int(rng.integers(q + 1, 7))
         m = int(rng.integers(q + 1, 7))
-        x = mc.random_rank_q(n, m, q, rng)
+        x = random_rank_q(n, m, q, rng)
         y = mc.pinv(x)
         op = jacobian_operator(x)
         v = rng.standard_normal((n, m))
@@ -410,7 +410,7 @@ def test_det_operator_scalar():
 
 
 def test_det_operator_matches_closed_form_tall():
-    x = mc.random_rank_q(4, 2, 2, mc.make_rng(46))
+    x = random_rank_q(4, 2, 2, mc.make_rng(46))
     log_det_op = df.operator_log_pdet(x, mc.rank_profile(x))
     closed = -4.0 * np.linalg.slogdet(x.T @ x)[1]
     assert abs(log_det_op - closed) <= 1e-8
@@ -435,7 +435,7 @@ def test_det_full_rank_examples():
 
 
 def test_det_full_rank_square_branches_agree():
-    x = mc.random_rank_q(4, 4, 4, mc.make_rng(47))
+    x = random_rank_q(4, 4, 4, mc.make_rng(47))
     value = _closed_form_log_det(x)
     alt = -8.0 * np.linalg.slogdet(x)[1]
     assert abs(value - alt) <= 1e-10 * max(1.0, abs(alt))
@@ -452,10 +452,10 @@ def test_det_agreement_both_orientations():
     for _ in range(20):
         n = int(rng.integers(1, 6))
         m = int(rng.integers(1, 6))
-        cases.append(mc.random_rank_q(n, m, min(n, m), rng))
+        cases.append(random_rank_q(n, m, min(n, m), rng))
     # exp(-603.0) at 32x24, where a running product of d_i^-64 underflows to 0.
     d = np.concatenate([np.linspace(2.5, 1.8, 16), np.linspace(0.95, 0.5, 8)])
-    cases.append(mc.random_rank_q(32, 24, 24, mc.make_rng(3), spectrum=d))
+    cases.append(random_rank_q(32, 24, 24, mc.make_rng(3), spectrum=d))
     for x in cases:
         info = mc.rank_profile(x)
         log_det_op = df.operator_log_pdet(x, info)
@@ -476,7 +476,7 @@ def test_fd_matches_analytic_full_rank_sweep():
     for _ in range(30):
         n = int(rng.integers(1, 9))
         m = int(rng.integers(1, 9))
-        x = mc.random_rank_q(n, m, min(n, m), rng)
+        x = random_rank_q(n, m, min(n, m), rng)
         dx = _unit(rng.standard_normal((n, m)))
         analytic = df.pinv_differential(x, dx)
         oracle = _chart_derivative(x, min(n, m), dx)
@@ -484,7 +484,7 @@ def test_fd_matches_analytic_full_rank_sweep():
 
 
 def test_complex_step_differential_factors_no_point(svd_shapes):
-    x = mc.random_rank_q(7, 5, 3, mc.make_rng(56))
+    x = random_rank_q(7, 5, 3, mc.make_rng(56))
     rng = mc.make_rng(57)
     b = chart.decompose(x, 3)
     dx = chart.tangent_perturbation(
@@ -509,7 +509,7 @@ def test_projector_differential_stays_symmetric():
         n = int(rng.integers(2, 7))
         m = int(rng.integers(2, 7))
         q = int(rng.integers(1, min(n, m) + 1))
-        x = mc.random_rank_q(n, m, q, rng)
+        x = random_rank_q(n, m, q, rng)
         dx = rng.standard_normal((n, m))
         y = mc.pinv(x)
         dxy = dx @ y + x @ df.pinv_differential(x, dx)
@@ -518,7 +518,7 @@ def test_projector_differential_stays_symmetric():
 
 def test_fd_chart_jacobian_identity_map():
     # The FD oracle to its step, and the exact tangent map to the bit.
-    x = mc.random_rank_q(4, 3, 2, mc.make_rng(54))
+    x = random_rank_q(4, 3, 2, mc.make_rng(54))
     b = chart.decompose(x, 2)
     jac = fd_chart_jacobian(Sandwich(np.eye(4), np.eye(3)), x, b, b)
     np.testing.assert_allclose(jac, np.eye(len(b)), atol=1e-9)
@@ -558,7 +558,7 @@ def _pinv_charts(x, q):
 def test_fd_convergence_order():
     # Central scheme: halving h should reduce the error of the FD chart
     # Jacobian of pinv about 4x, against the tangent's.
-    x = mc.random_rank_q(4, 3, 2, mc.make_rng(52))
+    x = random_rank_q(4, 3, 2, mc.make_rng(52))
     exact = chart.pinv_chart_jacobian(*_pinv_charts(x, 2))
     errors = []
     for h in (1e-3, 5e-4, 2.5e-4):
@@ -569,7 +569,7 @@ def test_fd_convergence_order():
 
 
 def test_fd_chart_jacobian_pinv_full_rank():
-    x = mc.random_rank_q(3, 2, 2, mc.make_rng(55))
+    x = random_rank_q(3, 2, 2, mc.make_rng(55))
     in_chart, out_chart = _pinv_charts(x, 2)
     assert len(in_chart) == 6
     fd = fd_chart_jacobian(_Pinv(2), x, in_chart, out_chart)
@@ -584,7 +584,7 @@ def test_pinv_chart_jacobian_matches_fd_and_the_area_formula(n, m, q):
     # log|det| against the closed form -2(n+m-q) sum log d + V(X) - V(Y).
     rng = mc.make_rng(61, n, m, q)
     for _ in range(3):
-        x = mc.random_rank_q(n, m, q, rng)
+        x = random_rank_q(n, m, q, rng)
         jac = chart.pinv_chart_jacobian(*_pinv_charts(x, q))
         fd = fd_chart_jacobian(_Pinv(q), x, *_pinv_charts(x, q))
         assert np.max(np.abs(jac - fd)) <= 1e-7 * np.max(np.abs(jac))
@@ -642,11 +642,11 @@ def test_fd_chart_jacobian_matches_per_point_loop(n, m, q):
     # helpers.moved_blocks, gives the bits of independently assembled points.
     rng = mc.make_rng(56, n, m, q)
     for trial in range(3):
-        x = mc.random_rank_q(n, m, q, rng)
+        x = random_rank_q(n, m, q, rng)
         if trial == 0 and q < m:  # a last column of -0.0 keeps the rank
-            x = np.hstack([mc.random_rank_q(n, m - 1, q, rng), np.full((n, 1), -0.0)])
+            x = np.hstack([random_rank_q(n, m - 1, q, rng), np.full((n, 1), -0.0)])
         in_chart = chart.decompose(x, q)
-        sandwich = Sandwich(mc.random_stiefel(n, n, rng), mc.random_stiefel(m, m, rng))
+        sandwich = Sandwich(random_stiefel(n, n, rng), random_stiefel(m, m, rng))
         for f, y in [(_Pinv(q), mc.pinv(x)), (sandwich, sandwich.apply(x))]:
             out_chart = chart.decompose(y, q)
             assert _same_bits(
@@ -662,7 +662,7 @@ def test_sandwich_chart_jacobian_matches_fd_and_the_area_formula(n, m, q):
     # three, each slice with the bits of a stack of one and of one chart; a full
     # chart (dX22 empty) among them.
     rng = mc.make_rng(63, n, m, q)
-    x = np.array([mc.random_rank_q(n, m, q, rng) for _ in range(3)])
+    x = np.array([random_rank_q(n, m, q, rng) for _ in range(3)])
     h = mc.orthonormal_frames(rng.standard_normal((3, n, n)))
     qmat = mc.orthonormal_frames(rng.standard_normal((3, m, m)))
     sandwich = Sandwich(h, qmat)
@@ -693,7 +693,7 @@ def test_sandwich_chart_jacobian_takes_factors_that_are_not_orthogonal(n, m, q):
         reflection = np.eye(size) - 2.0 * v @ v.swapaxes(-1, -2) / (v.swapaxes(-1, -2) @ v)
         return rng.uniform(0.5, 2.0, (3, size, 1)) * reflection
 
-    x = np.array([mc.random_rank_q(n, m, q, rng) for _ in range(3)])
+    x = np.array([random_rank_q(n, m, q, rng) for _ in range(3)])
     h, qmat = factors(n), factors(m)
     with pytest.raises(ValueError, match="left factor deviates from orthogonality"):
         suites.judge_invariance(x, q, h, qmat)
@@ -725,7 +725,7 @@ class _Recording:
 def test_fd_chart_jacobian_evaluates_the_per_point_matrices(n, m, q):
     # Signs of zero included: the -0.0 column of X must come out +0.0 at
     # every point, as the per-point steps of +0.0 left it.
-    x = np.hstack([mc.random_rank_q(n, m - 1, q, mc.make_rng(59, n, m)), np.full((n, 1), -0.0)])
+    x = np.hstack([random_rank_q(n, m - 1, q, mc.make_rng(59, n, m)), np.full((n, 1), -0.0)])
     in_chart = chart.decompose(x, q)
     f = _Recording()
     fd_chart_jacobian(f, x, in_chart, in_chart)
@@ -775,7 +775,7 @@ def test_full_chart_needs_no_out_chart(n, m):
     # At full rank a chart of Y holds every entry of Y, so without one the Jacobian has the
     # same rows, bit for bit, in another order, and the same |det| to rounding.
     q = min(n, m)
-    x = np.array([mc.random_rank_q(n, m, q, mc.make_rng(66, n, m, t)) for t in range(3)])
+    x = np.array([random_rank_q(n, m, q, mc.make_rng(66, n, m, t)) for t in range(3)])
     b, out = _pinv_charts(x, q)
     alone, charted = chart.pinv_chart_jacobian(b), chart.pinv_chart_jacobian(b, out)
     assert alone.shape == charted.shape == (3, n * m, n * m)
@@ -786,13 +786,13 @@ def test_full_chart_needs_no_out_chart(n, m):
 
 
 def test_a_deficient_chart_needs_an_out_chart():
-    b = chart.decompose(mc.random_rank_q(4, 3, 2, mc.make_rng(67)), 2)
+    b = chart.decompose(random_rank_q(4, 3, 2, mc.make_rng(67)), 2)
     with pytest.raises(ShapeMismatch, match="deficient chart of 10 coordinates needs an out-"):
         chart.pinv_chart_jacobian(b)
 
 
 def test_pinv_chart_jacobian_stack_checks():
-    x = np.array([mc.random_rank_q(4, 3, 2, mc.make_rng(58, t)) for t in range(3)])
+    x = np.array([random_rank_q(4, 3, 2, mc.make_rng(58, t)) for t in range(3)])
     jac = chart.pinv_chart_jacobian(*_pinv_charts(x, 2))
     assert jac.shape == (3, 10, 10)
     for t, one in enumerate(x):
@@ -810,7 +810,7 @@ def test_tangent_on_every_block_branch_is_the_complex_step_with_the_bits_of_each
     # carry no stack axis, and along stacked ones, the tangent is the complex step, and
     # each slice of a stack of three has the bits of a stack of one and of one chart.
     rng = mc.make_rng(65, n, m, q)
-    x = np.array([mc.random_rank_q(n, m, q, rng) for _ in range(3)])
+    x = np.array([random_rank_q(n, m, q, rng) for _ in range(3)])
     b, out = _pinv_charts(x, q)
     k = len(b)
     jac = chart.pinv_chart_jacobian(b, out)

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import commutation_matrix, penrose_residuals, vec
+from helpers import commutation_matrix, penrose_residuals, random_rank_q, random_stiefel, vec
 from mpjl import matcore as mc
 from mpjl.errors import BadSpectrum, DegenerateSpectrum, ShapeMismatch
 
@@ -96,7 +96,7 @@ def test_svd_thin_factor_invariants():
         q = int(rng.integers(1, 4))
         n = int(rng.integers(q, 9))
         m = int(rng.integers(q, 9))
-        x = mc.random_rank_q(n, m, q, rng)
+        x = random_rank_q(n, m, q, rng)
         factors, info = mc.svd_thin(x)
         assert info.rank == q
         assert np.max(np.abs(factors.u.T @ factors.u - np.eye(q))) <= 1e-12
@@ -148,13 +148,13 @@ def test_penrose_random_rank_q_sweep():
         n = int(rng.integers(1, 13))
         m = int(rng.integers(1, 13))
         q = int(rng.integers(1, min(n, m) + 1))
-        x = mc.random_rank_q(n, m, q, rng)
+        x = random_rank_q(n, m, q, rng)
         assert max(penrose_residuals(x, mc.pinv(x))) <= 1e-10
 
 
 def test_pinv_spectrum_reciprocal_reversed():
     d = np.array([4.0, 2.0, 0.5])
-    x = mc.random_rank_q(5, 4, 3, mc.make_rng(5), spectrum=d)
+    x = random_rank_q(5, 4, 3, mc.make_rng(5), spectrum=d)
     s = np.linalg.svd(mc.pinv(x), compute_uv=False)[:3]
     np.testing.assert_allclose(s, 1.0 / d[::-1], rtol=1e-10)
 
@@ -165,58 +165,58 @@ def test_pinv_involution():
         n = int(rng.integers(1, 13))
         m = int(rng.integers(1, 13))
         q = int(rng.integers(1, min(n, m) + 1))
-        x = mc.random_rank_q(n, m, q, rng)
+        x = random_rank_q(n, m, q, rng)
         np.testing.assert_allclose(mc.pinv(mc.pinv(x)), x, rtol=0, atol=1e-8 * np.linalg.norm(x))
 
 
 def test_random_stiefel_square_is_orthogonal():
-    h = mc.random_stiefel(3, 3, mc.make_rng(7))
+    h = random_stiefel(3, 3, mc.make_rng(7))
     assert abs(abs(np.linalg.det(h)) - 1.0) <= 1e-12
     np.testing.assert_allclose(h.T @ h, np.eye(3), atol=1e-12)
 
 
 def test_random_stiefel_rectangular_frame():
-    h = mc.random_stiefel(5, 2, mc.make_rng(8))
+    h = random_stiefel(5, 2, mc.make_rng(8))
     np.testing.assert_allclose(h.T @ h, np.eye(2), atol=1e-12)
 
 
 def test_random_stiefel_deterministic():
-    a = mc.random_stiefel(4, 2, mc.make_rng(9))
-    b = mc.random_stiefel(4, 2, mc.make_rng(9))
+    a = random_stiefel(4, 2, mc.make_rng(9))
+    b = random_stiefel(4, 2, mc.make_rng(9))
     assert np.array_equal(a, b)
 
 
 def test_random_rank_q_spectrum_roundtrip():
-    x = mc.random_rank_q(4, 3, 2, mc.make_rng(10), spectrum=(3.0, 1.0))
+    x = random_rank_q(4, 3, 2, mc.make_rng(10), spectrum=(3.0, 1.0))
     factors, info = mc.svd_thin(x)
     assert info.rank == 2
     np.testing.assert_allclose(factors.s, [3.0, 1.0], rtol=1e-10)
 
 
 def test_random_rank_q_rank_one_norm():
-    x = mc.random_rank_q(2, 2, 1, mc.make_rng(11), spectrum=(2.0,))
+    x = random_rank_q(2, 2, 1, mc.make_rng(11), spectrum=(2.0,))
     assert abs(np.linalg.norm(x, 2) - 2.0) <= 1e-12
 
 
 def test_random_rank_q_full_rank_left_inverse():
-    x = mc.random_rank_q(5, 3, 3, mc.make_rng(12))
+    x = random_rank_q(5, 3, 3, mc.make_rng(12))
     np.testing.assert_allclose(mc.pinv(x) @ x, np.eye(3), atol=1e-12)
 
 
 def test_random_rank_q_rejects_bad_spectrum():
     rng = mc.make_rng(13)
     with pytest.raises(BadSpectrum):
-        mc.random_rank_q(3, 3, 2, rng, spectrum=(1.0, 2.0))
+        random_rank_q(3, 3, 2, rng, spectrum=(1.0, 2.0))
     with pytest.raises(BadSpectrum):
-        mc.random_rank_q(3, 3, 2, rng, spectrum=(2.0, -1.0))
+        random_rank_q(3, 3, 2, rng, spectrum=(2.0, -1.0))
     with pytest.raises(BadSpectrum):
-        mc.random_rank_q(3, 3, 2, rng, spectrum=(2.0, 2.0))
+        random_rank_q(3, 3, 2, rng, spectrum=(2.0, 2.0))
 
 
 def test_random_rank_q_refuses_a_wrong_count_as_the_cli_does():
     # validate_spectrum checks the count, with the message a configuration gets.
     with pytest.raises(BadSpectrum, match=r"^spectrum has 3 values but q=2$"):
-        mc.random_rank_q(3, 3, 2, mc.make_rng(13), [3, 2, 1])
+        random_rank_q(3, 3, 2, mc.make_rng(13), [3, 2, 1])
 
 
 def test_sorted_spectra_sort_a_stack_as_each_draw_alone():

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import check
+from helpers import check, random_rank_q, random_stiefel, symmetric_inverse_complex_step, vech
 from mpjl import matcore as mc, measures as ms, suites, witnesses as wt
 from mpjl.errors import BadSpectrum, RankMismatch, ShapeMismatch
 
@@ -217,7 +217,7 @@ def test_symmetric_inverse_rejects_singular():
 def test_symmetric_inverse_formula_vs_fd(order):
     for trial in range(5):
         rng = mc.make_rng(63, order, trial)
-        frame = mc.random_stiefel(order, order, rng)
+        frame = random_stiefel(order, order, rng)
         s = ms.symmetric_part((frame * rng.uniform(0.5, 2.5, order)) @ frame.T)
         formula = ms.log_symmetric_inverse_jacobian(s)
         fd = ms.symmetric_inverse_fd_det(s)
@@ -225,32 +225,69 @@ def test_symmetric_inverse_formula_vs_fd(order):
 
 
 def _symmetric_inverse_fd_det_per_direction(s):
-    # Oracle of the stacked symmetric_inverse_fd_det: one complex point at a time.
-    m = s.shape[0]
-    h = 1e-20 * np.max(np.abs(s))
-    coords = list(zip(*np.triu_indices(m)))
+    # Oracle of the gathered symmetric_inverse_fd_det: one tangent P dS P at a time, from
+    # the inverse of one symmetric matrix.
+    p = np.linalg.inv(ms.symmetric_part(s))
+    coords = list(zip(*np.triu_indices(p.shape[0])))
     jac = np.empty((len(coords), len(coords)))
     for k, (i, j) in enumerate(coords):
-        e = np.zeros((m, m))
-        e[i, j] = 1.0
-        e[j, i] = 1.0
-        jac[:, k] = ms.vech(np.linalg.inv(s + 1j * h * e).imag / h)
+        tangent = np.outer(p[:, i], p[j]) + np.outer(p[:, j], p[i])
+        jac[:, k] = vech(tangent) * (0.5 if i == j else 1.0)
     return float(np.linalg.slogdet(jac)[1])
+
+
+def _symmetric_stack(seed, order, trials, eigenvalues):
+    # ``trials`` matrices F diag(e) F', F a random orthogonal frame, e = eigenvalues(rng).
+    rngs = [mc.make_rng(seed, order, t) for t in range(trials)]
+    frames = np.array([random_stiefel(order, order, rng) for rng in rngs])
+    eigs = np.array([eigenvalues(rng) for rng in rngs])
+    return (frames * eigs[:, None, :]) @ frames.swapaxes(-1, -2)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
 def test_symmetric_inverse_fd_det_matches_per_direction_loop(order):
-    for trial in range(10):
-        rng = mc.make_rng(64, order, trial)
-        frame = mc.random_stiefel(order, order, rng)
-        s = ms.symmetric_part((frame * rng.uniform(0.5, 2.5, order)) @ frame.T)
-        assert ms.symmetric_inverse_fd_det(s) == _symmetric_inverse_fd_det_per_direction(s)
+    # A stack of 10 gives each slice the bits of a stack of one, and of one direction at a
+    # time.
+    s = _symmetric_stack(64, order, 10, lambda rng: rng.uniform(0.5, 2.5, order))
+    stacked = ms.symmetric_inverse_fd_det(s)
+    for t in range(10):
+        alone = ms.symmetric_inverse_fd_det(s[t])
+        assert stacked[t] == alone == _symmetric_inverse_fd_det_per_direction(s[t])
+
+
+# Worst |tangent - complex step| over seeds 1-3 x 8 trials and orders 1-8, at signed
+# eigenvalues: 1.4e-14 drawn from [0.5, 2.5], 1.3e-8 at geomspace(1, 1e-4, m) and 8.0e-7 at
+# geomspace(1, 1e-5, m).  Both lose like eps * cond(S)^2.
+COMPLEX_STEP_BOUNDS = {None: 1e-13, 1e4: 5e-8, 1e5: 5e-6}
+
+
+@pytest.mark.parametrize("cond", list(COMPLEX_STEP_BOUNDS))
+@pytest.mark.parametrize("order", range(1, 9))
+def test_symmetric_inverse_fd_det_matches_complex_step(order, cond):
+    def eigenvalues(rng):
+        signs = rng.choice([-1.0, 1.0], size=order)
+        if cond is None:
+            return signs * rng.uniform(0.5, 2.5, order)
+        return signs * np.geomspace(1.0, 1.0 / cond, order)
+
+    for seed in (1, 2, 3):
+        s = _symmetric_stack(seed, order, 8, eigenvalues)
+        error = np.abs(ms.symmetric_inverse_fd_det(s) - symmetric_inverse_complex_step(s))
+        assert np.all(error <= COMPLEX_STEP_BOUNDS[cond])
+
+
+def test_symmetric_inverse_takes_one_real_inverse_per_stack(inv_inputs):
+    for m in (1, 4):
+        inv_inputs.clear()
+        cfg = suites.validate_config(suites.RunConfig(m=m, trials=5, seed=65), "symmetric-inverse")
+        assert all(r.passed for r in suites._run_stack("symmetric-inverse", cfg, range(5)))
+        assert inv_inputs == [((5, m, m), np.float64)]
 
 
 def test_vech_of_a_stack():
     stack = np.arange(18.0).reshape(2, 3, 3)
-    assert np.array_equal(ms.vech(stack), [ms.vech(stack[0]), ms.vech(stack[1])])
-    assert np.array_equal(ms.vech(stack[0]), [0.0, 1.0, 2.0, 4.0, 5.0, 8.0])
+    assert np.array_equal(vech(stack), [vech(stack[0]), vech(stack[1])])
+    assert np.array_equal(vech(stack[0]), [0.0, 1.0, 2.0, 4.0, 5.0, 8.0])
 
 
 def test_exterior_chain_orthonormal_columns():
@@ -291,16 +328,16 @@ def test_exterior_chain_rejects_wide_or_deficient():
 
 
 def test_invariance_identity_sandwich():
-    x = mc.random_rank_q(3, 3, 2, mc.make_rng(67))
+    x = random_rank_q(3, 3, 2, mc.make_rng(67))
     [rep] = suites.judge_invariance(x, 2, np.eye(3), np.eye(3))
     assert abs(rep.values["abs_det"] - 1.0) <= 1e-9
 
 
 def test_invariance_full_chart():
     rng = mc.make_rng(68)
-    x = mc.random_rank_q(3, 2, 2, rng)
-    h = mc.random_stiefel(3, 3, rng)
-    q = mc.random_stiefel(2, 2, rng)
+    x = random_rank_q(3, 2, 2, rng)
+    h = random_stiefel(3, 3, rng)
+    q = random_stiefel(2, 2, rng)
     [rep] = suites.judge_invariance(x, 2, h, q)
     assert rep.passed
     assert rep.values["deviation"] <= 1e-12
@@ -331,7 +368,7 @@ def test_invariance_volume_is_the_closed_form_of_the_chart_jacobian():
     assert abs(rep.values["abs_det"] - 0.5) <= 1e-15
     rng = mc.make_rng(70)
     for n, m, q in [(5, 4, 2), (3, 5, 2), (8, 6, 3), (4, 4, 4)]:
-        x = np.array([mc.random_rank_q(n, m, q, rng) for _ in range(4)])
+        x = np.array([random_rank_q(n, m, q, rng) for _ in range(4)])
         h = mc.orthonormal_frames(rng.standard_normal((4, n, n)))
         qmat = mc.orthonormal_frames(rng.standard_normal((4, m, m)))
         reports = suites.judge_invariance(x, q, h, qmat)
@@ -342,14 +379,14 @@ def test_invariance_volume_is_the_closed_form_of_the_chart_jacobian():
 
 
 def test_invariance_rejects_nonorthogonal_factor():
-    x = mc.random_rank_q(3, 3, 2, mc.make_rng(69))
+    x = random_rank_q(3, 3, 2, mc.make_rng(69))
     with pytest.raises(ValueError):
         suites.judge_invariance(x, 2, np.eye(3) * 1.001, np.eye(3))
 
 
 def test_invariance_refuses_a_factor_that_is_not_square_or_not_finite():
     # Each factor is coerced, then tested square, then orthogonal, left before right.
-    x = mc.random_rank_q(3, 3, 2, mc.make_rng(69))
+    x = random_rank_q(3, 3, 2, mc.make_rng(69))
     with pytest.raises(ShapeMismatch, match=re.escape("left factor must be square, got (2, 3)")):
         suites.judge_invariance(x, 2, np.eye(2, 3), np.eye(3))
     with pytest.raises(ShapeMismatch, match=re.escape("right factor must be square, got (3, 2)")):
@@ -365,7 +402,7 @@ def test_invariance_refuses_a_factor_that_is_not_square_or_not_finite():
 
 def test_invariance_refuses_a_stack_in_which_one_factor_is_not_orthogonal():
     rng = mc.make_rng(72)
-    x = np.array([mc.random_rank_q(4, 3, 2, rng) for _ in range(3)])
+    x = np.array([random_rank_q(4, 3, 2, rng) for _ in range(3)])
     h = mc.orthonormal_frames(rng.standard_normal((3, 4, 4)))
     qmat = mc.orthonormal_frames(rng.standard_normal((3, 3, 3)))
     assert all(r.passed for r in suites.judge_invariance(x, 2, h, qmat))

@@ -15,13 +15,14 @@ from hypothesis import assume, example, given, strategies as st
 
 from helpers import (
     check, dense_pair_reads, jacobian_operator, pinv_chart_log_det, pinv_complex_step,
+    random_rank_q, random_stiefel,
 )
 from mpjl import chart, differential as df, matcore as mc, measures, suites
 from mpjl.reports import TOLERANCES
 
 
 def _case(n, m, q, scale, seed):
-    return n, m, q, scale * mc.random_rank_q(n, m, q, mc.make_rng(seed))
+    return n, m, q, scale * random_rank_q(n, m, q, mc.make_rng(seed))
 
 
 @st.composite
@@ -121,7 +122,7 @@ def test_pair_block_profile_reads_what_the_dense_operator_holds(case):
 
 def _tangent_case(n, m, q, scale, cond, trials, seed):
     spectrum = scale * np.geomspace(1.0, 1.0 / cond, q)
-    return np.array([mc.random_rank_q(n, m, q, mc.make_rng(seed, t), spectrum)
+    return np.array([random_rank_q(n, m, q, mc.make_rng(seed, t), spectrum)
                      for t in range(trials)]), q
 
 
@@ -166,13 +167,13 @@ def chart_instances(draw):
     m = draw(st.integers(1, 5))
     q = draw(st.integers(1, min(n, m)))
     scale = 10.0 ** draw(st.floats(-3.0, 3.0))
-    return scale * mc.random_rank_q(n, m, q, mc.make_rng(draw(st.integers(0, 2**31 - 1)))), q
+    return scale * random_rank_q(n, m, q, mc.make_rng(draw(st.integers(0, 2**31 - 1)))), q
 
 
 @given(chart_instances())
-@example((mc.random_rank_q(6, 5, 3, mc.make_rng(1)), 3))
-@example((1e-3 * mc.random_rank_q(5, 5, 5, mc.make_rng(2)), 5))
-@example((1e3 * mc.random_rank_q(1, 5, 1, mc.make_rng(3)), 1))
+@example((random_rank_q(6, 5, 3, mc.make_rng(1)), 3))
+@example((1e-3 * random_rank_q(5, 5, 5, mc.make_rng(2)), 5))
+@example((1e3 * random_rank_q(1, 5, 1, mc.make_rng(3)), 1))
 def test_pinv_chart_jacobian_matches_the_area_formula(case):
     # log|det| of the tangent chart Jacobian of X -> pinv(X) against
     # -2(n+m-q) sum log d, plus V(X's chart) - V(Y's chart) below full rank.
@@ -224,7 +225,7 @@ def scaled_instances(draw):
     m = draw(st.integers(1, 8))
     q = draw(st.integers(1, min(n, m)))
     scale = 10.0 ** draw(st.floats(-3.0, 3.0))
-    x = scale * mc.random_rank_q(n, m, q, mc.make_rng(draw(st.integers(0, 2**31 - 1))))
+    x = scale * random_rank_q(n, m, q, mc.make_rng(draw(st.integers(0, 2**31 - 1))))
     return (mc.pinv(x) if draw(st.booleans()) else x), q
 
 
@@ -299,7 +300,7 @@ def indefinite_symmetric(draw):
     m = draw(st.integers(1, 8))
     rng = mc.make_rng(draw(st.integers(0, 2**31 - 1)))
     eigs = rng.uniform(0.5, 2.5, m) * rng.choice([-1.0, 1.0], m)
-    frame = mc.random_stiefel(m, m, rng)
+    frame = random_stiefel(m, m, rng)
     return measures.symmetric_part(10.0 ** draw(st.floats(-3.0, 3.0)) * (frame * eigs) @ frame.T)
 
 
@@ -364,14 +365,14 @@ def pinv_stacks(draw):
     size, seed = draw(st.sampled_from([1, 3])), draw(st.integers(0, 2**31 - 1))
     scales = 10.0 ** np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=size,
                                             max_size=size)))
-    x = np.array([s * mc.random_rank_q(n, m, q, mc.make_rng(seed, t))
+    x = np.array([s * random_rank_q(n, m, q, mc.make_rng(seed, t))
                   for t, s in enumerate(scales)])
     return x, mc.pinv(x), q
 
 
 @given(pinv_stacks(), st.booleans())
-@example((np.array([mc.random_rank_q(4, 3, 2, mc.make_rng(5))]),
-          mc.pinv(mc.random_rank_q(4, 3, 2, mc.make_rng(5)))[None], 2), True)
+@example((np.array([random_rank_q(4, 3, 2, mc.make_rng(5))]),
+          mc.pinv(random_rank_q(4, 3, 2, mc.make_rng(5)))[None], 2), True)
 def test_joint_chart_of_x_and_y_transposed_has_the_bits_of_each_chart_alone(case, volumes):
     # operator-rank pivots [X; Y'] as one stack and reads Y's chart as the
     # transposed chart of Y': each slice has the permutations,

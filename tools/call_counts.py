@@ -3,9 +3,10 @@
 Usage:
     python3 tools/call_counts.py [--src SRC] [--top N]
 
-For every ``verify`` op of the ``fd-chart`` and ``dense-operator``
-workloads (their shapes, trials and flags from ``perfbench/workloads.py``,
-seed 1), ``suites.run_suite`` runs once to warm every cache, then once
+For every ``verify`` op of the ``fd-chart``, ``dense-operator`` and
+``cli-sweep`` workloads (their shapes, trials and flags from
+``perfbench/workloads.py``, seed 1), ``suites.run_suite`` runs once to
+warm every cache, then once
 more under ``sys.setprofile``.  A library call is any call of a function
 that is not ``mpjl``'s: a C function (a numpy function or method, a
 builtin) or a Python function of another module, and so also each call
@@ -65,8 +66,8 @@ def main(argv=None) -> int:
 
     package = str(Path(mpjl.__file__).parent)
     print(f"mpjl from {package}")
-    print(f"{'workload':<15} {'op':<12} {'calls':>6}  largest callers")
-    for workload in ("fd-chart", "dense-operator"):
+    print(f"{'workload':<15} {'op':<20} {'calls':>6}  largest callers")
+    for workload in ("fd-chart", "dense-operator", "cli-sweep"):
         for op in workloads.WORKLOADS[workload](random.Random(1)):
             if op.kind != "verify":
                 continue
@@ -75,7 +76,7 @@ def main(argv=None) -> int:
             suites.run_suite(parsed.suite, cfg)
             calls = _count(package, lambda: suites.run_suite(parsed.suite, cfg))
             top = ", ".join(f"{name} {n}" for name, n in calls.most_common(args.top))
-            print(f"{workload:<15} {op.slot:<12} {sum(calls.values()):>6}  {top}")
+            print(f"{workload:<15} {op.slot:<20} {sum(calls.values()):>6}  {top}")
     return 0
 
 

@@ -44,7 +44,7 @@ its own directory.  It replays:
   1/c, q)``: ``jacobian-full`` 4 x 3 and 3 x 4 at c = 1e4 and ``blocks``
   8 x 6 q=3 at c = 1e5; and the oracles of ``differential`` (the tangent)
   7 x 5 q=3 at spectrum ``1000,1,0.001`` and 5 x 5 at c = 1e4, and of
-  ``symmetric-inverse`` (a complex step) at order 8; ``hausdorff`` at 60 x 50 q=20, whose
+  ``symmetric-inverse`` (the forward-mode tangent) at order 8; ``hausdorff`` at 60 x 50 q=20, whose
   linear density underflowed into a ``ZeroDivisionError``, and at 40 x 32
   q=20 seed 278331871, whose linear factor ran through subnormals into a
   FAIL; and ``invariance`` 2 x 2 q=1 seed 221480469, whose ``H X Q`` rounded
@@ -113,7 +113,9 @@ its own directory.  It replays:
   which names the gap), each exit 2; and, in JSON, a lost rank above
   ``operator-rank``'s chart cap (8 x 6 q=3 at ``1,0.5,1e-17``, exit 1) and
   the full charts of ``jacobian-full`` 3 x 4 and 4 x 3 at spectrum
-  ``geomspace(1, 1e-5, 3)``;
+  ``geomspace(1, 1e-5, 3)``; and, in JSON, ``symmetric-inverse`` at order
+  12 (two trials, a 78 x 78 Jacobian each) and at order 1 (three trials,
+  one coordinate);
 * ``verify hausdorff`` 4 x 3 q=2, in JSON and in text, with
   ``measures.log_hausdorff_density`` patched to return NaN on both sides, so
   that a residual that is not finite reaches a live report (``identity=null``
@@ -149,6 +151,13 @@ its operator determinant from a thin SVD with vectors, a declared change of
 the last digits of exactly these keys, on charts of at most 12 entries:
 ``log_operator_det``, ``log_fd_chart_det``, ``operator_vs_formula`` and
 ``fd_vs_formula``, with no verdict, exit code or layout moved.
+Where ``symmetric-inverse``'s oracle was a complex step, the forward-mode
+tangent that replaced it is a declared change of the last digits of
+exactly ``log_fd_det`` and ``fd_mismatch``: the suite's cli-sweep ops,
+the report merges that hold them, and edges 17, 59, 91, 146 and 147.  No
+exit code or layout moves, and one verdict: edge 17, at ``--tol 1e-30``
+(below rounding), where which of its two trials reads exactly 0 swaps;
+its summary stays 1 passed, 1 failed.
 
 Each invocation records its exit code (or the exception that escaped
 ``cli.main``), its stdout, its ``error: ...`` lines of stderr and the
@@ -381,6 +390,8 @@ EDGE_CASES = [
     *(["verify", "jacobian-full", "--n", n, "--m", m, "--trials", "4", "--seed", "1",
        "--spectrum", "1,0.0031622776601683794,1e-05", "--format", "json"]
       for n, m in (("3", "4"), ("4", "3"))),
+    ["verify", "symmetric-inverse", "--m", "12", "--trials", "2", "--format", "json"],
+    ["verify", "symmetric-inverse", "--m", "1", "--trials", "3", "--format", "json"],
 ]
 
 # Run with the density forced to NaN, as a check that produces a value that is
