@@ -23,12 +23,14 @@ its forward-mode tangent along chart directions, laid out as column blocks
 directions, built once per shape with no stack axis: of pinv
 (``pinv_chart_jacobian``) and of the linear sandwich X -> H X Q
 (``sandwich_chart_jacobian``), each the derivative to rounding error, with no
-step; the area formula (``log_chart_volume``) is their closed form.  On a full
-chart (q = min(n, m)) pinv's takes no out-chart: its rows are then every entry
-of pinv(X), which any chart of pinv(X) would only permute, and a row
-permutation leaves |det| as it is.  A chart without Z (n = q) or W (m = q)
-takes no solve and does no work on it.  The tests hold them to a complex step
-and to central differences.  Every function takes a stack (T, n, m) under
+step.  The sandwich's is read in a second chart, of H X Q, and the area
+formula (``log_chart_volume``) is its closed form.  Pinv's is read in X's own
+chart: with X = U D V', pinv(X)' = U D^-1 V' has X's column and row spaces, so
+on X's pivots it has X's W and Z, its pivot block is invertible exactly when
+X11 is, the two charts' volumes cancel, and |det| is the factor
+prod d_i^-2(n+m-q) alone.  A chart without Z (n = q) or W (m = q) takes no
+solve and does no work on it.  The tests hold them to a complex step and to
+central differences.  Every function takes a stack (T, n, m) under
 ``matcore``'s bit rule; ``b[i]`` gives slices of a stacked chart with its
 cached W and Z and no second pivot test."""
 
@@ -187,17 +189,6 @@ def _pivot(x: np.ndarray, q: int) -> BlockDecomposition:
     return b
 
 
-def _transposed(b: BlockDecomposition) -> BlockDecomposition:
-    # The chart of each slice's transpose, as views of b's: pivoting X' moves X'11 = X11'
-    # to the top left with the permutations swapped, so X' has blocks X11', X21', X12' and
-    # W = Z', Z = W' (the same solves, taken if b's are not).  Nothing is tested again.
-    swap = {"x11": "x11", "x12": "x21", "x21": "x12", "w": "z", "z": "w"}
-    t = object.__new__(BlockDecomposition)
-    t.__dict__.update((swap[k], v.swapaxes(-1, -2)) for k, v in vars(b).items() if k in swap)
-    t.__dict__.update(row_perm=b.col_perm, col_perm=b.row_perm)
-    return t
-
-
 def x22_from_blocks(b: BlockDecomposition) -> np.ndarray:
     """Dependent trailing block X21 @ inv(X11) @ X12 = X21 W; empty when q = n or q = m."""
     return b.x21 @ b.w
@@ -344,32 +335,17 @@ def pinv_chart_derivative(in_chart: BlockDecomposition, deltas) -> np.ndarray:
     return dy if deltas.ndim > in_chart.x11.ndim - 1 else dy[0]
 
 
-def pinv_chart_jacobian(in_chart: BlockDecomposition,
-                        out_chart: BlockDecomposition | None = None) -> np.ndarray:
-    """Partial derivatives of out-chart coordinates of X -> pinv(X) with respect to
-    in-chart coordinates, at the in-chart's point: :func:`pinv_chart_derivative` along
-    the k unit directions, a ([T,] k', k) stack.  For equal-size charts its absolute
-    determinant is the chart-to-chart Jacobian of X -> pinv(X).
+def pinv_chart_jacobian(b: BlockDecomposition) -> np.ndarray:
+    """Partial derivatives of b's coordinates of pinv(X)' with respect to b's coordinates of
+    X, at b's point: :func:`pinv_chart_derivative` along the k unit directions, a ([T,] k, k)
+    stack.  Its absolute determinant is the chart-to-chart Jacobian of X -> pinv(X).
 
-    Without ``out_chart`` the in-chart must be full (k = nm, else ShapeMismatch), and the
-    rows are every entry of Y = pinv(X) in the in-chart's pivoted coordinates, row-major
-    ([T,] mn, k).  A chart of a full-rank Y also holds every entry, so it only reorders
-    these rows: a row permutation changes the determinant's sign at most, never |det|.
+    Y' = pinv(X)' has X's column and row spaces, so b is a chart of Y' as well (see the
+    module docstring): its pivot block Y'11 is invertible exactly when X11 is.
     """
-    if out_chart is None and len(in_chart) != in_chart.n * in_chart.m:
-        raise ShapeMismatch(f"a deficient chart of {len(in_chart)} coordinates needs an out-chart")
-    dyp = _pinv_tangent(in_chart, *_unit_blocks(in_chart.n, in_chart.m, in_chart.q))
-    if out_chart is None:  # ([T,] m, k, n) -> ([T,] mn, k)
-        return dyp.swapaxes(-1, -2).reshape(dyp.shape[:-3] + (-1, len(in_chart)))
-    return _chart_jacobian(out_chart, _unpermute_pinv(in_chart, dyp))
-
-
-def _chart_jacobian(b: BlockDecomposition, a: np.ndarray) -> np.ndarray:
-    # b's free coordinates of the tangents a ([T,] n, k, m), at original indices, along k
-    # directions: the chart Jacobian ([T,] k', k).
-    rows, cols = _free_index(b.n, b.m, b.q)
-    stack = (s[..., 0] for s in b._stack)
-    return a[(*stack, b.row_perm[..., rows], slice(None), b.col_perm[..., cols])]
+    dyp = _pinv_tangent(b, *_unit_blocks(b.n, b.m, b.q))
+    rows, cols = _free_index(b.n, b.m, b.q)  # Y' at (rows, cols) is Yp at (cols, rows)
+    return dyp.swapaxes(-1, -2)[..., cols, rows, :]
 
 
 def _tangent_x22(b: BlockDecomposition, dx11, dx12, dx21) -> np.ndarray:
@@ -402,7 +378,10 @@ def sandwich_chart_jacobian(h: np.ndarray, qmat: np.ndarray, in_chart: BlockDeco
     tangents[..., q:, :, q:] = _tangent_x22(b, *units)
     left = np.take_along_axis(h, b.row_perm[..., None, :], -1)
     right = np.take_along_axis(qmat, b.col_perm[..., :, None], -2)
-    return _chart_jacobian(out_chart, _right(_left(left, tangents), right))
+    out, images = out_chart, _right(_left(left, tangents), right)  # at original indices
+    rows, cols = _free_index(n, m, out.q)
+    stack = (s[..., 0] for s in out._stack)
+    return images[(*stack, out.row_perm[..., rows], slice(None), out.col_perm[..., cols])]
 
 
 def tangent_perturbation(b: BlockDecomposition, dx11, dx12, dx21) -> np.ndarray:

@@ -4,9 +4,9 @@ Each suite maps one analytic result to one independent oracle and runs it
 over ``trials`` reproducible instances, as stacks: ``draw(n, m, q, rngs,
 spectrum)`` writes every generator call of a stack of trials into (T, ...)
 parts, and ``check(cfg, draws)`` judges them in stacked numpy calls, one
-report per trial.  Each check takes one SVD of its stack of X; both
-two-sided chart checks, ``invariance`` and ``operator-rank``, pivot X and
-its image, H X Q or Y' = pinv(X)', as one stack (2, T, n, m).  README
+report per trial.  Each check takes one SVD of its stack of X and pivots
+X alone, except ``invariance``, the one check that reads a second chart:
+it pivots X and its image H X Q as one stack (2, T, n, m).  README
 gives the stream, retry and entry-budget rules that ``run_suite`` keeps.
 """
 
@@ -173,15 +173,13 @@ def _check_operator_rank(cfg: RunConfig, draws: tuple) -> list[VerificationRepor
     log_factor = differential.operator_log_pdet(x, info)
     chart_det, area_formula = {}, {}
     if _fd_chart("operator-rank", cfg):
-        # Y has X's rank, so neither chart takes a rank test.  The area formula
-        # gives the chart determinant as log_factor + V(X's chart) - V(Y's
-        # chart); Y' has Y's V.
-        charts = chart._pivot(np.array([x, y.swapaxes(-1, -2)]), q)
-        in_volume, out_volume = chart.log_chart_volume(charts)
-        jac = chart.pinv_chart_jacobian(charts[0], chart._transposed(charts[1]))
+        # X's rank is tested, so its chart takes no rank test.  X's chart is a chart of Y'
+        # with X's W and Z (see chart), so the two volumes of the area formula cancel and
+        # the chart determinant is log_factor itself.
+        jac = chart.pinv_chart_jacobian(chart._pivot(x, q))
         chart_det["log_deficient_chart_det"] = det = np.linalg.slogdet(jac)[1]
-        area = log_factor + in_volume - out_volume
-        area_formula["area_formula"] = _rel(abs(det - area), np.maximum(1.0, abs(area)))
+        area_formula["area_formula"] = _rel(abs(det - log_factor),
+                                            np.maximum(1.0, abs(log_factor)))
     # S in the basis U kron V, read from its factors (see differential).
     rank, (norm, normal, off) = differential.pair_block_profile(
         u.swapaxes(-1, -2) @ x @ vt.swapaxes(-1, -2), vt @ y @ u, q)
@@ -384,7 +382,7 @@ def _checked_stack(draw, check, cfg: RunConfig, trials: range, label: str):
 
 def _trial_entries(suite: str, cfg: RunConfig) -> int:
     # Real floats one trial adds to a stacked pass: 2 k n m for its k chart tangents where it takes
-    # them (pinv's and their reordered copy, or a sandwich's and their images), operator-rank's leak
+    # them (pinv's and the blocks they join, or a sandwich's and their images), operator-rank's leak
     # read where that is more (pair_block_profile's four n x n, four m x m and three m x n factor
     # stacks and two 4 n m cross products), symmetric-inverse's 4 k^2 (its k x k Jacobian, k =
     # m(m+1)/2, two gathered factors and their product), else its instance.

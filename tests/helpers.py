@@ -3,9 +3,7 @@
 import numpy as np
 
 from mpjl import suites
-from mpjl.chart import (
-    BlockDecomposition, _delta_blocks, _unpermute, decompose, log_chart_volume, pinv_from_blocks,
-)
+from mpjl.chart import BlockDecomposition, _delta_blocks, _unpermute, pinv_from_blocks
 from mpjl.errors import ShapeMismatch
 from mpjl.matcore import (
     as_matrix, draw_rank_q, orthonormal_frames, pinv, rank_profile, rank_q_from_draw,
@@ -231,16 +229,15 @@ def pinv_chart_log_det(x, q: int) -> tuple[float, float]:
     """Closed form of log|det| of the chart Jacobian of X -> pinv(X), and its scale.
 
     By the area formula, -2(n+m-q) sum log d_i over the q retained singular
-    values, plus V(X's chart) - V(Y's chart) (see ``chart.log_chart_volume``),
-    the charts being those of ``decompose``; at full rank both volumes are
-    0.  The scale is the sum of the magnitudes of those terms, the size of
-    the rounding the value carries.
+    values: ``chart.pinv_chart_jacobian`` reads pinv(X)' in X's own chart,
+    which has X's W and Z, so the two charts' volumes cancel.  The scale is
+    the sum of the magnitudes of the terms, the size of the rounding the
+    value carries.
     """
     x = as_matrix(x)
     n, m = x.shape
     spectral = -2 * (n + m - q) * np.log(rank_profile(x).singular_values[:q])
-    volumes = log_chart_volume(decompose(x, q)), -log_chart_volume(decompose(pinv(x), q))
-    return spectral.sum() + sum(volumes), np.abs(spectral).sum() + np.abs(volumes).sum()
+    return spectral.sum(), np.abs(spectral).sum()
 
 
 def penrose_residuals(x, y) -> tuple[float, float, float, float]:

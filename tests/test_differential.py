@@ -13,7 +13,7 @@ from helpers import (
 )
 from mpjl import chart, matcore as mc, suites
 from mpjl import differential as df
-from mpjl.errors import RankMismatch, ShapeMismatch
+from mpjl.errors import RankMismatch
 from mpjl.reports import dumps_canonical
 
 
@@ -541,28 +541,26 @@ def test_fd_chart_jacobian_scaling_map():
 
 
 class _Pinv:
-    """X -> pinv(X) by one stacked SVD, truncated to ``rank`` triplets at every
-    point: a map the FD chart Jacobian can take, but not the chart tangent."""
+    """X -> pinv(X)' by one stacked SVD, truncated to ``rank`` triplets at every
+    point: a map the FD chart Jacobian can take, but not the chart tangent.
+    pinv(X)' has X's shape, and X's chart is a chart of it (see ``chart``)."""
 
     def __init__(self, rank):
         self.rank = rank
 
     def apply(self, x):
-        return mc._pinv_from_svd(*np.linalg.svd(x, full_matrices=False), self.rank)
-
-
-def _pinv_charts(x, q):
-    return chart.decompose(x, q), chart.decompose(mc.pinv(x), q)
+        return mc._pinv_from_svd(*np.linalg.svd(x, full_matrices=False), self.rank).swapaxes(-1, -2)
 
 
 def test_fd_convergence_order():
     # Central scheme: halving h should reduce the error of the FD chart
     # Jacobian of pinv about 4x, against the tangent's.
     x = random_rank_q(4, 3, 2, mc.make_rng(52))
-    exact = chart.pinv_chart_jacobian(*_pinv_charts(x, 2))
+    b = chart.decompose(x, 2)
+    exact = chart.pinv_chart_jacobian(b)
     errors = []
     for h in (1e-3, 5e-4, 2.5e-4):
-        fd = fd_chart_jacobian(_Pinv(2), x, *_pinv_charts(x, 2), step=h)
+        fd = fd_chart_jacobian(_Pinv(2), x, b, b, step=h)
         errors.append(np.linalg.norm(fd - exact))
     assert 2.5 <= errors[0] / errors[1] <= 6.0
     assert 2.5 <= errors[1] / errors[2] <= 6.0
@@ -570,9 +568,9 @@ def test_fd_convergence_order():
 
 def test_fd_chart_jacobian_pinv_full_rank():
     x = random_rank_q(3, 2, 2, mc.make_rng(55))
-    in_chart, out_chart = _pinv_charts(x, 2)
-    assert len(in_chart) == 6
-    fd = fd_chart_jacobian(_Pinv(2), x, in_chart, out_chart)
+    b = chart.decompose(x, 2)
+    assert len(b) == 6
+    fd = fd_chart_jacobian(_Pinv(2), x, b, b)
     closed = _closed_form_log_det(x)
     assert abs(np.linalg.slogdet(fd)[1] - closed) <= 1e-4
 
@@ -580,13 +578,14 @@ def test_fd_chart_jacobian_pinv_full_rank():
 @pytest.mark.parametrize("n, m, q",
                          [(2, 2, 1), (3, 2, 2), (4, 3, 2), (3, 5, 2), (6, 5, 3), (4, 4, 4)])
 def test_pinv_chart_jacobian_matches_fd_and_the_area_formula(n, m, q):
-    # Entry by entry against central FD of the SVD pseudoinverse, and in
-    # log|det| against the closed form -2(n+m-q) sum log d + V(X) - V(Y).
+    # Entry by entry against central FD of the SVD pseudoinverse, transposed and read
+    # at X's chart positions, and in log|det| against -2(n+m-q) sum log d.
     rng = mc.make_rng(61, n, m, q)
     for _ in range(3):
         x = random_rank_q(n, m, q, rng)
-        jac = chart.pinv_chart_jacobian(*_pinv_charts(x, q))
-        fd = fd_chart_jacobian(_Pinv(q), x, *_pinv_charts(x, q))
+        b = chart.decompose(x, q)
+        jac = chart.pinv_chart_jacobian(b)
+        fd = fd_chart_jacobian(_Pinv(q), x, b, b)
         assert np.max(np.abs(jac - fd)) <= 1e-7 * np.max(np.abs(jac))
         want, size = pinv_chart_log_det(x, q)
         assert abs(np.linalg.slogdet(jac)[1] - want) <= 1e-13 * max(size, 1.0)
@@ -608,7 +607,7 @@ def _per_point_assemble(b, deltas):
 def _per_point_apply(f, point):
     if isinstance(f, _Pinv):
         u, s, vt = np.linalg.svd(point, full_matrices=False)
-        return (vt[: f.rank].T / s[: f.rank]) @ u[:, : f.rank].T
+        return ((vt[: f.rank].T / s[: f.rank]) @ u[:, : f.rank].T).T
     return f.h @ point @ f.qmat
 
 
@@ -647,8 +646,8 @@ def test_fd_chart_jacobian_matches_per_point_loop(n, m, q):
             x = np.hstack([random_rank_q(n, m - 1, q, rng), np.full((n, 1), -0.0)])
         in_chart = chart.decompose(x, q)
         sandwich = Sandwich(random_stiefel(n, n, rng), random_stiefel(m, m, rng))
-        for f, y in [(_Pinv(q), mc.pinv(x)), (sandwich, sandwich.apply(x))]:
-            out_chart = chart.decompose(y, q)
+        for f, out_chart in [(_Pinv(q), in_chart),
+                             (sandwich, chart.decompose(sandwich.apply(x), q))]:
             assert _same_bits(
                 fd_chart_jacobian(f, x, in_chart, out_chart),
                 _per_point_fd_chart_jacobian(f, x, in_chart, out_chart),
@@ -743,13 +742,12 @@ def test_fd_chart_jacobian_evaluates_the_per_point_matrices(n, m, q):
 def test_pinv_chart_jacobian_makes_no_svd_per_point(svd_shapes):
     # Five-trial stacks, one stacked SVD each of X, which gives its rank
     # profile and the rank test of X's chart, then of the pivot blocks.
-    # jacobian-full's SVD takes values only, and it tests X11 alone: X's full
-    # chart holds every entry of Y, so Y needs no chart.  operator-rank's
-    # full SVD also gives pinv(X), and it tests the X11 of X and Y', pivoted as
-    # one stack.  Y's chart tests no rank (Y has X's), and the tangent moves no
-    # point that would be factored or pivot-tested.
+    # jacobian-full's SVD takes values only; operator-rank's full SVD also
+    # gives pinv(X).  Each tests X11 alone: X's chart is a chart of Y', so Y
+    # needs no chart, and the tangent moves no point that would be factored
+    # or pivot-tested.
     cases = [("jacobian-full", 3, 4, None, [(5, 3, 4), (5, 3, 3)]),
-             ("operator-rank", 4, 3, 2, [(5, 4, 3), (2, 5, 2, 2)])]
+             ("operator-rank", 4, 3, 2, [(5, 4, 3), (5, 2, 2)])]
     for suite, n, m, q, svds in cases:
         svd_shapes.clear()
         cfg = suites.validate_config(suites.RunConfig(n=n, m=m, q=q, trials=5, seed=62), suite)
@@ -770,33 +768,38 @@ def test_full_rank_solves_once_and_never_for_an_empty_block(solve_shapes):
         assert solve_shapes == [rhs]
 
 
+def _check_pinv_chart_jacobian_alone(n, m, q):
+    # X's chart alone gives the ([T,] k, k) Jacobian: the rows read pinv(X)' at the
+    # chart's own free positions, which the complex step's pinv(X), transposed and
+    # read there, holds entry by entry.
+    x = np.array([random_rank_q(n, m, q, mc.make_rng(66, n, m, q, t)) for t in range(3)])
+    b = chart.decompose(x, q)
+    k = len(b)
+    jac = chart.pinv_chart_jacobian(b)
+    assert jac.shape == (3, k, k) and chart.pinv_chart_jacobian(b[0]).shape == (k, k)
+    reference = pinv_complex_step(b, np.broadcast_to(np.eye(k)[:, None], (k, 3, k)))
+    want = np.moveaxis(b.coordinates(reference.swapaxes(-1, -2)), 0, -1)
+    assert np.max(np.abs(jac - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("n, m", [(3, 4), (4, 3), (3, 3), (2, 5)])
 def test_full_chart_needs_no_out_chart(n, m):
-    # At full rank a chart of Y holds every entry of Y, so without one the Jacobian has the
-    # same rows, bit for bit, in another order, and the same |det| to rounding.
-    q = min(n, m)
-    x = np.array([random_rank_q(n, m, q, mc.make_rng(66, n, m, t)) for t in range(3)])
-    b, out = _pinv_charts(x, q)
-    alone, charted = chart.pinv_chart_jacobian(b), chart.pinv_chart_jacobian(b, out)
-    assert alone.shape == charted.shape == (3, n * m, n * m)
-    for a, c in zip(alone, charted):
-        assert _same_bits(a[np.lexsort(a.T)], c[np.lexsort(c.T)])
-        log_a, log_c = np.linalg.slogdet(a)[1], np.linalg.slogdet(c)[1]
-        assert abs(log_a - log_c) <= 4 * np.spacing(max(1.0, abs(log_c)))
+    _check_pinv_chart_jacobian_alone(n, m, min(n, m))
 
 
-def test_a_deficient_chart_needs_an_out_chart():
-    b = chart.decompose(random_rank_q(4, 3, 2, mc.make_rng(67)), 2)
-    with pytest.raises(ShapeMismatch, match="deficient chart of 10 coordinates needs an out-"):
-        chart.pinv_chart_jacobian(b)
+@pytest.mark.parametrize("n, m", [(3, 4), (4, 3), (3, 3), (2, 5)])
+def test_a_deficient_chart_needs_no_out_chart(n, m):
+    # Deficient charts as well: Y' has X's W and Z on X's pivots, so no chart of Y.
+    for q in range(1, min(n, m)):
+        _check_pinv_chart_jacobian_alone(n, m, q)
 
 
 def test_pinv_chart_jacobian_stack_checks():
     x = np.array([random_rank_q(4, 3, 2, mc.make_rng(58, t)) for t in range(3)])
-    jac = chart.pinv_chart_jacobian(*_pinv_charts(x, 2))
+    jac = chart.pinv_chart_jacobian(chart.decompose(x, 2))
     assert jac.shape == (3, 10, 10)
     for t, one in enumerate(x):
-        assert _same_bits(jac[t], chart.pinv_chart_jacobian(*_pinv_charts(one, 2)))
+        assert _same_bits(jac[t], chart.pinv_chart_jacobian(chart.decompose(one, 2)))
 
 
 # n = q (no Z), m = q (no W), n = m = q (neither), and a deficient chart with both.
@@ -811,11 +814,11 @@ def test_tangent_on_every_block_branch_is_the_complex_step_with_the_bits_of_each
     # each slice of a stack of three has the bits of a stack of one and of one chart.
     rng = mc.make_rng(65, n, m, q)
     x = np.array([random_rank_q(n, m, q, rng) for _ in range(3)])
-    b, out = _pinv_charts(x, q)
+    b = chart.decompose(x, q)
     k = len(b)
-    jac = chart.pinv_chart_jacobian(b, out)
+    jac = chart.pinv_chart_jacobian(b)
     reference = pinv_complex_step(b, np.broadcast_to(np.eye(k)[:, None], (k, 3, k)))
-    want = np.moveaxis(out.coordinates(reference), 0, -1)
+    want = np.moveaxis(b.coordinates(reference.swapaxes(-1, -2)), 0, -1)
     assert np.max(np.abs(jac - want)) <= 1e-12 * np.max(np.abs(want))
     deltas = rng.standard_normal((2, 3, k))
     derivative = chart.pinv_chart_derivative(b, deltas)
@@ -825,9 +828,9 @@ def test_tangent_on_every_block_branch_is_the_complex_step_with_the_bits_of_each
     assert np.max(np.abs(value - mc.pinv(x))) <= 1e-12 * np.max(np.abs(value))
     for t in range(3):
         for at in (slice(t, t + 1), t):  # a stack of one, and one chart
-            b1, out1 = _pinv_charts(x[at], q)
+            b1 = chart.decompose(x[at], q)
             first = 0 if isinstance(at, slice) else ()
-            assert _same_bits(jac[t], chart.pinv_chart_jacobian(b1, out1)[first])
+            assert _same_bits(jac[t], chart.pinv_chart_jacobian(b1)[first])
             assert _same_bits(value[t], chart.pinv_from_blocks(b1)[first])
             one = chart.pinv_chart_derivative(b1, deltas[:, at])
             assert _same_bits(derivative[:, t], one.reshape(2, m, n))

@@ -5,9 +5,10 @@ against the area formula and the tangent against the tests' complex step, the
 pivots of ``decompose`` against the greedy loop, the complex-step oracles of
 the differential and of the symmetric inverse against their closed forms and
 slice by slice, the log values
-of the hausdorff check against a 50-digit mpmath evaluation, the charts of X
-and Y' pivoted as one stack against each pivoted alone, and stacked draws
-against the draws of one generator."""
+of the hausdorff check against a 50-digit mpmath evaluation, pinv(X)' on X's
+chart against X's W and Z and its chart determinant against the operator's,
+the charts of X and H X Q pivoted as one stack against each pivoted alone,
+and stacked draws against the draws of one generator."""
 
 import mpmath
 import numpy as np
@@ -148,15 +149,15 @@ def test_pinv_chart_tangent_matches_the_complex_step(case):
     # 5.9e-13 per entry and 2.2e-9 in log|det| relative to max(1, |log|),
     # both at cond ~1e4, where the Jacobian's entries span cond^2.
     x, q = case
-    b, out_chart = chart.decompose(x, q), chart.decompose(mc.pinv(x), q)
+    b = chart.decompose(x, q)
     k = len(b)
     units = np.moveaxis(np.broadcast_to(np.eye(k), x.shape[:-2] + (k, k)), -2, 0)
     want = pinv_complex_step(b, units)
     got = chart.pinv_chart_derivative(b, units)
     scale = np.max(np.abs(want), axis=(0, -2, -1))[:, None, None]
     assert np.all(np.abs(got - want) <= 1e-11 * scale)
-    log_det = np.linalg.slogdet(chart.pinv_chart_jacobian(b, out_chart))[1]
-    want_log_det = np.linalg.slogdet(np.moveaxis(out_chart.coordinates(want), 0, -1))[1]
+    log_det = np.linalg.slogdet(chart.pinv_chart_jacobian(b))[1]
+    want_log_det = np.linalg.slogdet(np.moveaxis(b.coordinates(want.swapaxes(-1, -2)), 0, -1))[1]
     assert np.all(np.abs(log_det - want_log_det) <= 2e-8 * np.maximum(1.0, np.abs(want_log_det)))
 
 
@@ -176,9 +177,9 @@ def chart_instances(draw):
 @example((1e3 * random_rank_q(1, 5, 1, mc.make_rng(3)), 1))
 def test_pinv_chart_jacobian_matches_the_area_formula(case):
     # log|det| of the tangent chart Jacobian of X -> pinv(X) against
-    # -2(n+m-q) sum log d, plus V(X's chart) - V(Y's chart) below full rank.
+    # -2(n+m-q) sum log d: on X's own chart the two charts' volumes cancel.
     x, q = case
-    jac = chart.pinv_chart_jacobian(chart.decompose(x, q), chart.decompose(mc.pinv(x), q))
+    jac = chart.pinv_chart_jacobian(chart.decompose(x, q))
     sign, log_det = np.linalg.slogdet(jac)
     want, size = pinv_chart_log_det(x, q)
     assert sign != 0
@@ -370,22 +371,47 @@ def pinv_stacks(draw):
     return x, mc.pinv(x), q
 
 
-@given(pinv_stacks(), st.booleans())
+@given(pinv_stacks())
 @example((np.array([random_rank_q(4, 3, 2, mc.make_rng(5))]),
-          mc.pinv(random_rank_q(4, 3, 2, mc.make_rng(5)))[None], 2), True)
-def test_joint_chart_of_x_and_y_transposed_has_the_bits_of_each_chart_alone(case, volumes):
-    # operator-rank pivots [X; Y'] as one stack and reads Y's chart as the
-    # transposed chart of Y': each slice has the permutations,
-    # blocks, W, Z and log volume of X and of Y pivoted alone, whether W and Z
-    # were taken on the joint stack (operator-rank's volumes) or on Y's chart.
+          mc.pinv(random_rank_q(4, 3, 2, mc.make_rng(5)))[None], 2))
+def test_a_chart_of_x_is_a_chart_of_pinv_transposed_with_the_factor_as_its_determinant(case):
+    # With X = U D V', pinv(X)' = U D^-1 V' has X's column and row spaces, so on X's pivots
+    # W = X11^-1 X12 and Z = X21 X11^-1 do not depend on D: pinv(X)' gathered at X's
+    # permutations passes the pivot test and has X's W and Z, and the chart determinant of
+    # X -> pinv(X) is the operator's log pseudo-determinant, with no volume terms.
+    # Measured over 39000 such draws: W and Z within 2.1e-14 relative to max(1, max|W|)
+    # (max|Z|), the log determinant within 2.1e-14 relative to max(1, |log|).
     x, y, q = case
-    size = len(x)
-    joint = chart._pivot(np.concatenate([x, y.swapaxes(-1, -2)]), q)
+    b = chart._pivot(x, q)
+    t = np.arange(len(x))[:, None, None]
+    yp = y.swapaxes(-1, -2)[t, b.row_perm[:, :, None], b.col_perm[:, None, :]]
+    c = chart.BlockDecomposition(yp[:, :q, :q], yp[:, :q, q:], yp[:, q:, :q], b.row_perm,
+                                 b.col_perm)
+    for got, want in ((c.w, b.w), (c.z, b.z)):
+        scale = np.maximum(1.0, np.max(np.abs(want), axis=(-2, -1), initial=0.0))
+        assert np.all(np.max(np.abs(got - want), axis=(-2, -1), initial=0.0) <= 1e-12 * scale)
+    log_det = np.linalg.slogdet(chart.pinv_chart_jacobian(b))[1]
+    want = df.operator_log_pdet(x, mc.rank_profile(x))
+    assert np.all(np.abs(log_det - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@given(pinv_stacks(), st.booleans(), st.integers(0, 2**31 - 1))
+@example((np.array([random_rank_q(4, 3, 2, mc.make_rng(5))]),
+          mc.pinv(random_rank_q(4, 3, 2, mc.make_rng(5)))[None], 2), True, 5)
+def test_joint_chart_of_x_and_its_sandwich_has_the_bits_of_each_chart_alone(case, volumes, seed):
+    # invariance pivots [X; H X Q] as one stack: each slice has the permutations, blocks,
+    # W, Z and log volume of X and of H X Q pivoted alone, whether W and Z were taken on
+    # the joint stack (invariance's volumes) or on each chart.
+    x, _, q = case
+    (size, n, m), rng = x.shape, mc.make_rng(seed)
+    h = mc.orthonormal_frames(rng.standard_normal((size, n, n)))
+    qmat = mc.orthonormal_frames(rng.standard_normal((size, m, m)))
+    sides = x, h @ x @ qmat
+    joint = chart._pivot(np.array(sides), q)
     joint_volumes = chart.log_chart_volume(joint) if volumes else None
-    for t in range(size):
-        for got, alone, at in ((joint[t], chart._pivot(x[t], q), t),
-                               (chart._transposed(joint[size + t]), chart._pivot(y[t], q),
-                                size + t)):
+    for side, a in enumerate(sides):
+        for t in range(size):
+            got, alone = joint[side, t], chart._pivot(a[t], q)
             for name in ("row_perm", "col_perm", "x11", "x12", "x21", "w", "z"):
                 want = getattr(alone, name)
                 assert np.array_equal(getattr(got, name), want), name
@@ -393,7 +419,7 @@ def test_joint_chart_of_x_and_y_transposed_has_the_bits_of_each_chart_alone(case
             volume = chart.log_chart_volume(alone)
             assert chart.log_chart_volume(got) == volume
             if volumes:
-                assert joint_volumes[at] == volume
+                assert joint_volumes[side, t] == volume
 
 
 @given(st.sampled_from(suites.SUITE_NAMES), st.integers(1, 6), st.integers(1, 6), st.data())

@@ -34,9 +34,10 @@ its own directory.  It replays:
   at full rank and at 32 x 24, a twelve-trial 30 x 20 stack, three
   ``operator-rank`` stacks (five 8 x 6 trials at cond(X) = 1e4, four
   full-rank 1 x 5 trials, where the operator has no 2x2 pair block and no
-  kernel, and four 4 x 3 q=2 trials at cond(X) = 1e5, three of which fail
+  kernel, and four 4 x 3 q=2 trials at cond(X) = 1e5, two of which fail
   the area formula by the rounding of the chart determinant (the second
-  reads 8.2e-10 against 1e-9), one also its ``leak``), two ``operator-rank``
+  and third read 1.7e-10 and 5.1e-10 against 1e-9), one also its
+  ``leak``), two ``operator-rank``
   spectra whose squared operator entries
   leave the float range, one by overflow and one by underflow, ``--tol``
   values that are not finite, ``report`` over files that hold a number
@@ -84,12 +85,13 @@ its own directory.  It replays:
   JSON, the chart oracles' forward-mode tangent of pinv on stacks:
   ``jacobian-full`` 3 x 4 and 4 x 3 at spectrum ``10,0.1,0.001`` (cond(X)
   1e4), ``operator-rank`` 3 x 5 q=2 and 4 x 3 q=1, and ``differential`` 7 x
-  5 q=3 at spectrum ``1000,1,0.001``; and, in JSON, the charts of X and Y
-  pivoted as one stack: at the pivot cap (``--q 2 --seed 0``,
+  5 q=3 at spectrum ``1000,1,0.001``; and, in JSON, the stacked charts of
+  the chart oracles: at the pivot cap (``--q 2 --seed 0``,
   ``jacobian-full`` 2 x 3 at ``1,1e-9`` and 3 x 2 at ``1,1e-8``,
   ``operator-rank`` 4 x 3 at ``1,1e-9`` and ``1,1e-8``, whose first trials
-  fail the pivot test on both blocks, on X11 alone, on both and on Y11
-  alone), on square charts (``jacobian-full`` 3 x 3, ``operator-rank`` 4 x 4
+  fail the pivot test, pivoted alone, on X11 and Y11, on X11 alone, on
+  both and on Y11 alone; no suite tests Y11, so edge 117 fails on trial
+  1's X11), on square charts (``jacobian-full`` 3 x 3, ``operator-rank`` 4 x 4
   at q=2 and q=1), on q=1 charts (``jacobian-full`` 1 x 4 and 4 x 1,
   ``operator-rank`` 5 x 2) and with ``--trials 1`` (``jacobian-full`` 3 x 4,
   ``operator-rank`` 4 x 3 q=2); and ``report`` of a file that begins with a
@@ -115,17 +117,20 @@ its own directory.  It replays:
   the full charts of ``jacobian-full`` 3 x 4 and 4 x 3 at spectrum
   ``geomspace(1, 1e-5, 3)``; and, in JSON, ``symmetric-inverse`` at order
   12 (two trials, a 78 x 78 Jacobian each) and at order 1 (three trials,
-  one coordinate);
+  one coordinate); and, in JSON, ``operator-rank`` 3 x 5 q=2 with 40
+  trials, in 7 of which Y's own pivots differ from X's, and 6 x 5 q=1 with
+  8 trials, where they cannot (a rank-1 Y' is X / d^2);
 * ``verify hausdorff`` 4 x 3 q=2, in JSON and in text, with
   ``measures.log_hausdorff_density`` patched to return NaN on both sides, so
   that a residual that is not finite reaches a live report (``identity=null``
   in the text).
 
 Declared differences against older sources.  Where X and Y were pivoted
-in two passes, one error message: edge 116 (``operator-rank`` 4 x 3 q=2
-at ``1,1e-9``), whose first trial fails the pivot test on X11 and on Y11,
-named X's condition (``9.612e+08``); the one pivot test names the worse
-block (``1.064e+09``, Y's), as ``invariance``'s does.  Where pinv's
+in two passes, edge 116 (``operator-rank`` 4 x 3 q=2 at ``1,1e-9``),
+whose first trial fails the pivot test on X11 and on Y11, named X's
+condition (``9.612e+08``), as it does again now that X is pivoted alone
+(below); where both were pivoted as one stack, the one pivot test named
+the worse block (``1.064e+09``, Y's).  Where pinv's
 derivative was a complex step, the tangent that replaced it is a declared
 change of the last digits of exactly these keys: ``jacobian-full``'s
 ``log_fd_chart_det`` and ``fd_vs_formula``, ``operator-rank``'s
@@ -158,6 +163,25 @@ the report merges that hold them, and edges 17, 59, 91, 146 and 147.  No
 exit code or layout moves, and one verdict: edge 17, at ``--tol 1e-30``
 (below rounding), where which of its two trials reads exactly 0 swaps;
 its summary stays 1 passed, 1 failed.
+Where ``operator-rank`` pivoted X and Y' as one stack and held its chart
+determinant to the factor plus V(X's chart) - V(Y's chart), it reads Y'
+in X's own chart, whose volumes cancel: a declared change of exactly
+``log_deficient_chart_det`` and ``area_formula``, by up to 0.72 in the
+trials where Y's own pivots differ from X's (the old volume difference)
+and in the last bits elsewhere (every q=1 trial), in fd-chart's
+``or-4x3q2`` ops, cli-sweep's ``operator-rank`` ops at q=1 and the report
+merges that hold them, and edges 26, 42, 111, 112, 120, 123, 148 and 149.
+One verdict moves: trial 2 of edge 42 (cond(X) 1e5), 1.86e-9 -> 5.1e-10
+against 1e-9, so its summary goes from 1 to 2 passed.  The pivot error
+names X's block: edge 116 ``9.612e+08`` (was ``1.064e+09``) and edge 117
+``1.016e+08`` (was ``1.064e+08``, Y11 of trial 0), exit code 1 on both
+sides.  ``jacobian-full`` reads the same Jacobian with its rows permuted,
+a declared change of ``log_fd_chart_det`` and ``fd_vs_formula``: at most
+1.8e-15 in fd-chart's ``jf-4x3`` ops, and up to 2.4e-11, 2.3e-9 and
+5.2e-8 on edges 110, 54 and 145 (cond(X) 1e4, 1e4 and 1e5), the
+rounding of an LU of entries that span cond(X)^2, where those residuals
+read 7.7e-10, 1.5e-9 and 2.0e-7 against 1e-4.  No other verdict, exit
+code or layout moves.
 
 Each invocation records its exit code (or the exception that escaped
 ``cli.main``), its stdout, its ``error: ...`` lines of stderr and the
@@ -392,6 +416,8 @@ EDGE_CASES = [
       for n, m in (("3", "4"), ("4", "3"))),
     ["verify", "symmetric-inverse", "--m", "12", "--trials", "2", "--format", "json"],
     ["verify", "symmetric-inverse", "--m", "1", "--trials", "3", "--format", "json"],
+    *(["verify", "operator-rank", "--n", n, "--m", m, "--q", q, "--trials", trials,
+       "--format", "json"] for n, m, q, trials in (("3", "5", "2", "40"), ("6", "5", "1", "8"))),
 ]
 
 # Run with the density forced to NaN, as a check that produces a value that is
