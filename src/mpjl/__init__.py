@@ -14,7 +14,7 @@ from .chart import (
     pinv_chart_jacobian, pinv_from_blocks, sandwich_chart_jacobian, tangent_perturbation,
     x22_from_blocks,
 )
-from .differential import log_jacobian_det_full_rank, operator_spectrum, pinv_differential
+from .differential import log_jacobian_det_full_rank, pinv_differential
 from .errors import (
     BadSpectrum, ConfigError, DegeneracyBudgetExceeded, DegenerateSpectrum, IllConditionedPivot,
     MpjlError, ParseError, RankMismatch, ShapeMismatch,

@@ -97,7 +97,7 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        with open(out_path, "w") as fh:
+        with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as e:
         raise ConfigError(f"cannot write {out_path}: {e.strerror or e}") from e
@@ -161,7 +161,7 @@ _DECODER = json.JSONDecoder(parse_float=_finite_number, parse_constant=_finite_n
 
 def _load_result(path: str) -> SuiteResult:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
         if text.startswith("\ufeff"):  # json.loads' refusal, which the decoder lacks
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)

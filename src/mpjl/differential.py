@@ -29,8 +29,8 @@ and with itself otherwise, so the nonzero singular values are 1/(d_i d_j)
 over all q^2 pairs and d_i^-2, each with multiplicity n+m-2q: nq+mq-q^2
 values, whose product prod d_i^-2(n+m-q) is the rank-deficient
 change-of-variables factor (|X'X|^-n tall, |XX'|^-m wide at full rank).
-It grows like d^(nm), so ``operator_spectrum`` and ``operator_log_pdet``
-take it as a log, from the caller's rank profile of X.
+It grows like d^(nm), so the checks take its log from X's retained
+singular values alone (``measures.log_nonfullrank_jacobian_factor``).
 
 The oracle reads S(U'XV, V'YU) = (U kron V)' S (U kron V) from its factors
 (``pair_block_profile``; only the tests build S densely): with
@@ -54,7 +54,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeMismatch
-from .matcore import RankInfo, _rank_info, as_stack, common_rank, gram_qr, pinv, require_rank
+from .matcore import RankInfo, _rank_info, as_stack, gram_qr, pinv, require_rank
 
 
 def pinv_differential(x, dx) -> np.ndarray:
@@ -133,34 +133,12 @@ def pair_block_profile(x: np.ndarray, y: np.ndarray, q: int):
     return info, (norm, np.sqrt(normal), np.sqrt(leak))
 
 
-def operator_spectrum(x: np.ndarray, info: RankInfo) -> np.ndarray:
-    """Nonzero singular values of the Jacobian operator, in decreasing order.
-
-    ``info`` is ``rank_profile(x)``; no further factorization is made (see
-    the spectrum theorem above): 1/(d_i d_j) for all q^2 pairs of retained
-    singular values and d_i^-2 with multiplicity n+m-2q, so nq+mq-q^2
-    values in all.  The slices of a stack must share one rank.
-    """
-    n, m = x.shape[-2:]
-    q = common_rank(info)
-    inv = 1.0 / info.singular_values[..., :q]
-    pairs = (inv[..., :, None] * inv[..., None, :]).reshape(inv.shape[:-1] + (q * q,))
-    values = np.concatenate([pairs, (inv**2).repeat(n + m - 2 * q, axis=-1)], axis=-1)
-    values.sort(axis=-1)
-    return np.ascontiguousarray(values[..., ::-1])  # see matcore's bit rule
-
-
-def operator_log_pdet(x: np.ndarray, info: RankInfo):
-    """Sum of the logs of :func:`operator_spectrum`: the log pseudo-determinant."""
-    return np.log(operator_spectrum(x, info)).sum(axis=-1)
-
-
 def log_jacobian_det_full_rank(x: np.ndarray, info: RankInfo):
     """Closed-form log|det| for full-rank X: -n log|X'X| when m <= n, else -m log|XX'|.
 
     ``info`` is ``rank_profile(x)``; below full rank it raises RankMismatch.
     The Gram determinant comes from a QR of X (``matcore.gram_qr``), so it is
-    independent of the SVD that ``info`` and :func:`operator_log_pdet` read.
+    independent of the SVD that ``info`` reads.
     """
     n, m = x.shape[-2:]
     require_rank(info, min(n, m))

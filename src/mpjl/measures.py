@@ -69,7 +69,12 @@ def log_hausdorff_density(n: int, m: int, d):
 def log_nonfullrank_jacobian_factor(n: int, m: int, d):
     """log of the change-of-variables factor prod_i D_i^(-2(n+m-q)) of Y = pinv(X), one per
     spectrum of a stack (..., q)."""
-    d = _spectra(n, m, d)
+    return _log_factor(n, m, _spectra(n, m, d))
+
+
+def _log_factor(n: int, m: int, d: np.ndarray):
+    # The factor, unchecked, of a C-contiguous spectrum or stack (matcore's bit rule): the
+    # checks read it from X's retained singular values, whose rank they have required.
     return -2.0 * (n + m - d.shape[-1]) * np.log(d).sum(axis=-1)
 
 

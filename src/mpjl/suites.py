@@ -141,11 +141,11 @@ def _check_differential(cfg: RunConfig, draws: tuple) -> list[VerificationReport
 
 def _check_jacobian_full(cfg: RunConfig, draws: tuple) -> list[VerificationReport]:
     [x] = _instances(draws)
-    # One stacked SVD of X, values only, serves the operator's log determinant
-    # and the rank check; the closed form takes a QR.
+    # One stacked SVD of X, values only, serves the rank check and the operator's
+    # log determinant, the factor of X's singular values; the closed form takes a QR.
     info = matcore.rank_profile(x)
     formula = differential.log_jacobian_det_full_rank(x, info)
-    operator_det = differential.operator_log_pdet(x, info)
+    operator_det = measures._log_factor(cfg.n, cfg.m, info.singular_values)
     values = {"log_operator_det": operator_det, "log_closed_form": formula}
     residuals = {"operator_vs_formula": abs(operator_det - formula)}
     if _fd_chart("jacobian-full", cfg):
@@ -169,8 +169,8 @@ def _check_operator_rank(cfg: RunConfig, draws: tuple) -> list[VerificationRepor
     u, info, vt, y = matcore.svd_full(x)
     matcore.require_rank(info, q)
     # The log of prod d^-2(n+m-q), the paper's rank-deficient factor, read
-    # from the operator's closed-form spectrum.
-    log_factor = differential.operator_log_pdet(x, info)
+    # from X's retained singular values.
+    log_factor = measures._log_factor(n, m, info.singular_values[:, :q].copy())
     chart_det, area_formula = {}, {}
     if _fd_chart("operator-rank", cfg):
         # X's rank is tested, so its chart takes no rank test.  X's chart is a chart of Y'
@@ -239,7 +239,7 @@ def _check_exterior_chain(cfg: RunConfig, draws: tuple) -> list[VerificationRepo
     power = 0.5 * (n - m - 1)
     assembled = power * log_a - (m + 1 + power) * log_b
     target = -n * log_b
-    op_det = differential.operator_log_pdet(x, info)
+    op_det = measures._log_factor(n, m, info.singular_values)
     norms = matcore.frobenius_norms
     return stack_reports(
         "exterior-chain", {"n": n, "m": m},

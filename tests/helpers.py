@@ -6,8 +6,8 @@ from mpjl import suites
 from mpjl.chart import BlockDecomposition, _delta_blocks, _unpermute, pinv_from_blocks
 from mpjl.errors import ShapeMismatch
 from mpjl.matcore import (
-    as_matrix, draw_rank_q, orthonormal_frames, pinv, rank_profile, rank_q_from_draw,
-    sorted_spectra, validate_spectrum,
+    RankInfo, as_matrix, common_rank, draw_rank_q, orthonormal_frames, pinv, rank_profile,
+    rank_q_from_draw, sorted_spectra, validate_spectrum,
 )
 from mpjl.measures import symmetric_part
 
@@ -63,6 +63,23 @@ def jacobian_operator(x) -> np.ndarray:
     """The symmetric nm x nm matrix S with S @ dX.ravel() = pinv_differential(X, dX).T.ravel()."""
     x = as_matrix(x)
     return broadcast_pair_operator(x, pinv(x)).reshape(x.size, x.size)
+
+
+def operator_spectrum(x: np.ndarray, info: RankInfo) -> np.ndarray:
+    """Nonzero singular values of the Jacobian operator, in decreasing order.
+
+    ``info`` is ``rank_profile(x)``; no further factorization is made (see
+    ``differential``'s spectrum theorem): 1/(d_i d_j) for all q^2 pairs of
+    retained singular values and d_i^-2 with multiplicity n+m-2q, so
+    nq+mq-q^2 values in all.  The slices of a stack must share one rank.
+    """
+    n, m = x.shape[-2:]
+    q = common_rank(info)
+    inv = 1.0 / info.singular_values[..., :q]
+    pairs = (inv[..., :, None] * inv[..., None, :]).reshape(inv.shape[:-1] + (q * q,))
+    values = np.concatenate([pairs, (inv**2).repeat(n + m - 2 * q, axis=-1)], axis=-1)
+    values.sort(axis=-1)
+    return np.ascontiguousarray(values[..., ::-1])  # see matcore's bit rule
 
 
 def pair_factors(x, y) -> tuple[np.ndarray, ...]:

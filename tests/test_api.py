@@ -10,7 +10,7 @@ PUBLIC = [
     "assemble", "chart", "decompose", "differential", "errors", "log_chart_volume",
     "log_hausdorff_density", "log_jacobian_det_full_rank", "log_nonfullrank_jacobian_factor",
     "log_symmetric_inverse_jacobian", "make_rng", "matcore", "matrix_to_json", "measures",
-    "operator_spectrum", "pinv", "pinv_chart_derivative", "pinv_chart_jacobian",
+    "pinv", "pinv_chart_derivative", "pinv_chart_jacobian",
     "pinv_differential", "pinv_from_blocks", "pinv_spectrum",
     "rank_profile", "reports", "run_suite", "sandwich_chart_jacobian", "suites",
     "svd_thin",

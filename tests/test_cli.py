@@ -475,6 +475,39 @@ def test_report_refuses_a_byte_order_mark(tmp_path, capsys, fmt):
                    "(decode using utf-8-sig): line 1 column 1 (char 0)\n")
 
 
+def test_report_files_are_utf8_in_any_locale(tmp_path):
+    # RFC 8259: a report file is UTF-8 whatever the locale.  Under the C locale, with no
+    # coercion and no UTF-8 mode, the file mpjl reads holds a raw UTF-8 string and the
+    # text mpjl writes holds the same string decoded.  Text on stdout is out of scope.
+    src = Path(__file__).resolve().parent.parent / "src"
+    base = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    ascii_env = {**base, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    utf8_env = {**base, "PYTHONUTF8": "1"}
+    main(["verify", "blocks", "--trials", "1", "--format", "json",
+          "--out", str(tmp_path / "one.json")])
+    payload = json.loads((tmp_path / "one.json").read_text())
+    payload["reports"][0]["inputs"]["label"] = "\u00e9t\u00e9"
+    raw = json.dumps(payload, ensure_ascii=False).encode("utf-8")
+    assert b"\xc3\xa9" in raw
+    (tmp_path / "f.json").write_bytes(raw)
+
+    def outputs(env, name):
+        def run(*argv):
+            done = subprocess.run([sys.executable, "-m", "mpjl", "report", *argv],
+                                  capture_output=True, env=env, cwd=tmp_path, timeout=120)
+            assert (done.returncode, done.stderr) == (0, b""), (name, argv, done.stderr)
+            return done.stdout
+        merged, text = f"{name}.json", f"{name}.txt"
+        stdout = run("f.json", "--format", "json")  # ASCII, so any locale can print it
+        run("f.json", "--format", "json", "--out", merged)
+        run(merged, "--format", "text", "--out", text)
+        return stdout, (tmp_path / merged).read_bytes(), (tmp_path / text).read_bytes()
+
+    want = outputs(utf8_env, "utf8")
+    assert "\u00e9t\u00e9".encode() in want[2]
+    assert outputs(ascii_env, "ascii") == want
+
+
 def test_retry_consumes_fresh_subseed(monkeypatch):
     calls = []
 

@@ -11,7 +11,7 @@ from helpers import (
     fd_step, jacobian_operator, make_blocks, pair_factors, pinv_chart_log_det, pinv_complex_step,
     random_rank_q, random_stiefel, vec,
 )
-from mpjl import chart, matcore as mc, suites
+from mpjl import chart, matcore as mc, measures as ms, suites
 from mpjl import differential as df
 from mpjl.errors import RankMismatch
 from mpjl.reports import dumps_canonical
@@ -124,7 +124,7 @@ def test_det_operator_factors_no_operator_sized_matrix(svd_shapes):
     n, m = 24, 20
     x = random_rank_q(n, m, m, mc.make_rng(47))
     svd_shapes.clear()
-    df.operator_log_pdet(x, mc.rank_profile(x))
+    ms.log_nonfullrank_jacobian_factor(n, m, mc.rank_profile(x).singular_values)
     assert svd_shapes
     assert max(s[0] for s in svd_shapes) <= max(n, m)
 
@@ -406,22 +406,28 @@ def test_operator_annihilates_normal_directions():
 
 def test_det_operator_scalar():
     x = np.array([[2.0]])
-    assert abs(df.operator_log_pdet(x, mc.rank_profile(x)) - np.log(0.25)) <= 1e-15
+    log_det_op = ms.log_nonfullrank_jacobian_factor(1, 1, mc.rank_profile(x).singular_values)
+    assert abs(log_det_op - np.log(0.25)) <= 1e-15
 
 
 def test_det_operator_matches_closed_form_tall():
     x = random_rank_q(4, 2, 2, mc.make_rng(46))
-    log_det_op = df.operator_log_pdet(x, mc.rank_profile(x))
+    log_det_op = ms.log_nonfullrank_jacobian_factor(4, 2, mc.rank_profile(x).singular_values)
     closed = -4.0 * np.linalg.slogdet(x.T @ x)[1]
     assert abs(log_det_op - closed) <= 1e-8
 
 
 def test_det_operator_vanishes_when_deficient():
     # Below full rank the operator has fewer than nm nonzero singular values:
-    # its determinant is 0, and only its pseudo-determinant has a log.
+    # its determinant is 0, and only its pseudo-determinant has a log, the
+    # factor of X's one retained singular value.
     x = np.array([[1.0, 2.0], [3.0, 6.0]])
-    dense_rank = mc.rank_profile(jacobian_operator(x)).rank
-    assert dense_rank == df.operator_spectrum(x, mc.rank_profile(x)).size == 3
+    dense = mc.rank_profile(jacobian_operator(x))
+    info = mc.rank_profile(x)
+    assert dense.rank == 3 and info.rank == 1
+    log_pdet = np.log(dense.singular_values[:3]).sum()
+    log_factor = ms.log_nonfullrank_jacobian_factor(2, 2, info.singular_values[:1])
+    assert abs(log_pdet - log_factor) <= 1e-13 * abs(log_factor)
 
 
 def _closed_form_log_det(x):
@@ -458,7 +464,7 @@ def test_det_agreement_both_orientations():
     cases.append(random_rank_q(32, 24, 24, mc.make_rng(3), spectrum=d))
     for x in cases:
         info = mc.rank_profile(x)
-        log_det_op = df.operator_log_pdet(x, info)
+        log_det_op = ms.log_nonfullrank_jacobian_factor(*x.shape, info.singular_values)
         closed = df.log_jacobian_det_full_rank(x, info)
         assert np.isfinite(log_det_op)
         assert abs(log_det_op - closed) <= 1e-8

@@ -360,7 +360,9 @@ def _stacked_and_single(x, q, directions, draws):
     b = chart.decompose(x, q)
     dx = chart.tangent_perturbation(b, *directions)
     dx = dx / mc.frobenius_norms(dx)[..., None, None]
-    out = {"rank": info.rank, "log_pdet": df.operator_log_pdet(x, info),
+    # The factor as operator-rank reads it: a copy of the retained values, C-contiguous.
+    log_factor = ms._log_factor(n, m, info.singular_values[..., :q].copy())
+    out = {"rank": info.rank, "log_factor": log_factor,
            "pinv_from_blocks": chart.pinv_from_blocks(b),
            "tangent": dx, "differential": df.pinv_differential(x, dx),
            "chart_derivative": chart.pinv_chart_derivative(b, b.coordinates(dx))}
@@ -434,10 +436,14 @@ def test_a_stack_gives_every_slice_the_bits_of_a_stack_of_one(x):
     assert np.array_equal(norms, [mc.frobenius_norms(one) for one in x])
     info = mc.rank_profile(x)
     assume(len(set(info.rank.tolist())) == 1)
-    logs = df.operator_log_pdet(x, info)
-    assert np.array_equal(logs, [df.operator_log_pdet(one, mc.rank_profile(one))[0]
-                                 for one in ones])
-    assert np.array_equal(logs, [df.operator_log_pdet(one, mc.rank_profile(one)) for one in x])
+    n, m, q = *x.shape[-2:], info.rank[0]
+
+    def log_factor(a):  # of the retained singular values, as operator-rank reads them
+        return ms._log_factor(n, m, mc.rank_profile(a).singular_values[..., :q].copy())
+
+    logs = log_factor(x)
+    assert np.array_equal(logs, [log_factor(one)[0] for one in ones])
+    assert np.array_equal(logs, [log_factor(one) for one in x])
     if info.rank[0] == min(x.shape[-2:]):  # the QR log-Gram read takes full-rank slices
         r, log_gram = mc.gram_qr(x)
         for i, (one, two_d) in enumerate(zip(ones, x)):

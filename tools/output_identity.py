@@ -182,6 +182,18 @@ a declared change of ``log_fd_chart_det`` and ``fd_vs_formula``: at most
 rounding of an LU of entries that span cond(X)^2, where those residuals
 read 7.7e-10, 1.5e-9 and 2.0e-7 against 1e-4.  No other verdict, exit
 code or layout moves.
+Where ``jacobian-full``, ``operator-rank`` and ``exterior-chain`` summed the
+logs of the operator's sorted closed-form spectrum
+(``differential.operator_log_pdet``), they read the one rank-deficient
+factor of X's retained singular values from ``measures``: a declared
+change of the last bits of exactly ``log_operator_det``,
+``operator_vs_formula``, ``pseudo_det``, ``area_formula`` and
+``operator_match``, in those suites' ops, the report merges that hold them
+and their edges (261 of 695 invocations).  Every other suite's ops and the
+three witnesses are byte-identical.  No exit code or layout moves, and one
+verdict: edge 14 (``jacobian-full`` 4 x 2 at ``--tol 1e-30``), whose trial
+1 reads ``operator_vs_formula`` 0 (was 4.4e-16), FAIL -> PASS, so its
+summary goes from 0 to 1 passed; the exit code stays 1.
 
 Each invocation records its exit code (or the exception that escaped
 ``cli.main``), its stdout, its ``error: ...`` lines of stderr and the
