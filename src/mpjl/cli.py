@@ -93,14 +93,17 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
+    if out_path is None and hasattr(sys.stdout, "buffer"):  # UTF-8 in any locale, as a file is
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
+    elif out_path is None:  # a stream of str alone, such as an io.StringIO
         sys.stdout.write(text)
-        return
-    try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as e:
-        raise ConfigError(f"cannot write {out_path}: {e.strerror or e}") from e
+    else:
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ConfigError(f"cannot write {out_path}: {e.strerror or e}") from e
 
 
 def _config_from_args(args, **verify_flags) -> RunConfig:

@@ -10,10 +10,11 @@ text rendering only.  ``dumps_canonical`` writes a SuiteResult exactly as
 per-layout row templates, without building that dict or running json's
 pure-Python indenting encoder.
 
-Tolerance policy: ``TOLERANCES`` is the one table of what each check's
-residuals are held to; ``PRIMARY`` names, for the checks that have one,
-the residual whose tolerance a caller's ``tol`` (the CLI's ``--tol``) replaces.
-``stack_reports`` is the one place a verdict is made; a report stores it.
+Tolerance policy: every residual gates, held to its entry in ``TOLERANCES``, the
+one table of tolerances (a deficient chart's ``invariance`` deviation has no bound:
+it is a value); ``PRIMARY`` names, for the checks that have one, the residual whose
+tolerance a caller's ``tol`` (the CLI's ``--tol``) replaces.  ``stack_reports`` is
+the one place a verdict is made; a report stores it.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ TOLERANCES = {
     "exterior-chain": {
         "inverse_identity": 1e-10, "determinant_algebra": 1e-12, "operator_match": 1e-8,
     },
-    "blocks": {"roundtrip": 1e-10, "pinv_blocks": 1e-8, "x22": 1e-10},
+    "blocks": {"roundtrip": 1e-10, "pinv_blocks": 1e-8},
 }
 
 # Python type -> the JSON type ``json.load`` reads as it, for messages.
@@ -117,30 +118,27 @@ class VerificationReport:
 
 
 def stack_reports(check_name: str, inputs: dict, values: dict, residuals: dict,
-                  conditions: tuple = (), tol: float | None = None,
-                  tolerances: dict | None = None) -> list[VerificationReport]:
+                  conditions: tuple = (), tol: float | None = None) -> list[VerificationReport]:
     """One report per slice of a stacked check: each value, residual and condition is
     one entry shared by every slice (0-d) or an array of the stack's shape.
 
-    The one place a verdict is made.  ``tolerances`` is one dict that every
-    report of the stack shares; left out, it is the ``TOLERANCES`` entry of
-    each residual key, with ``tol`` (when given) in place of the ``PRIMARY``
-    one.  A report passes when every residual is at or below its tolerance
-    (a NaN residual never is; a ``None`` tolerance marks evidence that never
-    gates) and every condition holds: one comparison per gating residual and
-    one ``logical_and`` per condition, for the whole stack.
+    The one place a verdict is made.  Every residual gates, held to its key's
+    ``TOLERANCES`` entry, ``tol`` (when given) in place of the ``PRIMARY`` one; a
+    deficient chart's ``invariance`` deviation, which has no bound, is a value.  A
+    report passes when every residual is at or below its tolerance (a NaN residual
+    never is) and every condition holds: one comparison per residual and one
+    ``logical_and`` per condition, for the whole stack, whose reports share one dict.
     """
-    if tolerances is None:
-        table = TOLERANCES[check_name]
-        tolerances = {k: table[k] for k in residuals}
-        if tol is not None:
-            tolerances[PRIMARY[check_name]] = tol
+    table = TOLERANCES[check_name]
+    tolerances = {k: table[k] for k in residuals}
+    if tol is not None:
+        tolerances[PRIMARY[check_name]] = tol
     columns = [np.asarray(c) for c in (*values.values(), *residuals.values(), *conditions)]
     stack = np.broadcast(*columns)
     split = len(values) + len(residuals)
     by_key = dict(zip(residuals, columns[len(values):split]))
     passed = np.ones(stack.shape, bool)
-    for gate in [by_key[k] <= t for k, t in tolerances.items() if t is not None] + columns[split:]:
+    for gate in [by_key[k] <= t for k, t in tolerances.items()] + columns[split:]:
         np.logical_and(passed, gate, out=passed)  # NaN <= t is False: a NaN residual fails
     rows = zip(*(c.ravel().tolist() if c.ndim else [c.item()] * stack.size
                  for c in (*columns[:split], passed)), strict=True)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_rank_q
-from mpjl import cli, matcore as mc, measures as ms, suites
+from mpjl import cli, matcore as mc, suites
 from mpjl.cli import main
 from mpjl.errors import BadSpectrum, ConfigError, DegeneracyBudgetExceeded, DegenerateSpectrum
 from mpjl.reports import VerificationReport
@@ -476,9 +476,9 @@ def test_report_refuses_a_byte_order_mark(tmp_path, capsys, fmt):
 
 
 def test_report_files_are_utf8_in_any_locale(tmp_path):
-    # RFC 8259: a report file is UTF-8 whatever the locale.  Under the C locale, with no
-    # coercion and no UTF-8 mode, the file mpjl reads holds a raw UTF-8 string and the
-    # text mpjl writes holds the same string decoded.  Text on stdout is out of scope.
+    # RFC 8259: a report file is UTF-8 whatever the locale, and so is text on stdout.
+    # Under the C locale, with no coercion and no UTF-8 mode, the file mpjl reads holds a
+    # raw UTF-8 string and the text mpjl writes, to a file or to stdout, the same string.
     src = Path(__file__).resolve().parent.parent / "src"
     base = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
     ascii_env = {**base, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
@@ -501,6 +501,7 @@ def test_report_files_are_utf8_in_any_locale(tmp_path):
         stdout = run("f.json", "--format", "json")  # ASCII, so any locale can print it
         run("f.json", "--format", "json", "--out", merged)
         run(merged, "--format", "text", "--out", text)
+        assert run(merged, "--format", "text") == (tmp_path / text).read_bytes(), name
         return stdout, (tmp_path / merged).read_bytes(), (tmp_path / text).read_bytes()
 
     want = outputs(utf8_env, "utf8")
@@ -558,34 +559,44 @@ def test_gen_redraws_a_degenerate_first_draw(monkeypatch, capsys):
     assert np.array_equal(data, random_rank_q(4, 3, 2, mc.make_rng(7, 0, 1)))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 def test_a_non_finite_value_fails_its_reports_in_well_formed_output(monkeypatch, capsys,
                                                                     tmp_path, bad):
-    # A value that turns non-finite inside a check fails its report (its
-    # residual is not finite); JSON, which has no such number, writes it as
-    # null, and the file stays strict JSON that report merges.
-    density = ms.log_hausdorff_density
-    monkeypatch.setattr(ms, "log_hausdorff_density", lambda *args: density(*args) + bad)
-    argv = ["verify", "hausdorff", "--n", "4", "--m", "3", "--q", "2", "--trials", "3"]
-    path = tmp_path / "bad.json"
-    code, out, err = run_cli(capsys, *argv, "--format", "json", "--out", str(path))
-    assert (code, out, err) == (1, "", "")
-    result = cli._DECODER.decode(path.read_text())
-    assert result["summary"] == {"total": 3, "passed": 0, "failed": 3}
-    for report in result["reports"]:
-        assert report["pass"] is False and report["residuals"]["identity"] is None
-        assert report["values"]["log_density_x"] is None
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, err) == (1, "") and out.count("[FAIL]") == 3
-    # The live text names the residual as null, as the JSON and the report's text do.
-    assert out.count(" identity=null\n") == 3
-    code, out, err = run_cli(capsys, "report", str(path), "--format", "json")
-    assert (code, err) == (0, "") and cli._DECODER.decode(out)["reports"] == result["reports"]
-    code, out, err = run_cli(capsys, "report", str(path))
-    assert (code, err) == (0, "") and out.count("[FAIL]") == 3
-    # The text names a residual read back as null, as it names a finite one.
-    assert out.count(" identity=null\n") == 3
+    # A residual that turns non-finite inside a check fails its report under the real
+    # verdict rule; JSON, which has no such number, writes it (and a float value that
+    # turned with it) as null, and the file stays strict JSON that report merges.
+    stack_reports, hit = suites.stack_reports, {}
+
+    def corrupted(check_name, inputs, values, residuals, *args, **kwargs):
+        # The first residual, and the first value that is a float where there is one.
+        key = next(iter(residuals))
+        floats = [k for k, v in values.items() if np.asarray(v).dtype.kind == "f"][:1]
+        hit[check_name] = key, floats
+        residuals = {**residuals, key: np.asarray(residuals[key]) + bad}
+        values = {**values, **{k: np.asarray(values[k]) + bad for k in floats}}
+        return stack_reports(check_name, inputs, values, residuals, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "stack_reports", corrupted)
+    for suite in suites.SUITE_NAMES:
+        argv = ["verify", suite, "--trials", "3"]
+        path = tmp_path / f"{suite}.json"
+        code, out, err = run_cli(capsys, *argv, "--format", "json", "--out", str(path))
+        assert (code, out, err) == (1, "", ""), suite
+        result = cli._DECODER.decode(path.read_text())
+        assert result["summary"] == {"total": 3, "passed": 0, "failed": 3}, suite
+        key, floats = hit[suite]
+        for report in result["reports"]:
+            assert report["pass"] is False and report["residuals"][key] is None, suite
+            assert all(report["values"][k] is None for k in floats), suite
+        # The live text names the residual as null, as the JSON and the report's text do.
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (1, "") and out.count("[FAIL]") == 3, suite
+        assert all(f"{key}=null" in line.split() for line in out.splitlines()[:3]), suite
+        code, out, err = run_cli(capsys, "report", str(path), "--format", "json")
+        assert (code, err) == (0, "") and cli._DECODER.decode(out)["reports"] == result["reports"]
+        code, out, err = run_cli(capsys, "report", str(path))
+        assert (code, err) == (0, "") and out.count("[FAIL]") == 3, suite
+        assert all(f"{key}=null" in line.split() for line in out.splitlines()[:3]), suite
 
 
 def test_degeneracy_exit_code_3(monkeypatch, capsys):

@@ -51,6 +51,11 @@ def _first_slice(original):
     return lambda b, i: original(b, 0)
 
 
+def _x22_solve_transposed(original):
+    # X21 solve(X11', X12) in place of X21 W = X21 solve(X11, X12).
+    return lambda b: b.x21 @ np.linalg.solve(b.x11.swapaxes(-1, -2), b.x12)
+
+
 def _density_without_2_to_minus_q(original):
     # The log density with its -q log 2 dropped.
     return lambda n, m, d: original(n, m, d) + np.shape(d)[-1] * np.log(2.0)
@@ -134,6 +139,10 @@ MUTANTS = {
         [("differential", dict(n=7, m=5, q=3, trials=6, seed=5)),
          ("operator-rank", dict(n=4, m=3, q=2, trials=6, seed=5)),
          ("blocks", dict(n=6, m=5, q=2, trials=6, seed=5))]),
+    # blocks' roundtrip is the one residual that reads X22.
+    "x22-solve-transposed": ([(chart, "x22_from_blocks", _x22_solve_transposed)],
+                             [("blocks", dict(n=n, m=m, q=q, trials=6, seed=5))
+                              for n, m, q in ((6, 5, 2), (8, 6, 3))]),
     "sub-chart-ignores-index": ([(chart.BlockDecomposition, "__getitem__", _first_slice)],
                                 [INVARIANCE_5X4Q2]),
     "symmetric-inverse-exponent-m": (

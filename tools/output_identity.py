@@ -194,6 +194,18 @@ three witnesses are byte-identical.  No exit code or layout moves, and one
 verdict: edge 14 (``jacobian-full`` 4 x 2 at ``--tol 1e-30``), whose trial
 1 reads ``operator_vs_formula`` 0 (was 4.4e-16), FAIL -> PASS, so its
 summary goes from 0 to 1 passed; the exit code stays 1.
+Where ``blocks`` wrote an ``x22`` residual (bit-identical to ``roundtrip``:
+both read ``X21 W - X22``) and a ``chart_length`` value with its
+``chart_length_ok`` condition (``len(b)`` against the same ``nq + mq -
+q^2``), and a deficient chart's ``invariance`` deviation was a residual
+held to a ``None`` tolerance, a declared change of exactly these paths:
+``residuals``/``tolerances`` ``x22`` and ``values`` ``chart_length`` and
+``chart_length_ok`` in ``blocks`` ops, ``residuals``/``tolerances``
+``deviation`` in deficient ``invariance`` ops and the three witnesses,
+and the report merges and edges that hold either (130 of 695
+invocations).  The deviation stays in ``values``.  Every other op,
+full-chart ``invariance`` included, is byte-identical; no verdict,
+summary, exit code or stderr line moves.
 
 Each invocation records its exit code (or the exception that escaped
 ``cli.main``), its stdout, its ``error: ...`` lines of stderr and the
