@@ -59,6 +59,10 @@ def _add_instance(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
+
+
+def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="mpjl",
         description="Verification harness for pseudoinverse Jacobians and measure densities.",
@@ -83,27 +87,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("paths", nargs="*", help="report JSON files to merge")
     p_report.add_argument("--format", choices=("text", "json"), default="text")
     p_report.add_argument("--out", type=str, default=None)
-    return parser
+    return parser, {"gen": p_gen, "verify": p_verify, "report": p_report}
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # Parsing keeps no state on the parser, so one tree serves every call.
-    return build_parser()
+# Parsing keeps no state on a parser, so one tree serves every call.
+_parsers = functools.cache(_build)
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None and hasattr(sys.stdout, "buffer"):  # UTF-8 in any locale, as a file is
-        sys.stdout.flush()
-        sys.stdout.buffer.write(text.encode("utf-8"))
-    elif out_path is None:  # a stream of str alone, such as an io.StringIO
-        sys.stdout.write(text)
-    else:
+    data = text.encode("utf-8", "backslashreplace")  # a lone surrogate as \udXXX
+    if out_path is not None:
         try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with open(out_path, "wb") as fh:
+                fh.write(data)
         except OSError as e:
             raise ConfigError(f"cannot write {out_path}: {e.strerror or e}") from e
+    elif hasattr(sys.stdout, "buffer"):  # UTF-8 in any locale, as a file is
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+    else:  # a stream of str alone, such as an io.StringIO
+        sys.stdout.write(text)
 
 
 def _config_from_args(args, **verify_flags) -> RunConfig:
@@ -186,23 +189,24 @@ def cmd_report(args) -> int:
     counts = collections.Counter(map(_trial_key, merged.reports))  # in sorted order
     duplicates = [list(key) for key, count in counts.items() if count > 1]
     if args.format == "json":
-        _emit(dumps_canonical(merged, duplicates), args.out)
+        text = dumps_canonical(merged, duplicates)
     else:
         text = render_text(merged, show_wall_time=False)
-        for key in duplicates:
-            text += f"warning: duplicate trials for {key}\n"
-        _emit(text, args.out)
+        text += "".join(f"warning: duplicate trials for {key}\n" for key in duplicates)
+    _emit(text, args.out)
     return 0
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in commands:  # one parse, by the named command's parser
+        args = commands[argv[0]].parse_args(argv[1:])
+        args.command = argv[0]
+    else:  # no command: the top-level parser prints help or the usage error
+        args = parser.parse_args(argv)
     try:
-        if args.command == "gen":
-            return cmd_gen(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        return cmd_report(args)
+        return {"gen": cmd_gen, "verify": cmd_verify, "report": cmd_report}[args.command](args)
     except (ConfigError, BadSpectrum, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

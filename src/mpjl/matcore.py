@@ -188,7 +188,8 @@ def pinv(x) -> np.ndarray:
 
 def make_rng(seed: int, *path: int) -> np.random.Generator:
     """Generator for the stream addressed by ``seed`` and an optional path."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, path)]))
+    words = [w for v in (seed, *path) for w in _seed_words(int(v))]  # SeedSequence's own words
+    return np.random.default_rng(np.random.SeedSequence(np.array(words, np.uint32)))
 
 
 # NumPy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four

@@ -211,8 +211,8 @@ def _check_hausdorff(cfg: RunConfig, draws: tuple) -> list[VerificationReport]:
     n, m, q = cfg.n, cfg.m, d.shape[-1]
     # Y = pinv(X) is m x n with the same rank; n+m enters symmetrically.
     log_x = measures.log_hausdorff_density(n, m, d)
-    log_y = measures.log_hausdorff_density(m, n, measures.pinv_spectrum(d))
-    log_factor = measures.log_nonfullrank_jacobian_factor(n, m, d)
+    log_y = measures.log_hausdorff_density(m, n, 1.0 / d[:, ::-1])  # pinv's spectrum
+    log_factor = measures._log_factor(n, m, d)
     reports = stack_reports(
         "hausdorff", {"n": n, "m": m, "q": q},
         {"log_density_x": log_x, "log_density_y": log_y, "log_jacobian_factor": log_factor},

@@ -74,7 +74,9 @@ def test_verify_refuses_fd_step(capsys, suite):
     with pytest.raises(SystemExit) as exc:
         main(["verify", suite, "--fd-step", "1e-3"])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --fd-step 1e-3" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mpjl verify")  # the command's own parser reports it
+    assert "unrecognized arguments: --fd-step 1e-3" in err
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
@@ -509,6 +511,39 @@ def test_report_files_are_utf8_in_any_locale(tmp_path):
     assert outputs(ascii_env, "ascii") == want
 
 
+def _surrogate_twins(tmp_path) -> tuple[str, str]:
+    # Two report files alike but for one input: a lone surrogate, which JSON can hold
+    # and UTF-8 cannot encode, and the six characters of its escape.
+    main(["verify", "blocks", "--trials", "1", "--format", "json",
+          "--out", str(tmp_path / "one.json")])
+    payload = json.loads((tmp_path / "one.json").read_text())
+    for name, label in (("surrogate", "\ud800"), ("escape", "\\ud800")):
+        payload["reports"][0]["inputs"]["label"] = label
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    return "surrogate.json", "escape.json"
+
+
+def test_report_text_escapes_a_lone_surrogate_on_stdout(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    runs = [subprocess.run([sys.executable, "-m", "mpjl", "report", path, "--format", "text"],
+                           capture_output=True, env=env, cwd=tmp_path, timeout=120)
+            for path in _surrogate_twins(tmp_path)]
+    assert [(done.returncode, done.stderr) for done in runs] == [(0, b"")] * 2
+    assert b" label=\\ud800 " in runs[0].stdout
+    assert runs[0].stdout == runs[1].stdout
+
+
+def test_report_text_escapes_a_lone_surrogate_in_an_out_file(tmp_path):
+    outs = []
+    for path in _surrogate_twins(tmp_path):
+        outs.append(tmp_path / f"{path}.txt")
+        argv = ["report", str(tmp_path / path), "--format", "text", "--out", str(outs[-1])]
+        assert main(argv) == 0
+    assert b" label=\\ud800 " in outs[0].read_bytes()
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_retry_consumes_fresh_subseed(monkeypatch):
     calls = []
 
@@ -698,12 +733,8 @@ def test_text_and_json_render_same_data(tmp_path, capsys):
     assert text_out.count("[PASS]") == 2
 
 
-def test_successive_calls_parse_like_a_fresh_parser(monkeypatch):
-    from mpjl import cli
-
-    built = []
+def test_successive_calls_parse_like_a_fresh_parser(monkeypatch, capsys):
     build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
     seen = []
     for name in ("cmd_gen", "cmd_verify", "cmd_report"):
         monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or 0)
@@ -717,8 +748,17 @@ def test_successive_calls_parse_like_a_fresh_parser(monkeypatch):
     ]
     for argv in argvs:
         assert main(argv) == 0
-    assert len(built) <= 1
+    assert cli._parsers.cache_info().misses <= 1  # one parser tree per process
     assert seen == [vars(build().parse_args(argv)) for argv in argvs]
+    # argv that names no command: help (exit 0) or the usage error (exit 2), as a fresh
+    # top-level parser prints them.
+    for argv, code in (([], 2), (["-h"], 0), (["bogus"], 2)):
+        outcomes = []
+        for parse in (main, build().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            outcomes.append((exc.value.code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1] and outcomes[0][0] == code, argv
 
 
 # The runs of ROADMAP item 1 that failed while determinants were linear: a

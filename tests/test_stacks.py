@@ -204,6 +204,23 @@ def test_stacked_streams_are_the_streams_of_make_rng(seed, attempt, start, size)
         assert rng.bit_generator.state == mc.make_rng(seed, t, attempt).bit_generator.state
 
 
+@given(st.integers(0, 2**130), st.lists(st.integers(0, 2**130), max_size=3))
+@example(2**32 - 1, [])  # the largest one-word seed
+@example(2**32, [0])  # a two-word seed
+@example(2**64 + 3, [2**32, 2**32 - 1, 5])  # a three-word seed, then two- and one-word entries
+def test_make_rng_seeds_numpys_own_seed_sequence(seed, path):
+    # The independent reference of make_rng, and so of make_rngs: SeedSequence's own
+    # coercion of the list [seed, *path] to its entropy words.
+    want = np.random.default_rng(np.random.SeedSequence([seed, *path])).bit_generator.state
+    assert mc.make_rng(seed, *path).bit_generator.state == want
+
+
+@pytest.mark.parametrize("args", [(-1,), (-1, 0), (3, -1), (3, 0, -(2**40))])
+def test_make_rng_refuses_a_negative_seed_or_path_entry(args):
+    with pytest.raises(ValueError):
+        mc.make_rng(*args)
+
+
 def test_stacks_below_five_trials_seed_one_stream_at_a_time(monkeypatch):
     # The stacked hash has a fixed cost that per-trial make_rng calls undercut below 5 trials.
     calls, make_rng = [], mc.make_rng

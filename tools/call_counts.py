@@ -1,18 +1,21 @@
-"""Count the library calls of one trial stack per benchmark op shape.
+"""Count the library calls of one whole ``mpjl`` invocation per benchmark op shape.
 
 Usage:
     python3 tools/call_counts.py [--src SRC] [--top N]
 
 For every ``verify`` op of the ``fd-chart``, ``dense-operator`` and
-``cli-sweep`` workloads (their shapes, trials and flags from
-``perfbench/workloads.py``, seed 1), ``suites.run_suite`` runs once to
-warm every cache, then once
-more under ``sys.setprofile``.  A library call is any call of a function
-that is not ``mpjl``'s: a C function (a numpy function or method, a
-builtin) or a Python function of another module, and so also each call
-that numpy's own Python code makes.  Operators and indexing are not
-calls.  Each call is attributed to the innermost ``mpjl`` function on the
-stack.  The table lists the total per op and its ``N`` largest callers.
+``cli-sweep`` workloads (their argv from ``perfbench/workloads.py``, seed
+1), ``cli.main(argv + ["--out", PATH])`` runs once to warm every cache,
+then once more under ``sys.setprofile``: argument parsing, the suite, the
+JSON writer and the file write, as the benchmark runs each op.  A library
+call is any call of a function that is not ``mpjl``'s: a C function (a
+numpy function or method, a builtin) or a Python function of another
+module (argparse's among them), and so also each call that such Python
+code makes.  Operators and indexing are not calls.  Each call is
+attributed to the innermost ``mpjl`` function on the stack.  The table
+lists the total per op, the calls attributed to ``cli`` functions, the
+calls made under ``suites.run_suite`` (whatever function they are
+attributed to), and the ``N`` largest callers.
 
 ``SRC`` is the ``src`` directory to import ``mpjl`` from (default: this
 checkout's), so two trees can be compared.  Only the standard library and
@@ -24,19 +27,23 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _count(package: str, run) -> Counter:
+def _count(package: str, suite_code, run) -> tuple[Counter, int]:
+    # Library calls by innermost mpjl caller, and how many were made under ``suite_code``.
     calls = Counter()
+    in_suite = 0
 
     def ours(frame):
         return frame.f_code.co_filename.startswith(package)
 
     def profile(frame, event, arg):
+        nonlocal in_suite
         if event == "call" and ours(frame) or event not in ("call", "c_call"):
             return
         caller = frame if event == "c_call" else frame.f_back
@@ -45,13 +52,16 @@ def _count(package: str, run) -> Counter:
         if caller is not None:
             code = caller.f_code
             calls[f"{Path(code.co_filename).stem}.{code.co_qualname}"] += 1
+            while caller is not None and caller.f_code is not suite_code:
+                caller = caller.f_back
+            in_suite += caller is not None
 
     sys.setprofile(profile)
     try:
         run()
     finally:
         sys.setprofile(None)
-    return calls
+    return calls, in_suite
 
 
 def main(argv=None) -> int:
@@ -66,17 +76,21 @@ def main(argv=None) -> int:
 
     package = str(Path(mpjl.__file__).parent)
     print(f"mpjl from {package}")
-    print(f"{'workload':<15} {'op':<20} {'calls':>6}  largest callers")
-    for workload in ("fd-chart", "dense-operator", "cli-sweep"):
-        for op in workloads.WORKLOADS[workload](random.Random(1)):
-            if op.kind != "verify":
-                continue
-            parsed = cli._parser().parse_args(list(op.argv))
-            cfg = cli._config_from_args(parsed, trials=parsed.trials, tol=parsed.tol)
-            suites.run_suite(parsed.suite, cfg)
-            calls = _count(package, lambda: suites.run_suite(parsed.suite, cfg))
-            top = ", ".join(f"{name} {n}" for name, n in calls.most_common(args.top))
-            print(f"{workload:<15} {op.slot:<20} {sum(calls.values()):>6}  {top}")
+    print(f"{'workload':<15} {'op':<20} {'calls':>6} {'cli':>5} {'suite':>6}  largest callers")
+    with tempfile.TemporaryDirectory(prefix="call-counts-") as work:
+        out = str(Path(work) / "out.json")
+        for workload in ("fd-chart", "dense-operator", "cli-sweep"):
+            for op in workloads.WORKLOADS[workload](random.Random(1)):
+                if op.kind != "verify":
+                    continue
+                argv = [*op.argv, "--out", out]
+                cli.main(argv)
+                calls, in_suite = _count(package, suites.run_suite.__code__,
+                                         lambda: cli.main(argv))
+                in_cli = sum(n for name, n in calls.items() if name.startswith("cli."))
+                top = ", ".join(f"{name} {n}" for name, n in calls.most_common(args.top))
+                print(f"{workload:<15} {op.slot:<20} {sum(calls.values()):>6} {in_cli:>5} "
+                      f"{in_suite:>6}  {top}")
     return 0
 
 

@@ -119,7 +119,10 @@ its own directory.  It replays:
   12 (two trials, a 78 x 78 Jacobian each) and at order 1 (three trials,
   one coordinate); and, in JSON, ``operator-rank`` 3 x 5 q=2 with 40
   trials, in 7 of which Y's own pivots differ from X's, and 6 x 5 q=1 with
-  8 trials, where they cannot (a rank-1 Y' is X / d^2);
+  8 trials, where they cannot (a rank-1 Y' is X / d^2); and, in text,
+  ``report`` of a file whose ``inputs`` hold a lone surrogate
+  (``"\\ud800"``, which JSON can hold and UTF-8 cannot encode), to stdout
+  and to an ``--out`` file (edges 150 and 151);
 * ``verify hausdorff`` 4 x 3 q=2, in JSON and in text, with
   ``measures.log_hausdorff_density`` patched to return NaN on both sides, so
   that a residual that is not finite reaches a live report (``identity=null``
@@ -206,9 +209,19 @@ and the report merges and edges that hold either (130 of 695
 invocations).  The deviation stays in ``values``.  Every other op,
 full-chart ``invariance`` included, is byte-identical; no verdict,
 summary, exit code or stderr line moves.
+Where the text writer encoded strictly, edges 150 and 151 (a lone
+surrogate in a report's ``inputs``) ended in a ``UnicodeEncodeError``
+traceback, with no stdout and an empty ``--out`` file; they now exit 0
+and write the surrogate as its escape ``\\ud800``.  Every other
+invocation is byte-identical.  Where ``cli.main`` parsed argv with the
+top-level parser, an unrecognized argument was reported with its usage
+(``usage: mpjl [-h] ...``, ``mpjl: error: ...``); the command's own
+parser reports it now (``usage: mpjl verify ...``, ``mpjl verify: error:
+...``).  Neither line is an ``error:`` line, and the exit code stays 2.
 
 Each invocation records its exit code (or the exception that escaped
-``cli.main``), its stdout, its ``error: ...`` lines of stderr and the
+``cli.main``), its stdout (a UTF-8 byte stream, as a terminal or a pipe
+is), its ``error: ...`` lines of stderr and the
 bytes of its ``--out`` file.  Text output drops its ``wall_time`` line,
 which is timing; the rest of stderr, such as numpy's ``RuntimeWarning``
 lines that carry source paths, is not compared.  The script prints one
@@ -442,6 +455,8 @@ EDGE_CASES = [
     ["verify", "symmetric-inverse", "--m", "1", "--trials", "3", "--format", "json"],
     *(["verify", "operator-rank", "--n", n, "--m", m, "--q", q, "--trials", trials,
        "--format", "json"] for n, m, q, trials in (("3", "5", "2", "40"), ("6", "5", "1", "8"))),
+    *(["report", "surrogate.json", "--format", "text", *out]
+      for out in ([], ["--out", "surrogate.txt"])),
 ]
 
 # Run with the density forced to NaN, as a check that produces a value that is
@@ -465,6 +480,9 @@ NESTED_VALUES_REPORT = NON_FINITE_REPORT.replace(
     '"values": {}', '"values": {"grid": [[1.0, 2.5], []], "factors": {"s": [3.0], "rank": 1}}'
 ) % "0.0"
 NO_REPORTS = '{"reports": [], "summary": {"total": 0, "passed": 0, "failed": 0}}\n'
+# A report whose inputs hold a lone surrogate, which JSON can hold and UTF-8
+# cannot encode.
+SURROGATE_REPORT = NON_FINITE_REPORT.replace('"q": 3}', '"q": 3, "label": "\\ud800"}') % "0.0"
 
 
 def _sha(data: bytes) -> str:
@@ -500,7 +518,8 @@ def _invoke(cli, label: str, argv: list[str]) -> dict:
     out = argv[argv.index("--out") + 1] if "--out" in argv else None
     if out is not None:
         Path(out).unlink(missing_ok=True)
-    stdout, stderr = io.StringIO(), io.StringIO()
+    # stdout is a byte stream, as a terminal or a pipe is; stderr is text.
+    stdout, stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     try:
         with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr),
               mock.patch.dict(os.environ, (word.split("=", 1) for word in env))):
@@ -509,7 +528,8 @@ def _invoke(cli, label: str, argv: list[str]) -> dict:
         code = e.code
     except Exception as e:  # an escaping exception is an outcome to compare
         code = f"{type(e).__name__}: {e}"
-    lines = stdout.getvalue().splitlines(keepends=True)
+    stdout.flush()
+    lines = stdout.buffer.getvalue().decode("utf-8").splitlines(keepends=True)
     text = "".join(line for line in lines if not line.startswith("wall_time:"))
     errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
     written = Path(out).read_bytes() if out is not None and Path(out).exists() else b""
@@ -560,6 +580,7 @@ def replay(src: Path) -> list[dict]:
         Path("escapes.json").write_text(ESCAPES_REPORT)
         Path("nested-values.json").write_text(NESTED_VALUES_REPORT)
         Path("no-reports.json").write_text(NO_REPORTS)
+        Path("surrogate.json").write_text(SURROGATE_REPORT)
         Path("bom.json").write_text("\ufeff" + NON_FINITE_REPORT % "0.0", encoding="utf-8")
         for i, argv in enumerate(EDGE_CASES):
             records.append(_invoke(cli, f"edge {i}", argv))
