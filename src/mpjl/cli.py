@@ -90,23 +90,28 @@ def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser
     return parser, {"gen": p_gen, "verify": p_verify, "report": p_report}
 
 
-# Parsing keeps no state on a parser, so one tree serves every call.
-_parsers = functools.cache(_build)
+@functools.cache
+def _parsers():
+    return _build()  # parsing keeps no state on a parser, so one tree serves every call
 
 
 def _emit(text: str, out_path: str | None) -> None:
     data = text.encode("utf-8", "backslashreplace")  # a lone surrogate as \udXXX
     if out_path is not None:
         try:
-            with open(out_path, "wb") as fh:
-                fh.write(data)
+            fd = os.open(out_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)  # as open() does
+            try:
+                while data:  # os.write may take less than it is given
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
         except OSError as e:
             raise ConfigError(f"cannot write {out_path}: {e.strerror or e}") from e
     elif hasattr(sys.stdout, "buffer"):  # UTF-8 in any locale, as a file is
         sys.stdout.flush()
         sys.stdout.buffer.write(data)
     else:  # a stream of str alone, such as an io.StringIO
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode("utf-8"))
 
 
 def _config_from_args(args, **verify_flags) -> RunConfig:
@@ -188,11 +193,9 @@ def cmd_report(args) -> int:
     merged.reports.sort(key=_trial_key)
     counts = collections.Counter(map(_trial_key, merged.reports))  # in sorted order
     duplicates = [list(key) for key, count in counts.items() if count > 1]
-    if args.format == "json":
-        text = dumps_canonical(merged, duplicates)
-    else:
-        text = render_text(merged, show_wall_time=False)
-        text += "".join(f"warning: duplicate trials for {key}\n" for key in duplicates)
+    text = dumps_canonical(merged, duplicates) if args.format == "json" else (
+        render_text(merged, show_wall_time=False)
+        + "".join(f"warning: duplicate trials for {key}\n" for key in duplicates))
     _emit(text, args.out)
     return 0
 
@@ -207,15 +210,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     try:
         return {"gen": cmd_gen, "verify": cmd_verify, "report": cmd_report}[args.command](args)
-    except (ConfigError, BadSpectrum, ParseError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except DegeneracyBudgetExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except MpjlError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        if isinstance(e, (ConfigError, BadSpectrum, ParseError)):
+            return 2
+        return 3 if isinstance(e, DegeneracyBudgetExceeded) else 1
 
 
 if __name__ == "__main__":

@@ -222,6 +222,16 @@ def test_unwritable_out_exits_2(tmp_path, capsys, argv):
     assert not path.parent.exists()
 
 
+def test_out_file_is_whole_when_writes_fall_short(tmp_path, capsys, monkeypatch):
+    # A write may take fewer bytes than it is given (a full disk, a signal); the rest is written.
+    argv = ["verify", "blocks", "--trials", "2", "--format", "json"]
+    code, want, _ = run_cli(capsys, *argv)
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:7]))
+    assert main([*argv, "--out", str(tmp_path / "x.json")]) == code
+    assert (tmp_path / "x.json").read_text(encoding="utf-8") == want
+
+
 @pytest.mark.parametrize("suite,extra", [
     ("exterior-chain", ["--n", "5", "--m", "3"]),
     ("invariance", ["--n", "3", "--m", "3"]),
@@ -544,6 +554,16 @@ def test_report_text_escapes_a_lone_surrogate_in_an_out_file(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+def test_report_text_escapes_a_lone_surrogate_on_a_stdout_of_str(tmp_path):
+    outs = []
+    for path in _surrogate_twins(tmp_path):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["report", str(tmp_path / path), "--format", "text"]) == 0
+        outs.append(out.getvalue())
+    assert " label=\\ud800 " in outs[0]
+    assert outs[0] == outs[1]
+
+
 def test_retry_consumes_fresh_subseed(monkeypatch):
     calls = []
 
@@ -734,6 +754,10 @@ def test_text_and_json_render_same_data(tmp_path, capsys):
 
 
 def test_successive_calls_parse_like_a_fresh_parser(monkeypatch, capsys):
+    built = []
+    build_tree = cli._build
+    monkeypatch.setattr(cli, "_build", lambda: built.append(1) or build_tree())
+    cli._parsers.cache_clear()  # count from no tree, whatever ran before
     build = cli.build_parser
     seen = []
     for name in ("cmd_gen", "cmd_verify", "cmd_report"):
@@ -748,7 +772,7 @@ def test_successive_calls_parse_like_a_fresh_parser(monkeypatch, capsys):
     ]
     for argv in argvs:
         assert main(argv) == 0
-    assert cli._parsers.cache_info().misses <= 1  # one parser tree per process
+    assert len(built) == 1  # one parser tree for every call
     assert seen == [vars(build().parse_args(argv)) for argv in argvs]
     # argv that names no command: help (exit 0) or the usage error (exit 2), as a fresh
     # top-level parser prints them.
