@@ -282,21 +282,19 @@ def make_rngs(seed: int, trials, attempt: int = 0) -> list[np.random.Generator]:
     if len(trials) < 5:
         return [make_rng(seed, t, attempt) for t in trials]
     head, tail = _seed_words(int(seed)), _seed_words(int(attempt))
-    entropy = np.array([[*head, 0, *tail]], dtype=np.uint32).repeat(len(trials), axis=0)
+    pad = [0] * (_POOL - 1 - len(head) - len(tail))  # a short pool's missing words hash as 0
+    entropy = np.array([[*head, 0, *tail, *pad]], dtype=np.uint32).repeat(len(trials), axis=0)
     entropy[:, len(head)] = trials
     first, *mixing = _hash_plan(entropy.shape[1])
     extra, out = mixing[_POOL:-1], mixing[-1]
-    pool = np.zeros((len(trials), _POOL), dtype=np.uint32)
-    pool[:, :entropy.shape[1]] = entropy[:, :_POOL]
-    with np.errstate(over="ignore"):
-        pool = _hashmix(pool, *first)
-        for src, consts in enumerate(mixing[:_POOL]):  # mix each word into the other three
-            last = pool
-            pool = _mix(last, _hashmix(last[:, src, None], *consts))
-            pool[:, src] = last[:, src]
-        for src, consts in enumerate(extra, _POOL):  # each word beyond the pool into all four
-            pool = _mix(pool, _hashmix(entropy[:, src, None], *consts))
-        state = _hashmix(pool[:, None, :], *out).reshape(len(trials), 2 * _POOL)
+    pool = _hashmix(entropy[:, :_POOL], *first)  # uint32 arrays wrap silently
+    for src, consts in enumerate(mixing[:_POOL]):  # mix each word into the other three
+        last = pool
+        pool = _mix(last, _hashmix(last[:, src, None], *consts))
+        pool[:, src] = last[:, src]
+    for src, consts in enumerate(extra, _POOL):  # each word beyond the pool into all four
+        pool = _mix(pool, _hashmix(entropy[:, src, None], *consts))
+    state = _hashmix(pool[:, None, :], *out).reshape(len(trials), 2 * _POOL)
     words = state.astype("<u4").view("<u8").astype(np.uint64)
     return [np.random.Generator(np.random.PCG64(_SeedState(w))) for w in words]
 
