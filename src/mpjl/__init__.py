@@ -24,7 +24,7 @@ from .matcore import (
 )
 from .measures import (
     log_hausdorff_density, log_nonfullrank_jacobian_factor, log_symmetric_inverse_jacobian,
-    pinv_spectrum, symmetric_inverse_fd_det, symmetric_part,
+    symmetric_inverse_fd_det, symmetric_part,
 )
 from .reports import SuiteResult, VerificationReport
 from .suites import RunConfig, run_suite

@@ -277,18 +277,18 @@ def _pinv_tangent(b: BlockDecomposition, *d) -> np.ndarray:
     # products only, so complex blocks pass through.
     q, eye, w, z = b.q, np.eye(b.q), b.w, b.z
     wt, zt = w.swapaxes(-1, -2), z.swapaxes(-1, -2)
-    has_z, has_w = zt.shape[-1] > 0, wt.shape[-2] > 0
+    has_z, has_w = b.n > q, b.m > q
 
     def flip(a):  # each direction transposed
         return a.swapaxes(-3, -1)
 
-    factors = [b.x11] + [eye + zt @ z] * (b.n > q) + [eye + w @ wt] * (b.m > q)
+    factors = [b.x11] + [eye + zt @ z] * has_z + [eye + w @ wt] * has_w
     x11_inv, *grams = np.linalg.inv(np.stack(factors))
-    a_inv, b_inv = (grams.pop(0) if formed else None for formed in (b.n > q, b.m > q))
+    a_inv, b_inv = grams[0] if has_z else None, grams[-1] if has_w else None
     rows = np.concatenate([np.broadcast_to(eye, zt.shape[:-1] + (q,)), zt], -1) if has_z else eye
-    rows_a = rows if a_inv is None else a_inv @ rows
+    rows_a = a_inv @ rows if has_z else rows
     core_x = x11_inv @ rows_a
-    core = core_x if b_inv is None else b_inv @ core_x
+    core = b_inv @ core_x if has_w else core_x
     if not d:
         return np.concatenate([core, wt @ core], -2) if has_w else core
     dx11, dx12, dx21 = d
@@ -296,16 +296,14 @@ def _pinv_tangent(b: BlockDecomposition, *d) -> np.ndarray:
     if has_z:
         dzt = _left(x11_inv.swapaxes(-1, -2), flip(dx21) - _right(flip(dx11), zt))
         drows = np.concatenate([np.zeros(dzt.shape[:-1] + (q,)), dzt], -1)
-        if a_inv is not None:  # d(I + Z'Z) = dZ' Z + Z' dZ
-            da = _right(dzt, z)
-            drows = _left(a_inv, drows - _right(da + flip(da), rows_a))
+        da = _right(dzt, z)  # d(I + Z'Z) = dZ' Z + Z' dZ
+        drows = _left(a_inv, drows - _right(da + flip(da), rows_a))
     dcore = _left(x11_inv, drows - _right(dx11, core_x))
     if not has_w:
         return dcore
     dw = _left(x11_inv, dx12 - _right(dx11, w))
-    if b_inv is not None:  # d(I + WW') = dW W' + W dW'
-        db = _right(dw, wt)
-        dcore = _left(b_inv, dcore - _right(db + flip(db), core))
+    db = _right(dw, wt)  # d(I + WW') = dW W' + W dW'
+    dcore = _left(b_inv, dcore - _right(db + flip(db), core))
     return np.concatenate([dcore, _right(flip(dw), core) + _left(wt, dcore)], -3)
 
 

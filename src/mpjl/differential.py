@@ -30,7 +30,7 @@ over all q^2 pairs and d_i^-2, each with multiplicity n+m-2q: nq+mq-q^2
 values, whose product prod d_i^-2(n+m-q) is the rank-deficient
 change-of-variables factor (|X'X|^-n tall, |XX'|^-m wide at full rank).
 It grows like d^(nm), so the checks take its log from X's retained
-singular values alone (``measures.log_nonfullrank_jacobian_factor``).
+singular values alone, unchecked (``measures._log_factor``).
 
 The oracle reads S(U'XV, V'YU) = (U kron V)' S (U kron V) from its factors
 (``pair_block_profile``; only the tests build S densely): with

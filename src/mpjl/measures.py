@@ -45,15 +45,6 @@ def _triu(q: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def pinv_spectrum(d) -> np.ndarray:
-    """Singular values of the pseudoinverse: reciprocals in decreasing order.
-
-    Of a stack (..., q) of spectra, one row per spectrum.
-    """
-    d = check_spectrum(d)
-    return 1.0 / d[..., ::-1]
-
-
 def log_hausdorff_density(n: int, m: int, d):
     """log of the spectral density 2^-q (prod D)^(n+m-2q) prod_{i<j}(D_i^2 - D_j^2), one per
     spectrum of a stack (..., q); each D_i^2 - D_j^2 as (D_i - D_j)(D_i + D_j), both exact to

@@ -11,10 +11,12 @@ per-layout row templates, without building that dict or running json's
 pure-Python indenting encoder.
 
 Tolerance policy: every residual gates, held to its entry in ``TOLERANCES``, the
-one table of tolerances (a deficient chart's ``invariance`` deviation has no bound:
-it is a value); ``PRIMARY`` names, for the checks that have one, the residual whose
-tolerance a caller's ``tol`` (the CLI's ``--tol``) replaces.  ``stack_reports`` is
-the one place a verdict is made; a report stores it.
+one table of tolerances, and no residual repeats another: a full chart's
+``invariance`` asserts |det| = 1 as ``deviation`` alone, a deficient chart's asserts
+``volume`` (its deviation has no bound: it is a value).  ``PRIMARY`` names, for the
+checks that have one, the residual whose tolerance a caller's ``tol`` (the CLI's
+``--tol``) replaces.  ``stack_reports`` is the one place a verdict is made; a report
+stores it.
 """
 
 from __future__ import annotations

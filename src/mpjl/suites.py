@@ -256,11 +256,11 @@ WITNESS_DEVIATION = 0.05
 
 def judge_invariance(x, q: int, h, qmat) -> list[VerificationReport]:
     """Exact chart Jacobian of X -> H X Q for orthogonal H, Q against the area formula
-    log|det| = V_in - V_out (``volume``), asserted at every q; on the full chart
-    |det| = 1 is asserted too, on a deficient one its ``deviation`` is a value, evidence
-    that the free-coordinate volume element is not invariant.  One report per slice of
-    X (n, m) or (T, n, m).  A factor (or stack) that is not square raises
-    ShapeMismatch; one not finite, or with a slice not orthogonal to 1e-12, ValueError."""
+    log|det| = V_in - V_out: as ``deviation`` ||det| - 1| on a full chart (both volumes 0),
+    as ``volume`` on a deficient one, whose deviation is a value, evidence that the
+    free-coordinate volume element is not invariant.  One report per slice of X (n, m) or
+    (T, n, m).  A factor (or stack) that is not square raises ShapeMismatch; one not
+    finite, or with a slice not orthogonal to 1e-12, ValueError."""
     h, qmat = matcore.as_stack(h), matcore.as_stack(qmat)
     for name, f in (("left", h), ("right", qmat)):
         if f.shape[-1] != f.shape[-2]:
@@ -274,16 +274,17 @@ def judge_invariance(x, q: int, h, qmat) -> list[VerificationReport]:
 def _judge_invariance(x: np.ndarray, q: int, h, qmat) -> list[VerificationReport]:
     # judge_invariance of orthogonal factors.  Only X's rank is tested (H X Q has it), and
     # both charts are pivoted as one stack: one pivot test, which names the worse block.
+    # A deficient stack solves W and Z for its volumes, once, before the slices inherit them.
     n, m = x.shape[-2:]
     matcore.require_rank(matcore.rank_profile(x), q)
     charts = chart._pivot(np.array([x, h @ x @ qmat]), q)
-    in_volume, out_volume = chart.log_chart_volume(charts)
-    abs_det = np.abs(np.linalg.det(chart.sandwich_chart_jacobian(h, qmat, charts[0], charts[1])))
-    log_volume = in_volume - out_volume
-    deviation = abs(abs_det - 1.0)
     full_chart = q == min(n, m)
-    residuals = {"deviation": deviation} if full_chart else {}
-    residuals["volume"] = _rel(abs(np.log(abs_det) - log_volume), np.maximum(1.0, abs(log_volume)))
+    log_volume = None if full_chart else np.subtract(*chart.log_chart_volume(charts))
+    abs_det = np.abs(np.linalg.det(chart.sandwich_chart_jacobian(h, qmat, charts[0], charts[1])))
+    deviation = abs(abs_det - 1.0)
+    residuals = ({"deviation": deviation} if full_chart else
+                 {"volume": _rel(abs(np.log(abs_det) - log_volume),
+                                 np.maximum(1.0, abs(log_volume)))})
     return stack_reports("invariance", {"n": n, "m": m, "q": q},
                          {"abs_det": abs_det, "deviation": deviation, "full_chart": full_chart,
                           "witness": deviation > WITNESS_DEVIATION}, residuals)

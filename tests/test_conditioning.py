@@ -80,12 +80,13 @@ def test_hausdorff_passes(n, m, q, cond):
 def test_invariance_passes(q, cond):
     # The exact tangent map has no step to scale with cond(X): the volume
     # residual was measured up to 6.4e-11 at 1e5 and 4.7e-10 at 1e6, against
-    # 1e-9, and the full-chart deviation up to 1.1e-14, against 1e-12.  Tall
-    # 5 x 4 at q = 2 and 4, wide 3 x 5 at q = 2.
+    # 1e-9, and the full-chart deviation, the one residual of a full chart,
+    # up to 1.1e-14, against 1e-12.  Tall 5 x 4 at q = 2 and 4, wide 3 x 5 at q = 2.
+    key = "volume" if q == 2 else "deviation"
     for n, m in [(5, 4), (3, 5)] if q == 2 else [(5, 4)]:
         for report in _reports("invariance", n, m, q, cond):
             assert report.passed
-            assert report.residuals["volume"] <= report.tolerances["volume"]
+            assert report.residuals[key] <= report.tolerances[key]
 
 
 @pytest.mark.parametrize("cond", [1e2, 1e3, 1e4, 1e5, 1e6])
@@ -125,6 +126,38 @@ def test_operator_rank_chart_det_holds_the_area_formula(n, m, cond):
     # 1.6e-10 at 1e4 over these shapes (the complex step 1.5e-10), against 1e-9.
     for report in _reports("operator-rank", n, m, 2, cond):
         assert report.residuals["area_formula"] <= report.tolerances["area_formula"]
+
+
+# operator-rank's leak (the share of S off its pair blocks in X's SVD basis)
+# grows like eps * cond(X), and its pseudo_det faster from 1e6: FAILs of a
+# right formula, by rounding.  Through 1e4 both hold, leak measured up to
+# 2.0e-12 (4x3) and 8.7e-13 (8x6), against 1e-11.
+OPERATOR_RANK_ROUNDING = {
+    (4, 1e5): "leak reads 1.8e-11 against 1e-11",
+    (4, 1e6): "leak reads 3.4e-10 against 1e-11",
+    (4, 1e7): "leak reads 2.6e-8 against 1e-11 and pseudo_det 1.8e-6 against 1e-8",
+    (8, 1e5): "leak reads 1.8e-11 against 1e-11",
+    (8, 1e6): "leak reads 8.6e-11 against 1e-11",
+    (8, 1e7): "leak reads 6.8e-10 against 1e-11 and pseudo_det 3.6e-5 against 1e-8",
+}
+
+
+def _operator_rank_cell(n, m, q, cond):
+    worst = OPERATOR_RANK_ROUNDING.get((n, cond))
+    reason = f"ROADMAP item 21: at cond(X) {cond:.0e} ({n}x{m} q={q}) {worst}"
+    return pytest.param(n, m, q, cond, marks=[pytest.mark.xfail(strict=True, reason=reason)]
+                        if worst else [])
+
+
+@pytest.mark.parametrize("n, m, q, cond", [
+    _operator_rank_cell(n, m, q, cond)
+    for n, m, q in ((4, 3, 2), (8, 6, 3)) for cond in (1e2, 1e3, 1e4, 1e5, 1e6, 1e7)
+])
+def test_operator_rank_passes(n, m, q, cond):
+    # area_formula keeps its own test (above).
+    for report in _reports("operator-rank", n, m, q, cond):
+        for key in ("annihilation", "leak", "pseudo_det"):
+            assert report.residuals[key] <= report.tolerances[key], key
 
 
 # exterior-chain reads log|X'X| and log|YY'| from QRs of X and Y', each

@@ -5,8 +5,6 @@ names a suite run that must FAIL under it; the same run passes unmutated.
 A mutant that survives would show an oracle that cannot see that error.
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -34,14 +32,25 @@ def _exponent_n_minus_q_plus_1(original):
 
 def _skipping(*sides):
     # The factored pseudoinverse and its tangent, _pinv_tangent, reading the
-    # chart's n (or m) as q, so it skips I + Z'Z (or I + WW') as if that side
-    # were full.
+    # inverse of I + Z'Z (side n) or of I + WW' (side m) as I, as if that side
+    # were full: its one np.linalg.inv call, on the stack [X11, I + Z'Z, I + WW']
+    # (a Gram matrix only where its side is not full), returns I in its place.
     def factory(original):
+        inv = np.linalg.inv
+
         def mutant(b, *blocks):
-            view = SimpleNamespace(**{name: getattr(b, name)
-                                      for name in ("q", "n", "m", "x11", "w", "z")})
-            view.__dict__.update(dict.fromkeys(sides, b.q))
-            return original(view, *blocks)
+            formed = [side for side in "nm" if getattr(b, side) > b.q]
+
+            def skipping_inv(a):
+                out = inv(a)
+                for i, side in enumerate(formed, 1):
+                    if side in sides:
+                        out[i] = np.eye(b.q)
+                return out
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(np.linalg, "inv", skipping_inv)
+                return original(b, *blocks)
         return mutant
     return factory
 

@@ -2,6 +2,7 @@
 trials run one by one, a tied slice is redrawn alone, and a stack that
 raises a library error reruns as stacks of one."""
 
+import math
 import re
 from dataclasses import replace
 
@@ -606,6 +607,30 @@ def test_invariance_tests_x_rank_once_and_pivots_both_charts_as_one_stack(svd_sh
     reports = suites._run_stack("invariance", cfg, range(trials))
     assert all(r.passed for r in reports)
     assert svd_shapes == [(trials, n, m), (2, trials, q, q)]
+
+
+@pytest.mark.parametrize("cond", [None, 1e6])
+def test_invariance_takes_chart_volumes_of_a_deficient_stack_alone(monkeypatch, cond):
+    # A full chart's volumes are 0, so its area formula is |det| = 1: no volume is taken, and
+    # its one residual, ``deviation`` = ||det| - 1|, holds |log|det|| (the volume residual it
+    # would have) to rounding.  A deficient stack takes both volumes in one call, on the
+    # (2, T) stack of its charts.  At the sampled spectrum and at spectrum geomspace(1, 1/cond, q).
+    stacks, volume = [], chart.log_chart_volume
+    monkeypatch.setattr(chart, "log_chart_volume", lambda b: stacks.append(b.x11.shape[:-2])
+                        or volume(b))
+    for n, m, q in [(5, 4, 4), (3, 3, 3), (3, 5, 3), (5, 4, 2), (3, 5, 2), (8, 6, 3)]:
+        spectrum = None if cond is None else tuple(np.geomspace(1.0, 1.0 / cond, q))
+        cfg = suites.RunConfig(n=n, m=m, q=q, trials=4, seed=1, spectrum=spectrum)
+        stacks.clear()
+        reports = suites.run_suite("invariance", cfg).reports
+        full = q == min(n, m)
+        assert stacks == ([] if full else [(2, 4)]), (n, m, q)
+        for r in reports:
+            assert r.passed and r.values["full_chart"] == full
+            if full:
+                assert list(r.residuals) == ["deviation"]
+                assert math.isclose(abs(math.log(r.values["abs_det"])), r.residuals["deviation"],
+                                    rel_tol=1e-12), (n, m, q)
 
 
 def _invariance_trial(cond, seed, rank=2):

@@ -218,6 +218,13 @@ top-level parser, an unrecognized argument was reported with its usage
 (``usage: mpjl [-h] ...``, ``mpjl: error: ...``); the command's own
 parser reports it now (``usage: mpjl verify ...``, ``mpjl verify: error:
 ...``).  Neither line is an ``error:`` line, and the exit code stays 2.
+Where a full chart's ``invariance`` report asserted ``volume`` beside
+``deviation`` (there ``volume`` is |log|det||, which repeats ||det| - 1|
+to rounding), a declared change of exactly ``reports[*].residuals.volume``
+and ``reports[*].tolerances.volume``, and of the text's ``volume=``
+field: fd-chart's ``inv-5x4q4`` ops (JSON to stdout and to ``--out``),
+the report merges that hold them, in JSON and in text, and edge 108 (37 of
+697 invocations).  No verdict, summary, value, witness or exit code moves.
 
 Each invocation records its exit code (or the exception that escaped
 ``cli.main``), its stdout (a UTF-8 byte stream, as a terminal or a pipe
