@@ -43,9 +43,7 @@ TOLERANCES = {
     "hausdorff": {"identity": 1e-10},
     "invariance": {"deviation": 1e-12, "volume": 1e-9},
     "symmetric-inverse": {"fd_mismatch": 1e-4},
-    "exterior-chain": {
-        "inverse_identity": 1e-10, "determinant_algebra": 1e-12, "operator_match": 1e-8,
-    },
+    "exterior-chain": {"inverse_identity": 1e-10},
     "blocks": {"roundtrip": 1e-10, "pinv_blocks": 1e-8},
 }
 

@@ -33,6 +33,12 @@ def svd_shapes(monkeypatch):
 
 
 @pytest.fixture
+def qr_shapes(monkeypatch):
+    """Shapes of the matrices passed to ``np.linalg.qr`` while the test runs."""
+    return _record_shapes(monkeypatch, "qr")
+
+
+@pytest.fixture
 def solve_shapes(monkeypatch):
     """Shapes of the right-hand sides passed to ``np.linalg.solve`` while the test runs."""
     return _record_shapes(monkeypatch, "solve", 1)

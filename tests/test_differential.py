@@ -146,16 +146,18 @@ def test_determinant_suites_never_build_the_dense_operator():
 
 
 @pytest.mark.parametrize("suite, svds", [("jacobian-full", 1), ("exterior-chain", 1)])
-def test_determinant_suites_factor_x_as_often_as_needed(svd_shapes, suite, svds):
+def test_determinant_suites_factor_x_as_often_as_needed(svd_shapes, qr_shapes, suite, svds):
     # Above the FD cross-check size: jacobian-full shares one rank profile
     # of the (T, n, m) stack between both determinants of every trial;
-    # exterior-chain takes its rank test, pinv(X) and the operator spectrum
-    # from one thin SVD of the stack.
+    # exterior-chain takes its rank test and pinv(X) from one thin SVD of
+    # the stack.  After the draw's two frames, each takes one QR of the
+    # stack of X, for log|X'X| (and exterior-chain for inv(X'X)).
     n, m, trials = 6, 4, 3
     assert n * m > suites.FD_CROSS_CHECK_MAX_ENTRIES
     result = suites.run_suite(suite, suites.RunConfig(n=n, m=m, trials=trials, seed=51))
     assert result.all_passed and [r.inputs["attempt"] for r in result.reports] == [0] * trials
     assert svd_shapes == [(trials, n, m)] * svds
+    assert qr_shapes == [(trials, n, m), (trials, m, m), (trials, n, m)]
 
 
 def test_operator_rank_suite_keeps_dense_rank_oracle(svd_shapes, eigvalsh_shapes, eigh_shapes):

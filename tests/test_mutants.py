@@ -162,15 +162,13 @@ MUTANTS = {
         [("jacobian-full", dict(n=n, m=m, trials=10, seed=5)) for n, m in ((4, 3), (3, 4))]),
     "gram-log-det-2-dropped": (
         [(module, "gram_qr", _gram_log_det_without_2) for module in (differential, matcore)],
-        [("jacobian-full", dict(n=n, m=m, trials=10, seed=5)) for n, m in ((4, 3), (3, 4))]
-        + [("exterior-chain", dict(n=5, m=3, trials=10, seed=5))]),
-    # One factor, read by four checks, each holding it to its own oracle.
+        [("jacobian-full", dict(n=n, m=m, trials=10, seed=5)) for n, m in ((4, 3), (3, 4))]),
+    # One factor, read by three checks, each holding it to its own oracle.
     "nonfullrank-factor-exponent": (
         [(measures, "_log_factor", _factor_exponent_n_plus_1)],
         [("operator-rank", dict(n=4, m=3, q=2, trials=6, seed=5)),
          ("jacobian-full", dict(n=4, m=3, trials=6, seed=5)),
          ("jacobian-full", dict(n=3, m=4, trials=6, seed=5)),
-         ("exterior-chain", dict(n=5, m=3, trials=6, seed=5)),
          ("hausdorff", dict(n=10, m=8, q=4, trials=6, seed=5))]),
     "differential-transposed-factor": (
         [(differential, "_pinv_differential", _transposed_factor)],

@@ -79,7 +79,7 @@ its own directory.  It replays:
   row templates leave to ``json.dumps``), and of a file with zero reports
   together with the ``blocks`` file ``dup.json``; and, in JSON, the
   boundary cases of the three checks that moved into ``suites``: square
-  ``exterior-chain`` (4 x 4, where the exponent ``(n-m-1)/2`` is -1/2),
+  ``exterior-chain`` (4 x 4),
   ``hausdorff`` at q=1 (no pair of singular values) and ``invariance`` on
   the full chart (3 x 2 at q = 2, where |det| = 1 is asserted); and, in
   JSON, the chart oracles' forward-mode tangent of pinv on stacks:
@@ -128,104 +128,6 @@ its own directory.  It replays:
   that a residual that is not finite reaches a live report (``identity=null``
   in the text).
 
-Declared differences against older sources.  Where X and Y were pivoted
-in two passes, edge 116 (``operator-rank`` 4 x 3 q=2 at ``1,1e-9``),
-whose first trial fails the pivot test on X11 and on Y11, named X's
-condition (``9.612e+08``), as it does again now that X is pivoted alone
-(below); where both were pivoted as one stack, the one pivot test named
-the worse block (``1.064e+09``, Y's).  Where pinv's
-derivative was a complex step, the tangent that replaced it is a declared
-change of the last digits of exactly these keys: ``jacobian-full``'s
-``log_fd_chart_det`` and ``fd_vs_formula``, ``operator-rank``'s
-``log_deficient_chart_det`` and ``area_formula``, and ``differential``'s
-``fd_mismatch``.  No exit code or layout changes with it, and one verdict:
-trial 1 of ``operator-rank`` 4 x 3 q=2 at spectrum ``1,0.00001`` seed 2,
-whose ``area_formula`` sits at the tolerance from rounding at cond(X) 1e5
-(2.25e-9 by the complex step, 8.2e-10 by the tangent, against 1e-9).
-Where the factored pseudoinverse was taken by solves, the one evaluation
-that also gives its tangent inverts and multiplies instead: a declared
-change of the last digits of ``blocks``' ``pinv_blocks`` and of the text
-that prints it, with no verdict, exit code or layout moved.
-Where each module required a rank its own way, the ``error:`` line of a
-lost rank in ``jacobian-full`` and ``exterior-chain`` (edges 139 and
-140) read ``rank 1 < min(n, m) = 2`` and ``need rank(X) =
-cols <= rows, got shape (1, 4, 3)``; it now reads ``numerical rank 1 !=
-requested q=2`` and ``numerical rank 2 != requested q=3``, as in every
-other suite.  Where ``operator-rank`` required the rank only on its small
-charts, a lost rank above them (edge 143) printed two
-``pseudo_det`` FAILs; it now prints nothing and the same ``error:`` line.
-Where ``jacobian-full`` read its chart determinant through a chart of Y and
-its operator determinant from a thin SVD with vectors, a declared change of
-the last digits of exactly these keys, on charts of at most 12 entries:
-``log_operator_det``, ``log_fd_chart_det``, ``operator_vs_formula`` and
-``fd_vs_formula``, with no verdict, exit code or layout moved.
-Where ``symmetric-inverse``'s oracle was a complex step, the forward-mode
-tangent that replaced it is a declared change of the last digits of
-exactly ``log_fd_det`` and ``fd_mismatch``: the suite's cli-sweep ops,
-the report merges that hold them, and edges 17, 59, 91, 146 and 147.  No
-exit code or layout moves, and one verdict: edge 17, at ``--tol 1e-30``
-(below rounding), where which of its two trials reads exactly 0 swaps;
-its summary stays 1 passed, 1 failed.
-Where ``operator-rank`` pivoted X and Y' as one stack and held its chart
-determinant to the factor plus V(X's chart) - V(Y's chart), it reads Y'
-in X's own chart, whose volumes cancel: a declared change of exactly
-``log_deficient_chart_det`` and ``area_formula``, by up to 0.72 in the
-trials where Y's own pivots differ from X's (the old volume difference)
-and in the last bits elsewhere (every q=1 trial), in fd-chart's
-``or-4x3q2`` ops, cli-sweep's ``operator-rank`` ops at q=1 and the report
-merges that hold them, and edges 26, 42, 111, 112, 120, 123, 148 and 149.
-One verdict moves: trial 2 of edge 42 (cond(X) 1e5), 1.86e-9 -> 5.1e-10
-against 1e-9, so its summary goes from 1 to 2 passed.  The pivot error
-names X's block: edge 116 ``9.612e+08`` (was ``1.064e+09``) and edge 117
-``1.016e+08`` (was ``1.064e+08``, Y11 of trial 0), exit code 1 on both
-sides.  ``jacobian-full`` reads the same Jacobian with its rows permuted,
-a declared change of ``log_fd_chart_det`` and ``fd_vs_formula``: at most
-1.8e-15 in fd-chart's ``jf-4x3`` ops, and up to 2.4e-11, 2.3e-9 and
-5.2e-8 on edges 110, 54 and 145 (cond(X) 1e4, 1e4 and 1e5), the
-rounding of an LU of entries that span cond(X)^2, where those residuals
-read 7.7e-10, 1.5e-9 and 2.0e-7 against 1e-4.  No other verdict, exit
-code or layout moves.
-Where ``jacobian-full``, ``operator-rank`` and ``exterior-chain`` summed the
-logs of the operator's sorted closed-form spectrum
-(``differential.operator_log_pdet``), they read the one rank-deficient
-factor of X's retained singular values from ``measures``: a declared
-change of the last bits of exactly ``log_operator_det``,
-``operator_vs_formula``, ``pseudo_det``, ``area_formula`` and
-``operator_match``, in those suites' ops, the report merges that hold them
-and their edges (261 of 695 invocations).  Every other suite's ops and the
-three witnesses are byte-identical.  No exit code or layout moves, and one
-verdict: edge 14 (``jacobian-full`` 4 x 2 at ``--tol 1e-30``), whose trial
-1 reads ``operator_vs_formula`` 0 (was 4.4e-16), FAIL -> PASS, so its
-summary goes from 0 to 1 passed; the exit code stays 1.
-Where ``blocks`` wrote an ``x22`` residual (bit-identical to ``roundtrip``:
-both read ``X21 W - X22``) and a ``chart_length`` value with its
-``chart_length_ok`` condition (``len(b)`` against the same ``nq + mq -
-q^2``), and a deficient chart's ``invariance`` deviation was a residual
-held to a ``None`` tolerance, a declared change of exactly these paths:
-``residuals``/``tolerances`` ``x22`` and ``values`` ``chart_length`` and
-``chart_length_ok`` in ``blocks`` ops, ``residuals``/``tolerances``
-``deviation`` in deficient ``invariance`` ops and the three witnesses,
-and the report merges and edges that hold either (130 of 695
-invocations).  The deviation stays in ``values``.  Every other op,
-full-chart ``invariance`` included, is byte-identical; no verdict,
-summary, exit code or stderr line moves.
-Where the text writer encoded strictly, edges 150 and 151 (a lone
-surrogate in a report's ``inputs``) ended in a ``UnicodeEncodeError``
-traceback, with no stdout and an empty ``--out`` file; they now exit 0
-and write the surrogate as its escape ``\\ud800``.  Every other
-invocation is byte-identical.  Where ``cli.main`` parsed argv with the
-top-level parser, an unrecognized argument was reported with its usage
-(``usage: mpjl [-h] ...``, ``mpjl: error: ...``); the command's own
-parser reports it now (``usage: mpjl verify ...``, ``mpjl verify: error:
-...``).  Neither line is an ``error:`` line, and the exit code stays 2.
-Where a full chart's ``invariance`` report asserted ``volume`` beside
-``deviation`` (there ``volume`` is |log|det||, which repeats ||det| - 1|
-to rounding), a declared change of exactly ``reports[*].residuals.volume``
-and ``reports[*].tolerances.volume``, and of the text's ``volume=``
-field: fd-chart's ``inv-5x4q4`` ops (JSON to stdout and to ``--out``),
-the report merges that hold them, in JSON and in text, and edge 108 (37 of
-697 invocations).  No verdict, summary, value, witness or exit code moves.
-
 Each invocation records its exit code (or the exception that escaped
 ``cli.main``), its stdout (a UTF-8 byte stream, as a terminal or a pipe
 is), its ``error: ...`` lines of stderr and the
@@ -238,7 +140,7 @@ bytes differ and are JSON on both sides, it also names the leaf paths
 whose values differ, list indices collapsed to ``[*]`` (for example
 ``reports[*].residuals.annihilation``), and after the invocations it
 prints each such path once, with the number of invocations in which it
-differs.
+differs.  CHANGES.md records, per change, the differences it declared.
 """
 
 from __future__ import annotations
