@@ -1,14 +1,16 @@
 """Structured results of formula-vs-oracle comparisons.
 
-A VerificationReport is one check on one instance; a SuiteResult is an
-ordered list of reports with a pass/fail summary.  JSON output is
-canonical: fixed key order, two-space indent, shortest-roundtrip float
-encoding, no volatile fields.  Identical inputs therefore produce
-byte-identical files; wall time is kept on the in-memory result and in the
-text rendering only.  ``dumps_canonical`` writes a SuiteResult exactly as
-``json.dumps(result.to_json(), indent=2, allow_nan=False)`` would, from
-per-layout row templates, without building that dict or running json's
-pure-Python indenting encoder.
+A VerificationReport is one check on one instance; a ReportStack is the
+reports of one check's trial stack, held as columns; a SuiteResult is an
+ordered list of reports with a pass/fail summary, which a run holds as its
+stacks.  JSON output is canonical: fixed key order, two-space indent,
+shortest-roundtrip float encoding, no volatile fields.  Identical inputs
+therefore produce byte-identical files; wall time is kept on the in-memory
+result and in the text rendering only.  ``dumps_canonical`` writes a
+SuiteResult exactly as ``json.dumps(result.to_json(), indent=2,
+allow_nan=False)`` would, from per-layout row templates, without building
+that dict or running json's pure-Python indenting encoder; a stack's rows
+come from its columns, with no report built.
 
 Tolerance policy: every residual gates, held to its entry in ``TOLERANCES``, the
 one table of tolerances, and no residual repeats another: a full chart's
@@ -23,7 +25,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
+from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter, methodcaller
 
@@ -117,9 +121,41 @@ class VerificationReport:
         return cls(name, inputs, values, residuals, tolerances, passed)
 
 
+@dataclass(eq=False)
+class ReportStack(Sequence):
+    """The reports of one check's trial stack, as columns.  What every report shares is held
+    once: ``check_name``, ``inputs`` and the one ``tolerances`` dict.  Each list of
+    ``columns`` (inputs that differ by report, such as the trial ids; a report's inputs are
+    ``{**inputs, **columns}``), of ``values``, of ``residuals`` and ``passed`` holds one entry
+    per report.  Indexing builds the report, anew on each access."""
+
+    check_name: str
+    inputs: dict
+    columns: dict
+    values: dict
+    residuals: dict
+    tolerances: dict
+    passed: list
+
+    def __len__(self) -> int:
+        return len(self.passed)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        passed = self.passed[i]
+        return VerificationReport(
+            self.check_name, {**self.inputs, **{k: c[i] for k, c in self.columns.items()}},
+            {k: c[i] for k, c in self.values.items()}, {k: c[i] for k, c in self.residuals.items()},
+            self.tolerances, passed)
+
+
 def stack_reports(check_name: str, inputs: dict, values: dict, residuals: dict,
-                  conditions: tuple = (), tol: float | None = None) -> list[VerificationReport]:
-    """One report per slice of a stacked check: each value, residual and condition is
+                  conditions: tuple = (), tol: float | None = None) -> ReportStack:
+    """The reports of a stacked check, one per slice: each value, residual and condition is
     one entry shared by every slice (0-d) or an array of the stack's shape.
 
     The one place a verdict is made.  Every residual gates, held to its key's
@@ -140,30 +176,44 @@ def stack_reports(check_name: str, inputs: dict, values: dict, residuals: dict,
     passed = np.ones(stack.shape, bool)
     for gate in [by_key[k] <= t for k, t in tolerances.items()] + columns[split:]:
         np.logical_and(passed, gate, out=passed)  # NaN <= t is False: a NaN residual fails
-    rows = zip(*(c.ravel().tolist() if c.ndim else [c.item()] * stack.size
-                 for c in (*columns[:split], passed)), strict=True)
-    return [VerificationReport(check_name, dict(inputs), dict(zip(values, row)),
-                               dict(zip(residuals, row[len(values):split])), tolerances, row[-1])
-            for row in rows]
+    lists = [c.ravel().tolist() if c.ndim else [c.item()] * stack.size
+             for c in (*columns[:split], passed)]
+    return ReportStack(check_name, dict(inputs), {}, dict(zip(values, lists)),
+                       dict(zip(residuals, lists[len(values):split])), tolerances, lists[-1])
 
 
-@dataclass
 class SuiteResult:
-    reports: list[VerificationReport] = field(default_factory=list)
-    wall_time: float = 0.0
+    """The reports of a run, in order, with a pass/fail summary.
+
+    A run holds them as its trial stacks (``stacks``), each a ReportStack; ``summary``
+    and ``all_passed`` read the stacks' verdict columns.  ``reports`` is built from the
+    stacks when first read, and from then on is what the result holds: an edit to one
+    of its reports reaches ``to_json`` and ``dumps_canonical``.  ``SuiteResult(reports)``
+    holds ``reports`` itself.
+    """
+
+    def __init__(self, reports: list[VerificationReport] | None = None, wall_time: float = 0.0,
+                 *, stacks: list[ReportStack] | None = None):
+        self._reports = [] if reports is None and stacks is None else reports
+        self.stacks = stacks or []
+        self.wall_time = wall_time
+
+    @property
+    def reports(self) -> list[VerificationReport]:
+        if self._reports is None:
+            self._reports = [r for stack in self.stacks for r in stack]
+        return self._reports
 
     @property
     def summary(self) -> dict:
-        passed = sum(1 for r in self.reports if r.passed)
-        return {
-            "total": len(self.reports),
-            "passed": passed,
-            "failed": len(self.reports) - passed,
-        }
+        verdicts = ([p for stack in self.stacks for p in stack.passed] if self._reports is None
+                    else [r.passed for r in self._reports])
+        passed = sum(map(bool, verdicts))
+        return {"total": len(verdicts), "passed": passed, "failed": len(verdicts) - passed}
 
     @property
     def all_passed(self) -> bool:
-        return all(r.passed for r in self.reports)
+        return self.summary["failed"] == 0
 
     def to_json(self) -> dict:
         return {
@@ -185,10 +235,11 @@ _encode_scalars = c_make_encoder(None, methodcaller("tolist"), encode_basestring
 
 _SEQUENCES = frozenset({list, tuple})
 
-# Row %-templates by report layout.  A cache: what it holds never changes an
-# output byte; it is emptied when full.
+# Row %-templates by report layout, and the text of a stack's rows by its
+# layout and shared scalars (``_stack_text``).  A cache: what it holds never
+# changes an output byte; it is emptied when full.
 TEMPLATE_LIMIT = 512
-_rows: dict[tuple, str] = {}
+_rows: dict[tuple, str | tuple] = {}
 
 
 def _block(items: list[str], level: int, brackets: str) -> str:
@@ -246,9 +297,101 @@ def _row(report: VerificationReport, scalars: list) -> str:
     return template
 
 
+def _stack_rows(stack: ReportStack, shared: list, scalars: list) -> tuple:
+    # (layout, shared, rows) of ``stack``, whose reports share one layout, from its
+    # columns: the ``shared`` scalars that every row holds (check name, shared inputs,
+    # tolerances) go to ``shared`` once, the rest to ``scalars`` row by row, each in
+    # written order.  An input column is a column of lists when its first entry is
+    # one; lists of several lengths, or lists beside scalars, raise ValueError or
+    # TypeError (a container among scalars is written: see _pieces).
+    inputs = stack.inputs | stack.columns
+    heads, columns, sizes = [stack.check_name], [], []
+    for key, value in inputs.items():
+        column = key in stack.columns
+        if type(value[0] if column else value) not in _SEQUENCES:
+            sizes.append(-1)
+            (columns if column else heads).append(value)
+        elif not column:
+            sizes.append(len(value))
+            heads += value
+        elif _SEQUENCES.issuperset(map(type, value)):
+            sizes.append(len(value[0]))
+            columns += zip(*value, strict=True)
+        else:
+            raise TypeError("an input column of lists beside scalars")
+    heads += stack.tolerances.values()
+    shared += heads
+    scalars += chain.from_iterable(zip(*columns, *stack.values.values(),
+                                       *stack.residuals.values(), stack.passed, strict=True))
+    layout = (tuple(inputs), tuple(sizes), tuple(stack.columns), tuple(stack.values),
+              tuple(stack.residuals), tuple(stack.tolerances))
+    return layout, len(heads), len(stack)
+
+
+def _stack_text(key: tuple) -> tuple:
+    # The text of a stack's rows, cached by ``key``: its layout and its shared scalars
+    # as written, joined by NUL.  (head, middle, cycle, tail): a row's text before its
+    # first own scalar, between its own scalars and after its last, the shared ones
+    # written in; ``cycle`` is the text from a row's last own scalar to the next
+    # row's first, then ``middle``.
+    (inputs, sizes, columns, values, residuals, tolerances), text = key
+    shared = [True]
+    for name, k in zip(inputs, sizes):
+        shared += [name not in columns] * (1 if k < 0 else k)
+    shared += [False] * (len(values) + len(residuals)) + [True] * len(tolerances) + [False]
+    template = _row_template(inputs, sizes, values, residuals, tolerances)
+    fragments = (template % (("\x00",) * len(shared))).split("\x00")
+    heads = iter(text.split("\x00"))
+    joined = [fragments[0]]
+    for fragment, one in zip(fragments[1:], shared):
+        if one:
+            joined[-1] += next(heads) + fragment
+        else:
+            joined.append(fragment)
+    middle = tuple(joined[1:-1])
+    found = joined[0], middle, (joined[-1] + ",\n    " + joined[0], *middle), joined[-1]
+    if len(_rows) >= TEMPLATE_LIMIT:
+        _rows.clear()
+    _rows[key] = found
+    return found
+
+
+def _pieces(scalars: list) -> list[str]:
+    # Each scalar as written, by one C-encoder call per file; ValueError where the
+    # encoder wrote a container in a scalar's place.
+    text = "".join(_encode_scalars(scalars, 0))[1:-1]
+    if text.startswith(("[", "{")) or "\x00[" in text or "\x00{" in text:
+        raise ValueError("a value that is not a plain scalar")
+    return text.split("\x00") if text else []
+
+
+def _stacks_written(result: SuiteResult) -> str:
+    # A run's file from its stacks' columns: each row is its stack's text (cached)
+    # around the row's own scalars.
+    shared: list = []
+    scalars: list = []
+    stacks = [_stack_rows(stack, shared, scalars) for stack in result.stacks if stack]
+    pieces = _pieces(shared + scalars)
+    gaps, text, at = [], '{\n  "reports": [\n    ', 0
+    for layout, count, size in stacks:
+        key = layout, "\x00".join(pieces[at:at + count])
+        at += count
+        head, middle, cycle, tail = _rows.get(key) or _stack_text(key)
+        gaps.append(text + head)
+        gaps += middle
+        gaps += cycle * (size - 1)
+        text = tail + ",\n    "
+    text = text[:-6] + "\n  ]" if gaps else text[:-5] + "]"
+    summary = ',\n  "summary": {\n    "total": %d,\n    "passed": %d,\n    "failed": %d\n  }\n}\n'
+    return ("".join(chain.from_iterable(zip(gaps, pieces[at:], strict=True))) + text
+            + summary % tuple(result.summary.values()))
+
+
 def _written(result: SuiteResult, duplicates: list | None) -> str:
-    # The file through the row templates; ValueError where the C encoder wrote
-    # a container in a scalar's place.
+    # The file through the row templates: a run's from its stacks, until its
+    # reports are read.
+    if result._reports is None and duplicates is None:
+        return _stacks_written(result)
     scalars: list = []
     parts = {"reports": _block([_row(r, scalars) for r in result.reports], 1, "[]"),
              "summary": _dict(("total", "passed", "failed"), 1)}
@@ -258,10 +401,7 @@ def _written(result: SuiteResult, duplicates: list | None) -> str:
                                      1, "[]")
         for d in duplicates:
             scalars += d
-    text = "".join(_encode_scalars(scalars, 0))[1:-1]  # one C-encoder call per file
-    if text.startswith(("[", "{")) or "\x00[" in text or "\x00{" in text:
-        raise ValueError("a value that is not a plain scalar")
-    return _dict(parts, 0, list(parts.values())) % tuple(text.split("\x00")) + "\n"
+    return _dict(parts, 0, list(parts.values())) % tuple(_pieces(scalars)) + "\n"
 
 
 def dumps_canonical(obj, duplicates: list | None = None) -> str:
@@ -270,14 +410,18 @@ def dumps_canonical(obj, duplicates: list | None = None) -> str:
     For a SuiteResult the payload is ``obj.to_json()``, with ``duplicates``
     (``mpjl report``'s list of duplicated trials) as its last key when given;
     it is written without being built: each report fills the %-template of
-    its layout (cached, ``TEMPLATE_LIMIT``), and one call of CPython's C
-    encoder writes every scalar of the file.  Anything else is the payload
-    itself, and goes to ``json.dumps``; so does a SuiteResult holding a value
-    that is not a plain scalar (or a list of them, in ``inputs``), a number
-    that is not finite or a key that is not a str: the reference call writes
-    it or raises its own error.  On that path a NaN or an infinity in a
-    SuiteResult is written as ``null``: strict JSON has no such number, and
-    the report that holds it has failed (``stack_reports``).
+    its layout, and a run's stacks are written from their columns, each row
+    its stack's text (with what the rows share written in once) around the
+    row's own scalars (both cached, ``TEMPLATE_LIMIT``); one call of
+    CPython's C encoder writes every scalar of the file.  Anything else is
+    the payload itself, and goes to ``json.dumps``; so does a SuiteResult
+    holding a value that is not a plain scalar (or a list of them, in
+    ``inputs``), a number that is not finite, a key that is not a str or a
+    stack's input column of lists of several lengths (or of lists and
+    scalars): the reference call writes it or raises its own error.  On
+    that path a NaN or an infinity in a SuiteResult is written as ``null``:
+    strict JSON has no such number, and the report that holds it has failed
+    (``stack_reports``).
     """
     if isinstance(obj, SuiteResult):
         try:

@@ -21,7 +21,7 @@ from . import chart, differential, matcore, measures
 from .errors import (
     ConfigError, DegeneracyBudgetExceeded, DegenerateSpectrum, MpjlError, ShapeMismatch,
 )
-from .reports import PRIMARY, SuiteResult, VerificationReport, stack_reports
+from .reports import PRIMARY, ReportStack, SuiteResult, VerificationReport, stack_reports
 
 RETRY_BUDGET = 3
 
@@ -121,7 +121,7 @@ def _draw_differential(n: int, m: int, q: int, rngs, spectrum) -> tuple:
     return matcore.draw_rank_q(n, m, q, rngs, spectrum, *shapes)
 
 
-def _check_differential(cfg: RunConfig, draws: tuple) -> list[VerificationReport]:
+def _check_differential(cfg: RunConfig, draws: tuple) -> ReportStack:
     q = cfg.rank
     full_rank = q == min(cfg.n, cfg.m)
     x, *direction = _instances(draws)
@@ -139,7 +139,7 @@ def _check_differential(cfg: RunConfig, draws: tuple) -> list[VerificationReport
                          tol=cfg.tol)
 
 
-def _check_jacobian_full(cfg: RunConfig, draws: tuple) -> list[VerificationReport]:
+def _check_jacobian_full(cfg: RunConfig, draws: tuple) -> ReportStack:
     [x] = _instances(draws)
     # One stacked SVD of X, values only, serves the rank check and the operator's
     # log determinant, the factor of X's singular values; the closed form takes a QR.
@@ -160,7 +160,7 @@ def _check_jacobian_full(cfg: RunConfig, draws: tuple) -> list[VerificationRepor
                          residuals, tol=cfg.tol)
 
 
-def _check_operator_rank(cfg: RunConfig, draws: tuple) -> list[VerificationReport]:
+def _check_operator_rank(cfg: RunConfig, draws: tuple) -> ReportStack:
     q, n, m = cfg.rank, cfg.n, cfg.m
     [x] = _instances(draws)
     expected = _chart_dim(cfg)
@@ -203,7 +203,7 @@ def _draw_hausdorff(n: int, m: int, q: int, rngs, spectrum) -> tuple:
     return (matcore.draw_spectra(rngs, q, spectrum),)
 
 
-def _check_hausdorff(cfg: RunConfig, draws: tuple) -> list[VerificationReport]:
+def _check_hausdorff(cfg: RunConfig, draws: tuple) -> ReportStack:
     # log density(Y spectrum) + log|d(reciprocal spectrum)/dD| - log density(X
     # spectrum) equals the log factor -2(n+m-q) sum log D_i by algebra alone,
     # so ``identity``, the absolute difference of the two logs, is rounding.
@@ -213,17 +213,16 @@ def _check_hausdorff(cfg: RunConfig, draws: tuple) -> list[VerificationReport]:
     log_x = measures.log_hausdorff_density(n, m, d)
     log_y = measures.log_hausdorff_density(m, n, 1.0 / d[:, ::-1])  # pinv's spectrum
     log_factor = measures._log_factor(n, m, d)
-    reports = stack_reports(
+    stack = stack_reports(
         "hausdorff", {"n": n, "m": m, "q": q},
         {"log_density_x": log_x, "log_density_y": log_y, "log_jacobian_factor": log_factor},
         {"identity": abs(log_y - 2.0 * np.log(d).sum(axis=-1) - log_x - log_factor)}, tol=cfg.tol,
     )
-    for report, spectrum in zip(reports, d.tolist()):
-        report.inputs["spectrum"] = spectrum
-    return reports
+    stack.columns["spectrum"] = d.tolist()
+    return stack
 
 
-def _check_exterior_chain(cfg: RunConfig, draws: tuple) -> list[VerificationReport]:
+def _check_exterior_chain(cfg: RunConfig, draws: tuple) -> ReportStack:
     # Y = pinv(X) of full column rank: Y Y' = inv(X'X), the Gram identity that the
     # exterior-product derivation rests on (Y' = H T^-T for X = H T); |X'X|^-n is
     # jacobian-full's gate.  One QR of X gives log|X'X| and inv(X'X) = inv(R) inv(R)'.
@@ -258,10 +257,10 @@ def judge_invariance(x, q: int, h, qmat) -> list[VerificationReport]:
         gap = np.max(np.abs(f.swapaxes(-1, -2) @ f - np.eye(f.shape[-1])))
         if gap > 1e-12:
             raise ValueError(f"{name} factor deviates from orthogonality by {gap:.2e}")
-    return _judge_invariance(matcore.as_stack(x), q, h, qmat)
+    return list(_judge_invariance(matcore.as_stack(x), q, h, qmat))
 
 
-def _judge_invariance(x: np.ndarray, q: int, h, qmat) -> list[VerificationReport]:
+def _judge_invariance(x: np.ndarray, q: int, h, qmat) -> ReportStack:
     # judge_invariance of orthogonal factors.  Only X's rank is tested (H X Q has it), and
     # both charts are pivoted as one stack: one pivot test, which names the worse block.
     # A deficient stack solves W and Z for its volumes, once, before the slices inherit them.
@@ -284,7 +283,7 @@ def _draw_invariance(n: int, m: int, q: int, rngs, spectrum) -> tuple:
     return matcore.draw_rank_q(n, m, q, rngs, spectrum, (n, n), (m, m))
 
 
-def _check_invariance(cfg: RunConfig, draws: tuple) -> list[VerificationReport]:
+def _check_invariance(cfg: RunConfig, draws: tuple) -> ReportStack:
     x, g_h, g_q = _instances(draws)
     # QR builds the frames orthogonal: they take no test of that.
     return _judge_invariance(x, cfg.rank, matcore.orthonormal_frames(g_h),
@@ -297,7 +296,7 @@ def _draw_symmetric_inverse(n: int, m: int, q: int, rngs, spectrum) -> tuple:
     return g.reshape(-1, m, m), matcore.draw_spectra(rngs, m)
 
 
-def _check_symmetric_inverse(cfg: RunConfig, draws: tuple) -> list[VerificationReport]:
+def _check_symmetric_inverse(cfg: RunConfig, draws: tuple) -> ReportStack:
     g, eigs = draws
     frame = matcore.orthonormal_frames(g)
     s = (frame * eigs[:, None, :]) @ frame.swapaxes(-1, -2)
@@ -308,7 +307,7 @@ def _check_symmetric_inverse(cfg: RunConfig, draws: tuple) -> list[VerificationR
                          {"fd_mismatch": abs(formula - oracle)}, tol=cfg.tol)
 
 
-def _check_blocks(cfg: RunConfig, draws: tuple) -> list[VerificationReport]:
+def _check_blocks(cfg: RunConfig, draws: tuple) -> ReportStack:
     q, norms = cfg.rank, matcore.frobenius_norms
     [x] = _instances(draws)
     y, info = matcore.pinv_rank(x)  # one SVD: Y and the chart's rank test
@@ -324,8 +323,8 @@ def _check_blocks(cfg: RunConfig, draws: tuple) -> list[VerificationReport]:
 # name -> (draw, check): ``draw(n, m, q, rngs, spectrum)`` makes every
 # generator call of a stack of trials, one generator each, into stacked
 # parts, a spectrum it samples left unsorted (the config's was validated
-# once per run); ``check(cfg, draws)`` judges those parts and returns one
-# report per trial.
+# once per run); ``check(cfg, draws)`` judges those parts and returns their
+# ReportStack, one report per trial.
 _SUITES = {
     "differential": (_draw_differential, _check_differential),
     "jacobian-full": (_draw_instance, _check_jacobian_full),
@@ -383,26 +382,32 @@ def _trial_stacks(suite: str, cfg: RunConfig) -> list[range]:
     return [range(t, min(t + size, cfg.trials)) for t in range(0, cfg.trials, size)]
 
 
-def _run_stack(suite: str, cfg: RunConfig, trials: range) -> list[VerificationReport]:
-    """The reports of ``trials``, checked as one stack and retried slice by slice.
+def _run_stack(suite: str, cfg: RunConfig, trials: range) -> ReportStack:
+    """The reports of ``trials``, checked as one stack and retried slice by slice, with
+    their seed, trial and attempt as input columns.
 
     ``cfg`` is one that :func:`validate_config` accepts; its spectrum is not checked again.
     """
-    reports, attempts = _checked_stack(*_SUITES[suite], cfg, trials, f"suite {suite} trial {{}}")
-    for report, trial, attempt in zip(reports, trials, attempts):
-        report.inputs.update(seed=cfg.seed, trial=trial, attempt=attempt)
-    return reports
+    stack, attempts = _checked_stack(*_SUITES[suite], cfg, trials, f"suite {suite} trial {{}}")
+    if isinstance(stack, ReportStack):
+        stack.columns.update(seed=[cfg.seed] * len(trials), trial=list(trials), attempt=attempts)
+    else:  # a check that returns its reports as a list
+        for report, trial, attempt in zip(stack, trials, attempts):
+            report.inputs.update(seed=cfg.seed, trial=trial, attempt=attempt)
+    return stack
 
 
 def run_suite(suite: str, cfg: RunConfig) -> SuiteResult:
     """Every trial of ``suite``, stack by stack (see the module docstring)."""
     cfg = validate_config(cfg, suite)
     start = time.perf_counter()
-    reports: list[VerificationReport] = []
+    stacks = []
     for trials in _trial_stacks(suite, cfg):
         try:
-            reports += _run_stack(suite, cfg, trials)
+            stacks.append(_run_stack(suite, cfg, trials))
         except MpjlError:  # each trial alone: the first error in trial order is raised
-            for t in trials:
-                reports += _run_stack(suite, cfg, range(t, t + 1))
-    return SuiteResult(reports=reports, wall_time=time.perf_counter() - start)
+            stacks += [_run_stack(suite, cfg, range(t, t + 1)) for t in trials]
+    wall_time = time.perf_counter() - start
+    if all(isinstance(stack, ReportStack) for stack in stacks):
+        return SuiteResult(stacks=stacks, wall_time=wall_time)
+    return SuiteResult([report for stack in stacks for report in stack], wall_time)

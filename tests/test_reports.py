@@ -271,6 +271,138 @@ def test_dumps_canonical_is_the_reference_encoding(case):
     assert dumps_canonical(result, duplicates) == _reference(result, duplicates)
 
 
+def _reference_of_run(result, duplicates=None) -> str:
+    # _reference with each number that is not finite written as null, as
+    # dumps_canonical writes a run's (the report holding one has failed).
+    payload = json.loads(json.dumps(result.to_json()), parse_constant=lambda name: None)
+    if duplicates is not None:
+        payload["duplicates"] = duplicates
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Per-row input lists, as hausdorff's spectrum: one length (several, or lists
+# beside scalars, in a column that is written report by report).
+SPECTRA = st.integers(0, 3).flatmap(lambda k: st.lists(FINITE, min_size=k, max_size=k))
+
+
+@st.composite
+def stack_results(draw):
+    # A SuiteResult of trial stacks as a run makes them, and the duplicates
+    # written with it: stack_reports of one to four rows (or none), each value
+    # and residual an entry per row or one 0-d entry for all, residuals around
+    # the tolerances (NaN and inf among them), shared inputs with lists, then
+    # input columns such as the trial ids and hausdorff's spectrum; stacks of
+    # several layouts in one result.  Sometimes ``reports`` is read and one
+    # report edited before the file is written.
+    stacks = []
+    for _ in range(draw(st.integers(0, 4))):
+        size = draw(st.integers(0, 4))
+
+        def column(elements):
+            return draw(st.lists(elements, min_size=size, max_size=size).map(np.array)
+                        | elements.map(np.asarray))
+
+        check = draw(st.sampled_from(sorted(TOLERANCES)))
+        keys = draw(st.lists(st.sampled_from(sorted(TOLERANCES[check])), unique=True))
+        values = {k: column(draw(st.sampled_from([FINITE, st.floats(), st.booleans(),
+                                                  st.integers(-2**62, 2**62)])))
+                  for k in draw(st.lists(REPORT_KEYS, unique=True, max_size=3))}
+        inputs = draw(st.dictionaries(REPORT_KEYS, REPORT_SCALARS
+                                      | st.lists(REPORT_SCALARS, max_size=3).map(tuple)
+                                      | st.lists(REPORT_SCALARS, max_size=3), max_size=3))
+        stack = reports.stack_reports(check, inputs, values, {k: column(RESIDUALS) for k in keys})
+        size = len(stack)  # one row where every entry is 0-d
+        for key in draw(st.lists(st.sampled_from(["spectrum", "seed", "trial", "attempt"])
+                                 | REPORT_KEYS, unique=True, max_size=3)):
+            rows = st.lists(REPORT_SCALARS, min_size=size, max_size=size)
+            spectra = SPECTRA.flatmap(lambda spectrum: st.just([spectrum] * size)
+                                      | st.lists(st.lists(FINITE, min_size=len(spectrum),
+                                                          max_size=len(spectrum)),
+                                                 min_size=size, max_size=size))
+            stack.columns[key] = draw(rows | spectra | st.lists(SPECTRA | REPORT_SCALARS,
+                                                               min_size=size, max_size=size))
+        stacks.append(stack)
+    result = SuiteResult(stacks=stacks)
+    if any(stacks) and draw(st.booleans()):
+        report = draw(st.sampled_from(result.reports))
+        report.inputs[draw(REPORT_KEYS)] = draw(REPORT_SCALARS)
+        report.values[draw(REPORT_KEYS)] = draw(FINITE)
+        report.passed = not report.passed
+    duplicates = draw(st.none() | st.lists(st.lists(SCALARS, min_size=3, max_size=3), max_size=3))
+    return result, duplicates
+
+
+def _stack(size, spectra=None, inputs=(), **columns):
+    # A hausdorff stack of ``size`` rows, its trials' spectra and ids as input columns.
+    stack = reports.stack_reports("hausdorff", {"n": 4, "m": 3, "q": 2, **dict(inputs)},
+                                  {"log_density_x": np.arange(float(size)), "one": 1.5},
+                                  {"identity": np.zeros(size)})
+    if spectra is not None:
+        stack.columns["spectrum"] = spectra
+    stack.columns.update(seed=[5] * size, trial=list(range(size)), **columns)
+    return stack
+
+
+def _regular(column) -> bool:
+    # Every entry a scalar, or every entry a list of one length.
+    kinds = {type(x) in (list, tuple) for x in column}
+    return kinds == {False} or kinds == {True} and len({len(x) for x in column}) == 1
+
+
+@given(stack_results())
+@example((SuiteResult(stacks=[_stack(3, [[2.0, 1.0], [2.5, 0.5], [1.5, 1.0]]), _stack(1)]), None))
+@example((SuiteResult(stacks=[_stack(2, [[2.0, 1.0], [2.5]]), _stack(2, [[], []])]), [["h", 5, 0]]))
+@example((SuiteResult(stacks=[_stack(2, [[2.0, 1.0], "ab"]), _stack(2, [[2.0], {"a": 1}])]), None))
+@example((SuiteResult(stacks=[_stack(3, [[2.5], [2.0, 1.0], [1.5]])]), None))
+@example((SuiteResult(stacks=[_stack(2, attempt=[0, float("nan")]), _stack(0)]), []))
+@example((SuiteResult(stacks=[_stack(3, inputs={"note%%": "100%% of %%d"},
+                                     label=["a%%", "b", "c"])]), None))
+def test_dumps_canonical_writes_stacks_as_the_reference(case):
+    # Written first: reading ``to_json`` builds the reports, which the writer
+    # then writes in place of the stacks.  A run whose numbers are finite and
+    # whose input columns are regular is written from its stacks (unless
+    # duplicates are written with it), never left to json.dumps.
+    result, duplicates = case
+    edited = result._reports is not None
+    try:
+        json.dumps(SuiteResult(stacks=result.stacks).to_json(), allow_nan=False)
+        finite = True
+    except ValueError:
+        finite = False
+    regular = all(_regular(c) for stack in result.stacks for c in stack.columns.values())
+    written = dumps_canonical(result, duplicates)
+    from_stacks = not edited and duplicates is None and finite and regular
+    assert not from_stacks or result._reports is None
+    assert written == _reference_of_run(result, duplicates)
+
+
+def test_reports_read_and_edited_before_writing_reach_the_file():
+    result = SuiteResult(stacks=[_stack(3, [[2.0, 1.0], [2.5, 0.5], [1.5, 1.0]])])
+    assert result.summary == {"total": 3, "passed": 3, "failed": 0} and result.all_passed
+    report = result.reports[1]
+    assert result.reports[1] is report  # built once, then held
+    report.inputs["trial"] = 7
+    report.passed = False
+    written = json.loads(dumps_canonical(result))
+    assert written["reports"][1]["inputs"]["trial"] == 7 and written["reports"][1]["pass"] is False
+    assert written["summary"] == {"total": 3, "passed": 2, "failed": 1} == result.summary
+    assert not result.all_passed
+
+
+def test_a_stack_reads_as_its_reports():
+    stack = _stack(3, [[2.0, 1.0], [2.5, 0.5], [1.5, 1.0]], attempt=[0, 1, 0])
+    built = list(stack)
+    assert len(stack) == 3 and all(type(r) is VerificationReport for r in built)
+    assert built[1] == stack[1] == stack[-2] == stack[1:][0]
+    assert built[1].inputs == {"n": 4, "m": 3, "q": 2, "spectrum": [2.5, 0.5], "seed": 5,
+                               "trial": 1, "attempt": 1}
+    assert built[1].values == {"log_density_x": 1.0, "one": 1.5}
+    assert all(r.tolerances is stack.tolerances for r in built)
+    [one] = reports.stack_reports("blocks", {}, {}, {"roundtrip": 0.0})
+    assert type(one) is VerificationReport and one.passed is True
+
+
 @given(PAYLOADS)
 @example({"reports": [{"spectrum": [1.0]}], "summary": {"total": 1}})
 def test_other_payloads_go_to_the_reference(payload):
@@ -285,6 +417,10 @@ def test_template_cache_stays_bounded():
     for i in range(reports.TEMPLATE_LIMIT + 50):
         result = SuiteResult([_stub({f"k{i}": i}), _stub({f"k{i}": [i] * (i % 3)}), _stub()])
         assert dumps_canonical(result, [["c", i, 0]]) == _reference(result, [["c", i, 0]])
+        assert 0 < len(reports._rows) <= reports.TEMPLATE_LIMIT
+        # A stack's rows are cached by their layout and their shared scalars.
+        result = SuiteResult(stacks=[_stack(2, inputs={"k": i})])
+        assert dumps_canonical(result) == _reference(result)
         assert 0 < len(reports._rows) <= reports.TEMPLATE_LIMIT
 
 

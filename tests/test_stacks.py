@@ -2,6 +2,7 @@
 trials run one by one, a tied slice is redrawn alone, and a stack that
 raises a library error reruns as stacks of one."""
 
+import json
 import math
 import re
 from dataclasses import replace
@@ -11,12 +12,14 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from helpers import chart_positions, check, random_rank_q, random_stiefel
-from mpjl import chart, differential as df, matcore as mc, measures as ms, suites
+from mpjl import (
+    chart, differential as df, matcore as mc, measures as ms, reports, suites, witnesses,
+)
 from mpjl.cli import main
 from mpjl.errors import (
     DegeneracyBudgetExceeded, DegenerateSpectrum, IllConditionedPivot, MpjlError, RankMismatch,
 )
-from mpjl.reports import SuiteResult, VerificationReport, dumps_canonical
+from mpjl.reports import ReportStack, SuiteResult, VerificationReport, dumps_canonical
 
 # (n, m, q): q = 1 and q = 2 deficient, full rank tall and wide, q = m,
 # q = n, a single row.
@@ -57,6 +60,50 @@ def test_stack_gives_the_bytes_of_the_trials_one_by_one(suite, cfg):
     stacked = suites._run_stack(suite, suites.validate_config(cfg, suite), range(cfg.trials))
     assert _bytes(stacked) == expected
     assert dumps_canonical(suites.run_suite(suite, cfg)) == expected
+
+
+@pytest.mark.parametrize("budget", [suites.STACK_ENTRIES, 1])
+@pytest.mark.parametrize("suite", suites.SUITE_NAMES)
+def test_a_run_writes_the_reports_it_reads_as(monkeypatch, suite, budget):
+    # Written from the run's stacks (one, or one per trial), before any report is built:
+    # the reports read from the run afterwards are what the file holds.
+    monkeypatch.setattr(suites, "STACK_ENTRIES", budget)
+    q = None if suite in ("jacobian-full", "exterior-chain", "symmetric-inverse") else 2
+    result = suites.run_suite(suite, suites.RunConfig(n=5, m=4, q=q, trials=6, seed=3))
+    assert [len(s) for s in result.stacks] == ([6] if budget > 1 else [1] * 6)
+    assert all(type(s) is ReportStack for s in result.stacks)
+    written = json.loads(dumps_canonical(result))
+    assert written["reports"] == [r.to_json() for r in result.reports]
+    assert written["summary"] == result.summary == {"total": 6, "passed": 6, "failed": 0}
+
+
+@pytest.mark.parametrize("suite", suites.SUITE_NAMES)
+def test_verify_writes_json_without_building_a_report(monkeypatch, capsys, suite):
+    # The writer reads a run's columns: no report object is made on the way to JSON.
+    argv = ["verify", suite, "--trials", "5", "--format", "json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("a report was built")
+
+    monkeypatch.setattr(reports, "VerificationReport", refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_single_reports_are_verification_reports():
+    # A stack of one unpacks to its report; judge_invariance returns a list of reports,
+    # and reproduce its witness's report.
+    [report] = reports.stack_reports("blocks", {"n": 4}, {}, {"roundtrip": 0.0})
+    assert type(report) is VerificationReport and report.passed is True
+    x = np.array([random_rank_q(4, 3, 2, mc.make_rng(3, t)) for t in range(2)])
+    h = np.array([random_stiefel(4, 4, mc.make_rng(4, t)) for t in range(2)])
+    qmat = np.array([random_stiefel(3, 3, mc.make_rng(5, t)) for t in range(2)])
+    judged = suites.judge_invariance(x, 2, h, qmat)
+    assert type(judged) is list and [type(r) for r in judged] == [VerificationReport] * 2
+    assert [type(witnesses.reproduce(w)) for w in witnesses.load_witnesses()] == [
+        VerificationReport] * len(witnesses.load_witnesses())
 
 
 def _stack_passes(monkeypatch) -> list[int]:

@@ -14,8 +14,10 @@ module (argparse's among them), and so also each call that such Python
 code makes.  Operators and indexing are not calls.  Each call is
 attributed to the innermost ``mpjl`` function on the stack.  The table
 lists the total per op, the calls attributed to ``cli`` functions, the
-calls made under ``suites.run_suite`` (whatever function they are
-attributed to), and the ``N`` largest callers.
+calls made under ``suites.run_suite`` and those made under
+``reports.stack_reports`` or ``reports.dumps_canonical`` (the ``report``
+column: building the reports and writing them; whatever function the
+calls are attributed to), and the ``N`` largest callers.
 
 ``SRC`` is the ``src`` directory to import ``mpjl`` from (default: this
 checkout's), so two trees can be compared.  Only the standard library and
@@ -34,16 +36,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _count(package: str, suite_code, run) -> tuple[Counter, int]:
-    # Library calls by innermost mpjl caller, and how many were made under ``suite_code``.
-    calls = Counter()
-    in_suite = 0
+def _count(package: str, spans: dict, run) -> tuple[Counter, Counter]:
+    # Library calls by innermost mpjl caller, and how many were made under the code
+    # objects of each label of ``spans`` (code object -> label).
+    calls, within = Counter(), Counter()
 
     def ours(frame):
         return frame.f_code.co_filename.startswith(package)
 
     def profile(frame, event, arg):
-        nonlocal in_suite
         if event == "call" and ours(frame) or event not in ("call", "c_call"):
             return
         caller = frame if event == "c_call" else frame.f_back
@@ -52,16 +53,18 @@ def _count(package: str, suite_code, run) -> tuple[Counter, int]:
         if caller is not None:
             code = caller.f_code
             calls[f"{Path(code.co_filename).stem}.{code.co_qualname}"] += 1
-            while caller is not None and caller.f_code is not suite_code:
+            under = set()
+            while caller is not None:
+                under.add(spans.get(caller.f_code))
                 caller = caller.f_back
-            in_suite += caller is not None
+            within.update(under - {None})
 
     sys.setprofile(profile)
     try:
         run()
     finally:
         sys.setprofile(None)
-    return calls, in_suite
+    return calls, within
 
 
 def main(argv=None) -> int:
@@ -72,11 +75,14 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "perfbench")]
     import mpjl
     import workloads
-    from mpjl import cli, suites
+    from mpjl import cli, reports, suites
 
     package = str(Path(mpjl.__file__).parent)
+    spans = {suites.run_suite.__code__: "suite", reports.stack_reports.__code__: "report",
+             reports.dumps_canonical.__code__: "report"}
     print(f"mpjl from {package}")
-    print(f"{'workload':<15} {'op':<20} {'calls':>6} {'cli':>5} {'suite':>6}  largest callers")
+    print(f"{'workload':<15} {'op':<20} {'calls':>6} {'cli':>5} {'suite':>6} {'report':>6}  "
+          "largest callers")
     with tempfile.TemporaryDirectory(prefix="call-counts-") as work:
         out = str(Path(work) / "out.json")
         for workload in ("fd-chart", "dense-operator", "cli-sweep"):
@@ -85,12 +91,11 @@ def main(argv=None) -> int:
                     continue
                 argv = [*op.argv, "--out", out]
                 cli.main(argv)
-                calls, in_suite = _count(package, suites.run_suite.__code__,
-                                         lambda: cli.main(argv))
+                calls, within = _count(package, spans, lambda: cli.main(argv))
                 in_cli = sum(n for name, n in calls.items() if name.startswith("cli."))
                 top = ", ".join(f"{name} {n}" for name, n in calls.most_common(args.top))
                 print(f"{workload:<15} {op.slot:<20} {sum(calls.values()):>6} {in_cli:>5} "
-                      f"{in_suite:>6}  {top}")
+                      f"{within['suite']:>6} {within['report']:>6}  {top}")
     return 0
 
 

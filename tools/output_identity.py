@@ -122,7 +122,12 @@ its own directory.  It replays:
   8 trials, where they cannot (a rank-1 Y' is X / d^2); and, in text,
   ``report`` of a file whose ``inputs`` hold a lone surrogate
   (``"\\ud800"``, which JSON can hold and UTF-8 cannot encode), to stdout
-  and to an ``--out`` file (edges 150 and 151);
+  and to an ``--out`` file (edges 150 and 151); and the two runs that the
+  entry budget splits into several trial stacks, ``operator-rank`` 24 x 20
+  q=8 with 40 trials (six stacks) and ``invariance`` 8 x 6 q=3 with 45
+  trials (stacks of 20, 20 and 5), each in JSON and in text to stdout and in
+  JSON to an ``--out`` file, and ``report`` of those two files, in JSON and
+  in text;
 * ``verify hausdorff`` 4 x 3 q=2, in JSON and in text, with
   ``measures.log_hausdorff_density`` patched to return NaN on both sides, so
   that a residual that is not finite reaches a live report (``identity=null``
@@ -185,6 +190,14 @@ MALFORMED_REPORTS = {
     "inputs-array": NON_FINITE_REPORT.replace('{"n": 4, "m": 3, "q": 3}', "[4, 3, 3]"),
     "residuals-array": NON_FINITE_REPORT.replace('{"roundtrip": %s}', "[%s]"),
     "seed-string": NON_FINITE_REPORT.replace('"q": 3}', '"q": 3, "seed": "5"}'),
+}
+
+# Runs whose trials the entry budget splits into several stacks: operator-rank
+# 24 x 20 q=8 into six (seven trials each, then five), invariance 8 x 6 q=3
+# into stacks of 20, 20 and 5.
+MULTI_STACK_RUNS = {
+    "operator-rank": ["operator-rank", "--n", "24", "--m", "20", "--q", "8", "--trials", "40"],
+    "invariance": ["invariance", "--n", "8", "--m", "6", "--q", "3", "--trials", "45"],
 }
 
 EDGE_CASES = [
@@ -366,6 +379,11 @@ EDGE_CASES = [
        "--format", "json"] for n, m, q, trials in (("3", "5", "2", "40"), ("6", "5", "1", "8"))),
     *(["report", "surrogate.json", "--format", "text", *out]
       for out in ([], ["--out", "surrogate.txt"])),
+    *(["verify", *args, "--format", fmt, *out]
+      for args in MULTI_STACK_RUNS.values()
+      for fmt, out in (("json", []), ("text", []), ("json", ["--out", f"{args[0]}-stacks.json"]))),
+    *(["report", *(f"{args[0]}-stacks.json" for args in MULTI_STACK_RUNS.values()), "--format", fmt]
+      for fmt in ("json", "text")),
 ]
 
 # Run with the density forced to NaN, as a check that produces a value that is
