@@ -2,6 +2,7 @@
 
 Usage:
     python3 tools/output_identity.py SRC_A SRC_B
+    python3 tools/output_identity.py SRC --write-manifest PATH
 
 SRC_A and SRC_B are ``src`` directories (for example the one of this
 checkout and the one of an older commit unpacked elsewhere).  Each side
@@ -146,6 +147,16 @@ whose values differ, list indices collapsed to ``[*]`` (for example
 ``reports[*].residuals.annihilation``), and after the invocations it
 prints each such path once, with the number of invocations in which it
 differs.  CHANGES.md records, per change, the differences it declared.
+
+With ``--write-manifest PATH`` the one tree given is replayed the same way
+and its records (id, argv, exit code, the digests of stdout and of the
+``--out`` bytes, the ``error:`` lines) go to PATH, with the environment
+they were taken in (``environment()``: Python, numpy, the BLAS build, the
+machine and the SIMD extensions numpy dispatches to), since the bits of a
+residual are stable only for one numpy/BLAS build and CPU.  A test holds
+the tree to the checked-in ``tests/output_manifest.json``
+(``manifest_differences``); a change that declares an output change
+rewrites it, and its diff is the record.
 """
 
 from __future__ import annotations
@@ -158,6 +169,7 @@ import io
 import itertools
 import json
 import os
+import platform
 import random
 import subprocess
 import sys
@@ -531,17 +543,57 @@ def _side(src: Path) -> list[dict]:
     return json.loads(done.stdout)
 
 
+# The fields of a record that a manifest keeps: the leaf digests stay in the
+# two-tree mode, which names the paths that differ.
+MANIFEST_FIELDS = ("id", "argv", "code", "stdout", "errors", "out")
+
+
+def environment() -> dict:
+    """What the bits of a replay depend on beyond the source tree."""
+    import numpy as np
+
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": [blas.get(key) for key in ("name", "version", "openblas configuration")],
+            "machine": platform.machine(), "simd": config["SIMD Extensions"]["found"]}
+
+
+def manifest_text(records: list[dict]) -> str:
+    # One invocation per line, so that a rewritten manifest diffs by invocation.
+    lines = (json.dumps({field: r[field] for field in MANIFEST_FIELDS}) for r in records)
+    return ('{"environment": %s,\n "invocations": [\n  %s\n]}\n'
+            % (json.dumps(environment()), ",\n  ".join(lines)))
+
+
+def manifest_differences(manifest: dict, records: list[dict]) -> list[str]:
+    """``id: field: manifest != replay`` for each field of each replayed invocation that
+    differs from ``manifest``, and each id that only one side holds."""
+    kept, found = ({r["id"]: r for r in side} for side in (manifest["invocations"], records))
+    lines = [f"{key}: not replayed" for key in kept if key not in found]
+    lines += [f"{key}: not in the manifest" for key in found if key not in kept]
+    for key in kept.keys() & found.keys():
+        lines += [f"{key}: {field}: {kept[key][field]!r} != {found[key][field]!r}"
+                  for field in MANIFEST_FIELDS if kept[key][field] != found[key][field]]
+    return sorted(lines)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("src", nargs="+", type=lambda s: Path(s).resolve(),
                    help="two src directories to compare")
     p.add_argument("--replay", action="store_true",
                    help="print the records of the one src directory given, as JSON")
+    p.add_argument("--write-manifest", metavar="PATH", type=Path,
+                   help="write the manifest of the one src directory given to PATH")
     args = p.parse_args(argv)
-    if args.replay:
+    if args.replay or args.write_manifest:
         if len(args.src) != 1:
-            p.error("--replay takes one src directory")
-        json.dump(replay(args.src[0]), sys.stdout)
+            p.error("--replay and --write-manifest take one src directory")
+        if args.replay:
+            json.dump(replay(args.src[0]), sys.stdout)
+        else:
+            args.write_manifest.write_text(manifest_text(_side(args.src[0])))
         return 0
     if len(args.src) != 2:
         p.error("give two src directories")
