@@ -187,10 +187,8 @@ def _trial_key(report) -> tuple:
 
 
 def cmd_report(args) -> int:
-    merged = SuiteResult()
-    for path in args.paths:
-        merged.reports.extend(_load_result(path).reports)
-    merged.reports.sort(key=_trial_key)
+    merged = SuiteResult(sorted([r for path in args.paths for r in _load_result(path).reports],
+                                key=_trial_key))
     counts = collections.Counter(map(_trial_key, merged.reports))  # in sorted order
     duplicates = [list(key) for key, count in counts.items() if count > 1]
     text = dumps_canonical(merged, duplicates) if args.format == "json" else (

@@ -2,15 +2,15 @@
 
 A VerificationReport is one check on one instance; a ReportStack is the
 reports of one check's trial stack, held as columns; a SuiteResult is an
-ordered list of reports with a pass/fail summary, which a run holds as its
-stacks.  JSON output is canonical: fixed key order, two-space indent,
-shortest-roundtrip float encoding, no volatile fields.  Identical inputs
-therefore produce byte-identical files; wall time is kept on the in-memory
-result and in the text rendering only.  ``dumps_canonical`` writes a
-SuiteResult exactly as ``json.dumps(result.to_json(), indent=2,
-allow_nan=False)`` would, from per-layout row templates, without building
-that dict or running json's pure-Python indenting encoder; a stack's rows
-come from its columns, with no report built.
+ordered list of reports with a pass/fail summary, read, written and
+rendered as stacks: a run's own, or the reports it holds grouped.  JSON
+output is canonical: fixed key order, two-space indent, shortest-roundtrip
+float encoding, no volatile fields.  Identical inputs therefore produce
+byte-identical files; wall time is kept on the in-memory result and in the
+text rendering only.  ``dumps_canonical`` writes a SuiteResult exactly as
+``json.dumps(result.to_json(), indent=2, allow_nan=False)`` would, from its
+stacks' columns, without building that dict or a report, or running json's
+pure-Python indenting encoder.
 
 Tolerance policy: every residual gates, held to its entry in ``TOLERANCES``, the
 one table of tolerances, and no residual repeats another: a full chart's
@@ -27,7 +27,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby, islice, takewhile
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter, methodcaller
 
@@ -143,9 +143,7 @@ class ReportStack(Sequence):
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
+    def __getitem__(self, i: int) -> VerificationReport:
         passed = self.passed[i]
         return VerificationReport(
             self.check_name, {**self.inputs, **{k: c[i] for k, c in self.columns.items()}},
@@ -182,34 +180,93 @@ def stack_reports(check_name: str, inputs: dict, values: dict, residuals: dict,
                        dict(zip(residuals, lists[len(values):split])), tolerances, lists[-1])
 
 
+_SEQUENCES = frozenset({list, tuple})
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+
+def _layout(report: VerificationReport) -> tuple:
+    # What the reports of one stack share, as == tells: the check name, the key layout
+    # (with the length of each input that is a list) and the tolerance dict, by identity
+    # where a value is not a plain scalar (== of two arrays is no bool).
+    inputs, tolerances = report.inputs, report.tolerances
+    sizes = None if _SEQUENCES.isdisjoint(map(type, inputs.values())) else tuple(
+        len(v) if type(v) in _SEQUENCES else -1 for v in inputs.values())
+    if not _PLAIN.issuperset(map(type, tolerances.values())):
+        tolerances = id(tolerances)
+    return (report.check_name, sizes, tuple(inputs), tuple(report.values),
+            tuple(report.residuals), tolerances)
+
+
+def _one_value(column: tuple) -> bool:
+    # Whether JSON writes every entry of ``column`` as its first: equal ints or strs, or
+    # equal floats but 0.0 (JSON writes -0.0 apart), all of one type; else, one repr.
+    kind = type(column[0])
+    if {*map(type, column)} == {kind} and (kind is int or kind is str or kind is float
+                                           and column[0]):
+        return column.count(column[0]) == len(column)
+    return all(map(repr(column[0]).__eq__, map(repr, column)))
+
+
+def _columns(dicts: list[dict]) -> dict:
+    # {key: its value in each dict} of dicts with one key layout.
+    return dict(zip(dicts[0], zip(*map(dict.values, dicts))))
+
+
+def _group(reports: list[VerificationReport]) -> list[ReportStack]:
+    # Each run of consecutive reports with one _layout as a stack, if its check names and
+    # tolerances are each one value as JSON writes it (== joins 1, 1.0 and True), else
+    # each report alone.  A stack shares the longest prefix of input keys that hold one
+    # value; the rest are columns, so every key keeps its place.
+    stacks = []
+    for _, run in groupby(reports, _layout):
+        run = list(run)
+        one = [tuple(r.check_name for r in run), *_columns([r.tolerances for r in run]).values()]
+        for run in [run] if all(map(_one_value, one)) else [[r] for r in run]:
+            head = run[0]
+            inputs = _columns([r.inputs for r in run])
+            shared = dict(takewhile(lambda item: _one_value(item[1]), inputs.items()))
+            stacks.append(ReportStack(
+                head.check_name, {k: column[0] for k, column in shared.items()},
+                dict(islice(inputs.items(), len(shared), None)), _columns([r.values for r in run]),
+                _columns([r.residuals for r in run]), head.tolerances,
+                [bool(r.passed) for r in run]))
+    return stacks
+
+
+def _summary(stacks: list[ReportStack]) -> dict:
+    passed = sum(map(bool, chain.from_iterable(stack.passed for stack in stacks)))
+    total = sum(map(len, stacks))
+    return {"total": total, "passed": passed, "failed": total - passed}
+
+
 class SuiteResult:
     """The reports of a run, in order, with a pass/fail summary.
 
-    A run holds them as its trial stacks (``stacks``), each a ReportStack; ``summary``
-    and ``all_passed`` read the stacks' verdict columns.  ``reports`` is built from the
-    stacks when first read, and from then on is what the result holds: an edit to one
-    of its reports reaches ``to_json`` and ``dumps_canonical``.  ``SuiteResult(reports)``
-    holds ``reports`` itself.
+    ``stacks`` is the one form that is read, written and rendered: a run's trial stacks
+    until its ``reports`` are read (built from the stacks on first read, then held, so
+    that an edit to one reaches the file), and from then on, as for
+    ``SuiteResult(reports)``, the reports it holds grouped into stacks.
     """
 
     def __init__(self, reports: list[VerificationReport] | None = None, wall_time: float = 0.0,
                  *, stacks: list[ReportStack] | None = None):
         self._reports = [] if reports is None and stacks is None else reports
-        self.stacks = stacks or []
+        self._stacks = stacks or []
         self.wall_time = wall_time
 
     @property
     def reports(self) -> list[VerificationReport]:
         if self._reports is None:
-            self._reports = [r for stack in self.stacks for r in stack]
+            self._reports = [r for stack in self._stacks for r in stack]
         return self._reports
 
     @property
+    def stacks(self) -> list[ReportStack]:
+        return self._stacks if self._reports is None else _group(self._reports)
+
+    @property
     def summary(self) -> dict:
-        verdicts = ([p for stack in self.stacks for p in stack.passed] if self._reports is None
-                    else [r.passed for r in self._reports])
-        passed = sum(map(bool, verdicts))
-        return {"total": len(verdicts), "passed": passed, "failed": len(verdicts) - passed}
+        return _summary(self.stacks)
 
     @property
     def all_passed(self) -> bool:
@@ -233,13 +290,10 @@ class SuiteResult:
 _encode_scalars = c_make_encoder(None, methodcaller("tolist"), encode_basestring_ascii, None,
                                  ": ", "\x00", False, False, False)
 
-_SEQUENCES = frozenset({list, tuple})
-
-# Row %-templates by report layout, and the text of a stack's rows by its
-# layout and shared scalars (``_stack_text``).  A cache: what it holds never
-# changes an output byte; it is emptied when full.
+# The text of a stack's rows by their layout (``_stack_text``).  A cache: what
+# it holds never changes an output byte; it is emptied when full.
 TEMPLATE_LIMIT = 512
-_rows: dict[tuple, str | tuple] = {}
+_rows: dict[tuple, tuple] = {}
 
 
 def _block(items: list[str], level: int, brackets: str) -> str:
@@ -252,49 +306,12 @@ def _block(items: list[str], level: int, brackets: str) -> str:
 
 
 def _dict(keys, level: int, items=None) -> str:
-    # _block of a dict, each value written as its entry of ``items``, "%s" if
-    # left out.  Each key is escaped for ``%``; one that is not a str raises
-    # TypeError, which leaves the file to json.dumps.
-    items = items or ["%s"] * len(keys)
-    return _block([encode_basestring_ascii(k).replace("%", "%%") + ": " + item
-                   for k, item in zip(keys, items)], level, "{}")
-
-
-def _row_template(inputs: tuple, sizes: tuple | None, values: tuple, residuals: tuple,
-                  tolerances: tuple) -> str:
-    # One report as an item of the file's "reports" list, "%s" for each scalar;
-    # ``sizes`` gives the length of each input that is a list (-1 where it is
-    # a scalar), None when no input is.
-    lists = ["%s" if k < 0 else _block(["%s"] * k, 4, "[]") for k in sizes or [-1] * len(inputs)]
-    fields = {"check_name": "%s", "inputs": _dict(inputs, 3, lists), "values": _dict(values, 3),
-              "residuals": _dict(residuals, 3), "tolerances": _dict(tolerances, 3), "pass": "%s"}
-    return _dict(fields, 2, list(fields.values()))
-
-
-def _row(report: VerificationReport, scalars: list) -> str:
-    # The cached template of ``report``; its scalars go to ``scalars``, in written order.
-    inputs, values, residuals, tolerances = (report.inputs, report.values, report.residuals,
-                                             report.tolerances)
-    scalars.append(report.check_name)
-    if _SEQUENCES.isdisjoint(map(type, inputs.values())):
-        sizes = None
-        scalars += inputs.values()
-    else:
-        sizes = tuple(len(v) if type(v) in _SEQUENCES else -1 for v in inputs.values())
-        for v in inputs.values():
-            scalars += v if type(v) in _SEQUENCES else (v,)
-    scalars += values.values()
-    scalars += residuals.values()
-    scalars += tolerances.values()
-    scalars.append(bool(report.passed))
-    layout = (tuple(inputs), sizes, tuple(values), tuple(residuals), tuple(tolerances))
-    template = _rows.get(layout)
-    if template is None:
-        template = _row_template(*layout)
-        if len(_rows) >= TEMPLATE_LIMIT:
-            _rows.clear()
-        _rows[layout] = template
-    return template
+    # _block of a dict, each value written as its entry of ``items``, a NUL (the place
+    # of a scalar) if left out.  A key that is not a str raises TypeError, which leaves
+    # the file to json.dumps.
+    items = items or ["\x00"] * len(keys)
+    return _block([encode_basestring_ascii(k) + ": " + item for k, item in zip(keys, items)],
+                  level, "{}")
 
 
 def _stack_rows(stack: ReportStack, shared: list, scalars: list) -> tuple:
@@ -328,31 +345,23 @@ def _stack_rows(stack: ReportStack, shared: list, scalars: list) -> tuple:
     return layout, len(heads), len(stack)
 
 
-def _stack_text(key: tuple) -> tuple:
-    # The text of a stack's rows, cached by ``key``: its layout and its shared scalars
-    # as written, joined by NUL.  (head, middle, cycle, tail): a row's text before its
-    # first own scalar, between its own scalars and after its last, the shared ones
-    # written in; ``cycle`` is the text from a row's last own scalar to the next
-    # row's first, then ``middle``.
-    (inputs, sizes, columns, values, residuals, tolerances), text = key
+def _stack_text(layout: tuple) -> tuple:
+    # A row of a stack of ``layout`` as (fragments, shared), cached: the text around
+    # its scalars, and whether each scalar is one that every row of the stack shares.
+    inputs, sizes, columns, values, residuals, tolerances = layout
     shared = [True]
     for name, k in zip(inputs, sizes):
         shared += [name not in columns] * (1 if k < 0 else k)
     shared += [False] * (len(values) + len(residuals)) + [True] * len(tolerances) + [False]
-    template = _row_template(inputs, sizes, values, residuals, tolerances)
-    fragments = (template % (("\x00",) * len(shared))).split("\x00")
-    heads = iter(text.split("\x00"))
-    joined = [fragments[0]]
-    for fragment, one in zip(fragments[1:], shared):
-        if one:
-            joined[-1] += next(heads) + fragment
-        else:
-            joined.append(fragment)
-    middle = tuple(joined[1:-1])
-    found = joined[0], middle, (joined[-1] + ",\n    " + joined[0], *middle), joined[-1]
+    # One report as an item of the file's "reports" list, a NUL for each scalar.
+    lists = ["\x00" if k < 0 else _block(["\x00"] * k, 4, "[]") for k in sizes]
+    fields = {"check_name": "\x00", "inputs": _dict(inputs, 3, lists),
+              "values": _dict(values, 3), "residuals": _dict(residuals, 3),
+              "tolerances": _dict(tolerances, 3), "pass": "\x00"}
+    found = _dict(fields, 2, list(fields.values())).split("\x00"), shared
     if len(_rows) >= TEMPLATE_LIMIT:
         _rows.clear()
-    _rows[key] = found
+    _rows[layout] = found
     return found
 
 
@@ -365,43 +374,41 @@ def _pieces(scalars: list) -> list[str]:
     return text.split("\x00") if text else []
 
 
-def _stacks_written(result: SuiteResult) -> str:
-    # A run's file from its stacks' columns: each row is its stack's text (cached)
-    # around the row's own scalars.
+def _written(stacks: list[ReportStack], duplicates: list | None) -> str:
+    # The file from the stacks' columns: each row is its stack's text, with the stack's
+    # shared scalars written in, around the row's own scalars; ``duplicates``, when
+    # given, is the last key.
     shared: list = []
     scalars: list = []
-    stacks = [_stack_rows(stack, shared, scalars) for stack in result.stacks if stack]
-    pieces = _pieces(shared + scalars)
-    gaps, text, at = [], '{\n  "reports": [\n    ', 0
-    for layout, count, size in stacks:
-        key = layout, "\x00".join(pieces[at:at + count])
-        at += count
-        head, middle, cycle, tail = _rows.get(key) or _stack_text(key)
+    layouts = [_stack_rows(stack, shared, scalars) for stack in stacks if stack]
+    at, end = len(shared), len(shared) + len(scalars)
+    pieces = _pieces(shared + scalars + [*chain.from_iterable(duplicates or ())])
+    gaps, text, start = [], '{\n  "reports": [\n    ', 0
+    for layout, count, size in layouts:
+        fragments, flags = _rows.get(layout) or _stack_text(layout)
+        heads = iter(pieces[start:start + count])
+        start += count
+        joined = [fragments[0]]
+        for fragment, one in zip(fragments[1:], flags):
+            if one:
+                joined[-1] += next(heads) + fragment
+            else:
+                joined.append(fragment)
+        # A row's text before, between and after its own scalars; from the second row on,
+        # the text before them runs on from the last row's.
+        head, *middle, tail = joined
         gaps.append(text + head)
         gaps += middle
-        gaps += cycle * (size - 1)
+        gaps += [tail + ",\n    " + head, *middle] * (size - 1)
         text = tail + ",\n    "
     text = text[:-6] + "\n  ]" if gaps else text[:-5] + "]"
-    summary = ',\n  "summary": {\n    "total": %d,\n    "passed": %d,\n    "failed": %d\n  }\n}\n'
-    return ("".join(chain.from_iterable(zip(gaps, pieces[at:], strict=True))) + text
-            + summary % tuple(result.summary.values()))
-
-
-def _written(result: SuiteResult, duplicates: list | None) -> str:
-    # The file through the row templates: a run's from its stacks, until its
-    # reports are read.
-    if result._reports is None and duplicates is None:
-        return _stacks_written(result)
-    scalars: list = []
-    parts = {"reports": _block([_row(r, scalars) for r in result.reports], 1, "[]"),
-             "summary": _dict(("total", "passed", "failed"), 1)}
-    scalars += result.summary.values()
+    text += ',\n  "summary": {\n    "total": %d,\n    "passed": %d,\n    "failed": %d\n  }' % (
+        tuple(_summary(stacks).values()))
     if duplicates is not None:
-        parts["duplicates"] = _block([_block(["%s"] * len(d), 2, "[]") for d in duplicates],
-                                     1, "[]")
-        for d in duplicates:
-            scalars += d
-    return _dict(parts, 0, list(parts.values())) % tuple(_pieces(scalars)) + "\n"
+        text += (',\n  "duplicates": '
+                 + _block([_block(["%s"] * len(d), 2, "[]") for d in duplicates], 1, "[]")
+                 % tuple(pieces[end:]))
+    return "".join(chain.from_iterable(zip(gaps, pieces[at:end], strict=True))) + text + "\n}\n"
 
 
 def dumps_canonical(obj, duplicates: list | None = None) -> str:
@@ -409,23 +416,23 @@ def dumps_canonical(obj, duplicates: list | None = None) -> str:
 
     For a SuiteResult the payload is ``obj.to_json()``, with ``duplicates``
     (``mpjl report``'s list of duplicated trials) as its last key when given;
-    it is written without being built: each report fills the %-template of
-    its layout, and a run's stacks are written from their columns, each row
-    its stack's text (with what the rows share written in once) around the
-    row's own scalars (both cached, ``TEMPLATE_LIMIT``); one call of
-    CPython's C encoder writes every scalar of the file.  Anything else is
-    the payload itself, and goes to ``json.dumps``; so does a SuiteResult
-    holding a value that is not a plain scalar (or a list of them, in
-    ``inputs``), a number that is not finite, a key that is not a str or a
-    stack's input column of lists of several lengths (or of lists and
-    scalars): the reference call writes it or raises its own error.  On
-    that path a NaN or an infinity in a SuiteResult is written as ``null``:
-    strict JSON has no such number, and the report that holds it has failed
+    it is written without being built, from the result's stacks
+    (``SuiteResult.stacks``): each row is its stack's text, cached by
+    layout (``TEMPLATE_LIMIT``), with what the rows share written in once,
+    around the row's own scalars; one call of CPython's C encoder writes
+    every scalar of the file.  Anything else is the payload
+    itself, and goes to ``json.dumps``; so does a SuiteResult holding a
+    value that is not a plain scalar (or a list of them, in ``inputs``), a
+    number that is not finite, a key that is not a str or a run's input
+    column of lists of several lengths (or of lists and scalars): the
+    reference call writes it or raises its own error.  On that path a NaN
+    or an infinity in a SuiteResult is written as ``null``: strict JSON has
+    no such number, and the report that holds it has failed
     (``stack_reports``).
     """
     if isinstance(obj, SuiteResult):
         try:
-            return _written(obj, duplicates)
+            return _written(obj.stacks, duplicates)
         except (TypeError, ValueError, AttributeError):
             obj = json.loads(json.dumps(obj.to_json()), parse_constant=lambda name: None)
         if duplicates is not None:
@@ -436,15 +443,15 @@ def dumps_canonical(obj, duplicates: list | None = None) -> str:
 def render_text(result: SuiteResult, show_wall_time: bool = True) -> str:
     """Human-readable rendering of the same data as the JSON form; a residual that is not
     finite reads ``null``, as it does there."""
-    lines = []
-    for r in result.reports:
+    lines, stacks = [], result.stacks
+    for r in chain.from_iterable(stacks):
         status = "PASS" if r.passed else "FAIL"
         inputs = " ".join(f"{k}={v}" for k, v in _plain(r.inputs).items())
         resid = " ".join(f"{k}={v:.3e}" if v is not None and math.isfinite(v) else f"{k}=null"
                          for k, v in _plain(r.residuals).items()
                          if v is None or isinstance(v, float))
         lines.append(f"[{status}] {r.check_name} {inputs} {resid}".rstrip())
-    s = result.summary
+    s = _summary(stacks)
     lines.append(f"summary: total={s['total']} passed={s['passed']} failed={s['failed']}")
     if show_wall_time:
         lines.append(f"wall_time: {result.wall_time:.3f}s")

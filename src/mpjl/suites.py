@@ -389,11 +389,7 @@ def _run_stack(suite: str, cfg: RunConfig, trials: range) -> ReportStack:
     ``cfg`` is one that :func:`validate_config` accepts; its spectrum is not checked again.
     """
     stack, attempts = _checked_stack(*_SUITES[suite], cfg, trials, f"suite {suite} trial {{}}")
-    if isinstance(stack, ReportStack):
-        stack.columns.update(seed=[cfg.seed] * len(trials), trial=list(trials), attempt=attempts)
-    else:  # a check that returns its reports as a list
-        for report, trial, attempt in zip(stack, trials, attempts):
-            report.inputs.update(seed=cfg.seed, trial=trial, attempt=attempt)
+    stack.columns.update(seed=[cfg.seed] * len(trials), trial=list(trials), attempt=attempts)
     return stack
 
 
@@ -407,7 +403,4 @@ def run_suite(suite: str, cfg: RunConfig) -> SuiteResult:
             stacks.append(_run_stack(suite, cfg, trials))
         except MpjlError:  # each trial alone: the first error in trial order is raised
             stacks += [_run_stack(suite, cfg, range(t, t + 1)) for t in trials]
-    wall_time = time.perf_counter() - start
-    if all(isinstance(stack, ReportStack) for stack in stacks):
-        return SuiteResult(stacks=stacks, wall_time=wall_time)
-    return SuiteResult([report for stack in stacks for report in stack], wall_time)
+    return SuiteResult(stacks=stacks, wall_time=time.perf_counter() - start)

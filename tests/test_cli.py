@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -15,10 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_rank_q
-from mpjl import cli, matcore as mc, suites
+from mpjl import cli, matcore as mc, reports, suites
 from mpjl.cli import main
 from mpjl.errors import BadSpectrum, ConfigError, DegeneracyBudgetExceeded, DegenerateSpectrum
-from mpjl.reports import VerificationReport
+from mpjl.reports import ReportStack
 
 
 def run_cli(capsys, *argv):
@@ -413,6 +414,29 @@ def test_report_flags_duplicates(tmp_path, capsys):
                         "warning: duplicate trials for ['blocks', 5, 1]\n")
 
 
+def test_report_of_every_suite_is_written_from_stacks(tmp_path, capsys, monkeypatch):
+    # A merge of well-formed run files is written as one stack per run, from the
+    # stacks' columns, hausdorff's spectra of two lengths included: it never
+    # reaches json.dumps.
+    runs = [[suite, "--seed", "5"] for suite in suites.SUITE_NAMES]
+    runs.append(["hausdorff", "--seed", "6", "--q", "2"])
+    paths = [str(tmp_path / f"{i}.json") for i in range(len(runs))]
+    for run, path in zip(runs, paths):
+        assert main(["verify", *run, "--trials", "3", "--format", "json", "--out", path]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps wrote the merge")
+
+    stack_rows, written = reports._stack_rows, []
+    monkeypatch.setattr(reports, "json", types.SimpleNamespace(dumps=refuse))
+    monkeypatch.setattr(reports, "_stack_rows",
+                        lambda stack, *args: written.append(stack.check_name)
+                        or stack_rows(stack, *args))
+    code, out, _ = run_cli(capsys, "report", *paths, "--format", "json")
+    assert code == 0 and written == sorted(run[0] for run in runs)
+    assert json.loads(out)["summary"] == {"total": 27, "passed": 27, "failed": 0}
+
+
 def test_report_empty_is_ok(capsys):
     code, out, _ = run_cli(capsys, "report")
     assert code == 0
@@ -575,7 +599,7 @@ def test_retry_consumes_fresh_subseed(monkeypatch):
     def flaky(cfg, draws):
         if len(calls) < 3:
             raise DegenerateSpectrum("synthetic collision")
-        return [VerificationReport("stub", {}, {}, {}, {}, True) for _ in draws[0]]
+        return ReportStack("stub", {}, {}, {}, {}, {}, [True] * len(draws[0]))
 
     monkeypatch.setitem(suites._SUITES, "stub", (draw, flaky))
     [report] = suites._run_stack("stub", suites.RunConfig(trials=1, seed=4), range(1))

@@ -257,6 +257,19 @@ def _stub(inputs=None, values=None):
     return VerificationReport("c", inputs or {"n": 4}, values or {}, {"r": 0.0}, {"r": 1e-9}, True)
 
 
+def _blocks(trial, tol):
+    # A blocks report as a run writes it, its primary tolerance ``tol``.
+    return VerificationReport("blocks", {"n": 4, "m": 3, "q": 2, "seed": 5, "trial": trial},
+                              {}, {"roundtrip": 0.0, "pinv_blocks": 1e-9},
+                              {"roundtrip": 1e-10, "pinv_blocks": tol}, True)
+
+
+def _hausdorff(spectrum):
+    return VerificationReport("hausdorff", {"n": 4, "m": 3, "q": len(spectrum),
+                                            "spectrum": spectrum, "seed": 5, "trial": 0},
+                              {"log_density_x": 1.5}, {"identity": 0.0}, {"identity": 1e-10}, True)
+
+
 @given(suite_results())
 @example((SuiteResult(), None))
 @example((SuiteResult(), []))
@@ -266,6 +279,19 @@ def _stub(inputs=None, values=None):
 @example((SuiteResult([_stub(values={1: 2.0, None: True})]), None))
 @example((SuiteResult([_stub({"n%%": 4}, {"a%%b": "%d"})]), None))
 @example((SuiteResult([_stub({"spectrum": [[1.0], 2.0]})]), [["c", [0], 1]]))
+# Merged reports of one check whose tolerance dicts differ: a --tol run beside
+# a default one, and tolerances (or inputs) equal as numbers that JSON writes apart.
+@example((SuiteResult([_blocks(t, tol) for t, tol in enumerate([1e-8, 1e-3, 1e-3, 1e-8, 0.0,
+                                                                 -0.0, 0, False])]), []))
+@example((SuiteResult([_stub({"n": n, "m": 3}) for n in (0, 0, 0.0, -0.0, False)]), None))
+@example((SuiteResult([_hausdorff([2.0, 1.0]), _hausdorff([2.5, 1.5, 0.5]),
+                       _hausdorff([1.5, 0.5, 0.25]), _hausdorff([3.0, 1.0])]), None))
+@example((SuiteResult([_stub({"n": 4, "m": 3}, {"a": 1.0, "b": 2.0}),
+                       _stub({"m": 3, "n": 4}, {"a": 1.0, "b": 2.0}),
+                       _stub({"m": 3, "n": 4}, {"b": 2.0, "a": 1.0}),
+                       VerificationReport("d", {"m": 3, "n": 4}, {"b": 2.0, "a": 1.0}, {"r": 0.0},
+                                          {"r": 1e-9}, True)]), None))
+@example((SuiteResult(), [["blocks", 5, 0], ["blocks", 5, 1]]))
 def test_dumps_canonical_is_the_reference_encoding(case):
     result, duplicates = case
     assert dumps_canonical(result, duplicates) == _reference(result, duplicates)
@@ -394,7 +420,7 @@ def test_a_stack_reads_as_its_reports():
     stack = _stack(3, [[2.0, 1.0], [2.5, 0.5], [1.5, 1.0]], attempt=[0, 1, 0])
     built = list(stack)
     assert len(stack) == 3 and all(type(r) is VerificationReport for r in built)
-    assert built[1] == stack[1] == stack[-2] == stack[1:][0]
+    assert built[1] == stack[1] == stack[-2]
     assert built[1].inputs == {"n": 4, "m": 3, "q": 2, "spectrum": [2.5, 0.5], "seed": 5,
                                "trial": 1, "attempt": 1}
     assert built[1].values == {"log_density_x": 1.0, "one": 1.5}

@@ -157,7 +157,8 @@ def _draw_integers(n, m, q, rngs, spectrum):
 
 
 def _report_values(cfg, draws):
-    return [VerificationReport("stub", {}, {"v": int(v)}, {}, {}, True) for v in draws[0]]
+    return ReportStack("stub", {}, {}, {"v": [int(v) for v in draws[0]]}, {}, {},
+                       [True] * len(draws[0]))
 
 
 def test_degenerate_draw_falls_back_to_its_retry(monkeypatch):

@@ -7,7 +7,9 @@ For every ``verify`` op of the ``fd-chart``, ``dense-operator`` and
 ``cli-sweep`` workloads (their argv from ``perfbench/workloads.py``, seed
 1), ``cli.main(argv + ["--out", PATH])`` runs once to warm every cache,
 then once more under ``sys.setprofile``: argument parsing, the suite, the
-JSON writer and the file write, as the benchmark runs each op.  A library
+JSON writer and the file write, as the benchmark runs each op.  So does
+``cli-sweep``'s ``report`` op, ``report --format json --out PATH`` over
+the files its verify ops wrote: reading, merging and writing them.  A library
 call is any call of a function that is not ``mpjl``'s: a C function (a
 numpy function or method, a builtin) or a Python function of another
 module (argparse's among them), and so also each call that such Python
@@ -84,13 +86,19 @@ def main(argv=None) -> int:
     print(f"{'workload':<15} {'op':<20} {'calls':>6} {'cli':>5} {'suite':>6} {'report':>6}  "
           "largest callers")
     with tempfile.TemporaryDirectory(prefix="call-counts-") as work:
-        out = str(Path(work) / "out.json")
         for workload in ("fd-chart", "dense-operator", "cli-sweep"):
+            written = []
             for op in workloads.WORKLOADS[workload](random.Random(1)):
-                if op.kind != "verify":
+                out = str(Path(work) / f"{op.slot}.json")
+                if op.kind == "verify":
+                    argv = [*op.argv, "--out", out]
+                elif op.kind == "report":
+                    argv = ["report", *written, "--format", "json", "--out", out]
+                else:
                     continue
-                argv = [*op.argv, "--out", out]
                 cli.main(argv)
+                if op.kind == "verify" and Path(out).exists():
+                    written.append(out)
                 calls, within = _count(package, spans, lambda: cli.main(argv))
                 in_cli = sum(n for name, n in calls.items() if name.startswith("cli."))
                 top = ", ".join(f"{name} {n}" for name, n in calls.most_common(args.top))
