@@ -281,8 +281,8 @@ def _hausdorff(spectrum):
 @example((SuiteResult([_stub({"spectrum": [[1.0], 2.0]})]), [["c", [0], 1]]))
 # Merged reports of one check whose tolerance dicts differ: a --tol run beside
 # a default one, and tolerances (or inputs) equal as numbers that JSON writes apart.
-@example((SuiteResult([_blocks(t, tol) for t, tol in enumerate([1e-8, 1e-3, 1e-3, 1e-8, 0.0,
-                                                                 -0.0, 0, False])]), []))
+@example((SuiteResult([_blocks(t, tol) for t, tol in enumerate([1e-8, 1e-3, 1e-3, 1e-8, 0, False,
+                                                                 1e-8, 0.0, -0.0])]), []))
 @example((SuiteResult([_stub({"n": n, "m": 3}) for n in (0, 0, 0.0, -0.0, False)]), None))
 @example((SuiteResult([_hausdorff([2.0, 1.0]), _hausdorff([2.5, 1.5, 0.5]),
                        _hausdorff([1.5, 0.5, 0.25]), _hausdorff([3.0, 1.0])]), None))
