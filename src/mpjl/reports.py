@@ -2,15 +2,15 @@
 
 A VerificationReport is one check on one instance; a ReportStack is the
 reports of one check's trial stack, held as columns; a SuiteResult is an
-ordered list of reports with a pass/fail summary, read, written and
-rendered as stacks: a run's own, or the reports it holds grouped.  JSON
+ordered list of reports with a pass/fail summary, written and rendered
+as stacks: a run's own, or the reports it holds grouped.  JSON
 output is canonical: fixed key order, two-space indent, shortest-roundtrip
 float encoding, no volatile fields.  Identical inputs therefore produce
 byte-identical files; wall time is kept on the in-memory result and in the
 text rendering only.  ``dumps_canonical`` writes a SuiteResult exactly as
 ``json.dumps(result.to_json(), indent=2, allow_nan=False)`` would, from its
 stacks' columns, without building that dict or a report, or running json's
-pure-Python indenting encoder.
+pure-Python indenting encoder; ``render_text`` reads the same columns.
 
 Tolerance policy: every residual gates, held to its entry in ``TOLERANCES``, the
 one table of tolerances, and no residual repeats another: a full chart's
@@ -185,14 +185,14 @@ _PLAIN = frozenset({str, int, float, bool, type(None)})
 
 
 def _layout(report: VerificationReport) -> tuple:
-    # What the reports of one stack share, as == tells: the check name, the key layout
-    # (with the length of each input that is a list) and the tolerance dict, by identity
+    # What the reports of one stack share, as == tells: the check name, the key layout (with
+    # each input list's length) and the tolerances' items in order, or the dict's identity
     # where a value is not a plain scalar (== of two arrays is no bool).
     inputs, tolerances = report.inputs, report.tolerances
     sizes = None if _SEQUENCES.isdisjoint(map(type, inputs.values())) else tuple(
         len(v) if type(v) in _SEQUENCES else -1 for v in inputs.values())
-    if not _PLAIN.issuperset(map(type, tolerances.values())):
-        tolerances = id(tolerances)
+    tolerances = (tuple(tolerances.items()) if _PLAIN.issuperset(map(type, tolerances.values()))
+                  else id(tolerances))
     return (report.check_name, sizes, tuple(inputs), tuple(report.values),
             tuple(report.residuals), tolerances)
 
@@ -233,19 +233,13 @@ def _group(reports: list[VerificationReport]) -> list[ReportStack]:
     return stacks
 
 
-def _summary(stacks: list[ReportStack]) -> dict:
-    passed = sum(map(bool, chain.from_iterable(stack.passed for stack in stacks)))
-    total = sum(map(len, stacks))
-    return {"total": total, "passed": passed, "failed": total - passed}
-
-
 class SuiteResult:
     """The reports of a run, in order, with a pass/fail summary.
 
-    ``stacks`` is the one form that is read, written and rendered: a run's trial stacks
-    until its ``reports`` are read (built from the stacks on first read, then held, so
-    that an edit to one reaches the file), and from then on, as for
-    ``SuiteResult(reports)``, the reports it holds grouped into stacks.
+    ``stacks`` is the one form that is written and rendered: a run's trial stacks until its
+    ``reports`` are read (built from the stacks on first read, then held, so that an edit
+    to one reaches the file), then, as for ``SuiteResult(reports)``, the reports it holds
+    grouped.  ``summary`` counts the verdicts of the form held, without grouping.
     """
 
     def __init__(self, reports: list[VerificationReport] | None = None, wall_time: float = 0.0,
@@ -266,17 +260,17 @@ class SuiteResult:
 
     @property
     def summary(self) -> dict:
-        return _summary(self.stacks)
+        verdicts = ([p for stack in self._stacks for p in stack.passed] if self._reports is None
+                    else [r.passed for r in self._reports])
+        passed = sum(map(bool, verdicts))
+        return {"total": len(verdicts), "passed": passed, "failed": len(verdicts) - passed}
 
     @property
     def all_passed(self) -> bool:
         return self.summary["failed"] == 0
 
     def to_json(self) -> dict:
-        return {
-            "reports": [r.to_json() for r in self.reports],
-            "summary": self.summary,
-        }
+        return {"reports": [r.to_json() for r in self.reports], "summary": self.summary}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SuiteResult":
@@ -290,8 +284,8 @@ class SuiteResult:
 _encode_scalars = c_make_encoder(None, methodcaller("tolist"), encode_basestring_ascii, None,
                                  ": ", "\x00", False, False, False)
 
-# The text of a stack's rows by their layout (``_stack_text``).  A cache: what
-# it holds never changes an output byte; it is emptied when full.
+# The text of a stack's rows by their layout and shared scalars (``_stack_text``).
+# A cache: what it holds never changes an output byte; it is emptied when full.
 TEMPLATE_LIMIT = 512
 _rows: dict[tuple, tuple] = {}
 
@@ -345,28 +339,34 @@ def _stack_rows(stack: ReportStack, shared: list, scalars: list) -> tuple:
     return layout, len(heads), len(stack)
 
 
-def _stack_text(layout: tuple) -> tuple:
-    # A row of a stack of ``layout`` as (fragments, shared), cached: the text around
-    # its scalars, and whether each scalar is one that every row of the stack shares.
-    inputs, sizes, columns, values, residuals, tolerances = layout
-    shared = [True]
-    for name, k in zip(inputs, sizes):
-        shared += [name not in columns] * (1 if k < 0 else k)
-    shared += [False] * (len(values) + len(residuals)) + [True] * len(tolerances) + [False]
-    # One report as an item of the file's "reports" list, a NUL for each scalar.
-    lists = ["\x00" if k < 0 else _block(["\x00"] * k, 4, "[]") for k in sizes]
-    fields = {"check_name": "\x00", "inputs": _dict(inputs, 3, lists),
+def _stack_text(key: tuple) -> tuple:
+    # The text of a stack's rows, cached by ``key``: its layout and its shared scalars
+    # as written, joined by NUL.  (head, middle, cycle, tail): a row's text before its
+    # first own scalar, between its own scalars and after its last; ``cycle`` is the
+    # text from a row's last own scalar to the next row's first, then ``middle``.
+    (inputs, sizes, columns, values, residuals, tolerances), text = key
+    heads = iter(text.split("\x00"))
+    check = next(heads)
+
+    def item(name):  # an input's scalar: a NUL (a row's own) or its shared text
+        return "\x00" if name in columns else next(heads)
+
+    # One report as an item of the file's "reports" list, a NUL for each own scalar.
+    lists = [item(name) if k < 0 else _block([item(name) for _ in range(k)], 4, "[]")
+             for name, k in zip(inputs, sizes)]
+    fields = {"check_name": check, "inputs": _dict(inputs, 3, lists),
               "values": _dict(values, 3), "residuals": _dict(residuals, 3),
-              "tolerances": _dict(tolerances, 3), "pass": "\x00"}
-    found = _dict(fields, 2, list(fields.values())).split("\x00"), shared
+              "tolerances": _dict(tolerances, 3, list(heads)), "pass": "\x00"}
+    head, *middle, tail = _dict(fields, 2, list(fields.values())).split("\x00")
+    found = head, tuple(middle), (tail + ",\n    " + head, *middle), tail
     if len(_rows) >= TEMPLATE_LIMIT:
         _rows.clear()
-    _rows[layout] = found
+    _rows[key] = found
     return found
 
 
 def _pieces(scalars: list) -> list[str]:
-    # Each scalar as written, by one C-encoder call per file; ValueError where the
+    # Each scalar as written, by one C-encoder call; ValueError where the
     # encoder wrote a container in a scalar's place.
     text = "".join(_encode_scalars(scalars, 0))[1:-1]
     if text.startswith(("[", "{")) or "\x00[" in text or "\x00{" in text:
@@ -374,41 +374,31 @@ def _pieces(scalars: list) -> list[str]:
     return text.split("\x00") if text else []
 
 
-def _written(stacks: list[ReportStack], duplicates: list | None) -> str:
+def _written(stacks: list[ReportStack], summary: dict, duplicates: list | None) -> str:
     # The file from the stacks' columns: each row is its stack's text, with the stack's
     # shared scalars written in, around the row's own scalars; ``duplicates``, when
     # given, is the last key.
     shared: list = []
     scalars: list = []
     layouts = [_stack_rows(stack, shared, scalars) for stack in stacks if stack]
-    at, end = len(shared), len(shared) + len(scalars)
-    pieces = _pieces(shared + scalars + [*chain.from_iterable(duplicates or ())])
+    pieces = _pieces(shared + scalars)
     gaps, text, start = [], '{\n  "reports": [\n    ', 0
     for layout, count, size in layouts:
-        fragments, flags = _rows.get(layout) or _stack_text(layout)
-        heads = iter(pieces[start:start + count])
+        key = layout, "\x00".join(pieces[start:start + count])
         start += count
-        joined = [fragments[0]]
-        for fragment, one in zip(fragments[1:], flags):
-            if one:
-                joined[-1] += next(heads) + fragment
-            else:
-                joined.append(fragment)
-        # A row's text before, between and after its own scalars; from the second row on,
-        # the text before them runs on from the last row's.
-        head, *middle, tail = joined
+        head, middle, cycle, tail = _rows.get(key) or _stack_text(key)
         gaps.append(text + head)
         gaps += middle
-        gaps += [tail + ",\n    " + head, *middle] * (size - 1)
+        gaps += cycle * (size - 1)
         text = tail + ",\n    "
     text = text[:-6] + "\n  ]" if gaps else text[:-5] + "]"
     text += ',\n  "summary": {\n    "total": %d,\n    "passed": %d,\n    "failed": %d\n  }' % (
-        tuple(_summary(stacks).values()))
+        tuple(summary.values()))
     if duplicates is not None:
         text += (',\n  "duplicates": '
                  + _block([_block(["%s"] * len(d), 2, "[]") for d in duplicates], 1, "[]")
-                 % tuple(pieces[end:]))
-    return "".join(chain.from_iterable(zip(gaps, pieces[at:end], strict=True))) + text + "\n}\n"
+                 % tuple(_pieces([*chain.from_iterable(duplicates)])))
+    return "".join(chain.from_iterable(zip(gaps, pieces[start:], strict=True))) + text + "\n}\n"
 
 
 def dumps_canonical(obj, duplicates: list | None = None) -> str:
@@ -417,22 +407,22 @@ def dumps_canonical(obj, duplicates: list | None = None) -> str:
     For a SuiteResult the payload is ``obj.to_json()``, with ``duplicates``
     (``mpjl report``'s list of duplicated trials) as its last key when given;
     it is written without being built, from the result's stacks
-    (``SuiteResult.stacks``): each row is its stack's text, cached by
-    layout (``TEMPLATE_LIMIT``), with what the rows share written in once,
-    around the row's own scalars; one call of CPython's C encoder writes
-    every scalar of the file.  Anything else is the payload
-    itself, and goes to ``json.dumps``; so does a SuiteResult holding a
-    value that is not a plain scalar (or a list of them, in ``inputs``), a
-    number that is not finite, a key that is not a str or a run's input
-    column of lists of several lengths (or of lists and scalars): the
-    reference call writes it or raises its own error.  On that path a NaN
-    or an infinity in a SuiteResult is written as ``null``: strict JSON has
-    no such number, and the report that holds it has failed
-    (``stack_reports``).
+    (``SuiteResult.stacks``): each row is its stack's text, with what the
+    rows share written in once, around the row's own scalars, cached by the
+    stack's layout and shared scalars (``TEMPLATE_LIMIT``); one call of
+    CPython's C encoder writes every scalar of the rows, one more those of
+    ``duplicates``.  Anything else is the payload itself, and goes to
+    ``json.dumps``; so does a SuiteResult holding a value that is not a
+    plain scalar (or a list of them, in ``inputs``), a number that is not
+    finite, a key that is not a str or a run's input column of lists of
+    several lengths (or of lists and scalars): the reference call writes it
+    or raises its own error.  On that path a NaN or an infinity in a
+    SuiteResult is written as ``null``: strict JSON has no such number, and
+    the report that holds it has failed (``stack_reports``).
     """
     if isinstance(obj, SuiteResult):
         try:
-            return _written(obj.stacks, duplicates)
+            return _written(obj.stacks, obj.summary, duplicates)
         except (TypeError, ValueError, AttributeError):
             obj = json.loads(json.dumps(obj.to_json()), parse_constant=lambda name: None)
         if duplicates is not None:
@@ -443,15 +433,22 @@ def dumps_canonical(obj, duplicates: list | None = None) -> str:
 def render_text(result: SuiteResult, show_wall_time: bool = True) -> str:
     """Human-readable rendering of the same data as the JSON form; a residual that is not
     finite reads ``null``, as it does there."""
-    lines, stacks = [], result.stacks
-    for r in chain.from_iterable(stacks):
-        status = "PASS" if r.passed else "FAIL"
-        inputs = " ".join(f"{k}={v}" for k, v in _plain(r.inputs).items())
-        resid = " ".join(f"{k}={v:.3e}" if v is not None and math.isfinite(v) else f"{k}=null"
-                         for k, v in _plain(r.residuals).items()
-                         if v is None or isinstance(v, float))
-        lines.append(f"[{status}] {r.check_name} {inputs} {resid}".rstrip())
-    s = _summary(stacks)
+    lines = []
+    for stack in result.stacks:
+        # Each input and residual as its text in each row, from the stack's columns: an
+        # input as k=v, one text for every row where the rows share it; a residual that
+        # is a float (or null) as k=%.3e, else "", which is left out.
+        inputs = [[f"{k}={x}" for x in _plain(v)] if k in stack.columns
+                  else [f"{k}={_plain(v)}"] * len(stack)
+                  for k, v in (stack.inputs | stack.columns).items()]
+        resid = [["" if v is not None and not isinstance(v, float) else f"{k}={v:.3e}"
+                  if v is not None and math.isfinite(v) else f"{k}=null" for v in _plain(column)]
+                 for k, column in stack.residuals.items()]
+        for passed, *texts in zip(stack.passed, *inputs, *resid):
+            lines.append(f"[{'PASS' if passed else 'FAIL'}] {stack.check_name} "
+                         f"{' '.join(texts[:len(inputs)])} "
+                         f"{' '.join(filter(None, texts[len(inputs):]))}".rstrip())
+    s = result.summary
     lines.append(f"summary: total={s['total']} passed={s['passed']} failed={s['failed']}")
     if show_wall_time:
         lines.append(f"wall_time: {result.wall_time:.3f}s")

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from mpjl import reports, suites
-from mpjl.reports import PRIMARY, TOLERANCES, SuiteResult, VerificationReport, dumps_canonical
+from mpjl.reports import (PRIMARY, TOLERANCES, SuiteResult, VerificationReport, dumps_canonical,
+                          render_text)
 
 CHECKS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
 
@@ -291,6 +292,8 @@ def _hausdorff(spectrum):
                        _stub({"m": 3, "n": 4}, {"b": 2.0, "a": 1.0}),
                        VerificationReport("d", {"m": 3, "n": 4}, {"b": 2.0, "a": 1.0}, {"r": 0.0},
                                           {"r": 1e-9}, True)]), None))
+@example((SuiteResult([VerificationReport("c", {"n": 4}, {}, {"r": 0.0, "s": 0.0}, tolerances, True)
+                       for tolerances in ({"r": 1e-9, "s": 1e-9}, {"s": 1e-9, "r": 1e-9})]), None))
 @example((SuiteResult(), [["blocks", 5, 0], ["blocks", 5, 1]]))
 def test_dumps_canonical_is_the_reference_encoding(case):
     result, duplicates = case
@@ -401,6 +404,26 @@ def test_dumps_canonical_writes_stacks_as_the_reference(case):
     from_stacks = not edited and duplicates is None and finite and regular
     assert not from_stacks or result._reports is None
     assert written == _reference_of_run(result, duplicates)
+
+
+@given(suite_results() | stack_results())
+@example((SuiteResult([VerificationReport("c", {}, {}, {"r": 0.0, "s": "x", "t": None},
+                                          {"r": 1e-9}, False)]), None))
+def test_render_text_reads_as_each_report(case):
+    # render_text writes a stack's rows from its columns; each line is the
+    # report's as rendered one by one.
+    result = case[0]
+    text = render_text(result, show_wall_time=False)
+    lines = []
+    for r in result.reports:
+        inputs = " ".join(f"{k}={v}" for k, v in reports._plain(r.inputs).items())
+        resid = " ".join(f"{k}={v:.3e}" if v is not None and math.isfinite(v) else f"{k}=null"
+                         for k, v in reports._plain(r.residuals).items()
+                         if v is None or isinstance(v, float))
+        lines.append(f"[{'PASS' if r.passed else 'FAIL'}] {r.check_name} {inputs} {resid}".rstrip())
+    s = result.summary
+    lines.append(f"summary: total={s['total']} passed={s['passed']} failed={s['failed']}")
+    assert text == "\n".join(lines) + "\n"
 
 
 def test_reports_read_and_edited_before_writing_reach_the_file():
