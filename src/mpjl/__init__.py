@@ -1,12 +1,13 @@
 """mpjl: pseudoinverse Jacobians, measure densities, and their oracles.
 
-The library computes the analytic differential and Jacobian operator of
-the Moore-Penrose inverse, the logs of the closed-form determinant and
-density factors for both full-rank and rank-deficient matrices, and
-independent oracles for every formula: forward-mode chart derivatives,
-exact tangent maps and the closed-form chart volumes of the area formula.  The
-``mpjl`` CLI runs the seeded verification suites and emits reproducible
-JSON reports.
+The library computes the analytic differential of the Moore-Penrose
+inverse, the spectrum of its Jacobian operator read from its factors
+(only the tests build the operator), the logs of the closed-form
+determinant and density factors for full-rank and rank-deficient
+matrices, and independent oracles for every formula: forward-mode chart
+derivatives, exact tangent maps and the closed-form chart volumes of the
+area formula.  The ``mpjl`` CLI runs the seeded verification suites and
+emits reproducible JSON reports.
 """
 
 from .chart import (

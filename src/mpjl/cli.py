@@ -18,7 +18,7 @@ import sys
 
 from .errors import BadSpectrum, ConfigError, DegeneracyBudgetExceeded, MpjlError, ParseError
 from .matcore import draw_rank_q, matrix_to_json, svd_thin
-from .reports import SuiteResult, dumps_canonical, render_text
+from .reports import SuiteResult, VerificationReport, dumps_canonical, render_text
 from .suites import SUITE_NAMES, RunConfig, _checked_stack, _instances, run_suite, validate_config
 
 _DEFAULTS = RunConfig()
@@ -170,13 +170,13 @@ def _finite_number(literal: str) -> float:
 _DECODER = json.JSONDecoder(parse_float=_finite_number, parse_constant=_finite_number)
 
 
-def _load_result(path: str) -> SuiteResult:
+def _load_reports(path: str) -> list[VerificationReport]:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         if text.startswith("\ufeff"):  # json.loads' refusal, which the decoder lacks
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        return SuiteResult.from_json(_DECODER.decode(text))
+        return [VerificationReport.from_json(r) for r in _DECODER.decode(text)["reports"]]
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise ParseError(f"cannot parse report file {path}: {e}") from e
 
@@ -187,10 +187,10 @@ def _trial_key(report) -> tuple:
 
 
 def cmd_report(args) -> int:
-    merged = SuiteResult(sorted([r for path in args.paths for r in _load_result(path).reports],
-                                key=_trial_key))
-    counts = collections.Counter(map(_trial_key, merged.reports))  # in sorted order
+    reports = sorted([r for path in args.paths for r in _load_reports(path)], key=_trial_key)
+    counts = collections.Counter(map(_trial_key, reports))  # in sorted order
     duplicates = [list(key) for key, count in counts.items() if count > 1]
+    merged = SuiteResult(reports)  # grouped into stacks once, here
     text = dumps_canonical(merged, duplicates) if args.format == "json" else (
         render_text(merged, show_wall_time=False)
         + "".join(f"warning: duplicate trials for {key}\n" for key in duplicates))

@@ -1,9 +1,9 @@
 """Structured results of formula-vs-oracle comparisons.
 
 A VerificationReport is one check on one instance; a ReportStack is the
-reports of one check's trial stack, held as columns; a SuiteResult is an
-ordered list of reports with a pass/fail summary, written and rendered
-as stacks: a run's own, or the reports it holds grouped.  JSON
+reports of one check's trial stack, held as columns; a SuiteResult is the
+reports of a run with a pass/fail summary, held, written and rendered as
+stacks: a run's own, or the reports it is made from, grouped.  JSON
 output is canonical: fixed key order, two-space indent, shortest-roundtrip
 float encoding, no volatile fields.  Identical inputs therefore produce
 byte-identical files; wall time is kept on the in-memory result and in the
@@ -234,34 +234,26 @@ def _group(reports: list[VerificationReport]) -> list[ReportStack]:
 
 
 class SuiteResult:
-    """The reports of a run, in order, with a pass/fail summary.
+    """The reports of a run, in order, with a pass/fail summary, held as ``stacks``: a run's
+    trial stacks, or the reports a result is made from, grouped once (``_group``).
 
-    ``stacks`` is the one form that is written and rendered: a run's trial stacks until its
-    ``reports`` are read (built from the stacks on first read, then held, so that an edit
-    to one reaches the file), then, as for ``SuiteResult(reports)``, the reports it holds
-    grouped.  ``summary`` counts the verdicts of the form held, without grouping.
+    ``stacks`` is the one stored form; ``summary``, the writer and ``render_text`` read it.
+    ``reports`` builds each report from the stacks on every read, so a report read from a
+    result is a copy: an edit to it reaches neither the result nor its file.
     """
 
     def __init__(self, reports: list[VerificationReport] | None = None, wall_time: float = 0.0,
                  *, stacks: list[ReportStack] | None = None):
-        self._reports = [] if reports is None and stacks is None else reports
-        self._stacks = stacks or []
+        self.stacks = (stacks or []) if reports is None else _group(reports)
         self.wall_time = wall_time
 
     @property
     def reports(self) -> list[VerificationReport]:
-        if self._reports is None:
-            self._reports = [r for stack in self._stacks for r in stack]
-        return self._reports
-
-    @property
-    def stacks(self) -> list[ReportStack]:
-        return self._stacks if self._reports is None else _group(self._reports)
+        return [r for stack in self.stacks for r in stack]
 
     @property
     def summary(self) -> dict:
-        verdicts = ([p for stack in self._stacks for p in stack.passed] if self._reports is None
-                    else [r.passed for r in self._reports])
+        verdicts = [p for stack in self.stacks for p in stack.passed]
         passed = sum(map(bool, verdicts))
         return {"total": len(verdicts), "passed": passed, "failed": len(verdicts) - passed}
 

@@ -21,7 +21,7 @@ from . import chart, differential, matcore, measures
 from .errors import (
     ConfigError, DegeneracyBudgetExceeded, DegenerateSpectrum, MpjlError, ShapeMismatch,
 )
-from .reports import PRIMARY, ReportStack, SuiteResult, VerificationReport, stack_reports
+from .reports import PRIMARY, ReportStack, SuiteResult, stack_reports
 
 RETRY_BUDGET = 3
 
@@ -243,7 +243,7 @@ def _check_exterior_chain(cfg: RunConfig, draws: tuple) -> ReportStack:
 WITNESS_DEVIATION = 0.05
 
 
-def judge_invariance(x, q: int, h, qmat) -> list[VerificationReport]:
+def judge_invariance(x, q: int, h, qmat) -> ReportStack:
     """Exact chart Jacobian of X -> H X Q for orthogonal H, Q against the area formula
     log|det| = V_in - V_out: as ``deviation`` ||det| - 1| on a full chart (both volumes 0),
     as ``volume`` on a deficient one, whose deviation is a value, evidence that the
@@ -257,7 +257,7 @@ def judge_invariance(x, q: int, h, qmat) -> list[VerificationReport]:
         gap = np.max(np.abs(f.swapaxes(-1, -2) @ f - np.eye(f.shape[-1])))
         if gap > 1e-12:
             raise ValueError(f"{name} factor deviates from orthogonality by {gap:.2e}")
-    return list(_judge_invariance(matcore.as_stack(x), q, h, qmat))
+    return _judge_invariance(matcore.as_stack(x), q, h, qmat)
 
 
 def _judge_invariance(x: np.ndarray, q: int, h, qmat) -> ReportStack:

@@ -1,5 +1,7 @@
 """Test oracles and fixture builders that the library itself does not need."""
 
+import math
+
 import numpy as np
 
 from mpjl import suites
@@ -255,6 +257,39 @@ def pinv_chart_log_det(x, q: int) -> tuple[float, float]:
     n, m = x.shape
     spectral = -2 * (n + m - q) * np.log(rank_profile(x).singular_values[:q])
     return spectral.sum(), np.abs(spectral).sum()
+
+
+def log_stiefel_volume(k: int, n: int) -> float:
+    """log Vol(V_{k,n}) = log(2^k pi^(kn/2) / Gamma_k(n/2)) (Muirhead Thm 2.1.15), where
+    Gamma_k(a) = pi^(k(k-1)/4) prod_{i<k} Gamma(a - i/2); 0 at k = 0."""
+    return (k * math.log(2.0) + k * n / 2 * math.log(math.pi) - k * (k - 1) / 4 * math.log(math.pi)
+            - sum(math.lgamma(n / 2 - i / 2) for i in range(k)))
+
+
+def log_gaussian_mass(n: int, m: int, q: int, density, nodes: int = 40, top: float = 12.0):
+    """log of the Gaussian mass of all n x m matrices, int exp(-|Z|^2/2) dZ = (2 pi)^(nm/2),
+    in SVD coordinates through the rank-q density ``density(n, m, d)``.
+
+    With p = min(n, m), the ordered spectrum s_1 > ... > s_p > 0 of Z splits into its top
+    q values d (its rank-q truncation, Eckart-Young) and the rest c.  The full-rank density
+    of s is density(n, m, d) density(n-q, m-q, c) prod_{i,j}(d_i^2 - c_j^2) / prod
+    d_i^(2(p-q)), and the frames' volumes split as Vol(V_{q,n}) Vol(V_{p-q,n-q}), the same
+    for m; at q = p, c is empty.  The integral over s is a tensor Gauss-Legendre rule of
+    ``nodes`` per axis over its increments s_i - s_{i+1} (s_{p+1} = 0) on [0, top]."""
+    p = min(n, m)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    grid = np.stack(np.meshgrid(*[np.arange(nodes)] * p, indexing="ij"), axis=-1).reshape(-1, p)
+    s = np.cumsum(((x + 1.0) * top / 2)[grid][:, ::-1], axis=-1)[:, ::-1]
+    d, c = s[:, :q], s[:, q:]
+    log_f = np.log(w * top / 2)[grid].sum(axis=-1) + density(n, m, d) - (s * s).sum(axis=-1) / 2
+    if q < p:
+        cross = np.log(d[:, :, None] - c[:, None, :]) + np.log(d[:, :, None] + c[:, None, :])
+        log_f += (density(n - q, m - q, c) + cross.sum(axis=(1, 2))
+                  - 2 * (p - q) * np.log(d).sum(axis=-1))
+    peak = log_f.max()
+    return (peak + math.log(np.exp(log_f - peak).sum()) + log_stiefel_volume(q, n)
+            + log_stiefel_volume(p - q, n - q) + log_stiefel_volume(q, m)
+            + log_stiefel_volume(p - q, m - q))
 
 
 def penrose_residuals(x, y) -> tuple[float, float, float, float]:

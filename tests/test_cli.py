@@ -414,15 +414,23 @@ def test_report_flags_duplicates(tmp_path, capsys):
                         "warning: duplicate trials for ['blocks', 5, 1]\n")
 
 
+# A run file of every suite, 3 trials each at seed 5, and hausdorff at q=2 (seed 6).
+EVERY_SUITE = [[suite, "--seed", "5"] for suite in suites.SUITE_NAMES] + [
+    ["hausdorff", "--seed", "6", "--q", "2"]]
+
+
+def _every_suite_files(tmp_path) -> list[str]:
+    paths = [str(tmp_path / f"{i}.json") for i in range(len(EVERY_SUITE))]
+    for run, path in zip(EVERY_SUITE, paths):
+        assert main(["verify", *run, "--trials", "3", "--format", "json", "--out", path]) == 0
+    return paths
+
+
 def test_report_of_every_suite_is_written_from_stacks(tmp_path, capsys, monkeypatch):
     # A merge of well-formed run files is written as one stack per run, from the
     # stacks' columns, hausdorff's spectra of two lengths included: it never
     # reaches json.dumps.
-    runs = [[suite, "--seed", "5"] for suite in suites.SUITE_NAMES]
-    runs.append(["hausdorff", "--seed", "6", "--q", "2"])
-    paths = [str(tmp_path / f"{i}.json") for i in range(len(runs))]
-    for run, path in zip(runs, paths):
-        assert main(["verify", *run, "--trials", "3", "--format", "json", "--out", path]) == 0
+    paths = _every_suite_files(tmp_path)
 
     def refuse(*args, **kwargs):
         raise AssertionError("json.dumps wrote the merge")
@@ -433,8 +441,26 @@ def test_report_of_every_suite_is_written_from_stacks(tmp_path, capsys, monkeypa
                         lambda stack, *args: written.append(stack.check_name)
                         or stack_rows(stack, *args))
     code, out, _ = run_cli(capsys, "report", *paths, "--format", "json")
-    assert code == 0 and written == sorted(run[0] for run in runs)
+    assert code == 0 and written == sorted(run[0] for run in EVERY_SUITE)
     assert json.loads(out)["summary"] == {"total": 27, "passed": 27, "failed": 0}
+
+
+@pytest.mark.parametrize("twice", [False, True])
+def test_report_of_a_merge_writes_the_merge_again(tmp_path, monkeypatch, twice):
+    # Merging a merged file writes it again byte for byte, with its duplicates
+    # (a run file merged twice) or without; each merge groups its reports once.
+    paths = _every_suite_files(tmp_path)
+    paths += paths[:1] if twice else []
+    group, grouped = reports._group, []
+    monkeypatch.setattr(reports, "_group", lambda made: grouped.append(len(made)) or group(made))
+    merged, again = tmp_path / "merged.json", tmp_path / "again.json"
+    assert main(["report", *paths, "--format", "json", "--out", str(merged)]) == 0
+    assert main(["report", str(merged), "--format", "json", "--out", str(again)]) == 0
+    assert again.read_bytes() == merged.read_bytes()
+    total = 30 if twice else 27
+    assert grouped == [total, total]
+    written = json.loads(merged.read_text())
+    assert written["summary"]["total"] == total and len(written["duplicates"]) == 3 * twice
 
 
 def test_report_empty_is_ok(capsys):

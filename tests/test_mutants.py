@@ -190,7 +190,9 @@ MUTANTS = {
 SURVIVORS = {
     # 2^-q enters both log densities of the ratio check and cancels from
     # its identity.
-    "density-2^-q-dropped": "ROADMAP item 4: an independent oracle for the spectral density",
+    "density-2^-q-dropped": "ROADMAP item 23: only the global Gaussian mass sees the 2^-q; "
+                            "test_density_constants_give_the_gaussian_mass kills this mutant "
+                            "at p <= 3, and this run's p = 8 is beyond its quadrature",
     # S is symmetric in exact arithmetic, so the missing average moves S by
     # rounding only: test_pair_operator_is_exactly_symmetric sees it, no run does.
     "pair-factors-unsymmetrized": "ROADMAP item 3: operator-rank's leak grows by a factor 1.41 "

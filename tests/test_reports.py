@@ -221,11 +221,11 @@ REPORT_KEYS = st.sampled_from(["a", "fd_chart_det", "%", "%s", "100%", "a%%b", "
 
 
 @st.composite
-def suite_results(draw):
-    # A SuiteResult and the duplicates written with it (None: no such key).
-    # Its reports share a few layouts (repeated and mixed); about half the
-    # results hold one value that is not a plain scalar (a nested list or
-    # object, or an array), which the writer leaves to json.dumps.
+def made_reports(draw):
+    # The reports of a SuiteResult and the duplicates written with it (None:
+    # no such key).  The reports share a few layouts (repeated and mixed);
+    # about half the results hold one value that is not a plain scalar (a
+    # nested list or object, or an array), which the writer leaves to json.dumps.
     layouts = draw(st.lists(st.tuples(st.lists(REPORT_KEYS, unique=True, max_size=4),
                                       st.lists(REPORT_KEYS, unique=True, max_size=2),
                                       st.none() | st.integers(0, 4)), min_size=1, max_size=4))
@@ -251,7 +251,7 @@ def suite_results(draw):
             st.lists(PAYLOADS, min_size=1, max_size=3) | st.dictionaries(REPORT_KEYS, PAYLOADS)
             | st.just(np.arange(4.0).reshape(2, 2)))
     duplicates = draw(st.none() | st.lists(st.lists(SCALARS, min_size=3, max_size=3), max_size=3))
-    return SuiteResult(reports=made), duplicates
+    return made, duplicates
 
 
 def _stub(inputs=None, values=None):
@@ -271,33 +271,39 @@ def _hausdorff(spectrum):
                               {"log_density_x": 1.5}, {"identity": 0.0}, {"identity": 1e-10}, True)
 
 
-@given(suite_results())
-@example((SuiteResult(), None))
-@example((SuiteResult(), []))
-@example((SuiteResult([_stub({"spectrum": []}), _stub({"spectrum": [1.0]}), _stub()]),
-          [["c", 1, 2]]))
-@example((SuiteResult([_stub(values={"x": [[1.0]]}), _stub(values={"x": {"y": [1]}})]), None))
-@example((SuiteResult([_stub(values={1: 2.0, None: True})]), None))
-@example((SuiteResult([_stub({"n%%": 4}, {"a%%b": "%d"})]), None))
-@example((SuiteResult([_stub({"spectrum": [[1.0], 2.0]})]), [["c", [0], 1]]))
+@given(made_reports())
+@example(([], None))
+@example(([], []))
+@example(([_stub({"spectrum": []}), _stub({"spectrum": [1.0]}), _stub()], [["c", 1, 2]]))
+@example(([_stub(values={"x": [[1.0]]}), _stub(values={"x": {"y": [1]}})], None))
+@example(([_stub(values={1: 2.0, None: True})], None))
+@example(([_stub({"n%%": 4}, {"a%%b": "%d"})], None))
+@example(([_stub({"spectrum": [[1.0], 2.0]})], [["c", [0], 1]]))
 # Merged reports of one check whose tolerance dicts differ: a --tol run beside
 # a default one, and tolerances (or inputs) equal as numbers that JSON writes apart.
-@example((SuiteResult([_blocks(t, tol) for t, tol in enumerate([1e-8, 1e-3, 1e-3, 1e-8, 0, False,
-                                                                 1e-8, 0.0, -0.0])]), []))
-@example((SuiteResult([_stub({"n": n, "m": 3}) for n in (0, 0, 0.0, -0.0, False)]), None))
-@example((SuiteResult([_hausdorff([2.0, 1.0]), _hausdorff([2.5, 1.5, 0.5]),
-                       _hausdorff([1.5, 0.5, 0.25]), _hausdorff([3.0, 1.0])]), None))
-@example((SuiteResult([_stub({"n": 4, "m": 3}, {"a": 1.0, "b": 2.0}),
-                       _stub({"m": 3, "n": 4}, {"a": 1.0, "b": 2.0}),
-                       _stub({"m": 3, "n": 4}, {"b": 2.0, "a": 1.0}),
-                       VerificationReport("d", {"m": 3, "n": 4}, {"b": 2.0, "a": 1.0}, {"r": 0.0},
-                                          {"r": 1e-9}, True)]), None))
-@example((SuiteResult([VerificationReport("c", {"n": 4}, {}, {"r": 0.0, "s": 0.0}, tolerances, True)
-                       for tolerances in ({"r": 1e-9, "s": 1e-9}, {"s": 1e-9, "r": 1e-9})]), None))
-@example((SuiteResult(), [["blocks", 5, 0], ["blocks", 5, 1]]))
+@example(([_blocks(t, tol) for t, tol in enumerate([1e-8, 1e-3, 1e-3, 1e-8, 0, False,
+                                                     1e-8, 0.0, -0.0])], []))
+@example(([_stub({"n": n, "m": 3}) for n in (0, 0, 0.0, -0.0, False)], None))
+@example(([_hausdorff([2.0, 1.0]), _hausdorff([2.5, 1.5, 0.5]),
+           _hausdorff([1.5, 0.5, 0.25]), _hausdorff([3.0, 1.0])], None))
+@example(([_stub({"n": 4, "m": 3}, {"a": 1.0, "b": 2.0}),
+           _stub({"m": 3, "n": 4}, {"a": 1.0, "b": 2.0}),
+           _stub({"m": 3, "n": 4}, {"b": 2.0, "a": 1.0}),
+           VerificationReport("d", {"m": 3, "n": 4}, {"b": 2.0, "a": 1.0}, {"r": 0.0},
+                              {"r": 1e-9}, True)], None))
+@example(([VerificationReport("c", {"n": 4}, {}, {"r": 0.0, "s": 0.0}, tolerances, True)
+           for tolerances in ({"r": 1e-9, "s": 1e-9}, {"s": 1e-9, "r": 1e-9})], None))
+@example(([], [["blocks", 5, 0], ["blocks", 5, 1]]))
 def test_dumps_canonical_is_the_reference_encoding(case):
-    result, duplicates = case
-    assert dumps_canonical(result, duplicates) == _reference(result, duplicates)
+    # The reference is json.dumps of the reports as made: grouping them into
+    # the result's stacks loses no byte.
+    made, duplicates = case
+    passed = sum(bool(r.passed) for r in made)
+    payload = {"reports": [r.to_json() for r in made],
+               "summary": {"total": len(made), "passed": passed, "failed": len(made) - passed}}
+    if duplicates is not None:
+        payload["duplicates"] = duplicates
+    assert dumps_canonical(SuiteResult(made), duplicates) == _reference(payload)
 
 
 def _reference_of_run(result, duplicates=None) -> str:
@@ -322,8 +328,7 @@ def stack_results(draw):
     # and residual an entry per row or one 0-d entry for all, residuals around
     # the tolerances (NaN and inf among them), shared inputs with lists, then
     # input columns such as the trial ids and hausdorff's spectrum; stacks of
-    # several layouts in one result.  Sometimes ``reports`` is read and one
-    # report edited before the file is written.
+    # several layouts in one result.
     stacks = []
     for _ in range(draw(st.integers(0, 4))):
         size = draw(st.integers(0, 4))
@@ -353,11 +358,6 @@ def stack_results(draw):
                                                                min_size=size, max_size=size))
         stacks.append(stack)
     result = SuiteResult(stacks=stacks)
-    if any(stacks) and draw(st.booleans()):
-        report = draw(st.sampled_from(result.reports))
-        report.inputs[draw(REPORT_KEYS)] = draw(REPORT_SCALARS)
-        report.values[draw(REPORT_KEYS)] = draw(FINITE)
-        report.passed = not report.passed
     duplicates = draw(st.none() | st.lists(st.lists(SCALARS, min_size=3, max_size=3), max_size=3))
     return result, duplicates
 
@@ -388,25 +388,23 @@ def _regular(column) -> bool:
 @example((SuiteResult(stacks=[_stack(3, inputs={"note%%": "100%% of %%d"},
                                      label=["a%%", "b", "c"])]), None))
 def test_dumps_canonical_writes_stacks_as_the_reference(case):
-    # Written first: reading ``to_json`` builds the reports, which the writer
-    # then writes in place of the stacks.  A run whose numbers are finite and
-    # whose input columns are regular is written from its stacks (unless
-    # duplicates are written with it), never left to json.dumps.
+    # A run whose numbers are finite and whose input columns are regular is
+    # written from its stacks (unless duplicates are written with it), never
+    # left to json.dumps.
     result, duplicates = case
-    edited = result._reports is not None
     try:
-        json.dumps(SuiteResult(stacks=result.stacks).to_json(), allow_nan=False)
+        json.dumps(result.to_json(), allow_nan=False)
         finite = True
     except ValueError:
         finite = False
     regular = all(_regular(c) for stack in result.stacks for c in stack.columns.values())
     written = dumps_canonical(result, duplicates)
-    from_stacks = not edited and duplicates is None and finite and regular
-    assert not from_stacks or result._reports is None
+    if duplicates is None and finite and regular:
+        assert reports._written(result.stacks, result.summary, None) == written
     assert written == _reference_of_run(result, duplicates)
 
 
-@given(suite_results() | stack_results())
+@given(made_reports().map(lambda case: (SuiteResult(case[0]), case[1])) | stack_results())
 @example((SuiteResult([VerificationReport("c", {}, {}, {"r": 0.0, "s": "x", "t": None},
                                           {"r": 1e-9}, False)]), None))
 def test_render_text_reads_as_each_report(case):
@@ -426,17 +424,17 @@ def test_render_text_reads_as_each_report(case):
     assert text == "\n".join(lines) + "\n"
 
 
-def test_reports_read_and_edited_before_writing_reach_the_file():
+def test_reports_read_from_a_result_are_copies():
+    # A result holds its stacks alone: a report read from it is built anew on
+    # each read, and an edit to it reaches neither the result nor its file.
     result = SuiteResult(stacks=[_stack(3, [[2.0, 1.0], [2.5, 0.5], [1.5, 1.0]])])
-    assert result.summary == {"total": 3, "passed": 3, "failed": 0} and result.all_passed
+    before = dumps_canonical(result)
     report = result.reports[1]
-    assert result.reports[1] is report  # built once, then held
+    assert result.reports[1] == report and result.reports[1] is not report
     report.inputs["trial"] = 7
     report.passed = False
-    written = json.loads(dumps_canonical(result))
-    assert written["reports"][1]["inputs"]["trial"] == 7 and written["reports"][1]["pass"] is False
-    assert written["summary"] == {"total": 3, "passed": 2, "failed": 1} == result.summary
-    assert not result.all_passed
+    assert dumps_canonical(result) == before
+    assert result.summary == {"total": 3, "passed": 3, "failed": 0} and result.all_passed
 
 
 def test_a_stack_reads_as_its_reports():

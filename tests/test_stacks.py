@@ -93,15 +93,15 @@ def test_verify_writes_json_without_building_a_report(monkeypatch, capsys, suite
 
 
 def test_single_reports_are_verification_reports():
-    # A stack of one unpacks to its report; judge_invariance returns a list of reports,
-    # and reproduce its witness's report.
+    # A stack of one unpacks to its report; judge_invariance returns its stack, which
+    # reads as its reports, and reproduce its witness's report.
     [report] = reports.stack_reports("blocks", {"n": 4}, {}, {"roundtrip": 0.0})
     assert type(report) is VerificationReport and report.passed is True
     x = np.array([random_rank_q(4, 3, 2, mc.make_rng(3, t)) for t in range(2)])
     h = np.array([random_stiefel(4, 4, mc.make_rng(4, t)) for t in range(2)])
     qmat = np.array([random_stiefel(3, 3, mc.make_rng(5, t)) for t in range(2)])
     judged = suites.judge_invariance(x, 2, h, qmat)
-    assert type(judged) is list and [type(r) for r in judged] == [VerificationReport] * 2
+    assert type(judged) is ReportStack and [type(r) for r in judged] == [VerificationReport] * 2
     assert [type(witnesses.reproduce(w)) for w in witnesses.load_witnesses()] == [
         VerificationReport] * len(witnesses.load_witnesses())
 

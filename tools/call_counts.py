@@ -9,16 +9,19 @@ For every ``verify`` op of the ``fd-chart``, ``dense-operator`` and
 then once more under ``sys.setprofile``: argument parsing, the suite, the
 JSON writer and the file write, as the benchmark runs each op.  So does
 ``cli-sweep``'s ``report`` op, ``report --format json --out PATH`` over
-the files its verify ops wrote: reading, merging and writing them.  A library
-call is any call of a function that is not ``mpjl``'s: a C function (a
-numpy function or method, a builtin) or a Python function of another
-module (argparse's among them), and so also each call that such Python
-code makes.  Operators and indexing are not calls.  Each call is
-attributed to the innermost ``mpjl`` function on the stack.  The table
+the files its verify ops wrote: reading, merging and writing them; and,
+as ``report-text``, the same merge rendered by ``report --format text``,
+which the benchmark does not run.  A library call is any call of a
+function that is not ``mpjl``'s: a C function (a numpy function or
+method, a builtin) or a Python function of another module (argparse's
+among them), and so also each call that such Python code makes.
+Operators and indexing are not calls.  Each call is attributed to the
+innermost ``mpjl`` function on the stack.  The table
 lists the total per op, the calls attributed to ``cli`` functions, the
 calls made under ``suites.run_suite`` and those made under
-``reports.stack_reports`` or ``reports.dumps_canonical`` (the ``report``
-column: building the reports and writing them; whatever function the
+``reports.stack_reports``, ``reports._group``, ``reports.dumps_canonical``
+or ``reports.render_text`` (the ``report`` column: building the reports or
+grouping them into stacks, and writing them; whatever function the
 calls are attributed to), and the ``N`` largest callers.
 
 ``SRC`` is the ``src`` directory to import ``mpjl`` from (default: this
@@ -80,8 +83,10 @@ def main(argv=None) -> int:
     from mpjl import cli, reports, suites
 
     package = str(Path(mpjl.__file__).parent)
-    spans = {suites.run_suite.__code__: "suite", reports.stack_reports.__code__: "report",
-             reports.dumps_canonical.__code__: "report"}
+    spans = {suites.run_suite.__code__: "suite"}
+    spans.update(dict.fromkeys((reports.stack_reports.__code__, reports._group.__code__,
+                                reports.dumps_canonical.__code__, reports.render_text.__code__),
+                               "report"))
     print(f"mpjl from {package}")
     print(f"{'workload':<15} {'op':<20} {'calls':>6} {'cli':>5} {'suite':>6} {'report':>6}  "
           "largest callers")
@@ -89,21 +94,24 @@ def main(argv=None) -> int:
         for workload in ("fd-chart", "dense-operator", "cli-sweep"):
             written = []
             for op in workloads.WORKLOADS[workload](random.Random(1)):
-                out = str(Path(work) / f"{op.slot}.json")
                 if op.kind == "verify":
-                    argv = [*op.argv, "--out", out]
+                    runs = [(op.slot, op.argv)]
                 elif op.kind == "report":
-                    argv = ["report", *written, "--format", "json", "--out", out]
+                    runs = [(op.slot, ["report", *written, "--format", "json"]),
+                            (f"{op.slot}-text", ["report", *written, "--format", "text"])]
                 else:
                     continue
-                cli.main(argv)
+                for slot, argv in runs:
+                    out = str(Path(work) / f"{slot}.out")
+                    argv = [*argv, "--out", out]
+                    cli.main(argv)
+                    calls, within = _count(package, spans, lambda: cli.main(argv))
+                    in_cli = sum(n for name, n in calls.items() if name.startswith("cli."))
+                    top = ", ".join(f"{name} {n}" for name, n in calls.most_common(args.top))
+                    print(f"{workload:<15} {slot:<20} {sum(calls.values()):>6} {in_cli:>5} "
+                          f"{within['suite']:>6} {within['report']:>6}  {top}")
                 if op.kind == "verify" and Path(out).exists():
                     written.append(out)
-                calls, within = _count(package, spans, lambda: cli.main(argv))
-                in_cli = sum(n for name, n in calls.items() if name.startswith("cli."))
-                top = ", ".join(f"{name} {n}" for name, n in calls.most_common(args.top))
-                print(f"{workload:<15} {op.slot:<20} {sum(calls.values()):>6} {in_cli:>5} "
-                      f"{within['suite']:>6} {within['report']:>6}  {top}")
     return 0
 
 
