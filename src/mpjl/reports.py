@@ -27,7 +27,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, groupby, islice, takewhile
+from itertools import chain, groupby
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter, methodcaller
 
@@ -124,14 +124,12 @@ class VerificationReport:
 @dataclass(eq=False)
 class ReportStack(Sequence):
     """The reports of one check's trial stack, as columns.  What every report shares is held
-    once: ``check_name``, ``inputs`` and the one ``tolerances`` dict.  Each list of
-    ``columns`` (inputs that differ by report, such as the trial ids; a report's inputs are
-    ``{**inputs, **columns}``), of ``values``, of ``residuals`` and ``passed`` holds one entry
-    per report.  Indexing builds the report, anew on each access."""
+    once: ``check_name`` and the one ``tolerances`` dict.  Each list of ``inputs``, of
+    ``values``, of ``residuals`` and ``passed`` holds one entry per report, an input that
+    every report shares included.  Indexing builds the report, anew on each access."""
 
     check_name: str
     inputs: dict
-    columns: dict
     values: dict
     residuals: dict
     tolerances: dict
@@ -146,15 +144,16 @@ class ReportStack(Sequence):
     def __getitem__(self, i: int) -> VerificationReport:
         passed = self.passed[i]
         return VerificationReport(
-            self.check_name, {**self.inputs, **{k: c[i] for k, c in self.columns.items()}},
+            self.check_name, {k: c[i] for k, c in self.inputs.items()},
             {k: c[i] for k, c in self.values.items()}, {k: c[i] for k, c in self.residuals.items()},
             self.tolerances, passed)
 
 
 def stack_reports(check_name: str, inputs: dict, values: dict, residuals: dict,
                   conditions: tuple = (), tol: float | None = None) -> ReportStack:
-    """The reports of a stacked check, one per slice: each value, residual and condition is
-    one entry shared by every slice (0-d) or an array of the stack's shape.
+    """The reports of a stacked check, one per slice: each input is one value that every slice
+    holds; each value, residual and condition is one entry shared by every slice (0-d) or an
+    array of the stack's shape.
 
     The one place a verdict is made.  Every residual gates, held to its key's
     ``TOLERANCES`` entry, ``tol`` (when given) in place of the ``PRIMARY`` one; a
@@ -176,8 +175,9 @@ def stack_reports(check_name: str, inputs: dict, values: dict, residuals: dict,
         np.logical_and(passed, gate, out=passed)  # NaN <= t is False: a NaN residual fails
     lists = [c.ravel().tolist() if c.ndim else [c.item()] * stack.size
              for c in (*columns[:split], passed)]
-    return ReportStack(check_name, dict(inputs), {}, dict(zip(values, lists)),
-                       dict(zip(residuals, lists[len(values):split])), tolerances, lists[-1])
+    return ReportStack(check_name, {k: [v] * stack.size for k, v in inputs.items()},
+                       dict(zip(values, lists)), dict(zip(residuals, lists[len(values):split])),
+                       tolerances, lists[-1])
 
 
 _SEQUENCES = frozenset({list, tuple})
@@ -185,26 +185,17 @@ _PLAIN = frozenset({str, int, float, bool, type(None)})
 
 
 def _layout(report: VerificationReport) -> tuple:
-    # What the reports of one stack share, as == tells: the check name, the key layout (with
-    # each input list's length) and the tolerances' items in order, or the dict's identity
-    # where a value is not a plain scalar (== of two arrays is no bool).
+    # What the reports of one stack share: the check name and the tolerance values as JSON
+    # writes them, by repr (which tells 1, 1.0 and True apart, and 0.0 and -0.0), or the
+    # tolerance dict's identity where a value is not a plain scalar (a large array's repr
+    # is cut short); and the key layout, with each input list's length.
     inputs, tolerances = report.inputs, report.tolerances
     sizes = None if _SEQUENCES.isdisjoint(map(type, inputs.values())) else tuple(
         len(v) if type(v) in _SEQUENCES else -1 for v in inputs.values())
-    tolerances = (tuple(tolerances.items()) if _PLAIN.issuperset(map(type, tolerances.values()))
-                  else id(tolerances))
-    return (report.check_name, sizes, tuple(inputs), tuple(report.values),
-            tuple(report.residuals), tolerances)
-
-
-def _one_value(column: tuple) -> bool:
-    # Whether JSON writes every entry of ``column`` as its first: equal ints or strs, or
-    # equal floats but 0.0 (JSON writes -0.0 apart), all of one type; else, one repr.
-    kind = type(column[0])
-    if {*map(type, column)} == {kind} and (kind is int or kind is str or kind is float
-                                           and column[0]):
-        return column.count(column[0]) == len(column)
-    return all(map(repr(column[0]).__eq__, map(repr, column)))
+    written = (tuple(map(repr, tolerances.values()))
+               if _PLAIN.issuperset(map(type, tolerances.values())) else id(tolerances))
+    return (repr(report.check_name), written, sizes, tuple(inputs), tuple(report.values),
+            tuple(report.residuals), tuple(tolerances))
 
 
 def _columns(dicts: list[dict]) -> dict:
@@ -213,23 +204,13 @@ def _columns(dicts: list[dict]) -> dict:
 
 
 def _group(reports: list[VerificationReport]) -> list[ReportStack]:
-    # Each run of consecutive reports with one _layout as a stack, if its check names and
-    # tolerances are each one value as JSON writes it (== joins 1, 1.0 and True), else
-    # each report alone.  A stack shares the longest prefix of input keys that hold one
-    # value; the rest are columns, so every key keeps its place.
+    # Each run of consecutive reports with one _layout as a stack.
     stacks = []
     for _, run in groupby(reports, _layout):
         run = list(run)
-        one = [tuple(r.check_name for r in run), *_columns([r.tolerances for r in run]).values()]
-        for run in [run] if all(map(_one_value, one)) else [[r] for r in run]:
-            head = run[0]
-            inputs = _columns([r.inputs for r in run])
-            shared = dict(takewhile(lambda item: _one_value(item[1]), inputs.items()))
-            stacks.append(ReportStack(
-                head.check_name, {k: column[0] for k, column in shared.items()},
-                dict(islice(inputs.items(), len(shared), None)), _columns([r.values for r in run]),
-                _columns([r.residuals for r in run]), head.tolerances,
-                [bool(r.passed) for r in run]))
+        stacks.append(ReportStack(
+            run[0].check_name, _columns([r.inputs for r in run]), _columns([r.values for r in run]),
+            _columns([r.residuals for r in run]), run[0].tolerances, [bool(r.passed) for r in run]))
     return stacks
 
 
@@ -276,7 +257,7 @@ class SuiteResult:
 _encode_scalars = c_make_encoder(None, methodcaller("tolist"), encode_basestring_ascii, None,
                                  ": ", "\x00", False, False, False)
 
-# The text of a stack's rows by their layout and shared scalars (``_stack_text``).
+# The text of a stack's rows by their layout, check name and tolerances (``_stack_text``).
 # A cache: what it holds never changes an output byte; it is emptied when full.
 TEMPLATE_LIMIT = 512
 _rows: dict[tuple, tuple] = {}
@@ -301,54 +282,43 @@ def _dict(keys, level: int, items=None) -> str:
 
 
 def _stack_rows(stack: ReportStack, shared: list, scalars: list) -> tuple:
-    # (layout, shared, rows) of ``stack``, whose reports share one layout, from its
-    # columns: the ``shared`` scalars that every row holds (check name, shared inputs,
-    # tolerances) go to ``shared`` once, the rest to ``scalars`` row by row, each in
-    # written order.  An input column is a column of lists when its first entry is
-    # one; lists of several lengths, or lists beside scalars, raise ValueError or
-    # TypeError (a container among scalars is written: see _pieces).
-    inputs = stack.inputs | stack.columns
-    heads, columns, sizes = [stack.check_name], [], []
-    for key, value in inputs.items():
-        column = key in stack.columns
-        if type(value[0] if column else value) not in _SEQUENCES:
+    # (layout, count, size) of ``stack``, whose reports share one layout, from its columns:
+    # the ``count`` scalars that every row holds (the check name and the tolerances) go to
+    # ``shared`` once, the rest to ``scalars`` row by row, each in written order.  An input
+    # column is a column of lists when its first entry is one; lists of several lengths, or
+    # lists beside scalars, raise ValueError or TypeError (a container among scalars is
+    # written: see _pieces).
+    columns, sizes = [], []
+    for value in stack.inputs.values():
+        if type(value[0]) not in _SEQUENCES:
             sizes.append(-1)
-            (columns if column else heads).append(value)
-        elif not column:
-            sizes.append(len(value))
-            heads += value
+            columns.append(value)
         elif _SEQUENCES.issuperset(map(type, value)):
             sizes.append(len(value[0]))
             columns += zip(*value, strict=True)
         else:
             raise TypeError("an input column of lists beside scalars")
-    heads += stack.tolerances.values()
-    shared += heads
+    shared.append(stack.check_name)
+    shared += stack.tolerances.values()
     scalars += chain.from_iterable(zip(*columns, *stack.values.values(),
                                        *stack.residuals.values(), stack.passed, strict=True))
-    layout = (tuple(inputs), tuple(sizes), tuple(stack.columns), tuple(stack.values),
-              tuple(stack.residuals), tuple(stack.tolerances))
-    return layout, len(heads), len(stack)
+    layout = (tuple(stack.inputs), tuple(sizes), tuple(stack.values), tuple(stack.residuals),
+              tuple(stack.tolerances))
+    return layout, 1 + len(stack.tolerances), len(stack)
 
 
 def _stack_text(key: tuple) -> tuple:
-    # The text of a stack's rows, cached by ``key``: its layout and its shared scalars
-    # as written, joined by NUL.  (head, middle, cycle, tail): a row's text before its
-    # first own scalar, between its own scalars and after its last; ``cycle`` is the
-    # text from a row's last own scalar to the next row's first, then ``middle``.
-    (inputs, sizes, columns, values, residuals, tolerances), text = key
-    heads = iter(text.split("\x00"))
-    check = next(heads)
-
-    def item(name):  # an input's scalar: a NUL (a row's own) or its shared text
-        return "\x00" if name in columns else next(heads)
-
+    # The text of a stack's rows, cached by ``key``: its layout, and its check name and
+    # tolerances as written, joined by NUL.  (head, middle, cycle, tail): a row's text
+    # before its first own scalar, between its own scalars and after its last; ``cycle``
+    # is the text from a row's last own scalar to the next row's first, then ``middle``.
+    (inputs, sizes, values, residuals, tolerances), text = key
+    check, *heads = text.split("\x00")
     # One report as an item of the file's "reports" list, a NUL for each own scalar.
-    lists = [item(name) if k < 0 else _block([item(name) for _ in range(k)], 4, "[]")
-             for name, k in zip(inputs, sizes)]
+    lists = ["\x00" if k < 0 else _block(["\x00"] * k, 4, "[]") for k in sizes]
     fields = {"check_name": check, "inputs": _dict(inputs, 3, lists),
               "values": _dict(values, 3), "residuals": _dict(residuals, 3),
-              "tolerances": _dict(tolerances, 3, list(heads)), "pass": "\x00"}
+              "tolerances": _dict(tolerances, 3, heads), "pass": "\x00"}
     head, *middle, tail = _dict(fields, 2, list(fields.values())).split("\x00")
     found = head, tuple(middle), (tail + ",\n    " + head, *middle), tail
     if len(_rows) >= TEMPLATE_LIMIT:
@@ -368,7 +338,7 @@ def _pieces(scalars: list) -> list[str]:
 
 def _written(stacks: list[ReportStack], summary: dict, duplicates: list | None) -> str:
     # The file from the stacks' columns: each row is its stack's text, with the stack's
-    # shared scalars written in, around the row's own scalars; ``duplicates``, when
+    # check name and tolerances written in, around the row's own scalars; ``duplicates``, when
     # given, is the last key.
     shared: list = []
     scalars: list = []
@@ -399,9 +369,10 @@ def dumps_canonical(obj, duplicates: list | None = None) -> str:
     For a SuiteResult the payload is ``obj.to_json()``, with ``duplicates``
     (``mpjl report``'s list of duplicated trials) as its last key when given;
     it is written without being built, from the result's stacks
-    (``SuiteResult.stacks``): each row is its stack's text, with what the
-    rows share written in once, around the row's own scalars, cached by the
-    stack's layout and shared scalars (``TEMPLATE_LIMIT``); one call of
+    (``SuiteResult.stacks``): each row is its stack's text, with the check
+    name and tolerances that the rows share written in once, around the
+    row's own scalars, cached by the stack's layout, check name and
+    tolerances (``TEMPLATE_LIMIT``); one call of
     CPython's C encoder writes every scalar of the rows, one more those of
     ``duplicates``.  Anything else is the payload itself, and goes to
     ``json.dumps``; so does a SuiteResult holding a value that is not a
@@ -425,16 +396,17 @@ def dumps_canonical(obj, duplicates: list | None = None) -> str:
 def render_text(result: SuiteResult, show_wall_time: bool = True) -> str:
     """Human-readable rendering of the same data as the JSON form; a residual that is not
     finite reads ``null``, as it does there."""
+    def plain(column):
+        return column if _PLAIN.issuperset(map(type, column)) else _plain(column)
+
     lines = []
     for stack in result.stacks:
         # Each input and residual as its text in each row, from the stack's columns: an
-        # input as k=v, one text for every row where the rows share it; a residual that
-        # is a float (or null) as k=%.3e, else "", which is left out.
-        inputs = [[f"{k}={x}" for x in _plain(v)] if k in stack.columns
-                  else [f"{k}={_plain(v)}"] * len(stack)
-                  for k, v in (stack.inputs | stack.columns).items()]
+        # input as k=v; a residual that is a float (or null) as k=%.3e, else "", which is
+        # left out.  A column of plain scalars is its own plain form.
+        inputs = [[f"{k}={x}" for x in plain(column)] for k, column in stack.inputs.items()]
         resid = [["" if v is not None and not isinstance(v, float) else f"{k}={v:.3e}"
-                  if v is not None and math.isfinite(v) else f"{k}=null" for v in _plain(column)]
+                  if v is not None and math.isfinite(v) else f"{k}=null" for v in plain(column)]
                  for k, column in stack.residuals.items()]
         for passed, *texts in zip(stack.passed, *inputs, *resid):
             lines.append(f"[{'PASS' if passed else 'FAIL'}] {stack.check_name} "

@@ -218,7 +218,7 @@ def _check_hausdorff(cfg: RunConfig, draws: tuple) -> ReportStack:
         {"log_density_x": log_x, "log_density_y": log_y, "log_jacobian_factor": log_factor},
         {"identity": abs(log_y - 2.0 * np.log(d).sum(axis=-1) - log_x - log_factor)}, tol=cfg.tol,
     )
-    stack.columns["spectrum"] = d.tolist()
+    stack.inputs["spectrum"] = d.tolist()
     return stack
 
 
@@ -389,7 +389,7 @@ def _run_stack(suite: str, cfg: RunConfig, trials: range) -> ReportStack:
     ``cfg`` is one that :func:`validate_config` accepts; its spectrum is not checked again.
     """
     stack, attempts = _checked_stack(*_SUITES[suite], cfg, trials, f"suite {suite} trial {{}}")
-    stack.columns.update(seed=[cfg.seed] * len(trials), trial=list(trials), attempt=attempts)
+    stack.inputs.update(seed=[cfg.seed] * len(trials), trial=list(trials), attempt=attempts)
     return stack
 
 

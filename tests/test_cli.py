@@ -463,6 +463,24 @@ def test_report_of_a_merge_writes_the_merge_again(tmp_path, monkeypatch, twice):
     assert written["summary"]["total"] == total and len(written["duplicates"]) == 3 * twice
 
 
+def test_every_input_is_a_column_of_its_stack(tmp_path, monkeypatch):
+    # One input form: every stack of every suite's run, and of their merge, holds each
+    # input as a column with one entry per report, the n, m and q its reports share
+    # included.
+    runs, merges = [], []
+    run_suite, group = cli.run_suite, reports._group
+    monkeypatch.setattr(cli, "run_suite", lambda *args: runs.append(run_suite(*args)) or runs[-1])
+    monkeypatch.setattr(reports, "_group", lambda made: merges.append(group(made)) or merges[-1])
+    assert main(["report", *_every_suite_files(tmp_path), "--format", "json"]) == 0
+    stacks = [stack for result in runs for stack in result.stacks] + [s for m in merges for s in m]
+    assert len(runs) == len(EVERY_SUITE) and len(merges) == 1
+    assert len(stacks) == 2 * len(EVERY_SUITE)
+    for stack in stacks:
+        assert list(stack.inputs)[-3:] == ["seed", "trial", "attempt"]
+        assert all(type(column) in (list, tuple) and len(column) == len(stack) == 3
+                   for column in stack.inputs.values())
+
+
 def test_report_empty_is_ok(capsys):
     code, out, _ = run_cli(capsys, "report")
     assert code == 0
@@ -625,7 +643,7 @@ def test_retry_consumes_fresh_subseed(monkeypatch):
     def flaky(cfg, draws):
         if len(calls) < 3:
             raise DegenerateSpectrum("synthetic collision")
-        return ReportStack("stub", {}, {}, {}, {}, {}, [True] * len(draws[0]))
+        return ReportStack("stub", {}, {}, {}, {}, [True] * len(draws[0]))
 
     monkeypatch.setitem(suites._SUITES, "stub", (draw, flaky))
     [report] = suites._run_stack("stub", suites.RunConfig(trials=1, seed=4), range(1))

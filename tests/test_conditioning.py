@@ -75,13 +75,22 @@ def test_hausdorff_passes(n, m, q, cond):
     assert all(report.passed for report in _reports("hausdorff", n, m, q, cond))
 
 
-@pytest.mark.parametrize("cond", [1e2, 1e3, 1e4, 1e5, 1e6])
-@pytest.mark.parametrize("q", [2, 4])
+# A deficient chart's volume compares two logs of chart volumes whose rounding
+# grows with cond(X), while the full chart's deviation stays at rounding.
+VOLUME_ROUNDING = pytest.mark.xfail(strict=True, reason="ROADMAP item 21: at cond(X) 1e7 "
+                                    "volume reads 1.40e-9 (5x4) and 1.43e-9 (3x5) in 1 of "
+                                    "12 trials each, against 1e-9")
+
+
+@pytest.mark.parametrize("q, cond", [
+    *((q, cond) for q in (2, 4) for cond in (1e2, 1e3, 1e4, 1e5, 1e6)),
+    pytest.param(2, 1e7, marks=VOLUME_ROUNDING), (4, 1e7)])
 def test_invariance_passes(q, cond):
     # The exact tangent map has no step to scale with cond(X): the volume
     # residual was measured up to 6.4e-11 at 1e5 and 4.7e-10 at 1e6, against
     # 1e-9, and the full-chart deviation, the one residual of a full chart,
-    # up to 1.1e-14, against 1e-12.  Tall 5 x 4 at q = 2 and 4, wide 3 x 5 at q = 2.
+    # up to 1.1e-14 (4.1e-15 at 1e7), against 1e-12.  Tall 5 x 4 at q = 2 and
+    # 4, wide 3 x 5 at q = 2.
     key = "volume" if q == 2 else "deviation"
     for n, m in [(5, 4), (3, 5)] if q == 2 else [(5, 4)]:
         for report in _reports("invariance", n, m, q, cond):

@@ -326,9 +326,9 @@ def stack_results(draw):
     # A SuiteResult of trial stacks as a run makes them, and the duplicates
     # written with it: stack_reports of one to four rows (or none), each value
     # and residual an entry per row or one 0-d entry for all, residuals around
-    # the tolerances (NaN and inf among them), shared inputs with lists, then
-    # input columns such as the trial ids and hausdorff's spectrum; stacks of
-    # several layouts in one result.
+    # the tolerances (NaN and inf among them), inputs that every row shares
+    # (lists among them), then input columns such as the trial ids and
+    # hausdorff's spectrum; stacks of several layouts in one result.
     stacks = []
     for _ in range(draw(st.integers(0, 4))):
         size = draw(st.integers(0, 4))
@@ -354,8 +354,8 @@ def stack_results(draw):
                                       | st.lists(st.lists(FINITE, min_size=len(spectrum),
                                                           max_size=len(spectrum)),
                                                  min_size=size, max_size=size))
-            stack.columns[key] = draw(rows | spectra | st.lists(SPECTRA | REPORT_SCALARS,
-                                                               min_size=size, max_size=size))
+            stack.inputs[key] = draw(rows | spectra | st.lists(SPECTRA | REPORT_SCALARS,
+                                                              min_size=size, max_size=size))
         stacks.append(stack)
     result = SuiteResult(stacks=stacks)
     duplicates = draw(st.none() | st.lists(st.lists(SCALARS, min_size=3, max_size=3), max_size=3))
@@ -368,8 +368,8 @@ def _stack(size, spectra=None, inputs=(), **columns):
                                   {"log_density_x": np.arange(float(size)), "one": 1.5},
                                   {"identity": np.zeros(size)})
     if spectra is not None:
-        stack.columns["spectrum"] = spectra
-    stack.columns.update(seed=[5] * size, trial=list(range(size)), **columns)
+        stack.inputs["spectrum"] = spectra
+    stack.inputs.update(seed=[5] * size, trial=list(range(size)), **columns)
     return stack
 
 
@@ -397,7 +397,7 @@ def test_dumps_canonical_writes_stacks_as_the_reference(case):
         finite = True
     except ValueError:
         finite = False
-    regular = all(_regular(c) for stack in result.stacks for c in stack.columns.values())
+    regular = all(_regular(c) for stack in result.stacks for c in stack.inputs.values())
     written = dumps_canonical(result, duplicates)
     if duplicates is None and finite and regular:
         assert reports._written(result.stacks, result.summary, None) == written

@@ -157,7 +157,7 @@ def _draw_integers(n, m, q, rngs, spectrum):
 
 
 def _report_values(cfg, draws):
-    return ReportStack("stub", {}, {}, {"v": [int(v) for v in draws[0]]}, {}, {},
+    return ReportStack("stub", {}, {"v": [int(v) for v in draws[0]]}, {}, {},
                        [True] * len(draws[0]))
 
 
