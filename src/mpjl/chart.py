@@ -7,10 +7,11 @@ to the top left, an n x m matrix of rank q is
           [X21, X22]]      with X22 = X21 @ inv(X11) @ X12,
 
 so the nq + mq - q^2 entries of X11, X12, X21 are free coordinates.
-``BlockDecomposition`` is that chart: the free blocks and the two
-permutations, stored and never applied, so every result maps back to the
-original indices.  X11 is tested once, when the chart is built, and
-W = X11^-1 X12 and Z = X21 X11^-1 are solved for once.
+``BlockDecomposition`` is that chart: the free blocks and the two permutations,
+stored and never applied.  ``coordinates`` gathers through them, and one
+scatter, ``_place``, writes every pivoted result back to the original indices:
+pinv(X) as pinv(X)', by X's permutations (see below).  X11 is tested once, when
+the chart is built, and W = X11^-1 X12 and Z = X21 X11^-1 are solved for once.
 
 Conditioning policy: X11 is the one block whose invertibility is tested.
 It fails when ``s[-1] <= s[0] / PIVOT_COND_CAP`` (its singular values), and
@@ -194,19 +195,17 @@ def x22_from_blocks(b: BlockDecomposition) -> np.ndarray:
     return b.x21 @ b.w
 
 
-def _unpermute(b: BlockDecomposition, a11, a12, a21, a22) -> np.ndarray:
-    # Place permuted-coordinate blocks, or stacks of them, back at their
-    # original indices.  The blocks' leading axes end with the stack axes
-    # of ``b``, whose slices each carry their own permutations.
-    stack, rp, cp = b._stack, b.row_perm, b.col_perm
-    top, bottom = rp[..., : b.q, None], rp[..., b.q :, None]
-    left, right = cp[..., None, : b.q], cp[..., None, b.q :]
-    a = np.empty(a11.shape[:-2] + (b.n, b.m), np.result_type(a11, a12, a21, a22))
-    a[(..., *stack, top, left)] = a11
-    a[(..., *stack, top, right)] = a12
-    a[(..., *stack, bottom, left)] = a21
-    a[(..., *stack, bottom, right)] = a22
+def _place(b: BlockDecomposition, ap: np.ndarray) -> np.ndarray:
+    # Matrices (..., n, m) in b's pivoted coordinates, their leading axes ending with b's
+    # stack axes (or without them), at their original indices and in the layout of ``ap``.
+    a = np.empty_like(ap)
+    a[(..., *b._stack, b.row_perm[..., :, None], b.col_perm[..., None, :])] = ap
     return a
+
+
+def _unpermute(b: BlockDecomposition, a11, a12, a21, a22) -> np.ndarray:
+    return _place(b, np.concatenate([np.concatenate([a11, a12], -1),
+                                     np.concatenate([a21, a22], -1)], -2))
 
 
 def assemble(b: BlockDecomposition) -> np.ndarray:
@@ -255,15 +254,6 @@ def _right(d: np.ndarray, f: np.ndarray) -> np.ndarray:
     r, p, c = d.shape[-3:]
     a = d.reshape(d.shape[:-3] + (r * p, c)) @ f
     return a.reshape(a.shape[:-2] + (r, p, f.shape[-1]))
-
-
-def _unpermute_pinv(b: BlockDecomposition, yp: np.ndarray) -> np.ndarray:
-    # m x n matrices (..., m, p, n) in b's pivoted coordinates, p of them per slice of b,
-    # transposed, at their original indices.
-    y = np.empty(yp.shape, yp.dtype)
-    y[(*b._stack, b.col_perm[..., :, None], slice(None), b.row_perm[..., None, :])] = \
-        yp.swapaxes(-1, -2)
-    return y
 
 
 def _pinv_tangent(b: BlockDecomposition, *d) -> np.ndarray:
@@ -315,7 +305,7 @@ def pinv_from_blocks(b: BlockDecomposition) -> np.ndarray:
     never squared, and I + W W' and I + Z'Z have every eigenvalue >= 1, so nothing else
     can be singular.  :func:`pinv_chart_derivative` differentiates this value.
     """
-    return _unpermute_pinv(b, _pinv_tangent(b)[..., None, :])[..., 0, :]
+    return _place(b, _pinv_tangent(b).swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def pinv_chart_derivative(in_chart: BlockDecomposition, deltas) -> np.ndarray:
@@ -329,7 +319,7 @@ def pinv_chart_derivative(in_chart: BlockDecomposition, deltas) -> np.ndarray:
     """
     deltas = np.asarray(deltas, dtype=float)
     dyp = _pinv_tangent(in_chart, *_delta_blocks(in_chart, deltas))
-    dy = np.moveaxis(_unpermute_pinv(in_chart, dyp), -2, 0)
+    dy = _place(in_chart, np.moveaxis(dyp, -2, 0).swapaxes(-1, -2)).swapaxes(-1, -2)
     return dy if deltas.ndim > in_chart.x11.ndim - 1 else dy[0]
 
 

@@ -204,13 +204,18 @@ def _columns(dicts: list[dict]) -> dict:
 
 
 def _group(reports: list[VerificationReport]) -> list[ReportStack]:
-    # Each run of consecutive reports with one _layout as a stack.
+    # Each run of consecutive reports with one _layout as a stack.  _layout compares keys by
+    # ==, so 1, 1.0 and True share one, which JSON writes apart; a str equals only a str, so
+    # a run whose first report has a key that is not one is split into a stack per report.
     stacks = []
     for _, run in groupby(reports, _layout):
         run = list(run)
-        stacks.append(ReportStack(
-            run[0].check_name, _columns([r.inputs for r in run]), _columns([r.values for r in run]),
-            _columns([r.residuals for r in run]), run[0].tolerances, [bool(r.passed) for r in run]))
+        keys = chain(run[0].inputs, run[0].values, run[0].residuals, run[0].tolerances)
+        for part in [run] if {str}.issuperset(map(type, keys)) else [[r] for r in run]:
+            stacks.append(ReportStack(
+                part[0].check_name, _columns([r.inputs for r in part]),
+                _columns([r.values for r in part]), _columns([r.residuals for r in part]),
+                part[0].tolerances, [bool(r.passed) for r in part]))
     return stacks
 
 

@@ -313,7 +313,7 @@ def _check_blocks(cfg: RunConfig, draws: tuple) -> ReportStack:
     y, info = matcore.pinv_rank(x)  # one SVD: Y and the chart's rank test
     matcore.require_rank(info, q)
     b = chart._pivot(x, q)
-    # assemble copies X's free blocks: roundtrip reads X21 W - X22, placed back by _unpermute.
+    # assemble copies X's free blocks: roundtrip reads X21 W - X22, placed back by _place.
     return stack_reports("blocks", {"n": cfg.n, "m": cfg.m, "q": q}, {},
                          {"roundtrip": _rel(norms(chart.assemble(b) - x), norms(x)),
                           "pinv_blocks": _rel(norms(chart.pinv_from_blocks(b) - y), norms(y))},

@@ -294,6 +294,9 @@ def _hausdorff(spectrum):
 @example(([VerificationReport("c", {"n": 4}, {}, {"r": 0.0, "s": 0.0}, tolerances, True)
            for tolerances in ({"r": 1e-9, "s": 1e-9}, {"s": 1e-9, "r": 1e-9})], None))
 @example(([], [["blocks", 5, 0], ["blocks", 5, 1]]))
+# Keys equal as numbers that JSON writes apart.
+@example(([VerificationReport("c", {"n": 1}, {key: 2.0}, {}, {}, True) for key in (1, True, 1.0)],
+          None))
 def test_dumps_canonical_is_the_reference_encoding(case):
     # The reference is json.dumps of the reports as made: grouping them into
     # the result's stacks loses no byte.
