@@ -44,18 +44,31 @@ def _parse_spectrum(raw: str | None) -> tuple[float, ...] | None:
         raise ConfigError(f"--spectrum must be comma-separated floats, got {raw!r}") from e
 
 
-def _add_instance(p: argparse.ArgumentParser) -> None:
-    # The flags of both gen and verify: what the instance is and where it goes.
-    p.add_argument("--n", type=int, default=_DEFAULTS.n,
-                   help="rows of the instance (default %(default)s)")
-    p.add_argument("--m", type=int, default=_DEFAULTS.m,
-                   help="columns of the instance (default %(default)s)")
-    p.add_argument("--q", type=int, default=None, help="rank (default min(n, m))")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"master seed (default MPJL_DEFAULT_SEED or {DEFAULT_SEED})")
-    p.add_argument("--spectrum", type=str, default=None,
-                   help="explicit singular values, comma separated, e.g. 3,1")
-    p.add_argument("--out", type=str, default=None, help="write output to PATH instead of stdout")
+# Each command's (help, positional, flags): the positional's name and add_argument keywords,
+# then each flag's (type, default, choices, help).  _build makes argparse's parsers of it,
+# and _read_plain reads plain argv with it.
+_INSTANCE = {  # what the instance is and where it goes: the flags of gen and verify
+    "n": (int, _DEFAULTS.n, None, "rows of the instance (default %(default)s)"),
+    "m": (int, _DEFAULTS.m, None, "columns of the instance (default %(default)s)"),
+    "q": (int, None, None, "rank (default min(n, m))"),
+    "seed": (int, None, None, f"master seed (default MPJL_DEFAULT_SEED or {DEFAULT_SEED})"),
+    "spectrum": (str, None, None, "explicit singular values, comma separated, e.g. 3,1"),
+    "out": (str, None, None, "write output to PATH instead of stdout"),
+}
+_FORMATS = ("text", "json")
+_COMMANDS = {
+    "gen": ("generate a seeded rank-q instance (JSON)", None, _INSTANCE),
+    "verify": ("run one verification suite", ("suite", {"choices": SUITE_NAMES}), {
+        **_INSTANCE,
+        "trials": (int, _DEFAULTS.trials, None, "number of seeded trials (default %(default)s)"),
+        "tol": (float, None, None, "override the suite's primary comparison tolerance "
+                                   "(exterior-chain and invariance have none)"),
+        "format": (str, "text", _FORMATS, "output rendering (default text)"),
+    }),
+    "report": ("merge suite report files",
+               ("paths", {"nargs": "*", "help": "report JSON files to merge"}),
+               {"format": (str, "text", _FORMATS, None), "out": (str, None, None, None)}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,26 +81,51 @@ def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser
         description="Verification harness for pseudoinverse Jacobians and measure densities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for command, (summary, positional, flags) in _COMMANDS.items():
+        p = commands[command] = sub.add_parser(command, help=summary)
+        if positional is not None:
+            p.add_argument(positional[0], **positional[1])
+        for name, (kind, default, choices, text) in flags.items():
+            p.add_argument(f"--{name}", type=kind, default=default, choices=choices, help=text)
+    return parser, commands
 
-    p_gen = sub.add_parser("gen", help="generate a seeded rank-q instance (JSON)")
-    _add_instance(p_gen)
 
-    p_verify = sub.add_parser("verify", help="run one verification suite")
-    p_verify.add_argument("suite", choices=SUITE_NAMES)
-    _add_instance(p_verify)
-    p_verify.add_argument("--trials", type=int, default=_DEFAULTS.trials,
-                          help="number of seeded trials (default %(default)s)")
-    p_verify.add_argument("--tol", type=float, default=None,
-                          help="override the suite's primary comparison tolerance "
-                               "(exterior-chain and invariance have none)")
-    p_verify.add_argument("--format", choices=("text", "json"), default="text",
-                          help="output rendering (default text)")
-
-    p_report = sub.add_parser("report", help="merge suite report files")
-    p_report.add_argument("paths", nargs="*", help="report JSON files to merge")
-    p_report.add_argument("--format", choices=("text", "json"), default="text")
-    p_report.add_argument("--out", type=str, default=None)
-    return parser, {"gen": p_gen, "verify": p_verify, "report": p_report}
+def _read_plain(argv):
+    """The Namespace argparse makes of plain argv: a command, its positionals, then full flag
+    names each followed by one value that does not start with "-" and that the table converts
+    and admits.  None for any other argv (help, an abbreviation, --flag=value, a value that is
+    missing, refused or starts with "-", an unknown flag): argparse reads it and prints help
+    and usage errors."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, positional, flags = _COMMANDS[argv[0]]
+    values = {"command": argv[0], **{name: spec[1] for name, spec in flags.items()}}
+    rest = list(argv[1:])
+    if positional is not None:
+        name, keywords = positional
+        if "nargs" in keywords:  # report's paths: every word before the first flag
+            count = next((i for i, word in enumerate(rest) if word.startswith("-")), len(rest))
+            values[name], rest = rest[:count], rest[count:]
+        elif rest and rest[0] in keywords["choices"]:  # verify's suite
+            values[name], rest = rest[0], rest[1:]
+        else:
+            return None
+    if len(rest) % 2:
+        return None
+    for flag, raw in zip(rest[::2], rest[1::2]):
+        name = flag[2:] if flag.startswith("--") else None
+        if name not in flags or raw.startswith("-"):
+            return None
+        kind, _, choices, _ = flags[name]
+        try:
+            value = kind(raw)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[name] = value
+    return argparse.Namespace(**values)
 
 
 @functools.cache
@@ -201,10 +239,11 @@ def cmd_report(args) -> int:
 def main(argv=None) -> int:
     parser, commands = _parsers()
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in commands:  # one parse, by the named command's parser
+    args = _read_plain(argv)
+    if args is None and argv and argv[0] in commands:  # one parse, by the command's parser
         args = commands[argv[0]].parse_args(argv[1:])
         args.command = argv[0]
-    else:  # no command: the top-level parser prints help or the usage error
+    elif args is None:  # no command: the top-level parser prints help or the usage error
         args = parser.parse_args(argv)
     try:
         return {"gen": cmd_gen, "verify": cmd_verify, "report": cmd_report}[args.command](args)

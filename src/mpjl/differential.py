@@ -9,40 +9,26 @@ P_R = I_m - Y X, its transpose reads
 
     dY' = -Y' dX' Y' + P_L dX Y Y' + Y' Y dX P_R,
 
-and the bilinear form tr(E' dY'(F)) is symmetric in E and F, because P_L,
-P_R, Y Y' and Y' Y are symmetric.  So the nm x nm matrix S of dX -> dY'
-in row-major coordinates, S @ dX.ravel() = dY'.ravel() (that is,
-S vec(dX') = vec(dY)), is symmetric, and its singular values are the
-absolute values of its eigenvalues.  With vec(A B C) = (C' kron A) vec(B)
-and the commutation matrix K, K vec(dX') = vec(dX), S is
+and tr(E' dY'(F)) is symmetric in E and F, because P_L, P_R, Y Y' and Y' Y
+are.  So the nm x nm matrix S of dX -> dY' in row-major coordinates
+(S vec(dX') = vec(dY)) is symmetric; with the commutation matrix K,
+K vec(dX') = vec(dX), it is
 
-    -(Y' kron Y) K + (I_n - X Y) kron (Y Y') + (Y' Y) kron (I_m - Y X).
+    -(Y' kron Y) K + P_L kron (Y Y') + (Y' Y) kron P_R.
 
-Spectrum theorem.  Split the full SVD X = U diag(D, 0) V' after the q
-retained singular values D.  S maps each of col(X) kron row(X), null(X')
-kron row(X), col(X) kron null(X) and null(X') kron null(X) into itself,
-and in the basis U kron V it is a signed, scaled permutation:
-dY'[l, k] = -dX[k, l] / (d_l d_k) when l, k < q (the commutation matrix K
-on col(X) kron row(X)), dX[l, k] / d_min(l,k)^2 when one of l, k is < q,
-and 0 when neither is.  Each entry pairs with its transpose when l, k < q
-and with itself otherwise, so the nonzero singular values are 1/(d_i d_j)
-over all q^2 pairs and d_i^-2, each with multiplicity n+m-2q: nq+mq-q^2
-values, whose product prod d_i^-2(n+m-q) is the rank-deficient
-change-of-variables factor (|X'X|^-n tall, |XX'|^-m wide at full rank).
-It grows like d^(nm), so the checks take its log from X's retained
-singular values alone, unchecked (``measures._log_factor``).
+README states its spectrum theorem.  In the basis U kron V of X's full SVD,
+dY'[l, k] = -dX[k, l] / (d_l d_k) when l, k < q, dX[l, k] / d_min(l,k)^2 when
+one of l, k is < q, and 0 when neither is; the log of the product of its
+nonzero singular values is taken from X's retained singular values alone
+(``measures._log_factor``).
 
-The oracle reads S(U'XV, V'YU) = (U kron V)' S (U kron V) from its factors
-(``pair_block_profile``; only the tests build S densely): with
-L = P_L, A = Y Y', B = Y'Y, R = P_R and C(P, Q)[l, k, i, j] = P[j, l] Q[k,
-i], S = L kron A + B kron R - C(Y, Y).  The 1x1 and 2x2 pair blocks are read
-in closed form, and the rest E is measured: by Weyl's inequality every
-eigenvalue of S lies within ||E||_F of their spectrum.  <P kron Q, P' kron
-Q'> = <C(P, Q), C(P', Q')> = <P, P'><Q, Q'> and <F kron G, C(P, Q)> = <F Q',
-(G P)'> give the norms in O(nm(n+m)).  S0 = Ld kron Ad + Bd kron Rd - C(Yd,
-Yd) (d: the diagonals, of Y its first q) lies on the pair pattern, and S - S0
-= Lo kron A + Ld kron Ao + Bo kron R + Bd kron Ro - C(Yo, Y) - C(Yd, Yo) (o:
-the rest) is small, so ||E||^2, its norm less its pattern entries, cancels
+``pair_block_profile`` reads S in that basis from its factors, S = L kron A
++ B kron R - C(Y, Y) with L = P_L, A = Y Y', B = Y' Y, R = P_R and C(P, Q)[l,
+k, i, j] = P[j, l] Q[k, i], its norms by the Gram identities in README's
+Conventions.  S0 = Ld kron Ad + Bd kron Rd - C(Yd, Yd) (d: the diagonals, of
+Y its first q) lies on the pair pattern, and S - S0 = Lo kron A + Ld kron Ao
++ Bo kron R + Bd kron Ro - C(Yo, Y) - C(Yd, Yo) (o: the rest) is small, so
+the leak's squared norm, that of S - S0 less its pattern entries, cancels
 against no large term; ||S||^2 adds the pattern's squares.
 
 Every function here also takes a stack (T, n, m) (``pair_block_profile``

@@ -18,6 +18,11 @@ is required (RankMismatch), and ``_pinv_from_svd`` the one place retained
 factors become a pseudoinverse.  A check that needs both the rank and the
 pseudoinverse of X takes them from one SVD (``pinv_rank``, ``svd_full``),
 never a second one.
+
+QR: ``gram_qr`` and ``orthonormal_frames`` run numpy's stacked kernels
+``qr_r_raw`` (LAPACK geqrf) and ``qr_reduced`` (orgqr), the two of
+``np.linalg.qr(mode="reduced")``, their reference in ``tests/helpers.py``.
+The kernels clear the floating-point flags they raise; no errstate is needed.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
+from numpy.linalg._umath_linalg import qr_r_raw, qr_reduced
 
 from .errors import BadSpectrum, DegenerateSpectrum, RankMismatch, ShapeMismatch
 
@@ -100,8 +106,19 @@ def gram_qr(a) -> tuple[np.ndarray, np.ndarray]:
     a QR of the slice (of its transpose when wide): R'R is its Gram matrix a'a (aa'), which
     is never formed, since that would square cond(a) (Higham 2002)."""
     a = as_stack(a)
-    r = np.linalg.qr(a if a.shape[-1] <= a.shape[-2] else a.swapaxes(-1, -2), mode="r")
+    raw = np.array(a if a.shape[-1] <= a.shape[-2] else a.swapaxes(-1, -2))  # tall or square
+    qr_r_raw(raw)  # R on and above the diagonal of the raw factor, reflectors below it
+    k = raw.shape[-1]
+    r = np.where(_strictly_lower(k), 0.0, raw[..., :k, :])  # np.triu, its mask cached
     return r, 2.0 * np.log(np.abs(np.diagonal(r, 0, -2, -1))).sum(axis=-1)
+
+
+@cache
+def _strictly_lower(k: int) -> np.ndarray:
+    # The mask np.triu zeroes in a k x k matrix; shared by every caller, so read-only.
+    mask = np.tri(k, k, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def _rank_info(s: np.ndarray, shape: tuple[int, ...]) -> RankInfo:
@@ -305,8 +322,9 @@ def orthonormal_frames(g: np.ndarray) -> np.ndarray:
     One (stacked) QR; the R diagonal is made positive, so each frame is a
     unique function of its block.
     """
-    qmat, r = np.linalg.qr(g)
-    return qmat * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    raw = np.array(g, dtype=float)
+    q = qr_reduced(raw, qr_r_raw(raw))  # qr_r_raw overwrites raw with the raw factor
+    return q * np.sign(np.diagonal(raw, axis1=-2, axis2=-1))[..., None, :]
 
 
 def check_spectrum(d) -> np.ndarray:

@@ -76,6 +76,12 @@ def validate_config(cfg: RunConfig, suite: str | None = None) -> RunConfig:
         if suite == "operator-rank" and not lo <= d[-1] <= d[0] <= hi:
             raise ConfigError(f"operator-rank needs the spectrum in [{lo:.3e}, {hi:.3e}] to keep "
                               f"its squared entries in the float range [{f.tiny:.3e}, {f.max:.3e}]")
+        # hausdorff's largest d_i + d_j is 2 d_1 and its largest 1/d_i + 1/d_j is 2 / d_q;
+        # 2 / f.max rounds down to a subnormal whose doubled reciprocal is inf.
+        lo, hi = 2.0 / f.max, f.max / 2.0
+        if suite == "hausdorff" and not lo < d[-1] <= d[0] <= hi:
+            raise ConfigError(f"hausdorff needs the spectrum in ({lo:.3e}, {hi:.3e}] to keep every "
+                              f"d_i + d_j and 1/d_i + 1/d_j finite, got {d.tolist()}")
     if suite is not None and suite not in SUITE_NAMES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
     if suite == "jacobian-full" and q != min(cfg.n, cfg.m):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from mpjl import matcore
+
 try:
     from hypothesis import settings
 except ImportError:  # optional test dependency; only the property tests need it
@@ -14,15 +16,15 @@ else:
     settings.load_profile("mpjl")
 
 
-def _record_shapes(monkeypatch, name, arg=0, read=np.shape):
+def _record_shapes(monkeypatch, name, arg=0, read=np.shape, module=np.linalg):
     shapes = []
-    function = getattr(np.linalg, name)
+    function = getattr(module, name)
 
     def spy(*args, **kwargs):
         shapes.append(read(args[arg]))
         return function(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return shapes
 
 
@@ -34,8 +36,9 @@ def svd_shapes(monkeypatch):
 
 @pytest.fixture
 def qr_shapes(monkeypatch):
-    """Shapes of the matrices passed to ``np.linalg.qr`` while the test runs."""
-    return _record_shapes(monkeypatch, "qr")
+    """Shapes of the matrices passed to numpy's QR kernel ``qr_r_raw``, the entry point of
+    every QR that ``matcore`` takes, while the test runs."""
+    return _record_shapes(monkeypatch, "qr_r_raw", module=matcore)
 
 
 @pytest.fixture

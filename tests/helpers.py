@@ -8,8 +8,8 @@ from mpjl import suites
 from mpjl.chart import BlockDecomposition, _delta_blocks, _unpermute, pinv_from_blocks
 from mpjl.errors import ShapeMismatch
 from mpjl.matcore import (
-    RankInfo, as_matrix, common_rank, draw_rank_q, orthonormal_frames, pinv, rank_profile,
-    rank_q_from_draw, sorted_spectra, validate_spectrum,
+    RankInfo, as_matrix, as_stack, common_rank, draw_rank_q, orthonormal_frames, pinv,
+    rank_profile, rank_q_from_draw, sorted_spectra, validate_spectrum,
 )
 from mpjl.measures import symmetric_part
 
@@ -26,6 +26,20 @@ def random_stiefel(n: int, q: int, rng: np.random.Generator) -> np.ndarray:
     if not 1 <= q <= n:
         raise ValueError(f"need 1 <= q <= n, got q={q}, n={n}")
     return orthonormal_frames(rng.standard_normal((n, q)))
+
+
+def qr_frames(g) -> np.ndarray:
+    """``matcore.orthonormal_frames`` as ``np.linalg.qr`` gives it: the reference of the QR
+    kernels that the library calls."""
+    qmat, r = np.linalg.qr(g)
+    return qmat * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+
+
+def qr_gram(a) -> tuple[np.ndarray, np.ndarray]:
+    """``matcore.gram_qr`` as ``np.linalg.qr`` gives it (see :func:`qr_frames`)."""
+    a = as_stack(a)
+    r = np.linalg.qr(a if a.shape[-1] <= a.shape[-2] else a.swapaxes(-1, -2), mode="r")
+    return r, 2.0 * np.log(np.abs(np.diagonal(r, 0, -2, -1))).sum(axis=-1)
 
 
 def random_rank_q(n: int, m: int, q: int, rng: np.random.Generator, spectrum=None) -> np.ndarray:

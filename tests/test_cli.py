@@ -1,10 +1,12 @@
 """CLI behavior: determinism, exit codes, suite plumbing, report merging."""
 
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import types
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import random_rank_q
 from mpjl import cli, matcore as mc, reports, suites
@@ -785,6 +787,23 @@ def test_hausdorff_report_layout_is_fixed(capsys):
     assert len(layouts) == 1
 
 
+@pytest.mark.parametrize("argv, got", [
+    # 1/d overflowed to inf (a RuntimeWarning), then pinv's spectrum [[inf]] was refused.
+    (["--n", "1", "--m", "1", "--trials", "3", "--spectrum", "1e-310"], "[1e-310]"),
+    # d_1 + d_2 overflowed (a RuntimeWarning) and identity read null: a FAIL.
+    (["--n", "3", "--m", "2", "--q", "2", "--trials", "1", "--spectrum", "1.7e308,1.6e308"],
+     "[1.7e+308, 1.6e+308]"),
+])
+def test_hausdorff_refuses_spectra_outside_the_float_range(capsys, argv, got):
+    for fmt in ("json", "text"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "verify", "hausdorff", *argv, "--format", fmt)
+        assert (code, out, caught) == (2, "", [])
+        assert err == ("error: hausdorff needs the spectrum in (1.113e-308, 8.988e+307] to keep "
+                       f"every d_i + d_j and 1/d_i + 1/d_j finite, got {got}\n")
+
+
 def test_invariance_image_chart_takes_the_rank_of_x(capsys):
     # Trial 3's H X Q has singular values 1.735 and 7.97e-16, above the
     # library cut 7.70e-16; its rank is X's by construction, so the image is
@@ -851,6 +870,144 @@ def test_successive_calls_parse_like_a_fresh_parser(monkeypatch, capsys):
                 parse(argv)
             outcomes.append((exc.value.code, *capsys.readouterr()))
         assert outcomes[0] == outcomes[1] and outcomes[0][0] == code, argv
+
+
+# Each command's flags, as README documents them, with values its parser takes and refuses.
+CLI_FLAGS = {
+    "gen": ("n", "m", "q", "seed", "spectrum", "out"),
+    "verify": ("n", "m", "q", "seed", "spectrum", "out", "trials", "tol", "format"),
+    "report": ("format", "out"),
+}
+INTS = (["3", "0", "12", "+4", "1_0", " 7"], ["x", "3.5", "", "1e3"])
+FLAG_VALUES = {
+    **dict.fromkeys(("n", "m", "q", "seed", "trials"), INTS),
+    "tol": (["1e-9", "0.5", "nan", "inf", "0"], ["abc", "1,2", ""]),
+    "format": (["json", "text"], ["xml", "JSON", ""]),
+    "spectrum": (["3,1", "a,b", "", "0.5"], []),
+    "out": (["x.json", "", "a=b", "dir/y.json"], []),
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    """argv of gen, verify or report: plain (positionals, then full flag names each with one
+    value, a flag possibly repeated), or with one of the forms that argparse reads."""
+    command = draw(st.sampled_from(sorted(CLI_FLAGS)))
+    positional = {"gen": [], "verify": [draw(st.sampled_from([*suites.SUITE_NAMES, "bogus"]))],
+                  "report": draw(st.lists(st.sampled_from(["a.json", "b.json", "", "x=y"]),
+                                          max_size=2))}[command]
+    flags = [[f"--{name}", draw(st.sampled_from(FLAG_VALUES[name][0]))]
+             for name in draw(st.lists(st.sampled_from(CLI_FLAGS[command]), max_size=4))]
+    form = draw(st.sampled_from(["plain", "abbreviated", "equals", "dash-value", "missing",
+                                 "unknown", "bad", "special", "late-positional"]))
+    at = draw(st.integers(0, max(len(flags) - 1, 0)))
+    if form == "abbreviated" and flags and len(flags[at][0]) > 3:
+        flags[at][0] = flags[at][0][:draw(st.integers(3, len(flags[at][0]) - 1))]
+    elif form == "equals" and flags:
+        flags[at] = ["=".join(flags[at])]
+    elif form == "dash-value" and flags:
+        flags[at][1] = draw(st.sampled_from(["-3", "-1e-3", "-x", "--n", "-"]))
+    elif form == "missing" and flags:
+        flags[at] = flags[at][:1]
+    elif form == "unknown":
+        flags.insert(at, draw(st.sampled_from([["--bogus", "1"], ["--fd-step", "1e-6"],
+                                               ["-n", "3"], ["---format", "json"]])))
+    elif form == "bad" and flags and FLAG_VALUES[flags[at][0][2:]][1]:
+        flags[at][1] = draw(st.sampled_from(FLAG_VALUES[flags[at][0][2:]][1]))
+    words = [word for flag in flags for word in flag]
+    if form == "special":
+        special = draw(st.sampled_from(["-h", "--help", "--"]))
+        words.insert(draw(st.integers(0, len(words))), special)
+    if form == "late-positional":
+        return [command, *words, *positional]
+    return [command, *positional, *words]
+
+
+def _parse_outcome(parse, argv):
+    # ("args", the Namespace's attributes) of a parse, or ("exit", code, stdout, stderr).
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            return "args", parse(argv)
+    except SystemExit as e:
+        return "exit", e.code, stdout.getvalue(), stderr.getvalue()
+
+
+def _fresh_parse(argv):
+    # A fresh parser tree, read as main reads argv that the table leaves to argparse: the
+    # named command's parser, whose usage errors name the command, else the top-level one.
+    parser, commands = cli._build()
+    if argv and argv[0] in commands:
+        return {**vars(commands[argv[0]].parse_args(argv[1:])), "command": argv[0]}
+    return vars(parser.parse_args(argv))
+
+
+@settings(max_examples=300)
+@given(cli_argvs())
+@example(["verify", "blocks", "--tri", "3"])  # an abbreviated flag
+@example(["gen", "--n=3"])
+@example(["gen", "--n", "3", "--n", "4"])  # a repeated flag: the last value holds
+@example(["verify", "blocks", "--tol", "-1e-3"])  # a value starting with -
+@example(["report", "a.json", "--out"])  # a missing value
+@example(["verify", "blocks", "--fd-step", "1e-6"])  # an unknown flag
+@example(["gen", "--n", "x"])
+@example(["verify", "blocks", "--tol", "abc"])
+@example(["report", "--format", "xml"])
+@example(["verify", "-h"])
+@example(["report", "--", "a.json"])
+@example(["verify", "--n", "3", "blocks"])  # a positional after a flag
+def test_main_reads_argv_as_a_fresh_parser_does(argv):
+    def command(args):
+        return seen.append(vars(args)) or 0
+
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("cmd_gen", "cmd_verify", "cmd_report"):
+            mp.setattr(cli, name, command)
+        got = _parse_outcome(lambda argv: seen[-1] if main(argv) == 0 else None, argv)
+    expected = _parse_outcome(_fresh_parse, argv)
+    assert got == expected, argv
+    if got[0] == "args":
+        assert got[1] == vars(cli.build_parser().parse_args(argv))
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_every_benchmark_argv_is_read_by_the_table(tmp_path, monkeypatch):
+    # With argparse's parse patched to raise, every op that perfbench/workloads.py builds
+    # for the three workloads (seed 1) runs through perfbench/run.py's Runner, and so does
+    # the report argv it builds over their files: the benchmark never reaches argparse.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # run.py pins them as it loads; restored after
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    loaded = set(sys.modules)
+    try:
+        import run
+        import workloads
+    finally:  # perfbench's module names are generic; import them for this test alone
+        for name in set(sys.modules) - loaded:
+            if str(getattr(sys.modules[name], "__file__", "")).startswith(str(PERFBENCH)):
+                del sys.modules[name]
+    parsed, argvs = [], []
+
+    def refuse(parser, *args, **kwargs):
+        parsed.append(args)
+        raise AssertionError("argparse parsed a benchmark argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    runner = run.Runner(types.SimpleNamespace(main=lambda argv: argvs.append(argv) or main(argv)),
+                        types.SimpleNamespace(load_witnesses=list), tmp_path)
+    ops = 0
+    for workload in workloads.WORKLOADS.values():
+        written = []
+        for op in workload(random.Random(1)):
+            if op.kind != "witness":
+                ops += 1
+                assert runner._execute(op, written)[0].cause is None, op.argv
+    assert parsed == [] and len(argvs) == ops
+    assert argvs[-1][0] == "report" and len(argvs[-1]) > 5  # a merge of written files
 
 
 # The runs of ROADMAP item 1 that failed while determinants were linear: a

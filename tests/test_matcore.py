@@ -5,8 +5,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from helpers import commutation_matrix, penrose_residuals, random_rank_q, random_stiefel, vec
+from helpers import (
+    commutation_matrix, penrose_residuals, qr_frames, qr_gram, random_rank_q, random_stiefel, vec,
+)
 from mpjl import matcore as mc
 from mpjl.errors import BadSpectrum, DegenerateSpectrum, ShapeMismatch
 
@@ -167,6 +170,28 @@ def test_pinv_involution():
         q = int(rng.integers(1, min(n, m) + 1))
         x = random_rank_q(n, m, q, rng)
         np.testing.assert_allclose(mc.pinv(mc.pinv(x)), x, rtol=0, atol=1e-8 * np.linalg.norm(x))
+
+
+@given(st.integers(1, 9), st.integers(1, 9), st.none() | st.integers(1, 45), st.booleans(),
+       st.integers(0, 2**32 - 1))
+@example(1, 1, None, False, 0)
+@example(1, 1, 45, True, 0)
+@example(9, 4, 45, True, 1)  # tall
+@example(4, 9, 45, True, 2)  # wide
+@example(6, 6, 1, False, 3)  # square
+def test_qr_kernels_give_numpy_qr_bits(n, m, stack, transposed, seed):
+    # orthonormal_frames and gram_qr call numpy's QR kernels; np.linalg.qr runs the same
+    # two and is their reference, bit for bit, on a matrix or a stack of C-ordered or
+    # transposed (F-ordered) slices.
+    shape = (n, m) if stack is None else (stack, n, m)
+    rng = mc.make_rng(seed)
+    if transposed:
+        a = rng.standard_normal(shape[:-2] + (m, n)).swapaxes(-1, -2)
+    else:
+        a = rng.standard_normal(shape)
+    assert np.array_equal(mc.orthonormal_frames(a), qr_frames(a))
+    for got, want in zip(mc.gram_qr(a), qr_gram(a)):
+        assert np.array_equal(got, want) and got.shape == want.shape
 
 
 def test_random_stiefel_square_is_orthogonal():

@@ -16,9 +16,12 @@ function that is not ``mpjl``'s: a C function (a numpy function or
 method, a builtin) or a Python function of another module (argparse's
 among them), and so also each call that such Python code makes.
 Operators and indexing are not calls.  Each call is attributed to the
-innermost ``mpjl`` function on the stack.  The table
-lists the total per op, the calls attributed to ``cli`` functions, the
-calls made under ``suites.run_suite`` and those made under
+innermost ``mpjl`` function on the stack.  The table lists the total
+per op, the number of distinct library functions among them (each runs
+cold when an op follows cache-evicting work, as every benchmark op does,
+so this count tracks an op's fixed cost), the calls attributed to
+``cli`` functions, the calls made under ``suites.run_suite`` and those
+made under
 ``reports.stack_reports``, ``reports._group``, ``reports.dumps_canonical``
 or ``reports.render_text`` (the ``report`` column: building the reports or
 grouping them into stacks, and writing them; whatever function the
@@ -41,10 +44,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _count(package: str, spans: dict, run) -> tuple[Counter, Counter]:
-    # Library calls by innermost mpjl caller, and how many were made under the code
-    # objects of each label of ``spans`` (code object -> label).
-    calls, within = Counter(), Counter()
+def _count(package: str, spans: dict, run) -> tuple[Counter, Counter, set]:
+    # Library calls by innermost mpjl caller, how many were made under the code objects
+    # of each label of ``spans`` (code object -> label), and the functions called.
+    calls, within, functions = Counter(), Counter(), set()
 
     def ours(frame):
         return frame.f_code.co_filename.startswith(package)
@@ -58,6 +61,8 @@ def _count(package: str, spans: dict, run) -> tuple[Counter, Counter]:
         if caller is not None:
             code = caller.f_code
             calls[f"{Path(code.co_filename).stem}.{code.co_qualname}"] += 1
+            functions.add((getattr(arg, "__module__", None), arg.__qualname__)
+                          if event == "c_call" else frame.f_code)
             under = set()
             while caller is not None:
                 under.add(spans.get(caller.f_code))
@@ -69,7 +74,7 @@ def _count(package: str, spans: dict, run) -> tuple[Counter, Counter]:
         run()
     finally:
         sys.setprofile(None)
-    return calls, within
+    return calls, within, functions
 
 
 def main(argv=None) -> int:
@@ -88,8 +93,8 @@ def main(argv=None) -> int:
                                 reports.dumps_canonical.__code__, reports.render_text.__code__),
                                "report"))
     print(f"mpjl from {package}")
-    print(f"{'workload':<15} {'op':<20} {'calls':>6} {'cli':>5} {'suite':>6} {'report':>6}  "
-          "largest callers")
+    print(f"{'workload':<15} {'op':<20} {'calls':>6} {'funcs':>5} {'cli':>5} {'suite':>6} "
+          f"{'report':>6}  largest callers")
     with tempfile.TemporaryDirectory(prefix="call-counts-") as work:
         for workload in ("fd-chart", "dense-operator", "cli-sweep"):
             written = []
@@ -105,11 +110,12 @@ def main(argv=None) -> int:
                     out = str(Path(work) / f"{slot}.out")
                     argv = [*argv, "--out", out]
                     cli.main(argv)
-                    calls, within = _count(package, spans, lambda: cli.main(argv))
+                    calls, within, functions = _count(package, spans, lambda: cli.main(argv))
                     in_cli = sum(n for name, n in calls.items() if name.startswith("cli."))
                     top = ", ".join(f"{name} {n}" for name, n in calls.most_common(args.top))
-                    print(f"{workload:<15} {slot:<20} {sum(calls.values()):>6} {in_cli:>5} "
-                          f"{within['suite']:>6} {within['report']:>6}  {top}")
+                    print(f"{workload:<15} {slot:<20} {sum(calls.values()):>6} "
+                          f"{len(functions):>5} {in_cli:>5} {within['suite']:>6} "
+                          f"{within['report']:>6}  {top}")
                 if op.kind == "verify" and Path(out).exists():
                     written.append(out)
     return 0
