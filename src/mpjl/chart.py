@@ -43,7 +43,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import IllConditionedPivot, ShapeMismatch
-from .matcore import as_stack, rank_profile, require_rank
+from .matcore import _read_only, as_stack, rank_profile, require_rank
 
 # Condition-number cap on the pivot block; beyond it the rank hypothesis is
 # too close to violated for chart arithmetic to mean anything.
@@ -53,13 +53,10 @@ PIVOT_COND_CAP = 1e8
 @cache
 def _free_index(n: int, m: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     # Permuted-coordinate rows and columns of the free coordinates: X11
-    # column-major, then X12 column-major, then X21 column-major.  Shared
-    # by every caller, so read-only.
+    # column-major, then X12 column-major, then X21 column-major.
     flat = np.arange(n * m).reshape(n, m)
-    index = np.divmod(np.concatenate([flat[:q, :q].T, flat[:q, q:].T, flat[q:, :q].T], None), m)
-    for a in index:
-        a.flags.writeable = False
-    return index
+    index = np.concatenate([flat[:q, :q].T, flat[:q, q:].T, flat[q:, :q].T], None)
+    return _read_only(*np.divmod(index, m))
 
 
 @dataclass(frozen=True)
@@ -226,11 +223,8 @@ def _blocks(d: np.ndarray, n: int, m: int, q: int) -> tuple:
 @cache
 def _unit_blocks(n: int, m: int, q: int) -> tuple:
     # _blocks of the k unit chart directions, with no stack axis: a matmul broadcasts them
-    # over a stack.  Shared by every caller, so read-only.
-    blocks = _blocks(np.eye(n * q + m * q - q * q), n, m, q)
-    for a in blocks:
-        a.flags.writeable = False
-    return blocks
+    # over a stack.
+    return _read_only(*_blocks(np.eye(n * q + m * q - q * q), n, m, q))
 
 
 def _delta_blocks(b: BlockDecomposition, deltas: np.ndarray) -> tuple:

@@ -8,13 +8,12 @@ MPJL_DEFAULT_SEED overrides the default seed when --seed is absent.
 
 from __future__ import annotations
 
-import argparse
 import collections
-import functools
 import json
 import math
 import os
 import sys
+import types
 
 from .errors import BadSpectrum, ConfigError, DegeneracyBudgetExceeded, MpjlError, ParseError
 from .matcore import draw_rank_q, matrix_to_json, svd_thin
@@ -71,11 +70,15 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """argparse's parser of the flag table."""
     return _build()[0]
 
 
-def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _build():
+    # (the top-level parser, each command's); argparse is imported only to build them.
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="mpjl",
         description="Verification harness for pseudoinverse Jacobians and measure densities.",
@@ -92,11 +95,11 @@ def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser
 
 
 def _read_plain(argv):
-    """The Namespace argparse makes of plain argv: a command, its positionals, then full flag
-    names each followed by one value that does not start with "-" and that the table converts
-    and admits.  None for any other argv (help, an abbreviation, --flag=value, a value that is
-    missing, refused or starts with "-", an unknown flag): argparse reads it and prints help
-    and usage errors."""
+    """The attributes argparse parses from plain argv: a command, its positionals, then full
+    flag names each followed by one value that does not start with "-" and that the table
+    converts and admits.  None for any other argv (help, an abbreviation, --flag=value, a
+    value that is missing, refused or starts with "-", an unknown flag): argparse reads it and
+    prints help and usage errors."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     _, positional, flags = _COMMANDS[argv[0]]
@@ -125,12 +128,7 @@ def _read_plain(argv):
         if choices is not None and value not in choices:
             return None
         values[name] = value
-    return argparse.Namespace(**values)
-
-
-@functools.cache
-def _parsers():
-    return _build()  # parsing keeps no state on a parser, so one tree serves every call
+    return types.SimpleNamespace(**values)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -237,14 +235,15 @@ def cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser, commands = _parsers()
     argv = sys.argv[1:] if argv is None else argv
     args = _read_plain(argv)
-    if args is None and argv and argv[0] in commands:  # one parse, by the command's parser
-        args = commands[argv[0]].parse_args(argv[1:])
-        args.command = argv[0]
-    elif args is None:  # no command: the top-level parser prints help or the usage error
-        args = parser.parse_args(argv)
+    if args is None:  # argv the table leaves to argparse: one tree, built for this call
+        parser, commands = _build()
+        if argv and argv[0] in commands:  # one parse, by the command's parser
+            args = commands[argv[0]].parse_args(argv[1:])
+            args.command = argv[0]
+        else:  # no command: the top-level parser prints help or the usage error
+            args = parser.parse_args(argv)
     try:
         return {"gen": cmd_gen, "verify": cmd_verify, "report": cmd_report}[args.command](args)
     except MpjlError as e:

@@ -16,7 +16,7 @@ that ``differential.pair_block_profile`` reads from the operator's factors
 by Gram identities, S0 split off), ``require_rank`` the one place a rank
 is required (RankMismatch), and ``_pinv_from_svd`` the one place retained
 factors become a pseudoinverse.  A check that needs both the rank and the
-pseudoinverse of X takes them from one SVD (``pinv_rank``, ``svd_full``),
+pseudoinverse of X takes them from one SVD, thin or full (``svd_pinv``),
 never a second one.
 
 QR: ``gram_qr`` and ``orthonormal_frames`` run numpy's stacked kernels
@@ -95,10 +95,13 @@ class SvdFactors:
 
 def frobenius_norms(a) -> np.ndarray:
     """Frobenius norm of each slice of a matrix or stack (..., n, m), shape (...): one dot of
-    its n*m entries (``np.linalg.norm`` would square a temporary of the whole stack)."""
+    its n*m entries scaled by 2^-e, e the exponent of the slice's largest, and of the norm
+    scaled back by 2^e: both exact, so no square overflows or underflows (Higham 2002)."""
     f = np.ascontiguousarray(a, dtype=float)
     f = f.reshape(f.shape[:-2] + (1, -1))
-    return np.sqrt(f @ f.swapaxes(-1, -2))[..., 0, 0]
+    e = np.frexp(np.abs(f).max(axis=-1, keepdims=True))[1]
+    f = np.ldexp(f, -e)
+    return np.ldexp(np.sqrt(f @ f.swapaxes(-1, -2)), e)[..., 0, 0]
 
 
 def gram_qr(a) -> tuple[np.ndarray, np.ndarray]:
@@ -113,12 +116,17 @@ def gram_qr(a) -> tuple[np.ndarray, np.ndarray]:
     return r, 2.0 * np.log(np.abs(np.diagonal(r, 0, -2, -1))).sum(axis=-1)
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    # The arrays a cached function returns, made read-only: every caller shares them.
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @cache
 def _strictly_lower(k: int) -> np.ndarray:
-    # The mask np.triu zeroes in a k x k matrix; shared by every caller, so read-only.
-    mask = np.tri(k, k, -1, dtype=bool)
-    mask.flags.writeable = False
-    return mask
+    # The mask np.triu zeroes in a k x k matrix.
+    return _read_only(np.tri(k, k, -1, dtype=bool))[0]
 
 
 def _rank_info(s: np.ndarray, shape: tuple[int, ...]) -> RankInfo:
@@ -152,12 +160,16 @@ def rank_profile(x) -> RankInfo:
     return _rank_info(np.linalg.svd(x, compute_uv=False), x.shape)
 
 
-def svd_full(x) -> tuple[np.ndarray, RankInfo, np.ndarray, np.ndarray]:
-    """One full SVD of a matrix or stack: orthogonal ``u`` (n x n) and ``vt`` (m x m), the
-    rank profile, and the pseudoinverse from the retained triplets (one rank per stack)."""
+def svd_pinv(x, q: int | None = None, *, full_matrices: bool = False) -> tuple:
+    """``(u, info, vt, y)`` of one SVD of a matrix or stack: factors ``u``, ``vt``, thin or (with
+    ``full_matrices``) orthogonal, the rank profile (with ``q``, RankMismatch unless every slice
+    has rank q), and the pseudoinverse from the retained triplets, one rank per stack.  Taken
+    with vectors, the singular values may differ in their last bits from :func:`rank_profile`'s."""
     x = as_stack(x)
-    u, s, vt = np.linalg.svd(x)
+    u, s, vt = np.linalg.svd(x, full_matrices=full_matrices)
     info = _rank_info(s, x.shape)
+    if q is not None:
+        require_rank(info, q)
     return u, info, vt, _pinv_from_svd(u, s, vt, common_rank(info))
 
 
@@ -178,15 +190,6 @@ def svd_thin(x) -> tuple[SvdFactors, RankInfo]:
     return SvdFactors(u=u[:, :q].copy(), s=s[:q].copy(), v=vt[:q].T.copy()), info
 
 
-def pinv_rank(x) -> tuple[np.ndarray, RankInfo]:
-    """:func:`pinv` of ``x`` and its rank profile from one thin SVD (with vectors, so the
-    singular values may differ in their last bits from :func:`rank_profile`'s)."""
-    x = as_stack(x)
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
-    info = _rank_info(s, x.shape)
-    return _pinv_from_svd(u, s, vt, common_rank(info)), info
-
-
 def pinv(x) -> np.ndarray:
     """Moore-Penrose inverse via SVD with the relative rank cutoff.
 
@@ -194,7 +197,7 @@ def pinv(x) -> np.ndarray:
     is insensitive to them, unlike the measure-density formulas.  The
     slices of a stack must share one rank (see :func:`common_rank`).
     """
-    return pinv_rank(x)[0]
+    return svd_pinv(x)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +237,7 @@ def _hash_plan(words: int) -> tuple:
     In order: the pool's first hash; one step per pool word, which hashes it
     three times to mix it into the other three words (its own column's
     constants are placeholders); one per entropy word beyond the pool; the
-    output words, shape (2, 4).  Shared by every caller, so read-only.
+    output words, shape (2, 4).
     """
     a = np.array(_powers(_INIT_A, _MULT_A, _POOL * (_POOL + max(0, words - _POOL))), np.uint32)
     j = np.arange(_POOL)
@@ -243,9 +246,7 @@ def _hash_plan(words: int) -> tuple:
     b = np.array(_powers(_INIT_B, _MULT_B, 2 * _POOL), np.uint32)
     steps = [(a[i], a[i + 1]) for i in [j, *mixing, *extra]]
     steps.append((b[:-1].reshape(2, _POOL), b[1:].reshape(2, _POOL)))
-    for pair in steps:
-        for c in pair:
-            c.flags.writeable = False
+    _read_only(*[c for pair in steps for c in pair])
     return tuple(steps)
 
 

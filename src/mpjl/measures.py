@@ -24,7 +24,7 @@ from functools import cache
 import numpy as np
 
 from .errors import BadSpectrum, ShapeMismatch
-from .matcore import as_stack, check_spectrum, rank_profile, require_rank
+from .matcore import _read_only, as_stack, check_spectrum, rank_profile, require_rank
 
 
 def _spectra(n: int, m: int, d) -> np.ndarray:
@@ -38,11 +38,8 @@ def _spectra(n: int, m: int, d) -> np.ndarray:
 @cache
 def _triu(q: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
     # Indices (i, j), i + offset <= j < q, row-major: the pairs i < j of a spectrum at
-    # offset 1, the half-vectorized coordinates at 0; shared by every caller, so read-only.
-    pairs = np.triu_indices(q, offset)
-    for a in pairs:
-        a.flags.writeable = False
-    return pairs
+    # offset 1, the half-vectorized coordinates at 0.
+    return _read_only(*np.triu_indices(q, offset))
 
 
 def log_hausdorff_density(n: int, m: int, d):

@@ -105,9 +105,10 @@ def _instances(draws: tuple) -> tuple[np.ndarray, ...]:
 
 
 def _rel(err, scale):
-    # The one relative residual, err / scale entry by entry; each scale is a
-    # norm (of dY, S, X, Y or inv(X'X)) or max(1, |log|), never 0.
-    return np.divide(err, scale)
+    # The one relative residual, err / scale entry by entry; each scale is a norm (of dY, S,
+    # X, Y or inv(X'X)) or max(1, |log|), and one that is 0 or not finite gives NaN: a FAIL.
+    valid = np.isfinite(scale) & (scale > 0)
+    return np.where(valid, err, np.nan) / np.where(valid, scale, 1.0)
 
 
 def _chart_dim(cfg: RunConfig) -> int:
@@ -131,8 +132,7 @@ def _check_differential(cfg: RunConfig, draws: tuple) -> ReportStack:
     q = cfg.rank
     full_rank = q == min(cfg.n, cfg.m)
     x, *direction = _instances(draws)
-    y, info = matcore.pinv_rank(x)  # one SVD: Y and the chart's rank test
-    matcore.require_rank(info, q)
+    y = matcore.svd_pinv(x, q)[3]  # one SVD: Y and the chart's rank test
     b = chart._pivot(x, q)  # at full rank the chart covers every entry
     dx = direction[0] if full_rank else chart.tangent_perturbation(b, *direction)
     dx = dx / matcore.frobenius_norms(dx)[..., None, None]
@@ -172,8 +172,7 @@ def _check_operator_rank(cfg: RunConfig, draws: tuple) -> ReportStack:
     expected = _chart_dim(cfg)
     # One full SVD of the stack: X's rank profile, its pseudoinverse, and
     # the bases U, V of its four fundamental subspaces.
-    u, info, vt, y = matcore.svd_full(x)
-    matcore.require_rank(info, q)
+    u, info, vt, y = matcore.svd_pinv(x, q, full_matrices=True)
     # The log of prod d^-2(n+m-q), the paper's rank-deficient factor, read
     # from X's retained singular values.
     log_factor = measures._log_factor(n, m, info.singular_values[:, :q].copy())
@@ -234,8 +233,7 @@ def _check_exterior_chain(cfg: RunConfig, draws: tuple) -> ReportStack:
     # jacobian-full's gate.  One QR of X gives log|X'X| and inv(X'X) = inv(R) inv(R)'.
     [x] = _instances(draws)
     n, m = x.shape[-2:]
-    y, info = matcore.pinv_rank(x)
-    matcore.require_rank(info, m)  # rank <= n < m when wide
+    y = matcore.svd_pinv(x, m)[3]  # rank <= n < m when wide
     r, log_b = matcore.gram_qr(x)
     r_inv = np.linalg.inv(r)
     b_inv = r_inv @ r_inv.swapaxes(-1, -2)
@@ -316,8 +314,7 @@ def _check_symmetric_inverse(cfg: RunConfig, draws: tuple) -> ReportStack:
 def _check_blocks(cfg: RunConfig, draws: tuple) -> ReportStack:
     q, norms = cfg.rank, matcore.frobenius_norms
     [x] = _instances(draws)
-    y, info = matcore.pinv_rank(x)  # one SVD: Y and the chart's rank test
-    matcore.require_rank(info, q)
+    y = matcore.svd_pinv(x, q)[3]  # one SVD: Y and the chart's rank test
     b = chart._pivot(x, q)
     # assemble copies X's free blocks: roundtrip reads X21 W - X22, placed back by _place.
     return stack_reports("blocks", {"n": cfg.n, "m": cfg.m, "q": q}, {},

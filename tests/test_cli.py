@@ -844,7 +844,6 @@ def test_successive_calls_parse_like_a_fresh_parser(monkeypatch, capsys):
     built = []
     build_tree = cli._build
     monkeypatch.setattr(cli, "_build", lambda: built.append(1) or build_tree())
-    cli._parsers.cache_clear()  # count from no tree, whatever ran before
     build = cli.build_parser
     seen = []
     for name in ("cmd_gen", "cmd_verify", "cmd_report"):
@@ -859,17 +858,35 @@ def test_successive_calls_parse_like_a_fresh_parser(monkeypatch, capsys):
     ]
     for argv in argvs:
         assert main(argv) == 0
-    assert len(built) == 1  # one parser tree for every call
+    assert built == []  # the flag table reads plain argv: no parser tree
     assert seen == [vars(build().parse_args(argv)) for argv in argvs]
-    # argv that names no command: help (exit 0) or the usage error (exit 2), as a fresh
-    # top-level parser prints them.
+    # Each call the table leaves to argparse builds one tree: argv that names no command gets
+    # the help (exit 0) or the usage error (exit 2) that a fresh top-level parser prints, and
+    # --flag=value parses as argparse parses it.
     for argv, code in (([], 2), (["-h"], 0), (["bogus"], 2)):
+        built.clear()
         outcomes = []
         for parse in (main, build().parse_args):
             with pytest.raises(SystemExit) as exc:
                 parse(argv)
             outcomes.append((exc.value.code, *capsys.readouterr()))
         assert outcomes[0] == outcomes[1] and outcomes[0][0] == code, argv
+        assert len(built) == 2, argv  # main's tree and build()'s
+    built.clear()
+    assert main(["gen", "--n=5"]) == 0 and len(built) == 1
+    assert seen[-1] == vars(build().parse_args(["gen", "--n=5"]))
+
+
+def test_plain_argv_never_imports_argparse(tmp_path):
+    # A fresh process that runs a plain verify leaves argparse unimported.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; from mpjl import cli; code = cli.main(['verify', 'blocks', '--trials', "
+            "'2', '--format', 'json', '--out', 'v.json']); print(code, 'argparse' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+                          cwd=tmp_path, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 False\n", "")
+    assert json.loads((tmp_path / "v.json").read_text())["summary"]["total"] == 2
 
 
 # Each command's flags, as README documents them, with values its parser takes and refuses.

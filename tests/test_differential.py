@@ -300,7 +300,7 @@ def _pairs(rng, n, m, q, cond, t):
     d = np.geomspace(1.0, 1.0 / cond, q)
     x = mc.rank_q_from_draw(np.stack([d] * t), rng.standard_normal((t, n, q)),
                             rng.standard_normal((t, m, q)))
-    u, _, vt, y = mc.svd_full(x)
+    u, _, vt, y = mc.svd_pinv(x, full_matrices=True)
     return (x, y), (u.swapaxes(-1, -2) @ x @ vt.swapaxes(-1, -2), vt @ y @ u)
 
 

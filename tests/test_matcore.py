@@ -11,7 +11,7 @@ from helpers import (
     commutation_matrix, penrose_residuals, qr_frames, qr_gram, random_rank_q, random_stiefel, vec,
 )
 from mpjl import matcore as mc
-from mpjl.errors import BadSpectrum, DegenerateSpectrum, ShapeMismatch
+from mpjl.errors import BadSpectrum, DegenerateSpectrum, RankMismatch, ShapeMismatch
 
 
 def test_vec_column_stacking():
@@ -128,6 +128,18 @@ def test_pinv_rank_one_formula():
     np.testing.assert_allclose(mc.pinv(x), expected, rtol=1e-12)
     np.testing.assert_allclose(mc.pinv(x), [[0.02, 0.06], [0.04, 0.12]], rtol=1e-12)
     assert max(penrose_residuals(x, mc.pinv(x))) <= 1e-12
+    # svd_pinv, thin and full: numpy's factors, the rank profile, pinv's bits, and q refused
+    # with require_rank's message.
+    for full in (False, True):
+        u, info, vt, y = mc.svd_pinv(x, 1, full_matrices=full)
+        for got, want in zip((u, info.singular_values, vt), np.linalg.svd(x, full_matrices=full)):
+            assert np.array_equal(got, want)
+        assert info.rank == 1 and np.array_equal(y, mc.pinv(x))
+        with pytest.raises(RankMismatch, match=r"^numerical rank 1 != requested q=2$"):
+            mc.svd_pinv(x, 2, full_matrices=full)
+    wide = np.hstack([x, x])  # u and vt: thin 2 x 2 and 2 x 4, full 2 x 2 and 4 x 4
+    assert [a.shape for a in mc.svd_pinv(wide)[::2]] == [(2, 2), (2, 4)]
+    assert [a.shape for a in mc.svd_pinv(wide, full_matrices=True)[::2]] == [(2, 2), (4, 4)]
 
 
 def test_penrose_residuals_identity():

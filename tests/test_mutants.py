@@ -1,14 +1,18 @@
 """Mutation audit: every oracle must be able to fail.
 
 Each mutant monkeypatches one library function with a plausible error and
-names a suite run that must FAIL under it; the same run passes unmutated.
-A mutant that survives would show an oracle that cannot see that error.
+names a suite run that must FAIL under it; the same run passes unmutated,
+with no warning and no null in its report.  A mutant that survives would
+show an oracle that cannot see that error.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
 from mpjl import chart, differential, matcore, measures, suites
+from mpjl.reports import dumps_canonical
 
 
 def _flip_z_dx12(original):
@@ -112,6 +116,19 @@ def _right_projector_term_negated(original):
     return mutant
 
 
+def _times_1_001(original):
+    # A relative error of 1e-3.
+    return lambda *args: 1.001 * original(*args)
+
+
+def _y_times_1_001(original):
+    # svd_pinv with a relative error of 1e-3 in Y.
+    def mutant(*args, **kwargs):
+        *factors, y = original(*args, **kwargs)
+        return (*factors, 1.001 * y)
+    return mutant
+
+
 def _unsymmetrized(original):
     # _pair_factors without the average of each factor with its transpose.
     def mutant(x, y):
@@ -184,6 +201,17 @@ MUTANTS = {
         [("operator-rank", dict(n=n, m=m, q=q, trials=10, seed=5))
          for n, m, q in ((6, 5, 2), (8, 6, 3))]
         + [("operator-rank", dict(n=6, m=5, q=2, trials=6, seed=1, spectrum=(1.0, 1e-5)))]),
+    # A 1e-3 error at spectrum scales where the square of an entry leaves the float range:
+    # each run once PASSed, a norm read inf giving a residual of 0.
+    "pinv-differential-1e-3-at-1e-78": (
+        [(differential, "_pinv_differential", _times_1_001)],
+        [("differential", dict(n=4, m=3, q=2, trials=4, seed=5, spectrum=(2e-78, 1e-78)))]),
+    "pinv-1e-3-at-1e-78": (
+        [(matcore, "svd_pinv", _y_times_1_001)],
+        [("exterior-chain", dict(n=4, m=3, trials=4, seed=5, spectrum=(4e-78, 2e-78, 1e-78)))]),
+    "assemble-1e-3-at-1e155": (
+        [(chart, "assemble", _times_1_001)],
+        [("blocks", dict(n=4, m=3, q=2, trials=4, seed=5, spectrum=(2e155, 1e155)))]),
 }
 
 # Mutants no run can kill yet, each with the item that is to kill it.
@@ -213,7 +241,10 @@ def _reports(suite, config):
 def test_mutant_fails_its_run(monkeypatch, name):
     patches, runs = MUTANTS[name]
     for suite, config in runs:
-        assert all(r.passed for r in _reports(suite, config))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = suites.run_suite(suite, suites.RunConfig(**config))
+        assert result.all_passed and "null" not in dumps_canonical(result), suite
     for module, attribute, factory in patches:
         monkeypatch.setattr(module, attribute, factory(getattr(module, attribute)))
     for suite, config in runs:

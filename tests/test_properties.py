@@ -58,7 +58,7 @@ def test_operator_spectrum_matches_dense_operator(case):
     # basis of X's SVD, built as the operator-rank suite builds them; the
     # whole operator's absolute eigenvalues; and the closed form, padded
     # with the nm - k zeros of the kernel.
-    u, _, vt, y = mc.svd_full(x[None])
+    u, _, vt, y = mc.svd_pinv(x[None], full_matrices=True)
     pairs, (norm, _, leak) = df.pair_block_profile(
         u.swapaxes(-1, -2) @ x @ vt.swapaxes(-1, -2), vt @ y @ u, q)
     whole = np.sort(np.abs(np.linalg.eigvalsh(op)))[::-1]
@@ -89,7 +89,7 @@ def _pair_case(n, m, q, cond, t, rotated, seed):
     d = np.exp(rng.uniform(-3.0, 3.0)) * np.geomspace(1.0, 1.0 / cond, q)
     x = mc.rank_q_from_draw(np.stack([d] * t), rng.standard_normal((t, n, q)),
                             rng.standard_normal((t, m, q)))
-    u, _, vt, y = mc.svd_full(x)
+    u, _, vt, y = mc.svd_pinv(x, full_matrices=True)
     return n, m, q, u.swapaxes(-1, -2) @ x @ vt.swapaxes(-1, -2), vt @ y @ u
 
 
