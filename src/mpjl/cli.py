@@ -8,16 +8,17 @@ MPJL_DEFAULT_SEED overrides the default seed when --seed is absent.
 
 from __future__ import annotations
 
-import collections
 import json
 import math
 import os
 import sys
 import types
+from collections import Counter
+from operator import itemgetter
 
 from .errors import BadSpectrum, ConfigError, DegeneracyBudgetExceeded, MpjlError, ParseError
 from .matcore import draw_rank_q, matrix_to_json, svd_thin
-from .reports import SuiteResult, VerificationReport, dumps_canonical, render_text
+from .reports import SuiteResult, _group, _read_row, dumps_canonical, render_text
 from .suites import SUITE_NAMES, RunConfig, _checked_stack, _instances, run_suite, validate_config
 
 _DEFAULTS = RunConfig()
@@ -206,27 +207,32 @@ def _finite_number(literal: str) -> float:
 _DECODER = json.JSONDecoder(parse_float=_finite_number, parse_constant=_finite_number)
 
 
-def _load_reports(path: str) -> list[VerificationReport]:
+def _read_rows(path: str) -> list[tuple]:
+    # The (sort key, row) of each report (reports._read_row), the file read as text mode would.
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        fd = os.open(path, os.O_RDONLY)
+        try:  # a regular file whole, in one read; a pipe, or a file that grew, to its end
+            data = os.read(fd, (size := os.fstat(fd).st_size) + 1)
+            if len(data) > size:
+                data += b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+        except OSError as e:  # as open() raises it, naming the file
+            raise OSError(e.errno, e.strerror, path) from None
+        finally:
+            os.close(fd)
+        text = data.decode("utf-8")
+        if "\r" in text:  # a file without one is scanned once, not twice
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         if text.startswith("\ufeff"):  # json.loads' refusal, which the decoder lacks
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        return [VerificationReport.from_json(r) for r in _DECODER.decode(text)["reports"]]
+        return list(map(_read_row, _DECODER.decode(text)["reports"]))
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise ParseError(f"cannot parse report file {path}: {e}") from e
 
 
-def _trial_key(report) -> tuple:
-    inputs = report.inputs
-    return (report.check_name, inputs.get("seed", 0), inputs.get("trial", 0))
-
-
 def cmd_report(args) -> int:
-    reports = sorted([r for path in args.paths for r in _load_reports(path)], key=_trial_key)
-    counts = collections.Counter(map(_trial_key, reports))  # in sorted order
-    duplicates = [list(key) for key, count in counts.items() if count > 1]
-    merged = SuiteResult(reports)  # grouped into stacks once, here
+    keyed = sorted([pair for path in args.paths for pair in _read_rows(path)], key=itemgetter(0))
+    duplicates = [list(k) for k, n in Counter(map(itemgetter(0), keyed)).items() if n > 1]
+    merged = SuiteResult(stacks=_group([row for _, row in keyed]))
     text = dumps_canonical(merged, duplicates) if args.format == "json" else (
         render_text(merged, show_wall_time=False)
         + "".join(f"warning: duplicate trials for {key}\n" for key in duplicates))

@@ -3,7 +3,8 @@
 A VerificationReport is one check on one instance; a ReportStack is the
 reports of one check's trial stack, held as columns; a SuiteResult is the
 reports of a run with a pass/fail summary, held, written and rendered as
-stacks: a run's own, or the reports it is made from, grouped.  JSON
+stacks: a run's own, or rows (a report's fields, as ``_read_row`` reads
+them from JSON) grouped, so a merge builds no report.  JSON
 output is canonical: fixed key order, two-space indent, shortest-roundtrip
 float encoding, no volatile fields.  Identical inputs therefore produce
 byte-identical files; wall time is kept on the in-memory result and in the
@@ -25,11 +26,11 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain, groupby
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from operator import itemgetter, methodcaller
+from operator import attrgetter, itemgetter, methodcaller
 
 import numpy as np
 
@@ -55,10 +56,11 @@ TOLERANCES = {
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
                float: "a number", bool: "a boolean", type(None): "null"}
 
-# A report's JSON fields in the order ``from_json`` reads them, and their types.
+# A report's row: its JSON fields in this order, the order ``_group`` reads, and their types.
 _FIELDS = ("check_name", "pass", "inputs", "values", "residuals", "tolerances")
 _FIELD_TYPES = (str, bool, dict, dict, dict, dict)
 _read_fields = itemgetter(*_FIELDS)
+_report_row = attrgetter("check_name", "passed", "inputs", "values", "residuals", "tolerances")
 
 # Check name -> the residual key that ``tol`` overrides.
 PRIMARY = {
@@ -106,19 +108,27 @@ class VerificationReport:
 
     @classmethod
     def from_json(cls, obj: dict) -> "VerificationReport":
-        """The report ``to_json`` wrote; TypeError when a field that merging and rendering
-        read has the wrong JSON type (``inputs``' ``seed`` and ``trial``, where present)."""
-        # KeyError names the first field missing; the loop runs only to name a wrong type.
-        name, passed, inputs, values, residuals, tolerances = parts = _read_fields(obj)
-        if not (tuple(map(type, parts)) == _FIELD_TYPES and type(inputs.get("seed", 0)) is int
-                and type(inputs.get("trial", 0)) is int):
-            ids = [key for key in ("seed", "trial") if type(inputs) is dict and key in inputs]
-            for field, value, kind in [*zip(_FIELDS, parts, _FIELD_TYPES),
-                                       *((f"inputs.{key}", inputs[key], int) for key in ids)]:
-                if type(value) is not kind:
-                    raise TypeError(f"report {field} must be {_JSON_TYPES[kind]}, "
-                                    f"got {_JSON_TYPES.get(type(value), type(value).__name__)}")
-        return cls(name, inputs, values, residuals, tolerances, passed)
+        """The report ``to_json`` wrote, read as :func:`_read_row` reads it."""
+        name, passed, *fields = _read_row(obj)[1]
+        return cls(name, *fields, passed)
+
+
+def _read_row(obj: dict) -> tuple:
+    """(sort key, row) of a report that ``to_json`` wrote: ``(check_name, seed, trial)``, 0 for
+    a seed or trial ``inputs`` lacks, and its ``_FIELDS``.  TypeError where a field that merging
+    and rendering read (``inputs``' ``seed`` and ``trial`` too) has the wrong JSON type."""
+    # KeyError names the first field missing; the loop runs only to name a wrong type.
+    name, _, inputs, _, _, _ = row = _read_fields(obj)
+    if tuple(map(type, row)) == _FIELD_TYPES:
+        key = name, inputs.get("seed", 0), inputs.get("trial", 0)
+        if type(key[1]) is int and type(key[2]) is int:
+            return key, row
+    ids = [key for key in ("seed", "trial") if type(inputs) is dict and key in inputs]
+    for field, value, kind in [*zip(_FIELDS, row, _FIELD_TYPES),
+                               *((f"inputs.{key}", inputs[key], int) for key in ids)]:
+        if type(value) is not kind:
+            raise TypeError(f"report {field} must be {_JSON_TYPES[kind]}, "
+                            f"got {_JSON_TYPES.get(type(value), type(value).__name__)}")
 
 
 @dataclass(eq=False)
@@ -138,9 +148,6 @@ class ReportStack(Sequence):
     def __len__(self) -> int:
         return len(self.passed)
 
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
     def __getitem__(self, i: int) -> VerificationReport:
         passed = self.passed[i]
         return VerificationReport(
@@ -159,8 +166,8 @@ def stack_reports(check_name: str, inputs: dict, values: dict, residuals: dict,
     ``TOLERANCES`` entry, ``tol`` (when given) in place of the ``PRIMARY`` one; a
     deficient chart's ``invariance`` deviation, which has no bound, is a value.  A
     report passes when every residual is at or below its tolerance (a NaN residual
-    never is) and every condition holds: one comparison per residual and one
-    ``logical_and`` per condition, for the whole stack, whose reports share one dict.
+    never is), every float value is finite and every condition holds: one gate per
+    residual, float value and condition, for the whole stack, whose reports share one dict.
     """
     table = TOLERANCES[check_name]
     tolerances = {k: table[k] for k in residuals}
@@ -171,7 +178,8 @@ def stack_reports(check_name: str, inputs: dict, values: dict, residuals: dict,
     split = len(values) + len(residuals)
     by_key = dict(zip(residuals, columns[len(values):split]))
     passed = np.ones(stack.shape, bool)
-    for gate in [by_key[k] <= t for k, t in tolerances.items()] + columns[split:]:
+    for gate in [by_key[k] <= t for k, t in tolerances.items()] + columns[split:] + [
+            np.isfinite(c) for c in columns[:len(values)] if c.dtype.kind == "f"]:
         np.logical_and(passed, gate, out=passed)  # NaN <= t is False: a NaN residual fails
     lists = [c.ravel().tolist() if c.ndim else [c.item()] * stack.size
              for c in (*columns[:split], passed)]
@@ -184,38 +192,32 @@ _SEQUENCES = frozenset({list, tuple})
 _PLAIN = frozenset({str, int, float, bool, type(None)})
 
 
-def _layout(report: VerificationReport) -> tuple:
-    # What the reports of one stack share: the check name and the tolerance values as JSON
-    # writes them, by repr (which tells 1, 1.0 and True apart, and 0.0 and -0.0), or the
-    # tolerance dict's identity where a value is not a plain scalar (a large array's repr
-    # is cut short); and the key layout, with each input list's length.
-    inputs, tolerances = report.inputs, report.tolerances
+def _layout(row: tuple) -> tuple:
+    # What the rows of one stack share: the check name and tolerance values as JSON writes
+    # them, compared with their types (1, 1.0 and True differ), by repr where one equals 0.0
+    # (0.0 and -0.0 differ), or the tolerance dict's identity where one is not a plain scalar
+    # (a large array's repr is cut short); and the key layout, with each input list's length.
+    name, _, inputs, values, residuals, tolerances = row
+    shared = (name, *tolerances.values())
+    kinds = tuple(map(type, shared))
+    shared = ((repr(name), id(tolerances)) if not _PLAIN.issuperset(kinds) else
+              tuple(map(repr, shared)) if 0.0 in shared else shared)
     sizes = None if _SEQUENCES.isdisjoint(map(type, inputs.values())) else tuple(
         len(v) if type(v) in _SEQUENCES else -1 for v in inputs.values())
-    written = (tuple(map(repr, tolerances.values()))
-               if _PLAIN.issuperset(map(type, tolerances.values())) else id(tolerances))
-    return (repr(report.check_name), written, sizes, tuple(inputs), tuple(report.values),
-            tuple(report.residuals), tuple(tolerances))
+    return kinds, shared, sizes, tuple(inputs), tuple(values), tuple(residuals), tuple(tolerances)
 
 
-def _columns(dicts: list[dict]) -> dict:
-    # {key: its value in each dict} of dicts with one key layout.
-    return dict(zip(dicts[0], zip(*map(dict.values, dicts))))
-
-
-def _group(reports: list[VerificationReport]) -> list[ReportStack]:
-    # Each run of consecutive reports with one _layout as a stack.  _layout compares keys by
-    # ==, so 1, 1.0 and True share one, which JSON writes apart; a str equals only a str, so
-    # a run whose first report has a key that is not one is split into a stack per report.
+def _group(rows: Iterable[tuple]) -> list[ReportStack]:
+    # Each run of consecutive rows (``_FIELDS``) with one _layout as a stack.  _layout compares
+    # keys by ==, so 1, 1.0 and True share one, which JSON writes apart; a str equals only a
+    # str, so a run whose first row has a key that is not one is split into a stack per row.
     stacks = []
-    for _, run in groupby(reports, _layout):
+    for _, run in groupby(rows, _layout):
         run = list(run)
-        keys = chain(run[0].inputs, run[0].values, run[0].residuals, run[0].tolerances)
-        for part in [run] if {str}.issuperset(map(type, keys)) else [[r] for r in run]:
-            stacks.append(ReportStack(
-                part[0].check_name, _columns([r.inputs for r in part]),
-                _columns([r.values for r in part]), _columns([r.residuals for r in part]),
-                part[0].tolerances, [bool(r.passed) for r in part]))
+        for part in [run] if {str}.issuperset(map(type, chain(*run[0][2:]))) else zip(run):
+            names, passed, *dicts, tolerances = zip(*part)
+            columns = [dict(zip(d[0], zip(*map(dict.values, d)))) for d in dicts]
+            stacks.append(ReportStack(names[0], *columns, tolerances[0], list(map(bool, passed))))
     return stacks
 
 
@@ -230,7 +232,7 @@ class SuiteResult:
 
     def __init__(self, reports: list[VerificationReport] | None = None, wall_time: float = 0.0,
                  *, stacks: list[ReportStack] | None = None):
-        self.stacks = (stacks or []) if reports is None else _group(reports)
+        self.stacks = (stacks or []) if reports is None else _group(map(_report_row, reports))
         self.wall_time = wall_time
 
     @property
@@ -249,10 +251,6 @@ class SuiteResult:
 
     def to_json(self) -> dict:
         return {"reports": [r.to_json() for r in self.reports], "summary": self.summary}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SuiteResult":
-        return cls(reports=[VerificationReport.from_json(r) for r in obj["reports"]])
 
 
 # CPython's C encoder of a list of scalars, its items separated by NUL.  It
@@ -371,22 +369,17 @@ def _written(stacks: list[ReportStack], summary: dict, duplicates: list | None) 
 def dumps_canonical(obj, duplicates: list | None = None) -> str:
     """``json.dumps(payload, indent=2, allow_nan=False)`` and a newline, byte for byte.
 
-    For a SuiteResult the payload is ``obj.to_json()``, with ``duplicates``
-    (``mpjl report``'s list of duplicated trials) as its last key when given;
-    it is written without being built, from the result's stacks
-    (``SuiteResult.stacks``): each row is its stack's text, with the check
-    name and tolerances that the rows share written in once, around the
-    row's own scalars, cached by the stack's layout, check name and
-    tolerances (``TEMPLATE_LIMIT``); one call of
-    CPython's C encoder writes every scalar of the rows, one more those of
-    ``duplicates``.  Anything else is the payload itself, and goes to
-    ``json.dumps``; so does a SuiteResult holding a value that is not a
-    plain scalar (or a list of them, in ``inputs``), a number that is not
-    finite, a key that is not a str or a run's input column of lists of
-    several lengths (or of lists and scalars): the reference call writes it
-    or raises its own error.  On that path a NaN or an infinity in a
-    SuiteResult is written as ``null``: strict JSON has no such number, and
-    the report that holds it has failed (``stack_reports``).
+    For a SuiteResult the payload is ``obj.to_json()``, with ``duplicates`` (``mpjl report``'s
+    list of duplicated trials) as its last key when given; ``_written`` writes it from the
+    result's stacks without building it: cached row templates (``TEMPLATE_LIMIT``) around the
+    scalars of the rows, which one call of CPython's C encoder writes, and one more those of
+    ``duplicates``.  Anything else is the payload itself, and goes to ``json.dumps``; so does
+    a SuiteResult holding a value that is not a plain scalar (or a list of them, in
+    ``inputs``), a number that is not finite, a key that is not a str or a run's input column
+    of lists of several lengths (or of lists and scalars): the reference call writes it or
+    raises its own error.  On that path a NaN or an infinity in a SuiteResult is written as
+    ``null``: strict JSON has no such number, and the report that holds it has failed
+    (``stack_reports``).
     """
     if isinstance(obj, SuiteResult):
         try:

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import types
 import warnings
 from pathlib import Path
@@ -450,11 +451,11 @@ def test_report_of_every_suite_is_written_from_stacks(tmp_path, capsys, monkeypa
 @pytest.mark.parametrize("twice", [False, True])
 def test_report_of_a_merge_writes_the_merge_again(tmp_path, monkeypatch, twice):
     # Merging a merged file writes it again byte for byte, with its duplicates
-    # (a run file merged twice) or without; each merge groups its reports once.
+    # (a run file merged twice) or without; each merge groups its rows once.
     paths = _every_suite_files(tmp_path)
     paths += paths[:1] if twice else []
     group, grouped = reports._group, []
-    monkeypatch.setattr(reports, "_group", lambda made: grouped.append(len(made)) or group(made))
+    monkeypatch.setattr(cli, "_group", lambda rows: grouped.append(len(rows)) or group(rows))
     merged, again = tmp_path / "merged.json", tmp_path / "again.json"
     assert main(["report", *paths, "--format", "json", "--out", str(merged)]) == 0
     assert main(["report", str(merged), "--format", "json", "--out", str(again)]) == 0
@@ -472,7 +473,7 @@ def test_every_input_is_a_column_of_its_stack(tmp_path, monkeypatch):
     runs, merges = [], []
     run_suite, group = cli.run_suite, reports._group
     monkeypatch.setattr(cli, "run_suite", lambda *args: runs.append(run_suite(*args)) or runs[-1])
-    monkeypatch.setattr(reports, "_group", lambda made: merges.append(group(made)) or merges[-1])
+    monkeypatch.setattr(cli, "_group", lambda rows: merges.append(group(rows)) or merges[-1])
     assert main(["report", *_every_suite_files(tmp_path), "--format", "json"]) == 0
     stacks = [stack for result in runs for stack in result.stacks] + [s for m in merges for s in m]
     assert len(runs) == len(EVERY_SUITE) and len(merges) == 1
@@ -489,12 +490,73 @@ def test_report_empty_is_ok(capsys):
     assert "total=0" in out
 
 
+# (bytes of a report file, or None for no file and "dir" for a directory; the message),
+# each as text mode reads the file: UTF-8, and "\r\n" and "\r" read as "\n", so a line,
+# column and char count a line break as one character.
+UNREADABLE_FILES = [
+    (b"{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (b'{\r\n  "reports": x\r\n}', "Expecting value: line 2 column 14 (char 15)"),
+    (b'{\r  "reports": x\r}', "Expecting value: line 2 column 14 (char 15)"),
+    (b'{\r\n  "reports": [\r\n    "a\rb"]}',
+     "Invalid control character at: line 3 column 7 (char 23)"),
+    (b'{"reports": ["\xff"]}', "'utf-8' codec can't decode byte 0xff in position 14: invalid "
+                              "start byte"),
+    (b'{"reports": ["\xc3"]}', "'utf-8' codec can't decode byte 0xc3 in position 14: invalid "
+                              "continuation byte"),
+    (b'{"reports": []}\xe2\x82', "'utf-8' codec can't decode bytes in position 15-16: "
+                                "unexpected end of data"),
+    (b'\xef\xbb\xbf{\r\n  "reports": []\r\n}', "Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                                            "line 1 column 1 (char 0)"),
+    (None, "[Errno 2] No such file or directory: '{}'"),
+    ("dir", "[Errno 21] Is a directory: '{}'"),
+]
+
+
 def test_report_parse_error_names_path(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _, err = run_cli(capsys, "report", str(bad))
-    assert code == 2
-    assert str(bad) in err
+    for i, (content, message) in enumerate(UNREADABLE_FILES):
+        bad = tmp_path / f"bad{i}.json"
+        if content == "dir":
+            bad.mkdir()
+        elif content is not None:
+            bad.write_bytes(content)
+        for fmt in ("json", "text"):
+            code, out, err = run_cli(capsys, "report", str(bad), "--format", fmt)
+            assert (code, out) == (2, ""), (content, fmt)
+            assert err == f"error: cannot parse report file {bad}: {message.format(bad)}\n"
+
+
+def test_report_reads_a_pipe_to_its_end(tmp_path, capsys):
+    # A pipe has no size to read in one go (process substitution, `report <(...)`): its
+    # report merges as the same bytes from a file do.
+    good = tmp_path / "good.json"
+    main(["verify", "blocks", "--trials", "3", "--format", "json", "--out", str(good)])
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(good.read_bytes(),))
+    writer.start()
+    try:
+        piped = run_cli(capsys, "report", str(fifo), "--format", "json")
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert piped == run_cli(capsys, "report", str(good), "--format", "json")
+    assert piped[0] == 0 and json.loads(piped[1])["summary"]["total"] == 3
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_report_reads_other_line_endings_as_newlines(tmp_path, newline):
+    # Run files rewritten with CRLF or lone-CR line endings merge to the bytes their LF
+    # files merge to, in JSON and in text.
+    paths = _every_suite_files(tmp_path)
+    rewritten = []
+    for path in paths:
+        rewritten.append(f"{path}.{len(newline)}")
+        Path(rewritten[-1]).write_bytes(Path(path).read_bytes().replace(b"\n", newline.encode()))
+    for fmt in ("json", "text"):
+        merged = [tmp_path / f"lf.{fmt}", tmp_path / f"other.{fmt}"]
+        for files, out in zip((paths, rewritten), merged):
+            assert main(["report", *files, "--format", fmt, "--out", str(out)]) == 0
+        assert merged[0].read_bytes() == merged[1].read_bytes()
 
 
 # (edit of one report of a blocks file, the load path's message): a field
@@ -514,17 +576,20 @@ MALFORMED_REPORTS = [
 @pytest.mark.parametrize("edit,message", MALFORMED_REPORTS,
                          ids=["inputs", "residuals", "values", "check_name", "pass", "seed",
                               "trial"])
-@pytest.mark.parametrize("fmt", ["json", "text"])
-def test_report_refuses_malformed_reports(tmp_path, capsys, edit, message, fmt):
+@pytest.mark.parametrize("fmt, newline", [("json", "\n"), ("text", "\n"), ("json", "\r\n"),
+                                          ("text", "\r")],
+                         ids=["json", "text", "json-crlf", "text-cr"])
+def test_report_refuses_malformed_reports(tmp_path, capsys, edit, message, fmt, newline):
     # Merged with a well-formed file, whose seed and trial are integers: the
-    # sort would compare the two kinds, and rendering would read the maps.
+    # sort would compare the two kinds, and rendering would read the maps.  The
+    # malformed file's line endings do not change the message.
     good = tmp_path / "good.json"
     main(["verify", "blocks", "--trials", "2", "--seed", "4", "--format", "json",
           "--out", str(good)])
     payload = json.loads(good.read_text())
     edit(payload["reports"][1])
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(payload))
+    bad.write_bytes(json.dumps(payload, indent=2).replace("\n", newline).encode())
     code, out, err = run_cli(capsys, "report", str(good), str(bad), "--format", fmt)
     assert (code, out, err) == (2, "", f"error: cannot parse report file {bad}: {message}\n")
 

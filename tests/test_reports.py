@@ -33,6 +33,18 @@ def test_nan_residual_fails(monkeypatch):
     assert _report(monkeypatch, {"a": np.float64("nan")}, {"a": 1.0}).passed is False
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_value_that_is_not_finite_fails(monkeypatch, bad):
+    # Beside residuals that pass, and a value that is not a float: a float value that is
+    # not finite fails its report, as a NaN residual does, in every slice that holds it.
+    monkeypatch.setitem(TOLERANCES, "check", {"a": 1.0})
+    values = {"rank": np.array([2, 2, 2]), "v": np.array([1.0, bad, 2.0])}
+    stack = reports.stack_reports("check", {}, values, {"a": np.zeros(3)})
+    assert stack.passed == [True, False, True]
+    [report] = reports.stack_reports("check", {}, {"v": bad, "w": 0.5}, {"a": 0.0})
+    assert report.passed is False
+
+
 def test_false_condition_fails_within_tolerance(monkeypatch):
     assert _report(monkeypatch, {"a": 0.0}, {"a": 1.0}, conditions=(True, False)).passed is False
     assert _report(monkeypatch, {"a": 0.0}, {"a": 1.0}, conditions=(True,)).passed is True
@@ -57,8 +69,8 @@ def test_numpy_values_serialize_as_plain_json():
 def test_from_json_keeps_the_stored_flag(monkeypatch):
     # A stored verdict is what the producer decided; a merge must not re-judge it.
     failing = _report(monkeypatch, {"a": 0.0}, {"a": 1.0}, conditions=(False,))
-    result = SuiteResult(reports=[failing])
-    back = SuiteResult.from_json(json.loads(dumps_canonical(result)))
+    written = json.loads(dumps_canonical(SuiteResult(reports=[failing])))["reports"]
+    back = SuiteResult([VerificationReport.from_json(r) for r in written])
     assert back.reports[0].passed is False
     stored = failing.to_json()
     stored["pass"] = True
@@ -178,7 +190,7 @@ def test_a_stack_is_judged_as_each_report_alone(case):
         # The rule for one report, written out: the table's tolerance of each
         # residual (a synthetic check's table where one is drawn), ``tol`` in
         # place of the primary one; every residual at or below its tolerance
-        # (NaN is not), and every condition true.
+        # (NaN is not), every value finite (each is a float), and every condition true.
         alone = dict(zip(residuals, row[len(values):]))
         tolerances = kwargs.get("tolerances")
         if tolerances is None:
@@ -186,7 +198,8 @@ def test_a_stack_is_judged_as_each_report_alone(case):
             if "tol" in kwargs:
                 tolerances[PRIMARY[check]] = kwargs["tol"]
         passed = all(row[len(values) + len(residuals):]) and all(
-            alone[k] <= t for k, t in tolerances.items())
+            alone[k] <= t for k, t in tolerances.items()) and all(
+            map(math.isfinite, row[:len(values)]))
         assert report.passed is passed
         assert report.tolerances == tolerances
         assert list(report.tolerances) == list(tolerances)

@@ -22,10 +22,13 @@ cold when an op follows cache-evicting work, as every benchmark op does,
 so this count tracks an op's fixed cost), the calls attributed to
 ``cli`` functions, the calls made under ``suites.run_suite`` and those
 made under
-``reports.stack_reports``, ``reports._group``, ``reports.dumps_canonical``
-or ``reports.render_text`` (the ``report`` column: building the reports or
-grouping them into stacks, and writing them; whatever function the
-calls are attributed to), and the ``N`` largest callers.
+``reports.stack_reports``, ``reports._read_row``,
+``reports.VerificationReport.from_json``, ``reports._group``,
+``reports.dumps_canonical`` or ``reports.render_text`` (the ``report``
+column: building the reports or reading them from JSON, grouping them into
+stacks, and writing them; whatever function the calls are attributed to;
+a tree that lacks ``_read_row`` reads each report with ``from_json``), and
+the ``N`` largest callers.
 
 ``SRC`` is the ``src`` directory to import ``mpjl`` from (default: this
 checkout's), so two trees can be compared.  Only the standard library and
@@ -89,9 +92,10 @@ def main(argv=None) -> int:
 
     package = str(Path(mpjl.__file__).parent)
     spans = {suites.run_suite.__code__: "suite"}
-    spans.update(dict.fromkeys((reports.stack_reports.__code__, reports._group.__code__,
-                                reports.dumps_canonical.__code__, reports.render_text.__code__),
-                               "report"))
+    readers = (reports.stack_reports, getattr(reports, "_read_row", None),
+               reports.VerificationReport.from_json, reports._group, reports.dumps_canonical,
+               reports.render_text)
+    spans.update((reader.__code__, "report") for reader in readers if reader is not None)
     print(f"mpjl from {package}")
     print(f"{'workload':<15} {'op':<20} {'calls':>6} {'funcs':>5} {'cli':>5} {'suite':>6} "
           f"{'report':>6}  largest callers")
