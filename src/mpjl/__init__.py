@@ -20,9 +20,7 @@ from .errors import (
     BadSpectrum, ConfigError, DegeneracyBudgetExceeded, DegenerateSpectrum, IllConditionedPivot,
     MpjlError, ParseError, RankMismatch, ShapeMismatch,
 )
-from .matcore import (
-    RankInfo, SvdFactors, make_rng, matrix_to_json, pinv, rank_profile, svd_thin,
-)
+from .matcore import RankInfo, make_rng, matrix_to_json, pinv, rank_profile
 from .measures import (
     log_hausdorff_density, log_nonfullrank_jacobian_factor, log_symmetric_inverse_jacobian,
     symmetric_inverse_fd_det, symmetric_part,

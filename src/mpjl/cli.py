@@ -16,8 +16,10 @@ import types
 from collections import Counter
 from operator import itemgetter
 
+import numpy as np
+
 from .errors import BadSpectrum, ConfigError, DegeneracyBudgetExceeded, MpjlError, ParseError
-from .matcore import draw_rank_q, matrix_to_json, svd_thin
+from .matcore import _rank_info, draw_rank_q, matrix_to_json, require_rank
 from .reports import SuiteResult, _group, _read_row, dumps_canonical, render_text
 from .suites import SUITE_NAMES, RunConfig, _checked_stack, _instances, run_suite, validate_config
 
@@ -166,21 +168,23 @@ def cmd_gen(args) -> int:
     cfg = validate_config(_config_from_args(args))
 
     def check(cfg, draws):  # trial 0 of the seed, retried as a stack of one
-        x = _instances(draws)[0][0]
-        return [(x, *svd_thin(x))]
+        return _instances(draws)[0]
 
-    [(x, factors, info)], _ = _checked_stack(draw_rank_q, check, cfg, range(1), "gen")
+    [x], _ = _checked_stack(draw_rank_q, check, cfg, range(1), "gen")
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    info = _rank_info(s, x.shape)
+    require_rank(info, q := cfg.rank)
     payload = {
         "matrix": matrix_to_json(x),
         "factors": {
-            "left": matrix_to_json(factors.u),
-            "singular_values": [float(v) for v in factors.s],
-            "right": matrix_to_json(factors.v),
+            "left": matrix_to_json(u[:, :q]),
+            "singular_values": s[:q].tolist(),
+            "right": matrix_to_json(vt[:q].T),
         },
         "rank_info": {
-            "rank": int(info.rank),
+            "rank": q,
             "tolerance_used": float(info.tolerance_used),
-            "singular_values": [float(v) for v in info.singular_values],
+            "singular_values": s.tolist(),
         },
         "seed": cfg.seed,
     }

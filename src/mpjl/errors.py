@@ -19,7 +19,7 @@ class BadSpectrum(MpjlError):
 
 
 class DegenerateSpectrum(MpjlError):
-    """Retained singular values are too close to treat as distinct; ``slices`` holds the
+    """Sampled singular values are too close to treat as distinct; ``slices`` holds the
     stack indices of the tied spectra ([0] for one spectrum)."""
 
     def __init__(self, message: str, slices=(0,)):

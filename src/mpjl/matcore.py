@@ -1,13 +1,13 @@
 """Dense real matrix primitives.
 
-Full and thin SVD with an explicit rank policy, the Moore-Penrose
-inverse, and seeded random generators for test instances.  Everything
-works on plain ``numpy.ndarray`` values of dtype float64; matrices are
-2-D arrays.  Functions documented as taking a stack also take shape (...,
-n, m), one matrix per slice.  Bit rule: a stack of T gives each slice the
-bits of a stack of one, and a 2-D (or 0-d) call is a stack of one; so a
-log, norm or matmul reads C-contiguous arrays (or their transposes), since
-numpy may round a strided or reversed view on another path.
+SVD with an explicit rank policy, the Moore-Penrose inverse, and seeded
+random generators for test instances.  Everything works on plain
+``numpy.ndarray`` values of dtype float64; matrices are 2-D arrays.
+Functions documented as taking a stack also take shape (..., n, m), one
+matrix per slice.  Bit rule: a stack of T gives each slice the bits of a
+stack of one, and a 2-D (or 0-d) call is a stack of one; so a log, norm
+or matmul reads C-contiguous arrays (or their transposes), since numpy
+may round a strided or reversed view on another path.
 
 Rank policy: a singular value of an n x m matrix is retained when it
 exceeds ``max(n, m) * eps * s[0]``, with eps the machine epsilon.
@@ -35,9 +35,7 @@ from numpy.linalg._umath_linalg import qr_r_raw, qr_reduced
 
 from .errors import BadSpectrum, DegenerateSpectrum, RankMismatch, ShapeMismatch
 
-# Relative gap below which retained singular values count as tied.
-DISTINCT_GAP = 1e-10
-# Relative gap required of requested spectra (instance generation).
+# Relative gap required of requested and sampled spectra: the one tie rule.
 REQUEST_GAP = 1e-6
 # Range of singular values drawn when no spectrum is requested.
 SPECTRUM_RANGE = (0.5, 2.5)
@@ -78,19 +76,6 @@ class RankInfo:
     rank: np.ndarray
     tolerance_used: np.ndarray
     singular_values: np.ndarray
-
-
-@dataclass(frozen=True)
-class SvdFactors:
-    """Thin SVD ``X = u @ diag(s) @ v.T`` keeping the retained triplets.
-
-    ``u`` is n x q and ``v`` is m x q, both with orthonormal columns;
-    ``s`` holds the q retained singular values, strictly decreasing.
-    """
-
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
 
 
 def frobenius_norms(a) -> np.ndarray:
@@ -173,29 +158,12 @@ def svd_pinv(x, q: int | None = None, *, full_matrices: bool = False) -> tuple:
     return u, info, vt, _pinv_from_svd(u, s, vt, common_rank(info))
 
 
-def svd_thin(x) -> tuple[SvdFactors, RankInfo]:
-    """Thin SVD retaining the numerically nonzero triplets.
-
-    Raises DegenerateSpectrum when two retained singular values differ by
-    less than ``DISTINCT_GAP`` relative to the largest one.
-    """
-    x = as_matrix(x)
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
-    info = _rank_info(s, x.shape)
-    q = info.rank
-    # Eq.-level downstream formulas divide by squared-value gaps, so ties
-    # among retained singular values are a hard error.
-    if q >= 2 and np.min(s[:q - 1] - s[1:q]) < DISTINCT_GAP * s[0]:
-        raise DegenerateSpectrum(f"retained singular values too close: {s[:q].tolist()}")
-    return SvdFactors(u=u[:, :q].copy(), s=s[:q].copy(), v=vt[:q].T.copy()), info
-
-
 def pinv(x) -> np.ndarray:
     """Moore-Penrose inverse via SVD with the relative rank cutoff.
 
-    Ties among retained singular values are allowed here: the pseudoinverse
-    is insensitive to them, unlike the measure-density formulas.  The
-    slices of a stack must share one rank (see :func:`common_rank`).
+    Ties among retained singular values are allowed: the pseudoinverse is
+    insensitive to them.  The slices of a stack must share one rank (see
+    :func:`common_rank`).
     """
     return svd_pinv(x)[3]
 

@@ -87,7 +87,7 @@ def _plain(value):
 @dataclass
 class VerificationReport:
     """One check on one instance: its residuals, the tolerances they were held to and the
-    verdict, as :func:`stack_reports` made it (or as ``from_json`` read it)."""
+    verdict, as :func:`stack_reports` made it."""
 
     check_name: str
     inputs: dict
@@ -105,12 +105,6 @@ class VerificationReport:
             "tolerances": _plain(self.tolerances),
             "pass": bool(self.passed),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "VerificationReport":
-        """The report ``to_json`` wrote, read as :func:`_read_row` reads it."""
-        name, passed, *fields = _read_row(obj)[1]
-        return cls(name, *fields, passed)
 
 
 def _read_row(obj: dict) -> tuple:

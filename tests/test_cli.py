@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -55,9 +56,46 @@ def test_gen_explicit_spectrum_roundtrip(tmp_path):
     payload = json.loads(out.read_text())
     matrix = payload["matrix"]
     x = np.reshape(matrix["data"], (matrix["rows"], matrix["cols"]))
-    _, info = mc.svd_thin(x)
+    info = mc.rank_profile(x)
     assert info.rank == 2
     np.testing.assert_allclose(info.singular_values[:2], [3.0, 1.0], rtol=1e-10)
+
+
+def test_gen_factors_are_the_thin_svd_of_its_matrix(capsys):
+    # Every shape up to 6 x 6 at every rank: orthonormal factors that rebuild the matrix,
+    # and the q retained singular values, strictly decreasing, of rank_info's spectrum.
+    for n, m in itertools.product(range(1, 7), repeat=2):
+        for q in range(1, min(n, m) + 1):
+            code, out, err = run_cli(capsys, "gen", "--n", str(n), "--m", str(m), "--q", str(q),
+                                     "--seed", str(10 * n + m))
+            assert (code, err) == (0, "")
+            payload = json.loads(out)
+            x, left, right = (np.reshape(a["data"], (a["rows"], a["cols"])) for a in (
+                payload["matrix"], payload["factors"]["left"], payload["factors"]["right"]))
+            s = np.array(payload["factors"]["singular_values"])
+            assert left.shape == (n, q) and right.shape == (m, q)
+            assert np.max(np.abs(left.T @ left - np.eye(q))) <= 1e-12
+            assert np.max(np.abs(right.T @ right - np.eye(q))) <= 1e-12
+            assert np.linalg.norm((left * s) @ right.T - x) <= 1e-12 * np.linalg.norm(x)
+            assert np.all(np.diff(s) < 0)
+            assert payload["rank_info"]["rank"] == q
+            assert s.tolist() == payload["rank_info"]["singular_values"][:q]
+
+
+# gen refuses an instance whose numerical rank is not q, as every check does: below the
+# rank cut (1e-17), at an SVD whose s[0] overflows to inf (cut inf, rank 0) and at
+# subnormal singular values, whose rounding leaves every value above the cut.
+@pytest.mark.parametrize("seed,spectrum,rank", [
+    ("1", "1,1e-17", 1),
+    *((seed, "1.7976931348623157e308,1.79e308", 0) for seed in "12456"),
+    ("1", "1e-312,9.99999e-313", 3),
+])
+def test_gen_refuses_a_rank_other_than_q(capsys, seed, spectrum, rank):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "gen", "--n", "4", "--m", "3", "--q", "2",
+                                 "--seed", seed, "--spectrum", spectrum)
+    assert (code, out, err) == (1, "", f"error: numerical rank {rank} != requested q=2\n")
 
 
 @pytest.mark.parametrize("flag", [
@@ -417,6 +455,24 @@ def test_report_flags_duplicates(tmp_path, capsys):
                         "warning: duplicate trials for ['blocks', 5, 1]\n")
 
 
+def test_report_keeps_the_stored_verdict(tmp_path, capsys):
+    # A stored verdict is what the producer decided; a merge must not re-judge it, whichever
+    # way it contradicts the residuals.
+    p = tmp_path / "a.json"
+    main(["verify", "blocks", "--n", "4", "--m", "3", "--q", "2", "--trials", "2",
+          "--seed", "5", "--format", "json", "--out", str(p)])
+    run = json.loads(p.read_text())
+    passing, failing = run["reports"]
+    assert all(passing["residuals"][key] <= tol for key, tol in passing["tolerances"].items())
+    passing["pass"] = False
+    failing["residuals"] = {key: 2 * tol for key, tol in failing["tolerances"].items()}
+    p.write_text(json.dumps(run))
+    code, out, _ = run_cli(capsys, "report", str(p), "--format", "json")
+    merged = json.loads(out)
+    assert code == 0 and [r["pass"] for r in merged["reports"]] == [False, True]
+    assert merged["summary"] == {"total": 2, "passed": 1, "failed": 1}
+
+
 # A run file of every suite, 3 trials each at seed 5, and hausdorff at q=2 (seed 6).
 EVERY_SUITE = [[suite, "--seed", "5"] for suite in suites.SUITE_NAMES] + [
     ["hausdorff", "--seed", "6", "--q", "2"]]
@@ -734,15 +790,15 @@ def test_retry_budget_exhausted(monkeypatch):
 def test_gen_redraws_a_degenerate_first_draw(monkeypatch, capsys):
     # gen is trial 0 of its seed, retried as a stack of one: a degenerate
     # first draw gives way to the instance of the stream (seed, 0, 1).
-    svd_thin, calls = cli.svd_thin, []
+    instances, calls = cli._instances, []
 
-    def flaky(x):
-        calls.append(x)
+    def flaky(draws):
+        calls.append(draws)
         if len(calls) == 1:
             raise DegenerateSpectrum("synthetic collision")
-        return svd_thin(x)
+        return instances(draws)
 
-    monkeypatch.setattr(cli, "svd_thin", flaky)
+    monkeypatch.setattr(cli, "_instances", flaky)
     code, out, err = run_cli(capsys, "gen", "--n", "4", "--m", "3", "--q", "2", "--seed", "7")
     assert (code, err, len(calls)) == (0, "", 2)
     data = np.reshape(json.loads(out)["matrix"]["data"], (4, 3))

@@ -1,4 +1,4 @@
-"""Matrix primitive tests: vec/kron, the commutation oracle, thin SVD, pinv, generators."""
+"""Matrix primitive tests: vec/kron, the commutation oracle, pinv, generators."""
 
 import json
 import re
@@ -60,53 +60,6 @@ def test_commutation_matrix_inverse_pairs():
         for n in range(1, 7):
             prod = commutation_matrix(m, n) @ commutation_matrix(n, m)
             assert np.array_equal(prod, np.eye(m * n))
-
-
-def test_svd_thin_diagonal():
-    factors, info = mc.svd_thin(np.diag([3.0, 2.0]))
-    assert info.rank == 2
-    np.testing.assert_allclose(factors.s, [3.0, 2.0])
-    np.testing.assert_allclose(np.abs(factors.u), np.eye(2), atol=1e-14)
-    np.testing.assert_allclose(
-        (factors.u * factors.s) @ factors.v.T, np.diag([3.0, 2.0]), atol=1e-12
-    )
-
-
-def test_svd_thin_rank_one_frobenius():
-    # Single singular value of a rank-1 matrix equals its Frobenius norm.
-    x = np.array([[1.0, 2.0], [3.0, 6.0]])
-    factors, info = mc.svd_thin(x)
-    assert info.rank == 1
-    np.testing.assert_allclose(factors.s, [np.linalg.norm(x)], rtol=1e-14)
-
-
-def test_svd_thin_zero_matrix_empty_factors():
-    factors, info = mc.svd_thin(np.zeros((3, 2)))
-    assert info.rank == 0
-    assert factors.u.shape == (3, 0)
-    assert factors.s.shape == (0,)
-    assert factors.v.shape == (2, 0)
-
-
-def test_svd_thin_rejects_tied_spectrum():
-    with pytest.raises(DegenerateSpectrum):
-        mc.svd_thin(np.eye(3))
-
-
-def test_svd_thin_factor_invariants():
-    rng = mc.make_rng(14)
-    for _ in range(10):
-        q = int(rng.integers(1, 4))
-        n = int(rng.integers(q, 9))
-        m = int(rng.integers(q, 9))
-        x = random_rank_q(n, m, q, rng)
-        factors, info = mc.svd_thin(x)
-        assert info.rank == q
-        assert np.max(np.abs(factors.u.T @ factors.u - np.eye(q))) <= 1e-12
-        assert np.max(np.abs(factors.v.T @ factors.v - np.eye(q))) <= 1e-12
-        assert np.all(np.diff(factors.s) < 0) or q == 1
-        err = np.linalg.norm((factors.u * factors.s) @ factors.v.T - x) / np.linalg.norm(x)
-        assert err <= 1e-10
 
 
 def test_as_matrix_rejects_nonfinite():
@@ -225,9 +178,9 @@ def test_random_stiefel_deterministic():
 
 def test_random_rank_q_spectrum_roundtrip():
     x = random_rank_q(4, 3, 2, mc.make_rng(10), spectrum=(3.0, 1.0))
-    factors, info = mc.svd_thin(x)
+    info = mc.rank_profile(x)
     assert info.rank == 2
-    np.testing.assert_allclose(factors.s, [3.0, 1.0], rtol=1e-10)
+    np.testing.assert_allclose(info.singular_values[:2], [3.0, 1.0], rtol=1e-10)
 
 
 def test_random_rank_q_rank_one_norm():

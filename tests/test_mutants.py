@@ -171,6 +171,10 @@ MUTANTS = {
                               for n, m, q in ((6, 5, 2), (8, 6, 3))]),
     "sub-chart-ignores-index": ([(chart.BlockDecomposition, "__getitem__", _first_slice)],
                                 [INVARIANCE_5X4Q2]),
+    # A full chart's formula side is the constant |det| = 1: the error goes into the map's side.
+    "full-chart-jacobian-1e-3": ([(chart, "sandwich_chart_jacobian", _times_1_001)],
+                                 [("invariance", dict(n=n, m=m, q=q, trials=4, seed=7))
+                                  for n, m, q in ((3, 3, 3), (5, 4, 4), (2, 2, 2))]),
     "symmetric-inverse-exponent-m": (
         [(measures, "log_symmetric_inverse_jacobian", _symmetric_exponent_m)],
         [("symmetric-inverse", dict(m=m, trials=10, seed=5)) for m in (3, 5)]),

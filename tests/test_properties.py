@@ -468,13 +468,15 @@ def _first_volume_plus_log_1_001(original):
 
 # suite -> (module, function, mutant factory): the formula side of each suite with a 1e-3
 # relative error, through the functions the mutant table patches.  At a full chart,
-# invariance's formula side is the constant |det| = 1 and log_chart_volume is not called.
+# invariance's formula side is the constant |det| = 1 and log_chart_volume is not called,
+# so the error goes into the chart Jacobian's side ("invariance-full-chart").
 PLANTED = {
     "differential": (df, "_pinv_differential", _times_1_001),
     "jacobian-full": (df, "log_jacobian_det_full_rank", _plus_log_1_001),
     "operator-rank": (measures, "_log_factor", _plus_log_1_001),
     "hausdorff": (measures, "_log_factor", _plus_log_1_001),
     "invariance": (chart, "log_chart_volume", _first_volume_plus_log_1_001),
+    "invariance-full-chart": (chart, "sandwich_chart_jacobian", _times_1_001),
     "symmetric-inverse": (measures, "log_symmetric_inverse_jacobian", _plus_log_1_001),
     "exterior-chain": (mc, "svd_pinv", _y_times_1_001),
     "blocks": (chart, "assemble", _times_1_001),
@@ -492,7 +494,8 @@ def _verify(suite, n, m, q, spectrum, seed=7, planted=False):
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         if planted:
-            module, name, factory = PLANTED[suite]
+            key = "invariance-full-chart" if suite == "invariance" and q == min(n, m) else suite
+            module, name, factory = PLANTED[key]
             patch.setattr(module, name, factory(getattr(module, name)))
         code = cli.main(argv)
     return code, out.getvalue(), err.getvalue(), caught
@@ -542,8 +545,7 @@ def test_every_accepted_input_can_fail(case):
     assert code in (0, 1, 2)
     if code == 0:
         assert (err, [str(w.message) for w in caught]) == ("", []) and "null" not in out
-    if suite != "invariance" or q < min(n, m):
-        assert _verify(suite, n, m, q, spectrum, seed, planted=True)[0] in (1, 2)
+    assert _verify(suite, n, m, q, spectrum, seed, planted=True)[0] in (1, 2)
 
 
 # A valid spectrum at whose scale a suite still FAILs unplanted: its numbers leave the float

@@ -27,7 +27,8 @@ made under
 ``reports.dumps_canonical`` or ``reports.render_text`` (the ``report``
 column: building the reports or reading them from JSON, grouping them into
 stacks, and writing them; whatever function the calls are attributed to;
-a tree that lacks ``_read_row`` reads each report with ``from_json``), and
+an older tree that lacks ``_read_row`` reads each report with ``from_json``;
+each reader a tree lacks is skipped), and
 the ``N`` largest callers.
 
 ``SRC`` is the ``src`` directory to import ``mpjl`` from (default: this
@@ -93,8 +94,8 @@ def main(argv=None) -> int:
     package = str(Path(mpjl.__file__).parent)
     spans = {suites.run_suite.__code__: "suite"}
     readers = (reports.stack_reports, getattr(reports, "_read_row", None),
-               reports.VerificationReport.from_json, reports._group, reports.dumps_canonical,
-               reports.render_text)
+               getattr(reports.VerificationReport, "from_json", None), reports._group,
+               reports.dumps_canonical, reports.render_text)
     spans.update((reader.__code__, "report") for reader in readers if reader is not None)
     print(f"mpjl from {package}")
     print(f"{'workload':<15} {'op':<20} {'calls':>6} {'funcs':>5} {'cli':>5} {'suite':>6} "

@@ -128,7 +128,10 @@ its own directory.  It replays:
   q=8 with 40 trials (six stacks) and ``invariance`` 8 x 6 q=3 with 45
   trials (stacks of 20, 20 and 5), each in JSON and in text to stdout and in
   JSON to an ``--out`` file, and ``report`` of those two files, in JSON and
-  in text;
+  in text; and the refusals (exit 1) of ``gen`` 4 x 3 q=2 seed 1 at a
+  numerical rank other than q: spectrum ``1.7976931348623157e308,1.79e308``
+  (LAPACK's largest singular value is inf, so the cut is inf and the rank
+  0), ``1,1e-17`` (rank 1) and ``1e-312,9.99999e-313`` (rank 3);
 * ``verify hausdorff`` 4 x 3 q=2, in JSON and in text, with
   ``measures.log_hausdorff_density`` patched to return NaN on both sides, so
   that a residual that is not finite reaches a live report (``identity=null``
@@ -396,6 +399,8 @@ EDGE_CASES = [
       for fmt, out in (("json", []), ("text", []), ("json", ["--out", f"{args[0]}-stacks.json"]))),
     *(["report", *(f"{args[0]}-stacks.json" for args in MULTI_STACK_RUNS.values()), "--format", fmt]
       for fmt in ("json", "text")),
+    *(["gen", "--n", "4", "--m", "3", "--q", "2", "--seed", "1", "--spectrum", spectrum]
+      for spectrum in ("1.7976931348623157e308,1.79e308", "1,1e-17", "1e-312,9.99999e-313")),
 ]
 
 # Run with the density forced to NaN, as a check that produces a value that is
