@@ -237,9 +237,12 @@ def cmd_report(args) -> int:
     keyed = sorted([pair for path in args.paths for pair in _read_rows(path)], key=itemgetter(0))
     duplicates = [list(k) for k, n in Counter(map(itemgetter(0), keyed)).items() if n > 1]
     merged = SuiteResult(stacks=_group([row for _, row in keyed]))
-    text = dumps_canonical(merged, duplicates) if args.format == "json" else (
-        render_text(merged, show_wall_time=False)
-        + "".join(f"warning: duplicate trials for {key}\n" for key in duplicates))
+    try:  # a value nested in a report file: no writer of mpjl makes one
+        text = dumps_canonical(merged, duplicates) if args.format == "json" else (
+            render_text(merged, show_wall_time=False)
+            + "".join(f"warning: duplicate trials for {key}\n" for key in duplicates))
+    except ValueError as e:
+        raise ParseError(f"cannot merge report files: {e}") from e
     _emit(text, args.out)
     return 0
 

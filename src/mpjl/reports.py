@@ -4,14 +4,15 @@ A VerificationReport is one check on one instance; a ReportStack is the
 reports of one check's trial stack, held as columns; a SuiteResult is the
 reports of a run with a pass/fail summary, held, written and rendered as
 stacks: a run's own, or rows (a report's fields, as ``_read_row`` reads
-them from JSON) grouped, so a merge builds no report.  JSON
-output is canonical: fixed key order, two-space indent, shortest-roundtrip
-float encoding, no volatile fields.  Identical inputs therefore produce
-byte-identical files; wall time is kept on the in-memory result and in the
-text rendering only.  ``dumps_canonical`` writes a SuiteResult exactly as
-``json.dumps(result.to_json(), indent=2, allow_nan=False)`` would, from its
-stacks' columns, without building that dict or a report, or running json's
-pure-Python indenting encoder; ``render_text`` reads the same columns.
+them from JSON) grouped, so a merge builds no report.  JSON output is
+canonical: fixed key order, two-space indent, shortest-roundtrip float
+encoding, no volatile fields, so identical inputs produce byte-identical
+files; wall time is kept on the in-memory result and in the text rendering
+only.  ``dumps_canonical`` writes each report as ``json.dumps(indent=2)``
+writes its fields (``check_name``, ``inputs``, ``values``, ``residuals``,
+``tolerances``, ``pass``), a number that is not finite as ``null``, from the
+stacks' columns, without building a report or running json's pure-Python
+indenting encoder; ``render_text`` reads the same columns.
 
 Tolerance policy: every residual gates, held to its entry in ``TOLERANCES``, the
 one table of tolerances, and no residual repeats another: a full chart's
@@ -30,7 +31,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain, groupby
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from operator import attrgetter, itemgetter, methodcaller
+from operator import itemgetter
 
 import numpy as np
 
@@ -60,7 +61,6 @@ _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an in
 _FIELDS = ("check_name", "pass", "inputs", "values", "residuals", "tolerances")
 _FIELD_TYPES = (str, bool, dict, dict, dict, dict)
 _read_fields = itemgetter(*_FIELDS)
-_report_row = attrgetter("check_name", "passed", "inputs", "values", "residuals", "tolerances")
 
 # Check name -> the residual key that ``tol`` overrides.
 PRIMARY = {
@@ -71,17 +71,6 @@ PRIMARY = {
     "symmetric-inverse": "fd_mismatch",
     "blocks": "pinv_blocks",
 }
-
-
-def _plain(value):
-    """Coerce numpy scalars/arrays to plain Python for JSON round-trips."""
-    if hasattr(value, "tolist"):  # any numpy value, scalar or array
-        value = value.tolist()
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
 
 
 @dataclass
@@ -96,20 +85,10 @@ class VerificationReport:
     tolerances: dict
     passed: bool
 
-    def to_json(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "inputs": _plain(self.inputs),
-            "values": _plain(self.values),
-            "residuals": _plain(self.residuals),
-            "tolerances": _plain(self.tolerances),
-            "pass": bool(self.passed),
-        }
-
 
 def _read_row(obj: dict) -> tuple:
-    """(sort key, row) of a report that ``to_json`` wrote: ``(check_name, seed, trial)``, 0 for
-    a seed or trial ``inputs`` lacks, and its ``_FIELDS``.  TypeError where a field that merging
+    """(sort key, row) of a report read from JSON: ``(check_name, seed, trial)``, 0 for a
+    seed or trial ``inputs`` lacks, and its ``_FIELDS``.  TypeError where a field that merging
     and rendering read (``inputs``' ``seed`` and ``trial`` too) has the wrong JSON type."""
     # KeyError names the first field missing; the loop runs only to name a wrong type.
     name, _, inputs, _, _, _ = row = _read_fields(obj)
@@ -183,50 +162,45 @@ def stack_reports(check_name: str, inputs: dict, values: dict, residuals: dict,
 
 
 _SEQUENCES = frozenset({list, tuple})
-_PLAIN = frozenset({str, int, float, bool, type(None)})
 
 
 def _layout(row: tuple) -> tuple:
     # What the rows of one stack share: the check name and tolerance values as JSON writes
-    # them, compared with their types (1, 1.0 and True differ), by repr where one equals 0.0
-    # (0.0 and -0.0 differ), or the tolerance dict's identity where one is not a plain scalar
-    # (a large array's repr is cut short); and the key layout, with each input list's length.
+    # them, compared with their types (1, 1.0 and True differ) and by repr where one equals
+    # 0.0 (0.0 and -0.0 differ); and the key layout, with each input list's length.
     name, _, inputs, values, residuals, tolerances = row
     shared = (name, *tolerances.values())
     kinds = tuple(map(type, shared))
-    shared = ((repr(name), id(tolerances)) if not _PLAIN.issuperset(kinds) else
-              tuple(map(repr, shared)) if 0.0 in shared else shared)
+    if 0.0 in shared:
+        shared = tuple(map(repr, shared))
     sizes = None if _SEQUENCES.isdisjoint(map(type, inputs.values())) else tuple(
         len(v) if type(v) in _SEQUENCES else -1 for v in inputs.values())
     return kinds, shared, sizes, tuple(inputs), tuple(values), tuple(residuals), tuple(tolerances)
 
 
 def _group(rows: Iterable[tuple]) -> list[ReportStack]:
-    # Each run of consecutive rows (``_FIELDS``) with one _layout as a stack.  _layout compares
-    # keys by ==, so 1, 1.0 and True share one, which JSON writes apart; a str equals only a
-    # str, so a run whose first row has a key that is not one is split into a stack per row.
+    # Each run of consecutive rows (``_FIELDS``, as ``_read_row`` reads them from JSON, so
+    # every key a str) with one _layout as a stack.
     stacks = []
     for _, run in groupby(rows, _layout):
-        run = list(run)
-        for part in [run] if {str}.issuperset(map(type, chain(*run[0][2:]))) else zip(run):
-            names, passed, *dicts, tolerances = zip(*part)
-            columns = [dict(zip(d[0], zip(*map(dict.values, d)))) for d in dicts]
-            stacks.append(ReportStack(names[0], *columns, tolerances[0], list(map(bool, passed))))
+        names, passed, *dicts, tolerances = zip(*run)
+        columns = [dict(zip(d[0], zip(*map(dict.values, d)))) for d in dicts]
+        stacks.append(ReportStack(names[0], *columns, tolerances[0], list(map(bool, passed))))
     return stacks
 
 
 class SuiteResult:
     """The reports of a run, in order, with a pass/fail summary, held as ``stacks``: a run's
-    trial stacks, or the reports a result is made from, grouped once (``_group``).
+    trial stacks, or the rows of the report files ``mpjl report`` merges, grouped once
+    (``_group``).
 
     ``stacks`` is the one stored form; ``summary``, the writer and ``render_text`` read it.
     ``reports`` builds each report from the stacks on every read, so a report read from a
     result is a copy: an edit to it reaches neither the result nor its file.
     """
 
-    def __init__(self, reports: list[VerificationReport] | None = None, wall_time: float = 0.0,
-                 *, stacks: list[ReportStack] | None = None):
-        self.stacks = (stacks or []) if reports is None else _group(map(_report_row, reports))
+    def __init__(self, *, stacks: list[ReportStack], wall_time: float = 0.0):
+        self.stacks = stacks
         self.wall_time = wall_time
 
     @property
@@ -243,16 +217,21 @@ class SuiteResult:
     def all_passed(self) -> bool:
         return self.summary["failed"] == 0
 
-    def to_json(self) -> dict:
-        return {"reports": [r.to_json() for r in self.reports], "summary": self.summary}
+
+def _tolist(value):
+    # A numpy value as plain Python; anything else without a JSON form raises TypeError.
+    if not hasattr(value, "tolist"):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return value.tolist()
 
 
 # CPython's C encoder of a list of scalars, its items separated by NUL.  It
 # writes a NUL inside a string as \u0000, so every NUL it writes separates
-# two items.  A numpy value is written as its ``tolist()``, as ``_plain``
-# makes it (anything else raises AttributeError).
-_encode_scalars = c_make_encoder(None, methodcaller("tolist"), encode_basestring_ascii, None,
-                                 ": ", "\x00", False, False, False)
+# two items.  A numpy value is written as its ``tolist()``; a number that is
+# not finite as NaN, Infinity or -Infinity, which ``_pieces`` makes null.
+_encode_scalars = c_make_encoder(None, _tolist, encode_basestring_ascii, None,
+                                 ": ", "\x00", False, False, True)
+_NULL = dict.fromkeys(("NaN", "Infinity", "-Infinity"), "null")
 
 # The text of a stack's rows by their layout, check name and tolerances (``_stack_text``).
 # A cache: what it holds never changes an output byte; it is emptied when full.
@@ -271,8 +250,7 @@ def _block(items: list[str], level: int, brackets: str) -> str:
 
 def _dict(keys, level: int, items=None) -> str:
     # _block of a dict, each value written as its entry of ``items``, a NUL (the place
-    # of a scalar) if left out.  A key that is not a str raises TypeError, which leaves
-    # the file to json.dumps.
+    # of a scalar) if left out.  A key that is not a str raises TypeError.
     items = items or ["\x00"] * len(keys)
     return _block([encode_basestring_ascii(k) + ": " + item for k, item in zip(keys, items)],
                   level, "{}")
@@ -284,7 +262,7 @@ def _stack_rows(stack: ReportStack, shared: list, scalars: list) -> tuple:
     # ``shared`` once, the rest to ``scalars`` row by row, each in written order.  An input
     # column is a column of lists when its first entry is one; lists of several lengths, or
     # lists beside scalars, raise ValueError or TypeError (a container among scalars is
-    # written: see _pieces).
+    # refused by _pieces).
     columns, sizes = [], []
     for value in stack.inputs.values():
         if type(value[0]) not in _SEQUENCES:
@@ -325,12 +303,16 @@ def _stack_text(key: tuple) -> tuple:
 
 
 def _pieces(scalars: list) -> list[str]:
-    # Each scalar as written, by one C-encoder call; ValueError where the
-    # encoder wrote a container in a scalar's place.
+    # Each scalar as written, by one C-encoder call, a number that is not finite as null (a
+    # string is quoted, so "NaN" is not one); ValueError where the encoder wrote a container
+    # in a scalar's place.
     text = "".join(_encode_scalars(scalars, 0))[1:-1]
     if text.startswith(("[", "{")) or "\x00[" in text or "\x00{" in text:
         raise ValueError("a value that is not a plain scalar")
-    return text.split("\x00") if text else []
+    pieces = text.split("\x00") if text else []
+    if "NaN" in text or "Infinity" in text:
+        pieces = [_NULL.get(piece, piece) for piece in pieces]
+    return pieces
 
 
 def _written(stacks: list[ReportStack], summary: dict, duplicates: list | None) -> str:
@@ -361,44 +343,34 @@ def _written(stacks: list[ReportStack], summary: dict, duplicates: list | None) 
 
 
 def dumps_canonical(obj, duplicates: list | None = None) -> str:
-    """``json.dumps(payload, indent=2, allow_nan=False)`` and a newline, byte for byte.
+    """The canonical JSON of ``obj`` and a newline.
 
-    For a SuiteResult the payload is ``obj.to_json()``, with ``duplicates`` (``mpjl report``'s
-    list of duplicated trials) as its last key when given; ``_written`` writes it from the
-    result's stacks without building it: cached row templates (``TEMPLATE_LIMIT``) around the
-    scalars of the rows, which one call of CPython's C encoder writes, and one more those of
-    ``duplicates``.  Anything else is the payload itself, and goes to ``json.dumps``; so does
-    a SuiteResult holding a value that is not a plain scalar (or a list of them, in
-    ``inputs``), a number that is not finite, a key that is not a str or a run's input column
-    of lists of several lengths (or of lists and scalars): the reference call writes it or
-    raises its own error.  On that path a NaN or an infinity in a SuiteResult is written as
-    ``null``: strict JSON has no such number, and the report that holds it has failed
-    (``stack_reports``).
+    A SuiteResult is written by ``_written`` from its stacks (see the module docstring), with
+    ``duplicates`` (``mpjl report``'s list of duplicated trials) as its last key when given:
+    cached row templates (``TEMPLATE_LIMIT``) around the scalars of the rows, which one call
+    of CPython's C encoder writes, and one more those of ``duplicates``.  A number that is
+    not finite is written as ``null``: strict JSON has no such number, and the report that
+    holds it has failed (``stack_reports``).  TypeError or ValueError refuses a value that is
+    not a plain scalar (or a list of them, in ``inputs``), a key that is not a str and an
+    input column of lists of several lengths (or of lists and scalars).  Anything else is
+    written as ``json.dumps(obj, indent=2, allow_nan=False)``.
     """
     if isinstance(obj, SuiteResult):
-        try:
-            return _written(obj.stacks, obj.summary, duplicates)
-        except (TypeError, ValueError, AttributeError):
-            obj = json.loads(json.dumps(obj.to_json()), parse_constant=lambda name: None)
-        if duplicates is not None:
-            obj["duplicates"] = duplicates
+        return _written(obj.stacks, obj.summary, duplicates)
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def render_text(result: SuiteResult, show_wall_time: bool = True) -> str:
     """Human-readable rendering of the same data as the JSON form; a residual that is not
     finite reads ``null``, as it does there."""
-    def plain(column):
-        return column if _PLAIN.issuperset(map(type, column)) else _plain(column)
-
     lines = []
     for stack in result.stacks:
         # Each input and residual as its text in each row, from the stack's columns: an
         # input as k=v; a residual that is a float (or null) as k=%.3e, else "", which is
-        # left out.  A column of plain scalars is its own plain form.
-        inputs = [[f"{k}={x}" for x in plain(column)] for k, column in stack.inputs.items()]
+        # left out.
+        inputs = [[f"{k}={x}" for x in column] for k, column in stack.inputs.items()]
         resid = [["" if v is not None and not isinstance(v, float) else f"{k}={v:.3e}"
-                  if v is not None and math.isfinite(v) else f"{k}=null" for v in plain(column)]
+                  if v is not None and math.isfinite(v) else f"{k}=null" for v in column]
                  for k, column in stack.residuals.items()]
         for passed, *texts in zip(stack.passed, *inputs, *resid):
             lines.append(f"[{'PASS' if passed else 'FAIL'}] {stack.check_name} "

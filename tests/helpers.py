@@ -1,6 +1,8 @@
 """Test oracles and fixture builders that the library itself does not need."""
 
+import json
 import math
+from operator import methodcaller
 
 import numpy as np
 
@@ -12,6 +14,7 @@ from mpjl.matcore import (
     rank_profile, rank_q_from_draw, sorted_spectra, validate_spectrum,
 )
 from mpjl.measures import symmetric_part
+from mpjl.reports import SuiteResult, _group
 
 
 def check(suite: str, draws: tuple, **config):
@@ -19,6 +22,24 @@ def check(suite: str, draws: tuple, **config):
     with a leading trial axis, under ``RunConfig(**config)``: what ``run_suite`` does with
     one stack, minus drawing and stamping."""
     return suites._SUITES[suite][1](suites.RunConfig(**config), draws)
+
+
+def report_json(report) -> dict:
+    """A report's six fields as JSON reads them back, in the order the writer writes them:
+    each numpy value as its ``tolist()``, a number that is not finite as null.  The test-side
+    reference of ``reports.dumps_canonical``."""
+    fields = {"check_name": report.check_name, "inputs": report.inputs, "values": report.values,
+              "residuals": report.residuals, "tolerances": report.tolerances,
+              "pass": bool(report.passed)}
+    return json.loads(json.dumps(fields, default=methodcaller("tolist")),
+                      parse_constant=lambda name: None)
+
+
+def result_of(reports) -> SuiteResult:
+    """A SuiteResult of ``reports``, their fields grouped into stacks as ``mpjl report`` groups
+    the rows it reads (``reports._group``)."""
+    return SuiteResult(stacks=_group([(r.check_name, r.passed, r.inputs, r.values, r.residuals,
+                                       r.tolerances) for r in reports]))
 
 
 def random_stiefel(n: int, q: int, rng: np.random.Generator) -> np.ndarray:

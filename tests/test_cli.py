@@ -19,11 +19,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import random_rank_q
-from mpjl import cli, matcore as mc, reports, suites
+from helpers import random_rank_q, report_json
+from mpjl import cli, matcore as mc, measures, reports, suites
 from mpjl.cli import main
 from mpjl.errors import BadSpectrum, ConfigError, DegeneracyBudgetExceeded, DegenerateSpectrum
 from mpjl.reports import ReportStack
+from test_output_manifest import _tool
 
 
 def run_cli(capsys, *argv):
@@ -502,6 +503,43 @@ def test_report_of_every_suite_is_written_from_stacks(tmp_path, capsys, monkeypa
     code, out, _ = run_cli(capsys, "report", *paths, "--format", "json")
     assert code == 0 and written == sorted(run[0] for run in EVERY_SUITE)
     assert json.loads(out)["summary"] == {"total": 27, "passed": 27, "failed": 0}
+
+
+def test_no_result_the_cli_makes_reaches_json_dumps(tmp_path, capsys, monkeypatch):
+    # The stack writer writes every SuiteResult: each suite's run, a merge of their files,
+    # and a run whose density is forced to NaN, which fails with null in its place.
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps wrote a SuiteResult")
+
+    monkeypatch.setattr(reports, "json", types.SimpleNamespace(dumps=refuse, loads=json.loads))
+    code, out, _ = run_cli(capsys, "report", *_every_suite_files(tmp_path), "--format", "json")
+    assert code == 0 and json.loads(out)["summary"]["total"] == 27
+    density = measures.log_hausdorff_density
+    monkeypatch.setattr(measures, "log_hausdorff_density",
+                        lambda *args: density(*args) + float("nan"))
+    argv = ["hausdorff", "--n", "4", "--m", "3", "--q", "2", "--trials", "3", "--seed", "5"]
+    code, out, err = run_cli(capsys, "verify", *argv, "--format", "json")
+    made = suites.run_suite("hausdorff", suites.RunConfig(n=4, m=3, q=2, trials=3, seed=5))
+    assert (code, err) == (1, "") and not made.all_passed
+    assert out == json.dumps({"reports": [report_json(r) for r in made.reports],
+                              "summary": made.summary}, indent=2, allow_nan=False) + "\n"
+    assert "null" in out
+
+
+def test_report_refuses_a_nested_value_in_json(tmp_path, capsys):
+    # A report file whose values nest an array and an object: no mpjl writer makes one, and
+    # a report's file cannot hold one, so the JSON merge refuses it; text never writes values.
+    path = tmp_path / "nested-values.json"
+    path.write_text(_tool().NESTED_VALUES_REPORT)
+    out_path = tmp_path / "merged.json"
+    for extra in ([], ["--out", str(out_path)]):
+        code, out, err = run_cli(capsys, "report", str(path), "--format", "json", *extra)
+        assert (code, out) == (2, "") and not out_path.exists()
+        assert err == "error: cannot merge report files: a value that is not a plain scalar\n"
+    code, out, err = run_cli(capsys, "report", str(path), "--format", "text")
+    assert (code, err) == (0, "")
+    assert out == ("[PASS] blocks n=4 m=3 q=3 roundtrip=0.000e+00\n"
+                   "summary: total=1 passed=1 failed=0\n")
 
 
 @pytest.mark.parametrize("twice", [False, True])

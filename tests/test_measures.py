@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from helpers import (
-    check, log_gaussian_mass, random_rank_q, random_stiefel, symmetric_inverse_complex_step, vech,
+    check, log_gaussian_mass, random_rank_q, random_stiefel, report_json,
+    symmetric_inverse_complex_step, vech,
 )
 from mpjl import matcore as mc, measures as ms, suites, witnesses as wt
 from mpjl.errors import BadSpectrum, RankMismatch, ShapeMismatch
@@ -162,7 +163,8 @@ def test_ratio_check_stack_matches_per_spectrum():
         stacked = check("hausdorff", (d,), n=9, m=8)
         assert len(stacked) == 5
         for row, report in zip(d, stacked):
-            assert report.to_json() == check("hausdorff", (row[None],), n=9, m=8)[0].to_json()
+            assert report_json(report) == report_json(
+                check("hausdorff", (row[None],), n=9, m=8)[0])
 
 
 def test_log_values_hold_beyond_the_float_range():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from helpers import report_json, result_of
 from mpjl import reports, suites
 from mpjl.reports import (PRIMARY, TOLERANCES, SuiteResult, VerificationReport, dumps_canonical,
                           render_text)
@@ -57,13 +58,19 @@ def test_explicit_verdict_is_kept():
 
 
 def test_numpy_values_serialize_as_plain_json():
-    values = {"spectrum": np.array([3.0, 1.0]), "grid": np.arange(4).reshape(2, 2),
-              "one": np.array([0.5]), "det": np.float64(2.0), "ok": np.bool_(True)}
-    report = VerificationReport("stub", {"n": np.int64(3)}, values, {}, {}, True)
-    back = json.loads(dumps_canonical(SuiteResult([report])))["reports"][0]
-    assert back["inputs"] == {"n": 3}
-    assert back["values"] == {"spectrum": [3.0, 1.0], "grid": [[0, 1], [2, 3]], "one": [0.5],
-                              "det": 2.0, "ok": True}
+    # A numpy scalar is written as its tolist(); an array is not a scalar, so a value that
+    # holds one is refused.
+    values = {"det": np.float64(2.0), "ok": np.bool_(True), "rank": np.int64(2),
+              "half": np.float32(0.5), "zero_d": np.array(1.5)}
+    report = VerificationReport("stub", {"n": np.int64(3), "spectrum": [np.float64(3.0), 1.0]},
+                                values, {}, {}, np.bool_(True))
+    back = json.loads(dumps_canonical(result_of([report])))["reports"][0]
+    assert back["inputs"] == {"n": 3, "spectrum": [3.0, 1.0]}
+    assert back["values"] == {"det": 2.0, "ok": True, "rank": 2, "half": 0.5, "zero_d": 1.5}
+    assert back["pass"] is True
+    for array in (np.array([3.0, 1.0]), np.arange(4).reshape(2, 2), np.array([0.5])):
+        with pytest.raises(ValueError):
+            dumps_canonical(result_of([VerificationReport("stub", {}, {"a": array}, {}, {}, True)]))
 
 
 def test_omitted_tolerances_come_from_the_table():
@@ -194,14 +201,37 @@ def test_a_stack_is_judged_as_each_report_alone(case):
         assert list(report.tolerances) == list(tolerances)
 
 
-def _reference(obj, duplicates=None) -> str:
-    # What dumps_canonical must write: json.dumps of the payload, a
-    # SuiteResult's being its to_json() with the duplicates last.
-    if isinstance(obj, SuiteResult):
-        obj = obj.to_json()
-        if duplicates is not None:
-            obj["duplicates"] = duplicates
+def _reference(obj) -> str:
+    # What dumps_canonical must write of a payload that is not a SuiteResult.
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
+def _reference_of(made, duplicates=None) -> str:
+    # What dumps_canonical must write of a result of the reports ``made``: the payload of
+    # their fields (report_json) and summary, with the duplicates last.
+    passed = sum(bool(r.passed) for r in made)
+    payload = {"reports": [report_json(r) for r in made],
+               "summary": {"total": len(made), "passed": passed, "failed": len(made) - passed}}
+    if duplicates is not None:
+        payload["duplicates"] = duplicates
+    return _reference(payload)
+
+
+_SCALAR_TYPES = (str, int, float, bool, type(None), np.generic)
+
+
+def _writable(made, duplicates) -> bool:
+    # Whether the writer can write the reports ``made``: every key a str; every value,
+    # residual, tolerance and duplicate a scalar (a numpy one included); every input one
+    # or a list (or tuple) of them.
+    dicts = [d for r in made for d in (r.inputs, r.values, r.residuals, r.tolerances)]
+    scalars = [v for r in made for d in (r.values, r.residuals, r.tolerances) for v in d.values()]
+    scalars += [x for d in duplicates or () for x in d]
+    for r in made:
+        for v in r.inputs.values():
+            scalars += v if type(v) in (list, tuple) else [v]
+    return (all(type(k) is str for d in dicts for k in d)
+            and all(isinstance(v, _SCALAR_TYPES) for v in scalars))
 
 
 SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-2**70, 2**70) | st.text()
@@ -212,8 +242,8 @@ PAYLOADS = st.recursive(SCALARS, lambda children: st.lists(children, max_size=5)
 
 
 # What a report holds: values of every kind JSON has, numpy scalars that
-# to_json makes plain, keys and strings that the row templates must escape,
-# and input lists (as lists, tuples or numpy arrays) of several lengths.
+# the writer writes as their tolist(), keys and strings that the row templates
+# must escape, and input lists (as lists or tuples) of several lengths.
 REPORT_SCALARS = (SCALARS | st.integers(-2**63, 2**63 - 1).map(np.int64)
                   | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
                   | st.booleans().map(np.bool_)
@@ -227,7 +257,7 @@ def made_reports(draw):
     # The reports of a SuiteResult and the duplicates written with it (None:
     # no such key).  The reports share a few layouts (repeated and mixed);
     # about half the results hold one value that is not a plain scalar (a
-    # nested list or object, or an array), which the writer leaves to json.dumps.
+    # nested list or object, or an array), which the writer refuses.
     layouts = draw(st.lists(st.tuples(st.lists(REPORT_KEYS, unique=True, max_size=4),
                                       st.lists(REPORT_KEYS, unique=True, max_size=2),
                                       st.none() | st.integers(0, 4)), min_size=1, max_size=4))
@@ -240,7 +270,7 @@ def made_reports(draw):
             spectrum = st.lists(REPORT_SCALARS, min_size=q, max_size=q)
             floats = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=q,
                               max_size=q)
-            inputs["spectrum"] = draw(spectrum | spectrum.map(tuple) | floats.map(np.array))
+            inputs["spectrum"] = draw(spectrum | spectrum.map(tuple) | floats)
         values = {k: draw(REPORT_SCALARS) for k in keys}
         residuals = {k: draw(REPORT_SCALARS) for k in keys[:2]}
         tolerances = {k: draw(st.none() | REPORT_SCALARS) for k in residuals}
@@ -296,28 +326,19 @@ def _hausdorff(spectrum):
 @example(([VerificationReport("c", {"n": 4}, {}, {"r": 0.0, "s": 0.0}, tolerances, True)
            for tolerances in ({"r": 1e-9, "s": 1e-9}, {"s": 1e-9, "r": 1e-9})], None))
 @example(([], [["blocks", 5, 0], ["blocks", 5, 1]]))
-# Keys equal as numbers that JSON writes apart.
+# Keys that are not a str, equal as numbers that JSON writes apart: refused.
 @example(([VerificationReport("c", {"n": 1}, {key: 2.0}, {}, {}, True) for key in (1, True, 1.0)],
           None))
 def test_dumps_canonical_is_the_reference_encoding(case):
     # The reference is json.dumps of the reports as made: grouping them into
-    # the result's stacks loses no byte.
+    # the result's stacks loses no byte.  What the writer cannot write (a key
+    # that is not a str, a value that is not a scalar) raises TypeError or ValueError.
     made, duplicates = case
-    passed = sum(bool(r.passed) for r in made)
-    payload = {"reports": [r.to_json() for r in made],
-               "summary": {"total": len(made), "passed": passed, "failed": len(made) - passed}}
-    if duplicates is not None:
-        payload["duplicates"] = duplicates
-    assert dumps_canonical(SuiteResult(made), duplicates) == _reference(payload)
-
-
-def _reference_of_run(result, duplicates=None) -> str:
-    # _reference with each number that is not finite written as null, as
-    # dumps_canonical writes a run's (the report holding one has failed).
-    payload = json.loads(json.dumps(result.to_json()), parse_constant=lambda name: None)
-    if duplicates is not None:
-        payload["duplicates"] = duplicates
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    if _writable(made, duplicates):
+        assert dumps_canonical(result_of(made), duplicates) == _reference_of(made, duplicates)
+    else:
+        with pytest.raises((TypeError, ValueError)):
+            dumps_canonical(result_of(made), duplicates)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -394,26 +415,21 @@ def _regular(column) -> bool:
 @example((SuiteResult(stacks=[_stack(3, inputs={"note%%": "100%% of %%d"},
                                      label=["a%%", "b", "c"])]), None))
 def test_dumps_canonical_writes_stacks_as_the_reference(case):
-    # A run whose numbers are finite and whose input columns are regular is
-    # written from its stacks (unless duplicates are written with it), never
-    # left to json.dumps.  A stack of no rows writes nothing, so its (empty)
-    # columns do not count.
+    # A run whose input columns are regular is written from its stacks as the
+    # reference, each number that is not finite as null (the report holding one
+    # has failed); one whose columns are not raises TypeError or ValueError.  A
+    # stack of no rows writes nothing, so its (empty) columns do not count.
     result, duplicates = case
-    try:
-        json.dumps(result.to_json(), allow_nan=False)
-        finite = True
-    except ValueError:
-        finite = False
-    regular = all(_regular(c) for stack in result.stacks if stack for c in stack.inputs.values())
-    written = dumps_canonical(result, duplicates)
-    if duplicates is None and finite and regular:
-        assert reports._written(result.stacks, result.summary, None) == written
-    assert written == _reference_of_run(result, duplicates)
+    if all(_regular(c) for stack in result.stacks if stack for c in stack.inputs.values()):
+        assert dumps_canonical(result, duplicates) == _reference_of(result.reports, duplicates)
+    else:
+        with pytest.raises((TypeError, ValueError)):
+            dumps_canonical(result, duplicates)
 
 
-@given(made_reports().map(lambda case: (SuiteResult(case[0]), case[1])) | stack_results())
-@example((SuiteResult([VerificationReport("c", {}, {}, {"r": 0.0, "s": "x", "t": None},
-                                          {"r": 1e-9}, False)]), None))
+@given(made_reports().map(lambda case: (result_of(case[0]), case[1])) | stack_results())
+@example((result_of([VerificationReport("c", {}, {}, {"r": 0.0, "s": "x", "t": None},
+                                        {"r": 1e-9}, False)]), None))
 def test_render_text_reads_as_each_report(case):
     # render_text writes a stack's rows from its columns; each line is the
     # report's as rendered one by one.
@@ -421,10 +437,9 @@ def test_render_text_reads_as_each_report(case):
     text = render_text(result, show_wall_time=False)
     lines = []
     for r in result.reports:
-        inputs = " ".join(f"{k}={v}" for k, v in reports._plain(r.inputs).items())
+        inputs = " ".join(f"{k}={v}" for k, v in r.inputs.items())
         resid = " ".join(f"{k}={v:.3e}" if v is not None and math.isfinite(v) else f"{k}=null"
-                         for k, v in reports._plain(r.residuals).items()
-                         if v is None or isinstance(v, float))
+                         for k, v in r.residuals.items() if v is None or isinstance(v, float))
         lines.append(f"[{'PASS' if r.passed else 'FAIL'}] {r.check_name} {inputs} {resid}".rstrip())
     s = result.summary
     lines.append(f"summary: total={s['total']} passed={s['passed']} failed={s['failed']}")
@@ -464,17 +479,17 @@ def test_other_payloads_go_to_the_reference(payload):
 
 
 def test_template_cache_stays_bounded():
-    result = SuiteResult([_stub(), _stub(), _stub({"spectrum": [1.0, 2.0]})])
-    dumps_canonical(result)
+    made = [_stub(), _stub(), _stub({"spectrum": [1.0, 2.0]})]
+    dumps_canonical(result_of(made))
     held = len(reports._rows)
-    assert dumps_canonical(result) == _reference(result) and len(reports._rows) == held
+    assert dumps_canonical(result_of(made)) == _reference_of(made) and len(reports._rows) == held
     for i in range(reports.TEMPLATE_LIMIT + 50):
-        result = SuiteResult([_stub({f"k{i}": i}), _stub({f"k{i}": [i] * (i % 3)}), _stub()])
-        assert dumps_canonical(result, [["c", i, 0]]) == _reference(result, [["c", i, 0]])
+        made = [_stub({f"k{i}": i}), _stub({f"k{i}": [i] * (i % 3)}), _stub()]
+        assert dumps_canonical(result_of(made), [["c", i, 0]]) == _reference_of(made, [["c", i, 0]])
         assert 0 < len(reports._rows) <= reports.TEMPLATE_LIMIT
         # A stack's rows are cached by their layout and their shared scalars.
         result = SuiteResult(stacks=[_stack(2, inputs={"k": i})])
-        assert dumps_canonical(result) == _reference(result)
+        assert dumps_canonical(result) == _reference_of(result.reports)
         assert 0 < len(reports._rows) <= reports.TEMPLATE_LIMIT
 
 
@@ -496,33 +511,46 @@ def _refuse_constant(name):
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-@pytest.mark.parametrize("where", [lambda v: SuiteResult(reports=[
+@pytest.mark.parametrize("where", [lambda v: [
                                        VerificationReport("c", {"q": 1}, {}, {}, {}, True),
                                        VerificationReport("c", {"q": 1}, {"x": v}, {}, {}, True),
-                                   ]),
-                                   lambda v: SuiteResult(reports=[
-                                       _stub({"spectrum": [1.0, np.float64(v)]})])])
+                                   ],
+                                   lambda v: [_stub({"spectrum": [1.0, np.float64(v)]})],
+                                   lambda v: [_stub(values={"s": "NaN", "t": "-Infinity",
+                                                            "x": v})]])
 def test_non_finite_numbers_of_a_suite_result_are_written_as_null(bad, where):
     # Strict JSON has no such number, and the report holding one has failed
-    # (stack_reports): the file says null there and keeps its layout.
-    obj = where(bad)
-    text = dumps_canonical(obj)
-    loose = json.dumps(obj.to_json(), indent=2)  # writes NaN, Infinity, -Infinity
-    for token in ("-Infinity", "Infinity", "NaN"):
-        loose = loose.replace(token, "null")
-    assert text == loose + "\n"
+    # (stack_reports): the file says null there and keeps its layout.  A string
+    # that spells one is a string.
+    made = where(bad)
+    text = dumps_canonical(result_of(made))
+    assert text == _reference_of(made)
     json.loads(text, parse_constant=_refuse_constant)
 
 
 def test_what_json_lacks_raises_the_reference_error():
-    for obj in ({"a": {"b": object()}}, {"a": np.float32(1.0)}, {(1, 2): [1]},
-                SuiteResult([_stub(values={"b": object()})]),
-                SuiteResult([_stub(values={(1, 2): 1.0})])):
+    for obj in ({"a": {"b": object()}}, {"a": np.float32(1.0)}, {(1, 2): [1]}):
         with pytest.raises(TypeError) as reference:
             _reference(obj)
         with pytest.raises(TypeError) as ours:
             dumps_canonical(obj)
         assert str(ours.value) == str(reference.value)
+    # A result that the writer cannot write raises TypeError or ValueError, never
+    # AttributeError: a value without a JSON form (json.dumps' error), a key that is not
+    # a str, a value (or an input's item) that is not a scalar.
+    with pytest.raises(TypeError) as reference:
+        _reference({"b": object()})
+    with pytest.raises(TypeError) as ours:
+        dumps_canonical(result_of([_stub(values={"b": object()})]))
+    assert str(ours.value) == str(reference.value)
+    for report, error in [(_stub(values={(1, 2): 1.0}), TypeError),
+                          (_stub(values={1: 2.0, None: True}), TypeError),
+                          (_stub({"n": 4, 3: "m"}), TypeError),
+                          (_stub(values={"x": [[1.0]]}), ValueError),
+                          (_stub(values={"x": {"y": [1]}}), ValueError),
+                          (_stub({"spectrum": [[1.0], 2.0]}), ValueError)]:
+        with pytest.raises(error):
+            dumps_canonical(result_of([report]))
     # Keys JSON converts (numbers, bools, None) are written as the reference writes them.
     obj = {"x": {1: [2], 2.5: {"y": True}, None: [], False: {}}}
     assert dumps_canonical(obj) == _reference(obj)

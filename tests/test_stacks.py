@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from helpers import chart_positions, check, random_rank_q, random_stiefel
+from helpers import (
+    chart_positions, check, random_rank_q, random_stiefel, report_json, result_of,
+)
 from mpjl import (
     chart, differential as df, matcore as mc, measures as ms, reports, suites, witnesses,
 )
@@ -19,7 +21,7 @@ from mpjl.cli import main
 from mpjl.errors import (
     DegeneracyBudgetExceeded, DegenerateSpectrum, IllConditionedPivot, MpjlError, RankMismatch,
 )
-from mpjl.reports import ReportStack, SuiteResult, VerificationReport, dumps_canonical
+from mpjl.reports import ReportStack, VerificationReport, dumps_canonical
 
 # (n, m, q): q = 1 and q = 2 deficient, full rank tall and wide, q = m,
 # q = n, a single row.
@@ -28,7 +30,7 @@ SHAPES = [(2, 2, 1), (3, 4, None), (4, 3, None), (4, 3, 2), (8, 6, 3), (5, 4, 4)
 
 
 def _bytes(reports) -> str:
-    return dumps_canonical(SuiteResult(reports=list(reports)))
+    return dumps_canonical(result_of(reports))
 
 
 def _one_by_one(suite, cfg):
@@ -73,7 +75,7 @@ def test_a_run_writes_the_reports_it_reads_as(monkeypatch, suite, budget):
     assert [len(s) for s in result.stacks] == ([6] if budget > 1 else [1] * 6)
     assert all(type(s) is ReportStack for s in result.stacks)
     written = json.loads(dumps_canonical(result))
-    assert written["reports"] == [r.to_json() for r in result.reports]
+    assert written["reports"] == [report_json(r) for r in result.reports]
     assert written["summary"] == result.summary == {"total": 6, "passed": 6, "failed": 0}
 
 
@@ -439,7 +441,7 @@ def _stacked_and_single(x, q, directions, draws):
         out["full_rank_log_det"] = df.log_jacobian_det_full_rank(x, info)
     if q == m <= n:
         reports = check("exterior-chain", draws, n=n, m=m)
-        out["exterior_chain"] = [dumps_canonical(r.to_json()) for r in reports]
+        out["exterior_chain"] = [dumps_canonical(report_json(r)) for r in reports]
     if m <= 8:  # S = X'X - I/10: symmetric, indefinite below full column rank
         s = ms.symmetric_part(x.swapaxes(-1, -2) @ x - 0.1 * np.eye(m))
         out.update(symmetric_part=s, symmetric_formula=ms.log_symmetric_inverse_jacobian(s),
@@ -530,7 +532,7 @@ def test_operator_rank_residuals_of_a_stack_are_those_of_its_trials(n, m, data):
     for t, report in enumerate(stacked):
         draw = mc.draw_rank_q(n, m, q, [mc.make_rng(seed, t)], spectrum)
         [alone] = suites._check_operator_rank(cfg, draw)
-        assert dumps_canonical(report.to_json()) == dumps_canonical(alone.to_json())
+        assert dumps_canonical(report_json(report)) == dumps_canonical(report_json(alone))
 
 
 def test_stacked_decompose_and_fd_chart_factor_one_stack(svd_shapes):

@@ -76,9 +76,10 @@ its own directory.  It replays:
   ``linspace(0.3, 0.15, 16)`` and ``operator-rank`` 3 x 5 q=2 at spectrum
   ``2.5e-13,2.5e-14`` (both an overflow to inf), each in JSON; and
   ``report`` merges, in JSON and in text, of a hand-written file whose
-  ``values`` hold a nested array and an object (which the JSON writer's
-  row templates leave to ``json.dumps``), and of a file with zero reports
-  together with the ``blocks`` file ``dup.json``; and, in JSON, the
+  ``values`` hold a nested array and an object (which the JSON merge
+  refuses with exit 2: a report's JSON holds no such value; the text merge
+  writes no values), and of a file with zero reports together with the
+  ``blocks`` file ``dup.json``; and, in JSON, the
   boundary cases of the three checks that moved into ``suites``: square
   ``exterior-chain`` (4 x 4),
   ``hausdorff`` at q=1 (no pair of singular values) and ``invariance`` on
@@ -512,7 +513,10 @@ def replay(src: Path) -> list[dict]:
                         records.append(_invoke(cli, f"{name}/{seed}/{cycle}/report {fmt}",
                                                ["report", *written, "--format", fmt]))
         for i, fixture in enumerate(witnesses.load_witnesses()):
-            text = dumps_canonical(witnesses.reproduce(fixture).to_json())
+            report = witnesses.reproduce(fixture)
+            text = dumps_canonical({"check_name": report.check_name, "inputs": report.inputs,
+                                    "values": report.values, "residuals": report.residuals,
+                                    "tolerances": report.tolerances, "pass": report.passed})
             records.append({"id": f"witness {i}", "argv": [], "code": None,
                             "stdout": _sha(text.encode()), "errors": [], "out": _sha(b""),
                             "stdout_leaves": _leaf_digests(text.encode())})
